@@ -60,12 +60,12 @@ impl Attribution {
     /// Aggregates every span node of `forest` over its backing records.
     #[must_use]
     pub fn build(forest: &SpanForest, records: &[TraceRecord]) -> Attribution {
-        let mut per_node: HashMap<String, NodeStat> = HashMap::new();
+        let mut per_node: HashMap<&str, NodeStat> = HashMap::new();
         for tree in &forest.trees {
             for node in &tree.nodes {
                 let record = &records[node.record];
                 let stat = per_node
-                    .entry(record.site.clone())
+                    .entry(record.site.as_str())
                     .or_insert_with(|| NodeStat {
                         site: record.site.clone(),
                         ..NodeStat::default()

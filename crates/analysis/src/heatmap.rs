@@ -35,13 +35,13 @@ impl Heatmap {
     /// Renders both maps from a span forest.
     #[must_use]
     pub fn build(forest: &SpanForest, records: &[TraceRecord]) -> Heatmap {
-        let mut busy: HashMap<String, u64> = HashMap::new();
-        let mut wait: HashMap<String, u64> = HashMap::new();
+        let mut busy: HashMap<&str, u64> = HashMap::new();
+        let mut wait: HashMap<&str, u64> = HashMap::new();
         for tree in &forest.trees {
             for node in &tree.nodes {
-                let site = &records[node.record].site;
-                *busy.entry(site.clone()).or_default() += node.service_ps;
-                *wait.entry(site.clone()).or_default() += node.queue_ps;
+                let site = records[node.record].site.as_str();
+                *busy.entry(site).or_default() += node.service_ps;
+                *wait.entry(site).or_default() += node.queue_ps;
             }
         }
         Heatmap {
@@ -57,7 +57,7 @@ struct Row {
     cells: Vec<u64>,
 }
 
-fn render_map(values: &HashMap<String, u64>) -> String {
+fn render_map(values: &HashMap<&str, u64>) -> String {
     let parsed: Vec<(Site, u64)> = values
         .iter()
         .map(|(label, &v)| (Site::parse(label), v))

@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// A parsed trace site.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Site {
     /// A traffic source endpoint.
     Source(usize),
@@ -92,31 +92,52 @@ impl Site {
         }
     }
 
-    /// The labels this site's causal parent could carry, most likely
-    /// first. `src` is the event's packet source (needed to name the
-    /// fanout leaf feeding a fanin tree). Empty means "no coordinate
-    /// parent" — the analyzer then falls back to the flit's previous
-    /// event, which is exact for linear paths (the mesh).
-    #[must_use]
-    pub fn parent_candidates(&self, src: usize) -> Vec<String> {
-        match *self {
-            Site::Fanout { tree, level: 0, .. } => vec![format!("src{tree}")],
+    /// The sites this site's causal parent could be, most likely first.
+    /// `src` is the event's packet source (needed to name the fanout leaf
+    /// feeding a fanin tree). None means "no coordinate parent" — the
+    /// analyzer then falls back to the flit's previous event, which is
+    /// exact for linear paths (the mesh).
+    pub fn parent_candidates(&self, src: usize) -> impl Iterator<Item = Site> {
+        let fanin = |tree, level: Option<u32>, index: Option<usize>| {
+            Some(Site::Fanin {
+                tree,
+                level: level?,
+                index: index?,
+            })
+        };
+        let candidates = match *self {
+            Site::Fanout { tree, level: 0, .. } => [Some(Site::Source(tree)), None, None],
             Site::Fanout { tree, level, index } => {
-                vec![format!("fo[s{tree}:{}.{}]", level - 1, index / 2)]
+                let parent = Site::Fanout {
+                    tree,
+                    level: level - 1,
+                    index: index / 2,
+                };
+                [Some(parent), None, None]
             }
             // A fanin node is fed by one of its two children one level
             // down — or, at the leaf level, by the source's fanout leaf
             // covering this destination pair. Candidate order encodes
             // that precedence; only the true parent has an event in the
-            // same flit's group.
-            Site::Fanin { tree, level, index } => vec![
-                format!("fi[d{tree}:{}.{}]", level + 1, 2 * index),
-                format!("fi[d{tree}:{}.{}]", level + 1, 2 * index + 1),
-                format!("fo[s{src}:{level}.{}]", tree / 2),
-            ],
-            Site::Sink(dest) => vec![format!("fi[d{dest}:0.0]")],
-            Site::Source(_) | Site::Router(_) | Site::Other => Vec::new(),
-        }
+            // same flit's group. Coordinates no fabric has (they would
+            // overflow) name no child.
+            Site::Fanin { tree, level, index } => {
+                let (below, left) = (level.checked_add(1), index.checked_mul(2));
+                let leaf = Site::Fanout {
+                    tree: src,
+                    level,
+                    index: tree / 2,
+                };
+                [
+                    fanin(tree, below, left),
+                    fanin(tree, below, left.and_then(|i| i.checked_add(1))),
+                    Some(leaf),
+                ]
+            }
+            Site::Sink(dest) => [fanin(dest, Some(0), Some(0)), None, None],
+            Site::Source(_) | Site::Router(_) | Site::Other => [None; 3],
+        };
+        candidates.into_iter().flatten()
     }
 }
 
@@ -171,34 +192,30 @@ mod tests {
 
     #[test]
     fn parent_candidates_follow_the_wiring() {
+        let parents = |label: &str, src: usize| -> Vec<String> {
+            Site::parse(label)
+                .parent_candidates(src)
+                .map(|site| site.to_string())
+                .collect()
+        };
         // Root fanout comes from its source.
-        assert_eq!(
-            Site::parse("fo[s5:0.0]").parent_candidates(5),
-            vec!["src5".to_string()]
-        );
+        assert_eq!(parents("fo[s5:0.0]", 5), ["src5"]);
         // Interior fanout halves its index one level up.
-        assert_eq!(
-            Site::parse("fo[s5:2.3]").parent_candidates(5),
-            vec!["fo[s5:1.1]".to_string()]
-        );
+        assert_eq!(parents("fo[s5:2.3]", 5), ["fo[s5:1.1]"]);
         // Interior fanin: two child slots, then the fanout leaf covering
         // this destination pair (8x8: fanin leaf (d=3, L2, s/2) is fed by
         // fanout leaf (s, L2, d/2)).
         assert_eq!(
-            Site::parse("fi[d3:2.3]").parent_candidates(6),
-            vec![
-                "fi[d3:3.6]".to_string(),
-                "fi[d3:3.7]".to_string(),
-                "fo[s6:2.1]".to_string(),
-            ]
+            parents("fi[d3:2.3]", 6),
+            ["fi[d3:3.6]", "fi[d3:3.7]", "fo[s6:2.1]"]
         );
         // Sink is fed by the fanin root.
-        assert_eq!(
-            Site::parse("D3").parent_candidates(6),
-            vec!["fi[d3:0.0]".to_string()]
-        );
+        assert_eq!(parents("D3", 6), ["fi[d3:0.0]"]);
         // Mesh routers have no coordinate parent — linear fallback.
-        assert!(Site::parse("r9").parent_candidates(0).is_empty());
+        assert!(parents("r9", 0).is_empty());
+        // Coordinates past any fabric name no child instead of overflowing.
+        let edge = format!("fi[d1:{}.{}]", u32::MAX, usize::MAX);
+        assert_eq!(parents(&edge, 2), [format!("fo[s2:{}.0]", u32::MAX)]);
     }
 
     #[test]

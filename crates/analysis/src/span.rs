@@ -6,7 +6,7 @@
 //! throttle where a non-speculative node killed a redundant copy. The
 //! trace records each of those events with a site label; because the MoT
 //! wiring is fully determined by coordinates, each event's causal parent
-//! is *computable* from its label ([`Site::parent_candidates`]), so the
+//! is *computable* from its parsed label ([`Site::parent_candidates`]), so the
 //! tree is reconstructed exactly, not heuristically. Sites without
 //! coordinate labels (mesh routers, generic collectors) fall back to the
 //! flit's previous event, which is exact for linear paths.
@@ -185,9 +185,10 @@ impl SpanForest {
             entry.push(index);
         }
 
+        let mut by_site = SiteIndex::default();
         let mut trees: Vec<FlitTree> = order
             .into_iter()
-            .map(|key| build_tree(records, &groups[&key]))
+            .map(|key| build_tree(records, &groups[&key], &mut by_site))
             .collect();
         trees.sort_by_key(|t| (t.logical, t.packet, t.flit));
         let open_trees = trees.iter().filter(|t| !t.closed).count();
@@ -212,22 +213,62 @@ impl SpanForest {
     }
 }
 
-fn build_tree(records: &[TraceRecord], indices: &[usize]) -> FlitTree {
+/// Where one tree's nodes sit, by parsed site, for coordinate parent
+/// lookup. A flit copy traverses a site at most once, so the index keeps
+/// the latest node per site; `earlier` chains back through any repeats
+/// so that a malformed trace resolves as it always did. Sites that parse
+/// to [`Site::Other`] are never anyone's coordinate parent and are left
+/// out. One index is cleared and reused for every tree of a forest.
+#[derive(Default)]
+struct SiteIndex {
+    latest: HashMap<Site, usize>,
+    /// Per node of the tree: the previous node at the same site.
+    earlier: Vec<Option<usize>>,
+}
+
+impl SiteIndex {
+    fn clear(&mut self) {
+        self.latest.clear();
+        self.earlier.clear();
+    }
+
+    /// Records that the tree's next node sits at `site`.
+    fn push(&mut self, site: Site) {
+        let position = self.earlier.len();
+        let earlier = match site {
+            Site::Other => None,
+            _ => self.latest.insert(site, position),
+        };
+        self.earlier.push(earlier);
+    }
+
+    /// The latest node at `site` no later than `t_ps`.
+    fn latest_before(&self, site: Site, t_ps: u64, nodes: &[SpanNode]) -> Option<usize> {
+        let mut cursor = self.latest.get(&site).copied();
+        while let Some(position) = cursor {
+            if nodes[position].t_ps <= t_ps {
+                return cursor;
+            }
+            cursor = self.earlier[position];
+        }
+        None
+    }
+}
+
+fn build_tree(records: &[TraceRecord], indices: &[usize], by_site: &mut SiteIndex) -> FlitTree {
     let first = &records[indices[0]];
     let mut nodes: Vec<SpanNode> = Vec::with_capacity(indices.len());
-    // Site label -> node positions, for coordinate parent lookup. A flit
-    // copy traverses a site at most once, but a defensive list keeps
-    // malformed traces from panicking.
-    let mut by_site: HashMap<&str, Vec<usize>> = HashMap::new();
+    by_site.clear();
     let src = first.src as usize;
 
     for &record_index in indices {
         let record = &records[record_index];
         let kind = SpanKind::of(&record.action);
+        let site = Site::parse(&record.site);
         let parent = if kind == SpanKind::Inject {
             None
         } else {
-            resolve_parent(record, src, &nodes, &by_site)
+            resolve_parent(site, record.t_ps, src, &nodes, by_site)
         };
         let segment_ps = match (kind, parent) {
             // The injection's segment is the source-queue wait since
@@ -241,7 +282,6 @@ fn build_tree(records: &[TraceRecord], indices: &[usize]) -> FlitTree {
         } else {
             record.busy_ps.min(segment_ps)
         };
-        let position = nodes.len();
         nodes.push(SpanNode {
             record: record_index,
             t_ps: record.t_ps,
@@ -253,7 +293,7 @@ fn build_tree(records: &[TraceRecord], indices: &[usize]) -> FlitTree {
             service_ps,
             queue_ps: segment_ps - service_ps,
         });
-        by_site.entry(&record.site).or_default().push(position);
+        by_site.push(site);
     }
 
     let mut tree = FlitTree {
@@ -272,34 +312,24 @@ fn build_tree(records: &[TraceRecord], indices: &[usize]) -> FlitTree {
     tree
 }
 
-/// Finds the causal parent of `record` among the nodes built so far:
-/// first by the site's coordinate candidates, then — when the site has
-/// none, or none of them matched — the flit's previous event.
+/// Finds the causal parent of an event at `site` among the nodes built
+/// so far: first by the site's coordinate candidates, then — when the
+/// site has none, or none of them matched — the flit's previous event.
 fn resolve_parent(
-    record: &TraceRecord,
+    site: Site,
+    t_ps: u64,
     src: usize,
     nodes: &[SpanNode],
-    by_site: &HashMap<&str, Vec<usize>>,
+    by_site: &SiteIndex,
 ) -> Option<usize> {
-    let site = Site::parse(&record.site);
-    let candidates = site.parent_candidates(src);
-    for candidate in &candidates {
-        if let Some(positions) = by_site.get(candidate.as_str()) {
-            if let Some(&position) = positions
-                .iter()
-                .rev()
-                .find(|&&p| nodes[p].t_ps <= record.t_ps)
-            {
-                return Some(position);
-            }
-        }
-    }
-    // Linear fallback — exact for single-copy paths (the mesh, where
-    // router sites have no coordinates and delivery sinks have no fanin
-    // tree to match), best-effort when the trace cap dropped the true
-    // coordinate parent: the flit's previous event is always a causal
-    // predecessor, so segments stay non-negative.
-    (!nodes.is_empty()).then(|| nodes.len() - 1)
+    site.parent_candidates(src)
+        .find_map(|candidate| by_site.latest_before(candidate, t_ps, nodes))
+        // Linear fallback — exact for single-copy paths (the mesh, where
+        // router sites have no coordinates and delivery sinks have no fanin
+        // tree to match), best-effort when the trace cap dropped the true
+        // coordinate parent: the flit's previous event is always a causal
+        // predecessor, so segments stay non-negative.
+        .or_else(|| nodes.len().checked_sub(1))
 }
 
 /// One hop of a critical path.
@@ -575,6 +605,98 @@ mod tests {
         let lost = forest.trees.iter().find(|t| t.packet == 9).unwrap();
         assert!(lost.broken());
         assert_eq!(lost.fault_events, 2);
+    }
+
+    /// Parent resolution as it was before sites were typed: candidate
+    /// labels formatted per record, looked up in a map of every node's
+    /// label.
+    fn label_keyed_parents(records: &[TraceRecord]) -> Vec<Option<usize>> {
+        let mut by_site: HashMap<&str, Vec<usize>> = HashMap::new();
+        let src = records[0].src as usize;
+        let mut parents = Vec::new();
+        for (position, record) in records.iter().enumerate() {
+            let by_label = |label: String| {
+                let positions = by_site.get(label.as_str())?;
+                let earlier = |&&p: &&usize| records[p].t_ps <= record.t_ps;
+                positions.iter().rev().find(earlier).copied()
+            };
+            parents.push(if record.action == "inject" {
+                None
+            } else {
+                Site::parse(&record.site)
+                    .parent_candidates(src)
+                    .find_map(|candidate| by_label(candidate.to_string()))
+                    .or(position.checked_sub(1))
+            });
+            by_site.entry(&record.site).or_default().push(position);
+        }
+        parents
+    }
+
+    #[test]
+    fn typed_sites_resolve_the_parents_label_lookup_did() {
+        // One flit's worth of everything a trace can throw at the index:
+        // repeated sites, events out of time order, labels that parse to
+        // nothing, candidates that are absent.
+        let sites = [
+            "src2",
+            "fo[s2:0.0]",
+            "fo[s2:1.0]",
+            "fo[s2:1.1]",
+            "fo[s2:2.1]",
+            "fo[s2:2.3]",
+            "fi[d1:2.1]",
+            "fi[d1:1.0]",
+            "fi[d1:0.0]",
+            "fi[d6:2.1]",
+            "fi[d6:1.1]",
+            "fi[d6:0.0]",
+            "D1",
+            "D6",
+            "r4",
+            "ch9",
+            "node3",
+            "MotNode::Fanout(3)",
+        ];
+        let actions = [
+            "forward", "forward", "forward", "throttle", "deliver", "fault", "inject",
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        let mut records = vec![record(100, 5, 0, "src2", "inject", 1, 0)];
+        for step in 0..600 {
+            let t_ps = 100 + 10 * step + draw(40) as u64;
+            let mut next = record(
+                t_ps,
+                5,
+                0,
+                sites[draw(sites.len())],
+                actions[draw(7)],
+                1,
+                30,
+            );
+            next.src = 2;
+            records.push(next);
+        }
+        records[0].src = 2;
+        let forest = SpanForest::build(&records);
+        assert_eq!(forest.trees.len(), 1);
+        let resolved: Vec<Option<usize>> = forest.trees[0].nodes.iter().map(|n| n.parent).collect();
+        let expected = label_keyed_parents(&records);
+        assert_eq!(resolved, expected);
+        // The soup must reach past the linear fallback, and past the
+        // latest node of a site, for the comparison to mean anything.
+        let coordinate = expected
+            .iter()
+            .enumerate()
+            .filter(|(position, parent)| parent.is_some_and(|p| p + 1 < *position))
+            .count();
+        assert!(coordinate > 100, "{coordinate} coordinate parents");
     }
 
     #[test]

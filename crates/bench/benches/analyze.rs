@@ -7,6 +7,9 @@
 //! is timed over the same record stream:
 //!
 //! - `parse_trace` — NDJSON text back into meta + records
+//! - `fold_stream` — the same run's `--stream --stream-trace` document
+//!   folded back into the metrics report (one `trace` line per event,
+//!   validated and skipped, plus the few records that carry the fold)
 //! - `span_forest` — causal span-tree reconstruction alone
 //! - `full_analysis` — the complete report build (spans, critical
 //!   paths, attribution, heatmaps, scorecard)
@@ -22,7 +25,7 @@ use asynoc::{
 use asynoc_analysis::{Analysis, SpanForest};
 use asynoc_bench::baseline::{guard, parse_bench_args, BenchCase};
 use asynoc_bench::timing::Harness;
-use asynoc_telemetry::{parse_trace, render_trace, TraceCollector, TraceMeta};
+use asynoc_telemetry::{fold_stream, parse_trace, render_trace, TraceCollector, TraceMeta};
 use asynoc_topology::{FaninNodeId, FanoutNodeId};
 
 fn main() {
@@ -69,10 +72,18 @@ fn main() {
     let records = collector.records().to_vec();
     let events = records.len() as u64;
 
+    let stream = traced_stream(measure_ns);
+    let stream_events = stream.matches("\"type\":\"trace\"").count() as u64;
+
     let group = harness.group(&format!("analyze_{measure_ns}ns ({events} events)"));
     let parse = group
         .bench_stats("parse_trace", || {
             parse_trace(&text).expect("well-formed trace")
+        })
+        .min;
+    let fold = group
+        .bench_stats("fold_stream", || {
+            fold_stream(&stream).expect("well-formed stream")
         })
         .min;
     let spans = group
@@ -86,11 +97,12 @@ fn main() {
 
     if let Some(path) = args.json {
         let cases = [
-            ("parse_trace", parse),
-            ("span_forest", spans),
-            ("full_analysis", full),
+            ("parse_trace", parse, events),
+            ("fold_stream", fold, stream_events),
+            ("span_forest", spans, events),
+            ("full_analysis", full, events),
         ]
-        .map(|(id, fastest)| BenchCase {
+        .map(|(id, fastest, events)| BenchCase {
             id: id.to_string(),
             median: fastest,
             events,
@@ -100,4 +112,25 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+/// The stream `asynoc metrics --stream --stream-trace` writes for the
+/// run the other cases trace in memory.
+fn traced_stream(measure_ns: u64) -> String {
+    let path = std::env::temp_dir().join(format!(
+        "asynoc-bench-analyze-{}.stream.ndjson",
+        std::process::id()
+    ));
+    let line = format!(
+        "metrics --arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3 --seed 3 \
+         --flits 1 --warmup-ns 40 --measure-ns {measure_ns} --trace-limit 1000000 \
+         --stream {} --stream-trace",
+        path.display()
+    );
+    let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+    let command = asynoc_cli::parse(&args).expect("valid invocation");
+    asynoc_cli::execute(&command, &mut Vec::new()).expect("the streamed run succeeds");
+    let stream = std::fs::read_to_string(&path).expect("stream file");
+    let _ = std::fs::remove_file(&path);
+    stream
 }

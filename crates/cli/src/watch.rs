@@ -14,7 +14,7 @@
 use std::io::{BufRead, BufReader, Read, Seek, Write};
 use std::time::Instant;
 
-use asynoc_telemetry::{fold_stream, JsonValue, STREAM_SCHEMA};
+use asynoc_telemetry::{JsonValue, StreamFolder, StreamLine, STREAM_SCHEMA};
 
 use crate::commands::CliError;
 
@@ -50,100 +50,115 @@ struct Dashboard {
     watchpoints: u64,
     malformed: u64,
     ended: bool,
+    /// `--fold`'s folder, fed every line the dashboard sees.
+    folder: Option<StreamFolder>,
 }
 
 impl Dashboard {
-    /// Ingests one NDJSON line, writing any dashboard output for it.
-    fn ingest(&mut self, line: &str, out: &mut dyn Write) -> Result<(), CliError> {
-        if line.trim().is_empty() {
-            return Ok(());
+    fn new(request: &WatchRequest) -> Dashboard {
+        Dashboard {
+            folder: request.fold.as_ref().map(|_| StreamFolder::default()),
+            ..Dashboard::default()
         }
-        let Ok(value) = JsonValue::parse(line) else {
-            self.malformed += 1;
-            return Ok(());
+    }
+
+    /// Ingests one NDJSON line, writing any dashboard output for it. The
+    /// line is parsed once, for the dashboard and the folder alike, so
+    /// neither its text nor its tree outlives it. A line that is not
+    /// JSON, has no known `type`, or carries a counter that is not a
+    /// whole number is counted and skipped.
+    fn ingest(&mut self, line: &str, out: &mut dyn Write) -> Result<(), CliError> {
+        let line = StreamLine::parse(line);
+        if let Some(folder) = &mut self.folder {
+            folder.push(&line);
+        }
+        let value = match &line {
+            Ok(StreamLine::Blank) => return Ok(()),
+            Ok(StreamLine::Trace) => {
+                self.traces += 1;
+                return Ok(());
+            }
+            Ok(StreamLine::Record(value)) => value,
+            Err(_) => {
+                self.malformed += 1;
+                return Ok(());
+            }
         };
-        let uint =
-            |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-        match value.get("type").and_then(JsonValue::as_str) {
-            Some("head") => {
-                if value.get("schema").and_then(JsonValue::as_str) != Some(STREAM_SCHEMA) {
-                    return Err(CliError::Invalid(format!(
-                        "not an {STREAM_SCHEMA:?} stream (head record has a different schema)"
-                    )));
-                }
-                self.window_ps = uint(&value, "window_ps");
+        if value.get("type").and_then(JsonValue::as_str) == Some("head")
+            && value.get("schema").and_then(JsonValue::as_str) != Some(STREAM_SCHEMA)
+        {
+            return Err(CliError::Invalid(format!(
+                "not an {STREAM_SCHEMA:?} stream (head record has a different schema)"
+            )));
+        }
+        match self.report(value) {
+            Some(text) => writeln!(out, "{text}")?,
+            None => self.malformed += 1,
+        }
+        Ok(())
+    }
+
+    /// Applies one record and returns its dashboard line; `None` leaves
+    /// the dashboard untouched.
+    fn report(&mut self, value: &JsonValue) -> Option<String> {
+        // An absent counter reads as zero; a present one must be exact.
+        let uint = |key: &str| value.get(key).map_or(Some(0), JsonValue::as_u64);
+        let text = |key: &str| value.get(key).and_then(JsonValue::as_str);
+        match text("type")? {
+            "head" => {
+                self.window_ps = uint("window_ps")?;
                 if let Some(levels) = value.get("levels").and_then(JsonValue::as_array) {
                     self.levels = levels
                         .iter()
                         .filter_map(|l| l.as_str().map(str::to_string))
                         .collect();
                 }
-                let substrate = value
-                    .get("substrate")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?");
-                writeln!(
-                    out,
-                    "watching {substrate} stream: window {} ps, {} level group(s)",
+                Some(format!(
+                    "watching {} stream: window {} ps, {} level group(s)",
+                    text("substrate").unwrap_or("?"),
                     self.window_ps,
                     self.levels.len()
-                )?;
+                ))
             }
-            Some("window") => {
+            "window" => {
+                let (seq, t_ps) = (uint("seq")?, uint("t_ps")?);
+                let (events, injected) = (uint("events")?, uint("injected")?);
+                let (delivered, dropped) = (uint("delivered")?, uint("dropped")?);
+                let in_flight = value.get("in_flight").map_or(Some(0), JsonValue::as_i64)?;
                 self.windows += 1;
-                self.events += uint(&value, "events");
-                self.injected += uint(&value, "injected");
-                self.delivered += uint(&value, "delivered");
-                self.dropped += uint(&value, "dropped");
-                self.in_flight = value
-                    .get("in_flight")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0) as i64;
-                self.last_t_ps = uint(&value, "t_ps");
-                writeln!(
-                    out,
-                    "window {:>4}  t={} ps  events {:>8}  delivered {:>6}  in-flight {:>5}{}",
-                    uint(&value, "seq"),
-                    self.last_t_ps,
-                    uint(&value, "events"),
-                    uint(&value, "delivered"),
-                    self.in_flight,
-                    self.busiest(&value)
+                self.events += events;
+                self.injected += injected;
+                self.delivered += delivered;
+                self.dropped += dropped;
+                self.in_flight = in_flight;
+                self.last_t_ps = t_ps;
+                Some(format!(
+                    "window {seq:>4}  t={t_ps} ps  events {events:>8}  delivered {delivered:>6}  \
+                     in-flight {in_flight:>5}{}",
+                    self.busiest(value)
                         .map(|(label, busy)| format!("  busiest {label} {:.0}%", busy * 100.0))
                         .unwrap_or_default(),
-                )?;
+                ))
             }
-            Some("watchpoint") => {
+            "watchpoint" => {
+                let t_ps = uint("t_ps")?;
                 self.watchpoints += 1;
-                let field = |key: &str| {
-                    value
-                        .get(key)
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or("-")
-                        .to_string()
-                };
-                writeln!(
-                    out,
-                    "WATCHPOINT {} at t={} ps: site {}, {}",
-                    field("kind"),
-                    uint(&value, "t_ps"),
-                    field("site"),
-                    field("detail"),
-                )?;
+                Some(format!(
+                    "WATCHPOINT {} at t={t_ps} ps: site {}, {}",
+                    text("kind").unwrap_or("-"),
+                    text("site").unwrap_or("-"),
+                    text("detail").unwrap_or("-"),
+                ))
             }
-            Some("trace") => self.traces += 1,
-            Some("end") => {
+            "end" => {
+                let (windows, watchpoints) = (uint("windows")?, uint("watchpoints")?);
                 self.ended = true;
-                writeln!(
-                    out,
-                    "stream ended: {} window(s), {} watchpoint(s)",
-                    uint(&value, "windows"),
-                    uint(&value, "watchpoints"),
-                )?;
+                Some(format!(
+                    "stream ended: {windows} window(s), {watchpoints} watchpoint(s)"
+                ))
             }
-            _ => self.malformed += 1,
+            _ => None,
         }
-        Ok(())
     }
 
     /// The busiest level of a window record's last bin, if any.
@@ -200,9 +215,21 @@ impl Dashboard {
     }
 }
 
-/// Writes the folded batch metrics document to `--fold`'s destination.
-fn write_fold(text: &str, fold_out: &str, out: &mut dyn Write) -> Result<(), CliError> {
-    let doc = fold_stream(text).map_err(|e| CliError::Invalid(format!("--fold: {e}")))?;
+/// Writes the closing summary, then the folded batch metrics document
+/// to `--fold`'s destination.
+fn finish(
+    dashboard: Dashboard,
+    request: &WatchRequest,
+    out: &mut dyn Write,
+    host_elapsed: Option<f64>,
+) -> Result<(), CliError> {
+    dashboard.summary(out, host_elapsed)?;
+    let (Some(folder), Some(fold_out)) = (dashboard.folder, &request.fold) else {
+        return Ok(());
+    };
+    let doc = folder
+        .finish()
+        .map_err(|e| CliError::Invalid(format!("--fold: {e}")))?;
     let rendered = doc.render_pretty();
     if fold_out == "-" {
         out.write_all(rendered.as_bytes())?;
@@ -220,42 +247,35 @@ fn write_fold(text: &str, fold_out: &str, out: &mut dyn Write) -> Result<(), Cli
 /// Returns a [`CliError`] when the stream cannot be read, is not an
 /// `asynoc-stream-v1` document, or `--fold` fails to decode it.
 pub fn execute_watch(request: &WatchRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    if request.stream_in == "-" {
-        let mut text = String::new();
-        std::io::stdin().read_to_string(&mut text)?;
-        return consume_complete(&text, request, out, None);
+    if request.stream_in == "-" || request.once {
+        // Single pass over a complete (or cut-off) stream text.
+        let text = if request.stream_in == "-" {
+            let mut text = String::new();
+            std::io::stdin().read_to_string(&mut text)?;
+            text
+        } else {
+            std::fs::read_to_string(&request.stream_in)?
+        };
+        let mut dashboard = Dashboard::new(request);
+        for line in text.lines() {
+            dashboard.ingest(line, out)?;
+        }
+        return finish(dashboard, request, out, None);
     }
-    if request.once {
-        let text = std::fs::read_to_string(&request.stream_in)?;
-        return consume_complete(&text, request, out, None);
-    }
-    tail(request, out)
+    let interval = std::time::Duration::from_millis(request.interval_ms);
+    tail(request, out, || std::thread::sleep(interval))
 }
 
-/// Single pass over a complete (or cut-off) stream text.
-fn consume_complete(
-    text: &str,
+/// Tails the file until its `end` record arrives, calling `idle` between
+/// polls.
+fn tail(
     request: &WatchRequest,
     out: &mut dyn Write,
-    host_elapsed: Option<f64>,
+    mut idle: impl FnMut(),
 ) -> Result<(), CliError> {
-    let mut dashboard = Dashboard::default();
-    for line in text.lines() {
-        dashboard.ingest(line, out)?;
-    }
-    dashboard.summary(out, host_elapsed)?;
-    if let Some(fold_out) = &request.fold {
-        write_fold(text, fold_out, out)?;
-    }
-    Ok(())
-}
-
-/// Tails the file until its `end` record arrives.
-fn tail(request: &WatchRequest, out: &mut dyn Write) -> Result<(), CliError> {
     let file = std::fs::File::open(&request.stream_in)?;
     let mut reader = BufReader::new(file);
-    let mut dashboard = Dashboard::default();
-    let mut text = String::new();
+    let mut dashboard = Dashboard::new(request);
     let mut carry = String::new();
     let started = Instant::now();
     let mut quiet_polls: u32 = 0;
@@ -277,7 +297,6 @@ fn tail(request: &WatchRequest, out: &mut dyn Write) -> Result<(), CliError> {
             }
             grew = true;
             dashboard.ingest(&carry, out)?;
-            text.push_str(&carry);
             if dashboard.ended {
                 break;
             }
@@ -300,13 +319,14 @@ fn tail(request: &WatchRequest, out: &mut dyn Write) -> Result<(), CliError> {
                 )?;
             }
         }
-        std::thread::sleep(std::time::Duration::from_millis(request.interval_ms));
+        idle();
     }
-    dashboard.summary(out, Some(started.elapsed().as_secs_f64()))?;
-    if let Some(fold_out) = &request.fold {
-        write_fold(&text, fold_out, out)?;
-    }
-    Ok(())
+    finish(
+        dashboard,
+        request,
+        out,
+        Some(started.elapsed().as_secs_f64()),
+    )
 }
 
 #[cfg(test)]
@@ -368,6 +388,93 @@ mod tests {
         let (out, result) = watch_once(&text, None);
         result.expect("lenient dashboard");
         assert!(out.contains("1 malformed line(s) skipped"), "{out}");
+    }
+
+    #[test]
+    fn counters_that_are_not_whole_numbers_mark_the_line_malformed() {
+        let window = |events: &str| {
+            format!(
+                "{{\"type\":\"window\",\"seq\":0,\"t_ps\":0,\"events\":{events},\"injected\":4,\
+                 \"delivered\":2,\"dropped\":0,\"forwards\":4,\"in_flight\":-2,\"latency\":null,\"bins\":[]}}"
+            )
+        };
+        let text = format!(
+            "{HEAD}\n{}\n{}\n{}\n",
+            window("10"),
+            window("-5"),
+            window("1.5")
+        );
+        let (out, result) = watch_once(&text, None);
+        result.expect("lenient dashboard");
+        // The good window counts (a negative in-flight balance is a
+        // legitimate reading); the other two used to add 0 and 1 events.
+        assert!(out.contains("1 window(s)"), "{out}");
+        assert!(out.contains(": 10 event(s)"), "{out}");
+        assert!(out.contains("-2 in flight"), "{out}");
+        assert!(out.contains("2 malformed line(s) skipped"), "{out}");
+    }
+
+    #[test]
+    fn a_stream_delivered_in_two_halves_folds_like_the_whole() {
+        use crate::args::parse;
+        use crate::commands::execute;
+
+        let path = |name: &str| {
+            let file = format!("asynoc-watch-tail-{}-{name}", std::process::id());
+            std::env::temp_dir()
+                .join(file)
+                .to_string_lossy()
+                .into_owned()
+        };
+        let (batch, whole, live) = (
+            path("batch.json"),
+            path("whole.ndjson"),
+            path("live.ndjson"),
+        );
+        let (folded_once, folded_tail) = (path("once.json"), path("tail.json"));
+        let line = format!(
+            "metrics --arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3 \
+             --warmup-ns 40 --measure-ns 400 --metrics-out {batch} --stream {whole} --stream-trace"
+        );
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        execute(&parse(&args).expect("valid invocation"), &mut Vec::new()).expect("run succeeds");
+        let stream = std::fs::read(&whole).expect("stream file");
+
+        let request = |stream_in: &str, fold: &str, once: bool| WatchRequest {
+            stream_in: stream_in.to_string(),
+            fold: Some(fold.to_string()),
+            once,
+            interval_ms: 1,
+        };
+        execute_watch(&request(&whole, &folded_once, true), &mut Vec::new()).expect("--once");
+
+        // The producer has written half the stream, cut mid-line, when the
+        // tail starts; the rest lands during the first idle poll.
+        let cut = stream.len() / 2;
+        assert_ne!(stream[cut - 1], b'\n', "the cut must split a line");
+        std::fs::write(&live, &stream[..cut]).expect("first half");
+        let mut rest = Some(&stream[cut..]);
+        let mut out = Vec::new();
+        tail(&request(&live, &folded_tail, false), &mut out, || {
+            if let Some(rest) = rest.take() {
+                let mut file = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&live)
+                    .expect("live stream");
+                file.write_all(rest).expect("second half");
+            }
+        })
+        .expect("tail follows the stream to its end record");
+        assert!(rest.is_none(), "the tail went idle on the partial line");
+        let out = String::from_utf8(out).expect("utf8");
+        assert!(out.contains("stream ended"), "{out}");
+
+        let read = |path: &str| std::fs::read_to_string(path).expect(path);
+        assert_eq!(read(&folded_tail), read(&folded_once));
+        assert_eq!(read(&folded_tail), read(&batch));
+        for file in [batch, whole, live, folded_once, folded_tail] {
+            let _ = std::fs::remove_file(file);
+        }
     }
 
     #[test]

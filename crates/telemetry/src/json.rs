@@ -6,6 +6,7 @@
 //! golden schema diffs). Object keys keep insertion order so every render is
 //! deterministic.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -61,6 +62,24 @@ impl JsonValue {
             JsonValue::Number(n) => Some(*n),
             _ => None,
         }
+    }
+
+    /// The value as an exact unsigned integer: `None` for a negative or
+    /// fractional number, or one of 2^53 and above, where an `f64` no
+    /// longer holds every integer.
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64()
+            .filter(|n| n.fract() == 0.0 && (0.0..MAX_EXACT).contains(n))
+            .map(|n| n as u64)
+    }
+
+    /// The value as an exact signed integer (see [`JsonValue::as_u64`]).
+    #[must_use]
+    pub fn as_i64(&self) -> Option<i64> {
+        self.as_f64()
+            .filter(|n| n.fract() == 0.0 && n.abs() < MAX_EXACT)
+            .map(|n| n as i64)
     }
 
     /// The string value, if this is a string.
@@ -159,19 +178,12 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with a byte offset on malformed input or
-    /// trailing garbage.
+    /// Returns a [`JsonError`] with a byte offset on malformed input,
+    /// trailing garbage, or containers nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing characters after JSON value"));
-        }
+        let mut scanner = Scanner::new(text);
+        let value = scanner.value()?;
+        scanner.end()?;
         Ok(value)
     }
 }
@@ -250,12 +262,56 @@ impl fmt::Display for JsonError {
 
 impl Error for JsonError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Deepest container nesting the scanner accepts. The tree builder and
+/// `skip_value` recurse once per level, so the limit is what keeps a line
+/// of two million `[` from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// 2^53, where an `f64` stops telling neighbouring integers apart: the
+/// bound on integers read through a [`JsonValue::Number`] or written with
+/// a fraction or an exponent.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+
+/// The value of a number token as an exact unsigned integer: plain digit
+/// strings are read digit by digit (so ids above 2^53 keep every bit),
+/// anything else must name an integral, non-negative value an `f64`
+/// holds exactly.
+pub(crate) fn exact_u64(token: &str) -> Option<u64> {
+    let mut value = 0u64;
+    for byte in token.bytes() {
+        let digit = byte.wrapping_sub(b'0');
+        if digit > 9 {
+            return JsonValue::Number(token.parse().ok()?).as_u64();
+        }
+        value = value.checked_mul(10)?.checked_add(u64::from(digit))?;
+    }
+    Some(value)
 }
 
-impl Parser<'_> {
+/// A pull scanner over one JSON text: the only JSON grammar in the
+/// workspace. [`JsonValue::parse`] builds its tree on it; the trace and
+/// stream readers pull keys and scalars straight into their own fields
+/// and [`skip_value`](Scanner::skip_value) over the rest.
+///
+/// Every method that starts a token skips leading whitespace itself. The
+/// per-token methods are forced inline: called a dozen times per trace
+/// line from another module, they cost a sixth of a record's parse time
+/// as calls.
+pub(crate) struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> Scanner<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Scanner {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn error(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             at: self.pos,
@@ -263,16 +319,17 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+    /// The first byte of the next token, if any.
+    #[inline(always)]
+    pub(crate) fn peek(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+        bytes.get(self.pos).copied()
     }
 
+    #[inline(always)]
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -282,131 +339,161 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.error(format!("expected {word:?}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    /// Succeeds only when nothing but whitespace is left.
+    pub(crate) fn end(&mut self) -> Result<(), JsonError> {
         match self.peek() {
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.error("expected a JSON value")),
+            None => Ok(()),
+            Some(_) => Err(self.error("trailing characters after JSON value")),
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
+    /// Enters a container; `true` when it has a first element to read.
+    pub(crate) fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
+        self.expect(open)?;
+        if self.depth == MAX_DEPTH {
+            self.pos -= 1;
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            self.depth -= 1;
+            return Ok(false);
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
+        Ok(true)
+    }
+
+    /// After an element: `true` past a comma, `false` past `close`.
+    #[inline(always)]
+    pub(crate) fn more(&mut self, close: u8) -> Result<bool, JsonError> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
             }
+            Some(byte) if byte == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(self.error(format!("expected ',' or '{}'", close as char))),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            members.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
+    /// An object member's key and its colon.
+    #[inline(always)]
+    pub(crate) fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok(key)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the input unless it holds an escape.
+    #[inline(always)]
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
+        let end = self.run_end();
+        if self.text.as_bytes().get(end) == Some(&b'"') {
+            let plain = &self.text[self.pos..end];
+            self.pos = end + 1;
+            return Ok(Cow::Borrowed(plain));
+        }
         let mut out = String::new();
+        self.string_tail(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Validates a string and moves past it without allocating.
+    fn skip_string(&mut self) -> Result<(), JsonError> {
+        self.expect(b'"')?;
+        self.string_tail(None)
+    }
+
+    /// Where the next `"` or `\` (or the end of the text) is. Both are
+    /// ASCII, so the place is a character boundary.
+    #[inline(always)]
+    fn run_end(&self) -> usize {
+        let bytes = self.text.as_bytes();
+        let mut end = self.pos;
+        while end < bytes.len() && bytes[end] != b'"' && bytes[end] != b'\\' {
+            end += 1;
+        }
+        end
+    }
+
+    /// The rest of a string after its opening quote, decoded into `out`
+    /// (or only validated, without allocating, when there is none).
+    fn string_tail(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
         loop {
-            match self.peek() {
+            let end = self.run_end();
+            if let Some(out) = out.as_deref_mut() {
+                out.push_str(&self.text[self.pos..end]);
+            }
+            self.pos = end;
+            let bytes = self.text.as_bytes();
+            match bytes.get(self.pos) {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
-                Some(b'\\') => {
+                Some(_) => self.pos += 1,
+            }
+            let c = match bytes.get(self.pos) {
+                Some(b'u') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            // Unpaired surrogates are replaced, not rejected:
-                            // our own writer never emits them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            continue;
-                        }
+                    self.unicode_escape()?
+                }
+                Some(&escape) => {
+                    let c = match escape {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
                         _ => return Err(self.error("bad escape sequence")),
-                    }
+                    };
                     self.pos += 1;
+                    c
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this
-                    // boundary arithmetic is always valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text =
-                        std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = text.chars().next().ok_or_else(|| self.error("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                None => return Err(self.error("bad escape sequence")),
+            };
+            if let Some(out) = out.as_deref_mut() {
+                out.push(c);
             }
         }
+    }
+
+    /// The scalar a `\uXXXX` escape names, `pos` just past the `u`. A
+    /// high surrogate followed by a `\uXXXX` low surrogate is one scalar;
+    /// an unpaired surrogate is replaced, not rejected — our own writer
+    /// never emits one.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let code = self.hex4()?;
+        if (0xd800..0xdc00).contains(&code) && self.text[self.pos..].starts_with("\\u") {
+            let after_high = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xdc00..0xe000).contains(&low) {
+                let scalar = 0x1_0000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                return Ok(char::from_u32(scalar).unwrap_or('\u{fffd}'));
+            }
+            self.pos = after_high;
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut code = 0u32;
         for _ in 0..4 {
             let digit = self
-                .peek()
-                .and_then(|b| (b as char).to_digit(16))
+                .text
+                .as_bytes()
+                .get(self.pos)
+                .and_then(|&b| (b as char).to_digit(16))
                 .ok_or_else(|| self.error("expected 4 hex digits"))?;
             code = code * 16 + digit;
             self.pos += 1;
@@ -414,22 +501,118 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    /// Lexes a number token; the flag says it is nothing but an optional
+    /// sign and digits, which is always a valid number.
+    #[inline(always)]
+    fn number_token(&mut self) -> (&'a str, bool) {
+        self.peek();
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if bytes.get(self.pos) == Some(&b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        let digits = self.pos;
+        let mut plain = true;
+        while let Some(byte) = bytes.get(self.pos) {
+            match byte {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => plain = false,
+                _ => break,
+            }
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.error(format!("invalid number {text:?}")))
+        (&self.text[start..self.pos], plain && self.pos > digits)
+    }
+
+    /// A number token, validated; the caller decides how to read it.
+    #[inline(always)]
+    pub(crate) fn number(&mut self) -> Result<&'a str, JsonError> {
+        let (token, plain) = self.number_token();
+        if plain || token.parse::<f64>().is_ok() {
+            Ok(token)
+        } else {
+            Err(self.error(format!("invalid number {token:?}")))
+        }
+    }
+
+    /// Moves past `word` if the text goes on with exactly it.
+    #[inline(always)]
+    pub(crate) fn eat(&mut self, word: &str) -> bool {
+        let hit = self.text.as_bytes()[self.pos..].starts_with(word.as_bytes());
+        if hit {
+            self.pos += word.len();
+        }
+        hit
+    }
+
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
+        if self.eat(word) {
+            Ok(())
+        } else {
+            Err(self.error(format!("expected {word:?}")))
+        }
+    }
+
+    /// The next value as a tree.
+    pub(crate) fn value(&mut self) -> Result<JsonValue, JsonError> {
+        self.walk::<true>()
+    }
+
+    /// Validates the next value and moves past it without allocating.
+    pub(crate) fn skip_value(&mut self) -> Result<(), JsonError> {
+        self.walk::<false>().map(drop)
+    }
+
+    /// One walk serves both: with `BUILD` off every value comes back as
+    /// an empty placeholder and nothing is pushed.
+    fn walk<const BUILD: bool>(&mut self) -> Result<JsonValue, JsonError> {
+        match self.peek() {
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
+            Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false)),
+            Some(b'"') if BUILD => Ok(JsonValue::Str(self.string()?.into_owned())),
+            Some(b'"') => self.skip_string().map(|()| JsonValue::Null),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                let mut more = self.open(b'[', b']')?;
+                while more {
+                    let item = self.walk::<BUILD>()?;
+                    if BUILD {
+                        items.push(item);
+                    }
+                    more = self.more(b']')?;
+                }
+                Ok(JsonValue::Array(items))
+            }
+            Some(b'{') => {
+                let mut members = Vec::new();
+                let mut more = self.open(b'{', b'}')?;
+                while more {
+                    let key = if BUILD {
+                        self.key()?.into_owned()
+                    } else {
+                        self.skip_string()?;
+                        self.expect(b':')?;
+                        String::new()
+                    };
+                    let value = self.walk::<BUILD>()?;
+                    if BUILD {
+                        members.push((key, value));
+                    }
+                    more = self.more(b'}')?;
+                }
+                Ok(JsonValue::Object(members))
+            }
+            Some(b'-' | b'0'..=b'9') if BUILD => {
+                let (token, _) = self.number_token();
+                token
+                    .parse()
+                    .map(JsonValue::Number)
+                    .map_err(|_| self.error(format!("invalid number {token:?}")))
+            }
+            Some(b'-' | b'0'..=b'9') => self.number().map(|_| JsonValue::Null),
+            _ => Err(self.error("expected a JSON value")),
+        }
     }
 }
 
@@ -493,6 +676,89 @@ mod tests {
             let err = JsonValue::parse(bad).expect_err(bad);
             assert!(err.at <= bad.len(), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_and_located() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        // What used to overflow the stack: objects and arrays, closed or not,
+        // through the tree builder and through `skip_value` alike.
+        for hostile in ["[".repeat(2_000_000), "{\"a\":".repeat(1_000_000)] {
+            let err = JsonValue::parse(&hostile).expect_err("hostile nesting");
+            assert!(err.message.contains("nesting"), "{err}");
+            let mut scanner = Scanner::new(&hostile);
+            assert_eq!(scanner.skip_value(), Err(err));
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_their_scalar() {
+        let parsed = |text: &str| JsonValue::parse(text).expect(text);
+        assert_eq!(parsed(r#""\ud83d\ude00""#), JsonValue::str("\u{1f600}"));
+        assert_eq!(parsed(r#""a\uD834\uDD1Eb""#), JsonValue::str("a\u{1d11e}b"));
+        // Unpaired halves are replaced, and what follows a lone high half
+        // is still read for what it is.
+        assert_eq!(parsed(r#""\ud83d""#), JsonValue::str("\u{fffd}"));
+        assert_eq!(parsed(r#""\ude00x""#), JsonValue::str("\u{fffd}x"));
+        assert_eq!(parsed(r#""\ud83d\u0041""#), JsonValue::str("\u{fffd}A"));
+        assert_eq!(parsed(r#""\ud83d\n""#), JsonValue::str("\u{fffd}\n"));
+        assert!(JsonValue::parse(r#""\ud83d\uzz""#).is_err());
+        // The scalar survives our own writer, which emits it raw.
+        let smile = JsonValue::str("\u{1f600}");
+        assert_eq!(JsonValue::parse(&smile.render()), Ok(smile));
+    }
+
+    #[test]
+    fn skipping_accepts_exactly_what_the_tree_builder_accepts() {
+        let cases = [
+            r#"{"a":[1,2.5,-3e2,{"b":"x\ny\u00e9"}],"c":null,"d":true,"e":false}"#,
+            "  [ 1 , \"two\" ,\t{ } , [ ] ]  ",
+            "[1,]",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "{a:1}",
+            "\"open",
+            "\"bad \\q escape\"",
+            "\"short \\u12\"",
+            "1-2",
+            "-",
+            "1.",
+            "nul",
+            "tru",
+            "",
+            "[1 2]",
+            "é",
+        ];
+        for text in cases {
+            let mut building = Scanner::new(text);
+            let mut skipping = Scanner::new(text);
+            let built = building.value().map(drop);
+            assert_eq!(built, skipping.skip_value(), "{text:?}");
+            assert_eq!(building.pos, skipping.pos, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn integers_are_read_exactly_or_not_at_all() {
+        assert_eq!(exact_u64("0"), Some(0));
+        assert_eq!(exact_u64("007"), Some(7));
+        assert_eq!(exact_u64("9007199254740993"), Some(9_007_199_254_740_993));
+        assert_eq!(exact_u64("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(exact_u64("18446744073709551616"), None);
+        assert_eq!(exact_u64("1e3"), Some(1_000));
+        assert_eq!(exact_u64("5.0"), Some(5));
+        assert_eq!(exact_u64("-0"), Some(0));
+        for inexact in ["-5", "1.7", "1e300", "9007199254740993.0"] {
+            assert_eq!(exact_u64(inexact), None, "{inexact}");
+        }
+        assert_eq!(JsonValue::Number(-3.0).as_i64(), Some(-3));
+        assert_eq!(JsonValue::Number(-3.0).as_u64(), None);
+        assert_eq!(JsonValue::Number(0.5).as_i64(), None);
+        assert_eq!(JsonValue::str("7").as_u64(), None);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   (Perfetto-loadable) export, with a [`validate_chrome`] checker.
 //! - [`StreamSink`] — bounded-memory live export: `asynoc-stream-v1`
 //!   NDJSON windows/traces/watchpoints flushed per simulated-time
-//!   window, with [`fold_stream`] reconstructing the batch
-//!   `asynoc-metrics-v1` document byte for byte from a finished stream.
+//!   window, with [`fold_stream`] (incrementally: [`StreamFolder`])
+//!   reconstructing the batch `asynoc-metrics-v1` document byte for byte
+//!   from a finished stream.
 //!
 //! Registering none of these costs nothing: the engine's observer slice is
 //! simply empty (`benches/observer_overhead.rs` in `asynoc-bench` guards
@@ -38,6 +39,8 @@ pub mod fault_ledger;
 pub mod histogram;
 pub mod json;
 pub mod latency;
+#[cfg(test)]
+mod reference;
 pub mod stream;
 pub mod timeseries;
 pub mod trace;
@@ -49,8 +52,8 @@ pub use histogram::LogHistogram;
 pub use json::{JsonError, JsonValue};
 pub use latency::{LatencyHistograms, LatencyWindow};
 pub use stream::{
-    fold_stream, StreamConfig, StreamFoldError, StreamSink, StreamSummary, WatchConfig,
-    STREAM_SCHEMA,
+    fold_stream, StreamConfig, StreamFoldError, StreamFolder, StreamLine, StreamSink,
+    StreamSummary, WatchConfig, STREAM_SCHEMA,
 };
 pub use timeseries::{Bin, LevelSpec, TimeSeries};
 pub use trace::{

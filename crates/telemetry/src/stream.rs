@@ -56,7 +56,7 @@ use asynoc_engine::{NodeKey, Observer, SimEvent};
 use asynoc_kernel::{Duration, Time, WindowClock};
 use asynoc_stats::Phases;
 
-use crate::json::JsonValue;
+use crate::json::{JsonError, JsonValue, Scanner};
 use crate::latency::{LatencyHistograms, LatencyWindow};
 use crate::timeseries::TimeSeries;
 use crate::trace::{SiteFn, TraceCollector};
@@ -650,107 +650,214 @@ impl std::fmt::Display for StreamFoldError {
 
 impl std::error::Error for StreamFoldError {}
 
-/// Folds an [`STREAM_SCHEMA`] NDJSON document back into the batch
-/// metrics report it streamed from: latency window deltas are absorbed
-/// into one accumulator, window bins concatenate into the `timeseries`
-/// section, and the `end` record's scalar sections are spliced in
-/// verbatim. For a stream produced by `asynoc metrics --stream`, the
-/// result is byte-identical (after pretty-rendering) to the batch
+/// One line of a stream, parsed once and only as far as its consumers
+/// (the folder, the `watch` dashboard) need.
+#[derive(Clone, Debug, PartialEq)]
+pub enum StreamLine {
+    /// Nothing but whitespace.
+    Blank,
+    /// A `trace` record. They are all but a handful of a traced stream's
+    /// lines and neither consumer reads one, so they are validated and
+    /// skipped, never built into a tree.
+    Trace,
+    /// Any other line (`head`, `window`, `watchpoint`, `end`, or something
+    /// unknown) as a tree: a few per window, read member by member.
+    Record(JsonValue),
+}
+
+impl StreamLine {
+    /// Parses one line, reading its `type` before deciding whether to
+    /// build a tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`JsonError`] of a line that is not one JSON value.
+    pub fn parse(line: &str) -> Result<StreamLine, JsonError> {
+        if line.trim().is_empty() {
+            return Ok(StreamLine::Blank);
+        }
+        let mut scanner = Scanner::new(line);
+        if scanner.peek() == Some(b'{') {
+            let mut more = scanner.open(b'{', b'}')?;
+            while more {
+                // The first `type` member decides, as `JsonValue::get` would.
+                if scanner.key()? == "type" {
+                    if scanner.peek() != Some(b'"') || scanner.string()? != "trace" {
+                        break;
+                    }
+                    while scanner.more(b'}')? {
+                        scanner.key()?;
+                        scanner.skip_value()?;
+                    }
+                    scanner.end()?;
+                    return Ok(StreamLine::Trace);
+                }
+                scanner.skip_value()?;
+                more = scanner.more(b'}')?;
+            }
+        }
+        JsonValue::parse(line).map(StreamLine::Record)
+    }
+}
+
+/// Largest `endpoints` a `head` record may declare: the folder sizes its
+/// per-destination histograms from it before reading anything else.
+const MAX_ENDPOINTS: u64 = 1 << 16;
+
+/// The members of the `head` record the folded document repeats.
+const HEAD_MEMBERS: [&str; 4] = ["substrate", "config", "bin_ps", "levels"];
+
+/// Folds an [`STREAM_SCHEMA`] stream back into the batch metrics report
+/// it streamed from, one line at a time: latency window deltas are
+/// absorbed into one accumulator, window bins concatenate into the
+/// `timeseries` section, and the `end` record's scalar sections are
+/// spliced in verbatim. What it holds is the folded document, never the
+/// stream. For a stream produced by `asynoc metrics --stream`, the result
+/// is byte-identical (after pretty-rendering) to the batch
 /// `asynoc-metrics-v1` document of the same run.
 ///
-/// # Errors
-///
-/// Returns a [`StreamFoldError`] naming the first malformed line — a
-/// missing or mistyped `head`, unparsable JSON, or a window whose
-/// latency delta does not decode.
-pub fn fold_stream(text: &str) -> Result<JsonValue, StreamFoldError> {
-    let err = |line: usize, message: String| StreamFoldError { line, message };
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (head_index, head_line) = lines
-        .next()
-        .ok_or_else(|| err(1, "empty stream".to_string()))?;
-    let head = JsonValue::parse(head_line).map_err(|e| err(head_index + 1, e.message))?;
-    if head.get("schema").and_then(JsonValue::as_str) != Some(STREAM_SCHEMA)
-        || head.get("type").and_then(JsonValue::as_str) != Some("head")
-    {
-        return Err(err(
-            head_index + 1,
-            format!("expected a {STREAM_SCHEMA:?} head record"),
-        ));
+/// The first malformed line — a missing or mistyped `head`, unparsable
+/// JSON, a window whose latency delta does not decode — is remembered
+/// and reported by [`finish`](StreamFolder::finish); lines after it are
+/// ignored, so a consumer sharing the lines (the dashboard) can carry on.
+#[derive(Default)]
+pub struct StreamFolder {
+    lines: usize,
+    /// The `head` record and the accumulator sized from it.
+    head: Option<(JsonValue, LatencyHistograms)>,
+    bins: Vec<JsonValue>,
+    sections: Vec<(String, JsonValue)>,
+    error: Option<StreamFoldError>,
+}
+
+impl StreamFolder {
+    /// Parses and folds the stream's next line.
+    pub fn push_line(&mut self, line: &str) {
+        self.push(&StreamLine::parse(line));
     }
-    let head_field = |key: &str| {
-        head.get(key)
-            .cloned()
-            .ok_or_else(|| err(head_index + 1, format!("head record missing {key:?}")))
-    };
-    let substrate = head_field("substrate")?;
-    let config = head_field("config")?;
-    let bin_ps = head_field("bin_ps")?;
-    let levels = head_field("levels")?;
-    let endpoints = head_field("endpoints")?.as_f64().ok_or_else(|| {
-        err(
-            head_index + 1,
-            "head \"endpoints\" is not a number".to_string(),
-        )
-    })? as usize;
-    let mut accumulator = LatencyHistograms::accumulator(endpoints);
-    let mut bins: Vec<JsonValue> = Vec::new();
-    let mut sections: Vec<(String, JsonValue)> = Vec::new();
-    for (index, line) in lines {
-        let value = JsonValue::parse(line).map_err(|e| err(index + 1, e.message))?;
-        match value.get("type").and_then(JsonValue::as_str) {
+
+    /// Folds the stream's next line, already parsed by a caller that
+    /// shares it with another consumer.
+    pub fn push(&mut self, line: &Result<StreamLine, JsonError>) {
+        self.lines += 1;
+        if self.error.is_some() {
+            return;
+        }
+        if let Err(message) = self.fold(line) {
+            self.error = Some(StreamFoldError {
+                line: self.lines,
+                message,
+            });
+        }
+    }
+
+    fn fold(&mut self, line: &Result<StreamLine, JsonError>) -> Result<(), String> {
+        let value = match line {
+            Err(e) => return Err(e.to_string()),
+            Ok(StreamLine::Blank) => return Ok(()),
+            Ok(StreamLine::Trace) => &JsonValue::Null,
+            Ok(StreamLine::Record(value)) => value,
+        };
+        let kind = value.get("type").and_then(JsonValue::as_str);
+        let Some((_, latency)) = &mut self.head else {
+            if value.get("schema").and_then(JsonValue::as_str) != Some(STREAM_SCHEMA)
+                || kind != Some("head")
+            {
+                return Err(format!("expected a {STREAM_SCHEMA:?} head record"));
+            }
+            if let Some(key) = HEAD_MEMBERS.iter().find(|key| value.get(key).is_none()) {
+                return Err(format!("head record missing {key:?}"));
+            }
+            let endpoints = value
+                .get("endpoints")
+                .ok_or("head record missing \"endpoints\"")?
+                .as_u64()
+                .filter(|n| *n <= MAX_ENDPOINTS)
+                .ok_or_else(|| {
+                    format!("head \"endpoints\" is not a count up to {MAX_ENDPOINTS}")
+                })?;
+            let latency = LatencyHistograms::accumulator(endpoints as usize);
+            self.head = Some((value.clone(), latency));
+            return Ok(());
+        };
+        match kind {
             Some("window") => {
                 match value.get("latency") {
                     None | Some(JsonValue::Null) => {}
                     Some(delta) => {
-                        let window = LatencyWindow::from_json(delta).ok_or_else(|| {
-                            err(
-                                index + 1,
-                                "window latency delta does not decode".to_string(),
-                            )
-                        })?;
-                        accumulator.absorb(&window);
+                        let window = LatencyWindow::from_json(delta)
+                            .ok_or("window latency delta does not decode")?;
+                        latency.absorb(&window);
                     }
                 }
                 if let Some(window_bins) = value.get("bins").and_then(JsonValue::as_array) {
-                    bins.extend(window_bins.iter().cloned());
+                    self.bins.extend_from_slice(window_bins);
                 }
             }
             Some("end") => {
                 if let Some(members) = value.get("sections").and_then(JsonValue::as_object) {
-                    sections = members.to_vec();
+                    self.sections = members.to_vec();
                 }
             }
             Some("trace" | "watchpoint" | "head") | None => {}
-            Some(other) => {
-                return Err(err(index + 1, format!("unknown record type {other:?}")));
-            }
+            Some(other) => return Err(format!("unknown record type {other:?}")),
         }
+        Ok(())
     }
-    let mut members = vec![
-        ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),
-        ("substrate".to_string(), substrate),
-        ("config".to_string(), config),
-        ("latency".to_string(), accumulator.to_json()),
-        (
-            "timeseries".to_string(),
-            JsonValue::Object(vec![
-                ("bin_ps".to_string(), bin_ps),
-                ("levels".to_string(), levels),
-                ("bins".to_string(), JsonValue::Array(bins)),
-            ]),
-        ),
-    ];
-    members.extend(sections);
-    Ok(JsonValue::Object(members))
+
+    /// The folded `asynoc-metrics-v1` document.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`StreamFoldError`] of the first malformed line, or of
+    /// line 1 when the stream was empty.
+    pub fn finish(self) -> Result<JsonValue, StreamFoldError> {
+        if let Some(error) = self.error {
+            return Err(error);
+        }
+        let (head, latency) = self.head.ok_or(StreamFoldError {
+            line: 1,
+            message: "empty stream".to_string(),
+        })?;
+        let [substrate, config, bin_ps, levels] =
+            HEAD_MEMBERS.map(|key| head.get(key).cloned().unwrap_or(JsonValue::Null));
+        let mut members = vec![
+            ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),
+            ("substrate".to_string(), substrate),
+            ("config".to_string(), config),
+            ("latency".to_string(), latency.to_json()),
+            (
+                "timeseries".to_string(),
+                JsonValue::Object(vec![
+                    ("bin_ps".to_string(), bin_ps),
+                    ("levels".to_string(), levels),
+                    ("bins".to_string(), JsonValue::Array(self.bins)),
+                ]),
+            ),
+        ];
+        members.extend(self.sections);
+        Ok(JsonValue::Object(members))
+    }
+}
+
+/// Folds a whole [`STREAM_SCHEMA`] NDJSON document through a
+/// [`StreamFolder`].
+///
+/// # Errors
+///
+/// Returns a [`StreamFoldError`] naming the first malformed line.
+pub fn fold_stream(text: &str) -> Result<JsonValue, StreamFoldError> {
+    let mut folder = StreamFolder::default();
+    for line in text.lines() {
+        folder.push_line(line);
+    }
+    folder.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use std::cell::RefCell;
     use std::rc::Rc;
     use std::sync::Arc;
@@ -1044,6 +1151,104 @@ mod tests {
         assert!(text.contains("\"site\":\"n3\""));
         assert!(text.contains("\"kind\":\"waste_rate\""));
         assert_eq!(summary.watchpoints, 2, "each fires exactly once");
+    }
+
+    #[test]
+    fn lines_are_classed_by_their_first_type_member() {
+        let parse = |line: &str| StreamLine::parse(line).expect(line);
+        assert_eq!(parse("  \t"), StreamLine::Blank);
+        assert_eq!(
+            parse(r#"{"type":"trace","seq":0,"record":{"site":"a\n","xs":[1,{"y":null}]}}"#),
+            StreamLine::Trace
+        );
+        assert_eq!(parse(r#" {"seq":3, "type" : "trace"} "#), StreamLine::Trace);
+        for line in [
+            r#"{"type":"window","seq":1}"#,
+            r#"{"type":"end","type":"trace"}"#,
+            r#"{"type":7,"seq":1}"#,
+            r#"{"seq":1}"#,
+            r#"["type","trace"]"#,
+        ] {
+            let tree = JsonValue::parse(line).expect("valid JSON");
+            assert_eq!(parse(line), StreamLine::Record(tree), "{line}");
+        }
+        // A skipped line is still a validated line.
+        for line in [
+            r#"{"type":"trace","seq":}"#,
+            r#"{"type":"trace","seq":1"#,
+            r#"{"type":"trace","seq":1} x"#,
+            r#"{"type":"trace","record":{"a":[1,}}"#,
+        ] {
+            let expected = JsonValue::parse(line).expect_err(line);
+            assert_eq!(StreamLine::parse(line), Err(expected), "{line}");
+        }
+    }
+
+    /// Holds the incremental folder to the whole-text, tree-per-line fold
+    /// on `text`. Returns whether the stream is one of the intended
+    /// divergences: a head whose `endpoints` the oracle's cast misread.
+    fn agrees_with_the_oracle(text: &str) -> bool {
+        match (reference::fold_stream(text), fold_stream(text)) {
+            (Ok(expected), Ok(got)) if expected == got => false,
+            (Err(expected), Err(got)) if expected.line == got.line => false,
+            // The oracle took the misread count and went on, to fold the
+            // stream or to trip over a later line.
+            (_, Err(got)) if text.lines().any(reference::misreads_an_integer) => {
+                assert!(got.message.contains("endpoints"), "{got}");
+                true
+            }
+            (expected, got) => panic!("{text}\n oracle: {expected:?}\nfolder: {got:?}"),
+        }
+    }
+
+    #[test]
+    fn folder_agrees_with_the_whole_text_fold_on_real_streams() {
+        for run in reference::real_runs() {
+            assert!(run.stream.lines().count() > 1_000, "{}", run.name);
+            assert!(!agrees_with_the_oracle(&run.stream), "{}", run.name);
+            let folded = fold_stream(&run.stream).expect("real streams fold");
+            assert!(folded.get("latency").is_some(), "{}", run.name);
+            // Cut anywhere, a stream folds the same way twice.
+            let cut = run.stream.len() / 2;
+            assert!(!agrees_with_the_oracle(&run.stream[..cut]), "{}", run.name);
+        }
+    }
+
+    #[test]
+    fn folder_agrees_with_the_whole_text_fold_on_a_mutated_corpus() {
+        let runs = reference::real_runs();
+        let (mut documents, mut lines, mut folded, mut divergences) = (0, 0, 0, 0);
+        for (index, run) in runs.iter().enumerate() {
+            let head = run.stream.lines().next().expect("head line");
+            let end = run.stream.lines().last().expect("end line");
+            // Every kind of record the run produced, traces thinned out.
+            let body: Vec<&str> = run
+                .stream
+                .lines()
+                .skip(1)
+                .enumerate()
+                .filter(|(i, l)| i % 50 == 0 || !l.contains("\"type\":\"trace\""))
+                .map(|(_, l)| l)
+                .collect();
+            let mutants = reference::mutants(&body, 2_600, 0xf01d + index as u64);
+            let heads = reference::mutants(&[head], 40, 0x4ead + index as u64);
+            // Three mutants a document: the fold stops at the first bad line.
+            for (n, chunk) in mutants.chunks(3).enumerate() {
+                let head = heads.get(n).map_or(head, String::as_str);
+                let text = format!("{head}\n{}\n{end}\n", chunk.join("\n"));
+                divergences += usize::from(agrees_with_the_oracle(&text));
+                folded += usize::from(fold_stream(&text).is_ok());
+                lines += text.lines().count();
+                documents += 1;
+            }
+        }
+        assert!(lines >= 10_000, "{lines} lines");
+        assert!(folded > documents / 20, "{folded} of {documents} folded");
+        assert!(
+            folded < documents * 19 / 20,
+            "{folded} of {documents} folded"
+        );
+        assert!(divergences > 0, "no head misread its endpoints");
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //! and energy constants — so `asynoc analyze` can reconcile its findings
 //! with the metrics report of the same run.
 
+use std::borrow::Cow;
+
 use asynoc_engine::{ForwardInfo, Observer, SimEvent};
 use asynoc_kernel::{FaultClass, Time};
 
-use crate::json::{JsonError, JsonValue};
+use crate::json::{exact_u64, JsonError, JsonValue, Scanner};
 
 /// Schema tag carried by a trace file's leading meta line.
 pub const TRACE_SCHEMA: &str = "asynoc-trace-v2";
@@ -94,56 +96,15 @@ impl TraceRecord {
     /// The causal fields introduced by [`TRACE_SCHEMA`] (`logical`, `src`,
     /// `dests`, `created_ps`, `copies`, `busy_ps`) are optional, so v1
     /// traces still parse: `logical` defaults to `packet` and the rest
-    /// to zero.
+    /// to zero. Integer fields are read exactly: a negative, fractional
+    /// or too-large value is an error, never a silently clamped number.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] naming the offending field if the line is
     /// not a JSON object with the expected fields.
     pub fn from_ndjson(line: &str) -> Result<TraceRecord, JsonError> {
-        let value = JsonValue::parse(line)?;
-        let required = |key: &str| {
-            value.get(key).cloned().ok_or(JsonError {
-                at: 0,
-                message: format!("missing field {key:?}"),
-            })
-        };
-        let number = |key: &str| {
-            required(key)?.as_f64().ok_or(JsonError {
-                at: 0,
-                message: format!("field {key:?} is not a number"),
-            })
-        };
-        let optional_number = |key: &str, default: f64| match value.get(key) {
-            None => Ok(default),
-            Some(v) => v.as_f64().ok_or(JsonError {
-                at: 0,
-                message: format!("field {key:?} is not a number"),
-            }),
-        };
-        let string = |key: &str| {
-            required(key).and_then(|v| {
-                v.as_str().map(str::to_string).ok_or(JsonError {
-                    at: 0,
-                    message: format!("field {key:?} is not a string"),
-                })
-            })
-        };
-        let packet = number("packet")? as u64;
-        Ok(TraceRecord {
-            t_ps: number("t_ps")? as u64,
-            packet,
-            logical: optional_number("logical", packet as f64)? as u64,
-            flit: number("flit")? as u8,
-            src: optional_number("src", 0.0)? as u64,
-            dests: optional_number("dests", 0.0)? as u64,
-            created_ps: optional_number("created_ps", 0.0)? as u64,
-            site: string("site")?,
-            action: string("action")?,
-            detail: string("detail")?,
-            copies: optional_number("copies", 0.0)? as u8,
-            busy_ps: optional_number("busy_ps", 0.0)? as u64,
-        })
+        Fields::scan(line)?.record.record().map_err(field_error)
     }
 }
 
@@ -225,50 +186,228 @@ impl TraceMeta {
     ///
     /// Returns a [`JsonError`] naming the offending field on mismatch.
     pub fn from_ndjson(line: &str) -> Result<TraceMeta, JsonError> {
-        let value = JsonValue::parse(line)?;
-        TraceMeta::from_json(&value)
+        let meta = Fields::scan(line)?.meta.unwrap_or_default();
+        meta.meta().map_err(field_error)
+    }
+}
+
+/// A field-level complaint about a line that was well-formed JSON.
+fn field_error(message: String) -> JsonError {
+    JsonError { at: 0, message }
+}
+
+/// What a line held under one key the readers know. Numbers stay tokens
+/// until the line is known to be a record or a meta line, and with it
+/// the width each one must fit.
+#[derive(Default)]
+enum Slot<'a> {
+    #[default]
+    Missing,
+    Number(&'a str),
+    Text(Cow<'a, str>),
+    /// Neither a number nor a string.
+    Other,
+}
+
+impl<'a> Slot<'a> {
+    /// Takes the member's value. Only the first occurrence of a key
+    /// counts, as in [`JsonValue::get`]; later ones are validated only.
+    fn fill(&mut self, scanner: &mut Scanner<'a>) -> Result<(), JsonError> {
+        *self = match (&*self, scanner.peek()) {
+            (Slot::Missing, Some(b'-' | b'0'..=b'9')) => Slot::Number(scanner.number()?),
+            (Slot::Missing, Some(b'"')) => Slot::Text(scanner.string()?),
+            (Slot::Missing, _) => {
+                scanner.skip_value()?;
+                Slot::Other
+            }
+            _ => return scanner.skip_value(),
+        };
+        Ok(())
     }
 
-    fn from_json(value: &JsonValue) -> Result<TraceMeta, JsonError> {
-        let err = |message: String| JsonError { at: 0, message };
-        let schema = value
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| err("missing field \"schema\"".to_string()))?;
-        if schema != TRACE_SCHEMA {
-            return Err(err(format!(
-                "field \"schema\" is {schema:?}, expected {TRACE_SCHEMA:?}"
-            )));
+    /// The field as an exact unsigned integer of width `T`; `default`
+    /// stands in for an absent optional field.
+    fn uint<T: TryFrom<u64>>(&self, key: &str, default: Option<T>) -> Result<T, String> {
+        match *self {
+            Slot::Missing => default.ok_or_else(|| format!("missing field {key:?}")),
+            Slot::Number(token) => exact_u64(token)
+                .and_then(|v| T::try_from(v).ok())
+                .ok_or_else(|| {
+                    let width = std::any::type_name::<T>();
+                    format!("field {key:?}: {token} does not fit {width}")
+                }),
+            _ => Err(format!("field {key:?} is not a number")),
         }
-        let number = |key: &str| {
-            value
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| err(format!("field {key:?} is missing or not a number")))
-        };
-        let opt_number = |key: &str| match value.get(key) {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => v.as_f64(),
+    }
+
+    fn float(&self, key: &str) -> Result<f64, String> {
+        match *self {
+            Slot::Missing => return Err(format!("missing field {key:?}")),
+            Slot::Number(token) => token.parse().ok(),
+            _ => None,
+        }
+        .ok_or_else(|| format!("field {key:?} is not a number"))
+    }
+
+    fn text(self, key: &str) -> Result<String, String> {
+        match self {
+            Slot::Missing => Err(format!("missing field {key:?}")),
+            Slot::Text(text) => Ok(text.into_owned()),
+            _ => Err(format!("field {key:?} is not a string")),
+        }
+    }
+}
+
+/// Declares a struct of one [`Slot`] per key, in our writer's member
+/// order, found by the key's name or guessed by its place.
+macro_rules! fields {
+    ($name:ident: $($key:ident)*) => {
+        #[derive(Default)]
+        struct $name<'a> {
+            $($key: Slot<'a>,)*
+        }
+
+        impl<'a> $name<'a> {
+            fn slot(&mut self, key: &str) -> Option<&mut Slot<'a>> {
+                match key {
+                    $(stringify!($key) => Some(&mut self.$key),)*
+                    _ => None,
+                }
+            }
+
+            /// The slot of the member our writer puts `nth`, with the
+            /// scanner moved to its value, if the text goes on with
+            /// exactly that member's key and colon.
+            fn guess(&mut self, nth: usize, scanner: &mut Scanner<'a>) -> Option<&mut Slot<'a>> {
+                let mut place = 0;
+                $(
+                    if nth == place {
+                        let member = concat!("\"", stringify!($key), "\":");
+                        return scanner.eat(member).then_some(&mut self.$key);
+                    }
+                    place += 1;
+                )*
+                let _ = place;
+                None
+            }
+        }
+    };
+}
+
+fields! {
+    RecordFields:
+    t_ps packet logical flit src dests created_ps site action detail copies busy_ps
+}
+fields! {
+    MetaFields:
+    schema substrate arch size seed flits rate_gfs warmup_ps measure_ps wire_fj drop_fj
+    dropped_events
+}
+
+/// Every member of one trace line that a record or a meta line can
+/// carry, filled in a single pass over the line. The two key sets are
+/// disjoint, and a meta line is any object with a `schema` member, so
+/// which of the two the line is falls out of the same pass. Meta lines
+/// are one in a file: their slots exist only once a key that is not a
+/// record's turns up.
+#[derive(Default)]
+struct Fields<'a> {
+    record: RecordFields<'a>,
+    meta: Option<Box<MetaFields<'a>>>,
+}
+
+impl<'a> Fields<'a> {
+    /// Scans one non-blank line: any JSON value is accepted here, and
+    /// one that is not an object simply has no fields.
+    fn scan(line: &'a str) -> Result<Fields<'a>, JsonError> {
+        let mut scanner = Scanner::new(line);
+        let mut fields = Fields::default();
+        if scanner.peek() != Some(b'{') {
+            scanner.skip_value()?;
+        } else {
+            let mut more = scanner.open(b'{', b'}')?;
+            let mut nth = 0;
+            while more {
+                // A bet on our own writer's member order: when it holds,
+                // one comparison stands in for lexing and matching the key
+                // (a seventh of a record's parse time).
+                let guessed = match &mut fields.meta {
+                    None => fields.record.guess(nth, &mut scanner),
+                    Some(meta) => meta.guess(nth, &mut scanner),
+                };
+                let slot = match guessed {
+                    Some(slot) => Some(slot),
+                    None => {
+                        let key = scanner.key()?;
+                        match fields.record.slot(&key) {
+                            Some(slot) => Some(slot),
+                            None => fields.meta.get_or_insert_with(Box::default).slot(&key),
+                        }
+                    }
+                };
+                nth += 1;
+                match slot {
+                    Some(slot) => slot.fill(&mut scanner)?,
+                    None => scanner.skip_value()?,
+                }
+                more = scanner.more(b'}')?;
+            }
+        }
+        scanner.end()?;
+        Ok(fields)
+    }
+}
+
+impl RecordFields<'_> {
+    fn record(self) -> Result<TraceRecord, String> {
+        let packet = self.packet.uint("packet", None)?;
+        Ok(TraceRecord {
+            t_ps: self.t_ps.uint("t_ps", None)?,
+            packet,
+            logical: self.logical.uint("logical", Some(packet))?,
+            flit: self.flit.uint("flit", None)?,
+            src: self.src.uint("src", Some(0))?,
+            dests: self.dests.uint("dests", Some(0))?,
+            created_ps: self.created_ps.uint("created_ps", Some(0))?,
+            site: self.site.text("site")?,
+            action: self.action.text("action")?,
+            detail: self.detail.text("detail")?,
+            copies: self.copies.uint("copies", Some(0))?,
+            busy_ps: self.busy_ps.uint("busy_ps", Some(0))?,
+        })
+    }
+}
+
+impl MetaFields<'_> {
+    fn meta(self) -> Result<TraceMeta, String> {
+        match &self.schema {
+            Slot::Text(schema) if schema == TRACE_SCHEMA => {}
+            Slot::Text(schema) => {
+                return Err(format!(
+                    "field \"schema\" is {schema:?}, expected {TRACE_SCHEMA:?}"
+                ))
+            }
+            _ => return Err("missing field \"schema\"".to_string()),
+        }
+        // A null or mistyped optional member reads as absent.
+        let dropped_events = match self.dropped_events {
+            Slot::Missing | Slot::Number(_) => {
+                self.dropped_events.uint("dropped_events", Some(0))?
+            }
+            _ => 0,
         };
         Ok(TraceMeta {
-            substrate: value
-                .get("substrate")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| err("field \"substrate\" is missing or not a string".to_string()))?
-                .to_string(),
-            arch: value
-                .get("arch")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string),
-            size: number("size")? as u64,
-            seed: number("seed")? as u64,
-            flits: number("flits")? as u8,
-            rate: number("rate_gfs")?,
-            warmup_ps: number("warmup_ps")? as u64,
-            measure_ps: number("measure_ps")? as u64,
-            wire_fj: opt_number("wire_fj"),
-            drop_fj: opt_number("drop_fj"),
-            dropped_events: opt_number("dropped_events").unwrap_or(0.0) as u64,
+            substrate: self.substrate.text("substrate")?,
+            arch: self.arch.text("arch").ok(),
+            size: self.size.uint("size", None)?,
+            seed: self.seed.uint("seed", None)?,
+            flits: self.flits.uint("flits", None)?,
+            rate: self.rate_gfs.float("rate_gfs")?,
+            warmup_ps: self.warmup_ps.uint("warmup_ps", None)?,
+            measure_ps: self.measure_ps.uint("measure_ps", None)?,
+            wire_fj: self.wire_fj.float("wire_fj").ok(),
+            drop_fj: self.drop_fj.float("drop_fj").ok(),
+            dropped_events,
         })
     }
 }
@@ -311,21 +450,49 @@ pub fn render_trace(meta: &TraceMeta, records: &[TraceRecord]) -> String {
     out
 }
 
-/// One parsed line: a meta object, a record, or a blank to skip.
-fn parse_line(line: &str) -> Result<Option<Result<TraceMeta, TraceRecord>>, JsonError> {
+/// One line of a trace document.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Line {
+    Blank,
+    Meta(TraceMeta),
+    Record(TraceRecord),
+}
+
+/// Reads one line. A syntax error keeps its byte offset in the message;
+/// a field error names the field.
+pub(crate) fn parse_line(line: &str) -> Result<Line, String> {
     if line.trim().is_empty() {
-        return Ok(None);
+        return Ok(Line::Blank);
     }
-    // A meta line is any object carrying a "schema" field; records never
-    // have one, so the dispatch is unambiguous.
-    if line.contains("\"schema\"") {
-        if let Ok(value) = JsonValue::parse(line) {
-            if value.get("schema").is_some() {
-                return TraceMeta::from_json(&value).map(|m| Some(Ok(m)));
+    let fields = Fields::scan(line).map_err(|e| e.to_string())?;
+    match fields.meta {
+        Some(meta) if !matches!(meta.schema, Slot::Missing) => meta.meta().map(Line::Meta),
+        _ => fields.record.record().map(Line::Record),
+    }
+}
+
+/// Walks a document line by line, handing every malformed line to
+/// `on_error`, which decides whether the walk goes on.
+fn parse_lines(
+    text: &str,
+    mut on_error: impl FnMut(TraceParseError) -> bool,
+) -> (Option<TraceMeta>, Vec<TraceRecord>) {
+    let mut meta = None;
+    let mut records = Vec::new();
+    for (index, line) in text.lines().enumerate() {
+        match parse_line(line) {
+            Ok(Line::Blank) => {}
+            Ok(Line::Meta(m)) => meta = Some(m),
+            Ok(Line::Record(record)) => records.push(record),
+            Err(message) => {
+                let line = index + 1;
+                if !on_error(TraceParseError { line, message }) {
+                    break;
+                }
             }
         }
     }
-    TraceRecord::from_ndjson(line).map(|r| Some(Err(r)))
+    (meta, records)
 }
 
 /// Parses an NDJSON trace document: an optional leading [`TraceMeta`]
@@ -334,24 +501,15 @@ fn parse_line(line: &str) -> Result<Option<Result<TraceMeta, TraceRecord>>, Json
 /// # Errors
 ///
 /// Returns a [`TraceParseError`] carrying the 1-based line number and the
-/// offending field of the first malformed line.
+/// offending field (or, for malformed JSON, the byte offset) of the first
+/// malformed line.
 pub fn parse_trace(text: &str) -> Result<(Option<TraceMeta>, Vec<TraceRecord>), TraceParseError> {
-    let mut meta = None;
-    let mut records = Vec::new();
-    for (index, line) in text.lines().enumerate() {
-        match parse_line(line) {
-            Ok(None) => {}
-            Ok(Some(Ok(m))) => meta = Some(m),
-            Ok(Some(Err(record))) => records.push(record),
-            Err(e) => {
-                return Err(TraceParseError {
-                    line: index + 1,
-                    message: e.message,
-                })
-            }
-        }
-    }
-    Ok((meta, records))
+    let mut first = None;
+    let parsed = parse_lines(text, |e| {
+        first = Some(e);
+        false
+    });
+    first.map_or(Ok(parsed), Err)
 }
 
 /// Parses an NDJSON trace document, skipping malformed lines instead of
@@ -361,20 +519,11 @@ pub fn parse_trace(text: &str) -> Result<(Option<TraceMeta>, Vec<TraceRecord>), 
 pub fn parse_trace_lenient(
     text: &str,
 ) -> (Option<TraceMeta>, Vec<TraceRecord>, Vec<TraceParseError>) {
-    let mut meta = None;
-    let mut records = Vec::new();
     let mut errors = Vec::new();
-    for (index, line) in text.lines().enumerate() {
-        match parse_line(line) {
-            Ok(None) => {}
-            Ok(Some(Ok(m))) => meta = Some(m),
-            Ok(Some(Err(record))) => records.push(record),
-            Err(e) => errors.push(TraceParseError {
-                line: index + 1,
-                message: e.message,
-            }),
-        }
-    }
+    let (meta, records) = parse_lines(text, |e| {
+        errors.push(e);
+        true
+    });
     (meta, records, errors)
 }
 
@@ -524,6 +673,7 @@ impl<N: Copy> Observer<N> for TraceCollector<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use std::sync::Arc;
 
     use asynoc_kernel::Duration;
@@ -578,6 +728,28 @@ mod tests {
         assert_eq!(record.logical, 7, "logical defaults to packet");
         assert_eq!(record.created_ps, 0);
         assert_eq!(record.copies, 0);
+    }
+
+    #[test]
+    fn member_order_and_spacing_do_not_matter() {
+        // The reader bets on the writer's member order; losing the bet —
+        // on the first member, midway, or by a space — must cost nothing
+        // but time.
+        let line = record().to_ndjson();
+        let mut members: Vec<&str> = line[1..line.len() - 1].split(',').collect();
+        for rotation in 0..members.len() {
+            members.rotate_left(1);
+            let shuffled = format!("{{{}}}", members.join(","));
+            assert_eq!(
+                TraceRecord::from_ndjson(&shuffled),
+                Ok(record()),
+                "{rotation}"
+            );
+        }
+        let spaced = line.replace(',', " , ").replace("\":", "\" : ");
+        assert_eq!(TraceRecord::from_ndjson(&spaced), Ok(record()));
+        let meta_line = meta().to_ndjson().replace(',', ", ");
+        assert_eq!(parse_line(&meta_line), Ok(Line::Meta(meta())));
     }
 
     #[test]
@@ -654,6 +826,147 @@ mod tests {
         let err = parse_trace(text).unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("schema"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_integers_are_located_errors() {
+        let with = |field: &str| {
+            format!(
+                "{{\"t_ps\":1,\"packet\":2,{field},\"site\":\"a\",\
+                 \"action\":\"inject\",\"detail\":\"\"}}"
+            )
+        };
+        // Each of these used to come back as a plausible number (255, 0, 1).
+        for (field, complaint) in [
+            ("\"flit\":300", "field \"flit\": 300 does not fit u8"),
+            (
+                "\"flit\":0,\"copies\":256",
+                "field \"copies\": 256 does not fit u8",
+            ),
+            (
+                "\"flit\":0,\"busy_ps\":-5",
+                "field \"busy_ps\": -5 does not fit u64",
+            ),
+            (
+                "\"flit\":0,\"created_ps\":1.7",
+                "field \"created_ps\": 1.7 does not fit u64",
+            ),
+            (
+                "\"flit\":0,\"src\":1e300",
+                "field \"src\": 1e300 does not fit u64",
+            ),
+        ] {
+            let text = format!("{}\n{}\n", record().to_ndjson(), with(field));
+            let err = parse_trace(&text).unwrap_err();
+            assert_eq!(err.to_string(), format!("line 2: {complaint}"));
+            assert!(
+                reference::record_from_ndjson(&with(field)).is_ok(),
+                "{field}"
+            );
+            // `--lenient` counts the line as skipped.
+            let (_, records, errors) = parse_trace_lenient(&text);
+            assert_eq!((records.len(), errors.len()), (1, 1), "{field}");
+        }
+        // Ids past 2^53 keep every bit; the cast used to round them.
+        let wide = with("\"flit\":0,\"logical\":9007199254740993");
+        let exact = TraceRecord::from_ndjson(&wide).expect("wide ids parse");
+        assert_eq!(exact.logical, 9_007_199_254_740_993);
+        let rounded = reference::record_from_ndjson(&wide).expect("the oracle parses it too");
+        assert_eq!(rounded.logical, 9_007_199_254_740_992);
+        // Integral values written the long way are still integers.
+        let long = TraceRecord::from_ndjson(&with("\"flit\":2.0,\"dests\":1e3"));
+        assert_eq!(long.map(|r| (r.flit, r.dests)), Ok((2, 1_000)));
+        // The meta line gets the same treatment.
+        let bad_meta = meta().to_ndjson().replace("\"flits\":5", "\"flits\":300");
+        let err = parse_trace(&bad_meta).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 1: field \"flits\": 300 does not fit u8"
+        );
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_located_error() {
+        let text = format!("{}\n{}\n", record().to_ndjson(), "[".repeat(2_000_000));
+        let err = parse_trace(&text).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2: JSON error at byte 128: nesting deeper than 128 levels"
+        );
+    }
+
+    /// Holds the scanner-based reader to the tree-based one on `line`.
+    /// Returns whether the line is one of the intended divergences: the
+    /// oracle's casts misread an integer the scanner refuses.
+    fn agrees_with_the_oracle(line: &str) -> bool {
+        match (reference::trace_line(line), parse_line(line)) {
+            (Ok(expected), Ok(got)) if expected == got => false,
+            (Err(_), Err(_)) => false,
+            (Ok(_), Err(message)) if reference::misreads_an_integer(line) => {
+                assert!(message.contains("does not fit"), "{line}: {message}");
+                true
+            }
+            // Exact where the oracle rounded: both are `Ok`, values differ.
+            (Ok(_), Ok(_)) if reference::misreads_an_integer(line) => true,
+            (expected, got) => panic!("{line}\n oracle: {expected:?}\nscanner: {got:?}"),
+        }
+    }
+
+    #[test]
+    fn scanner_agrees_with_the_tree_reader_on_real_traces() {
+        for run in reference::real_runs() {
+            let mut lines = 0;
+            for line in run.trace.lines() {
+                assert!(!agrees_with_the_oracle(line), "{}: {line}", run.name);
+                lines += 1;
+            }
+            // The stream embeds the same records (the faulted run's only
+            // copy of them); our writer's rendering is canonical.
+            for line in run
+                .stream
+                .lines()
+                .filter(|l| l.contains("\"type\":\"trace\""))
+            {
+                let value = JsonValue::parse(line).expect("stream lines parse");
+                let record = value.get("record").expect("trace lines carry a record");
+                assert!(!agrees_with_the_oracle(&record.render()), "{}", run.name);
+                lines += 1;
+            }
+            assert!(lines > 1_000, "{}: only {lines} lines compared", run.name);
+            // And the document readers agree with their own line reader.
+            let (meta, records) = parse_trace(&run.trace).expect("real traces parse");
+            assert_eq!(meta.is_some(), !run.trace.is_empty(), "{}", run.name);
+            assert_eq!(records.len(), run.trace.lines().count().saturating_sub(1));
+        }
+        let faulted = &reference::real_runs()[3].stream;
+        assert!(
+            faulted.contains("\"action\":\"fault\""),
+            "fault records present"
+        );
+    }
+
+    #[test]
+    fn scanner_agrees_with_the_tree_reader_on_a_mutated_corpus() {
+        let runs = reference::real_runs();
+        let seeds: Vec<&str> = runs
+            .iter()
+            .flat_map(|run| run.trace.lines().take(40))
+            .chain(runs[3].stream.lines().filter(|l| l.contains("fault")))
+            .collect();
+        let mutants = reference::mutants(&seeds, 12_000, 0x5ca9);
+        let (mut lines, mut accepted, mut divergences) = (0, 0, 0);
+        // A flipped byte can be a newline: compare line by line, as the
+        // document readers will see the mutant.
+        for line in mutants.iter().flat_map(|mutant| mutant.lines()) {
+            lines += 1;
+            divergences += usize::from(agrees_with_the_oracle(line));
+            accepted += usize::from(parse_line(line).is_ok());
+        }
+        assert!(lines >= 10_000, "{lines} lines");
+        // The corpus must exercise both verdicts and the intended divergence.
+        assert!(accepted > lines / 10, "{accepted} of {lines} accepted");
+        assert!(accepted < lines * 9 / 10, "{accepted} of {lines} accepted");
+        assert!(divergences > 100, "{divergences} misread integers");
     }
 
     #[test]
