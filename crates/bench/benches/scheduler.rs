@@ -24,10 +24,36 @@
 use std::time::{Duration, Instant};
 
 use asynoc_bench::baseline::{guard, parse_bench_args, BenchCase};
-use asynoc_kernel::{SchedulerKind, SchedulerQueue, SimRng, Time};
+use asynoc_kernel::{CalendarQueue, EventQueue, SimRng, Time};
+
+/// The three operations the hold model needs, so one pass drives either
+/// queue type.
+trait HoldQueue {
+    fn with_capacity(capacity: usize) -> Self;
+    fn schedule(&mut self, time: Time, event: u64);
+    fn pop(&mut self) -> Option<(Time, u64)>;
+}
+
+macro_rules! hold_queue {
+    ($queue:ident) => {
+        impl HoldQueue for $queue<u64> {
+            fn with_capacity(capacity: usize) -> Self {
+                $queue::with_capacity(capacity)
+            }
+            fn schedule(&mut self, time: Time, event: u64) {
+                $queue::schedule(self, time, event);
+            }
+            fn pop(&mut self) -> Option<(Time, u64)> {
+                $queue::pop(self)
+            }
+        }
+    };
+}
+hold_queue!(EventQueue);
+hold_queue!(CalendarQueue);
 
 /// One hold-model pass: pre-fill to `depth`, run `ops` pop+push holds,
-/// then drain. Gap sampling is seeded, so both queue kinds see the
+/// then drain. Gap sampling is seeded, so both queue types see the
 /// identical event sequence.
 ///
 /// The gap range scales with depth so the pending-event density stays
@@ -36,10 +62,10 @@ use asynoc_kernel::{SchedulerKind, SchedulerQueue, SimRng, Time};
 /// one event per time quantum, where no calendar (whatever its width)
 /// can separate events into buckets and the comparison degenerates into
 /// a memmove contest inside oversized buckets.
-fn hold(kind: SchedulerKind, depth: usize, ops: u64) -> u64 {
+fn hold<Q: HoldQueue>(depth: usize, ops: u64) -> u64 {
     let gap_max = depth.max(1_024);
     let mut rng = SimRng::seed_from(depth as u64);
-    let mut queue: SchedulerQueue<u64> = SchedulerQueue::with_capacity(kind, depth);
+    let mut queue = Q::with_capacity(depth);
     for i in 0..depth {
         queue.schedule(
             Time::from_ps(rng.range_inclusive(0, 2 * gap_max) as u64),
@@ -59,9 +85,9 @@ fn hold(kind: SchedulerKind, depth: usize, ops: u64) -> u64 {
     checksum
 }
 
-fn timed(kind: SchedulerKind, depth: usize, ops: u64) -> (Duration, u64) {
+fn timed<Q: HoldQueue>(depth: usize, ops: u64) -> (Duration, u64) {
     let start = Instant::now();
-    let checksum = std::hint::black_box(hold(kind, depth, ops));
+    let checksum = std::hint::black_box(hold::<Q>(depth, ops));
     (start.elapsed(), checksum)
 }
 
@@ -87,7 +113,7 @@ fn main() {
     // pending).
     const DEPTHS: [usize; 3] = [256, 1_024, 4_096];
 
-    // Same seeds per depth ⇒ both kinds process the identical sequence;
+    // Same seeds per depth ⇒ both queues process the identical sequence;
     // checksums cross-check that (and defeat dead-code elimination).
     let mut cases = Vec::new();
     let mut per_depth = Vec::new();
@@ -96,18 +122,18 @@ fn main() {
         println!("\nscheduler_hold_depth_{depth}");
         println!("{}", "-".repeat(48));
         // Warmup (untimed) doubles as the determinism cross-check.
-        let (_, heap_sum) = timed(SchedulerKind::Heap, depth, ops);
-        let (_, calendar_sum) = timed(SchedulerKind::Calendar, depth, ops);
+        let (_, heap_sum) = timed::<EventQueue<u64>>(depth, ops);
+        let (_, calendar_sum) = timed::<CalendarQueue<u64>>(depth, ops);
         assert_eq!(
             heap_sum, calendar_sum,
-            "depth {depth}: queue kinds diverged on the same event sequence"
+            "depth {depth}: the queues diverged on the same event sequence"
         );
         let mut heap_best = Duration::MAX;
         let mut calendar_best = Duration::MAX;
         let mut best_ratio = 0.0f64;
         for _ in 0..rounds {
-            let (heap, _) = timed(SchedulerKind::Heap, depth, ops);
-            let (calendar, _) = timed(SchedulerKind::Calendar, depth, ops);
+            let (heap, _) = timed::<EventQueue<u64>>(depth, ops);
+            let (calendar, _) = timed::<CalendarQueue<u64>>(depth, ops);
             heap_best = heap_best.min(heap);
             calendar_best = calendar_best.min(calendar);
             let ratio = heap.as_secs_f64() / calendar.as_secs_f64().max(f64::MIN_POSITIVE);

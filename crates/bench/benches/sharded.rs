@@ -42,15 +42,18 @@ fn mot_run(shards: usize) -> (Duration, RunReport) {
 }
 
 fn mesh_run(shards: usize) -> (Duration, asynoc_mesh::MeshReport) {
-    let config = MeshConfig::new(MeshSize::new(8, 8).expect("8x8 is the supported maximum"))
-        .with_seed(7)
-        .with_shards(shards);
+    let config =
+        MeshConfig::new(MeshSize::new(8, 8).expect("8x8 is the supported maximum")).with_seed(7);
     let network = MeshNetwork::new(config).expect("8x8 mesh builds");
-    let phases = Phases::new(SimDuration::from_ns(100), SimDuration::from_ns(1_000));
+    let run = RunConfig::new(Benchmark::UniformRandom, 0.15)
+        .expect("positive rate")
+        .with_phases(Phases::new(
+            SimDuration::from_ns(100),
+            SimDuration::from_ns(1_000),
+        ))
+        .with_shards(shards);
     let start = Instant::now();
-    let report = network
-        .run(Benchmark::UniformRandom, 0.15, phases)
-        .expect("run succeeds");
+    let report = asynoc::drive(&network, &run, &mut [], None).expect("run succeeds");
     (start.elapsed(), report)
 }
 

@@ -1,0 +1,87 @@
+//! Fixtures of the cross-substrate conformance tests (`tests/`): the
+//! event-stream fingerprint and the small networks every test runs on.
+
+use std::fmt::Write as _;
+
+use asynoc::{Architecture, Network, NetworkConfig, Observer, SimEvent, Time};
+use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
+use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork};
+
+/// Streaming FNV-1a fingerprint over the debug rendering of every
+/// `(time, in_window, event)` triple, so any divergence — an extra event,
+/// a reordered arbitration, a shifted timestamp — changes the hash.
+pub struct Fingerprint {
+    /// The running hash.
+    pub hash: u64,
+    /// Events absorbed so far.
+    pub events: u64,
+    line: String,
+}
+
+impl Fingerprint {
+    /// An empty fingerprint.
+    #[must_use]
+    pub fn new() -> Self {
+        Fingerprint {
+            hash: 0xcbf2_9ce4_8422_2325,
+            events: 0,
+            line: String::new(),
+        }
+    }
+}
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Fingerprint::new()
+    }
+}
+
+impl<N: std::fmt::Debug> Observer<N> for Fingerprint {
+    fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>) {
+        self.line.clear();
+        write!(self.line, "{at:?}|{in_window}|{event:?}").expect("String write is infallible");
+        for byte in self.line.as_bytes() {
+            self.hash ^= u64::from(*byte);
+            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.events += 1;
+    }
+}
+
+/// The 8x8 MoT the conformance tests run on.
+///
+/// # Panics
+///
+/// Never: 8x8 with a preset architecture always builds.
+#[must_use]
+pub fn mot(architecture: Architecture, seed: u64) -> Network {
+    Network::new(NetworkConfig::eight_by_eight(architecture).with_seed(seed))
+        .expect("8x8 network builds")
+}
+
+fn four_by_four() -> MeshSize {
+    MeshSize::new(4, 4).expect("4x4 is valid")
+}
+
+/// The 4x4 wormhole mesh the conformance tests run on.
+///
+/// # Panics
+///
+/// Never: 4x4 is a valid mesh size.
+#[must_use]
+pub fn mesh(seed: u64) -> MeshNetwork {
+    MeshNetwork::new(MeshConfig::new(four_by_four()).with_seed(seed)).expect("4x4 mesh builds")
+}
+
+/// The 4x4 VC mesh the conformance tests run on.
+///
+/// # Panics
+///
+/// Never: 4x4 is a valid mesh size.
+#[must_use]
+pub fn vcmesh(mcast: McastScheme, seed: u64) -> VcMeshNetwork {
+    let config = VcMeshConfig::new(four_by_four())
+        .with_seed(seed)
+        .with_mcast(mcast);
+    VcMeshNetwork::new(config).expect("4x4 VC mesh builds")
+}

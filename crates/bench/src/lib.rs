@@ -9,6 +9,7 @@ use asynoc::harness::Quality;
 use asynoc::{Architecture, Benchmark};
 
 pub mod baseline;
+pub mod conformance;
 pub mod timing;
 
 /// Parses the common CLI convention: `--quick` selects the fast preset,

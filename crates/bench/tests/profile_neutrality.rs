@@ -6,73 +6,35 @@
 //! does may touch event order, timestamps, RNG draws, or report fields.
 //! This test proves it the same way the sharded engine proves
 //! serial-equivalence — an FNV-1a fingerprint over the debug rendering
-//! of every `(time, in_window, event)` triple — across both substrates
-//! and both the serial and sharded paths, with `--progress` forced off
+//! of every `(time, in_window, event)` triple — on every substrate and
+//! both the serial and sharded paths, with `--progress` forced off
 //! (the heartbeat is stderr-only and TTY-gated, but the run flag is
 //! exercised too).
 
-use asynoc::{
-    Architecture, Benchmark, Network, NetworkConfig, Observer, RunConfig, SimEvent, Time,
-};
-use asynoc_kernel::Duration;
-use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
-use asynoc_stats::Phases;
-use std::fmt::Write as _;
-
-/// Streaming FNV-1a fingerprint of the full event stream.
-struct Fingerprint {
-    hash: u64,
-    events: u64,
-    line: String,
-}
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint {
-            hash: 0xcbf2_9ce4_8422_2325,
-            events: 0,
-            line: String::new(),
-        }
-    }
-
-    fn absorb<N: std::fmt::Debug>(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>) {
-        self.line.clear();
-        write!(self.line, "{at:?}|{in_window}|{event:?}").expect("String write is infallible");
-        for byte in self.line.as_bytes() {
-            self.hash ^= u64::from(*byte);
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.events += 1;
-    }
-}
-
-impl<N: std::fmt::Debug> Observer<N> for Fingerprint {
-    fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>) {
-        self.absorb(at, in_window, event);
-    }
-}
+use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
+use asynoc_bench::conformance::{mesh, mot, vcmesh, Fingerprint};
+use asynoc_vcmesh::McastScheme;
 
 const SHARDS: [usize; 2] = [1, 2];
 
-#[test]
-fn mot_runs_are_bit_identical_with_profiling_on() {
+/// Runs `run` on `net` with profiling off and on, serial and sharded,
+/// and holds the two sides against each other: identical event stream,
+/// identical engine report, and — via `same_section` — an identical
+/// substrate section.
+fn runs_are_bit_identical_with_profiling_on<S: Substrate>(
+    net: &S,
+    run: &RunConfig,
+    same_section: impl Fn(&S::Report, &S::Report),
+) {
     for shards in SHARDS {
-        let network = Network::new(
-            NetworkConfig::eight_by_eight(Architecture::OptHybridSpeculative).with_seed(7),
-        )
-        .expect("8x8 network builds");
-        let run = |profile: bool| {
-            let config = RunConfig::quick(Benchmark::Multicast10, 0.3)
-                .with_shards(shards)
-                .with_profile(profile);
+        let run_with = |profile: bool| {
+            let run = run.clone().with_shards(shards).with_profile(profile);
             let mut stream = Fingerprint::new();
-            let report = network
-                .run_with_observers(&config, &mut [&mut stream])
-                .expect("run succeeds");
+            let report = drive(net, &run, &mut [&mut stream], None).expect("run succeeds");
             (stream.hash, stream.events, report)
         };
-        let (plain_hash, plain_events, plain) = run(false);
-        let (profiled_hash, profiled_events, profiled) = run(true);
+        let (plain_hash, plain_events, plain) = run_with(false);
+        let (profiled_hash, profiled_events, mut profiled) = run_with(true);
         assert_eq!(
             plain_hash, profiled_hash,
             "shards {shards}: profiling moved the event stream"
@@ -85,12 +47,13 @@ fn mot_runs_are_bit_identical_with_profiling_on() {
         assert_eq!(plain.throughput, profiled.throughput);
         assert_eq!(plain.latency.mean(), profiled.latency.mean());
         assert_eq!(plain.latency.max(), profiled.latency.max());
+        same_section(&plain, &profiled);
         assert!(plain.packets_measured > 0, "shards {shards}: degenerate");
         // The profile itself only exists on the profiled side, and its
         // event attribution agrees with the deterministic report.
         assert!(plain.profile.is_none());
         check_profile_attribution(
-            &profiled.profile.expect("profile collected"),
+            &profiled.profile.take().expect("profile collected"),
             shards,
             profiled.events_processed,
         );
@@ -129,40 +92,33 @@ fn check_profile_attribution(
 }
 
 #[test]
+fn mot_runs_are_bit_identical_with_profiling_on() {
+    runs_are_bit_identical_with_profiling_on(
+        &mot(Architecture::OptHybridSpeculative, 7),
+        &RunConfig::quick(Benchmark::Multicast10, 0.3),
+        |_, _| {},
+    );
+}
+
+#[test]
 fn mesh_runs_are_bit_identical_with_profiling_on() {
-    let phases = Phases::new(Duration::from_ns(80), Duration::from_ns(800));
-    for shards in SHARDS {
-        let run = |profile: bool| {
-            let config = MeshConfig::new(MeshSize::new(4, 4).expect("4x4 is valid"))
-                .with_seed(7)
-                .with_shards(shards)
-                .with_profile(profile);
-            let network = MeshNetwork::new(config).expect("4x4 mesh builds");
-            let mut stream = Fingerprint::new();
-            let report = network
-                .run_with_observers(Benchmark::UniformRandom, 0.25, phases, &mut [&mut stream])
-                .expect("run succeeds");
-            (stream.hash, stream.events, report)
-        };
-        let (plain_hash, plain_events, plain) = run(false);
-        let (profiled_hash, profiled_events, profiled) = run(true);
-        assert_eq!(
-            plain_hash, profiled_hash,
-            "shards {shards}: profiling moved the event stream"
-        );
-        assert_eq!(plain_events, profiled_events, "shards {shards}");
-        assert_eq!(plain.events_processed, profiled.events_processed);
-        assert_eq!(plain.shard_events, profiled.shard_events);
-        assert_eq!(plain.packets_measured, profiled.packets_measured);
-        assert_eq!(plain.throughput, profiled.throughput);
-        assert_eq!(plain.latency.mean(), profiled.latency.mean());
-        assert!((plain.mean_hops - profiled.mean_hops).abs() == 0.0);
-        assert!(plain.packets_measured > 0, "shards {shards}: degenerate");
-        assert!(plain.profile.is_none());
-        check_profile_attribution(
-            &profiled.profile.expect("profile collected"),
-            shards,
-            profiled.events_processed,
+    runs_are_bit_identical_with_profiling_on(
+        &mesh(7),
+        &RunConfig::quick(Benchmark::UniformRandom, 0.25),
+        |plain, profiled| assert!((plain.mean_hops - profiled.mean_hops).abs() == 0.0),
+    );
+}
+
+#[test]
+fn vcmesh_runs_are_bit_identical_with_profiling_on() {
+    for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
+        runs_are_bit_identical_with_profiling_on(
+            &vcmesh(mcast, 7),
+            &RunConfig::quick(Benchmark::Multicast10, 0.1),
+            |plain, profiled| {
+                assert!((plain.mean_hops - profiled.mean_hops).abs() == 0.0);
+                assert_eq!(plain.link_traversals, profiled.link_traversals);
+            },
         );
     }
 }

@@ -1,79 +1,43 @@
-//! Differential conformance: sharded vs serial execution, both substrates.
+//! Differential conformance: sharded vs serial execution, every substrate.
 //!
 //! The conservative parallel engine's entire correctness claim is that
 //! it is *observationally identical* to the serial loop: the merged
 //! per-shard event records replay in the serial engine's canonical
 //! `(time, key, seq)` order, therefore observers see the same stream,
-//! therefore every report field matches bit for bit. The core and mesh
+//! therefore every report field matches bit for bit. The substrate
 //! crates already prove this on one seed each; this test proves it
 //! across ten seeded runs per substrate and shard counts 1/2/4, plus a
 //! fault-injection round trip whose ledger and verdict inputs must not
-//! move either.
-//!
-//! Streams are compared by FNV-1a fingerprint over the debug rendering
-//! of every `(time, in_window, event)` triple, so any divergence — an
-//! extra event, a reordered arbitration, a shifted timestamp — changes
-//! the hash.
+//! move either. Both bodies take the substrate contract as input, so a
+//! new fabric joins by adding one call.
 
-use asynoc::{
-    Architecture, Benchmark, Network, NetworkConfig, Observer, RunConfig, SimEvent, Time,
-};
-use asynoc_faults::{run_mesh_outcome, run_mot_outcome, run_vcmesh_outcome, FaultPlan};
+use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
+use asynoc_bench::conformance::{mesh, mot, vcmesh, Fingerprint};
+use asynoc_faults::{run_outcome, FaultPlan};
 use asynoc_kernel::Duration;
-use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
+use asynoc_mesh::MeshReport;
 use asynoc_stats::Phases;
-use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork};
-use std::fmt::Write as _;
-
-/// Streaming FNV-1a fingerprint of the full event stream.
-struct Fingerprint {
-    hash: u64,
-    events: u64,
-    line: String,
-}
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint {
-            hash: 0xcbf2_9ce4_8422_2325,
-            events: 0,
-            line: String::new(),
-        }
-    }
-
-    fn absorb<N: std::fmt::Debug>(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>) {
-        self.line.clear();
-        write!(self.line, "{at:?}|{in_window}|{event:?}").expect("String write is infallible");
-        for byte in self.line.as_bytes() {
-            self.hash ^= u64::from(*byte);
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.events += 1;
-    }
-}
-
-impl<N: std::fmt::Debug> Observer<N> for Fingerprint {
-    fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>) {
-        self.absorb(at, in_window, event);
-    }
-}
+use asynoc_vcmesh::{McastScheme, VcMeshReport};
 
 const SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
 const SHARDS: [usize; 3] = [1, 2, 4];
 
-#[test]
-fn mot_runs_are_identical_at_every_shard_count() {
+/// Runs `run` on `build(seed)` at every shard count and holds each
+/// sharded run against the serial one: identical event stream, identical
+/// engine report, and — via `same_section` — an identical substrate
+/// section.
+fn runs_are_identical_at_every_shard_count<S: Substrate>(
+    build: impl Fn(u64) -> S,
+    run: &RunConfig,
+    same_section: impl Fn(&S::Report, &S::Report),
+) {
     for seed in SEEDS {
+        let network = build(seed);
         let mut outcomes = Vec::new();
         for shards in SHARDS {
-            let config =
-                NetworkConfig::eight_by_eight(Architecture::OptHybridSpeculative).with_seed(seed);
-            let network = Network::new(config).expect("8x8 network builds");
-            let run = RunConfig::quick(Benchmark::Multicast10, 0.3).with_shards(shards);
             let mut stream = Fingerprint::new();
-            let report = network
-                .run_with_observers(&run, &mut [&mut stream])
-                .expect("run succeeds");
+            let run = run.clone().with_shards(shards);
+            let report = drive(&network, &run, &mut [&mut stream], None).expect("run succeeds");
             assert_eq!(report.shards, shards, "seed {seed}: shard count echoed");
             assert_eq!(report.shard_events.len(), shards, "seed {seed}");
             assert_eq!(
@@ -103,135 +67,76 @@ fn mot_runs_are_identical_at_every_shard_count() {
             assert_eq!(serial.latency.mean(), sharded.latency.mean());
             assert_eq!(serial.latency.min(), sharded.latency.min());
             assert_eq!(serial.latency.max(), sharded.latency.max());
+            same_section(serial, sharded);
         }
         assert!(serial.packets_measured > 0, "seed {seed}: degenerate run");
     }
 }
 
+fn same_hops(serial: &MeshReport, sharded: &MeshReport) {
+    assert!((serial.mean_hops - sharded.mean_hops).abs() == 0.0);
+}
+
+/// The serial-only credit ledger is the one part of the VC mesh section
+/// that legitimately differs; everything else must match.
+fn same_vc_planes(serial: &VcMeshReport, sharded: &VcMeshReport) {
+    assert_eq!(serial.link_traversals, sharded.link_traversals);
+    assert_eq!(serial.vc_pushes, sharded.vc_pushes);
+    assert_eq!(serial.vc_peak, sharded.vc_peak);
+    assert!((serial.mean_hops - sharded.mean_hops).abs() == 0.0);
+}
+
+#[test]
+fn mot_runs_are_identical_at_every_shard_count() {
+    runs_are_identical_at_every_shard_count(
+        |seed| mot(Architecture::OptHybridSpeculative, seed),
+        &RunConfig::quick(Benchmark::Multicast10, 0.3),
+        |_, _| {},
+    );
+}
+
 #[test]
 fn mesh_runs_are_identical_at_every_shard_count() {
-    let phases = Phases::new(Duration::from_ns(80), Duration::from_ns(800));
-    for seed in SEEDS {
-        let mut outcomes = Vec::new();
-        for shards in SHARDS {
-            let config = MeshConfig::new(MeshSize::new(4, 4).expect("4x4 is valid"))
-                .with_seed(seed)
-                .with_shards(shards);
-            let network = MeshNetwork::new(config).expect("4x4 mesh builds");
-            let mut stream = Fingerprint::new();
-            let report = network
-                .run_with_observers(Benchmark::UniformRandom, 0.25, phases, &mut [&mut stream])
-                .expect("run succeeds");
-            assert_eq!(report.shards, shards, "seed {seed}: shard count echoed");
-            assert_eq!(
-                report.shard_events.iter().sum::<u64>(),
-                report.events_processed,
-                "seed {seed}: per-shard events must sum to the total"
-            );
-            outcomes.push((shards, stream.hash, stream.events, report));
-        }
-        let (_, serial_hash, serial_events, serial) = &outcomes[0];
-        for (shards, hash, events, sharded) in &outcomes[1..] {
-            assert_eq!(
-                serial_events, events,
-                "seed {seed} shards {shards}: event counts differ"
-            );
-            assert_eq!(
-                serial_hash, hash,
-                "seed {seed} shards {shards}: event streams diverged"
-            );
-            assert_eq!(serial.events_processed, sharded.events_processed);
-            assert_eq!(serial.packets_measured, sharded.packets_measured);
-            assert_eq!(serial.packets_incomplete, sharded.packets_incomplete);
-            assert_eq!(serial.throughput, sharded.throughput);
-            assert_eq!(serial.latency.count(), sharded.latency.count());
-            assert_eq!(serial.latency.mean(), sharded.latency.mean());
-            assert_eq!(serial.latency.min(), sharded.latency.min());
-            assert_eq!(serial.latency.max(), sharded.latency.max());
-            assert!((serial.mean_hops - sharded.mean_hops).abs() == 0.0);
-        }
-        assert!(serial.packets_measured > 0, "seed {seed}: degenerate run");
-    }
+    runs_are_identical_at_every_shard_count(
+        mesh,
+        &RunConfig::quick(Benchmark::UniformRandom, 0.25),
+        same_hops,
+    );
 }
 
 /// The VC mesh adds a second event population — credit returns — to the
 /// sharded engine, and its row-band partition must keep data launches,
 /// credit launches, and the atomic multicast fork in the same canonical
-/// order. Multicast traffic under DPM exercises the fork path hardest.
+/// order. Multicast traffic exercises the fork path hardest.
 #[test]
 fn vcmesh_runs_are_identical_at_every_shard_count() {
-    let phases = Phases::new(Duration::from_ns(80), Duration::from_ns(800));
-    for seed in SEEDS {
-        let mut outcomes = Vec::new();
-        for shards in SHARDS {
-            let config = VcMeshConfig::new(MeshSize::new(4, 4).expect("4x4 is valid"))
-                .with_seed(seed)
-                .with_mcast(McastScheme::Dpm)
-                .with_shards(shards);
-            let network = VcMeshNetwork::new(config).expect("4x4 VC mesh builds");
-            let mut stream = Fingerprint::new();
-            let report = network
-                .run_with_observers(Benchmark::Multicast10, 0.1, phases, &mut [&mut stream])
-                .expect("run succeeds");
-            assert_eq!(report.shards, shards, "seed {seed}: shard count echoed");
-            assert_eq!(
-                report.shard_events.iter().sum::<u64>(),
-                report.events_processed,
-                "seed {seed}: per-shard events must sum to the total"
-            );
-            outcomes.push((shards, stream.hash, stream.events, report));
-        }
-        let (_, serial_hash, serial_events, serial) = &outcomes[0];
-        for (shards, hash, events, sharded) in &outcomes[1..] {
-            assert_eq!(
-                serial_events, events,
-                "seed {seed} shards {shards}: event counts differ"
-            );
-            assert_eq!(
-                serial_hash, hash,
-                "seed {seed} shards {shards}: event streams diverged"
-            );
-            assert_eq!(serial.events_processed, sharded.events_processed);
-            assert_eq!(serial.packets_measured, sharded.packets_measured);
-            assert_eq!(serial.packets_incomplete, sharded.packets_incomplete);
-            assert_eq!(serial.throughput, sharded.throughput);
-            assert_eq!(serial.latency.count(), sharded.latency.count());
-            assert_eq!(serial.latency.mean(), sharded.latency.mean());
-            assert_eq!(serial.latency.min(), sharded.latency.min());
-            assert_eq!(serial.latency.max(), sharded.latency.max());
-            assert_eq!(serial.link_traversals, sharded.link_traversals);
-            assert_eq!(serial.vc_pushes, sharded.vc_pushes);
-            assert_eq!(serial.vc_peak, sharded.vc_peak);
-            assert!((serial.mean_hops - sharded.mean_hops).abs() == 0.0);
-        }
-        assert!(serial.packets_measured > 0, "seed {seed}: degenerate run");
+    for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
+        runs_are_identical_at_every_shard_count(
+            |seed| vcmesh(mcast, seed),
+            &RunConfig::quick(Benchmark::Multicast10, 0.1),
+            same_vc_planes,
+        );
     }
 }
 
 /// Fault injection must survive sharding too: the armed-fault summary is
 /// accumulated per shard and folded back, and the delivery ledger the
 /// oracle judges is rebuilt from the same merged stream.
-#[test]
-fn mot_fault_outcomes_are_identical_at_every_shard_count() {
-    let net = Network::new(
-        NetworkConfig::new(
-            asynoc::MotSize::new(8).expect("valid"),
-            Architecture::BasicHybridSpeculative,
-        )
-        .with_seed(17),
-    )
-    .expect("8x8 network builds");
-    let plan = FaultPlan::random(17, 0.02, &net.fault_domain());
-    let phases = Phases::new(Duration::from_ns(20), Duration::from_ns(160));
-    let mut outcomes = Vec::new();
-    for shards in SHARDS {
-        let run = RunConfig::new(Benchmark::Multicast5, 0.2)
-            .expect("positive rate")
-            .with_phases(phases)
-            .with_shards(shards);
-        let outcome = run_mot_outcome(&net, &run, Some(&plan)).expect("faulted run succeeds");
-        outcomes.push((shards, outcome));
-    }
+fn fault_outcomes_are_identical_at_every_shard_count<S: Substrate>(
+    net: &S,
+    plan_seed: u64,
+    run: &RunConfig,
+) {
+    let plan = FaultPlan::random(plan_seed, 0.02, &net.fault_domain());
+    let outcomes: Vec<_> = SHARDS
+        .into_iter()
+        .map(|shards| {
+            let run = run.clone().with_shards(shards);
+            let outcome =
+                run_outcome(net, &run, Some(&plan), &mut []).expect("faulted run succeeds");
+            (shards, outcome)
+        })
+        .collect();
     let (_, serial) = &outcomes[0];
     for (shards, sharded) in &outcomes[1..] {
         assert_eq!(
@@ -247,33 +152,31 @@ fn mot_fault_outcomes_are_identical_at_every_shard_count() {
     }
 }
 
+fn fault_run(benchmark: Benchmark, warmup_ns: u64, measure_ns: u64) -> RunConfig {
+    RunConfig::new(benchmark, 0.2)
+        .expect("positive rate")
+        .with_phases(Phases::new(
+            Duration::from_ns(warmup_ns),
+            Duration::from_ns(measure_ns),
+        ))
+}
+
+#[test]
+fn mot_fault_outcomes_are_identical_at_every_shard_count() {
+    fault_outcomes_are_identical_at_every_shard_count(
+        &mot(Architecture::BasicHybridSpeculative, 17),
+        17,
+        &fault_run(Benchmark::Multicast5, 20, 160),
+    );
+}
+
 #[test]
 fn mesh_fault_outcomes_are_identical_at_every_shard_count() {
-    let phases = Phases::new(Duration::from_ns(40), Duration::from_ns(400));
-    let mut outcomes = Vec::new();
-    for shards in SHARDS {
-        let net = MeshNetwork::new(
-            MeshConfig::new(MeshSize::new(4, 4).expect("4x4 is valid"))
-                .with_seed(23)
-                .with_shards(shards),
-        )
-        .expect("4x4 mesh builds");
-        let plan = FaultPlan::random(23, 0.02, &net.fault_domain());
-        let outcome = run_mesh_outcome(&net, Benchmark::UniformRandom, 0.2, phases, Some(&plan))
-            .expect("faulted run succeeds");
-        outcomes.push((shards, outcome));
-    }
-    let (_, serial) = &outcomes[0];
-    for (shards, sharded) in &outcomes[1..] {
-        assert_eq!(
-            serial.deliveries, sharded.deliveries,
-            "shards {shards}: delivery log diverged"
-        );
-        assert_eq!(serial.mean_latency_ps, sharded.mean_latency_ps);
-        assert_eq!(serial.packets_incomplete, sharded.packets_incomplete);
-        assert_eq!(serial.summary, sharded.summary, "shards {shards}");
-        assert_eq!(serial.ledger.total(), sharded.ledger.total());
-    }
+    fault_outcomes_are_identical_at_every_shard_count(
+        &mesh(23),
+        23,
+        &fault_run(Benchmark::UniformRandom, 40, 400),
+    );
 }
 
 /// Stall faults on a VC mesh land on credit-return channels as well as
@@ -281,30 +184,11 @@ fn mesh_fault_outcomes_are_identical_at_every_shard_count() {
 /// firing order too.
 #[test]
 fn vcmesh_fault_outcomes_are_identical_at_every_shard_count() {
-    let phases = Phases::new(Duration::from_ns(40), Duration::from_ns(400));
-    let mut outcomes = Vec::new();
-    for shards in SHARDS {
-        let net = VcMeshNetwork::new(
-            VcMeshConfig::new(MeshSize::new(4, 4).expect("4x4 is valid"))
-                .with_seed(23)
-                .with_mcast(McastScheme::XyTree)
-                .with_shards(shards),
-        )
-        .expect("4x4 VC mesh builds");
-        let plan = FaultPlan::random(23, 0.02, &net.fault_domain());
-        let outcome = run_vcmesh_outcome(&net, Benchmark::Multicast5, 0.2, phases, Some(&plan))
-            .expect("faulted run succeeds");
-        outcomes.push((shards, outcome));
-    }
-    let (_, serial) = &outcomes[0];
-    for (shards, sharded) in &outcomes[1..] {
-        assert_eq!(
-            serial.deliveries, sharded.deliveries,
-            "shards {shards}: delivery log diverged"
+    for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
+        fault_outcomes_are_identical_at_every_shard_count(
+            &vcmesh(mcast, 23),
+            23,
+            &fault_run(Benchmark::Multicast5, 40, 400),
         );
-        assert_eq!(serial.mean_latency_ps, sharded.mean_latency_ps);
-        assert_eq!(serial.packets_incomplete, sharded.packets_incomplete);
-        assert_eq!(serial.summary, sharded.summary, "shards {shards}");
-        assert_eq!(serial.ledger.total(), sharded.ledger.total());
     }
 }

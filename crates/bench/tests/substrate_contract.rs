@@ -1,0 +1,43 @@
+//! The substrate contract, checked on every fabric: what
+//! [`Substrate`] promises the driver, the fault oracle and the CLI must
+//! hold for each implementor, not just the one a caller happened to
+//! test.
+
+use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
+use asynoc_bench::conformance::{mesh, mot, vcmesh};
+use asynoc_engine::SimModel;
+use asynoc_vcmesh::McastScheme;
+
+fn holds<S: Substrate>(net: &S) {
+    let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
+    assert_eq!(run.shards(), 1, "a default run is serial");
+    assert!(!run.profile() && !run.progress(), "and unprofiled");
+    assert_eq!(run.latency_cap(), None);
+
+    // Fault plans index channels and endpoints of the model that runs.
+    let (model, _probes) = net.prepare(&run);
+    let domain = net.fault_domain();
+    assert_eq!(domain.channels, model.channel_count());
+    assert_eq!(domain.endpoints, model.endpoints());
+    assert_eq!(domain.endpoints, net.endpoints());
+
+    let report = drive(
+        net,
+        &RunConfig::quick(run.benchmark(), run.rate_gfs()),
+        &mut [],
+        None,
+    )
+    .expect("run succeeds");
+    assert_eq!(report.shards, 1);
+    assert_eq!(report.shard_events, [report.events_processed]);
+    assert!(report.profile.is_none());
+    assert!(report.packets_measured > 0);
+}
+
+#[test]
+fn every_substrate_honours_the_contract() {
+    holds(&mot(Architecture::OptHybridSpeculative, 3));
+    holds(&mesh(3));
+    holds(&vcmesh(McastScheme::XyTree, 3));
+    holds(&vcmesh(McastScheme::Dpm, 3));
+}

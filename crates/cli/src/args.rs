@@ -531,6 +531,24 @@ where
         .map_err(|e| ParseCliError::new(format!("--{key}: {e}")))
 }
 
+/// Largest value a `--*-ns` flag may take. Simulated time is `u64`
+/// picoseconds and a run's drain cap sits at twice its warm-up plus
+/// measurement windows, so an eighth of the representable nanoseconds
+/// keeps every sum the engine forms in range.
+const MAX_NS: u64 = u64::MAX / 1_000 / 8;
+
+/// Parses a simulated-time flag in nanoseconds, `min..=MAX_NS`.
+fn parse_ns(key: &str, raw: &str, min: u64) -> Result<u64, ParseCliError> {
+    let ns: u64 = parse_value(key, raw)?;
+    if (min..=MAX_NS).contains(&ns) {
+        Ok(ns)
+    } else {
+        Err(ParseCliError::new(format!(
+            "--{key} must be in {min}..={MAX_NS} (simulated time is u64 picoseconds)"
+        )))
+    }
+}
+
 fn common_options(flags: &BTreeMap<String, String>) -> Result<CommonOptions, ParseCliError> {
     let mut options = CommonOptions::default();
     if let Some(raw) = flags.get("size") {
@@ -541,12 +559,15 @@ fn common_options(flags: &BTreeMap<String, String>) -> Result<CommonOptions, Par
     }
     if let Some(raw) = flags.get("flits") {
         options.flits = parse_value("flits", raw)?;
+        if options.flits == 0 {
+            return Err(ParseCliError::new("--flits must be at least 1"));
+        }
     }
     if let Some(raw) = flags.get("warmup-ns") {
-        options.warmup_ns = Some(parse_value("warmup-ns", raw)?);
+        options.warmup_ns = Some(parse_ns("warmup-ns", raw, 0)?);
     }
     if let Some(raw) = flags.get("measure-ns") {
-        options.measure_ns = Some(parse_value("measure-ns", raw)?);
+        options.measure_ns = Some(parse_ns("measure-ns", raw, 1)?);
     }
     if let Some(raw) = flags.get("jobs") {
         options.jobs = parse_value("jobs", raw)?;
@@ -564,11 +585,7 @@ fn common_options(flags: &BTreeMap<String, String>) -> Result<CommonOptions, Par
     options.progress = flags.contains_key("progress");
     options.stream = flags.get("stream").cloned();
     if let Some(raw) = flags.get("stream-window-ns") {
-        let window: u64 = parse_value("stream-window-ns", raw)?;
-        if window == 0 {
-            return Err(ParseCliError::new("--stream-window-ns must be at least 1"));
-        }
-        options.stream_window_ns = Some(window);
+        options.stream_window_ns = Some(parse_ns("stream-window-ns", raw, 1)?);
     }
     options.stream_trace = flags.contains_key("stream-trace");
     options.watch_fatal = flags.contains_key("watch-fatal");
@@ -834,12 +851,9 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
             let trace_format = explicit_format.or(trace_out.as_ref().map(|_| TraceFormat::Ndjson));
             let bin_ns: u64 = flags
                 .get("bin-ns")
-                .map(|raw| parse_value("bin-ns", raw))
+                .map(|raw| parse_ns("bin-ns", raw, 1))
                 .transpose()?
                 .unwrap_or(100);
-            if bin_ns == 0 {
-                return Err(ParseCliError::new("--bin-ns must be at least 1"));
-            }
             if let Some(raw) = flags.get("stream-window-ns") {
                 let window: u64 = parse_value("stream-window-ns", raw)?;
                 if window == 0 || !window.is_multiple_of(bin_ns) {

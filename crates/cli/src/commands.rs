@@ -5,10 +5,9 @@ use std::io::{self, Write};
 
 use asynoc::harness::{saturation_of, saturation_of_profiled, Quality};
 use asynoc::{
-    parallel_map, Architecture, Duration, FanoutKind, FanoutNodeId, MotNode, MotSize, Network,
-    NetworkConfig, Observer, Phases, RunConfig, SimError, SpecMap,
+    drive, parallel_map, Architecture, Duration, FanoutKind, FanoutNodeId, MotSize, Network,
+    NetworkConfig, Phases, RunConfig, SimError, SpecMap,
 };
-use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
 use asynoc_telemetry::JsonValue;
 
 use crate::args::{Command, CommonOptions, USAGE};
@@ -167,6 +166,21 @@ pub(crate) fn phases_for(benchmark: asynoc::Benchmark, common: &CommonOptions) -
     Phases::new(warmup, measure)
 }
 
+/// The run `common` describes: its phases, shard count, and the
+/// profile/progress switches.
+pub(crate) fn run_config(
+    benchmark: asynoc::Benchmark,
+    rate: f64,
+    common: &CommonOptions,
+) -> Result<RunConfig, CliError> {
+    Ok(RunConfig::new(benchmark, rate)
+        .map_err(SimError::from)?
+        .with_phases(phases_for(benchmark, common))
+        .with_shards(common.shards)
+        .with_profile(common.profile.is_some())
+        .with_progress(common.progress))
+}
+
 /// `run --seeds K`: replicates one measurement over consecutive seeds,
 /// fanned across `--jobs` workers, and reports per-seed rows plus the
 /// mean ± sample standard deviation of the mean latency.
@@ -187,12 +201,7 @@ fn run_across_seeds(
             ..common.clone()
         };
         let net = network_for(map, &options)?;
-        let run = RunConfig::new(benchmark, rate)
-            .map_err(CliError::from)?
-            .with_phases(phases_for(benchmark, &options))
-            .with_shards(options.shards)
-            .with_profile(options.profile.is_some())
-            .with_progress(options.progress);
+        let run = run_config(benchmark, rate, &options)?;
         Ok::<_, CliError>((seed, net.run(&run)?))
     });
 
@@ -220,6 +229,7 @@ fn run_across_seeds(
             );
         }
         let mean = report.latency.mean();
+        let p99 = report.latency.p99();
         means_ps.push(mean.map(|d| d.as_ps() as f64).unwrap_or_default());
         writeln!(
             out,
@@ -227,10 +237,7 @@ fn run_across_seeds(
             seed,
             report.packets_measured,
             mean.map_or("-".to_string(), |d| d.to_string()),
-            report
-                .latency
-                .p99()
-                .map_or("-".to_string(), |d| d.to_string()),
+            p99.map_or("-".to_string(), |d| d.to_string()),
             100.0 * report.acceptance()
         )?;
     }
@@ -279,23 +286,20 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             let mut profiler = ProfileWriter::when(common.profile.as_ref(), "run");
             let net = network_for(&map, common)?;
             let phases = phases_for(*benchmark, common);
-            let run = RunConfig::new(*benchmark, *rate)?
-                .with_phases(phases)
-                .with_shards(common.shards)
-                .with_profile(profiler.is_some())
-                .with_progress(common.progress);
+            let run = run_config(*benchmark, *rate, common)?;
+            let config = crate::metrics::config_json(
+                Some(&identity),
+                *benchmark,
+                *rate,
+                common.size,
+                common,
+            );
             let mut sink = match &common.stream {
-                Some(path) => Some(crate::stream::mot_sink(
+                Some(path) => Some(crate::stream::sink(
+                    &net,
                     path,
                     common,
-                    crate::metrics::config_json(
-                        Some(&identity),
-                        *benchmark,
-                        *rate,
-                        common.size,
-                        common,
-                    ),
-                    net.config().size(),
+                    config.clone(),
                     phases,
                     None,
                     crate::stream::DEFAULT_TRACE_LIMIT,
@@ -303,23 +307,11 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
                 None => None,
             };
             let mut report = match sink.as_mut() {
-                Some(sink) => {
-                    let mut extra: Vec<&mut dyn Observer<MotNode>> = vec![sink];
-                    net.run_with_observers(&run, &mut extra)?
-                }
+                Some(sink) => net.run_with_observers(&run, &mut [sink])?,
                 None => net.run(&run)?,
             };
             if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
-                profiler.add_run(
-                    crate::metrics::config_json(
-                        Some(&identity),
-                        *benchmark,
-                        *rate,
-                        common.size,
-                        common,
-                    ),
-                    profile,
-                );
+                profiler.add_run(config, profile);
             }
             writeln!(
                 out,
@@ -375,15 +367,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
                     ),
                     (
                         "counters".to_string(),
-                        crate::metrics::counters_json(
-                            report.packets_measured,
-                            report.packets_incomplete,
-                            report.flits_throttled,
-                            report.flits_delivered,
-                            report.events_processed,
-                            report.shards,
-                            &report.shard_events,
-                        ),
+                        crate::metrics::counters_json(&report),
                     ),
                 ]);
                 let watchpoints = crate::stream::finish_sink(sink, sections)?;
@@ -521,23 +505,19 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             common,
         } => {
             let mut profiler = ProfileWriter::when(common.profile.as_ref(), "mesh");
-            let size = MeshSize::new(*cols, *rows).map_err(|e| CliError::Invalid(e.to_string()))?;
-            let network = MeshNetwork::new(
-                MeshConfig::new(size)
-                    .with_seed(common.seed)
-                    .with_flits_per_packet(common.flits)
-                    .with_shards(common.shards)
-                    .with_profile(profiler.is_some())
-                    .with_progress(common.progress),
-            )
-            .map_err(|e| CliError::Invalid(e.to_string()))?;
+            let network = crate::fabric::mesh(*cols, *rows, common)?;
+            let size = network.config().size();
             let phases = phases_for(*benchmark, common);
+            let run = run_config(*benchmark, *rate, common)?;
+            // The mesh is cols x rows; `size` records the column count
+            // (square in every default invocation).
+            let config = crate::metrics::config_json(None, *benchmark, *rate, *cols, common);
             let mut sink = match &common.stream {
-                Some(path) => Some(crate::stream::mesh_sink(
+                Some(path) => Some(crate::stream::sink(
+                    &network,
                     path,
                     common,
-                    crate::metrics::config_json(None, *benchmark, *rate, *cols, common),
-                    size.endpoints(),
+                    config.clone(),
                     phases,
                     None,
                     crate::stream::DEFAULT_TRACE_LIMIT,
@@ -545,23 +525,12 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
                 None => None,
             };
             let mut report = match sink.as_mut() {
-                Some(sink) => {
-                    let mut extra: Vec<&mut dyn Observer<usize>> = vec![sink];
-                    network
-                        .run_with_observers(*benchmark, *rate, phases, &mut extra)
-                        .map_err(|e| CliError::Invalid(e.to_string()))?
-                }
-                None => network
-                    .run(*benchmark, *rate, phases)
-                    .map_err(|e| CliError::Invalid(e.to_string()))?,
-            };
+                Some(sink) => drive(&network, &run, &mut [sink], None),
+                None => drive(&network, &run, &mut [], None),
+            }
+            .map_err(SimError::from)?;
             if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
-                // The mesh is cols x rows; `size` records the column count
-                // (square in every default invocation).
-                profiler.add_run(
-                    crate::metrics::config_json(None, *benchmark, *rate, *cols, common),
-                    profile,
-                );
+                profiler.add_run(config, profile);
             }
             writeln!(out, "{size} x {benchmark} @ {rate} flits/ns per endpoint")?;
             writeln!(out, "  packets measured : {}", report.packets_measured)?;
@@ -589,15 +558,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
                     ),
                     (
                         "counters".to_string(),
-                        crate::metrics::counters_json(
-                            report.packets_measured,
-                            report.packets_incomplete,
-                            0,
-                            0,
-                            report.events_processed,
-                            report.shards,
-                            &report.shard_events,
-                        ),
+                        crate::metrics::counters_json(&report),
                     ),
                 ]);
                 let watchpoints = crate::stream::finish_sink(sink, sections)?;

@@ -13,15 +13,17 @@ use std::io::Write;
 
 use asynoc::{Architecture, Benchmark};
 use asynoc_faults::{
-    judge, mesh_network, replay_command, run_mesh_outcome, run_mesh_outcome_observed,
-    run_mot_outcome, run_mot_outcome_observed, run_vcmesh_outcome, run_vcmesh_outcome_observed,
-    vcmesh_network, FaultDomain, FaultPlan, OracleVerdict, RunOutcome, FAULTS_SCHEMA,
+    judge, replay_command, run_outcome, FaultDomain, FaultPlan, OracleVerdict, RunOutcome,
+    FAULTS_SCHEMA,
 };
 use asynoc_telemetry::JsonValue;
 use asynoc_vcmesh::McastScheme;
 
 use crate::args::{CommonOptions, Substrate};
-use crate::commands::{network_for, phases_for, placement_id, resolve_spec_map, CliError};
+use crate::commands::{
+    network_for, phases_for, placement_id, resolve_spec_map, run_config, CliError,
+};
+use crate::fabric::{self, Fabric};
 
 /// A fully-resolved `faults` invocation.
 pub struct FaultsRequest {
@@ -47,42 +49,6 @@ pub struct FaultsRequest {
     pub report_out: Option<String>,
     /// Shared options.
     pub common: CommonOptions,
-}
-
-/// The faulted run's placement identity string (preset name or canonical
-/// map form) — `None` off the MoT substrate.
-fn placement_identity(request: &FaultsRequest) -> Option<String> {
-    match request.substrate {
-        Substrate::Mot => {
-            resolve_spec_map(request.arch, request.spec_map.as_ref(), &request.common)
-                .ok()
-                .map(|map| placement_id(&map))
-        }
-        Substrate::Mesh | Substrate::Vcmesh => None,
-    }
-}
-
-fn config_json(request: &FaultsRequest) -> JsonValue {
-    JsonValue::Object(vec![
-        (
-            "arch".to_string(),
-            placement_identity(request).map_or(JsonValue::Null, JsonValue::str),
-        ),
-        (
-            "benchmark".to_string(),
-            JsonValue::str(request.benchmark.to_string()),
-        ),
-        ("rate_gfs".to_string(), JsonValue::Number(request.rate)),
-        (
-            "size".to_string(),
-            JsonValue::uint(request.common.size as u64),
-        ),
-        ("seed".to_string(), JsonValue::uint(request.common.seed)),
-        (
-            "flits".to_string(),
-            JsonValue::uint(u64::from(request.common.flits)),
-        ),
-    ])
 }
 
 fn plan_json(plan: &FaultPlan, domain: &FaultDomain) -> JsonValue {
@@ -151,168 +117,42 @@ fn outcome_json(outcome: &RunOutcome) -> JsonValue {
     ])
 }
 
-fn run_pair(
+/// Runs the faulted simulation on `net` and, under `--oracle`, its clean
+/// twin; returns the pair with the plan, its domain, and the number of
+/// watchpoint records the stream fired.
+fn run_pair<F: Fabric>(
+    net: &F,
+    config: &JsonValue,
     request: &FaultsRequest,
 ) -> Result<(FaultDomain, FaultPlan, RunOutcome, Option<RunOutcome>, u64), CliError> {
-    let invalid = |e: &dyn std::fmt::Display| CliError::Invalid(e.to_string());
-    match request.substrate {
-        Substrate::Mot => {
-            let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), &request.common)?;
-            let net = network_for(&map, &request.common)?;
-            let domain = net.fault_domain();
-            let plan = resolve_plan(request, &domain)?;
-            let phases = phases_for(request.benchmark, &request.common);
-            let run = asynoc::RunConfig::new(request.benchmark, request.rate)?
-                .with_phases(phases)
-                .with_shards(request.common.shards)
-                .with_profile(request.common.profile.is_some())
-                .with_progress(request.common.progress);
-            // Only the faulted run is streamed: the clean twin stays
-            // unobserved so the oracle's reference is untouched.
-            let (faulted, watchpoints) = match &request.common.stream {
-                Some(path) => {
-                    let mut sink = crate::stream::mot_sink(
-                        path,
-                        &request.common,
-                        config_json(request),
-                        net.config().size(),
-                        phases,
-                        None,
-                        crate::stream::DEFAULT_TRACE_LIMIT,
-                    )?;
-                    let faulted =
-                        run_mot_outcome_observed(&net, &run, Some(&plan), &mut [&mut sink])?;
-                    let watchpoints = crate::stream::finish_sink(sink, JsonValue::Object(vec![]))?;
-                    (faulted, watchpoints)
-                }
-                None => (run_mot_outcome(&net, &run, Some(&plan))?, 0),
-            };
-            let clean = request
-                .oracle
-                .then(|| run_mot_outcome(&net, &run, None))
-                .transpose()?;
-            Ok((domain, plan, faulted, clean, watchpoints))
+    let common = &request.common;
+    let domain = net.fault_domain();
+    let plan = resolve_plan(request, &domain)?;
+    let run = run_config(request.benchmark, request.rate, common)?;
+    // Only the faulted run is streamed: the clean twin stays
+    // unobserved so the oracle's reference is untouched.
+    let (faulted, watchpoints) = match &common.stream {
+        Some(path) => {
+            let mut sink = crate::stream::sink(
+                net,
+                path,
+                common,
+                config.clone(),
+                phases_for(request.benchmark, common),
+                None,
+                crate::stream::DEFAULT_TRACE_LIMIT,
+            )?;
+            let faulted = run_outcome(net, &run, Some(&plan), &mut [&mut sink])?;
+            let watchpoints = crate::stream::finish_sink(sink, JsonValue::Object(vec![]))?;
+            (faulted, watchpoints)
         }
-        Substrate::Mesh => {
-            let net = mesh_network(
-                request.common.size,
-                request.common.seed,
-                request.common.flits,
-                request.common.shards,
-            )
-            .map_err(|e| invalid(&e))?;
-            // The standard differential constructor predates the profile
-            // flags; rebuild only when one was asked for.
-            let net = if request.common.profile.is_some() || request.common.progress {
-                asynoc_mesh::MeshNetwork::new(
-                    net.config()
-                        .clone()
-                        .with_profile(request.common.profile.is_some())
-                        .with_progress(request.common.progress),
-                )
-                .map_err(|e| invalid(&e))?
-            } else {
-                net
-            };
-            let domain = net.fault_domain();
-            let plan = resolve_plan(request, &domain)?;
-            let phases = phases_for(request.benchmark, &request.common);
-            let (faulted, watchpoints) = match &request.common.stream {
-                Some(path) => {
-                    let mut sink = crate::stream::mesh_sink(
-                        path,
-                        &request.common,
-                        config_json(request),
-                        net.config().size().endpoints(),
-                        phases,
-                        None,
-                        crate::stream::DEFAULT_TRACE_LIMIT,
-                    )?;
-                    let faulted = run_mesh_outcome_observed(
-                        &net,
-                        request.benchmark,
-                        request.rate,
-                        phases,
-                        Some(&plan),
-                        &mut [&mut sink],
-                    )
-                    .map_err(|e| invalid(&e))?;
-                    let watchpoints = crate::stream::finish_sink(sink, JsonValue::Object(vec![]))?;
-                    (faulted, watchpoints)
-                }
-                None => (
-                    run_mesh_outcome(&net, request.benchmark, request.rate, phases, Some(&plan))
-                        .map_err(|e| invalid(&e))?,
-                    0,
-                ),
-            };
-            let clean = request
-                .oracle
-                .then(|| run_mesh_outcome(&net, request.benchmark, request.rate, phases, None))
-                .transpose()
-                .map_err(|e| invalid(&e))?;
-            Ok((domain, plan, faulted, clean, watchpoints))
-        }
-        Substrate::Vcmesh => {
-            let net = vcmesh_network(
-                request.common.size,
-                request.common.seed,
-                request.common.flits,
-                request.common.shards,
-                request.mcast,
-            )
-            .map_err(|e| invalid(&e))?;
-            let net = if request.common.profile.is_some() || request.common.progress {
-                asynoc_vcmesh::VcMeshNetwork::new(
-                    net.config()
-                        .clone()
-                        .with_profile(request.common.profile.is_some())
-                        .with_progress(request.common.progress),
-                )
-                .map_err(|e| invalid(&e))?
-            } else {
-                net
-            };
-            let domain = net.fault_domain();
-            let plan = resolve_plan(request, &domain)?;
-            let phases = phases_for(request.benchmark, &request.common);
-            let (faulted, watchpoints) = match &request.common.stream {
-                Some(path) => {
-                    let mut sink = crate::stream::vcmesh_sink(
-                        path,
-                        &request.common,
-                        config_json(request),
-                        net.config().size().endpoints(),
-                        phases,
-                        None,
-                        crate::stream::DEFAULT_TRACE_LIMIT,
-                    )?;
-                    let faulted = run_vcmesh_outcome_observed(
-                        &net,
-                        request.benchmark,
-                        request.rate,
-                        phases,
-                        Some(&plan),
-                        &mut [&mut sink],
-                    )
-                    .map_err(|e| invalid(&e))?;
-                    let watchpoints = crate::stream::finish_sink(sink, JsonValue::Object(vec![]))?;
-                    (faulted, watchpoints)
-                }
-                None => (
-                    run_vcmesh_outcome(&net, request.benchmark, request.rate, phases, Some(&plan))
-                        .map_err(|e| invalid(&e))?,
-                    0,
-                ),
-            };
-            let clean = request
-                .oracle
-                .then(|| run_vcmesh_outcome(&net, request.benchmark, request.rate, phases, None))
-                .transpose()
-                .map_err(|e| invalid(&e))?;
-            Ok((domain, plan, faulted, clean, watchpoints))
-        }
-    }
+        None => (run_outcome(net, &run, Some(&plan), &mut [])?, 0),
+    };
+    let clean = request
+        .oracle
+        .then(|| run_outcome(net, &run, None, &mut []))
+        .transpose()?;
+    Ok((domain, plan, faulted, clean, watchpoints))
 }
 
 fn resolve_plan(request: &FaultsRequest, domain: &FaultDomain) -> Result<FaultPlan, CliError> {
@@ -334,15 +174,52 @@ fn resolve_plan(request: &FaultsRequest, domain: &FaultDomain) -> Result<FaultPl
 ///
 /// Returns a [`CliError`] on simulation, plan, I/O, or oracle failure.
 pub fn execute_faults(request: &FaultsRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    let mut profiler =
-        crate::profile::ProfileWriter::when(request.common.profile.as_ref(), "faults");
-    let (domain, plan, faulted, clean, watchpoints) = run_pair(request)?;
+    let common = &request.common;
+    match request.substrate {
+        Substrate::Mot => {
+            let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), common)?;
+            faults_on(
+                &network_for(&map, common)?,
+                Some(placement_id(&map)),
+                request,
+                out,
+            )
+        }
+        Substrate::Mesh => faults_on(
+            &fabric::mesh(common.size, common.size, common)?,
+            None,
+            request,
+            out,
+        ),
+        Substrate::Vcmesh => faults_on(&fabric::vcmesh(request.mcast, common)?, None, request, out),
+    }
+}
+
+/// [`execute_faults`] on the fabric `--substrate` named. `placement` is
+/// the faulted run's placement identity string (preset name or canonical
+/// map form) — `None` off the MoT substrate.
+fn faults_on<F: Fabric>(
+    net: &F,
+    placement: Option<String>,
+    request: &FaultsRequest,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    let common = &request.common;
+    let config = crate::metrics::config_json(
+        placement.as_deref(),
+        request.benchmark,
+        request.rate,
+        common.size,
+        common,
+    );
+    let mut profiler = crate::profile::ProfileWriter::when(common.profile.as_ref(), "faults");
+    let (domain, plan, faulted, clean, watchpoints) = run_pair(net, &config, request)?;
     if let Some(profiler) = profiler.as_mut() {
         // One `runs[]` entry per simulation: the faulted run first, then
         // (under --oracle) its clean twin with the same identity keys.
         for outcome in std::iter::once(&faulted).chain(clean.as_ref()) {
             if let Some(profile) = &outcome.profile {
-                profiler.add_run(config_json(request), profile);
+                profiler.add_run(config.clone(), profile);
             }
         }
     }
@@ -350,15 +227,10 @@ pub fn execute_faults(request: &FaultsRequest, out: &mut dyn Write) -> Result<()
         .as_ref()
         .map(|clean| judge(clean, &faulted, &plan, &domain));
 
-    let substrate = match request.substrate {
-        Substrate::Mot => "mot",
-        Substrate::Mesh => "mesh",
-        Substrate::Vcmesh => "vcmesh",
-    };
     let doc = JsonValue::Object(vec![
         ("schema".to_string(), JsonValue::str(FAULTS_SCHEMA)),
-        ("substrate".to_string(), JsonValue::str(substrate)),
-        ("config".to_string(), config_json(request)),
+        ("substrate".to_string(), JsonValue::str(F::TAG)),
+        ("config".to_string(), config),
         ("plan".to_string(), plan_json(&plan, &domain)),
         ("faulted".to_string(), outcome_json(&faulted)),
         (
@@ -392,14 +264,13 @@ pub fn execute_faults(request: &FaultsRequest, out: &mut dyn Write) -> Result<()
                 .iter()
                 .map(|c| format!("{}: {}", c.name, c.detail))
                 .collect();
-            let placement = placement_identity(request);
             let mut replay = replay_command(
-                substrate,
+                F::TAG,
                 placement.as_deref(),
                 &request.benchmark.to_string(),
                 request.rate,
-                request.common.size,
-                request.common.seed,
+                common.size,
+                common.seed,
                 &plan,
             );
             // A custom placement is not a preset name, so the replay's
@@ -410,18 +281,14 @@ pub fn execute_faults(request: &FaultsRequest, out: &mut dyn Write) -> Result<()
             {
                 replay = replay.replace(" --arch ", " --spec-map ");
             }
-            // The shared replay line predates multicast schemes; a
-            // non-default one is part of the run's identity.
-            if request.substrate == Substrate::Vcmesh && request.mcast != McastScheme::default() {
-                replay.push_str(&format!(" --mcast {}", request.mcast));
-            }
+            replay.push_str(&net.replay_flags());
             return Err(CliError::Invalid(format!(
                 "fault oracle violated:\n  {}\nreplay: {replay}",
                 failing.join("\n  ")
             )));
         }
     }
-    crate::stream::fatal_check(watchpoints, &request.common)?;
+    crate::stream::fatal_check(watchpoints, common)?;
     Ok(())
 }
 

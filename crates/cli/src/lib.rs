@@ -23,6 +23,7 @@ pub mod analyze;
 pub mod args;
 pub mod commands;
 pub mod explore;
+pub(crate) mod fabric;
 pub mod faults;
 pub mod metrics;
 pub mod profile;

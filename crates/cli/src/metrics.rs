@@ -9,18 +9,19 @@
 
 use std::io::Write;
 
-use asynoc::{Architecture, Benchmark, Duration, MotNode, Observer, RunConfig, RunReport};
-use asynoc_mesh::{MeshConfig, MeshNetwork, MeshReport, MeshSize};
+use asynoc::{drive, Architecture, Benchmark, Duration, EngineReport, Observer, RunReport};
 use asynoc_power::EnergyCategory;
 use asynoc_telemetry::{
-    render_trace, ChromeTraceObserver, JsonValue, LatencyHistograms, LevelSpec, SpeculationWaste,
-    TimeSeries, TraceCollector, TraceMeta, METRICS_SCHEMA,
+    render_trace, ChromeTraceObserver, JsonValue, LatencyHistograms, TraceCollector, TraceMeta,
+    METRICS_SCHEMA,
 };
-use asynoc_topology::{FaninNodeId, FanoutNodeId, MotSize};
-use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork, VcMeshReport};
+use asynoc_vcmesh::McastScheme;
 
 use crate::args::{CommonOptions, Substrate, TraceFormat};
-use crate::commands::{network_for, phases_for, placement_id, resolve_spec_map, CliError};
+use crate::commands::{
+    network_for, phases_for, placement_id, resolve_spec_map, run_config, CliError,
+};
+use crate::fabric::{self, Fabric};
 
 /// A fully-resolved `metrics` invocation.
 pub struct MetricsRequest {
@@ -57,19 +58,15 @@ struct Tracers<N> {
 }
 
 impl<N: Copy> Tracers<N> {
-    fn new(
-        format: Option<TraceFormat>,
-        limit: usize,
-        site_of: impl Fn(N) -> String + 'static,
-    ) -> Self {
+    fn new(format: Option<TraceFormat>, limit: usize, site_of: Box<dyn Fn(N) -> String>) -> Self {
         match format {
             Some(TraceFormat::Ndjson) => Tracers {
-                ndjson: Some(TraceCollector::new(limit, Box::new(site_of))),
+                ndjson: Some(TraceCollector::new(limit, site_of)),
                 chrome: None,
             },
             Some(TraceFormat::Chrome) => Tracers {
                 ndjson: None,
-                chrome: Some(ChromeTraceObserver::new(limit, Box::new(site_of))),
+                chrome: Some(ChromeTraceObserver::new(limit, site_of)),
             },
             None => Tracers {
                 ndjson: None,
@@ -179,147 +176,83 @@ pub(crate) fn power_json(report: &RunReport, window: Duration) -> JsonValue {
     ])
 }
 
-pub(crate) fn counters_json(
-    packets_measured: usize,
-    packets_incomplete: usize,
-    flits_throttled: u64,
-    flits_delivered: u64,
-    events_processed: u64,
-    shards: usize,
-    shard_events: &[u64],
-) -> JsonValue {
+pub(crate) fn counters_json(report: &EngineReport) -> JsonValue {
     JsonValue::Object(vec![
         (
             "packets_measured".to_string(),
-            JsonValue::uint(packets_measured as u64),
+            JsonValue::uint(report.packets_measured as u64),
         ),
         (
             "packets_incomplete".to_string(),
-            JsonValue::uint(packets_incomplete as u64),
+            JsonValue::uint(report.packets_incomplete as u64),
         ),
         (
             "flits_throttled".to_string(),
-            JsonValue::uint(flits_throttled),
+            JsonValue::uint(report.flits_throttled),
         ),
         (
             "flits_delivered".to_string(),
-            JsonValue::uint(flits_delivered),
+            JsonValue::uint(report.flits_delivered),
         ),
         (
             "events_processed".to_string(),
-            JsonValue::uint(events_processed),
+            JsonValue::uint(report.events_processed),
         ),
-        ("shards".to_string(), JsonValue::uint(shards as u64)),
+        ("shards".to_string(), JsonValue::uint(report.shards as u64)),
         (
             "shard_events".to_string(),
-            JsonValue::Array(shard_events.iter().map(|&e| JsonValue::uint(e)).collect()),
+            JsonValue::Array(
+                report
+                    .shard_events
+                    .iter()
+                    .map(|&e| JsonValue::uint(e))
+                    .collect(),
+            ),
         ),
     ])
 }
 
-/// The per-level busy-fraction groups of a MoT: fanout levels from the
-/// root down, then fanin levels from the leaves toward each sink.
-pub(crate) fn mot_levels(size: MotSize) -> Vec<LevelSpec> {
-    let n = size.n();
-    let levels = size.levels() as usize;
-    let mut specs = Vec::with_capacity(2 * levels);
-    for level in 0..levels {
-        specs.push(LevelSpec {
-            label: format!("fanout-L{level}"),
-            nodes: n << level,
-        });
-    }
-    for level in 0..levels {
-        specs.push(LevelSpec {
-            label: format!("fanin-L{level}"),
-            nodes: n << level,
-        });
-    }
-    specs
-}
-
-pub(crate) fn mot_label(size: MotSize) -> impl Fn(MotNode) -> String + Copy {
-    move |node| match node {
-        MotNode::Fanout(flat) => FanoutNodeId::from_flat_index(size, flat).to_string(),
-        MotNode::Fanin(flat) => FaninNodeId::from_flat_index(size, flat).to_string(),
-    }
-}
-
-/// One substrate run's outputs: the report document, the rendered trace
-/// (if requested), the engine's self-profile (if requested), and the
-/// number of watchpoint records the stream fired (0 without `--stream`).
+/// One run's outputs: the report document, the rendered trace (if
+/// requested), the run's identity `config` with the engine's self-profile
+/// (if requested), and the number of watchpoint records the stream fired
+/// (0 without `--stream`).
 type MetricsRun = (
     JsonValue,
     Option<String>,
-    Option<Box<asynoc::probe::EngineProfile>>,
+    Option<(JsonValue, Box<asynoc::probe::EngineProfile>)>,
     u64,
 );
 
-/// Runs the MoT substrate with the full telemetry stack and assembles
-/// the report document (plus the rendered trace, if requested).
-fn run_mot(request: &MetricsRequest) -> Result<MetricsRun, CliError> {
-    let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), &request.common)?;
-    let identity = placement_id(&map);
-    let net = network_for(&map, &request.common)?;
-    let size = net.config().size();
-    let (wire_fj, drop_fj) = {
-        let timing = net.config().timing();
-        (timing.wire_fj, timing.drop_fj)
-    };
-    let phases = phases_for(request.benchmark, &request.common);
-    let run = RunConfig::new(request.benchmark, request.rate)?
-        .with_phases(phases)
-        .with_shards(request.common.shards)
-        .with_profile(request.common.profile.is_some())
-        .with_progress(request.common.progress);
+/// Runs `net` with the telemetry stack and assembles the report document
+/// (plus the rendered trace, if requested). `waste` and `power` are null
+/// on a fabric without an energy model; fabric-specific sections (the VC
+/// mesh's `vcs`) follow `counters`.
+fn run<F: Fabric>(
+    net: &F,
+    identity: Option<String>,
+    request: &MetricsRequest,
+) -> Result<MetricsRun, CliError> {
+    let common = &request.common;
+    let phases = phases_for(request.benchmark, common);
+    let run = run_config(request.benchmark, request.rate, common)?;
+    let config = config_json(
+        identity.as_deref(),
+        request.benchmark,
+        request.rate,
+        common.size,
+        common,
+    );
 
-    let mut latency = LatencyHistograms::new(phases, size.n());
-    let levels = size.levels() as usize;
-    let mut timeseries = TimeSeries::new(
-        Duration::from_ns(request.bin_ns),
-        mot_levels(size),
-        Box::new(move |node: MotNode| match node {
-            MotNode::Fanout(flat) => Some(FanoutNodeId::from_flat_index(size, flat).level as usize),
-            MotNode::Fanin(flat) => {
-                Some(levels + FaninNodeId::from_flat_index(size, flat).level as usize)
-            }
-        }),
-    );
-    let label = mot_label(size);
-    let mut waste = SpeculationWaste::new(
-        wire_fj,
-        drop_fj,
-        Box::new(label),
-        // A dropped copy was created by the throttler's fanout parent;
-        // a root throttle (level 0) is attributed to the node itself.
-        Box::new(move |node: MotNode| match node {
-            MotNode::Fanout(flat) => {
-                let id = FanoutNodeId::from_flat_index(size, flat);
-                (id.level > 0).then(|| {
-                    let parent = FanoutNodeId {
-                        tree: id.tree,
-                        level: id.level - 1,
-                        index: id.index / 2,
-                    };
-                    MotNode::Fanout(parent.flat_index(size))
-                })
-            }
-            MotNode::Fanin(_) => None,
-        }),
-    );
-    let mut tracers = Tracers::new(request.trace_format, request.trace_limit, label);
-    let mut sink = match &request.common.stream {
-        Some(path) => Some(crate::stream::mot_sink(
+    let mut latency = LatencyHistograms::new(phases, net.endpoints());
+    let mut timeseries = net.timeseries(Duration::from_ns(request.bin_ns));
+    let mut waste = net.waste();
+    let mut tracers = Tracers::new(request.trace_format, request.trace_limit, net.site_label());
+    let mut sink = match &common.stream {
+        Some(path) => Some(crate::stream::sink(
+            net,
             path,
-            &request.common,
-            config_json(
-                Some(&identity),
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-            size,
+            common,
+            config.clone(),
             phases,
             Some(request.bin_ns),
             request.trace_limit,
@@ -327,335 +260,63 @@ fn run_mot(request: &MetricsRequest) -> Result<MetricsRun, CliError> {
         None => None,
     };
 
-    let mut extra: Vec<&mut dyn Observer<MotNode>> =
-        vec![&mut latency, &mut timeseries, &mut waste];
+    let mut extra: Vec<&mut dyn Observer<F::Node>> = vec![&mut latency, &mut timeseries];
+    if let Some(waste) = waste.as_mut() {
+        extra.push(waste);
+    }
     tracers.push_into(&mut extra);
     if let Some(sink) = sink.as_mut() {
         extra.push(sink);
     }
-    let mut report = net.run_with_observers(&run, &mut extra)?;
+    let mut report = drive(net, &run, &mut extra, None).map_err(asynoc::SimError::from)?;
     let engine_profile = report.profile.take();
 
-    // mW = fJ/ps, so dynamic energy over the window is mW x ps (in fJ).
-    let dynamic_fj = report.power.dynamic_mw() * phases.measure().as_ps() as f64;
-    let waste_value = waste.to_json(dynamic_fj);
-    let throughput_value = throughput_json(&report.throughput);
-    let power_value = power_json(&report, phases.measure());
-    let counters_value = counters_json(
-        report.packets_measured,
-        report.packets_incomplete,
-        report.flits_throttled,
-        report.flits_delivered,
-        report.events_processed,
-        report.shards,
-        &report.shard_events,
-    );
+    let (waste_value, power_value) = F::energy_sections(&report, waste.as_ref(), phases.measure());
+    let mut sections = vec![
+        ("waste".to_string(), waste_value),
+        (
+            "throughput".to_string(),
+            throughput_json(&report.throughput),
+        ),
+        ("power".to_string(), power_value),
+        ("counters".to_string(), counters_json(&report)),
+    ];
+    sections.extend(net.extra_sections(&report));
     // The stream's end record carries the scalar sections verbatim, in
     // batch order, so `fold_stream` reproduces the document below
     // byte-for-byte.
     let watchpoints = match sink {
-        Some(sink) => crate::stream::finish_sink(
-            sink,
-            JsonValue::Object(vec![
-                ("waste".to_string(), waste_value.clone()),
-                ("throughput".to_string(), throughput_value.clone()),
-                ("power".to_string(), power_value.clone()),
-                ("counters".to_string(), counters_value.clone()),
-            ]),
-        )?,
+        Some(sink) => crate::stream::finish_sink(sink, JsonValue::Object(sections.clone()))?,
         None => 0,
     };
-    let doc = JsonValue::Object(vec![
+    let mut doc = vec![
         ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),
-        ("substrate".to_string(), JsonValue::str("mot")),
-        (
-            "config".to_string(),
-            config_json(
-                Some(&identity),
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-        ),
+        ("substrate".to_string(), JsonValue::str(F::TAG)),
+        ("config".to_string(), config.clone()),
         ("latency".to_string(), latency.to_json()),
         ("timeseries".to_string(), timeseries.to_json()),
-        ("waste".to_string(), waste_value),
-        ("throughput".to_string(), throughput_value),
-        ("power".to_string(), power_value),
-        ("counters".to_string(), counters_value),
-    ]);
+    ];
+    doc.extend(sections);
+    let energy = net.energy_fj();
     let meta = TraceMeta {
-        substrate: "mot".to_string(),
-        arch: Some(identity),
-        size: request.common.size as u64,
-        seed: request.common.seed,
-        flits: request.common.flits,
+        substrate: F::TAG.to_string(),
+        arch: identity,
+        size: common.size as u64,
+        seed: common.seed,
+        flits: common.flits,
         rate: request.rate,
         warmup_ps: phases.warmup().as_ps(),
         measure_ps: phases.measure().as_ps(),
-        wire_fj: Some(wire_fj),
-        drop_fj: Some(drop_fj),
+        wire_fj: energy.map(|(wire, _)| wire),
+        drop_fj: energy.map(|(_, drop)| drop),
         dropped_events: 0,
     };
-    Ok((doc, tracers.render(meta), engine_profile, watchpoints))
-}
-
-/// Runs the mesh substrate with the substrate-agnostic subset of the
-/// stack (the mesh has no energy model, so `waste` and `power` are null).
-fn run_mesh(request: &MetricsRequest) -> Result<MetricsRun, CliError> {
-    let size = MeshSize::new(request.common.size, request.common.size)
-        .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let net = MeshNetwork::new(
-        MeshConfig::new(size)
-            .with_seed(request.common.seed)
-            .with_flits_per_packet(request.common.flits)
-            .with_shards(request.common.shards)
-            .with_profile(request.common.profile.is_some())
-            .with_progress(request.common.progress),
-    )
-    .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let phases = phases_for(request.benchmark, &request.common);
-    let endpoints = size.endpoints();
-
-    let mut latency = LatencyHistograms::new(phases, endpoints);
-    let mut timeseries: TimeSeries<usize> =
-        TimeSeries::single_level(Duration::from_ns(request.bin_ns), "router", endpoints);
-    let mut tracers = Tracers::new(
-        request.trace_format,
-        request.trace_limit,
-        |router: usize| format!("r{router}"),
-    );
-
-    let mut sink = match &request.common.stream {
-        Some(path) => Some(crate::stream::mesh_sink(
-            path,
-            &request.common,
-            config_json(
-                None,
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-            endpoints,
-            phases,
-            Some(request.bin_ns),
-            request.trace_limit,
-        )?),
-        None => None,
-    };
-
-    let mut extra: Vec<&mut dyn Observer<usize>> = vec![&mut latency, &mut timeseries];
-    tracers.push_into(&mut extra);
-    if let Some(sink) = sink.as_mut() {
-        extra.push(sink);
-    }
-    let mut report: MeshReport = net
-        .run_with_observers(request.benchmark, request.rate, phases, &mut extra)
-        .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let engine_profile = report.profile.take();
-
-    let throughput_value = throughput_json(&report.throughput);
-    let counters_value = counters_json(
-        report.packets_measured,
-        report.packets_incomplete,
-        0,
-        0,
-        report.events_processed,
-        report.shards,
-        &report.shard_events,
-    );
-    let watchpoints = match sink {
-        Some(sink) => crate::stream::finish_sink(
-            sink,
-            JsonValue::Object(vec![
-                ("waste".to_string(), JsonValue::Null),
-                ("throughput".to_string(), throughput_value.clone()),
-                ("power".to_string(), JsonValue::Null),
-                ("counters".to_string(), counters_value.clone()),
-            ]),
-        )?,
-        None => 0,
-    };
-    let doc = JsonValue::Object(vec![
-        ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),
-        ("substrate".to_string(), JsonValue::str("mesh")),
-        (
-            "config".to_string(),
-            config_json(
-                None,
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-        ),
-        ("latency".to_string(), latency.to_json()),
-        ("timeseries".to_string(), timeseries.to_json()),
-        ("waste".to_string(), JsonValue::Null),
-        ("throughput".to_string(), throughput_value),
-        ("power".to_string(), JsonValue::Null),
-        ("counters".to_string(), counters_value),
-    ]);
-    let meta = TraceMeta {
-        substrate: "mesh".to_string(),
-        arch: None,
-        size: request.common.size as u64,
-        seed: request.common.seed,
-        flits: request.common.flits,
-        rate: request.rate,
-        warmup_ps: phases.warmup().as_ps(),
-        measure_ps: phases.measure().as_ps(),
-        wire_fj: None,
-        drop_fj: None,
-        dropped_events: 0,
-    };
-    Ok((doc, tracers.render(meta), engine_profile, watchpoints))
-}
-
-/// Runs the credit-based VC mesh substrate. Shape matches the mesh
-/// report (null `waste`/`power`) plus one extra `vcs` section with the
-/// multicast scheme and the shard-exact VC-plane counters — the
-/// serial-only credit-conservation ledger stays out of the document so
-/// `--shards N` reports remain byte-identical.
-fn run_vcmesh(request: &MetricsRequest) -> Result<MetricsRun, CliError> {
-    let size = MeshSize::new(request.common.size, request.common.size)
-        .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let net = VcMeshNetwork::new(
-        VcMeshConfig::new(size)
-            .with_seed(request.common.seed)
-            .with_flits_per_packet(request.common.flits)
-            .with_mcast(request.mcast)
-            .with_shards(request.common.shards)
-            .with_profile(request.common.profile.is_some())
-            .with_progress(request.common.progress),
-    )
-    .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let phases = phases_for(request.benchmark, &request.common);
-    let endpoints = size.endpoints();
-
-    let mut latency = LatencyHistograms::new(phases, endpoints);
-    let mut timeseries: TimeSeries<usize> =
-        TimeSeries::single_level(Duration::from_ns(request.bin_ns), "router", endpoints);
-    let mut tracers = Tracers::new(
-        request.trace_format,
-        request.trace_limit,
-        |router: usize| format!("r{router}"),
-    );
-
-    let mut sink = match &request.common.stream {
-        Some(path) => Some(crate::stream::vcmesh_sink(
-            path,
-            &request.common,
-            config_json(
-                None,
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-            endpoints,
-            phases,
-            Some(request.bin_ns),
-            request.trace_limit,
-        )?),
-        None => None,
-    };
-
-    let mut extra: Vec<&mut dyn Observer<usize>> = vec![&mut latency, &mut timeseries];
-    tracers.push_into(&mut extra);
-    if let Some(sink) = sink.as_mut() {
-        extra.push(sink);
-    }
-    let mut report: VcMeshReport = net
-        .run_with_observers(request.benchmark, request.rate, phases, &mut extra)
-        .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let engine_profile = report.profile.take();
-
-    let throughput_value = throughput_json(&report.throughput);
-    let counters_value = counters_json(
-        report.packets_measured,
-        report.packets_incomplete,
-        report.flits_throttled,
-        report.flits_delivered,
-        report.events_processed,
-        report.shards,
-        &report.shard_events,
-    );
-    let vcs_value = JsonValue::Object(vec![
-        (
-            "mcast".to_string(),
-            JsonValue::str(request.mcast.to_string()),
-        ),
-        (
-            "vc_pushes".to_string(),
-            JsonValue::Array(
-                report
-                    .vc_pushes
-                    .iter()
-                    .map(|&p| JsonValue::uint(p))
-                    .collect(),
-            ),
-        ),
-        (
-            "vc_peak".to_string(),
-            JsonValue::Array(report.vc_peak.iter().map(|&p| JsonValue::uint(p)).collect()),
-        ),
-        (
-            "link_traversals".to_string(),
-            JsonValue::uint(report.link_traversals),
-        ),
-        ("mean_hops".to_string(), JsonValue::Number(report.mean_hops)),
-    ]);
-    let watchpoints = match sink {
-        Some(sink) => crate::stream::finish_sink(
-            sink,
-            JsonValue::Object(vec![
-                ("waste".to_string(), JsonValue::Null),
-                ("throughput".to_string(), throughput_value.clone()),
-                ("power".to_string(), JsonValue::Null),
-                ("counters".to_string(), counters_value.clone()),
-                ("vcs".to_string(), vcs_value.clone()),
-            ]),
-        )?,
-        None => 0,
-    };
-    let doc = JsonValue::Object(vec![
-        ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),
-        ("substrate".to_string(), JsonValue::str("vcmesh")),
-        (
-            "config".to_string(),
-            config_json(
-                None,
-                request.benchmark,
-                request.rate,
-                request.common.size,
-                &request.common,
-            ),
-        ),
-        ("latency".to_string(), latency.to_json()),
-        ("timeseries".to_string(), timeseries.to_json()),
-        ("waste".to_string(), JsonValue::Null),
-        ("throughput".to_string(), throughput_value),
-        ("power".to_string(), JsonValue::Null),
-        ("counters".to_string(), counters_value),
-        ("vcs".to_string(), vcs_value),
-    ]);
-    let meta = TraceMeta {
-        substrate: "vcmesh".to_string(),
-        arch: None,
-        size: request.common.size as u64,
-        seed: request.common.seed,
-        flits: request.common.flits,
-        rate: request.rate,
-        warmup_ps: phases.warmup().as_ps(),
-        measure_ps: phases.measure().as_ps(),
-        wire_fj: None,
-        drop_fj: None,
-        dropped_events: 0,
-    };
-    Ok((doc, tracers.render(meta), engine_profile, watchpoints))
+    Ok((
+        JsonValue::Object(doc),
+        tracers.render(meta),
+        engine_profile.map(|profile| (config, profile)),
+        watchpoints,
+    ))
 }
 
 /// Executes a `metrics` command: runs the instrumented simulation, then
@@ -667,11 +328,23 @@ fn run_vcmesh(request: &MetricsRequest) -> Result<MetricsRun, CliError> {
 ///
 /// Returns a [`CliError`] on simulation, configuration, or I/O failure.
 pub fn execute_metrics(request: &MetricsRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    let profiler = crate::profile::ProfileWriter::when(request.common.profile.as_ref(), "metrics");
+    let common = &request.common;
+    let profiler = crate::profile::ProfileWriter::when(common.profile.as_ref(), "metrics");
     let (doc, trace, engine_profile, watchpoints) = match request.substrate {
-        Substrate::Mot => run_mot(request)?,
-        Substrate::Mesh => run_mesh(request)?,
-        Substrate::Vcmesh => run_vcmesh(request)?,
+        Substrate::Mot => {
+            let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), common)?;
+            run(
+                &network_for(&map, common)?,
+                Some(placement_id(&map)),
+                request,
+            )?
+        }
+        Substrate::Mesh => run(
+            &fabric::mesh(common.size, common.size, common)?,
+            None,
+            request,
+        )?,
+        Substrate::Vcmesh => run(&fabric::vcmesh(request.mcast, common)?, None, request)?,
     };
     let rendered = doc.render_pretty();
     match &request.metrics_out {
@@ -689,42 +362,28 @@ pub fn execute_metrics(request: &MetricsRequest, out: &mut dyn Write) -> Result<
         }
     }
     if let Some(mut profiler) = profiler {
-        if let Some(engine_profile) = &engine_profile {
-            let identity = match request.substrate {
-                Substrate::Mot => Some(placement_id(&resolve_spec_map(
-                    request.arch,
-                    request.spec_map.as_ref(),
-                    &request.common,
-                )?)),
-                Substrate::Mesh | Substrate::Vcmesh => None,
-            };
-            profiler.add_run(
-                config_json(
-                    identity.as_deref(),
-                    request.benchmark,
-                    request.rate,
-                    request.common.size,
-                    &request.common,
-                ),
-                engine_profile,
-            );
+        if let Some((config, engine_profile)) = &engine_profile {
+            profiler.add_run(config.clone(), engine_profile);
         }
         profiler.finish()?;
     }
-    crate::stream::fatal_check(watchpoints, &request.common)?;
+    crate::stream::fatal_check(watchpoints, common)?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::parse;
+    use crate::args::{parse, Command};
     use crate::commands::execute;
     use asynoc_telemetry::{parse_trace, validate_chrome};
 
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     fn run_cli(line: &str) -> String {
-        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        let command = parse(&args).expect("valid invocation");
+        let command = parse(&argv(line)).expect("valid invocation");
         let mut out = Vec::new();
         execute(&command, &mut out).expect("command succeeds");
         String::from_utf8(out).expect("utf8 output")
@@ -856,6 +515,51 @@ mod tests {
                 .and_then(JsonValue::as_f64)
                 .unwrap()
                 > 0.0
+        );
+    }
+
+    #[test]
+    fn mesh_counters_report_the_engines_delivered_flits() {
+        use asynoc::{Observer, SimEvent, Time};
+        use asynoc_faults::DeliveryLog;
+
+        // The mesh document used to hard-code `flits_delivered` to 0 next
+        // to a non-zero `packets_measured`. With single-flit packets every
+        // delivered flit is a header, so the counter must equal what a
+        // delivery log sees inside the measurement window.
+        struct InWindow(DeliveryLog);
+        impl Observer<usize> for InWindow {
+            fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, usize>) {
+                if in_window {
+                    self.0.on_event(at, in_window, event);
+                }
+            }
+        }
+        let line = "metrics --substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 \
+                    --flits 1 --warmup-ns 40 --measure-ns 400";
+        let Command::Metrics { common, .. } = parse(&argv(line)).expect("valid invocation") else {
+            panic!("expected metrics");
+        };
+        let run = run_config(Benchmark::UniformRandom, 0.1, &common).unwrap();
+        let mut log = InWindow(DeliveryLog::new());
+        drive(
+            &fabric::mesh(4, 4, &common).unwrap(),
+            &run,
+            &mut [&mut log],
+            None,
+        )
+        .unwrap();
+        let logged: u64 = log.0.deliveries().values().sum();
+
+        let counters = metrics_doc(line);
+        let counters = counters.get("counters").expect("counters section");
+        let delivered = counters.get("flits_delivered").and_then(JsonValue::as_f64);
+        assert!(logged > 0, "the run delivered traffic");
+        assert_eq!(delivered, Some(logged as f64));
+        assert_eq!(
+            counters.get("flits_throttled").and_then(JsonValue::as_f64),
+            Some(0.0),
+            "a wormhole mesh never throttles"
         );
     }
 

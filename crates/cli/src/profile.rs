@@ -13,7 +13,7 @@
 //! The document shape is golden-diffed (schema skeleton, not values) in
 //! `scripts/check.sh` against `results/profile_schema.golden.json`;
 //! regenerate with
-//! `cargo run -p asynoc-bench --bin profile_schema > results/profile_schema.golden.json`.
+//! `cargo run -p asynoc-bench --bin schema profile > results/profile_schema.golden.json`.
 
 use std::time::Instant;
 

@@ -1,5 +1,5 @@
-//! Shared plumbing for `--stream`: sink construction for both
-//! substrates and the finish / `--watch-fatal` epilogue.
+//! Shared plumbing for `--stream`: sink construction for every
+//! substrate and the finish / `--watch-fatal` epilogue.
 //!
 //! Every streamed command builds its sink here so the stream's `head`
 //! config, level grouping, and site labels match the batch metrics
@@ -8,12 +8,12 @@
 
 use std::io::Write;
 
-use asynoc::{Duration, MotNode, NodeKey, Phases};
-use asynoc_telemetry::{JsonValue, StreamConfig, StreamSink, TimeSeries, WatchConfig};
-use asynoc_topology::{FaninNodeId, FanoutNodeId, MotSize};
+use asynoc::{Duration, NodeKey, Phases};
+use asynoc_telemetry::{JsonValue, StreamConfig, StreamSink, WatchConfig};
 
 use crate::args::CommonOptions;
 use crate::commands::CliError;
+use crate::fabric::Fabric;
 
 /// Default flush-window width when `--stream-window-ns` is absent, ns.
 pub(crate) const DEFAULT_WINDOW_NS: u64 = 1000;
@@ -49,104 +49,34 @@ fn open_out(path: &str) -> Result<Box<dyn Write>, CliError> {
     })
 }
 
-/// Builds the streaming sink for a MoT run, mirroring the batch metrics
-/// collectors (same level grouping, same node labels).
+/// Builds the streaming sink for a run on `net`, mirroring the batch
+/// metrics collectors (same level grouping, same node labels).
 ///
 /// `bin_ns` is the time-series bin width when the command has one
 /// (`metrics --bin-ns`); `None` uses one bin per flush window.
-pub(crate) fn mot_sink(
+pub(crate) fn sink<F: Fabric>(
+    net: &F,
     path: &str,
     common: &CommonOptions,
     config: JsonValue,
-    size: MotSize,
     phases: Phases,
     bin_ns: Option<u64>,
     trace_limit: usize,
-) -> Result<StreamSink<MotNode>, CliError> {
+) -> Result<StreamSink<F::Node>, CliError> {
     let (window, bin) = resolve_widths(common, bin_ns);
-    let levels = size.levels() as usize;
-    let series = TimeSeries::new(
-        bin,
-        crate::metrics::mot_levels(size),
-        Box::new(move |node: MotNode| match node {
-            MotNode::Fanout(flat) => Some(FanoutNodeId::from_flat_index(size, flat).level as usize),
-            MotNode::Fanin(flat) => {
-                Some(levels + FaninNodeId::from_flat_index(size, flat).level as usize)
-            }
-        }),
-    );
-    let label = crate::metrics::mot_label(size);
     Ok(StreamSink::new(
         open_out(path)?,
         StreamConfig {
-            substrate: "mot".to_string(),
+            substrate: F::TAG.to_string(),
             config,
             window,
             trace_limit: common.stream_trace.then_some(trace_limit),
             watch: WatchConfig::default(),
         },
         phases,
-        size.n(),
-        series,
-        Box::new(label),
-    )?)
-}
-
-/// Builds the streaming sink for a mesh run (one "router" level, like
-/// the batch mesh metrics path).
-pub(crate) fn mesh_sink(
-    path: &str,
-    common: &CommonOptions,
-    config: JsonValue,
-    endpoints: usize,
-    phases: Phases,
-    bin_ns: Option<u64>,
-    trace_limit: usize,
-) -> Result<StreamSink<usize>, CliError> {
-    let (window, bin) = resolve_widths(common, bin_ns);
-    let series = TimeSeries::single_level(bin, "router", endpoints);
-    Ok(StreamSink::new(
-        open_out(path)?,
-        StreamConfig {
-            substrate: "mesh".to_string(),
-            config,
-            window,
-            trace_limit: common.stream_trace.then_some(trace_limit),
-            watch: WatchConfig::default(),
-        },
-        phases,
-        endpoints,
-        series,
-        Box::new(|router: usize| format!("r{router}")),
-    )?)
-}
-
-/// Builds the streaming sink for a VC mesh run — identical grouping and
-/// labels to the mesh (one "router" level), under its own substrate tag.
-pub(crate) fn vcmesh_sink(
-    path: &str,
-    common: &CommonOptions,
-    config: JsonValue,
-    endpoints: usize,
-    phases: Phases,
-    bin_ns: Option<u64>,
-    trace_limit: usize,
-) -> Result<StreamSink<usize>, CliError> {
-    let (window, bin) = resolve_widths(common, bin_ns);
-    let series = TimeSeries::single_level(bin, "router", endpoints);
-    Ok(StreamSink::new(
-        open_out(path)?,
-        StreamConfig {
-            substrate: "vcmesh".to_string(),
-            config,
-            window,
-            trace_limit: common.stream_trace.then_some(trace_limit),
-            watch: WatchConfig::default(),
-        },
-        phases,
-        endpoints,
-        series,
-        Box::new(|router: usize| format!("r{router}")),
+        net.endpoints(),
+        net.timeseries(bin),
+        net.site_label(),
     )?)
 }
 

@@ -1,5 +1,6 @@
-//! Hostile JSON through the real binary: every byte a user can hand the
-//! tool yields a located `error:` line and exit 1, never an abort.
+//! Hostile input through the real binary: every byte a user can hand the
+//! tool — JSON or argv — yields a located `error:` line and exit 1 (bad
+//! file) or 2 (bad flag), never an abort.
 
 use std::process::{Command, Output};
 
@@ -86,4 +87,62 @@ fn a_misread_integer_fails_the_analysis_instead_of_skewing_it() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("\"skipped_lines\": 1"), "{stdout}");
     let _ = std::fs::remove_file(trace);
+}
+
+#[test]
+fn out_of_range_run_flags_are_usage_errors_not_panics() {
+    // Each of these used to reach an `assert!` or an overflowing time
+    // addition inside the simulator and abort with exit 101.
+    let commands: [&[&str]; 4] = [
+        &["run", "--arch", "Baseline"],
+        &["mesh"],
+        &["metrics", "--substrate", "vcmesh"],
+        &["faults", "--substrate", "mesh"],
+    ];
+    let huge = u64::MAX.to_string();
+    let just_over = (u64::MAX / 1_000 + 1).to_string();
+    let flags: [(&str, &str); 7] = [
+        ("--flits", "0"),
+        ("--measure-ns", "0"),
+        ("--measure-ns", &huge),
+        ("--measure-ns", &just_over),
+        ("--warmup-ns", &huge),
+        ("--stream-window-ns", &huge),
+        ("--bin-ns", &huge),
+    ];
+    for command in commands {
+        for (flag, value) in flags {
+            if flag == "--bin-ns" && command[0] != "metrics" {
+                continue;
+            }
+            let mut args = command.to_vec();
+            args.extend(["--benchmark", "Shuffle", "--rate", "0.2", "--size", "4"]);
+            args.extend(["--stream", "-", flag, value]);
+            let output = asynoc(&args);
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+            let first = stderr.lines().next().unwrap_or_default();
+            assert!(
+                first.starts_with("error: ") && first.contains(flag),
+                "{args:?}: {first}"
+            );
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn a_non_power_of_two_mesh_says_so() {
+    let output = asynoc(&[
+        "metrics",
+        "--substrate",
+        "mesh",
+        "--benchmark",
+        "Shuffle",
+        "--rate",
+        "0.2",
+        "--size",
+        "3",
+    ]);
+    assert_located_error(&output, &["3x3", "(9) must be a power of two"]);
 }

@@ -1,10 +1,7 @@
 //! Network and run configuration.
 
-use asynoc_kernel::{Duration, SchedulerKind};
 use asynoc_nodes::TimingModel;
-use asynoc_stats::Phases;
 use asynoc_topology::{Architecture, MotSize, NodePlan, SpecMap, SpeculationMap, TopologyError};
-use asynoc_traffic::Benchmark;
 
 use crate::error::SimError;
 
@@ -171,211 +168,10 @@ impl NetworkConfig {
     }
 }
 
-/// One simulation run: benchmark, offered load, and measurement schedule.
-///
-/// # Examples
-///
-/// ```
-/// use asynoc::{Benchmark, RunConfig};
-///
-/// let run = RunConfig::new(Benchmark::Shuffle, 0.5)?;
-/// assert_eq!(run.rate_gfs(), 0.5);
-/// # Ok::<(), asynoc::SimError>(())
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunConfig {
-    benchmark: Benchmark,
-    rate_gfs: f64,
-    phases: Phases,
-    drain: bool,
-    trace_limit: usize,
-    scheduler: SchedulerKind,
-    shards: usize,
-    profile: bool,
-    progress: bool,
-    latency_cap: Option<usize>,
-}
-
-impl RunConfig {
-    /// Creates a run at `rate_gfs` flits/ns per source with the paper's
-    /// standard measurement schedule (doubled for `Multicast_static`) and
-    /// draining enabled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidRate`] unless the rate is positive and
-    /// finite.
-    pub fn new(benchmark: Benchmark, rate_gfs: f64) -> Result<Self, SimError> {
-        if !(rate_gfs.is_finite() && rate_gfs > 0.0) {
-            return Err(SimError::InvalidRate { rate: rate_gfs });
-        }
-        Ok(RunConfig {
-            benchmark,
-            rate_gfs,
-            phases: Phases::paper_standard(benchmark == Benchmark::MulticastStatic),
-            drain: true,
-            trace_limit: 0,
-            scheduler: SchedulerKind::default(),
-            shards: 1,
-            profile: false,
-            progress: false,
-            latency_cap: None,
-        })
-    }
-
-    /// A short-window run for tests and examples (80 ns warmup, 800 ns
-    /// measurement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is not positive and finite.
-    #[must_use]
-    pub fn quick(benchmark: Benchmark, rate_gfs: f64) -> Self {
-        RunConfig::new(benchmark, rate_gfs)
-            .expect("quick() requires a positive, finite rate")
-            .with_phases(Phases::new(Duration::from_ns(80), Duration::from_ns(800)))
-    }
-
-    /// Replaces the measurement schedule.
-    #[must_use]
-    pub fn with_phases(mut self, phases: Phases) -> Self {
-        self.phases = phases;
-        self
-    }
-
-    /// Enables or disables the drain phase (saturation probes disable it:
-    /// they only need acceptance ratios, not complete packet latencies).
-    #[must_use]
-    pub fn with_drain(mut self, drain: bool) -> Self {
-        self.drain = drain;
-        self
-    }
-
-    /// The benchmark to run.
-    #[must_use]
-    pub fn benchmark(&self) -> Benchmark {
-        self.benchmark
-    }
-
-    /// Offered load, flits/ns per source.
-    #[must_use]
-    pub fn rate_gfs(&self) -> f64 {
-        self.rate_gfs
-    }
-
-    /// The measurement schedule.
-    #[must_use]
-    pub fn phases(&self) -> Phases {
-        self.phases
-    }
-
-    /// Whether the run drains in-flight measured packets after the window.
-    #[must_use]
-    pub fn drain(&self) -> bool {
-        self.drain
-    }
-
-    /// Enables flit-level tracing, recording up to `limit` events into
-    /// [`RunReport::trace`](crate::RunReport). Zero disables tracing (the
-    /// default).
-    #[must_use]
-    pub fn with_trace(mut self, limit: usize) -> Self {
-        self.trace_limit = limit;
-        self
-    }
-
-    /// The trace-event cap (0 = tracing off).
-    #[must_use]
-    pub fn trace_limit(&self) -> usize {
-        self.trace_limit
-    }
-
-    /// Replaces the event-queue scheduler (results are bit-identical
-    /// under either kind; this only affects run speed).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// The event-queue scheduler this run uses.
-    #[must_use]
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
-    }
-
-    /// Splits the run across `shards` conservative shards (threads).
-    ///
-    /// Results are bit-identical for every shard count (the sharded
-    /// engine merges observable streams back into exact serial order);
-    /// this only affects run speed on multi-core hosts. The network
-    /// clamps the count to what its topology can support.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "a run needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// How many shards execute the run (default 1: serial).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Enables runtime self-profiling: the engine fills
-    /// [`RunReport::profile`](crate::RunReport::profile) with per-shard
-    /// counters, histograms, and phase wall-clock splits. Simulation
-    /// results are bit-identical with profiling on or off — only host-side
-    /// metadata is collected.
-    #[must_use]
-    pub fn with_profile(mut self, profile: bool) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Whether the run collects an engine profile (default off).
-    #[must_use]
-    pub fn profile(&self) -> bool {
-        self.profile
-    }
-
-    /// Enables the stderr progress heartbeat (a single line refreshed a
-    /// few times per second; suppressed when stderr is not a terminal).
-    /// Like profiling, it never perturbs simulation results.
-    #[must_use]
-    pub fn with_progress(mut self, progress: bool) -> Self {
-        self.progress = progress;
-        self
-    }
-
-    /// Whether the run prints a progress heartbeat (default off).
-    #[must_use]
-    pub fn progress(&self) -> bool {
-        self.progress
-    }
-
-    /// Caps the engine's stored latency-sample reservoir (streaming
-    /// runs set this so memory is bounded independent of run length).
-    /// Count, mean, min, and max stay exact past the cap; percentiles
-    /// degrade to the retained prefix. `None` (the default) stores
-    /// every sample.
-    #[must_use]
-    pub fn with_latency_cap(mut self, cap: Option<usize>) -> Self {
-        self.latency_cap = cap;
-        self
-    }
-
-    /// The latency-sample reservoir cap (`None` = unbounded).
-    #[must_use]
-    pub fn latency_cap(&self) -> Option<usize> {
-        self.latency_cap
-    }
-}
+/// One simulation run: benchmark, offered load, measurement schedule and
+/// host execution options — the engine's run description, shared by every
+/// substrate.
+pub use asynoc_engine::RunConfig;
 
 #[cfg(test)]
 mod tests {
@@ -428,44 +224,5 @@ mod tests {
         let map = SpeculationMap::hybrid(MotSize::new(16).unwrap());
         let _ = NetworkConfig::eight_by_eight(Architecture::OptNonSpeculative)
             .with_speculation_map(&map, true);
-    }
-
-    #[test]
-    fn run_config_validates_rate() {
-        assert!(matches!(
-            RunConfig::new(Benchmark::Shuffle, 0.0),
-            Err(SimError::InvalidRate { .. })
-        ));
-        assert!(matches!(
-            RunConfig::new(Benchmark::Shuffle, f64::INFINITY),
-            Err(SimError::InvalidRate { .. })
-        ));
-        assert!(RunConfig::new(Benchmark::Shuffle, 0.1).is_ok());
-    }
-
-    #[test]
-    fn multicast_static_gets_doubled_phases() {
-        let run = RunConfig::new(Benchmark::MulticastStatic, 0.2).unwrap();
-        assert_eq!(run.phases(), Phases::paper_standard(true));
-        let run = RunConfig::new(Benchmark::UniformRandom, 0.2).unwrap();
-        assert_eq!(run.phases(), Phases::paper_standard(false));
-    }
-
-    #[test]
-    fn scheduler_defaults_to_calendar_and_is_overridable() {
-        let run = RunConfig::new(Benchmark::Shuffle, 0.5).unwrap();
-        assert_eq!(run.scheduler(), SchedulerKind::Calendar);
-        assert_eq!(
-            run.with_scheduler(SchedulerKind::Heap).scheduler(),
-            SchedulerKind::Heap
-        );
-    }
-
-    #[test]
-    fn quick_run_is_short_and_drains() {
-        let run = RunConfig::quick(Benchmark::Hotspot, 0.1);
-        assert!(run.phases().measure() < Phases::paper_standard(false).measure());
-        assert!(run.drain());
-        assert!(!run.with_drain(false).drain());
     }
 }

@@ -56,7 +56,10 @@ impl From<TopologyError> for SimError {
 
 impl From<TrafficError> for SimError {
     fn from(e: TrafficError) -> Self {
-        SimError::Traffic(e)
+        match e {
+            TrafficError::InvalidRate { rate } => SimError::InvalidRate { rate },
+            e => SimError::Traffic(e),
+        }
     }
 }
 
@@ -71,6 +74,8 @@ mod tests {
         assert!(t.source().is_some());
         let t: SimError = TrafficError::ZeroLengthPacket.into();
         assert!(matches!(t, SimError::Traffic(_)));
+        let t: SimError = TrafficError::InvalidRate { rate: 0.0 }.into();
+        assert!(matches!(t, SimError::InvalidRate { .. }));
     }
 
     #[test]

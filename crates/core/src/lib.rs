@@ -63,9 +63,11 @@ pub use trace::{TraceAction, TraceEvent, TraceLocation};
 
 // Re-export the vocabulary types users need to drive the API.
 pub use asynoc_engine::probe;
-pub use asynoc_engine::{parallel_map, NodeKey, Observer, SimEvent};
+pub use asynoc_engine::{
+    drive, parallel_map, EngineReport, NodeKey, Observer, SimEvent, Substrate,
+};
 pub use asynoc_kernel::default_parallelism;
-pub use asynoc_kernel::{Duration, SchedulerKind, Time};
+pub use asynoc_kernel::{Duration, Time};
 pub use asynoc_nodes::TimingModel;
 pub use asynoc_packet::DestSet;
 pub use asynoc_stats::Phases;

@@ -2,12 +2,13 @@
 //!
 //! Power accounting, per-node activity, and flit tracing used to be
 //! hard-wired into the simulation loop; they are now composable
-//! [`Observer`]s registered per run. [`crate::Network::run`] installs all
-//! three; [`crate::Network::run_with_observers`] lets callers append their
-//! own (e.g. a custom histogram or a live event dump) without touching the
+//! [`Observer`]s. Every run carries all three as its [`MotProbes`];
+//! [`crate::Network::run_with_observers`] lets callers append their own
+//! (e.g. a custom histogram or a live event dump) without touching the
 //! engine.
 
-use asynoc_engine::{ForwardInfo, Observer, SimEvent};
+use asynoc_engine::{ForwardInfo, Observer, RunConfig, SimEvent};
+use asynoc_kernel::Time;
 use asynoc_nodes::{FlitClass, TimingModel};
 use asynoc_power::{EnergyCategory, EnergyLedger};
 use asynoc_topology::FaninNodeId;
@@ -16,6 +17,41 @@ use crate::fabric::Fabric;
 use crate::report::NodeActivity;
 use crate::sim::MotNode;
 use crate::trace::{TraceAction, TraceEvent, TraceLocation, TraceRecorder};
+
+/// The observers every MoT run carries, in the order they see each event:
+/// power, activity, trace. Their state becomes the MoT section of the
+/// [`RunReport`](crate::RunReport).
+pub struct MotProbes<'a> {
+    power: PowerObserver<'a>,
+    activity: ActivityObserver,
+    trace: TraceObserver<'a>,
+}
+
+impl<'a> MotProbes<'a> {
+    pub(crate) fn new(timing: &'a TimingModel, fabric: &'a Fabric, run: &RunConfig) -> Self {
+        MotProbes {
+            power: PowerObserver::new(timing, fabric),
+            activity: ActivityObserver::new(NodeActivity::new(fabric.size, run.phases().measure())),
+            trace: TraceObserver::new(fabric, run.trace_limit()),
+        }
+    }
+
+    pub(crate) fn finish(self) -> (EnergyLedger, NodeActivity, Vec<TraceEvent>) {
+        (
+            self.power.into_ledger(),
+            self.activity.into_activity(),
+            self.trace.into_events(),
+        )
+    }
+}
+
+impl Observer<MotNode> for MotProbes<'_> {
+    fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, MotNode>) {
+        self.power.on_event(at, in_window, event);
+        self.activity.on_event(at, in_window, event);
+        self.trace.on_event(at, in_window, event);
+    }
+}
 
 /// Accumulates the energy ledger the paper's power numbers come from.
 ///

@@ -2,9 +2,9 @@
 
 use std::fmt;
 
+use asynoc_engine::EngineReport;
 use asynoc_kernel::Duration;
 use asynoc_power::PowerReport;
-use asynoc_stats::{latency::LatencyStats, throughput::ThroughputReport};
 use asynoc_topology::{FaninNodeId, FanoutNodeId, MotSize};
 
 /// Per-node activity over the measurement window: where the traffic (and
@@ -150,59 +150,39 @@ impl NodeActivity {
     }
 }
 
-/// Everything measured during one run's measurement window.
+/// Everything measured during one run's measurement window: the engine's
+/// substrate-independent measurements (`latency`, `throughput`,
+/// `packets_measured`, `flits_throttled`, `events_processed`, `profile`,
+/// … — reachable directly through `Deref`) beside the MoT's own section.
 #[derive(Clone, Debug)]
 pub struct RunReport {
-    /// Per-logical-packet latency (creation → arrival of the *last* header
-    /// at its destinations, the paper's metric). Only packets created inside
-    /// the measurement window are sampled.
-    pub latency: LatencyStats,
-    /// Offered / injected / delivered flit rates per source.
-    pub throughput: ThroughputReport,
+    /// What the engine measured. Latency is per logical packet, creation
+    /// → arrival of the *last* header at its destinations (the paper's
+    /// metric); `flits_throttled` counts the redundant copies throttled
+    /// at non-speculative nodes, the footprint of speculation. `wall` and
+    /// `profile` are host-side metadata, excluded from determinism
+    /// comparisons.
+    pub engine: EngineReport,
     /// Total network power over the measurement window.
     pub power: PowerReport,
-    /// Logical packets whose latency was sampled.
-    pub packets_measured: usize,
-    /// Measured-window packets still in flight when the run ended (nonzero
-    /// indicates saturation or an insufficient drain cap).
-    pub packets_incomplete: usize,
-    /// Redundant flit copies throttled at non-speculative nodes during the
-    /// measurement window (the footprint of speculation).
-    pub flits_throttled: u64,
-    /// Flits delivered at destination sinks during the measurement window.
-    pub flits_delivered: u64,
     /// Per-node activity over the measurement window.
     pub activity: NodeActivity,
     /// Flit-level trace events (empty unless the run enabled tracing via
     /// [`RunConfig::with_trace`](crate::RunConfig::with_trace)).
     pub trace: Vec<crate::trace::TraceEvent>,
-    /// Discrete events the engine processed over the whole run (including
-    /// warmup and drain) — a deterministic measure of simulation work.
-    pub events_processed: u64,
-    /// How many conservative shards executed the run (1 for serial).
-    /// Results are bit-identical for every shard count; this records how
-    /// the work was split, not what was computed.
-    pub shards: usize,
-    /// Events processed per shard, summing to [`events_processed`]
-    /// (one entry for a serial run).
-    ///
-    /// [`events_processed`]: RunReport::events_processed
-    pub shard_events: Vec<u64>,
-    /// Host wall-clock time the run took. Excluded from determinism
-    /// comparisons; use it to gauge simulator (not network) performance.
-    pub wall: std::time::Duration,
-    /// The engine's self-profile — per-shard scheduler/pool counters,
-    /// barrier-wait histograms, and phase wall splits. `None` unless the
-    /// run enabled [`RunConfig::with_profile`](crate::RunConfig::with_profile);
-    /// host-side metadata only, never part of determinism comparisons.
-    pub profile: Option<Box<asynoc_engine::probe::EngineProfile>>,
 }
 
-impl RunReport {
-    /// Accepted/offered ratio (1.0 when nothing was offered).
-    #[must_use]
-    pub fn acceptance(&self) -> f64 {
-        self.throughput.acceptance()
+impl std::ops::Deref for RunReport {
+    type Target = EngineReport;
+
+    fn deref(&self) -> &EngineReport {
+        &self.engine
+    }
+}
+
+impl std::ops::DerefMut for RunReport {
+    fn deref_mut(&mut self) -> &mut EngineReport {
+        &mut self.engine
     }
 }
 

@@ -15,26 +15,26 @@
 //! Sources, sinks, channels, the event queue, and the paper's §5.1
 //! measurement protocol live in `asynoc-engine`; this module contributes
 //! only what is MoT-specific — the fabric wiring, the fanout/fanin firing
-//! rules, and the tree routing — via the private `MotModel`. Statistics,
-//! power, and
-//! tracing attach as [`Observer`]s (see [`crate::observers`]).
+//! rules, and the tree routing — via [`MotModel`], and the [`Substrate`]
+//! contract ([`Network`]'s endpoint count, fault domain, and report
+//! section) the engine's one driver runs it through. Statistics, power,
+//! and tracing attach as [`Observer`]s (see [`crate::observers`]).
 
 use asynoc_engine::{
-    ArmedFaults, ChannelEnds, Ctx, FaultDomain, ForwardInfo, NodeKey, NodeRef, Observer, Partition,
-    RunSpec, ShardModel, SimEvent, SimModel,
+    drive, ArmedFaults, ChannelEnds, Ctx, EngineReport, FaultDomain, ForwardInfo, NodeKey, NodeRef,
+    Observer, Partition, ShardModel, SimEvent, SimModel, Substrate,
 };
 use asynoc_kernel::{Duration, Time};
 use asynoc_nodes::{FaninState, FanoutState, FlitClass, TimingModel};
 use asynoc_packet::{DestSet, RouteHeader};
 use asynoc_topology::FanoutKind;
 use asynoc_topology::{multicast_route, multicast_route_into, FaninNodeId, OutputPort};
-use asynoc_traffic::SourceTraffic;
 
 use crate::config::{NetworkConfig, RunConfig};
 use crate::error::SimError;
 use crate::fabric::{Downstream, Entity, Fabric};
-use crate::observers::{ActivityObserver, PowerObserver, TraceObserver};
-use crate::report::{NodeActivity, RunReport};
+use crate::observers::MotProbes;
+use crate::report::RunReport;
 
 /// A ready-to-run simulated network.
 ///
@@ -125,7 +125,7 @@ impl Network {
     /// Returns an error if the traffic specification is invalid for this
     /// network (rate, benchmark/source mismatch).
     pub fn run(&self, run: &RunConfig) -> Result<RunReport, SimError> {
-        self.run_with_observers(run, &mut [])
+        Ok(drive(self, run, &mut [], None)?)
     }
 
     /// Executes one run with caller-supplied observers registered after
@@ -143,7 +143,7 @@ impl Network {
         run: &RunConfig,
         extra: &mut [&mut dyn Observer<MotNode>],
     ) -> Result<RunReport, SimError> {
-        self.execute(run, extra, None)
+        Ok(drive(self, run, extra, None)?)
     }
 
     /// Executes one run with an armed fault table threaded into the
@@ -151,7 +151,7 @@ impl Network {
     ///
     /// The caller keeps ownership of `faults` and reads back its
     /// [`summary`](ArmedFaults::summary) afterwards; target indices
-    /// should come from [`fault_domain`](Network::fault_domain).
+    /// should come from [`fault_domain`](Substrate::fault_domain).
     ///
     /// # Errors
     ///
@@ -163,7 +163,26 @@ impl Network {
         faults: &mut ArmedFaults,
         extra: &mut [&mut dyn Observer<MotNode>],
     ) -> Result<RunReport, SimError> {
-        self.execute(run, extra, Some(faults))
+        Ok(drive(self, run, extra, Some(faults))?)
+    }
+}
+
+impl Substrate for Network {
+    type Node = MotNode;
+    type Model<'a> = MotModel<'a>;
+    type Probes<'a> = MotProbes<'a>;
+    type Report = RunReport;
+
+    fn endpoints(&self) -> usize {
+        self.config.size().n()
+    }
+
+    fn flits_per_packet(&self) -> u8 {
+        self.config.flits_per_packet()
+    }
+
+    fn seed(&self) -> u64 {
+        self.config.seed()
     }
 
     /// The legal fault-injection targets of this network.
@@ -175,8 +194,7 @@ impl Network {
     /// symbol-obeying kinds, so every spurious copy reads its
     /// default-`Drop` symbol there and throttles before arbitration —
     /// the same local-recovery region speculation itself relies on.
-    #[must_use]
-    pub fn fault_domain(&self) -> FaultDomain {
+    fn fault_domain(&self) -> FaultDomain {
         let levels = self.config.size().levels();
         // A level is a guaranteed throttle stage iff *every* node on it
         // obeys its routing symbol (speculative kinds forward headers
@@ -209,80 +227,28 @@ impl Network {
         }
     }
 
-    fn execute(
+    fn prepare(&self, run: &RunConfig) -> (MotModel<'_>, MotProbes<'_>) {
+        let timing = self.config.timing();
+        (
+            MotModel::new(&self.fabric, timing),
+            MotProbes::new(timing, &self.fabric, run),
+        )
+    }
+
+    fn report(
         &self,
         run: &RunConfig,
-        extra: &mut [&mut dyn Observer<MotNode>],
-        faults: Option<&mut ArmedFaults>,
-    ) -> Result<RunReport, SimError> {
-        let config = &self.config;
-        let n = config.size().n();
-        let mut traffic = Vec::with_capacity(n);
-        for s in 0..n {
-            traffic.push(SourceTraffic::new(
-                run.benchmark(),
-                n,
-                s,
-                run.rate_gfs(),
-                config.flits_per_packet(),
-                config.seed(),
-            )?);
+        engine: EngineReport,
+        _model: MotModel<'_>,
+        probes: MotProbes<'_>,
+    ) -> RunReport {
+        let (ledger, activity, trace) = probes.finish();
+        RunReport {
+            engine,
+            power: ledger.report(run.phases().measure(), self.leakage_mw()),
+            activity,
+            trace,
         }
-
-        let phases = run.phases();
-        let mut power = PowerObserver::new(config.timing(), &self.fabric);
-        let mut activity =
-            ActivityObserver::new(NodeActivity::new(config.size(), phases.measure()));
-        let mut trace = TraceObserver::new(&self.fabric, run.trace_limit());
-
-        // `&mut dyn` is invariant in the trait object's lifetime, so the
-        // caller's observers can't join a slice of short-lived local ones
-        // directly; a forwarding adapter bridges the two lifetimes.
-        struct Extras<'x, 'y>(&'x mut [&'y mut dyn Observer<MotNode>]);
-        impl Observer<MotNode> for Extras<'_, '_> {
-            fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, MotNode>) {
-                for observer in self.0.iter_mut() {
-                    observer.on_event(at, in_window, event);
-                }
-            }
-        }
-        let mut extras = Extras(extra);
-
-        let model = MotModel::new(&self.fabric, config.timing());
-        let spec = RunSpec::new(phases, run.drain())
-            .with_scheduler(run.scheduler())
-            .with_profile(run.profile())
-            .with_progress(run.progress())
-            .with_latency_cap(run.latency_cap());
-        let observers: &mut [&mut dyn Observer<MotNode>] =
-            &mut [&mut power, &mut activity, &mut trace, &mut extras];
-        let shards = run.shards();
-        let (engine, _model) = match faults {
-            None => asynoc_engine::run_sharded(model, traffic, spec, shards, observers),
-            Some(faults) => asynoc_engine::run_sharded_with_faults(
-                model, traffic, spec, shards, faults, observers,
-            ),
-        };
-
-        let power_report = power
-            .into_ledger()
-            .report(phases.measure(), self.leakage_mw());
-        Ok(RunReport {
-            latency: engine.latency,
-            throughput: engine.throughput,
-            power: power_report,
-            packets_measured: engine.packets_measured,
-            packets_incomplete: engine.packets_incomplete,
-            flits_throttled: engine.flits_throttled,
-            flits_delivered: engine.flits_delivered,
-            activity: activity.into_activity(),
-            trace: trace.into_events(),
-            events_processed: engine.events_processed,
-            shards: engine.shards,
-            shard_events: engine.shard_events,
-            wall: engine.wall,
-            profile: engine.profile,
-        })
     }
 }
 
@@ -292,7 +258,7 @@ impl Network {
 /// cycle floors) lives here; everything substrate-independent lives in
 /// the engine.
 #[derive(Clone)]
-struct MotModel<'a> {
+pub struct MotModel<'a> {
     fabric: &'a Fabric,
     timing: &'a TimingModel,
     fanout_state: Vec<FanoutState>,

@@ -1,7 +1,7 @@
 //! Substrate-agnostic discrete-event simulation engine.
 //!
-//! The MoT simulator (`asynoc`) and the mesh simulator (`asynoc-mesh`)
-//! share one execution discipline: single-flit bundled-data channels,
+//! The MoT simulator (`asynoc`) and the mesh simulators (`asynoc-mesh`,
+//! `asynoc-vcmesh`) share one execution discipline: single-flit bundled-data channels,
 //! fire-when-ready entities, stall-and-notify wakeups (no polling), FIFO
 //! tie breaking on the kernel event queue, and the paper's §5.1
 //! measurement protocol (offered/injected/delivered flits in a window,
@@ -20,6 +20,11 @@
 //!   threaded into its hooks — deterministic fault injection (stalls,
 //!   symbol corruption, source drops/losses) with zero cost when
 //!   disarmed.
+//! - [`Substrate`] is what a ready-to-run *network* implements on top of
+//!   its model — endpoint count, traffic parameters, fault domain, and
+//!   its own report section — so that [`drive`] turns one [`RunConfig`]
+//!   into a run on any fabric, and the fault oracle and the CLI dispatch
+//!   on the fabric once.
 //! - [`parallel_map`] fans independent work items (seeds, configs,
 //!   saturation probe points) across OS threads with deterministic
 //!   result ordering — the experiment layer's multi-core runner.
@@ -37,10 +42,10 @@
 //!
 //! - **Scheduler-independent results.** Events are totally ordered by
 //!   `(time, canonical key, insertion seq)` — the key ranks simultaneous
-//!   events by kind and entity index; both the binary-heap and the
-//!   calendar scheduler ([`RunSpec::scheduler`]) realize that order
-//!   exactly, so a seeded run is bit-identical under either (and under
-//!   any shard count; see [`run_sharded`]).
+//!   events by kind and entity index; the calendar queue realizes that
+//!   order exactly (the kernel tests it against the binary heap), so a
+//!   seeded run is bit-identical under any shard count (see
+//!   [`run_sharded`]).
 //! - **Zero-allocation steady state.** All run state is pre-sized at
 //!   construction, packet descriptors are recycled through an internal
 //!   free-list once their tails deliver, and event payloads are small
@@ -54,6 +59,7 @@ mod observer;
 mod pool;
 mod session;
 mod shard;
+mod substrate;
 
 pub use asynoc_kernel::parallel_map;
 /// The profiling vocabulary [`EngineReport::profile`] is expressed in
@@ -67,3 +73,4 @@ pub use session::{
     SimModel,
 };
 pub use shard::{run_sharded, run_sharded_with_faults, Partition, ShardModel};
+pub use substrate::{drive, RunConfig, Substrate};

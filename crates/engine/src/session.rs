@@ -4,7 +4,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
-use asynoc_kernel::{Duration, FaultClass, SchedulerKind, SchedulerQueue, Time};
+use asynoc_kernel::{CalendarQueue, Duration, FaultClass, Time};
 use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader, RouteSymbol};
 use asynoc_probe::{EngineProfile, EventKindCounts, PhaseWall, ProgressMeter, ShardProfile};
 use asynoc_stats::throughput::ThroughputReport;
@@ -111,17 +111,18 @@ pub trait SimModel {
     fn fire(&mut self, node: Self::Node, ctx: &mut Ctx<'_, '_, Self::Node>);
 }
 
-/// Execution parameters of one run.
-#[derive(Clone, Copy, Debug)]
+/// Execution parameters of one run, as the event loop sees them: the
+/// part of a [`RunConfig`](crate::RunConfig) that does not depend on the
+/// traffic or the fabric. The run options are set through
+/// [`RunConfig`](crate::RunConfig)'s builders; the fields are public for
+/// callers that drive [`run`] directly.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunSpec {
     /// Warmup/measurement windows.
     pub phases: Phases,
     /// Whether to drain in-flight measured packets after injection stops
     /// (bounded by a hard cap so saturated runs still terminate).
     pub drain: bool,
-    /// Which event-queue implementation schedules the run. Both kinds pop
-    /// the identical event stream; this is a throughput knob only.
-    pub scheduler: SchedulerKind,
     /// Pre-sized event-queue capacity, or `None` to derive one from the
     /// model's channel and endpoint counts (avoids early regrow churn).
     pub queue_capacity: Option<usize>,
@@ -143,14 +144,13 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Creates a spec with the default scheduler and a model-derived
-    /// queue capacity.
+    /// Creates a spec with a model-derived queue capacity, profiling and
+    /// the heartbeat off, and an unbounded latency reservoir.
     #[must_use]
     pub fn new(phases: Phases, drain: bool) -> Self {
         RunSpec {
             phases,
             drain,
-            scheduler: SchedulerKind::default(),
             queue_capacity: None,
             profile: false,
             progress: false,
@@ -158,41 +158,10 @@ impl RunSpec {
         }
     }
 
-    /// Selects the event-queue implementation.
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Overrides the event queue's initial capacity.
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = Some(capacity);
-        self
-    }
-
-    /// Enables or disables runtime self-profiling (see
-    /// [`RunSpec::profile`]).
-    #[must_use]
-    pub fn with_profile(mut self, profile: bool) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Enables or disables the stderr progress heartbeat (see
-    /// [`RunSpec::progress`]).
-    #[must_use]
-    pub fn with_progress(mut self, progress: bool) -> Self {
-        self.progress = progress;
-        self
-    }
-
-    /// Bounds the latency-sample reservoir (see
-    /// [`RunSpec::latency_cap`]).
-    #[must_use]
-    pub fn with_latency_cap(mut self, cap: Option<usize>) -> Self {
-        self.latency_cap = cap;
         self
     }
 }
@@ -306,6 +275,14 @@ pub struct EngineReport {
     pub wall: std::time::Duration,
     /// The runtime self-profile, when [`RunSpec::profile`] was set.
     pub profile: Option<Box<EngineProfile>>,
+}
+
+impl EngineReport {
+    /// Accepted/offered ratio (1.0 when nothing was offered).
+    #[must_use]
+    pub fn acceptance(&self) -> f64 {
+        self.throughput.acceptance()
+    }
 }
 
 /// Events driving a simulation.
@@ -436,7 +413,7 @@ pub struct Ctx<'obs, 'run, N> {
     injection_end: Time,
     hard_cap: Time,
 
-    queue: SchedulerQueue<Event<N>>,
+    queue: CalendarQueue<Event<N>>,
     now: Time,
 
     channels: Vec<ChannelState>,
@@ -683,9 +660,9 @@ pub fn run_with_faults<M: SimModel>(
 /// engine state, ready to [`run`](Session::run).
 ///
 /// Construction does all the setup allocation — channel wiring, the
-/// event queue (heap or calendar, per [`RunSpec::scheduler`]), source
-/// queues, and the latency reservoir — so that the run loop itself can
-/// stay allocation-free once the descriptor pool warms up.
+/// event queue, source queues, and the latency reservoir — so that the
+/// run loop itself can stay allocation-free once the descriptor pool
+/// warms up.
 ///
 /// # Examples
 ///
@@ -795,7 +772,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
         spec: RunSpec,
         faults: Option<&'run mut ArmedFaults>,
         shard: Box<ShardState<M::Node>>,
-        queue: SchedulerQueue<Event<M::Node>>,
+        queue: CalendarQueue<Event<M::Node>>,
         progress: Option<Arc<ProgressMeter>>,
     ) -> Self
     where
@@ -821,7 +798,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
         observers: &'run mut [&'obs mut dyn Observer<M::Node>],
         faults: Option<&'run mut ArmedFaults>,
         shard: Option<Box<ShardState<M::Node>>>,
-        queue: Option<SchedulerQueue<Event<M::Node>>>,
+        queue: Option<CalendarQueue<Event<M::Node>>>,
         progress: Option<Arc<ProgressMeter>>,
     ) -> Self {
         let n = model.endpoints();
@@ -860,8 +837,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
             drain: spec.drain,
             injection_end,
             hard_cap,
-            queue: queue
-                .unwrap_or_else(|| SchedulerQueue::with_capacity(spec.scheduler, queue_capacity)),
+            queue: queue.unwrap_or_else(|| CalendarQueue::with_capacity(queue_capacity)),
             now: Time::ZERO,
             channels: vec![ChannelState::Free; channels],
             source_queue: (0..n).map(|_| VecDeque::with_capacity(64)).collect(),
@@ -1638,23 +1614,6 @@ mod tests {
         );
         let (report, _) = run(Crossbar::new(), toy_traffic(5), spec, &mut []);
         assert!(report.packets_measured > 0);
-    }
-
-    #[test]
-    fn heap_and_calendar_schedulers_match_bit_for_bit() {
-        let run_with = |kind| {
-            let spec = toy_spec().with_scheduler(kind);
-            let mut recorder = Recorder::default();
-            let (report, _) = run(Crossbar::new(), toy_traffic(13), spec, &mut [&mut recorder]);
-            (report, recorder.seen)
-        };
-        let (heap, heap_events) = run_with(SchedulerKind::Heap);
-        let (calendar, calendar_events) = run_with(SchedulerKind::Calendar);
-        assert_eq!(heap_events, calendar_events);
-        assert_eq!(heap.latency.count(), calendar.latency.count());
-        assert_eq!(heap.latency.mean(), calendar.latency.mean());
-        assert_eq!(heap.throughput, calendar.throughput);
-        assert_eq!(heap.events_processed, calendar.events_processed);
     }
 
     #[test]

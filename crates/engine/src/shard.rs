@@ -38,7 +38,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use asynoc_kernel::{
-    Duration, FaultClass, Mailboxes, SchedulerQueue, ShardedScheduler, Time, WindowBarrier,
+    CalendarQueue, Duration, FaultClass, Mailboxes, ShardedScheduler, Time, WindowBarrier,
 };
 use asynoc_packet::{DestSet, Flit};
 use asynoc_probe::{EngineProfile, HostHistogram, ProfileSink, ProgressMeter, ShardProfile};
@@ -497,7 +497,7 @@ fn run_sharded_inner<M: ShardModel>(
         .map_or(latency_capacity, |cap| latency_capacity.min(cap));
 
     let scheduler: ShardedScheduler<Event<M::Node>> =
-        ShardedScheduler::new(shard_count, spec.scheduler, queue_capacity, lookahead);
+        ShardedScheduler::new(shard_count, queue_capacity, lookahead);
     let barrier = WindowBarrier::new(shard_count);
     let mailboxes: Mailboxes<WireMsg> = Mailboxes::new(shard_count);
     let partition = Arc::new(partition);
@@ -715,7 +715,7 @@ fn run_shard_worker<M: SimModel>(
     spec: RunSpec,
     mut faults: Option<ArmedFaults>,
     state: Box<ShardState<M::Node>>,
-    queue: SchedulerQueue<Event<M::Node>>,
+    queue: CalendarQueue<Event<M::Node>>,
     barrier: &WindowBarrier,
     mailboxes: &Mailboxes<WireMsg>,
     injection_end: Time,

@@ -7,8 +7,7 @@
 //! event. Construction and warm-up may allocate freely (the pool fills,
 //! the calendar queue settles its bucket count, source queues and
 //! bucket rings reach their high-water marks); once the measurement
-//! window opens, `Session::run` must not touch the allocator at all —
-//! under either scheduler.
+//! window opens, `Session::run` must not touch the allocator at all.
 //!
 //! This test runs with `harness = false` and owns the whole process: the
 //! counter is process-global, and libtest's runner machinery (the main
@@ -21,7 +20,7 @@ use asynoc_engine::probe::{allocations, CountingAlloc};
 use asynoc_engine::{
     run, ChannelEnds, Ctx, ForwardInfo, NodeRef, Observer, RunSpec, SimEvent, SimModel,
 };
-use asynoc_kernel::{Duration, SchedulerKind, Time};
+use asynoc_kernel::{Duration, Time};
 use asynoc_packet::{DestSet, RouteHeader};
 use asynoc_stats::Phases;
 use asynoc_traffic::{Benchmark, SourceTraffic};
@@ -135,32 +134,29 @@ impl Observer<()> for AllocWindow {
 }
 
 fn main() {
-    for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-        let traffic: Vec<SourceTraffic> = (0..2)
-            .map(|s| SourceTraffic::new(Benchmark::Multicast5, 2, s, 0.4, 5, 23).unwrap())
-            .collect();
-        let spec = RunSpec::new(
-            Phases::new(Duration::from_ns(200), Duration::from_ns(800)),
-            true,
-        )
-        .with_scheduler(kind);
-        let mut window = AllocWindow::default();
-        let (report, _model) = run(Crossbar, traffic, spec, &mut [&mut window]);
+    let traffic: Vec<SourceTraffic> = (0..2)
+        .map(|s| SourceTraffic::new(Benchmark::Multicast5, 2, s, 0.4, 5, 23).unwrap())
+        .collect();
+    let spec = RunSpec::new(
+        Phases::new(Duration::from_ns(200), Duration::from_ns(800)),
+        true,
+    );
+    let mut window = AllocWindow::default();
+    let (report, _model) = run(Crossbar, traffic, spec, &mut [&mut window]);
 
-        assert!(report.packets_measured > 0, "{kind:?}: nothing measured");
-        assert_eq!(report.packets_incomplete, 0, "{kind:?}: packets in flight");
-        let open = window
-            .at_window_open
-            .expect("the window saw at least one event");
-        let close = window
-            .at_window_close
-            .expect("the window saw a closing event");
-        assert_eq!(
-            close - open,
-            0,
-            "{kind:?}: {} heap allocation(s) inside the measurement window",
-            close - open
-        );
-        println!("{kind:?}: zero allocations in window, ok");
-    }
+    assert!(report.packets_measured > 0, "nothing measured");
+    assert_eq!(report.packets_incomplete, 0, "packets in flight");
+    let open = window
+        .at_window_open
+        .expect("the window saw at least one event");
+    let close = window
+        .at_window_close
+        .expect("the window saw a closing event");
+    assert_eq!(
+        close - open,
+        0,
+        "{} heap allocation(s) inside the measurement window",
+        close - open
+    );
+    println!("zero allocations in window, ok");
 }

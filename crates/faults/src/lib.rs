@@ -5,7 +5,7 @@
 //! mis-speculated copy dies at the next non-speculative stage without
 //! anyone upstream noticing. This crate stress-tests that claim by
 //! injecting seed-reproducible faults into the shared engine's run loop
-//! — on both substrates — and holding every faulted run against a clean
+//! — on every substrate — and holding every faulted run against a clean
 //! twin under the same seed:
 //!
 //! - [`FaultPlan`] — the replayable campaign: transient link stalls,
@@ -13,8 +13,8 @@
 //!   unrecoverable packet losses, encodable as compact text
 //!   (`stall:3:2:500;lose:0:1`) and drawable at random from a
 //!   substrate's certified [`FaultDomain`].
-//! - [`run_mot_outcome`] / [`run_mesh_outcome`] — instrumented runs
-//!   distilled to a [`RunOutcome`]: the delivered-destination multiset
+//! - [`run_outcome`] — an instrumented run on any substrate, distilled
+//!   to a [`RunOutcome`]: the delivered-destination multiset
 //!   ([`DeliveryLog`]), the fault ledger, and the span-tree fault
 //!   counters.
 //! - [`judge`] — the oracle: recoverable plans must leave the delivery
@@ -33,9 +33,7 @@ pub mod shrink;
 
 pub use oracle::{judge, OracleCheck, OracleVerdict};
 pub use outcome::{
-    mesh_network, run_mesh_outcome, run_mesh_outcome_observed, run_mot_outcome,
-    run_mot_outcome_observed, run_vcmesh_outcome, run_vcmesh_outcome_observed, vcmesh_network,
-    DeliveryLog, DeliveryMultiset, RunOutcome,
+    mesh_network, run_outcome, vcmesh_network, DeliveryLog, DeliveryMultiset, RunOutcome,
 };
 pub use plan::{FaultEntry, FaultPlan, PlanError};
 pub use shrink::{replay_command, shrink_plan};

@@ -4,13 +4,14 @@
 //! pair are reduced to a [`RunOutcome`] — the delivered-destination
 //! multiset, the mean latency, the fault ledger, and the span-tree
 //! fault counters — by running the substrate with the same observer
-//! stack. Clean runs use the plain observer path (no fault state is
-//! even constructed, keeping the zero-cost guarantee honest); faulted
-//! runs thread the armed plan through `run_with_faults`.
+//! stack — one [`run_outcome`] for every [`Substrate`]. Clean runs use
+//! the plain observer path (no fault state is even constructed, keeping
+//! the zero-cost guarantee honest); faulted runs thread the armed plan
+//! through the engine's fault hooks.
 
 use std::collections::BTreeMap;
 
-use asynoc::{Benchmark, Network, Observer, Phases, RunConfig, SimEvent, Time};
+use asynoc::{drive, Observer, RunConfig, SimError, SimEvent, Substrate, Time};
 use asynoc_analysis::SpanForest;
 use asynoc_engine::FaultSummary;
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
@@ -18,19 +19,6 @@ use asynoc_telemetry::{FaultLedger, TraceCollector};
 use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork};
 
 use crate::plan::FaultPlan;
-
-/// Forwards one event to a caller-supplied observer slice (`&mut dyn`
-/// is invariant in the trait object's lifetime, so the caller's
-/// observers can't join a slice of short-lived local ones directly).
-struct Extras<'x, 'y, N>(&'x mut [&'y mut dyn Observer<N>]);
-
-impl<N> Observer<N> for Extras<'_, '_, N> {
-    fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>) {
-        for observer in self.0.iter_mut() {
-            observer.on_event(at, in_window, event);
-        }
-    }
-}
 
 /// The delivered-destination multiset: how many header flits each
 /// `(logical packet, destination)` pair received. Recoverable faults
@@ -104,205 +92,48 @@ pub struct RunOutcome {
 /// windows, so this comfortably captures every event.
 const TRACE_CAPACITY: usize = 500_000;
 
-fn distill(
-    deliveries: DeliveryMultiset,
-    mean_latency_ps: Option<u64>,
-    packets_incomplete: usize,
-    ledger: FaultLedger,
-    summary: FaultSummary,
-    forest: &SpanForest,
-    profile: Option<Box<asynoc_engine::probe::EngineProfile>>,
-) -> RunOutcome {
-    RunOutcome {
-        deliveries,
-        mean_latency_ps,
-        packets_incomplete,
+/// Runs `net`, faulted iff `plan` is non-empty, with the oracle's
+/// observer stack (delivery log, fault ledger, span trace) ahead of the
+/// caller's `observers` (e.g. a streaming sink), and distills the
+/// outcome. Extra observers see the identical, ungated event stream and
+/// cannot perturb the outcome — streamed fault runs stay oracle-clean.
+///
+/// # Errors
+///
+/// Returns an error on an invalid run specification.
+pub fn run_outcome<S: Substrate>(
+    net: &S,
+    run: &RunConfig,
+    plan: Option<&FaultPlan>,
+    observers: &mut [&mut dyn Observer<S::Node>],
+) -> Result<RunOutcome, SimError> {
+    let mut log = DeliveryLog::new();
+    let mut ledger = FaultLedger::new();
+    let mut trace: TraceCollector<S::Node> = TraceCollector::generic(TRACE_CAPACITY);
+    let mut stack: Vec<&mut dyn Observer<S::Node>> = vec![&mut log, &mut ledger, &mut trace];
+    // Reborrowing each caller observer shortens its trait-object lifetime
+    // to the local stack's.
+    stack.extend(
+        observers
+            .iter_mut()
+            .map(|o| &mut **o as &mut dyn Observer<S::Node>),
+    );
+    let mut armed = plan
+        .filter(|plan| !plan.entries.is_empty())
+        .map(FaultPlan::arm);
+    let mut report = drive(net, run, &mut stack, armed.as_mut())?;
+    let forest = SpanForest::build(trace.records());
+    Ok(RunOutcome {
+        deliveries: log.into_deliveries(),
+        mean_latency_ps: report.latency.mean().map(|d| d.as_ps()),
+        packets_incomplete: report.packets_incomplete,
         ledger,
-        summary,
+        summary: armed.map(|armed| armed.summary()).unwrap_or_default(),
         fault_affected_trees: forest.fault_affected,
         broken_trees: forest.broken_trees,
         broken_with_cause: forest.broken_with_cause,
-        profile,
-    }
-}
-
-/// Runs the MoT substrate, faulted iff `plan` is non-empty, and
-/// distills the outcome.
-///
-/// # Errors
-///
-/// Returns the substrate's own error on an invalid run specification.
-pub fn run_mot_outcome(
-    net: &Network,
-    run: &RunConfig,
-    plan: Option<&FaultPlan>,
-) -> Result<RunOutcome, asynoc::SimError> {
-    run_mot_outcome_observed(net, run, plan, &mut [])
-}
-
-/// [`run_mot_outcome`] with caller-supplied observers (e.g. a streaming
-/// sink) registered after the oracle's own. Extra observers see the
-/// identical, ungated event stream and cannot perturb the outcome —
-/// streamed fault runs stay oracle-clean.
-///
-/// # Errors
-///
-/// Returns the substrate's own error on an invalid run specification.
-pub fn run_mot_outcome_observed(
-    net: &Network,
-    run: &RunConfig,
-    plan: Option<&FaultPlan>,
-    observers: &mut [&mut dyn Observer<asynoc::MotNode>],
-) -> Result<RunOutcome, asynoc::SimError> {
-    let mut log = DeliveryLog::new();
-    let mut ledger = FaultLedger::new();
-    let mut trace = TraceCollector::generic(TRACE_CAPACITY);
-    let mut extras = Extras(observers);
-    let mut extra: Vec<&mut dyn Observer<asynoc::MotNode>> =
-        vec![&mut log, &mut ledger, &mut trace, &mut extras];
-    let (report, summary) = match plan {
-        Some(plan) if !plan.entries.is_empty() => {
-            let mut armed = plan.arm();
-            let report = net.run_with_faults(run, &mut armed, &mut extra)?;
-            (report, armed.summary())
-        }
-        _ => (
-            net.run_with_observers(run, &mut extra)?,
-            FaultSummary::default(),
-        ),
-    };
-    let forest = SpanForest::build(trace.records());
-    Ok(distill(
-        log.into_deliveries(),
-        report.latency.mean().map(|d| d.as_ps()),
-        report.packets_incomplete,
-        ledger,
-        summary,
-        &forest,
-        report.profile,
-    ))
-}
-
-/// Runs the mesh substrate, faulted iff `plan` is non-empty, and
-/// distills the outcome.
-///
-/// # Errors
-///
-/// Returns the substrate's own error on an invalid run specification.
-pub fn run_mesh_outcome(
-    net: &MeshNetwork,
-    benchmark: Benchmark,
-    rate: f64,
-    phases: Phases,
-    plan: Option<&FaultPlan>,
-) -> Result<RunOutcome, asynoc_mesh::MeshError> {
-    run_mesh_outcome_observed(net, benchmark, rate, phases, plan, &mut [])
-}
-
-/// [`run_mesh_outcome`] with caller-supplied observers (e.g. a
-/// streaming sink) registered after the oracle's own. Extra observers
-/// see the identical, ungated event stream and cannot perturb the
-/// outcome — streamed fault runs stay oracle-clean.
-///
-/// # Errors
-///
-/// Returns the substrate's own error on an invalid run specification.
-pub fn run_mesh_outcome_observed(
-    net: &MeshNetwork,
-    benchmark: Benchmark,
-    rate: f64,
-    phases: Phases,
-    plan: Option<&FaultPlan>,
-    observers: &mut [&mut dyn Observer<usize>],
-) -> Result<RunOutcome, asynoc_mesh::MeshError> {
-    let mut log = DeliveryLog::new();
-    let mut ledger = FaultLedger::new();
-    let mut trace: TraceCollector<usize> = TraceCollector::generic(TRACE_CAPACITY);
-    let mut extras = Extras(observers);
-    let mut extra: Vec<&mut dyn Observer<usize>> =
-        vec![&mut log, &mut ledger, &mut trace, &mut extras];
-    let (report, summary) = match plan {
-        Some(plan) if !plan.entries.is_empty() => {
-            let mut armed = plan.arm();
-            let report = net.run_with_faults(benchmark, rate, phases, &mut armed, &mut extra)?;
-            (report, armed.summary())
-        }
-        _ => (
-            net.run_with_observers(benchmark, rate, phases, &mut extra)?,
-            FaultSummary::default(),
-        ),
-    };
-    let forest = SpanForest::build(trace.records());
-    Ok(distill(
-        log.into_deliveries(),
-        report.latency.mean().map(|d| d.as_ps()),
-        report.packets_incomplete,
-        ledger,
-        summary,
-        &forest,
-        report.profile,
-    ))
-}
-
-/// Runs the VC mesh substrate, faulted iff `plan` is non-empty, and
-/// distills the outcome.
-///
-/// # Errors
-///
-/// Returns the substrate's own error on an invalid run specification.
-pub fn run_vcmesh_outcome(
-    net: &VcMeshNetwork,
-    benchmark: Benchmark,
-    rate: f64,
-    phases: Phases,
-    plan: Option<&FaultPlan>,
-) -> Result<RunOutcome, asynoc_mesh::MeshError> {
-    run_vcmesh_outcome_observed(net, benchmark, rate, phases, plan, &mut [])
-}
-
-/// [`run_vcmesh_outcome`] with caller-supplied observers (e.g. a
-/// streaming sink) registered after the oracle's own. Extra observers
-/// see the identical, ungated event stream and cannot perturb the
-/// outcome — streamed fault runs stay oracle-clean.
-///
-/// # Errors
-///
-/// Returns the substrate's own error on an invalid run specification.
-pub fn run_vcmesh_outcome_observed(
-    net: &VcMeshNetwork,
-    benchmark: Benchmark,
-    rate: f64,
-    phases: Phases,
-    plan: Option<&FaultPlan>,
-    observers: &mut [&mut dyn Observer<usize>],
-) -> Result<RunOutcome, asynoc_mesh::MeshError> {
-    let mut log = DeliveryLog::new();
-    let mut ledger = FaultLedger::new();
-    let mut trace: TraceCollector<usize> = TraceCollector::generic(TRACE_CAPACITY);
-    let mut extras = Extras(observers);
-    let mut extra: Vec<&mut dyn Observer<usize>> =
-        vec![&mut log, &mut ledger, &mut trace, &mut extras];
-    let (report, summary) = match plan {
-        Some(plan) if !plan.entries.is_empty() => {
-            let mut armed = plan.arm();
-            let report = net.run_with_faults(benchmark, rate, phases, &mut armed, &mut extra)?;
-            (report, armed.summary())
-        }
-        _ => (
-            net.run_with_observers(benchmark, rate, phases, &mut extra)?,
-            FaultSummary::default(),
-        ),
-    };
-    let forest = SpanForest::build(trace.records());
-    Ok(distill(
-        log.into_deliveries(),
-        report.latency.mean().map(|d| d.as_ps()),
-        report.packets_incomplete,
-        ledger,
-        summary,
-        &forest,
-        report.profile,
-    ))
+        profile: report.profile.take(),
+    })
 }
 
 /// Convenience constructor for the standard differential VC mesh
@@ -315,7 +146,6 @@ pub fn vcmesh_network(
     side: usize,
     seed: u64,
     flits: u8,
-    shards: usize,
     mcast: McastScheme,
 ) -> Result<VcMeshNetwork, asynoc_mesh::MeshError> {
     let size = MeshSize::new(side, side)?;
@@ -323,7 +153,6 @@ pub fn vcmesh_network(
         VcMeshConfig::new(size)
             .with_seed(seed)
             .with_flits_per_packet(flits)
-            .with_shards(shards)
             .with_mcast(mcast),
     )
 }
@@ -337,21 +166,19 @@ pub fn mesh_network(
     side: usize,
     seed: u64,
     flits: u8,
-    shards: usize,
 ) -> Result<MeshNetwork, asynoc_mesh::MeshError> {
     let size = MeshSize::new(side, side)?;
     MeshNetwork::new(
         MeshConfig::new(size)
             .with_seed(seed)
-            .with_flits_per_packet(flits)
-            .with_shards(shards),
+            .with_flits_per_packet(flits),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asynoc::{Architecture, Duration, MotSize, NetworkConfig};
+    use asynoc::{Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases};
 
     fn quick_run() -> RunConfig {
         RunConfig::new(Benchmark::Multicast5, 0.2)
@@ -373,7 +200,7 @@ mod tests {
     #[test]
     fn clean_outcomes_record_deliveries_and_no_faults() {
         let net = small_net(11);
-        let outcome = run_mot_outcome(&net, &quick_run(), None).expect("run succeeds");
+        let outcome = run_outcome(&net, &quick_run(), None, &mut []).expect("run succeeds");
         assert!(!outcome.deliveries.is_empty(), "headers were delivered");
         assert_eq!(outcome.ledger.total(), 0);
         assert_eq!(outcome.summary.total(), 0);
@@ -384,9 +211,9 @@ mod tests {
     #[test]
     fn stalled_outcome_matches_clean_deliveries() {
         let net = small_net(11);
-        let clean = run_mot_outcome(&net, &quick_run(), None).expect("clean run");
+        let clean = run_outcome(&net, &quick_run(), None, &mut []).expect("clean run");
         let plan = FaultPlan::parse("stall:0:3:400;stall:5:2:300").expect("valid");
-        let faulted = run_mot_outcome(&net, &quick_run(), Some(&plan)).expect("faulted run");
+        let faulted = run_outcome(&net, &quick_run(), Some(&plan), &mut []).expect("faulted run");
         assert_eq!(clean.deliveries, faulted.deliveries);
         assert_eq!(faulted.summary.stalls, faulted.ledger.total());
         assert!(faulted.summary.stalls > 0, "the stalls actually fired");

@@ -8,12 +8,12 @@
 //!
 //! - [`Time`] / [`Duration`]: picosecond time arithmetic with checked
 //!   semantics and human-readable formatting,
-//! - [`EventQueue`]: a deterministic binary-heap priority queue (ties
-//!   broken in FIFO insertion order, so identical seeds reproduce
-//!   identical simulations),
-//! - [`CalendarQueue`]: a time-bucketed queue with the same `(time, seq)`
-//!   order and `O(1)` amortized operations; [`SchedulerQueue`] selects
-//!   between the two at runtime via [`SchedulerKind`],
+//! - [`CalendarQueue`]: the time-bucketed queue every run schedules on
+//!   (`O(1)` amortized operations, ties broken in FIFO insertion order,
+//!   so identical seeds reproduce identical simulations),
+//! - [`EventQueue`]: a binary-heap priority queue with the same
+//!   `(time, key, seq)` order — the reference the calendar queue is
+//!   tested against, not a run-time choice,
 //! - [`rng`]: a seeded random-number layer with the exponential
 //!   inter-arrival sampling used by the paper's traffic generators,
 //! - [`parallel_map`]: a multi-core fan-out with deterministic result
@@ -44,7 +44,6 @@ pub mod fault;
 pub mod parallel;
 pub mod queue;
 pub mod rng;
-pub mod scheduler;
 pub mod sharded;
 pub mod time;
 
@@ -53,6 +52,5 @@ pub use fault::FaultClass;
 pub use parallel::{default_parallelism, parallel_map};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use scheduler::{SchedulerKind, SchedulerQueue};
 pub use sharded::{Mailboxes, ShardedScheduler, WindowBarrier};
 pub use time::{Duration, Time, WindowClock};

@@ -1,7 +1,7 @@
 //! Cross-shard plumbing for conservative parallel simulation.
 //!
 //! A sharded run partitions the simulated system into `S` shards, each
-//! owning one [`SchedulerQueue`] and executing events in lock-step time
+//! owning one [`CalendarQueue`] and executing events in lock-step time
 //! windows of width `lookahead` — the minimum delay any event on one
 //! shard needs before it can affect another shard. Inside a window each
 //! shard runs completely independently; influence that crosses a shard
@@ -19,7 +19,7 @@
 
 use std::sync::{Barrier, Mutex};
 
-use crate::scheduler::{SchedulerKind, SchedulerQueue};
+use crate::calendar::CalendarQueue;
 use crate::time::{Duration, Time};
 
 /// One mailbox per shard: unbounded, mutex-guarded message vectors.
@@ -136,33 +136,33 @@ impl WindowBarrier {
     }
 }
 
-/// Constructor for a sharded run's event queues: one [`SchedulerQueue`]
+/// Constructor for a sharded run's event queues: one [`CalendarQueue`]
 /// per shard plus the window width (`lookahead`) that bounds how far a
 /// window may extend before cross-shard influence must be exchanged.
 ///
 /// The engine moves each queue into its worker thread via
-/// [`ShardedScheduler::into_queues`]; this type exists so the queue
-/// kind, pre-sizing, and lookahead are decided in one place.
+/// [`ShardedScheduler::into_queues`]; this type exists so the
+/// pre-sizing and lookahead are decided in one place.
 ///
 /// # Examples
 ///
 /// ```
-/// use asynoc_kernel::{Duration, SchedulerKind, ShardedScheduler};
+/// use asynoc_kernel::{Duration, ShardedScheduler};
 ///
 /// let sched: ShardedScheduler<&str> =
-///     ShardedScheduler::new(4, SchedulerKind::Calendar, 256, Duration::from_ps(500));
+///     ShardedScheduler::new(4, 256, Duration::from_ps(500));
 /// assert_eq!(sched.shards(), 4);
 /// assert_eq!(sched.lookahead(), Duration::from_ps(500));
 /// assert_eq!(sched.into_queues().len(), 4);
 /// ```
 #[derive(Debug)]
 pub struct ShardedScheduler<E> {
-    queues: Vec<SchedulerQueue<E>>,
+    queues: Vec<CalendarQueue<E>>,
     lookahead: Duration,
 }
 
 impl<E> ShardedScheduler<E> {
-    /// Creates `shards` queues of `kind`, each pre-sized for about
+    /// Creates `shards` queues, each pre-sized for about
     /// `capacity` pending events, with the given window `lookahead`.
     ///
     /// # Panics
@@ -170,7 +170,7 @@ impl<E> ShardedScheduler<E> {
     /// Panics if `shards` is zero or `lookahead` is zero — a zero-width
     /// window can never advance.
     #[must_use]
-    pub fn new(shards: usize, kind: SchedulerKind, capacity: usize, lookahead: Duration) -> Self {
+    pub fn new(shards: usize, capacity: usize, lookahead: Duration) -> Self {
         assert!(shards > 0, "a sharded scheduler needs at least one shard");
         assert!(
             lookahead > Duration::ZERO,
@@ -178,7 +178,7 @@ impl<E> ShardedScheduler<E> {
         );
         ShardedScheduler {
             queues: (0..shards)
-                .map(|_| SchedulerQueue::with_capacity(kind, capacity))
+                .map(|_| CalendarQueue::with_capacity(capacity))
                 .collect(),
             lookahead,
         }
@@ -199,7 +199,7 @@ impl<E> ShardedScheduler<E> {
     /// Consumes the scheduler, yielding one queue per shard to move into
     /// the worker threads.
     #[must_use]
-    pub fn into_queues(self) -> Vec<SchedulerQueue<E>> {
+    pub fn into_queues(self) -> Vec<CalendarQueue<E>> {
         self.queues
     }
 }
@@ -287,8 +287,7 @@ mod tests {
 
     #[test]
     fn sharded_scheduler_hands_out_queues() {
-        let sched: ShardedScheduler<u32> =
-            ShardedScheduler::new(3, SchedulerKind::Heap, 16, Duration::from_ps(42));
+        let sched: ShardedScheduler<u32> = ShardedScheduler::new(3, 16, Duration::from_ps(42));
         assert_eq!(sched.shards(), 3);
         assert_eq!(sched.lookahead(), Duration::from_ps(42));
         let mut queues = sched.into_queues();
@@ -301,14 +300,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let _: ShardedScheduler<()> =
-            ShardedScheduler::new(0, SchedulerKind::Heap, 0, Duration::from_ps(1));
+        let _: ShardedScheduler<()> = ShardedScheduler::new(0, 0, Duration::from_ps(1));
     }
 
     #[test]
     #[should_panic(expected = "zero lookahead")]
     fn zero_lookahead_rejected() {
-        let _: ShardedScheduler<()> =
-            ShardedScheduler::new(1, SchedulerKind::Heap, 0, Duration::ZERO);
+        let _: ShardedScheduler<()> = ShardedScheduler::new(1, 0, Duration::ZERO);
     }
 }

@@ -31,12 +31,28 @@
 //! assert!(report.packets_measured > 0);
 //! # Ok::<(), asynoc_mesh::MeshError>(())
 //! ```
+//!
+//! `MeshConfig` holds what is static about the fabric (size, timing,
+//! packet length, seed). Shards, profiling, observers and fault tables
+//! are per-run: build a [`RunConfig`] and hand the network to [`drive`],
+//! the engine's one driver under every [`Substrate`].
+//!
+//! ```
+//! use asynoc_mesh::{drive, MeshConfig, MeshNetwork, MeshSize, RunConfig};
+//! use asynoc_traffic::Benchmark;
+//!
+//! let network = MeshNetwork::new(MeshConfig::new(MeshSize::new(4, 4)?).with_seed(7))?;
+//! let run = RunConfig::quick(Benchmark::UniformRandom, 0.2).with_shards(2);
+//! let report = drive(&network, &run, &mut [], None)?;
+//! assert_eq!(report.shards, 2);
+//! # Ok::<(), asynoc_mesh::MeshError>(())
+//! ```
 
 pub mod router;
 pub mod sim;
 pub mod size;
 
-pub use asynoc_kernel::SchedulerKind;
+pub use asynoc_engine::{drive, RunConfig, Substrate};
 pub use router::{route_port, Port, RouterId};
 pub use sim::{MeshConfig, MeshNetwork, MeshReport, MeshTiming};
 pub use size::{MeshError, MeshSize};

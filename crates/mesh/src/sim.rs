@@ -11,14 +11,14 @@
 //! has elapsed.
 
 use asynoc_engine::{
-    ArmedFaults, ChannelEnds, Ctx, FaultDomain, ForwardInfo, NodeRef, Observer, Partition, RunSpec,
-    ShardModel, SimEvent, SimModel,
+    drive, ChannelEnds, Ctx, EngineReport, FaultDomain, ForwardInfo, NodeRef, Partition, RunConfig,
+    ShardModel, SimEvent, SimModel, Substrate,
 };
-use asynoc_kernel::{Duration, SchedulerKind, Time};
+use asynoc_kernel::{Duration, Time};
 use asynoc_nodes::{FlitClass, KindTiming};
 use asynoc_packet::{DestSet, RouteHeader};
-use asynoc_stats::{latency::LatencyStats, Phases};
-use asynoc_traffic::{Benchmark, SourceTraffic};
+use asynoc_stats::Phases;
+use asynoc_traffic::Benchmark;
 
 use crate::router::{route_port, OutputLock, Port, RouterId};
 use crate::size::{MeshError, MeshSize};
@@ -69,18 +69,15 @@ impl Default for MeshTiming {
     }
 }
 
-/// Static description of a mesh network.
+/// Static description of a mesh network: what is fixed about the fabric.
+/// Everything that varies per run (benchmark, rate, phases, shards,
+/// profiling) is a [`RunConfig`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct MeshConfig {
     size: MeshSize,
     timing: MeshTiming,
     flits_per_packet: u8,
     seed: u64,
-    scheduler: SchedulerKind,
-    shards: usize,
-    profile: bool,
-    progress: bool,
-    latency_cap: Option<usize>,
 }
 
 impl MeshConfig {
@@ -93,11 +90,6 @@ impl MeshConfig {
             timing: MeshTiming::calibrated(),
             flits_per_packet: 5,
             seed: 0,
-            scheduler: SchedulerKind::default(),
-            shards: 1,
-            profile: false,
-            progress: false,
-            latency_cap: None,
         }
     }
 
@@ -127,90 +119,6 @@ impl MeshConfig {
         self
     }
 
-    /// Replaces the event-queue scheduler (results are bit-identical
-    /// under either kind; this only affects run speed).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// The event-queue scheduler runs use.
-    #[must_use]
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
-    }
-
-    /// Splits runs across `shards` conservative shards (threads) —
-    /// bands of whole mesh rows, cut only by north/south links. Results
-    /// are bit-identical for every shard count; this only affects run
-    /// speed on multi-core hosts. The model clamps the count to the row
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "a run needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// How many shards execute each run (default 1: serial).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Enables runtime self-profiling: the engine fills
-    /// [`MeshReport::profile`] with per-shard counters, histograms, and
-    /// phase wall-clock splits. Simulation results are bit-identical with
-    /// profiling on or off — only host-side metadata is collected.
-    #[must_use]
-    pub fn with_profile(mut self, profile: bool) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Whether runs collect an engine profile (default off).
-    #[must_use]
-    pub fn profile(&self) -> bool {
-        self.profile
-    }
-
-    /// Enables the stderr progress heartbeat (a single line refreshed a
-    /// few times per second; suppressed when stderr is not a terminal).
-    /// Like profiling, it never perturbs simulation results.
-    #[must_use]
-    pub fn with_progress(mut self, progress: bool) -> Self {
-        self.progress = progress;
-        self
-    }
-
-    /// Whether runs print a progress heartbeat (default off).
-    #[must_use]
-    pub fn progress(&self) -> bool {
-        self.progress
-    }
-
-    /// Caps the engine's stored latency-sample reservoir (streaming
-    /// runs set this so memory is bounded independent of run length).
-    /// Count, mean, min, and max stay exact past the cap; percentiles
-    /// degrade to the retained prefix. `None` (the default) stores
-    /// every sample.
-    #[must_use]
-    pub fn with_latency_cap(mut self, cap: Option<usize>) -> Self {
-        self.latency_cap = cap;
-        self
-    }
-
-    /// The latency-sample reservoir cap (`None` = unbounded).
-    #[must_use]
-    pub fn latency_cap(&self) -> Option<usize> {
-        self.latency_cap
-    }
-
     /// The mesh dimensions.
     #[must_use]
     pub fn size(&self) -> MeshSize {
@@ -218,41 +126,29 @@ impl MeshConfig {
     }
 }
 
-/// Measurements from one mesh run.
+/// Measurements from one mesh run: the engine's (`latency`, `throughput`,
+/// `packets_measured`, `events_processed`, `profile`, … — reachable
+/// directly through `Deref`) beside the mesh's own section.
 #[derive(Clone, Debug)]
 pub struct MeshReport {
-    /// Per-logical-packet latency (creation → last header arrival).
-    pub latency: LatencyStats,
-    /// Offered/injected/delivered flit rates per endpoint.
-    pub throughput: asynoc_stats::throughput::ThroughputReport,
-    /// Logical packets measured.
-    pub packets_measured: usize,
-    /// Measured packets still in flight at the end (saturation indicator).
-    pub packets_incomplete: usize,
+    /// What the engine measured.
+    pub engine: EngineReport,
     /// Mean router-to-router hops of measured unicast paths (analytic,
     /// from the benchmark's destination distribution as sampled).
     pub mean_hops: f64,
-    /// Discrete events the engine processed over the whole run.
-    pub events_processed: u64,
-    /// How many conservative shards executed the run (1 for serial);
-    /// results are bit-identical for every shard count.
-    pub shards: usize,
-    /// Events processed per shard (one entry for a serial run).
-    pub shard_events: Vec<u64>,
-    /// Host wall-clock time the run took.
-    pub wall: std::time::Duration,
-    /// The engine's self-profile — per-shard scheduler/pool counters,
-    /// barrier-wait histograms, and phase wall splits. `None` unless the
-    /// run enabled [`MeshConfig::with_profile`]; host-side metadata only,
-    /// never part of determinism comparisons.
-    pub profile: Option<Box<asynoc_engine::probe::EngineProfile>>,
 }
 
-impl MeshReport {
-    /// Accepted/offered ratio.
-    #[must_use]
-    pub fn acceptance(&self) -> f64 {
-        self.throughput.acceptance()
+impl std::ops::Deref for MeshReport {
+    type Target = EngineReport;
+
+    fn deref(&self) -> &EngineReport {
+        &self.engine
+    }
+}
+
+impl std::ops::DerefMut for MeshReport {
+    fn deref_mut(&mut self) -> &mut EngineReport {
+        &mut self.engine
     }
 }
 
@@ -273,7 +169,8 @@ impl std::fmt::Display for MeshReport {
     }
 }
 
-/// A ready-to-run mesh network.
+/// A ready-to-run mesh network. Router nodes are identified to observers
+/// by their linear index.
 #[derive(Clone, Debug)]
 pub struct MeshNetwork {
     config: MeshConfig,
@@ -296,8 +193,9 @@ impl MeshNetwork {
         &self.config
     }
 
-    /// Runs `benchmark` at `rate` flits/ns per endpoint over `phases`
-    /// (with a bounded drain, like the MoT simulator).
+    /// Runs `benchmark` at `rate` flits/ns per endpoint over `phases`,
+    /// serially and with a bounded drain. Observers, fault tables, shards
+    /// and profiling go through [`drive`] with a full [`RunConfig`].
     ///
     /// # Errors
     ///
@@ -309,125 +207,57 @@ impl MeshNetwork {
         rate: f64,
         phases: Phases,
     ) -> Result<MeshReport, MeshError> {
-        self.run_with_observers(benchmark, rate, phases, &mut [])
+        let run = RunConfig::new(benchmark, rate)?.with_phases(phases);
+        Ok(drive(self, &run, &mut [], None)?)
+    }
+}
+
+impl Substrate for MeshNetwork {
+    type Node = usize;
+    type Model<'a> = MeshModel;
+    type Probes<'a> = ();
+    type Report = MeshReport;
+
+    fn endpoints(&self) -> usize {
+        self.config.size.endpoints()
     }
 
-    /// Runs one benchmark with caller-supplied observers on the engine's
-    /// event stream. Router nodes are identified by their linear index.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a non-positive rate or a traffic-layer
-    /// rejection.
-    pub fn run_with_observers(
-        &self,
-        benchmark: Benchmark,
-        rate: f64,
-        phases: Phases,
-        extra: &mut [&mut dyn Observer<usize>],
-    ) -> Result<MeshReport, MeshError> {
-        self.execute(benchmark, rate, phases, extra, None)
+    fn flits_per_packet(&self) -> u8 {
+        self.config.flits_per_packet
     }
 
-    /// Runs one benchmark with an armed fault table threaded into the
-    /// engine's injection hooks (see [`asynoc_engine::run_with_faults`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a non-positive rate or a traffic-layer
-    /// rejection.
-    pub fn run_with_faults(
-        &self,
-        benchmark: Benchmark,
-        rate: f64,
-        phases: Phases,
-        faults: &mut ArmedFaults,
-        extra: &mut [&mut dyn Observer<usize>],
-    ) -> Result<MeshReport, MeshError> {
-        self.execute(benchmark, rate, phases, extra, Some(faults))
+    fn seed(&self) -> u64 {
+        self.config.seed
     }
 
-    /// The legal fault-injection targets of this mesh.
-    ///
     /// XY routing reads destination indices, not tree symbols, so there
     /// are no symbol-corruption sites; stalls and source drops cover the
     /// whole fabric.
-    #[must_use]
-    pub fn fault_domain(&self) -> FaultDomain {
-        let n = self.config.size.endpoints();
+    fn fault_domain(&self) -> FaultDomain {
         // Channel allocation order is fixed per router (see MeshModel):
         // rebuilding the model is the cheapest faithful count.
-        let model = MeshModel::new(&self.config);
         FaultDomain {
-            channels: model.wiring.len(),
-            endpoints: n,
+            channels: MeshModel::new(&self.config).wiring.len(),
+            endpoints: self.endpoints(),
             corrupt_sites: Vec::new(),
         }
     }
 
-    fn execute(
+    fn prepare(&self, _run: &RunConfig) -> (MeshModel, ()) {
+        (MeshModel::new(&self.config), ())
+    }
+
+    fn report(
         &self,
-        benchmark: Benchmark,
-        rate: f64,
-        phases: Phases,
-        extra: &mut [&mut dyn Observer<usize>],
-        faults: Option<&mut ArmedFaults>,
-    ) -> Result<MeshReport, MeshError> {
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(MeshError::InvalidRate { rate });
-        }
-        let n = self.config.size.endpoints();
-        let mut traffic = Vec::with_capacity(n);
-        for s in 0..n {
-            traffic.push(SourceTraffic::new(
-                benchmark,
-                n,
-                s,
-                rate,
-                self.config.flits_per_packet,
-                self.config.seed,
-            )?);
-        }
-
-        // Bridge the caller's observers into a local slice (see the MoT
-        // simulator for why the adapter is needed).
-        struct Extras<'x, 'y>(&'x mut [&'y mut dyn Observer<usize>]);
-        impl Observer<usize> for Extras<'_, '_> {
-            fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, usize>) {
-                for observer in self.0.iter_mut() {
-                    observer.on_event(at, in_window, event);
-                }
-            }
-        }
-        let mut extras = Extras(extra);
-
-        let model = MeshModel::new(&self.config);
-        let spec = RunSpec::new(phases, true)
-            .with_scheduler(self.config.scheduler)
-            .with_profile(self.config.profile)
-            .with_progress(self.config.progress)
-            .with_latency_cap(self.config.latency_cap);
-        let observers: &mut [&mut dyn Observer<usize>] = &mut [&mut extras];
-        let shards = self.config.shards;
-        let (engine, model) = match faults {
-            None => asynoc_engine::run_sharded(model, traffic, spec, shards, observers),
-            Some(faults) => asynoc_engine::run_sharded_with_faults(
-                model, traffic, spec, shards, faults, observers,
-            ),
-        };
-
-        Ok(MeshReport {
-            latency: engine.latency,
-            throughput: engine.throughput,
-            packets_measured: engine.packets_measured,
-            packets_incomplete: engine.packets_incomplete,
+        _run: &RunConfig,
+        engine: EngineReport,
+        model: MeshModel,
+        _probes: (),
+    ) -> MeshReport {
+        MeshReport {
+            engine,
             mean_hops: model.mean_hops(),
-            events_processed: engine.events_processed,
-            shards: engine.shards,
-            shard_events: engine.shard_events,
-            wall: engine.wall,
-            profile: engine.profile,
-        })
+        }
     }
 }
 
@@ -442,7 +272,7 @@ impl MeshNetwork {
 /// north/south/east/west order, skipping edges), then the injection
 /// channel, then the ejection channel.
 #[derive(Clone)]
-struct MeshModel {
+pub struct MeshModel {
     size: MeshSize,
     timing: MeshTiming,
     wiring: Vec<ChannelEnds<usize>>,
@@ -706,6 +536,7 @@ impl ShardModel for MeshModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asynoc_engine::Observer;
 
     fn quick_phases() -> Phases {
         Phases::new(Duration::from_ns(80), Duration::from_ns(800))
@@ -799,11 +630,11 @@ mod tests {
             .unwrap();
         assert_eq!(serial.shards, 1);
         for shards in [2, 3, 4] {
-            let config = net.config().clone().with_shards(shards);
-            let sharded = MeshNetwork::new(config)
+            let run = RunConfig::new(Benchmark::Multicast5, 0.25)
                 .unwrap()
-                .run(Benchmark::Multicast5, 0.25, quick_phases())
-                .unwrap();
+                .with_phases(quick_phases())
+                .with_shards(shards);
+            let sharded = drive(&net, &run, &mut [], None).unwrap();
             assert_eq!(sharded.shards, shards);
             assert_eq!(
                 sharded.shard_events.iter().sum::<u64>(),
@@ -863,14 +694,8 @@ mod tests {
             forwards: 0,
             delivers: 0,
         };
-        let report = network(4, 4)
-            .run_with_observers(
-                Benchmark::UniformRandom,
-                0.1,
-                quick_phases(),
-                &mut [&mut spy],
-            )
-            .unwrap();
+        let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
+        let report = drive(&network(4, 4), &run, &mut [&mut spy], None).unwrap();
         assert!(spy.forwards > 0, "routers forwarded nothing");
         assert!(spy.delivers > 0, "nothing delivered");
         // Every delivered flit crossed at least its local router once.

@@ -27,8 +27,9 @@ impl fmt::Display for MeshError {
         match self {
             MeshError::InvalidSize { cols, rows } => write!(
                 f,
-                "mesh {cols}x{rows} unsupported: dimensions must be in 2..=8 \
-                 (endpoint count must stay within 64)"
+                "mesh {cols}x{rows} unsupported: each dimension must be in 2..=8 and the \
+                 endpoint count ({}) must be a power of two",
+                cols * rows
             ),
             MeshError::InvalidRate { rate } => {
                 write!(
@@ -52,7 +53,10 @@ impl Error for MeshError {
 
 impl From<asynoc_traffic::TrafficError> for MeshError {
     fn from(e: asynoc_traffic::TrafficError) -> Self {
-        MeshError::Traffic(e)
+        match e {
+            asynoc_traffic::TrafficError::InvalidRate { rate } => MeshError::InvalidRate { rate },
+            e => MeshError::Traffic(e),
+        }
     }
 }
 
@@ -181,5 +185,7 @@ mod tests {
         assert_eq!(MeshSize::new(4, 2).unwrap().to_string(), "4x2 mesh");
         let err = MeshSize::new(9, 9).unwrap_err();
         assert!(err.to_string().contains("9x9"));
+        let err = MeshSize::new(3, 3).unwrap_err().to_string();
+        assert!(err.contains("(9) must be a power of two"), "{err}");
     }
 }

@@ -13,12 +13,28 @@
 //!
 //! It runs on the same `asynoc-engine` event loop as the other two
 //! substrates, so every command, observer, fault plan, stream schema,
-//! and sharding mode applies unchanged.
+//! and sharding mode applies unchanged. `VcMeshConfig` holds what is
+//! static about the fabric (size, timing, packet length, seed, multicast
+//! scheme); shards, profiling, observers and fault tables are per-run —
+//! build a [`RunConfig`] and hand the network to [`drive`]:
+//!
+//! ```
+//! use asynoc_traffic::Benchmark;
+//! use asynoc_vcmesh::{drive, McastScheme, MeshSize, RunConfig, VcMeshConfig, VcMeshNetwork};
+//!
+//! let config = VcMeshConfig::new(MeshSize::new(4, 4)?).with_mcast(McastScheme::Dpm);
+//! let network = VcMeshNetwork::new(config)?;
+//! let run = RunConfig::quick(Benchmark::Multicast5, 0.1).with_shards(2);
+//! let report = drive(&network, &run, &mut [], None)?;
+//! assert_eq!(report.packets_incomplete, 0);
+//! assert!(report.link_traversals > 0);
+//! # Ok::<(), asynoc_vcmesh::MeshError>(())
+//! ```
 
 pub mod scheme;
 pub mod sim;
 
-pub use asynoc_kernel::SchedulerKind;
+pub use asynoc_engine::{drive, RunConfig, Substrate};
 pub use asynoc_mesh::{MeshError, MeshSize};
 pub use scheme::{DpmPlanner, McastScheme};
 pub use sim::{VcMeshConfig, VcMeshNetwork, VcMeshReport, VcMeshTiming, VC_COUNT, VC_DEPTH};

@@ -27,15 +27,15 @@
 use std::collections::VecDeque;
 
 use asynoc_engine::{
-    ArmedFaults, ChannelEnds, Ctx, FaultDomain, ForwardInfo, NodeRef, Observer, Partition, RunSpec,
-    ShardModel, SimEvent, SimModel,
+    drive, ChannelEnds, Ctx, EngineReport, FaultDomain, ForwardInfo, NodeRef, Partition, RunConfig,
+    ShardModel, SimEvent, SimModel, Substrate,
 };
-use asynoc_kernel::{Duration, SchedulerKind, Time};
+use asynoc_kernel::{Duration, Time};
 use asynoc_mesh::{MeshError, MeshSize, Port};
 use asynoc_nodes::{FlitClass, KindTiming};
 use asynoc_packet::{DestSet, Flit, RouteHeader};
-use asynoc_stats::{latency::LatencyStats, Phases};
-use asynoc_traffic::{Benchmark, SourceTraffic};
+use asynoc_stats::Phases;
+use asynoc_traffic::Benchmark;
 
 use crate::scheme::{tree_partition, DpmPlanner, McastScheme};
 
@@ -97,7 +97,9 @@ impl Default for VcMeshTiming {
     }
 }
 
-/// Static description of a VC mesh network.
+/// Static description of a VC mesh network: what is fixed about the
+/// fabric. Everything that varies per run (benchmark, rate, phases,
+/// shards, profiling) is a [`RunConfig`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct VcMeshConfig {
     size: MeshSize,
@@ -105,11 +107,6 @@ pub struct VcMeshConfig {
     flits_per_packet: u8,
     seed: u64,
     mcast: McastScheme,
-    scheduler: SchedulerKind,
-    shards: usize,
-    profile: bool,
-    progress: bool,
-    latency_cap: Option<usize>,
 }
 
 impl VcMeshConfig {
@@ -123,11 +120,6 @@ impl VcMeshConfig {
             flits_per_packet: 5,
             seed: 0,
             mcast: McastScheme::XyTree,
-            scheduler: SchedulerKind::default(),
-            shards: 1,
-            profile: false,
-            progress: false,
-            latency_cap: None,
         }
     }
 
@@ -170,82 +162,6 @@ impl VcMeshConfig {
         self.mcast
     }
 
-    /// Replaces the event-queue scheduler (results are bit-identical
-    /// under either kind; this only affects run speed).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// The event-queue scheduler runs use.
-    #[must_use]
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
-    }
-
-    /// Splits runs across `shards` conservative shards (threads) — bands
-    /// of whole mesh rows, cutting only north/south data links and their
-    /// credit-return twins. Results are bit-identical for every shard
-    /// count. The model clamps the count to the row count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "a run needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// How many shards execute each run (default 1: serial).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Enables runtime self-profiling (see the mesh substrate; host-side
-    /// metadata only, never part of determinism comparisons).
-    #[must_use]
-    pub fn with_profile(mut self, profile: bool) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Whether runs collect an engine profile (default off).
-    #[must_use]
-    pub fn profile(&self) -> bool {
-        self.profile
-    }
-
-    /// Enables the stderr progress heartbeat.
-    #[must_use]
-    pub fn with_progress(mut self, progress: bool) -> Self {
-        self.progress = progress;
-        self
-    }
-
-    /// Whether runs print a progress heartbeat (default off).
-    #[must_use]
-    pub fn progress(&self) -> bool {
-        self.progress
-    }
-
-    /// Caps the engine's stored latency-sample reservoir (`None` = store
-    /// every sample).
-    #[must_use]
-    pub fn with_latency_cap(mut self, cap: Option<usize>) -> Self {
-        self.latency_cap = cap;
-        self
-    }
-
-    /// The latency-sample reservoir cap (`None` = unbounded).
-    #[must_use]
-    pub fn latency_cap(&self) -> Option<usize> {
-        self.latency_cap
-    }
-
     /// The mesh dimensions.
     #[must_use]
     pub fn size(&self) -> MeshSize {
@@ -253,18 +169,15 @@ impl VcMeshConfig {
     }
 }
 
-/// Measurements from one VC mesh run.
+/// Measurements from one VC mesh run: the engine's (`latency`,
+/// `throughput`, `packets_measured`, `flits_delivered`, `profile`, … —
+/// reachable directly through `Deref`; a non-zero `packets_incomplete`
+/// here indicates saturation or VC deadlock) beside the VC mesh's own
+/// section.
 #[derive(Clone, Debug)]
 pub struct VcMeshReport {
-    /// Per-logical-packet latency (creation → last header arrival).
-    pub latency: LatencyStats,
-    /// Offered/injected/delivered flit rates per endpoint.
-    pub throughput: asynoc_stats::throughput::ThroughputReport,
-    /// Logical packets measured.
-    pub packets_measured: usize,
-    /// Measured packets still in flight at the end (saturation — or,
-    /// for this substrate, VC-deadlock — indicator).
-    pub packets_incomplete: usize,
+    /// What the engine measured.
+    pub engine: EngineReport,
     /// Mean router-to-router hops of measured destinations (analytic XY
     /// distance, as the benchmark sampled them).
     pub mean_hops: f64,
@@ -282,27 +195,19 @@ pub struct VcMeshReport {
     /// Audits where `free + in-flight + buffered + owed + returning`
     /// differed from the credit pool. Always 0 in a correct build.
     pub credit_violations: u64,
-    /// Flits that arrived at their ejection sink.
-    pub flits_delivered: u64,
-    /// Source launches deferred because the injection channel was busy.
-    pub flits_throttled: u64,
-    /// Discrete events the engine processed over the whole run.
-    pub events_processed: u64,
-    /// How many conservative shards executed the run (1 for serial).
-    pub shards: usize,
-    /// Events processed per shard (one entry for a serial run).
-    pub shard_events: Vec<u64>,
-    /// Host wall-clock time the run took.
-    pub wall: std::time::Duration,
-    /// The engine's self-profile (see [`VcMeshConfig::with_profile`]).
-    pub profile: Option<Box<asynoc_engine::probe::EngineProfile>>,
 }
 
-impl VcMeshReport {
-    /// Accepted/offered ratio.
-    #[must_use]
-    pub fn acceptance(&self) -> f64 {
-        self.throughput.acceptance()
+impl std::ops::Deref for VcMeshReport {
+    type Target = EngineReport;
+
+    fn deref(&self) -> &EngineReport {
+        &self.engine
+    }
+}
+
+impl std::ops::DerefMut for VcMeshReport {
+    fn deref_mut(&mut self) -> &mut EngineReport {
+        &mut self.engine
     }
 }
 
@@ -328,7 +233,8 @@ impl std::fmt::Display for VcMeshReport {
     }
 }
 
-/// A ready-to-run VC mesh network.
+/// A ready-to-run VC mesh network. Router nodes are identified to
+/// observers by their linear index.
 #[derive(Clone, Debug)]
 pub struct VcMeshNetwork {
     config: VcMeshConfig,
@@ -351,8 +257,9 @@ impl VcMeshNetwork {
         &self.config
     }
 
-    /// Runs `benchmark` at `rate` flits/ns per endpoint over `phases`
-    /// (with a bounded drain, like the other substrates).
+    /// Runs `benchmark` at `rate` flits/ns per endpoint over `phases`,
+    /// serially and with a bounded drain. Observers, fault tables, shards
+    /// and profiling go through [`drive`] with a full [`RunConfig`].
     ///
     /// # Errors
     ///
@@ -364,128 +271,63 @@ impl VcMeshNetwork {
         rate: f64,
         phases: Phases,
     ) -> Result<VcMeshReport, MeshError> {
-        self.run_with_observers(benchmark, rate, phases, &mut [])
+        let run = RunConfig::new(benchmark, rate)?.with_phases(phases);
+        Ok(drive(self, &run, &mut [], None)?)
+    }
+}
+
+impl Substrate for VcMeshNetwork {
+    type Node = usize;
+    type Model<'a> = VcMeshModel;
+    type Probes<'a> = ();
+    type Report = VcMeshReport;
+
+    fn endpoints(&self) -> usize {
+        self.config.size.endpoints()
     }
 
-    /// Runs one benchmark with caller-supplied observers on the engine's
-    /// event stream. Router nodes are identified by their linear index.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a non-positive rate or a traffic-layer
-    /// rejection.
-    pub fn run_with_observers(
-        &self,
-        benchmark: Benchmark,
-        rate: f64,
-        phases: Phases,
-        extra: &mut [&mut dyn Observer<usize>],
-    ) -> Result<VcMeshReport, MeshError> {
-        self.execute(benchmark, rate, phases, extra, None)
+    fn flits_per_packet(&self) -> u8 {
+        self.config.flits_per_packet
     }
 
-    /// Runs one benchmark with an armed fault table threaded into the
-    /// engine's injection hooks. Stall faults apply to credit-return
-    /// channels exactly as to data channels.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a non-positive rate or a traffic-layer
-    /// rejection.
-    pub fn run_with_faults(
-        &self,
-        benchmark: Benchmark,
-        rate: f64,
-        phases: Phases,
-        faults: &mut ArmedFaults,
-        extra: &mut [&mut dyn Observer<usize>],
-    ) -> Result<VcMeshReport, MeshError> {
-        self.execute(benchmark, rate, phases, extra, Some(faults))
+    fn seed(&self) -> u64 {
+        self.config.seed
     }
 
-    /// The legal fault-injection targets of this mesh. Every data *and*
-    /// credit channel is stallable; XY multicast reads destination
-    /// indices, not tree symbols, so there are no corruption sites.
-    #[must_use]
-    pub fn fault_domain(&self) -> FaultDomain {
-        let model = VcMeshModel::new(&self.config, Phases::paper_standard(false));
+    /// Every data *and* credit channel is stallable (stall faults apply
+    /// to credit-return channels exactly as to data channels); XY
+    /// multicast reads destination indices, not tree symbols, so there
+    /// are no corruption sites.
+    fn fault_domain(&self) -> FaultDomain {
+        let model = VcMeshModel::new(&self.config, Phases::paper_standard(false), false);
         FaultDomain {
             channels: model.wiring.len(),
-            endpoints: self.config.size.endpoints(),
+            endpoints: self.endpoints(),
             corrupt_sites: Vec::new(),
         }
     }
 
-    fn execute(
+    fn prepare(&self, run: &RunConfig) -> (VcMeshModel, ()) {
+        let model = VcMeshModel::new(&self.config, run.phases(), run.shards() == 1);
+        (model, ())
+    }
+
+    fn report(
         &self,
-        benchmark: Benchmark,
-        rate: f64,
-        phases: Phases,
-        extra: &mut [&mut dyn Observer<usize>],
-        faults: Option<&mut ArmedFaults>,
-    ) -> Result<VcMeshReport, MeshError> {
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(MeshError::InvalidRate { rate });
-        }
-        let n = self.config.size.endpoints();
-        let mut traffic = Vec::with_capacity(n);
-        for s in 0..n {
-            traffic.push(SourceTraffic::new(
-                benchmark,
-                n,
-                s,
-                rate,
-                self.config.flits_per_packet,
-                self.config.seed,
-            )?);
-        }
-
-        // Bridge the caller's observers into a local slice (see the MoT
-        // simulator for why the adapter is needed).
-        struct Extras<'x, 'y>(&'x mut [&'y mut dyn Observer<usize>]);
-        impl Observer<usize> for Extras<'_, '_> {
-            fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, usize>) {
-                for observer in self.0.iter_mut() {
-                    observer.on_event(at, in_window, event);
-                }
-            }
-        }
-        let mut extras = Extras(extra);
-
-        let model = VcMeshModel::new(&self.config, phases);
-        let spec = RunSpec::new(phases, true)
-            .with_scheduler(self.config.scheduler)
-            .with_profile(self.config.profile)
-            .with_progress(self.config.progress)
-            .with_latency_cap(self.config.latency_cap);
-        let observers: &mut [&mut dyn Observer<usize>] = &mut [&mut extras];
-        let shards = self.config.shards;
-        let (engine, model) = match faults {
-            None => asynoc_engine::run_sharded(model, traffic, spec, shards, observers),
-            Some(faults) => asynoc_engine::run_sharded_with_faults(
-                model, traffic, spec, shards, faults, observers,
-            ),
-        };
-
-        Ok(VcMeshReport {
-            latency: engine.latency,
-            throughput: engine.throughput,
-            packets_measured: engine.packets_measured,
-            packets_incomplete: engine.packets_incomplete,
+        _run: &RunConfig,
+        engine: EngineReport,
+        model: VcMeshModel,
+        _probes: (),
+    ) -> VcMeshReport {
+        VcMeshReport {
+            engine,
             mean_hops: model.mean_hops(),
             link_traversals: model.link_traversals,
             vc_pushes: model.vc_pushes,
             vc_peak: model.vc_peak,
             credit_checks: model.credit_checks,
             credit_violations: model.credit_violations,
-            flits_delivered: engine.flits_delivered,
-            flits_throttled: engine.flits_throttled,
-            events_processed: engine.events_processed,
-            shards: engine.shards,
-            shard_events: engine.shard_events,
-            wall: engine.wall,
-            profile: engine.profile,
-        })
+        }
     }
 }
 
@@ -569,7 +411,7 @@ impl RouterState {
 /// the `VC_COUNT` data channels then the `VC_COUNT` credit-return
 /// channels, then the injection channel, then the ejection channel.
 #[derive(Clone)]
-struct VcMeshModel {
+pub struct VcMeshModel {
     size: MeshSize,
     timing: VcMeshTiming,
     mcast: McastScheme,
@@ -605,7 +447,7 @@ struct VcMeshModel {
 }
 
 impl VcMeshModel {
-    fn new(config: &VcMeshConfig, phases: Phases) -> Self {
+    fn new(config: &VcMeshConfig, phases: Phases, ledger: bool) -> Self {
         let size = config.size;
         let n = size.endpoints();
         let mut wiring: Vec<ChannelEnds<usize>> = Vec::new();
@@ -665,7 +507,7 @@ impl VcMeshModel {
             timing: config.timing.clone(),
             mcast: config.mcast,
             phases,
-            ledger: config.shards == 1,
+            ledger,
             wiring,
             in_data,
             out_data,
@@ -1104,6 +946,7 @@ impl ShardModel for VcMeshModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asynoc_engine::Observer;
 
     fn quick_phases() -> Phases {
         Phases::new(Duration::from_ns(80), Duration::from_ns(800))
@@ -1234,11 +1077,11 @@ mod tests {
             let serial = net.run(Benchmark::Multicast5, 0.2, quick_phases()).unwrap();
             assert_eq!(serial.shards, 1);
             for shards in [2, 4] {
-                let config = net.config().clone().with_shards(shards);
-                let sharded = VcMeshNetwork::new(config)
+                let run = RunConfig::new(Benchmark::Multicast5, 0.2)
                     .unwrap()
-                    .run(Benchmark::Multicast5, 0.2, quick_phases())
-                    .unwrap();
+                    .with_phases(quick_phases())
+                    .with_shards(shards);
+                let sharded = drive(&net, &run, &mut [], None).unwrap();
                 assert_eq!(sharded.shards, shards);
                 assert_eq!(sharded.events_processed, serial.events_processed, "{mcast}");
                 assert_eq!(sharded.latency.mean(), serial.latency.mean(), "{mcast}");
@@ -1286,9 +1129,9 @@ mod tests {
             max_copies: 0,
             delivers: 0,
         };
-        let report = network(4, 4, McastScheme::XyTree)
-            .run_with_observers(Benchmark::Multicast10, 0.1, quick_phases(), &mut [&mut spy])
-            .unwrap();
+        let run = RunConfig::quick(Benchmark::Multicast10, 0.1);
+        let net = network(4, 4, McastScheme::XyTree);
+        let report = drive(&net, &run, &mut [&mut spy], None).unwrap();
         assert!(spy.forwards > 0, "routers forwarded nothing");
         assert!(spy.delivers > 0, "nothing delivered");
         assert!(spy.max_copies >= 2, "multicast never forked in-network");

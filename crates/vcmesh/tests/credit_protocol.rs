@@ -25,13 +25,12 @@ use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;
 
-use asynoc_engine::Observer;
 use asynoc_kernel::Duration;
 use asynoc_mesh::MeshSize;
 use asynoc_stats::Phases;
 use asynoc_telemetry::{JsonValue, StreamConfig, StreamSink, TimeSeries, WatchConfig};
 use asynoc_traffic::Benchmark;
-use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork, VcMeshReport};
+use asynoc_vcmesh::{drive, McastScheme, RunConfig, VcMeshConfig, VcMeshNetwork, VcMeshReport};
 
 /// Ten fixed seeds; Fibonacci so the spacing is irregular.
 const SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
@@ -42,19 +41,16 @@ fn phases() -> Phases {
     Phases::new(Duration::from_ns(80), Duration::from_ns(800))
 }
 
-fn network(seed: u64, mcast: McastScheme, shards: usize) -> VcMeshNetwork {
+fn network(seed: u64, mcast: McastScheme) -> VcMeshNetwork {
     let size = MeshSize::new(4, 4).expect("4x4 is a valid mesh size");
-    VcMeshNetwork::new(
-        VcMeshConfig::new(size)
-            .with_seed(seed)
-            .with_mcast(mcast)
-            .with_shards(shards),
-    )
-    .expect("config is valid")
+    VcMeshNetwork::new(VcMeshConfig::new(size).with_seed(seed).with_mcast(mcast))
+        .expect("config is valid")
 }
 
-fn run(seed: u64, mcast: McastScheme, shards: usize) -> VcMeshReport {
-    network(seed, mcast, shards)
+/// A serial run (the credit ledger only arms when one shard sees the
+/// whole fabric).
+fn run(seed: u64, mcast: McastScheme) -> VcMeshReport {
+    network(seed, mcast)
         .run(Benchmark::Multicast10, 0.1, phases())
         .expect("run succeeds")
 }
@@ -65,7 +61,7 @@ fn run(seed: u64, mcast: McastScheme, shards: usize) -> VcMeshReport {
 fn credits_are_conserved_and_never_negative_across_seeds() {
     for seed in SEEDS {
         for mcast in SCHEMES {
-            let report = run(seed, mcast, 1);
+            let report = run(seed, mcast);
             assert!(
                 report.credit_checks > 0,
                 "seed {seed} {mcast}: the credit ledger never armed"
@@ -85,7 +81,7 @@ fn credits_are_conserved_and_never_negative_across_seeds() {
 fn no_vc_deadlock_under_random_multicast_traffic() {
     for seed in SEEDS {
         for mcast in SCHEMES {
-            let report = run(seed, mcast, 1);
+            let report = run(seed, mcast);
             assert!(
                 report.packets_measured > 0,
                 "seed {seed} {mcast}: no packets measured — traffic never started"
@@ -120,7 +116,7 @@ impl Write for SharedBuf {
 fn progress_watchdog_stays_quiet_on_clean_multicast_runs() {
     for seed in SEEDS {
         let buf = SharedBuf::default();
-        let net = network(seed, McastScheme::Dpm, 1);
+        let net = network(seed, McastScheme::Dpm);
         let endpoints = net.config().size().endpoints();
         let mut sink = StreamSink::new(
             Box::new(buf.clone()),
@@ -137,11 +133,8 @@ fn progress_watchdog_stays_quiet_on_clean_multicast_runs() {
             Box::new(|router: usize| format!("r{router}")),
         )
         .expect("sink construction succeeds");
-        let report = {
-            let mut observers: [&mut dyn Observer<usize>; 1] = [&mut sink];
-            net.run_with_observers(Benchmark::Multicast10, 0.1, phases(), &mut observers)
-                .expect("run succeeds")
-        };
+        let run = RunConfig::quick(Benchmark::Multicast10, 0.1);
+        let report = drive(&net, &run, &mut [&mut sink], None).expect("run succeeds");
         assert_eq!(
             report.packets_incomplete, 0,
             "seed {seed}: run did not drain"

@@ -21,9 +21,10 @@
 # (`cargo build --release && cargo test -q`), adding the lint and
 # formatting checks this repository holds itself to, smoke runs of the
 # guarded benches (the zero-observer fast path, the analysis pipeline,
-# the disarmed fault hooks, the calendar-vs-heap scheduler hold
-# model, the serial halves of the sharded-engine bench, and the
-# credit-based VC mesh router must keep their per-event cost), a
+# the disarmed fault hooks, the event-queue hold model — the calendar
+# queue against its binary-heap reference — the serial halves of the
+# sharded-engine bench, and the credit-based VC mesh router must keep
+# their per-event cost), a
 # sharded-vs-serial differential gate (the same CLI run at
 # --shards 1/2/4 must print byte-identical reports; the VC mesh's
 # metrics document must match after dropping only the counters'
@@ -32,16 +33,15 @@
 # violated oracle exits non-zero), a profiled sharded round-trip (the
 # `--profile` document must carry the pinned asynoc-profile-v1 tag and
 # must not move a byte of stdout), and diffs of the `asynoc metrics` /
-# `asynoc analyze` / `asynoc faults` JSON report schemas plus the
-# asynoc-profile-v1 schema skeleton against the checked-in goldens so
-# report-format changes are always deliberate (the metrics golden pins
-# the mot, mesh, and vcmesh document shapes side by side). The
-# exploration autotuner gets three gates: an `asynoc explore --smoke`
-# run on the default 8x8 whose built-in regression guard asserts
-# OptHybridSpeculative lands on (or within tolerance of) the Pareto
-# front, a --jobs 1 vs --jobs 2 byte-identity diff of the same report,
-# and a diff of the asynoc-explore-v1 schema skeleton against its
-# golden. Streaming
+# `asynoc analyze` / `asynoc faults` / `asynoc explore` JSON report
+# schemas plus the asynoc-profile-v1 schema skeleton against the
+# checked-in goldens so report-format changes are always deliberate
+# (the metrics golden pins the mot, mesh, and vcmesh document shapes
+# side by side). The exploration autotuner gets two more gates: an
+# `asynoc explore --smoke` run on the default 8x8 whose built-in
+# regression guard asserts OptHybridSpeculative lands on (or within
+# tolerance of) the Pareto front, and a --jobs 1 vs --jobs 2
+# byte-identity diff of the same report. Streaming
 # telemetry gets two gates of its own: folding a `--stream` NDJSON file
 # back through `asynoc watch --fold` must reproduce the batch metrics
 # document byte for byte on every substrate at shards 1 and 2, and the
@@ -69,7 +69,7 @@ run_benches() {
     echo "==> faults bench (smoke, baseline-guarded: disarmed hooks stay free)"
     cargo bench -q -p asynoc-bench --bench faults -- --smoke \
         --json "$PWD/results/BENCH_faults.json"
-    echo "==> scheduler bench (smoke, baseline-guarded: calendar >= 1.3x heap at depth 4096)"
+    echo "==> scheduler bench (smoke, baseline-guarded: calendar queue >= 1.3x its heap reference at depth 4096)"
     cargo bench -q -p asynoc-bench --bench scheduler -- --smoke \
         --json "$PWD/results/BENCH_scheduler.json"
     echo "==> sharded bench (smoke, baseline-guarded; speedup gate arms at >= 4 threads)"
@@ -143,24 +143,6 @@ if [[ "$fast" -eq 0 ]]; then
     cargo run -q --release -p asynoc-cli -- analyze --trace-in "$tmpdir/vcmesh-trace.ndjson" \
         --report-out "$tmpdir/vcmesh-analysis.json" --top 5
 
-    echo "==> metrics report schema vs results/metrics_schema.golden.json"
-    diff results/metrics_schema.golden.json \
-        <(cargo run -q --release -p asynoc-bench --bin metrics_schema) \
-        || {
-            echo "metrics schema drifted; if intentional, regenerate with"
-            echo "  cargo run --release -p asynoc-bench --bin metrics_schema > results/metrics_schema.golden.json"
-            exit 1
-        }
-
-    echo "==> analysis report schema vs results/analysis_schema.golden.json"
-    diff results/analysis_schema.golden.json \
-        <(cargo run -q --release -p asynoc-bench --bin analysis_schema) \
-        || {
-            echo "analysis schema drifted; if intentional, regenerate with"
-            echo "  cargo run --release -p asynoc-bench --bin analysis_schema > results/analysis_schema.golden.json"
-            exit 1
-        }
-
     echo "==> sharded vs serial differential (mot, 64x64): --shards 1/2/4 must agree byte-for-byte"
     cargo run -q --release -p asynoc-cli -- run --arch OptHybridSpeculative \
         --benchmark Multicast5 --rate 0.2 --size 64 --shards 1 >"$tmpdir/mot-serial.txt"
@@ -232,15 +214,6 @@ if [[ "$fast" -eq 0 ]]; then
         exit 1
     }
 
-    echo "==> profile schema vs results/profile_schema.golden.json"
-    diff results/profile_schema.golden.json \
-        <(cargo run -q --release -p asynoc-bench --bin profile_schema) \
-        || {
-            echo "profile schema drifted; if intentional, regenerate with"
-            echo "  cargo run --release -p asynoc-bench --bin profile_schema > results/profile_schema.golden.json"
-            exit 1
-        }
-
     echo "==> fault oracle round-trip (mot): clean vs faulted under one seed"
     cargo run -q --release -p asynoc-cli -- faults --arch BasicHybridSpeculative \
         --benchmark Multicast5 --rate 0.2 --warmup-ns 20 --measure-ns 150 \
@@ -255,15 +228,6 @@ if [[ "$fast" -eq 0 ]]; then
     cargo run -q --release -p asynoc-cli -- faults --substrate vcmesh --mcast dpm \
         --benchmark Multicast5 --rate 0.1 --size 4 --warmup-ns 20 --measure-ns 150 \
         --oracle --report-out "$tmpdir/vcmesh-faults.json"
-
-    echo "==> faults report schema vs results/faults_schema.golden.json"
-    diff results/faults_schema.golden.json \
-        <(cargo run -q --release -p asynoc-bench --bin faults_schema) \
-        || {
-            echo "faults schema drifted; if intentional, regenerate with"
-            echo "  cargo run --release -p asynoc-bench --bin faults_schema > results/faults_schema.golden.json"
-            exit 1
-        }
 
     echo "==> explore smoke + regression guard (8x8): OptHybridSpeculative must sit on the front"
     # The command's built-in guard exits non-zero if the preset drifts
@@ -283,14 +247,16 @@ if [[ "$fast" -eq 0 ]]; then
         exit 1
     }
 
-    echo "==> explore report schema vs results/explore_schema.golden.json"
-    diff results/explore_schema.golden.json \
-        <(cargo run -q --release -p asynoc-bench --bin explore_schema) \
-        || {
-            echo "explore schema drifted; if intentional, regenerate with"
-            echo "  cargo run --release -p asynoc-bench --bin explore_schema > results/explore_schema.golden.json"
-            exit 1
-        }
+    for name in metrics analysis faults profile explore; do
+        echo "==> $name schema vs results/${name}_schema.golden.json"
+        diff "results/${name}_schema.golden.json" \
+            <(cargo run -q --release -p asynoc-bench --bin schema "$name") \
+            || {
+                echo "$name schema drifted; if intentional, regenerate with"
+                echo "  cargo run --release -p asynoc-bench --bin schema $name > results/${name}_schema.golden.json"
+                exit 1
+            }
+    done
 
     echo "==> stream fold-back gate: folded stream == batch metrics, byte for byte (all substrates, shards 1/2)"
     for sub in mot mesh vcmesh; do

@@ -82,9 +82,10 @@ fn mesh_trace(benchmark: Benchmark, rate: f64, seed: u64) -> (TraceMeta, Vec<Tra
     let phases = phases();
     let mut collector: TraceCollector<usize> =
         TraceCollector::new(1_000_000, Box::new(|router: usize| format!("r{router}")));
-    let mut observers: Vec<&mut dyn Observer<usize>> = vec![&mut collector];
-    net.run_with_observers(benchmark, rate, phases, &mut observers)
-        .expect("run succeeds");
+    let run = RunConfig::new(benchmark, rate)
+        .expect("positive rate")
+        .with_phases(phases);
+    asynoc::drive(&net, &run, &mut [&mut collector], None).expect("run succeeds");
     let meta = TraceMeta {
         substrate: "mesh".to_string(),
         arch: None,

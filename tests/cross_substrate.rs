@@ -3,12 +3,10 @@
 //! fabric — must tell one coherent story.
 
 use asynoc::{
-    Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Observer, Phases, RunConfig,
+    drive, Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases, RunConfig,
+    Substrate,
 };
-use asynoc_faults::{
-    judge, mesh_network, run_mesh_outcome, run_mot_outcome, run_vcmesh_outcome, vcmesh_network,
-    FaultPlan,
-};
+use asynoc_faults::{judge, mesh_network, run_outcome, vcmesh_network, FaultPlan};
 use asynoc_gates::mousetrap::{SpeculativeFork, StageDelays};
 use asynoc_gates::{vcd, GateSim};
 use asynoc_kernel::Time;
@@ -103,23 +101,13 @@ fn both_substrates_emit_round_trippable_ndjson_traces() {
     let mesh = MeshNetwork::new(MeshConfig::new(MeshSize::new(8, 8).expect("valid")).with_seed(9))
         .expect("valid config");
 
+    let run = RunConfig::new(Benchmark::Multicast10, 0.2)
+        .expect("positive rate")
+        .with_phases(phases);
     let mut mot_trace = TraceCollector::generic(50_000);
-    mot.run_with_observers(
-        &RunConfig::new(Benchmark::Multicast10, 0.2)
-            .expect("positive rate")
-            .with_phases(phases),
-        &mut [&mut mot_trace as &mut dyn Observer<_>],
-    )
-    .expect("MoT run succeeds");
-
-    let mut mesh_trace: TraceCollector<usize> = TraceCollector::generic(50_000);
-    mesh.run_with_observers(
-        Benchmark::Multicast10,
-        0.2,
-        phases,
-        &mut [&mut mesh_trace as &mut dyn Observer<usize>],
-    )
-    .expect("mesh run succeeds");
+    drive(&mot, &run, &mut [&mut mot_trace], None).expect("MoT run succeeds");
+    let mut mesh_trace = TraceCollector::generic(50_000);
+    drive(&mesh, &run, &mut [&mut mesh_trace], None).expect("mesh run succeeds");
 
     for (substrate, records) in [
         ("mot", mot_trace.into_records()),
@@ -155,49 +143,20 @@ fn one_recoverable_fault_plan_satisfies_the_oracle_on_both_substrates() {
     // contract on the MoT, on the mesh, and on the credit-based VC
     // mesh. Channel and source indices are chosen to exist in every
     // fault domain.
-    let phases = Phases::new(Duration::from_ns(20), Duration::from_ns(150));
-    let plan = FaultPlan::parse("stall:0:2:300;stall:1:1:200;drop:1:0:1:500").expect("valid plan");
-
-    let mot = Network::new(
-        NetworkConfig::new(
-            MotSize::new(8).expect("valid"),
-            Architecture::BasicHybridSpeculative,
-        )
-        .with_seed(7),
-    )
-    .expect("valid config");
-    let mot_domain = mot.fault_domain();
-    let run = RunConfig::new(Benchmark::UniformRandom, 0.1)
-        .expect("positive rate")
-        .with_phases(phases);
-    let mot_clean = run_mot_outcome(&mot, &run, None).expect("clean MoT run");
-    let mot_faulted = run_mot_outcome(&mot, &run, Some(&plan)).expect("faulted MoT run");
-
-    let mesh = mesh_network(4, 7, 5, 1).expect("valid mesh");
-    let mesh_domain = mesh.fault_domain();
-    let mesh_clean = run_mesh_outcome(&mesh, Benchmark::UniformRandom, 0.1, phases, None)
-        .expect("clean mesh run");
-    let mesh_faulted = run_mesh_outcome(&mesh, Benchmark::UniformRandom, 0.1, phases, Some(&plan))
-        .expect("faulted mesh run");
-
-    let vcmesh = vcmesh_network(4, 7, 5, 1, McastScheme::XyTree).expect("valid vcmesh");
-    let vcmesh_domain = vcmesh.fault_domain();
-    let vcmesh_clean = run_vcmesh_outcome(&vcmesh, Benchmark::UniformRandom, 0.1, phases, None)
-        .expect("clean vcmesh run");
-    let vcmesh_faulted =
-        run_vcmesh_outcome(&vcmesh, Benchmark::UniformRandom, 0.1, phases, Some(&plan))
-            .expect("faulted vcmesh run");
-
-    for (substrate, clean, faulted, domain) in [
-        ("mot", &mot_clean, &mot_faulted, &mot_domain),
-        ("mesh", &mesh_clean, &mesh_faulted, &mesh_domain),
-        ("vcmesh", &vcmesh_clean, &vcmesh_faulted, &vcmesh_domain),
-    ] {
+    fn check<S: Substrate>(substrate: &str, net: &S) {
+        let plan =
+            FaultPlan::parse("stall:0:2:300;stall:1:1:200;drop:1:0:1:500").expect("valid plan");
+        let run = RunConfig::new(Benchmark::UniformRandom, 0.1)
+            .expect("positive rate")
+            .with_phases(Phases::new(Duration::from_ns(20), Duration::from_ns(150)));
+        let domain = net.fault_domain();
+        let clean = run_outcome(net, &run, None, &mut []).expect("clean run");
+        let faulted = run_outcome(net, &run, Some(&plan), &mut []).expect("faulted run");
         assert!(
-            plan.recoverable(domain),
+            plan.recoverable(&domain),
             "{substrate}: stalls and retried drops are recoverable everywhere"
         );
-        let verdict = judge(clean, faulted, &plan, domain);
+        let verdict = judge(&clean, &faulted, &plan, &domain);
         assert!(verdict.recoverable, "{substrate}: judged as recoverable");
         assert!(
             verdict.pass(),
@@ -209,6 +168,21 @@ fn one_recoverable_fault_plan_satisfies_the_oracle_on_both_substrates() {
             "{substrate}: delivery multiset untouched"
         );
     }
+
+    let mot = Network::new(
+        NetworkConfig::new(
+            MotSize::new(8).expect("valid"),
+            Architecture::BasicHybridSpeculative,
+        )
+        .with_seed(7),
+    )
+    .expect("valid config");
+    check("mot", &mot);
+    check("mesh", &mesh_network(4, 7, 5).expect("valid mesh"));
+    check(
+        "vcmesh",
+        &vcmesh_network(4, 7, 5, McastScheme::XyTree).expect("valid vcmesh"),
+    );
 }
 
 #[test]
@@ -269,16 +243,15 @@ fn multicast_delivery_multisets_agree_across_substrates() {
     let run = RunConfig::new(Benchmark::Multicast5, 0.1)
         .expect("positive rate")
         .with_phases(phases);
-    let reference = run_mot_outcome(&mot, &run, None).expect("MoT run");
+    let reference = run_outcome(&mot, &run, None, &mut []).expect("MoT run");
     assert!(
         reference.deliveries.keys().any(|(_, _)| true),
         "reference run delivered nothing"
     );
 
     for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
-        let net = vcmesh_network(4, 7, 5, 1, mcast).expect("valid vcmesh");
-        let outcome =
-            run_vcmesh_outcome(&net, Benchmark::Multicast5, 0.1, phases, None).expect("vcmesh run");
+        let net = vcmesh_network(4, 7, 5, mcast).expect("valid vcmesh");
+        let outcome = run_outcome(&net, &run, None, &mut []).expect("vcmesh run");
         assert_eq!(
             outcome.deliveries, reference.deliveries,
             "{mcast}: delivery multiset diverged from the MoT reference"

@@ -10,8 +10,9 @@
 
 use asynoc::{
     Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases, RunConfig,
+    Substrate,
 };
-use asynoc_faults::{judge, mesh_network, run_mesh_outcome, run_mot_outcome, FaultPlan};
+use asynoc_faults::{judge, mesh_network, run_outcome, FaultPlan};
 
 fn mot_net(seed: u64) -> Network {
     Network::new(
@@ -41,7 +42,7 @@ fn fifty_seeded_recoverable_plans_satisfy_the_oracle_on_mot() {
     for net_seed in 0..5u64 {
         let net = mot_net(net_seed);
         let domain = net.fault_domain();
-        let clean = run_mot_outcome(&net, &run, None).expect("clean run");
+        let clean = run_outcome(&net, &run, None, &mut []).expect("clean run");
         assert!(!clean.deliveries.is_empty(), "clean twin delivered traffic");
         for plan_seed in 0..10u64 {
             let plan = FaultPlan::random(net_seed * 1_000 + plan_seed, 0.15, &domain);
@@ -50,7 +51,7 @@ fn fifty_seeded_recoverable_plans_satisfy_the_oracle_on_mot() {
                 plan.recoverable(&domain),
                 "random plans draw recoverable entries only"
             );
-            let faulted = run_mot_outcome(&net, &run, Some(&plan)).expect("faulted run");
+            let faulted = run_outcome(&net, &run, Some(&plan), &mut []).expect("faulted run");
             let verdict = judge(&clean, &faulted, &plan, &domain);
             assert!(verdict.recoverable);
             assert!(
@@ -69,11 +70,12 @@ fn fifty_seeded_recoverable_plans_satisfy_the_oracle_on_mot() {
 
 #[test]
 fn seeded_recoverable_plans_satisfy_the_oracle_on_the_mesh() {
-    let phases = Phases::new(Duration::from_ns(20), Duration::from_ns(150));
-    let net = mesh_network(4, 7, 5, 1).expect("valid mesh");
+    let run = RunConfig::new(Benchmark::UniformRandom, 0.1)
+        .expect("positive rate")
+        .with_phases(Phases::new(Duration::from_ns(20), Duration::from_ns(150)));
+    let net = mesh_network(4, 7, 5).expect("valid mesh");
     let domain = net.fault_domain();
-    let clean =
-        run_mesh_outcome(&net, Benchmark::UniformRandom, 0.1, phases, None).expect("clean run");
+    let clean = run_outcome(&net, &run, None, &mut []).expect("clean run");
     assert!(!clean.deliveries.is_empty(), "clean twin delivered traffic");
     for plan_seed in 0..10u64 {
         let plan = FaultPlan::random(plan_seed, 0.15, &domain);
@@ -81,8 +83,7 @@ fn seeded_recoverable_plans_satisfy_the_oracle_on_the_mesh() {
             plan.recoverable(&domain),
             "mesh random plans are recoverable"
         );
-        let faulted = run_mesh_outcome(&net, Benchmark::UniformRandom, 0.1, phases, Some(&plan))
-            .expect("faulted run");
+        let faulted = run_outcome(&net, &run, Some(&plan), &mut []).expect("faulted run");
         let verdict = judge(&clean, &faulted, &plan, &domain);
         assert!(
             verdict.pass(),
@@ -106,8 +107,8 @@ fn lethal_losses_reconcile_ledger_against_span_analysis() {
     let plan = FaultPlan::parse("lose:0:0;lose:3:1;lose:6:0").expect("valid");
     assert!(!plan.recoverable(&domain));
 
-    let clean = run_mot_outcome(&net, &run, None).expect("clean run");
-    let faulted = run_mot_outcome(&net, &run, Some(&plan)).expect("faulted run");
+    let clean = run_outcome(&net, &run, None, &mut []).expect("clean run");
+    let faulted = run_outcome(&net, &run, Some(&plan), &mut []).expect("faulted run");
 
     assert_eq!(faulted.summary.lost, 3, "all three losses fired");
     assert_eq!(faulted.ledger.lost(), 3, "the ledger saw all of them");

@@ -6,7 +6,7 @@
 //! zero external dependencies and fails reproducibly.
 
 use asynoc::{Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
-use asynoc_faults::{replay_command, run_mot_outcome, shrink_plan, FaultEntry, FaultPlan};
+use asynoc_faults::{replay_command, run_outcome, shrink_plan, FaultEntry, FaultPlan};
 use asynoc_kernel::SimRng;
 
 fn benchmarks() -> Vec<Benchmark> {
@@ -130,14 +130,14 @@ fn failing_fault_plans_shrink_to_a_minimal_reproducer() {
     let run = RunConfig::new(Benchmark::Multicast5, 0.2)
         .expect("positive rate")
         .with_phases(Phases::new(Duration::from_ns(20), Duration::from_ns(120)));
-    let clean = run_mot_outcome(&network, &run, None).expect("clean run");
+    let clean = run_outcome(&network, &run, None, &mut []).expect("clean run");
 
     // One lethal loss buried in recoverable noise. The noise entries
     // leave the delivered multiset untouched; only the loss diverges it.
     let plan = FaultPlan::parse("stall:0:3:300;drop:1:0:1:500;lose:2:0;stall:5:2:200")
         .expect("valid plan");
     let diverges = |candidate: &FaultPlan| {
-        let faulted = run_mot_outcome(&network, &run, Some(candidate)).expect("faulted run");
+        let faulted = run_outcome(&network, &run, Some(candidate), &mut []).expect("faulted run");
         faulted.deliveries != clean.deliveries
     };
     assert!(diverges(&plan), "the full plan reproduces the divergence");
@@ -148,7 +148,7 @@ fn failing_fault_plans_shrink_to_a_minimal_reproducer() {
         vec![FaultEntry::Lose { source: 2, nth: 0 }],
         "shrinking isolates the lethal entry"
     );
-    let faulted = run_mot_outcome(&network, &run, Some(&minimal)).expect("minimal run");
+    let faulted = run_outcome(&network, &run, Some(&minimal), &mut []).expect("minimal run");
     assert_ne!(
         faulted.deliveries, clean.deliveries,
         "the minimal plan still reproduces"
