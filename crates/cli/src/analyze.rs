@@ -17,6 +17,7 @@ use asynoc_telemetry::{parse_trace, parse_trace_lenient};
 use crate::commands::CliError;
 
 /// A fully-resolved `analyze` invocation.
+#[derive(Clone, Debug, PartialEq)]
 pub struct AnalyzeRequest {
     /// The NDJSON trace to ingest.
     pub trace_in: String,

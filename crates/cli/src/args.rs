@@ -1,155 +1,335 @@
-//! Hand-rolled argument parsing (no external dependencies).
+//! The command line, declared once: [`FLAGS`] says which flags exist, whether
+//! they take a value and how `help` describes them; [`COMMANDS`] says which
+//! command accepts or refuses which. [`parse`] and [`help`] both read the two
+//! tables, so a new flag is one row plus the field that consumes it.
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 use asynoc::explore::Granularity;
 use asynoc::{Architecture, Benchmark};
 use asynoc_vcmesh::McastScheme;
 
-/// The usage text printed by `asynoc help` and on parse errors.
-pub const USAGE: &str = "\
-asynoc — asynchronous Mesh-of-Trees NoC simulator (DAC'16 local-speculation multicast)
+use crate::analyze::AnalyzeRequest;
+use crate::explore::ExploreRequest;
+use crate::faults::FaultsRequest;
+use crate::metrics::MetricsRequest;
+use crate::watch::WatchRequest;
 
-USAGE:
-  asynoc run      (--arch <A> | --spec-map <M>) --benchmark <B> --rate <flits/ns>
-                  [--seeds <K>] [common options]
-  asynoc saturate --arch <A> --benchmark <B> [--quick] [--probe-fan <K>] [common options]
-  asynoc sweep    --arch <A> --benchmark <B> --from <R0> --to <R1> --steps <K> [common options]
-  asynoc mesh     --benchmark <B> --rate <flits/ns> [--cols <C>] [--rows <R>] [common options]
-  asynoc metrics  --benchmark <B> --rate <flits/ns> [--arch <A> | --spec-map <M>]
-                  [--substrate mot|mesh|vcmesh] [--mcast xy-tree|dpm]
-                  [--metrics-out <path>] [--trace-format ndjson|chrome] [--trace-out <path>]
-                  [--trace-limit <K>] [--bin-ns <W>] [common options]
-  asynoc analyze  --trace-in <path> [--report-out <path>] [--top <N>] [--heatmap] [--lenient]
-                  [--profile <path>]
-  asynoc faults   --benchmark <B> --rate <flits/ns> [--arch <A> | --spec-map <M>]
-                  [--substrate mot|mesh|vcmesh] [--mcast xy-tree|dpm]
-                  [--plan <encoded>] [--fault-rate <D>] [--oracle] [--report-out <path>]
-                  [common options]
-  asynoc explore  [--benchmark <B>] [--rate <flits/ns>] [--granularity level|node]
-                  [--beam <K>] [--max-points <N>] [--guard <A|none>] [--tolerance <T>]
-                  [--report-out <path>] [--smoke] [common options]
-  asynoc watch    --stream-in <path|-> [--fold <path|->] [--once] [--interval-ms <T>]
-  asynoc info     [--arch <A>] [--size <N>]
-  asynoc help
+/// The `help` section a flag is listed under. Commands accept the two
+/// shared sections wholesale and every other flag by name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Group {
+    /// Listed with the commands that name it.
+    Own,
+    /// The options the simulation commands share.
+    Common,
+    /// `--stream` and its modifiers (the single-run commands).
+    Stream,
+}
+use Group::{Common, Own, Stream};
 
-COMMON OPTIONS:
-  --size <N>        network size (power of two, 2..=64; default 8)
-  --seed <S>        RNG seed (default 42)
-  --flits <F>       flits per packet (default 5)
-  --warmup-ns <W>   warmup window in ns (default: paper standard)
-  --measure-ns <M>  measurement window in ns (default: paper standard)
-  --jobs <J>        worker threads for independent runs (default: all
-                    hardware threads; results are bit-identical at any
-                    setting — only wall time changes)
-  --shards <S>      conservative shards splitting each single run across
-                    threads (default: all hardware threads, clamped to what
-                    the topology supports; results are bit-identical at any
-                    setting — only wall time changes)
-  --profile <path>  write an asynoc-profile-v1 JSON self-profile of the
-                    simulator's own execution (scheduler counters, per-shard
-                    balance, barrier waits, phase wall splits) to <path>.
-                    Never changes simulation results. Multi-run commands
-                    (run --seeds, saturate, sweep, faults --oracle) collect
-                    one runs[] entry per simulation
-  --progress        single-line stderr heartbeat (events done, events/s,
-                    per-shard lag), refreshed a few times per second; only
-                    written when stderr is a terminal (set
-                    ASYNOC_PROGRESS_FORCE=1 to override). Never changes
-                    simulation results
+/// One row of the flag table.
+#[derive(Debug)]
+pub struct Flag {
+    /// The name, without the leading `--`.
+    pub name: &'static str,
+    /// The value placeholder `help` prints; empty for a bare flag.
+    pub value: &'static str,
+    /// The `help` section.
+    pub group: Group,
+    /// What `help` says about it.
+    pub help: &'static str,
+}
 
-STREAMING OPTIONS (run, mesh, metrics, faults):
-  --stream <path|->       append asynoc-stream-v1 NDJSON telemetry to
-                          <path> (`-` = stdout) while the run executes:
-                          a head record, one window record per flushed
-                          simulated-time window (counter deltas, latency
-                          delta, time-series bins), watchpoint records as
-                          online invariants fire, and an end record with
-                          the scalar summary sections. Memory stays
-                          bounded by the window, not the run length.
-                          Never changes simulation results
-  --stream-window-ns <W>  flush window width in ns (default 1000; on
-                          `metrics` it must be a multiple of --bin-ns)
-  --stream-trace          also emit per-event trace records into the
-                          stream (bounded per window by --trace-limit
-                          where available, else 100000)
-  --watch-fatal           exit non-zero after the run when any online
-                          watchpoint (token-conservation violation, stall,
-                          busy watermark, waste-rate ceiling) fired
+const fn flag(name: &'static str, value: &'static str, group: Group, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value,
+        group,
+        help,
+    }
+}
 
-SPECULATION MAPS (run, metrics, faults — mot substrate only):
-  --spec-map <M>    an explicit speculation placement instead of a preset
-                    --arch (the two are mutually exclusive; exactly one is
-                    required on the mot substrate). Forms:
-                      ArchitectureName            a preset by name
-                      preset:ArchitectureName     same, explicit
-                      levels:sp,ns,ns             one kind per fanout level,
-                                                  root first (base, ns, sp,
-                                                  ons, osp)
-                      levels:...;node:T.L.I=kind  per-node overrides on top
-                                                  of the level kinds (tree T,
-                                                  level L, index I)
-                      @path                       JSON file: {\"preset\": ...}
-                                                  or {\"levels\": [...],
-                                                  \"nodes\": [{\"tree\",
-                                                  \"level\", \"index\",
-                                                  \"kind\"}]}
-                    Leaf-level nodes must be non-speculative (the fanin
-                    network cannot throttle), and the serial baseline kind
-                    cannot be mixed with parallel-multicast kinds.
+/// Every flag the CLI knows, one row each.
+#[rustfmt::skip]
+pub const FLAGS: &[Flag] = &[
+    flag("arch",             "<A>",             Own,    "architecture preset (see ARCHITECTURES)"),
+    flag("spec-map",         "<M>",             Own,    SPEC_MAP_HELP),
+    flag("benchmark",        "<B>",             Own,    "traffic benchmark (see BENCHMARKS)"),
+    flag("rate",             "<flits/ns>",      Own,    "offered load per source"),
+    flag("seeds",            "<K>",             Own,    "replicate over seeds S, S+1, … S+K−1"),
+    flag("quick",            "",                Own,    "the fast low-precision search preset"),
+    flag("probe-fan",        "<K>",             Own,    "rates probed per search round"),
+    flag("from",             "<R0>",            Own,    "first offered load"),
+    flag("to",               "<R1>",            Own,    "last offered load"),
+    flag("steps",            "<K>",             Own,    "number of load points (at least 2)"),
+    flag("cols",             "<C>",             Own,    "mesh columns (default 4)"),
+    flag("rows",             "<R>",             Own,    "mesh rows (default 4)"),
+    flag("substrate",        "mot|mesh|vcmesh", Own,    "the fabric to run on (default mot)"),
+    flag("mcast",            "xy-tree|dpm",     Own,    "vcmesh multicast scheme (default xy-tree)"),
+    flag("metrics-out",      "<path>",          Own,    "write the JSON report here, not to stdout"),
+    flag("trace-format",     "ndjson|chrome",   Own,    "flit-trace format (default ndjson)"),
+    flag("trace-out",        "<path>",          Own,    "export the flit trace here"),
+    flag("trace-limit",      "<K>",             Own,    "maximum trace events recorded (default 100000)"),
+    flag("bin-ns",           "<W>",             Own,    "time-series bin width, ns (default 100)"),
+    flag("trace-in",         "<path>",          Own,    "the NDJSON flit trace to analyze"),
+    flag("report-out",       "<path>",          Own,    "write the JSON report here, not to stdout"),
+    flag("top",              "<N>",             Own,    "bound on the ranked lists (default 10)"),
+    flag("heatmap",          "",                Own,    "print the text congestion heatmaps"),
+    flag("lenient",          "",                Own,    "skip (and count) malformed lines"),
+    flag("plan",             "<encoded>",       Own,    "replay an encoded fault campaign"),
+    flag("fault-rate",       "<D>",             Own,    "density of a drawn plan (default 0.15)"),
+    flag("oracle",           "",                Own,    "judge the run against a clean twin"),
+    flag("granularity",      "level|node",      Own,    "search unit (default level)"),
+    flag("beam",             "<K>",             Own,    "placements kept per beam round (default 4)"),
+    flag("max-points",       "<N>",             Own,    "bound on the number of simulations"),
+    flag("guard",            "<A|none>",        Own,    "preset asserted on or near the front"),
+    flag("tolerance",        "<T>",             Own,    "relative guard tolerance (default 0.05)"),
+    flag("smoke",            "",                Own,    "shrink windows and load for CI"),
+    flag("stream-in",        "<path|->",        Own,    "the stream to follow (`-` = stdin, read once)"),
+    flag("fold",             "<path|->",        Own,    "fold the stream into a batch metrics document"),
+    flag("once",             "",                Own,    "read what is there and exit"),
+    flag("interval-ms",      "<T>",             Own,    "tail poll period (default 200)"),
+    flag("size",             "<N>",             Common, "network size (power of two, 2..=64; default 8)"),
+    flag("seed",             "<S>",             Common, "RNG seed (default 42)"),
+    flag("flits",            "<F>",             Common, "flits per packet (default 5)"),
+    flag("warmup-ns",        "<W>",             Common, "warmup window in ns (default: paper standard)"),
+    flag("measure-ns",       "<M>",             Common, "measurement window in ns (default: paper standard)"),
+    flag("jobs",             "<J>",             Common, "worker threads for independent runs"),
+    flag("shards",           "<S>",             Common, "conservative shards splitting each single run"),
+    flag("profile",          "<path>",          Common, "write an asynoc-profile-v1 JSON self-profile here"),
+    flag("progress",         "",                Common, "single-line stderr heartbeat"),
+    flag("stream",           "<path|->",        Stream, "append asynoc-stream-v1 NDJSON telemetry here"),
+    flag("stream-window-ns", "<W>",             Stream, "flush window width in ns (default 1000)"),
+    flag("stream-trace",     "",                Stream, "also emit per-event trace records"),
+    flag("watch-fatal",      "",                Stream, "exit non-zero when any online watchpoint fired"),
+];
 
-  run:      --seeds <K> replicates the run over seeds S, S+1, … S+K−1
-            (fanned across --jobs workers) and reports per-seed results
-            plus mean ± sample std dev.
-  saturate: --probe-fan <K> probes K rates per search round (k-section;
-            deterministic, but K changes which rates are probed)
-  metrics:  one instrumented run emitting a JSON report (latency
-            percentiles, time-series, speculation-waste ledger, power).
-            --arch is required on the mot substrate; the vcmesh substrate
-            (credit-based VC mesh with in-network multicast) takes
-            --mcast to pick its multicast scheme (xy-tree default, dpm =
-            Dynamic Partition Merging); --trace-out exports
-            the flit trace (ndjson default, chrome is Perfetto-loadable);
-            --bin-ns sets the time-series bin width (default 100)
-  analyze:  offline causal analysis over an NDJSON flit trace (from
-            metrics --trace-out): per-packet critical paths, blocked-time
-            attribution, congestion heatmaps, speculation scorecard.
-            --top bounds the ranked lists (default 10); --heatmap prints
-            the text maps; --lenient skips malformed lines (counted in
-            the report) instead of failing
-  faults:   one deterministic fault-injection run emitting a JSON fault
-            report. --plan replays an encoded campaign
-            (stall:3:2:500;lose:0:1;...); without it a recoverable plan
-            is drawn from --seed and --fault-rate (density, default
-            0.15). --oracle pairs the run with a clean twin under the
-            same seed and judges the conformance contract. --stream
-            exports the faulted run only (the clean twin stays untouched)
-  explore:  search the speculation-placement design space and report the
-            Pareto front (p50/p99 latency, power, area) as an
-            asynoc-explore-v1 JSON document. --granularity level (default)
-            enumerates every per-level placement exhaustively; node runs a
-            deterministic beam search over per-node placements seeded with
-            the per-level front (--beam placements per round, default 4).
-            --max-points bounds the number of simulations; an exhausted
-            budget still reports the front over what was evaluated, with
-            \"truncated\": true. --guard (default OptHybridSpeculative;
-            none disables) asserts the preset lands on or within
-            --tolerance (default 0.05, relative per objective) of the
-            front, exiting non-zero otherwise. --smoke shrinks windows and
-            load for CI. Results are bit-identical at any --jobs value.
-            Fault injection, streaming, and profiling are per-run tools
-            and are rejected here; replay one placement with
-            `asynoc faults --spec-map` / `asynoc metrics --spec-map`
-  watch:    tail an asynoc-stream-v1 NDJSON file (from --stream) and
-            render a live dashboard: events/s, in-flight flits, per-level
-            busy fractions, watchpoint alerts. --once reads what is there
-            and exits; --fold folds the finished stream back into the
-            batch asynoc-metrics-v1 document (byte-identical for
-            `metrics --stream` runs) and writes it to <path> (`-` =
-            stdout); --interval-ms sets the tail poll period (default 200)
+const SPEC_MAP_HELP: &str = "\
+an explicit speculation placement instead of a preset --arch
+(mutually exclusive; the mot substrate requires exactly one):
+  ArchitectureName            a preset by name
+  preset:ArchitectureName     same, explicit
+  levels:sp,ns,ns             one kind per fanout level, root first
+                              (base, ns, sp, ons, osp)
+  levels:...;node:T.L.I=kind  per-node overrides on top of the level
+                              kinds (tree T, level L, index I)
+  @path                       JSON file: {\"preset\": ...} or
+                              {\"levels\": [...], \"nodes\": [{\"tree\",
+                              \"level\", \"index\", \"kind\"}]}
+Leaf-level nodes must be non-speculative (the fanin network cannot
+throttle), and the serial baseline kind cannot be mixed with
+parallel-multicast kinds.";
 
+/// The `help` sections in print order: heading and the prose under its rows.
+const SECTIONS: [(Group, &str, &str); 3] = [
+    (Own, "OPTIONS", ""),
+    (
+        Common,
+        "COMMON OPTIONS",
+        "--jobs and --shards default to all hardware threads (shards clamped to\n\
+         what the topology supports); results are bit-identical at any setting —\n\
+         only wall time changes. --profile records the simulator's own execution\n\
+         (scheduler counters, per-shard balance, barrier waits, phase wall\n\
+         splits); multi-run commands (run --seeds, saturate, sweep, faults\n\
+         --oracle) collect one runs[] entry per simulation. --progress reports\n\
+         events done, events/s and per-shard lag a few times per second, only\n\
+         when stderr is a terminal (set ASYNOC_PROGRESS_FORCE=1 to override).\n\
+         Neither changes simulation results.",
+    ),
+    (
+        Stream,
+        "STREAMING OPTIONS",
+        "--stream (`-` = stdout) writes while the run executes: a head record,\n\
+         one window record per flushed simulated-time window (counter deltas,\n\
+         latency delta, time-series bins), watchpoint records as online\n\
+         invariants fire (token-conservation violation, stall, busy watermark,\n\
+         waste-rate ceiling), and an end record with the scalar summary\n\
+         sections. Memory stays bounded by the window, not the run length, and\n\
+         simulation results never change. On `metrics` the window must be a\n\
+         multiple of --bin-ns. --stream-trace is bounded per window by\n\
+         --trace-limit where available, else 100000.",
+    ),
+];
+
+/// One row of the command table.
+pub struct CommandSpec {
+    /// The command word.
+    pub name: &'static str,
+    /// The usage line(s) after `asynoc <name>`. This is also what the
+    /// command accepts: every `--flag` it names, and the shared sections
+    /// it mentions as `[common options]` / `[streaming options]`.
+    pub synopsis: &'static str,
+    /// What it refuses with a reason rather than as unknown: space-separated
+    /// flag names, then the message (`{}` stands for the flag as typed). A
+    /// row here overrides the synopsis.
+    pub rejects: &'static [(&'static str, &'static str)],
+    /// What `help` says about the command.
+    pub notes: &'static str,
+    build: fn(&Flags) -> Parsed<Command>,
+}
+
+impl CommandSpec {
+    fn reason_against(&self, name: &str) -> Option<&'static str> {
+        let listed = |(names, _): &&(&str, _)| names.split(' ').any(|listed| listed == name);
+        self.rejects.iter().find(listed).map(|(_, reason)| *reason)
+    }
+
+    /// Whether the command takes `flag`.
+    #[must_use]
+    pub fn accepts(&self, flag: &Flag) -> bool {
+        let section = match flag.group {
+            Own => None,
+            Common => Some("common"),
+            Stream => Some("streaming"),
+        };
+        let mut words = self.synopsis.split([' ', '\n', '[', ']', '(', ')']);
+        self.reason_against(flag.name).is_none()
+            && words.any(|word| Some(word) == section || word.strip_prefix("--") == Some(flag.name))
+    }
+}
+
+/// Every command, in `help` order.
+pub const COMMANDS: &[CommandSpec] = &[
+    CommandSpec {
+        name: "run",
+        synopsis: "(--arch <A> | --spec-map <M>) --benchmark <B> --rate <flits/ns>\n\
+                   [--seeds <K>] [common options] [streaming options]",
+        rejects: &[],
+        notes: "one measurement run on the MoT network. --seeds <K> replicates it\n\
+                (fanned across --jobs workers) and reports per-seed results plus\n\
+                mean ± sample std dev.",
+        build: run,
+    },
+    CommandSpec {
+        name: "saturate",
+        synopsis: "--arch <A> --benchmark <B> [--quick] [--probe-fan <K>] [common options]",
+        rejects: &[],
+        notes: "saturation search. --probe-fan <K> probes K rates per search round\n\
+                (k-section; deterministic, but K changes which rates are probed).",
+        build: saturate,
+    },
+    CommandSpec {
+        name: "sweep",
+        synopsis: "--arch <A> --benchmark <B> --from <R0> --to <R1> --steps <K>\n\
+                   [common options]",
+        rejects: &[],
+        notes: "latency versus offered load over evenly spaced points.",
+        build: sweep,
+    },
+    CommandSpec {
+        name: "mesh",
+        synopsis: "--benchmark <B> --rate <flits/ns> [--cols <C>] [--rows <R>]\n\
+                   [common options] [streaming options]",
+        rejects: &[(
+            "size",
+            "{} does not shape `asynoc mesh`; the fabric is --cols <C> by --rows <R> \
+             (default 4 by 4)",
+        )],
+        notes: "one measurement run on the 2D-mesh comparison fabric, shaped by\n\
+                --cols and --rows (not --size).",
+        build: mesh,
+    },
+    CommandSpec {
+        name: "metrics",
+        synopsis: "--benchmark <B> --rate <flits/ns> [--arch <A> | --spec-map <M>]\n\
+                   [--substrate mot|mesh|vcmesh] [--mcast xy-tree|dpm]\n\
+                   [--metrics-out <path>] [--trace-format ndjson|chrome]\n\
+                   [--trace-out <path>] [--trace-limit <K>] [--bin-ns <W>]\n\
+                   [common options] [streaming options]",
+        rejects: &[],
+        notes: "one instrumented run emitting a JSON report (latency percentiles,\n\
+                time-series, speculation-waste ledger, power). A placement is\n\
+                required on the mot substrate and refused elsewhere; the vcmesh\n\
+                substrate (credit-based VC mesh with in-network multicast) takes\n\
+                --mcast to pick its multicast scheme (xy-tree default, dpm =\n\
+                Dynamic Partition Merging); --trace-out exports the flit trace\n\
+                (ndjson default, chrome is Perfetto-loadable).",
+        build: metrics,
+    },
+    CommandSpec {
+        name: "analyze",
+        synopsis: "--trace-in <path> [--report-out <path>] [--top <N>] [--heatmap]\n\
+                   [--lenient] [--profile <path>]",
+        rejects: &[],
+        notes: "offline causal analysis over an NDJSON flit trace (from metrics\n\
+                --trace-out): per-packet critical paths, blocked-time attribution,\n\
+                congestion heatmaps, speculation scorecard.",
+        build: analyze,
+    },
+    CommandSpec {
+        name: "faults",
+        synopsis: "--benchmark <B> --rate <flits/ns> [--arch <A> | --spec-map <M>]\n\
+                   [--substrate mot|mesh|vcmesh] [--mcast xy-tree|dpm]\n\
+                   [--plan <encoded>] [--fault-rate <D>] [--oracle]\n\
+                   [--report-out <path>] [common options] [streaming options]",
+        rejects: &[],
+        notes: "one deterministic fault-injection run emitting a JSON fault report.\n\
+                --plan replays an encoded campaign (stall:3:2:500;lose:0:1;...);\n\
+                without it a recoverable plan is drawn from --seed and --fault-rate\n\
+                (density). --oracle judges the conformance contract against a clean\n\
+                twin; --stream exports the faulted run only.",
+        build: faults,
+    },
+    CommandSpec {
+        name: "explore",
+        synopsis: "[--benchmark <B>] [--rate <flits/ns>] [--granularity level|node]\n\
+                   [--beam <K>] [--max-points <N>] [--guard <A|none>]\n\
+                   [--tolerance <T>] [--report-out <path>] [--smoke]\n\
+                   [common options]",
+        rejects: &[
+            (
+                "plan fault-rate oracle",
+                "explore scores fault-free runs; {} is not available (replay one placement \
+                 under faults with `asynoc faults --spec-map <map>`)",
+            ),
+            (
+                "stream stream-window-ns stream-trace watch-fatal",
+                "explore drives many runs through one invocation; {} is not available \
+                 (stream one placement with `asynoc metrics --spec-map <map> --stream <path>`)",
+            ),
+            (
+                "profile progress",
+                "explore drives many runs through one invocation; {} is not available \
+                 (profile one placement with `asynoc run --spec-map <map> --profile <path>`)",
+            ),
+        ],
+        notes: "search the speculation-placement design space and report the Pareto\n\
+                front (p50/p99 latency, power, area) as an asynoc-explore-v1 JSON\n\
+                document. --granularity level enumerates every per-level placement\n\
+                exhaustively; node runs a deterministic beam search over per-node\n\
+                placements seeded with the per-level front. An exhausted\n\
+                --max-points budget still reports the front over what was\n\
+                evaluated, with \"truncated\": true. --guard (default\n\
+                OptHybridSpeculative; none disables) asserts the preset lands on or\n\
+                within --tolerance (relative per objective) of the front, exiting\n\
+                non-zero otherwise. Results are bit-identical at any --jobs value.",
+        build: explore,
+    },
+    CommandSpec {
+        name: "watch",
+        synopsis: "--stream-in <path|-> [--fold <path|->] [--once] [--interval-ms <T>]",
+        rejects: &[],
+        notes: "tail an asynoc-stream-v1 NDJSON file (from --stream) and render a\n\
+                live dashboard: events/s, in-flight flits, per-level busy fractions,\n\
+                watchpoint alerts. --fold instead folds the finished stream back\n\
+                into the batch asynoc-metrics-v1 document (byte-identical for\n\
+                `metrics --stream` runs; `-` = stdout).",
+        build: watch,
+    },
+    CommandSpec {
+        name: "info",
+        synopsis: "[--arch <A>] [--size <N>]",
+        rejects: &[],
+        notes: "static information: node table, address bits, area and leakage.",
+        build: info,
+    },
+];
+
+const HELP_TAIL: &str = "
 ARCHITECTURES:
   Baseline, BasicNonSpeculative, BasicHybridSpeculative,
   OptHybridSpeculative, OptNonSpeculative, OptAllSpeculative
@@ -158,6 +338,68 @@ BENCHMARKS:
   Uniform-random, Shuffle, Hotspot, Multicast5, Multicast10, Multicast-static,
   Bit-complement, Bit-reverse, Transpose, Tornado, Nearest-neighbor
 ";
+
+/// Appends `text`: its first line after `lead`, the rest indented by `rest`.
+fn push_hanging(out: &mut String, lead: &str, rest: usize, text: &str) {
+    for (i, line) in text.lines().enumerate() {
+        let lead = if i == 0 { lead } else { &" ".repeat(rest) };
+        out.push_str(&format!("{lead}{line}\n"));
+    }
+}
+
+/// The `USAGE:` block of `commands`.
+fn usage_of(commands: &[&CommandSpec]) -> String {
+    let mut out = String::from("USAGE:\n");
+    for spec in commands {
+        let lead = format!("  asynoc {:<8} ", spec.name);
+        push_hanging(&mut out, &lead, lead.len(), spec.synopsis);
+    }
+    out
+}
+
+/// The `USAGE:` block of the command named `word`, if there is one.
+#[must_use]
+pub fn usage(word: &str) -> Option<String> {
+    let spec = COMMANDS.iter().find(|spec| spec.name == word)?;
+    Some(usage_of(&[spec]))
+}
+
+/// The text of `asynoc help` (`topic` = `None`) or `asynoc help <command>`:
+/// synopses, notes, and the [`FLAGS`] rows the shown commands accept (the
+/// full text adds each section's prose).
+#[must_use]
+pub fn help(topic: Option<&str>) -> String {
+    let shown: Vec<&CommandSpec> = COMMANDS
+        .iter()
+        .filter(|spec| topic.is_none_or(|name| spec.name == name))
+        .collect();
+    let mut out = "asynoc — asynchronous Mesh-of-Trees NoC simulator \
+                   (DAC'16 local-speculation multicast)\n\n"
+        .to_string();
+    out.push_str(&usage_of(&shown));
+    out.push_str("  asynoc help     [<command>]  (or: asynoc <command> --help)\n\n");
+    for spec in &shown {
+        push_hanging(&mut out, &format!("  {:<10}", spec.name), 12, spec.notes);
+    }
+    for (group, heading, prose) in SECTIONS {
+        let mut rows = FLAGS
+            .iter()
+            .filter(|flag| flag.group == group && shown.iter().any(|spec| spec.accepts(flag)))
+            .peekable();
+        if rows.peek().is_none() {
+            continue;
+        }
+        out.push_str(&format!("\n{heading}:\n"));
+        for flag in rows {
+            let label = format!("--{} {}", flag.name, flag.value);
+            push_hanging(&mut out, &format!("  {label:<28} "), 8, flag.help);
+        }
+        if topic.is_none() {
+            push_hanging(&mut out, "    ", 4, prose);
+        }
+    }
+    out + HELP_TAIL
+}
 
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -215,120 +457,21 @@ pub enum Command {
         cols: usize,
         /// Mesh rows.
         rows: usize,
-        /// Shared options (size is ignored; cols x rows defines the mesh).
+        /// Shared options (`size` stays at its default: `--size` is refused).
         common: CommonOptions,
     },
     /// One instrumented run emitting the JSON metrics report.
-    Metrics {
-        /// Network architecture (MoT substrate only; exactly one of
-        /// `arch`/`spec_map` there, neither on the mesh substrates).
-        arch: Option<Architecture>,
-        /// Explicit speculation placement (MoT substrate only).
-        spec_map: Option<String>,
-        /// Traffic benchmark.
-        benchmark: Benchmark,
-        /// Offered load, flits/ns per source.
-        rate: f64,
-        /// Which fabric to instrument.
-        substrate: Substrate,
-        /// Multicast scheme on the vcmesh substrate (unused elsewhere).
-        mcast: McastScheme,
-        /// Time-series bin width, ns.
-        bin_ns: u64,
-        /// Write the JSON report here instead of stdout.
-        metrics_out: Option<String>,
-        /// Trace export format (implies tracing; requires `trace_out`).
-        trace_format: Option<TraceFormat>,
-        /// Trace output path.
-        trace_out: Option<String>,
-        /// Maximum trace events recorded.
-        trace_limit: usize,
-        /// Shared options.
-        common: CommonOptions,
-    },
+    Metrics(MetricsRequest),
     /// Offline causal analysis over an exported NDJSON flit trace.
-    Analyze {
-        /// The NDJSON trace to ingest.
-        trace_in: String,
-        /// Write the JSON report here instead of stdout.
-        report_out: Option<String>,
-        /// Bound on the ranked lists in the report.
-        top: usize,
-        /// Print the textual congestion heatmaps.
-        heatmap: bool,
-        /// Skip malformed trace lines (counted in the report) instead of
-        /// failing on the first one.
-        lenient: bool,
-        /// Write an `asynoc-profile-v1` self-profile of the analysis pass
-        /// (wall time, allocations; no engine runs) to this path.
-        profile: Option<String>,
-    },
+    Analyze(AnalyzeRequest),
     /// One deterministic fault-injection run, optionally paired with a
     /// clean twin and judged by the conformance oracle.
-    Faults {
-        /// Network architecture (MoT substrate only; exactly one of
-        /// `arch`/`spec_map` there, neither on the mesh substrates).
-        arch: Option<Architecture>,
-        /// Explicit speculation placement (MoT substrate only).
-        spec_map: Option<String>,
-        /// Traffic benchmark.
-        benchmark: Benchmark,
-        /// Offered load, flits/ns per source.
-        rate: f64,
-        /// Which fabric to inject into.
-        substrate: Substrate,
-        /// Multicast scheme on the vcmesh substrate (unused elsewhere).
-        mcast: McastScheme,
-        /// Encoded fault plan to replay (`None` = draw one from the
-        /// seed and `fault_rate`).
-        plan: Option<String>,
-        /// Random-plan density over the substrate's fault domain.
-        fault_rate: f64,
-        /// Pair with a clean twin and judge the differential oracle.
-        oracle: bool,
-        /// Write the JSON fault report here instead of stdout.
-        report_out: Option<String>,
-        /// Shared options.
-        common: CommonOptions,
-    },
-    /// Design-space exploration over speculation placements, reporting
-    /// the Pareto front as an `asynoc-explore-v1` JSON document.
-    Explore {
-        /// Traffic benchmark (`None` = the explore default, Multicast10).
-        benchmark: Option<Benchmark>,
-        /// Offered load, flits/ns per source (`None` = the explore
-        /// default: 0.3, or 0.2 under `--smoke`).
-        rate: Option<f64>,
-        /// Search granularity.
-        granularity: Granularity,
-        /// Placements kept per beam round (node granularity only).
-        beam: usize,
-        /// Simulation budget (`None` = unbounded).
-        max_points: Option<usize>,
-        /// Preset asserted on/near the front (`None` = `--guard none`).
-        guard: Option<Architecture>,
-        /// Relative per-objective guard tolerance.
-        tolerance: f64,
-        /// Write the JSON report here instead of stdout.
-        report_out: Option<String>,
-        /// Shrink windows and load for CI smoke runs.
-        smoke: bool,
-        /// Shared options.
-        common: CommonOptions,
-    },
+    Faults(FaultsRequest),
+    /// Design-space exploration over speculation placements.
+    Explore(ExploreRequest),
     /// Follow a streaming-telemetry NDJSON file: live dashboard or fold
     /// back into the batch metrics document.
-    Watch {
-        /// The stream to follow (`-` = stdin, which implies `once`).
-        stream_in: String,
-        /// Fold the (finished) stream into a batch metrics document at
-        /// this path (`-` = stdout) instead of dashboarding.
-        fold: Option<String>,
-        /// Read what is present now, report, and exit without tailing.
-        once: bool,
-        /// Poll interval while tailing, milliseconds.
-        interval_ms: u64,
-    },
+    Watch(WatchRequest),
     /// Static information: node table, address bits, area/leakage.
     Info {
         /// Architecture to describe (default: all).
@@ -336,11 +479,11 @@ pub enum Command {
         /// Network size (default 8).
         size: usize,
     },
-    /// Print usage.
-    Help,
+    /// Print usage: everything, or one command's section.
+    Help(Option<&'static str>),
 }
 
-/// Which simulator fabric `asynoc metrics` instruments.
+/// Which simulator fabric `metrics` and `faults` run on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Substrate {
     /// The paper's Mesh-of-Trees network.
@@ -351,7 +494,7 @@ pub enum Substrate {
     Vcmesh,
 }
 
-impl std::str::FromStr for Substrate {
+impl FromStr for Substrate {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
@@ -375,7 +518,7 @@ pub enum TraceFormat {
     Chrome,
 }
 
-impl std::str::FromStr for TraceFormat {
+impl FromStr for TraceFormat {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
@@ -472,63 +615,10 @@ impl fmt::Display for ParseCliError {
 
 impl Error for ParseCliError {}
 
-/// Splits `--key value` pairs into a map, rejecting unknown keys.
-fn collect_flags(
-    args: &[String],
-    allowed: &[&str],
-) -> Result<BTreeMap<String, String>, ParseCliError> {
-    let mut flags = BTreeMap::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let Some(key) = arg.strip_prefix("--") else {
-            return Err(ParseCliError::new(format!(
-                "unexpected positional argument {arg:?}"
-            )));
-        };
-        if !allowed.contains(&key) {
-            return Err(ParseCliError::new(format!("unknown option --{key}")));
-        }
-        // `--quick`, `--heatmap`, `--lenient`, `--oracle`, `--progress`,
-        // `--stream-trace`, `--watch-fatal`, `--once`, and `--smoke` are
-        // bare flags; everything else takes a value.
-        let value = if matches!(
-            key,
-            "quick"
-                | "heatmap"
-                | "lenient"
-                | "oracle"
-                | "progress"
-                | "stream-trace"
-                | "watch-fatal"
-                | "once"
-                | "smoke"
-        ) {
-            "true".to_string()
-        } else {
-            iter.next()
-                .ok_or_else(|| ParseCliError::new(format!("--{key} requires a value")))?
-                .clone()
-        };
-        if flags.insert(key.to_string(), value).is_some() {
-            return Err(ParseCliError::new(format!("--{key} given twice")));
-        }
-    }
-    Ok(flags)
-}
+type Parsed<T> = Result<T, ParseCliError>;
 
-fn required<'a>(flags: &'a BTreeMap<String, String>, key: &str) -> Result<&'a str, ParseCliError> {
-    flags
-        .get(key)
-        .map(String::as_str)
-        .ok_or_else(|| ParseCliError::new(format!("missing required option --{key}")))
-}
-
-fn parse_value<T: std::str::FromStr>(key: &str, raw: &str) -> Result<T, ParseCliError>
-where
-    T::Err: fmt::Display,
-{
-    raw.parse()
-        .map_err(|e| ParseCliError::new(format!("--{key}: {e}")))
+fn fail<T>(message: impl Into<String>) -> Parsed<T> {
+    Err(ParseCliError::new(message))
 }
 
 /// Largest value a `--*-ns` flag may take. Simulated time is `u64`
@@ -537,178 +627,315 @@ where
 /// keeps every sum the engine forms in range.
 const MAX_NS: u64 = u64::MAX / 1_000 / 8;
 
-/// Parses a simulated-time flag in nanoseconds, `min..=MAX_NS`.
-fn parse_ns(key: &str, raw: &str, min: u64) -> Result<u64, ParseCliError> {
-    let ns: u64 = parse_value(key, raw)?;
-    if (min..=MAX_NS).contains(&ns) {
-        Ok(ns)
-    } else {
-        Err(ParseCliError::new(format!(
-            "--{key} must be in {min}..={MAX_NS} (simulated time is u64 picoseconds)"
-        )))
-    }
-}
+/// The flags one invocation gave, by table name (bare flags map to "").
+struct Flags(BTreeMap<&'static str, String>);
 
-fn common_options(flags: &BTreeMap<String, String>) -> Result<CommonOptions, ParseCliError> {
-    let mut options = CommonOptions::default();
-    if let Some(raw) = flags.get("size") {
-        options.size = parse_value("size", raw)?;
-    }
-    if let Some(raw) = flags.get("seed") {
-        options.seed = parse_value("seed", raw)?;
-    }
-    if let Some(raw) = flags.get("flits") {
-        options.flits = parse_value("flits", raw)?;
-        if options.flits == 0 {
-            return Err(ParseCliError::new("--flits must be at least 1"));
-        }
-    }
-    if let Some(raw) = flags.get("warmup-ns") {
-        options.warmup_ns = Some(parse_ns("warmup-ns", raw, 0)?);
-    }
-    if let Some(raw) = flags.get("measure-ns") {
-        options.measure_ns = Some(parse_ns("measure-ns", raw, 1)?);
-    }
-    if let Some(raw) = flags.get("jobs") {
-        options.jobs = parse_value("jobs", raw)?;
-        if options.jobs == 0 {
-            return Err(ParseCliError::new("--jobs must be at least 1"));
-        }
-    }
-    if let Some(raw) = flags.get("shards") {
-        options.shards = parse_value("shards", raw)?;
-        if options.shards == 0 {
-            return Err(ParseCliError::new("--shards must be at least 1"));
-        }
-    }
-    options.profile = flags.get("profile").cloned();
-    options.progress = flags.contains_key("progress");
-    options.stream = flags.get("stream").cloned();
-    if let Some(raw) = flags.get("stream-window-ns") {
-        options.stream_window_ns = Some(parse_ns("stream-window-ns", raw, 1)?);
-    }
-    options.stream_trace = flags.contains_key("stream-trace");
-    options.watch_fatal = flags.contains_key("watch-fatal");
-    if options.stream.is_none() {
-        for key in ["stream-window-ns", "stream-trace", "watch-fatal"] {
-            if flags.contains_key(key) {
-                return Err(ParseCliError::new(format!(
-                    "--{key} requires --stream <path|->"
-                )));
+impl Flags {
+    /// Splits `args` into `--key [value]` pairs against the tables: a key
+    /// must be a [`FLAGS`] row that `spec` accepts, and takes a value
+    /// exactly when its row has a placeholder.
+    fn collect(spec: &CommandSpec, args: &[String]) -> Parsed<Flags> {
+        let mut flags = BTreeMap::new();
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return fail(format!("unexpected positional argument {arg:?}"));
+            };
+            if let Some(reason) = spec.reason_against(key) {
+                return fail(reason.replace("{}", arg));
+            }
+            let Some(flag) = FLAGS
+                .iter()
+                .find(|flag| flag.name == key && spec.accepts(flag))
+            else {
+                return fail(format!("unknown option --{key}"));
+            };
+            let value = if flag.value.is_empty() {
+                String::new()
+            } else if let Some(value) = iter.next() {
+                value.clone()
+            } else {
+                return fail(format!("--{key} requires a value"));
+            };
+            if flags.insert(flag.name, value).is_some() {
+                return fail(format!("--{key} given twice"));
             }
         }
+        Ok(Flags(flags))
     }
-    Ok(options)
+
+    fn has(&self, key: &str) -> bool {
+        self.0.contains_key(key)
+    }
+
+    /// The typed value of `--key`, if given.
+    fn get<T: FromStr<Err: fmt::Display>>(&self, key: &str) -> Parsed<Option<T>> {
+        let parsed = self.0.get(key).map(|raw| raw.parse::<T>()).transpose();
+        parsed.map_err(|e| ParseCliError::new(format!("--{key}: {e}")))
+    }
+
+    /// The typed value of a count flag, which must be at least 1.
+    fn positive<T>(&self, key: &str) -> Parsed<Option<T>>
+    where
+        T: FromStr<Err: fmt::Display> + PartialEq + From<u8>,
+    {
+        match self.get(key)? {
+            Some(zero) if zero == T::from(0u8) => fail(format!("--{key} must be at least 1")),
+            value => Ok(value),
+        }
+    }
+
+    fn required<T: FromStr<Err: fmt::Display>>(&self, key: &str) -> Parsed<T> {
+        let missing = || ParseCliError::new(format!("missing required option --{key}"));
+        self.get(key)?.ok_or_else(missing)
+    }
+
+    /// A simulated-time flag in nanoseconds, `min..=MAX_NS`.
+    fn ns(&self, key: &str, min: u64) -> Parsed<Option<u64>> {
+        match self.get(key)? {
+            Some(ns) if !(min..=MAX_NS).contains(&ns) => fail(format!(
+                "--{key} must be in {min}..={MAX_NS} (simulated time is u64 picoseconds)"
+            )),
+            value => Ok(value),
+        }
+    }
+
+    fn common(&self) -> Parsed<CommonOptions> {
+        let defaults = CommonOptions::default();
+        let options = CommonOptions {
+            size: self.get("size")?.unwrap_or(defaults.size),
+            seed: self.get("seed")?.unwrap_or(defaults.seed),
+            flits: self.positive("flits")?.unwrap_or(defaults.flits),
+            warmup_ns: self.ns("warmup-ns", 0)?,
+            measure_ns: self.ns("measure-ns", 1)?,
+            jobs: self.positive("jobs")?.unwrap_or(defaults.jobs),
+            shards: self.positive("shards")?.unwrap_or(defaults.shards),
+            profile: self.get("profile")?,
+            progress: self.has("progress"),
+            stream: self.get("stream")?,
+            stream_window_ns: self.ns("stream-window-ns", 1)?,
+            stream_trace: self.has("stream-trace"),
+            watch_fatal: self.has("watch-fatal"),
+        };
+        if options.stream.is_none() {
+            let modifier = |flag: &&Flag| flag.group == Stream && self.has(flag.name);
+            if let Some(flag) = FLAGS.iter().find(modifier) {
+                return fail(format!("--{} requires --stream <path|->", flag.name));
+            }
+        }
+        Ok(options)
+    }
+
+    /// Resolves the `--arch` / `--spec-map` placement pair: the two are
+    /// mutually exclusive, and exactly one is required when the command
+    /// runs on the MoT substrate.
+    fn placement(&self, required_here: bool) -> Parsed<(Option<Architecture>, Option<String>)> {
+        let placement = (self.get("arch")?, self.get("spec-map")?);
+        match placement {
+            (Some(_), Some(_)) => fail(
+                "--arch and --spec-map are mutually exclusive (a preset name is \
+                 itself a valid --spec-map)",
+            ),
+            (None, None) if required_here => fail(
+                "missing required option --arch or --spec-map (the mot substrate \
+                 needs a placement)",
+            ),
+            _ => Ok(placement),
+        }
+    }
+
+    /// Resolves the substrate-selection options shared by `metrics` and
+    /// `faults`: the substrate itself, the multicast scheme and the
+    /// placement (required on mot).
+    fn substrate(&self) -> Parsed<SubstrateOptions> {
+        let substrate = self.get("substrate")?.unwrap_or(Substrate::Mot);
+        let mcast = self.get("mcast")?.unwrap_or_default();
+        for (flag, only, hint) in SUBSTRATE_ONLY {
+            if self.has(flag) && only.parse() != Ok(substrate) {
+                return fail(format!(
+                    "--{flag} applies to the {only} substrate only{hint}"
+                ));
+            }
+        }
+        let (arch, spec_map) = self.placement(substrate == Substrate::Mot)?;
+        Ok((substrate, mcast, arch, spec_map))
+    }
 }
 
-const COMMON_KEYS: [&str; 9] = [
-    "size",
-    "seed",
-    "flits",
-    "warmup-ns",
-    "measure-ns",
-    "jobs",
-    "shards",
-    "profile",
-    "progress",
-];
-
-/// The streaming-telemetry flags, accepted by the single-run commands
-/// (`run`, `mesh`, `metrics`, `faults`) but not the multi-run searches.
-const STREAM_KEYS: [&str; 4] = ["stream", "stream-window-ns", "stream-trace", "watch-fatal"];
-
-fn with_common(extra: &[&str]) -> Vec<&'static str> {
-    // Leaking tiny strings once per parse is fine for a CLI; avoid by
-    // matching statically instead.
-    let mut keys: Vec<&'static str> = COMMON_KEYS.to_vec();
-    for &key in extra {
-        keys.push(match key {
-            "arch" => "arch",
-            "spec-map" => "spec-map",
-            "benchmark" => "benchmark",
-            "rate" => "rate",
-            "quick" => "quick",
-            "from" => "from",
-            "to" => "to",
-            "steps" => "steps",
-            "seeds" => "seeds",
-            "probe-fan" => "probe-fan",
-            "substrate" => "substrate",
-            "mcast" => "mcast",
-            "metrics-out" => "metrics-out",
-            "trace-format" => "trace-format",
-            "trace-out" => "trace-out",
-            "trace-limit" => "trace-limit",
-            "bin-ns" => "bin-ns",
-            "plan" => "plan",
-            "fault-rate" => "fault-rate",
-            "oracle" => "oracle",
-            "report-out" => "report-out",
-            "stream" => "stream",
-            "stream-window-ns" => "stream-window-ns",
-            "stream-trace" => "stream-trace",
-            "watch-fatal" => "watch-fatal",
-            other => unreachable!("unknown static key {other}"),
-        });
-    }
-    keys
-}
-
-/// Resolves the `--arch` / `--spec-map` placement pair: the two are
-/// mutually exclusive, and exactly one is required when the command runs
-/// on the MoT substrate.
-fn placement_options(
-    flags: &BTreeMap<String, String>,
-    required_here: bool,
-) -> Result<(Option<Architecture>, Option<String>), ParseCliError> {
-    let arch = flags
-        .get("arch")
-        .map(|raw| parse_value::<Architecture>("arch", raw))
-        .transpose()?;
-    let spec_map = flags.get("spec-map").cloned();
-    if arch.is_some() && spec_map.is_some() {
-        return Err(ParseCliError::new(
-            "--arch and --spec-map are mutually exclusive (a preset name is \
-             itself a valid --spec-map)",
-        ));
-    }
-    if required_here && arch.is_none() && spec_map.is_none() {
-        return Err(ParseCliError::new(
-            "missing required option --arch or --spec-map (the mot substrate \
-             needs a placement)",
-        ));
-    }
-    Ok((arch, spec_map))
-}
-
-/// Resolves the substrate-selection options shared by `metrics` and
-/// `faults`: the substrate itself, the multicast scheme (vcmesh-only),
-/// and the placement (mot-only, but required there).
 type SubstrateOptions = (Substrate, McastScheme, Option<Architecture>, Option<String>);
 
-fn substrate_options(flags: &BTreeMap<String, String>) -> Result<SubstrateOptions, ParseCliError> {
-    let substrate: Substrate = flags
-        .get("substrate")
-        .map(|raw| parse_value("substrate", raw))
-        .transpose()?
-        .unwrap_or(Substrate::Mot);
-    let mcast: McastScheme = flags
-        .get("mcast")
-        .map(|raw| parse_value("mcast", raw))
-        .transpose()?
-        .unwrap_or_default();
-    if flags.contains_key("mcast") && substrate != Substrate::Vcmesh {
-        return Err(ParseCliError::new(
-            "--mcast applies to the vcmesh substrate only (add --substrate vcmesh)",
-        ));
+/// The flags that exist on one substrate only, and the way out.
+const SUBSTRATE_ONLY: [(&str, &str, &str); 3] = [
+    ("mcast", "vcmesh", " (add --substrate vcmesh)"),
+    ("arch", "mot", ""),
+    ("spec-map", "mot", ""),
+];
+
+fn run(flags: &Flags) -> Parsed<Command> {
+    let seeds = flags.positive("seeds")?.unwrap_or(1);
+    if seeds > 1 && flags.has("stream") {
+        return fail(
+            "--stream is not available with --seeds > 1 (one stream per run; \
+             stream a single seed instead)",
+        );
     }
-    let (arch, spec_map) = placement_options(flags, substrate == Substrate::Mot)?;
-    if substrate != Substrate::Mot && spec_map.is_some() {
-        return Err(ParseCliError::new(
-            "--spec-map applies to the mot substrate only",
-        ));
+    let (arch, spec_map) = flags.placement(true)?;
+    Ok(Command::Run {
+        arch,
+        spec_map,
+        benchmark: flags.required("benchmark")?,
+        rate: flags.required("rate")?,
+        seeds,
+        common: flags.common()?,
+    })
+}
+
+fn saturate(flags: &Flags) -> Parsed<Command> {
+    Ok(Command::Saturate {
+        probe_fan: flags.positive("probe-fan")?.unwrap_or(1),
+        arch: flags.required("arch")?,
+        benchmark: flags.required("benchmark")?,
+        quick: flags.has("quick"),
+        common: flags.common()?,
+    })
+}
+
+fn sweep(flags: &Flags) -> Parsed<Command> {
+    let from: f64 = flags.required("from")?;
+    let to: f64 = flags.required("to")?;
+    let steps: usize = flags.required("steps")?;
+    if !(from > 0.0 && to > from) {
+        return fail("sweep requires 0 < --from < --to");
     }
-    Ok((substrate, mcast, arch, spec_map))
+    if steps < 2 {
+        return fail("--steps must be at least 2");
+    }
+    Ok(Command::Sweep {
+        arch: flags.required("arch")?,
+        benchmark: flags.required("benchmark")?,
+        from,
+        to,
+        steps,
+        common: flags.common()?,
+    })
+}
+
+fn mesh(flags: &Flags) -> Parsed<Command> {
+    Ok(Command::Mesh {
+        benchmark: flags.required("benchmark")?,
+        rate: flags.required("rate")?,
+        cols: flags.get("cols")?.unwrap_or(4),
+        rows: flags.get("rows")?.unwrap_or(4),
+        common: flags.common()?,
+    })
+}
+
+fn metrics(flags: &Flags) -> Parsed<Command> {
+    let (substrate, mcast, arch, spec_map) = flags.substrate()?;
+    let explicit_format: Option<TraceFormat> = flags.get("trace-format")?;
+    let trace_out = flags.get("trace-out")?;
+    if explicit_format.is_some() && trace_out.is_none() {
+        return fail("--trace-format requires --trace-out <path>");
+    }
+    let bin_ns = flags.ns("bin-ns", 1)?.unwrap_or(100);
+    if let Some(window) = flags.get::<u64>("stream-window-ns")? {
+        if window == 0 || !window.is_multiple_of(bin_ns) {
+            return fail(format!(
+                "--stream-window-ns ({window}) must be a non-zero multiple of \
+                 --bin-ns ({bin_ns})"
+            ));
+        }
+    }
+    Ok(Command::Metrics(MetricsRequest {
+        arch,
+        spec_map,
+        benchmark: flags.required("benchmark")?,
+        rate: flags.required("rate")?,
+        substrate,
+        mcast,
+        bin_ns,
+        metrics_out: flags.get("metrics-out")?,
+        // --trace-out alone implies the round-trippable default.
+        trace_format: explicit_format.or(trace_out.as_ref().map(|_| TraceFormat::Ndjson)),
+        trace_out,
+        trace_limit: flags.get("trace-limit")?.unwrap_or(100_000),
+        common: flags.common()?,
+    }))
+}
+
+fn analyze(flags: &Flags) -> Parsed<Command> {
+    Ok(Command::Analyze(AnalyzeRequest {
+        top: flags.positive("top")?.unwrap_or(10),
+        trace_in: flags.required("trace-in")?,
+        report_out: flags.get("report-out")?,
+        heatmap: flags.has("heatmap"),
+        lenient: flags.has("lenient"),
+        profile: flags.get("profile")?,
+    }))
+}
+
+fn faults(flags: &Flags) -> Parsed<Command> {
+    let (substrate, mcast, arch, spec_map) = flags.substrate()?;
+    let fault_rate: f64 = flags.get("fault-rate")?.unwrap_or(0.15);
+    if !(fault_rate > 0.0 && fault_rate <= 1.0) {
+        return fail("--fault-rate must be in (0, 1]");
+    }
+    Ok(Command::Faults(FaultsRequest {
+        arch,
+        spec_map,
+        benchmark: flags.required("benchmark")?,
+        rate: flags.required("rate")?,
+        substrate,
+        mcast,
+        plan: flags.get("plan")?,
+        fault_rate,
+        oracle: flags.has("oracle"),
+        report_out: flags.get("report-out")?,
+        common: flags.common()?,
+    }))
+}
+
+fn explore(flags: &Flags) -> Parsed<Command> {
+    let guard = match flags.get::<String>("guard")?.as_deref() {
+        None => Some(Architecture::OptHybridSpeculative),
+        Some("none") => None,
+        Some(_) => flags.get("guard")?,
+    };
+    let tolerance: f64 = flags.get("tolerance")?.unwrap_or(0.05);
+    if tolerance.is_nan() || tolerance < 0.0 {
+        return fail("--tolerance must be >= 0");
+    }
+    Ok(Command::Explore(ExploreRequest {
+        benchmark: flags.get("benchmark")?,
+        rate: flags.get("rate")?,
+        granularity: flags.get("granularity")?.unwrap_or(Granularity::Level),
+        beam: flags.positive("beam")?.unwrap_or(4),
+        max_points: flags.positive("max-points")?,
+        guard,
+        tolerance,
+        report_out: flags.get("report-out")?,
+        smoke: flags.has("smoke"),
+        common: flags.common()?,
+    }))
+}
+
+fn watch(flags: &Flags) -> Parsed<Command> {
+    let interval_ms = flags.positive("interval-ms")?.unwrap_or(200);
+    let stream_in: String = flags.required("stream-in")?;
+    Ok(Command::Watch(WatchRequest {
+        // Stdin cannot be tailed, so `-` implies a single pass.
+        once: flags.has("once") || stream_in == "-",
+        stream_in,
+        fold: flags.get("fold")?,
+        interval_ms,
+    }))
+}
+
+fn info(flags: &Flags) -> Parsed<Command> {
+    Ok(Command::Info {
+        arch: flags.get("arch")?,
+        size: flags.get("size")?.unwrap_or(8),
+    })
 }
 
 /// Parses a full argument vector (excluding the program name).
@@ -718,385 +945,25 @@ fn substrate_options(flags: &BTreeMap<String, String>) -> Result<SubstrateOption
 /// Returns a [`ParseCliError`] with a user-facing message for any malformed
 /// invocation.
 pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
-    let Some((command, rest)) = args.split_first() else {
-        return Ok(Command::Help);
+    let Some((word, rest)) = args.split_first() else {
+        return Ok(Command::Help(None));
     };
-    match command.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "run" => {
-            let mut extra = vec!["arch", "spec-map", "benchmark", "rate", "seeds"];
-            extra.extend(STREAM_KEYS);
-            let flags = collect_flags(rest, &with_common(&extra))?;
-            let seeds: usize = flags
-                .get("seeds")
-                .map(|raw| parse_value("seeds", raw))
-                .transpose()?
-                .unwrap_or(1);
-            if seeds == 0 {
-                return Err(ParseCliError::new("--seeds must be at least 1"));
-            }
-            if seeds > 1 && flags.contains_key("stream") {
-                return Err(ParseCliError::new(
-                    "--stream is not available with --seeds > 1 (one stream per run; \
-                     stream a single seed instead)",
-                ));
-            }
-            let (arch, spec_map) = placement_options(&flags, true)?;
-            Ok(Command::Run {
-                arch,
-                spec_map,
-                benchmark: parse_value("benchmark", required(&flags, "benchmark")?)?,
-                rate: parse_value("rate", required(&flags, "rate")?)?,
-                seeds,
-                common: common_options(&flags)?,
-            })
-        }
-        "saturate" => {
-            let flags = collect_flags(
-                rest,
-                &with_common(&["arch", "benchmark", "quick", "probe-fan"]),
-            )?;
-            let probe_fan: usize = flags
-                .get("probe-fan")
-                .map(|raw| parse_value("probe-fan", raw))
-                .transpose()?
-                .unwrap_or(1);
-            if probe_fan == 0 {
-                return Err(ParseCliError::new("--probe-fan must be at least 1"));
-            }
-            Ok(Command::Saturate {
-                arch: parse_value("arch", required(&flags, "arch")?)?,
-                benchmark: parse_value("benchmark", required(&flags, "benchmark")?)?,
-                quick: flags.contains_key("quick"),
-                probe_fan,
-                common: common_options(&flags)?,
-            })
-        }
-        "sweep" => {
-            let flags = collect_flags(
-                rest,
-                &with_common(&["arch", "benchmark", "from", "to", "steps"]),
-            )?;
-            let from: f64 = parse_value("from", required(&flags, "from")?)?;
-            let to: f64 = parse_value("to", required(&flags, "to")?)?;
-            let steps: usize = parse_value("steps", required(&flags, "steps")?)?;
-            if !(from > 0.0 && to > from) {
-                return Err(ParseCliError::new("sweep requires 0 < --from < --to"));
-            }
-            if steps < 2 {
-                return Err(ParseCliError::new("--steps must be at least 2"));
-            }
-            Ok(Command::Sweep {
-                arch: parse_value("arch", required(&flags, "arch")?)?,
-                benchmark: parse_value("benchmark", required(&flags, "benchmark")?)?,
-                from,
-                to,
-                steps,
-                common: common_options(&flags)?,
-            })
-        }
-        "mesh" => {
-            let mut extra = vec!["benchmark", "rate"];
-            extra.extend(STREAM_KEYS);
-            let flags = collect_flags(rest, &{
-                let mut keys = with_common(&extra);
-                keys.push("cols");
-                keys.push("rows");
-                keys
-            })?;
-            Ok(Command::Mesh {
-                benchmark: parse_value("benchmark", required(&flags, "benchmark")?)?,
-                rate: parse_value("rate", required(&flags, "rate")?)?,
-                cols: flags
-                    .get("cols")
-                    .map(|raw| parse_value("cols", raw))
-                    .transpose()?
-                    .unwrap_or(4),
-                rows: flags
-                    .get("rows")
-                    .map(|raw| parse_value("rows", raw))
-                    .transpose()?
-                    .unwrap_or(4),
-                common: common_options(&flags)?,
-            })
-        }
-        "metrics" => {
-            let mut extra = vec![
-                "arch",
-                "spec-map",
-                "benchmark",
-                "rate",
-                "substrate",
-                "mcast",
-                "metrics-out",
-                "trace-format",
-                "trace-out",
-                "trace-limit",
-                "bin-ns",
-            ];
-            extra.extend(STREAM_KEYS);
-            let flags = collect_flags(rest, &with_common(&extra))?;
-            let (substrate, mcast, arch, spec_map) = substrate_options(&flags)?;
-            let explicit_format: Option<TraceFormat> = flags
-                .get("trace-format")
-                .map(|raw| parse_value("trace-format", raw))
-                .transpose()?;
-            let trace_out = flags.get("trace-out").cloned();
-            if explicit_format.is_some() && trace_out.is_none() {
-                return Err(ParseCliError::new(
-                    "--trace-format requires --trace-out <path>",
-                ));
-            }
-            // --trace-out alone implies the round-trippable default.
-            let trace_format = explicit_format.or(trace_out.as_ref().map(|_| TraceFormat::Ndjson));
-            let bin_ns: u64 = flags
-                .get("bin-ns")
-                .map(|raw| parse_ns("bin-ns", raw, 1))
-                .transpose()?
-                .unwrap_or(100);
-            if let Some(raw) = flags.get("stream-window-ns") {
-                let window: u64 = parse_value("stream-window-ns", raw)?;
-                if window == 0 || !window.is_multiple_of(bin_ns) {
-                    return Err(ParseCliError::new(format!(
-                        "--stream-window-ns ({window}) must be a non-zero multiple of \
-                         --bin-ns ({bin_ns})"
-                    )));
-                }
-            }
-            let trace_limit: usize = flags
-                .get("trace-limit")
-                .map(|raw| parse_value("trace-limit", raw))
-                .transpose()?
-                .unwrap_or(100_000);
-            Ok(Command::Metrics {
-                arch,
-                spec_map,
-                benchmark: parse_value("benchmark", required(&flags, "benchmark")?)?,
-                rate: parse_value("rate", required(&flags, "rate")?)?,
-                substrate,
-                mcast,
-                bin_ns,
-                metrics_out: flags.get("metrics-out").cloned(),
-                trace_format,
-                trace_out,
-                trace_limit,
-                common: common_options(&flags)?,
-            })
-        }
-        "analyze" => {
-            let flags = collect_flags(
-                rest,
-                &[
-                    "trace-in",
-                    "report-out",
-                    "top",
-                    "heatmap",
-                    "lenient",
-                    "profile",
-                ],
-            )?;
-            let top: usize = flags
-                .get("top")
-                .map(|raw| parse_value("top", raw))
-                .transpose()?
-                .unwrap_or(10);
-            if top == 0 {
-                return Err(ParseCliError::new("--top must be at least 1"));
-            }
-            Ok(Command::Analyze {
-                trace_in: required(&flags, "trace-in")?.to_string(),
-                report_out: flags.get("report-out").cloned(),
-                top,
-                heatmap: flags.contains_key("heatmap"),
-                lenient: flags.contains_key("lenient"),
-                profile: flags.get("profile").cloned(),
-            })
-        }
-        "faults" => {
-            let mut extra = vec![
-                "arch",
-                "spec-map",
-                "benchmark",
-                "rate",
-                "substrate",
-                "mcast",
-                "plan",
-                "fault-rate",
-                "oracle",
-                "report-out",
-            ];
-            extra.extend(STREAM_KEYS);
-            let flags = collect_flags(rest, &with_common(&extra))?;
-            let (substrate, mcast, arch, spec_map) = substrate_options(&flags)?;
-            let fault_rate: f64 = flags
-                .get("fault-rate")
-                .map(|raw| parse_value("fault-rate", raw))
-                .transpose()?
-                .unwrap_or(0.15);
-            if !(fault_rate > 0.0 && fault_rate <= 1.0) {
-                return Err(ParseCliError::new("--fault-rate must be in (0, 1]"));
-            }
-            Ok(Command::Faults {
-                arch,
-                spec_map,
-                benchmark: parse_value("benchmark", required(&flags, "benchmark")?)?,
-                rate: parse_value("rate", required(&flags, "rate")?)?,
-                substrate,
-                mcast,
-                plan: flags.get("plan").cloned(),
-                fault_rate,
-                oracle: flags.contains_key("oracle"),
-                report_out: flags.get("report-out").cloned(),
-                common: common_options(&flags)?,
-            })
-        }
-        "explore" => {
-            // The per-run-only keys are accepted by the collector solely
-            // so their rejection can explain the right alternative
-            // instead of a generic "unknown option".
-            let flags = collect_flags(
-                rest,
-                &[
-                    "size",
-                    "seed",
-                    "flits",
-                    "warmup-ns",
-                    "measure-ns",
-                    "jobs",
-                    "shards",
-                    "benchmark",
-                    "rate",
-                    "granularity",
-                    "beam",
-                    "max-points",
-                    "guard",
-                    "tolerance",
-                    "report-out",
-                    "smoke",
-                    "plan",
-                    "fault-rate",
-                    "oracle",
-                    "stream",
-                    "stream-window-ns",
-                    "stream-trace",
-                    "watch-fatal",
-                    "profile",
-                    "progress",
-                ],
-            )?;
-            for key in ["plan", "fault-rate", "oracle"] {
-                if flags.contains_key(key) {
-                    return Err(ParseCliError::new(format!(
-                        "explore scores fault-free runs; --{key} is not available \
-                         (replay one placement under faults with \
-                         `asynoc faults --spec-map <map>`)"
-                    )));
-                }
-            }
-            for key in ["stream", "stream-window-ns", "stream-trace", "watch-fatal"] {
-                if flags.contains_key(key) {
-                    return Err(ParseCliError::new(format!(
-                        "explore drives many runs through one invocation; --{key} is \
-                         not available (stream one placement with \
-                         `asynoc metrics --spec-map <map> --stream <path>`)"
-                    )));
-                }
-            }
-            for key in ["profile", "progress"] {
-                if flags.contains_key(key) {
-                    return Err(ParseCliError::new(format!(
-                        "explore drives many runs through one invocation; --{key} is \
-                         not available (profile one placement with \
-                         `asynoc run --spec-map <map> --profile <path>`)"
-                    )));
-                }
-            }
-            let granularity: Granularity = flags
-                .get("granularity")
-                .map(|raw| parse_value("granularity", raw))
-                .transpose()?
-                .unwrap_or(Granularity::Level);
-            let beam: usize = flags
-                .get("beam")
-                .map(|raw| parse_value("beam", raw))
-                .transpose()?
-                .unwrap_or(4);
-            if beam == 0 {
-                return Err(ParseCliError::new("--beam must be at least 1"));
-            }
-            let max_points: Option<usize> = flags
-                .get("max-points")
-                .map(|raw| parse_value("max-points", raw))
-                .transpose()?;
-            if max_points == Some(0) {
-                return Err(ParseCliError::new("--max-points must be at least 1"));
-            }
-            let guard = match flags.get("guard").map(String::as_str) {
-                None => Some(Architecture::OptHybridSpeculative),
-                Some("none") => None,
-                Some(raw) => Some(parse_value::<Architecture>("guard", raw)?),
-            };
-            let tolerance: f64 = flags
-                .get("tolerance")
-                .map(|raw| parse_value("tolerance", raw))
-                .transpose()?
-                .unwrap_or(0.05);
-            if tolerance.is_nan() || tolerance < 0.0 {
-                return Err(ParseCliError::new("--tolerance must be >= 0"));
-            }
-            Ok(Command::Explore {
-                benchmark: flags
-                    .get("benchmark")
-                    .map(|raw| parse_value("benchmark", raw))
-                    .transpose()?,
-                rate: flags
-                    .get("rate")
-                    .map(|raw| parse_value("rate", raw))
-                    .transpose()?,
-                granularity,
-                beam,
-                max_points,
-                guard,
-                tolerance,
-                report_out: flags.get("report-out").cloned(),
-                smoke: flags.contains_key("smoke"),
-                common: common_options(&flags)?,
-            })
-        }
-        "watch" => {
-            let flags = collect_flags(rest, &["stream-in", "fold", "once", "interval-ms"])?;
-            let interval_ms: u64 = flags
-                .get("interval-ms")
-                .map(|raw| parse_value("interval-ms", raw))
-                .transpose()?
-                .unwrap_or(200);
-            if interval_ms == 0 {
-                return Err(ParseCliError::new("--interval-ms must be at least 1"));
-            }
-            let stream_in = required(&flags, "stream-in")?.to_string();
-            Ok(Command::Watch {
-                // Stdin cannot be tailed, so `-` implies a single pass.
-                once: flags.contains_key("once") || stream_in == "-",
-                stream_in,
-                fold: flags.get("fold").cloned(),
-                interval_ms,
-            })
-        }
-        "info" => {
-            let flags = collect_flags(rest, &["arch", "size"])?;
-            let arch = flags
-                .get("arch")
-                .map(|raw| parse_value::<Architecture>("arch", raw))
-                .transpose()?;
-            let size = flags
-                .get("size")
-                .map(|raw| parse_value::<usize>("size", raw))
-                .transpose()?
-                .unwrap_or(8);
-            Ok(Command::Info { arch, size })
-        }
-        other => Err(ParseCliError::new(format!("unknown command {other:?}"))),
+    let find = |name: &str| {
+        let spec = COMMANDS.iter().find(|spec| spec.name == name);
+        spec.ok_or_else(|| ParseCliError::new(format!("unknown command {name:?}")))
+    };
+    if matches!(word.as_str(), "help" | "--help" | "-h") {
+        return match rest {
+            [] => Ok(Command::Help(None)),
+            [topic] => Ok(Command::Help(Some(find(topic)?.name))),
+            [_, extra, ..] => fail(format!("unexpected positional argument {extra:?}")),
+        };
     }
+    let spec = find(word)?;
+    if rest.iter().any(|arg| arg == "--help" || arg == "-h") {
+        return Ok(Command::Help(Some(spec.name)));
+    }
+    (spec.build)(&Flags::collect(spec, rest)?)
 }
 
 #[cfg(test)]
@@ -1109,9 +976,9 @@ mod tests {
 
     #[test]
     fn empty_and_help() {
-        assert_eq!(parse(&[]), Ok(Command::Help));
-        assert_eq!(parse(&argv("help")), Ok(Command::Help));
-        assert_eq!(parse(&argv("--help")), Ok(Command::Help));
+        assert_eq!(parse(&[]), Ok(Command::Help(None)));
+        assert_eq!(parse(&argv("help")), Ok(Command::Help(None)));
+        assert_eq!(parse(&argv("--help")), Ok(Command::Help(None)));
     }
 
     #[test]
@@ -1301,7 +1168,7 @@ mod tests {
         .expect("valid invocation");
         assert_eq!(
             cmd,
-            Command::Metrics {
+            Command::Metrics(MetricsRequest {
                 arch: Some(Architecture::BasicHybridSpeculative),
                 spec_map: None,
                 benchmark: Benchmark::Multicast10,
@@ -1314,21 +1181,21 @@ mod tests {
                 trace_out: None,
                 trace_limit: 100_000,
                 common: CommonOptions::default(),
-            }
+            })
         );
         let cmd = parse(&argv(
             "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --bin-ns 50 \
              --metrics-out m.json --trace-format chrome --trace-out t.json --trace-limit 500",
         ))
         .expect("valid invocation");
-        let Command::Metrics {
+        let Command::Metrics(MetricsRequest {
             bin_ns,
             metrics_out,
             trace_format,
             trace_out,
             trace_limit,
             ..
-        } = cmd
+        }) = cmd
         else {
             panic!("expected metrics");
         };
@@ -1347,11 +1214,11 @@ mod tests {
         .expect("valid");
         assert!(matches!(
             cmd,
-            Command::Metrics {
+            Command::Metrics(MetricsRequest {
                 substrate: Substrate::Mesh,
                 arch: None,
                 ..
-            }
+            })
         ));
     }
 
@@ -1363,12 +1230,12 @@ mod tests {
         .expect("valid");
         assert!(matches!(
             cmd,
-            Command::Metrics {
+            Command::Metrics(MetricsRequest {
                 substrate: Substrate::Vcmesh,
                 mcast: McastScheme::XyTree,
                 arch: None,
                 ..
-            }
+            })
         ));
         let cmd = parse(&argv(
             "metrics --substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1",
@@ -1376,11 +1243,11 @@ mod tests {
         .expect("valid");
         assert!(matches!(
             cmd,
-            Command::Metrics {
+            Command::Metrics(MetricsRequest {
                 substrate: Substrate::Vcmesh,
                 mcast: McastScheme::Dpm,
                 ..
-            }
+            })
         ));
         let cmd = parse(&argv(
             "faults --substrate vcmesh --mcast xy-tree --benchmark Tornado --rate 0.1",
@@ -1388,11 +1255,11 @@ mod tests {
         .expect("valid");
         assert!(matches!(
             cmd,
-            Command::Faults {
+            Command::Faults(FaultsRequest {
                 substrate: Substrate::Vcmesh,
                 mcast: McastScheme::XyTree,
                 ..
-            }
+            })
         ));
     }
 
@@ -1425,10 +1292,10 @@ mod tests {
         .expect("valid");
         assert!(matches!(
             cmd,
-            Command::Metrics {
+            Command::Metrics(MetricsRequest {
                 trace_format: Some(TraceFormat::Ndjson),
                 ..
-            }
+            })
         ));
     }
 
@@ -1468,14 +1335,14 @@ mod tests {
         let cmd = parse(&argv("analyze --trace-in t.ndjson")).expect("valid invocation");
         assert_eq!(
             cmd,
-            Command::Analyze {
+            Command::Analyze(AnalyzeRequest {
                 trace_in: "t.ndjson".to_string(),
                 report_out: None,
                 top: 10,
                 heatmap: false,
                 lenient: false,
                 profile: None,
-            }
+            })
         );
         let cmd = parse(&argv(
             "analyze --trace-in t.ndjson --report-out r.json --top 3 --heatmap --lenient",
@@ -1483,14 +1350,14 @@ mod tests {
         .expect("valid invocation");
         assert_eq!(
             cmd,
-            Command::Analyze {
+            Command::Analyze(AnalyzeRequest {
                 trace_in: "t.ndjson".to_string(),
                 report_out: Some("r.json".to_string()),
                 top: 3,
                 heatmap: true,
                 lenient: true,
                 profile: None,
-            }
+            })
         );
     }
 
@@ -1512,7 +1379,7 @@ mod tests {
         .expect("valid invocation");
         assert_eq!(
             cmd,
-            Command::Faults {
+            Command::Faults(FaultsRequest {
                 arch: Some(Architecture::Baseline),
                 spec_map: None,
                 benchmark: Benchmark::Shuffle,
@@ -1524,14 +1391,14 @@ mod tests {
                 oracle: false,
                 report_out: None,
                 common: CommonOptions::default(),
-            }
+            })
         );
         let cmd = parse(&argv(
             "faults --substrate mesh --benchmark Tornado --rate 0.1 --plan stall:3:1:200 \
              --fault-rate 0.4 --oracle --report-out f.json --seed 7",
         ))
         .expect("valid invocation");
-        let Command::Faults {
+        let Command::Faults(FaultsRequest {
             arch,
             plan,
             fault_rate,
@@ -1539,7 +1406,7 @@ mod tests {
             report_out,
             common,
             ..
-        } = cmd
+        }) = cmd
         else {
             panic!("expected faults");
         };
@@ -1577,8 +1444,8 @@ mod tests {
             let common = match cmd {
                 Command::Run { common, .. }
                 | Command::Mesh { common, .. }
-                | Command::Metrics { common, .. }
-                | Command::Faults { common, .. } => common,
+                | Command::Metrics(MetricsRequest { common, .. })
+                | Command::Faults(FaultsRequest { common, .. }) => common,
                 other => panic!("unexpected command {other:?}"),
             };
             assert_eq!(common.stream, Some("s.ndjson".to_string()));
@@ -1637,28 +1504,28 @@ mod tests {
     fn watch_defaults_and_overrides() {
         assert_eq!(
             parse(&argv("watch --stream-in s.ndjson")),
-            Ok(Command::Watch {
+            Ok(Command::Watch(WatchRequest {
                 stream_in: "s.ndjson".to_string(),
                 fold: None,
                 once: false,
                 interval_ms: 200,
-            })
+            }))
         );
         assert_eq!(
             parse(&argv(
                 "watch --stream-in s.ndjson --fold m.json --once --interval-ms 50"
             )),
-            Ok(Command::Watch {
+            Ok(Command::Watch(WatchRequest {
                 stream_in: "s.ndjson".to_string(),
                 fold: Some("m.json".to_string()),
                 once: true,
                 interval_ms: 50,
-            })
+            }))
         );
         // Stdin cannot be tailed.
         assert!(matches!(
             parse(&argv("watch --stream-in -")),
-            Ok(Command::Watch { once: true, .. })
+            Ok(Command::Watch(WatchRequest { once: true, .. }))
         ));
         let err = parse(&argv("watch")).unwrap_err();
         assert!(err.message().contains("--stream-in"), "{err}");
@@ -1674,8 +1541,8 @@ mod tests {
             let cmd = parse(&argv(line)).expect("spec-map parses");
             let (arch, spec_map) = match cmd {
                 Command::Run { arch, spec_map, .. }
-                | Command::Metrics { arch, spec_map, .. }
-                | Command::Faults { arch, spec_map, .. } => (arch, spec_map),
+                | Command::Metrics(MetricsRequest { arch, spec_map, .. })
+                | Command::Faults(FaultsRequest { arch, spec_map, .. }) => (arch, spec_map),
                 other => panic!("unexpected command {other:?}"),
             };
             assert_eq!(arch, None);
@@ -1709,7 +1576,7 @@ mod tests {
         let cmd = parse(&argv("explore --smoke")).expect("valid invocation");
         assert_eq!(
             cmd,
-            Command::Explore {
+            Command::Explore(ExploreRequest {
                 benchmark: None,
                 rate: None,
                 granularity: Granularity::Level,
@@ -1720,7 +1587,7 @@ mod tests {
                 report_out: None,
                 smoke: true,
                 common: CommonOptions::default(),
-            }
+            })
         );
         let cmd = parse(&argv(
             "explore --benchmark Multicast5 --rate 0.25 --granularity node --beam 2 \
@@ -1728,7 +1595,7 @@ mod tests {
              --size 4 --jobs 2",
         ))
         .expect("valid invocation");
-        let Command::Explore {
+        let Command::Explore(ExploreRequest {
             benchmark,
             rate,
             granularity,
@@ -1739,7 +1606,7 @@ mod tests {
             report_out,
             smoke,
             common,
-        } = cmd
+        }) = cmd
         else {
             panic!("expected explore");
         };
@@ -1756,7 +1623,10 @@ mod tests {
         assert_eq!(common.jobs, 2);
         // --guard none disables the regression guard.
         let cmd = parse(&argv("explore --guard none")).expect("valid invocation");
-        assert!(matches!(cmd, Command::Explore { guard: None, .. }));
+        assert!(matches!(
+            cmd,
+            Command::Explore(ExploreRequest { guard: None, .. })
+        ));
     }
 
     #[test]
@@ -1814,5 +1684,261 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// A valid value for `flag`.
+    fn sample(flag: &Flag) -> &'static str {
+        match flag.name {
+            "arch" | "guard" => "Baseline",
+            "spec-map" => "levels:sp,ns,ns",
+            "benchmark" => "Shuffle",
+            "rate" | "from" | "fault-rate" | "tolerance" => "0.2",
+            "to" => "0.4",
+            "substrate" => "mot",
+            "mcast" => "dpm",
+            "trace-format" => "chrome",
+            "granularity" => "node",
+            "plan" => "stall:3:1:200",
+            "stream-window-ns" => "500",
+            _ if flag.value.contains("path") => "file.json",
+            _ => "2",
+        }
+    }
+
+    /// What else a line needs before `flag` is legal on it.
+    fn companions(flag: &str) -> &'static str {
+        match flag {
+            "stream-window-ns" | "stream-trace" | "watch-fatal" => "--stream s.ndjson",
+            "trace-format" => "--trace-out t.json",
+            "mcast" => "--substrate vcmesh",
+            _ => "",
+        }
+    }
+
+    fn row(name: &str) -> &'static Flag {
+        FLAGS.iter().find(|flag| flag.name == name).expect("a row")
+    }
+
+    /// The flags a synopsis leaves unbracketed (the first of an `(a | b)`
+    /// choice), plus the placement the default mot substrate requires.
+    fn required(spec: &CommandSpec) -> Vec<&'static Flag> {
+        let (mut depth, mut alternative, mut names) = (0, false, Vec::new());
+        for word in spec.synopsis.split_whitespace() {
+            depth += word.matches('[').count();
+            alternative |= word == "|";
+            if let Some(name) = word.trim_start_matches(['(', '[']).strip_prefix("--") {
+                if depth == 0 && !alternative {
+                    names.push(row(name));
+                }
+            }
+            depth -= word.matches(']').count();
+            alternative &= !word.ends_with(')');
+        }
+        if spec.synopsis.contains("[--arch <A> |") {
+            names.push(row("arch"));
+        }
+        names
+    }
+
+    fn line(spec: &CommandSpec, flags: &[&Flag], extra: &str) -> Vec<String> {
+        let mut words = vec![spec.name.to_string()];
+        for flag in flags {
+            words.push(format!("--{}", flag.name));
+            if !flag.value.is_empty() {
+                words.push(sample(flag).to_string());
+            }
+        }
+        words.extend(argv(extra));
+        words
+    }
+
+    #[test]
+    fn every_command_flag_pair_is_accepted_or_refused_as_the_table_says() {
+        for spec in COMMANDS {
+            let base = required(spec);
+            parse(&line(spec, &base, "")).unwrap_or_else(|e| panic!("{} base: {e}", spec.name));
+            // Every unbracketed flag really is required.
+            for missing in &base {
+                let rest: Vec<_> = base
+                    .iter()
+                    .filter(|f| f.name != missing.name)
+                    .copied()
+                    .collect();
+                let err = parse(&line(spec, &rest, "")).unwrap_err();
+                let named = format!("--{}", missing.name);
+                assert!(
+                    err.message().contains(&named),
+                    "{} -{named}: {err}",
+                    spec.name
+                );
+            }
+            for flag in FLAGS {
+                // The flag under test replaces its own base entry and the
+                // placement it excludes.
+                let clash = |f: &&&Flag| {
+                    f.name != flag.name
+                        && !(f.name == "arch" && matches!(flag.name, "spec-map" | "mcast"))
+                };
+                let mut flags: Vec<_> = base.iter().filter(clash).copied().collect();
+                flags.push(flag);
+                let result = parse(&line(spec, &flags, companions(flag.name)));
+                let pair = format!("{} --{}", spec.name, flag.name);
+                if spec.accepts(flag) {
+                    assert!(result.is_ok(), "{pair}: {result:?}");
+                    continue;
+                }
+                let err = result.expect_err(&pair);
+                let expected = match spec.reason_against(flag.name) {
+                    Some(reason) => reason.replace("{}", &format!("--{}", flag.name)),
+                    None => format!("unknown option --{}", flag.name),
+                };
+                assert_eq!(err.message(), expected, "{pair}");
+            }
+        }
+    }
+
+    /// The `--flag` words of `text`.
+    fn flags_named(text: &str) -> std::collections::BTreeSet<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .filter(|name| !name.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn help_lists_exactly_the_tables_flags() {
+        let mut expected: std::collections::BTreeSet<&str> =
+            FLAGS.iter().map(|flag| flag.name).collect();
+        expected.insert("help");
+        assert_eq!(flags_named(&help(None)), expected);
+        for spec in COMMANDS {
+            // One command's section has an option row per accepted flag,
+            // and its synopsis spells each placeholder as the table does.
+            let text = help(Some(spec.name));
+            let rows: Vec<&str> = text
+                .lines()
+                .filter_map(|line| line.strip_prefix("  --"))
+                .map(|row| row.split(' ').next().unwrap())
+                .collect();
+            let accepted: Vec<&str> = FLAGS
+                .iter()
+                .filter(|flag| spec.accepts(flag))
+                .map(|flag| flag.name)
+                .collect();
+            assert_eq!(rows, accepted, "{}", spec.name);
+            for name in flags_named(spec.synopsis) {
+                let flag = FLAGS.iter().find(|flag| flag.name == name);
+                let flag = flag.unwrap_or_else(|| panic!("{}: --{name} has no row", spec.name));
+                let spelled = format!("--{name} {}", flag.value);
+                assert!(
+                    spec.synopsis.contains(spelled.trim_end()),
+                    "{}: {spelled}",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn help_for_one_command_parses_three_ways() {
+        for spec in COMMANDS {
+            for line in [
+                format!("help {}", spec.name),
+                format!("{} --help", spec.name),
+                format!("{} --bogus -h", spec.name),
+            ] {
+                assert_eq!(
+                    parse(&argv(&line)),
+                    Ok(Command::Help(Some(spec.name))),
+                    "{line}"
+                );
+            }
+            assert!(help(Some(spec.name)).contains(&format!("asynoc {}", spec.name)));
+        }
+        let err = parse(&argv("help fly")).unwrap_err();
+        assert!(err.message().contains("fly"), "{err}");
+        let err = parse(&argv("help run now")).unwrap_err();
+        assert!(err.message().contains("now"), "{err}");
+    }
+
+    #[test]
+    fn mesh_refuses_size_and_points_at_cols_and_rows() {
+        let err = parse(&argv("mesh --benchmark Tornado --rate 0.1 --size 8")).unwrap_err();
+        for part in ["--size", "--cols", "--rows"] {
+            assert!(err.message().contains(part), "{err}");
+        }
+        // The square mesh substrates are still shaped by --size.
+        for line in [
+            "metrics --substrate mesh --benchmark Tornado --rate 0.1 --size 4",
+            "faults --substrate vcmesh --benchmark Tornado --rate 0.1 --size 4",
+        ] {
+            assert!(parse(&argv(line)).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
+    fn arch_is_refused_off_the_mot_substrate_like_spec_map() {
+        for command in ["metrics", "faults"] {
+            for substrate in ["mesh", "vcmesh"] {
+                let err = parse(&argv(&format!(
+                    "{command} --substrate {substrate} --arch Baseline --benchmark Shuffle --rate 0.2"
+                )))
+                .unwrap_err();
+                assert_eq!(err.message(), "--arch applies to the mot substrate only");
+            }
+        }
+    }
+
+    /// The `asynoc` argument vectors a document's shell lines run through
+    /// `cargo run … -p asynoc-cli --`, with `$variables` given stand-ins.
+    fn documented_lines(text: &str) -> Vec<Vec<String>> {
+        let text = text.replace("\\\n", " ");
+        let arrays: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("sub_args=("))
+            .map(|rest| rest.trim_end_matches(')'))
+            .collect();
+        let mut lines = Vec::new();
+        for line in text
+            .lines()
+            .filter(|line| !line.trim_start().starts_with('#'))
+        {
+            let Some((_, rest)) = line.split_once("asynoc-cli -- ") else {
+                continue;
+            };
+            let rest = rest.split(" >").next().unwrap();
+            let variants = if rest.contains("\"${sub_args[@]}\"") {
+                arrays
+                    .iter()
+                    .map(|array| rest.replace("\"${sub_args[@]}\"", array))
+                    .collect()
+            } else {
+                vec![rest.to_string()]
+            };
+            for variant in variants {
+                let variant = variant.replace("\"$s\"", "2");
+                lines.push(
+                    variant
+                        .split_whitespace()
+                        .map(|w| w.replace(['"', '\''], ""))
+                        .collect(),
+                );
+            }
+        }
+        lines
+    }
+
+    #[test]
+    fn every_documented_command_line_parses() {
+        let readme = documented_lines(include_str!("../../../README.md"));
+        let check = documented_lines(include_str!("../../../scripts/check.sh"));
+        assert!(
+            readme.len() >= 13 && check.len() >= 21,
+            "the tour was not found"
+        );
+        for line in readme.iter().chain(&check) {
+            let parsed = parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            assert!(!matches!(parsed, Command::Help(_)), "{line:?}");
+        }
     }
 }

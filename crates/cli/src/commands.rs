@@ -3,14 +3,17 @@
 
 use std::io::{self, Write};
 
-use asynoc::harness::{saturation_of, saturation_of_profiled, Quality};
+use asynoc::harness::{saturation_of, saturation_of_profiled, Quality, SeedStats};
 use asynoc::{
     drive, parallel_map, Architecture, Duration, FanoutKind, FanoutNodeId, MotSize, Network,
-    NetworkConfig, Phases, RunConfig, SimError, SpecMap,
+    NetworkConfig, Phases, RunConfig, RunReport, SimError, SpecMap,
 };
+use asynoc_mesh::MeshReport;
 use asynoc_telemetry::JsonValue;
 
-use crate::args::{Command, CommonOptions, USAGE};
+use crate::args::{help, Command, CommonOptions};
+use crate::fabric::Fabric;
+use crate::metrics::config_json;
 use crate::profile::ProfileWriter;
 
 /// Errors surfaced to the CLI user.
@@ -46,14 +49,6 @@ impl From<io::Error> for CliError {
     fn from(e: io::Error) -> Self {
         CliError::Io(e)
     }
-}
-
-pub(crate) fn network(arch: Architecture, common: &CommonOptions) -> Result<Network, CliError> {
-    let size = MotSize::new(common.size).map_err(|e| CliError::Invalid(format!("--size: {e}")))?;
-    let config = NetworkConfig::new(size, arch)
-        .with_seed(common.seed)
-        .with_flits_per_packet(common.flits);
-    Ok(Network::new(config)?)
 }
 
 /// Resolves `--arch` / `--spec-map` into a validated [`SpecMap`] at the
@@ -181,6 +176,11 @@ pub(crate) fn run_config(
         .with_progress(common.progress))
 }
 
+/// A latency column: the value, or `-` when no packet completed.
+fn or_dash(latency: Option<Duration>) -> String {
+    latency.map_or("-".to_string(), |d| d.to_string())
+}
+
 /// `run --seeds K`: replicates one measurement over consecutive seeds,
 /// fanned across `--jobs` workers, and reports per-seed rows plus the
 /// mean ± sample standard deviation of the mean latency.
@@ -202,7 +202,7 @@ fn run_across_seeds(
         };
         let net = network_for(map, &options)?;
         let run = run_config(benchmark, rate, &options)?;
-        Ok::<_, CliError>((seed, net.run(&run)?))
+        Ok::<_, CliError>((net.run(&run)?, options))
     });
 
     writeln!(
@@ -217,16 +217,10 @@ fn run_across_seeds(
     )?;
     let mut means_ps = Vec::with_capacity(seeds);
     for result in reports {
-        let (seed, mut report) = result?;
+        let (mut report, options) = result?;
         if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
-            let options = CommonOptions {
-                seed,
-                ..common.clone()
-            };
-            profiler.add_run(
-                crate::metrics::config_json(Some(identity), benchmark, rate, common.size, &options),
-                profile,
-            );
+            let config = config_json(Some(identity), benchmark, rate, common.size, &options);
+            profiler.add_run(config, profile);
         }
         let mean = report.latency.mean();
         let p99 = report.latency.p99();
@@ -234,29 +228,131 @@ fn run_across_seeds(
         writeln!(
             out,
             "{:<8} {:>10} {:>14} {:>12} {:>11.0}%",
-            seed,
+            options.seed,
             report.packets_measured,
-            mean.map_or("-".to_string(), |d| d.to_string()),
-            p99.map_or("-".to_string(), |d| d.to_string()),
+            or_dash(mean),
+            or_dash(p99),
             100.0 * report.acceptance()
         )?;
     }
-    let n = means_ps.len() as f64;
-    let mean = means_ps.iter().sum::<f64>() / n;
-    let std_dev = if means_ps.len() > 1 {
-        (means_ps.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt()
-    } else {
-        0.0
-    };
+    let stats = SeedStats::from_samples(&means_ps);
     writeln!(
         out,
         "mean latency across seeds: {:.0} ps +/- {:.0} ps (sample std dev)",
-        mean, std_dev
+        stats.mean, stats.std_dev
     )?;
     if let Some(profiler) = profiler {
         profiler.finish()?;
     }
     Ok(())
+}
+
+/// One plain measurement run on `net`, shared by `run` and `mesh`: the
+/// self-profile and the optional stream sink around [`drive`], the
+/// command's text report from `print`, then the stream's end record
+/// (throughput, power where the fabric has an energy model, counters).
+fn single_run<F: Fabric>(
+    command: &'static str,
+    net: &F,
+    config: JsonValue,
+    run: &RunConfig,
+    common: &CommonOptions,
+    out: &mut dyn Write,
+    print: impl FnOnce(&mut dyn Write, &mut F::Report) -> io::Result<()>,
+) -> Result<(), CliError> {
+    let mut profiler = ProfileWriter::when(common.profile.as_ref(), command);
+    let mut sink = match &common.stream {
+        Some(path) => Some(crate::stream::sink(
+            net,
+            path,
+            common,
+            config.clone(),
+            run.phases(),
+            None,
+            crate::stream::DEFAULT_TRACE_LIMIT,
+        )?),
+        None => None,
+    };
+    let mut report = match sink.as_mut() {
+        Some(sink) => drive(net, run, &mut [sink], None),
+        None => drive(net, run, &mut [], None),
+    }
+    .map_err(SimError::from)?;
+    if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
+        profiler.add_run(config, profile);
+    }
+    print(out, &mut report)?;
+    if let Some(profiler) = profiler {
+        profiler.finish()?;
+    }
+    if let Some(sink) = sink {
+        let (_, power) = F::energy_sections(&report, None, run.phases().measure());
+        let throughput = crate::metrics::throughput_json(&report.throughput);
+        let mut sections = vec![("throughput".to_string(), throughput)];
+        if power != JsonValue::Null {
+            sections.push(("power".to_string(), power));
+        }
+        let counters = crate::metrics::counters_json(&report);
+        sections.push(("counters".to_string(), counters));
+        let watchpoints = crate::stream::finish_sink(sink, JsonValue::Object(sections))?;
+        crate::stream::fatal_check(watchpoints, common)?;
+    }
+    Ok(())
+}
+
+fn print_run(out: &mut dyn Write, report: &mut RunReport) -> io::Result<()> {
+    writeln!(out, "  packets measured : {}", report.packets_measured)?;
+    if report.packets_incomplete > 0 {
+        writeln!(
+            out,
+            "  WARNING          : {} packets never completed (saturated?)",
+            report.packets_incomplete
+        )?;
+    }
+    if report.acceptance() < 0.95 {
+        writeln!(
+            out,
+            "  WARNING          : only {:.0}% of offered load accepted — past saturation",
+            100.0 * report.acceptance()
+        )?;
+    }
+    if let Some(mean) = report.latency.mean() {
+        writeln!(out, "  latency mean     : {mean}")?;
+        if let (Some(p50), Some(p99), Some(max)) = (
+            report.latency.median(),
+            report.latency.p99(),
+            report.latency.max(),
+        ) {
+            writeln!(out, "  latency p50/p99  : {p50} / {p99} (max {max})")?;
+        }
+    }
+    writeln!(out, "  throughput       : {}", report.throughput)?;
+    writeln!(out, "  power            : {}", report.power)?;
+    writeln!(out, "  flits throttled  : {}", report.flits_throttled)?;
+    if let Some(histogram) = report.latency.histogram(8) {
+        writeln!(out, "  latency distribution:")?;
+        for line in histogram.render(32).lines() {
+            writeln!(out, "    {line}")?;
+        }
+    }
+    Ok(())
+}
+
+fn print_mesh(out: &mut dyn Write, report: &mut MeshReport) -> io::Result<()> {
+    writeln!(out, "  packets measured : {}", report.packets_measured)?;
+    if report.packets_incomplete > 0 || report.acceptance() < 0.95 {
+        writeln!(
+            out,
+            "  WARNING          : saturated ({} incomplete, {:.0}% accepted)",
+            report.packets_incomplete,
+            100.0 * report.acceptance()
+        )?;
+    }
+    if let (Some(mean), Some(p99)) = (report.latency.mean(), report.latency.p99()) {
+        writeln!(out, "  latency mean/p99 : {mean} / {p99}")?;
+    }
+    writeln!(out, "  throughput       : {}", report.throughput)?;
+    writeln!(out, "  mean hops        : {:.2}", report.mean_hops)
 }
 
 /// Executes a parsed command, writing its report to `out`.
@@ -266,10 +362,7 @@ fn run_across_seeds(
 /// Returns a [`CliError`] on simulation or I/O failure.
 pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
     match command {
-        Command::Help => {
-            write!(out, "{USAGE}")?;
-            Ok(())
-        }
+        Command::Help(topic) => Ok(out.write_all(help(*topic).as_bytes())?),
         Command::Run {
             arch,
             spec_map,
@@ -283,97 +376,17 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             if *seeds > 1 {
                 return run_across_seeds(&map, &identity, *benchmark, *rate, *seeds, common, out);
             }
-            let mut profiler = ProfileWriter::when(common.profile.as_ref(), "run");
             let net = network_for(&map, common)?;
-            let phases = phases_for(*benchmark, common);
+            let size = common.size;
+            let config = config_json(Some(&identity), *benchmark, *rate, size, common);
             let run = run_config(*benchmark, *rate, common)?;
-            let config = crate::metrics::config_json(
-                Some(&identity),
-                *benchmark,
-                *rate,
-                common.size,
-                common,
-            );
-            let mut sink = match &common.stream {
-                Some(path) => Some(crate::stream::sink(
-                    &net,
-                    path,
-                    common,
-                    config.clone(),
-                    phases,
-                    None,
-                    crate::stream::DEFAULT_TRACE_LIMIT,
-                )?),
-                None => None,
-            };
-            let mut report = match sink.as_mut() {
-                Some(sink) => net.run_with_observers(&run, &mut [sink])?,
-                None => net.run(&run)?,
-            };
-            if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
-                profiler.add_run(config, profile);
-            }
-            writeln!(
-                out,
-                "{identity} ({}x{}) x {benchmark} @ {rate} flits/ns per source",
-                common.size, common.size
-            )?;
-            writeln!(out, "  packets measured : {}", report.packets_measured)?;
-            if report.packets_incomplete > 0 {
+            single_run("run", &net, config, &run, common, out, |out, report| {
                 writeln!(
                     out,
-                    "  WARNING          : {} packets never completed (saturated?)",
-                    report.packets_incomplete
+                    "{identity} ({size}x{size}) x {benchmark} @ {rate} flits/ns per source"
                 )?;
-            }
-            if report.acceptance() < 0.95 {
-                writeln!(
-                    out,
-                    "  WARNING          : only {:.0}% of offered load accepted — past saturation",
-                    100.0 * report.acceptance()
-                )?;
-            }
-            if let Some(mean) = report.latency.mean() {
-                writeln!(out, "  latency mean     : {mean}")?;
-                if let (Some(p50), Some(p99), Some(max)) = (
-                    report.latency.median(),
-                    report.latency.p99(),
-                    report.latency.max(),
-                ) {
-                    writeln!(out, "  latency p50/p99  : {p50} / {p99} (max {max})")?;
-                }
-            }
-            writeln!(out, "  throughput       : {}", report.throughput)?;
-            writeln!(out, "  power            : {}", report.power)?;
-            writeln!(out, "  flits throttled  : {}", report.flits_throttled)?;
-            if let Some(histogram) = report.latency.histogram(8) {
-                writeln!(out, "  latency distribution:")?;
-                for line in histogram.render(32).lines() {
-                    writeln!(out, "    {line}")?;
-                }
-            }
-            if let Some(profiler) = profiler {
-                profiler.finish()?;
-            }
-            if let Some(sink) = sink {
-                let sections = JsonValue::Object(vec![
-                    (
-                        "throughput".to_string(),
-                        crate::metrics::throughput_json(&report.throughput),
-                    ),
-                    (
-                        "power".to_string(),
-                        crate::metrics::power_json(&report, phases.measure()),
-                    ),
-                    (
-                        "counters".to_string(),
-                        crate::metrics::counters_json(&report),
-                    ),
-                ]);
-                let watchpoints = crate::stream::finish_sink(sink, sections)?;
-                crate::stream::fatal_check(watchpoints, common)?;
-            }
-            Ok(())
+                print_run(out, report)
+            })
         }
         Command::Saturate {
             arch,
@@ -383,7 +396,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             common,
         } => {
             let mut profiler = ProfileWriter::when(common.profile.as_ref(), "saturate");
-            let net = network(*arch, common)?;
+            let net = network_for(&resolve_spec_map(Some(*arch), None, common)?, common)?;
             let mut quality = if *quick {
                 Quality::quick()
             } else {
@@ -395,21 +408,13 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             quality.shards = common.shards;
             // A profiled search collects one runs[] entry per bisection
             // probe (plus the plateau run), keyed by its offered rate.
-            let identity = arch.to_string();
+            let (identity, size) = (arch.to_string(), common.size);
             let point = match profiler.as_mut() {
                 Some(profiler) => {
                     let (point, profiles) = saturation_of_profiled(&net, *benchmark, &quality)?;
                     for (rate, profile) in &profiles {
-                        profiler.add_run(
-                            crate::metrics::config_json(
-                                Some(&identity),
-                                *benchmark,
-                                *rate,
-                                common.size,
-                                common,
-                            ),
-                            profile,
-                        );
+                        let config = config_json(Some(&identity), *benchmark, *rate, size, common);
+                        profiler.add_run(config, profile);
                     }
                     point
                 }
@@ -440,7 +445,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             common,
         } => {
             let mut profiler = ProfileWriter::when(common.profile.as_ref(), "sweep");
-            let net = network(*arch, common)?;
+            let net = network_for(&resolve_spec_map(Some(*arch), None, common)?, common)?;
             writeln!(out, "{arch} x {benchmark}: latency vs offered load")?;
             writeln!(
                 out,
@@ -452,36 +457,19 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             let rates: Vec<f64> = (0..*steps)
                 .map(|k| from + (to - from) * k as f64 / (*steps - 1) as f64)
                 .collect();
-            let with_profile = profiler.is_some();
             let points = parallel_map(common.jobs, rates, |rate| {
-                let run = RunConfig::new(*benchmark, rate)?
-                    .with_phases(phases_for(*benchmark, common))
-                    .with_shards(common.shards)
-                    .with_profile(with_profile);
-                let mut report = net.run(&run)?;
-                let mean = report
-                    .latency
-                    .mean()
-                    .map_or("-".to_string(), |d| d.to_string());
-                let p99 = report
-                    .latency
-                    .p99()
-                    .map_or("-".to_string(), |d| d.to_string());
-                Ok::<_, SimError>((rate, mean, p99, report.acceptance(), report.profile.take()))
+                let mut report = net.run(&run_config(*benchmark, rate, common)?)?;
+                let mean = or_dash(report.latency.mean());
+                let p99 = or_dash(report.latency.p99());
+                Ok::<_, CliError>((rate, mean, p99, report.acceptance(), report.profile.take()))
             });
             for point in points {
                 let (rate, mean, p99, acceptance, profile) = point?;
                 if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &profile) {
-                    profiler.add_run(
-                        crate::metrics::config_json(
-                            Some(&arch.to_string()),
-                            *benchmark,
-                            rate,
-                            common.size,
-                            common,
-                        ),
-                        profile,
-                    );
+                    let identity = arch.to_string();
+                    let config =
+                        config_json(Some(&identity), *benchmark, rate, common.size, common);
+                    profiler.add_run(config, profile);
                 }
                 writeln!(
                     out,
@@ -504,184 +492,22 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             rows,
             common,
         } => {
-            let mut profiler = ProfileWriter::when(common.profile.as_ref(), "mesh");
-            let network = crate::fabric::mesh(*cols, *rows, common)?;
-            let size = network.config().size();
-            let phases = phases_for(*benchmark, common);
-            let run = run_config(*benchmark, *rate, common)?;
+            let net = crate::fabric::mesh(*cols, *rows, common)?;
             // The mesh is cols x rows; `size` records the column count
             // (square in every default invocation).
-            let config = crate::metrics::config_json(None, *benchmark, *rate, *cols, common);
-            let mut sink = match &common.stream {
-                Some(path) => Some(crate::stream::sink(
-                    &network,
-                    path,
-                    common,
-                    config.clone(),
-                    phases,
-                    None,
-                    crate::stream::DEFAULT_TRACE_LIMIT,
-                )?),
-                None => None,
-            };
-            let mut report = match sink.as_mut() {
-                Some(sink) => drive(&network, &run, &mut [sink], None),
-                None => drive(&network, &run, &mut [], None),
-            }
-            .map_err(SimError::from)?;
-            if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
-                profiler.add_run(config, profile);
-            }
-            writeln!(out, "{size} x {benchmark} @ {rate} flits/ns per endpoint")?;
-            writeln!(out, "  packets measured : {}", report.packets_measured)?;
-            if report.packets_incomplete > 0 || report.acceptance() < 0.95 {
-                writeln!(
-                    out,
-                    "  WARNING          : saturated ({} incomplete, {:.0}% accepted)",
-                    report.packets_incomplete,
-                    100.0 * report.acceptance()
-                )?;
-            }
-            if let (Some(mean), Some(p99)) = (report.latency.mean(), report.latency.p99()) {
-                writeln!(out, "  latency mean/p99 : {mean} / {p99}")?;
-            }
-            writeln!(out, "  throughput       : {}", report.throughput)?;
-            writeln!(out, "  mean hops        : {:.2}", report.mean_hops)?;
-            if let Some(profiler) = profiler {
-                profiler.finish()?;
-            }
-            if let Some(sink) = sink {
-                let sections = JsonValue::Object(vec![
-                    (
-                        "throughput".to_string(),
-                        crate::metrics::throughput_json(&report.throughput),
-                    ),
-                    (
-                        "counters".to_string(),
-                        crate::metrics::counters_json(&report),
-                    ),
-                ]);
-                let watchpoints = crate::stream::finish_sink(sink, sections)?;
-                crate::stream::fatal_check(watchpoints, common)?;
-            }
-            Ok(())
+            let config = config_json(None, *benchmark, *rate, *cols, common);
+            let run = run_config(*benchmark, *rate, common)?;
+            let size = net.config().size();
+            single_run("mesh", &net, config, &run, common, out, |out, report| {
+                writeln!(out, "{size} x {benchmark} @ {rate} flits/ns per endpoint")?;
+                print_mesh(out, report)
+            })
         }
-        Command::Metrics {
-            arch,
-            spec_map,
-            benchmark,
-            rate,
-            substrate,
-            mcast,
-            bin_ns,
-            metrics_out,
-            trace_format,
-            trace_out,
-            trace_limit,
-            common,
-        } => crate::metrics::execute_metrics(
-            &crate::metrics::MetricsRequest {
-                arch: *arch,
-                spec_map: spec_map.clone(),
-                benchmark: *benchmark,
-                rate: *rate,
-                substrate: *substrate,
-                mcast: *mcast,
-                bin_ns: *bin_ns,
-                metrics_out: metrics_out.clone(),
-                trace_format: *trace_format,
-                trace_out: trace_out.clone(),
-                trace_limit: *trace_limit,
-                common: common.clone(),
-            },
-            out,
-        ),
-        Command::Analyze {
-            trace_in,
-            report_out,
-            top,
-            heatmap,
-            lenient,
-            profile,
-        } => crate::analyze::execute_analyze(
-            &crate::analyze::AnalyzeRequest {
-                trace_in: trace_in.clone(),
-                report_out: report_out.clone(),
-                top: *top,
-                heatmap: *heatmap,
-                lenient: *lenient,
-                profile: profile.clone(),
-            },
-            out,
-        ),
-        Command::Faults {
-            arch,
-            spec_map,
-            benchmark,
-            rate,
-            substrate,
-            mcast,
-            plan,
-            fault_rate,
-            oracle,
-            report_out,
-            common,
-        } => crate::faults::execute_faults(
-            &crate::faults::FaultsRequest {
-                arch: *arch,
-                spec_map: spec_map.clone(),
-                benchmark: *benchmark,
-                rate: *rate,
-                substrate: *substrate,
-                mcast: *mcast,
-                plan: plan.clone(),
-                fault_rate: *fault_rate,
-                oracle: *oracle,
-                report_out: report_out.clone(),
-                common: common.clone(),
-            },
-            out,
-        ),
-        Command::Explore {
-            benchmark,
-            rate,
-            granularity,
-            beam,
-            max_points,
-            guard,
-            tolerance,
-            report_out,
-            smoke,
-            common,
-        } => crate::explore::execute_explore(
-            &crate::explore::ExploreRequest {
-                benchmark: *benchmark,
-                rate: *rate,
-                granularity: *granularity,
-                beam: *beam,
-                max_points: *max_points,
-                guard: *guard,
-                tolerance: *tolerance,
-                report_out: report_out.clone(),
-                smoke: *smoke,
-                common: common.clone(),
-            },
-            out,
-        ),
-        Command::Watch {
-            stream_in,
-            fold,
-            once,
-            interval_ms,
-        } => crate::watch::execute_watch(
-            &crate::watch::WatchRequest {
-                stream_in: stream_in.clone(),
-                fold: fold.clone(),
-                once: *once,
-                interval_ms: *interval_ms,
-            },
-            out,
-        ),
+        Command::Metrics(request) => crate::metrics::execute_metrics(request, out),
+        Command::Analyze(request) => crate::analyze::execute_analyze(request, out),
+        Command::Faults(request) => crate::faults::execute_faults(request, out),
+        Command::Explore(request) => crate::explore::execute_explore(request, out),
+        Command::Watch(request) => crate::watch::execute_watch(request, out),
         Command::Info { arch, size } => {
             let size =
                 MotSize::new(*size).map_err(|e| CliError::Invalid(format!("--size: {e}")))?;

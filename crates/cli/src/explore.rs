@@ -23,6 +23,7 @@ use crate::args::CommonOptions;
 use crate::commands::CliError;
 
 /// A fully-resolved `explore` invocation.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExploreRequest {
     /// Traffic benchmark (`None` = the spec default, Multicast10).
     pub benchmark: Option<Benchmark>,

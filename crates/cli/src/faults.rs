@@ -26,6 +26,7 @@ use crate::commands::{
 use crate::fabric::{self, Fabric};
 
 /// A fully-resolved `faults` invocation.
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultsRequest {
     /// Network architecture preset (MoT substrate; exclusive with `spec_map`).
     pub arch: Option<Architecture>,

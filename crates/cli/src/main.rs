@@ -2,8 +2,6 @@
 
 use std::process::ExitCode;
 
-use asynoc_cli::args::USAGE;
-
 // Count heap traffic so `--profile` reports a live `allocations` figure
 // (library users of `asynoc-cli` who keep the system allocator simply
 // read 0 there).
@@ -16,8 +14,10 @@ fn main() -> ExitCode {
         Ok(command) => command,
         Err(err) => {
             eprintln!("error: {err}");
-            eprintln!();
-            eprint!("{USAGE}");
+            if let Some(usage) = args.first().and_then(|word| asynoc_cli::args::usage(word)) {
+                eprint!("\n{usage}");
+            }
+            eprintln!("\nsee `asynoc help`");
             return ExitCode::from(2);
         }
     };

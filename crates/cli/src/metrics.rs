@@ -24,6 +24,7 @@ use crate::commands::{
 use crate::fabric::{self, Fabric};
 
 /// A fully-resolved `metrics` invocation.
+#[derive(Clone, Debug, PartialEq)]
 pub struct MetricsRequest {
     /// Network architecture preset (MoT substrate; exclusive with `spec_map`).
     pub arch: Option<Architecture>,
@@ -537,7 +538,9 @@ mod tests {
         }
         let line = "metrics --substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 \
                     --flits 1 --warmup-ns 40 --measure-ns 400";
-        let Command::Metrics { common, .. } = parse(&argv(line)).expect("valid invocation") else {
+        let Command::Metrics(MetricsRequest { common, .. }) =
+            parse(&argv(line)).expect("valid invocation")
+        else {
             panic!("expected metrics");
         };
         let run = run_config(Benchmark::UniformRandom, 0.1, &common).unwrap();

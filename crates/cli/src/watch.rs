@@ -19,6 +19,7 @@ use asynoc_telemetry::{JsonValue, StreamFolder, StreamLine, STREAM_SCHEMA};
 use crate::commands::CliError;
 
 /// A fully-resolved `watch` invocation.
+#[derive(Clone, Debug, PartialEq)]
 pub struct WatchRequest {
     /// The stream to follow (`-` = stdin).
     pub stream_in: String,

@@ -4,6 +4,9 @@
 
 use std::process::{Command, Output};
 
+use asynoc_cli::args::{COMMANDS, FLAGS};
+use asynoc_kernel::SimRng;
+
 fn asynoc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_asynoc"))
         .args(args)
@@ -116,7 +119,10 @@ fn out_of_range_run_flags_are_usage_errors_not_panics() {
                 continue;
             }
             let mut args = command.to_vec();
-            args.extend(["--benchmark", "Shuffle", "--rate", "0.2", "--size", "4"]);
+            args.extend(["--benchmark", "Shuffle", "--rate", "0.2"]);
+            if command[0] != "mesh" {
+                args.extend(["--size", "4"]);
+            }
             args.extend(["--stream", "-", flag, value]);
             let output = asynoc(&args);
             let stderr = String::from_utf8_lossy(&output.stderr);
@@ -145,4 +151,129 @@ fn a_non_power_of_two_mesh_says_so() {
         "3",
     ]);
     assert_located_error(&output, &["3x3", "(9) must be a power of two"]);
+}
+
+#[test]
+fn a_usage_error_prints_its_command_synopsis_not_the_whole_help() {
+    let output = asynoc(&["sweep", "--arch", "Baseline", "--steps", "1"]);
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert!(lines[0].starts_with("error: "), "{stderr}");
+    assert!(stderr.contains("USAGE:\n  asynoc sweep "), "{stderr}");
+    assert_eq!(lines.last(), Some(&"see `asynoc help`"), "{stderr}");
+    assert!(
+        lines.len() < 10 && !stderr.contains("asynoc run"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn help_after_a_command_is_that_commands_section_and_exit_zero() {
+    for args in [["run", "--help"], ["run", "-h"], ["help", "run"]] {
+        let output = asynoc(&args);
+        assert_eq!(output.status.code(), Some(0), "{args:?}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains("asynoc run "), "{stdout}");
+        assert!(stdout.contains("--seeds <K>"), "{stdout}");
+        assert!(!stdout.contains("asynoc sweep"), "{stdout}");
+        assert!(output.stderr.is_empty(), "{args:?}");
+    }
+}
+
+/// Values a flag can be handed: plausible ones, and junk that is empty,
+/// negative, non-finite, overflowing, or shaped like another flag.
+const VALUES: [&str; 26] = [
+    "0",
+    "1",
+    "2",
+    "8",
+    "0.2",
+    "-1",
+    "NaN",
+    "inf",
+    "1e999",
+    "18446744073709551615",
+    "18446744073709551616",
+    "",
+    "-",
+    "--",
+    "--rate",
+    "--help",
+    "-h",
+    "Baseline",
+    "Shuffle",
+    "levels:sp,ns,ns",
+    "mot",
+    "vcmesh",
+    "dpm",
+    "chrome",
+    "node",
+    "\u{fffd}junk",
+];
+
+/// One argv drawn from the flag and command tables, then shuffled,
+/// duplicated into, or truncated.
+fn mutated_argv(rng: &mut SimRng) -> Vec<String> {
+    let spec = &COMMANDS[rng.index(COMMANDS.len())];
+    let accepted: Vec<_> = FLAGS.iter().filter(|flag| spec.accepts(flag)).collect();
+    let mut args = vec![spec.name.to_string()];
+    for _ in 0..rng.index(7) {
+        // Mostly a flag the command takes, so the refusals come from
+        // deeper than "unknown option".
+        let flag = if rng.chance(0.8) {
+            accepted[rng.index(accepted.len())]
+        } else {
+            &FLAGS[rng.index(FLAGS.len())]
+        };
+        args.push(format!("--{}", flag.name));
+        // Mostly the arity the table gives; sometimes the other one.
+        if flag.value.is_empty() == rng.chance(0.1) {
+            args.push(VALUES[rng.index(VALUES.len())].to_string());
+        }
+    }
+    match rng.index(4) {
+        0 => {
+            for _ in 0..args.len() {
+                let (a, b) = (rng.index(args.len()), rng.index(args.len()));
+                args.swap(a, b);
+            }
+        }
+        1 => args.push(args[rng.index(args.len())].clone()),
+        2 => args.truncate(1 + rng.index(args.len())),
+        _ => {}
+    }
+    args
+}
+
+#[test]
+fn mutated_argv_never_panics_and_every_refusal_is_a_usage_error() {
+    let mut rng = SimRng::seed_from(0x00A5_7A0C);
+    let (mut refused, mut helped) = (0, 0);
+    for _ in 0..600 {
+        let args = mutated_argv(&mut rng);
+        // A line that parses would start a simulation; the parser having
+        // returned at all is the property for those.
+        let expected = match asynoc_cli::parse(&args) {
+            Err(_) => 2,
+            Ok(asynoc_cli::Command::Help(_)) => 0,
+            Ok(_) => continue,
+        };
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let output = asynoc(&args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(expected), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        if expected == 2 {
+            let first = stderr.lines().next().unwrap_or_default();
+            assert!(first.starts_with("error: "), "{args:?}: {stderr}");
+            refused += 1;
+        } else {
+            helped += 1;
+        }
+    }
+    assert!(
+        refused > 200 && helped > 0,
+        "{refused} refused, {helped} helped"
+    );
 }

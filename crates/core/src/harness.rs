@@ -527,7 +527,13 @@ pub struct SeedStats {
 }
 
 impl SeedStats {
-    fn from_samples(samples: &[f64]) -> Self {
+    /// Aggregates one sample per seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    #[must_use]
+    pub fn from_samples(samples: &[f64]) -> Self {
         let n = samples.len();
         assert!(n > 0, "need at least one sample");
         let mean = samples.iter().sum::<f64>() / n as f64;

@@ -6,47 +6,10 @@
 #                               analyze round-trips, and schema diffs
 #                               (debug test cycle)
 #   scripts/check.sh --smoke    run only the guarded benches, recording
-#                               results/BENCH_observer_overhead.json,
-#                               results/BENCH_analyze.json,
-#                               results/BENCH_faults.json,
-#                               results/BENCH_scheduler.json,
-#                               results/BENCH_sharded.json,
-#                               results/BENCH_vcmesh.json, and
-#                               results/BENCH_explore.json (seeded on
-#                               first run; >20% ns/event regression
-#                               fails with a per-case diff), then folds
-#                               them into results/BENCH_summary.json
-#
-# The gate is a superset of ROADMAP.md's tier-1 verify
-# (`cargo build --release && cargo test -q`), adding the lint and
-# formatting checks this repository holds itself to, smoke runs of the
-# guarded benches (the zero-observer fast path, the analysis pipeline,
-# the disarmed fault hooks, the event-queue hold model — the calendar
-# queue against its binary-heap reference — the serial halves of the
-# sharded-engine bench, and the credit-based VC mesh router must keep
-# their per-event cost), a
-# sharded-vs-serial differential gate (the same CLI run at
-# --shards 1/2/4 must print byte-identical reports; the VC mesh's
-# metrics document must match after dropping only the counters'
-# shard-layout fields), a metrics -> trace -> analyze round-trip on
-# every substrate, a fault oracle round-trip on every substrate (a
-# violated oracle exits non-zero), a profiled sharded round-trip (the
-# `--profile` document must carry the pinned asynoc-profile-v1 tag and
-# must not move a byte of stdout), and diffs of the `asynoc metrics` /
-# `asynoc analyze` / `asynoc faults` / `asynoc explore` JSON report
-# schemas plus the asynoc-profile-v1 schema skeleton against the
-# checked-in goldens so report-format changes are always deliberate
-# (the metrics golden pins the mot, mesh, and vcmesh document shapes
-# side by side). The exploration autotuner gets two more gates: an
-# `asynoc explore --smoke` run on the default 8x8 whose built-in
-# regression guard asserts OptHybridSpeculative lands on (or within
-# tolerance of) the Pareto front, and a --jobs 1 vs --jobs 2
-# byte-identity diff of the same report. Streaming
-# telemetry gets two gates of its own: folding a `--stream` NDJSON file
-# back through `asynoc watch --fold` must reproduce the batch metrics
-# document byte for byte on every substrate at shards 1 and 2, and the
-# memcheck binary must show a streamed run's peak heap staying put when
-# the run gets 8x longer.
+#                               results/BENCH_*.json (seeded on first
+#                               run; a >20% ns/event regression fails
+#                               with a per-case diff) and folding them
+#                               into results/BENCH_summary.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
