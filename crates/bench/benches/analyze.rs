@@ -26,7 +26,6 @@ use asynoc_analysis::{Analysis, SpanForest};
 use asynoc_bench::baseline::{guard, parse_bench_args, BenchCase};
 use asynoc_bench::timing::Harness;
 use asynoc_telemetry::{fold_stream, parse_trace, render_trace, TraceCollector, TraceMeta};
-use asynoc_topology::{FaninNodeId, FanoutNodeId};
 
 fn main() {
     let args = parse_bench_args();
@@ -37,20 +36,14 @@ fn main() {
         NetworkConfig::eight_by_eight(Architecture::BasicHybridSpeculative).with_seed(3),
     )
     .expect("valid config");
-    let size = network.config().size();
     let timing = network.config().timing();
     let phases = Phases::new(Duration::from_ns(40), Duration::from_ns(measure_ns));
     let run = RunConfig::new(Benchmark::Multicast10, 0.3)
         .expect("positive rate")
         .with_phases(phases);
 
-    let mut collector: TraceCollector<MotNode> = TraceCollector::new(
-        1_000_000,
-        Box::new(move |node| match node {
-            MotNode::Fanout(flat) => FanoutNodeId::from_flat_index(size, flat).to_string(),
-            MotNode::Fanin(flat) => FaninNodeId::from_flat_index(size, flat).to_string(),
-        }),
-    );
+    let mut collector: TraceCollector<MotNode> =
+        TraceCollector::new(1_000_000, network.site_label());
     let mut extra: Vec<&mut dyn Observer<MotNode>> = vec![&mut collector];
     network
         .run_with_observers(&run, &mut extra)

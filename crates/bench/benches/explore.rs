@@ -22,12 +22,9 @@ use asynoc_bench::timing::Harness;
 
 /// The deterministic event count of one placement's run under `spec`.
 fn events_of(spec: &ExploreSpec, map: &SpecMap) -> u64 {
-    let label = map.label().unwrap_or(Architecture::OptHybridSpeculative);
-    let config = NetworkConfig::new(spec.size, label)
+    let config = NetworkConfig::with_spec_map(map.clone())
         .with_seed(spec.seed)
-        .with_flits_per_packet(spec.flits_per_packet)
-        .with_spec_map(map)
-        .expect("valid placement");
+        .with_flits_per_packet(spec.flits_per_packet);
     let network = Network::new(config).expect("valid config");
     let run = RunConfig::new(spec.benchmark, spec.rate_gfs)
         .expect("positive rate")

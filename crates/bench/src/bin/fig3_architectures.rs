@@ -4,14 +4,13 @@
 //!
 //! Usage: `cargo run -p asynoc-bench --bin fig3_architectures`
 
-use asynoc::{Architecture, MotSize};
-use asynoc_topology::SpeculationMap;
+use asynoc::{Architecture, MotSize, SpecMap};
 
-fn render(title: &str, map: &SpeculationMap) {
+fn render(title: &str, map: &SpecMap) {
     println!("{title}");
     let size = map.size();
     for level in 0..size.levels() {
-        let speculative = map.is_speculative_level(level);
+        let speculative = map.level_kinds()[level as usize].is_speculative();
         let marker = if speculative { "S" } else { "n" };
         let width = size.nodes_at_level(level);
         let spacing = size.n() * 4 / width;
@@ -39,18 +38,18 @@ fn main() {
     println!("Figure 3: fanout network architectures (S = speculative, n = non-speculative)\n");
     render(
         "(a) 8x8 non-speculative",
-        &Architecture::OptNonSpeculative.speculation_map(size8),
+        &SpecMap::preset(Architecture::OptNonSpeculative, size8),
     );
     render(
         "(b) 8x8 hybrid (local speculation)",
-        &Architecture::OptHybridSpeculative.speculation_map(size8),
+        &SpecMap::preset(Architecture::OptHybridSpeculative, size8),
     );
     render(
         "(c) 8x8 almost fully speculative",
-        &Architecture::OptAllSpeculative.speculation_map(size8),
+        &SpecMap::preset(Architecture::OptAllSpeculative, size8),
     );
     render(
         "(d) 16x16 hybrid (one of a family of possibilities)",
-        &SpeculationMap::hybrid(size16),
+        &SpecMap::preset(Architecture::OptHybridSpeculative, size16),
     );
 }

@@ -4,21 +4,21 @@
 //!
 //! Usage: `cargo run -p asynoc-bench --bin fig4_routing`
 
-use asynoc::{Architecture, DestSet, MotSize};
+use asynoc::{Architecture, DestSet, MotSize, SpecMap};
 use asynoc_packet::RouteHeader;
 use asynoc_topology::{multicast_route, FanoutChild, FanoutNodeId, OutputPort};
 
 /// Walks a packet's copies down the fanout tree, printing what every
 /// visited node does. Speculative nodes broadcast (possibly creating
 /// redundant copies); non-speculative nodes obey their routing symbol.
-fn walk(size: MotSize, architecture: Architecture, source: usize, header: &RouteHeader) {
-    let map = architecture.speculation_map(size);
+fn walk(map: &SpecMap, source: usize, header: &RouteHeader) {
+    let size = map.size();
     let mut frontier = vec![FanoutNodeId::root(source)];
     while !frontier.is_empty() {
         let mut next = Vec::new();
         for node in frontier {
             let symbol = header.symbol(node.level, node.index);
-            let speculative = map.is_speculative_level(node.level);
+            let speculative = map.kind_of(node).is_speculative();
             let action = if speculative {
                 format!("SPECULATIVE: broadcast (true route: {symbol})")
             } else if symbol.is_drop() {
@@ -59,17 +59,17 @@ fn walk(size: MotSize, architecture: Architecture, source: usize, header: &Route
 
 fn main() {
     let size = MotSize::new(8).expect("8 is valid");
-    let architecture = Architecture::OptHybridSpeculative;
+    let map = SpecMap::preset(Architecture::OptHybridSpeculative, size);
 
     println!("Figure 4(a): unicast packet, source 0 -> D7, hybrid 8x8 network");
     let unicast = multicast_route(size, 0, DestSet::unicast(7)).expect("valid route");
-    walk(size, architecture, 0, &unicast);
+    walk(&map, 0, &unicast);
     println!();
 
     println!("Figure 4(b): multicast packet, source 0 -> {{D0, D1, D2}}, hybrid 8x8 network");
     let dests: DestSet = [0usize, 1, 2].into_iter().collect();
     let multicast = multicast_route(size, 0, dests).expect("valid route");
-    walk(size, architecture, 0, &multicast);
+    walk(&map, 0, &multicast);
     println!();
     println!(
         "The speculative root always broadcasts; the copy on the wrong path is \

@@ -47,7 +47,8 @@ impl Write for CountingWriter {
 
 static STREAM_BYTES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-fn sink_for(size: MotSize, phases: Phases) -> StreamSink<MotNode> {
+fn sink_for(net: &Network, phases: Phases) -> StreamSink<MotNode> {
+    let size = net.config().size();
     let n = size.n();
     let levels = size.levels() as usize;
     let mut specs = Vec::with_capacity(2 * levels);
@@ -87,17 +88,13 @@ fn sink_for(size: MotSize, phases: Phases) -> StreamSink<MotNode> {
         phases,
         n,
         series,
-        Box::new(move |node: MotNode| match node {
-            MotNode::Fanout(flat) => FanoutNodeId::from_flat_index(size, flat).to_string(),
-            MotNode::Fanin(flat) => FaninNodeId::from_flat_index(size, flat).to_string(),
-        }),
+        net.site_label(),
     )
     .expect("stream head writes")
 }
 
 /// One streamed serial run; returns (peak heap bytes, events, stream bytes).
 fn streamed_run(net: &Network, measure_ns: u64) -> (u64, u64, u64) {
-    let size = net.config().size();
     let phases = Phases::new(Duration::from_ns(40), Duration::from_ns(measure_ns));
     let run = RunConfig::new(Benchmark::Multicast5, 0.05)
         .expect("valid run")
@@ -105,7 +102,7 @@ fn streamed_run(net: &Network, measure_ns: u64) -> (u64, u64, u64) {
         .with_shards(1)
         .with_latency_cap(Some(4096));
     let stream_start = STREAM_BYTES.load(std::sync::atomic::Ordering::Relaxed);
-    let mut sink = sink_for(size, phases);
+    let mut sink = sink_for(net, phases);
     reset_peak_bytes();
     let report = {
         let mut extra: Vec<&mut dyn Observer<MotNode>> = vec![&mut sink];

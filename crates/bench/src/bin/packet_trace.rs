@@ -4,7 +4,28 @@
 //!
 //! Usage: `cargo run --release -p asynoc-bench --bin packet_trace [--seed N]`
 
-use asynoc::{Architecture, Benchmark, Network, NetworkConfig, RunConfig, TraceAction};
+use asynoc::telemetry::{TraceCollector, TraceRecord};
+use asynoc::{Architecture, Benchmark, Network, NetworkConfig, RunConfig, Time};
+
+/// One journey line: when, which flit, where, and what the node did.
+fn journey_line(record: &TraceRecord) -> String {
+    let action = match (record.action.as_str(), record.detail.strip_prefix("input")) {
+        ("inject", _) => "injected".to_string(),
+        ("forward", Some(input)) => format!("arbitrated (input {input})"),
+        ("forward", None) => format!("forwarded [{}]", record.detail),
+        ("throttle", _) => "THROTTLED".to_string(),
+        ("deliver", _) => "delivered".to_string(),
+        (other, _) => other.to_string(),
+    };
+    format!(
+        "{:>12}  pkt{}[{}]  {:<12} {}",
+        Time::from_ps(record.t_ps).to_string(),
+        record.packet,
+        record.flit,
+        record.site,
+        action
+    )
+}
 
 fn main() {
     let seed = std::env::args()
@@ -17,38 +38,33 @@ fn main() {
         NetworkConfig::eight_by_eight(Architecture::OptHybridSpeculative).with_seed(seed),
     )
     .expect("valid config");
-    let run = RunConfig::quick(Benchmark::Multicast10, 0.2).with_trace(40_000);
-    let report = network.run(&run).expect("run succeeds");
+    let run = RunConfig::quick(Benchmark::Multicast10, 0.2);
+    let mut collector = TraceCollector::new(40_000, network.site_label());
+    network
+        .run_with_observers(&run, &mut [&mut collector])
+        .expect("run succeeds");
+    let trace = collector.into_records();
 
     // Prefer a multicast packet whose journey also shows a throttled
     // redundant copy (one whose destinations all sit in one half, so the
     // speculative root's broadcast creates waste); fall back to any
     // multicast packet.
-    let deliveries = |packet| {
-        report
-            .trace
+    let count = |packet: u64, action: &str| {
+        trace
             .iter()
-            .filter(|e| e.packet == packet && matches!(e.action, TraceAction::Delivered))
+            .filter(|e| e.packet == packet && e.action == action)
             .count()
     };
-    let throttles = |packet| {
-        report
-            .trace
-            .iter()
-            .filter(|e| e.packet == packet && matches!(e.action, TraceAction::Throttled))
-            .count()
-    };
-    let mut candidates: Vec<_> = report
-        .trace
+    let mut candidates: Vec<_> = trace
         .iter()
-        .filter(|e| matches!(e.action, TraceAction::Delivered))
+        .filter(|e| e.action == "deliver")
         .map(|e| e.packet)
-        .filter(|&p| deliveries(p) > 5) // 5-flit packet, >1 destination
+        .filter(|&p| count(p, "deliver") > 5) // 5-flit packet, >1 destination
         .collect();
     candidates.dedup();
     let Some(&packet) = candidates
         .iter()
-        .find(|&&p| throttles(p) > 0)
+        .find(|&&p| count(p, "throttle") > 0)
         .or_else(|| candidates.first())
     else {
         println!("no multicast packet found in the trace window; try another --seed");
@@ -57,8 +73,8 @@ fn main() {
 
     println!("Journey of multicast packet {packet} through OptHybridSpeculative (8x8):");
     println!();
-    for event in report.trace.iter().filter(|e| e.packet == packet) {
-        println!("  {event}");
+    for record in trace.iter().filter(|e| e.packet == packet) {
+        println!("  {}", journey_line(record));
     }
     println!();
     println!(

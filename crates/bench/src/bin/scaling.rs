@@ -46,7 +46,7 @@ fn main() {
                 "{:<6} {:<24} {:>10} {:>14.2} {:>12.1} {:>12}",
                 size.to_string(),
                 arch.to_string(),
-                arch.address_bits(size),
+                network.config().spec_map().address_bits(),
                 latency_ns,
                 report.power.total_mw(),
                 report.flits_throttled

@@ -9,7 +9,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use asynoc::explore::Granularity;
-use asynoc::{Architecture, Benchmark};
+use asynoc::{Architecture, Benchmark, MotSize, SpecMap};
 use asynoc_vcmesh::McastScheme;
 
 use crate::analyze::AnalyzeRequest;
@@ -566,11 +566,14 @@ pub struct CommonOptions {
     pub watch_fatal: bool,
 }
 
+/// `--size` when the flag is absent: the paper's 8×8.
+const DEFAULT_SIZE: usize = 8;
+
 impl Default for CommonOptions {
     fn default() -> Self {
         let threads = asynoc::default_parallelism();
         CommonOptions {
-            size: 8,
+            size: DEFAULT_SIZE,
             seed: 42,
             flits: 5,
             warmup_ns: None,
@@ -728,9 +731,18 @@ impl Flags {
 
     /// Resolves the `--arch` / `--spec-map` placement pair: the two are
     /// mutually exclusive, and exactly one is required when the command
-    /// runs on the MoT substrate.
+    /// runs on the MoT substrate. An inline map is checked here, against
+    /// the `--size` in effect, so a malformed one is a usage error like a
+    /// malformed `--arch`; an `@file` is read when the command runs.
     fn placement(&self, required_here: bool) -> Parsed<(Option<Architecture>, Option<String>)> {
-        let placement = (self.get("arch")?, self.get("spec-map")?);
+        let placement: (_, Option<String>) = (self.get("arch")?, self.get("spec-map")?);
+        let size = self.get("size")?.unwrap_or(DEFAULT_SIZE);
+        if let (Some(inline), Ok(size)) = (&placement.1, MotSize::new(size)) {
+            if !inline.starts_with('@') {
+                SpecMap::parse(size, inline)
+                    .map_err(|e| ParseCliError::new(format!("--spec-map: {e}")))?;
+            }
+        }
         match placement {
             (Some(_), Some(_)) => fail(
                 "--arch and --spec-map are mutually exclusive (a preset name is \

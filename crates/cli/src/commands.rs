@@ -5,8 +5,8 @@ use std::io::{self, Write};
 
 use asynoc::harness::{saturation_of, saturation_of_profiled, Quality, SeedStats};
 use asynoc::{
-    drive, parallel_map, Architecture, Duration, FanoutKind, FanoutNodeId, MotSize, Network,
-    NetworkConfig, Phases, RunConfig, RunReport, SimError, SpecMap,
+    drive, parallel_map, Architecture, Duration, FanoutKind, MotSize, Network, NetworkConfig,
+    Phases, RunConfig, RunReport, SimError, SpecMap,
 };
 use asynoc_mesh::MeshReport;
 use asynoc_telemetry::JsonValue;
@@ -111,9 +111,8 @@ fn spec_map_from_json(size: MotSize, doc: &JsonValue) -> Result<SpecMap, String>
         for (i, node) in nodes.iter().enumerate() {
             let field = |key: &str| -> Result<usize, String> {
                 node.get(key)
-                    .and_then(JsonValue::as_f64)
-                    .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-                    .map(|v| v as usize)
+                    .and_then(JsonValue::as_u64)
+                    .and_then(|v| usize::try_from(v).ok())
                     .ok_or_else(|| format!("\"nodes\"[{i}].{key} must be a non-negative integer"))
             };
             let token = node
@@ -122,12 +121,10 @@ fn spec_map_from_json(size: MotSize, doc: &JsonValue) -> Result<SpecMap, String>
                 .ok_or_else(|| format!("\"nodes\"[{i}].kind must be a fanout-kind token"))?;
             let kind = FanoutKind::parse_token(token)
                 .ok_or_else(|| format!("\"nodes\"[{i}].kind: unknown fanout kind `{token}`"))?;
-            let id = FanoutNodeId {
-                tree: field("tree")?,
-                level: field("level")? as u32,
-                index: field("index")?,
-            };
-            map = map.with_node(id, kind).map_err(|e| e.to_string())?;
+            map = map
+                .node_at(field("tree")?, field("level")?, field("index")?)
+                .and_then(|id| map.with_node(id, kind))
+                .map_err(|e| e.to_string())?;
         }
     }
     Ok(map)
@@ -144,11 +141,9 @@ pub(crate) fn placement_id(map: &SpecMap) -> String {
 
 /// Builds a network realizing an arbitrary speculation placement.
 pub(crate) fn network_for(map: &SpecMap, common: &CommonOptions) -> Result<Network, CliError> {
-    let arch = map.label().unwrap_or(Architecture::OptHybridSpeculative);
-    let config = NetworkConfig::new(map.size(), arch)
+    let config = NetworkConfig::with_spec_map(map.clone())
         .with_seed(common.seed)
-        .with_flits_per_packet(common.flits)
-        .with_spec_map(map)?;
+        .with_flits_per_packet(common.flits);
     Ok(Network::new(config)?)
 }
 
@@ -530,12 +525,13 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             };
             for a in list {
                 let net = Network::new(NetworkConfig::new(size, a))?;
+                let map = net.config().spec_map();
                 writeln!(
                     out,
                     "{:<26} {:>10} {:>12} {:>14.0} {:>14.2}",
                     a.to_string(),
-                    a.address_bits(size),
-                    a.speculation_map(size).speculative_nodes(),
+                    map.address_bits(),
+                    map.speculative_nodes(),
                     net.area_um2(),
                     net.leakage_mw()
                 )?;
@@ -881,11 +877,15 @@ mod tests {
 
     #[test]
     fn invalid_spec_maps_are_rejected_with_the_validation_detail() {
+        // An inline map is refused by the parser (a usage error, like a
+        // bad --arch); the same placement in an @file when the command runs.
         let reject = |line: &str, needle: &str| {
             let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-            let command = parse(&args).expect("parses");
-            let mut out = Vec::new();
-            let err = execute(&command, &mut out).unwrap_err().to_string();
+            let err = match parse(&args) {
+                Err(usage) => usage.to_string(),
+                Ok(command) => execute(&command, &mut Vec::new()).unwrap_err().to_string(),
+            };
+            assert!(err.starts_with("--spec-map"), "{line}: {err}");
             assert!(err.contains(needle), "{line}: {err}");
         };
         let tail = "--benchmark Shuffle --rate 0.2";
@@ -903,6 +903,25 @@ mod tests {
             &format!("run --spec-map levels:ns,ns,ns;node:9.0.0=sp {tail}"),
             "range",
         );
+        // A level of 2^32 used to wrap to 0 and quietly make the root
+        // speculative, in both forms.
+        reject(
+            &format!("run --spec-map levels:ons,ons,ons;node:0.4294967296.0=osp {tail}"),
+            "s0:4294967296.0 out of range",
+        );
+        let path =
+            std::env::temp_dir().join(format!("asynoc-spec-wrap-{}.json", std::process::id()));
+        std::fs::write(
+            &path,
+            r#"{"levels": ["ons", "ons", "ons"],
+                "nodes": [{"tree": 0, "level": 4294967296, "index": 0, "kind": "osp"}]}"#,
+        )
+        .expect("spec-map file");
+        reject(
+            &format!("run --spec-map @{} {tail}", path.to_string_lossy()),
+            "s0:4294967296.0 out of range",
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

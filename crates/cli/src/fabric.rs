@@ -91,11 +91,7 @@ impl Fabric for Network {
     }
 
     fn site_label(&self) -> Box<dyn Fn(MotNode) -> String> {
-        let size = self.config().size();
-        Box::new(move |node| match node {
-            MotNode::Fanout(flat) => FanoutNodeId::from_flat_index(size, flat).to_string(),
-            MotNode::Fanin(flat) => FaninNodeId::from_flat_index(size, flat).to_string(),
-        })
+        Network::site_label(self)
     }
 
     fn energy_fj(&self) -> Option<(f64, f64)> {

@@ -6,10 +6,11 @@
 //! The command is a pure consumer: it never touches the simulator. In
 //! tail mode it polls the file for growth, reports each flushed window
 //! as it lands, and exits when the `end` record arrives; `--once`
-//! reads what is present and exits. Simulated-time stalls are the
-//! producer's online watchpoints; the *host-time* stall ("the file
-//! stopped growing") is detected here, since only the consumer can
-//! see wall-clock silence.
+//! reads what is present and exits (an input that does not open with a
+//! head record is refused, not summarised as an empty run).
+//! Simulated-time stalls are the producer's online watchpoints; the
+//! *host-time* stall ("the file stopped growing") is detected here,
+//! since only the consumer can see wall-clock silence.
 
 use std::io::{BufRead, BufReader, Read, Seek, Write};
 use std::time::Instant;
@@ -257,6 +258,24 @@ pub fn execute_watch(request: &WatchRequest, out: &mut dyn Write) -> Result<(), 
         } else {
             std::fs::read_to_string(&request.stream_in)?
         };
+        // A complete stream opens with its head; without one this is some
+        // other file (or none), not a run that reported all zeroes.
+        let opening = text
+            .lines()
+            .enumerate()
+            .find(|(_, line)| !line.trim().is_empty());
+        let is_head = |line| match StreamLine::parse(line) {
+            Ok(StreamLine::Record(value)) => {
+                value.get("type").and_then(JsonValue::as_str) == Some("head")
+            }
+            _ => false,
+        };
+        if !opening.is_some_and(|(_, line)| is_head(line)) {
+            return Err(CliError::Invalid(format!(
+                "line {}: expected a {STREAM_SCHEMA:?} head record",
+                opening.map_or(1, |(index, _)| index + 1)
+            )));
+        }
         let mut dashboard = Dashboard::new(request);
         for line in text.lines() {
             dashboard.ingest(line, out)?;
@@ -381,6 +400,23 @@ mod tests {
         let (_, result) = watch_once("{\"schema\":\"other\",\"type\":\"head\"}\n", None);
         let err = result.expect_err("wrong schema must fail");
         assert!(err.to_string().contains("asynoc-stream-v1"), "{err}");
+    }
+
+    #[test]
+    fn a_single_pass_over_a_headless_input_is_a_located_error_not_an_empty_run() {
+        let trace_line = r#"{"t_ps":10,"packet":1,"flit":0,"site":"src0","action":"inject","detail":"","copies":1}"#;
+        for (text, line) in [
+            ("", 1),
+            ("\n\n", 1),
+            (trace_line, 1),
+            ("\n\n{\"type\":\"window\",\"seq\":0}\n", 3),
+        ] {
+            let (out, result) = watch_once(text, None);
+            let err = result.expect_err("no head, no dashboard").to_string();
+            let expected = format!("line {line}: expected a \"asynoc-stream-v1\" head record");
+            assert_eq!(err, expected, "{text:?}");
+            assert!(out.is_empty(), "{text:?}: {out}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Hostile input through the real binary: every byte a user can hand the
-//! tool — JSON or argv — yields a located `error:` line and exit 1 (bad
-//! file) or 2 (bad flag), never an abort.
+//! tool — JSON, a placement or argv — yields a located `error:` line and
+//! exit 1 (bad file) or 2 (bad flag), never an abort.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use asynoc_cli::args::{COMMANDS, FLAGS};
 use asynoc_kernel::SimRng;
@@ -135,6 +136,24 @@ fn out_of_range_run_flags_are_usage_errors_not_panics() {
             assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         }
     }
+    // A window the flag range allows is a run, however long: sizing the
+    // latency reservoir for it up front used to abort at once (`memory
+    // allocation of 12800000000000592 bytes failed`, exit 134).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_asynoc"))
+        .args(["run", "--arch", "Baseline", "--benchmark", "UniformRandom"])
+        .args(["--rate", "0.4", "--measure-ns", "2000000000000000"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("the binary runs");
+    let started = Instant::now();
+    while started.elapsed() < Duration::from_secs(2) {
+        let exited = child.try_wait().expect("child is waitable");
+        assert_eq!(exited, None, "a 2e15 ns window cannot end in 2 s");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    child.kill().expect("still running, so killable");
+    child.wait().expect("reaped");
 }
 
 #[test]
@@ -275,5 +294,213 @@ fn mutated_argv_never_panics_and_every_refusal_is_a_usage_error() {
     assert!(
         refused > 200 && helped > 0,
         "{refused} refused, {helped} helped"
+    );
+}
+
+#[test]
+fn a_malformed_inline_spec_map_is_a_usage_error_like_a_malformed_arch() {
+    let tail = ["--benchmark", "Shuffle", "--rate", "0.2"];
+    let run = |flag: &str, value: &str| {
+        let output = asynoc(&[&["run", flag, value], &tail[..]].concat());
+        (
+            output.status.code(),
+            String::from_utf8_lossy(&output.stderr).into_owned(),
+        )
+    };
+    let (arch_code, arch_err) = run("--arch", "NoSuchNetwork");
+    for (bad, detail) in [
+        (
+            "levels:sp,ns",
+            "--spec-map: speculation map has 2 levels but the tree has 3",
+        ),
+        (
+            "levels:ns,ns,sp",
+            "--spec-map: leaf fanout level cannot be speculative",
+        ),
+        (
+            "nonsense",
+            "--spec-map: invalid speculation map: expected a preset name",
+        ),
+        (
+            "levels:ons,ons,ons;node:0.4294967296.0=osp",
+            "--spec-map: fanout node s0:4294967296.0 out of range for 8x8 network",
+        ),
+    ] {
+        let (code, stderr) = run("--spec-map", bad);
+        assert_eq!(code, arch_code, "{bad}: {stderr}");
+        assert_eq!(code, Some(2), "{bad}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with(&format!("error: {detail}")),
+            "{bad}: {first}"
+        );
+        // Same shape as the --arch refusal: the line, then the synopsis.
+        assert_eq!(
+            stderr.lines().skip(1).collect::<Vec<_>>(),
+            arch_err.lines().skip(1).collect::<Vec<_>>(),
+            "{bad}"
+        );
+    }
+    // The same placement in a file is a bad file: exit 1, one line.
+    let file = fixture(
+        "wrap.json",
+        r#"{"levels":["ons","ons","ons"],"nodes":[{"tree":0,"level":4294967296,"index":0,"kind":"osp"}]}"#,
+    );
+    let (code, stderr) = run("--spec-map", &format!("@{file}"));
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("s0:4294967296.0 out of range"), "{stderr}");
+}
+
+#[test]
+fn a_single_pass_watch_over_something_else_is_an_error_not_an_empty_dashboard() {
+    let empty = fixture("empty.ndjson", "");
+    let trace = fixture(
+        "not-a-stream.ndjson",
+        "{\"t_ps\":10,\"packet\":1,\"flit\":0,\"site\":\"src0\",\"action\":\"inject\",\"detail\":\"\",\"copies\":1}\n",
+    );
+    for path in [empty, trace] {
+        let output = asynoc(&["watch", "--stream-in", &path, "--once"]);
+        assert_located_error(
+            &output,
+            &["line 1: expected a \"asynoc-stream-v1\" head record"],
+        );
+        assert!(output.stdout.is_empty(), "no dashboard for a non-stream");
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// Numbers a coordinate can be swapped for: in range, just out of it,
+/// wrapping `u32`/`u64`, negative, fractional, exponent, not a number.
+const COORDINATES: [&str; 12] = [
+    "0",
+    "7",
+    "8",
+    "4294967295",
+    "4294967296",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "1.5",
+    "1e30",
+    "",
+    "x",
+];
+
+/// Kind tokens: the five real ones, long and mixed-case forms, unknowns.
+const KINDS: [&str; 9] = [
+    "ns",
+    "sp",
+    "ons",
+    "osp",
+    "base",
+    "Opt-Speculative",
+    "speculative",
+    "fast",
+    "",
+];
+
+/// One mutation of a valid placement, in the text grammar when `sep` is
+/// `;` and on the JSON form's `nodes` entries when it is `},{`: cut short,
+/// a segment duplicated, a number or a kind token swapped, a byte of junk.
+fn mutated_placement(rng: &mut SimRng, valid: &str, sep: &str) -> String {
+    let mut text = valid.to_string();
+    match rng.index(5) {
+        0 => text.truncate(rng.index(text.len() + 1)),
+        1 => {
+            let segments: Vec<&str> = text.split(sep).collect();
+            let again = segments[rng.index(segments.len())];
+            text = format!("{text}{sep}{again}");
+        }
+        2 | 3 => {
+            // Swap one run of digits (or, failing that, append one).
+            let digits: Vec<usize> = text
+                .char_indices()
+                .filter(|(_, c)| c.is_ascii_digit())
+                .map(|(i, _)| i)
+                .collect();
+            let with = COORDINATES[rng.index(COORDINATES.len())];
+            match digits.get(rng.index(digits.len().max(1))) {
+                Some(&at) => text.replace_range(at..=at, with),
+                None => text.push_str(with),
+            }
+        }
+        _ => {
+            let from = ["osp", "ons", "sp", "ns"][rng.index(4)];
+            text = text.replacen(from, KINDS[rng.index(KINDS.len())], 1);
+        }
+    }
+    if rng.chance(0.15) {
+        let at = rng.index(text.len() + 1);
+        text.insert(at, ['=', ';', ':', '.', ',', '"', '{', ' '][rng.index(8)]);
+    }
+    text
+}
+
+#[test]
+fn mutated_spec_maps_never_panic_and_exit_as_the_contract_says() {
+    const TEXT: [&str; 6] = [
+        "OptHybridSpeculative",
+        "preset:Baseline",
+        "levels:osp,ons,ons",
+        "levels:sp,sp,ns",
+        "levels:ons,ons,ons;node:0.0.0=osp;node:7.1.1=osp",
+        "levels:osp,osp,ons;node:3.1.0=ons;node:3.0.0=ons",
+    ];
+    const JSON: [&str; 3] = [
+        r#"{"preset":"OptAllSpeculative"}"#,
+        r#"{"levels":["osp","ons","ons"]}"#,
+        r#"{"levels":["ons","ons","ons"],"nodes":[{"tree":0,"level":0,"index":0,"kind":"osp"},{"tree":7,"level":1,"index":1,"kind":"osp"}]}"#,
+    ];
+    let tail = "--benchmark Shuffle --rate 0.2 --warmup-ns 10 --measure-ns 40 --shards 1";
+    let mut rng = SimRng::seed_from(0x5BEC_3A90);
+    let file = fixture("mutant.json", "");
+    let (mut ran, mut usage, mut bad_file) = (0, 0, 0);
+    for round in 0..300 {
+        let inline = round % 2 == 0;
+        let value = if inline {
+            let valid = TEXT[rng.index(TEXT.len())];
+            mutated_placement(&mut rng, valid, ";")
+        } else {
+            let valid = JSON[rng.index(JSON.len())];
+            let json = mutated_placement(&mut rng, valid, "},{");
+            std::fs::write(&file, &json).expect("fixture rewritten");
+            format!("@{file}")
+        };
+        let mut args = vec!["run", "--spec-map", &value];
+        args.extend(tail.split(' '));
+        let output = asynoc(&args);
+        let shown = if inline {
+            value.clone()
+        } else {
+            std::fs::read_to_string(&file).unwrap_or_default()
+        };
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("panicked"), "{shown:?}: {stderr}");
+        // An inline value the parser takes is a valid map and must run; one
+        // it refuses is a usage error. A file is read by the command.
+        let owned: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let allowed: &[i32] = match (inline, asynoc_cli::parse(&owned)) {
+            (true, Ok(_)) => &[0],
+            (false, Ok(_)) => &[0, 1],
+            (_, Err(_)) => &[2],
+        };
+        let code = output.status.code().unwrap_or(-1);
+        assert!(allowed.contains(&code), "{shown:?}: exit {code}: {stderr}");
+        match code {
+            0 => ran += 1,
+            1 => bad_file += 1,
+            _ => usage += 1,
+        }
+        if code != 0 {
+            let first = stderr.lines().next().unwrap_or_default();
+            assert!(first.starts_with("error: "), "{shown:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_file(&file);
+    assert!(
+        ran > 20 && usage > 40 && bad_file > 40,
+        "{ran} ran, {usage} usage errors, {bad_file} bad files"
     );
 }

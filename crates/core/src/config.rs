@@ -1,97 +1,60 @@
 //! Network and run configuration.
 
 use asynoc_nodes::TimingModel;
-use asynoc_topology::{Architecture, MotSize, NodePlan, SpecMap, SpeculationMap, TopologyError};
-
-use crate::error::SimError;
+use asynoc_topology::{Architecture, MotSize, SpecMap};
 
 /// Default flits per packet (the paper fixes packets at 5 flits).
 pub const DEFAULT_FLITS_PER_PACKET: u8 = 5;
 
-/// Static description of one network to simulate.
+/// Static description of one network to simulate: a speculation placement
+/// (which fixes the size), a timing model, the packet length and the
+/// traffic seed.
 ///
 /// # Examples
 ///
 /// ```
-/// use asynoc::{Architecture, MotSize, NetworkConfig};
+/// use asynoc::{Architecture, MotSize, NetworkConfig, SpecMap};
 ///
-/// let config = NetworkConfig::new(MotSize::new(16)?, Architecture::OptAllSpeculative)
+/// let size = MotSize::new(16)?;
+/// let config = NetworkConfig::new(size, Architecture::OptAllSpeculative)
 ///     .with_seed(7)
 ///     .with_flits_per_packet(5);
 /// assert_eq!(config.size().n(), 16);
+/// assert_eq!(config.architecture(), Some(Architecture::OptAllSpeculative));
+///
+/// // Any other legal placement goes through its validated map.
+/// let custom = NetworkConfig::with_spec_map(SpecMap::parse(size, "levels:ons,osp,ons,ons")?);
+/// assert_eq!(custom.architecture(), None);
 /// # Ok::<(), asynoc::SimError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetworkConfig {
-    size: MotSize,
-    architecture: Architecture,
-    plan: NodePlan,
+    map: SpecMap,
     timing: TimingModel,
     flits_per_packet: u8,
     seed: u64,
 }
 
 impl NetworkConfig {
-    /// Creates a configuration with the calibrated timing model, 5-flit
-    /// packets, and seed 0.
+    /// One of the paper's six networks at `size`, with the calibrated
+    /// timing model, 5-flit packets, and seed 0.
     #[must_use]
     pub fn new(size: MotSize, architecture: Architecture) -> Self {
+        NetworkConfig::with_spec_map(SpecMap::preset(architecture, size))
+    }
+
+    /// A network realizing any validated speculation placement — the form
+    /// behind the CLI's `--spec-map`, and the only way a placement other
+    /// than the six presets reaches the simulator. Same defaults as
+    /// [`new`](Self::new); a preset's map is bit-identical to the preset.
+    #[must_use]
+    pub fn with_spec_map(map: SpecMap) -> Self {
         NetworkConfig {
-            size,
-            architecture,
-            plan: NodePlan::for_architecture(architecture, size),
+            map,
             timing: TimingModel::calibrated(),
             flits_per_packet: DEFAULT_FLITS_PER_PACKET,
             seed: 0,
         }
-    }
-
-    /// Replaces the per-level node-kind plan with a custom speculation
-    /// placement — the wider design space the paper sketches in Fig 3(d).
-    /// Speculative levels get optimized/basic speculative nodes per
-    /// `optimized`; the reported [`architecture`](Self::architecture) label
-    /// is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map was built for a different network size.
-    #[must_use]
-    pub fn with_speculation_map(mut self, map: &SpeculationMap, optimized: bool) -> Self {
-        assert_eq!(
-            map.size(),
-            self.size,
-            "speculation map size {} does not match network size {}",
-            map.size(),
-            self.size
-        );
-        self.plan = NodePlan::from_speculation(map, optimized);
-        self
-    }
-
-    /// Replaces the node plan with a validated speculation placement — the
-    /// first-class form behind the CLI's `--spec-map`. A [`SpecMap`] can
-    /// express every [`Architecture`] preset (and is then bit-identical to
-    /// the preset run) as well as arbitrary per-level/per-node placements.
-    /// When the map equals a preset the
-    /// [`architecture`](Self::architecture) label is updated to match;
-    /// otherwise the label of [`NetworkConfig::new`] is kept.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Topology`] if the map was built for a different
-    /// network size.
-    pub fn with_spec_map(mut self, map: &SpecMap) -> Result<Self, SimError> {
-        if map.size() != self.size {
-            return Err(SimError::Topology(TopologyError::LevelCountMismatch {
-                provided: map.size().levels() as usize,
-                required: self.size.levels() as usize,
-            }));
-        }
-        if let Some(arch) = map.label() {
-            self.architecture = arch;
-        }
-        self.plan = map.node_plan();
-        Ok(self)
     }
 
     /// The paper's evaluated 8×8 configuration.
@@ -133,20 +96,20 @@ impl NetworkConfig {
     /// The network size.
     #[must_use]
     pub fn size(&self) -> MotSize {
-        self.size
+        self.map.size()
     }
 
-    /// The architecture label this configuration started from (custom
-    /// speculation maps keep the label of [`NetworkConfig::new`]).
+    /// The paper architecture this network is exactly, if any — `None` for
+    /// a custom placement.
     #[must_use]
-    pub fn architecture(&self) -> Architecture {
-        self.architecture
+    pub fn architecture(&self) -> Option<Architecture> {
+        self.map.label()
     }
 
-    /// The per-level node-kind plan actually simulated.
+    /// The speculation placement simulated.
     #[must_use]
-    pub fn plan(&self) -> &NodePlan {
-        &self.plan
+    pub fn spec_map(&self) -> &SpecMap {
+        &self.map
     }
 
     /// The timing/energy model.
@@ -206,23 +169,16 @@ mod tests {
     }
 
     #[test]
-    fn custom_speculation_map_replaces_plan() {
-        use asynoc_topology::FanoutKind;
+    fn a_custom_map_reports_no_preset() {
         let size = MotSize::new(8).unwrap();
-        let map = SpeculationMap::custom(size, vec![false, true, false]).unwrap();
-        let config = NetworkConfig::eight_by_eight(Architecture::OptNonSpeculative)
-            .with_speculation_map(&map, true);
-        assert_eq!(config.plan().kind(1), FanoutKind::OptSpeculative);
-        assert_eq!(config.plan().address_bits(), 10);
-        // The label is unchanged.
-        assert_eq!(config.architecture(), Architecture::OptNonSpeculative);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match network size")]
-    fn speculation_map_size_mismatch_panics() {
-        let map = SpeculationMap::hybrid(MotSize::new(16).unwrap());
-        let _ = NetworkConfig::eight_by_eight(Architecture::OptNonSpeculative)
-            .with_speculation_map(&map, true);
+        let map = SpecMap::parse(size, "levels:ons,osp,ons").unwrap();
+        let config = NetworkConfig::with_spec_map(map.clone());
+        assert_eq!(config.spec_map(), &map);
+        assert_eq!(config.spec_map().address_bits(), 10);
+        assert_eq!(config.architecture(), None);
+        assert_eq!(
+            NetworkConfig::with_spec_map(SpecMap::preset(Architecture::Baseline, size)),
+            NetworkConfig::eight_by_eight(Architecture::Baseline)
+        );
     }
 }

@@ -349,11 +349,9 @@ pub fn explore(spec: &ExploreSpec) -> Result<ExploreReport, SimError> {
 ///
 /// Returns any [`SimError`] the run produces.
 pub fn evaluate(spec: &ExploreSpec, map: &SpecMap) -> Result<PlacementScore, SimError> {
-    let label = map.label().unwrap_or(Architecture::OptHybridSpeculative);
-    let config = NetworkConfig::new(spec.size, label)
+    let config = NetworkConfig::with_spec_map(map.clone())
         .with_seed(spec.seed)
-        .with_flits_per_packet(spec.flits_per_packet)
-        .with_spec_map(map)?;
+        .with_flits_per_packet(spec.flits_per_packet);
     let network = Network::new(config)?;
     let run = RunConfig::new(spec.benchmark, spec.rate_gfs)?
         .with_phases(spec.phases)

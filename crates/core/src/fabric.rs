@@ -7,7 +7,7 @@
 //! in [`crate::sim`].
 
 use asynoc_topology::{
-    FaninNodeId, FaninParent, FanoutChild, FanoutKind, FanoutNodeId, MotSize, NodePlan, OutputPort,
+    FaninNodeId, FaninParent, FanoutChild, FanoutKind, FanoutNodeId, MotSize, OutputPort, SpecMap,
 };
 
 /// An entity that can be woken to attempt forward progress.
@@ -74,9 +74,9 @@ pub(crate) struct Fabric {
 }
 
 impl Fabric {
-    /// Elaborates the network for `size` under a per-level node plan.
-    pub(crate) fn build(size: MotSize, plan: &NodePlan) -> Self {
-        debug_assert_eq!(plan.size(), size, "plan built for a different size");
+    /// Elaborates the network a speculation placement describes.
+    pub(crate) fn build(map: &SpecMap) -> Self {
+        let size = map.size();
         let n = size.n();
         let per_tree = size.fanout_nodes_per_tree();
         let fanout_total = size.total_fanout_nodes();
@@ -100,7 +100,7 @@ impl Fabric {
         let mut source_out = Vec::with_capacity(n);
 
         for id in FanoutNodeId::all(size) {
-            fanout_kind.push(plan.kind_at(id));
+            fanout_kind.push(map.kind_of(id));
             fanout_coords.push(id);
         }
 
@@ -164,7 +164,7 @@ impl Fabric {
 
         Fabric {
             size,
-            serializes_multicast: plan.serializes_multicast(),
+            serializes_multicast: map.serializes_multicast(),
             fanout_kind,
             fanout_coords,
             fanout_input,
@@ -199,8 +199,8 @@ mod tests {
     use super::*;
     use asynoc_topology::Architecture;
 
-    fn plan(arch: Architecture) -> NodePlan {
-        NodePlan::for_architecture(arch, MotSize::new(8).unwrap())
+    fn preset(arch: Architecture) -> SpecMap {
+        SpecMap::preset(arch, size8())
     }
 
     fn size8() -> MotSize {
@@ -209,14 +209,14 @@ mod tests {
 
     #[test]
     fn channel_count_8x8() {
-        let fabric = Fabric::build(size8(), &plan(Architecture::Baseline));
+        let fabric = Fabric::build(&preset(Architecture::Baseline));
         // 8 source channels + 56 fanout nodes × 2 outputs + 56 fanin outputs.
         assert_eq!(fabric.channel_count(), 8 + 112 + 56);
     }
 
     #[test]
     fn every_fanout_node_has_input_and_outputs() {
-        let fabric = Fabric::build(size8(), &plan(Architecture::OptHybridSpeculative));
+        let fabric = Fabric::build(&preset(Architecture::OptHybridSpeculative));
         for flat in 0..fabric.fanout_kind.len() {
             let input = fabric.fanout_input[flat];
             assert!(matches!(
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn fanin_roots_feed_sinks() {
-        let fabric = Fabric::build(size8(), &plan(Architecture::Baseline));
+        let fabric = Fabric::build(&preset(Architecture::Baseline));
         let mut sink_feeds = vec![0usize; 8];
         for wiring in &fabric.channels {
             if let Downstream::Sink(d) = wiring.downstream {
@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn kinds_follow_architecture_levels() {
-        let fabric = Fabric::build(size8(), &plan(Architecture::OptAllSpeculative));
+        let fabric = Fabric::build(&preset(Architecture::OptAllSpeculative));
         for (flat, id) in FanoutNodeId::all(size8()).enumerate() {
             let expected = if id.level == 2 {
                 FanoutKind::OptNonSpeculative
@@ -262,8 +262,42 @@ mod tests {
     }
 
     #[test]
+    fn a_preset_and_its_parsed_text_form_build_the_same_fabric() {
+        for n in [8, 16] {
+            let size = MotSize::new(n).unwrap();
+            for arch in Architecture::ALL {
+                let preset = SpecMap::preset(arch, size);
+                let parsed = SpecMap::parse(size, &preset.to_string()).unwrap();
+                let (a, b) = (Fabric::build(&preset), Fabric::build(&parsed));
+                assert_eq!(a.fanout_kind, b.fanout_kind, "{arch} at {n}");
+                assert_eq!(a.serializes_multicast, b.serializes_multicast);
+                for (flat, id) in FanoutNodeId::all(size).enumerate() {
+                    assert_eq!(a.fanout_kind[flat], arch.fanout_kind(size, id.level));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn per_node_overrides_land_on_their_flat_index() {
+        let map =
+            SpecMap::parse(size8(), "levels:ons,ons,ons;node:3.1.1=osp;node:7.0.0=osp").unwrap();
+        let fabric = Fabric::build(&map);
+        for (flat, id) in FanoutNodeId::all(size8()).enumerate() {
+            let overridden =
+                (id.tree, id.level, id.index) == (3, 1, 1) || (id.tree, id.level) == (7, 0);
+            let expected = if overridden {
+                FanoutKind::OptSpeculative
+            } else {
+                FanoutKind::OptNonSpeculative
+            };
+            assert_eq!(fabric.fanout_kind[flat], expected, "{id}");
+        }
+    }
+
+    #[test]
     fn source_channels_point_at_roots() {
-        let fabric = Fabric::build(size8(), &plan(Architecture::Baseline));
+        let fabric = Fabric::build(&preset(Architecture::Baseline));
         for s in 0..8 {
             let c = fabric.source_out[s];
             assert!(matches!(fabric.channels[c].upstream, Entity::Source(src) if src == s));
@@ -277,8 +311,8 @@ mod tests {
     #[test]
     fn leakage_depends_on_architecture_mix() {
         let timing = asynoc_nodes::TimingModel::calibrated();
-        let nonspec = Fabric::build(size8(), &plan(Architecture::BasicNonSpeculative));
-        let hybrid = Fabric::build(size8(), &plan(Architecture::BasicHybridSpeculative));
+        let nonspec = Fabric::build(&preset(Architecture::BasicNonSpeculative));
+        let hybrid = Fabric::build(&preset(Architecture::BasicHybridSpeculative));
         // The hybrid swaps 8 large non-speculative roots for small
         // speculative ones, so it must leak less.
         assert!(hybrid.leakage_mw(&timing) < nonspec.leakage_mw(&timing));
@@ -289,10 +323,7 @@ mod tests {
     fn builds_all_sizes() {
         for n in [2usize, 4, 16, 32] {
             let size = MotSize::new(n).unwrap();
-            let fabric = Fabric::build(
-                size,
-                &NodePlan::for_architecture(Architecture::OptHybridSpeculative, size),
-            );
+            let fabric = Fabric::build(&SpecMap::preset(Architecture::OptHybridSpeculative, size));
             assert_eq!(fabric.fanout_kind.len(), n * (n - 1));
             assert_eq!(fabric.channel_count(), n + 2 * n * (n - 1) + n * (n - 1));
         }

@@ -43,7 +43,7 @@ use asynoc_engine::parallel_map;
 use asynoc_kernel::Duration;
 use asynoc_nodes::{NodeCostRow, TimingModel};
 use asynoc_stats::{find_saturation_multi, Phases, StabilityProbe};
-use asynoc_topology::{Architecture, MotSize};
+use asynoc_topology::{Architecture, MotSize, SpecMap};
 use asynoc_traffic::Benchmark;
 
 use crate::config::{NetworkConfig, RunConfig};
@@ -498,12 +498,13 @@ pub fn addressing_rows(sizes: &[usize]) -> Result<Vec<AddressingRow>, SimError> 
         .iter()
         .map(|&raw| {
             let size = MotSize::new(raw)?;
+            let bits = |arch| SpecMap::preset(arch, size).address_bits();
             Ok(AddressingRow {
                 size,
-                baseline_bits: Architecture::Baseline.address_bits(size),
-                non_speculative_bits: Architecture::OptNonSpeculative.address_bits(size),
-                hybrid_bits: Architecture::OptHybridSpeculative.address_bits(size),
-                all_speculative_bits: Architecture::OptAllSpeculative.address_bits(size),
+                baseline_bits: bits(Architecture::Baseline),
+                non_speculative_bits: bits(Architecture::OptNonSpeculative),
+                hybrid_bits: bits(Architecture::OptHybridSpeculative),
+                all_speculative_bits: bits(Architecture::OptAllSpeculative),
             })
         })
         .collect()

@@ -167,9 +167,6 @@ pub struct RunReport {
     pub power: PowerReport,
     /// Per-node activity over the measurement window.
     pub activity: NodeActivity,
-    /// Flit-level trace events (empty unless the run enabled tracing via
-    /// [`RunConfig::with_trace`](crate::RunConfig::with_trace)).
-    pub trace: Vec<crate::trace::TraceEvent>,
 }
 
 impl std::ops::Deref for RunReport {

@@ -17,8 +17,10 @@
 //! only what is MoT-specific — the fabric wiring, the fanout/fanin firing
 //! rules, and the tree routing — via [`MotModel`], and the [`Substrate`]
 //! contract ([`Network`]'s endpoint count, fault domain, and report
-//! section) the engine's one driver runs it through. Statistics, power,
-//! and tracing attach as [`Observer`]s (see [`crate::observers`]).
+//! section) the engine's one driver runs it through. Statistics and power
+//! attach as [`Observer`]s (see [`crate::observers`]); tracing is a
+//! [`TraceCollector`](asynoc_telemetry::TraceCollector) the caller
+//! registers, labelled by [`Network::site_label`].
 
 use asynoc_engine::{
     drive, ArmedFaults, ChannelEnds, Ctx, EngineReport, FaultDomain, ForwardInfo, NodeKey, NodeRef,
@@ -27,8 +29,9 @@ use asynoc_engine::{
 use asynoc_kernel::{Duration, Time};
 use asynoc_nodes::{FaninState, FanoutState, FlitClass, TimingModel};
 use asynoc_packet::{DestSet, RouteHeader};
-use asynoc_topology::FanoutKind;
-use asynoc_topology::{multicast_route, multicast_route_into, FaninNodeId, OutputPort};
+use asynoc_topology::{
+    multicast_route, multicast_route_into, FaninNodeId, FanoutKind, FanoutNodeId, OutputPort,
+};
 
 use crate::config::{NetworkConfig, RunConfig};
 use crate::error::SimError;
@@ -85,11 +88,11 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Currently infallible for any constructible [`NetworkConfig`], but
-    /// returns `Result` so future validation (e.g. custom speculation maps)
-    /// does not break the API.
+    /// Currently infallible — a [`NetworkConfig`] can only hold a validated
+    /// [`SpecMap`](asynoc_topology::SpecMap) — but returns `Result` so
+    /// future validation does not break the API.
     pub fn new(config: NetworkConfig) -> Result<Self, SimError> {
-        let fabric = Fabric::build(config.size(), config.plan());
+        let fabric = Fabric::build(config.spec_map());
         Ok(Network { config, fabric })
     }
 
@@ -118,6 +121,17 @@ impl Network {
         fanout + self.config.size().total_fanin_nodes() as f64 * timing.fanin_area_um2
     }
 
+    /// Labels a node by its coordinates (`fo[s0:1.1]`, `fi[d4:2.0]`) — the
+    /// site name in traces, streams and the waste ledger.
+    #[must_use]
+    pub fn site_label(&self) -> Box<dyn Fn(MotNode) -> String> {
+        let size = self.config.size();
+        Box::new(move |node| match node {
+            MotNode::Fanout(flat) => FanoutNodeId::from_flat_index(size, flat).to_string(),
+            MotNode::Fanin(flat) => FaninNodeId::from_flat_index(size, flat).to_string(),
+        })
+    }
+
     /// Executes one benchmark run and reports its measurements.
     ///
     /// # Errors
@@ -129,7 +143,7 @@ impl Network {
     }
 
     /// Executes one run with caller-supplied observers registered after
-    /// the standard power/activity/trace set.
+    /// the standard power/activity pair.
     ///
     /// Extra observers see the identical event stream the built-in ones
     /// do, in registration order, without perturbing the simulation.
@@ -242,12 +256,11 @@ impl Substrate for Network {
         _model: MotModel<'_>,
         probes: MotProbes<'_>,
     ) -> RunReport {
-        let (ledger, activity, trace) = probes.finish();
+        let (ledger, activity) = probes.finish();
         RunReport {
             engine,
             power: ledger.report(run.phases().measure(), self.leakage_mw()),
             activity,
-            trace,
         }
     }
 }
@@ -537,6 +550,7 @@ mod tests {
     use super::*;
     use crate::config::{NetworkConfig, RunConfig};
     use asynoc_stats::Phases;
+    use asynoc_telemetry::TraceCollector;
     use asynoc_topology::Architecture;
     use asynoc_traffic::Benchmark;
 
@@ -676,11 +690,16 @@ mod tests {
     fn sharded_runs_match_serial_bit_for_bit() {
         for arch in [Architecture::Baseline, Architecture::OptHybridSpeculative] {
             let network = Network::new(NetworkConfig::eight_by_eight(arch).with_seed(7)).unwrap();
-            let run = RunConfig::quick(Benchmark::Multicast5, 0.3).with_trace(512);
-            let serial = network.run(&run).unwrap();
+            let run = RunConfig::quick(Benchmark::Multicast5, 0.3);
+            let traced = |run: &RunConfig| {
+                let mut trace = TraceCollector::new(512, network.site_label());
+                let report = network.run_with_observers(run, &mut [&mut trace]).unwrap();
+                (report, trace.into_records())
+            };
+            let (serial, serial_trace) = traced(&run);
             assert_eq!(serial.shards, 1);
             for shards in [2, 3, 8] {
-                let sharded = network.run(&run.clone().with_shards(shards)).unwrap();
+                let (sharded, sharded_trace) = traced(&run.clone().with_shards(shards));
                 assert_eq!(sharded.shards, shards, "{arch}: shard count honoured");
                 assert_eq!(
                     sharded.shard_events.iter().sum::<u64>(),
@@ -694,7 +713,7 @@ mod tests {
                 assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);
                 assert_eq!(sharded.flits_throttled, serial.flits_throttled, "{arch}");
                 assert_eq!(sharded.flits_delivered, serial.flits_delivered, "{arch}");
-                assert_eq!(sharded.trace, serial.trace, "{arch}: trace streams differ");
+                assert_eq!(sharded_trace, serial_trace, "{arch}: trace streams differ");
                 assert_eq!(
                     format!("{:?}", sharded.activity),
                     format!("{:?}", serial.activity),
@@ -756,15 +775,9 @@ mod tests {
 
     #[test]
     fn custom_speculation_map_network_runs_and_throttles() {
-        use asynoc_topology::SpeculationMap;
         let size = asynoc_topology::MotSize::new(8).unwrap();
-        let map = SpeculationMap::custom(size, vec![false, true, false]).unwrap();
-        let network = Network::new(
-            NetworkConfig::eight_by_eight(Architecture::OptNonSpeculative)
-                .with_speculation_map(&map, true)
-                .with_seed(42),
-        )
-        .unwrap();
+        let map = asynoc_topology::SpecMap::parse(size, "levels:ons,osp,ons").unwrap();
+        let network = Network::new(NetworkConfig::with_spec_map(map).with_seed(42)).unwrap();
         let report = network
             .run(&RunConfig::quick(Benchmark::Multicast10, 0.3))
             .unwrap();
@@ -840,40 +853,28 @@ mod tests {
 
     #[test]
     fn trace_records_a_packet_journey() {
-        use crate::trace::TraceAction;
         let network = Network::new(
             NetworkConfig::eight_by_eight(Architecture::BasicHybridSpeculative).with_seed(42),
         )
         .unwrap();
-        let run = RunConfig::quick(Benchmark::UniformRandom, 0.1).with_trace(500);
-        let report = network.run(&run).unwrap();
-        assert!(!report.trace.is_empty());
-        assert!(report.trace.len() <= 500);
+        let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
+        let mut collector = TraceCollector::new(500, network.site_label());
+        network
+            .run_with_observers(&run, &mut [&mut collector])
+            .unwrap();
+        let trace = collector.into_records();
+        assert_eq!(trace.len(), 500, "the run outlasts the cap");
         // Times are non-decreasing.
-        assert!(report.trace.windows(2).all(|w| w[0].time <= w[1].time));
+        assert!(trace.windows(2).all(|w| w[0].t_ps <= w[1].t_ps));
         // With a speculative root, the trace must show both broadcasts and
         // throttles, and at least one delivery.
-        assert!(report
-            .trace
+        assert!(trace.iter().any(|e| e.action == "throttle"));
+        assert!(trace.iter().any(|e| e.action == "deliver"));
+        assert!(trace
             .iter()
-            .any(|e| e.action == TraceAction::Throttled));
-        assert!(report
-            .trace
-            .iter()
-            .any(|e| e.action == TraceAction::Delivered));
-        assert!(report
-            .trace
-            .iter()
-            .any(|e| matches!(e.action, TraceAction::Forwarded(s) if s == asynoc_packet::RouteSymbol::Both)));
+            .any(|e| e.action == "forward" && e.site.ends_with(":0.0]") && e.detail == "both"));
         // Every traced packet's journey starts with an injection.
-        let first = &report.trace[0];
-        assert_eq!(first.action, TraceAction::Injected);
-    }
-
-    #[test]
-    fn tracing_off_by_default() {
-        let report = quick_run(Architecture::Baseline, Benchmark::Shuffle, 0.1);
-        assert!(report.trace.is_empty());
+        assert_eq!(trace[0].action, "inject");
     }
 
     #[test]

@@ -143,6 +143,28 @@ pub struct RunSpec {
     pub latency_cap: Option<usize>,
 }
 
+/// Most latency samples a run reserves room for up front (8 MiB). The
+/// largest shipped scenario — the benchmark's 8×8 run at 0.4 flits/ns
+/// over 80 µs — asks for ≈ 64 k and the same window on a 64×64 for
+/// ≈ 0.5 M, so those stay sized exactly. The pre-size only spares a run
+/// its early regrowth: a window the flag range allows but no machine can
+/// hold (`--measure-ns 2e15` asks for ≈ 1.3e16 bytes) starts here and
+/// grows.
+const LATENCY_PRESIZE_CEILING: usize = 1 << 20;
+
+/// The run's latency collector, pre-sized for the packets the injection
+/// rate predicts over the measurement window (plus a quarter), up to
+/// [`LATENCY_PRESIZE_CEILING`] and the spec's own reservoir cap.
+pub(crate) fn latency_reservoir(traffic: &[SourceTraffic], spec: &RunSpec) -> LatencyStats {
+    let measure_ps = spec.phases.measure().as_ps();
+    let expected = traffic.iter().fold(0u64, |sum, src| {
+        sum.saturating_add(measure_ps / src.mean_gap().as_ps().max(1) + 1)
+    });
+    let wanted = usize::try_from(expected.saturating_add(expected / 4 + 64)).unwrap_or(usize::MAX);
+    let ceiling = LATENCY_PRESIZE_CEILING.min(spec.latency_cap.unwrap_or(usize::MAX));
+    LatencyStats::with_capacity(wanted.min(ceiling)).with_cap(spec.latency_cap)
+}
+
 impl RunSpec {
     /// Creates a spec with a model-derived queue capacity, profiling and
     /// the heartbeat off, and an unbounded latency reservoir.
@@ -823,14 +845,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
         let queue_capacity = spec
             .queue_capacity
             .unwrap_or_else(|| (channels * 2 + n * 4).max(1024));
-        let expected_packets: usize = traffic
-            .iter()
-            .map(|src| (spec.phases.measure().as_ps() / src.mean_gap().as_ps().max(1)) as usize + 1)
-            .sum();
-        let latency_capacity = expected_packets + expected_packets / 4 + 64;
-        let latency_capacity = spec
-            .latency_cap
-            .map_or(latency_capacity, |cap| latency_capacity.min(cap));
+        let latency = latency_reservoir(&traffic, &spec);
 
         let mut ctx = Ctx {
             phases: spec.phases,
@@ -847,7 +862,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
             pending: HashMap::with_capacity_and_hasher(n * 16 + 256, DetHashState),
             pending_measured: 0,
             shard,
-            latency: LatencyStats::with_capacity(latency_capacity).with_cap(spec.latency_cap),
+            latency,
             throughput: ThroughputCounter::new(n),
             flits_throttled: 0,
             flits_delivered: 0,

@@ -42,14 +42,14 @@ use asynoc_kernel::{
 };
 use asynoc_packet::{DestSet, Flit};
 use asynoc_probe::{EngineProfile, HostHistogram, ProfileSink, ProgressMeter, ShardProfile};
-use asynoc_stats::{LatencyStats, ThroughputCounter};
+use asynoc_stats::ThroughputCounter;
 use asynoc_traffic::SourceTraffic;
 
 use crate::fault::{ArmedFaults, FaultSummary};
 use crate::observer::{ForwardInfo, Observer, SimEvent};
 use crate::session::{
-    run, run_with_faults, DetHashState, EngineReport, Event, NodeRef, Pending, RunSpec, Session,
-    SimModel, PROGRESS_INTERVAL_MS,
+    latency_reservoir, run, run_with_faults, DetHashState, EngineReport, Event, NodeRef, Pending,
+    RunSpec, Session, SimModel, PROGRESS_INTERVAL_MS,
 };
 
 // ---------------------------------------------------------------------
@@ -487,14 +487,6 @@ fn run_sharded_inner<M: ShardModel>(
     let queue_capacity = spec
         .queue_capacity
         .unwrap_or_else(|| (model.channel_count() * 2 + n * 4).max(1024));
-    let expected_packets: usize = traffic
-        .iter()
-        .map(|src| (spec.phases.measure().as_ps() / src.mean_gap().as_ps().max(1)) as usize + 1)
-        .sum();
-    let latency_capacity = expected_packets + expected_packets / 4 + 64;
-    let latency_capacity = spec
-        .latency_cap
-        .map_or(latency_capacity, |cap| latency_capacity.min(cap));
 
     let scheduler: ShardedScheduler<Event<M::Node>> =
         ShardedScheduler::new(shard_count, queue_capacity, lookahead);
@@ -571,7 +563,7 @@ fn run_sharded_inner<M: ShardModel>(
     let mut pending: HashMap<u64, Pending, DetHashState> =
         HashMap::with_capacity_and_hasher(n * 16 + 256, DetHashState);
     let mut pending_measured = 0usize;
-    let mut latency = LatencyStats::with_capacity(latency_capacity).with_cap(spec.latency_cap);
+    let mut latency = latency_reservoir(&traffic, &spec);
     let mut fault_total = base_summary.unwrap_or_default();
     let mut tail_events = vec![0u64; shard_count];
     for &(si, ri) in &order {

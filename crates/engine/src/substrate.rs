@@ -38,7 +38,6 @@ use crate::shard::{run_sharded, run_sharded_with_faults, ShardModel};
 pub struct RunConfig {
     benchmark: Benchmark,
     rate_gfs: f64,
-    trace_limit: usize,
     shards: usize,
     spec: RunSpec,
 }
@@ -60,7 +59,6 @@ impl RunConfig {
         Ok(RunConfig {
             benchmark,
             rate_gfs,
-            trace_limit: 0,
             shards: 1,
             spec: RunSpec::new(phases, true),
         })
@@ -91,15 +89,6 @@ impl RunConfig {
     #[must_use]
     pub fn with_drain(mut self, drain: bool) -> Self {
         self.spec.drain = drain;
-        self
-    }
-
-    /// Caps the substrate's built-in flit-level trace at `limit` events
-    /// (the MoT records into its report's `trace`; substrates without a
-    /// built-in tracer ignore it). Zero disables tracing (the default).
-    #[must_use]
-    pub fn with_trace(mut self, limit: usize) -> Self {
-        self.trace_limit = limit;
         self
     }
 
@@ -174,12 +163,6 @@ impl RunConfig {
         self.spec.drain
     }
 
-    /// The trace-event cap (0 = tracing off).
-    #[must_use]
-    pub fn trace_limit(&self) -> usize {
-        self.trace_limit
-    }
-
     /// How many shards execute the run (default 1: serial).
     #[must_use]
     pub fn shards(&self) -> usize {
@@ -220,7 +203,7 @@ pub trait Substrate {
     where
         Self: 'a;
     /// Observers every run carries ahead of the caller's own and whose
-    /// state feeds the report (the MoT's power, activity and trace
+    /// state feeds the report (the MoT's power and activity
     /// recorders); `()` for a fabric with none.
     type Probes<'a>: Observer<Self::Node>
     where

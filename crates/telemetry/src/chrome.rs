@@ -13,7 +13,7 @@ use asynoc_engine::{ForwardInfo, Observer, SimEvent};
 use asynoc_kernel::Time;
 
 use crate::json::JsonValue;
-use crate::trace::{SiteFn, TraceRecord};
+use crate::trace::SiteFn;
 
 #[derive(Clone, Debug)]
 struct ChromeEvent {
@@ -124,25 +124,6 @@ impl ChromeTrace {
         ])
         .render_pretty()
     }
-}
-
-/// Converts flat [`TraceRecord`]s (which carry no durations) into a trace
-/// of instant events, one track per site.
-#[must_use]
-pub fn chrome_from_records(records: &[TraceRecord]) -> ChromeTrace {
-    let mut trace = ChromeTrace::new();
-    for record in records {
-        let name = if record.detail.is_empty() {
-            format!("{} pkt{}[{}]", record.action, record.packet, record.flit)
-        } else {
-            format!(
-                "{} pkt{}[{}] ({})",
-                record.action, record.packet, record.flit, record.detail
-            )
-        };
-        trace.instant(&record.site, record.t_ps, &name);
-    }
-    trace
 }
 
 /// Validates a rendered document against the Chrome trace-event schema:
@@ -392,26 +373,6 @@ mod tests {
         );
         let text = observer.into_trace().render();
         assert_eq!(validate_chrome(&text), Ok(3));
-    }
-
-    #[test]
-    fn record_conversion_produces_a_valid_trace() {
-        let records = vec![TraceRecord {
-            t_ps: 100,
-            packet: 7,
-            logical: 7,
-            flit: 0,
-            src: 2,
-            dests: 2,
-            created_ps: 80,
-            site: "fo[s2:0.0]".to_string(),
-            action: "forward".to_string(),
-            detail: "both".to_string(),
-            copies: 2,
-            busy_ps: 40,
-        }];
-        let trace = chrome_from_records(&records);
-        assert_eq!(validate_chrome(&trace.render()), Ok(1));
     }
 
     #[test]

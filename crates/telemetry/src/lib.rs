@@ -17,8 +17,8 @@
 //! - [`FaultLedger`] — per-class/per-site counters of injected fault
 //!   events, including the logical ids of packets lost at a source
 //!   (reconciles with the fault oracle and span-tree analysis).
-//! - [`TraceCollector`] / [`render_ndjson`] — flat trace records with
-//!   NDJSON import/export shared by both substrates.
+//! - [`TraceCollector`] / [`render_trace`] — flat trace records with
+//!   NDJSON import/export shared by every substrate.
 //! - [`ChromeTraceObserver`] / [`ChromeTrace`] — Chrome trace-event
 //!   (Perfetto-loadable) export, with a [`validate_chrome`] checker.
 //! - [`StreamSink`] — bounded-memory live export: `asynoc-stream-v1`
@@ -46,7 +46,7 @@ pub mod timeseries;
 pub mod trace;
 pub mod waste;
 
-pub use chrome::{chrome_from_records, validate_chrome, ChromeTrace, ChromeTraceObserver};
+pub use chrome::{validate_chrome, ChromeTrace, ChromeTraceObserver};
 pub use fault_ledger::FaultLedger;
 pub use histogram::LogHistogram;
 pub use json::{JsonError, JsonValue};
@@ -57,8 +57,8 @@ pub use stream::{
 };
 pub use timeseries::{Bin, LevelSpec, TimeSeries};
 pub use trace::{
-    parse_ndjson, parse_trace, parse_trace_lenient, render_ndjson, render_trace, TraceCollector,
-    TraceMeta, TraceParseError, TraceRecord, TRACE_SCHEMA,
+    parse_trace, parse_trace_lenient, render_trace, TraceCollector, TraceMeta, TraceParseError,
+    TraceRecord, TRACE_SCHEMA,
 };
 pub use waste::{NodeWaste, SpeculationWaste};
 

@@ -1,10 +1,9 @@
 //! Substrate-neutral trace records with NDJSON import/export.
 //!
 //! A [`TraceRecord`] is the flat, serializable form of one flit action.
-//! Both substrates produce them — the MoT's `TraceEvent` converts into
-//! one, and the generic [`TraceCollector`] observer builds them straight
-//! off the engine event stream — so one parser round-trips traces from
-//! either simulator.
+//! Every substrate produces them the same way — the generic
+//! [`TraceCollector`] observer builds them straight off the engine event
+//! stream — so one parser round-trips traces from any simulator.
 //!
 //! Beyond the original identity fields (time, packet, flit, site, action),
 //! a record carries the causal context offline analysis needs: the
@@ -430,23 +429,16 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// Renders records as an NDJSON document, one object per line.
-#[must_use]
-pub fn render_ndjson(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    for record in records {
-        out.push_str(&record.to_ndjson());
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders a full trace document: the meta line followed by the records.
+/// Renders a full trace document: the meta line followed by the records,
+/// one object per line.
 #[must_use]
 pub fn render_trace(meta: &TraceMeta, records: &[TraceRecord]) -> String {
     let mut out = meta.to_ndjson();
     out.push('\n');
-    out.push_str(&render_ndjson(records));
+    for record in records {
+        out.push_str(&record.to_ndjson());
+        out.push('\n');
+    }
     out
 }
 
@@ -525,17 +517,6 @@ pub fn parse_trace_lenient(
         true
     });
     (meta, records, errors)
-}
-
-/// Parses an NDJSON document's records (blank lines and any meta line
-/// ignored).
-///
-/// # Errors
-///
-/// Returns a [`TraceParseError`] with the 1-based line number and the
-/// offending field of the first malformed line.
-pub fn parse_ndjson(text: &str) -> Result<Vec<TraceRecord>, TraceParseError> {
-    parse_trace(text).map(|(_, records)| records)
 }
 
 /// Renders a substrate node as a trace site label.
@@ -753,32 +734,21 @@ mod tests {
     }
 
     #[test]
-    fn ndjson_document_round_trips() {
-        let records = vec![
-            record(),
-            TraceRecord {
-                action: "throttle".to_string(),
-                detail: String::new(),
-                copies: 0,
-                ..record()
-            },
-        ];
-        let text = render_ndjson(&records);
-        assert_eq!(text.lines().count(), 2);
-        assert_eq!(parse_ndjson(&text), Ok(records));
-    }
-
-    #[test]
     fn meta_line_round_trips() {
         let original = meta();
         let line = original.to_ndjson();
         assert_eq!(TraceMeta::from_ndjson(&line), Ok(original.clone()));
-        let document = render_trace(&original, &[record()]);
+        let throttle = TraceRecord {
+            action: "throttle".to_string(),
+            detail: String::new(),
+            copies: 0,
+            ..record()
+        };
+        let document = render_trace(&original, &[record(), throttle.clone()]);
+        assert_eq!(document.lines().count(), 3);
         let (parsed_meta, records) = parse_trace(&document).expect("document parses");
         assert_eq!(parsed_meta, Some(original));
-        assert_eq!(records, vec![record()]);
-        // The record-only parser skips the meta line.
-        assert_eq!(parse_ndjson(&document), Ok(vec![record()]));
+        assert_eq!(records, vec![record(), throttle]);
     }
 
     #[test]
@@ -793,15 +763,15 @@ mod tests {
     #[test]
     fn malformed_lines_report_line_number_and_field() {
         let text = format!("{}\n{{\"t_ps\":1}}\n", record().to_ndjson());
-        let err = parse_ndjson(&text).unwrap_err();
+        let err = parse_trace(&text).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("packet"), "names the field: {err}");
         assert!(err.to_string().starts_with("line 2:"));
-        let err = parse_ndjson("not json").unwrap_err();
+        let err = parse_trace("not json").unwrap_err();
         assert_eq!(err.line, 1);
         let bad_field = "{\"t_ps\":\"late\",\"packet\":1,\"flit\":0,\
                          \"site\":\"a\",\"action\":\"inject\",\"detail\":\"\"}";
-        let err = parse_ndjson(bad_field).unwrap_err();
+        let err = parse_trace(bad_field).unwrap_err();
         assert!(err.message.contains("t_ps"), "{err}");
     }
 

@@ -1,10 +1,11 @@
-//! The paper's network architectures and speculation maps.
+//! The paper's six network architectures and the five fanout-node kinds.
 //!
 //! §3 of the paper defines five parallel-multicast networks plus the serial
-//! baseline. An [`Architecture`] names one of the six; a [`SpeculationMap`]
-//! says, per fanout level, whether its nodes are speculative. Together they
-//! determine the [`FanoutKind`] of every fanout node and the packet header's
-//! address-field size.
+//! baseline. An [`Architecture`] names one of the six;
+//! [`Architecture::fanout_kind`] is the one definition of which
+//! [`FanoutKind`] each puts at each fanout level. Everything else about a
+//! placement — node counts, header address bits, per-node overrides — is
+//! read from the [`SpecMap`](crate::SpecMap) built from it.
 //!
 //! Hybrid placement follows the figures: Fig 3(b) makes the 8×8 root level
 //! speculative; Fig 3(d)'s 16×16 hybrid alternates speculative and
@@ -15,10 +16,6 @@
 
 use std::fmt;
 
-use asynoc_packet::coding;
-
-use crate::error::TopologyError;
-use crate::ids::FanoutNodeId;
 use crate::size::MotSize;
 
 /// The behavioral variety of a fanout node (paper §4 plus the baseline).
@@ -103,124 +100,6 @@ impl fmt::Display for FanoutKind {
     }
 }
 
-/// Per-level speculation flags for one network size.
-///
-/// # Examples
-///
-/// ```
-/// use asynoc_topology::{MotSize, SpeculationMap};
-///
-/// let size = MotSize::new(8)?;
-/// let hybrid = SpeculationMap::hybrid(size);
-/// assert_eq!(hybrid.flags(), &[true, false, false]);
-/// assert_eq!(hybrid.non_speculative_nodes(), 6);
-/// # Ok::<(), asynoc_topology::TopologyError>(())
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct SpeculationMap {
-    size: MotSize,
-    flags: Vec<bool>,
-}
-
-impl SpeculationMap {
-    /// A fully non-speculative map.
-    #[must_use]
-    pub fn non_speculative(size: MotSize) -> Self {
-        SpeculationMap {
-            size,
-            flags: vec![false; size.levels() as usize],
-        }
-    }
-
-    /// The canonical hybrid map: levels alternate speculative /
-    /// non-speculative starting speculative at the root; the leaf level is
-    /// forced non-speculative.
-    #[must_use]
-    pub fn hybrid(size: MotSize) -> Self {
-        let levels = size.levels() as usize;
-        let flags = (0..levels)
-            .map(|level| level % 2 == 0 && level + 1 != levels)
-            .collect();
-        SpeculationMap { size, flags }
-    }
-
-    /// The almost-fully-speculative map: every level speculative except the
-    /// leaf level (the fanin network cannot throttle misrouted packets).
-    #[must_use]
-    pub fn all_speculative(size: MotSize) -> Self {
-        let levels = size.levels() as usize;
-        let flags = (0..levels).map(|level| level + 1 != levels).collect();
-        SpeculationMap { size, flags }
-    }
-
-    /// A custom map from explicit per-level flags.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::LevelCountMismatch`] if `flags.len()` does
-    /// not equal the tree depth, or [`TopologyError::SpeculativeLeafLevel`]
-    /// if the leaf level is marked speculative.
-    pub fn custom(size: MotSize, flags: Vec<bool>) -> Result<Self, TopologyError> {
-        let required = size.levels() as usize;
-        if flags.len() != required {
-            return Err(TopologyError::LevelCountMismatch {
-                provided: flags.len(),
-                required,
-            });
-        }
-        if flags[required - 1] {
-            return Err(TopologyError::SpeculativeLeafLevel);
-        }
-        Ok(SpeculationMap { size, flags })
-    }
-
-    /// The network size this map describes.
-    #[must_use]
-    pub fn size(&self) -> MotSize {
-        self.size
-    }
-
-    /// The per-level flags (`true` = speculative), root first.
-    #[must_use]
-    pub fn flags(&self) -> &[bool] {
-        &self.flags
-    }
-
-    /// Returns `true` if level `level`'s nodes are speculative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is out of range.
-    #[must_use]
-    pub fn is_speculative_level(&self, level: u32) -> bool {
-        self.flags[level as usize]
-    }
-
-    /// Returns `true` if any level is speculative.
-    #[must_use]
-    pub fn has_speculation(&self) -> bool {
-        self.flags.iter().any(|&f| f)
-    }
-
-    /// Number of non-speculative fanout nodes per tree.
-    #[must_use]
-    pub fn non_speculative_nodes(&self) -> usize {
-        coding::non_speculative_node_count(self.size.n(), &self.flags)
-    }
-
-    /// Number of speculative fanout nodes per tree.
-    #[must_use]
-    pub fn speculative_nodes(&self) -> usize {
-        self.size.fanout_nodes_per_tree() - self.non_speculative_nodes()
-    }
-
-    /// Address bits a parallel-multicast header needs under this map.
-    #[must_use]
-    pub fn address_bits(&self) -> usize {
-        coding::network_address_bits(self.size.n(), &self.flags)
-    }
-}
-
 /// The six evaluated network configurations (paper §3, "target parallel
 /// multicast networks", plus the serial baseline of §2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -287,21 +166,9 @@ impl Architecture {
         )
     }
 
-    /// The speculation map this architecture uses at the given size.
-    #[must_use]
-    pub fn speculation_map(self, size: MotSize) -> SpeculationMap {
-        match self {
-            Architecture::Baseline
-            | Architecture::BasicNonSpeculative
-            | Architecture::OptNonSpeculative => SpeculationMap::non_speculative(size),
-            Architecture::BasicHybridSpeculative | Architecture::OptHybridSpeculative => {
-                SpeculationMap::hybrid(size)
-            }
-            Architecture::OptAllSpeculative => SpeculationMap::all_speculative(size),
-        }
-    }
-
-    /// The node kind used at fanout level `level`.
+    /// The node kind used at fanout level `level` — the one definition of
+    /// the six presets. Hybrid levels alternate starting speculative at the
+    /// root; the leaf level never speculates.
     ///
     /// # Panics
     ///
@@ -309,7 +176,16 @@ impl Architecture {
     #[must_use]
     pub fn fanout_kind(self, size: MotSize, level: u32) -> FanoutKind {
         assert!(level < size.levels(), "level {level} out of range");
-        let speculative = self.speculation_map(size).is_speculative_level(level);
+        let leaf = level + 1 == size.levels();
+        let speculative = match self {
+            Architecture::Baseline
+            | Architecture::BasicNonSpeculative
+            | Architecture::OptNonSpeculative => false,
+            Architecture::BasicHybridSpeculative | Architecture::OptHybridSpeculative => {
+                level.is_multiple_of(2) && !leaf
+            }
+            Architecture::OptAllSpeculative => !leaf,
+        };
         match (self, speculative) {
             (Architecture::Baseline, _) => FanoutKind::Baseline,
             (Architecture::BasicNonSpeculative | Architecture::BasicHybridSpeculative, false) => {
@@ -320,190 +196,6 @@ impl Architecture {
             }
             (_, false) => FanoutKind::OptNonSpeculative,
             (_, true) => FanoutKind::OptSpeculative,
-        }
-    }
-
-    /// Address bits per packet header for this architecture at `size`
-    /// (reproduces the §5.2(d) comparison).
-    #[must_use]
-    pub fn address_bits(self, size: MotSize) -> usize {
-        if self.serializes_multicast() {
-            coding::baseline_address_bits(size.n())
-        } else {
-            self.speculation_map(size).address_bits()
-        }
-    }
-}
-
-/// The complete per-level node-kind assignment of one network — either a
-/// canonical [`Architecture`] or a custom speculation placement (the wider
-/// design space the paper sketches for 16×16 in Fig 3(d)).
-///
-/// # Examples
-///
-/// ```
-/// use asynoc_topology::{FanoutKind, MotSize, NodePlan, SpeculationMap};
-///
-/// let size = MotSize::new(8)?;
-/// // Mid-level-only speculation with optimized nodes: not one of the
-/// // paper's three canonical points, but a legal design.
-/// let map = SpeculationMap::custom(size, vec![false, true, false])?;
-/// let plan = NodePlan::from_speculation(&map, true);
-/// assert_eq!(plan.kind(1), FanoutKind::OptSpeculative);
-/// assert_eq!(plan.address_bits(), 10);
-/// # Ok::<(), asynoc_topology::TopologyError>(())
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct NodePlan {
-    size: MotSize,
-    kinds: Vec<FanoutKind>,
-    /// Flat-indexed per-node kinds, present only when a speculation map
-    /// carries per-node overrides; `None` means every node of a level uses
-    /// the level's kind.
-    node_kinds: Option<Vec<FanoutKind>>,
-    serializes_multicast: bool,
-}
-
-impl NodePlan {
-    /// The plan of one of the paper's six canonical networks.
-    #[must_use]
-    pub fn for_architecture(architecture: Architecture, size: MotSize) -> Self {
-        NodePlan {
-            size,
-            kinds: (0..size.levels())
-                .map(|level| architecture.fanout_kind(size, level))
-                .collect(),
-            node_kinds: None,
-            serializes_multicast: architecture.serializes_multicast(),
-        }
-    }
-
-    /// A plan with explicit per-node kinds (built by
-    /// [`SpecMap::node_plan`](crate::SpecMap::node_plan); callers normally
-    /// go through a validated speculation map rather than this).
-    pub(crate) fn per_node(
-        size: MotSize,
-        kinds: Vec<FanoutKind>,
-        node_kinds: Option<Vec<FanoutKind>>,
-        serializes_multicast: bool,
-    ) -> Self {
-        NodePlan {
-            size,
-            kinds,
-            node_kinds,
-            serializes_multicast,
-        }
-    }
-
-    /// A custom plan from a speculation map: speculative levels get
-    /// (optionally optimized) speculative nodes, the rest non-speculative
-    /// ones.
-    #[must_use]
-    pub fn from_speculation(map: &SpeculationMap, optimized: bool) -> Self {
-        let kinds = map
-            .flags()
-            .iter()
-            .map(|&speculative| match (speculative, optimized) {
-                (true, true) => FanoutKind::OptSpeculative,
-                (true, false) => FanoutKind::Speculative,
-                (false, true) => FanoutKind::OptNonSpeculative,
-                (false, false) => FanoutKind::NonSpeculative,
-            })
-            .collect();
-        NodePlan {
-            size: map.size(),
-            kinds,
-            node_kinds: None,
-            serializes_multicast: false,
-        }
-    }
-
-    /// The network size the plan describes.
-    #[must_use]
-    pub fn size(&self) -> MotSize {
-        self.size
-    }
-
-    /// The node kind at fanout level `level`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is out of range.
-    #[must_use]
-    pub fn kind(&self, level: u32) -> FanoutKind {
-        self.kinds[level as usize]
-    }
-
-    /// All per-level kinds, root first. When the plan carries per-node
-    /// overrides this is the per-level *base* assignment;
-    /// [`kind_at`](Self::kind_at) is authoritative for individual nodes.
-    #[must_use]
-    pub fn kinds(&self) -> &[FanoutKind] {
-        &self.kinds
-    }
-
-    /// The kind of one specific fanout node. For plans without per-node
-    /// overrides this equals [`kind`](Self::kind) of the node's level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is invalid for the plan's size.
-    #[must_use]
-    pub fn kind_at(&self, node: FanoutNodeId) -> FanoutKind {
-        match &self.node_kinds {
-            Some(per_node) => per_node[node.flat_index(self.size)],
-            None => self.kinds[node.level as usize],
-        }
-    }
-
-    /// Returns `true` if the plan carries per-node overrides (some node's
-    /// kind differs from its level's base kind).
-    #[must_use]
-    pub fn has_node_overrides(&self) -> bool {
-        self.node_kinds.is_some()
-    }
-
-    /// Returns `true` if multicasts must be serialized into unicast clones
-    /// at the source.
-    #[must_use]
-    pub fn serializes_multicast(&self) -> bool {
-        self.serializes_multicast
-    }
-
-    /// Per-level speculation flags implied by the kinds.
-    #[must_use]
-    pub fn speculative_levels(&self) -> Vec<bool> {
-        self.kinds.iter().map(|k| k.is_speculative()).collect()
-    }
-
-    /// Address bits per packet header under this plan.
-    ///
-    /// With per-node overrides, trees may differ in how many symbol-obeying
-    /// nodes they contain; the header format is shared by every source, so
-    /// the width is the maximum over trees (2 bits per non-speculative
-    /// node, as in §5.2(d)).
-    #[must_use]
-    pub fn address_bits(&self) -> usize {
-        if self.serializes_multicast {
-            return asynoc_packet::coding::baseline_address_bits(self.size.n());
-        }
-        match &self.node_kinds {
-            None => asynoc_packet::coding::network_address_bits(
-                self.size.n(),
-                &self.speculative_levels(),
-            ),
-            Some(per_node) => {
-                let per_tree = self.size.fanout_nodes_per_tree();
-                (0..self.size.n())
-                    .map(|tree| {
-                        2 * per_node[tree * per_tree..(tree + 1) * per_tree]
-                            .iter()
-                            .filter(|kind| !kind.is_speculative())
-                            .count()
-                    })
-                    .max()
-                    .unwrap_or(0)
-            }
         }
     }
 }
@@ -564,72 +256,25 @@ mod tests {
         MotSize::new(n).unwrap()
     }
 
+    fn speculative_levels(arch: Architecture, n: usize) -> Vec<bool> {
+        let s = size(n);
+        (0..s.levels())
+            .map(|level| arch.fanout_kind(s, level).is_speculative())
+            .collect()
+    }
+
     #[test]
-    fn hybrid_map_matches_fig3b_and_fig3d() {
-        assert_eq!(
-            SpeculationMap::hybrid(size(8)).flags(),
-            &[true, false, false]
-        );
-        assert_eq!(
-            SpeculationMap::hybrid(size(16)).flags(),
-            &[true, false, true, false]
-        );
+    fn hybrid_levels_match_fig3b_and_fig3d() {
+        let hybrid = Architecture::OptHybridSpeculative;
+        assert_eq!(speculative_levels(hybrid, 8), [true, false, false]);
+        assert_eq!(speculative_levels(hybrid, 16), [true, false, true, false]);
     }
 
     #[test]
     fn all_speculative_keeps_leaf_level_non_speculative() {
-        assert_eq!(
-            SpeculationMap::all_speculative(size(8)).flags(),
-            &[true, true, false]
-        );
-        assert_eq!(
-            SpeculationMap::all_speculative(size(16)).flags(),
-            &[true, true, true, false]
-        );
-    }
-
-    #[test]
-    fn custom_map_validation() {
-        assert!(SpeculationMap::custom(size(8), vec![false, true, false]).is_ok());
-        assert_eq!(
-            SpeculationMap::custom(size(8), vec![false, true]),
-            Err(TopologyError::LevelCountMismatch {
-                provided: 2,
-                required: 3
-            })
-        );
-        assert_eq!(
-            SpeculationMap::custom(size(8), vec![false, false, true]),
-            Err(TopologyError::SpeculativeLeafLevel)
-        );
-    }
-
-    #[test]
-    fn node_counting() {
-        let hybrid = SpeculationMap::hybrid(size(8));
-        assert_eq!(hybrid.non_speculative_nodes(), 6);
-        assert_eq!(hybrid.speculative_nodes(), 1);
-        assert!(hybrid.has_speculation());
-        let nonspec = SpeculationMap::non_speculative(size(8));
-        assert!(!nonspec.has_speculation());
-        assert_eq!(nonspec.speculative_nodes(), 0);
-    }
-
-    #[test]
-    fn paper_address_bit_table() {
-        // §5.2(d): 8×8 → 3/14/12/8; 16×16 → 4/30/20/16.
-        let s8 = size(8);
-        assert_eq!(Architecture::Baseline.address_bits(s8), 3);
-        assert_eq!(Architecture::BasicNonSpeculative.address_bits(s8), 14);
-        assert_eq!(Architecture::OptNonSpeculative.address_bits(s8), 14);
-        assert_eq!(Architecture::BasicHybridSpeculative.address_bits(s8), 12);
-        assert_eq!(Architecture::OptHybridSpeculative.address_bits(s8), 12);
-        assert_eq!(Architecture::OptAllSpeculative.address_bits(s8), 8);
-        let s16 = size(16);
-        assert_eq!(Architecture::Baseline.address_bits(s16), 4);
-        assert_eq!(Architecture::OptNonSpeculative.address_bits(s16), 30);
-        assert_eq!(Architecture::OptHybridSpeculative.address_bits(s16), 20);
-        assert_eq!(Architecture::OptAllSpeculative.address_bits(s16), 16);
+        let all = Architecture::OptAllSpeculative;
+        assert_eq!(speculative_levels(all, 8), [true, true, false]);
+        assert_eq!(speculative_levels(all, 16), [true, true, true, false]);
     }
 
     #[test]
@@ -691,57 +336,6 @@ mod tests {
         assert!(!Architecture::OptHybridSpeculative.serializes_multicast());
         assert!(Architecture::OptAllSpeculative.is_optimized());
         assert!(!Architecture::BasicHybridSpeculative.is_optimized());
-    }
-
-    #[test]
-    fn plan_for_architecture_matches_fanout_kinds() {
-        let s = size(8);
-        for arch in Architecture::ALL {
-            let plan = NodePlan::for_architecture(arch, s);
-            for level in 0..3 {
-                assert_eq!(
-                    plan.kind(level),
-                    arch.fanout_kind(s, level),
-                    "{arch} level {level}"
-                );
-            }
-            assert_eq!(plan.serializes_multicast(), arch.serializes_multicast());
-            assert_eq!(plan.address_bits(), arch.address_bits(s), "{arch}");
-        }
-    }
-
-    #[test]
-    fn plan_from_custom_speculation() {
-        let s = size(8);
-        let map = SpeculationMap::custom(s, vec![false, true, false]).unwrap();
-        let optimized = NodePlan::from_speculation(&map, true);
-        assert_eq!(
-            optimized.kinds(),
-            &[
-                FanoutKind::OptNonSpeculative,
-                FanoutKind::OptSpeculative,
-                FanoutKind::OptNonSpeculative
-            ]
-        );
-        assert_eq!(optimized.address_bits(), 10); // 5 non-spec nodes x 2 bits
-        assert!(!optimized.serializes_multicast());
-        let basic = NodePlan::from_speculation(&map, false);
-        assert_eq!(
-            basic.kinds(),
-            &[
-                FanoutKind::NonSpeculative,
-                FanoutKind::Speculative,
-                FanoutKind::NonSpeculative
-            ]
-        );
-        assert_eq!(basic.speculative_levels(), vec![false, true, false]);
-    }
-
-    #[test]
-    fn plan_size_accessor() {
-        let plan = NodePlan::for_architecture(Architecture::Baseline, size(16));
-        assert_eq!(plan.size().n(), 16);
-        assert_eq!(plan.kinds().len(), 4);
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub enum TopologyError {
     NodeOutOfRange {
         /// Source tree of the rejected node.
         tree: usize,
-        /// Fanout level of the rejected node.
-        level: u32,
+        /// Fanout level of the rejected node, as given (it may not fit the
+        /// `u32` a [`FanoutNodeId`](crate::FanoutNodeId) stores).
+        level: usize,
         /// Index within the level of the rejected node.
         index: usize,
         /// The network size.

@@ -18,21 +18,26 @@
 //!
 //! - [`MotSize`]: validated network sizes and node counting,
 //! - [`FanoutNodeId`] / [`FaninNodeId`]: node coordinates and flat indices,
-//! - [`Architecture`] / [`SpeculationMap`]: which of the paper's six network
-//!   configurations a node belongs to and which [`FanoutKind`] it gets,
+//! - [`Architecture`] / [`FanoutKind`]: the paper's six network
+//!   configurations and the five node kinds they are built from,
+//! - [`SpecMap`]: the one speculation-placement type — which [`FanoutKind`]
+//!   every fanout node gets, validated, with its node counts and header
+//!   address bits,
 //! - [`route`]: multicast route-symbol computation (the source-routing
 //!   encoder).
 //!
 //! # Examples
 //!
 //! ```
-//! use asynoc_topology::{Architecture, MotSize};
+//! use asynoc_topology::{Architecture, MotSize, SpecMap};
 //!
 //! let size = MotSize::new(8)?;
-//! let arch = Architecture::OptHybridSpeculative;
-//! assert_eq!(arch.address_bits(size), 12);
+//! let map = SpecMap::preset(Architecture::OptHybridSpeculative, size);
+//! assert_eq!(map.address_bits(), 12);
 //! # Ok::<(), asynoc_topology::TopologyError>(())
 //! ```
+
+#![deny(missing_docs)]
 
 pub mod arch;
 pub mod error;
@@ -41,7 +46,7 @@ pub mod route;
 pub mod size;
 pub mod spec;
 
-pub use arch::{Architecture, FanoutKind, NodePlan, SpeculationMap};
+pub use arch::{Architecture, FanoutKind};
 pub use error::TopologyError;
 pub use ids::{FaninNodeId, FaninParent, FanoutChild, FanoutNodeId, OutputPort};
 pub use route::{multicast_route, multicast_route_into, unicast_route};

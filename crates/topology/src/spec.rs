@@ -9,9 +9,15 @@
 //!
 //! - the per-level vector must match the tree depth,
 //! - every leaf-level node must obey its route symbols (the fanin network
-//!   cannot throttle a misrouted packet, §4 of the paper), and
+//!   cannot throttle a misrouted packet, §4 of the paper),
 //! - the serial baseline node kind cannot be mixed with parallel-multicast
-//!   kinds (it has no replication datapath).
+//!   kinds (it has no replication datapath), and
+//! - every overridden node must exist at the map's size.
+//!
+//! A `SpecMap` is the only placement type in the workspace: the six
+//! presets, the `--spec-map` grammar, the explorer's candidates and the
+//! simulator's fabric builder all hold one, so no placement reaches a
+//! fabric without passing these rules.
 //!
 //! Because route headers are purely structural — one 2-bit symbol slot per
 //! `(level, index)` regardless of node kind, with speculative nodes simply
@@ -49,7 +55,9 @@
 
 use std::fmt;
 
-use crate::arch::{Architecture, FanoutKind, NodePlan};
+use asynoc_packet::coding;
+
+use crate::arch::{Architecture, FanoutKind};
 use crate::error::TopologyError;
 use crate::ids::FanoutNodeId;
 use crate::size::MotSize;
@@ -113,6 +121,33 @@ impl SpecMap {
         })
     }
 
+    /// The fanout node at `tree`.`level`.`index` of this map's fabric — the
+    /// checked way to turn coordinates read from outside the program into
+    /// a [`FanoutNodeId`]. Every coordinate is compared at full width, so a
+    /// level beyond `u32` is refused rather than wrapped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TopologyError::NodeOutOfRange`] naming the coordinates as
+    /// given if no such node exists at this size.
+    pub fn node_at(
+        &self,
+        tree: usize,
+        level: usize,
+        index: usize,
+    ) -> Result<FanoutNodeId, TopologyError> {
+        u32::try_from(level)
+            .ok()
+            .map(|level| FanoutNodeId { tree, level, index })
+            .filter(|node| node.is_valid(self.size))
+            .ok_or(TopologyError::NodeOutOfRange {
+                tree,
+                level,
+                index,
+                size: self.size.n(),
+            })
+    }
+
     /// Returns the map with `node`'s kind overridden, keeping the map
     /// canonical (an override equal to the level's base kind is dropped).
     ///
@@ -128,14 +163,7 @@ impl SpecMap {
         node: FanoutNodeId,
         kind: FanoutKind,
     ) -> Result<Self, TopologyError> {
-        if !node.is_valid(self.size) {
-            return Err(TopologyError::NodeOutOfRange {
-                tree: node.tree,
-                level: node.level,
-                index: node.index,
-                size: self.size.n(),
-            });
-        }
+        self.node_at(node.tree, node.level as usize, node.index)?;
         if node.is_leaf_level(self.size) && kind.is_speculative() {
             return Err(TopologyError::NonThrottlingLeaf {
                 tree: node.tree,
@@ -221,11 +249,7 @@ impl SpecMap {
                     ),
                 });
             };
-            let node = FanoutNodeId {
-                tree: parse_coord(tree)?,
-                level: parse_coord(level)? as u32,
-                index: parse_coord(index)?,
-            };
+            let node = map.node_at(parse_coord(tree)?, parse_coord(level)?, parse_coord(index)?)?;
             map = map.with_node(node, parse_kind(kind_token.trim())?)?;
         }
         Ok(map)
@@ -258,11 +282,12 @@ impl SpecMap {
     #[must_use]
     pub fn kind_of(&self, node: FanoutNodeId) -> FanoutKind {
         assert!(node.is_valid(self.size), "invalid fanout node {node}");
+        let flat = node.flat_index(self.size);
         self.overrides
-            .iter()
-            .find(|(id, _)| *id == node)
-            .map(|(_, kind)| *kind)
-            .unwrap_or(self.levels[node.level as usize])
+            .binary_search_by_key(&flat, |(id, _)| id.flat_index(self.size))
+            .map_or(self.levels[node.level as usize], |found| {
+                self.overrides[found].1
+            })
     }
 
     /// Returns `true` if multicasts must be serialized into unicast clones
@@ -279,32 +304,46 @@ impl SpecMap {
         if !self.overrides.is_empty() {
             return None;
         }
-        Architecture::ALL
-            .into_iter()
-            .find(|arch| SpecMap::preset(*arch, self.size).levels == self.levels)
+        Architecture::ALL.into_iter().find(|arch| {
+            (0..self.size.levels())
+                .all(|level| arch.fanout_kind(self.size, level) == self.levels[level as usize])
+        })
     }
 
-    /// Address bits per packet header under this map (see
-    /// [`NodePlan::address_bits`]).
+    /// Symbol-obeying (non-speculative) fanout nodes per tree. With per-node
+    /// overrides trees may differ; this is the count of the tree that has
+    /// the most, which is the one that sizes the shared header.
+    #[must_use]
+    pub fn non_speculative_nodes(&self) -> usize {
+        let obeys = |kind: FanoutKind| usize::from(!kind.is_speculative());
+        let uniform: usize = (0..self.size.levels())
+            .map(|level| self.size.nodes_at_level(level) * obeys(self.levels[level as usize]))
+            .sum();
+        let mut per_tree = vec![uniform; self.size.n()];
+        for &(node, kind) in &self.overrides {
+            let count = &mut per_tree[node.tree];
+            *count = *count + obeys(kind) - obeys(self.levels[node.level as usize]);
+        }
+        per_tree.into_iter().max().unwrap_or(uniform)
+    }
+
+    /// Speculative fanout nodes in the tree
+    /// [`non_speculative_nodes`](Self::non_speculative_nodes) counts.
+    #[must_use]
+    pub fn speculative_nodes(&self) -> usize {
+        self.size.fanout_nodes_per_tree() - self.non_speculative_nodes()
+    }
+
+    /// Address bits per packet header under this map: `log2 n` for the
+    /// serial baseline, otherwise 2 bits per symbol-obeying node of the
+    /// widest tree (§5.2(d); the header format is shared by every source).
     #[must_use]
     pub fn address_bits(&self) -> usize {
-        self.node_plan().address_bits()
-    }
-
-    /// The per-node plan the fabric elaborates. For a preset map this is
-    /// structurally equal to
-    /// [`NodePlan::for_architecture`] of [`label`](Self::label), which is
-    /// what makes preset↔map runs bit-identical.
-    #[must_use]
-    pub fn node_plan(&self) -> NodePlan {
-        let serial = self.serializes_multicast();
-        if self.overrides.is_empty() {
-            return NodePlan::per_node(self.size, self.levels.clone(), None, serial);
+        if self.serializes_multicast() {
+            coding::baseline_address_bits(self.size.n())
+        } else {
+            2 * self.non_speculative_nodes()
         }
-        let per_node = FanoutNodeId::all(self.size)
-            .map(|node| self.kind_of(node))
-            .collect();
-        NodePlan::per_node(self.size, self.levels.clone(), Some(per_node), serial)
     }
 }
 
@@ -358,17 +397,65 @@ mod tests {
     }
 
     #[test]
-    fn presets_match_architecture_plans() {
-        for arch in Architecture::ALL {
-            let map = SpecMap::preset(arch, size8());
-            assert_eq!(map.label(), Some(arch), "{arch}");
-            assert_eq!(
-                map.node_plan(),
-                NodePlan::for_architecture(arch, size8()),
-                "{arch}"
-            );
-            assert_eq!(map.address_bits(), arch.address_bits(size8()), "{arch}");
-            assert_eq!(map.serializes_multicast(), arch.serializes_multicast());
+    fn presets_carry_their_label_and_the_paper_address_bits() {
+        // §5.2(d): 8×8 → 3/14/12/8; 16×16 → 4/30/20/16.
+        for (n, [baseline, non_spec, hybrid, all_spec]) in
+            [(8, [3, 14, 12, 8]), (16, [4, 30, 20, 16])]
+        {
+            let size = MotSize::new(n).unwrap();
+            for (arch, bits) in [
+                (Architecture::Baseline, baseline),
+                (Architecture::BasicNonSpeculative, non_spec),
+                (Architecture::BasicHybridSpeculative, hybrid),
+                (Architecture::OptHybridSpeculative, hybrid),
+                (Architecture::OptNonSpeculative, non_spec),
+                (Architecture::OptAllSpeculative, all_spec),
+            ] {
+                let map = SpecMap::preset(arch, size);
+                assert_eq!(map.label(), Some(arch), "{arch} at {n}");
+                assert_eq!(map.address_bits(), bits, "{arch} at {n}");
+                assert_eq!(map.serializes_multicast(), arch.serializes_multicast());
+            }
+        }
+    }
+
+    #[test]
+    fn address_bits_match_the_closed_form_on_every_level_uniform_map() {
+        const PARALLEL: [FanoutKind; 4] = [
+            FanoutKind::NonSpeculative,
+            FanoutKind::Speculative,
+            FanoutKind::OptNonSpeculative,
+            FanoutKind::OptSpeculative,
+        ];
+        for n in [2usize, 4, 8, 16, 32, 64] {
+            let size = MotSize::new(n).unwrap();
+            let levels = size.levels();
+            let mut legal = 0;
+            for code in 0..4usize.pow(levels) {
+                let kinds: Vec<FanoutKind> = (0..levels)
+                    .map(|level| PARALLEL[code / 4usize.pow(level) % 4])
+                    .collect();
+                let flags: Vec<bool> = kinds.iter().map(|k| k.is_speculative()).collect();
+                let Ok(map) = SpecMap::from_levels(size, kinds) else {
+                    assert!(
+                        flags[levels as usize - 1],
+                        "only a speculative leaf is refused"
+                    );
+                    continue;
+                };
+                legal += 1;
+                let obeying = coding::non_speculative_node_count(n, &flags);
+                assert_eq!(map.non_speculative_nodes(), obeying, "{map}");
+                assert_eq!(map.speculative_nodes(), n - 1 - obeying, "{map}");
+                assert_eq!(
+                    map.address_bits(),
+                    coding::network_address_bits(n, &flags),
+                    "{map}"
+                );
+            }
+            assert_eq!(legal, 2 * 4usize.pow(levels - 1), "n={n}");
+            let serial = SpecMap::preset(Architecture::Baseline, size);
+            assert_eq!(serial.address_bits(), coding::baseline_address_bits(n));
         }
     }
 
@@ -503,20 +590,17 @@ mod tests {
     }
 
     #[test]
-    fn kind_of_and_node_plan_respect_overrides() {
+    fn kind_of_and_node_counts_respect_overrides() {
         let map = SpecMap::preset(Architecture::OptNonSpeculative, size8())
             .with_node(node(5, 0, 0), FanoutKind::OptSpeculative)
             .unwrap();
         assert_eq!(map.kind_of(node(5, 0, 0)), FanoutKind::OptSpeculative);
+        assert_eq!(map.kind_of(node(5, 1, 0)), FanoutKind::OptNonSpeculative);
         assert_eq!(map.kind_of(node(4, 0, 0)), FanoutKind::OptNonSpeculative);
         assert_eq!(map.label(), None);
-        let plan = map.node_plan();
-        assert!(plan.has_node_overrides());
-        assert_eq!(plan.kind_at(node(5, 0, 0)), FanoutKind::OptSpeculative);
-        assert_eq!(plan.kind_at(node(5, 1, 0)), FanoutKind::OptNonSpeculative);
-        assert_eq!(plan.kind_at(node(4, 0, 0)), FanoutKind::OptNonSpeculative);
         // Tree 5 drops to 6 obeying nodes (12 bits) but tree 0 still has 7
         // (14 bits); the shared header keeps the maximum.
+        assert_eq!(map.non_speculative_nodes(), 7);
         assert_eq!(map.address_bits(), 14);
     }
 
@@ -529,9 +613,30 @@ mod tests {
                 .unwrap();
         }
         // Every tree now matches the hybrid placement.
-        assert_eq!(
-            map.address_bits(),
-            Architecture::OptHybridSpeculative.address_bits(size8())
-        );
+        assert_eq!(map.speculative_nodes(), 1);
+        assert_eq!(map.address_bits(), 12);
+        // An override that restores obedience on a speculative level widens
+        // only its own tree, which then sizes the header.
+        let hybrid = SpecMap::preset(Architecture::OptHybridSpeculative, size8())
+            .with_node(node(2, 0, 0), FanoutKind::OptNonSpeculative)
+            .unwrap();
+        assert_eq!(hybrid.address_bits(), 14);
+    }
+
+    #[test]
+    fn coordinates_beyond_u32_are_refused_not_wrapped() {
+        let map = SpecMap::preset(Architecture::OptNonSpeculative, size8());
+        let wraps_to_zero = u32::MAX as usize + 1;
+        let refused = TopologyError::NodeOutOfRange {
+            tree: 0,
+            level: wraps_to_zero,
+            index: 0,
+            size: 8,
+        };
+        assert_eq!(map.node_at(0, wraps_to_zero, 0), Err(refused.clone()));
+        assert_eq!(map.node_at(7, 2, 3), Ok(node(7, 2, 3)));
+        let text = format!("levels:ons,ons,ons;node:0.{wraps_to_zero}.0=osp");
+        assert_eq!(SpecMap::parse(size8(), &text), Err(refused.clone()));
+        assert!(refused.to_string().contains("s0:4294967296.0"), "{refused}");
     }
 }

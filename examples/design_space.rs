@@ -11,7 +11,7 @@
 
 use asynoc::{
     Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases, RunConfig,
-    SimError, SpeculationMap,
+    SimError, SpecMap,
 };
 
 fn main() -> Result<(), SimError> {
@@ -24,25 +24,24 @@ fn main() -> Result<(), SimError> {
     );
     println!("{}", "-".repeat(74));
 
-    // Enumerate root/mid speculation choices; architecture uses optimized
-    // nodes, like the paper's design-space case study.
-    for mask in 0u32..4 {
-        let flags = vec![mask & 1 != 0, mask & 2 != 0, false];
-        let map = SpeculationMap::custom(size, flags.clone())
-            .expect("leaf level is non-speculative by construction");
-        let label: String = flags
+    // Root/mid speculation choices in the `--spec-map` grammar; every level
+    // uses optimized nodes, like the paper's design-space case study.
+    for text in [
+        "levels:ons,ons,ons",
+        "levels:osp,ons,ons",
+        "levels:ons,osp,ons",
+        "levels:osp,osp,ons",
+    ] {
+        let map = SpecMap::parse(size, text)?;
+        let label: String = map
+            .level_kinds()
             .iter()
-            .map(|&speculative| if speculative { 'S' } else { 'n' })
+            .map(|kind| if kind.is_speculative() { 'S' } else { 'n' })
             .collect();
 
-        // Any legal speculation map — canonical or not — is simulated
-        // directly via a custom node plan with optimized nodes (the
-        // paper's design-space case study uses optimized networks).
-        let network = Network::new(
-            NetworkConfig::eight_by_eight(Architecture::OptNonSpeculative)
-                .with_speculation_map(&map, true)
-                .with_seed(5),
-        )?;
+        // Any legal placement — canonical or not — is simulated directly
+        // from its validated map.
+        let network = Network::new(NetworkConfig::with_spec_map(map.clone()).with_seed(5))?;
         let run = RunConfig::new(Benchmark::Multicast10, 0.35)?
             .with_phases(Phases::new(Duration::from_ns(200), Duration::from_ns(2000)));
         let report = network.run(&run)?;
@@ -66,11 +65,12 @@ fn main() -> Result<(), SimError> {
     println!();
     println!("16x16 projection (address bits per header):");
     let size16 = MotSize::new(16)?;
-    for (name, map) in [
-        ("non-speculative", SpeculationMap::non_speculative(size16)),
-        ("hybrid (Fig 3d)", SpeculationMap::hybrid(size16)),
-        ("almost fully spec", SpeculationMap::all_speculative(size16)),
+    for (name, arch) in [
+        ("non-speculative", Architecture::OptNonSpeculative),
+        ("hybrid (Fig 3d)", Architecture::OptHybridSpeculative),
+        ("almost fully spec", Architecture::OptAllSpeculative),
     ] {
+        let map = SpecMap::preset(arch, size16);
         println!(
             "  {:<18} {:>2} bits ({} speculative nodes per tree)",
             name,

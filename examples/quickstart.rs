@@ -13,13 +13,11 @@ fn main() -> Result<(), SimError> {
     let config = NetworkConfig::eight_by_eight(Architecture::OptHybridSpeculative).with_seed(7);
     let network = Network::new(config)?;
 
+    let map = network.config().spec_map();
     println!(
         "network: 8x8 MoT, {} ({} bits of source-routing address per header)",
-        network.config().architecture(),
-        network
-            .config()
-            .architecture()
-            .address_bits(network.config().size()),
+        map.label().expect("built from a preset"),
+        map.address_bits(),
     );
     println!(
         "area: {:.0} um^2 of nodes, leaking {:.2} mW",

@@ -61,8 +61,9 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-# Rustdoc is part of the contract: asynoc-kernel and asynoc-engine carry
-# #![deny(missing_docs)], and no crate may ship broken intra-doc links.
+# Rustdoc is part of the contract: probe, kernel, engine, topology,
+# telemetry, analysis and faults carry #![deny(missing_docs)], and no
+# crate may ship broken intra-doc links.
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

@@ -18,7 +18,6 @@ use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
 use asynoc_telemetry::{
     LatencyHistograms, SpeculationWaste, TraceCollector, TraceMeta, TraceRecord,
 };
-use asynoc_topology::{FaninNodeId, FanoutNodeId};
 
 fn phases() -> Phases {
     Phases::new(Duration::from_ns(40), Duration::from_ns(300))
@@ -46,14 +45,10 @@ fn mot_trace(
         .expect("positive rate")
         .with_phases(phases);
 
-    let label = move |node: MotNode| match node {
-        MotNode::Fanout(flat) => FanoutNodeId::from_flat_index(size, flat).to_string(),
-        MotNode::Fanin(flat) => FaninNodeId::from_flat_index(size, flat).to_string(),
-    };
     let mut latency = LatencyHistograms::new(phases, size.n());
     let mut waste: SpeculationWaste<MotNode> =
         SpeculationWaste::generic(timing.wire_fj, timing.drop_fj);
-    let mut collector: TraceCollector<MotNode> = TraceCollector::new(1_000_000, Box::new(label));
+    let mut collector: TraceCollector<MotNode> = TraceCollector::new(1_000_000, net.site_label());
     let mut observers: Vec<&mut dyn Observer<MotNode>> =
         vec![&mut latency, &mut waste, &mut collector];
     net.run_with_observers(&run, &mut observers)

@@ -11,7 +11,7 @@ use asynoc_gates::mousetrap::{SpeculativeFork, StageDelays};
 use asynoc_gates::{vcd, GateSim};
 use asynoc_kernel::Time;
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
-use asynoc_telemetry::{parse_ndjson, render_ndjson, TraceCollector, TraceRecord};
+use asynoc_telemetry::{parse_trace, TraceCollector, TraceRecord};
 use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork};
 
 #[test]
@@ -114,17 +114,16 @@ fn both_substrates_emit_round_trippable_ndjson_traces() {
         ("mesh", mesh_trace.into_records()),
     ] {
         assert!(!records.is_empty(), "{substrate}: trace captured events");
-        let text = render_ndjson(&records);
-        let parsed = parse_ndjson(&text).unwrap_or_else(|e| panic!("{substrate}: {e:?}"));
+        let render = |records: &[TraceRecord]| -> String {
+            records.iter().map(|r| r.to_ndjson() + "\n").collect()
+        };
+        let text = render(&records);
+        let (_, parsed) = parse_trace(&text).unwrap_or_else(|e| panic!("{substrate}: {e:?}"));
         assert_eq!(
             parsed, records,
             "{substrate}: NDJSON round-trips losslessly"
         );
-        assert_eq!(
-            render_ndjson(&parsed),
-            text,
-            "{substrate}: re-render is stable"
-        );
+        assert_eq!(render(&parsed), text, "{substrate}: re-render is stable");
         assert!(
             records.windows(2).all(|w| w[0].t_ps <= w[1].t_ps),
             "{substrate}: timestamps are non-decreasing"

@@ -71,10 +71,7 @@ fn light_load_invariants() {
             report.throughput.injected
         );
         // Throttling only happens where speculation exists.
-        let has_speculation = arch
-            .speculation_map(network.config().size())
-            .has_speculation();
-        if !has_speculation {
+        if network.config().spec_map().speculative_nodes() == 0 {
             assert_eq!(
                 report.flits_throttled, 0,
                 "{arch} cannot throttle without speculative nodes"
