@@ -66,7 +66,7 @@ pub fn execute_analyze(request: &AnalyzeRequest, out: &mut dyn Write) -> Result<
     let rendered = analysis.to_json(skipped).render_pretty();
     match &request.report_out {
         Some(path) => {
-            std::fs::write(path, &rendered)?;
+            crate::commands::write_output("--report-out", path, &rendered)?;
             writeln!(out, "analysis report written to {path}")?;
             if skipped > 0 {
                 writeln!(out, "skipped {skipped} malformed trace lines")?;

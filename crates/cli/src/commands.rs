@@ -51,6 +51,18 @@ impl From<io::Error> for CliError {
     }
 }
 
+/// Creates the file the output flag `flag` names; a failure says which
+/// flag and which path, not just what the OS thought of it.
+pub(crate) fn create_output(flag: &str, path: &str) -> Result<std::fs::File, CliError> {
+    std::fs::File::create(path)
+        .map_err(|e| CliError::Io(io::Error::new(e.kind(), format!("{flag} {path}: {e}"))))
+}
+
+/// Creates the file of [`create_output`] and writes `text` to it.
+pub(crate) fn write_output(flag: &str, path: &str, text: &str) -> Result<(), CliError> {
+    Ok(create_output(flag, path)?.write_all(text.as_bytes())?)
+}
+
 /// Resolves `--arch` / `--spec-map` into a validated [`SpecMap`] at the
 /// `--size` in effect. Accepts preset names, the `levels:`/`node:` text
 /// grammar, and `@path` JSON documents.

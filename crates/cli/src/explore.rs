@@ -216,7 +216,7 @@ pub fn execute_explore(request: &ExploreRequest, out: &mut dyn Write) -> Result<
     let rendered = doc.render_pretty();
     match &request.report_out {
         Some(path) => {
-            std::fs::write(path, &rendered)?;
+            crate::commands::write_output("--report-out", path, &rendered)?;
             writeln!(
                 out,
                 "explored {} of {} placements ({} granularity, {}x{})",

@@ -248,7 +248,7 @@ fn faults_on<F: Fabric>(
     let rendered = doc.render_pretty();
     match &request.report_out {
         Some(path) => {
-            std::fs::write(path, &rendered)?;
+            crate::commands::write_output("--report-out", path, &rendered)?;
             writeln!(out, "fault report written to {path}")?;
         }
         // Bare stdout stays pure JSON so pipelines can parse it.

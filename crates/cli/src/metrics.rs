@@ -7,19 +7,21 @@
 //! speculation-waste ledger, and the run's power/throughput/counter
 //! summaries, all under the [`METRICS_SCHEMA`] version tag.
 
+use std::fs::File;
 use std::io::Write;
 
-use asynoc::{drive, Architecture, Benchmark, Duration, EngineReport, Observer, RunReport};
+use asynoc::{
+    drive, Architecture, Benchmark, Duration, EngineReport, NodeKey, Observer, RunReport,
+};
 use asynoc_power::EnergyCategory;
 use asynoc_telemetry::{
-    render_trace, ChromeTraceObserver, JsonValue, LatencyHistograms, TraceCollector, TraceMeta,
-    METRICS_SCHEMA,
+    ChromeTraceObserver, JsonValue, LatencyHistograms, TraceMeta, TraceWriter, METRICS_SCHEMA,
 };
 use asynoc_vcmesh::McastScheme;
 
 use crate::args::{CommonOptions, Substrate, TraceFormat};
 use crate::commands::{
-    network_for, phases_for, placement_id, resolve_spec_map, run_config, CliError,
+    create_output, network_for, phases_for, placement_id, resolve_spec_map, run_config, CliError,
 };
 use crate::fabric::{self, Fabric};
 
@@ -54,26 +56,18 @@ pub struct MetricsRequest {
 
 /// The optional trace observer pair: exactly one is live when tracing.
 struct Tracers<N> {
-    ndjson: Option<TraceCollector<N>>,
+    ndjson: Option<TraceWriter<N>>,
     chrome: Option<ChromeTraceObserver<N>>,
 }
 
-impl<N: Copy> Tracers<N> {
+impl<N: Copy + NodeKey> Tracers<N> {
     fn new(format: Option<TraceFormat>, limit: usize, site_of: Box<dyn Fn(N) -> String>) -> Self {
-        match format {
-            Some(TraceFormat::Ndjson) => Tracers {
-                ndjson: Some(TraceCollector::new(limit, site_of)),
-                chrome: None,
-            },
-            Some(TraceFormat::Chrome) => Tracers {
-                ndjson: None,
-                chrome: Some(ChromeTraceObserver::new(limit, site_of)),
-            },
-            None => Tracers {
-                ndjson: None,
-                chrome: None,
-            },
-        }
+        let (ndjson, chrome) = match format {
+            Some(TraceFormat::Ndjson) => (Some(TraceWriter::new(limit, site_of)), None),
+            Some(TraceFormat::Chrome) => (None, Some(ChromeTraceObserver::new(limit, site_of))),
+            None => (None, None),
+        };
+        Tracers { ndjson, chrome }
     }
 
     fn push_into<'a>(&'a mut self, extra: &mut Vec<&'a mut dyn Observer<N>>) {
@@ -85,16 +79,21 @@ impl<N: Copy> Tracers<N> {
         }
     }
 
-    /// Renders the collected trace. NDJSON traces lead with the run's
+    /// Writes the collected trace. NDJSON traces lead with the run's
     /// meta line (stamped with how many events the cap dropped) so
-    /// `asynoc analyze` can gate and price its results; Chrome traces
-    /// have no meta notion.
-    fn render(self, mut meta: TraceMeta) -> Option<String> {
-        if let Some(collector) = self.ndjson {
-            meta.dropped_events = collector.dropped();
-            return Some(render_trace(&meta, collector.records()));
+    /// `asynoc analyze` can gate and price its results, then the lines
+    /// the writer rendered as the events went by; Chrome traces have no
+    /// meta notion.
+    fn write_to(self, mut meta: TraceMeta, out: &mut File) -> std::io::Result<()> {
+        if let Some(writer) = self.ndjson {
+            meta.dropped_events = writer.dropped();
+            writeln!(out, "{}", meta.to_ndjson())?;
+            out.write_all(writer.text().as_bytes())?;
         }
-        self.chrome.map(|observer| observer.into_trace().render())
+        if let Some(observer) = self.chrome {
+            out.write_all(observer.into_trace().render().as_bytes())?;
+        }
+        Ok(())
     }
 }
 
@@ -213,25 +212,24 @@ pub(crate) fn counters_json(report: &EngineReport) -> JsonValue {
     ])
 }
 
-/// One run's outputs: the report document, the rendered trace (if
-/// requested), the run's identity `config` with the engine's self-profile
-/// (if requested), and the number of watchpoint records the stream fired
-/// (0 without `--stream`).
+/// One run's outputs: the report document, the run's identity `config`
+/// with the engine's self-profile (if requested), and the number of
+/// watchpoint records the stream fired (0 without `--stream`).
 type MetricsRun = (
     JsonValue,
-    Option<String>,
     Option<(JsonValue, Box<asynoc::probe::EngineProfile>)>,
     u64,
 );
 
-/// Runs `net` with the telemetry stack and assembles the report document
-/// (plus the rendered trace, if requested). `waste` and `power` are null
-/// on a fabric without an energy model; fabric-specific sections (the VC
-/// mesh's `vcs`) follow `counters`.
+/// Runs `net` with the telemetry stack, writes the trace to `trace_out`
+/// (if requested) and assembles the report document. `waste` and `power`
+/// are null on a fabric without an energy model; fabric-specific sections
+/// (the VC mesh's `vcs`) follow `counters`.
 fn run<F: Fabric>(
     net: &F,
     identity: Option<String>,
     request: &MetricsRequest,
+    trace_out: Option<&mut File>,
 ) -> Result<MetricsRun, CliError> {
     let common = &request.common;
     let phases = phases_for(request.benchmark, common);
@@ -312,9 +310,11 @@ fn run<F: Fabric>(
         drop_fj: energy.map(|(_, drop)| drop),
         dropped_events: 0,
     };
+    if let Some(file) = trace_out {
+        tracers.write_to(meta, file)?;
+    }
     Ok((
         JsonValue::Object(doc),
-        tracers.render(meta),
         engine_profile.map(|profile| (config, profile)),
         watchpoints,
     ))
@@ -323,7 +323,8 @@ fn run<F: Fabric>(
 /// Executes a `metrics` command: runs the instrumented simulation, then
 /// writes the JSON report (to `--metrics-out` or `out`), the trace
 /// (to `--trace-out`, when requested), and the self-profile (to
-/// `--profile`, when requested).
+/// `--profile`, when requested). Both files are created before the run,
+/// so a path that cannot be written costs no simulation.
 ///
 /// # Errors
 ///
@@ -331,36 +332,39 @@ fn run<F: Fabric>(
 pub fn execute_metrics(request: &MetricsRequest, out: &mut dyn Write) -> Result<(), CliError> {
     let common = &request.common;
     let profiler = crate::profile::ProfileWriter::when(common.profile.as_ref(), "metrics");
-    let (doc, trace, engine_profile, watchpoints) = match request.substrate {
+    let create =
+        |flag, path: &Option<String>| path.as_deref().map(|p| create_output(flag, p)).transpose();
+    let mut metrics_file = create("--metrics-out", &request.metrics_out)?;
+    let mut trace_file = create("--trace-out", &request.trace_out)?;
+    let trace_out = trace_file.as_mut();
+    let (doc, engine_profile, watchpoints) = match request.substrate {
         Substrate::Mot => {
             let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), common)?;
-            run(
-                &network_for(&map, common)?,
-                Some(placement_id(&map)),
-                request,
-            )?
+            let net = network_for(&map, common)?;
+            run(&net, Some(placement_id(&map)), request, trace_out)?
         }
-        Substrate::Mesh => run(
-            &fabric::mesh(common.size, common.size, common)?,
+        Substrate::Mesh => {
+            let net = fabric::mesh(common.size, common.size, common)?;
+            run(&net, None, request, trace_out)?
+        }
+        Substrate::Vcmesh => run(
+            &fabric::vcmesh(request.mcast, common)?,
             None,
             request,
+            trace_out,
         )?,
-        Substrate::Vcmesh => run(&fabric::vcmesh(request.mcast, common)?, None, request)?,
     };
     let rendered = doc.render_pretty();
-    match &request.metrics_out {
-        Some(path) => {
-            std::fs::write(path, &rendered)?;
+    match request.metrics_out.as_ref().zip(metrics_file.as_mut()) {
+        Some((path, file)) => {
+            file.write_all(rendered.as_bytes())?;
             writeln!(out, "metrics report written to {path}")?;
+            if let Some(path) = &request.trace_out {
+                writeln!(out, "trace written to {path}")?;
+            }
         }
         // Bare stdout stays pure JSON so pipelines can parse it.
         None => out.write_all(rendered.as_bytes())?,
-    }
-    if let (Some(text), Some(path)) = (&trace, &request.trace_out) {
-        std::fs::write(path, text)?;
-        if request.metrics_out.is_some() {
-            writeln!(out, "trace written to {path}")?;
-        }
     }
     if let Some(mut profiler) = profiler {
         if let Some((config, engine_profile)) = &engine_profile {

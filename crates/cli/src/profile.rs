@@ -89,8 +89,7 @@ impl ProfileWriter {
             ("allocations".to_string(), JsonValue::uint(allocated)),
             ("runs".to_string(), JsonValue::Array(self.runs)),
         ]);
-        std::fs::write(&self.path, doc.render_pretty())?;
-        Ok(())
+        crate::commands::write_output("--profile", &self.path, &doc.render_pretty())
     }
 }
 

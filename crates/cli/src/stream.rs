@@ -45,7 +45,7 @@ fn open_out(path: &str) -> Result<Box<dyn Write>, CliError> {
     Ok(if path == "-" {
         Box::new(std::io::stdout())
     } else {
-        Box::new(std::fs::File::create(path)?)
+        Box::new(crate::commands::create_output("--stream", path)?)
     })
 }
 

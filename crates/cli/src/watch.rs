@@ -236,7 +236,7 @@ fn finish(
     if fold_out == "-" {
         out.write_all(rendered.as_bytes())?;
     } else {
-        std::fs::write(fold_out, &rendered)?;
+        crate::commands::write_output("--fold", fold_out, &rendered)?;
         writeln!(out, "folded metrics report written to {fold_out}")?;
     }
     Ok(())

@@ -22,6 +22,9 @@ fn fixture(name: &str, content: &str) -> String {
     path.to_string_lossy().into_owned()
 }
 
+/// The `head` record of a minimal stream.
+const STREAM_HEAD: &str = r#"{"schema":"asynoc-stream-v1","type":"head","substrate":"mot","config":{},"window_ps":1000,"bin_ps":1000,"levels":[],"endpoints":4,"trace":false}"#;
+
 /// Exit 1 and a single ordinary `error:` line carrying `located`.
 fn assert_located_error(output: &Output, located: &[&str]) {
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -47,8 +50,7 @@ fn two_million_open_brackets_are_an_error_not_an_abort() {
     let output = asynoc(&["analyze", "--trace-in", &trace, "--lenient"]);
     assert_located_error(&output, &["no trace records to analyze"]);
 
-    let head = r#"{"schema":"asynoc-stream-v1","type":"head","substrate":"mot","config":{},"window_ps":1000,"bin_ps":1000,"levels":[],"endpoints":4,"trace":false}"#;
-    let stream = fixture("stream.ndjson", &format!("{head}\n{deep}\n"));
+    let stream = fixture("stream.ndjson", &format!("{STREAM_HEAD}\n{deep}\n"));
     let output = asynoc(&["watch", "--stream-in", &stream, "--once", "--fold", "-"]);
     assert_located_error(&output, &["--fold", "line 2", where_[0], where_[1]]);
     // Without `--fold` the dashboard counts the line and carries on.
@@ -369,6 +371,91 @@ fn a_single_pass_watch_over_something_else_is_an_error_not_an_empty_dashboard() 
         assert!(output.stdout.is_empty(), "no dashboard for a non-stream");
         let _ = std::fs::remove_file(path);
     }
+}
+
+/// A path no file can be created at, and the argv of a small MoT run.
+const NOWHERE: &str = "/nonexistent-asynoc-dir/out";
+const SMALL_RUN: [&str; 10] = [
+    "--arch",
+    "Baseline",
+    "--benchmark",
+    "Shuffle",
+    "--rate",
+    "0.2",
+    "--warmup-ns",
+    "20",
+    "--measure-ns",
+    "100",
+];
+
+/// `command … flag NOWHERE` fails with the flag, the path and the OS
+/// error on its one `error:` line. Returns how long the failure took.
+fn assert_names_its_output_file(command: &[&str], flag: &str) -> Duration {
+    let started = Instant::now();
+    let output = asynoc(&[command, &[flag, NOWHERE]].concat());
+    let located = format!("error: {flag} {NOWHERE}: No such file or directory");
+    assert_located_error(&output, &[&located]);
+    started.elapsed()
+}
+
+/// A `metrics` run long enough that failing after it cannot be mistaken
+/// for failing before it (seconds, against milliseconds).
+fn long_metrics_run() -> Vec<&'static str> {
+    let mut command = vec!["metrics"];
+    command.extend(&SMALL_RUN[..8]);
+    command.extend(["--measure-ns", "40000", "--shards", "1"]);
+    command
+}
+
+#[test]
+fn an_unwritable_trace_out_fails_before_the_run_and_says_which_file() {
+    let took = assert_names_its_output_file(&long_metrics_run(), "--trace-out");
+    assert!(
+        took < Duration::from_millis(500),
+        "simulated first: {took:?}"
+    );
+}
+
+#[test]
+fn an_unwritable_metrics_out_fails_before_the_run_and_says_which_file() {
+    let took = assert_names_its_output_file(&long_metrics_run(), "--metrics-out");
+    assert!(
+        took < Duration::from_millis(500),
+        "simulated first: {took:?}"
+    );
+}
+
+#[test]
+fn an_unwritable_stream_says_which_file() {
+    for command in ["run", "metrics", "faults"] {
+        assert_names_its_output_file(&[&[command], &SMALL_RUN[..]].concat(), "--stream");
+    }
+}
+
+#[test]
+fn an_unwritable_profile_says_which_file() {
+    for command in ["run", "metrics"] {
+        assert_names_its_output_file(&[&[command], &SMALL_RUN[..]].concat(), "--profile");
+    }
+}
+
+#[test]
+fn an_unwritable_report_out_says_which_file() {
+    assert_names_its_output_file(&[&["faults"], &SMALL_RUN[..]].concat(), "--report-out");
+    let trace = fixture(
+        "one-record.ndjson",
+        "{\"t_ps\":10,\"packet\":1,\"flit\":0,\"site\":\"src0\",\"action\":\"inject\",\"detail\":\"\",\"copies\":1}\n",
+    );
+    assert_names_its_output_file(&["analyze", "--trace-in", &trace], "--report-out");
+    let _ = std::fs::remove_file(trace);
+}
+
+#[test]
+fn an_unwritable_fold_says_which_file() {
+    let end = r#"{"type":"end","windows":0,"watchpoints":0,"sections":{}}"#;
+    let stream = fixture("two-line-stream.ndjson", &format!("{STREAM_HEAD}\n{end}\n"));
+    assert_names_its_output_file(&["watch", "--stream-in", &stream, "--once"], "--fold");
+    let _ = std::fs::remove_file(stream);
 }
 
 /// Numbers a coordinate can be swapped for: in range, just out of it,

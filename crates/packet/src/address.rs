@@ -115,17 +115,23 @@ impl RouteSymbol {
     pub const fn copy_count(self) -> usize {
         self.wants_top() as usize + self.wants_bottom() as usize
     }
-}
 
-impl fmt::Display for RouteSymbol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The stable lower-case name trace records carry (also the
+    /// `Display` form).
+    #[must_use]
+    pub const fn label(self) -> &'static str {
+        match self {
             RouteSymbol::Drop => "drop",
             RouteSymbol::Top => "top",
             RouteSymbol::Bottom => "bottom",
             RouteSymbol::Both => "both",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for RouteSymbol {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 

@@ -8,7 +8,7 @@
 
 use std::borrow::Cow;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -197,22 +197,22 @@ fn write_seq(
     len: usize,
     mut item: impl FnMut(&mut String, usize, usize),
 ) {
+    let break_line = |out: &mut String, depth: usize| {
+        if let Some(width) = indent {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', width * depth));
+        }
+    };
     out.push(open);
     for i in 0..len {
         if i > 0 {
             out.push(',');
         }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
-        }
+        break_line(out, depth + 1);
         item(out, i, depth + 1);
     }
     if len > 0 {
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * depth));
-        }
+        break_line(out, depth);
     }
     out.push(close);
 }
@@ -221,27 +221,58 @@ fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        out.push_str(&format!("{}", n as i64));
+        if n < 0.0 {
+            out.push('-');
+        }
+        write_u64(out, n.abs() as u64);
     } else {
         // Rust's shortest round-trip Display never uses exponent notation
         // in this range, so the output is always valid JSON.
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `v` in decimal, every digit exact: the one spelling of an
+/// integer, under [`JsonValue::render`] and the record writers alike.
+/// Digits go through a stack buffer; nothing is allocated.
+pub fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a JSON string: the one spelling of a string. Runs
+/// that hold nothing to escape — all of a typical label — are copied
+/// whole.
+pub fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..0x20) {
+            continue;
+        }
+        out.push_str(&s[run..at]);
+        run = at + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -634,6 +665,82 @@ mod tests {
         assert_eq!(JsonValue::uint(52).render(), "52");
         assert_eq!(JsonValue::Number(0.25).render(), "0.25");
         assert_eq!(JsonValue::Number(f64::NAN).render(), "null");
+    }
+
+    /// How numbers and strings were spelled before the allocation-free
+    /// primitives: one `format!` per number, one `char` at a time.
+    fn spelled_the_old_way(value: &JsonValue) -> String {
+        match value {
+            JsonValue::Number(n) if !n.is_finite() => "null".to_string(),
+            JsonValue::Number(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => {
+                format!("{}", *n as i64)
+            }
+            JsonValue::Number(n) => format!("{n}"),
+            JsonValue::Str(s) => {
+                let mut out = String::from("\"");
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        '\r' => out.push_str("\\r"),
+                        '\t' => out.push_str("\\t"),
+                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                        c => out.push(c),
+                    }
+                }
+                out + "\""
+            }
+            _ => unreachable!("scalars only"),
+        }
+    }
+
+    #[test]
+    fn primitives_spell_what_format_spelled() {
+        let mut rng = asynoc_kernel::SimRng::seed_from(0x5be11);
+        let edges = [
+            0,
+            9,
+            10,
+            99,
+            100,
+            8_999_999_999_999_999,
+            9_000_000_000_000_000,
+        ];
+        for n in 0..20_000u64 {
+            // Every digit count, both signs, and the fractions that follow.
+            let magnitude = edges
+                .get(n as usize)
+                .copied()
+                .unwrap_or_else(|| (rng.index(1 << 30) as u64) << rng.index(34) >> rng.index(30));
+            let mut direct = String::new();
+            write_u64(&mut direct, magnitude);
+            assert_eq!(direct, magnitude.to_string());
+            for number in [
+                magnitude as f64,
+                -(magnitude as f64),
+                magnitude as f64 / 7.0,
+            ] {
+                let value = JsonValue::Number(number);
+                assert_eq!(value.render(), spelled_the_old_way(&value), "{number:e}");
+            }
+        }
+        let mut widest = String::new();
+        write_u64(&mut widest, u64::MAX);
+        assert_eq!(widest, "18446744073709551615");
+        for special in [-0.0, f64::INFINITY, f64::MIN_POSITIVE, 1e300, -2.5e-7] {
+            let value = JsonValue::Number(special);
+            assert_eq!(value.render(), spelled_the_old_way(&value), "{special:e}");
+        }
+        let pieces = crate::reference::HOSTILE_PIECES;
+        for _ in 0..20_000 {
+            let text: String = (0..rng.index(6))
+                .map(|_| pieces[rng.index(pieces.len())])
+                .collect();
+            let value = JsonValue::Str(text);
+            assert_eq!(value.render(), spelled_the_old_way(&value));
+            assert_eq!(JsonValue::parse(&value.render()), Ok(value));
+        }
     }
 
     #[test]

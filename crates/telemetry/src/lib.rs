@@ -18,7 +18,8 @@
 //!   events, including the logical ids of packets lost at a source
 //!   (reconciles with the fault oracle and span-tree analysis).
 //! - [`TraceCollector`] / [`render_trace`] — flat trace records with
-//!   NDJSON import/export shared by every substrate.
+//!   NDJSON import/export shared by every substrate; [`TraceWriter`]
+//!   spells the same lines at event time without keeping a record.
 //! - [`ChromeTraceObserver`] / [`ChromeTrace`] — Chrome trace-event
 //!   (Perfetto-loadable) export, with a [`validate_chrome`] checker.
 //! - [`StreamSink`] — bounded-memory live export: `asynoc-stream-v1`
@@ -58,7 +59,7 @@ pub use stream::{
 pub use timeseries::{Bin, LevelSpec, TimeSeries};
 pub use trace::{
     parse_trace, parse_trace_lenient, render_trace, TraceCollector, TraceMeta, TraceParseError,
-    TraceRecord, TRACE_SCHEMA,
+    TraceRecord, TraceWriter, TRACE_SCHEMA,
 };
 pub use waste::{NodeWaste, SpeculationWaste};
 

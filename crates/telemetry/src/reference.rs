@@ -1,4 +1,5 @@
-//! Test-only reference readers and the corpus they are compared on.
+//! Test-only reference readers and writer, and the corpus they are
+//! compared on.
 //!
 //! Before the pull scanner, every reader built a [`JsonValue`] tree per
 //! line and picked its fields out of it. Those conversions live on here,
@@ -8,6 +9,11 @@
 //! and of a mutated corpus. The one intended divergence — integers a
 //! cast used to clamp, truncate or round are now errors — is spelled out
 //! by [`misreads_an_integer`], not waved through.
+//!
+//! The write side went the same way: [`record_tree`] is the tree every
+//! trace record used to be rendered through, kept as the oracle of the
+//! direct serialiser, and [`fnv1a`] pins the bytes of whole files to
+//! what the tree-based writers produced.
 
 use std::sync::OnceLock;
 
@@ -59,6 +65,60 @@ pub(crate) fn record_from_ndjson(line: &str) -> Result<TraceRecord, JsonError> {
         detail: string("detail")?,
         copies: optional_number("copies", 0.0)? as u8,
         busy_ps: optional_number("busy_ps", 0.0)? as u64,
+    })
+}
+
+/// The tree-based `TraceRecord::to_json`, `as f64` casts and all: what
+/// `to_ndjson` and a stream's `trace` lines used to render.
+pub(crate) fn record_tree(record: &TraceRecord) -> JsonValue {
+    JsonValue::Object(vec![
+        ("t_ps".to_string(), JsonValue::uint(record.t_ps)),
+        ("packet".to_string(), JsonValue::uint(record.packet)),
+        ("logical".to_string(), JsonValue::uint(record.logical)),
+        ("flit".to_string(), JsonValue::uint(u64::from(record.flit))),
+        ("src".to_string(), JsonValue::uint(record.src)),
+        ("dests".to_string(), JsonValue::uint(record.dests)),
+        ("created_ps".to_string(), JsonValue::uint(record.created_ps)),
+        ("site".to_string(), JsonValue::str(record.site.clone())),
+        ("action".to_string(), JsonValue::str(record.action.clone())),
+        ("detail".to_string(), JsonValue::str(record.detail.clone())),
+        (
+            "copies".to_string(),
+            JsonValue::uint(u64::from(record.copies)),
+        ),
+        ("busy_ps".to_string(), JsonValue::uint(record.busy_ps)),
+    ])
+}
+
+/// What a label or any other string can hold that a writer must get
+/// right: everything JSON escapes, the bytes around the escape range,
+/// two- to four-byte scalars, text that looks like an escape, and the
+/// plain runs in between.
+pub(crate) const HOSTILE_PIECES: [&str; 18] = [
+    "\"",
+    "\\",
+    "\n",
+    "\r",
+    "\t",
+    "\u{0}",
+    "\u{8}",
+    "\u{1f}",
+    "\u{7f}",
+    "\u{e9}",
+    "\u{6f22}",
+    "\u{1f600}",
+    "\u{2028}",
+    "\\u0041",
+    "fo[s2:0.0]",
+    "a",
+    " ",
+    "",
+];
+
+/// 64-bit FNV-1a, for pinning whole files to a constant.
+pub(crate) fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
     })
 }
 
@@ -259,7 +319,8 @@ pub(crate) struct Run {
 
 /// Traces and streams of all three substrates, plus a faulted MoT run
 /// whose stream carries `fault` records and watchpoints, produced once
-/// per test process by the CLI itself.
+/// per test process by the CLI itself — serially, so the `end` record's
+/// shard layout is the same on every host and the texts can be pinned.
 pub(crate) fn real_runs() -> &'static [Run] {
     static RUNS: OnceLock<Vec<Run>> = OnceLock::new();
     RUNS.get_or_init(|| {
@@ -277,7 +338,7 @@ pub(crate) fn real_runs() -> &'static [Run] {
                 std::env::temp_dir().join(file).to_string_lossy().into_owned()
             };
             let (trace_path, stream_path) = (path("trace.ndjson"), path("stream.ndjson"));
-            let mut line = format!("{command} --stream {stream_path} --stream-trace");
+            let mut line = format!("{command} --shards 1 --stream {stream_path} --stream-trace");
             // `faults` has no `--trace-out`; its records ride the stream.
             if name != "mot-faulted" {
                 line.push_str(&format!(" --trace-limit 200000 --trace-out {trace_path}"));

@@ -56,10 +56,10 @@ use asynoc_engine::{NodeKey, Observer, SimEvent};
 use asynoc_kernel::{Duration, Time, WindowClock};
 use asynoc_stats::Phases;
 
-use crate::json::{JsonError, JsonValue, Scanner};
+use crate::json::{write_u64, JsonError, JsonValue, Scanner};
 use crate::latency::{LatencyHistograms, LatencyWindow};
 use crate::timeseries::TimeSeries;
-use crate::trace::{SiteFn, TraceCollector};
+use crate::trace::{SiteFn, TraceWriter};
 use crate::METRICS_SCHEMA;
 
 /// Schema tag of the streaming NDJSON format (the `schema` field of the
@@ -161,7 +161,7 @@ pub struct StreamSink<N> {
     clock: WindowClock,
     latency: LatencyHistograms,
     series: TimeSeries<N>,
-    trace: Option<TraceCollector<N>>,
+    trace: Option<TraceWriter<N>>,
     site_of: Rc<SiteFn<N>>,
     watch: WatchConfig,
     // Per-window counters, reset at every flush.
@@ -219,7 +219,7 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
         let site_of = Rc::new(site_of);
         let trace = cfg.trace_limit.map(|limit| {
             let shared = Rc::clone(&site_of);
-            TraceCollector::new(limit, Box::new(move |node| (shared)(node)))
+            TraceWriter::new(limit, Box::new(move |node| (shared)(node)))
         });
         let labels: Vec<JsonValue> = series
             .level_labels()
@@ -349,13 +349,16 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
     }
 
     fn write_value(&mut self, value: &JsonValue) {
-        if self.err.is_some() {
-            return;
-        }
         let mut line = value.render();
         line.push('\n');
-        if let Err(e) = self.out.write_all(line.as_bytes()) {
-            self.err = Some(e);
+        Self::write_text(&mut self.out, &mut self.err, &line);
+    }
+
+    /// Writes `text` unless an earlier write failed; the first error is
+    /// held for [`finish`](StreamSink::finish).
+    fn write_text(out: &mut impl Write, err: &mut Option<std::io::Error>, text: &str) {
+        if err.is_none() {
+            *err = out.write_all(text.as_bytes()).err();
         }
     }
 
@@ -379,15 +382,10 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
             .map(|i| self.series.bin_json(i))
             .collect();
         self.emitted_bins = target;
+        // The window's `trace` lines, rendered as its events went by.
         if let Some(trace) = &mut self.trace {
-            for record in trace.drain_records() {
-                let line = JsonValue::Object(vec![
-                    ("type".to_string(), JsonValue::str("trace")),
-                    ("seq".to_string(), JsonValue::uint(seq)),
-                    ("record".to_string(), record.to_json()),
-                ]);
-                self.write_value(&line);
-            }
+            Self::write_text(&mut self.out, &mut self.err, trace.text());
+            trace.clear();
         }
         let delta = self.latency.drain_window();
         let latency = if delta.is_empty() {
@@ -587,7 +585,14 @@ impl<N: Copy + NodeKey + 'static> Observer<N> for StreamSink<N> {
         self.latency.on_event(at, in_window, event);
         self.series.on_event(at, in_window, event);
         if let Some(trace) = &mut self.trace {
-            trace.on_event(at, in_window, event);
+            // The window that will flush this line: the next to close.
+            let seq = self.clock.next_seq();
+            let open = |line: &mut String| {
+                line.push_str("{\"type\":\"trace\",\"seq\":");
+                write_u64(line, seq);
+                line.push_str(",\"record\":");
+            };
+            trace.record(at, event, open, "}\n");
         }
         self.w_events += 1;
         match event {

@@ -16,17 +16,18 @@
 //! with the metrics report of the same run.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 
-use asynoc_engine::{ForwardInfo, Observer, SimEvent};
+use asynoc_engine::{ForwardInfo, NodeKey, Observer, SimEvent};
 use asynoc_kernel::{FaultClass, Time};
 
-use crate::json::{exact_u64, JsonError, JsonValue, Scanner};
+use crate::json::{exact_u64, write_string, write_u64, JsonError, JsonValue, Scanner};
 
 /// Schema tag carried by a trace file's leading meta line.
 pub const TRACE_SCHEMA: &str = "asynoc-trace-v2";
 
 /// One flit action in substrate-neutral form.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Simulation time, picoseconds.
     pub t_ps: u64,
@@ -64,30 +65,109 @@ impl TraceRecord {
     /// Renders the record as one NDJSON line (no trailing newline).
     #[must_use]
     pub fn to_ndjson(&self) -> String {
-        self.to_json().render()
+        let mut line = String::new();
+        self.write_ndjson(&mut line);
+        line
     }
 
-    /// The record's JSON object form (embedded verbatim in `trace`
-    /// records of the streaming format).
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("t_ps".to_string(), JsonValue::uint(self.t_ps)),
-            ("packet".to_string(), JsonValue::uint(self.packet)),
-            ("logical".to_string(), JsonValue::uint(self.logical)),
-            ("flit".to_string(), JsonValue::uint(u64::from(self.flit))),
-            ("src".to_string(), JsonValue::uint(self.src)),
-            ("dests".to_string(), JsonValue::uint(self.dests)),
-            ("created_ps".to_string(), JsonValue::uint(self.created_ps)),
-            ("site".to_string(), JsonValue::str(self.site.clone())),
-            ("action".to_string(), JsonValue::str(self.action.clone())),
-            ("detail".to_string(), JsonValue::str(self.detail.clone())),
-            (
-                "copies".to_string(),
-                JsonValue::uint(u64::from(self.copies)),
-            ),
-            ("busy_ps".to_string(), JsonValue::uint(self.busy_ps)),
-        ])
+    /// Appends the record's JSON object to `out`: the only spelling of a
+    /// trace record, whether it ends up a line of a trace file or the
+    /// `record` member of a stream's `trace` line. Member names are
+    /// literals and every integer is written digit by digit, so ids and
+    /// times past 2^53 keep every bit, as [`from_ndjson`] reads them.
+    ///
+    /// [`from_ndjson`]: TraceRecord::from_ndjson
+    pub fn write_ndjson(&self, out: &mut String) {
+        let uint = |out: &mut String, member: &str, value: u64| {
+            out.push_str(member);
+            write_u64(out, value);
+        };
+        let text = |out: &mut String, member: &str, label: &str| {
+            out.push_str(member);
+            write_string(out, label);
+        };
+        uint(out, "{\"t_ps\":", self.t_ps);
+        uint(out, ",\"packet\":", self.packet);
+        uint(out, ",\"logical\":", self.logical);
+        uint(out, ",\"flit\":", u64::from(self.flit));
+        uint(out, ",\"src\":", self.src);
+        uint(out, ",\"dests\":", self.dests);
+        uint(out, ",\"created_ps\":", self.created_ps);
+        text(out, ",\"site\":", &self.site);
+        text(out, ",\"action\":", &self.action);
+        text(out, ",\"detail\":", &self.detail);
+        uint(out, ",\"copies\":", u64::from(self.copies));
+        uint(out, ",\"busy_ps\":", self.busy_ps);
+        out.push('}');
+    }
+
+    /// Overwrites `self` with the record of `event`, reusing the three
+    /// labels' capacity: a writer that keeps one record for every event
+    /// allocates for none of them. `node_site` appends a node's label.
+    fn assign<N: Copy>(
+        &mut self,
+        at: Time,
+        event: &SimEvent<'_, N>,
+        node_site: impl FnOnce(N, &mut String),
+    ) {
+        let numbered = |label: &mut String, word: &str, index: usize| {
+            label.push_str(word);
+            write_u64(label, index as u64);
+        };
+        self.site.clear();
+        self.action.clear();
+        self.detail.clear();
+        let (flit, action, copies, busy_ps) = match event {
+            SimEvent::Inject { source, flit } => {
+                numbered(&mut self.site, "src", *source);
+                (flit, "inject", 1, 0)
+            }
+            SimEvent::Forward {
+                node,
+                flit,
+                info,
+                copies,
+                busy,
+            } => {
+                node_site(*node, &mut self.site);
+                match info {
+                    ForwardInfo::Routed(symbol) => self.detail.push_str(symbol.label()),
+                    ForwardInfo::Arbitrated { input } => {
+                        numbered(&mut self.detail, "input", *input);
+                    }
+                }
+                (flit, "forward", *copies, busy.as_ps())
+            }
+            SimEvent::Drop { node, flit, busy } => {
+                node_site(*node, &mut self.site);
+                (flit, "throttle", 0, busy.as_ps())
+            }
+            SimEvent::Deliver { dest, flit } => {
+                numbered(&mut self.site, "D", *dest);
+                (flit, "deliver", 0, 0)
+            }
+            SimEvent::Fault { class, site, flit } => {
+                let word = match class {
+                    FaultClass::LinkStall => "ch",
+                    FaultClass::SymbolCorrupt | FaultClass::StuckBroadcast => "node",
+                    FaultClass::FlitDrop | FaultClass::PacketLost => "src",
+                };
+                numbered(&mut self.site, word, *site);
+                self.detail.push_str(class.label());
+                (flit, "fault", 0, 0)
+            }
+        };
+        self.action.push_str(action);
+        let descriptor = flit.descriptor();
+        self.t_ps = at.as_ps();
+        self.packet = descriptor.id().as_u64();
+        self.logical = descriptor.logical_id().as_u64();
+        self.flit = flit.index();
+        self.src = descriptor.source() as u64;
+        self.dests = descriptor.dests().len() as u64;
+        self.created_ps = descriptor.created_at().as_ps();
+        self.copies = copies;
+        self.busy_ps = busy_ps;
     }
 
     /// Parses one NDJSON line back into a record.
@@ -436,7 +516,7 @@ pub fn render_trace(meta: &TraceMeta, records: &[TraceRecord]) -> String {
     let mut out = meta.to_ndjson();
     out.push('\n');
     for record in records {
-        out.push_str(&record.to_ndjson());
+        record.write_ndjson(&mut out);
         out.push('\n');
     }
     out
@@ -571,14 +651,6 @@ impl<N: Copy> TraceCollector<N> {
     pub fn into_records(self) -> Vec<TraceRecord> {
         self.records
     }
-
-    /// Removes and returns the records buffered so far. A streaming
-    /// sink drains per window, which turns `limit` into a per-window
-    /// bound — the buffer never holds more than one window of records.
-    #[must_use]
-    pub fn drain_records(&mut self) -> Vec<TraceRecord> {
-        std::mem::take(&mut self.records)
-    }
 }
 
 impl<N: Copy> Observer<N> for TraceCollector<N> {
@@ -587,67 +659,97 @@ impl<N: Copy> Observer<N> for TraceCollector<N> {
             self.dropped += 1;
             return;
         }
-        let (flit, site, action, detail, copies, busy_ps) = match event {
-            SimEvent::Inject { source, flit } => {
-                (*flit, format!("src{source}"), "inject", String::new(), 1, 0)
-            }
-            SimEvent::Forward {
-                node,
-                flit,
-                info,
-                copies,
-                busy,
-            } => {
-                let detail = match info {
-                    ForwardInfo::Routed(symbol) => symbol.to_string(),
-                    ForwardInfo::Arbitrated { input } => format!("input{input}"),
-                };
-                (
-                    *flit,
-                    (self.site_of)(*node),
-                    "forward",
-                    detail,
-                    *copies,
-                    busy.as_ps(),
-                )
-            }
-            SimEvent::Drop { node, flit, busy } => (
-                *flit,
-                (self.site_of)(*node),
-                "throttle",
-                String::new(),
-                0,
-                busy.as_ps(),
-            ),
-            SimEvent::Deliver { dest, flit } => {
-                (*flit, format!("D{dest}"), "deliver", String::new(), 0, 0)
-            }
-            SimEvent::Fault { class, site, flit } => {
-                let site = match class {
-                    FaultClass::LinkStall => format!("ch{site}"),
-                    FaultClass::SymbolCorrupt | FaultClass::StuckBroadcast => {
-                        format!("node{site}")
-                    }
-                    FaultClass::FlitDrop | FaultClass::PacketLost => format!("src{site}"),
-                };
-                (*flit, site, "fault", class.label().to_string(), 0, 0)
-            }
-        };
-        let descriptor = flit.descriptor();
-        self.records.push(TraceRecord {
-            t_ps: at.as_ps(),
-            packet: descriptor.id().as_u64(),
-            logical: descriptor.logical_id().as_u64(),
-            flit: flit.index(),
-            src: descriptor.source() as u64,
-            dests: descriptor.dests().len() as u64,
-            created_ps: descriptor.created_at().as_ps(),
-            site,
-            action: action.to_string(),
-            detail,
-            copies,
-            busy_ps,
+        let mut record = TraceRecord::default();
+        record.assign(at, event, |node, site| *site = (self.site_of)(node));
+        self.records.push(record);
+    }
+}
+
+/// A trace observer that keeps text, not records: every event's record
+/// is written at event time into one growing buffer, through one reused
+/// [`TraceRecord`] and a table of node labels rendered once per node.
+/// What `--trace-out` and a stream's `trace` lines are made by; after the
+/// first sight of every node, an event costs no allocation beyond the
+/// buffer's own growth.
+pub struct TraceWriter<N> {
+    site_of: SiteFn<N>,
+    sites: HashMap<u64, String>,
+    record: TraceRecord,
+    limit: usize,
+    lines: usize,
+    dropped: u64,
+    text: String,
+}
+
+impl<N: Copy + NodeKey> TraceWriter<N> {
+    /// Writes up to `limit` records between two [`clear`]s, labelling
+    /// nodes via `site_of`.
+    ///
+    /// [`clear`]: TraceWriter::clear
+    #[must_use]
+    pub fn new(limit: usize, site_of: SiteFn<N>) -> Self {
+        TraceWriter {
+            site_of,
+            sites: HashMap::new(),
+            record: TraceRecord::default(),
+            limit,
+            lines: 0,
+            dropped: 0,
+            text: String::new(),
+        }
+    }
+
+    /// Appends one line — whatever `open` writes, the event's record,
+    /// then `close` — or counts the event as dropped once the limit is
+    /// reached.
+    pub fn record(
+        &mut self,
+        at: Time,
+        event: &SimEvent<'_, N>,
+        open: impl FnOnce(&mut String),
+        close: &str,
+    ) {
+        if self.lines >= self.limit {
+            self.dropped += 1;
+            return;
+        }
+        self.lines += 1;
+        let (sites, site_of) = (&mut self.sites, &self.site_of);
+        self.record.assign(at, event, |node, site| {
+            site.push_str(
+                sites
+                    .entry(node.node_key())
+                    .or_insert_with(|| site_of(node)),
+            );
         });
+        open(&mut self.text);
+        self.record.write_ndjson(&mut self.text);
+        self.text.push_str(close);
+    }
+
+    /// The lines written since the last [`clear`](TraceWriter::clear).
+    #[must_use]
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Events not written because the limit was reached.
+    #[must_use]
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Empties the text, keeping its capacity, and opens the limit anew:
+    /// a sink that clears per window bounds the buffer by one window.
+    pub fn clear(&mut self) {
+        self.text.clear();
+        self.lines = 0;
+    }
+}
+
+impl<N: Copy + NodeKey> Observer<N> for TraceWriter<N> {
+    fn on_event(&mut self, at: Time, _in_window: bool, event: &SimEvent<'_, N>) {
+        self.record(at, event, |_| {}, "\n");
     }
 }
 
@@ -657,8 +759,8 @@ mod tests {
     use crate::reference;
     use std::sync::Arc;
 
-    use asynoc_kernel::Duration;
-    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
+    use asynoc_kernel::{Duration, SimRng};
+    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader, RouteSymbol};
 
     fn record() -> TraceRecord {
         TraceRecord {
@@ -937,6 +1039,226 @@ mod tests {
         assert!(accepted > lines / 10, "{accepted} of {lines} accepted");
         assert!(accepted < lines * 9 / 10, "{accepted} of {lines} accepted");
         assert!(divergences > 100, "{divergences} misread integers");
+    }
+
+    /// Holds the direct serialiser to the tree it replaced on `record`.
+    fn writes_like_the_tree(record: &TraceRecord) -> String {
+        let line = record.to_ndjson();
+        assert_eq!(line, reference::record_tree(record).render());
+        line
+    }
+
+    #[test]
+    fn integers_past_2_53_are_written_exactly() {
+        for wide in [(1u64 << 53) + 1, u64::MAX] {
+            let original = TraceRecord {
+                t_ps: wide,
+                packet: wide,
+                logical: wide,
+                src: wide,
+                dests: wide,
+                created_ps: wide,
+                busy_ps: wide,
+                ..record()
+            };
+            let line = original.to_ndjson();
+            assert_eq!(line.matches(&wide.to_string()).count(), 7, "{line}");
+            assert_eq!(TraceRecord::from_ndjson(&line), Ok(original.clone()));
+            // The tree went through an `f64` and rounded every one of them.
+            let rounded = reference::record_tree(&original).render();
+            assert_ne!(TraceRecord::from_ndjson(&rounded), Ok(original));
+        }
+    }
+
+    #[test]
+    fn writer_agrees_with_the_tree_on_real_traces() {
+        for run in reference::real_runs() {
+            let file: Vec<&str> = run.trace.lines().skip(1).collect();
+            for line in &file {
+                let record = TraceRecord::from_ndjson(line).expect("real records parse");
+                assert_eq!(&writes_like_the_tree(&record), line, "{}", run.name);
+            }
+            // A stream's `trace` line is the same record in a wrapper.
+            let mut embedded = Vec::new();
+            for line in run.stream.lines() {
+                let Some(rest) = line.strip_prefix("{\"type\":\"trace\",\"seq\":") else {
+                    continue;
+                };
+                let (seq, rest) = rest.split_once(",\"record\":").expect("a record member");
+                let text = rest.strip_suffix('}').expect("the wrapper closes");
+                let record = TraceRecord::from_ndjson(text).expect("embedded records parse");
+                assert_eq!(writes_like_the_tree(&record), text, "{}", run.name);
+                let wrapper = JsonValue::Object(vec![
+                    ("type".to_string(), JsonValue::str("trace")),
+                    (
+                        "seq".to_string(),
+                        JsonValue::uint(seq.parse().expect("a sequence number")),
+                    ),
+                    ("record".to_string(), reference::record_tree(&record)),
+                ]);
+                assert_eq!(wrapper.render(), line, "{}", run.name);
+                embedded.push(text);
+            }
+            assert!(embedded.len() > 1_000, "{}: {}", run.name, embedded.len());
+            // The two sinks saw the same events: record for record, the
+            // same bytes (`faults` has no `--trace-out` to compare).
+            assert!(file.is_empty() || file == embedded, "{}", run.name);
+        }
+        let faulted = &reference::real_runs()[3].stream;
+        assert!(faulted.contains("\"action\":\"fault\""), "fault records");
+    }
+
+    #[test]
+    fn writer_agrees_with_the_tree_on_hostile_labels() {
+        let pieces = reference::HOSTILE_PIECES;
+        let seeds: Vec<TraceRecord> = reference::real_runs()
+            .iter()
+            .flat_map(|run| run.trace.lines().skip(1).take(40))
+            .map(|line| TraceRecord::from_ndjson(line).expect("real records parse"))
+            .collect();
+        let mut rng = SimRng::seed_from(0x1abe1);
+        let (mut escaped, mut wide) = (0, 0);
+        for _ in 0..10_000 {
+            let mut record = seeds[rng.index(seeds.len())].clone();
+            for label in [&mut record.site, &mut record.action, &mut record.detail] {
+                for _ in 0..rng.index(4) {
+                    let mut at = rng.index(label.len() + 1);
+                    while !label.is_char_boundary(at) {
+                        at -= 1;
+                    }
+                    label.insert_str(at, pieces[rng.index(pieces.len())]);
+                }
+            }
+            let line = writes_like_the_tree(&record);
+            escaped += usize::from(line.contains('\\'));
+            wide += usize::from(!line.is_ascii());
+            assert!(!line.bytes().any(|b| b < 0x20), "{line:?}");
+            assert_eq!(TraceRecord::from_ndjson(&line), Ok(record), "{line}");
+        }
+        assert!(escaped > 2_000 && wide > 2_000, "{escaped} {wide}");
+    }
+
+    #[test]
+    fn written_files_are_byte_for_byte_what_the_tree_wrote() {
+        // FNV-1a of the whole `--trace-out` and `--stream --stream-trace`
+        // texts of `reference::real_runs`, computed at the last commit
+        // whose writers rendered every record through a `JsonValue` tree.
+        const EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+        const PINNED: [(&str, u64, u64); 4] = [
+            ("mot", 0xa3d2_ebf9_7695_08ee, 0xb456_3c49_f7c2_308f),
+            ("mesh", 0x7d44_5f18_2072_1d19, 0xb931_91cd_8e56_e39e),
+            ("vcmesh", 0xd776_23d5_8d68_f914, 0xe444_9f9b_e1d2_a7d5),
+            ("mot-faulted", EMPTY, 0x5124_e0e4_5951_bd61),
+        ];
+        for (run, (name, trace, stream)) in reference::real_runs().iter().zip(PINNED) {
+            assert_eq!(run.name, name);
+            let written = (reference::fnv1a(&run.trace), reference::fnv1a(&run.stream));
+            assert_eq!(written, (trace, stream), "{name}: {written:#x?}");
+        }
+    }
+
+    /// A node whose `Debug` label — the only reader of its name — needs
+    /// escaping.
+    #[derive(Clone, Copy, Debug)]
+    struct Odd(#[allow(dead_code)] &'static str, u64);
+
+    impl NodeKey for Odd {
+        fn node_key(&self) -> u64 {
+            self.1
+        }
+    }
+
+    #[test]
+    fn event_time_writer_spells_what_the_collector_collects() {
+        let flit = Flit::new(
+            Arc::new(PacketDescriptor::new(
+                PacketId::new(7),
+                5,
+                DestSet::unicast(1),
+                RouteHeader::for_tree(8),
+                1,
+                Time::from_ps(5),
+            )),
+            0,
+        );
+        let (plain, odd) = (Odd("plain", 1), Odd("q\"b\\n\n\u{1}\u{e9}", 2));
+        let busy = Duration::from_ps(52);
+        let mut events = vec![
+            SimEvent::Inject {
+                source: 4,
+                flit: &flit,
+            },
+            SimEvent::Drop {
+                node: odd,
+                flit: &flit,
+                busy,
+            },
+            SimEvent::Deliver {
+                dest: 63,
+                flit: &flit,
+            },
+        ];
+        let symbols = [
+            RouteSymbol::Drop,
+            RouteSymbol::Top,
+            RouteSymbol::Bottom,
+            RouteSymbol::Both,
+        ];
+        for (node, symbol) in [plain, odd, plain, odd].into_iter().zip(symbols) {
+            events.push(SimEvent::Forward {
+                node,
+                flit: &flit,
+                info: ForwardInfo::Routed(symbol),
+                copies: symbol.copy_count() as u8,
+                busy,
+            });
+            events.push(SimEvent::Forward {
+                node,
+                flit: &flit,
+                info: ForwardInfo::Arbitrated {
+                    input: node.1 as usize,
+                },
+                copies: 1,
+                busy,
+            });
+        }
+        for (site, class) in FaultClass::ALL.into_iter().enumerate() {
+            events.push(SimEvent::Fault {
+                class,
+                site,
+                flit: &flit,
+            });
+        }
+        let label = |node: Odd| format!("{node:?}");
+        let mut collector: TraceCollector<Odd> = TraceCollector::generic(events.len());
+        let mut writer = TraceWriter::new(events.len(), Box::new(label));
+        for (at, event) in events.iter().enumerate() {
+            let at = Time::from_ps(at as u64 * 100);
+            collector.on_event(at, true, event);
+            writer.on_event(at, true, event);
+        }
+        assert!(collector
+            .records()
+            .iter()
+            .any(|r| r.site.contains("q\\\"b")));
+        let mut collected = String::new();
+        for record in collector.records() {
+            collected.push_str(&writes_like_the_tree(record));
+            collected.push('\n');
+        }
+        assert_eq!(writer.text(), collected);
+        assert_eq!(writer.text().lines().count(), events.len());
+
+        // Past the limit events are counted, not written; `clear` opens
+        // it anew, and a wrapper goes around the same record.
+        writer.on_event(Time::ZERO, true, &events[0]);
+        assert_eq!((writer.dropped(), writer.text()), (1, collected.as_str()));
+        writer.clear();
+        writer.record(Time::ZERO, &events[1], |line| line.push_str("{\"r\":"), "}");
+        let first = collector.records()[1]
+            .to_ndjson()
+            .replacen("\"t_ps\":100", "\"t_ps\":0", 1);
+        assert_eq!(writer.text(), format!("{{\"r\":{first}}}"));
     }
 
     #[test]

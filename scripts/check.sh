@@ -81,31 +81,42 @@ cargo test --workspace -q
 if [[ "$fast" -eq 0 ]]; then
     run_benches
 
-    echo "==> metrics -> trace -> analyze round-trip (mot)"
     tmpdir="$(mktemp -d)"
     trap 'rm -rf "$tmpdir"' EXIT
-    cargo run -q --release -p asynoc-cli -- metrics --arch BasicHybridSpeculative \
-        --benchmark Multicast10 --rate 0.3 --warmup-ns 40 --measure-ns 400 \
-        --trace-limit 200000 --metrics-out "$tmpdir/mot-metrics.json" \
-        --trace-out "$tmpdir/mot-trace.ndjson"
-    cargo run -q --release -p asynoc-cli -- analyze --trace-in "$tmpdir/mot-trace.ndjson" \
-        --report-out "$tmpdir/mot-analysis.json" --top 5
-
-    echo "==> metrics -> trace -> analyze round-trip (mesh)"
-    cargo run -q --release -p asynoc-cli -- metrics --substrate mesh --benchmark Uniform-random \
-        --rate 0.1 --size 4 --warmup-ns 40 --measure-ns 400 \
-        --trace-limit 200000 --metrics-out "$tmpdir/mesh-metrics.json" \
-        --trace-out "$tmpdir/mesh-trace.ndjson"
-    cargo run -q --release -p asynoc-cli -- analyze --trace-in "$tmpdir/mesh-trace.ndjson" \
-        --report-out "$tmpdir/mesh-analysis.json" --top 5
-
-    echo "==> metrics -> trace -> analyze round-trip (vcmesh)"
-    cargo run -q --release -p asynoc-cli -- metrics --substrate vcmesh --mcast dpm \
-        --benchmark Multicast5 --rate 0.1 --size 4 --warmup-ns 40 --measure-ns 400 \
-        --trace-limit 200000 --metrics-out "$tmpdir/vcmesh-metrics.json" \
-        --trace-out "$tmpdir/vcmesh-trace.ndjson"
-    cargo run -q --release -p asynoc-cli -- analyze --trace-in "$tmpdir/vcmesh-trace.ndjson" \
-        --report-out "$tmpdir/vcmesh-analysis.json" --top 5
+    # One small run per substrate, shared by the round-trips here and the
+    # fold-back gate below.
+    sub_args_for() {
+        case "$1" in
+        mot)
+            sub_args=(--arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3)
+            ;;
+        mesh)
+            sub_args=(--substrate mesh --benchmark Uniform-random --rate 0.1 --size 4)
+            ;;
+        vcmesh)
+            sub_args=(--substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4)
+            ;;
+        esac
+    }
+    for sub in mot mesh vcmesh; do
+        echo "==> metrics -> trace -> analyze round-trip ($sub)"
+        sub_args_for "$sub"
+        cargo run -q --release -p asynoc-cli -- metrics "${sub_args[@]}" \
+            --warmup-ns 40 --measure-ns 400 --trace-limit 200000 \
+            --metrics-out "$tmpdir/$sub-metrics.json" --trace-out "$tmpdir/$sub-trace.ndjson"
+        cargo run -q --release -p asynoc-cli -- analyze --trace-in "$tmpdir/$sub-trace.ndjson" \
+            --report-out "$tmpdir/$sub-analysis.json" --top 5
+        # The other record sink, same seed: a stream's `trace` lines wrap
+        # the very records the trace file holds after its meta line.
+        cargo run -q --release -p asynoc-cli -- metrics "${sub_args[@]}" \
+            --warmup-ns 40 --measure-ns 400 --trace-limit 200000 \
+            --stream "$tmpdir/$sub-traced.ndjson" --stream-trace >/dev/null
+        cmp <(sed -n 's/^{"type":"trace","seq":[0-9]*,"record":\(.*\)}$/\1/p' "$tmpdir/$sub-traced.ndjson") \
+            <(tail -n +2 "$tmpdir/$sub-trace.ndjson") || {
+            echo "$sub: --stream-trace and --trace-out disagree on a record"
+            exit 1
+        }
+    done
 
     echo "==> sharded vs serial differential (mot, 64x64): --shards 1/2/4 must agree byte-for-byte"
     cargo run -q --release -p asynoc-cli -- run --arch OptHybridSpeculative \
@@ -224,13 +235,7 @@ if [[ "$fast" -eq 0 ]]; then
 
     echo "==> stream fold-back gate: folded stream == batch metrics, byte for byte (all substrates, shards 1/2)"
     for sub in mot mesh vcmesh; do
-        if [[ "$sub" == mot ]]; then
-            sub_args=(--arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3)
-        elif [[ "$sub" == mesh ]]; then
-            sub_args=(--substrate mesh --benchmark Uniform-random --rate 0.1 --size 4)
-        else
-            sub_args=(--substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4)
-        fi
+        sub_args_for "$sub"
         for s in 1 2; do
             cargo run -q --release -p asynoc-cli -- metrics "${sub_args[@]}" \
                 --warmup-ns 40 --measure-ns 400 --shards "$s" \
