@@ -8,9 +8,8 @@
 use asynoc::harness::Quality;
 use asynoc::{Architecture, Benchmark};
 
-pub mod baseline;
 pub mod conformance;
-pub mod timing;
+pub mod ratio;
 
 /// Parses the common CLI convention: `--quick` selects the fast preset,
 /// `--seed N` overrides the RNG seed, `--jobs J` fans independent cells

@@ -9,7 +9,10 @@
 //! an 8x-longer streamed run — serial shards, since sharded capture
 //! legitimately buffers the event log — and fails when the long run's
 //! peak exceeds the short run's by more than a fixed headroom factor.
-//! Invoked by `scripts/check.sh`; exits non-zero on violation.
+//! A quotient of two allocation counts, so it holds on any host and in
+//! any build profile: it runs under `cargo test --workspace`, without the
+//! test harness because it installs the counting allocator and wants no
+//! other thread's allocations in the peak.
 
 use std::io::Write;
 

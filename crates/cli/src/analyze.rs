@@ -14,7 +14,7 @@ use std::io::Write;
 use asynoc_analysis::Analysis;
 use asynoc_telemetry::{parse_trace, parse_trace_lenient};
 
-use crate::commands::CliError;
+use crate::commands::{create_optional, read_input, CliError};
 
 /// A fully-resolved `analyze` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,8 +42,9 @@ pub struct AnalyzeRequest {
 /// Returns a [`CliError`] on I/O failure or (without `--lenient`) on the
 /// first malformed trace line.
 pub fn execute_analyze(request: &AnalyzeRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    let profiler = crate::profile::ProfileWriter::when(request.profile.as_ref(), "analyze");
-    let text = std::fs::read_to_string(&request.trace_in)?;
+    let profiler = crate::profile::ProfileWriter::when(request.profile.as_ref(), "analyze")?;
+    let text = read_input("--trace-in", &request.trace_in)?;
+    let mut report_file = create_optional("--report-out", request.report_out.as_ref())?;
     let (meta, records, skipped) = if request.lenient {
         let (meta, records, errors) = parse_trace_lenient(&text);
         (meta, records, errors.len() as u64)
@@ -64,9 +65,9 @@ pub fn execute_analyze(request: &AnalyzeRequest, out: &mut dyn Write) -> Result<
 
     let analysis = Analysis::build(meta, records, request.top);
     let rendered = analysis.to_json(skipped).render_pretty();
-    match &request.report_out {
-        Some(path) => {
-            crate::commands::write_output("--report-out", path, &rendered)?;
+    match request.report_out.as_ref().zip(report_file.as_mut()) {
+        Some((path, file)) => {
+            file.write_all(rendered.as_bytes())?;
             writeln!(out, "analysis report written to {path}")?;
             if skipped > 0 {
                 writeln!(out, "skipped {skipped} malformed trace lines")?;

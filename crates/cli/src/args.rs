@@ -1901,49 +1901,55 @@ mod tests {
         }
     }
 
+    /// One shell line's words, quotes dropped.
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace()
+            .map(|w| w.replace(['"', '\''], ""))
+            .collect()
+    }
+
     /// The `asynoc` argument vectors a document's shell lines run through
-    /// `cargo run … -p asynoc-cli --`, with `$variables` given stand-ins.
+    /// `cargo run … -p asynoc-cli --`.
     fn documented_lines(text: &str) -> Vec<Vec<String>> {
         let text = text.replace("\\\n", " ");
-        let arrays: Vec<&str> = text
-            .lines()
-            .filter_map(|line| line.trim().strip_prefix("sub_args=("))
-            .map(|rest| rest.trim_end_matches(')'))
-            .collect();
-        let mut lines = Vec::new();
-        for line in text
-            .lines()
+        text.lines()
             .filter(|line| !line.trim_start().starts_with('#'))
-        {
-            let Some((_, rest)) = line.split_once("asynoc-cli -- ") else {
-                continue;
-            };
-            let rest = rest.split(" >").next().unwrap();
-            let variants = if rest.contains("\"${sub_args[@]}\"") {
-                arrays
-                    .iter()
-                    .map(|array| rest.replace("\"${sub_args[@]}\"", array))
-                    .collect()
-            } else {
-                vec![rest.to_string()]
-            };
-            for variant in variants {
-                let variant = variant.replace("\"$s\"", "2");
-                lines.push(
-                    variant
-                        .split_whitespace()
-                        .map(|w| w.replace(['"', '\''], ""))
-                        .collect(),
-                );
-            }
-        }
-        lines
+            .filter_map(|line| line.split_once("asynoc-cli -- "))
+            .map(|(_, rest)| words(rest.split(" >").next().unwrap()))
+            .collect()
+    }
+
+    /// The `asynoc` argument vectors of the gate table in
+    /// `scripts/check.sh`: every `;`-separated step of a `name | steps` row
+    /// that runs `asynoc`, with the script's `name='…'` variables expanded.
+    fn gate_lines(script: &str) -> Vec<Vec<String>> {
+        let script = script.replace("\\\n", " ");
+        let variables: Vec<(String, &str)> = script
+            .lines()
+            .filter_map(|line| line.split_once("='"))
+            .filter_map(|(name, value)| Some((format!("${name}"), value.strip_suffix('\'')?)))
+            .collect();
+        script
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .filter_map(|line| line.split_once(" | "))
+            .flat_map(|(_, steps)| steps.split(';'))
+            .filter_map(|step| step.trim().strip_prefix("asynoc "))
+            .map(|step| {
+                let mut step = step.split(" > ").next().unwrap().to_string();
+                for (name, value) in &variables {
+                    step = step.replace(name, value);
+                }
+                assert!(!step.contains('$'), "unexpanded variable in {step:?}");
+                words(&step)
+            })
+            .collect()
     }
 
     #[test]
     fn every_documented_command_line_parses() {
         let readme = documented_lines(include_str!("../../../README.md"));
-        let check = documented_lines(include_str!("../../../scripts/check.sh"));
+        let check = gate_lines(include_str!("../../../scripts/check.sh"));
         assert!(
             readme.len() >= 13 && check.len() >= 21,
             "the tour was not found"

@@ -1,7 +1,7 @@
 //! Command execution, writing human-readable reports to any `Write` sink
 //! (tests capture a `Vec<u8>`, `main` passes stdout).
 
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 
 use asynoc::harness::{saturation_of, saturation_of_profiled, Quality, SeedStats};
 use asynoc::{
@@ -51,16 +51,38 @@ impl From<io::Error> for CliError {
     }
 }
 
-/// Creates the file the output flag `flag` names; a failure says which
-/// flag and which path, not just what the OS thought of it.
-pub(crate) fn create_output(flag: &str, path: &str) -> Result<std::fs::File, CliError> {
-    std::fs::File::create(path)
-        .map_err(|e| CliError::Io(io::Error::new(e.kind(), format!("{flag} {path}: {e}"))))
+/// An I/O failure on the file a flag names says which flag and which
+/// path, not just what the OS thought of it.
+fn named<'a>(flag: &'a str, path: &'a str) -> impl Fn(io::Error) -> CliError + 'a {
+    move |e| CliError::Io(io::Error::new(e.kind(), format!("{flag} {path}: {e}")))
 }
 
-/// Creates the file of [`create_output`] and writes `text` to it.
-pub(crate) fn write_output(flag: &str, path: &str, text: &str) -> Result<(), CliError> {
-    Ok(create_output(flag, path)?.write_all(text.as_bytes())?)
+/// Creates the file the output flag `flag` names. Commands call this
+/// before they work, so a path that cannot be written costs no run.
+pub(crate) fn create_output(flag: &str, path: &str) -> Result<std::fs::File, CliError> {
+    std::fs::File::create(path).map_err(named(flag, path))
+}
+
+/// [`create_output`] for a flag that may be absent.
+pub(crate) fn create_optional(
+    flag: &str,
+    path: Option<&String>,
+) -> Result<Option<std::fs::File>, CliError> {
+    path.map(|path| create_output(flag, path)).transpose()
+}
+
+/// Opens the file the input flag `flag` names.
+pub(crate) fn open_input(flag: &str, path: &str) -> Result<std::fs::File, CliError> {
+    std::fs::File::open(path).map_err(named(flag, path))
+}
+
+/// Reads the whole of the file [`open_input`] opens.
+pub(crate) fn read_input(flag: &str, path: &str) -> Result<String, CliError> {
+    let mut text = String::new();
+    open_input(flag, path)?
+        .read_to_string(&mut text)
+        .map_err(named(flag, path))?;
+    Ok(text)
 }
 
 /// Resolves `--arch` / `--spec-map` into a validated [`SpecMap`] at the
@@ -76,8 +98,7 @@ pub(crate) fn resolve_spec_map(
         (Some(arch), None) => Ok(SpecMap::preset(arch, size)),
         (None, Some(raw)) => {
             if let Some(path) = raw.strip_prefix('@') {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| CliError::Invalid(format!("--spec-map {path}: {e}")))?;
+                let text = read_input("--spec-map", path)?;
                 let doc = JsonValue::parse(&text)
                     .map_err(|e| CliError::Invalid(format!("--spec-map {path}: {e}")))?;
                 spec_map_from_json(size, &doc)
@@ -200,7 +221,7 @@ fn run_across_seeds(
     common: &CommonOptions,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let mut profiler = ProfileWriter::when(common.profile.as_ref(), "run");
+    let mut profiler = ProfileWriter::when(common.profile.as_ref(), "run")?;
     let seed_list: Vec<u64> = (0..seeds as u64).map(|k| common.seed + k).collect();
     let reports = parallel_map(common.jobs, seed_list, |seed| {
         let options = CommonOptions {
@@ -267,7 +288,7 @@ fn single_run<F: Fabric>(
     out: &mut dyn Write,
     print: impl FnOnce(&mut dyn Write, &mut F::Report) -> io::Result<()>,
 ) -> Result<(), CliError> {
-    let mut profiler = ProfileWriter::when(common.profile.as_ref(), command);
+    let mut profiler = ProfileWriter::when(common.profile.as_ref(), command)?;
     let mut sink = match &common.stream {
         Some(path) => Some(crate::stream::sink(
             net,
@@ -402,7 +423,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             probe_fan,
             common,
         } => {
-            let mut profiler = ProfileWriter::when(common.profile.as_ref(), "saturate");
+            let mut profiler = ProfileWriter::when(common.profile.as_ref(), "saturate")?;
             let net = network_for(&resolve_spec_map(Some(*arch), None, common)?, common)?;
             let mut quality = if *quick {
                 Quality::quick()
@@ -451,7 +472,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             steps,
             common,
         } => {
-            let mut profiler = ProfileWriter::when(common.profile.as_ref(), "sweep");
+            let mut profiler = ProfileWriter::when(common.profile.as_ref(), "sweep")?;
             let net = network_for(&resolve_spec_map(Some(*arch), None, common)?, common)?;
             writeln!(out, "{arch} x {benchmark}: latency vs offered load")?;
             writeln!(

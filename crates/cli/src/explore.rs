@@ -20,7 +20,7 @@ use asynoc::{Architecture, Benchmark, Duration, MotSize, Phases};
 use asynoc_telemetry::JsonValue;
 
 use crate::args::CommonOptions;
-use crate::commands::CliError;
+use crate::commands::{create_optional, CliError};
 
 /// A fully-resolved `explore` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -180,6 +180,7 @@ fn guard_json(outcome: &asynoc::explore::GuardOutcome) -> JsonValue {
 /// failure.
 pub fn execute_explore(request: &ExploreRequest, out: &mut dyn Write) -> Result<(), CliError> {
     let spec = explore_spec(request)?;
+    let mut report_file = create_optional("--report-out", request.report_out.as_ref())?;
     let report = explore(&spec)?;
     let guard = request
         .guard
@@ -214,9 +215,9 @@ pub fn execute_explore(request: &ExploreRequest, out: &mut dyn Write) -> Result<
         ),
     ]);
     let rendered = doc.render_pretty();
-    match &request.report_out {
-        Some(path) => {
-            crate::commands::write_output("--report-out", path, &rendered)?;
+    match request.report_out.as_ref().zip(report_file.as_mut()) {
+        Some((path, file)) => {
+            file.write_all(rendered.as_bytes())?;
             writeln!(
                 out,
                 "explored {} of {} placements ({} granularity, {}x{})",

@@ -21,7 +21,7 @@ use asynoc_vcmesh::McastScheme;
 
 use crate::args::{CommonOptions, Substrate};
 use crate::commands::{
-    network_for, phases_for, placement_id, resolve_spec_map, run_config, CliError,
+    create_optional, network_for, phases_for, placement_id, resolve_spec_map, run_config, CliError,
 };
 use crate::fabric::{self, Fabric};
 
@@ -213,7 +213,8 @@ fn faults_on<F: Fabric>(
         common.size,
         common,
     );
-    let mut profiler = crate::profile::ProfileWriter::when(common.profile.as_ref(), "faults");
+    let mut profiler = crate::profile::ProfileWriter::when(common.profile.as_ref(), "faults")?;
+    let mut report_file = create_optional("--report-out", request.report_out.as_ref())?;
     let (domain, plan, faulted, clean, watchpoints) = run_pair(net, &config, request)?;
     if let Some(profiler) = profiler.as_mut() {
         // One `runs[]` entry per simulation: the faulted run first, then
@@ -246,9 +247,9 @@ fn faults_on<F: Fabric>(
         ),
     ]);
     let rendered = doc.render_pretty();
-    match &request.report_out {
-        Some(path) => {
-            crate::commands::write_output("--report-out", path, &rendered)?;
+    match request.report_out.as_ref().zip(report_file.as_mut()) {
+        Some((path, file)) => {
+            file.write_all(rendered.as_bytes())?;
             writeln!(out, "fault report written to {path}")?;
         }
         // Bare stdout stays pure JSON so pipelines can parse it.

@@ -21,7 +21,7 @@ use asynoc_vcmesh::McastScheme;
 
 use crate::args::{CommonOptions, Substrate, TraceFormat};
 use crate::commands::{
-    create_output, network_for, phases_for, placement_id, resolve_spec_map, run_config, CliError,
+    create_optional, network_for, phases_for, placement_id, resolve_spec_map, run_config, CliError,
 };
 use crate::fabric::{self, Fabric};
 
@@ -331,11 +331,9 @@ fn run<F: Fabric>(
 /// Returns a [`CliError`] on simulation, configuration, or I/O failure.
 pub fn execute_metrics(request: &MetricsRequest, out: &mut dyn Write) -> Result<(), CliError> {
     let common = &request.common;
-    let profiler = crate::profile::ProfileWriter::when(common.profile.as_ref(), "metrics");
-    let create =
-        |flag, path: &Option<String>| path.as_deref().map(|p| create_output(flag, p)).transpose();
-    let mut metrics_file = create("--metrics-out", &request.metrics_out)?;
-    let mut trace_file = create("--trace-out", &request.trace_out)?;
+    let profiler = crate::profile::ProfileWriter::when(common.profile.as_ref(), "metrics")?;
+    let mut metrics_file = create_optional("--metrics-out", request.metrics_out.as_ref())?;
+    let mut trace_file = create_optional("--trace-out", request.trace_out.as_ref())?;
     let trace_out = trace_file.as_mut();
     let (doc, engine_profile, watchpoints) = match request.substrate {
         Substrate::Mot => {

@@ -3,7 +3,8 @@
 //!
 //! Every profiled command funnels through one [`ProfileWriter`]: it
 //! stamps the process wall clock and allocation counter when the
-//! command starts, collects one `runs[]` entry per simulation run (a
+//! command starts — creating the file then, so an unwritable path costs
+//! no run — collects one `runs[]` entry per simulation run (a
 //! multi-seed `run --seeds K` contributes K entries, a `faults
 //! --oracle` pair contributes two), and writes the document on the way
 //! out. The file is written silently — profiled stdout stays
@@ -15,6 +16,7 @@
 //! regenerate with
 //! `cargo run -p asynoc-bench --bin schema profile > results/profile_schema.golden.json`.
 
+use std::io::Write;
 use std::time::Instant;
 
 use asynoc::probe::{
@@ -29,34 +31,38 @@ use crate::commands::CliError;
 /// `asynoc-profile-v1` document.
 pub struct ProfileWriter {
     command: &'static str,
-    path: String,
+    file: std::fs::File,
     started: Instant,
     allocations_at_start: u64,
     runs: Vec<JsonValue>,
 }
 
 impl ProfileWriter {
-    /// Starts profiling one CLI command: stamps the wall clock and the
-    /// process allocation counter (live only when the binary installs
-    /// [`asynoc::probe::CountingAlloc`], as `asynoc`'s `main` does;
-    /// otherwise the count reads 0).
-    #[must_use]
-    pub fn new(command: &'static str, path: impl Into<String>) -> Self {
-        ProfileWriter {
+    /// Starts profiling one CLI command when it asked for that
+    /// (`--profile <path>` parsed), so call sites stay a one-liner next
+    /// to the run they wrap: creates the document's file, stamps the wall
+    /// clock and the process allocation counter (live only when the
+    /// binary installs [`asynoc::probe::CountingAlloc`], as `asynoc`'s
+    /// `main` does; otherwise the count reads 0).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CliError::Io`] naming `--profile` and the path when
+    /// the file cannot be created.
+    pub fn when(
+        path: Option<&String>,
+        command: &'static str,
+    ) -> Result<Option<ProfileWriter>, CliError> {
+        let Some(file) = crate::commands::create_optional("--profile", path)? else {
+            return Ok(None);
+        };
+        Ok(Some(ProfileWriter {
             command,
-            path: path.into(),
+            file,
             started: Instant::now(),
             allocations_at_start: allocations(),
             runs: Vec::new(),
-        }
-    }
-
-    /// Builds a writer only when the command asked for one
-    /// (`--profile <path>` parsed), so call sites stay a one-liner next
-    /// to the run they wrap.
-    #[must_use]
-    pub fn when(path: Option<&String>, command: &'static str) -> Option<ProfileWriter> {
-        path.map(|path| ProfileWriter::new(command, path.clone()))
+        }))
     }
 
     /// Appends one run's section: the identity `config` the run was
@@ -65,14 +71,14 @@ impl ProfileWriter {
         self.runs.push(run_json(config, profile));
     }
 
-    /// Renders and writes the document to the path the writer was
+    /// Renders and writes the document to the file the writer was
     /// created with. Silent on success: profiled stdout must stay
     /// byte-identical to unprofiled stdout.
     ///
     /// # Errors
     ///
     /// Returns a [`CliError::Io`] when the file cannot be written.
-    pub fn finish(self) -> Result<(), CliError> {
+    pub fn finish(mut self) -> Result<(), CliError> {
         let wall_ms = self.started.elapsed().as_secs_f64() * 1e3;
         let allocated = allocations().saturating_sub(self.allocations_at_start);
         let doc = JsonValue::Object(vec![
@@ -89,7 +95,7 @@ impl ProfileWriter {
             ("allocations".to_string(), JsonValue::uint(allocated)),
             ("runs".to_string(), JsonValue::Array(self.runs)),
         ]);
-        crate::commands::write_output("--profile", &self.path, &doc.render_pretty())
+        Ok(self.file.write_all(doc.render_pretty().as_bytes())?)
     }
 }
 
@@ -276,7 +282,9 @@ mod tests {
             std::process::id()
         ));
         let path = path.to_string_lossy().into_owned();
-        let mut writer = ProfileWriter::new("run", path.clone());
+        let mut writer = ProfileWriter::when(Some(&path), "run")
+            .expect("creates")
+            .expect("asked for");
         writer.add_run(
             JsonValue::Object(vec![("seed".to_string(), JsonValue::uint(42))]),
             &sample_profile(),
@@ -341,22 +349,23 @@ mod tests {
 
     #[test]
     fn when_builds_only_with_a_path() {
-        assert!(ProfileWriter::when(None, "run").is_none());
-        assert!(ProfileWriter::when(Some(&"p.json".to_string()), "run").is_some());
+        assert!(ProfileWriter::when(None, "run").expect("no file").is_none());
     }
 
     #[test]
-    fn unwritable_path_surfaces_as_an_io_error() {
+    fn unwritable_path_surfaces_as_an_io_error_before_any_run() {
         // The failure must carry the OS error (for `error: ...` on
-        // stderr), not panic — a bad --profile path is user input.
-        let mut writer =
-            ProfileWriter::new("run", "/nonexistent-asynoc-dir/deeply/nested/profile.json");
-        writer.add_run(JsonValue::Object(vec![]), &sample_profile());
-        let err = writer.finish().expect_err("missing directory must fail");
+        // stderr), not panic — a bad --profile path is user input — and
+        // it must come from the constructor, not from `finish`.
+        let path = "/nonexistent-asynoc-dir/deeply/nested/profile.json".to_string();
+        let Err(err) = ProfileWriter::when(Some(&path), "run") else {
+            panic!("missing directory must fail");
+        };
         assert!(matches!(err, CliError::Io(_)), "got {err:?}");
+        let message = err.to_string();
         assert!(
-            !err.to_string().is_empty(),
-            "error renders the OS diagnostic"
+            message.starts_with(&format!("--profile {path}: ")),
+            "{message}"
         );
     }
 }

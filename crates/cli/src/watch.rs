@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use asynoc_telemetry::{JsonValue, StreamFolder, StreamLine, STREAM_SCHEMA};
 
-use crate::commands::CliError;
+use crate::commands::{create_optional, open_input, read_input, CliError};
 
 /// A fully-resolved `watch` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,14 +54,19 @@ struct Dashboard {
     ended: bool,
     /// `--fold`'s folder, fed every line the dashboard sees.
     folder: Option<StreamFolder>,
+    /// `--fold`'s destination, unless that is the command's own output.
+    fold_file: Option<std::fs::File>,
 }
 
 impl Dashboard {
-    fn new(request: &WatchRequest) -> Dashboard {
-        Dashboard {
+    /// An empty dashboard; creates `--fold`'s file before a line is read.
+    fn new(request: &WatchRequest) -> Result<Dashboard, CliError> {
+        let fold_path = request.fold.as_ref().filter(|path| *path != "-");
+        Ok(Dashboard {
             folder: request.fold.as_ref().map(|_| StreamFolder::default()),
+            fold_file: create_optional("--fold", fold_path)?,
             ..Dashboard::default()
-        }
+        })
     }
 
     /// Ingests one NDJSON line, writing any dashboard output for it. The
@@ -233,11 +238,12 @@ fn finish(
         .finish()
         .map_err(|e| CliError::Invalid(format!("--fold: {e}")))?;
     let rendered = doc.render_pretty();
-    if fold_out == "-" {
-        out.write_all(rendered.as_bytes())?;
-    } else {
-        crate::commands::write_output("--fold", fold_out, &rendered)?;
-        writeln!(out, "folded metrics report written to {fold_out}")?;
+    match dashboard.fold_file {
+        Some(mut file) => {
+            file.write_all(rendered.as_bytes())?;
+            writeln!(out, "folded metrics report written to {fold_out}")?;
+        }
+        None => out.write_all(rendered.as_bytes())?,
     }
     Ok(())
 }
@@ -256,7 +262,7 @@ pub fn execute_watch(request: &WatchRequest, out: &mut dyn Write) -> Result<(), 
             std::io::stdin().read_to_string(&mut text)?;
             text
         } else {
-            std::fs::read_to_string(&request.stream_in)?
+            read_input("--stream-in", &request.stream_in)?
         };
         // A complete stream opens with its head; without one this is some
         // other file (or none), not a run that reported all zeroes.
@@ -276,7 +282,7 @@ pub fn execute_watch(request: &WatchRequest, out: &mut dyn Write) -> Result<(), 
                 opening.map_or(1, |(index, _)| index + 1)
             )));
         }
-        let mut dashboard = Dashboard::new(request);
+        let mut dashboard = Dashboard::new(request)?;
         for line in text.lines() {
             dashboard.ingest(line, out)?;
         }
@@ -293,9 +299,8 @@ fn tail(
     out: &mut dyn Write,
     mut idle: impl FnMut(),
 ) -> Result<(), CliError> {
-    let file = std::fs::File::open(&request.stream_in)?;
-    let mut reader = BufReader::new(file);
-    let mut dashboard = Dashboard::new(request);
+    let mut reader = BufReader::new(open_input("--stream-in", &request.stream_in)?);
+    let mut dashboard = Dashboard::new(request)?;
     let mut carry = String::new();
     let started = Instant::now();
     let mut quiet_polls: u32 = 0;

@@ -388,74 +388,159 @@ const SMALL_RUN: [&str; 10] = [
     "100",
 ];
 
-/// `command … flag NOWHERE` fails with the flag, the path and the OS
-/// error on its one `error:` line. Returns how long the failure took.
-fn assert_names_its_output_file(command: &[&str], flag: &str) -> Duration {
+/// `command … flag NOWHERE` fails with the flag, the path and the OS error
+/// on its one `error:` line, with nothing on stdout and — where `command`
+/// alone works for seconds — long before the work could have been done.
+fn assert_fails_before_it_works(command: &[&str], flag: &str) {
     let started = Instant::now();
     let output = asynoc(&[command, &[flag, NOWHERE]].concat());
+    let took = started.elapsed();
     let located = format!("error: {flag} {NOWHERE}: No such file or directory");
     assert_located_error(&output, &[&located]);
-    started.elapsed()
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.is_empty(), "{command:?} reported first: {stdout}");
+    assert!(
+        took < Duration::from_millis(500),
+        "{command:?} worked first: {took:?}"
+    );
 }
 
-/// A `metrics` run long enough that failing after it cannot be mistaken
-/// for failing before it (seconds, against milliseconds).
-fn long_metrics_run() -> Vec<&'static str> {
-    let mut command = vec!["metrics"];
-    command.extend(&SMALL_RUN[..8]);
-    command.extend(["--measure-ns", "40000", "--shards", "1"]);
-    command
+/// A file of `count` inject records, bare (a trace) or wrapped as the
+/// `trace` lines of a stream: seconds of `analyze` or `watch --fold`.
+fn many_records(name: &str, count: u64, stream: bool) -> String {
+    let mut text = String::new();
+    if stream {
+        text.push_str(STREAM_HEAD);
+        text.push('\n');
+    }
+    for i in 0..count {
+        let record = format!(
+            "{{\"t_ps\":{},\"packet\":{i},\"flit\":0,\"site\":\"src0\",\"action\":\"inject\",\"detail\":\"\",\"copies\":1}}",
+            10 + i
+        );
+        if stream {
+            text.push_str(&format!(
+                "{{\"type\":\"trace\",\"seq\":0,\"record\":{record}}}\n"
+            ));
+        } else {
+            text.push_str(&record);
+            text.push('\n');
+        }
+    }
+    if stream {
+        text.push_str("{\"type\":\"end\",\"windows\":0,\"watchpoints\":0,\"sections\":{}}\n");
+    }
+    fixture(name, &text)
 }
+
+/// Simulating commands whose run takes seconds, `--jobs 1 --shards 1`.
+const LONG: [&str; 8] = [
+    "--warmup-ns",
+    "20",
+    "--measure-ns",
+    "200000",
+    "--jobs",
+    "1",
+    "--shards",
+    "1",
+];
 
 #[test]
 fn an_unwritable_trace_out_fails_before_the_run_and_says_which_file() {
-    let took = assert_names_its_output_file(&long_metrics_run(), "--trace-out");
-    assert!(
-        took < Duration::from_millis(500),
-        "simulated first: {took:?}"
-    );
+    let metrics = [&["metrics"], &SMALL_RUN[..6], &LONG[..]].concat();
+    assert_fails_before_it_works(&metrics, "--trace-out");
 }
 
 #[test]
 fn an_unwritable_metrics_out_fails_before_the_run_and_says_which_file() {
-    let took = assert_names_its_output_file(&long_metrics_run(), "--metrics-out");
-    assert!(
-        took < Duration::from_millis(500),
-        "simulated first: {took:?}"
-    );
+    let metrics = [&["metrics"], &SMALL_RUN[..6], &LONG[..]].concat();
+    assert_fails_before_it_works(&metrics, "--metrics-out");
 }
 
 #[test]
 fn an_unwritable_stream_says_which_file() {
     for command in ["run", "metrics", "faults"] {
-        assert_names_its_output_file(&[&[command], &SMALL_RUN[..]].concat(), "--stream");
+        assert_fails_before_it_works(&[&[command], &SMALL_RUN[..]].concat(), "--stream");
     }
 }
 
 #[test]
-fn an_unwritable_profile_says_which_file() {
-    for command in ["run", "metrics"] {
-        assert_names_its_output_file(&[&[command], &SMALL_RUN[..]].concat(), "--profile");
+fn an_unwritable_profile_fails_before_the_work_on_every_command_that_takes_one() {
+    let placed = &SMALL_RUN[..6];
+    for command in ["run", "metrics", "faults"] {
+        assert_fails_before_it_works(&[&[command], placed, &LONG[..]].concat(), "--profile");
     }
-}
-
-#[test]
-fn an_unwritable_report_out_says_which_file() {
-    assert_names_its_output_file(&[&["faults"], &SMALL_RUN[..]].concat(), "--report-out");
-    let trace = fixture(
-        "one-record.ndjson",
-        "{\"t_ps\":10,\"packet\":1,\"flit\":0,\"site\":\"src0\",\"action\":\"inject\",\"detail\":\"\",\"copies\":1}\n",
+    let mesh = ["mesh", "--benchmark", "Shuffle", "--rate", "0.2"];
+    assert_fails_before_it_works(&[&mesh[..], &LONG[..]].concat(), "--profile");
+    let saturate = ["saturate", "--arch", "Baseline", "--benchmark", "Shuffle"];
+    assert_fails_before_it_works(&[&saturate[..], &LONG[4..]].concat(), "--profile");
+    let sweep = ["--from", "0.1", "--to", "0.4", "--steps", "4"];
+    assert_fails_before_it_works(
+        &[&["sweep"], &placed[..4], &sweep[..], &LONG[..]].concat(),
+        "--profile",
     );
-    assert_names_its_output_file(&["analyze", "--trace-in", &trace], "--report-out");
+    let trace = many_records("long-trace.ndjson", 200_000, false);
+    assert_fails_before_it_works(&["analyze", "--trace-in", &trace], "--profile");
     let _ = std::fs::remove_file(trace);
 }
 
 #[test]
-fn an_unwritable_fold_says_which_file() {
-    let end = r#"{"type":"end","windows":0,"watchpoints":0,"sections":{}}"#;
-    let stream = fixture("two-line-stream.ndjson", &format!("{STREAM_HEAD}\n{end}\n"));
-    assert_names_its_output_file(&["watch", "--stream-in", &stream, "--once"], "--fold");
+fn an_unwritable_report_out_fails_before_the_work() {
+    let faults = [&["faults"], &SMALL_RUN[..6], &LONG[..], &["--oracle"][..]].concat();
+    assert_fails_before_it_works(&faults, "--report-out");
+    assert_fails_before_it_works(&["explore", "--jobs", "1", "--shards", "1"], "--report-out");
+    let trace = many_records("long-trace-2.ndjson", 200_000, false);
+    assert_fails_before_it_works(&["analyze", "--trace-in", &trace], "--report-out");
+    let _ = std::fs::remove_file(trace);
+}
+
+#[test]
+fn an_unwritable_fold_fails_before_the_dashboard() {
+    let stream = many_records("long-stream.ndjson", 200_000, true);
+    assert_fails_before_it_works(&["watch", "--stream-in", &stream, "--once"], "--fold");
+    // Tailing: the file ends, so without the early failure this returns too.
+    assert_fails_before_it_works(&["watch", "--stream-in", &stream], "--fold");
     let _ = std::fs::remove_file(stream);
+}
+
+#[test]
+fn a_missing_input_file_says_which_flag_and_which_file() {
+    for (command, flag) in [
+        (&["analyze"][..], "--trace-in"),
+        (&["watch", "--once"][..], "--stream-in"),
+        (&["watch"][..], "--stream-in"),
+    ] {
+        let output = asynoc(&[command, &[flag, NOWHERE]].concat());
+        let located = format!("error: {flag} {NOWHERE}: No such file or directory");
+        assert_located_error(&output, &[&located]);
+    }
+}
+
+#[test]
+fn a_closed_pipe_is_a_quiet_exit_not_an_error() {
+    // `asynoc run … | head -0`: the reader is gone long before the report
+    // is written. This used to end `error: Broken pipe (os error 32)`, exit 1.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_asynoc"))
+        .args([&["run"], &SMALL_RUN[..6], &LONG[..]].concat())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the binary runs");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("the run ends");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+
+    // `asynoc explore --max-points 0 2>&1 | head -0`: a usage error nobody
+    // reads is still exit 2, where `eprintln!` panicked (exit 101).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_asynoc"))
+        .args(["explore", "--max-points", "0"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the binary runs");
+    drop(child.stderr.take());
+    assert_eq!(child.wait().expect("it ends").code(), Some(2));
 }
 
 /// Numbers a coordinate can be swapped for: in range, just out of it,

@@ -31,5 +31,5 @@ pub mod throughput;
 
 pub use latency::LatencyStats;
 pub use phases::Phases;
-pub use saturation::{find_saturation, find_saturation_multi, StabilityProbe, StabilityVerdict};
+pub use saturation::{find_saturation_multi, StabilityProbe, StabilityVerdict};
 pub use throughput::ThroughputCounter;

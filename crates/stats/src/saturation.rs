@@ -2,14 +2,14 @@
 //!
 //! Saturation is the highest offered load a network still *accepts*: past
 //! it, source queues grow without bound and accepted throughput plateaus.
-//! [`find_saturation`] bisects on a caller-supplied stability probe — the
-//! simulator runs a full benchmark at each probed rate — and returns the
-//! highest stable rate found, following the standard methodology of Dally &
-//! Towles that the paper cites for its measurement procedure.
-//! [`find_saturation_multi`] generalizes the bisection to a k-section that
-//! evaluates several probe rates per round on worker threads; its probe
-//! *schedule* depends only on the fan-out, never on the worker count, so
-//! results are bit-identical at any `--jobs` setting.
+//! [`find_saturation_multi`] searches on a caller-supplied stability probe
+//! — the simulator runs a full benchmark at each probed rate — and returns
+//! the highest stable rate found, following the standard methodology of
+//! Dally & Towles that the paper cites for its measurement procedure. It is
+//! a k-section that evaluates several probe rates per round on worker
+//! threads (one rate per round is plain bisection); its probe *schedule*
+//! depends only on the fan-out, never on the worker count, so results are
+//! bit-identical at any `--jobs` setting.
 
 use std::fmt;
 
@@ -78,81 +78,30 @@ impl Default for StabilityProbe {
     }
 }
 
-/// Bisects for the saturation rate in `lo..hi` (flits/ns per source).
+/// K-section search for the saturation rate in `lo..hi` (flits/ns per
+/// source).
 ///
 /// `probe(rate)` must run the workload at `rate` and report a verdict. The
-/// search first confirms the bracket (growing `hi` is the caller's job),
-/// then bisects until the bracket is narrower than `tolerance`, returning
-/// the highest rate observed stable.
+/// search first confirms the bracket (growing `hi` is the caller's job):
+/// saturation at `lo` returns `lo`, and stability at `hi` returns `hi` so
+/// the caller can notice and widen. Each round then evaluates `probe_fan`
+/// evenly spaced interior rates (using up to `jobs` worker threads, hence
+/// a `Fn + Sync` probe) and shrinks the bracket around the first saturated
+/// one, until the bracket is narrower than `tolerance`; the highest rate
+/// observed stable is the answer.
 ///
 /// The probe is called O(log((hi−lo)/tolerance)) times; each call is a full
 /// simulation, so keep `tolerance` realistic (the paper reports two decimal
 /// digits — 0.01–0.02 GF/s is appropriate).
-///
-/// # Panics
-///
-/// Panics if the bracket or tolerance is degenerate (`lo >= hi`,
-/// `tolerance <= 0`, negative `lo`).
-///
-/// # Examples
-///
-/// ```
-/// use asynoc_stats::{find_saturation, StabilityVerdict};
-///
-/// // A fictitious network that saturates at exactly 1.48 flits/ns.
-/// let sat = find_saturation(0.1, 3.0, 0.01, |rate| {
-///     if rate <= 1.48 { StabilityVerdict::Stable } else { StabilityVerdict::Saturated }
-/// });
-/// assert!((sat - 1.48).abs() < 0.01);
-/// ```
-pub fn find_saturation(
-    lo: f64,
-    hi: f64,
-    tolerance: f64,
-    mut probe: impl FnMut(f64) -> StabilityVerdict,
-) -> f64 {
-    assert!(lo >= 0.0 && lo < hi, "bad bracket [{lo}, {hi}]");
-    assert!(tolerance > 0.0, "tolerance must be positive");
-
-    // If even the low end saturates, report it as the (outside-bracket)
-    // answer; if the high end is stable, the bracket was too small — report
-    // hi so the caller can notice and widen.
-    if probe(lo) == StabilityVerdict::Saturated {
-        return lo;
-    }
-    if probe(hi) == StabilityVerdict::Stable {
-        return hi;
-    }
-
-    let mut stable = lo;
-    let mut saturated = hi;
-    while saturated - stable > tolerance {
-        let mid = 0.5 * (stable + saturated);
-        match probe(mid) {
-            StabilityVerdict::Stable => stable = mid,
-            StabilityVerdict::Saturated => saturated = mid,
-        }
-    }
-    stable
-}
-
-/// K-section saturation search: like [`find_saturation`], but each round
-/// evaluates `probe_fan` evenly spaced interior rates (using up to `jobs`
-/// worker threads) and shrinks the bracket around the first saturated one.
 ///
 /// Two properties matter for reproducibility:
 ///
 /// - The set of probed rates is a pure function of the bracket, `tolerance`,
 ///   and `probe_fan` — **not** of `jobs`. Changing the worker count changes
 ///   wall-clock time only, never the answer.
-/// - `probe_fan = 1` probes exactly the same rates as [`find_saturation`]
-///   (the k-section midpoint is the bisection midpoint), so the classic
-///   serial search is this function's degenerate case.
-///
-/// The probe must be callable from worker threads, hence `Fn + Sync` rather
-/// than the classic search's `FnMut`. Like the classic search, saturation
-/// at `lo` returns `lo` and stability at `hi` returns `hi` (bracket too
-/// small — the caller should widen).
+/// - `probe_fan = 1` probes exactly the rates of a serial bisection (the
+///   k-section midpoint is the bisection midpoint); the tests hold it
+///   bit-identical to one.
 ///
 /// # Panics
 ///
@@ -164,6 +113,7 @@ pub fn find_saturation(
 /// ```
 /// use asynoc_stats::{find_saturation_multi, StabilityVerdict};
 ///
+/// // A fictitious network that saturates at exactly 1.48 flits/ns.
 /// let probe = |rate: f64| {
 ///     if rate <= 1.48 { StabilityVerdict::Stable } else { StabilityVerdict::Saturated }
 /// };
@@ -219,8 +169,9 @@ pub fn find_saturation_multi(
 mod tests {
     use super::*;
     use asynoc_kernel::SimRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn step_network(threshold: f64) -> impl FnMut(f64) -> StabilityVerdict {
+    fn step_network(threshold: f64) -> impl Fn(f64) -> StabilityVerdict + Sync {
         move |rate| {
             if rate <= threshold {
                 StabilityVerdict::Stable
@@ -230,43 +181,65 @@ mod tests {
         }
     }
 
+    /// The classic serial bisection, kept as the reference the k-section's
+    /// `probe_fan = 1` case is held bit-identical to.
+    fn bisect(lo: f64, hi: f64, tolerance: f64, probe: impl Fn(f64) -> StabilityVerdict) -> f64 {
+        if probe(lo) == StabilityVerdict::Saturated {
+            return lo;
+        }
+        if probe(hi) == StabilityVerdict::Stable {
+            return hi;
+        }
+        let mut stable = lo;
+        let mut saturated = hi;
+        while saturated - stable > tolerance {
+            let mid = 0.5 * (stable + saturated);
+            match probe(mid) {
+                StabilityVerdict::Stable => stable = mid,
+                StabilityVerdict::Saturated => saturated = mid,
+            }
+        }
+        stable
+    }
+
     #[test]
     fn finds_known_threshold() {
-        let sat = find_saturation(0.0, 4.0, 0.005, step_network(1.26));
+        let sat = find_saturation_multi(0.0, 4.0, 0.005, 1, 1, step_network(1.26));
         assert!((sat - 1.26).abs() < 0.005, "found {sat}");
     }
 
     #[test]
-    fn saturated_at_low_end_returns_lo() {
-        assert_eq!(find_saturation(0.5, 2.0, 0.01, step_network(0.1)), 0.5);
-    }
-
-    #[test]
-    fn stable_at_high_end_returns_hi() {
-        assert_eq!(find_saturation(0.5, 2.0, 0.01, step_network(10.0)), 2.0);
+    fn saturated_at_low_end_returns_lo_and_stable_at_high_end_returns_hi() {
+        for fan in [1, 3] {
+            let low = step_network(0.1);
+            assert_eq!(find_saturation_multi(0.5, 2.0, 0.01, fan, 2, low), 0.5);
+            let high = step_network(10.0);
+            assert_eq!(find_saturation_multi(0.5, 2.0, 0.01, fan, 2, high), 2.0);
+        }
     }
 
     #[test]
     fn probe_call_count_is_logarithmic() {
-        let mut calls = 0usize;
-        let mut inner = step_network(1.0);
-        let _ = find_saturation(0.0, 4.0, 0.01, |r| {
-            calls += 1;
+        let calls = AtomicUsize::new(0);
+        let inner = step_network(1.0);
+        let _ = find_saturation_multi(0.0, 4.0, 0.01, 1, 1, |r| {
+            calls.fetch_add(1, Ordering::Relaxed);
             inner(r)
         });
+        let calls = calls.into_inner();
         assert!(calls <= 2 + 10, "too many probe calls: {calls}"); // 2 bracket + log2(400) ≈ 9
     }
 
     #[test]
     #[should_panic(expected = "bad bracket")]
     fn inverted_bracket_rejected() {
-        let _ = find_saturation(2.0, 1.0, 0.01, step_network(1.5));
+        let _ = find_saturation_multi(2.0, 1.0, 0.01, 1, 1, step_network(1.5));
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_tolerance_rejected() {
-        let _ = find_saturation(0.0, 1.0, 0.0, step_network(0.5));
+        let _ = find_saturation_multi(0.0, 1.0, 0.0, 1, 1, step_network(0.5));
     }
 
     #[test]
@@ -295,14 +268,8 @@ mod tests {
         let mut rng = SimRng::seed_from(7);
         for _case in 0..32 {
             let threshold = 0.1 + 3.8 * rng.index(1_000_000) as f64 / 1_000_000.0;
-            let classic = find_saturation(0.0, 4.0, 0.01, step_network(threshold));
-            let multi = find_saturation_multi(0.0, 4.0, 0.01, 1, 1, |rate| {
-                if rate <= threshold {
-                    StabilityVerdict::Stable
-                } else {
-                    StabilityVerdict::Saturated
-                }
-            });
+            let classic = bisect(0.0, 4.0, 0.01, step_network(threshold));
+            let multi = find_saturation_multi(0.0, 4.0, 0.01, 1, 1, step_network(threshold));
             assert_eq!(classic.to_bits(), multi.to_bits(), "threshold {threshold}");
         }
     }
@@ -310,37 +277,24 @@ mod tests {
     #[test]
     fn multi_jobs_do_not_change_the_answer() {
         for fan in [1usize, 2, 3, 5] {
-            let probe = |rate: f64| {
-                if rate <= 1.37 {
-                    StabilityVerdict::Stable
-                } else {
-                    StabilityVerdict::Saturated
-                }
-            };
-            let serial = find_saturation_multi(0.0, 4.0, 0.005, fan, 1, probe);
-            let parallel = find_saturation_multi(0.0, 4.0, 0.005, fan, 8, probe);
+            let probe = step_network(1.37);
+            let serial = find_saturation_multi(0.0, 4.0, 0.005, fan, 1, &probe);
+            let parallel = find_saturation_multi(0.0, 4.0, 0.005, fan, 8, &probe);
             assert_eq!(serial.to_bits(), parallel.to_bits(), "fan {fan}");
             assert!((serial - 1.37).abs() <= 0.006, "fan {fan} found {serial}");
         }
     }
 
     #[test]
-    fn multi_edge_cases_match_classic() {
-        let low = |_: f64| StabilityVerdict::Saturated;
-        assert_eq!(find_saturation_multi(0.5, 2.0, 0.01, 3, 2, low), 0.5);
-        let high = |_: f64| StabilityVerdict::Stable;
-        assert_eq!(find_saturation_multi(0.5, 2.0, 0.01, 3, 2, high), 2.0);
-    }
-
-    #[test]
-    fn bisection_converges_to_threshold() {
+    fn every_fan_converges_to_the_threshold() {
         let mut rng = SimRng::seed_from(42);
-        for _case in 0..64 {
+        for case in 0..64 {
             let threshold = 0.1 + 3.8 * rng.index(1_000_000) as f64 / 1_000_000.0;
-            let sat = find_saturation(0.0, 4.0, 0.01, step_network(threshold));
+            let fan = 1 + case % 4;
+            let sat = find_saturation_multi(0.0, 4.0, 0.01, fan, 1, step_network(threshold));
             assert!(
                 (sat - threshold).abs() <= 0.011,
-                "found {sat} for {threshold}"
+                "fan {fan} found {sat} for {threshold}"
             );
         }
     }
