@@ -1,26 +1,36 @@
 //! Bounded-memory gate for streaming telemetry: a streamed 64x64 MoT
-//! run's peak allocation must be independent of how long the run is.
+//! run's peak allocation must be independent of how long the run is —
+//! serial and sharded alike.
 //!
 //! The live-export contract is O(window), not O(events): the stream
 //! sink drains every buffer at each flush window, and the engine's
 //! latency reservoir is capped (`RunConfig::with_latency_cap`, which
-//! library users set for long-lived runs). This binary measures peak
-//! heap (via the `CountingAlloc` global allocator) across a short and
-//! an 8x-longer streamed run — serial shards, since sharded capture
-//! legitimately buffers the event log — and fails when the long run's
+//! library users set for long-lived runs). A sharded run keeps the same
+//! promise: its shards log into flat buffers that shard 0 folds — and
+//! the sink writes — every few windows, so two logs per shard are all
+//! the run ever holds. This binary measures peak heap (via the
+//! `CountingAlloc` global allocator) across a short and an 8x-longer
+//! streamed run, on one shard and on two, and fails when the long run's
 //! peak exceeds the short run's by more than a fixed headroom factor.
 //! A quotient of two allocation counts, so it holds on any host and in
 //! any build profile: it runs under `cargo test --workspace`, without the
 //! test harness because it installs the counting allocator and wants no
 //! other thread's allocations in the peak.
+//!
+//! The sharded long run also proves the stream is live: its first
+//! `window` record must be written in the first half of the run's wall
+//! time (with an end-of-run fold it followed the last event).
 
 use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use asynoc::probe::{peak_bytes, reset_peak_bytes};
 use asynoc::telemetry::{LevelSpec, StreamConfig, StreamSink, TimeSeries, WatchConfig};
 use asynoc::{
     Architecture, Benchmark, Duration, MotNode, Network, NetworkConfig, Observer, Phases, RunConfig,
 };
+use asynoc_kernel::with_deadline;
 use asynoc_topology::{FaninNodeId, FanoutNodeId, MotSize};
 
 #[global_allocator]
@@ -31,15 +41,31 @@ static GLOBAL: asynoc::probe::CountingAlloc = asynoc::probe::CountingAlloc;
 /// O(events) buffer shows up as ~8x).
 const HEADROOM: f64 = 1.5;
 
-/// Discards stream bytes but proves the stream was actually written.
+/// A window protocol that loses a wake-up hangs; fail instead.
+const DEADLINE_S: u64 = 600;
+/// Flush window and series bin: a twelfth of the long run, so that its
+/// first `window` record is due well inside the first half.
+const WINDOW_NS: u64 = 200;
+
+/// Discards stream bytes but proves the stream was actually written,
+/// and notes when the first `window` record went by.
 struct CountingWriter {
-    bytes: &'static std::sync::atomic::AtomicU64,
+    started: Instant,
 }
+
+static STREAM_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Nanoseconds from the writer's creation to its first `window` record
+/// (0: none yet).
+static FIRST_WINDOW_NS: AtomicU64 = AtomicU64::new(0);
 
 impl Write for CountingWriter {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.bytes
-            .fetch_add(buf.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        STREAM_BYTES.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        if FIRST_WINDOW_NS.load(Ordering::Relaxed) == 0 && buf.starts_with(b"{\"type\":\"window\"")
+        {
+            let elapsed = self.started.elapsed().as_nanos().max(1);
+            FIRST_WINDOW_NS.store(elapsed as u64, Ordering::Relaxed);
+        }
         Ok(buf.len())
     }
 
@@ -47,8 +73,6 @@ impl Write for CountingWriter {
         Ok(())
     }
 }
-
-static STREAM_BYTES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 fn sink_for(net: &Network, phases: Phases) -> StreamSink<MotNode> {
     let size = net.config().size();
@@ -68,7 +92,7 @@ fn sink_for(net: &Network, phases: Phases) -> StreamSink<MotNode> {
         });
     }
     let series = TimeSeries::new(
-        asynoc::Duration::from_ns(1000),
+        asynoc::Duration::from_ns(WINDOW_NS),
         specs,
         Box::new(move |node: MotNode| match node {
             MotNode::Fanout(flat) => Some(FanoutNodeId::from_flat_index(size, flat).level as usize),
@@ -79,12 +103,12 @@ fn sink_for(net: &Network, phases: Phases) -> StreamSink<MotNode> {
     );
     StreamSink::new(
         Box::new(CountingWriter {
-            bytes: &STREAM_BYTES,
+            started: Instant::now(),
         }),
         StreamConfig {
             substrate: "mot".to_string(),
             config: asynoc::telemetry::JsonValue::Object(vec![]),
-            window: asynoc::Duration::from_ns(1000),
+            window: asynoc::Duration::from_ns(WINDOW_NS),
             trace_limit: None,
             watch: WatchConfig::default(),
         },
@@ -96,15 +120,26 @@ fn sink_for(net: &Network, phases: Phases) -> StreamSink<MotNode> {
     .expect("stream head writes")
 }
 
-/// One streamed serial run; returns (peak heap bytes, events, stream bytes).
-fn streamed_run(net: &Network, measure_ns: u64) -> (u64, u64, u64) {
+/// What one streamed run cost and did.
+struct Streamed {
+    peak_bytes: u64,
+    events: u64,
+    stream_bytes: u64,
+    /// When the first `window` record was written, as a share of the
+    /// run's wall time.
+    first_window_share: f64,
+}
+
+fn streamed_run(net: &Network, shards: usize, measure_ns: u64) -> Streamed {
     let phases = Phases::new(Duration::from_ns(40), Duration::from_ns(measure_ns));
     let run = RunConfig::new(Benchmark::Multicast5, 0.05)
         .expect("valid run")
         .with_phases(phases)
-        .with_shards(1)
+        .with_shards(shards)
         .with_latency_cap(Some(4096));
-    let stream_start = STREAM_BYTES.load(std::sync::atomic::Ordering::Relaxed);
+    let stream_start = STREAM_BYTES.load(Ordering::Relaxed);
+    FIRST_WINDOW_NS.store(0, Ordering::Relaxed);
+    let started = Instant::now();
     let mut sink = sink_for(net, phases);
     reset_peak_bytes();
     let report = {
@@ -112,14 +147,21 @@ fn streamed_run(net: &Network, measure_ns: u64) -> (u64, u64, u64) {
         net.run_with_observers(&run, &mut extra)
             .expect("run completes")
     };
-    let peak = peak_bytes();
+    let peak_bytes = peak_bytes();
+    let wall_ns = started.elapsed().as_nanos().max(1) as f64;
     sink.finish(asynoc::telemetry::JsonValue::Object(vec![]))
         .expect("stream closes");
-    let written = STREAM_BYTES.load(std::sync::atomic::Ordering::Relaxed) - stream_start;
-    (peak, report.events_processed, written)
+    assert_eq!(report.shards, shards);
+    Streamed {
+        peak_bytes,
+        events: report.events_processed,
+        stream_bytes: STREAM_BYTES.load(Ordering::Relaxed) - stream_start,
+        first_window_share: FIRST_WINDOW_NS.load(Ordering::Relaxed) as f64 / wall_ns,
+    }
 }
 
-fn main() {
+/// The gate at one shard count; `false` when it fails.
+fn peak_is_bounded(shards: usize) -> bool {
     let size = 64;
     let net = Network::new(NetworkConfig::new(
         MotSize::new(size).expect("64 is a power of two"),
@@ -129,32 +171,58 @@ fn main() {
 
     // Warm the allocator and event pool so the measured short run is
     // not charged for one-time growth the long run gets for free.
-    let _ = streamed_run(&net, 300);
+    let _ = streamed_run(&net, shards, 300);
 
-    let (short_peak, short_events, short_bytes) = streamed_run(&net, 300);
-    let (long_peak, long_events, long_bytes) = streamed_run(&net, 2400);
-    let ratio = long_peak as f64 / short_peak.max(1) as f64;
+    let short = streamed_run(&net, shards, 300);
+    let long = streamed_run(&net, shards, 2400);
+    let ratio = long.peak_bytes as f64 / short.peak_bytes.max(1) as f64;
     println!(
-        "memcheck ({size}x{size} MoT, streamed, serial):\n\
-         \x20 short run : {short_events:>9} events, peak {short_peak:>11} B, stream {short_bytes} B\n\
-         \x20 long run  : {long_events:>9} events, peak {long_peak:>11} B, stream {long_bytes} B\n\
-         \x20 peak ratio: {ratio:.3} (events grew {:.1}x, gate {HEADROOM})",
-        long_events as f64 / short_events.max(1) as f64
+        "memcheck ({size}x{size} MoT, streamed, {shards} shard(s)):\n\
+         \x20 short run : {:>9} events, peak {:>11} B, stream {} B\n\
+         \x20 long run  : {:>9} events, peak {:>11} B, stream {} B\n\
+         \x20 peak ratio: {ratio:.3} (events grew {:.1}x, gate {HEADROOM}); \
+         first window record at {:.0} % of the long run",
+        short.events,
+        short.peak_bytes,
+        short.stream_bytes,
+        long.events,
+        long.peak_bytes,
+        long.stream_bytes,
+        long.events as f64 / short.events.max(1) as f64,
+        100.0 * long.first_window_share,
     );
     assert!(
-        long_events > 4 * short_events,
+        long.events > 4 * short.events,
         "long run must process several times more events for the gate to mean anything"
     );
     assert!(
-        long_bytes > short_bytes,
+        long.stream_bytes > short.stream_bytes,
         "the longer run must stream more windows"
     );
     if ratio > HEADROOM {
         eprintln!(
-            "FAIL: peak allocation grew {ratio:.2}x on an 8x-longer streamed run \
-             (> {HEADROOM}); an O(events) buffer is hiding in the live-export path"
+            "FAIL: peak allocation grew {ratio:.2}x on an 8x-longer streamed run at \
+             {shards} shard(s) (> {HEADROOM}); an O(events) buffer is hiding in the \
+             live-export path"
         );
-        std::process::exit(1);
+        return false;
+    }
+    if !(long.first_window_share > 0.0 && long.first_window_share < 0.5) {
+        eprintln!(
+            "FAIL: at {shards} shard(s) the first window record was written {:.0} % into \
+             the run; the stream is not live",
+            100.0 * long.first_window_share
+        );
+        return false;
+    }
+    true
+}
+
+fn main() {
+    for shards in [1, 2] {
+        if !with_deadline(DEADLINE_S, move || peak_is_bounded(shards)) {
+            std::process::exit(1);
+        }
     }
     println!("OK: streamed peak memory is bounded independent of run length");
 }

@@ -13,9 +13,12 @@
 
 use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
 use asynoc_bench::conformance::{mesh, mot, vcmesh, Fingerprint};
+use asynoc_kernel::with_deadline;
 use asynoc_vcmesh::McastScheme;
 
 const SHARDS: [usize; 2] = [1, 2];
+/// A window protocol that loses a wake-up hangs; fail instead.
+const DEADLINE_S: u64 = 600;
 
 /// Runs `run` on `net` with profiling off and on, serial and sharded,
 /// and holds the two sides against each other: identical event stream,
@@ -93,32 +96,38 @@ fn check_profile_attribution(
 
 #[test]
 fn mot_runs_are_bit_identical_with_profiling_on() {
-    runs_are_bit_identical_with_profiling_on(
-        &mot(Architecture::OptHybridSpeculative, 7),
-        &RunConfig::quick(Benchmark::Multicast10, 0.3),
-        |_, _| {},
-    );
+    with_deadline(DEADLINE_S, || {
+        runs_are_bit_identical_with_profiling_on(
+            &mot(Architecture::OptHybridSpeculative, 7),
+            &RunConfig::quick(Benchmark::Multicast10, 0.3),
+            |_, _| {},
+        );
+    });
 }
 
 #[test]
 fn mesh_runs_are_bit_identical_with_profiling_on() {
-    runs_are_bit_identical_with_profiling_on(
-        &mesh(7),
-        &RunConfig::quick(Benchmark::UniformRandom, 0.25),
-        |plain, profiled| assert!((plain.mean_hops - profiled.mean_hops).abs() == 0.0),
-    );
+    with_deadline(DEADLINE_S, || {
+        runs_are_bit_identical_with_profiling_on(
+            &mesh(7),
+            &RunConfig::quick(Benchmark::UniformRandom, 0.25),
+            |plain, profiled| assert!((plain.mean_hops - profiled.mean_hops).abs() == 0.0),
+        );
+    });
 }
 
 #[test]
 fn vcmesh_runs_are_bit_identical_with_profiling_on() {
-    for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
-        runs_are_bit_identical_with_profiling_on(
-            &vcmesh(mcast, 7),
-            &RunConfig::quick(Benchmark::Multicast10, 0.1),
-            |plain, profiled| {
-                assert!((plain.mean_hops - profiled.mean_hops).abs() == 0.0);
-                assert_eq!(plain.link_traversals, profiled.link_traversals);
-            },
-        );
-    }
+    with_deadline(DEADLINE_S, || {
+        for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
+            runs_are_bit_identical_with_profiling_on(
+                &vcmesh(mcast, 7),
+                &RunConfig::quick(Benchmark::Multicast10, 0.1),
+                |plain, profiled| {
+                    assert!((plain.mean_hops - profiled.mean_hops).abs() == 0.0);
+                    assert_eq!(plain.link_traversals, profiled.link_traversals);
+                },
+            );
+        }
+    });
 }

@@ -2,11 +2,11 @@
 //!
 //! The conservative parallel engine's entire correctness claim is that
 //! it is *observationally identical* to the serial loop: the merged
-//! per-shard event records replay in the serial engine's canonical
+//! per-shard event logs replay in the serial engine's canonical
 //! `(time, key, seq)` order, therefore observers see the same stream,
 //! therefore every report field matches bit for bit. The substrate
 //! crates already prove this on one seed each; this test proves it
-//! across ten seeded runs per substrate and shard counts 1/2/4, plus a
+//! across ten seeded runs per substrate and shard counts 1/2/3/4, plus a
 //! fault-injection round trip whose ledger and verdict inputs must not
 //! move either. Both bodies take the substrate contract as input, so a
 //! new fabric joins by adding one call.
@@ -14,13 +14,16 @@
 use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
 use asynoc_bench::conformance::{mesh, mot, vcmesh, Fingerprint};
 use asynoc_faults::{run_outcome, FaultPlan};
-use asynoc_kernel::Duration;
+use asynoc_kernel::{with_deadline, Duration};
 use asynoc_mesh::MeshReport;
 use asynoc_stats::Phases;
 use asynoc_vcmesh::{McastScheme, VcMeshReport};
 
 const SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
-const SHARDS: [usize; 3] = [1, 2, 4];
+/// 3 cuts every fabric here into uneven bands.
+const SHARDS: [usize; 4] = [1, 2, 3, 4];
+/// A window protocol that loses a wake-up hangs; fail instead.
+const DEADLINE_S: u64 = 600;
 
 /// Runs `run` on `build(seed)` at every shard count and holds each
 /// sharded run against the serial one: identical event stream, identical
@@ -88,20 +91,24 @@ fn same_vc_planes(serial: &VcMeshReport, sharded: &VcMeshReport) {
 
 #[test]
 fn mot_runs_are_identical_at_every_shard_count() {
-    runs_are_identical_at_every_shard_count(
-        |seed| mot(Architecture::OptHybridSpeculative, seed),
-        &RunConfig::quick(Benchmark::Multicast10, 0.3),
-        |_, _| {},
-    );
+    with_deadline(DEADLINE_S, || {
+        runs_are_identical_at_every_shard_count(
+            |seed| mot(Architecture::OptHybridSpeculative, seed),
+            &RunConfig::quick(Benchmark::Multicast10, 0.3),
+            |_, _| {},
+        );
+    });
 }
 
 #[test]
 fn mesh_runs_are_identical_at_every_shard_count() {
-    runs_are_identical_at_every_shard_count(
-        mesh,
-        &RunConfig::quick(Benchmark::UniformRandom, 0.25),
-        same_hops,
-    );
+    with_deadline(DEADLINE_S, || {
+        runs_are_identical_at_every_shard_count(
+            mesh,
+            &RunConfig::quick(Benchmark::UniformRandom, 0.25),
+            same_hops,
+        );
+    });
 }
 
 /// The VC mesh adds a second event population — credit returns — to the
@@ -110,13 +117,15 @@ fn mesh_runs_are_identical_at_every_shard_count() {
 /// order. Multicast traffic exercises the fork path hardest.
 #[test]
 fn vcmesh_runs_are_identical_at_every_shard_count() {
-    for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
-        runs_are_identical_at_every_shard_count(
-            |seed| vcmesh(mcast, seed),
-            &RunConfig::quick(Benchmark::Multicast10, 0.1),
-            same_vc_planes,
-        );
-    }
+    with_deadline(DEADLINE_S, || {
+        for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
+            runs_are_identical_at_every_shard_count(
+                |seed| vcmesh(mcast, seed),
+                &RunConfig::quick(Benchmark::Multicast10, 0.1),
+                same_vc_planes,
+            );
+        }
+    });
 }
 
 /// Fault injection must survive sharding too: the armed-fault summary is
@@ -163,20 +172,24 @@ fn fault_run(benchmark: Benchmark, warmup_ns: u64, measure_ns: u64) -> RunConfig
 
 #[test]
 fn mot_fault_outcomes_are_identical_at_every_shard_count() {
-    fault_outcomes_are_identical_at_every_shard_count(
-        &mot(Architecture::BasicHybridSpeculative, 17),
-        17,
-        &fault_run(Benchmark::Multicast5, 20, 160),
-    );
+    with_deadline(DEADLINE_S, || {
+        fault_outcomes_are_identical_at_every_shard_count(
+            &mot(Architecture::BasicHybridSpeculative, 17),
+            17,
+            &fault_run(Benchmark::Multicast5, 20, 160),
+        );
+    });
 }
 
 #[test]
 fn mesh_fault_outcomes_are_identical_at_every_shard_count() {
-    fault_outcomes_are_identical_at_every_shard_count(
-        &mesh(23),
-        23,
-        &fault_run(Benchmark::UniformRandom, 40, 400),
-    );
+    with_deadline(DEADLINE_S, || {
+        fault_outcomes_are_identical_at_every_shard_count(
+            &mesh(23),
+            23,
+            &fault_run(Benchmark::UniformRandom, 40, 400),
+        );
+    });
 }
 
 /// Stall faults on a VC mesh land on credit-return channels as well as
@@ -184,11 +197,13 @@ fn mesh_fault_outcomes_are_identical_at_every_shard_count() {
 /// firing order too.
 #[test]
 fn vcmesh_fault_outcomes_are_identical_at_every_shard_count() {
-    for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
-        fault_outcomes_are_identical_at_every_shard_count(
-            &vcmesh(mcast, 23),
-            23,
-            &fault_run(Benchmark::Multicast5, 40, 400),
-        );
-    }
+    with_deadline(DEADLINE_S, || {
+        for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
+            fault_outcomes_are_identical_at_every_shard_count(
+                &vcmesh(mcast, 23),
+                23,
+                &fault_run(Benchmark::Multicast5, 40, 400),
+            );
+        }
+    });
 }

@@ -130,9 +130,11 @@ const SECTIONS: [(Group, &str, &str); 3] = [
     (
         Common,
         "COMMON OPTIONS",
-        "--jobs and --shards default to all hardware threads (shards clamped to\n\
-         what the topology supports); results are bit-identical at any setting —\n\
-         only wall time changes. --profile records the simulator's own execution\n\
+        "--jobs defaults to all hardware threads and --shards to 1: independent\n\
+         runs spread across cores at no cost, while splitting one run only pays\n\
+         on fabrics large enough to fill a window between barriers (shards are\n\
+         clamped to what the topology supports). Results are bit-identical at\n\
+         any setting — only wall time changes. --profile records the simulator's own execution\n\
          (scheduler counters, per-shard balance, barrier waits, phase wall\n\
          splits); multi-run commands (run --seeds, saturate, sweep, faults\n\
          --oracle) collect one runs[] entry per simulation. --progress reports\n\
@@ -571,15 +573,16 @@ const DEFAULT_SIZE: usize = 8;
 
 impl Default for CommonOptions {
     fn default() -> Self {
-        let threads = asynoc::default_parallelism();
         CommonOptions {
             size: DEFAULT_SIZE,
             seed: 42,
             flits: 5,
             warmup_ns: None,
             measure_ns: None,
-            jobs: threads,
-            shards: threads,
+            jobs: asynoc::default_parallelism(),
+            // One run on one thread unless asked: even a 64×64 MoT on two
+            // threads does not beat the serial loop (EXPERIMENTS.md).
+            shards: 1,
             profile: None,
             progress: false,
             stream: None,
@@ -1010,6 +1013,22 @@ mod tests {
                 common: CommonOptions::default(),
             }
         );
+    }
+
+    /// A run is split across threads only when asked: the README's
+    /// commands must not land on the sharded path by default.
+    #[test]
+    fn one_shard_unless_asked() {
+        let defaults = CommonOptions::default();
+        assert_eq!(defaults.shards, 1);
+        assert_eq!(defaults.jobs, asynoc::default_parallelism());
+        assert!(help(None).contains("--shards to 1"));
+        let Ok(Command::Run { common, .. }) = parse(&argv(
+            "run --arch Baseline --benchmark Shuffle --rate 0.2 --size 64 --shards 2",
+        )) else {
+            panic!("expected run");
+        };
+        assert_eq!(common.shards, 2);
     }
 
     #[test]

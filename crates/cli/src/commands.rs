@@ -682,57 +682,59 @@ mod tests {
 
     #[test]
     fn profiled_run_writes_the_document_and_leaves_stdout_unchanged() {
-        use asynoc_telemetry::JsonValue;
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "asynoc-cli-profile-test-{}.json",
-            std::process::id()
-        ));
-        let path = path.to_string_lossy().into_owned();
-        let base = "run --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 \
+        asynoc_kernel::with_deadline(120, || {
+            use asynoc_telemetry::JsonValue;
+            let mut path = std::env::temp_dir();
+            path.push(format!(
+                "asynoc-cli-profile-test-{}.json",
+                std::process::id()
+            ));
+            let path = path.to_string_lossy().into_owned();
+            let base = "run --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 \
                     --shards 2 --warmup-ns 40 --measure-ns 300";
-        let plain = run_cli(base);
-        let profiled = run_cli(&format!("{base} --profile {path}"));
-        // The profile goes to its file only — stdout must stay
-        // byte-identical (check.sh diffs exactly this).
-        assert_eq!(plain, profiled);
-        let doc = JsonValue::parse(&std::fs::read_to_string(&path).expect("profile file"))
-            .expect("profile document is valid JSON");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(
-            doc.get("schema").and_then(JsonValue::as_str),
-            Some(asynoc::probe::PROFILE_SCHEMA)
-        );
-        let runs = doc.get("runs").and_then(JsonValue::as_array).expect("runs");
-        assert_eq!(runs.len(), 1);
-        let shards = runs[0]
-            .get("shards")
-            .and_then(JsonValue::as_array)
-            .expect("per-shard sections");
-        assert_eq!(shards.len(), 2, "one section per shard");
-        for shard in shards {
-            assert!(
-                shard.get("events").and_then(JsonValue::as_f64).unwrap() > 0.0,
-                "both shards executed events"
+            let plain = run_cli(base);
+            let profiled = run_cli(&format!("{base} --profile {path}"));
+            // The profile goes to its file only — stdout must stay
+            // byte-identical (check.sh diffs exactly this).
+            assert_eq!(plain, profiled);
+            let doc = JsonValue::parse(&std::fs::read_to_string(&path).expect("profile file"))
+                .expect("profile document is valid JSON");
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(
+                doc.get("schema").and_then(JsonValue::as_str),
+                Some(asynoc::probe::PROFILE_SCHEMA)
             );
+            let runs = doc.get("runs").and_then(JsonValue::as_array).expect("runs");
+            assert_eq!(runs.len(), 1);
+            let shards = runs[0]
+                .get("shards")
+                .and_then(JsonValue::as_array)
+                .expect("per-shard sections");
+            assert_eq!(shards.len(), 2, "one section per shard");
+            for shard in shards {
+                assert!(
+                    shard.get("events").and_then(JsonValue::as_f64).unwrap() > 0.0,
+                    "both shards executed events"
+                );
+                assert!(
+                    shard
+                        .get("barrier_wait")
+                        .and_then(|h| h.get("count"))
+                        .and_then(JsonValue::as_f64)
+                        .unwrap()
+                        > 0.0,
+                    "sharded runs wait at the window barrier"
+                );
+            }
+            let imbalance = runs[0].get("imbalance").expect("imbalance summary");
             assert!(
-                shard
-                    .get("barrier_wait")
-                    .and_then(|h| h.get("count"))
+                imbalance
+                    .get("event_ratio")
                     .and_then(JsonValue::as_f64)
                     .unwrap()
-                    > 0.0,
-                "sharded runs wait at the window barrier"
+                    >= 1.0
             );
-        }
-        let imbalance = runs[0].get("imbalance").expect("imbalance summary");
-        assert!(
-            imbalance
-                .get("event_ratio")
-                .and_then(JsonValue::as_f64)
-                .unwrap()
-                >= 1.0
-        );
+        });
     }
 
     fn profile_runs(line: &str, path: &str) -> usize {

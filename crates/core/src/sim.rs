@@ -493,29 +493,32 @@ impl SimModel for MotModel<'_> {
 }
 
 impl MotModel<'_> {
-    /// The smallest delay that can cross a shard cut: every cut channel
-    /// is a fanout-leaf → fanin-leaf link, crossed forward by a fanout
-    /// launch (`forward + wire`) and backward by the fanin's acknowledge
-    /// (`free_delay`). Taking the minimum over every node kind and flit
-    /// class present is conservative — at worst the windows are a little
-    /// narrower than strictly necessary.
+    /// The smallest delay that can cross a shard cut. Every cut channel
+    /// is a fanout-leaf → fanin-leaf link, crossed forward only by a
+    /// *leaf* fanout's launch (`forward + wire`) and backward only by the
+    /// fanin's acknowledge (`free_delay`), so the minimum runs over the
+    /// kinds present at the leaf fanout level and the fanin — not over
+    /// the faster speculative kinds further up, which `SpecMap` keeps
+    /// off the leaves and which would only narrow the windows.
     fn min_cut_delay(&self) -> Duration {
         let wire = self.timing.wire_delay;
         let classes = [FlitClass::Header, FlitClass::Body];
-        let per_kind = |timing: &asynoc_nodes::KindTiming| {
-            classes
-                .iter()
-                .flat_map(|&class| [timing.forward(class) + wire, timing.free_delay(class)])
-                .min()
-                .expect("two classes considered")
-        };
-        self.fabric
+        let leaf_level = self.fabric.size.levels() - 1;
+        let launches = self
+            .fabric
             .fanout_kind
             .iter()
-            .map(|&kind| per_kind(self.timing.fanout(kind)))
-            .chain(std::iter::once(per_kind(&self.timing.fanin)))
+            .zip(&self.fabric.fanout_coords)
+            .filter(|(_, coords)| coords.level == leaf_level)
+            .flat_map(|(&kind, _)| {
+                let timing = self.timing.fanout(kind);
+                classes.map(|class| timing.forward(class) + wire)
+            });
+        let acknowledges = classes.map(|class| self.timing.fanin.free_delay(class));
+        launches
+            .chain(acknowledges)
             .min()
-            .expect("network has nodes")
+            .expect("the fanin acknowledges")
     }
 }
 
@@ -688,42 +691,64 @@ mod tests {
 
     #[test]
     fn sharded_runs_match_serial_bit_for_bit() {
-        for arch in [Architecture::Baseline, Architecture::OptHybridSpeculative] {
-            let network = Network::new(NetworkConfig::eight_by_eight(arch).with_seed(7)).unwrap();
-            let run = RunConfig::quick(Benchmark::Multicast5, 0.3);
-            let traced = |run: &RunConfig| {
-                let mut trace = TraceCollector::new(512, network.site_label());
-                let report = network.run_with_observers(run, &mut [&mut trace]).unwrap();
-                (report, trace.into_records())
-            };
-            let (serial, serial_trace) = traced(&run);
-            assert_eq!(serial.shards, 1);
-            for shards in [2, 3, 8] {
-                let (sharded, sharded_trace) = traced(&run.clone().with_shards(shards));
-                assert_eq!(sharded.shards, shards, "{arch}: shard count honoured");
-                assert_eq!(
-                    sharded.shard_events.iter().sum::<u64>(),
-                    sharded.events_processed
-                );
-                assert_eq!(sharded.events_processed, serial.events_processed, "{arch}");
-                assert_eq!(sharded.latency.mean(), serial.latency.mean(), "{arch}");
-                assert_eq!(sharded.latency.count(), serial.latency.count());
-                assert_eq!(sharded.throughput, serial.throughput, "{arch}");
-                assert_eq!(sharded.packets_measured, serial.packets_measured);
-                assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);
-                assert_eq!(sharded.flits_throttled, serial.flits_throttled, "{arch}");
-                assert_eq!(sharded.flits_delivered, serial.flits_delivered, "{arch}");
-                assert_eq!(sharded_trace, serial_trace, "{arch}: trace streams differ");
-                assert_eq!(
-                    format!("{:?}", sharded.activity),
-                    format!("{:?}", serial.activity),
-                    "{arch}: per-node activity differs"
-                );
-                assert!(
-                    (sharded.power.total_mw() - serial.power.total_mw()).abs() < 1e-12,
-                    "{arch}: power accounting differs"
-                );
+        asynoc_kernel::with_deadline(120, || {
+            for arch in [Architecture::Baseline, Architecture::OptHybridSpeculative] {
+                let network =
+                    Network::new(NetworkConfig::eight_by_eight(arch).with_seed(7)).unwrap();
+                let run = RunConfig::quick(Benchmark::Multicast5, 0.3);
+                let traced = |run: &RunConfig| {
+                    let mut trace = TraceCollector::new(512, network.site_label());
+                    let report = network.run_with_observers(run, &mut [&mut trace]).unwrap();
+                    (report, trace.into_records())
+                };
+                let (serial, serial_trace) = traced(&run);
+                assert_eq!(serial.shards, 1);
+                for shards in [2, 3, 8] {
+                    let (sharded, sharded_trace) = traced(&run.clone().with_shards(shards));
+                    assert_eq!(sharded.shards, shards, "{arch}: shard count honoured");
+                    assert_eq!(
+                        sharded.shard_events.iter().sum::<u64>(),
+                        sharded.events_processed
+                    );
+                    assert_eq!(sharded.events_processed, serial.events_processed, "{arch}");
+                    assert_eq!(sharded.latency.mean(), serial.latency.mean(), "{arch}");
+                    assert_eq!(sharded.latency.count(), serial.latency.count());
+                    assert_eq!(sharded.throughput, serial.throughput, "{arch}");
+                    assert_eq!(sharded.packets_measured, serial.packets_measured);
+                    assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);
+                    assert_eq!(sharded.flits_throttled, serial.flits_throttled, "{arch}");
+                    assert_eq!(sharded.flits_delivered, serial.flits_delivered, "{arch}");
+                    assert_eq!(sharded_trace, serial_trace, "{arch}: trace streams differ");
+                    assert_eq!(
+                        format!("{:?}", sharded.activity),
+                        format!("{:?}", serial.activity),
+                        "{arch}: per-node activity differs"
+                    );
+                    assert!(
+                        (sharded.power.total_mw() - serial.power.total_mw()).abs() < 1e-12,
+                        "{arch}: power accounting differs"
+                    );
+                }
             }
+        });
+    }
+
+    /// The cut is crossed forward by a leaf fanout's launch and backward
+    /// by the fanin's acknowledge, and no preset puts a speculative kind
+    /// on the leaves: the fanin's 160 ps is the tight bound everywhere,
+    /// not the 112–150 ps of a speculative node further up the tree.
+    #[test]
+    fn lookahead_is_the_tightest_delay_on_the_cut() {
+        for arch in Architecture::ALL {
+            let network = Network::new(NetworkConfig::eight_by_eight(arch)).unwrap();
+            let (model, _) = network.prepare(&RunConfig::quick(Benchmark::Shuffle, 0.1));
+            let fanin = network.config().timing().fanin;
+            assert_eq!(
+                model.partition(2).lookahead(),
+                fanin.free_delay(FlitClass::Header),
+                "{arch}"
+            );
+            assert_eq!(model.partition(2).lookahead(), Duration::from_ps(160));
         }
     }
 

@@ -14,7 +14,7 @@ use asynoc_traffic::SourceTraffic;
 use crate::fault::{ArmedFaults, SourceFaultAction};
 use crate::observer::{Observer, SimEvent};
 use crate::pool::FlitPool;
-use crate::shard::{EventRecord, OwnedSimEvent, PendOp, ShardState, WireMsg};
+use crate::shard::{OwnedSimEvent, PendOp, ShardLog, ShardState, WireMsg};
 
 /// One end of a channel: who launches into it / who consumes from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -619,11 +619,10 @@ impl<N: Copy + std::fmt::Debug + NodeKey> Ctx<'_, '_, N> {
             }
         }
         if let Some(shard) = self.shard.as_mut() {
-            // Sharded runs buffer the stream per executed event; the
-            // fold replays it to the real observers in exact serial
-            // order after the run.
+            // Sharded runs log the stream per executed event; shard 0
+            // replays it to the real observers in exact serial order.
             if shard.record_obs {
-                shard.open_record().obs.push(OwnedSimEvent::capture(event));
+                shard.log.push_obs(OwnedSimEvent::capture(event));
             }
             return;
         }
@@ -785,9 +784,9 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
     }
 
     /// Prepares one shard of a sharded run: the session owns only the
-    /// sources its shard was assigned, buffers its observable stream
-    /// into the shard's records, and exchanges cut-channel influence via
-    /// the sharded runner's mailboxes (see `crate::shard`).
+    /// sources its shard was assigned, logs its observable stream into
+    /// the shard's log, and exchanges cut-channel influence via the
+    /// sharded runner's mailboxes (see `crate::shard`).
     pub(crate) fn build_shard(
         model: M,
         traffic: Vec<SourceTraffic>,
@@ -1011,8 +1010,8 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
         self.ctx.queue.peek_time()
     }
 
-    /// Executes every local event strictly before `end`, recording each
-    /// executed event's observable effects into the shard's records.
+    /// Executes every local event strictly before `end`, logging each
+    /// executed event's observable effects into the shard's log.
     ///
     /// Newly scheduled local events that still fall inside the window
     /// are executed too, so on return the local frontier is at least
@@ -1029,9 +1028,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
             let (shard_index, occ) = {
                 let shard = self.ctx.shard.as_mut().expect("sharded session");
                 shard.occ += 1;
-                let occ = shard.occ;
-                shard.records.push(EventRecord::open(t, key, occ));
-                (shard.shard, occ)
+                (shard.shard, shard.occ)
             };
             match event {
                 Event::Inject { source } => {
@@ -1060,20 +1057,12 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
                 let after = self.ctx.faults.as_deref().expect("still armed").summary();
                 crate::shard::summary_delta(before, after)
             });
+            // An event that did nothing observable leaves no record —
+            // except in the drain tail, where the fold needs every event
+            // to find the serial loop's exact stopping point.
             let drain_tail = self.ctx.drain && t >= self.ctx.injection_end;
             let shard = self.ctx.shard.as_mut().expect("sharded session");
-            let record = shard.records.last_mut().expect("record opened above");
-            record.fault_delta = fault_delta;
-            // Keep the record only if the event did something observable
-            // — or if it falls in the drain tail, where the fold needs
-            // every event to find the serial loop's exact stopping point.
-            if record.obs.is_empty()
-                && record.pend.is_empty()
-                && record.fault_delta.is_none()
-                && !drain_tail
-            {
-                shard.records.pop();
-            }
+            shard.log.close(t, key, occ, fault_delta, drain_tail);
             if t < self.ctx.injection_end {
                 shard.pre_end_events += 1;
             }
@@ -1099,22 +1088,18 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
         }
     }
 
-    /// Drains the shard's outbound messages accumulated this window.
-    pub(crate) fn take_outbox(&mut self) -> Vec<(usize, WireMsg)> {
-        let shard = self.ctx.shard.as_mut().expect("sharded session");
-        std::mem::take(&mut shard.outbox)
+    /// The cut-channel messages this shard's last window produced, for
+    /// the runner to drain into the mailboxes.
+    pub(crate) fn outbox(&mut self) -> &mut Vec<(usize, WireMsg)> {
+        &mut self.ctx.shard.as_mut().expect("sharded session").outbox
     }
 
-    /// Returns an outbox buffer for reuse (capacity recycling).
-    pub(crate) fn restore_outbox(&mut self, mut outbox: Vec<(usize, WireMsg)>) {
-        outbox.clear();
-        let shard = self.ctx.shard.as_mut().expect("sharded session");
-        if shard.outbox.capacity() < outbox.capacity() {
-            shard.outbox = outbox;
-        }
+    /// The shard's log, for the runner to swap out at a hand-off.
+    pub(crate) fn log_mut(&mut self) -> &mut ShardLog<M::Node> {
+        &mut self.ctx.shard.as_mut().expect("sharded session").log
     }
 
-    /// Tears one finished shard down into what the fold consumes.
+    /// Tears one finished shard down into what the runner collects.
     ///
     /// The shard's profile section carries what the *session* observed
     /// (events, kinds, queue/pool counters, phase wall split); the
@@ -1136,7 +1121,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
             })
         });
         crate::shard::ShardParts {
-            records: shard.records,
+            log: shard.log,
             pre_end_events: shard.pre_end_events,
             throughput: ctx.throughput,
             flits_throttled: ctx.flits_throttled,
@@ -1217,8 +1202,8 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
 
         if let Some(shard) = self.ctx.shard.as_mut() {
             // The packet's destinations may live on other shards, so the
-            // pending set is folded centrally after the run.
-            shard.open_record().pend.push(PendOp::Insert {
+            // pending set is folded centrally, on shard 0.
+            shard.log.push_pend(PendOp::Insert {
                 logical: logical.as_u64(),
                 awaiting: dests,
                 measured,
@@ -1371,7 +1356,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
         let descriptor = flit.descriptor();
         let logical = descriptor.logical_id().as_u64();
         if let Some(shard) = self.ctx.shard.as_mut() {
-            shard.open_record().pend.push(PendOp::Lose {
+            shard.log.push_pend(PendOp::Lose {
                 logical,
                 dests: descriptor.dests(),
             });
@@ -1403,10 +1388,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
             if let Some(shard) = self.ctx.shard.as_mut() {
                 // Completion accounting (latency, the delivery audit) is
                 // folded centrally; deliveries just leave a record.
-                shard
-                    .open_record()
-                    .pend
-                    .push(PendOp::Deliver { logical, dest });
+                shard.log.push_pend(PendOp::Deliver { logical, dest });
             } else if let Some(pending) = self.ctx.pending.get_mut(&logical) {
                 // Delivery audit: a header may reach each destination in
                 // its set exactly once — a duplicate means a redundant

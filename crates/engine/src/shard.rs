@@ -20,29 +20,44 @@
 //!    shard executes an event only after every message that could
 //!    precede it has been delivered. Each shard therefore executes
 //!    exactly the serial event sequence restricted to its own entities.
-//! 3. **A deterministic fold.** Each shard records the observable
-//!    payload of every interesting event (observer emissions, pending-
-//!    packet transitions, fault-summary increments) tagged with
-//!    `(time, key, occurrence)`. After the workers join, the fold merges
-//!    the records into exact serial order on one thread: it replays
-//!    observers, reruns the delivery audit, computes latency, finds the
-//!    serial loop's precise drain stopping point, and trims everything
-//!    the workers executed past it.
+//! 3. **A deterministic fold, as the run goes.** Each shard logs the
+//!    observable payload of every interesting event (observer emissions,
+//!    pending-packet transitions, fault-summary increments) tagged with
+//!    `(time, key, occurrence)` into one flat, reusable [`ShardLog`].
+//!    Every [`HANDOFF_WINDOWS`] windows each shard swaps its log into a
+//!    slot *before* the window barrier, and shard 0 — the calling
+//!    thread, which holds the observers — merges the slots *after* it:
+//!    every shard has then executed everything before the window's end,
+//!    so those records are final and their `(time, key, occurrence)`
+//!    merge is the serial loop's order. The fold replays observers,
+//!    reruns the delivery audit, computes latency, finds the serial
+//!    loop's precise drain stopping point and drops everything logged
+//!    past it. Shard 0 cannot reach the next barrier before it has
+//!    folded, so the barrier is the only synchronisation, two logs per
+//!    shard bound the memory, and a streaming observer sees the run
+//!    while it happens.
 //!
 //! Live aggregates that only accumulate inside the measurement window
 //! (throughput counters, delivered/throttled flits) are summed directly:
 //! workers never overrun *into* the window, only past its end, so those
 //! sums are exact without trimming.
+//!
+//! A shard that panics — in a model's `fire`, or shard 0 in an observer
+//! or in the fold's delivery audit — aborts the barrier from a drop
+//! guard, the other shards leave their loops as if the run had
+//! quiesced, and the first payload is re-raised once all have joined.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::ops::{ControlFlow, Deref, DerefMut};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use asynoc_kernel::{
     CalendarQueue, Duration, FaultClass, Mailboxes, ShardedScheduler, Time, WindowBarrier,
 };
 use asynoc_packet::{DestSet, Flit};
 use asynoc_probe::{EngineProfile, HostHistogram, ProfileSink, ProgressMeter, ShardProfile};
-use asynoc_stats::ThroughputCounter;
+use asynoc_stats::{LatencyStats, Phases, ThroughputCounter};
 use asynoc_traffic::SourceTraffic;
 
 use crate::fault::{ArmedFaults, FaultSummary};
@@ -200,6 +215,15 @@ pub(crate) enum WireMsg {
     Free { channel: usize, at: Time },
 }
 
+impl WireMsg {
+    /// When the carried event executes on the receiving shard.
+    fn at(&self) -> Time {
+        match *self {
+            WireMsg::Arrive { at, .. } | WireMsg::Free { at, .. } => at,
+        }
+    }
+}
+
 /// An owned copy of one observer event, buffered for ordered replay.
 #[derive(Clone, Debug)]
 pub(crate) enum OwnedSimEvent<N> {
@@ -318,29 +342,157 @@ pub(crate) enum PendOp {
     Lose { logical: u64, dests: DestSet },
 }
 
-/// Everything observable one executed event produced, tagged with its
-/// position in the canonical total order.
-#[derive(Debug)]
-pub(crate) struct EventRecord<N> {
-    pub(crate) time: Time,
-    pub(crate) key: u64,
+/// The head of one logged event: its position in the canonical total
+/// order, and where its payload ends in the log's two arenas (it starts
+/// where the previous head's ends).
+#[derive(Clone, Copy, Debug)]
+struct RecordHead {
+    time: Time,
+    key: u64,
     /// The shard's pop counter at this event: orders equal `(time, key)`
     /// pairs, which are always same-shard re-schedules.
-    pub(crate) occ: u64,
-    pub(crate) obs: Vec<OwnedSimEvent<N>>,
-    pub(crate) pend: Vec<PendOp>,
-    pub(crate) fault_delta: Option<FaultSummary>,
+    occ: u64,
+    obs_end: usize,
+    pend_end: usize,
+    fault_delta: Option<FaultSummary>,
 }
 
-impl<N> EventRecord<N> {
-    pub(crate) fn open(time: Time, key: u64, occ: u64) -> Self {
-        EventRecord {
-            time,
-            key,
-            occ,
+/// Everything observable one executed event produced, as the fold reads
+/// it back out of a [`ShardLog`].
+struct Record<'a, N> {
+    time: Time,
+    obs: &'a [OwnedSimEvent<N>],
+    pend: &'a [PendOp],
+    fault_delta: Option<FaultSummary>,
+}
+
+/// One shard's observable output since its last hand-off, in execution
+/// order: record heads indexing one arena of observer events and one of
+/// pending-packet transitions. The log is cleared and reused, never
+/// dropped, so an executed event allocates nothing once the arenas have
+/// grown to a hand-off interval's worth.
+#[derive(Debug)]
+pub(crate) struct ShardLog<N> {
+    heads: Vec<RecordHead>,
+    obs: Vec<OwnedSimEvent<N>>,
+    pend: Vec<PendOp>,
+}
+
+impl<N> ShardLog<N> {
+    pub(crate) fn new() -> Self {
+        ShardLog {
+            heads: Vec::new(),
             obs: Vec::new(),
             pend: Vec::new(),
-            fault_delta: None,
+        }
+    }
+
+    /// Logs an observer event of the event being executed.
+    pub(crate) fn push_obs(&mut self, event: OwnedSimEvent<N>) {
+        self.obs.push(event);
+    }
+
+    /// Logs a pending-packet transition of the event being executed.
+    pub(crate) fn push_pend(&mut self, op: PendOp) {
+        self.pend.push(op);
+    }
+
+    /// Closes the event being executed: everything pushed since the
+    /// previous close is its payload. An event that did nothing
+    /// observable leaves no record unless `keep` asks for one.
+    pub(crate) fn close(
+        &mut self,
+        time: Time,
+        key: u64,
+        occ: u64,
+        fault_delta: Option<FaultSummary>,
+        keep: bool,
+    ) {
+        let (obs_start, pend_start) = self.ends(self.heads.len());
+        if keep
+            || fault_delta.is_some()
+            || self.obs.len() > obs_start
+            || self.pend.len() > pend_start
+        {
+            self.heads.push(RecordHead {
+                time,
+                key,
+                occ,
+                obs_end: self.obs.len(),
+                pend_end: self.pend.len(),
+                fault_delta,
+            });
+        }
+    }
+
+    /// Where the arenas stand after the first `records` records.
+    fn ends(&self, records: usize) -> (usize, usize) {
+        match records.checked_sub(1) {
+            Some(last) => (self.heads[last].obs_end, self.heads[last].pend_end),
+            None => (0, 0),
+        }
+    }
+
+    fn record(&self, index: usize) -> Record<'_, N> {
+        let head = &self.heads[index];
+        let (obs_start, pend_start) = self.ends(index);
+        Record {
+            time: head.time,
+            obs: &self.obs[obs_start..head.obs_end],
+            pend: &self.pend[pend_start..head.pend_end],
+            fault_delta: head.fault_delta,
+        }
+    }
+
+    /// Position `index`'s sort key in the merged order.
+    fn order(&self, index: usize, shard: usize) -> Option<MergeKey> {
+        let head = self.heads.get(index)?;
+        Some((head.time, head.key, head.occ, shard))
+    }
+
+    /// Empties the log, keeping its capacity.
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.obs.clear();
+        self.pend.clear();
+    }
+}
+
+/// `(time, key, occurrence, shard)`: the serial loop's execution order.
+type MergeKey = (Time, u64, u64, usize);
+
+/// Visits the records of `logs` in the serial loop's order until `visit`
+/// breaks. Each log is already sorted — it is its shard's execution
+/// order — and equal `(time, key)` pairs never span shards, so merging
+/// by `(time, key, occurrence)` reproduces the order one queue would
+/// have popped them in.
+fn merge_logs<N, L: Deref<Target = ShardLog<N>>>(
+    logs: &[L],
+    mut visit: impl FnMut(usize, Record<'_, N>) -> ControlFlow<()>,
+) {
+    let mut cursor = vec![0usize; logs.len()];
+    let mut heads: BinaryHeap<Reverse<MergeKey>> = logs
+        .iter()
+        .enumerate()
+        .filter_map(|(shard, log)| log.order(0, shard).map(Reverse))
+        .collect();
+    while let Some(Reverse((.., shard))) = heads.pop() {
+        // This shard's records run on until they pass the earliest head
+        // of any other shard.
+        let limit = heads.peek().map(|&Reverse(key)| key);
+        loop {
+            if visit(shard, logs[shard].record(cursor[shard])).is_break() {
+                return;
+            }
+            cursor[shard] += 1;
+            match logs[shard].order(cursor[shard], shard) {
+                None => break,
+                Some(next) if limit.is_some_and(|limit| next > limit) => {
+                    heads.push(Reverse(next));
+                    break;
+                }
+                Some(_) => {}
+            }
         }
     }
 }
@@ -350,14 +502,14 @@ impl<N> EventRecord<N> {
 pub(crate) struct ShardState<N> {
     pub(crate) shard: usize,
     pub(crate) partition: Arc<Partition>,
-    /// Whether observer events must be buffered (any observer present).
+    /// Whether observer events must be logged (any observer present).
     pub(crate) record_obs: bool,
     /// Events popped so far (the `occ` tag).
     pub(crate) occ: u64,
     /// Events executed before the injection end (never trimmed).
     pub(crate) pre_end_events: u64,
     pub(crate) outbox: Vec<(usize, WireMsg)>,
-    pub(crate) records: Vec<EventRecord<N>>,
+    pub(crate) log: ShardLog<N>,
 }
 
 impl<N> ShardState<N> {
@@ -369,15 +521,8 @@ impl<N> ShardState<N> {
             occ: 0,
             pre_end_events: 0,
             outbox: Vec::new(),
-            records: Vec::new(),
+            log: ShardLog::new(),
         })
-    }
-
-    /// The record of the event currently being executed.
-    pub(crate) fn open_record(&mut self) -> &mut EventRecord<N> {
-        self.records
-            .last_mut()
-            .expect("an event record is open during dispatch")
     }
 }
 
@@ -406,9 +551,10 @@ fn summary_add(a: FaultSummary, b: FaultSummary) -> FaultSummary {
     }
 }
 
-/// What one finished shard hands to the fold.
+/// What one finished shard hands back to the runner.
 pub(crate) struct ShardParts<M: SimModel> {
-    pub(crate) records: Vec<EventRecord<M::Node>>,
+    /// What the shard logged after its last hand-off.
+    pub(crate) log: ShardLog<M::Node>,
     pub(crate) pre_end_events: u64,
     pub(crate) throughput: ThroughputCounter,
     pub(crate) flits_throttled: u64,
@@ -432,7 +578,9 @@ pub(crate) struct ShardParts<M: SimModel> {
 ///
 /// # Panics
 ///
-/// As [`run`](crate::run); additionally if a worker thread panics.
+/// As [`run`](crate::run). A panic on any shard — in the model, an
+/// observer, or the delivery audit — ends the other shards' loops and
+/// is re-raised here once they have joined.
 pub fn run_sharded<M: ShardModel>(
     model: M,
     traffic: Vec<SourceTraffic>,
@@ -462,6 +610,166 @@ pub fn run_sharded_with_faults<M: ShardModel>(
     run_sharded_inner(model, traffic, spec, shards, observers, Some(faults))
 }
 
+/// Windows between two hand-offs of the shards' logs to the fold. A
+/// constant every shard applies to the window count it derives from the
+/// same barrier snapshots, so all agree on the hand-off windows without
+/// saying so. It bounds a log at this many windows' events, and is large
+/// enough that the slot swap and the merge set-up vanish beside the
+/// windows themselves. Must be at least 2: a shard swaps its log into
+/// its slot *before* the barrier shard 0 folds *after*, so with 1 the
+/// next swap could overtake the fold of the previous one.
+const HANDOFF_WINDOWS: u64 = 64;
+const _: () = assert!(HANDOFF_WINDOWS >= 2);
+
+/// What the shards of one run share.
+struct Shared<N> {
+    barrier: WindowBarrier,
+    /// Cut-channel messages, one set per window parity.
+    mailboxes: [Mailboxes<WireMsg>; 2],
+    /// Where shard `s` leaves a finished log for the fold and finds the
+    /// emptied one of the hand-off before.
+    slots: Vec<Mutex<ShardLog<N>>>,
+    injection_end: Time,
+    hard_cap: Time,
+    lookahead: Duration,
+}
+
+/// A slot's log. Its holders swap, merge and clear — never leave it
+/// half-written — and the fold may panic (the delivery audit) with every
+/// slot locked, so a poisoned slot is read like any other.
+fn lock_slot<N>(slot: &Mutex<ShardLog<N>>) -> MutexGuard<'_, ShardLog<N>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Ends every shard's barrier wait if this shard's loop unwinds.
+struct AbortOnUnwind<'a>(&'a WindowBarrier);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abort();
+        }
+    }
+}
+
+/// The serial loop's observer fan-out, pending-packet table and latency
+/// bookkeeping, replayed from the shards' merged logs.
+struct Fold<'obs, 'run, N> {
+    observers: &'run mut [&'obs mut dyn Observer<N>],
+    phases: Phases,
+    drain: bool,
+    injection_end: Time,
+    pending: HashMap<u64, Pending, DetHashState>,
+    pending_measured: usize,
+    latency: LatencyStats,
+    fault_total: FaultSummary,
+    /// Drain-tail events per shard, up to the stopping point.
+    tail_events: Vec<u64>,
+    /// The serial loop's stopping point has been replayed: whatever the
+    /// shards log from here on happened in no serial run.
+    done: bool,
+}
+
+impl<N: Copy> Fold<'_, '_, N> {
+    /// Replays `logs` — every record final, i.e. no shard will log an
+    /// earlier one — in serial order, and empties them.
+    fn replay<L: DerefMut<Target = ShardLog<N>>>(&mut self, logs: &mut [L]) {
+        if !self.done {
+            merge_logs(logs, |shard, record| self.apply(shard, &record));
+        }
+        for log in logs {
+            log.clear();
+        }
+    }
+
+    fn replay_slots(&mut self, slots: &[Mutex<ShardLog<N>>]) {
+        let mut held: Vec<_> = slots.iter().map(lock_slot).collect();
+        self.replay(&mut held);
+    }
+
+    fn apply(&mut self, shard: usize, record: &Record<'_, N>) -> ControlFlow<()> {
+        let time = record.time;
+        let drain_tail = self.drain && time >= self.injection_end;
+        if drain_tail {
+            self.tail_events[shard] += 1;
+        }
+        if !record.obs.is_empty() {
+            let in_window = self.phases.in_measurement(time);
+            for owned in record.obs {
+                let event = owned.as_event();
+                for observer in self.observers.iter_mut() {
+                    observer.on_event(time, in_window, &event);
+                }
+            }
+        }
+        for op in record.pend {
+            match *op {
+                PendOp::Insert {
+                    logical,
+                    awaiting,
+                    measured,
+                } => {
+                    self.pending.insert(
+                        logical,
+                        Pending {
+                            created_at: time,
+                            awaiting,
+                            measured,
+                        },
+                    );
+                    if measured {
+                        self.pending_measured += 1;
+                    }
+                }
+                PendOp::Deliver { logical, dest } => {
+                    if let Some(entry) = self.pending.get_mut(&logical) {
+                        assert!(
+                            entry.awaiting.contains(dest),
+                            "packet {logical}: duplicate or misrouted header at destination {dest}"
+                        );
+                        entry.awaiting.remove(dest);
+                        if entry.awaiting.is_empty() {
+                            let done = self.pending.remove(&logical).expect("entry present");
+                            if done.measured {
+                                self.latency.record(time.saturating_since(done.created_at));
+                                self.pending_measured -= 1;
+                            }
+                        }
+                    } else {
+                        panic!(
+                            "packet {logical}: header delivered at destination {dest} after \
+                             completion — a redundant speculative copy escaped throttling"
+                        );
+                    }
+                }
+                PendOp::Lose { logical, dests } => {
+                    if let Some(entry) = self.pending.get_mut(&logical) {
+                        for dest in dests.iter() {
+                            entry.awaiting.remove(dest);
+                        }
+                        if entry.awaiting.is_empty() {
+                            let done = self.pending.remove(&logical).expect("entry present");
+                            if done.measured {
+                                self.pending_measured -= 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(delta) = record.fault_delta {
+            self.fault_total = summary_add(self.fault_total, delta);
+        }
+        // The serial loop stops at the first post-injection event that
+        // leaves no measured packet in flight; nothing after it counts.
+        if drain_tail && self.pending_measured == 0 {
+            self.done = true;
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(())
+    }
+}
+
 fn run_sharded_inner<M: ShardModel>(
     mut model: M,
     traffic: Vec<SourceTraffic>,
@@ -483,170 +791,120 @@ fn run_sharded_inner<M: ShardModel>(
     let shard_count = partition.shards();
     let lookahead = partition.lookahead();
     let injection_end = spec.phases.measurement_end();
-    let hard_cap = injection_end + spec.phases.measure() + spec.phases.warmup();
     let queue_capacity = spec
         .queue_capacity
         .unwrap_or_else(|| (model.channel_count() * 2 + n * 4).max(1024));
 
     let scheduler: ShardedScheduler<Event<M::Node>> =
         ShardedScheduler::new(shard_count, queue_capacity, lookahead);
-    let barrier = WindowBarrier::new(shard_count);
-    let mailboxes: Mailboxes<WireMsg> = Mailboxes::new(shard_count);
+    let mut shared = Shared {
+        barrier: WindowBarrier::new(shard_count),
+        mailboxes: [Mailboxes::new(shard_count), Mailboxes::new(shard_count)],
+        slots: (0..shard_count)
+            .map(|_| Mutex::new(ShardLog::new()))
+            .collect(),
+        injection_end,
+        hard_cap: injection_end + spec.phases.measure() + spec.phases.warmup(),
+        lookahead,
+    };
     let partition = Arc::new(partition);
     let record_obs = !observers.is_empty();
-    let base_summary = faults.as_deref().map(ArmedFaults::summary);
     let progress = if spec.progress {
         ProgressMeter::stderr(shard_count, PROGRESS_INTERVAL_MS).map(Arc::new)
     } else {
         None
     };
+    let mut fold = Fold {
+        observers,
+        phases: spec.phases,
+        drain: spec.drain,
+        injection_end,
+        pending: HashMap::with_capacity_and_hasher(n * 16 + 256, DetHashState),
+        pending_measured: 0,
+        latency: latency_reservoir(&traffic, &spec),
+        fault_total: faults
+            .as_deref()
+            .map(ArmedFaults::summary)
+            .unwrap_or_default(),
+        tail_events: vec![0; shard_count],
+        done: false,
+    };
 
-    let parts: Vec<ShardParts<M>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = scheduler
+    // Shard 0 is the calling thread: it holds the observers, so it is
+    // the one that can fold, and it would otherwise only sleep in `join`.
+    let joined = std::thread::scope(|scope| {
+        let mut inputs = scheduler
             .into_queues()
             .into_iter()
             .enumerate()
             .map(|(shard, queue)| {
-                let model = model.clone();
-                let traffic = traffic.clone();
-                let shard_faults = faults.as_deref().cloned();
                 let state = ShardState::new(shard, Arc::clone(&partition), record_obs);
-                let barrier = &barrier;
-                let mailboxes = &mailboxes;
-                let progress = progress.clone();
+                let shard_faults = faults.as_deref().cloned();
+                (model.clone(), traffic.clone(), shard_faults, state, queue)
+            });
+        let (model, traffic, shard_faults, state, queue) =
+            inputs.next().expect("a sharded run has shards");
+        let handles: Vec<_> = inputs
+            .map(|(model, traffic, shard_faults, state, queue)| {
+                let (shared, progress) = (&shared, progress.clone());
                 scope.spawn(move || {
-                    run_shard_worker(
+                    run_shard(
                         model,
                         traffic,
                         spec,
                         shard_faults,
                         state,
                         queue,
-                        barrier,
-                        mailboxes,
-                        injection_end,
-                        hard_cap,
-                        lookahead,
+                        shared,
                         progress,
+                        None,
                     )
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(parts) => parts,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        let first = run_shard(
+            model,
+            traffic,
+            spec,
+            shard_faults,
+            state,
+            queue,
+            &shared,
+            progress.clone(),
+            Some(&mut fold),
+        );
+        let mut joined = vec![Ok(first)];
+        joined.extend(handles.into_iter().map(|handle| handle.join()));
+        joined
     });
+    let mut parts: Vec<ShardParts<M>> = Vec::with_capacity(shard_count);
+    for shard in joined {
+        match shard {
+            Ok(shard) => parts.push(shard),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
     if let Some(progress) = &progress {
         progress.finish();
     }
 
-    // ------------------------------------------------------------------
-    // The fold: replay the merged record stream in serial order.
-    // ------------------------------------------------------------------
-
-    // Merge positions: each shard's records are already sorted, and
-    // equal (time, key) pairs never span shards, so a global sort by
-    // (time, key, occ) reproduces the serial loop's execution order.
-    let mut order: Vec<(u32, u32)> = Vec::new();
-    for (si, part) in parts.iter().enumerate() {
-        order.extend((0..part.records.len()).map(|ri| (si as u32, ri as u32)));
-    }
-    order.sort_by_key(|&(si, ri)| {
-        let record = &parts[si as usize].records[ri as usize];
-        (record.time, record.key, record.occ, si)
-    });
-
-    let mut pending: HashMap<u64, Pending, DetHashState> =
-        HashMap::with_capacity_and_hasher(n * 16 + 256, DetHashState);
-    let mut pending_measured = 0usize;
-    let mut latency = latency_reservoir(&traffic, &spec);
-    let mut fault_total = base_summary.unwrap_or_default();
-    let mut tail_events = vec![0u64; shard_count];
-    for &(si, ri) in &order {
-        let record = &parts[si as usize].records[ri as usize];
-        let time = record.time;
-        let drain_tail = spec.drain && time >= injection_end;
-        if drain_tail {
-            tail_events[si as usize] += 1;
-        }
-        if record_obs && !record.obs.is_empty() {
-            let in_window = spec.phases.in_measurement(time);
-            for owned in &record.obs {
-                let event = owned.as_event();
-                for observer in observers.iter_mut() {
-                    observer.on_event(time, in_window, &event);
-                }
-            }
-        }
-        for op in &record.pend {
-            match *op {
-                PendOp::Insert {
-                    logical,
-                    awaiting,
-                    measured,
-                } => {
-                    pending.insert(
-                        logical,
-                        Pending {
-                            created_at: time,
-                            awaiting,
-                            measured,
-                        },
-                    );
-                    if measured {
-                        pending_measured += 1;
-                    }
-                }
-                PendOp::Deliver { logical, dest } => {
-                    if let Some(entry) = pending.get_mut(&logical) {
-                        assert!(
-                            entry.awaiting.contains(dest),
-                            "packet {logical}: duplicate or misrouted header at destination {dest}"
-                        );
-                        entry.awaiting.remove(dest);
-                        if entry.awaiting.is_empty() {
-                            let done = pending.remove(&logical).expect("entry present");
-                            if done.measured {
-                                latency.record(time.saturating_since(done.created_at));
-                                pending_measured -= 1;
-                            }
-                        }
-                    } else {
-                        panic!(
-                            "packet {logical}: header delivered at destination {dest} after \
-                             completion — a redundant speculative copy escaped throttling"
-                        );
-                    }
-                }
-                PendOp::Lose { logical, dests } => {
-                    if let Some(entry) = pending.get_mut(&logical) {
-                        for dest in dests.iter() {
-                            entry.awaiting.remove(dest);
-                        }
-                        if entry.awaiting.is_empty() {
-                            let done = pending.remove(&logical).expect("entry present");
-                            if done.measured {
-                                pending_measured -= 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(delta) = record.fault_delta {
-            fault_total = summary_add(fault_total, delta);
-        }
-        // The serial loop stops at the first post-injection event that
-        // leaves no measured packet in flight; trim everything after it.
-        if drain_tail && pending_measured == 0 {
-            break;
-        }
-    }
-
+    // What is left to fold: a hand-off the run ended on before shard 0
+    // got to it, then what each shard logged after its last one.
+    let mut last_handoff: Vec<_> = shared
+        .slots
+        .iter_mut()
+        .map(|slot| slot.get_mut().unwrap_or_else(PoisonError::into_inner))
+        .collect();
+    fold.replay(&mut last_handoff);
+    let mut tails: Vec<_> = parts.iter_mut().map(|part| &mut part.log).collect();
+    fold.replay(&mut tails);
+    let Fold {
+        latency,
+        pending_measured,
+        fault_total,
+        tail_events,
+        ..
+    } = fold;
     if let Some(faults) = faults {
         faults.force_summary(fault_total);
     }
@@ -657,11 +915,11 @@ fn run_sharded_inner<M: ShardModel>(
     let mut shard_events = Vec::with_capacity(shard_count);
     let mut shard_models = Vec::with_capacity(shard_count);
     let mut shard_profiles = Vec::new();
-    for (si, part) in parts.into_iter().enumerate() {
+    for (part, tail) in parts.into_iter().zip(tail_events) {
         throughput.absorb(&part.throughput);
         flits_throttled += part.flits_throttled;
         flits_delivered += part.flits_delivered;
-        shard_events.push(part.pre_end_events + tail_events[si]);
+        shard_events.push(part.pre_end_events + tail);
         shard_models.push(part.model);
         if let Some(profile) = part.profile {
             shard_profiles.push(*profile);
@@ -693,28 +951,31 @@ fn run_sharded_inner<M: ShardModel>(
     (report, model)
 }
 
-/// One shard's worker: the conservative window loop.
+/// One shard: the conservative window loop, one barrier wait per
+/// window. `fold` is `Some` on shard 0 alone.
 ///
 /// Every shard derives the same window plan from the same barrier-
 /// published snapshot, so there is no coordinator thread. Cut-channel
 /// messages sent inside a window are stamped at least one lookahead
 /// ahead of its start, and are delivered before the window that could
-/// execute them — the conservative correctness invariant.
+/// execute them — the conservative correctness invariant. A shard
+/// publishes the earliest of its own queue's head and the messages it
+/// has just sent: those are in no queue yet, and the minimum over queues
+/// plus messages in flight is what the receivers' queues would report
+/// once they had drained them.
 #[allow(clippy::too_many_arguments)]
-fn run_shard_worker<M: SimModel>(
+fn run_shard<M: SimModel>(
     model: M,
     traffic: Vec<SourceTraffic>,
     spec: RunSpec,
     mut faults: Option<ArmedFaults>,
     state: Box<ShardState<M::Node>>,
     queue: CalendarQueue<Event<M::Node>>,
-    barrier: &WindowBarrier,
-    mailboxes: &Mailboxes<WireMsg>,
-    injection_end: Time,
-    hard_cap: Time,
-    lookahead: Duration,
+    shared: &Shared<M::Node>,
     progress: Option<Arc<ProgressMeter>>,
+    mut fold: Option<&mut Fold<'_, '_, M::Node>>,
 ) -> ShardParts<M> {
+    let _abort = AbortOnUnwind(&shared.barrier);
     let shard = state.shard;
     let drain = spec.drain;
     // Window-protocol profiling: barrier waits are the only probes that
@@ -723,7 +984,7 @@ fn run_shard_worker<M: SimModel>(
     let sink = ProfileSink::new(spec.profile);
     let mut windows = 0u64;
     let mut barrier_wait = HostHistogram::new();
-    let mut sent = vec![0u64; mailboxes.shards()];
+    let mut sent = vec![0u64; shared.slots.len()];
     let mut received = 0u64;
     let mut mailbox_high_water = 0u64;
     let mut session = Session::build_shard(
@@ -736,48 +997,58 @@ fn run_shard_worker<M: SimModel>(
         progress,
     );
     let mut inbox: Vec<WireMsg> = Vec::new();
-    // Publish the local frontier; every shard computes the same global
-    // minimum and hence the same next window. `None` means globally
-    // idle: the run quiesced.
+    // The earliest event this shard sent away in the window just run.
+    let mut sent_earliest: Option<Time> = None;
     loop {
+        let handoff = windows > 0 && windows.is_multiple_of(HANDOFF_WINDOWS);
+        if handoff {
+            std::mem::swap(&mut *lock_slot(&shared.slots[shard]), session.log_mut());
+        }
+        let frontier = [session.peek_time(), sent_earliest]
+            .into_iter()
+            .flatten()
+            .min();
         let wait = sink.start();
-        let Some(window_start) = barrier.publish_and_sync(shard, session.peek_time()) else {
+        // `None` means globally idle (the run quiesced) or aborted.
+        let Some(window_start) = shared.barrier.publish_and_sync(shard, frontier) else {
             break;
         };
         if let Some(wait) = wait {
             barrier_wait.record(wait.elapsed());
         }
-        if !drain && window_start >= injection_end {
+        if handoff {
+            if let Some(fold) = fold.as_deref_mut() {
+                fold.replay_slots(&shared.slots);
+            }
+        }
+        // The messages of the window just run; a faster shard may
+        // already be filling the other set with the next window's.
+        shared.mailboxes[(windows & 1) as usize].drain_into(shard, &mut inbox);
+        received += inbox.len() as u64;
+        for message in inbox.drain(..) {
+            session.apply_wire_message(message);
+        }
+        if !drain && window_start >= shared.injection_end {
             break;
         }
-        if window_start > hard_cap {
+        if window_start > shared.hard_cap {
             break;
         }
         let window_end = if drain {
             // `hard_cap` is inclusive in the serial loop; one extra
             // picosecond makes the exclusive window bound match it.
-            (window_start + lookahead).min(hard_cap + Duration::from_ps(1))
+            (window_start + shared.lookahead).min(shared.hard_cap + Duration::from_ps(1))
         } else {
-            (window_start + lookahead).min(injection_end)
+            (window_start + shared.lookahead).min(shared.injection_end)
         };
         windows += 1;
         session.execute_window(window_end);
-        let mut outbox = session.take_outbox();
-        for (to, message) in outbox.drain(..) {
-            let depth = mailboxes.send(to, message);
+        sent_earliest = None;
+        for (to, message) in session.outbox().drain(..) {
+            sent_earliest = Some(sent_earliest.map_or(message.at(), |at| at.min(message.at())));
+            let depth = shared.mailboxes[(windows & 1) as usize].send(to, message);
             sent[to] += 1;
             mailbox_high_water = mailbox_high_water.max(depth as u64);
-        }
-        session.restore_outbox(outbox);
-        let wait = sink.start();
-        barrier.flush_done();
-        if let Some(wait) = wait {
-            barrier_wait.record(wait.elapsed());
-        }
-        mailboxes.drain_into(shard, &mut inbox);
-        received += inbox.len() as u64;
-        for message in inbox.drain(..) {
-            session.apply_wire_message(message);
         }
     }
     let mut parts = session.into_shard_parts();
@@ -789,4 +1060,92 @@ fn run_shard_worker<M: SimModel>(
         profile.mailbox_depth_high_water = mailbox_high_water;
     }
     parts
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A log of payload-free records at the given `(time ps, key, occ)`.
+    fn log_of(records: &[(u64, u64, u64)]) -> ShardLog<()> {
+        let mut log = ShardLog::new();
+        for &(ps, key, occ) in records {
+            log.close(Time::from_ps(ps), key, occ, None, true);
+        }
+        log
+    }
+
+    fn merged(logs: &[&ShardLog<()>]) -> Vec<(usize, u64)> {
+        let mut order = Vec::new();
+        merge_logs(logs, |shard, record| {
+            order.push((shard, record.time.as_ps()));
+            ControlFlow::Continue(())
+        });
+        order
+    }
+
+    #[test]
+    fn merge_orders_by_time_then_key_then_occurrence() {
+        // Shard 1 re-scheduled one retry target twice at t = 20: equal
+        // (time, key), told apart by the occurrence alone — and both
+        // sort between shard 0's smaller and larger keys at that time.
+        let a = log_of(&[(10, 7, 1), (20, 3, 2), (20, 9, 3), (30, 1, 4)]);
+        let b = log_of(&[(20, 5, 1), (20, 5, 2), (25, 0, 3)]);
+        let empty = log_of(&[]);
+        assert_eq!(
+            merged(&[&a, &empty, &b]),
+            [
+                (0, 10),
+                (0, 20),
+                (2, 20),
+                (2, 20),
+                (0, 20),
+                (2, 25),
+                (0, 30)
+            ]
+        );
+        assert!(merged(&[&empty, &empty]).is_empty());
+    }
+
+    #[test]
+    fn merge_yields_each_record_its_own_payload_and_stops_on_break() {
+        let mut log: ShardLog<()> = ShardLog::new();
+        let op = |logical| PendOp::Deliver { logical, dest: 0 };
+        log.push_pend(op(1));
+        log.close(Time::from_ps(5), 0, 1, None, false);
+        // Nothing observable and not kept: no record.
+        log.close(Time::from_ps(6), 0, 2, None, false);
+        log.push_pend(op(2));
+        log.push_pend(op(3));
+        log.close(Time::from_ps(7), 0, 3, None, false);
+        log.close(Time::from_ps(8), 0, 4, Some(FaultSummary::default()), false);
+        log.close(Time::from_ps(9), 0, 5, None, true);
+        let mut seen = Vec::new();
+        merge_logs(&[&log], |_, record| {
+            let logicals: Vec<u64> = record
+                .pend
+                .iter()
+                .map(|op| match *op {
+                    PendOp::Deliver { logical, .. } => logical,
+                    _ => unreachable!(),
+                })
+                .collect();
+            seen.push((record.time.as_ps(), logicals, record.fault_delta.is_some()));
+            if seen.len() == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(
+            seen,
+            [
+                (5, vec![1], false),
+                (7, vec![2, 3], false),
+                (8, vec![], true)
+            ]
+        );
+        log.clear();
+        assert!(merged(&[&log]).is_empty());
+    }
 }

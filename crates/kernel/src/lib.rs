@@ -22,7 +22,9 @@
 //! - [`sharded`]: the cross-shard plumbing ([`ShardedScheduler`],
 //!   [`Mailboxes`], [`WindowBarrier`]) for conservative *intra-run*
 //!   parallelism, where one simulation is partitioned across threads and
-//!   synchronised in lookahead-bounded time windows.
+//!   synchronised in lookahead-bounded time windows — one abortable
+//!   barrier wait per window — plus [`with_deadline`], the watchdog every
+//!   multi-shard test in the workspace runs under.
 //!
 //! # Examples
 //!
@@ -52,5 +54,5 @@ pub use fault::FaultClass;
 pub use parallel::{default_parallelism, parallel_map};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use sharded::{Mailboxes, ShardedScheduler, WindowBarrier};
+pub use sharded::{with_deadline, Mailboxes, ShardedScheduler, WindowBarrier};
 pub use time::{Duration, Time, WindowClock};

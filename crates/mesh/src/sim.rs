@@ -623,31 +623,33 @@ mod tests {
 
     #[test]
     fn sharded_runs_match_serial_bit_for_bit() {
-        let net =
-            MeshNetwork::new(MeshConfig::new(MeshSize::new(4, 4).unwrap()).with_seed(11)).unwrap();
-        let serial = net
-            .run(Benchmark::Multicast5, 0.25, quick_phases())
-            .unwrap();
-        assert_eq!(serial.shards, 1);
-        for shards in [2, 3, 4] {
-            let run = RunConfig::new(Benchmark::Multicast5, 0.25)
-                .unwrap()
-                .with_phases(quick_phases())
-                .with_shards(shards);
-            let sharded = drive(&net, &run, &mut [], None).unwrap();
-            assert_eq!(sharded.shards, shards);
-            assert_eq!(
-                sharded.shard_events.iter().sum::<u64>(),
-                sharded.events_processed
-            );
-            assert_eq!(sharded.events_processed, serial.events_processed);
-            assert_eq!(sharded.latency.mean(), serial.latency.mean());
-            assert_eq!(sharded.latency.count(), serial.latency.count());
-            assert_eq!(sharded.throughput, serial.throughput);
-            assert_eq!(sharded.packets_measured, serial.packets_measured);
-            assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);
-            assert_eq!(sharded.mean_hops, serial.mean_hops);
-        }
+        asynoc_kernel::with_deadline(120, || {
+            let net = MeshNetwork::new(MeshConfig::new(MeshSize::new(4, 4).unwrap()).with_seed(11))
+                .unwrap();
+            let serial = net
+                .run(Benchmark::Multicast5, 0.25, quick_phases())
+                .unwrap();
+            assert_eq!(serial.shards, 1);
+            for shards in [2, 3, 4] {
+                let run = RunConfig::new(Benchmark::Multicast5, 0.25)
+                    .unwrap()
+                    .with_phases(quick_phases())
+                    .with_shards(shards);
+                let sharded = drive(&net, &run, &mut [], None).unwrap();
+                assert_eq!(sharded.shards, shards);
+                assert_eq!(
+                    sharded.shard_events.iter().sum::<u64>(),
+                    sharded.events_processed
+                );
+                assert_eq!(sharded.events_processed, serial.events_processed);
+                assert_eq!(sharded.latency.mean(), serial.latency.mean());
+                assert_eq!(sharded.latency.count(), serial.latency.count());
+                assert_eq!(sharded.throughput, serial.throughput);
+                assert_eq!(sharded.packets_measured, serial.packets_measured);
+                assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);
+                assert_eq!(sharded.mean_hops, serial.mean_hops);
+            }
+        });
     }
 
     #[test]

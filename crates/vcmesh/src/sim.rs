@@ -1067,34 +1067,36 @@ mod tests {
 
     #[test]
     fn sharded_runs_match_serial_bit_for_bit() {
-        for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
-            let net = VcMeshNetwork::new(
-                VcMeshConfig::new(MeshSize::new(4, 4).unwrap())
-                    .with_seed(11)
-                    .with_mcast(mcast),
-            )
-            .unwrap();
-            let serial = net.run(Benchmark::Multicast5, 0.2, quick_phases()).unwrap();
-            assert_eq!(serial.shards, 1);
-            for shards in [2, 4] {
-                let run = RunConfig::new(Benchmark::Multicast5, 0.2)
-                    .unwrap()
-                    .with_phases(quick_phases())
-                    .with_shards(shards);
-                let sharded = drive(&net, &run, &mut [], None).unwrap();
-                assert_eq!(sharded.shards, shards);
-                assert_eq!(sharded.events_processed, serial.events_processed, "{mcast}");
-                assert_eq!(sharded.latency.mean(), serial.latency.mean(), "{mcast}");
-                assert_eq!(sharded.latency.count(), serial.latency.count());
-                assert_eq!(sharded.throughput, serial.throughput);
-                assert_eq!(sharded.packets_measured, serial.packets_measured);
-                assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);
-                assert_eq!(sharded.mean_hops, serial.mean_hops);
-                assert_eq!(sharded.link_traversals, serial.link_traversals, "{mcast}");
-                assert_eq!(sharded.vc_pushes, serial.vc_pushes, "{mcast}");
-                assert_eq!(sharded.vc_peak, serial.vc_peak, "{mcast}");
+        asynoc_kernel::with_deadline(120, || {
+            for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
+                let net = VcMeshNetwork::new(
+                    VcMeshConfig::new(MeshSize::new(4, 4).unwrap())
+                        .with_seed(11)
+                        .with_mcast(mcast),
+                )
+                .unwrap();
+                let serial = net.run(Benchmark::Multicast5, 0.2, quick_phases()).unwrap();
+                assert_eq!(serial.shards, 1);
+                for shards in [2, 4] {
+                    let run = RunConfig::new(Benchmark::Multicast5, 0.2)
+                        .unwrap()
+                        .with_phases(quick_phases())
+                        .with_shards(shards);
+                    let sharded = drive(&net, &run, &mut [], None).unwrap();
+                    assert_eq!(sharded.shards, shards);
+                    assert_eq!(sharded.events_processed, serial.events_processed, "{mcast}");
+                    assert_eq!(sharded.latency.mean(), serial.latency.mean(), "{mcast}");
+                    assert_eq!(sharded.latency.count(), serial.latency.count());
+                    assert_eq!(sharded.throughput, serial.throughput);
+                    assert_eq!(sharded.packets_measured, serial.packets_measured);
+                    assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);
+                    assert_eq!(sharded.mean_hops, serial.mean_hops);
+                    assert_eq!(sharded.link_traversals, serial.link_traversals, "{mcast}");
+                    assert_eq!(sharded.vc_pushes, serial.vc_pushes, "{mcast}");
+                    assert_eq!(sharded.vc_peak, serial.vc_peak, "{mcast}");
+                }
             }
-        }
+        });
     }
 
     #[test]

@@ -89,13 +89,16 @@ gate() {
     done
 }
 
-# One small run per substrate, the two 64-endpoint runs, the oracle's window.
+# One small run per substrate, the two 64-endpoint runs, the oracle's window and fabrics.
 mot='--arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3 --warmup-ns 40 --measure-ns 400'
 mesh='--substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 --warmup-ns 40 --measure-ns 400'
 vcmesh='--substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4 --warmup-ns 40 --measure-ns 400'
 big_mot='--arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 --size 64'
 big_mesh='--benchmark Uniform-random --rate 0.1 --cols 8 --rows 8'
-pair='--warmup-ns 20 --measure-ns 150 --oracle --report-out f.json'
+pair='--warmup-ns 20 --measure-ns 150 --oracle'
+fmot='--arch BasicHybridSpeculative --benchmark Multicast5 --rate 0.2'
+fmesh='--substrate mesh --benchmark Uniform-random --rate 0.1 --size 4'
+fvcmesh='--substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4'
 traced='--trace-limit 200000'
 
 while IFS='|' read -r name steps <&3; do
@@ -121,13 +124,17 @@ shards 1/2/4 and --profile (mesh 8x8) | asynoc mesh $big_mesh --shards 1 > 1 ; a
 shards 1/2/4 (vcmesh 4x4 metrics) | asynoc metrics $vcmesh --shards 1 --metrics-out 1.json ;\
  asynoc metrics $vcmesh --shards 2 --metrics-out 2.json ;\
  asynoc metrics $vcmesh --shards 4 --metrics-out 4.json ; same no_shards 1.json 2.json 4.json
-# clean vs faulted under one seed: the command exits non-zero when the oracle fails
-fault oracle (mot) | asynoc faults --arch BasicHybridSpeculative --benchmark Multicast5 --rate 0.2 $pair
-fault oracle (mesh) | asynoc faults --substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 $pair
-fault oracle (vcmesh) | asynoc faults --substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4 $pair
+# clean vs faulted under one seed: the command exits non-zero when the oracle fails, and
+# the report it writes is the same on one shard and on two (--shards defaults to 1)
+fault oracle, --shards 1 == 2 (mot) | asynoc faults $fmot $pair --shards 1 --report-out 1.json ;\
+ asynoc faults $fmot $pair --shards 2 --report-out 2.json ; same cat 1.json 2.json
+fault oracle, --shards 1 == 2 (mesh) | asynoc faults $fmesh $pair --shards 1 --report-out 1.json ;\
+ asynoc faults $fmesh $pair --shards 2 --report-out 2.json ; same cat 1.json 2.json
+fault oracle, --shards 1 == 2 (vcmesh) | asynoc faults $fvcmesh $pair --shards 1 --report-out 1.json ;\
+ asynoc faults $fvcmesh $pair --shards 2 --report-out 2.json ; same cat 1.json 2.json
 # the built-in guard exits non-zero if OptHybridSpeculative drifts off the Pareto front's envelope
-explore guard, --jobs 1 == 2 | asynoc explore --smoke --jobs 1 > 1 ; asynoc explore --smoke --jobs 2 > 2 ;\
- same cat 1 2 ; has 1 "schema": "asynoc-explore-v1"
+explore guard, --jobs 1 == 2, --shards 1 == 2 | asynoc explore --smoke --jobs 1 --shards 1 > 1 ; asynoc explore --smoke --jobs 2 --shards 1 > 2 ;\
+ asynoc explore --smoke --jobs 2 --shards 2 > s ; same cat 1 2 s ; has 1 "schema": "asynoc-explore-v1"
 # folded stream == batch document at --shards 1 and 2; the streams agree up to their end record
 fold-back (mot) | asynoc metrics $mot --shards 1 --metrics-out b1.json --stream s1.ndjson ;\
  asynoc watch --stream-in s1.ndjson --once --fold f1.json ; same cat b1.json f1.json ;\
