@@ -55,8 +55,8 @@ fn main() {
             let mot_run = RunConfig::new(benchmark, load)
                 .expect("positive rate")
                 .with_phases(phases);
-            let mut mot_report = mot.run(&mot_run).expect("MoT run succeeds");
-            let mut mesh_report = mesh
+            let mot_report = mot.run(&mot_run).expect("MoT run succeeds");
+            let mesh_report = mesh
                 .run(benchmark, load, phases)
                 .expect("mesh run succeeds");
 

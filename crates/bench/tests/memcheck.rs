@@ -3,10 +3,9 @@
 //! serial and sharded alike.
 //!
 //! The live-export contract is O(window), not O(events): the stream
-//! sink drains every buffer at each flush window, and the engine's
-//! latency reservoir is capped (`RunConfig::with_latency_cap`, which
-//! library users set for long-lived runs). A sharded run keeps the same
-//! promise: its shards log into flat buffers that shard 0 folds — and
+//! sink drains every buffer at each flush window, and the engine's own
+//! latency statistic is a fixed-size histogram. A sharded run keeps the
+//! same promise: its shards log into flat buffers that shard 0 folds — and
 //! the sink writes — every few windows, so two logs per shard are all
 //! the run ever holds. This binary measures peak heap (via the
 //! `CountingAlloc` global allocator) across a short and an 8x-longer
@@ -135,8 +134,7 @@ fn streamed_run(net: &Network, shards: usize, measure_ns: u64) -> Streamed {
     let run = RunConfig::new(Benchmark::Multicast5, 0.05)
         .expect("valid run")
         .with_phases(phases)
-        .with_shards(shards)
-        .with_latency_cap(Some(4096));
+        .with_shards(shards);
     let stream_start = STREAM_BYTES.load(Ordering::Relaxed);
     FIRST_WINDOW_NS.store(0, Ordering::Relaxed);
     let started = Instant::now();

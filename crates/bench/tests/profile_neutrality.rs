@@ -48,8 +48,7 @@ fn runs_are_bit_identical_with_profiling_on<S: Substrate>(
         assert_eq!(plain.packets_measured, profiled.packets_measured);
         assert_eq!(plain.flits_throttled, profiled.flits_throttled);
         assert_eq!(plain.throughput, profiled.throughput);
-        assert_eq!(plain.latency.mean(), profiled.latency.mean());
-        assert_eq!(plain.latency.max(), profiled.latency.max());
+        assert_eq!(plain.latency, profiled.latency);
         same_section(&plain, &profiled);
         assert!(plain.packets_measured > 0, "shards {shards}: degenerate");
         // The profile itself only exists on the profiled side, and its

@@ -66,10 +66,7 @@ fn runs_are_identical_at_every_shard_count<S: Substrate>(
             assert_eq!(serial.flits_throttled, sharded.flits_throttled);
             assert_eq!(serial.flits_delivered, sharded.flits_delivered);
             assert_eq!(serial.throughput, sharded.throughput);
-            assert_eq!(serial.latency.count(), sharded.latency.count());
-            assert_eq!(serial.latency.mean(), sharded.latency.mean());
-            assert_eq!(serial.latency.min(), sharded.latency.min());
-            assert_eq!(serial.latency.max(), sharded.latency.max());
+            assert_eq!(serial.latency, sharded.latency);
             same_section(serial, sharded);
         }
         assert!(serial.packets_measured > 0, "seed {seed}: degenerate run");

@@ -3,6 +3,7 @@
 //! hold for each implementor, not just the one a caller happened to
 //! test.
 
+use asynoc::telemetry::LatencyHistograms;
 use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
 use asynoc_bench::conformance::{mesh, mot, vcmesh};
 use asynoc_engine::SimModel;
@@ -12,7 +13,6 @@ fn holds<S: Substrate>(net: &S) {
     let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
     assert_eq!(run.shards(), 1, "a default run is serial");
     assert!(!run.profile() && !run.progress(), "and unprofiled");
-    assert_eq!(run.latency_cap(), None);
 
     // Fault plans index channels and endpoints of the model that runs.
     let (model, _probes) = net.prepare(&run);
@@ -21,13 +21,17 @@ fn holds<S: Substrate>(net: &S) {
     assert_eq!(domain.endpoints, model.endpoints());
     assert_eq!(domain.endpoints, net.endpoints());
 
+    // One latency statistic: on unicast traffic the engine's per-packet
+    // report and the telemetry observer's per-header one are equal.
+    let mut online = LatencyHistograms::new(run.phases(), net.endpoints());
     let report = drive(
         net,
         &RunConfig::quick(run.benchmark(), run.rate_gfs()),
-        &mut [],
+        &mut [&mut online],
         None,
     )
     .expect("run succeeds");
+    assert_eq!(report.latency, *online.overall());
     assert_eq!(report.shards, 1);
     assert_eq!(report.shard_events, [report.events_processed]);
     assert!(report.profile.is_none());

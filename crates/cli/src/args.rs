@@ -150,7 +150,8 @@ const SECTIONS: [(Group, &str, &str); 3] = [
          latency delta, time-series bins), watchpoint records as online\n\
          invariants fire (token-conservation violation, stall, busy watermark,\n\
          waste-rate ceiling), and an end record with the scalar summary\n\
-         sections. Memory stays bounded by the window, not the run length, and\n\
+         sections. Memory stays bounded by the window, not the run length (the\n\
+         run's own latency statistic is a fixed-size histogram too), and\n\
          simulation results never change. On `metrics` the window must be a\n\
          multiple of --bin-ns. --stream-trace is bounded per window by\n\
          --trace-limit where available, else 100000.",
@@ -249,7 +250,11 @@ pub const COMMANDS: &[CommandSpec] = &[
                 substrate (credit-based VC mesh with in-network multicast) takes\n\
                 --mcast to pick its multicast scheme (xy-tree default, dpm =\n\
                 Dynamic Partition Merging); --trace-out exports the flit trace\n\
-                (ndjson default, chrome is Perfetto-loadable).",
+                (ndjson default, chrome is Perfetto-loadable). Latency here is\n\
+                per delivered header copy; `run` reports it per logical packet\n\
+                (creation to last header). Both are one log-bucketed histogram —\n\
+                a percentile is never below the exact nearest-rank sample and at\n\
+                most 1/32 above it — and are equal on unicast traffic.",
         build: metrics,
     },
     CommandSpec {

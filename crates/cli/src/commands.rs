@@ -163,12 +163,13 @@ fn spec_map_from_json(size: MotSize, doc: &JsonValue) -> Result<SpecMap, String>
     Ok(map)
 }
 
-/// The placement's identity string: the preset name when the map matches
-/// one of the paper's six architectures, the canonical `levels:` form
-/// otherwise. Recorded as `"arch"` in every report config so any run is
-/// reproducible from its own output.
-pub(crate) fn placement_id(map: &SpecMap) -> String {
-    map.label()
+/// The placement's identity string: the `--arch` the run was started
+/// with (on small fabrics several presets share one map, and the run
+/// names the one it was given), else the first preset a `--spec-map`
+/// equals, else its canonical `levels:` form. Recorded as `"arch"` in
+/// every report config so any run is reproducible from its own output.
+pub(crate) fn placement_id(arch: Option<Architecture>, map: &SpecMap) -> String {
+    arch.or_else(|| map.label())
         .map_or_else(|| map.to_string(), |arch| arch.to_string())
 }
 
@@ -245,7 +246,7 @@ fn run_across_seeds(
     )?;
     let mut means_ps = Vec::with_capacity(seeds);
     for result in reports {
-        let (mut report, options) = result?;
+        let (report, options) = result?;
         if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
             let config = config_json(Some(identity), benchmark, rate, common.size, &options);
             profiler.add_run(config, profile);
@@ -286,7 +287,7 @@ fn single_run<F: Fabric>(
     run: &RunConfig,
     common: &CommonOptions,
     out: &mut dyn Write,
-    print: impl FnOnce(&mut dyn Write, &mut F::Report) -> io::Result<()>,
+    print: impl FnOnce(&mut dyn Write, &F::Report) -> io::Result<()>,
 ) -> Result<(), CliError> {
     let mut profiler = ProfileWriter::when(common.profile.as_ref(), command)?;
     let mut sink = match &common.stream {
@@ -301,7 +302,7 @@ fn single_run<F: Fabric>(
         )?),
         None => None,
     };
-    let mut report = match sink.as_mut() {
+    let report = match sink.as_mut() {
         Some(sink) => drive(net, run, &mut [sink], None),
         None => drive(net, run, &mut [], None),
     }
@@ -309,7 +310,7 @@ fn single_run<F: Fabric>(
     if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
         profiler.add_run(config, profile);
     }
-    print(out, &mut report)?;
+    print(out, &report)?;
     if let Some(profiler) = profiler {
         profiler.finish()?;
     }
@@ -328,7 +329,7 @@ fn single_run<F: Fabric>(
     Ok(())
 }
 
-fn print_run(out: &mut dyn Write, report: &mut RunReport) -> io::Result<()> {
+fn print_run(out: &mut dyn Write, report: &RunReport) -> io::Result<()> {
     writeln!(out, "  packets measured : {}", report.packets_measured)?;
     if report.packets_incomplete > 0 {
         writeln!(
@@ -357,16 +358,19 @@ fn print_run(out: &mut dyn Write, report: &mut RunReport) -> io::Result<()> {
     writeln!(out, "  throughput       : {}", report.throughput)?;
     writeln!(out, "  power            : {}", report.power)?;
     writeln!(out, "  flits throttled  : {}", report.flits_throttled)?;
-    if let Some(histogram) = report.latency.histogram(8) {
+    let rows = report.latency.equal_width(8);
+    if let Some(peak) = rows.iter().map(|row| row.2).max() {
         writeln!(out, "  latency distribution:")?;
-        for line in histogram.render(32).lines() {
-            writeln!(out, "    {line}")?;
+        for (low, high, count) in rows {
+            let bar = "#".repeat((count as usize * 32).div_ceil(peak as usize));
+            let (low, high) = (low.to_string(), high.to_string());
+            writeln!(out, "    {low:>12} .. {high:<12} |{bar:<32}| {count}")?;
         }
     }
     Ok(())
 }
 
-fn print_mesh(out: &mut dyn Write, report: &mut MeshReport) -> io::Result<()> {
+fn print_mesh(out: &mut dyn Write, report: &MeshReport) -> io::Result<()> {
     writeln!(out, "  packets measured : {}", report.packets_measured)?;
     if report.packets_incomplete > 0 || report.acceptance() < 0.95 {
         writeln!(
@@ -400,7 +404,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             common,
         } => {
             let map = resolve_spec_map(*arch, spec_map.as_ref(), common)?;
-            let identity = placement_id(&map);
+            let identity = placement_id(*arch, &map);
             if *seeds > 1 {
                 return run_across_seeds(&map, &identity, *benchmark, *rate, *seeds, common, out);
             }
@@ -604,6 +608,59 @@ mod tests {
         assert!(text.contains("latency mean"));
         assert!(text.contains("power"));
         assert!(!text.contains("WARNING"));
+    }
+
+    #[test]
+    fn run_and_metrics_give_one_answer_on_unicast_traffic() {
+        use asynoc_telemetry::JsonValue;
+        // `run` reports per logical packet and `metrics` per delivered
+        // header copy: the same samples when every packet has one header,
+        // and since both are one `LogHistogram`, the same percentiles.
+        let flags = "--arch OptHybridSpeculative --benchmark UniformRandom --rate 0.3 \
+                     --measure-ns 2000";
+        let text = run_cli(&format!("run {flags}"));
+        let doc = JsonValue::parse(&run_cli(&format!("metrics {flags}"))).expect("document");
+        let ps = |key: &str| {
+            let value = doc.get("latency").and_then(|latency| latency.get(key));
+            Duration::from_ps(value.and_then(JsonValue::as_u64).expect("a latency"))
+        };
+        let line = format!(
+            "  latency p50/p99  : {} / {} (max {})\n",
+            ps("p50_ps"),
+            ps("p99_ps"),
+            ps("max_ps")
+        );
+        assert!(text.contains(&line), "{line}{text}");
+    }
+
+    #[test]
+    fn a_run_started_with_an_arch_names_that_arch_on_every_fabric_size() {
+        use asynoc_telemetry::JsonValue;
+        // On small fabrics presets share maps — at 2x2 five of the six are
+        // two maps — and a map's label is only the first preset it equals.
+        for size in [2, 4, 8] {
+            for arch in Architecture::ALL {
+                let name = arch.to_string();
+                let flags = format!(
+                    "--arch {arch} --benchmark Shuffle --rate 0.2 --size {size} \
+                     --warmup-ns 20 --measure-ns 100"
+                );
+                let text = run_cli(&format!("run {flags}"));
+                assert!(
+                    text.starts_with(&format!("{arch} ({size}x{size}) x ")),
+                    "{text}"
+                );
+                let doc = JsonValue::parse(&run_cli(&format!("metrics {flags}"))).unwrap();
+                let config = doc.get("config").expect("config section");
+                assert_eq!(config.get("arch").and_then(JsonValue::as_str), Some(&*name));
+                // The guard finds its preset by map. Tolerance 1 always
+                // holds, so it fails only for a preset it did not find.
+                let explore = format!("explore --smoke --size {size} --tolerance 1 --guard {arch}");
+                let doc = JsonValue::parse(&run_cli(&explore)).unwrap();
+                let guard = doc.get("guard").expect("guard section");
+                assert_eq!(guard.get("arch").and_then(JsonValue::as_str), Some(&*name));
+            }
+        }
     }
 
     #[test]

@@ -181,7 +181,7 @@ pub fn execute_faults(request: &FaultsRequest, out: &mut dyn Write) -> Result<()
             let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), common)?;
             faults_on(
                 &network_for(&map, common)?,
-                Some(placement_id(&map)),
+                Some(placement_id(request.arch, &map)),
                 request,
                 out,
             )

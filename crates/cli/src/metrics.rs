@@ -339,7 +339,8 @@ pub fn execute_metrics(request: &MetricsRequest, out: &mut dyn Write) -> Result<
         Substrate::Mot => {
             let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), common)?;
             let net = network_for(&map, common)?;
-            run(&net, Some(placement_id(&map)), request, trace_out)?
+            let placement = placement_id(request.arch, &map);
+            run(&net, Some(placement), request, trace_out)?
         }
         Substrate::Mesh => {
             let net = fabric::mesh(common.size, common.size, common)?;

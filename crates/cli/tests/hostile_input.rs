@@ -1,6 +1,6 @@
 //! Hostile input through the real binary: every byte a user can hand the
-//! tool — JSON, a placement or argv — yields a located `error:` line and
-//! exit 1 (bad file) or 2 (bad flag), never an abort.
+//! tool — JSON, a stream, a placement or argv — yields a located `error:`
+//! line and exit 1 (bad file) or 2 (bad flag), never an abort.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -674,5 +674,120 @@ fn mutated_spec_maps_never_panic_and_exit_as_the_contract_says() {
     assert!(
         ran > 20 && usage > 40 && bad_file > 40,
         "{ran} ran, {usage} usage errors, {bad_file} bad files"
+    );
+}
+
+/// The latency delta of a `window` record, as `asynoc metrics --stream`
+/// writes it for headers that took 40, 700 and 700 ps.
+const DELTA: &str = r#"{"overall":{"n":3,"min":40,"max":700,"sum":"1440","b":[[40,1],[171,2]]},"per_dest":[{"dest":1,"h":{"n":3,"min":40,"max":700,"sum":"1440","b":[[40,1],[171,2]]}}],"per_hops":[{"hops":4,"h":{"n":3,"min":40,"max":700,"sum":"1440","b":[[40,1],[171,2]]}}]}"#;
+
+/// `watch --once --fold` over [`STREAM_HEAD`] and one `window` record
+/// carrying the latency delta `delta`: exit 0, or exit 1 with the fold's
+/// located error — never a signal, and never the seconds an allocation
+/// sized by the file would take. Returns whether it folded.
+fn folds(test: &str, delta: &str) -> bool {
+    let window = format!(
+        "{{\"type\":\"window\",\"seq\":0,\"t_ps\":0,\"events\":9,\"injected\":3,\"delivered\":3,\
+         \"dropped\":0,\"forwards\":3,\"in_flight\":0,\"latency\":{delta},\"bins\":[]}}"
+    );
+    let stream = fixture(test, &format!("{STREAM_HEAD}\n{window}\n"));
+    let started = Instant::now();
+    let output = asynoc(&["watch", "--stream-in", &stream, "--once", "--fold", "-"]);
+    let took = started.elapsed();
+    let _ = std::fs::remove_file(stream);
+    assert!(took < Duration::from_secs(2), "{delta}: {took:?}");
+    if output.status.code() != Some(0) {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{delta}: {stderr}");
+        assert!(
+            stderr.starts_with("error: --fold: line 2: "),
+            "{delta}: {stderr}"
+        );
+    }
+    output.status.success()
+}
+
+#[test]
+fn a_hostile_window_delta_is_a_located_error_not_an_allocation() {
+    assert!(folds("hostile.ndjson", DELTA));
+    // The first used to abort (`memory allocation of 32000000000000008
+    // bytes failed`), the second to cost 4.5 GiB and half a minute and exit
+    // 0, the third to fold into a document that counted 2 of 5 samples.
+    for (from, to) in [
+        ("[171,2]", "[4000000000000000,2]"),
+        ("[171,2]", "[300000000,2]"),
+        ("\"n\":3", "\"n\":5"),
+        ("[171,2]", "[1920,2]"),
+        ("[40,1],[171,2]", "[171,2],[40,1]"),
+        ("[40,1],[171,2]", "[40,1],[40,2]"),
+        ("\"min\":40,\"max\":700", "\"min\":700,\"max\":40"),
+        ("\"min\":40", "\"min\":39"),
+        ("\"max\":700", "\"max\":720"),
+        ("\"max\":700", "\"max\":700.5"),
+        ("\"n\":3", "\"n\":-3"),
+    ] {
+        for nth in 0..3 {
+            // In `overall`, in a `per_dest` entry, in a `per_hops` entry.
+            let at = DELTA
+                .match_indices(from)
+                .nth(nth)
+                .expect("three histograms")
+                .0;
+            let hostile = format!("{}{to}{}", &DELTA[..at], &DELTA[at + from.len()..]);
+            assert!(!folds("hostile.ndjson", &hostile), "{hostile}");
+        }
+    }
+}
+
+/// Numbers a field of a latency delta can be swapped for: bucket indices
+/// around the end of the domain, counts, sizes no machine holds, and the
+/// usual non-integers.
+const DELTA_NUMBERS: [&str; 16] = [
+    "0",
+    "1",
+    "5",
+    "31",
+    "700",
+    "1919",
+    "1920",
+    "300000000",
+    "4000000000000000",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "1.5",
+    "1e30",
+    "",
+    "x",
+];
+
+#[test]
+fn mutated_window_deltas_fold_or_fail_with_a_located_error() {
+    let mut rng = SimRng::seed_from(0x00DE_17A5);
+    let starts: Vec<usize> = (1..DELTA.len())
+        .filter(|&i| {
+            DELTA.as_bytes()[i].is_ascii_digit() && !DELTA.as_bytes()[i - 1].is_ascii_digit()
+        })
+        .collect();
+    let (mut folded, mut refused) = (0, 0);
+    for _ in 0..300 {
+        // Swap one run of digits: an `n`, `min`, `max`, `sum`, bucket
+        // index, count, `dest` or `hops`.
+        let start = starts[rng.index(starts.len())];
+        let digits = DELTA[start..]
+            .bytes()
+            .take_while(u8::is_ascii_digit)
+            .count();
+        let with = DELTA_NUMBERS[rng.index(DELTA_NUMBERS.len())];
+        let mutant = format!("{}{with}{}", &DELTA[..start], &DELTA[start + digits..]);
+        if folds("mutant.ndjson", &mutant) {
+            folded += 1;
+        } else {
+            refused += 1;
+        }
+    }
+    assert!(
+        folded > 10 && refused > 100,
+        "{folded} folded, {refused} refused"
     );
 }

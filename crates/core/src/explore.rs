@@ -260,10 +260,10 @@ impl ExploreReport {
     /// infeasible at the explored load.
     #[must_use]
     pub fn guard(&self, architecture: Architecture, tolerance: f64) -> Option<GuardOutcome> {
-        let point = self
-            .points
-            .iter()
-            .find(|p| p.preset == Some(architecture))?;
+        // By map, not by label: on a small fabric several presets share
+        // one map, and its label names only the first of them.
+        let preset = SpecMap::preset(architecture, self.points.first()?.map.size());
+        let point = self.points.iter().find(|p| p.map == preset)?;
         if !point.feasible {
             return None;
         }
@@ -356,7 +356,7 @@ pub fn evaluate(spec: &ExploreSpec, map: &SpecMap) -> Result<PlacementScore, Sim
     let run = RunConfig::new(spec.benchmark, spec.rate_gfs)?
         .with_phases(spec.phases)
         .with_shards(spec.shards);
-    let mut report = network.run(&run)?;
+    let report = network.run(&run)?;
     let acceptance = report.acceptance();
     let feasible = report.packets_measured > 0
         && report.packets_incomplete == 0

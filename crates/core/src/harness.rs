@@ -356,7 +356,7 @@ pub fn latency_at_fraction(
     let run = RunConfig::new(benchmark, load)?
         .with_phases(quality.measure_phases_for(benchmark))
         .with_shards(quality.shards);
-    let mut report = network.run(&run)?;
+    let report = network.run(&run)?;
     Ok(LatencyCell {
         architecture,
         benchmark,

@@ -56,6 +56,7 @@
 
 mod fault;
 mod observer;
+mod pending;
 mod pool;
 mod session;
 mod shard;

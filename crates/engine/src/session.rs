@@ -1,20 +1,20 @@
 //! The engine's event loop, channel plumbing, and measurement protocol.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, Hasher};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use asynoc_kernel::{CalendarQueue, Duration, FaultClass, Time};
 use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader, RouteSymbol};
 use asynoc_probe::{EngineProfile, EventKindCounts, PhaseWall, ProgressMeter, ShardProfile};
 use asynoc_stats::throughput::ThroughputReport;
-use asynoc_stats::{LatencyStats, Phases, ThroughputCounter};
+use asynoc_stats::{LogHistogram, Phases, ThroughputCounter};
 use asynoc_traffic::SourceTraffic;
 
 use crate::fault::{ArmedFaults, SourceFaultAction};
 use crate::observer::{Observer, SimEvent};
+use crate::pending::{PendOp, PendingTable};
 use crate::pool::FlitPool;
-use crate::shard::{OwnedSimEvent, PendOp, ShardLog, ShardState, WireMsg};
+use crate::shard::{OwnedSimEvent, ShardLog, ShardState, WireMsg};
 
 /// One end of a channel: who launches into it / who consumes from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,9 +123,6 @@ pub struct RunSpec {
     /// Whether to drain in-flight measured packets after injection stops
     /// (bounded by a hard cap so saturated runs still terminate).
     pub drain: bool,
-    /// Pre-sized event-queue capacity, or `None` to derive one from the
-    /// model's channel and endpoint counts (avoids early regrow churn).
-    pub queue_capacity: Option<usize>,
     /// Collect a runtime self-profile ([`EngineReport::profile`]): host
     /// wall-clock phase splits, queue/pool counters, and — on sharded
     /// runs — per-shard barrier-wait histograms and mailbox traffic.
@@ -136,56 +133,25 @@ pub struct RunSpec {
     /// lag) while the run executes. Suppressed automatically when stderr
     /// is not a terminal unless `ASYNOC_PROGRESS_FORCE` is set.
     pub progress: bool,
-    /// Bound on the engine's stored latency-sample reservoir, or `None`
-    /// to keep every sample (exact percentiles). Streaming runs set a
-    /// cap so peak memory is independent of run length; `count`, `mean`,
-    /// `min`, and `max` stay exact either way.
-    pub latency_cap: Option<usize>,
-}
-
-/// Most latency samples a run reserves room for up front (8 MiB). The
-/// largest shipped scenario — the benchmark's 8×8 run at 0.4 flits/ns
-/// over 80 µs — asks for ≈ 64 k and the same window on a 64×64 for
-/// ≈ 0.5 M, so those stay sized exactly. The pre-size only spares a run
-/// its early regrowth: a window the flag range allows but no machine can
-/// hold (`--measure-ns 2e15` asks for ≈ 1.3e16 bytes) starts here and
-/// grows.
-const LATENCY_PRESIZE_CEILING: usize = 1 << 20;
-
-/// The run's latency collector, pre-sized for the packets the injection
-/// rate predicts over the measurement window (plus a quarter), up to
-/// [`LATENCY_PRESIZE_CEILING`] and the spec's own reservoir cap.
-pub(crate) fn latency_reservoir(traffic: &[SourceTraffic], spec: &RunSpec) -> LatencyStats {
-    let measure_ps = spec.phases.measure().as_ps();
-    let expected = traffic.iter().fold(0u64, |sum, src| {
-        sum.saturating_add(measure_ps / src.mean_gap().as_ps().max(1) + 1)
-    });
-    let wanted = usize::try_from(expected.saturating_add(expected / 4 + 64)).unwrap_or(usize::MAX);
-    let ceiling = LATENCY_PRESIZE_CEILING.min(spec.latency_cap.unwrap_or(usize::MAX));
-    LatencyStats::with_capacity(wanted.min(ceiling)).with_cap(spec.latency_cap)
 }
 
 impl RunSpec {
-    /// Creates a spec with a model-derived queue capacity, profiling and
-    /// the heartbeat off, and an unbounded latency reservoir.
+    /// Creates a spec with profiling and the heartbeat off.
     #[must_use]
     pub fn new(phases: Phases, drain: bool) -> Self {
         RunSpec {
             phases,
             drain,
-            queue_capacity: None,
             profile: false,
             progress: false,
-            latency_cap: None,
         }
     }
+}
 
-    /// Overrides the event queue's initial capacity.
-    #[must_use]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = Some(capacity);
-        self
-    }
+/// The event queue's initial capacity. Pending events are bounded by the
+/// channel count (one in-flight or free event each) plus a few per source.
+pub(crate) fn queue_presize(channels: usize, endpoints: usize) -> usize {
+    (channels * 2 + endpoints * 4).max(1024)
 }
 
 /// How often the progress heartbeat may redraw.
@@ -274,7 +240,7 @@ impl RunProf {
 #[derive(Clone, Debug)]
 pub struct EngineReport {
     /// Per-logical-packet latency (creation → last header arrival).
-    pub latency: LatencyStats,
+    pub latency: LogHistogram,
     /// Offered/injected/delivered flit rates per endpoint.
     pub throughput: ThroughputReport,
     /// Logical packets whose latency was measured.
@@ -370,57 +336,6 @@ impl ChannelState {
     }
 }
 
-/// Latency bookkeeping for one logical packet.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Pending {
-    pub(crate) created_at: Time,
-    /// Destinations that must still receive the header.
-    pub(crate) awaiting: DestSet,
-    pub(crate) measured: bool,
-}
-
-/// Deterministic hash state for the pending-packet map.
-///
-/// The std `RandomState` seeds itself per process, which makes hashmap
-/// growth and tombstone layout — and therefore the run loop's exact
-/// allocation behavior — vary between processes. Packet ids are
-/// sequential `u64`s, so a SplitMix64 finalizer gives full avalanche
-/// with one multiply chain and the same layout on every run.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct DetHashState;
-
-impl BuildHasher for DetHashState {
-    type Hasher = DetHasher;
-
-    fn build_hasher(&self) -> DetHasher {
-        DetHasher(0)
-    }
-}
-
-/// See [`DetHashState`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct DetHasher(u64);
-
-impl Hasher for DetHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // FNV-1a fallback; the pending map only hashes u64 keys.
-        for &byte in bytes {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let mut z = n.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-}
-
 /// The engine state a firing node may touch.
 ///
 /// Models read inputs ([`arrived`](Ctx::arrived)), consume them
@@ -447,14 +362,13 @@ pub struct Ctx<'obs, 'run, N> {
     /// so every shard allocates the exact ids a serial run would without
     /// any cross-shard coordination.
     next_packet_id: Vec<u64>,
-    pending: HashMap<u64, Pending, DetHashState>,
-    pending_measured: usize,
+    /// Completion accounting (a shard logs its transitions instead).
+    pending: PendingTable,
 
     /// Sharded-run state, or `None` on a serial run (one branch per
     /// touch point keeps the serial hot path free).
     shard: Option<Box<ShardState<N>>>,
 
-    latency: LatencyStats,
     throughput: ThroughputCounter,
     flits_throttled: u64,
     flits_delivered: u64,
@@ -631,6 +545,16 @@ impl<N: Copy + std::fmt::Debug + NodeKey> Ctx<'_, '_, N> {
         }
     }
 
+    /// Applies a pending-packet transition of the event being executed.
+    /// A shard only logs it: the packet's destinations may live on other
+    /// shards, so shard 0 applies every shard's in the serial order.
+    fn pend(&mut self, op: PendOp) {
+        match self.shard.as_mut() {
+            Some(shard) => shard.log.push_pend(op),
+            None => self.pending.apply(self.now, &op),
+        }
+    }
+
     fn alloc_id(&mut self, source: usize) -> PacketId {
         let id = PacketId::new(((source as u64) << 32) | self.next_packet_id[source]);
         self.next_packet_id[source] += 1;
@@ -681,9 +605,9 @@ pub fn run_with_faults<M: SimModel>(
 /// engine state, ready to [`run`](Session::run).
 ///
 /// Construction does all the setup allocation — channel wiring, the
-/// event queue, source queues, and the latency reservoir — so that the
-/// run loop itself can stay allocation-free once the descriptor pool
-/// warms up.
+/// event queue, source queues, and the pending-packet table with its
+/// latency histogram — so that the run loop itself can stay
+/// allocation-free once the descriptor pool warms up.
 ///
 /// # Examples
 ///
@@ -837,31 +761,23 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
         // measurement window plus warmup.
         let hard_cap = injection_end + spec.phases.measure() + spec.phases.warmup();
 
-        // Pre-size everything the run loop touches. Pending events are
-        // bounded by the channel count (one in-flight or free event each)
-        // plus a few per source; measured packets by the injection rate
-        // over the window.
-        let queue_capacity = spec
-            .queue_capacity
-            .unwrap_or_else(|| (channels * 2 + n * 4).max(1024));
-        let latency = latency_reservoir(&traffic, &spec);
-
+        // Pre-size everything the run loop touches.
+        let queue =
+            queue.unwrap_or_else(|| CalendarQueue::with_capacity(queue_presize(channels, n)));
         let mut ctx = Ctx {
             phases: spec.phases,
             drain: spec.drain,
             injection_end,
             hard_cap,
-            queue: queue.unwrap_or_else(|| CalendarQueue::with_capacity(queue_capacity)),
+            queue,
             now: Time::ZERO,
             channels: vec![ChannelState::Free; channels],
             source_queue: (0..n).map(|_| VecDeque::with_capacity(64)).collect(),
             source_next_fire: vec![Time::ZERO; n],
             traffic,
             next_packet_id: vec![0; n],
-            pending: HashMap::with_capacity_and_hasher(n * 16 + 256, DetHashState),
-            pending_measured: 0,
+            pending: PendingTable::new(n),
             shard,
-            latency,
             throughput: ThroughputCounter::new(n),
             flits_throttled: 0,
             flits_delivered: 0,
@@ -954,7 +870,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
             }
             if self.ctx.drain
                 && self.ctx.now >= self.ctx.injection_end
-                && self.ctx.pending_measured == 0
+                && self.ctx.pending.measured_in_flight() == 0
             {
                 break;
             }
@@ -984,12 +900,12 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
             })
         });
         let throughput = ctx.throughput.per_source_gfs(ctx.phases.measure());
-        let packets_measured = ctx.latency.count();
+        let (latency, packets_incomplete) = ctx.pending.finish();
         let report = EngineReport {
-            latency: ctx.latency,
+            packets_measured: latency.count() as usize,
+            latency,
             throughput,
-            packets_measured,
-            packets_incomplete: ctx.pending_measured,
+            packets_incomplete,
             flits_throttled: ctx.flits_throttled,
             flits_delivered: ctx.flits_delivered,
             events_processed: ctx.events_processed,
@@ -1200,27 +1116,11 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
             self.model.on_packet(source, dests, measured);
         }
 
-        if let Some(shard) = self.ctx.shard.as_mut() {
-            // The packet's destinations may live on other shards, so the
-            // pending set is folded centrally, on shard 0.
-            shard.log.push_pend(PendOp::Insert {
-                logical: logical.as_u64(),
-                awaiting: dests,
-                measured,
-            });
-        } else {
-            self.ctx.pending.insert(
-                logical.as_u64(),
-                Pending {
-                    created_at: self.ctx.now,
-                    awaiting: dests,
-                    measured,
-                },
-            );
-            if measured {
-                self.ctx.pending_measured += 1;
-            }
-        }
+        self.ctx.pend(PendOp::Insert {
+            logical: logical.as_u64(),
+            awaiting: dests,
+            measured,
+        });
         if measured {
             self.ctx.throughput.record_offered(offered_flits);
         }
@@ -1309,9 +1209,8 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
                 }
                 Some(SourceFaultAction::Lose) => {
                     // Drop budget exhausted by plan: discard the whole
-                    // train and release its latency bookkeeping so the
-                    // drain still terminates. Never silent — observers
-                    // see both the drop and the loss.
+                    // train. Never silent — observers see both the drop
+                    // and the loss.
                     self.ctx.emit(&SimEvent::Fault {
                         class: FaultClass::FlitDrop,
                         site: source,
@@ -1329,7 +1228,12 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
                     {
                         self.ctx.source_queue[source].pop_front();
                     }
-                    self.lose_packet(&flit);
+                    // Release its latency bookkeeping, so the drain
+                    // still terminates.
+                    self.ctx.pend(PendOp::Lose {
+                        logical: flit.descriptor().logical_id().as_u64(),
+                        dests: flit.descriptor().dests(),
+                    });
                     self.fire_source(source);
                     return;
                 }
@@ -1348,33 +1252,6 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
         self.ctx.source_next_fire[source] = self.ctx.now + self.source_cycle;
     }
 
-    /// Releases the latency bookkeeping of a packet discarded at its
-    /// source: the clone's destinations no longer await delivery, and a
-    /// fully-starved logical packet leaves the pending set without a
-    /// latency record (it is counted by the fault summary instead).
-    fn lose_packet(&mut self, flit: &Flit) {
-        let descriptor = flit.descriptor();
-        let logical = descriptor.logical_id().as_u64();
-        if let Some(shard) = self.ctx.shard.as_mut() {
-            shard.log.push_pend(PendOp::Lose {
-                logical,
-                dests: descriptor.dests(),
-            });
-            return;
-        }
-        if let Some(pending) = self.ctx.pending.get_mut(&logical) {
-            for dest in descriptor.dests().iter() {
-                pending.awaiting.remove(dest);
-            }
-            if pending.awaiting.is_empty() {
-                let done = self.ctx.pending.remove(&logical).expect("entry present");
-                if done.measured {
-                    self.ctx.pending_measured -= 1;
-                }
-            }
-        }
-    }
-
     fn sink_consume(&mut self, channel: usize, dest: usize) {
         let flit = self.ctx.take_arrived(channel);
         self.ctx.free_after(channel, self.sink_ack);
@@ -1385,35 +1262,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
         }
         if flit.kind().is_header() {
             let logical = flit.descriptor().logical_id().as_u64();
-            if let Some(shard) = self.ctx.shard.as_mut() {
-                // Completion accounting (latency, the delivery audit) is
-                // folded centrally; deliveries just leave a record.
-                shard.log.push_pend(PendOp::Deliver { logical, dest });
-            } else if let Some(pending) = self.ctx.pending.get_mut(&logical) {
-                // Delivery audit: a header may reach each destination in
-                // its set exactly once — a duplicate means a redundant
-                // speculative copy escaped throttling, a miss would show up
-                // as a never-completing packet.
-                assert!(
-                    pending.awaiting.contains(dest),
-                    "packet {logical}: duplicate or misrouted header at destination {dest}"
-                );
-                pending.awaiting.remove(dest);
-                if pending.awaiting.is_empty() {
-                    let done = self.ctx.pending.remove(&logical).expect("entry present");
-                    if done.measured {
-                        self.ctx
-                            .latency
-                            .record(self.ctx.now.saturating_since(done.created_at));
-                        self.ctx.pending_measured -= 1;
-                    }
-                }
-            } else {
-                panic!(
-                    "packet {logical}: header delivered at destination {dest} after completion \
-                     — a redundant speculative copy escaped throttling"
-                );
-            }
+            self.ctx.pend(PendOp::Deliver { logical, dest });
         }
         if flit.kind().is_tail() {
             // The tail is the last flit of its train to be consumed here;
@@ -1594,10 +1443,7 @@ mod tests {
     fn reruns_are_bit_identical() {
         let run_once = || run(Crossbar::new(), toy_traffic(11), toy_spec(), &mut []).0;
         let (a, b) = (run_once(), run_once());
-        assert_eq!(a.latency.count(), b.latency.count());
-        assert_eq!(a.latency.mean(), b.latency.mean());
-        assert_eq!(a.latency.min(), b.latency.min());
-        assert_eq!(a.latency.max(), b.latency.max());
+        assert_eq!(a.latency, b.latency);
         assert_eq!(a.throughput, b.throughput);
         assert_eq!(a.flits_delivered, b.flits_delivered);
         assert_eq!(a.events_processed, b.events_processed);
@@ -1611,14 +1457,5 @@ mod tests {
         );
         let (report, _) = run(Crossbar::new(), toy_traffic(5), spec, &mut []);
         assert!(report.packets_measured > 0);
-    }
-
-    #[test]
-    fn queue_capacity_override_is_honored() {
-        let spec = toy_spec().with_queue_capacity(16);
-        let (report, _) = run(Crossbar::new(), toy_traffic(7), spec, &mut []);
-        let (baseline, _) = run(Crossbar::new(), toy_traffic(7), toy_spec(), &mut []);
-        assert_eq!(report.latency.mean(), baseline.latency.mean());
-        assert_eq!(report.events_processed, baseline.events_processed);
     }
 }

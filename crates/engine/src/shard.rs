@@ -48,23 +48,24 @@
 //! quiesced, and the first payload is re-raised once all have joined.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::ops::{ControlFlow, Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use asynoc_kernel::{
     CalendarQueue, Duration, FaultClass, Mailboxes, ShardedScheduler, Time, WindowBarrier,
 };
-use asynoc_packet::{DestSet, Flit};
+use asynoc_packet::Flit;
 use asynoc_probe::{EngineProfile, HostHistogram, ProfileSink, ProgressMeter, ShardProfile};
-use asynoc_stats::{LatencyStats, Phases, ThroughputCounter};
+use asynoc_stats::{Phases, ThroughputCounter};
 use asynoc_traffic::SourceTraffic;
 
 use crate::fault::{ArmedFaults, FaultSummary};
 use crate::observer::{ForwardInfo, Observer, SimEvent};
+use crate::pending::{PendOp, PendingTable};
 use crate::session::{
-    latency_reservoir, run, run_with_faults, DetHashState, EngineReport, Event, NodeRef, Pending,
-    RunSpec, Session, SimModel, PROGRESS_INTERVAL_MS,
+    queue_presize, run, run_with_faults, EngineReport, Event, NodeRef, RunSpec, Session, SimModel,
+    PROGRESS_INTERVAL_MS,
 };
 
 // ---------------------------------------------------------------------
@@ -325,21 +326,6 @@ impl<N: Copy> OwnedSimEvent<N> {
             },
         }
     }
-}
-
-/// One transition of the (centrally folded) pending-packet table.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum PendOp {
-    /// A logical packet entered the network.
-    Insert {
-        logical: u64,
-        awaiting: DestSet,
-        measured: bool,
-    },
-    /// A header reached `dest`.
-    Deliver { logical: u64, dest: usize },
-    /// A packet was discarded at its source (lethal fault).
-    Lose { logical: u64, dests: DestSet },
 }
 
 /// The head of one logged event: its position in the canonical total
@@ -652,16 +638,14 @@ impl Drop for AbortOnUnwind<'_> {
     }
 }
 
-/// The serial loop's observer fan-out, pending-packet table and latency
-/// bookkeeping, replayed from the shards' merged logs.
+/// The serial loop's observer fan-out and pending-packet table, replayed
+/// from the shards' merged logs.
 struct Fold<'obs, 'run, N> {
     observers: &'run mut [&'obs mut dyn Observer<N>],
     phases: Phases,
     drain: bool,
     injection_end: Time,
-    pending: HashMap<u64, Pending, DetHashState>,
-    pending_measured: usize,
-    latency: LatencyStats,
+    pending: PendingTable,
     fault_total: FaultSummary,
     /// Drain-tail events per shard, up to the stopping point.
     tail_events: Vec<u64>,
@@ -703,66 +687,14 @@ impl<N: Copy> Fold<'_, '_, N> {
             }
         }
         for op in record.pend {
-            match *op {
-                PendOp::Insert {
-                    logical,
-                    awaiting,
-                    measured,
-                } => {
-                    self.pending.insert(
-                        logical,
-                        Pending {
-                            created_at: time,
-                            awaiting,
-                            measured,
-                        },
-                    );
-                    if measured {
-                        self.pending_measured += 1;
-                    }
-                }
-                PendOp::Deliver { logical, dest } => {
-                    if let Some(entry) = self.pending.get_mut(&logical) {
-                        assert!(
-                            entry.awaiting.contains(dest),
-                            "packet {logical}: duplicate or misrouted header at destination {dest}"
-                        );
-                        entry.awaiting.remove(dest);
-                        if entry.awaiting.is_empty() {
-                            let done = self.pending.remove(&logical).expect("entry present");
-                            if done.measured {
-                                self.latency.record(time.saturating_since(done.created_at));
-                                self.pending_measured -= 1;
-                            }
-                        }
-                    } else {
-                        panic!(
-                            "packet {logical}: header delivered at destination {dest} after \
-                             completion — a redundant speculative copy escaped throttling"
-                        );
-                    }
-                }
-                PendOp::Lose { logical, dests } => {
-                    if let Some(entry) = self.pending.get_mut(&logical) {
-                        for dest in dests.iter() {
-                            entry.awaiting.remove(dest);
-                        }
-                        if entry.awaiting.is_empty() {
-                            let done = self.pending.remove(&logical).expect("entry present");
-                            if done.measured {
-                                self.pending_measured -= 1;
-                            }
-                        }
-                    }
-                }
-            }
+            self.pending.apply(time, op);
         }
         if let Some(delta) = record.fault_delta {
             self.fault_total = summary_add(self.fault_total, delta);
         }
         // The serial loop stops at the first post-injection event that
         // leaves no measured packet in flight; nothing after it counts.
-        if drain_tail && self.pending_measured == 0 {
+        if drain_tail && self.pending.measured_in_flight() == 0 {
             self.done = true;
             return ControlFlow::Break(());
         }
@@ -791,12 +723,11 @@ fn run_sharded_inner<M: ShardModel>(
     let shard_count = partition.shards();
     let lookahead = partition.lookahead();
     let injection_end = spec.phases.measurement_end();
-    let queue_capacity = spec
-        .queue_capacity
-        .unwrap_or_else(|| (model.channel_count() * 2 + n * 4).max(1024));
-
-    let scheduler: ShardedScheduler<Event<M::Node>> =
-        ShardedScheduler::new(shard_count, queue_capacity, lookahead);
+    let scheduler: ShardedScheduler<Event<M::Node>> = ShardedScheduler::new(
+        shard_count,
+        queue_presize(model.channel_count(), n),
+        lookahead,
+    );
     let mut shared = Shared {
         barrier: WindowBarrier::new(shard_count),
         mailboxes: [Mailboxes::new(shard_count), Mailboxes::new(shard_count)],
@@ -819,9 +750,7 @@ fn run_sharded_inner<M: ShardModel>(
         phases: spec.phases,
         drain: spec.drain,
         injection_end,
-        pending: HashMap::with_capacity_and_hasher(n * 16 + 256, DetHashState),
-        pending_measured: 0,
-        latency: latency_reservoir(&traffic, &spec),
+        pending: PendingTable::new(n),
         fault_total: faults
             .as_deref()
             .map(ArmedFaults::summary)
@@ -899,8 +828,7 @@ fn run_sharded_inner<M: ShardModel>(
     let mut tails: Vec<_> = parts.iter_mut().map(|part| &mut part.log).collect();
     fold.replay(&mut tails);
     let Fold {
-        latency,
-        pending_measured,
+        pending,
         fault_total,
         tail_events,
         ..
@@ -934,12 +862,12 @@ fn run_sharded_inner<M: ShardModel>(
             shards: shard_profiles,
         })
     });
-    let packets_measured = latency.count();
+    let (latency, packets_incomplete) = pending.finish();
     let report = EngineReport {
+        packets_measured: latency.count() as usize,
         latency,
         throughput: throughput.per_source_gfs(spec.phases.measure()),
-        packets_measured,
-        packets_incomplete: pending_measured,
+        packets_incomplete,
         flits_throttled,
         flits_delivered,
         events_processed: shard_events.iter().sum(),

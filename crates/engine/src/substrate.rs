@@ -23,6 +23,12 @@ use crate::shard::{run_sharded, run_sharded_with_faults, ShardModel};
 /// One simulation run on any substrate: benchmark, offered load,
 /// measurement schedule, and how the host executes it.
 ///
+/// No option bounds a run's memory or picks its latency estimator: every
+/// run reports [`EngineReport::latency`] as one fixed-size
+/// [`LogHistogram`](asynoc_stats::LogHistogram) — exact count, mean,
+/// minimum and maximum; percentiles never below the exact nearest-rank
+/// sample and at most 1/32 above it — however long it is.
+///
 /// # Examples
 ///
 /// ```
@@ -128,17 +134,6 @@ impl RunConfig {
         self
     }
 
-    /// Caps the engine's stored latency-sample reservoir (streaming
-    /// runs set this so memory is bounded independent of run length).
-    /// Count, mean, min, and max stay exact past the cap; percentiles
-    /// degrade to the retained prefix. `None` (the default) stores
-    /// every sample.
-    #[must_use]
-    pub fn with_latency_cap(mut self, cap: Option<usize>) -> Self {
-        self.spec.latency_cap = cap;
-        self
-    }
-
     /// The benchmark to run.
     #[must_use]
     pub fn benchmark(&self) -> Benchmark {
@@ -179,12 +174,6 @@ impl RunConfig {
     #[must_use]
     pub fn progress(&self) -> bool {
         self.spec.progress
-    }
-
-    /// The latency-sample reservoir cap (`None` = unbounded).
-    #[must_use]
-    pub fn latency_cap(&self) -> Option<usize> {
-        self.spec.latency_cap
     }
 }
 

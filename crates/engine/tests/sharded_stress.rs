@@ -262,10 +262,7 @@ fn assert_same_run(
     assert_eq!(want.flits_throttled, got.flits_throttled, "{what}");
     assert_eq!(want.flits_delivered, got.flits_delivered, "{what}");
     assert_eq!(want.throughput, got.throughput, "{what}");
-    assert_eq!(want.latency.count(), got.latency.count(), "{what}");
-    assert_eq!(want.latency.mean(), got.latency.mean(), "{what}");
-    assert_eq!(want.latency.min(), got.latency.min(), "{what}");
-    assert_eq!(want.latency.max(), got.latency.max(), "{what}");
+    assert_eq!(want.latency, got.latency, "{what}");
 }
 
 fn random_assignment(rng: &mut SimRng, shards: usize) -> Vec<usize> {

@@ -642,8 +642,7 @@ mod tests {
                     sharded.events_processed
                 );
                 assert_eq!(sharded.events_processed, serial.events_processed);
-                assert_eq!(sharded.latency.mean(), serial.latency.mean());
-                assert_eq!(sharded.latency.count(), serial.latency.count());
+                assert_eq!(sharded.latency, serial.latency);
                 assert_eq!(sharded.throughput, serial.throughput);
                 assert_eq!(sharded.packets_measured, serial.packets_measured);
                 assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);

@@ -1,354 +1,145 @@
-//! Log-bucketed histograms for streaming latency percentiles.
+//! The JSON spelling of [`LogHistogram`], the workspace's one latency
+//! statistic.
 //!
-//! [`asynoc_stats::LatencyStats`] keeps every exact sample, which is right
-//! for the paper's headline numbers but wrong for always-on telemetry: a
-//! per-destination × per-hop-count matrix of sample vectors would be
-//! unbounded. A [`LogHistogram`] instead keeps log-linear buckets — 32
-//! sub-buckets per octave, so any reported quantile is within ~3% of the
-//! exact value — in a few kilobytes regardless of sample count.
+//! The arithmetic — recording, merging, the nearest-rank quantile that
+//! reports its bucket's upper edge (never below the exact sample, at most
+//! 1/32 above it, never above the exact maximum) — lives in
+//! `asynoc_stats::histogram`, where the engine's own per-packet report
+//! uses it too. This module writes a histogram as the percentile summary
+//! of a metrics document and as the lossless sparse delta of a stream's
+//! `window` record, and reads the delta back.
+
+use asynoc_kernel::Duration;
+pub use asynoc_stats::LogHistogram;
 
 use crate::json::JsonValue;
 
-/// Sub-bucket resolution: 2^5 = 32 linear sub-buckets per power of two.
-const SUB_BITS: u32 = 5;
-const SUB: u64 = 1 << SUB_BITS;
-
-/// A log-linear histogram of `u64` samples (picoseconds, in practice).
-///
-/// Values below 32 get exact unit buckets; above that, each octave
-/// `[2^e, 2^(e+1))` is split into 32 equal sub-buckets. Quantiles report a
-/// bucket's *upper* edge, so they never understate the tail.
-#[derive(Clone, Debug, Default)]
-pub struct LogHistogram {
-    counts: Vec<u64>,
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-fn bucket_of(value: u64) -> usize {
-    if value < SUB {
-        value as usize
-    } else {
-        let exponent = 63 - value.leading_zeros();
-        let sub = (value >> (exponent - SUB_BITS)) - SUB;
-        (SUB as u32 + (exponent - SUB_BITS) * SUB as u32) as usize + sub as usize
-    }
-}
-
-fn bucket_high(bucket: usize) -> u64 {
-    if bucket < SUB as usize {
-        bucket as u64
-    } else {
-        let octave = (bucket as u64 - SUB) / SUB + SUB_BITS as u64;
-        let sub = (bucket as u64 - SUB) % SUB;
-        let width = 1u64 << (octave - SUB_BITS as u64);
-        (1u64 << octave) + (sub + 1) * width - 1
-    }
-}
-
-impl LogHistogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        LogHistogram::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let bucket = bucket_of(value);
-        if bucket >= self.counts.len() {
-            self.counts.resize(bucket + 1, 0);
-        }
-        self.counts[bucket] += 1;
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum += u128::from(value);
-    }
-
-    /// Total samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact smallest sample, if any.
-    #[must_use]
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Exact largest sample, if any.
-    #[must_use]
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Exact mean, if any samples were recorded.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) by nearest rank, reported as the
-    /// containing bucket's upper edge (clamped to the exact max).
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (bucket, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(bucket_high(bucket).min(self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
-    /// The lossless sparse form used by streamed window deltas: exact
-    /// `n`/`min`/`max`, the sum as a decimal string (it is a `u128`,
-    /// which JSON numbers cannot carry exactly), and only the non-zero
-    /// buckets as `[bucket, count]` pairs. Round-tripping through
-    /// [`LogHistogram::from_delta_json`] and [`LogHistogram::merge`]
-    /// reproduces the batch histogram bit-for-bit — the foundation of
-    /// the stream fold's byte-identity guarantee.
-    #[must_use]
-    pub fn to_delta_json(&self) -> JsonValue {
-        let buckets: Vec<JsonValue> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(bucket, &n)| {
-                JsonValue::Array(vec![JsonValue::uint(bucket as u64), JsonValue::uint(n)])
-            })
-            .collect();
-        JsonValue::Object(vec![
-            ("n".to_string(), JsonValue::uint(self.count)),
-            ("min".to_string(), JsonValue::uint(self.min)),
-            ("max".to_string(), JsonValue::uint(self.max)),
-            ("sum".to_string(), JsonValue::str(self.sum.to_string())),
-            ("b".to_string(), JsonValue::Array(buckets)),
-        ])
-    }
-
-    /// Parses the sparse delta form back into a histogram. Returns
-    /// `None` for a malformed document.
-    #[must_use]
-    pub fn from_delta_json(json: &JsonValue) -> Option<LogHistogram> {
-        let count = json.get("n").and_then(JsonValue::as_f64)? as u64;
-        let min = json.get("min").and_then(JsonValue::as_f64)? as u64;
-        let max = json.get("max").and_then(JsonValue::as_f64)? as u64;
-        let sum: u128 = json.get("sum").and_then(JsonValue::as_str)?.parse().ok()?;
-        let mut counts = Vec::new();
-        for pair in json.get("b").and_then(JsonValue::as_array)? {
-            let pair = pair.as_array()?;
-            let bucket = pair.first().and_then(JsonValue::as_f64)? as usize;
-            let n = pair.get(1).and_then(JsonValue::as_f64)? as u64;
-            if bucket >= counts.len() {
-                counts.resize(bucket + 1, 0);
-            }
-            counts[bucket] = n;
-        }
-        Some(LogHistogram {
-            counts,
-            count,
-            sum,
-            min,
-            max,
+/// The lossless sparse form used by streamed window deltas: exact
+/// `n`/`min`/`max`, the sum as a decimal string (it is a `u128`, which
+/// JSON numbers cannot carry exactly), and only the non-zero buckets as
+/// `[bucket, count]` pairs. Round-tripping through [`from_delta_json`] and
+/// [`LogHistogram::merge`] reproduces the batch histogram bit-for-bit —
+/// the foundation of the stream fold's byte-identity guarantee.
+#[must_use]
+pub fn to_delta_json(h: &LogHistogram) -> JsonValue {
+    let ps = |d: Option<Duration>| JsonValue::uint(d.map_or(0, |d| d.as_ps()));
+    let buckets = h
+        .buckets()
+        .map(|(bucket, n)| {
+            JsonValue::Array(vec![JsonValue::uint(bucket as u64), JsonValue::uint(n)])
         })
-    }
+        .collect();
+    JsonValue::Object(vec![
+        ("n".to_string(), JsonValue::uint(h.count())),
+        ("min".to_string(), ps(h.min())),
+        ("max".to_string(), ps(h.max())),
+        ("sum".to_string(), JsonValue::str(h.sum_ps().to_string())),
+        ("b".to_string(), JsonValue::Array(buckets)),
+    ])
+}
 
-    /// The standard percentile summary as a JSON object
-    /// (`count`, `mean_ps`, `min_ps`, `p50_ps`, `p90_ps`, `p99_ps`,
-    /// `p999_ps`, `max_ps`).
-    #[must_use]
-    pub fn summary_json(&self) -> JsonValue {
-        let quantile = |q: f64| self.quantile(q).map_or(JsonValue::Null, JsonValue::uint);
-        JsonValue::Object(vec![
-            ("count".to_string(), JsonValue::uint(self.count)),
-            (
-                "mean_ps".to_string(),
-                self.mean().map_or(JsonValue::Null, JsonValue::Number),
-            ),
-            (
-                "min_ps".to_string(),
-                self.min().map_or(JsonValue::Null, JsonValue::uint),
-            ),
-            ("p50_ps".to_string(), quantile(0.50)),
-            ("p90_ps".to_string(), quantile(0.90)),
-            ("p99_ps".to_string(), quantile(0.99)),
-            ("p999_ps".to_string(), quantile(0.999)),
-            (
-                "max_ps".to_string(),
-                self.max().map_or(JsonValue::Null, JsonValue::uint),
-            ),
-        ])
+/// Parses the sparse delta form back into a histogram. The line comes
+/// from a file, so every integer is read exactly and the parts must be
+/// ones recording produces ([`LogHistogram::from_parts`]): `None` for a
+/// bucket past the closed domain, buckets out of order, counts that do
+/// not sum to `n`, or extremes outside the first and last bucket.
+#[must_use]
+pub fn from_delta_json(json: &JsonValue) -> Option<LogHistogram> {
+    let uint = |key: &str| json.get(key).and_then(JsonValue::as_u64);
+    let sum: u128 = json.get("sum").and_then(JsonValue::as_str)?.parse().ok()?;
+    let mut buckets = Vec::new();
+    for pair in json.get("b").and_then(JsonValue::as_array)? {
+        let [bucket, n] = pair.as_array()? else {
+            return None;
+        };
+        buckets.push((bucket.as_u64()?, n.as_u64()?));
     }
+    LogHistogram::from_parts(uint("n")?, sum, uint("min")?, uint("max")?, buckets)
+}
+
+/// The standard percentile summary, as the members of a JSON object
+/// (`count`, `mean_ps`, `min_ps`, `p50_ps`, `p90_ps`, `p99_ps`, `p999_ps`,
+/// `max_ps`).
+#[must_use]
+pub fn summary_members(h: &LogHistogram) -> Vec<(String, JsonValue)> {
+    let ps = |d: Option<Duration>| d.map_or(JsonValue::Null, |d| JsonValue::uint(d.as_ps()));
+    let mean = if h.is_empty() {
+        JsonValue::Null
+    } else {
+        JsonValue::Number(h.sum_ps() as f64 / h.count() as f64)
+    };
+    vec![
+        ("count".to_string(), JsonValue::uint(h.count())),
+        ("mean_ps".to_string(), mean),
+        ("min_ps".to_string(), ps(h.min())),
+        ("p50_ps".to_string(), ps(h.quantile(0.50))),
+        ("p90_ps".to_string(), ps(h.quantile(0.90))),
+        ("p99_ps".to_string(), ps(h.quantile(0.99))),
+        ("p999_ps".to_string(), ps(h.quantile(0.999))),
+        ("max_ps".to_string(), ps(h.max())),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn buckets_partition_the_value_line() {
-        // Every bucket's upper edge must map back into that bucket, and the
-        // next value must map to the next bucket.
-        for bucket in 0..1024 {
-            let high = bucket_high(bucket);
-            assert_eq!(bucket_of(high), bucket, "upper edge of {bucket}");
-            assert_eq!(bucket_of(high + 1), bucket + 1, "start of {}", bucket + 1);
-        }
-    }
-
-    #[test]
-    fn small_values_are_exact() {
+    fn histogram(ps: &[u64]) -> LogHistogram {
         let mut h = LogHistogram::new();
-        for v in [0u64, 1, 5, 31] {
-            h.record(v);
+        for &p in ps {
+            h.record(Duration::from_ps(p));
         }
-        assert_eq!(h.quantile(0.0), Some(0));
-        assert_eq!(h.quantile(0.5), Some(1));
-        assert_eq!(h.quantile(1.0), Some(31));
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(31));
-    }
-
-    #[test]
-    fn quantiles_track_exact_within_sub_bucket_error() {
-        // A deterministic spread over three decades.
-        let mut samples: Vec<u64> = (1..=1000u64).map(|k| 40 + k * k).collect();
-        let mut h = LogHistogram::new();
-        for &s in &samples {
-            h.record(s);
-        }
-        samples.sort_unstable();
-        for q in [0.5, 0.9, 0.99, 0.999] {
-            let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-            let exact = samples[rank - 1];
-            let approx = h.quantile(q).expect("samples") as f64;
-            let relative = (approx - exact as f64) / exact as f64;
-            assert!(
-                (-0.001..=0.04).contains(&relative),
-                "q={q}: approx {approx} vs exact {exact}"
-            );
-        }
-    }
-
-    #[test]
-    fn mean_and_count_are_exact() {
-        let mut h = LogHistogram::new();
-        for v in [100u64, 200, 300] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.mean(), Some(200.0));
-    }
-
-    #[test]
-    fn merge_matches_recording_everything_in_one() {
-        let values_a = [3u64, 700, 52_000];
-        let values_b = [9u64, 1_000_000];
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut all = LogHistogram::new();
-        for v in values_a {
-            a.record(v);
-            all.record(v);
-        }
-        for v in values_b {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-        for q in [0.25, 0.5, 0.75, 1.0] {
-            assert_eq!(a.quantile(q), all.quantile(q), "q={q}");
-        }
+        h
     }
 
     #[test]
     fn delta_json_round_trips_bit_for_bit() {
-        let mut h = LogHistogram::new();
-        for v in [3u64, 700, 700, 52_000, u64::from(u32::MAX) * 8] {
-            h.record(v);
+        for h in [
+            histogram(&[3, 700, 700, 52_000, u64::from(u32::MAX) * 8]),
+            LogHistogram::new(),
+        ] {
+            let parsed = JsonValue::parse(&to_delta_json(&h).render()).expect("valid JSON");
+            assert_eq!(from_delta_json(&parsed), Some(h));
         }
-        let text = h.to_delta_json().render();
-        let parsed = JsonValue::parse(&text).expect("valid JSON");
-        let back = LogHistogram::from_delta_json(&parsed).expect("well-formed delta");
-        assert_eq!(back.count(), h.count());
-        assert_eq!(back.min(), h.min());
-        assert_eq!(back.max(), h.max());
-        assert_eq!(back.sum, h.sum);
-        assert_eq!(back.counts, h.counts);
-        // The summary (what the fold renders) is byte-identical.
-        assert_eq!(back.summary_json().render(), h.summary_json().render());
     }
 
     #[test]
-    fn delta_json_rejects_malformed_documents() {
-        assert!(LogHistogram::from_delta_json(&JsonValue::Null).is_none());
-        let missing_sum = JsonValue::Object(vec![
-            ("n".to_string(), JsonValue::uint(1)),
-            ("min".to_string(), JsonValue::uint(1)),
-            ("max".to_string(), JsonValue::uint(1)),
-        ]);
-        assert!(LogHistogram::from_delta_json(&missing_sum).is_none());
+    fn delta_json_rejects_malformed_and_inconsistent_documents() {
+        assert!(from_delta_json(&JsonValue::Null).is_none());
+        let good = to_delta_json(&histogram(&[40, 700, 700])).render();
+        assert_eq!(
+            good,
+            r#"{"n":3,"min":40,"max":700,"sum":"1440","b":[[40,1],[171,2]]}"#
+        );
+        // What `LogHistogram::from_parts` refuses has its own test; these
+        // are the spellings that never reach it, and one that does.
+        for (from, to) in [
+            (r#","sum":"1440""#, ""),
+            (r#""n":3"#, r#""n":3.5"#),
+            (r#""max":700"#, r#""max":18446744073709551616"#),
+            ("[171,2]", "[171,2,0]"),
+            ("[171,2]", "[171]"),
+            ("[171,2]", "[4000000000000000,2]"),
+        ] {
+            let bad = good.replace(from, to);
+            assert_ne!(bad, good, "{from}");
+            let parsed = JsonValue::parse(&bad).expect("still JSON");
+            assert_eq!(from_delta_json(&parsed), None, "{bad}");
+        }
     }
 
     #[test]
-    fn empty_histogram_reports_nulls() {
-        let h = LogHistogram::new();
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.summary_json().get("p50_ps"), Some(&JsonValue::Null));
-        assert_eq!(h.summary_json().get("count"), Some(&JsonValue::Number(0.0)));
-    }
-
-    #[test]
-    fn summary_json_has_the_schema_fields() {
-        let mut h = LogHistogram::new();
-        h.record(52);
-        let json = h.summary_json();
+    fn the_summary_has_the_schema_fields_and_nulls_when_empty() {
+        let json = JsonValue::Object(summary_members(&histogram(&[52])));
         for key in [
             "count", "mean_ps", "min_ps", "p50_ps", "p90_ps", "p99_ps", "p999_ps", "max_ps",
         ] {
             assert!(json.get(key).is_some(), "missing {key}");
         }
         assert_eq!(json.get("p99_ps").and_then(JsonValue::as_f64), Some(52.0));
+        let empty = JsonValue::Object(summary_members(&LogHistogram::new()));
+        assert_eq!(empty.get("p50_ps"), Some(&JsonValue::Null));
+        assert_eq!(empty.get("mean_ps"), Some(&JsonValue::Null));
+        assert_eq!(empty.get("count"), Some(&JsonValue::Number(0.0)));
     }
 }

@@ -6,7 +6,7 @@ use asynoc_engine::{Observer, SimEvent};
 use asynoc_kernel::Time;
 use asynoc_stats::Phases;
 
-use crate::histogram::LogHistogram;
+use crate::histogram::{from_delta_json, summary_members, to_delta_json, LogHistogram};
 use crate::json::JsonValue;
 
 /// Streams header-delivery latencies into log-bucketed histograms:
@@ -14,12 +14,13 @@ use crate::json::JsonValue;
 ///
 /// The sample is *per delivered header copy* (creation → this copy's
 /// arrival), gated on the packet being created inside the measurement
-/// window — the same population the engine's `LatencyStats` draws from,
-/// but broken out by where the copy landed and how many node traversals
-/// its packet's header needed. Hop count is the number of `Forward`
-/// events the physical packet's header generated: the exact path length
-/// for unicast traffic, the replication-tree edge count for in-network
-/// multicast.
+/// window — the same population, and the same [`LogHistogram`], as the
+/// engine's per-logical-packet report (on unicast traffic the two are
+/// equal), but broken out by where the copy landed and how many node
+/// traversals its packet's header needed. Hop count is the number of
+/// `Forward` events the physical packet's header generated: the exact
+/// path length for unicast traffic, the replication-tree edge count for
+/// in-network multicast.
 pub struct LatencyHistograms {
     phases: Phases,
     overall: LogHistogram,
@@ -139,35 +140,24 @@ impl LatencyHistograms {
     /// (destinations and hop counts without samples are omitted).
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
-        let JsonValue::Object(mut members) = self.overall.summary_json() else {
-            unreachable!("summary_json returns an object");
+        let keyed = |key: &str, id: u64, h: &LogHistogram| {
+            let mut fields = vec![(key.to_string(), JsonValue::uint(id))];
+            fields.extend(summary_members(h));
+            JsonValue::Object(fields)
         };
-        let per_dest: Vec<JsonValue> = self
+        let occupied = self
             .per_dest
             .iter()
             .enumerate()
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(dest, h)| {
-                let JsonValue::Object(mut fields) = h.summary_json() else {
-                    unreachable!("summary_json returns an object");
-                };
-                fields.insert(0, ("dest".to_string(), JsonValue::uint(dest as u64)));
-                JsonValue::Object(fields)
-            })
-            .collect();
-        let per_hops: Vec<JsonValue> = self
+            .filter(|(_, h)| h.count() > 0);
+        let per_dest = occupied.map(|(dest, h)| keyed("dest", dest as u64, h));
+        let per_hops = self
             .per_hops
             .iter()
-            .map(|(hops, h)| {
-                let JsonValue::Object(mut fields) = h.summary_json() else {
-                    unreachable!("summary_json returns an object");
-                };
-                fields.insert(0, ("hops".to_string(), JsonValue::uint(u64::from(*hops))));
-                JsonValue::Object(fields)
-            })
-            .collect();
-        members.push(("per_dest".to_string(), JsonValue::Array(per_dest)));
-        members.push(("per_hops".to_string(), JsonValue::Array(per_hops)));
+            .map(|(hops, h)| keyed("hops", u64::from(*hops), h));
+        let mut members = summary_members(&self.overall);
+        members.push(("per_dest".to_string(), JsonValue::Array(per_dest.collect())));
+        members.push(("per_hops".to_string(), JsonValue::Array(per_hops.collect())));
         JsonValue::Object(members)
     }
 }
@@ -202,11 +192,11 @@ impl LatencyWindow {
         let keyed = |key: &str, id: u64, h: &LogHistogram| {
             JsonValue::Object(vec![
                 (key.to_string(), JsonValue::uint(id)),
-                ("h".to_string(), h.to_delta_json()),
+                ("h".to_string(), to_delta_json(h)),
             ])
         };
         JsonValue::Object(vec![
-            ("overall".to_string(), self.overall.to_delta_json()),
+            ("overall".to_string(), to_delta_json(&self.overall)),
             (
                 "per_dest".to_string(),
                 JsonValue::Array(
@@ -231,16 +221,16 @@ impl LatencyWindow {
     /// Parses the JSON form back; `None` for a malformed document.
     #[must_use]
     pub fn from_json(json: &JsonValue) -> Option<LatencyWindow> {
-        let overall = LogHistogram::from_delta_json(json.get("overall")?)?;
+        let overall = from_delta_json(json.get("overall")?)?;
         let mut per_dest = Vec::new();
         for entry in json.get("per_dest").and_then(JsonValue::as_array)? {
-            let dest = entry.get("dest").and_then(JsonValue::as_f64)? as u64;
-            per_dest.push((dest, LogHistogram::from_delta_json(entry.get("h")?)?));
+            let dest = entry.get("dest").and_then(JsonValue::as_u64)?;
+            per_dest.push((dest, from_delta_json(entry.get("h")?)?));
         }
         let mut per_hops = Vec::new();
         for entry in json.get("per_hops").and_then(JsonValue::as_array)? {
-            let hops = entry.get("hops").and_then(JsonValue::as_f64)? as u32;
-            per_hops.push((hops, LogHistogram::from_delta_json(entry.get("h")?)?));
+            let hops = u32::try_from(entry.get("hops").and_then(JsonValue::as_u64)?).ok()?;
+            per_hops.push((hops, from_delta_json(entry.get("h")?)?));
         }
         Some(LatencyWindow {
             overall,
@@ -264,7 +254,7 @@ impl<N> Observer<N> for LatencyHistograms {
                 if !self.phases.in_measurement(created) {
                     return;
                 }
-                let latency = at.saturating_since(created).as_ps();
+                let latency = at.saturating_since(created);
                 self.overall.record(latency);
                 if let Some(h) = self.per_dest.get_mut(*dest) {
                     h.record(latency);
@@ -317,7 +307,7 @@ mod tests {
             collector.on_event(Time::from_ps(at), true, &event);
         }
         assert_eq!(collector.overall().count(), 1);
-        assert_eq!(collector.overall().max(), Some(700));
+        assert_eq!(collector.overall().max(), Some(Duration::from_ps(700)));
         assert_eq!(collector.per_dest()[3].count(), 1);
         assert_eq!(collector.per_dest()[0].count(), 0);
     }

@@ -1085,8 +1085,7 @@ mod tests {
                     let sharded = drive(&net, &run, &mut [], None).unwrap();
                     assert_eq!(sharded.shards, shards);
                     assert_eq!(sharded.events_processed, serial.events_processed, "{mcast}");
-                    assert_eq!(sharded.latency.mean(), serial.latency.mean(), "{mcast}");
-                    assert_eq!(sharded.latency.count(), serial.latency.count());
+                    assert_eq!(sharded.latency, serial.latency, "{mcast}");
                     assert_eq!(sharded.throughput, serial.throughput);
                     assert_eq!(sharded.packets_measured, serial.packets_measured);
                     assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);

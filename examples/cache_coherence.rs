@@ -36,7 +36,7 @@ fn main() -> Result<(), SimError> {
     ] {
         let network = Network::new(NetworkConfig::eight_by_eight(architecture).with_seed(2024))?;
         let run = RunConfig::new(Benchmark::MulticastStatic, 0.35)?;
-        let mut report = network.run(&run)?;
+        let report = network.run(&run)?;
         println!(
             "{:<26} {:>14} {:>14} {:>14} {:>12.1}",
             architecture.to_string(),

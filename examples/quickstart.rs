@@ -36,10 +36,7 @@ fn main() -> Result<(), SimError> {
         "packets measured: {} (mean latency {}, p99 {})",
         report.packets_measured,
         report.latency.mean().expect("packets were measured"),
-        {
-            let mut latency = report.latency.clone();
-            latency.p99().expect("packets were measured")
-        },
+        report.latency.p99().expect("packets were measured"),
     );
     println!("throughput: {}", report.throughput);
     println!("power: {}", report.power);

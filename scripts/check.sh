@@ -135,6 +135,8 @@ fault oracle, --shards 1 == 2 (vcmesh) | asynoc faults $fvcmesh $pair --shards 1
 # the built-in guard exits non-zero if OptHybridSpeculative drifts off the Pareto front's envelope
 explore guard, --jobs 1 == 2, --shards 1 == 2 | asynoc explore --smoke --jobs 1 --shards 1 > 1 ; asynoc explore --smoke --jobs 2 --shards 1 > 2 ;\
  asynoc explore --smoke --jobs 2 --shards 2 > s ; same cat 1 2 s ; has 1 "schema": "asynoc-explore-v1"
+# at 4x4 OptAllSpeculative and OptHybridSpeculative are one map: the guard finds a preset by its map, not its label
+explore guard on an aliased preset | asynoc explore --smoke --size 4 --guard OptAllSpeculative > g ; has g "arch": "OptAllSpeculative"
 # folded stream == batch document at --shards 1 and 2; the streams agree up to their end record
 fold-back (mot) | asynoc metrics $mot --shards 1 --metrics-out b1.json --stream s1.ndjson ;\
  asynoc watch --stream-in s1.ndjson --once --fold f1.json ; same cat b1.json f1.json ;\

@@ -196,13 +196,14 @@ fn analysis_latency_reconciles_with_online_histograms() {
     let overall = latency.overall();
 
     assert_eq!(summary.count, overall.count(), "population size");
-    assert_eq!(Some(summary.min_ps), overall.min(), "fastest packet");
-    assert_eq!(Some(summary.max_ps), overall.max(), "slowest packet");
-    // The histogram buckets logarithmically, so its mean is approximate;
-    // the trace-derived mean must sit within a picosecond of it.
+    let ps = |d: Option<asynoc::Duration>| d.map(|d| d.as_ps());
+    assert_eq!(Some(summary.min_ps), ps(overall.min()), "fastest packet");
+    assert_eq!(Some(summary.max_ps), ps(overall.max()), "slowest packet");
+    // The histogram's mean is exact but rounded down to a picosecond; the
+    // trace-derived mean must sit within that picosecond of it.
     let online_mean = overall.mean().expect("non-empty histogram");
     assert!(
-        (summary.mean_ps - online_mean).abs() <= 1.0,
+        (summary.mean_ps - online_mean.as_ps() as f64).abs() <= 1.0,
         "mean {} vs online {online_mean}",
         summary.mean_ps
     );
