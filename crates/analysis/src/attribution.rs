@@ -11,10 +11,9 @@
 
 use std::collections::HashMap;
 
-use asynoc_telemetry::TraceRecord;
+use asynoc_telemetry::{Action, Detail, Site, Stage, TraceRecord};
 
-use crate::site::Site;
-use crate::span::{SpanForest, SpanKind};
+use crate::span::SpanForest;
 
 /// Accumulated delay attribution for one site (or one aggregation key).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -60,40 +59,36 @@ impl Attribution {
     /// Aggregates every span node of `forest` over its backing records.
     #[must_use]
     pub fn build(forest: &SpanForest, records: &[TraceRecord]) -> Attribution {
-        let mut per_node: HashMap<&str, NodeStat> = HashMap::new();
+        let mut per_node: HashMap<Site, NodeStat> = HashMap::new();
         for tree in &forest.trees {
             for node in &tree.nodes {
                 let record = &records[node.record];
-                let stat = per_node
-                    .entry(record.site.as_str())
-                    .or_insert_with(|| NodeStat {
-                        site: record.site.clone(),
-                        ..NodeStat::default()
-                    });
+                let stat = per_node.entry(record.site).or_insert_with(|| NodeStat {
+                    site: record.site.to_string(),
+                    ..NodeStat::default()
+                });
                 stat.events += 1;
                 stat.service_ps += node.service_ps;
                 stat.blocked_ps += node.queue_ps;
-                if record.detail.starts_with("input") {
+                if matches!(record.detail, Detail::Input(_)) {
                     stat.arbitration_blocked_ps += node.queue_ps;
                 }
-                if node.kind == SpanKind::Throttle {
+                if node.kind == Action::Throttle {
                     stat.throttles += 1;
                 }
             }
         }
 
-        let mut per_level: HashMap<String, NodeStat> = HashMap::new();
+        let mut per_level: HashMap<Stage, NodeStat> = HashMap::new();
         let mut per_fanin: HashMap<usize, NodeStat> = HashMap::new();
-        for stat in per_node.values() {
-            let site = Site::parse(&stat.site);
-            let level = per_level
-                .entry(site.level_key())
-                .or_insert_with(|| NodeStat {
-                    site: site.level_key(),
-                    ..NodeStat::default()
-                });
+        for (site, stat) in &per_node {
+            let stage = site.stage();
+            let level = per_level.entry(stage).or_insert_with(|| NodeStat {
+                site: stage.to_string(),
+                ..NodeStat::default()
+            });
             level.absorb(stat);
-            if let Site::Fanin { tree, .. } = site {
+            if let Site::Fanin { tree, .. } = *site {
                 let entry = per_fanin.entry(tree).or_insert_with(|| NodeStat {
                     site: format!("fanin-tree-d{tree}"),
                     ..NodeStat::default()
@@ -104,8 +99,9 @@ impl Attribution {
 
         let mut per_node: Vec<NodeStat> = per_node.into_values().collect();
         per_node.sort_by(|a, b| b.blocked_ps.cmp(&a.blocked_ps).then(a.site.cmp(&b.site)));
-        let mut per_level: Vec<NodeStat> = per_level.into_values().collect();
-        per_level.sort_by_key(|s| level_rank(&s.site));
+        let mut per_level: Vec<(Stage, NodeStat)> = per_level.into_iter().collect();
+        per_level.sort_by_key(|(stage, _)| stage.pipeline_rank());
+        let per_level = per_level.into_iter().map(|(_, stat)| stat).collect();
         let mut per_fanin_tree: Vec<NodeStat> = per_fanin.into_values().collect();
         per_fanin_tree.sort_by(|a, b| b.blocked_ps.cmp(&a.blocked_ps).then(a.site.cmp(&b.site)));
         Attribution {
@@ -114,28 +110,6 @@ impl Attribution {
             per_fanin_tree,
         }
     }
-}
-
-/// Orders level keys along the flit's pipeline: source, fanout root to
-/// leaf, fanin leaf to root, sink.
-fn level_rank(key: &str) -> (u8, i64) {
-    if key == "source" {
-        return (0, 0);
-    }
-    if let Some(l) = key.strip_prefix("fanout-L") {
-        return (1, l.parse().unwrap_or(0));
-    }
-    if key == "router" {
-        return (2, 0);
-    }
-    if let Some(l) = key.strip_prefix("fanin-L") {
-        // Fanin levels count down toward the sink.
-        return (3, -l.parse().unwrap_or(0));
-    }
-    if key == "sink" {
-        return (4, 0);
-    }
-    (5, 0)
 }
 
 #[cfg(test)]
@@ -151,9 +125,9 @@ mod tests {
             src: 0,
             dests: 1,
             created_ps: 0,
-            site: site.to_string(),
-            action: action.to_string(),
-            detail: detail.to_string(),
+            site: site.parse().expect(site),
+            action: action.parse().expect(action),
+            detail: detail.parse().expect(detail),
             copies,
             busy_ps: 20,
         }

@@ -3,21 +3,20 @@
 //! Two maps are rendered from the same span forest: **busy** (service
 //! time absorbed per site — how hard each handshake stage works) and
 //! **wait** (queueing time in front of each site — where flits stall).
-//! The geometry is inferred from the site labels themselves: MoT labels
-//! place each node by `(stage level, tree)` so the map reads top-to-
-//! bottom along the flit pipeline — fanout root to leaves, then fanin
-//! leaves back to the roots — with one column per endpoint tree; mesh
-//! labels place routers on their `side x side` grid. Unlabeled sites
-//! fall back to one row per stage.
+//! The geometry is inferred from the sites themselves: MoT sites place
+//! each node by `(stage level, tree)` so the map reads top-to-bottom
+//! along the flit pipeline — fanout root to leaves, then fanin leaves
+//! back to the roots — with one column per endpoint tree; mesh sites
+//! place routers on their `side x side` grid. A trace with neither falls
+//! back to one row per stage.
 //!
 //! Intensity uses a ten-step ASCII ramp normalized to the hottest cell
 //! of each map, so the output is a relative picture, not a scale.
 
 use std::collections::HashMap;
 
-use asynoc_telemetry::TraceRecord;
+use asynoc_telemetry::{Site, TraceRecord};
 
-use crate::site::Site;
 use crate::span::SpanForest;
 
 const RAMP: &[u8] = b" .:-=+*#%@";
@@ -35,11 +34,11 @@ impl Heatmap {
     /// Renders both maps from a span forest.
     #[must_use]
     pub fn build(forest: &SpanForest, records: &[TraceRecord]) -> Heatmap {
-        let mut busy: HashMap<&str, u64> = HashMap::new();
-        let mut wait: HashMap<&str, u64> = HashMap::new();
+        let mut busy: HashMap<Site, u64> = HashMap::new();
+        let mut wait: HashMap<Site, u64> = HashMap::new();
         for tree in &forest.trees {
             for node in &tree.nodes {
-                let site = records[node.record].site.as_str();
+                let site = records[node.record].site;
                 *busy.entry(site).or_default() += node.service_ps;
                 *wait.entry(site).or_default() += node.queue_ps;
             }
@@ -57,11 +56,8 @@ struct Row {
     cells: Vec<u64>,
 }
 
-fn render_map(values: &HashMap<&str, u64>) -> String {
-    let parsed: Vec<(Site, u64)> = values
-        .iter()
-        .map(|(label, &v)| (Site::parse(label), v))
-        .collect();
+fn render_map(values: &HashMap<Site, u64>) -> String {
+    let parsed: Vec<(Site, u64)> = values.iter().map(|(&site, &v)| (site, v)).collect();
 
     let rows = if parsed.iter().any(|(s, _)| matches!(s, Site::Router(_))) {
         mesh_rows(&parsed)
@@ -179,11 +175,11 @@ fn mesh_rows(parsed: &[(Site, u64)]) -> Vec<Row> {
     rows
 }
 
-/// Unknown labels: one row per stage key, one aggregate cell.
+/// Neither fabric's nodes: one row per stage, one aggregate cell.
 fn generic_rows(parsed: &[(Site, u64)]) -> Vec<Row> {
     let mut by_key: HashMap<String, u64> = HashMap::new();
     for (site, value) in parsed {
-        *by_key.entry(site.level_key()).or_default() += value;
+        *by_key.entry(site.stage().to_string()).or_default() += value;
     }
     let mut rows: Vec<Row> = by_key
         .into_iter()
@@ -209,9 +205,9 @@ mod tests {
             src: 0,
             dests: 1,
             created_ps: 0,
-            site: site.to_string(),
-            action: action.to_string(),
-            detail: String::new(),
+            site: site.parse().expect(site),
+            action: action.parse().expect(action),
+            detail: asynoc_telemetry::Detail::None,
             copies: 1,
             busy_ps,
         }
@@ -261,13 +257,18 @@ mod tests {
     }
 
     #[test]
-    fn unlabeled_sites_fall_back_to_stage_rows() {
+    fn a_trace_of_endpoints_and_fault_sites_falls_back_to_stage_rows() {
         let records = vec![
-            record(10, "Node(0)", "inject", 0),
-            record(40, "Node(1)", "forward", 30),
+            record(10, "src0", "inject", 0),
+            record(40, "ch1", "fault", 30),
         ];
         let forest = SpanForest::build(&records);
         let map = Heatmap::build(&forest, &records);
-        assert!(map.busy.contains("other"));
+        let labels: Vec<&str> = map
+            .busy
+            .lines()
+            .map(|l| l.split('|').next().unwrap())
+            .collect();
+        assert_eq!(labels, [" other ", "source "]);
     }
 }

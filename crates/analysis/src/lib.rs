@@ -35,14 +35,15 @@ pub mod attribution;
 pub mod heatmap;
 pub mod report;
 pub mod scorecard;
-pub mod site;
 pub mod span;
 
 pub use attribution::{Attribution, NodeStat};
 pub use report::{Analysis, LatencySummary};
 pub use scorecard::{RegionScore, Scorecard};
-pub use site::Site;
-pub use span::{critical_paths, CriticalPath, FlitTree, Hop, SpanForest, SpanKind, SpanNode};
+pub use span::{critical_paths, CriticalPath, FlitTree, Hop, SpanForest, SpanNode};
+
+// The typed vocabulary of a trace record lives beside it.
+pub use asynoc_telemetry::{Action, Site};
 
 /// The analysis report's schema identifier (`schema` field of the JSON
 /// document `asynoc analyze` emits). Bump when the report shape changes.

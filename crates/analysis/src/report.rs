@@ -11,12 +11,12 @@
 //! its count/mean/min/max reconcile with a `metrics` run of the same
 //! simulation.
 
-use asynoc_telemetry::{JsonValue, TraceMeta, TraceRecord};
+use asynoc_telemetry::{Action, JsonValue, TraceMeta, TraceRecord};
 
 use crate::attribution::{Attribution, NodeStat};
 use crate::heatmap::Heatmap;
 use crate::scorecard::Scorecard;
-use crate::span::{critical_paths, CriticalPath, SpanForest, SpanKind};
+use crate::span::{critical_paths, CriticalPath, SpanForest};
 
 /// Summary of the re-derived latency population.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -279,7 +279,7 @@ fn latency_summary(meta: Option<&TraceMeta>, forest: &SpanForest) -> LatencySumm
             }
         }
         for node in &tree.nodes {
-            if node.kind != SpanKind::Deliver {
+            if node.kind != Action::Deliver {
                 continue;
             }
             let sample = node.t_ps.saturating_sub(tree.created_ps);
@@ -319,8 +319,8 @@ fn path_json(path: &CriticalPath) -> JsonValue {
                     .iter()
                     .map(|hop| {
                         JsonValue::Object(vec![
-                            ("site".to_string(), JsonValue::str(&hop.site)),
-                            ("action".to_string(), JsonValue::str(&hop.action)),
+                            ("site".to_string(), JsonValue::str(hop.site.to_string())),
+                            ("action".to_string(), JsonValue::str(hop.action.label())),
                             ("t_ps".to_string(), JsonValue::uint(hop.t_ps)),
                             ("segment_ps".to_string(), JsonValue::uint(hop.segment_ps)),
                             ("service_ps".to_string(), JsonValue::uint(hop.service_ps)),
@@ -420,9 +420,9 @@ mod tests {
             src: 0,
             dests: 2,
             created_ps: 100,
-            site: site.to_string(),
-            action: action.to_string(),
-            detail: String::new(),
+            site: site.parse().expect(site),
+            action: action.parse().expect(action),
+            detail: asynoc_telemetry::Detail::None,
             copies,
             busy_ps,
         }

@@ -6,10 +6,11 @@
 //! speculative fork itself, so we can see how quickly the speculating
 //! node moved compared with its non-speculating peers. The scorecard
 //! joins the two per **speculative region** — the fanout node that
-//! created the redundant copy (the throttling node's fanout parent, or
-//! the node itself at the tree root), the same attribution rule the CLI
-//! wires into the ledger — so its totals reconcile exactly with the
-//! ledger priced with the constants from the trace's meta line.
+//! created the redundant copy ([`Site::creator`]: the throttling node's
+//! fanout parent, or the node itself at the tree root), the one
+//! attribution rule the online ledger applies too — so its totals
+//! reconcile exactly with the ledger priced with the constants from the
+//! trace's meta line.
 //!
 //! `est_latency_saved_ps` is a **modeled estimate**, not a measurement:
 //! per fork it credits `max(0, median level busy - fork busy)`, i.e. how
@@ -18,10 +19,9 @@
 
 use std::collections::HashMap;
 
-use asynoc_telemetry::{TraceMeta, TraceRecord};
+use asynoc_telemetry::{Action, Site, TraceMeta, TraceRecord};
 
-use crate::site::Site;
-use crate::span::{SpanForest, SpanKind};
+use crate::span::SpanForest;
 
 /// Waste and benefit attributed to one speculative region.
 #[derive(Clone, Debug, PartialEq)]
@@ -67,18 +67,13 @@ impl Scorecard {
 
         // Median handshake occupancy of fanout forwards per level: the
         // baseline a speculative fork is compared against.
-        let mut busy_by_level: HashMap<String, Vec<u64>> = HashMap::new();
+        let mut busy_by_level: HashMap<u32, Vec<u64>> = HashMap::new();
         for record in records {
-            if record.action == "forward" {
-                if let site @ Site::Fanout { .. } = Site::parse(&record.site) {
-                    busy_by_level
-                        .entry(site.level_key())
-                        .or_default()
-                        .push(record.busy_ps);
-                }
+            if let (Action::Forward, Site::Fanout { level, .. }) = (record.action, record.site) {
+                busy_by_level.entry(level).or_default().push(record.busy_ps);
             }
         }
-        let median_by_level: HashMap<String, u64> = busy_by_level
+        let median_by_level: HashMap<u32, u64> = busy_by_level
             .into_iter()
             .map(|(key, mut busies)| {
                 busies.sort_unstable();
@@ -86,12 +81,12 @@ impl Scorecard {
             })
             .collect();
 
-        let mut regions: HashMap<String, RegionScore> = HashMap::new();
+        let mut regions: HashMap<Site, RegionScore> = HashMap::new();
         let mut total_throttles = 0u64;
         let mut total_saved = 0u64;
         for tree in &forest.trees {
             for node in &tree.nodes {
-                if node.kind != SpanKind::Throttle {
+                if node.kind != Action::Throttle {
                     continue;
                 }
                 let record = &records[node.record];
@@ -100,9 +95,9 @@ impl Scorecard {
                 if !meta.in_measurement(record.t_ps) {
                     continue;
                 }
-                let region = creator_region(&record.site);
-                let score = regions.entry(region.clone()).or_insert(RegionScore {
-                    region,
+                let region = record.site.creator();
+                let score = regions.entry(region).or_insert_with(|| RegionScore {
+                    region: region.to_string(),
                     throttles: 0,
                     drop_fj: 0.0,
                     wasted_wire_fj: 0.0,
@@ -115,13 +110,14 @@ impl Scorecard {
                 // The throttle's span parent is the speculative fork.
                 if let Some(p) = node.parent {
                     let fork = &tree.nodes[p];
-                    if fork.kind == SpanKind::Forward && fork.copies >= 2 {
-                        let key = Site::parse(&records[fork.record].site).level_key();
-                        if let Some(&median) = median_by_level.get(&key) {
-                            let saved = median.saturating_sub(fork.busy_ps);
-                            score.est_latency_saved_ps += saved;
-                            total_saved += saved;
-                        }
+                    let median = match records[fork.record].site {
+                        Site::Fanout { level, .. } => median_by_level.get(&level),
+                        _ => None,
+                    };
+                    if let (Action::Forward, 2.., Some(median)) = (fork.kind, fork.copies, median) {
+                        let saved = median.saturating_sub(fork.busy_ps);
+                        score.est_latency_saved_ps += saved;
+                        total_saved += saved;
                     }
                 }
             }
@@ -136,21 +132,6 @@ impl Scorecard {
             est_latency_saved_ps: total_saved,
             regions,
         })
-    }
-}
-
-/// The region that created a copy throttled at `site`: the throttler's
-/// fanout parent, or the node itself at the tree root. Mirrors the
-/// `CreatorFn` the CLI installs on the online ledger.
-fn creator_region(site: &str) -> String {
-    match Site::parse(site) {
-        Site::Fanout { tree, level, index } if level > 0 => Site::Fanout {
-            tree,
-            level: level - 1,
-            index: index / 2,
-        }
-        .to_string(),
-        _ => site.to_string(),
     }
 }
 
@@ -183,9 +164,9 @@ mod tests {
             src: 0,
             dests: 2,
             created_ps: 90,
-            site: site.to_string(),
-            action: action.to_string(),
-            detail: String::new(),
+            site: site.parse().expect(site),
+            action: action.parse().expect(action),
+            detail: asynoc_telemetry::Detail::None,
             copies,
             busy_ps,
         }

@@ -8,8 +8,8 @@
 //! wiring is fully determined by coordinates, each event's causal parent
 //! is *computable* from its parsed label ([`Site::parent_candidates`]), so the
 //! tree is reconstructed exactly, not heuristically. Sites without
-//! coordinate labels (mesh routers, generic collectors) fall back to the
-//! flit's previous event, which is exact for linear paths.
+//! coordinate parents (mesh routers) fall back to the flit's previous
+//! event, which is exact for linear paths.
 //!
 //! Each edge's duration is split into **service** — the time the child
 //! site reports staying busy on the handshake (`busy_ps`) — and
@@ -19,42 +19,7 @@
 
 use std::collections::HashMap;
 
-use asynoc_telemetry::TraceRecord;
-
-use crate::site::Site;
-
-/// What kind of event a span node represents.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpanKind {
-    /// Source queue departure into the network.
-    Inject,
-    /// A node forwarded/replicated the flit.
-    Forward,
-    /// A node killed a redundant speculative copy.
-    Throttle,
-    /// A sink consumed the flit.
-    Deliver,
-    /// A fault-injection hook fired on the flit (stall, symbol
-    /// corruption, source drop/loss — the record's `detail` carries the
-    /// class label). Token-neutral: faults annotate a tree, they never
-    /// create or consume copies.
-    Fault,
-    /// An action string this crate does not know.
-    Other,
-}
-
-impl SpanKind {
-    fn of(action: &str) -> SpanKind {
-        match action {
-            "inject" => SpanKind::Inject,
-            "forward" => SpanKind::Forward,
-            "throttle" => SpanKind::Throttle,
-            "deliver" => SpanKind::Deliver,
-            "fault" => SpanKind::Fault,
-            _ => SpanKind::Other,
-        }
-    }
-}
+use asynoc_telemetry::{Action, Site, TraceRecord};
 
 /// One event in a flit's span tree, with its resolved causal parent and
 /// the decomposed edge delay leading to it.
@@ -65,7 +30,7 @@ pub struct SpanNode {
     /// Event time, ps.
     pub t_ps: u64,
     /// Event kind.
-    pub kind: SpanKind,
+    pub kind: Action,
     /// Copies the event put in flight.
     pub copies: u8,
     /// The site's handshake occupancy for this event, ps.
@@ -115,17 +80,16 @@ impl FlitTree {
         let mut injected = false;
         for node in &self.nodes {
             match node.kind {
-                SpanKind::Inject => {
+                Action::Inject => {
                     injected = true;
                     self.created += u64::from(node.copies.max(1));
                 }
-                SpanKind::Forward => {
+                Action::Forward => {
                     self.consumed += 1;
                     self.created += u64::from(node.copies);
                 }
-                SpanKind::Throttle | SpanKind::Deliver => self.consumed += 1,
-                SpanKind::Fault => self.fault_events += 1,
-                SpanKind::Other => {}
+                Action::Throttle | Action::Deliver => self.consumed += 1,
+                Action::Fault => self.fault_events += 1,
             }
         }
         self.closed = injected && self.created == self.consumed;
@@ -143,7 +107,7 @@ impl FlitTree {
     /// [`broken_with_cause`](SpanForest::broken_with_cause).
     #[must_use]
     pub fn broken(&self) -> bool {
-        self.consumed > self.created || !self.nodes.iter().any(|n| n.kind == SpanKind::Inject)
+        self.consumed > self.created || !self.nodes.iter().any(|n| n.kind == Action::Inject)
     }
 }
 
@@ -216,9 +180,8 @@ impl SpanForest {
 /// Where one tree's nodes sit, by parsed site, for coordinate parent
 /// lookup. A flit copy traverses a site at most once, so the index keeps
 /// the latest node per site; `earlier` chains back through any repeats
-/// so that a malformed trace resolves as it always did. Sites that parse
-/// to [`Site::Other`] are never anyone's coordinate parent and are left
-/// out. One index is cleared and reused for every tree of a forest.
+/// so that a malformed trace resolves as it always did. One index is
+/// cleared and reused for every tree of a forest.
 #[derive(Default)]
 struct SiteIndex {
     latest: HashMap<Site, usize>,
@@ -234,11 +197,7 @@ impl SiteIndex {
 
     /// Records that the tree's next node sits at `site`.
     fn push(&mut self, site: Site) {
-        let position = self.earlier.len();
-        let earlier = match site {
-            Site::Other => None,
-            _ => self.latest.insert(site, position),
-        };
+        let earlier = self.latest.insert(site, self.earlier.len());
         self.earlier.push(earlier);
     }
 
@@ -263,9 +222,8 @@ fn build_tree(records: &[TraceRecord], indices: &[usize], by_site: &mut SiteInde
 
     for &record_index in indices {
         let record = &records[record_index];
-        let kind = SpanKind::of(&record.action);
-        let site = Site::parse(&record.site);
-        let parent = if kind == SpanKind::Inject {
+        let (kind, site) = (record.action, record.site);
+        let parent = if kind == Action::Inject {
             None
         } else {
             resolve_parent(site, record.t_ps, src, &nodes, by_site)
@@ -273,11 +231,11 @@ fn build_tree(records: &[TraceRecord], indices: &[usize], by_site: &mut SiteInde
         let segment_ps = match (kind, parent) {
             // The injection's segment is the source-queue wait since
             // creation; latency telescopes from `created_ps`.
-            (SpanKind::Inject, _) => record.t_ps.saturating_sub(record.created_ps),
+            (Action::Inject, _) => record.t_ps.saturating_sub(record.created_ps),
             (_, Some(p)) => record.t_ps.saturating_sub(nodes[p].t_ps),
             (_, None) => 0,
         };
-        let service_ps = if kind == SpanKind::Inject {
+        let service_ps = if kind == Action::Inject {
             0
         } else {
             record.busy_ps.min(segment_ps)
@@ -335,10 +293,10 @@ fn resolve_parent(
 /// One hop of a critical path.
 #[derive(Clone, Debug)]
 pub struct Hop {
-    /// Site label where the event fired.
-    pub site: String,
-    /// Action name.
-    pub action: String,
+    /// Where the event fired.
+    pub site: Site,
+    /// What happened there.
+    pub action: Action,
     /// Event time, ps.
     pub t_ps: u64,
     /// Delay since the previous hop, ps.
@@ -387,12 +345,12 @@ pub fn critical_paths(forest: &SpanForest, records: &[TraceRecord]) -> Vec<Criti
             continue;
         }
         for (node_index, node) in tree.nodes.iter().enumerate() {
-            if node.kind != SpanKind::Deliver {
+            if node.kind != Action::Deliver {
                 continue;
             }
             let slot = last_deliver.entry(tree.logical).or_insert((0, 0));
             let current = forest.trees[slot.0].nodes.get(slot.1);
-            if current.is_none_or(|c| c.kind != SpanKind::Deliver || node.t_ps >= c.t_ps) {
+            if current.is_none_or(|c| c.kind != Action::Deliver || node.t_ps >= c.t_ps) {
                 *slot = (tree_index, node_index);
             }
         }
@@ -411,7 +369,7 @@ pub fn critical_paths(forest: &SpanForest, records: &[TraceRecord]) -> Vec<Criti
             chain.reverse();
             // A path must reach back to the injection for its components
             // to telescope to the measured latency.
-            if tree.nodes[chain[0]].kind != SpanKind::Inject {
+            if tree.nodes[chain[0]].kind != Action::Inject {
                 return None;
             }
             let hops: Vec<Hop> = chain
@@ -420,8 +378,8 @@ pub fn critical_paths(forest: &SpanForest, records: &[TraceRecord]) -> Vec<Criti
                     let node = &tree.nodes[position];
                     let record = &records[node.record];
                     Hop {
-                        site: record.site.clone(),
-                        action: record.action.clone(),
+                        site: record.site,
+                        action: record.action,
                         t_ps: node.t_ps,
                         segment_ps: node.segment_ps,
                         service_ps: node.service_ps,
@@ -454,6 +412,7 @@ pub fn critical_paths(forest: &SpanForest, records: &[TraceRecord]) -> Vec<Criti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asynoc_telemetry::Detail;
 
     fn record(
         t_ps: u64,
@@ -472,9 +431,9 @@ mod tests {
             src: 0,
             dests: 2,
             created_ps: 100,
-            site: site.to_string(),
-            action: action.to_string(),
-            detail: String::new(),
+            site: site.parse().expect(site),
+            action: action.parse().expect(action),
+            detail: Detail::None,
             copies,
             busy_ps,
         }
@@ -567,7 +526,7 @@ mod tests {
         let path = &paths[0];
         // The completing delivery is D1 at 460; created at 100.
         assert_eq!(path.latency_ps, 360);
-        assert_eq!(path.hops.last().unwrap().site, "D1");
+        assert_eq!(path.hops.last().unwrap().site, Site::Sink(1));
         assert_eq!(
             path.source_queue_ps + path.service_ps + path.queue_ps,
             path.latency_ps,
@@ -611,7 +570,7 @@ mod tests {
     /// labels formatted per record, looked up in a map of every node's
     /// label.
     fn label_keyed_parents(records: &[TraceRecord]) -> Vec<Option<usize>> {
-        let mut by_site: HashMap<&str, Vec<usize>> = HashMap::new();
+        let mut by_site: HashMap<String, Vec<usize>> = HashMap::new();
         let src = records[0].src as usize;
         let mut parents = Vec::new();
         for (position, record) in records.iter().enumerate() {
@@ -620,15 +579,19 @@ mod tests {
                 let earlier = |&&p: &&usize| records[p].t_ps <= record.t_ps;
                 positions.iter().rev().find(earlier).copied()
             };
-            parents.push(if record.action == "inject" {
+            parents.push(if record.action == Action::Inject {
                 None
             } else {
-                Site::parse(&record.site)
+                record
+                    .site
                     .parent_candidates(src)
                     .find_map(|candidate| by_label(candidate.to_string()))
                     .or(position.checked_sub(1))
             });
-            by_site.entry(&record.site).or_default().push(position);
+            by_site
+                .entry(record.site.to_string())
+                .or_default()
+                .push(position);
         }
         parents
     }
@@ -636,8 +599,8 @@ mod tests {
     #[test]
     fn typed_sites_resolve_the_parents_label_lookup_did() {
         // One flit's worth of everything a trace can throw at the index:
-        // repeated sites, events out of time order, labels that parse to
-        // nothing, candidates that are absent.
+        // repeated sites, events out of time order, sites that are nobody's
+        // parent, candidates that are absent.
         let sites = [
             "src2",
             "fo[s2:0.0]",
@@ -656,7 +619,6 @@ mod tests {
             "r4",
             "ch9",
             "node3",
-            "MotNode::Fanout(3)",
         ];
         let actions = [
             "forward", "forward", "forward", "throttle", "deliver", "fault", "inject",

@@ -4,25 +4,25 @@
 //!
 //! Usage: `cargo run --release -p asynoc-bench --bin packet_trace [--seed N]`
 
-use asynoc::telemetry::{TraceCollector, TraceRecord};
+use asynoc::telemetry::{Action, Detail, TraceCollector, TraceRecord};
 use asynoc::{Architecture, Benchmark, Network, NetworkConfig, RunConfig, Time};
 
 /// One journey line: when, which flit, where, and what the node did.
 fn journey_line(record: &TraceRecord) -> String {
-    let action = match (record.action.as_str(), record.detail.strip_prefix("input")) {
-        ("inject", _) => "injected".to_string(),
-        ("forward", Some(input)) => format!("arbitrated (input {input})"),
-        ("forward", None) => format!("forwarded [{}]", record.detail),
-        ("throttle", _) => "THROTTLED".to_string(),
-        ("deliver", _) => "delivered".to_string(),
-        (other, _) => other.to_string(),
+    let action = match (record.action, record.detail) {
+        (Action::Inject, _) => "injected".to_string(),
+        (Action::Forward, Detail::Input(input)) => format!("arbitrated (input {input})"),
+        (Action::Forward, detail) => format!("forwarded [{detail}]"),
+        (Action::Throttle, _) => "THROTTLED".to_string(),
+        (Action::Deliver, _) => "delivered".to_string(),
+        (Action::Fault, _) => "fault".to_string(),
     };
     format!(
         "{:>12}  pkt{}[{}]  {:<12} {}",
         Time::from_ps(record.t_ps).to_string(),
         record.packet,
         record.flit,
-        record.site,
+        record.site.to_string(),
         action
     )
 }
@@ -39,7 +39,7 @@ fn main() {
     )
     .expect("valid config");
     let run = RunConfig::quick(Benchmark::Multicast10, 0.2);
-    let mut collector = TraceCollector::new(40_000, network.site_label());
+    let mut collector = TraceCollector::new(40_000, network.site_of());
     network
         .run_with_observers(&run, &mut [&mut collector])
         .expect("run succeeds");
@@ -49,7 +49,7 @@ fn main() {
     // redundant copy (one whose destinations all sit in one half, so the
     // speculative root's broadcast creates waste); fall back to any
     // multicast packet.
-    let count = |packet: u64, action: &str| {
+    let count = |packet: u64, action: Action| {
         trace
             .iter()
             .filter(|e| e.packet == packet && e.action == action)
@@ -57,14 +57,14 @@ fn main() {
     };
     let mut candidates: Vec<_> = trace
         .iter()
-        .filter(|e| e.action == "deliver")
+        .filter(|e| e.action == Action::Deliver)
         .map(|e| e.packet)
-        .filter(|&p| count(p, "deliver") > 5) // 5-flit packet, >1 destination
+        .filter(|&p| count(p, Action::Deliver) > 5) // 5-flit packet, >1 destination
         .collect();
     candidates.dedup();
     let Some(&packet) = candidates
         .iter()
-        .find(|&&p| count(p, "throttle") > 0)
+        .find(|&&p| count(p, Action::Throttle) > 0)
         .or_else(|| candidates.first())
     else {
         println!("no multicast packet found in the trace window; try another --seed");

@@ -25,12 +25,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use asynoc::probe::{peak_bytes, reset_peak_bytes};
-use asynoc::telemetry::{LevelSpec, StreamConfig, StreamSink, TimeSeries, WatchConfig};
+use asynoc::telemetry::{StreamConfig, StreamSink, TimeSeries, WatchConfig};
 use asynoc::{
     Architecture, Benchmark, Duration, MotNode, Network, NetworkConfig, Observer, Phases, RunConfig,
 };
 use asynoc_kernel::with_deadline;
-use asynoc_topology::{FaninNodeId, FanoutNodeId, MotSize};
+use asynoc_topology::MotSize;
 
 #[global_allocator]
 static GLOBAL: asynoc::probe::CountingAlloc = asynoc::probe::CountingAlloc;
@@ -74,31 +74,10 @@ impl Write for CountingWriter {
 }
 
 fn sink_for(net: &Network, phases: Phases) -> StreamSink<MotNode> {
-    let size = net.config().size();
-    let n = size.n();
-    let levels = size.levels() as usize;
-    let mut specs = Vec::with_capacity(2 * levels);
-    for level in 0..levels {
-        specs.push(LevelSpec {
-            label: format!("fanout-L{level}"),
-            nodes: n << level,
-        });
-    }
-    for level in 0..levels {
-        specs.push(LevelSpec {
-            label: format!("fanin-L{level}"),
-            nodes: n << level,
-        });
-    }
     let series = TimeSeries::new(
         asynoc::Duration::from_ns(WINDOW_NS),
-        specs,
-        Box::new(move |node: MotNode| match node {
-            MotNode::Fanout(flat) => Some(FanoutNodeId::from_flat_index(size, flat).level as usize),
-            MotNode::Fanin(flat) => {
-                Some(levels + FaninNodeId::from_flat_index(size, flat).level as usize)
-            }
-        }),
+        net.levels(),
+        net.site_of(),
     );
     StreamSink::new(
         Box::new(CountingWriter {
@@ -112,9 +91,9 @@ fn sink_for(net: &Network, phases: Phases) -> StreamSink<MotNode> {
             watch: WatchConfig::default(),
         },
         phases,
-        n,
+        net.config().size().n(),
         series,
-        net.site_label(),
+        net.site_of(),
     )
     .expect("stream head writes")
 }

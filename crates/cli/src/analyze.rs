@@ -53,8 +53,7 @@ pub fn execute_analyze(request: &AnalyzeRequest, out: &mut dyn Write) -> Result<
             .map_err(|e| CliError::Invalid(format!("{}: {e}", request.trace_in)))?;
         (meta, records, 0)
     };
-    // The records own their strings: the text need not sit under the
-    // analysis' peak.
+    // The records hold no text: it need not sit under the analysis' peak.
     drop(text);
     if records.is_empty() {
         return Err(CliError::Invalid(format!(

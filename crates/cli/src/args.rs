@@ -264,7 +264,11 @@ pub const COMMANDS: &[CommandSpec] = &[
         rejects: &[],
         notes: "offline causal analysis over an NDJSON flit trace (from metrics\n\
                 --trace-out): per-packet critical paths, blocked-time attribution,\n\
-                congestion heatmaps, speculation scorecard.",
+                congestion heatmaps, speculation scorecard. A record's site, action\n\
+                and detail are closed grammars (src3, fo[s2:1.0], fi[d4:2.3], D5,\n\
+                r12, ch101, node15; inject, forward, …): a label outside them is a\n\
+                malformed line — an error naming the line and the field, or under\n\
+                --lenient a skipped line — never a site of its own.",
         build: analyze,
     },
     CommandSpec {
@@ -499,6 +503,16 @@ pub enum Substrate {
     Mesh,
     /// The credit-based virtual-channel mesh with in-network multicast.
     Vcmesh,
+}
+
+impl fmt::Display for Substrate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Substrate::Mot => "mot",
+            Substrate::Mesh => "mesh",
+            Substrate::Vcmesh => "vcmesh",
+        })
+    }
 }
 
 impl FromStr for Substrate {
@@ -987,7 +1001,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn argv(s: &str) -> Vec<String> {
@@ -1926,7 +1940,7 @@ mod tests {
     }
 
     /// One shell line's words, quotes dropped.
-    fn words(line: &str) -> Vec<String> {
+    pub(crate) fn words(line: &str) -> Vec<String> {
         line.split_whitespace()
             .map(|w| w.replace(['"', '\''], ""))
             .collect()
@@ -1934,7 +1948,7 @@ mod tests {
 
     /// The `asynoc` argument vectors a document's shell lines run through
     /// `cargo run … -p asynoc-cli --`.
-    fn documented_lines(text: &str) -> Vec<Vec<String>> {
+    pub(crate) fn documented_lines(text: &str) -> Vec<Vec<String>> {
         let text = text.replace("\\\n", " ");
         text.lines()
             .filter(|line| !line.trim_start().starts_with('#'))
@@ -1946,7 +1960,7 @@ mod tests {
     /// The `asynoc` argument vectors of the gate table in
     /// `scripts/check.sh`: every `;`-separated step of a `name | steps` row
     /// that runs `asynoc`, with the script's `name='…'` variables expanded.
-    fn gate_lines(script: &str) -> Vec<Vec<String>> {
+    pub(crate) fn gate_lines(script: &str) -> Vec<Vec<String>> {
         let script = script.replace("\\\n", " ");
         let variables: Vec<(String, &str)> = script
             .lines()

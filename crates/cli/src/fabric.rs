@@ -1,15 +1,16 @@
 //! What the CLI knows about a fabric beyond the engine's
-//! [`Substrate`](asynoc::Substrate) contract: its document tag, how its
-//! nodes group into time-series levels, how they are labelled, and which
-//! document sections only it can fill.
+//! [`Substrate`](asynoc::Substrate) contract: its document tag, where its
+//! nodes sit, how they group into time-series levels, and which document
+//! sections only it can fill.
 //!
 //! `metrics`, `faults` and the `--stream` sink are written once against
 //! [`Fabric`]; each command matches `--substrate` once to pick the type.
 
+use std::rc::Rc;
+
 use asynoc::{Duration, MotNode, Network, RunReport};
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
-use asynoc_telemetry::{JsonValue, LevelSpec, SpeculationWaste, TimeSeries};
-use asynoc_topology::{FaninNodeId, FanoutNodeId};
+use asynoc_telemetry::{JsonValue, LevelSpec, Site, SiteOf, SpeculationWaste, Stage, TimeSeries};
 use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork, VcMeshReport};
 
 use crate::args::CommonOptions;
@@ -21,11 +22,18 @@ pub(crate) trait Fabric: asynoc::Substrate {
     /// meta line.
     const TAG: &'static str;
 
-    /// The busy-fraction time-series with this fabric's level grouping.
-    fn timeseries(&self, bin: Duration) -> TimeSeries<Self::Node>;
+    /// Where a node sits: the one view of a node that traces, streams,
+    /// the time-series and the waste ledger are all built from.
+    fn site_of(&self) -> SiteOf<Self::Node>;
 
-    /// The site label of a node in traces, streams and the waste ledger.
-    fn site_label(&self) -> Box<dyn Fn(Self::Node) -> String>;
+    /// The groups the time-series aggregates busy time by: one level of
+    /// routers unless the fabric has stages of its own.
+    fn levels(&self) -> Vec<LevelSpec> {
+        vec![LevelSpec {
+            stage: Stage::Router,
+            nodes: self.endpoints(),
+        }]
+    }
 
     /// Wire-launch and drop-acknowledge energies, fJ — fabrics with an
     /// energy model only.
@@ -33,9 +41,15 @@ pub(crate) trait Fabric: asynoc::Substrate {
         None
     }
 
+    /// The busy-fraction time-series with this fabric's level grouping.
+    fn timeseries(&self, bin: Duration) -> TimeSeries<Self::Node> {
+        TimeSeries::new(bin, self.levels(), self.site_of())
+    }
+
     /// The speculation-waste ledger — fabrics with an energy model only.
     fn waste(&self) -> Option<SpeculationWaste<Self::Node>> {
-        None
+        let (wire_fj, drop_fj) = self.energy_fj()?;
+        Some(SpeculationWaste::new(wire_fj, drop_fj, self.site_of()))
     }
 
     /// The `waste` and `power` document sections (null without an energy
@@ -52,77 +66,22 @@ pub(crate) trait Fabric: asynoc::Substrate {
     fn extra_sections(&self, _report: &Self::Report) -> Vec<(String, JsonValue)> {
         Vec::new()
     }
-
-    /// Flags a replay line needs beyond the shared ones.
-    fn replay_flags(&self) -> String {
-        String::new()
-    }
 }
 
 impl Fabric for Network {
     const TAG: &'static str = "mot";
 
-    /// Fanout levels from the root down, then fanin levels from the
-    /// leaves toward each sink.
-    fn timeseries(&self, bin: Duration) -> TimeSeries<MotNode> {
-        let size = self.config().size();
-        let levels = size.levels() as usize;
-        let specs = ["fanout", "fanin"]
-            .iter()
-            .flat_map(|kind| {
-                (0..levels).map(move |level| LevelSpec {
-                    label: format!("{kind}-L{level}"),
-                    nodes: size.n() << level,
-                })
-            })
-            .collect();
-        TimeSeries::new(
-            bin,
-            specs,
-            Box::new(move |node| match node {
-                MotNode::Fanout(flat) => {
-                    Some(FanoutNodeId::from_flat_index(size, flat).level as usize)
-                }
-                MotNode::Fanin(flat) => {
-                    Some(levels + FaninNodeId::from_flat_index(size, flat).level as usize)
-                }
-            }),
-        )
+    fn site_of(&self) -> SiteOf<MotNode> {
+        Network::site_of(self)
     }
 
-    fn site_label(&self) -> Box<dyn Fn(MotNode) -> String> {
-        Network::site_label(self)
+    fn levels(&self) -> Vec<LevelSpec> {
+        Network::levels(self)
     }
 
     fn energy_fj(&self) -> Option<(f64, f64)> {
         let timing = self.config().timing();
         Some((timing.wire_fj, timing.drop_fj))
-    }
-
-    fn waste(&self) -> Option<SpeculationWaste<MotNode>> {
-        let size = self.config().size();
-        let (wire_fj, drop_fj) = self.energy_fj()?;
-        Some(SpeculationWaste::new(
-            wire_fj,
-            drop_fj,
-            self.site_label(),
-            // A dropped copy was created by the throttler's fanout parent;
-            // a root throttle (level 0) is attributed to the node itself.
-            Box::new(move |node| match node {
-                MotNode::Fanout(flat) => {
-                    let id = FanoutNodeId::from_flat_index(size, flat);
-                    (id.level > 0).then(|| {
-                        let parent = FanoutNodeId {
-                            tree: id.tree,
-                            level: id.level - 1,
-                            index: id.index / 2,
-                        };
-                        MotNode::Fanout(parent.flat_index(size))
-                    })
-                }
-                MotNode::Fanin(_) => None,
-            }),
-        ))
     }
 
     fn energy_sections(
@@ -139,31 +98,19 @@ impl Fabric for Network {
     }
 }
 
-fn router_label() -> Box<dyn Fn(usize) -> String> {
-    Box::new(|router| format!("r{router}"))
-}
-
 impl Fabric for MeshNetwork {
     const TAG: &'static str = "mesh";
 
-    fn timeseries(&self, bin: Duration) -> TimeSeries<usize> {
-        TimeSeries::single_level(bin, "router", self.config().size().endpoints())
-    }
-
-    fn site_label(&self) -> Box<dyn Fn(usize) -> String> {
-        router_label()
+    fn site_of(&self) -> SiteOf<usize> {
+        Rc::new(Site::Router)
     }
 }
 
 impl Fabric for VcMeshNetwork {
     const TAG: &'static str = "vcmesh";
 
-    fn timeseries(&self, bin: Duration) -> TimeSeries<usize> {
-        TimeSeries::single_level(bin, "router", self.config().size().endpoints())
-    }
-
-    fn site_label(&self) -> Box<dyn Fn(usize) -> String> {
-        router_label()
+    fn site_of(&self) -> SiteOf<usize> {
+        Rc::new(Site::Router)
     }
 
     /// The `vcs` section: the multicast scheme and the shard-exact
@@ -187,17 +134,6 @@ impl Fabric for VcMeshNetwork {
             ("mean_hops".to_string(), JsonValue::Number(report.mean_hops)),
         ]);
         vec![("vcs".to_string(), vcs)]
-    }
-
-    /// The shared replay line predates multicast schemes; a non-default
-    /// one is part of the run's identity.
-    fn replay_flags(&self) -> String {
-        let mcast = self.config().mcast();
-        if mcast == McastScheme::default() {
-            String::new()
-        } else {
-            format!(" --mcast {mcast}")
-        }
     }
 }
 

@@ -13,8 +13,7 @@ use std::io::Write;
 
 use asynoc::{Architecture, Benchmark};
 use asynoc_faults::{
-    judge, replay_command, run_outcome, FaultDomain, FaultPlan, OracleVerdict, RunOutcome,
-    FAULTS_SCHEMA,
+    judge, run_outcome, FaultDomain, FaultPlan, OracleVerdict, RunOutcome, FAULTS_SCHEMA,
 };
 use asynoc_telemetry::JsonValue;
 use asynoc_vcmesh::McastScheme;
@@ -50,6 +49,45 @@ pub struct FaultsRequest {
     pub report_out: Option<String>,
     /// Shared options.
     pub common: CommonOptions,
+}
+
+/// The `asynoc faults` line that re-runs `request`'s differential pair on
+/// `plan`, made explicit: every identity key of the report's `config`,
+/// the window where the request set one, the multicast scheme where it is
+/// not the default. What selects no result (`--jobs`, `--shards`, output
+/// paths, the `--fault-rate` an explicit plan makes moot) is left out.
+#[must_use]
+pub fn replay_line(request: &FaultsRequest, plan: &FaultPlan) -> String {
+    let quoted = |text: &str| format!("'{}'", text.replace('\'', "'\\''"));
+    let common = &request.common;
+    let mut line = format!("asynoc faults --substrate {}", request.substrate);
+    let mut flag = |name: &str, value: String| {
+        line.push_str(" --");
+        line.push_str(name);
+        line.push(' ');
+        line.push_str(&value);
+    };
+    if let Some(arch) = request.arch {
+        flag("arch", arch.to_string());
+    } else if let Some(map) = &request.spec_map {
+        flag("spec-map", quoted(map));
+    }
+    flag("benchmark", request.benchmark.to_string());
+    flag("rate", request.rate.to_string());
+    flag("size", common.size.to_string());
+    flag("seed", common.seed.to_string());
+    flag("flits", common.flits.to_string());
+    if let Some(warmup) = common.warmup_ns {
+        flag("warmup-ns", warmup.to_string());
+    }
+    if let Some(measure) = common.measure_ns {
+        flag("measure-ns", measure.to_string());
+    }
+    if request.mcast != McastScheme::default() {
+        flag("mcast", request.mcast.to_string());
+    }
+    flag("plan", quoted(&plan.encode()));
+    line + " --oracle"
 }
 
 fn plan_json(plan: &FaultPlan, domain: &FaultDomain) -> JsonValue {
@@ -266,27 +304,10 @@ fn faults_on<F: Fabric>(
                 .iter()
                 .map(|c| format!("{}: {}", c.name, c.detail))
                 .collect();
-            let mut replay = replay_command(
-                F::TAG,
-                placement.as_deref(),
-                &request.benchmark.to_string(),
-                request.rate,
-                common.size,
-                common.seed,
-                &plan,
-            );
-            // A custom placement is not a preset name, so the replay's
-            // placement flag must be `--spec-map`, not `--arch`.
-            if placement
-                .as_deref()
-                .is_some_and(|p| p.parse::<Architecture>().is_err())
-            {
-                replay = replay.replace(" --arch ", " --spec-map ");
-            }
-            replay.push_str(&net.replay_flags());
             return Err(CliError::Invalid(format!(
-                "fault oracle violated:\n  {}\nreplay: {replay}",
-                failing.join("\n  ")
+                "fault oracle violated:\n  {}\nreplay: {}",
+                failing.join("\n  "),
+                replay_line(request, &plan)
             )));
         }
     }
@@ -297,8 +318,157 @@ fn faults_on<F: Fabric>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::parse;
+    use crate::args::tests::{documented_lines, gate_lines, words};
+    use crate::args::{parse, Command};
     use crate::commands::execute;
+    use asynoc_analysis::SpanForest;
+    use asynoc_telemetry::TraceCollector;
+
+    /// The faulted run and the clean twin of `request` on `net`, each with
+    /// a test-side collector beside the oracle's own observers: the three
+    /// counters the online token ledger reported must be the ones the
+    /// span forest derives from the whole trace.
+    fn ledger_matches_forest_on<F: Fabric>(net: &F, request: &FaultsRequest) -> usize {
+        let plan = resolve_plan(request, &net.fault_domain()).expect("a valid plan");
+        let run = run_config(request.benchmark, request.rate, &request.common).expect("a run");
+        let mut records = 0;
+        for plan in [Some(&plan), None] {
+            let mut collector = TraceCollector::new(usize::MAX, net.site_of());
+            let outcome = run_outcome(net, &run, plan, &mut [&mut collector]).expect("it runs");
+            let forest = SpanForest::build(collector.records());
+            assert_eq!(
+                (
+                    outcome.fault_affected_trees,
+                    outcome.broken_trees,
+                    outcome.broken_with_cause
+                ),
+                (
+                    forest.fault_affected,
+                    forest.broken_trees,
+                    forest.broken_with_cause
+                ),
+                "ledger vs forest over {} records of {request:?}",
+                collector.records().len()
+            );
+            assert_eq!(plan.is_none(), forest.fault_affected == 0);
+            records = records.max(collector.records().len());
+        }
+        records
+    }
+
+    /// [`ledger_matches_forest_on`] the fabric an `asynoc faults` line
+    /// names; returns the longer twin's record count.
+    fn ledger_matches_forest(line: &[String]) -> usize {
+        let Ok(Command::Faults(request)) = parse(line) else {
+            panic!("{line:?} is not a faults invocation");
+        };
+        let common = &request.common;
+        match request.substrate {
+            Substrate::Mot => {
+                let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), common)
+                    .expect("a placement");
+                let net = network_for(&map, common).expect("a network");
+                ledger_matches_forest_on(&net, &request)
+            }
+            Substrate::Mesh => ledger_matches_forest_on(
+                &fabric::mesh(common.size, common.size, common).expect("a mesh"),
+                &request,
+            ),
+            Substrate::Vcmesh => ledger_matches_forest_on(
+                &fabric::vcmesh(request.mcast, common).expect("a VC mesh"),
+                &request,
+            ),
+        }
+    }
+
+    #[test]
+    fn the_token_ledger_counts_what_the_span_forest_counts() {
+        // Every faults line the README and the gate run...
+        let readme = documented_lines(include_str!("../../../README.md"));
+        let check = gate_lines(include_str!("../../../scripts/check.sh"));
+        let documented: Vec<&Vec<String>> = readme
+            .iter()
+            .chain(&check)
+            .filter(|line| line[0] == "faults")
+            .collect();
+        assert!(documented.len() >= 8, "{} faults lines", documented.len());
+        let longest = documented
+            .iter()
+            .map(|line| ledger_matches_forest(line))
+            .max();
+        // ... one of which outruns the 500 000 records the oracle once kept.
+        assert!(longest > Some(500_000), "{longest:?} records");
+
+        // ... and drawn (seed, density) pairs on every substrate.
+        let mut rng = asynoc_kernel::SimRng::seed_from(0x0070_CE15);
+        for fabric in [
+            "--arch BasicHybridSpeculative --benchmark Multicast5 --rate 0.2",
+            "--substrate mesh --benchmark Uniform-random --rate 0.1 --size 4",
+            "--substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4",
+            "--substrate vcmesh --benchmark Multicast10 --rate 0.1 --size 4",
+        ] {
+            for _ in 0..20 {
+                let (seed, density) = (rng.index(1_000), (5 + rng.index(96)) as f64 / 100.0);
+                ledger_matches_forest(&words(&format!(
+                    "faults {fabric} --seed {seed} --fault-rate {density} \
+                     --warmup-ns 20 --measure-ns 150"
+                )));
+            }
+        }
+    }
+
+    #[test]
+    fn the_replay_line_parses_back_to_the_request_it_replays() {
+        for line in [
+            "faults --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 \
+             --plan lose:0:2000 --oracle --measure-ns 60000",
+            "faults --arch Baseline --benchmark Shuffle --rate 0.25 --size 16 --seed 7",
+            "faults --spec-map levels:sp,ns,ns;node:0.1.0=ons --benchmark Multicast5 \
+             --rate 0.2 --flits 3 --warmup-ns 20 --measure-ns 150",
+            "faults --substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 \
+             --warmup-ns 20",
+            "faults --substrate vcmesh --benchmark Multicast5 --rate 0.1 --size 4 \
+             --measure-ns 150 --plan stall:3:2:500;drop:1:0:1:500",
+            "faults --substrate vcmesh --mcast dpm --benchmark Multicast10 --rate 0.1 \
+             --size 4 --flits 3 --seed 9 --warmup-ns 20 --measure-ns 150",
+        ] {
+            let Ok(Command::Faults(request)) = parse(&words(line)) else {
+                panic!("{line:?} is not a faults invocation");
+            };
+            // The plan the run would draw, made explicit as the replay makes it.
+            let domain = FaultDomain {
+                channels: 64,
+                endpoints: 4,
+                corrupt_sites: vec![],
+            };
+            let plan = resolve_plan(&request, &domain).expect("a valid plan");
+            let replay = replay_line(&request, &plan);
+            let rest = replay.strip_prefix("asynoc ").expect(&replay);
+            let expected = FaultsRequest {
+                plan: Some(plan.encode()),
+                oracle: true,
+                ..request
+            };
+            assert_eq!(
+                parse(&words(rest)),
+                Ok(Command::Faults(expected)),
+                "{replay}"
+            );
+        }
+        // The line names the window: without it `lose:0:2000` never fires.
+        let Ok(Command::Faults(request)) = parse(&words(
+            "faults --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 \
+             --plan lose:0:2000 --oracle --measure-ns 60000",
+        )) else {
+            panic!("a faults invocation");
+        };
+        assert_eq!(
+            replay_line(&request, &FaultPlan::parse("lose:0:2000").expect("valid")),
+            "asynoc faults --substrate mot --arch OptHybridSpeculative --benchmark Multicast5 \
+             --rate 0.2 --size 8 --seed 42 --flits 5 --measure-ns 60000 \
+             --plan 'lose:0:2000' --oracle"
+        );
+    }
 
     fn run_cli(line: &str) -> String {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();

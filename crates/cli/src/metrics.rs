@@ -10,12 +10,11 @@
 use std::fs::File;
 use std::io::Write;
 
-use asynoc::{
-    drive, Architecture, Benchmark, Duration, EngineReport, NodeKey, Observer, RunReport,
-};
+use asynoc::{drive, Architecture, Benchmark, Duration, EngineReport, Observer, RunReport};
 use asynoc_power::EnergyCategory;
 use asynoc_telemetry::{
-    ChromeTraceObserver, JsonValue, LatencyHistograms, TraceMeta, TraceWriter, METRICS_SCHEMA,
+    ChromeTraceObserver, JsonValue, LatencyHistograms, SiteOf, TraceMeta, TraceWriter,
+    METRICS_SCHEMA,
 };
 use asynoc_vcmesh::McastScheme;
 
@@ -60,8 +59,8 @@ struct Tracers<N> {
     chrome: Option<ChromeTraceObserver<N>>,
 }
 
-impl<N: Copy + NodeKey> Tracers<N> {
-    fn new(format: Option<TraceFormat>, limit: usize, site_of: Box<dyn Fn(N) -> String>) -> Self {
+impl<N: Copy> Tracers<N> {
+    fn new(format: Option<TraceFormat>, limit: usize, site_of: SiteOf<N>) -> Self {
         let (ndjson, chrome) = match format {
             Some(TraceFormat::Ndjson) => (Some(TraceWriter::new(limit, site_of)), None),
             Some(TraceFormat::Chrome) => (None, Some(ChromeTraceObserver::new(limit, site_of))),
@@ -245,7 +244,7 @@ fn run<F: Fabric>(
     let mut latency = LatencyHistograms::new(phases, net.endpoints());
     let mut timeseries = net.timeseries(Duration::from_ns(request.bin_ns));
     let mut waste = net.waste();
-    let mut tracers = Tracers::new(request.trace_format, request.trace_limit, net.site_label());
+    let mut tracers = Tracers::new(request.trace_format, request.trace_limit, net.site_of());
     let mut sink = match &common.stream {
         Some(path) => Some(crate::stream::sink(
             net,
@@ -380,7 +379,7 @@ mod tests {
     use super::*;
     use crate::args::{parse, Command};
     use crate::commands::execute;
-    use asynoc_telemetry::{parse_trace, validate_chrome};
+    use asynoc_telemetry::{parse_trace, validate_chrome, Action};
 
     fn argv(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
@@ -808,12 +807,12 @@ mod tests {
         assert_eq!(meta.arch.as_deref(), Some("Baseline"));
         assert_eq!(meta.dropped_events, 0, "limit 2000 drops nothing here");
         assert!(!records.is_empty());
-        assert!(records.iter().any(|r| r.action == "inject"));
-        assert!(records.iter().any(|r| r.action == "deliver"));
+        assert!(records.iter().any(|r| r.action == Action::Inject));
+        assert!(records.iter().any(|r| r.action == Action::Deliver));
         assert!(
             records
                 .iter()
-                .any(|r| r.action == "deliver" && r.created_ps < r.t_ps),
+                .any(|r| r.action == Action::Deliver && r.created_ps < r.t_ps),
             "records carry causal fields"
         );
         // One meta line + one line per record.

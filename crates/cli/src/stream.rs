@@ -2,7 +2,7 @@
 //! substrate and the finish / `--watch-fatal` epilogue.
 //!
 //! Every streamed command builds its sink here so the stream's `head`
-//! config, level grouping, and site labels match the batch metrics
+//! config, level grouping, and sites match the batch metrics
 //! path exactly — that identity is what lets `asynoc watch --fold`
 //! reproduce the batch `asynoc-metrics-v1` document byte-for-byte.
 
@@ -50,7 +50,7 @@ fn open_out(path: &str) -> Result<Box<dyn Write>, CliError> {
 }
 
 /// Builds the streaming sink for a run on `net`, mirroring the batch
-/// metrics collectors (same level grouping, same node labels).
+/// metrics collectors (same level grouping, same sites).
 ///
 /// `bin_ns` is the time-series bin width when the command has one
 /// (`metrics --bin-ns`); `None` uses one bin per flush window.
@@ -76,13 +76,13 @@ pub(crate) fn sink<F: Fabric>(
         phases,
         net.endpoints(),
         net.timeseries(bin),
-        net.site_label(),
+        net.site_of(),
     )?)
 }
 
 /// Closes the stream (final window flush, residue check, `end` record)
 /// and returns how many watchpoint records fired over its life.
-pub(crate) fn finish_sink<N: Copy + NodeKey + 'static>(
+pub(crate) fn finish_sink<N: Copy + NodeKey>(
     sink: StreamSink<N>,
     sections: JsonValue,
 ) -> Result<u64, CliError> {

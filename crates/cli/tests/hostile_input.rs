@@ -791,3 +791,103 @@ fn mutated_window_deltas_fold_or_fail_with_a_located_error() {
         "{folded} folded, {refused} refused"
     );
 }
+
+/// A short multicast journey on a 4x4 MoT, one record a line: a
+/// speculative root, a throttled copy, two deliveries.
+const JOURNEY: [(&str, &str, &str); 8] = [
+    ("src0", "inject", ""),
+    ("fo[s0:0.0]", "forward", "both"),
+    ("fo[s0:1.0]", "forward", "both"),
+    ("fo[s0:1.1]", "throttle", ""),
+    ("fi[d0:1.0]", "forward", "input0"),
+    ("fi[d0:0.0]", "forward", "input1"),
+    ("D0", "deliver", ""),
+    ("ch3", "fault", "link-stall"),
+];
+
+/// What a label can be spliced with or swapped for: other labels, pieces
+/// of the grammar, coordinates no fabric has, text of another case.
+const LABEL_PIECES: [&str; 20] = [
+    "src",
+    "fo[s",
+    "fi[d",
+    "D",
+    "r7",
+    "node2",
+    "]",
+    ":",
+    ".",
+    "0",
+    "18446744073709551616",
+    "-1",
+    " ",
+    "?",
+    "input",
+    "both",
+    "deliver",
+    "flit-drop",
+    "Inject",
+    "\u{e9}",
+];
+
+#[test]
+fn mutated_trace_labels_are_located_errors_or_skipped_lines() {
+    let mut rng = SimRng::seed_from(0x0005_17E5);
+    let (mut accepted, mut refused) = (0, 0);
+    for round in 0..160 {
+        // One member of one line, spliced, truncated, re-cased or swapped.
+        let (line, member) = (rng.index(JOURNEY.len()), rng.index(3));
+        let mut labels = JOURNEY.map(|(site, action, detail)| [site, action, detail]);
+        let original = labels[line][member];
+        let piece = LABEL_PIECES[rng.index(LABEL_PIECES.len())];
+        let cut = rng.index(original.len() + 1);
+        let mutant = match rng.index(4) {
+            0 => format!("{}{piece}{}", &original[..cut], &original[cut..]),
+            1 => original[..cut].to_string(),
+            2 => original.to_uppercase(),
+            _ => piece.to_string(),
+        };
+        labels[line][member] = &mutant;
+        let text: String = labels
+            .iter()
+            .enumerate()
+            .map(|(at, [site, action, detail])| {
+                format!(
+                    "{{\"t_ps\":{},\"packet\":1,\"flit\":0,\"site\":\"{site}\",\
+                     \"action\":\"{action}\",\"detail\":\"{detail}\",\"copies\":1}}\n",
+                    100 + 10 * at
+                )
+            })
+            .collect();
+        let trace = fixture("labels.ndjson", &text);
+        let started = Instant::now();
+        let strict = asynoc(&["analyze", "--trace-in", &trace]);
+        let lenient = asynoc(&["analyze", "--trace-in", &trace, "--lenient"]);
+        let took = started.elapsed();
+        let _ = std::fs::remove_file(&trace);
+        assert!(took < Duration::from_secs(2), "{mutant:?}: {took:?}");
+        // A label either reads as one of its grammar or the line is
+        // malformed: located when strict, counted when lenient.
+        let skipped = match strict.status.code() {
+            Some(0) => 0,
+            _ => {
+                let field = ["site", "action", "detail"][member];
+                let located = format!("line {}: field \"{field}\": {mutant:?} is not", line + 1);
+                assert_located_error(&strict, &[&located]);
+                1
+            }
+        };
+        let stdout = String::from_utf8_lossy(&lenient.stdout);
+        assert_eq!(lenient.status.code(), Some(0), "{round}: {mutant:?}");
+        assert!(
+            stdout.contains(&format!("\"skipped_lines\": {skipped}")),
+            "{mutant:?}: {stdout}"
+        );
+        accepted += 1 - skipped;
+        refused += skipped;
+    }
+    assert!(
+        accepted > 10 && refused > 80,
+        "{accepted} accepted, {refused} refused"
+    );
+}

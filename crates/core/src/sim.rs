@@ -20,7 +20,9 @@
 //! section) the engine's one driver runs it through. Statistics and power
 //! attach as [`Observer`]s (see [`crate::observers`]); tracing is a
 //! [`TraceCollector`](asynoc_telemetry::TraceCollector) the caller
-//! registers, labelled by [`Network::site_label`].
+//! registers, its nodes placed by [`Network::site_of`].
+
+use std::rc::Rc;
 
 use asynoc_engine::{
     drive, ArmedFaults, ChannelEnds, Ctx, EngineReport, FaultDomain, ForwardInfo, NodeKey, NodeRef,
@@ -29,6 +31,7 @@ use asynoc_engine::{
 use asynoc_kernel::{Duration, Time};
 use asynoc_nodes::{FaninState, FanoutState, FlitClass, TimingModel};
 use asynoc_packet::{DestSet, RouteHeader};
+use asynoc_telemetry::{LevelSpec, Site, SiteOf, Stage};
 use asynoc_topology::{
     multicast_route, multicast_route_into, FaninNodeId, FanoutKind, FanoutNodeId, OutputPort,
 };
@@ -121,15 +124,39 @@ impl Network {
         fanout + self.config.size().total_fanin_nodes() as f64 * timing.fanin_area_um2
     }
 
-    /// Labels a node by its coordinates (`fo[s0:1.1]`, `fi[d4:2.0]`) — the
-    /// site name in traces, streams and the waste ledger.
+    /// Places a node by its coordinates (`fo[s0:1.1]`, `fi[d4:2.0]`): the
+    /// one view of a node that traces, streams, the time-series and the
+    /// waste ledger are built from.
     #[must_use]
-    pub fn site_label(&self) -> Box<dyn Fn(MotNode) -> String> {
+    pub fn site_of(&self) -> SiteOf<MotNode> {
         let size = self.config.size();
-        Box::new(move |node| match node {
-            MotNode::Fanout(flat) => FanoutNodeId::from_flat_index(size, flat).to_string(),
-            MotNode::Fanin(flat) => FaninNodeId::from_flat_index(size, flat).to_string(),
+        Rc::new(move |node| match node {
+            MotNode::Fanout(flat) => {
+                let FanoutNodeId { tree, level, index } = FanoutNodeId::from_flat_index(size, flat);
+                Site::Fanout { tree, level, index }
+            }
+            MotNode::Fanin(flat) => {
+                let FaninNodeId { tree, level, index } = FaninNodeId::from_flat_index(size, flat);
+                Site::Fanin { tree, level, index }
+            }
         })
+    }
+
+    /// The groups a busy-fraction time-series aggregates this network's
+    /// nodes by: fanout levels from the root down, then fanin levels from
+    /// the root (at the sink) up, each with its node count.
+    #[must_use]
+    pub fn levels(&self) -> Vec<LevelSpec> {
+        let size = self.config.size();
+        [Stage::Fanout, Stage::Fanin]
+            .into_iter()
+            .flat_map(|stage| {
+                (0..size.levels()).map(move |level| LevelSpec {
+                    stage: stage(level),
+                    nodes: size.n() << level,
+                })
+            })
+            .collect()
     }
 
     /// Executes one benchmark run and reports its measurements.
@@ -552,8 +579,9 @@ impl ShardModel for MotModel<'_> {
 mod tests {
     use super::*;
     use crate::config::{NetworkConfig, RunConfig};
+    use asynoc_packet::RouteSymbol;
     use asynoc_stats::Phases;
-    use asynoc_telemetry::TraceCollector;
+    use asynoc_telemetry::{Action, Detail, TraceCollector};
     use asynoc_topology::Architecture;
     use asynoc_traffic::Benchmark;
 
@@ -697,7 +725,7 @@ mod tests {
                     Network::new(NetworkConfig::eight_by_eight(arch).with_seed(7)).unwrap();
                 let run = RunConfig::quick(Benchmark::Multicast5, 0.3);
                 let traced = |run: &RunConfig| {
-                    let mut trace = TraceCollector::new(512, network.site_label());
+                    let mut trace = TraceCollector::new(512, network.site_of());
                     let report = network.run_with_observers(run, &mut [&mut trace]).unwrap();
                     (report, trace.into_records())
                 };
@@ -875,6 +903,91 @@ mod tests {
         assert_eq!(busiest.tree, 0, "hotspot bottleneck must sit in tree 0");
     }
 
+    fn network_of(n: usize) -> Network {
+        let size = asynoc_topology::MotSize::new(n).expect("a power of two");
+        Network::new(NetworkConfig::new(size, Architecture::OptHybridSpeculative))
+            .expect("a preset builds")
+    }
+
+    #[test]
+    fn every_node_has_one_spelling_and_it_reads_back() {
+        // The topology crate's coordinate types keep a `Display` of their
+        // own; it must be the `Site` spelling, node for node.
+        for n in [2, 4, 8, 16, 32, 64] {
+            let network = network_of(n);
+            let (size, site_of) = (network.config().size(), network.site_of());
+            for flat in 0..size.total_fanout_nodes() {
+                let site = site_of(MotNode::Fanout(flat));
+                let label = FanoutNodeId::from_flat_index(size, flat).to_string();
+                assert_eq!(site.to_string(), label);
+                assert_eq!(label.parse(), Ok(site));
+            }
+            for flat in 0..size.total_fanin_nodes() {
+                let site = site_of(MotNode::Fanin(flat));
+                let label = FaninNodeId::from_flat_index(size, flat).to_string();
+                assert_eq!(site.to_string(), label);
+                assert_eq!(label.parse(), Ok(site));
+            }
+            // One group per level and kind, every node in exactly one.
+            let levels = network.levels();
+            let grouped: usize = levels.iter().map(|level| level.nodes).sum();
+            assert_eq!(levels.len(), 2 * size.levels() as usize);
+            assert_eq!(
+                grouped,
+                size.total_fanout_nodes() + size.total_fanin_nodes()
+            );
+        }
+        // Endpoints and the routers of every mesh up to 8 x 8.
+        for n in 0..64 {
+            for site in [Site::Source(n), Site::Sink(n), Site::Router(n)] {
+                assert_eq!(site.to_string().parse(), Ok(site));
+            }
+        }
+    }
+
+    #[test]
+    fn site_arithmetic_is_the_fabric_wiring() {
+        for n in [2, 4, 8, 16] {
+            let network = network_of(n);
+            let (fabric, site_of) = (&network.fabric, network.site_of());
+            // The upstream end of every channel is among the downstream
+            // end's parent candidates — for the source tree the flit is in.
+            for wiring in &fabric.channels {
+                let (upstream, tree) = match wiring.upstream {
+                    Entity::Source(source) => (Site::Source(source), source),
+                    Entity::Fanout(flat) => (
+                        site_of(MotNode::Fanout(flat)),
+                        fabric.fanout_coords[flat].tree,
+                    ),
+                    // Past the fanout leaves the candidates name no source.
+                    Entity::Fanin(flat) => (site_of(MotNode::Fanin(flat)), usize::MAX),
+                };
+                let downstream = match wiring.downstream {
+                    Downstream::Fanout(flat) => site_of(MotNode::Fanout(flat)),
+                    Downstream::Fanin { flat, .. } => site_of(MotNode::Fanin(flat)),
+                    Downstream::Sink(dest) => Site::Sink(dest),
+                };
+                assert!(
+                    downstream.parent_candidates(tree).any(|c| c == upstream),
+                    "{n}x{n}: {upstream} feeds {downstream}"
+                );
+            }
+            // A throttled copy's creator is the throttler's wiring parent:
+            // "redundant copies die at the first non-speculative node"
+            // needs exactly this edge.
+            for (flat, &input) in fabric.fanout_input.iter().enumerate() {
+                let site = site_of(MotNode::Fanout(flat));
+                match fabric.channels[input].upstream {
+                    Entity::Fanout(parent) => {
+                        assert_eq!(site.creator(), site_of(MotNode::Fanout(parent)));
+                    }
+                    // A root throttle is attributed to the root itself.
+                    _ => assert_eq!(site.creator(), site),
+                }
+            }
+        }
+    }
+
     #[test]
     fn trace_records_a_packet_journey() {
         let network = Network::new(
@@ -882,7 +995,7 @@ mod tests {
         )
         .unwrap();
         let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
-        let mut collector = TraceCollector::new(500, network.site_label());
+        let mut collector = TraceCollector::new(500, network.site_of());
         network
             .run_with_observers(&run, &mut [&mut collector])
             .unwrap();
@@ -892,13 +1005,13 @@ mod tests {
         assert!(trace.windows(2).all(|w| w[0].t_ps <= w[1].t_ps));
         // With a speculative root, the trace must show both broadcasts and
         // throttles, and at least one delivery.
-        assert!(trace.iter().any(|e| e.action == "throttle"));
-        assert!(trace.iter().any(|e| e.action == "deliver"));
-        assert!(trace
-            .iter()
-            .any(|e| e.action == "forward" && e.site.ends_with(":0.0]") && e.detail == "both"));
+        assert!(trace.iter().any(|e| e.action == Action::Throttle));
+        assert!(trace.iter().any(|e| e.action == Action::Deliver));
+        assert!(trace.iter().any(|e| e.action == Action::Forward
+            && matches!(e.site, Site::Fanout { level: 0, .. })
+            && e.detail == Detail::Routed(RouteSymbol::Both)));
         // Every traced packet's journey starts with an injection.
-        assert_eq!(trace[0].action, "inject");
+        assert_eq!(trace[0].action, Action::Inject);
     }
 
     #[test]

@@ -15,14 +15,15 @@
 //!   substrate's certified [`FaultDomain`].
 //! - [`run_outcome`] — an instrumented run on any substrate, distilled
 //!   to a [`RunOutcome`]: the delivered-destination multiset
-//!   ([`DeliveryLog`]), the fault ledger, and the span-tree fault
-//!   counters.
+//!   ([`DeliveryLog`]), the fault ledger, and the flit-tree fault
+//!   counters of an online token ledger — no trace is kept, so the
+//!   oracle's memory does not grow with the run.
 //! - [`judge`] — the oracle: recoverable plans must leave the delivery
 //!   multiset identical with a latency delta bounded by the injected
 //!   budget; unrecoverable plans must degrade gracefully (every loss in
 //!   the ledger, every broken tree explained).
-//! - [`shrink_plan`] / [`replay_command`] — failing plans bisect to a
-//!   minimal reproducer and print the exact `asynoc faults` replay line.
+//! - [`shrink_plan`] — failing plans bisect to a minimal reproducer
+//!   (`asynoc faults` prints the line that replays it).
 
 #![deny(missing_docs)]
 
@@ -36,7 +37,7 @@ pub use outcome::{
     mesh_network, run_outcome, vcmesh_network, DeliveryLog, DeliveryMultiset, RunOutcome,
 };
 pub use plan::{FaultEntry, FaultPlan, PlanError};
-pub use shrink::{replay_command, shrink_plan};
+pub use shrink::shrink_plan;
 
 // Re-exported so plan targets and verdicts can be produced without a
 // direct engine dependency.

@@ -2,9 +2,12 @@
 //!
 //! The oracle never compares raw reports: both sides of a differential
 //! pair are reduced to a [`RunOutcome`] — the delivered-destination
-//! multiset, the mean latency, the fault ledger, and the span-tree
+//! multiset, the mean latency, the fault ledger, and the flit-tree
 //! fault counters — by running the substrate with the same observer
-//! stack — one [`run_outcome`] for every [`Substrate`]. Clean runs use
+//! stack — one [`run_outcome`] for every [`Substrate`]. Every observer
+//! of the stack judges from the event stream as it goes by: none keeps
+//! a copy of it, so an outcome costs the memory of what is in flight
+//! however long the run is. Clean runs use
 //! the plain observer path (no fault state is even constructed, keeping
 //! the zero-cost guarantee honest); faulted runs thread the armed plan
 //! through the engine's fault hooks.
@@ -12,10 +15,9 @@
 use std::collections::BTreeMap;
 
 use asynoc::{drive, Observer, RunConfig, SimError, SimEvent, Substrate, Time};
-use asynoc_analysis::SpanForest;
 use asynoc_engine::FaultSummary;
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
-use asynoc_telemetry::{FaultLedger, TraceCollector};
+use asynoc_telemetry::{FaultLedger, TokenLedger};
 use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork};
 
 use crate::plan::FaultPlan;
@@ -77,9 +79,10 @@ pub struct RunOutcome {
     pub ledger: FaultLedger,
     /// The armed table's own fire counters (default on clean runs).
     pub summary: FaultSummary,
-    /// Span trees touched by at least one fault record.
+    /// Flit trees touched by at least one fault record.
     pub fault_affected_trees: usize,
-    /// Span trees that never closed.
+    /// Flit trees that are impossible: more copies consumed than created,
+    /// or events without an injection.
     pub broken_trees: usize,
     /// Broken trees explained by fault records (never silent loss).
     pub broken_with_cause: usize,
@@ -88,12 +91,8 @@ pub struct RunOutcome {
     pub profile: Option<Box<asynoc_engine::probe::EngineProfile>>,
 }
 
-/// Trace capacity for outcome runs: the differential tests use short
-/// windows, so this comfortably captures every event.
-const TRACE_CAPACITY: usize = 500_000;
-
 /// Runs `net`, faulted iff `plan` is non-empty, with the oracle's
-/// observer stack (delivery log, fault ledger, span trace) ahead of the
+/// observer stack (delivery log, fault ledger, token ledger) ahead of the
 /// caller's `observers` (e.g. a streaming sink), and distills the
 /// outcome. Extra observers see the identical, ungated event stream and
 /// cannot perturb the outcome — streamed fault runs stay oracle-clean.
@@ -109,8 +108,8 @@ pub fn run_outcome<S: Substrate>(
 ) -> Result<RunOutcome, SimError> {
     let mut log = DeliveryLog::new();
     let mut ledger = FaultLedger::new();
-    let mut trace: TraceCollector<S::Node> = TraceCollector::generic(TRACE_CAPACITY);
-    let mut stack: Vec<&mut dyn Observer<S::Node>> = vec![&mut log, &mut ledger, &mut trace];
+    let mut tokens = TokenLedger::default();
+    let mut stack: Vec<&mut dyn Observer<S::Node>> = vec![&mut log, &mut ledger, &mut tokens];
     // Reborrowing each caller observer shortens its trait-object lifetime
     // to the local stack's.
     stack.extend(
@@ -122,16 +121,16 @@ pub fn run_outcome<S: Substrate>(
         .filter(|plan| !plan.entries.is_empty())
         .map(FaultPlan::arm);
     let mut report = drive(net, run, &mut stack, armed.as_mut())?;
-    let forest = SpanForest::build(trace.records());
+    let trees = tokens.tally();
     Ok(RunOutcome {
         deliveries: log.into_deliveries(),
         mean_latency_ps: report.latency.mean().map(|d| d.as_ps()),
         packets_incomplete: report.packets_incomplete,
         ledger,
         summary: armed.map(|armed| armed.summary()).unwrap_or_default(),
-        fault_affected_trees: forest.fault_affected,
-        broken_trees: forest.broken_trees,
-        broken_with_cause: forest.broken_with_cause,
+        fault_affected_trees: trees.fault_affected,
+        broken_trees: trees.broken,
+        broken_with_cause: trees.broken_with_cause,
         profile: report.profile.take(),
     })
 }

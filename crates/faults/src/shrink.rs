@@ -7,7 +7,7 @@
 //! drop each entry, keep the removal whenever the predicate still
 //! fails, iterate to a fixpoint — then shrinks surviving entries'
 //! budgets (`hits`/`drops` down to 1). The result replays from the CLI:
-//! [`replay_command`] prints the exact `asynoc faults` line.
+//! a violated `asynoc faults --oracle` prints the exact line.
 
 use crate::plan::{FaultEntry, FaultPlan};
 
@@ -77,25 +77,6 @@ pub fn shrink_plan(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> 
     current
 }
 
-/// The exact CLI line that replays a failing differential pair.
-#[must_use]
-pub fn replay_command(
-    substrate: &str,
-    arch: Option<&str>,
-    benchmark: &str,
-    rate: f64,
-    size: usize,
-    seed: u64,
-    plan: &FaultPlan,
-) -> String {
-    let arch = arch.map_or(String::new(), |a| format!(" --arch {a}"));
-    format!(
-        "asynoc faults --substrate {substrate}{arch} --benchmark {benchmark} \
-         --rate {rate} --size {size} --seed {seed} --oracle --plan '{}'",
-        plan.encode()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,14 +120,5 @@ mod tests {
         let plan = FaultPlan::parse("stall:1:1:200").expect("valid");
         let minimal = shrink_plan(&plan, |_| true);
         assert_eq!(minimal, plan);
-    }
-
-    #[test]
-    fn replay_command_is_copy_pasteable() {
-        let plan = FaultPlan::parse("stall:3:1:200;lose:0:1").expect("valid");
-        let line = replay_command("mot", Some("Baseline"), "Multicast5", 0.2, 8, 42, &plan);
-        assert!(line.starts_with("asynoc faults --substrate mot --arch Baseline"));
-        assert!(line.contains("--plan 'stall:3:1:200;lose:0:1'"));
-        assert!(line.contains("--oracle"));
     }
 }

@@ -13,7 +13,7 @@ use asynoc_engine::{ForwardInfo, Observer, SimEvent};
 use asynoc_kernel::Time;
 
 use crate::json::JsonValue;
-use crate::trace::SiteFn;
+use crate::site::{Site, SiteOf};
 
 #[derive(Clone, Debug)]
 struct ChromeEvent {
@@ -182,30 +182,20 @@ pub fn validate_chrome(text: &str) -> Result<usize, String> {
 /// trace: spans for node firings (sized by busy time), instants for
 /// injections, throttles, and deliveries.
 pub struct ChromeTraceObserver<N> {
-    site_of: SiteFn<N>,
+    site_of: SiteOf<N>,
     limit: usize,
     trace: ChromeTrace,
 }
 
 impl<N: Copy> ChromeTraceObserver<N> {
-    /// Records up to `limit` events, labelling node tracks via `site_of`.
+    /// Records up to `limit` events, one track per site `site_of` names.
     #[must_use]
-    pub fn new(limit: usize, site_of: SiteFn<N>) -> Self {
+    pub fn new(limit: usize, site_of: SiteOf<N>) -> Self {
         ChromeTraceObserver {
             site_of,
             limit,
             trace: ChromeTrace::new(),
         }
-    }
-
-    /// Records up to `limit` events, labelling node tracks by their
-    /// `Debug` form.
-    #[must_use]
-    pub fn generic(limit: usize) -> Self
-    where
-        N: std::fmt::Debug,
-    {
-        ChromeTraceObserver::new(limit, Box::new(|node: N| format!("{node:?}")))
     }
 
     /// The accumulated trace.
@@ -226,46 +216,31 @@ impl<N: Copy> Observer<N> for ChromeTraceObserver<N> {
         if self.trace.len() >= self.limit {
             return;
         }
+        // A fault gets a track of its own kind, not its site's.
+        let track = match event {
+            SimEvent::Fault { site, .. } => format!("fault{site}"),
+            _ => Site::of_event(event, &*self.site_of).to_string(),
+        };
+        let (ts, trace) = (at.as_ps(), &mut self.trace);
         match event {
-            SimEvent::Inject { source, flit } => {
-                self.trace.instant(
-                    &format!("src{source}"),
-                    at.as_ps(),
-                    &format!("inject {flit}"),
-                );
-            }
+            SimEvent::Inject { flit, .. } => trace.instant(&track, ts, &format!("inject {flit}")),
             SimEvent::Forward {
-                node,
-                flit,
-                info,
-                busy,
-                ..
+                flit, info, busy, ..
             } => {
                 let name = match info {
                     ForwardInfo::Routed(symbol) => format!("{flit} [{symbol}]"),
                     ForwardInfo::Arbitrated { input } => format!("{flit} (input {input})"),
                 };
-                self.trace
-                    .span(&(self.site_of)(*node), at.as_ps(), busy.as_ps(), &name);
+                trace.span(&track, ts, busy.as_ps(), &name);
             }
-            SimEvent::Drop { node, flit, busy } => {
-                self.trace.span(
-                    &(self.site_of)(*node),
-                    at.as_ps(),
-                    busy.as_ps(),
-                    &format!("THROTTLE {flit}"),
-                );
+            SimEvent::Drop { flit, busy, .. } => {
+                trace.span(&track, ts, busy.as_ps(), &format!("THROTTLE {flit}"));
             }
-            SimEvent::Deliver { dest, flit } => {
-                self.trace
-                    .instant(&format!("D{dest}"), at.as_ps(), &format!("deliver {flit}"));
+            SimEvent::Deliver { flit, .. } => {
+                trace.instant(&track, ts, &format!("deliver {flit}"));
             }
-            SimEvent::Fault { class, site, flit } => {
-                self.trace.instant(
-                    &format!("fault{site}"),
-                    at.as_ps(),
-                    &format!("{class} {flit}"),
-                );
+            SimEvent::Fault { class, flit, .. } => {
+                trace.instant(&track, ts, &format!("{class} {flit}"));
             }
         }
     }
@@ -274,6 +249,7 @@ impl<N: Copy> Observer<N> for ChromeTraceObserver<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
     use std::sync::Arc;
 
     use asynoc_kernel::Duration;
@@ -346,7 +322,8 @@ mod tests {
     #[test]
     fn observer_emits_spans_for_forwards_and_validates() {
         let f = flit();
-        let mut observer: ChromeTraceObserver<usize> = ChromeTraceObserver::generic(10);
+        let mut observer: ChromeTraceObserver<usize> =
+            ChromeTraceObserver::new(10, Rc::new(Site::Router));
         observer.on_event(
             Time::from_ps(10),
             false,

@@ -16,11 +16,12 @@ use asynoc_engine::{Observer, SimEvent};
 use asynoc_kernel::{FaultClass, Time};
 
 use crate::json::JsonValue;
+use crate::site::Site;
 
 /// Counts every fault event of a run, by class and by site.
 ///
 /// Substrate-agnostic: the engine's fault events carry plain site
-/// indices, labelled here exactly as the trace collector labels them
+/// indices, placed by [`Site::of_fault`] as trace records place them
 /// (`ch*` for stalls, `node*` for symbol overrides, `src*` for source
 /// drops), so ledger rows join against trace records.
 #[derive(Clone, Debug, Default)]
@@ -106,14 +107,6 @@ impl FaultLedger {
             ("per_site".to_string(), JsonValue::Array(per_site)),
         ])
     }
-
-    fn site_label(class: FaultClass, site: usize) -> String {
-        match class {
-            FaultClass::LinkStall => format!("ch{site}"),
-            FaultClass::SymbolCorrupt | FaultClass::StuckBroadcast => format!("node{site}"),
-            FaultClass::FlitDrop | FaultClass::PacketLost => format!("src{site}"),
-        }
-    }
 }
 
 impl<N> Observer<N> for FaultLedger {
@@ -126,7 +119,7 @@ impl<N> Observer<N> for FaultLedger {
             .position(|c| c == class)
             .expect("class is in ALL");
         self.by_class[index] += 1;
-        let key = format!("{}:{}", Self::site_label(*class, *site), class.label());
+        let key = format!("{}:{}", Site::of_fault(*class, *site), class.label());
         *self.per_site.entry(key).or_default() += 1;
         if *class == FaultClass::PacketLost {
             self.lost_packets

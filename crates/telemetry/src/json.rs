@@ -235,7 +235,13 @@ fn write_number(out: &mut String, n: f64) {
 /// Appends `v` in decimal, every digit exact: the one spelling of an
 /// integer, under [`JsonValue::render`] and the record writers alike.
 /// Digits go through a stack buffer; nothing is allocated.
-pub fn write_u64(out: &mut String, mut v: u64) {
+pub fn write_u64(out: &mut String, v: u64) {
+    // Writing to a `String` cannot fail.
+    let _ = write_digits(out, v);
+}
+
+/// [`write_u64`] into any text sink (a `Display` impl's formatter).
+pub(crate) fn write_digits<W: fmt::Write>(out: &mut W, mut v: u64) -> fmt::Result {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -246,7 +252,7 @@ pub fn write_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
 }
 
 /// Appends `s` as a JSON string: the one spelling of a string. Runs

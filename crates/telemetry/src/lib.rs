@@ -17,9 +17,16 @@
 //! - [`FaultLedger`] — per-class/per-site counters of injected fault
 //!   events, including the logical ids of packets lost at a source
 //!   (reconciles with the fault oracle and span-tree analysis).
-//! - [`TraceCollector`] / [`render_trace`] — flat trace records with
-//!   NDJSON import/export shared by every substrate; [`TraceWriter`]
-//!   spells the same lines at event time without keeping a record.
+//! - [`Site`] — where an event happened: the one identity of a node
+//!   above the engine, the only writer and reader of the site-label
+//!   grammar. A substrate hands its observers one [`SiteOf`] function.
+//! - [`TraceCollector`] / [`render_trace`] — flat, typed, `Copy` trace
+//!   records with NDJSON import/export shared by every substrate;
+//!   [`TraceWriter`] spells the same lines at event time without keeping
+//!   a record.
+//! - [`TokenLedger`] — token conservation per flit, online: what the
+//!   stream's watchpoints and the fault oracle judge from, holding only
+//!   what is in flight.
 //! - [`ChromeTraceObserver`] / [`ChromeTrace`] — Chrome trace-event
 //!   (Perfetto-loadable) export, with a [`validate_chrome`] checker.
 //! - [`StreamSink`] — bounded-memory live export: `asynoc-stream-v1`
@@ -42,8 +49,10 @@ pub mod json;
 pub mod latency;
 #[cfg(test)]
 mod reference;
+pub mod site;
 pub mod stream;
 pub mod timeseries;
+pub mod tokens;
 pub mod trace;
 pub mod waste;
 
@@ -52,14 +61,16 @@ pub use fault_ledger::FaultLedger;
 pub use histogram::LogHistogram;
 pub use json::{JsonError, JsonValue};
 pub use latency::{LatencyHistograms, LatencyWindow};
+pub use site::{Site, SiteOf, Stage};
 pub use stream::{
     fold_stream, StreamConfig, StreamFoldError, StreamFolder, StreamLine, StreamSink,
     StreamSummary, WatchConfig, STREAM_SCHEMA,
 };
 pub use timeseries::{Bin, LevelSpec, TimeSeries};
+pub use tokens::{FlitTokens, TokenLedger, TokenTally};
 pub use trace::{
-    parse_trace, parse_trace_lenient, render_trace, TraceCollector, TraceMeta, TraceParseError,
-    TraceRecord, TraceWriter, TRACE_SCHEMA,
+    parse_trace, parse_trace_lenient, render_trace, Action, Detail, TraceCollector, TraceMeta,
+    TraceParseError, TraceRecord, TraceWriter, TRACE_SCHEMA,
 };
 pub use waste::{NodeWaste, SpeculationWaste};
 

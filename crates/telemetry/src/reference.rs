@@ -45,12 +45,20 @@ pub(crate) fn record_from_ndjson(line: &str) -> Result<TraceRecord, JsonError> {
             .as_f64()
             .ok_or_else(|| err(format!("field {key:?} is not a number"))),
     };
-    let string = |key: &str| {
-        required(key)?
+    // The labels' grammars are the typed record's own: the oracle reads
+    // the string out of the tree and hands it to the same `FromStr`.
+    fn label<T: std::str::FromStr<Err = String>>(
+        value: Option<&JsonValue>,
+        key: &str,
+    ) -> Result<T, JsonError> {
+        let err = |message: String| JsonError { at: 0, message };
+        value
+            .ok_or_else(|| err(format!("missing field {key:?}")))?
             .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| err(format!("field {key:?} is not a string")))
-    };
+            .ok_or_else(|| err(format!("field {key:?} is not a string")))?
+            .parse()
+            .map_err(|reason| err(format!("field {key:?}: {reason}")))
+    }
     let packet = number("packet")? as u64;
     Ok(TraceRecord {
         t_ps: number("t_ps")? as u64,
@@ -60,9 +68,9 @@ pub(crate) fn record_from_ndjson(line: &str) -> Result<TraceRecord, JsonError> {
         src: optional_number("src", 0.0)? as u64,
         dests: optional_number("dests", 0.0)? as u64,
         created_ps: optional_number("created_ps", 0.0)? as u64,
-        site: string("site")?,
-        action: string("action")?,
-        detail: string("detail")?,
+        site: label(value.get("site"), "site")?,
+        action: label(value.get("action"), "action")?,
+        detail: label(value.get("detail"), "detail")?,
         copies: optional_number("copies", 0.0)? as u8,
         busy_ps: optional_number("busy_ps", 0.0)? as u64,
     })
@@ -79,9 +87,12 @@ pub(crate) fn record_tree(record: &TraceRecord) -> JsonValue {
         ("src".to_string(), JsonValue::uint(record.src)),
         ("dests".to_string(), JsonValue::uint(record.dests)),
         ("created_ps".to_string(), JsonValue::uint(record.created_ps)),
-        ("site".to_string(), JsonValue::str(record.site.clone())),
-        ("action".to_string(), JsonValue::str(record.action.clone())),
-        ("detail".to_string(), JsonValue::str(record.detail.clone())),
+        ("site".to_string(), JsonValue::str(record.site.to_string())),
+        ("action".to_string(), JsonValue::str(record.action.label())),
+        (
+            "detail".to_string(),
+            JsonValue::str(record.detail.to_string()),
+        ),
         (
             "copies".to_string(),
             JsonValue::uint(u64::from(record.copies)),
@@ -90,10 +101,9 @@ pub(crate) fn record_tree(record: &TraceRecord) -> JsonValue {
     ])
 }
 
-/// What a label or any other string can hold that a writer must get
-/// right: everything JSON escapes, the bytes around the escape range,
-/// two- to four-byte scalars, text that looks like an escape, and the
-/// plain runs in between.
+/// What a string can hold that a writer must get right: everything JSON
+/// escapes, the bytes around the escape range, two- to four-byte scalars,
+/// text that looks like an escape, and the plain runs in between.
 pub(crate) const HOSTILE_PIECES: [&str; 18] = [
     "\"",
     "\\",

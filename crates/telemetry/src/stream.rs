@@ -50,7 +50,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io::{BufWriter, Write};
-use std::rc::Rc;
 
 use asynoc_engine::{NodeKey, Observer, SimEvent};
 use asynoc_kernel::{Duration, Time, WindowClock};
@@ -58,8 +57,10 @@ use asynoc_stats::Phases;
 
 use crate::json::{write_u64, JsonError, JsonValue, Scanner};
 use crate::latency::{LatencyHistograms, LatencyWindow};
+use crate::site::{Site, SiteOf};
 use crate::timeseries::TimeSeries;
-use crate::trace::{SiteFn, TraceWriter};
+use crate::tokens::TokenLedger;
+use crate::trace::TraceWriter;
 use crate::METRICS_SCHEMA;
 
 /// Schema tag of the streaming NDJSON format (the `schema` field of the
@@ -124,32 +125,6 @@ pub struct StreamSummary {
     pub watchpoints: u64,
 }
 
-/// Where a flit copy last was, for causal labels in watchpoint records.
-#[derive(Clone, Copy)]
-enum TokenSite<N> {
-    Source(usize),
-    Node(N),
-    Dest(usize),
-}
-
-impl<N: Copy> TokenSite<N> {
-    fn label(&self, site_of: &SiteFn<N>) -> String {
-        match self {
-            TokenSite::Source(s) => format!("src{s}"),
-            TokenSite::Node(n) => site_of(*n),
-            TokenSite::Dest(d) => format!("D{d}"),
-        }
-    }
-}
-
-/// Per-flit token ledger entry: outstanding copies, first-seen time,
-/// and the site that last touched it.
-struct FlitTrack<N> {
-    refs: i64,
-    created: Time,
-    site: TokenSite<N>,
-}
-
 /// The streaming observer. See the module docs for the record protocol.
 ///
 /// Register it alongside (or instead of) the batch collectors; after
@@ -162,7 +137,7 @@ pub struct StreamSink<N> {
     latency: LatencyHistograms,
     series: TimeSeries<N>,
     trace: Option<TraceWriter<N>>,
-    site_of: Rc<SiteFn<N>>,
+    site_of: SiteOf<N>,
     watch: WatchConfig,
     // Per-window counters, reset at every flush.
     w_events: u64,
@@ -175,7 +150,8 @@ pub struct StreamSink<N> {
     in_flight: i64,
     emitted_bins: usize,
     windows: u64,
-    registry: HashMap<(u64, u8), FlitTrack<N>>,
+    /// Every flit in flight, with the site that last touched it.
+    tokens: TokenLedger<Site>,
     packet_refs: HashMap<u64, i64>,
     watermark_fired: HashSet<u64>,
     stall_run: u64,
@@ -185,13 +161,13 @@ pub struct StreamSink<N> {
     watchpoints: u64,
 }
 
-impl<N: Copy + NodeKey + 'static> StreamSink<N> {
+impl<N: Copy + NodeKey> StreamSink<N> {
     /// Opens a stream over `out`: writes the `head` record and returns
     /// the sink ready to observe events. `phases` gates latency
     /// sampling exactly as the batch collector does; `endpoints` sizes
     /// the per-destination breakdown; `series` supplies the bin width
     /// and level grouping (build it exactly as the batch path would);
-    /// `site_of` labels nodes in trace and watchpoint records.
+    /// `site_of` places nodes in trace and watchpoint records.
     ///
     /// # Errors
     ///
@@ -207,7 +183,7 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
         phases: Phases,
         endpoints: usize,
         series: TimeSeries<N>,
-        site_of: SiteFn<N>,
+        site_of: SiteOf<N>,
     ) -> std::io::Result<StreamSink<N>> {
         let bin = series.bin_width();
         assert!(
@@ -216,11 +192,9 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
             cfg.window,
             bin,
         );
-        let site_of = Rc::new(site_of);
-        let trace = cfg.trace_limit.map(|limit| {
-            let shared = Rc::clone(&site_of);
-            TraceWriter::new(limit, Box::new(move |node| (shared)(node)))
-        });
+        let trace = cfg
+            .trace_limit
+            .map(|limit| TraceWriter::new(limit, SiteOf::clone(&site_of)));
         let labels: Vec<JsonValue> = series
             .level_labels()
             .into_iter()
@@ -283,7 +257,7 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
             in_flight: 0,
             emitted_bins: 0,
             windows: 0,
-            registry: HashMap::new(),
+            tokens: TokenLedger::default(),
             packet_refs: HashMap::new(),
             watermark_fired: HashSet::new(),
             stall_run: 0,
@@ -318,15 +292,15 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
         }
         if self.in_flight > 0 && self.conservation_fired == 0 {
             let copies = self.in_flight;
-            let oldest = self.oldest_in_flight();
+            let oldest = self.tokens.oldest_in_flight();
             let seq = self.clock.next_seq();
             let t = self.clock.boundary_of(seq.saturating_sub(1));
             self.watchpoint(
                 "no_progress",
                 seq,
                 t,
-                oldest.0,
-                oldest.1,
+                oldest.map(|(_, site)| site),
+                oldest.map(|(key, _)| key),
                 Some(copies as f64),
                 format!("run ended with {copies} copies still in flight"),
             );
@@ -475,29 +449,17 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
             self.stalled = true;
             let windows = self.stall_run;
             let copies = self.in_flight;
-            let oldest = self.oldest_in_flight();
+            let oldest = self.tokens.oldest_in_flight();
             self.watchpoint(
                 "no_progress",
                 seq,
                 boundary,
-                oldest.0,
-                oldest.1,
+                oldest.map(|(_, site)| site),
+                oldest.map(|(key, _)| key),
                 Some(copies as f64),
                 format!("{windows} consecutive windows with {copies} copies in flight and zero deliveries"),
             );
         }
-    }
-
-    /// The oldest outstanding flit copy: its last site label and
-    /// `(packet, flit)` key. Ties break on the key, so the answer is
-    /// deterministic despite the hash map.
-    fn oldest_in_flight(&self) -> (Option<String>, Option<(u64, u8)>) {
-        self.registry
-            .iter()
-            .min_by_key(|(key, track)| (track.created, **key))
-            .map_or((None, None), |(key, track)| {
-                (Some(track.site.label(&self.site_of)), Some(*key))
-            })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -506,7 +468,7 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
         kind: &str,
         seq: u64,
         at: Time,
-        site: Option<String>,
+        site: Option<Site>,
         flit: Option<(u64, u8)>,
         value: Option<f64>,
         detail: String,
@@ -519,7 +481,7 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
             ("t_ps".to_string(), JsonValue::uint(at.as_ps())),
             (
                 "site".to_string(),
-                site.map_or(JsonValue::Null, JsonValue::str),
+                site.map_or(JsonValue::Null, |site| JsonValue::str(site.to_string())),
             ),
             (
                 "packet".to_string(),
@@ -538,29 +500,23 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
         self.write_value(&record);
     }
 
-    /// Applies one event's token movement to the per-flit ledger and
-    /// fires `token_conservation` if a copy went negative.
-    fn track_tokens(&mut self, at: Time, key: (u64, u8), site: TokenSite<N>, delta: i64) {
-        let entry = self.registry.entry(key).or_insert(FlitTrack {
-            refs: 0,
-            created: at,
-            site,
-        });
-        entry.refs += delta;
-        entry.site = site;
-        let refs = entry.refs;
-        if refs <= 0 {
-            self.registry.remove(&key);
-        }
+    /// Moves a lifecycle event's tokens on the per-flit ledger, fires
+    /// `token_conservation` if a copy count went negative, and lets go of
+    /// a packet's latency bookkeeping with its last copy. `delta` is the
+    /// event's net change of copies in flight.
+    fn track_tokens(&mut self, at: Time, event: &SimEvent<'_, N>, delta: i64) {
+        self.in_flight += delta;
+        let site = Site::of_event(event, &*self.site_of);
+        let (key, tokens) = self.tokens.apply(at, event, site);
+        let refs = tokens.in_flight;
         if refs < 0 && self.conservation_fired < MAX_CONSERVATION_RECORDS {
             self.conservation_fired += 1;
             let seq = self.clock.seq_of(at);
-            let label = site.label(&self.site_of);
             self.watchpoint(
                 "token_conservation",
                 seq,
                 at,
-                Some(label),
+                Some(site),
                 Some(key),
                 Some(refs as f64),
                 format!("flit copy count went to {refs}"),
@@ -575,7 +531,7 @@ impl<N: Copy + NodeKey + 'static> StreamSink<N> {
     }
 }
 
-impl<N: Copy + NodeKey + 'static> Observer<N> for StreamSink<N> {
+impl<N: Copy + NodeKey> Observer<N> for StreamSink<N> {
     fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>) {
         if let Some(range) = self.clock.crossed(at) {
             for seq in range {
@@ -595,45 +551,37 @@ impl<N: Copy + NodeKey + 'static> Observer<N> for StreamSink<N> {
             trace.record(at, event, open, "}\n");
         }
         self.w_events += 1;
-        match event {
-            SimEvent::Inject { source, flit } => {
+        let mut busy_at = |node: &N, busy: &Duration| {
+            let slot = self.node_busy.entry(node.node_key()).or_insert((*node, 0));
+            slot.1 += busy.as_ps();
+        };
+        // The event's net change of copies in flight.
+        let delta = match event {
+            SimEvent::Inject { .. } => {
                 self.w_injected += 1;
-                self.in_flight += 1;
-                let key = (flit.descriptor().id().as_u64(), flit.index());
-                self.track_tokens(at, key, TokenSite::Source(*source), 1);
+                1
             }
             SimEvent::Forward {
-                node,
-                flit,
-                copies,
-                busy,
-                ..
+                node, copies, busy, ..
             } => {
                 self.w_forwards += 1;
-                self.in_flight += i64::from(*copies) - 1;
-                let slot = self.node_busy.entry(node.node_key()).or_insert((*node, 0));
-                slot.1 += busy.as_ps();
-                let key = (flit.descriptor().id().as_u64(), flit.index());
-                self.track_tokens(at, key, TokenSite::Node(*node), i64::from(*copies) - 1);
+                busy_at(node, busy);
+                i64::from(*copies) - 1
             }
-            SimEvent::Drop { node, flit, busy } => {
+            SimEvent::Drop { node, busy, .. } => {
                 self.w_dropped += 1;
-                self.in_flight -= 1;
-                let slot = self.node_busy.entry(node.node_key()).or_insert((*node, 0));
-                slot.1 += busy.as_ps();
-                let key = (flit.descriptor().id().as_u64(), flit.index());
-                self.track_tokens(at, key, TokenSite::Node(*node), -1);
+                busy_at(node, busy);
+                -1
             }
-            SimEvent::Deliver { dest, flit } => {
+            SimEvent::Deliver { .. } => {
                 self.w_delivered += 1;
-                self.in_flight -= 1;
-                let key = (flit.descriptor().id().as_u64(), flit.index());
-                self.track_tokens(at, key, TokenSite::Dest(*dest), -1);
+                -1
             }
             // Fault hooks fire alongside the flit's normal lifecycle
             // events, so they move no tokens (see `TimeSeries`).
-            SimEvent::Fault { .. } => {}
-        }
+            SimEvent::Fault { .. } => return,
+        };
+        self.track_tokens(at, event, delta);
     }
 }
 
@@ -919,10 +867,19 @@ mod tests {
             },
             phases(),
             8,
-            TimeSeries::single_level(Duration::from_ns(1), "nodes", 4),
-            Box::new(|node: usize| format!("n{node}")),
+            series(),
+            Rc::new(Site::Router),
         )
         .expect("head write succeeds")
+    }
+
+    /// Four routers, one level, 1 ns bins.
+    fn series() -> TimeSeries<usize> {
+        let routers = crate::LevelSpec {
+            stage: crate::site::Stage::Router,
+            nodes: 4,
+        };
+        TimeSeries::new(Duration::from_ns(1), vec![routers], Rc::new(Site::Router))
     }
 
     fn inject(at: u64, f: &Flit) -> (Time, SimEvent<'_, usize>) {
@@ -958,7 +915,7 @@ mod tests {
         let mut sink = make_sink(&buf, WatchConfig::default(), None);
         // The same events drive independent batch collectors.
         let mut batch_latency = LatencyHistograms::new(phases(), 8);
-        let mut batch_series = TimeSeries::single_level(Duration::from_ns(1), "nodes", 4);
+        let mut batch_series = series();
         let flits: Vec<Flit> = (0..6)
             .map(|k| flit(k, (k % 8) as usize, Time::from_ps(100 + k * 1_700)))
             .collect();
@@ -1076,7 +1033,7 @@ mod tests {
         let record = JsonValue::parse(alert).expect("watchpoint parses");
         assert_eq!(
             record.get("site").and_then(JsonValue::as_str),
-            Some("n2"),
+            Some("r2"),
             "causal site is where the flit last was"
         );
         assert_eq!(record.get("packet").and_then(JsonValue::as_f64), Some(7.0));
@@ -1153,7 +1110,7 @@ mod tests {
             .expect("stream closes");
         let text = buf.text();
         assert!(text.contains("\"kind\":\"busy_watermark\""));
-        assert!(text.contains("\"site\":\"n3\""));
+        assert!(text.contains("\"site\":\"r3\""));
         assert!(text.contains("\"kind\":\"waste_rate\""));
         assert_eq!(summary.watchpoints, 2, "each fires exactly once");
     }

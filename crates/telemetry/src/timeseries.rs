@@ -9,17 +9,15 @@ use asynoc_engine::{Observer, SimEvent};
 use asynoc_kernel::{Duration, Time};
 
 use crate::json::JsonValue;
+use crate::site::{SiteOf, Stage};
 
-/// Maps a substrate node to one of the named level groups (`None` leaves
-/// the event out of the busy-fraction accounting).
-pub type LevelFn<N> = Box<dyn Fn(N) -> Option<usize>>;
-
-/// One named group of nodes whose busy time is aggregated per bin —
-/// a tree level on the MoT, the whole router array on the mesh.
-#[derive(Clone, Debug)]
+/// One group of nodes whose busy time is aggregated per bin — a tree
+/// level on the MoT, the whole router array on the mesh.
+#[derive(Clone, Copy, Debug)]
 pub struct LevelSpec {
-    /// Display name, e.g. `"fanout-L1"`.
-    pub label: String,
+    /// The stage whose nodes form the group; its `Display` form
+    /// (`fanout-L1`, `router`) is the level's label.
+    pub stage: Stage,
     /// Number of nodes in the group (the busy-fraction denominator).
     pub nodes: usize,
 }
@@ -48,7 +46,7 @@ pub struct Bin {
 pub struct TimeSeries<N> {
     bin: Duration,
     levels: Vec<LevelSpec>,
-    level_of: LevelFn<N>,
+    site_of: SiteOf<N>,
     bins: Vec<Bin>,
     in_flight: i64,
     cap: usize,
@@ -56,36 +54,23 @@ pub struct TimeSeries<N> {
 
 impl<N: Copy> TimeSeries<N> {
     /// Creates a time-series with `bin`-wide buckets over the given level
-    /// groups. `level_of` assigns each firing node to a group.
+    /// groups. A firing node's busy time goes to the group of its site's
+    /// stage; a node of no listed stage is left out of the accounting.
     ///
     /// # Panics
     ///
     /// Panics if `bin` is zero.
     #[must_use]
-    pub fn new(bin: Duration, levels: Vec<LevelSpec>, level_of: LevelFn<N>) -> Self {
+    pub fn new(bin: Duration, levels: Vec<LevelSpec>, site_of: SiteOf<N>) -> Self {
         assert!(!bin.is_zero(), "bin width must be non-zero");
         TimeSeries {
             bin,
             levels,
-            level_of,
+            site_of,
             bins: Vec::new(),
             in_flight: 0,
             cap: 1 << 16,
         }
-    }
-
-    /// A single-group series covering `nodes` interchangeable nodes —
-    /// the right shape for the mesh, where every router is one level.
-    #[must_use]
-    pub fn single_level(bin: Duration, label: &str, nodes: usize) -> Self {
-        TimeSeries::new(
-            bin,
-            vec![LevelSpec {
-                label: label.to_string(),
-                nodes,
-            }],
-            Box::new(|_| Some(0)),
-        )
     }
 
     /// The bin width.
@@ -126,10 +111,9 @@ impl<N: Copy> TimeSeries<N> {
     }
 
     fn add_busy(&mut self, index: usize, node: N, busy: Duration) {
-        if let Some(level) = (self.level_of)(node) {
-            if let Some(slot) = self.bins[index].busy_ps.get_mut(level) {
-                *slot += busy.as_ps();
-            }
+        let stage = (self.site_of)(node).stage();
+        if let Some(level) = self.levels.iter().position(|l| l.stage == stage) {
+            self.bins[index].busy_ps[level] += busy.as_ps();
         }
     }
 
@@ -149,7 +133,7 @@ impl<N: Copy> TimeSeries<N> {
     /// The level labels, in busy-fraction array order.
     #[must_use]
     pub fn level_labels(&self) -> Vec<String> {
-        self.levels.iter().map(|l| l.label.clone()).collect()
+        self.levels.iter().map(|l| l.stage.to_string()).collect()
     }
 
     /// Materializes every bin covering instants strictly before `at`
@@ -197,9 +181,9 @@ impl<N: Copy> TimeSeries<N> {
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
         let labels: Vec<JsonValue> = self
-            .levels
-            .iter()
-            .map(|l| JsonValue::str(l.label.clone()))
+            .level_labels()
+            .into_iter()
+            .map(JsonValue::str)
             .collect();
         let bins: Vec<JsonValue> = (0..self.bins.len()).map(|i| self.bin_json(i)).collect();
         JsonValue::Object(vec![
@@ -249,7 +233,10 @@ impl<N: Copy> Observer<N> for TimeSeries<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
     use std::sync::Arc;
+
+    use crate::site::Site;
 
     use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
 
@@ -268,7 +255,16 @@ mod tests {
     }
 
     fn series() -> TimeSeries<usize> {
-        TimeSeries::single_level(Duration::from_ns(1), "nodes", 4)
+        let routers = LevelSpec {
+            stage: Stage::Router,
+            nodes: 4,
+        };
+        // Nodes past the four routers sit at a stage the series does not list.
+        let site_of = |node| match node {
+            0..4 => Site::Router(node),
+            _ => Site::Node(node),
+        };
+        TimeSeries::new(Duration::from_ns(1), vec![routers], Rc::new(site_of))
     }
 
     #[test]
@@ -333,8 +329,19 @@ mod tests {
         );
         assert_eq!(ts.bins()[0].in_flight, 1, "the throttle removed it");
         assert_eq!(ts.bins()[0].dropped, 1);
-        // 100 + 80 ps of busy over 4 nodes x 1000 ps.
+        ts.on_event(
+            Time::from_ps(40),
+            true,
+            &SimEvent::Drop {
+                node: 7usize,
+                flit: &f,
+                busy: Duration::from_ps(500),
+            },
+        );
+        // 100 + 80 ps of busy over 4 nodes x 1000 ps; node 7's stage is
+        // not a level of the series, so its 500 ps count nowhere.
         assert!((ts.busy_fraction(0, 0) - 180.0 / 4000.0).abs() < 1e-12);
+        assert_eq!(ts.bins()[0].dropped, 2);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! A [`TraceRecord`] is the flat, serializable form of one flit action.
 //! Every substrate produces them the same way — the generic
 //! [`TraceCollector`] observer builds them straight off the engine event
-//! stream — so one parser round-trips traces from any simulator.
+//! stream — so one parser round-trips traces from any simulator. A
+//! record is typed and `Copy`: where it happened is a [`Site`], what
+//! happened an [`Action`], how a [`Detail`]; text exists only in
+//! [`TraceRecord::write_ndjson`] and in the line reader.
 //!
 //! Beyond the original identity fields (time, packet, flit, site, action),
 //! a record carries the causal context offline analysis needs: the
@@ -16,18 +19,135 @@
 //! with the metrics report of the same run.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::fmt;
+use std::str::FromStr;
 
-use asynoc_engine::{ForwardInfo, NodeKey, Observer, SimEvent};
+use asynoc_engine::{ForwardInfo, Observer, SimEvent};
 use asynoc_kernel::{FaultClass, Time};
+use asynoc_packet::RouteSymbol;
 
-use crate::json::{exact_u64, write_string, write_u64, JsonError, JsonValue, Scanner};
+use crate::json::{exact_u64, write_digits, write_u64, JsonError, JsonValue, Scanner};
+use crate::site::{coordinate, Site, SiteOf};
 
 /// Schema tag carried by a trace file's leading meta line.
 pub const TRACE_SCHEMA: &str = "asynoc-trace-v2";
 
+/// What happened to a flit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Action {
+    /// A source launched it into the network (`inject`).
+    Inject,
+    /// A node forwarded or replicated it (`forward`).
+    Forward,
+    /// A node killed a redundant speculative copy (`throttle`).
+    Throttle,
+    /// A sink consumed it (`deliver`).
+    Deliver,
+    /// A fault-injection hook fired on it (`fault`; the record's detail
+    /// is the class). Token-neutral: faults annotate a flit's tree, they
+    /// never create or consume copies.
+    Fault,
+}
+
+impl Action {
+    /// Every action, in lifecycle order.
+    pub const ALL: [Action; 5] = [
+        Action::Inject,
+        Action::Forward,
+        Action::Throttle,
+        Action::Deliver,
+        Action::Fault,
+    ];
+
+    /// The name trace records carry (also the `Display` form).
+    #[must_use]
+    pub const fn label(self) -> &'static str {
+        match self {
+            Action::Inject => "inject",
+            Action::Forward => "forward",
+            Action::Throttle => "throttle",
+            Action::Deliver => "deliver",
+            Action::Fault => "fault",
+        }
+    }
+}
+
+impl fmt::Display for Action {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+impl FromStr for Action {
+    type Err = String;
+
+    fn from_str(label: &str) -> Result<Action, String> {
+        Action::ALL
+            .into_iter()
+            .find(|action| action.label() == label)
+            .ok_or_else(|| {
+                format!("{label:?} is not an action (inject, forward, throttle, deliver or fault)")
+            })
+    }
+}
+
+/// How an action went: the vocabulary the engine's `ForwardInfo` and
+/// fault events close.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Detail {
+    /// Nothing to add (the empty string).
+    None,
+    /// The symbol a routing node followed (`drop`, `top`, `bottom`, `both`).
+    Routed(RouteSymbol),
+    /// The input an arbitrating node granted (`input{N}`).
+    Input(usize),
+    /// The class of an injected fault (`link-stall`, …).
+    Fault(FaultClass),
+}
+
+impl Detail {
+    fn write_to<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        match self {
+            Detail::None => Ok(()),
+            Detail::Routed(symbol) => out.write_str(symbol.label()),
+            Detail::Input(input) => {
+                out.write_str("input")?;
+                write_digits(out, input as u64)
+            }
+            Detail::Fault(class) => out.write_str(class.label()),
+        }
+    }
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+impl FromStr for Detail {
+    type Err = String;
+
+    fn from_str(label: &str) -> Result<Detail, String> {
+        if label.is_empty() {
+            return Ok(Detail::None);
+        }
+        let input = label.strip_prefix("input").and_then(coordinate);
+        let symbol = RouteSymbol::ALL.into_iter().find(|s| s.label() == label);
+        input
+            .map(Detail::Input)
+            .or_else(|| symbol.map(Detail::Routed))
+            .or_else(|| FaultClass::parse(label).map(Detail::Fault))
+            .ok_or_else(|| {
+                format!(
+                    "{label:?} is not a detail (empty, a route symbol, input{{N}} or a fault class)"
+                )
+            })
+    }
+}
+
 /// One flit action in substrate-neutral form.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Simulation time, picoseconds.
     pub t_ps: u64,
@@ -44,14 +164,13 @@ pub struct TraceRecord {
     pub dests: u64,
     /// The packet's creation time (entry into the source queue), ps.
     pub created_ps: u64,
-    /// Where it happened (display label, e.g. `"src3"`, `"fo[s2:0.0]"`,
-    /// `"r5"`).
-    pub site: String,
-    /// What happened: `inject`, `forward`, `throttle`, or `deliver`.
-    pub action: String,
-    /// Action detail (route symbol, winning arbitration input), may be
-    /// empty.
-    pub detail: String,
+    /// Where it happened.
+    pub site: Site,
+    /// What happened.
+    pub action: Action,
+    /// Action detail: route symbol, winning arbitration input, fault
+    /// class.
+    pub detail: Detail,
     /// Copies the event put in flight: 1 for an injection, the fanout
     /// width for a forward (2 at replication/speculation points), 0 for
     /// a throttle or delivery (both consume without creating).
@@ -62,6 +181,53 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
+    /// The record of `event`; `site_of` places the substrate's nodes.
+    #[must_use]
+    pub fn of<N: Copy>(
+        at: Time,
+        event: &SimEvent<'_, N>,
+        site_of: &dyn Fn(N) -> Site,
+    ) -> TraceRecord {
+        let (flit, action, detail, copies, busy_ps) = match event {
+            SimEvent::Inject { flit, .. } => (flit, Action::Inject, Detail::None, 1, 0),
+            SimEvent::Forward {
+                flit,
+                info,
+                copies,
+                busy,
+                ..
+            } => {
+                let detail = match *info {
+                    ForwardInfo::Routed(symbol) => Detail::Routed(symbol),
+                    ForwardInfo::Arbitrated { input } => Detail::Input(input),
+                };
+                (flit, Action::Forward, detail, *copies, busy.as_ps())
+            }
+            SimEvent::Drop { flit, busy, .. } => {
+                (flit, Action::Throttle, Detail::None, 0, busy.as_ps())
+            }
+            SimEvent::Deliver { flit, .. } => (flit, Action::Deliver, Detail::None, 0, 0),
+            SimEvent::Fault { class, flit, .. } => {
+                (flit, Action::Fault, Detail::Fault(*class), 0, 0)
+            }
+        };
+        let descriptor = flit.descriptor();
+        TraceRecord {
+            t_ps: at.as_ps(),
+            packet: descriptor.id().as_u64(),
+            logical: descriptor.logical_id().as_u64(),
+            flit: flit.index(),
+            src: descriptor.source() as u64,
+            dests: descriptor.dests().len() as u64,
+            created_ps: descriptor.created_at().as_ps(),
+            site: Site::of_event(event, site_of),
+            action,
+            detail,
+            copies,
+            busy_ps,
+        }
+    }
+
     /// Renders the record as one NDJSON line (no trailing newline).
     #[must_use]
     pub fn to_ndjson(&self) -> String {
@@ -74,17 +240,14 @@ impl TraceRecord {
     /// trace record, whether it ends up a line of a trace file or the
     /// `record` member of a stream's `trace` line. Member names are
     /// literals and every integer is written digit by digit, so ids and
-    /// times past 2^53 keep every bit, as [`from_ndjson`] reads them.
+    /// times past 2^53 keep every bit, as [`from_ndjson`] reads them; no
+    /// label of the grammar holds a byte JSON escapes.
     ///
     /// [`from_ndjson`]: TraceRecord::from_ndjson
     pub fn write_ndjson(&self, out: &mut String) {
         let uint = |out: &mut String, member: &str, value: u64| {
             out.push_str(member);
             write_u64(out, value);
-        };
-        let text = |out: &mut String, member: &str, label: &str| {
-            out.push_str(member);
-            write_string(out, label);
         };
         uint(out, "{\"t_ps\":", self.t_ps);
         uint(out, ",\"packet\":", self.packet);
@@ -93,81 +256,16 @@ impl TraceRecord {
         uint(out, ",\"src\":", self.src);
         uint(out, ",\"dests\":", self.dests);
         uint(out, ",\"created_ps\":", self.created_ps);
-        text(out, ",\"site\":", &self.site);
-        text(out, ",\"action\":", &self.action);
-        text(out, ",\"detail\":", &self.detail);
-        uint(out, ",\"copies\":", u64::from(self.copies));
+        out.push_str(",\"site\":\"");
+        // Writing to a `String` cannot fail.
+        let _ = self.site.write_to(out);
+        out.push_str("\",\"action\":\"");
+        out.push_str(self.action.label());
+        out.push_str("\",\"detail\":\"");
+        let _ = self.detail.write_to(out);
+        uint(out, "\",\"copies\":", u64::from(self.copies));
         uint(out, ",\"busy_ps\":", self.busy_ps);
         out.push('}');
-    }
-
-    /// Overwrites `self` with the record of `event`, reusing the three
-    /// labels' capacity: a writer that keeps one record for every event
-    /// allocates for none of them. `node_site` appends a node's label.
-    fn assign<N: Copy>(
-        &mut self,
-        at: Time,
-        event: &SimEvent<'_, N>,
-        node_site: impl FnOnce(N, &mut String),
-    ) {
-        let numbered = |label: &mut String, word: &str, index: usize| {
-            label.push_str(word);
-            write_u64(label, index as u64);
-        };
-        self.site.clear();
-        self.action.clear();
-        self.detail.clear();
-        let (flit, action, copies, busy_ps) = match event {
-            SimEvent::Inject { source, flit } => {
-                numbered(&mut self.site, "src", *source);
-                (flit, "inject", 1, 0)
-            }
-            SimEvent::Forward {
-                node,
-                flit,
-                info,
-                copies,
-                busy,
-            } => {
-                node_site(*node, &mut self.site);
-                match info {
-                    ForwardInfo::Routed(symbol) => self.detail.push_str(symbol.label()),
-                    ForwardInfo::Arbitrated { input } => {
-                        numbered(&mut self.detail, "input", *input);
-                    }
-                }
-                (flit, "forward", *copies, busy.as_ps())
-            }
-            SimEvent::Drop { node, flit, busy } => {
-                node_site(*node, &mut self.site);
-                (flit, "throttle", 0, busy.as_ps())
-            }
-            SimEvent::Deliver { dest, flit } => {
-                numbered(&mut self.site, "D", *dest);
-                (flit, "deliver", 0, 0)
-            }
-            SimEvent::Fault { class, site, flit } => {
-                let word = match class {
-                    FaultClass::LinkStall => "ch",
-                    FaultClass::SymbolCorrupt | FaultClass::StuckBroadcast => "node",
-                    FaultClass::FlitDrop | FaultClass::PacketLost => "src",
-                };
-                numbered(&mut self.site, word, *site);
-                self.detail.push_str(class.label());
-                (flit, "fault", 0, 0)
-            }
-        };
-        self.action.push_str(action);
-        let descriptor = flit.descriptor();
-        self.t_ps = at.as_ps();
-        self.packet = descriptor.id().as_u64();
-        self.logical = descriptor.logical_id().as_u64();
-        self.flit = flit.index();
-        self.src = descriptor.source() as u64;
-        self.dests = descriptor.dests().len() as u64;
-        self.created_ps = descriptor.created_at().as_ps();
-        self.copies = copies;
-        self.busy_ps = busy_ps;
     }
 
     /// Parses one NDJSON line back into a record.
@@ -176,7 +274,8 @@ impl TraceRecord {
     /// `dests`, `created_ps`, `copies`, `busy_ps`) are optional, so v1
     /// traces still parse: `logical` defaults to `packet` and the rest
     /// to zero. Integer fields are read exactly: a negative, fractional
-    /// or too-large value is an error, never a silently clamped number.
+    /// or too-large value is an error, never a silently clamped number —
+    /// and so is a `site`, `action` or `detail` outside its grammar.
     ///
     /// # Errors
     ///
@@ -329,9 +428,18 @@ impl<'a> Slot<'a> {
     }
 
     fn text(self, key: &str) -> Result<String, String> {
+        self.label(key, |text| Ok(text.to_string()))
+    }
+
+    /// The field as a label of one of the record's closed grammars.
+    fn label<T>(
+        self,
+        key: &str,
+        read: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<T, String> {
         match self {
             Slot::Missing => Err(format!("missing field {key:?}")),
-            Slot::Text(text) => Ok(text.into_owned()),
+            Slot::Text(text) => read(&text).map_err(|reason| format!("field {key:?}: {reason}")),
             _ => Err(format!("field {key:?} is not a string")),
         }
     }
@@ -448,9 +556,9 @@ impl RecordFields<'_> {
             src: self.src.uint("src", Some(0))?,
             dests: self.dests.uint("dests", Some(0))?,
             created_ps: self.created_ps.uint("created_ps", Some(0))?,
-            site: self.site.text("site")?,
-            action: self.action.text("action")?,
-            detail: self.detail.text("detail")?,
+            site: self.site.label("site", str::parse)?,
+            action: self.action.label("action", str::parse)?,
+            detail: self.detail.label("detail", str::parse)?,
             copies: self.copies.uint("copies", Some(0))?,
             busy_ps: self.busy_ps.uint("busy_ps", Some(0))?,
         })
@@ -599,38 +707,25 @@ pub fn parse_trace_lenient(
     (meta, records, errors)
 }
 
-/// Renders a substrate node as a trace site label.
-pub type SiteFn<N> = Box<dyn Fn(N) -> String>;
-
 /// A bounded, substrate-agnostic trace observer producing
 /// [`TraceRecord`]s for every phase of a run.
 pub struct TraceCollector<N> {
-    site_of: SiteFn<N>,
+    site_of: SiteOf<N>,
     limit: usize,
     records: Vec<TraceRecord>,
     dropped: u64,
 }
 
 impl<N: Copy> TraceCollector<N> {
-    /// Collects up to `limit` records, labelling nodes via `site_of`.
+    /// Collects up to `limit` records, placing nodes via `site_of`.
     #[must_use]
-    pub fn new(limit: usize, site_of: SiteFn<N>) -> Self {
+    pub fn new(limit: usize, site_of: SiteOf<N>) -> Self {
         TraceCollector {
             site_of,
             limit,
             records: Vec::with_capacity(limit.min(4096)),
             dropped: 0,
         }
-    }
-
-    /// Collects up to `limit` records, labelling nodes by their `Debug`
-    /// form.
-    #[must_use]
-    pub fn generic(limit: usize) -> Self
-    where
-        N: std::fmt::Debug,
-    {
-        TraceCollector::new(limit, Box::new(|node: N| format!("{node:?}")))
     }
 
     /// The records collected so far.
@@ -659,39 +754,32 @@ impl<N: Copy> Observer<N> for TraceCollector<N> {
             self.dropped += 1;
             return;
         }
-        let mut record = TraceRecord::default();
-        record.assign(at, event, |node, site| *site = (self.site_of)(node));
-        self.records.push(record);
+        self.records
+            .push(TraceRecord::of(at, event, &*self.site_of));
     }
 }
 
 /// A trace observer that keeps text, not records: every event's record
-/// is written at event time into one growing buffer, through one reused
-/// [`TraceRecord`] and a table of node labels rendered once per node.
-/// What `--trace-out` and a stream's `trace` lines are made by; after the
-/// first sight of every node, an event costs no allocation beyond the
-/// buffer's own growth.
+/// is written at event time into one growing buffer. What `--trace-out`
+/// and a stream's `trace` lines are made by; an event costs no allocation
+/// beyond the buffer's own growth.
 pub struct TraceWriter<N> {
-    site_of: SiteFn<N>,
-    sites: HashMap<u64, String>,
-    record: TraceRecord,
+    site_of: SiteOf<N>,
     limit: usize,
     lines: usize,
     dropped: u64,
     text: String,
 }
 
-impl<N: Copy + NodeKey> TraceWriter<N> {
-    /// Writes up to `limit` records between two [`clear`]s, labelling
-    /// nodes via `site_of`.
+impl<N: Copy> TraceWriter<N> {
+    /// Writes up to `limit` records between two [`clear`]s, placing nodes
+    /// via `site_of`.
     ///
     /// [`clear`]: TraceWriter::clear
     #[must_use]
-    pub fn new(limit: usize, site_of: SiteFn<N>) -> Self {
+    pub fn new(limit: usize, site_of: SiteOf<N>) -> Self {
         TraceWriter {
             site_of,
-            sites: HashMap::new(),
-            record: TraceRecord::default(),
             limit,
             lines: 0,
             dropped: 0,
@@ -714,16 +802,8 @@ impl<N: Copy + NodeKey> TraceWriter<N> {
             return;
         }
         self.lines += 1;
-        let (sites, site_of) = (&mut self.sites, &self.site_of);
-        self.record.assign(at, event, |node, site| {
-            site.push_str(
-                sites
-                    .entry(node.node_key())
-                    .or_insert_with(|| site_of(node)),
-            );
-        });
         open(&mut self.text);
-        self.record.write_ndjson(&mut self.text);
+        TraceRecord::of(at, event, &*self.site_of).write_ndjson(&mut self.text);
         self.text.push_str(close);
     }
 
@@ -747,7 +827,7 @@ impl<N: Copy + NodeKey> TraceWriter<N> {
     }
 }
 
-impl<N: Copy + NodeKey> Observer<N> for TraceWriter<N> {
+impl<N: Copy> Observer<N> for TraceWriter<N> {
     fn on_event(&mut self, at: Time, _in_window: bool, event: &SimEvent<'_, N>) {
         self.record(at, event, |_| {}, "\n");
     }
@@ -757,10 +837,11 @@ impl<N: Copy + NodeKey> Observer<N> for TraceWriter<N> {
 mod tests {
     use super::*;
     use crate::reference;
+    use std::rc::Rc;
     use std::sync::Arc;
 
     use asynoc_kernel::{Duration, SimRng};
-    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader, RouteSymbol};
+    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
 
     fn record() -> TraceRecord {
         TraceRecord {
@@ -771,9 +852,13 @@ mod tests {
             src: 2,
             dests: 3,
             created_ps: 1_200,
-            site: "fo[s2:0.0]".to_string(),
-            action: "forward".to_string(),
-            detail: "both".to_string(),
+            site: Site::Fanout {
+                tree: 2,
+                level: 0,
+                index: 0,
+            },
+            action: Action::Forward,
+            detail: Detail::Routed(RouteSymbol::Both),
             copies: 2,
             busy_ps: 52,
         }
@@ -841,12 +926,12 @@ mod tests {
         let line = original.to_ndjson();
         assert_eq!(TraceMeta::from_ndjson(&line), Ok(original.clone()));
         let throttle = TraceRecord {
-            action: "throttle".to_string(),
-            detail: String::new(),
+            action: Action::Throttle,
+            detail: Detail::None,
             copies: 0,
             ..record()
         };
-        let document = render_trace(&original, &[record(), throttle.clone()]);
+        let document = render_trace(&original, &[record(), throttle]);
         assert_eq!(document.lines().count(), 3);
         let (parsed_meta, records) = parse_trace(&document).expect("document parses");
         assert_eq!(parsed_meta, Some(original));
@@ -872,7 +957,7 @@ mod tests {
         let err = parse_trace("not json").unwrap_err();
         assert_eq!(err.line, 1);
         let bad_field = "{\"t_ps\":\"late\",\"packet\":1,\"flit\":0,\
-                         \"site\":\"a\",\"action\":\"inject\",\"detail\":\"\"}";
+                         \"site\":\"src0\",\"action\":\"inject\",\"detail\":\"\"}";
         let err = parse_trace(bad_field).unwrap_err();
         assert!(err.message.contains("t_ps"), "{err}");
     }
@@ -904,7 +989,7 @@ mod tests {
     fn out_of_range_integers_are_located_errors() {
         let with = |field: &str| {
             format!(
-                "{{\"t_ps\":1,\"packet\":2,{field},\"site\":\"a\",\
+                "{{\"t_ps\":1,\"packet\":2,{field},\"site\":\"src0\",\
                  \"action\":\"inject\",\"detail\":\"\"}}"
             )
         };
@@ -1063,7 +1148,7 @@ mod tests {
             };
             let line = original.to_ndjson();
             assert_eq!(line.matches(&wide.to_string()).count(), 7, "{line}");
-            assert_eq!(TraceRecord::from_ndjson(&line), Ok(original.clone()));
+            assert_eq!(TraceRecord::from_ndjson(&line), Ok(original));
             // The tree went through an `f64` and rounded every one of them.
             let rounded = reference::record_tree(&original).render();
             assert_ne!(TraceRecord::from_ndjson(&rounded), Ok(original));
@@ -1108,34 +1193,175 @@ mod tests {
         assert!(faulted.contains("\"action\":\"fault\""), "fault records");
     }
 
-    #[test]
-    fn writer_agrees_with_the_tree_on_hostile_labels() {
-        let pieces = reference::HOSTILE_PIECES;
-        let seeds: Vec<TraceRecord> = reference::real_runs()
-            .iter()
-            .flat_map(|run| run.trace.lines().skip(1).take(40))
-            .map(|line| TraceRecord::from_ndjson(line).expect("real records parse"))
-            .collect();
-        let mut rng = SimRng::seed_from(0x1abe1);
-        let (mut escaped, mut wide) = (0, 0);
-        for _ in 0..10_000 {
-            let mut record = seeds[rng.index(seeds.len())].clone();
-            for label in [&mut record.site, &mut record.action, &mut record.detail] {
-                for _ in 0..rng.index(4) {
-                    let mut at = rng.index(label.len() + 1);
-                    while !label.is_char_boundary(at) {
-                        at -= 1;
-                    }
-                    label.insert_str(at, pieces[rng.index(pieces.len())]);
-                }
-            }
-            let line = writes_like_the_tree(&record);
-            escaped += usize::from(line.contains('\\'));
-            wide += usize::from(!line.is_ascii());
-            assert!(!line.bytes().any(|b| b < 0x20), "{line:?}");
-            assert_eq!(TraceRecord::from_ndjson(&line), Ok(record), "{line}");
+    /// A record drawn over the whole typed vocabulary: every site form,
+    /// action and detail, coordinates and integers of every width.
+    fn drawn_record(rng: &mut SimRng) -> TraceRecord {
+        let wide = |rng: &mut SimRng| match rng.index(4) {
+            0 => rng.index(10) as u64,
+            1 => rng.index(1 << 20) as u64,
+            2 => (1 << 53) + rng.index(1 << 20) as u64,
+            _ => u64::MAX - rng.index(3) as u64,
+        };
+        let (tree, level, index) = (wide(rng) as usize, wide(rng) as u32, wide(rng) as usize);
+        let site = match rng.index(7) {
+            0 => Site::Source(index),
+            1 => Site::Fanout { tree, level, index },
+            2 => Site::Fanin { tree, level, index },
+            3 => Site::Sink(index),
+            4 => Site::Router(index),
+            5 => Site::Channel(index),
+            _ => Site::Node(index),
+        };
+        let detail = match rng.index(4) {
+            0 => Detail::None,
+            1 => Detail::Routed(RouteSymbol::ALL[rng.index(4)]),
+            2 => Detail::Input(wide(rng) as usize),
+            _ => Detail::Fault(FaultClass::ALL[rng.index(5)]),
+        };
+        TraceRecord {
+            t_ps: wide(rng),
+            packet: wide(rng),
+            logical: wide(rng),
+            flit: wide(rng) as u8,
+            src: wide(rng),
+            dests: wide(rng),
+            created_ps: wide(rng),
+            site,
+            action: Action::ALL[rng.index(5)],
+            detail,
+            copies: wide(rng) as u8,
+            busy_ps: wide(rng),
         }
-        assert!(escaped > 2_000 && wide > 2_000, "{escaped} {wide}");
+    }
+
+    #[test]
+    fn drawn_records_round_trip_and_never_need_escaping() {
+        let mut rng = SimRng::seed_from(0x1abe1);
+        for _ in 0..10_000 {
+            let record = drawn_record(&mut rng);
+            let line = record.to_ndjson();
+            assert!(!line.contains('\\') && line.is_ascii(), "{line}");
+            assert_eq!(TraceRecord::from_ndjson(&line), Ok(record), "{line}");
+            // The three labels are what their `Display` says, quoted.
+            for label in [
+                record.site.to_string(),
+                record.action.to_string(),
+                record.detail.to_string(),
+            ] {
+                assert!(line.contains(&format!("\"{label}\"")), "{label} in {line}");
+            }
+            // Below 2^53 the tree it replaced renders the same bytes.
+            let narrow = TraceRecord {
+                t_ps: record.t_ps >> 12,
+                packet: record.packet >> 12,
+                logical: record.logical >> 12,
+                src: record.src >> 12,
+                dests: record.dests >> 12,
+                created_ps: record.created_ps >> 12,
+                busy_ps: record.busy_ps >> 12,
+                ..record
+            };
+            writes_like_the_tree(&narrow);
+        }
+    }
+
+    #[test]
+    fn labels_outside_the_grammar_are_located_errors() {
+        let line = |site: &str, action: &str, detail: &str| {
+            format!(
+                "{{\"t_ps\":1,\"packet\":2,\"flit\":0,\"site\":\"{site}\",\
+                 \"action\":\"{action}\",\"detail\":\"{detail}\"}}"
+            )
+        };
+        assert!(TraceRecord::from_ndjson(&line("src0", "inject", "")).is_ok());
+        for (site, action, detail, complaint) in [
+            (
+                "fo[s2:nope]",
+                "forward",
+                "",
+                "field \"site\": \"fo[s2:nope]\" is not a site",
+            ),
+            (
+                "fo[s2:1.]",
+                "forward",
+                "",
+                "field \"site\": \"fo[s2:1.]\" is not a site",
+            ),
+            (
+                "fi[d18446744073709551616:0.0]",
+                "forward",
+                "",
+                "field \"site\": \"fi[d18446744073709551616:0.0]\" is not a site",
+            ),
+            (
+                "r-1",
+                "forward",
+                "",
+                "field \"site\": \"r-1\" is not a site",
+            ),
+            ("D", "deliver", "", "field \"site\": \"D\" is not a site"),
+            ("", "inject", "", "field \"site\": \"\" is not a site"),
+            ("?", "inject", "", "field \"site\": \"?\" is not a site"),
+            (
+                "src0",
+                "explode",
+                "",
+                "field \"action\": \"explode\" is not an action",
+            ),
+            (
+                "src0",
+                "Inject",
+                "",
+                "field \"action\": \"Inject\" is not an action",
+            ),
+            ("src0", "", "", "field \"action\": \"\" is not an action"),
+            (
+                "r1",
+                "forward",
+                "sideways",
+                "field \"detail\": \"sideways\" is not a detail",
+            ),
+            (
+                "r1",
+                "forward",
+                "input",
+                "field \"detail\": \"input\" is not a detail",
+            ),
+            (
+                "r1",
+                "forward",
+                "input18446744073709551616",
+                "field \"detail\": \"input18446744073709551616\" is not a detail",
+            ),
+        ] {
+            let text = format!("{}\n{}\n", record().to_ndjson(), line(site, action, detail));
+            let err = parse_trace(&text).unwrap_err();
+            assert_eq!(err.line, 2, "{err}");
+            assert!(err.message.contains(complaint), "{err}");
+            // `--lenient` counts the line as skipped.
+            let (_, records, errors) = parse_trace_lenient(&text);
+            assert_eq!(
+                (records.len(), errors.len()),
+                (1, 1),
+                "{site} {action} {detail}"
+            );
+        }
+        // A label that is not a string at all names the field too.
+        let err = TraceRecord::from_ndjson(&line("src0", "inject", "").replace("\"src0\"", "7"));
+        assert_eq!(err.unwrap_err().message, "field \"site\" is not a string");
+    }
+
+    #[test]
+    fn a_record_is_copy_and_small() {
+        fn assert_copy<T: Copy>() {}
+        // `Copy` means no heap behind a record: it was 136 B inline plus
+        // three heap labels.
+        assert_copy::<TraceRecord>();
+        assert!(
+            std::mem::size_of::<TraceRecord>() <= 112,
+            "{} B",
+            std::mem::size_of::<TraceRecord>()
+        );
     }
 
     #[test]
@@ -1157,17 +1383,6 @@ mod tests {
         }
     }
 
-    /// A node whose `Debug` label — the only reader of its name — needs
-    /// escaping.
-    #[derive(Clone, Copy, Debug)]
-    struct Odd(#[allow(dead_code)] &'static str, u64);
-
-    impl NodeKey for Odd {
-        fn node_key(&self) -> u64 {
-            self.1
-        }
-    }
-
     #[test]
     fn event_time_writer_spells_what_the_collector_collects() {
         let flit = Flit::new(
@@ -1181,7 +1396,6 @@ mod tests {
             )),
             0,
         );
-        let (plain, odd) = (Odd("plain", 1), Odd("q\"b\\n\n\u{1}\u{e9}", 2));
         let busy = Duration::from_ps(52);
         let mut events = vec![
             SimEvent::Inject {
@@ -1189,7 +1403,7 @@ mod tests {
                 flit: &flit,
             },
             SimEvent::Drop {
-                node: odd,
+                node: 2usize,
                 flit: &flit,
                 busy,
             },
@@ -1198,13 +1412,7 @@ mod tests {
                 flit: &flit,
             },
         ];
-        let symbols = [
-            RouteSymbol::Drop,
-            RouteSymbol::Top,
-            RouteSymbol::Bottom,
-            RouteSymbol::Both,
-        ];
-        for (node, symbol) in [plain, odd, plain, odd].into_iter().zip(symbols) {
+        for (node, symbol) in RouteSymbol::ALL.into_iter().enumerate() {
             events.push(SimEvent::Forward {
                 node,
                 flit: &flit,
@@ -1215,9 +1423,7 @@ mod tests {
             events.push(SimEvent::Forward {
                 node,
                 flit: &flit,
-                info: ForwardInfo::Arbitrated {
-                    input: node.1 as usize,
-                },
+                info: ForwardInfo::Arbitrated { input: node },
                 copies: 1,
                 busy,
             });
@@ -1229,18 +1435,36 @@ mod tests {
                 flit: &flit,
             });
         }
-        let label = |node: Odd| format!("{node:?}");
-        let mut collector: TraceCollector<Odd> = TraceCollector::generic(events.len());
-        let mut writer = TraceWriter::new(events.len(), Box::new(label));
+        // Odd nodes route, even ones arbitrate.
+        let site_of: SiteOf<usize> = Rc::new(|node| match node % 2 {
+            0 => Site::Fanin {
+                tree: node,
+                level: 1,
+                index: 0,
+            },
+            _ => Site::Fanout {
+                tree: 5,
+                level: 2,
+                index: node,
+            },
+        });
+        let mut collector = TraceCollector::new(events.len(), Rc::clone(&site_of));
+        let mut writer = TraceWriter::new(events.len(), site_of);
         for (at, event) in events.iter().enumerate() {
             let at = Time::from_ps(at as u64 * 100);
             collector.on_event(at, true, event);
             writer.on_event(at, true, event);
         }
-        assert!(collector
+        let sites: Vec<String> = collector
             .records()
             .iter()
-            .any(|r| r.site.contains("q\\\"b")));
+            .map(|r| r.site.to_string())
+            .collect();
+        assert_eq!(sites[..4], ["src4", "fi[d2:1.0]", "D63", "fi[d0:1.0]"]);
+        assert_eq!(
+            sites[sites.len() - 5..],
+            ["ch0", "node1", "node2", "src3", "src4"]
+        );
         let mut collected = String::new();
         for record in collector.records() {
             collected.push_str(&writes_like_the_tree(record));
@@ -1274,7 +1498,7 @@ mod tests {
             )),
             0,
         );
-        let mut collector: TraceCollector<usize> = TraceCollector::generic(2);
+        let mut collector: TraceCollector<usize> = TraceCollector::new(2, Rc::new(Site::Router));
         collector.on_event(
             Time::from_ps(10),
             false,
@@ -1305,12 +1529,12 @@ mod tests {
         assert_eq!(collector.dropped(), 1, "overflow is counted");
         let records = collector.into_records();
         assert_eq!(records.len(), 2, "limit caps the trace");
-        assert_eq!(records[0].site, "src4");
-        assert_eq!(records[0].action, "inject");
+        assert_eq!(records[0].site, Site::Source(4));
+        assert_eq!(records[0].action, Action::Inject);
         assert_eq!(records[0].created_ps, 5);
         assert_eq!(records[0].copies, 1);
-        assert_eq!(records[1].site, "9");
-        assert_eq!(records[1].detail, "input1");
+        assert_eq!(records[1].site, Site::Router(9));
+        assert_eq!(records[1].detail, Detail::Input(1));
         assert_eq!(records[1].busy_ps, 52);
         assert_eq!(records[1].logical, 3);
     }

@@ -9,18 +9,13 @@
 //! the ledger's totals reconcile exactly with the `EnergyLedger`'s
 //! `Dropped` category.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use asynoc_engine::{Observer, SimEvent};
 use asynoc_kernel::Time;
 
 use crate::json::JsonValue;
-
-/// Renders a substrate node as a stable display label.
-pub type LabelFn<N> = Box<dyn Fn(N) -> String>;
-/// Maps a throttling node to the node that *created* the redundant copy
-/// (its upstream parent); `None` attributes the copy to the throttler.
-pub type CreatorFn<N> = Box<dyn Fn(N) -> Option<N>>;
+use crate::site::{Site, SiteOf};
 
 /// Per-node waste counters.
 #[derive(Clone, Debug, Default)]
@@ -43,9 +38,8 @@ pub struct NodeWaste {
 pub struct SpeculationWaste<N> {
     wire_fj: f64,
     drop_fj: f64,
-    label_of: LabelFn<N>,
-    creator_of: CreatorFn<N>,
-    per_node: BTreeMap<String, NodeWaste>,
+    site_of: SiteOf<N>,
+    per_node: HashMap<Site, NodeWaste>,
     injected: u64,
     forward_copies: u64,
 }
@@ -53,39 +47,31 @@ pub struct SpeculationWaste<N> {
 impl<N: Copy> SpeculationWaste<N> {
     /// Creates a ledger pricing drops at `drop_fj` and wire launches at
     /// `wire_fj` (use the substrate's `TimingModel` constants so totals
-    /// reconcile with its energy ledger).
+    /// reconcile with its energy ledger). A throttled copy is attributed
+    /// to the site that created it ([`Site::creator`]).
     #[must_use]
-    pub fn new(wire_fj: f64, drop_fj: f64, label_of: LabelFn<N>, creator_of: CreatorFn<N>) -> Self {
+    pub fn new(wire_fj: f64, drop_fj: f64, site_of: SiteOf<N>) -> Self {
         SpeculationWaste {
             wire_fj,
             drop_fj,
-            label_of,
-            creator_of,
-            per_node: BTreeMap::new(),
+            site_of,
+            per_node: HashMap::new(),
             injected: 0,
             forward_copies: 0,
         }
     }
 
-    /// A ledger labelling nodes by their `Debug` form, with waste
-    /// attributed to the throttling node itself.
+    /// Per-node records, ordered by label — the order the report lists
+    /// them in.
     #[must_use]
-    pub fn generic(wire_fj: f64, drop_fj: f64) -> Self
-    where
-        N: std::fmt::Debug,
-    {
-        SpeculationWaste::new(
-            wire_fj,
-            drop_fj,
-            Box::new(|node: N| format!("{node:?}")),
-            Box::new(|_| None),
-        )
-    }
-
-    /// Per-node records, ordered by label.
-    #[must_use]
-    pub fn per_node(&self) -> &BTreeMap<String, NodeWaste> {
-        &self.per_node
+    pub fn per_node(&self) -> Vec<(String, &NodeWaste)> {
+        let mut rows: Vec<(String, &NodeWaste)> = self
+            .per_node
+            .iter()
+            .map(|(site, waste)| (site.to_string(), waste))
+            .collect();
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        rows
     }
 
     /// Total copies throttled in the window.
@@ -98,14 +84,20 @@ impl<N: Copy> SpeculationWaste<N> {
     /// ledger's `Dropped` category over the same window.
     #[must_use]
     pub fn total_drop_fj(&self) -> f64 {
-        self.per_node.values().map(|w| w.drop_fj).sum()
+        self.sum(|w| w.drop_fj)
     }
 
     /// Total wire energy spent carrying copies that were then thrown
     /// away, fJ.
     #[must_use]
     pub fn total_wasted_wire_fj(&self) -> f64 {
-        self.per_node.values().map(|w| w.wasted_wire_fj).sum()
+        self.sum(|w| w.wasted_wire_fj)
+    }
+
+    /// A float total, added up in the report's row order: a sum in the
+    /// map's own order would differ in its last bits from run to run.
+    fn sum(&self, field: impl Fn(&NodeWaste) -> f64) -> f64 {
+        self.per_node().into_iter().map(|(_, w)| field(w)).sum()
     }
 
     /// Total wire energy of every launch in the window (injections plus
@@ -121,18 +113,18 @@ impl<N: Copy> SpeculationWaste<N> {
     /// energy over that total.
     #[must_use]
     pub fn to_json(&self, total_dynamic_fj: f64) -> JsonValue {
-        let wasted = self.total_drop_fj() + self.total_wasted_wire_fj();
+        let (drop_fj, wasted_wire_fj) = (self.total_drop_fj(), self.total_wasted_wire_fj());
         let fraction = if total_dynamic_fj > 0.0 {
-            wasted / total_dynamic_fj
+            (drop_fj + wasted_wire_fj) / total_dynamic_fj
         } else {
             0.0
         };
         let per_node: Vec<JsonValue> = self
-            .per_node
-            .iter()
+            .per_node()
+            .into_iter()
             .map(|(label, w)| {
                 JsonValue::Object(vec![
-                    ("node".to_string(), JsonValue::str(label.clone())),
+                    ("node".to_string(), JsonValue::str(label)),
                     ("throttles".to_string(), JsonValue::uint(w.throttles)),
                     (
                         "redundant_copies_created".to_string(),
@@ -151,13 +143,10 @@ impl<N: Copy> SpeculationWaste<N> {
                 "total_throttles".to_string(),
                 JsonValue::uint(self.total_throttles()),
             ),
-            (
-                "total_drop_fj".to_string(),
-                JsonValue::Number(self.total_drop_fj()),
-            ),
+            ("total_drop_fj".to_string(), JsonValue::Number(drop_fj)),
             (
                 "total_wasted_wire_fj".to_string(),
-                JsonValue::Number(self.total_wasted_wire_fj()),
+                JsonValue::Number(wasted_wire_fj),
             ),
             (
                 "total_wire_fj".to_string(),
@@ -181,14 +170,13 @@ impl<N: Copy> Observer<N> for SpeculationWaste<N> {
             SimEvent::Inject { .. } => self.injected += 1,
             SimEvent::Forward { copies, .. } => self.forward_copies += u64::from(*copies),
             SimEvent::Drop { node, .. } => {
-                let label = (self.label_of)(*node);
-                let record = self.per_node.entry(label).or_default();
+                let site = (self.site_of)(*node);
+                let record = self.per_node.entry(site).or_default();
                 record.throttles += 1;
                 record.drop_fj += self.drop_fj;
                 record.wasted_wire_fj += self.wire_fj;
-                let creator = (self.creator_of)(*node).unwrap_or(*node);
                 self.per_node
-                    .entry((self.label_of)(creator))
+                    .entry(site.creator())
                     .or_default()
                     .redundant_created += 1;
             }
@@ -200,6 +188,7 @@ impl<N: Copy> Observer<N> for SpeculationWaste<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
     use std::sync::Arc;
 
     use asynoc_kernel::Duration;
@@ -219,15 +208,26 @@ mod tests {
         )
     }
 
-    #[test]
-    fn drops_price_and_attribute_to_the_parent() {
-        // Node 5's parent is node 2 (creator closure below).
-        let mut ledger: SpeculationWaste<usize> = SpeculationWaste::new(
+    /// A ledger over one fanout tree whose nodes are numbered in level
+    /// order (node 5 is `fo[s0:2.2]`, its parent node 2 is `fo[s0:1.1]`).
+    fn ledger() -> SpeculationWaste<usize> {
+        SpeculationWaste::new(
             200.0,
             400.0,
-            Box::new(|n| format!("n{n}")),
-            Box::new(|n: usize| (n > 0).then(|| (n - 1) / 2)),
-        );
+            Rc::new(|n: usize| {
+                let level = (n + 1).ilog2();
+                Site::Fanout {
+                    tree: 0,
+                    level,
+                    index: n + 1 - (1 << level),
+                }
+            }),
+        )
+    }
+
+    #[test]
+    fn drops_price_and_attribute_to_the_parent() {
+        let mut ledger = ledger();
         let f = flit();
         for _ in 0..3 {
             ledger.on_event(
@@ -241,16 +241,23 @@ mod tests {
             );
         }
         assert_eq!(ledger.total_throttles(), 3);
-        assert_eq!(ledger.per_node()["n5"].throttles, 3);
-        assert_eq!(ledger.per_node()["n5"].redundant_created, 0);
-        assert_eq!(ledger.per_node()["n2"].redundant_created, 3);
+        let rows = ledger.per_node();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].0, "fo[s0:1.1]");
+        assert_eq!(
+            (rows[0].1.throttles, rows[0].1.redundant_created),
+            (0, 3),
+            "the parent created what node 5 threw away"
+        );
+        assert_eq!(rows[1].0, "fo[s0:2.2]");
+        assert_eq!((rows[1].1.throttles, rows[1].1.redundant_created), (3, 0));
         assert!((ledger.total_drop_fj() - 1200.0).abs() < 1e-9);
         assert!((ledger.total_wasted_wire_fj() - 600.0).abs() < 1e-9);
     }
 
     #[test]
     fn warmup_events_are_ignored() {
-        let mut ledger: SpeculationWaste<usize> = SpeculationWaste::generic(200.0, 400.0);
+        let mut ledger = ledger();
         let f = flit();
         ledger.on_event(
             Time::from_ps(10),
@@ -267,7 +274,7 @@ mod tests {
 
     #[test]
     fn wire_total_counts_injections_and_copies() {
-        let mut ledger: SpeculationWaste<usize> = SpeculationWaste::generic(200.0, 400.0);
+        let mut ledger = ledger();
         let f = flit();
         ledger.on_event(
             Time::from_ps(1),
@@ -293,7 +300,7 @@ mod tests {
 
     #[test]
     fn json_totals_match_accessors() {
-        let mut ledger: SpeculationWaste<usize> = SpeculationWaste::generic(200.0, 400.0);
+        let mut ledger = ledger();
         let f = flit();
         ledger.on_event(
             Time::from_ps(10),
@@ -319,11 +326,12 @@ mod tests {
                 .abs()
                 < 1e-12
         );
+        // The throttler and, one level up, the creator.
         let per_node = json.get("per_node").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(per_node.len(), 1);
+        assert_eq!(per_node.len(), 2);
         assert_eq!(
-            per_node[0].get("node").and_then(JsonValue::as_str),
-            Some("3")
+            per_node[1].get("node").and_then(JsonValue::as_str),
+            Some("fo[s0:2.0]")
         );
     }
 }

@@ -28,7 +28,9 @@ use std::rc::Rc;
 use asynoc_kernel::Duration;
 use asynoc_mesh::MeshSize;
 use asynoc_stats::Phases;
-use asynoc_telemetry::{JsonValue, StreamConfig, StreamSink, TimeSeries, WatchConfig};
+use asynoc_telemetry::{
+    JsonValue, LevelSpec, Site, Stage, StreamConfig, StreamSink, TimeSeries, WatchConfig,
+};
 use asynoc_traffic::Benchmark;
 use asynoc_vcmesh::{drive, McastScheme, RunConfig, VcMeshConfig, VcMeshNetwork, VcMeshReport};
 
@@ -129,8 +131,15 @@ fn progress_watchdog_stays_quiet_on_clean_multicast_runs() {
             },
             phases(),
             endpoints,
-            TimeSeries::single_level(Duration::from_ns(100), "router", endpoints),
-            Box::new(|router: usize| format!("r{router}")),
+            TimeSeries::new(
+                Duration::from_ns(100),
+                vec![LevelSpec {
+                    stage: Stage::Router,
+                    nodes: endpoints,
+                }],
+                Rc::new(Site::Router),
+            ),
+            Rc::new(Site::Router),
         )
         .expect("sink construction succeeds");
         let run = RunConfig::quick(Benchmark::Multicast10, 0.1);

@@ -16,7 +16,7 @@ use asynoc::{
 use asynoc_analysis::{critical_paths, Analysis, Scorecard, SpanForest};
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
 use asynoc_telemetry::{
-    LatencyHistograms, SpeculationWaste, TraceCollector, TraceMeta, TraceRecord,
+    LatencyHistograms, Site, SpeculationWaste, TraceCollector, TraceMeta, TraceRecord,
 };
 
 fn phases() -> Phases {
@@ -46,9 +46,8 @@ fn mot_trace(
         .with_phases(phases);
 
     let mut latency = LatencyHistograms::new(phases, size.n());
-    let mut waste: SpeculationWaste<MotNode> =
-        SpeculationWaste::generic(timing.wire_fj, timing.drop_fj);
-    let mut collector: TraceCollector<MotNode> = TraceCollector::new(1_000_000, net.site_label());
+    let mut waste = SpeculationWaste::new(timing.wire_fj, timing.drop_fj, net.site_of());
+    let mut collector: TraceCollector<MotNode> = TraceCollector::new(1_000_000, net.site_of());
     let mut observers: Vec<&mut dyn Observer<MotNode>> =
         vec![&mut latency, &mut waste, &mut collector];
     net.run_with_observers(&run, &mut observers)
@@ -76,7 +75,7 @@ fn mesh_trace(benchmark: Benchmark, rate: f64, seed: u64) -> (TraceMeta, Vec<Tra
     let net = MeshNetwork::new(MeshConfig::new(size).with_seed(seed)).expect("valid config");
     let phases = phases();
     let mut collector: TraceCollector<usize> =
-        TraceCollector::new(1_000_000, Box::new(|router: usize| format!("r{router}")));
+        TraceCollector::new(1_000_000, std::rc::Rc::new(Site::Router));
     let run = RunConfig::new(benchmark, rate)
         .expect("positive rate")
         .with_phases(phases);

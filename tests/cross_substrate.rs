@@ -11,7 +11,7 @@ use asynoc_gates::mousetrap::{SpeculativeFork, StageDelays};
 use asynoc_gates::{vcd, GateSim};
 use asynoc_kernel::Time;
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
-use asynoc_telemetry::{parse_trace, TraceCollector, TraceRecord};
+use asynoc_telemetry::{parse_trace, Action, Site, TraceCollector, TraceRecord};
 use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork};
 
 #[test]
@@ -104,9 +104,9 @@ fn both_substrates_emit_round_trippable_ndjson_traces() {
     let run = RunConfig::new(Benchmark::Multicast10, 0.2)
         .expect("positive rate")
         .with_phases(phases);
-    let mut mot_trace = TraceCollector::generic(50_000);
+    let mut mot_trace = TraceCollector::new(50_000, mot.site_of());
     drive(&mot, &run, &mut [&mut mot_trace], None).expect("MoT run succeeds");
-    let mut mesh_trace = TraceCollector::generic(50_000);
+    let mut mesh_trace = TraceCollector::new(50_000, std::rc::Rc::new(Site::Router));
     drive(&mesh, &run, &mut [&mut mesh_trace], None).expect("mesh run succeeds");
 
     for (substrate, records) in [
@@ -128,10 +128,10 @@ fn both_substrates_emit_round_trippable_ndjson_traces() {
             records.windows(2).all(|w| w[0].t_ps <= w[1].t_ps),
             "{substrate}: timestamps are non-decreasing"
         );
-        let has = |action: &str| records.iter().any(|r: &TraceRecord| r.action == action);
-        assert!(has("inject"), "{substrate}: injections traced");
-        assert!(has("forward"), "{substrate}: forwards traced");
-        assert!(has("deliver"), "{substrate}: deliveries traced");
+        let has = |action: Action| records.iter().any(|r: &TraceRecord| r.action == action);
+        assert!(has(Action::Inject), "{substrate}: injections traced");
+        assert!(has(Action::Forward), "{substrate}: forwards traced");
+        assert!(has(Action::Deliver), "{substrate}: deliveries traced");
     }
 }
 

@@ -6,7 +6,7 @@
 //! zero external dependencies and fails reproducibly.
 
 use asynoc::{Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
-use asynoc_faults::{replay_command, run_outcome, shrink_plan, FaultEntry, FaultPlan};
+use asynoc_faults::{run_outcome, shrink_plan, FaultEntry, FaultPlan};
 use asynoc_kernel::SimRng;
 
 fn benchmarks() -> Vec<Benchmark> {
@@ -151,18 +151,19 @@ fn failing_fault_plans_shrink_to_a_minimal_reproducer() {
         "the minimal plan still reproduces"
     );
 
-    let line = replay_command(
-        "mot",
-        Some("BasicHybridSpeculative"),
-        "Multicast5",
-        0.2,
-        8,
-        seed,
-        &minimal,
-    );
+    // The pair above, as the command line names it.
+    let argv: Vec<String> = "faults --arch BasicHybridSpeculative --benchmark Multicast5 \
+                             --rate 0.2 --seed 3 --warmup-ns 20 --measure-ns 120"
+        .split_whitespace()
+        .map(String::from)
+        .collect();
+    let Ok(asynoc_cli::Command::Faults(request)) = asynoc_cli::parse(&argv) else {
+        panic!("a valid faults invocation");
+    };
     assert_eq!(
-        line,
-        "asynoc faults --substrate mot --arch BasicHybridSpeculative \
-         --benchmark Multicast5 --rate 0.2 --size 8 --seed 3 --oracle --plan 'lose:2:0'"
+        asynoc_cli::faults::replay_line(&request, &minimal),
+        "asynoc faults --substrate mot --arch BasicHybridSpeculative --benchmark Multicast5 \
+         --rate 0.2 --size 8 --seed 3 --flits 5 --warmup-ns 20 --measure-ns 120 \
+         --plan 'lose:2:0' --oracle"
     );
 }
