@@ -1,11 +1,9 @@
 //! Fixtures of the cross-substrate conformance tests (`tests/`): the
-//! event-stream fingerprint and the small networks every test runs on.
+//! event-stream fingerprint and the MoT every test runs on.
 
 use std::fmt::Write as _;
 
 use asynoc::{Architecture, Network, NetworkConfig, Observer, SimEvent, Time};
-use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
-use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork};
 
 /// Streaming FNV-1a fingerprint over the debug rendering of every
 /// `(time, in_window, event)` triple, so any divergence — an extra event,
@@ -57,31 +55,4 @@ impl<N: std::fmt::Debug> Observer<N> for Fingerprint {
 pub fn mot(architecture: Architecture, seed: u64) -> Network {
     Network::new(NetworkConfig::eight_by_eight(architecture).with_seed(seed))
         .expect("8x8 network builds")
-}
-
-fn four_by_four() -> MeshSize {
-    MeshSize::new(4, 4).expect("4x4 is valid")
-}
-
-/// The 4x4 wormhole mesh the conformance tests run on.
-///
-/// # Panics
-///
-/// Never: 4x4 is a valid mesh size.
-#[must_use]
-pub fn mesh(seed: u64) -> MeshNetwork {
-    MeshNetwork::new(MeshConfig::new(four_by_four()).with_seed(seed)).expect("4x4 mesh builds")
-}
-
-/// The 4x4 VC mesh the conformance tests run on.
-///
-/// # Panics
-///
-/// Never: 4x4 is a valid mesh size.
-#[must_use]
-pub fn vcmesh(mcast: McastScheme, seed: u64) -> VcMeshNetwork {
-    let config = VcMeshConfig::new(four_by_four())
-        .with_seed(seed)
-        .with_mcast(mcast);
-    VcMeshNetwork::new(config).expect("4x4 VC mesh builds")
 }

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use asynoc::probe::{peak_bytes, reset_peak_bytes};
-use asynoc::telemetry::{StreamConfig, StreamSink, TimeSeries, WatchConfig};
+use asynoc::telemetry::{StreamConfig, StreamSink, TimeSeries};
 use asynoc::{
     Architecture, Benchmark, Duration, MotNode, Network, NetworkConfig, Observer, Phases, RunConfig,
 };
@@ -88,7 +88,6 @@ fn sink_for(net: &Network, phases: Phases) -> StreamSink<MotNode> {
             config: asynoc::telemetry::JsonValue::Object(vec![]),
             window: asynoc::Duration::from_ns(WINDOW_NS),
             trace_limit: None,
-            watch: WatchConfig::default(),
         },
         phases,
         net.config().size().n(),
@@ -126,8 +125,11 @@ fn streamed_run(net: &Network, shards: usize, measure_ns: u64) -> Streamed {
     };
     let peak_bytes = peak_bytes();
     let wall_ns = started.elapsed().as_nanos().max(1) as f64;
-    sink.finish(asynoc::telemetry::JsonValue::Object(vec![]))
-        .expect("stream closes");
+    sink.finish(
+        asynoc::telemetry::JsonValue::Object(vec![]),
+        report.packets_incomplete,
+    )
+    .expect("stream closes");
     assert_eq!(report.shards, shards);
     Streamed {
         peak_bytes,

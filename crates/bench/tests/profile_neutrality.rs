@@ -12,9 +12,10 @@
 //! exercised too).
 
 use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
-use asynoc_bench::conformance::{mesh, mot, vcmesh, Fingerprint};
+use asynoc_bench::conformance::{mot, Fingerprint};
 use asynoc_kernel::with_deadline;
-use asynoc_vcmesh::McastScheme;
+use asynoc_mesh::MeshNetwork;
+use asynoc_vcmesh::{McastScheme, VcMeshNetwork};
 
 const SHARDS: [usize; 2] = [1, 2];
 /// A window protocol that loses a wake-up hangs; fail instead.
@@ -108,7 +109,7 @@ fn mot_runs_are_bit_identical_with_profiling_on() {
 fn mesh_runs_are_bit_identical_with_profiling_on() {
     with_deadline(DEADLINE_S, || {
         runs_are_bit_identical_with_profiling_on(
-            &mesh(7),
+            &MeshNetwork::square(4, 7, 5, ()).unwrap(),
             &RunConfig::quick(Benchmark::UniformRandom, 0.25),
             |plain, profiled| assert!((plain.mean_hops - profiled.mean_hops).abs() == 0.0),
         );
@@ -120,11 +121,14 @@ fn vcmesh_runs_are_bit_identical_with_profiling_on() {
     with_deadline(DEADLINE_S, || {
         for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
             runs_are_bit_identical_with_profiling_on(
-                &vcmesh(mcast, 7),
+                &VcMeshNetwork::square(4, 7, 5, mcast).unwrap(),
                 &RunConfig::quick(Benchmark::Multicast10, 0.1),
                 |plain, profiled| {
                     assert!((plain.mean_hops - profiled.mean_hops).abs() == 0.0);
-                    assert_eq!(plain.link_traversals, profiled.link_traversals);
+                    assert_eq!(
+                        plain.router.link_traversals,
+                        profiled.router.link_traversals
+                    );
                 },
             );
         }

@@ -12,12 +12,12 @@
 //! new fabric joins by adding one call.
 
 use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
-use asynoc_bench::conformance::{mesh, mot, vcmesh, Fingerprint};
+use asynoc_bench::conformance::{mot, Fingerprint};
 use asynoc_faults::{run_outcome, FaultPlan};
 use asynoc_kernel::{with_deadline, Duration};
-use asynoc_mesh::MeshReport;
+use asynoc_mesh::{MeshNetwork, MeshReport};
 use asynoc_stats::Phases;
-use asynoc_vcmesh::{McastScheme, VcMeshReport};
+use asynoc_vcmesh::{McastScheme, VcMeshNetwork, VcMeshReport};
 
 const SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
 /// 3 cuts every fabric here into uneven bands.
@@ -80,9 +80,10 @@ fn same_hops(serial: &MeshReport, sharded: &MeshReport) {
 /// The serial-only credit ledger is the one part of the VC mesh section
 /// that legitimately differs; everything else must match.
 fn same_vc_planes(serial: &VcMeshReport, sharded: &VcMeshReport) {
-    assert_eq!(serial.link_traversals, sharded.link_traversals);
-    assert_eq!(serial.vc_pushes, sharded.vc_pushes);
-    assert_eq!(serial.vc_peak, sharded.vc_peak);
+    let (serial_vc, sharded_vc) = (&serial.router, &sharded.router);
+    assert_eq!(serial_vc.link_traversals, sharded_vc.link_traversals);
+    assert_eq!(serial_vc.vc_pushes, sharded_vc.vc_pushes);
+    assert_eq!(serial_vc.vc_peak, sharded_vc.vc_peak);
     assert!((serial.mean_hops - sharded.mean_hops).abs() == 0.0);
 }
 
@@ -101,7 +102,7 @@ fn mot_runs_are_identical_at_every_shard_count() {
 fn mesh_runs_are_identical_at_every_shard_count() {
     with_deadline(DEADLINE_S, || {
         runs_are_identical_at_every_shard_count(
-            mesh,
+            |seed| MeshNetwork::square(4, seed, 5, ()).unwrap(),
             &RunConfig::quick(Benchmark::UniformRandom, 0.25),
             same_hops,
         );
@@ -117,7 +118,7 @@ fn vcmesh_runs_are_identical_at_every_shard_count() {
     with_deadline(DEADLINE_S, || {
         for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
             runs_are_identical_at_every_shard_count(
-                |seed| vcmesh(mcast, seed),
+                |seed| VcMeshNetwork::square(4, seed, 5, mcast).unwrap(),
                 &RunConfig::quick(Benchmark::Multicast10, 0.1),
                 same_vc_planes,
             );
@@ -182,7 +183,7 @@ fn mot_fault_outcomes_are_identical_at_every_shard_count() {
 fn mesh_fault_outcomes_are_identical_at_every_shard_count() {
     with_deadline(DEADLINE_S, || {
         fault_outcomes_are_identical_at_every_shard_count(
-            &mesh(23),
+            &MeshNetwork::square(4, 23, 5, ()).unwrap(),
             23,
             &fault_run(Benchmark::UniformRandom, 40, 400),
         );
@@ -197,7 +198,7 @@ fn vcmesh_fault_outcomes_are_identical_at_every_shard_count() {
     with_deadline(DEADLINE_S, || {
         for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
             fault_outcomes_are_identical_at_every_shard_count(
-                &vcmesh(mcast, 23),
+                &VcMeshNetwork::square(4, 23, 5, mcast).unwrap(),
                 23,
                 &fault_run(Benchmark::Multicast5, 40, 400),
             );

@@ -5,9 +5,10 @@
 
 use asynoc::telemetry::LatencyHistograms;
 use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
-use asynoc_bench::conformance::{mesh, mot, vcmesh};
+use asynoc_bench::conformance::mot;
 use asynoc_engine::SimModel;
-use asynoc_vcmesh::McastScheme;
+use asynoc_mesh::MeshNetwork;
+use asynoc_vcmesh::{McastScheme, VcMeshNetwork};
 
 fn holds<S: Substrate>(net: &S) {
     let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
@@ -41,7 +42,7 @@ fn holds<S: Substrate>(net: &S) {
 #[test]
 fn every_substrate_honours_the_contract() {
     holds(&mot(Architecture::OptHybridSpeculative, 3));
-    holds(&mesh(3));
-    holds(&vcmesh(McastScheme::XyTree, 3));
-    holds(&vcmesh(McastScheme::Dpm, 3));
+    holds(&MeshNetwork::square(4, 3, 5, ()).unwrap());
+    holds(&VcMeshNetwork::square(4, 3, 5, McastScheme::XyTree).unwrap());
+    holds(&VcMeshNetwork::square(4, 3, 5, McastScheme::Dpm).unwrap());
 }

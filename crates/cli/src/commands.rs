@@ -8,7 +8,7 @@ use asynoc::{
     drive, parallel_map, Architecture, Duration, FanoutKind, MotSize, Network, NetworkConfig,
     Phases, RunConfig, RunReport, SimError, SpecMap,
 };
-use asynoc_mesh::MeshReport;
+use asynoc_mesh::{MeshReport, Wormhole};
 use asynoc_telemetry::JsonValue;
 
 use crate::args::{help, Command, CommonOptions};
@@ -323,7 +323,9 @@ fn single_run<F: Fabric>(
         }
         let counters = crate::metrics::counters_json(&report);
         sections.push(("counters".to_string(), counters));
-        let watchpoints = crate::stream::finish_sink(sink, JsonValue::Object(sections))?;
+        let watchpoints = sink
+            .finish(JsonValue::Object(sections), report.packets_incomplete)?
+            .watchpoints;
         crate::stream::fatal_check(watchpoints, common)?;
     }
     Ok(())
@@ -524,7 +526,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             rows,
             common,
         } => {
-            let net = crate::fabric::mesh(*cols, *rows, common)?;
+            let net = crate::fabric::mesh::<Wormhole>(*cols, *rows, (), common)?;
             // The mesh is cols x rows; `size` records the column count
             // (square in every default invocation).
             let config = config_json(None, *benchmark, *rate, *cols, common);

@@ -9,9 +9,9 @@
 use std::rc::Rc;
 
 use asynoc::{Duration, MotNode, Network, RunReport};
-use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
+use asynoc_mesh::{Config, MeshError, MeshSize, Network as MeshNetwork, Report, Router, Wormhole};
 use asynoc_telemetry::{JsonValue, LevelSpec, Site, SiteOf, SpeculationWaste, Stage, TimeSeries};
-use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork, VcMeshReport};
+use asynoc_vcmesh::{McastScheme, VcMeshReport, VcRouter};
 
 use crate::args::CommonOptions;
 use crate::commands::CliError;
@@ -98,38 +98,42 @@ impl Fabric for Network {
     }
 }
 
-impl Fabric for MeshNetwork {
-    const TAG: &'static str = "mesh";
+/// What a mesh router adds to the documents of the fabric it runs on.
+pub(crate) trait MeshRouter: Router {
+    /// The [`Fabric::TAG`] of a mesh of these routers.
+    const TAG: &'static str;
 
-    fn site_of(&self) -> SiteOf<usize> {
-        Rc::new(Site::Router)
+    /// See [`Fabric::extra_sections`].
+    fn extra_sections(
+        _settings: &Self::Settings,
+        _report: &Report<Self::Section>,
+    ) -> Vec<(String, JsonValue)> {
+        Vec::new()
     }
 }
 
-impl Fabric for VcMeshNetwork {
-    const TAG: &'static str = "vcmesh";
+impl MeshRouter for Wormhole {
+    const TAG: &'static str = "mesh";
+}
 
-    fn site_of(&self) -> SiteOf<usize> {
-        Rc::new(Site::Router)
-    }
+impl MeshRouter for VcRouter {
+    const TAG: &'static str = "vcmesh";
 
     /// The `vcs` section: the multicast scheme and the shard-exact
     /// VC-plane counters — the serial-only credit-conservation ledger
     /// stays out of the document so `--shards N` reports remain
     /// byte-identical.
-    fn extra_sections(&self, report: &VcMeshReport) -> Vec<(String, JsonValue)> {
+    fn extra_sections(mcast: &McastScheme, report: &VcMeshReport) -> Vec<(String, JsonValue)> {
         let uints =
             |values: &[u64]| JsonValue::Array(values.iter().map(|&v| JsonValue::uint(v)).collect());
+        let vc = &report.router;
         let vcs = JsonValue::Object(vec![
-            (
-                "mcast".to_string(),
-                JsonValue::str(self.config().mcast().to_string()),
-            ),
-            ("vc_pushes".to_string(), uints(&report.vc_pushes)),
-            ("vc_peak".to_string(), uints(&report.vc_peak)),
+            ("mcast".to_string(), JsonValue::str(mcast.to_string())),
+            ("vc_pushes".to_string(), uints(&vc.vc_pushes)),
+            ("vc_peak".to_string(), uints(&vc.vc_peak)),
             (
                 "link_traversals".to_string(),
-                JsonValue::uint(report.link_traversals),
+                JsonValue::uint(vc.link_traversals),
             ),
             ("mean_hops".to_string(), JsonValue::Number(report.mean_hops)),
         ]);
@@ -137,30 +141,29 @@ impl Fabric for VcMeshNetwork {
     }
 }
 
-fn invalid(e: impl std::fmt::Display) -> CliError {
-    CliError::Invalid(e.to_string())
+impl<R: MeshRouter> Fabric for MeshNetwork<R> {
+    const TAG: &'static str = R::TAG;
+
+    fn site_of(&self) -> SiteOf<usize> {
+        Rc::new(Site::Router)
+    }
+
+    fn extra_sections(&self, report: &Report<R::Section>) -> Vec<(String, JsonValue)> {
+        R::extra_sections(self.config().router(), report)
+    }
 }
 
-/// The `cols x rows` wormhole mesh `common` describes.
-pub(crate) fn mesh(
+/// The `cols x rows` mesh of `R` routers `common` describes.
+pub(crate) fn mesh<R: MeshRouter>(
     cols: usize,
     rows: usize,
+    settings: R::Settings,
     common: &CommonOptions,
-) -> Result<MeshNetwork, CliError> {
-    let config = MeshConfig::new(MeshSize::new(cols, rows).map_err(invalid)?)
-        .with_seed(common.seed)
-        .with_flits_per_packet(common.flits);
-    MeshNetwork::new(config).map_err(invalid)
-}
-
-/// The square `--size` VC mesh `common` describes.
-pub(crate) fn vcmesh(
-    mcast: McastScheme,
-    common: &CommonOptions,
-) -> Result<VcMeshNetwork, CliError> {
-    let config = VcMeshConfig::new(MeshSize::new(common.size, common.size).map_err(invalid)?)
+) -> Result<MeshNetwork<R>, CliError> {
+    let invalid = |e: MeshError| CliError::Invalid(e.to_string());
+    let config = Config::new(MeshSize::new(cols, rows).map_err(invalid)?)
         .with_seed(common.seed)
         .with_flits_per_packet(common.flits)
-        .with_mcast(mcast);
-    VcMeshNetwork::new(config).map_err(invalid)
+        .with_router(settings);
+    MeshNetwork::new(config).map_err(invalid)
 }

@@ -15,8 +15,9 @@ use asynoc::{Architecture, Benchmark};
 use asynoc_faults::{
     judge, run_outcome, FaultDomain, FaultPlan, OracleVerdict, RunOutcome, FAULTS_SCHEMA,
 };
+use asynoc_mesh::Wormhole;
 use asynoc_telemetry::JsonValue;
-use asynoc_vcmesh::McastScheme;
+use asynoc_vcmesh::{McastScheme, VcRouter};
 
 use crate::args::{CommonOptions, Substrate};
 use crate::commands::{
@@ -182,7 +183,9 @@ fn run_pair<F: Fabric>(
                 crate::stream::DEFAULT_TRACE_LIMIT,
             )?;
             let faulted = run_outcome(net, &run, Some(&plan), &mut [&mut sink])?;
-            let watchpoints = crate::stream::finish_sink(sink, JsonValue::Object(vec![]))?;
+            let watchpoints = sink
+                .finish(JsonValue::Object(vec![]), faulted.packets_incomplete)?
+                .watchpoints;
             (faulted, watchpoints)
         }
         None => (run_outcome(net, &run, Some(&plan), &mut [])?, 0),
@@ -225,12 +228,17 @@ pub fn execute_faults(request: &FaultsRequest, out: &mut dyn Write) -> Result<()
             )
         }
         Substrate::Mesh => faults_on(
-            &fabric::mesh(common.size, common.size, common)?,
+            &fabric::mesh::<Wormhole>(common.size, common.size, (), common)?,
             None,
             request,
             out,
         ),
-        Substrate::Vcmesh => faults_on(&fabric::vcmesh(request.mcast, common)?, None, request, out),
+        Substrate::Vcmesh => faults_on(
+            &fabric::mesh::<VcRouter>(common.size, common.size, request.mcast, common)?,
+            None,
+            request,
+            out,
+        ),
     }
 }
 
@@ -371,11 +379,12 @@ mod tests {
                 ledger_matches_forest_on(&net, &request)
             }
             Substrate::Mesh => ledger_matches_forest_on(
-                &fabric::mesh(common.size, common.size, common).expect("a mesh"),
+                &fabric::mesh::<Wormhole>(common.size, common.size, (), common).expect("a mesh"),
                 &request,
             ),
             Substrate::Vcmesh => ledger_matches_forest_on(
-                &fabric::vcmesh(request.mcast, common).expect("a VC mesh"),
+                &fabric::mesh::<VcRouter>(common.size, common.size, request.mcast, common)
+                    .expect("a VC mesh"),
                 &request,
             ),
         }
@@ -569,8 +578,10 @@ mod tests {
     #[test]
     fn seeded_stall_trips_the_no_progress_watchpoint() {
         // A 100 us link stall parks a flit far past the horizon of a
-        // 150 ns run: the stream's no-progress invariant must fire and
-        // name the site where the flit was last seen.
+        // 150 ns run: measured packets stay incomplete, so the stream's
+        // close-time record must fire and name the site where the flit
+        // was last seen. A 10 ps stall on the same flit is over long
+        // before the end, and must not.
         let stream_path = std::env::temp_dir().join(format!(
             "asynoc-faults-stall-stream-{}.ndjson",
             std::process::id()
@@ -581,32 +592,17 @@ mod tests {
             std::process::id()
         ));
         let report_path = report_path.to_string_lossy().into_owned();
-        let base = format!(
-            "faults --arch Baseline --benchmark Shuffle --rate 0.2 --size 8 \
-             --warmup-ns 20 --measure-ns 150 --plan stall:0:1:100000000 \
-             --report-out {report_path} --stream {stream_path}"
-        );
-        run_cli(&base);
-        let stream = std::fs::read_to_string(&stream_path).expect("stream file");
-        let alert = stream
-            .lines()
-            .find(|l| l.contains("\"kind\":\"no_progress\""))
-            .expect("stall must trip the no-progress watchpoint");
-        let record = JsonValue::parse(alert).expect("watchpoint record parses");
-        let site = record.get("site").and_then(JsonValue::as_str).unwrap();
-        assert!(
-            site != "-" && !site.is_empty(),
-            "watchpoint names the causal site: {alert}"
-        );
-        assert!(
-            record.get("packet").and_then(JsonValue::as_f64).is_some(),
-            "watchpoint names the stalled packet: {alert}"
-        );
+        let line = |stall_ps: u64| {
+            format!(
+                "faults --arch Baseline --benchmark Shuffle --rate 0.2 --size 8 \
+                 --warmup-ns 20 --measure-ns 150 --plan stall:0:1:{stall_ps} \
+                 --report-out {report_path} --stream {stream_path} --watch-fatal"
+            )
+        };
 
         // --watch-fatal turns the tripped invariant into a non-zero exit
         // *after* the report is written.
-        let _ = std::fs::remove_file(&report_path);
-        let args: Vec<String> = format!("{base} --watch-fatal")
+        let args: Vec<String> = line(100_000_000)
             .split_whitespace()
             .map(String::from)
             .collect();
@@ -618,6 +614,27 @@ mod tests {
             std::fs::read_to_string(&report_path).is_ok(),
             "report written before the fatal exit"
         );
+        let stream = std::fs::read_to_string(&stream_path).expect("stream file");
+        let alert = stream
+            .lines()
+            .find(|l| l.contains("\"kind\":\"no_progress\""))
+            .expect("stall must trip the no-progress watchpoint");
+        let record = JsonValue::parse(alert).expect("watchpoint record parses");
+        assert_eq!(
+            record.get("site").and_then(JsonValue::as_str),
+            Some("src0"),
+            "watchpoint names the causal site: {alert}"
+        );
+        assert_eq!(
+            record.get("packet").and_then(JsonValue::as_f64),
+            Some(0.0),
+            "watchpoint names the stalled packet: {alert}"
+        );
+
+        run_cli(&line(10));
+        let stream = std::fs::read_to_string(&stream_path).expect("stream file");
+        let end = stream.lines().last().expect("end record");
+        assert!(end.contains("\"watchpoints\":0"), "recovered stall: {end}");
         let _ = std::fs::remove_file(&stream_path);
         let _ = std::fs::remove_file(&report_path);
     }

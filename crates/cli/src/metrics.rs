@@ -11,12 +11,13 @@ use std::fs::File;
 use std::io::Write;
 
 use asynoc::{drive, Architecture, Benchmark, Duration, EngineReport, Observer, RunReport};
+use asynoc_mesh::Wormhole;
 use asynoc_power::EnergyCategory;
 use asynoc_telemetry::{
     ChromeTraceObserver, JsonValue, LatencyHistograms, SiteOf, TraceMeta, TraceWriter,
     METRICS_SCHEMA,
 };
-use asynoc_vcmesh::McastScheme;
+use asynoc_vcmesh::{McastScheme, VcRouter};
 
 use crate::args::{CommonOptions, Substrate, TraceFormat};
 use crate::commands::{
@@ -284,7 +285,13 @@ fn run<F: Fabric>(
     // batch order, so `fold_stream` reproduces the document below
     // byte-for-byte.
     let watchpoints = match sink {
-        Some(sink) => crate::stream::finish_sink(sink, JsonValue::Object(sections.clone()))?,
+        Some(sink) => {
+            sink.finish(
+                JsonValue::Object(sections.clone()),
+                report.packets_incomplete,
+            )?
+            .watchpoints
+        }
         None => 0,
     };
     let mut doc = vec![
@@ -342,11 +349,11 @@ pub fn execute_metrics(request: &MetricsRequest, out: &mut dyn Write) -> Result<
             run(&net, Some(placement), request, trace_out)?
         }
         Substrate::Mesh => {
-            let net = fabric::mesh(common.size, common.size, common)?;
+            let net = fabric::mesh::<Wormhole>(common.size, common.size, (), common)?;
             run(&net, None, request, trace_out)?
         }
         Substrate::Vcmesh => run(
-            &fabric::vcmesh(request.mcast, common)?,
+            &fabric::mesh::<VcRouter>(common.size, common.size, request.mcast, common)?,
             None,
             request,
             trace_out,
@@ -548,7 +555,7 @@ mod tests {
         let run = run_config(Benchmark::UniformRandom, 0.1, &common).unwrap();
         let mut log = InWindow(DeliveryLog::new());
         drive(
-            &fabric::mesh(4, 4, &common).unwrap(),
+            &fabric::mesh::<Wormhole>(4, 4, (), &common).unwrap(),
             &run,
             &mut [&mut log],
             None,
@@ -748,6 +755,34 @@ mod tests {
         let _ = std::fs::remove_file(&batch_path);
         let _ = std::fs::remove_file(&stream_path);
         let _ = std::fs::remove_file(&folded_path);
+    }
+
+    #[test]
+    fn clean_runs_pass_watch_fatal_on_every_substrate() {
+        // The engine stops draining at the last measured header, so every
+        // run closes with copies in flight; that alone is no watchpoint.
+        let stream_path = temp_path("clean.ndjson");
+        let doc_path = temp_path("clean.json");
+        for seed in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89] {
+            for fabric in [
+                "--arch OptHybridSpeculative --benchmark Multicast10 --rate 0.4",
+                "--substrate mesh --benchmark Multicast10 --rate 0.1 --size 4",
+                "--substrate vcmesh --mcast dpm --benchmark Multicast10 --rate 0.1 --size 4",
+            ] {
+                run_cli(&format!(
+                    "metrics {fabric} --seed {seed} --warmup-ns 40 --measure-ns 400 \
+                     --metrics-out {doc_path} --stream {stream_path} --watch-fatal"
+                ));
+                let stream = std::fs::read_to_string(&stream_path).expect("stream file");
+                let end = stream.lines().last().expect("end record");
+                assert!(
+                    end.contains("\"watchpoints\":0"),
+                    "{fabric} seed {seed}: {end}"
+                );
+            }
+        }
+        let _ = std::fs::remove_file(&stream_path);
+        let _ = std::fs::remove_file(&doc_path);
     }
 
     #[test]

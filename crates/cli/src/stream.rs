@@ -1,5 +1,5 @@
 //! Shared plumbing for `--stream`: sink construction for every
-//! substrate and the finish / `--watch-fatal` epilogue.
+//! substrate and the `--watch-fatal` epilogue.
 //!
 //! Every streamed command builds its sink here so the stream's `head`
 //! config, level grouping, and sites match the batch metrics
@@ -8,8 +8,8 @@
 
 use std::io::Write;
 
-use asynoc::{Duration, NodeKey, Phases};
-use asynoc_telemetry::{JsonValue, StreamConfig, StreamSink, WatchConfig};
+use asynoc::{Duration, Phases};
+use asynoc_telemetry::{JsonValue, StreamConfig, StreamSink};
 
 use crate::args::CommonOptions;
 use crate::commands::CliError;
@@ -71,22 +71,12 @@ pub(crate) fn sink<F: Fabric>(
             config,
             window,
             trace_limit: common.stream_trace.then_some(trace_limit),
-            watch: WatchConfig::default(),
         },
         phases,
         net.endpoints(),
         net.timeseries(bin),
         net.site_of(),
     )?)
-}
-
-/// Closes the stream (final window flush, residue check, `end` record)
-/// and returns how many watchpoint records fired over its life.
-pub(crate) fn finish_sink<N: Copy + NodeKey>(
-    sink: StreamSink<N>,
-    sections: JsonValue,
-) -> Result<u64, CliError> {
-    Ok(sink.finish(sections)?.watchpoints)
 }
 
 /// The `--watch-fatal` epilogue: called after every report is written,

@@ -33,9 +33,7 @@ pub mod plan;
 pub mod shrink;
 
 pub use oracle::{judge, OracleCheck, OracleVerdict};
-pub use outcome::{
-    mesh_network, run_outcome, vcmesh_network, DeliveryLog, DeliveryMultiset, RunOutcome,
-};
+pub use outcome::{run_outcome, DeliveryLog, DeliveryMultiset, RunOutcome};
 pub use plan::{FaultEntry, FaultPlan, PlanError};
 pub use shrink::shrink_plan;
 

@@ -16,9 +16,7 @@ use std::collections::BTreeMap;
 
 use asynoc::{drive, Observer, RunConfig, SimError, SimEvent, Substrate, Time};
 use asynoc_engine::FaultSummary;
-use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
 use asynoc_telemetry::{FaultLedger, TokenLedger};
-use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork};
 
 use crate::plan::FaultPlan;
 
@@ -133,45 +131,6 @@ pub fn run_outcome<S: Substrate>(
         broken_with_cause: trees.broken_with_cause,
         profile: report.profile.take(),
     })
-}
-
-/// Convenience constructor for the standard differential VC mesh
-/// network.
-///
-/// # Errors
-///
-/// Returns the mesh's own error on a degenerate size.
-pub fn vcmesh_network(
-    side: usize,
-    seed: u64,
-    flits: u8,
-    mcast: McastScheme,
-) -> Result<VcMeshNetwork, asynoc_mesh::MeshError> {
-    let size = MeshSize::new(side, side)?;
-    VcMeshNetwork::new(
-        VcMeshConfig::new(size)
-            .with_seed(seed)
-            .with_flits_per_packet(flits)
-            .with_mcast(mcast),
-    )
-}
-
-/// Convenience constructor for the standard differential mesh network.
-///
-/// # Errors
-///
-/// Returns the mesh's own error on a degenerate size.
-pub fn mesh_network(
-    side: usize,
-    seed: u64,
-    flits: u8,
-) -> Result<MeshNetwork, asynoc_mesh::MeshError> {
-    let size = MeshSize::new(side, side)?;
-    MeshNetwork::new(
-        MeshConfig::new(size)
-            .with_seed(seed)
-            .with_flits_per_packet(flits),
-    )
 }
 
 #[cfg(test)]

@@ -32,10 +32,10 @@
 //! # Ok::<(), asynoc_mesh::MeshError>(())
 //! ```
 //!
-//! `MeshConfig` holds what is static about the fabric (size, timing,
-//! packet length, seed). Shards, profiling, observers and fault tables
-//! are per-run: build a [`RunConfig`] and hand the network to [`drive`],
-//! the engine's one driver under every [`Substrate`].
+//! `MeshConfig` holds what is static about the fabric (size, packet
+//! length, seed). Shards, profiling, observers and fault tables are
+//! per-run: build a [`RunConfig`] and hand the network to [`drive`], the
+//! engine's one driver under every [`Substrate`].
 //!
 //! ```
 //! use asynoc_mesh::{drive, MeshConfig, MeshNetwork, MeshSize, RunConfig};
@@ -47,12 +47,19 @@
 //! assert_eq!(report.shards, 2);
 //! # Ok::<(), asynoc_mesh::MeshError>(())
 //! ```
+//!
+//! The mesh is one fabric ([`fabric`]: grid, channel table, config,
+//! report, network, sharding) parameterised by its [`Router`]. This crate
+//! carries the wormhole router; `asynoc-vcmesh` supplies the credit-based
+//! VC router with in-network multicast on the same fabric.
 
+pub mod fabric;
 pub mod router;
-pub mod sim;
 pub mod size;
+pub mod wormhole;
 
 pub use asynoc_engine::{drive, RunConfig, Substrate};
+pub use fabric::{Config, Grid, MeshTiming, Network, Report, Router};
 pub use router::{route_port, Port, RouterId};
-pub use sim::{MeshConfig, MeshNetwork, MeshReport, MeshTiming};
 pub use size::{MeshError, MeshSize};
+pub use wormhole::{MeshConfig, MeshNetwork, MeshReport, Wormhole};

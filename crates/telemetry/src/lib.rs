@@ -64,7 +64,7 @@ pub use latency::{LatencyHistograms, LatencyWindow};
 pub use site::{Site, SiteOf, Stage};
 pub use stream::{
     fold_stream, StreamConfig, StreamFoldError, StreamFolder, StreamLine, StreamSink,
-    StreamSummary, WatchConfig, STREAM_SCHEMA,
+    StreamSummary, STREAM_SCHEMA,
 };
 pub use timeseries::{Bin, LevelSpec, TimeSeries};
 pub use tokens::{FlitTokens, TokenLedger, TokenTally};

@@ -36,17 +36,19 @@
 //!
 //! - `token_conservation` — a flit copy was consumed (delivered,
 //!   dropped) more times than it was produced (injected, forwarded).
-//! - `no_progress` — [`WatchConfig::stall_windows`] consecutive windows
-//!   closed with copies in flight but zero deliveries; names the oldest
-//!   in-flight flit and the site that last touched it. Also fired at
-//!   [`StreamSink::finish`] if the run ends with copies still in
-//!   flight.
+//! - `no_progress` — `STALL_WINDOWS` consecutive windows closed with
+//!   copies in flight but zero deliveries; names the oldest in-flight
+//!   flit and the site that last touched it. Also fired at
+//!   [`StreamSink::finish`] if the run ended with a measured packet
+//!   incomplete or with a flit a fault touched still in flight. (Copies
+//!   in flight at the close are no stall by themselves: the engine stops
+//!   draining when the last measured *header* lands, so body and tail
+//!   flits and not-yet-throttled redundant copies are always under way.)
 //! - `busy_watermark` — one node's accumulated busy time exceeded
-//!   [`WatchConfig::busy_ceiling`] of a window (fires once per node).
+//!   `BUSY_CEILING` of a window (fires once per node).
 //! - `waste_rate` — a window's throttle/forward ratio exceeded
-//!   [`WatchConfig::waste_ceiling`] (fires once per run; needs
-//!   [`WatchConfig::waste_min_forwards`] forwards to avoid small-sample
-//!   noise).
+//!   `WASTE_CEILING` (fires once per run; needs `WASTE_MIN_FORWARDS`
+//!   forwards to avoid small-sample noise).
 
 use std::collections::{HashMap, HashSet};
 use std::io::{BufWriter, Write};
@@ -72,32 +74,16 @@ pub const STREAM_SCHEMA: &str = "asynoc-stream-v1";
 /// output on a badly broken run).
 const MAX_CONSERVATION_RECORDS: u64 = 16;
 
-/// Thresholds for the online invariant watchpoints.
-#[derive(Clone, Debug)]
-pub struct WatchConfig {
-    /// Consecutive zero-delivery windows (with flits in flight) before
-    /// `no_progress` fires.
-    pub stall_windows: u64,
-    /// Per-node busy fraction of one window above which
-    /// `busy_watermark` fires.
-    pub busy_ceiling: f64,
-    /// Window throttle/forward ratio above which `waste_rate` fires.
-    pub waste_ceiling: f64,
-    /// Minimum forwards in a window before the waste ratio is
-    /// meaningful.
-    pub waste_min_forwards: u64,
-}
-
-impl Default for WatchConfig {
-    fn default() -> Self {
-        WatchConfig {
-            stall_windows: 8,
-            busy_ceiling: 0.98,
-            waste_ceiling: 0.75,
-            waste_min_forwards: 32,
-        }
-    }
-}
+/// Consecutive zero-delivery windows (with flits in flight) before
+/// `no_progress` fires.
+const STALL_WINDOWS: u64 = 8;
+/// Per-node busy fraction of one window above which `busy_watermark`
+/// fires.
+const BUSY_CEILING: f64 = 0.98;
+/// Window throttle/forward ratio above which `waste_rate` fires.
+const WASTE_CEILING: f64 = 0.75;
+/// Minimum forwards in a window before the waste ratio is meaningful.
+const WASTE_MIN_FORWARDS: u64 = 32;
 
 /// Static description of a streamed run, written into the `head`
 /// record.
@@ -112,8 +98,6 @@ pub struct StreamConfig {
     pub window: Duration,
     /// Emit per-event `trace` records, at most this many per window.
     pub trace_limit: Option<usize>,
-    /// Watchpoint thresholds.
-    pub watch: WatchConfig,
 }
 
 /// What a finished stream amounted to.
@@ -138,7 +122,6 @@ pub struct StreamSink<N> {
     series: TimeSeries<N>,
     trace: Option<TraceWriter<N>>,
     site_of: SiteOf<N>,
-    watch: WatchConfig,
     // Per-window counters, reset at every flush.
     w_events: u64,
     w_injected: u64,
@@ -216,21 +199,15 @@ impl<N: Copy + NodeKey> StreamSink<N> {
             (
                 "watch".to_string(),
                 JsonValue::Object(vec![
-                    (
-                        "stall_windows".to_string(),
-                        JsonValue::uint(cfg.watch.stall_windows),
-                    ),
-                    (
-                        "busy_ceiling".to_string(),
-                        JsonValue::Number(cfg.watch.busy_ceiling),
-                    ),
+                    ("stall_windows".to_string(), JsonValue::uint(STALL_WINDOWS)),
+                    ("busy_ceiling".to_string(), JsonValue::Number(BUSY_CEILING)),
                     (
                         "waste_ceiling".to_string(),
-                        JsonValue::Number(cfg.watch.waste_ceiling),
+                        JsonValue::Number(WASTE_CEILING),
                     ),
                     (
                         "waste_min_forwards".to_string(),
-                        JsonValue::uint(cfg.watch.waste_min_forwards),
+                        JsonValue::uint(WASTE_MIN_FORWARDS),
                     ),
                 ]),
             ),
@@ -247,7 +224,6 @@ impl<N: Copy + NodeKey> StreamSink<N> {
             series,
             trace,
             site_of,
-            watch: cfg.watch,
             w_events: 0,
             w_injected: 0,
             w_delivered: 0,
@@ -274,25 +250,35 @@ impl<N: Copy + NodeKey> StreamSink<N> {
         self.watchpoints
     }
 
-    /// Flushes the final partial window, runs the end-of-run residue
-    /// check, and writes the `end` record carrying `sections` — the
-    /// scalar summary sections (`waste`, `throughput`, `power`,
-    /// `counters`) exactly as the batch metrics document orders them,
-    /// so [`fold_stream`] can splice them back verbatim. Pass an empty
-    /// object for streams that do not fold into a metrics report.
+    /// Flushes the final partial window, runs the close-time check, and
+    /// writes the `end` record carrying `sections` — the scalar summary
+    /// sections (`waste`, `throughput`, `power`, `counters`) exactly as
+    /// the batch metrics document orders them, so [`fold_stream`] can
+    /// splice them back verbatim. Pass an empty object for streams that
+    /// do not fold into a metrics report.
+    ///
+    /// The close-time `no_progress` record fires iff the run left work
+    /// undone: `packets_incomplete` (the engine report's count of
+    /// measured packets that never completed) is non-zero, or a flit a
+    /// fault touched is still in flight. It names the oldest such flit.
     ///
     /// # Errors
     ///
     /// Surfaces the first I/O error encountered at any point of the
     /// stream's life (the observer path itself cannot fail, so errors
     /// are held until here).
-    pub fn finish(mut self, sections: JsonValue) -> std::io::Result<StreamSummary> {
+    pub fn finish(
+        mut self,
+        sections: JsonValue,
+        packets_incomplete: usize,
+    ) -> std::io::Result<StreamSummary> {
         if self.w_events > 0 || self.emitted_bins < self.series.len() {
             self.flush_window(self.clock.next_seq(), false);
         }
-        if self.in_flight > 0 && self.conservation_fired == 0 {
+        let faulted = self.tokens.oldest_in_flight(true);
+        if packets_incomplete > 0 || faulted.is_some() {
             let copies = self.in_flight;
-            let oldest = self.tokens.oldest_in_flight();
+            let oldest = faulted.or_else(|| self.tokens.oldest_in_flight(false));
             let seq = self.clock.next_seq();
             let t = self.clock.boundary_of(seq.saturating_sub(1));
             self.watchpoint(
@@ -302,7 +288,10 @@ impl<N: Copy + NodeKey> StreamSink<N> {
                 oldest.map(|(_, site)| site),
                 oldest.map(|(key, _)| key),
                 Some(copies as f64),
-                format!("run ended with {copies} copies still in flight"),
+                format!(
+                    "run ended with {packets_incomplete} measured packet(s) incomplete \
+                     and {copies} copies still in flight"
+                ),
             );
         }
         let end = JsonValue::Object(vec![
@@ -403,7 +392,7 @@ impl<N: Copy + NodeKey> StreamSink<N> {
             .node_busy
             .iter()
             .filter(|(key, (_, busy))| {
-                *busy as f64 / window_ps as f64 > self.watch.busy_ceiling
+                *busy as f64 / window_ps as f64 > BUSY_CEILING
                     && !self.watermark_fired.contains(*key)
             })
             .map(|(key, (node, busy))| (*key, *node, *busy))
@@ -424,8 +413,8 @@ impl<N: Copy + NodeKey> StreamSink<N> {
             );
         }
         if !self.waste_fired
-            && self.w_forwards >= self.watch.waste_min_forwards
-            && self.w_dropped as f64 / self.w_forwards as f64 > self.watch.waste_ceiling
+            && self.w_forwards >= WASTE_MIN_FORWARDS
+            && self.w_dropped as f64 / self.w_forwards as f64 > WASTE_CEILING
         {
             self.waste_fired = true;
             let value = self.w_dropped as f64 / self.w_forwards as f64;
@@ -445,11 +434,11 @@ impl<N: Copy + NodeKey> StreamSink<N> {
         } else {
             self.stall_run = 0;
         }
-        if self.stall_run >= self.watch.stall_windows && !self.stalled {
+        if self.stall_run >= STALL_WINDOWS && !self.stalled {
             self.stalled = true;
             let windows = self.stall_run;
             let copies = self.in_flight;
-            let oldest = self.tokens.oldest_in_flight();
+            let oldest = self.tokens.oldest_in_flight(false);
             self.watchpoint(
                 "no_progress",
                 seq,
@@ -578,8 +567,13 @@ impl<N: Copy + NodeKey> Observer<N> for StreamSink<N> {
                 -1
             }
             // Fault hooks fire alongside the flit's normal lifecycle
-            // events, so they move no tokens (see `TimeSeries`).
-            SimEvent::Fault { .. } => return,
+            // events, so they move no tokens (see `TimeSeries`); the
+            // ledger remembers which flits they touched.
+            SimEvent::Fault { .. } => {
+                let site = Site::of_event(event, &*self.site_of);
+                self.tokens.apply(at, event, site);
+                return;
+            }
         };
         self.track_tokens(at, event, delta);
     }
@@ -855,7 +849,7 @@ mod tests {
         Phases::new(Duration::ZERO, Duration::from_ns(100))
     }
 
-    fn make_sink(buf: &SharedBuf, watch: WatchConfig, trace: Option<usize>) -> StreamSink<usize> {
+    fn make_sink(buf: &SharedBuf, trace: Option<usize>) -> StreamSink<usize> {
         StreamSink::new(
             Box::new(buf.clone()),
             StreamConfig {
@@ -863,7 +857,6 @@ mod tests {
                 config: JsonValue::Object(vec![("seed".to_string(), JsonValue::uint(42))]),
                 window: Duration::from_ns(2),
                 trace_limit: trace,
-                watch,
             },
             phases(),
             8,
@@ -912,7 +905,7 @@ mod tests {
     #[test]
     fn stream_folds_back_to_the_batch_sections() {
         let buf = SharedBuf::default();
-        let mut sink = make_sink(&buf, WatchConfig::default(), None);
+        let mut sink = make_sink(&buf, None);
         // The same events drive independent batch collectors.
         let mut batch_latency = LatencyHistograms::new(phases(), 8);
         let mut batch_series = series();
@@ -939,7 +932,7 @@ mod tests {
                 JsonValue::Object(vec![("delivered".to_string(), JsonValue::uint(6))]),
             ),
         ]);
-        let summary = sink.finish(sections).expect("stream closes");
+        let summary = sink.finish(sections, 0).expect("stream closes");
         assert!(summary.windows >= 4, "several windows closed");
         assert_eq!(summary.watchpoints, 0, "clean run fires nothing");
 
@@ -969,14 +962,14 @@ mod tests {
     #[test]
     fn streams_are_line_structured_and_headed() {
         let buf = SharedBuf::default();
-        let mut sink = make_sink(&buf, WatchConfig::default(), Some(100));
+        let mut sink = make_sink(&buf, Some(100));
         let f = flit(1, 2, Time::from_ps(50));
         let events = [inject(50, &f), deliver(2_500, 2, &f)];
         for (at, event) in events {
             sink.on_event(at, true, &event);
         }
         let _ = sink
-            .finish(JsonValue::Object(Vec::new()))
+            .finish(JsonValue::Object(Vec::new()), 0)
             .expect("stream closes");
         let text = buf.text();
         let first = text.lines().next().expect("head line");
@@ -1005,11 +998,7 @@ mod tests {
     #[test]
     fn stall_watchpoint_names_the_oldest_flit() {
         let buf = SharedBuf::default();
-        let watch = WatchConfig {
-            stall_windows: 3,
-            ..WatchConfig::default()
-        };
-        let mut sink = make_sink(&buf, watch, None);
+        let mut sink = make_sink(&buf, None);
         let f = flit(7, 1, Time::from_ps(100));
         let events = [
             inject(100, &f),
@@ -1022,7 +1011,7 @@ mod tests {
             sink.on_event(at, true, &event);
         }
         let summary = sink
-            .finish(JsonValue::Object(Vec::new()))
+            .finish(JsonValue::Object(Vec::new()), 0)
             .expect("stream closes");
         assert_eq!(summary.watchpoints, 1);
         let text = buf.text();
@@ -1040,56 +1029,90 @@ mod tests {
     }
 
     #[test]
-    fn conservation_and_residue_watchpoints_fire() {
+    fn conservation_watchpoint_fires() {
         // A delivery that was never injected drives the ledger negative.
         let buf = SharedBuf::default();
-        let mut sink = make_sink(&buf, WatchConfig::default(), None);
+        let mut sink = make_sink(&buf, None);
         let f = flit(3, 1, Time::from_ps(100));
         let (at, event) = deliver(100, 1, &f);
         sink.on_event(at, true, &event);
         let summary = sink
-            .finish(JsonValue::Object(Vec::new()))
+            .finish(JsonValue::Object(Vec::new()), 0)
             .expect("stream closes");
         assert_eq!(summary.watchpoints, 1);
         assert!(buf.text().contains("\"kind\":\"token_conservation\""));
+    }
 
-        // A run that ends with copies in flight reports the residue.
+    /// Closes a stream holding two flits in flight — packet 4, then
+    /// packet 5, which a link stall touched iff `stalled` — and returns
+    /// the packet its close-time record names, if one fired.
+    fn close_time_record(packets_incomplete: usize, stalled: bool) -> Option<f64> {
         let buf = SharedBuf::default();
-        let mut sink = make_sink(&buf, WatchConfig::default(), None);
-        let f = flit(4, 1, Time::from_ps(100));
-        let (at, event) = inject(100, &f);
-        sink.on_event(at, true, &event);
+        let mut sink = make_sink(&buf, None);
+        let (f, g) = (
+            flit(4, 1, Time::from_ps(100)),
+            flit(5, 1, Time::from_ps(150)),
+        );
+        for (at, event) in [inject(100, &f), inject(150, &g)] {
+            sink.on_event(at, true, &event);
+        }
+        if stalled {
+            let stall = SimEvent::Fault {
+                class: asynoc_kernel::FaultClass::LinkStall,
+                site: 0,
+                flit: &g,
+            };
+            sink.on_event(Time::from_ps(200), true, &stall);
+        }
         let summary = sink
-            .finish(JsonValue::Object(Vec::new()))
+            .finish(JsonValue::Object(Vec::new()), packets_incomplete)
             .expect("stream closes");
-        assert_eq!(summary.watchpoints, 1);
         let text = buf.text();
-        assert!(text.contains("\"kind\":\"no_progress\""));
-        assert!(text.contains("still in flight"));
+        let record = text
+            .lines()
+            .find(|l| l.contains("\"kind\":\"no_progress\""))
+            .map(|l| JsonValue::parse(l).expect("watchpoint parses"));
+        assert_eq!(summary.watchpoints, u64::from(record.is_some()));
+        record.map(|r| {
+            let detail = r.get("detail").and_then(JsonValue::as_str).unwrap();
+            assert!(detail.contains("2 copies still in flight"), "{detail}");
+            r.get("packet").and_then(JsonValue::as_f64).unwrap()
+        })
+    }
+
+    #[test]
+    fn close_time_record_means_work_left_undone() {
+        // Copies in flight at the close are how every run ends (the drain
+        // stops at the last measured header): no record.
+        assert_eq!(close_time_record(0, false), None);
+        // A measured packet incomplete: the oldest flit in flight.
+        assert_eq!(close_time_record(3, false), Some(4.0));
+        // A fault-touched flit still in flight, even with every measured
+        // packet complete: that flit, not the older clean one.
+        assert_eq!(close_time_record(0, true), Some(5.0));
+        assert_eq!(close_time_record(3, true), Some(5.0));
     }
 
     #[test]
     fn busy_and_waste_watchpoints_fire_once() {
         let buf = SharedBuf::default();
-        let watch = WatchConfig {
-            waste_min_forwards: 4,
-            ..WatchConfig::default()
-        };
-        let mut sink = make_sink(&buf, watch, None);
+        let mut sink = make_sink(&buf, None);
         let f = flit(9, 1, Time::from_ps(10));
         // Pump the copy count up so drops cannot go negative.
-        for k in 0..8 {
+        for k in 0..40 {
             let (at, event) = inject(10 + k, &f);
             sink.on_event(at, true, &event);
         }
         // Node 3 accumulates 1990 ps of busy inside a 2000 ps window.
         let (at, event) = forward(500, 3, 1, 1_990, &f);
         sink.on_event(at, true, &event);
-        for k in 0..4 {
+        // 32 forwards make the window's waste ratio meaningful; 28
+        // throttles against them exceed the ceiling.
+        for k in 0..WASTE_MIN_FORWARDS {
             let (at, event) = forward(600 + k, 1, 1, 10, &f);
             sink.on_event(at, true, &event);
         }
-        for k in 0..4 {
+        for k in 0..28 {
             let (at, event) = (
                 Time::from_ps(700 + k),
                 SimEvent::Drop {
@@ -1100,13 +1123,13 @@ mod tests {
             );
             sink.on_event(at, true, &event);
         }
-        // Drain the rest so no residue alert fires, crossing a boundary.
-        for k in 0..4 {
+        // Drain the rest, crossing a boundary.
+        for k in 0..12 {
             let (at, event) = deliver(2_600 + k, 1, &f);
             sink.on_event(at, true, &event);
         }
         let summary = sink
-            .finish(JsonValue::Object(Vec::new()))
+            .finish(JsonValue::Object(Vec::new()), 0)
             .expect("stream closes");
         let text = buf.text();
         assert!(text.contains("\"kind\":\"busy_watermark\""));

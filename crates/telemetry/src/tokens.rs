@@ -68,8 +68,8 @@ struct Open<T> {
 }
 
 /// The flit trees of a run that are not closed clean, each with the
-/// `note` of the last event that touched it (the stream keeps the
-/// event's site there, for causal labels in its watchpoints).
+/// `note` of the last event that moved it (the stream keeps the event's
+/// site there, for causal labels in its watchpoints).
 ///
 /// A tree is forgotten when it closes without a fault record. One that a
 /// fault touched is kept to the end — a fault can name a flit after its
@@ -128,17 +128,22 @@ impl<T: Copy> TokenLedger<T> {
                 })
             }
         };
-        open.note = note;
         let tokens = &mut open.tokens;
         match event {
             SimEvent::Inject { .. } => {
                 tokens.injected = true;
                 tokens.in_flight += 1;
+                // In flight since now, even if a fault record came first.
+                open.first_seen = at;
             }
             // One input copy consumed, `copies` output copies launched.
             SimEvent::Forward { copies, .. } => tokens.in_flight += i64::from(*copies) - 1,
             SimEvent::Drop { .. } | SimEvent::Deliver { .. } => tokens.in_flight -= 1,
             SimEvent::Fault { .. } => tokens.faulted = true,
+        }
+        // A fault record annotates: the note stays where the flit last moved.
+        if !matches!(event, SimEvent::Fault { .. }) {
+            open.note = note;
         }
         let tokens = *tokens;
         if tokens.closed() && !tokens.faulted {
@@ -147,14 +152,15 @@ impl<T: Copy> TokenLedger<T> {
         (key, tokens)
     }
 
-    /// The flit in flight for longest — its `(packet, flit)` key and the
-    /// note of the last event on it. Ties on first sight break on the
-    /// key, so the answer is deterministic despite the hash map.
+    /// The flit in flight for longest — among those a fault touched, if
+    /// `faulted_only` — its `(packet, flit)` key and the note of the last
+    /// event on it. Ties on first sight break on the key, so the answer
+    /// is deterministic despite the hash map.
     #[must_use]
-    pub fn oldest_in_flight(&self) -> Option<((u64, u8), T)> {
+    pub fn oldest_in_flight(&self, faulted_only: bool) -> Option<((u64, u8), T)> {
         self.open
             .iter()
-            .filter(|(_, open)| open.tokens.in_flight > 0)
+            .filter(|(_, open)| open.tokens.in_flight > 0 && (open.tokens.faulted || !faulted_only))
             .min_by_key(|(key, open)| (open.first_seen, **key))
             .map(|(key, open)| (*key, open.note))
     }
@@ -239,7 +245,7 @@ mod tests {
         assert_eq!(key, (7, 0));
         assert_eq!(forked.in_flight, 2);
         // The flit first seen earliest, with its latest note.
-        assert_eq!(ledger.oldest_in_flight(), Some(((7, 0), "fork")));
+        assert_eq!(ledger.oldest_in_flight(false), Some(((7, 0), "fork")));
         let throttle = SimEvent::Drop {
             node: 1usize,
             flit: &f,
@@ -248,7 +254,7 @@ mod tests {
         ledger.apply(at(40), &throttle, "x");
         let (_, last) = ledger.apply(at(50), &deliver(&f), "sink");
         assert!(last.closed() && !last.broken());
-        assert_eq!(ledger.oldest_in_flight(), Some(((8, 0), "g")));
+        assert_eq!(ledger.oldest_in_flight(false), Some(((8, 0), "g")));
         // An open tree is not a broken one.
         assert_eq!(ledger.tally(), TokenTally::default());
         assert_eq!(ledger.open.len(), 1);
@@ -316,6 +322,6 @@ mod tests {
         );
         // Every tree a fault touched is kept; nothing counts as in flight.
         assert_eq!(ledger.open.len(), 3);
-        assert_eq!(ledger.oldest_in_flight(), None);
+        assert_eq!(ledger.oldest_in_flight(false), None);
     }
 }

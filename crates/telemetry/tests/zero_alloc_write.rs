@@ -27,7 +27,6 @@ use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader, Rout
 use asynoc_stats::Phases;
 use asynoc_telemetry::{
     JsonValue, LevelSpec, Site, SiteOf, Stage, StreamConfig, StreamSink, TimeSeries, TraceWriter,
-    WatchConfig,
 };
 
 #[global_allocator]
@@ -114,7 +113,6 @@ fn main() {
             config: JsonValue::Null,
             window,
             trace_limit: Some(usize::MAX),
-            watch: WatchConfig::default(),
         },
         Phases::new(Duration::ZERO, Duration::from_ps(u64::MAX / 2)),
         ENDPOINTS,
@@ -146,7 +144,7 @@ fn main() {
         *count = allocations() - before;
     }
     let summary = sink
-        .finish(JsonValue::Object(Vec::new()))
+        .finish(JsonValue::Object(Vec::new()), 0)
         .expect("the stream closes");
     // The empty windows before `START_PS`, then the five driven here.
     assert_eq!(summary.windows, START_PS / WINDOW_PS + 5);

@@ -2,10 +2,13 @@
 //! multicast — the modern synchronous baseline the paper's speculative
 //! MoT competes against.
 //!
-//! Where the `asynoc-mesh` baseline serializes every multicast into
-//! unicast clones over single-flit handshaken links, this substrate
-//! models the reference router microarchitecture used by synchronous
-//! multicast studies: per-VC input FIFOs, credit-based flow control with
+//! This crate is a *router* for `asynoc-mesh`'s fabric, not a fabric of
+//! its own: the grid, channel table, config / report / network skeleton,
+//! sharding and fault domain are the mesh's, shared with the wormhole
+//! router. Where that baseline serializes every multicast into unicast
+//! clones over single-flit handshaken links, this router models the
+//! reference microarchitecture used by synchronous multicast studies:
+//! per-VC input FIFOs, credit-based flow control with
 //! credit return as first-class sim events, VC and switch allocation,
 //! and two competing in-network multicast schemes — tree-based XY
 //! (fork at divergence points) and Dynamic Partition Merging (Tiwari et
@@ -14,7 +17,7 @@
 //! It runs on the same `asynoc-engine` event loop as the other two
 //! substrates, so every command, observer, fault plan, stream schema,
 //! and sharding mode applies unchanged. `VcMeshConfig` holds what is
-//! static about the fabric (size, timing, packet length, seed, multicast
+//! static about the fabric (size, packet length, seed, multicast
 //! scheme); shards, profiling, observers and fault tables are per-run —
 //! build a [`RunConfig`] and hand the network to [`drive`]:
 //!
@@ -27,7 +30,7 @@
 //! let run = RunConfig::quick(Benchmark::Multicast5, 0.1).with_shards(2);
 //! let report = drive(&network, &run, &mut [], None)?;
 //! assert_eq!(report.packets_incomplete, 0);
-//! assert!(report.link_traversals > 0);
+//! assert!(report.router.link_traversals > 0);
 //! # Ok::<(), asynoc_vcmesh::MeshError>(())
 //! ```
 
@@ -37,4 +40,4 @@ pub mod sim;
 pub use asynoc_engine::{drive, RunConfig, Substrate};
 pub use asynoc_mesh::{MeshError, MeshSize};
 pub use scheme::{DpmPlanner, McastScheme};
-pub use sim::{VcMeshConfig, VcMeshNetwork, VcMeshReport, VcMeshTiming, VC_COUNT, VC_DEPTH};
+pub use sim::{VcMeshConfig, VcMeshNetwork, VcMeshReport, VcRouter, VcSection, VC_COUNT, VC_DEPTH};

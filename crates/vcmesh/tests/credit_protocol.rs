@@ -14,12 +14,12 @@
 //!    cyclic VC dependency would strand flits and show up as
 //!    `packets_incomplete > 0`.
 //! 3. **Bounded progress.** A run observed through the streaming
-//!    telemetry watchdog must never trip the mid-run `no_progress`
-//!    watchpoint (consecutive delivery-free windows with copies still
-//!    in flight). The engine ends its drain once every measured
-//!    header has landed, so tail flits of the youngest worms may
-//!    legitimately remain at close — the close-time residue record is
-//!    tolerated, a mid-run stall is not.
+//!    telemetry watchdog fires no watchpoint at all: neither the mid-run
+//!    `no_progress` (consecutive delivery-free windows with copies still
+//!    in flight) nor the close-time one (a measured packet incomplete).
+//!    The engine ends its drain once every measured header has landed,
+//!    so tail flits of the youngest worms are still under way at the
+//!    close; that is how every run ends, and no record reports it.
 
 use std::cell::RefCell;
 use std::io::Write;
@@ -28,9 +28,7 @@ use std::rc::Rc;
 use asynoc_kernel::Duration;
 use asynoc_mesh::MeshSize;
 use asynoc_stats::Phases;
-use asynoc_telemetry::{
-    JsonValue, LevelSpec, Site, Stage, StreamConfig, StreamSink, TimeSeries, WatchConfig,
-};
+use asynoc_telemetry::{JsonValue, LevelSpec, Site, Stage, StreamConfig, StreamSink, TimeSeries};
 use asynoc_traffic::Benchmark;
 use asynoc_vcmesh::{drive, McastScheme, RunConfig, VcMeshConfig, VcMeshNetwork, VcMeshReport};
 
@@ -65,13 +63,13 @@ fn credits_are_conserved_and_never_negative_across_seeds() {
         for mcast in SCHEMES {
             let report = run(seed, mcast);
             assert!(
-                report.credit_checks > 0,
+                report.router.credit_checks > 0,
                 "seed {seed} {mcast}: the credit ledger never armed"
             );
             assert_eq!(
-                report.credit_violations, 0,
+                report.router.credit_violations, 0,
                 "seed {seed} {mcast}: {} credit conservation violation(s)",
-                report.credit_violations
+                report.router.credit_violations
             );
         }
     }
@@ -111,9 +109,8 @@ impl Write for SharedBuf {
     }
 }
 
-/// The streaming watchdog sees bounded progress: no `no_progress`
-/// watchpoint fires mid-run, and the close-time residue check finds
-/// every flit delivered.
+/// The streaming watchdog sees bounded progress: no watchpoint fires,
+/// mid-run or at the close.
 #[test]
 fn progress_watchdog_stays_quiet_on_clean_multicast_runs() {
     for seed in SEEDS {
@@ -127,7 +124,6 @@ fn progress_watchdog_stays_quiet_on_clean_multicast_runs() {
                 config: JsonValue::Object(vec![]),
                 window: Duration::from_ns(100),
                 trace_limit: None,
-                watch: WatchConfig::default(),
             },
             phases(),
             endpoints,
@@ -148,21 +144,14 @@ fn progress_watchdog_stays_quiet_on_clean_multicast_runs() {
             report.packets_incomplete, 0,
             "seed {seed}: run did not drain"
         );
-        sink.finish(JsonValue::Object(vec![]))
+        let summary = sink
+            .finish(JsonValue::Object(vec![]), report.packets_incomplete)
             .expect("finish succeeds");
         let text = String::from_utf8(buf.0.borrow().clone()).expect("stream is UTF-8");
-        for line in text
-            .lines()
-            .filter(|l| l.contains("\"type\":\"watchpoint\""))
-        {
-            assert!(
-                line.contains("run ended with"),
-                "seed {seed}: mid-run watchpoint fired:\n{line}"
-            );
-        }
+        assert_eq!(summary.watchpoints, 0, "seed {seed}: a watchpoint fired");
         assert!(
-            !text.contains("consecutive windows"),
-            "seed {seed}: progress stalled mid-run"
+            !text.contains("\"type\":\"watchpoint\""),
+            "seed {seed}: a watchpoint record was written"
         );
     }
 }

@@ -154,6 +154,11 @@ fold-back (vcmesh) | asynoc metrics $vcmesh --shards 1 --metrics-out b1.json --s
  asynoc watch --stream-in s1.ndjson --once --fold f1.json ; same cat b1.json f1.json ;\
  asynoc metrics $vcmesh --shards 2 --metrics-out b2.json --stream s2.ndjson ;\
  asynoc watch --stream-in s2.ndjson --once --fold f2.json ; same cat b2.json f2.json ; same no_end s1.ndjson s2.ndjson
+# every run closes with copies in flight (the drain stops at the last measured header); that is no
+# watchpoint, so --watch-fatal exits 0 on a clean run of every substrate
+clean run under --watch-fatal (mot) | asynoc metrics $mot --metrics-out m.json --stream s.ndjson --watch-fatal ; has s.ndjson "watchpoints":0
+clean run under --watch-fatal (mesh) | asynoc metrics $mesh --metrics-out m.json --stream s.ndjson --watch-fatal ; has s.ndjson "watchpoints":0
+clean run under --watch-fatal (vcmesh) | asynoc metrics $vcmesh --metrics-out m.json --stream s.ndjson --watch-fatal ; has s.ndjson "watchpoints":0
 # every file under results/ is what its generator writes today (paper quality, seed 42)
 results/metrics_schema.golden.json | reproduces metrics_schema.golden.json schema metrics
 results/analysis_schema.golden.json | reproduces analysis_schema.golden.json schema analysis

@@ -6,7 +6,7 @@ use asynoc::{
     drive, Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases, RunConfig,
     Substrate,
 };
-use asynoc_faults::{judge, mesh_network, run_outcome, vcmesh_network, FaultPlan};
+use asynoc_faults::{judge, run_outcome, FaultPlan};
 use asynoc_gates::mousetrap::{SpeculativeFork, StageDelays};
 use asynoc_gates::{vcd, GateSim};
 use asynoc_kernel::Time;
@@ -177,10 +177,13 @@ fn one_recoverable_fault_plan_satisfies_the_oracle_on_both_substrates() {
     )
     .expect("valid config");
     check("mot", &mot);
-    check("mesh", &mesh_network(4, 7, 5).expect("valid mesh"));
+    check(
+        "mesh",
+        &MeshNetwork::square(4, 7, 5, ()).expect("valid mesh"),
+    );
     check(
         "vcmesh",
-        &vcmesh_network(4, 7, 5, McastScheme::XyTree).expect("valid vcmesh"),
+        &VcMeshNetwork::square(4, 7, 5, McastScheme::XyTree).expect("valid vcmesh"),
     );
 }
 
@@ -207,7 +210,7 @@ fn dpm_never_uses_more_links_than_xy_tree() {
             let report = net
                 .run(Benchmark::Multicast10, 0.1, phases)
                 .expect("run succeeds");
-            links[slot] = report.link_traversals;
+            links[slot] = report.router.link_traversals;
             measured[slot] = report.packets_measured;
         }
         assert_eq!(
@@ -249,7 +252,7 @@ fn multicast_delivery_multisets_agree_across_substrates() {
     );
 
     for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
-        let net = vcmesh_network(4, 7, 5, mcast).expect("valid vcmesh");
+        let net = VcMeshNetwork::square(4, 7, 5, mcast).expect("valid vcmesh");
         let outcome = run_outcome(&net, &run, None, &mut []).expect("vcmesh run");
         assert_eq!(
             outcome.deliveries, reference.deliveries,

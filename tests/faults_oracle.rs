@@ -12,7 +12,8 @@ use asynoc::{
     Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases, RunConfig,
     Substrate,
 };
-use asynoc_faults::{judge, mesh_network, run_outcome, FaultPlan};
+use asynoc_faults::{judge, run_outcome, FaultPlan};
+use asynoc_mesh::MeshNetwork;
 
 fn mot_net(seed: u64) -> Network {
     Network::new(
@@ -73,7 +74,7 @@ fn seeded_recoverable_plans_satisfy_the_oracle_on_the_mesh() {
     let run = RunConfig::new(Benchmark::UniformRandom, 0.1)
         .expect("positive rate")
         .with_phases(Phases::new(Duration::from_ns(20), Duration::from_ns(150)));
-    let net = mesh_network(4, 7, 5).expect("valid mesh");
+    let net = MeshNetwork::square(4, 7, 5, ()).expect("valid mesh");
     let domain = net.fault_domain();
     let clean = run_outcome(&net, &run, None, &mut []).expect("clean run");
     assert!(!clean.deliveries.is_empty(), "clean twin delivered traffic");
