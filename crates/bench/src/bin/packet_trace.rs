@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run --release -p asynoc-bench --bin packet_trace [--seed N]`
 
-use asynoc::telemetry::{Action, Detail, TraceCollector, TraceRecord};
+use asynoc::telemetry::{Action, Detail, Recorder, TraceCollector, TraceRecord};
 use asynoc::{Architecture, Benchmark, Network, NetworkConfig, RunConfig, Time};
 
 /// One journey line: when, which flit, where, and what the node did.
@@ -39,9 +39,10 @@ fn main() {
     )
     .expect("valid config");
     let run = RunConfig::quick(Benchmark::Multicast10, 0.2);
-    let mut collector = TraceCollector::new(40_000, network.site_of());
+    let mut collector = TraceCollector::new(40_000);
+    let mut recorder = Recorder::new(network.site_of(), vec![&mut collector]);
     network
-        .run_with_observers(&run, &mut [&mut collector])
+        .run_with_observers(&run, &mut [&mut recorder])
         .expect("run succeeds");
     let trace = collector.into_records();
 

@@ -25,10 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use asynoc::probe::{peak_bytes, reset_peak_bytes};
-use asynoc::telemetry::{StreamConfig, StreamSink, TimeSeries};
-use asynoc::{
-    Architecture, Benchmark, Duration, MotNode, Network, NetworkConfig, Observer, Phases, RunConfig,
-};
+use asynoc::telemetry::{LatencyHistograms, Recorder, StreamConfig, StreamSink, TimeSeries};
+use asynoc::{Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
 use asynoc_kernel::with_deadline;
 use asynoc_topology::MotSize;
 
@@ -73,12 +71,15 @@ impl Write for CountingWriter {
     }
 }
 
-fn sink_for(net: &Network, phases: Phases) -> StreamSink<MotNode> {
-    let series = TimeSeries::new(
-        asynoc::Duration::from_ns(WINDOW_NS),
-        net.levels(),
-        net.site_of(),
-    );
+/// The pair a streamed run keeps, binned by the flush window.
+fn collectors_for(net: &Network, phases: Phases) -> (LatencyHistograms, TimeSeries) {
+    (
+        LatencyHistograms::new(phases, net.config().size().n()),
+        TimeSeries::new(Duration::from_ns(WINDOW_NS), net.levels()),
+    )
+}
+
+fn sink_over<'a>(latency: &'a mut LatencyHistograms, series: &'a mut TimeSeries) -> StreamSink<'a> {
     StreamSink::new(
         Box::new(CountingWriter {
             started: Instant::now(),
@@ -86,13 +87,11 @@ fn sink_for(net: &Network, phases: Phases) -> StreamSink<MotNode> {
         StreamConfig {
             substrate: "mot".to_string(),
             config: asynoc::telemetry::JsonValue::Object(vec![]),
-            window: asynoc::Duration::from_ns(WINDOW_NS),
+            window: Duration::from_ns(WINDOW_NS),
             trace_limit: None,
         },
-        phases,
-        net.config().size().n(),
+        latency,
         series,
-        net.site_of(),
     )
     .expect("stream head writes")
 }
@@ -116,11 +115,12 @@ fn streamed_run(net: &Network, shards: usize, measure_ns: u64) -> Streamed {
     let stream_start = STREAM_BYTES.load(Ordering::Relaxed);
     FIRST_WINDOW_NS.store(0, Ordering::Relaxed);
     let started = Instant::now();
-    let mut sink = sink_for(net, phases);
+    let (mut latency, mut series) = collectors_for(net, phases);
+    let mut sink = sink_over(&mut latency, &mut series);
     reset_peak_bytes();
     let report = {
-        let mut extra: Vec<&mut dyn Observer<MotNode>> = vec![&mut sink];
-        net.run_with_observers(&run, &mut extra)
+        let mut recorder = Recorder::new(net.site_of(), vec![&mut sink]);
+        net.run_with_observers(&run, &mut [&mut recorder])
             .expect("run completes")
     };
     let peak_bytes = peak_bytes();

@@ -11,6 +11,9 @@
 //! move either. Both bodies take the substrate contract as input, so a
 //! new fabric joins by adding one call.
 
+use std::rc::Rc;
+
+use asynoc::telemetry::{Site, SiteOf};
 use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
 use asynoc_bench::conformance::{mot, Fingerprint};
 use asynoc_faults::{run_outcome, FaultPlan};
@@ -131,6 +134,7 @@ fn vcmesh_runs_are_identical_at_every_shard_count() {
 /// oracle judges is rebuilt from the same merged stream.
 fn fault_outcomes_are_identical_at_every_shard_count<S: Substrate>(
     net: &S,
+    site_of: SiteOf<S::Node>,
     plan_seed: u64,
     run: &RunConfig,
 ) {
@@ -139,8 +143,8 @@ fn fault_outcomes_are_identical_at_every_shard_count<S: Substrate>(
         .into_iter()
         .map(|shards| {
             let run = run.clone().with_shards(shards);
-            let outcome =
-                run_outcome(net, &run, Some(&plan), &mut []).expect("faulted run succeeds");
+            let outcome = run_outcome(net, &run, Some(&plan), site_of.clone(), &mut [])
+                .expect("faulted run succeeds");
             (shards, outcome)
         })
         .collect();
@@ -171,8 +175,10 @@ fn fault_run(benchmark: Benchmark, warmup_ns: u64, measure_ns: u64) -> RunConfig
 #[test]
 fn mot_fault_outcomes_are_identical_at_every_shard_count() {
     with_deadline(DEADLINE_S, || {
+        let net = mot(Architecture::BasicHybridSpeculative, 17);
         fault_outcomes_are_identical_at_every_shard_count(
-            &mot(Architecture::BasicHybridSpeculative, 17),
+            &net,
+            net.site_of(),
             17,
             &fault_run(Benchmark::Multicast5, 20, 160),
         );
@@ -184,6 +190,7 @@ fn mesh_fault_outcomes_are_identical_at_every_shard_count() {
     with_deadline(DEADLINE_S, || {
         fault_outcomes_are_identical_at_every_shard_count(
             &MeshNetwork::square(4, 23, 5, ()).unwrap(),
+            Rc::new(Site::Router),
             23,
             &fault_run(Benchmark::UniformRandom, 40, 400),
         );
@@ -199,6 +206,7 @@ fn vcmesh_fault_outcomes_are_identical_at_every_shard_count() {
         for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
             fault_outcomes_are_identical_at_every_shard_count(
                 &VcMeshNetwork::square(4, 23, 5, mcast).unwrap(),
+                Rc::new(Site::Router),
                 23,
                 &fault_run(Benchmark::Multicast5, 40, 400),
             );

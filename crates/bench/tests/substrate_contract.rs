@@ -3,14 +3,16 @@
 //! hold for each implementor, not just the one a caller happened to
 //! test.
 
-use asynoc::telemetry::LatencyHistograms;
+use std::rc::Rc;
+
+use asynoc::telemetry::{LatencyHistograms, Recorder, Site, SiteOf};
 use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
 use asynoc_bench::conformance::mot;
 use asynoc_engine::SimModel;
 use asynoc_mesh::MeshNetwork;
 use asynoc_vcmesh::{McastScheme, VcMeshNetwork};
 
-fn holds<S: Substrate>(net: &S) {
+fn holds<S: Substrate>(net: &S, site_of: SiteOf<S::Node>) {
     let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
     assert_eq!(run.shards(), 1, "a default run is serial");
     assert!(!run.profile() && !run.progress(), "and unprofiled");
@@ -23,12 +25,12 @@ fn holds<S: Substrate>(net: &S) {
     assert_eq!(domain.endpoints, net.endpoints());
 
     // One latency statistic: on unicast traffic the engine's per-packet
-    // report and the telemetry observer's per-header one are equal.
+    // report and the telemetry collector's per-header one are equal.
     let mut online = LatencyHistograms::new(run.phases(), net.endpoints());
     let report = drive(
         net,
         &RunConfig::quick(run.benchmark(), run.rate_gfs()),
-        &mut [&mut online],
+        &mut [&mut Recorder::new(site_of, vec![&mut online])],
         None,
     )
     .expect("run succeeds");
@@ -41,8 +43,11 @@ fn holds<S: Substrate>(net: &S) {
 
 #[test]
 fn every_substrate_honours_the_contract() {
-    holds(&mot(Architecture::OptHybridSpeculative, 3));
-    holds(&MeshNetwork::square(4, 3, 5, ()).unwrap());
-    holds(&VcMeshNetwork::square(4, 3, 5, McastScheme::XyTree).unwrap());
-    holds(&VcMeshNetwork::square(4, 3, 5, McastScheme::Dpm).unwrap());
+    let net = mot(Architecture::OptHybridSpeculative, 3);
+    holds(&net, net.site_of());
+    let routers = || -> SiteOf<usize> { Rc::new(Site::Router) };
+    holds(&MeshNetwork::square(4, 3, 5, ()).unwrap(), routers());
+    for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
+        holds(&VcMeshNetwork::square(4, 3, 5, mcast).unwrap(), routers());
+    }
 }

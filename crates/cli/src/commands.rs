@@ -9,7 +9,7 @@ use asynoc::{
     Phases, RunConfig, RunReport, SimError, SpecMap,
 };
 use asynoc_mesh::{MeshReport, Wormhole};
-use asynoc_telemetry::JsonValue;
+use asynoc_telemetry::{JsonValue, Recorder};
 
 use crate::args::{help, Command, CommonOptions};
 use crate::fabric::Fabric;
@@ -290,20 +290,26 @@ fn single_run<F: Fabric>(
     print: impl FnOnce(&mut dyn Write, &F::Report) -> io::Result<()>,
 ) -> Result<(), CliError> {
     let mut profiler = ProfileWriter::when(common.profile.as_ref(), command)?;
+    // The pair a `--stream` sink windows, binned by its flush window.
+    let window = crate::stream::window(common, None);
+    let (mut latency, mut series) = net.collectors(run.phases(), window);
     let mut sink = match &common.stream {
-        Some(path) => Some(crate::stream::sink(
-            net,
+        Some(path) => Some(crate::stream::sink::<F>(
             path,
             common,
             config.clone(),
-            run.phases(),
-            None,
+            window,
             crate::stream::DEFAULT_TRACE_LIMIT,
+            &mut latency,
+            &mut series,
         )?),
         None => None,
     };
     let report = match sink.as_mut() {
-        Some(sink) => drive(net, run, &mut [sink], None),
+        Some(sink) => {
+            let mut recorder = Recorder::new(net.site_of(), vec![sink]);
+            drive(net, run, &mut [&mut recorder], None)
+        }
         None => drive(net, run, &mut [], None),
     }
     .map_err(SimError::from)?;

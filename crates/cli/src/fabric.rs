@@ -8,9 +8,11 @@
 
 use std::rc::Rc;
 
-use asynoc::{Duration, MotNode, Network, RunReport};
+use asynoc::{Duration, MotNode, Network, Phases, RunReport};
 use asynoc_mesh::{Config, MeshError, MeshSize, Network as MeshNetwork, Report, Router, Wormhole};
-use asynoc_telemetry::{JsonValue, LevelSpec, Site, SiteOf, SpeculationWaste, Stage, TimeSeries};
+use asynoc_telemetry::{
+    JsonValue, LatencyHistograms, LevelSpec, Site, SiteOf, SpeculationWaste, Stage, TimeSeries,
+};
 use asynoc_vcmesh::{McastScheme, VcMeshReport, VcRouter};
 
 use crate::args::CommonOptions;
@@ -22,8 +24,7 @@ pub(crate) trait Fabric: asynoc::Substrate {
     /// meta line.
     const TAG: &'static str;
 
-    /// Where a node sits: the one view of a node that traces, streams,
-    /// the time-series and the waste ledger are all built from.
+    /// Where a node sits: what the run's one `Recorder` is built with.
     fn site_of(&self) -> SiteOf<Self::Node>;
 
     /// The groups the time-series aggregates busy time by: one level of
@@ -35,28 +36,39 @@ pub(crate) trait Fabric: asynoc::Substrate {
         }]
     }
 
+    /// How many nodes read a routing symbol a fault plan can override,
+    /// numbered from 0: the fanout nodes of a tree fabric, none on a mesh.
+    fn symbol_sites(&self) -> usize {
+        0
+    }
+
     /// Wire-launch and drop-acknowledge energies, fJ — fabrics with an
     /// energy model only.
     fn energy_fj(&self) -> Option<(f64, f64)> {
         None
     }
 
-    /// The busy-fraction time-series with this fabric's level grouping.
-    fn timeseries(&self, bin: Duration) -> TimeSeries<Self::Node> {
-        TimeSeries::new(bin, self.levels(), self.site_of())
+    /// The pair every instrumented run keeps, and a `--stream` sink
+    /// windows: latency histograms gated on `phases`, and the
+    /// busy-fraction time-series with this fabric's level grouping.
+    fn collectors(&self, phases: Phases, bin: Duration) -> (LatencyHistograms, TimeSeries) {
+        (
+            LatencyHistograms::new(phases, self.endpoints()),
+            TimeSeries::new(bin, self.levels()),
+        )
     }
 
     /// The speculation-waste ledger — fabrics with an energy model only.
-    fn waste(&self) -> Option<SpeculationWaste<Self::Node>> {
+    fn waste(&self) -> Option<SpeculationWaste> {
         let (wire_fj, drop_fj) = self.energy_fj()?;
-        Some(SpeculationWaste::new(wire_fj, drop_fj, self.site_of()))
+        Some(SpeculationWaste::new(wire_fj, drop_fj))
     }
 
     /// The `waste` and `power` document sections (null without an energy
     /// model).
     fn energy_sections(
         _report: &Self::Report,
-        _waste: Option<&SpeculationWaste<Self::Node>>,
+        _waste: Option<&SpeculationWaste>,
         _window: Duration,
     ) -> (JsonValue, JsonValue) {
         (JsonValue::Null, JsonValue::Null)
@@ -79,6 +91,10 @@ impl Fabric for Network {
         Network::levels(self)
     }
 
+    fn symbol_sites(&self) -> usize {
+        self.config().size().total_fanout_nodes()
+    }
+
     fn energy_fj(&self) -> Option<(f64, f64)> {
         let timing = self.config().timing();
         Some((timing.wire_fj, timing.drop_fj))
@@ -86,7 +102,7 @@ impl Fabric for Network {
 
     fn energy_sections(
         report: &RunReport,
-        waste: Option<&SpeculationWaste<MotNode>>,
+        waste: Option<&SpeculationWaste>,
         window: Duration,
     ) -> (JsonValue, JsonValue) {
         // mW = fJ/ps, so dynamic energy over the window is mW x ps (in fJ).

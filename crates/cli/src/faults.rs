@@ -16,7 +16,7 @@ use asynoc_faults::{
     judge, run_outcome, FaultDomain, FaultPlan, OracleVerdict, RunOutcome, FAULTS_SCHEMA,
 };
 use asynoc_mesh::Wormhole;
-use asynoc_telemetry::JsonValue;
+use asynoc_telemetry::{JsonValue, RecordSink};
 use asynoc_vcmesh::{McastScheme, VcRouter};
 
 use crate::args::{CommonOptions, Substrate};
@@ -167,39 +167,51 @@ fn run_pair<F: Fabric>(
 ) -> Result<(FaultDomain, FaultPlan, RunOutcome, Option<RunOutcome>, u64), CliError> {
     let common = &request.common;
     let domain = net.fault_domain();
-    let plan = resolve_plan(request, &domain)?;
+    let plan = resolve_plan(request, &domain, net.symbol_sites())?;
     let run = run_config(request.benchmark, request.rate, common)?;
     // Only the faulted run is streamed: the clean twin stays
     // unobserved so the oracle's reference is untouched.
+    let outcome = |plan, sinks: &mut [&mut dyn RecordSink]| {
+        run_outcome(net, &run, plan, net.site_of(), sinks)
+    };
     let (faulted, watchpoints) = match &common.stream {
         Some(path) => {
-            let mut sink = crate::stream::sink(
-                net,
+            let window = crate::stream::window(common, None);
+            let phases = phases_for(request.benchmark, common);
+            let (mut latency, mut series) = net.collectors(phases, window);
+            let mut sink = crate::stream::sink::<F>(
                 path,
                 common,
                 config.clone(),
-                phases_for(request.benchmark, common),
-                None,
+                window,
                 crate::stream::DEFAULT_TRACE_LIMIT,
+                &mut latency,
+                &mut series,
             )?;
-            let faulted = run_outcome(net, &run, Some(&plan), &mut [&mut sink])?;
+            let faulted = outcome(Some(&plan), &mut [&mut sink])?;
             let watchpoints = sink
                 .finish(JsonValue::Object(vec![]), faulted.packets_incomplete)?
                 .watchpoints;
             (faulted, watchpoints)
         }
-        None => (run_outcome(net, &run, Some(&plan), &mut [])?, 0),
+        None => (outcome(Some(&plan), &mut [])?, 0),
     };
-    let clean = request
-        .oracle
-        .then(|| run_outcome(net, &run, None, &mut []))
-        .transpose()?;
+    let clean = request.oracle.then(|| outcome(None, &mut [])).transpose()?;
     Ok((domain, plan, faulted, clean, watchpoints))
 }
 
-fn resolve_plan(request: &FaultsRequest, domain: &FaultDomain) -> Result<FaultPlan, CliError> {
+/// The plan `request` names: `--plan` text, every entry of which must be
+/// aimed inside the fabric (`domain` and its `symbol_sites`), or one drawn
+/// from `domain`.
+fn resolve_plan(
+    request: &FaultsRequest,
+    domain: &FaultDomain,
+    symbol_sites: usize,
+) -> Result<FaultPlan, CliError> {
     match &request.plan {
-        Some(text) => FaultPlan::parse(text).map_err(|e| CliError::Invalid(format!("--plan: {e}"))),
+        Some(text) => FaultPlan::parse(text)
+            .and_then(|plan| plan.validate(domain, symbol_sites).map(|()| plan))
+            .map_err(|e| CliError::Invalid(format!("--plan: {e}"))),
         None => Ok(FaultPlan::random(
             request.common.seed,
             request.fault_rate,
@@ -337,12 +349,14 @@ mod tests {
     /// counters the online token ledger reported must be the ones the
     /// span forest derives from the whole trace.
     fn ledger_matches_forest_on<F: Fabric>(net: &F, request: &FaultsRequest) -> usize {
-        let plan = resolve_plan(request, &net.fault_domain()).expect("a valid plan");
+        let plan =
+            resolve_plan(request, &net.fault_domain(), net.symbol_sites()).expect("a valid plan");
         let run = run_config(request.benchmark, request.rate, &request.common).expect("a run");
         let mut records = 0;
         for plan in [Some(&plan), None] {
-            let mut collector = TraceCollector::new(usize::MAX, net.site_of());
-            let outcome = run_outcome(net, &run, plan, &mut [&mut collector]).expect("it runs");
+            let mut collector = TraceCollector::new(usize::MAX);
+            let outcome = run_outcome(net, &run, plan, net.site_of(), &mut [&mut collector])
+                .expect("it runs");
             let forest = SpanForest::build(collector.records());
             assert_eq!(
                 (
@@ -450,7 +464,7 @@ mod tests {
                 endpoints: 4,
                 corrupt_sites: vec![],
             };
-            let plan = resolve_plan(&request, &domain).expect("a valid plan");
+            let plan = resolve_plan(&request, &domain, 0).expect("a valid plan");
             let replay = replay_line(&request, &plan);
             let rest = replay.strip_prefix("asynoc ").expect(&replay);
             let expected = FaultsRequest {
@@ -485,6 +499,52 @@ mod tests {
         let mut out = Vec::new();
         execute(&command, &mut out).expect("command succeeds");
         String::from_utf8(out).expect("utf8 output")
+    }
+
+    #[test]
+    fn a_plan_aimed_outside_the_fabric_is_refused_before_any_run() {
+        // 8x8 MoT: 176 channels, 8 sources, 56 fanout nodes. 4x4 meshes:
+        // 16 sources, no symbol site, a channel table each.
+        let fabrics = [
+            ("--arch OptHybridSpeculative", [176, 56, 56, 8, 8]),
+            ("--substrate mesh --size 4", [80, 0, 0, 16, 16]),
+            ("--substrate vcmesh --size 4", [224, 0, 0, 16, 16]),
+        ];
+        for (fabric, counts) in fabrics {
+            let kinds = [
+                "stall:{}:1:10",
+                "corrupt:{}:1:both",
+                "stuck:{}:1",
+                "drop:{}:0:1:5",
+            ];
+            for (kind, count) in kinds.into_iter().chain(["lose:{}:0"]).zip(counts) {
+                let run = |target: usize| {
+                    let entry = kind.replace("{}", &target.to_string());
+                    let line = format!(
+                        "faults {fabric} --benchmark Multicast5 --rate 0.1 --warmup-ns 20 \
+                         --measure-ns 100 --oracle --plan stall:0:1:10;{entry}"
+                    );
+                    let command = parse(&words(&line)).expect("valid invocation");
+                    let mut out = Vec::new();
+                    let result = execute(&command, &mut out).map_err(|e| e.to_string());
+                    (entry, result, out)
+                };
+                let (entry, refused, out) = run(count);
+                let what = entry.split(':').next().expect("a kind");
+                let complaint = refused.expect_err(&entry);
+                assert!(
+                    complaint.starts_with(&format!("--plan: entry 2 {entry:?}: "))
+                        && complaint.ends_with(&format!(" is outside this fabric's 0..{count}")),
+                    "{fabric} {what}: {complaint}"
+                );
+                assert!(out.is_empty(), "{fabric} {what}: no report, no simulation");
+                // The last target inside the fabric is taken.
+                if count > 0 {
+                    let (entry, taken, _) = run(count - 1);
+                    assert_eq!(taken, Ok(()), "{fabric} {entry}");
+                }
+            }
+        }
     }
 
     #[test]

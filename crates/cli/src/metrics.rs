@@ -1,7 +1,7 @@
 //! `asynoc metrics`: one instrumented run emitting the JSON metrics
 //! report (and optionally a flit trace).
 //!
-//! The report is the CLI surface of the `asynoc-telemetry` observer
+//! The report is the CLI surface of the `asynoc-telemetry` collector
 //! stack: latency percentiles (overall / per destination / per hop
 //! count), a windowed time-series with per-level busy fractions, the
 //! speculation-waste ledger, and the run's power/throughput/counter
@@ -10,12 +10,11 @@
 use std::fs::File;
 use std::io::Write;
 
-use asynoc::{drive, Architecture, Benchmark, Duration, EngineReport, Observer, RunReport};
+use asynoc::{drive, Architecture, Benchmark, Duration, EngineReport, RunReport};
 use asynoc_mesh::Wormhole;
 use asynoc_power::EnergyCategory;
 use asynoc_telemetry::{
-    ChromeTraceObserver, JsonValue, LatencyHistograms, SiteOf, TraceMeta, TraceWriter,
-    METRICS_SCHEMA,
+    ChromeTraceObserver, JsonValue, RecordSink, Recorder, TraceMeta, TraceWriter, METRICS_SCHEMA,
 };
 use asynoc_vcmesh::{McastScheme, VcRouter};
 
@@ -54,28 +53,28 @@ pub struct MetricsRequest {
     pub common: CommonOptions,
 }
 
-/// The optional trace observer pair: exactly one is live when tracing.
-struct Tracers<N> {
-    ndjson: Option<TraceWriter<N>>,
-    chrome: Option<ChromeTraceObserver<N>>,
+/// The optional trace sink pair: exactly one is live when tracing.
+struct Tracers {
+    ndjson: Option<TraceWriter>,
+    chrome: Option<ChromeTraceObserver>,
 }
 
-impl<N: Copy> Tracers<N> {
-    fn new(format: Option<TraceFormat>, limit: usize, site_of: SiteOf<N>) -> Self {
+impl Tracers {
+    fn new(format: Option<TraceFormat>, limit: usize) -> Self {
         let (ndjson, chrome) = match format {
-            Some(TraceFormat::Ndjson) => (Some(TraceWriter::new(limit, site_of)), None),
-            Some(TraceFormat::Chrome) => (None, Some(ChromeTraceObserver::new(limit, site_of))),
+            Some(TraceFormat::Ndjson) => (Some(TraceWriter::new(limit)), None),
+            Some(TraceFormat::Chrome) => (None, Some(ChromeTraceObserver::new(limit))),
             None => (None, None),
         };
         Tracers { ndjson, chrome }
     }
 
-    fn push_into<'a>(&'a mut self, extra: &mut Vec<&'a mut dyn Observer<N>>) {
-        if let Some(collector) = self.ndjson.as_mut() {
-            extra.push(collector);
+    fn push_into<'a>(&'a mut self, sinks: &mut Vec<&'a mut dyn RecordSink>) {
+        if let Some(writer) = self.ndjson.as_mut() {
+            sinks.push(writer);
         }
         if let Some(observer) = self.chrome.as_mut() {
-            extra.push(observer);
+            sinks.push(observer);
         }
     }
 
@@ -242,32 +241,31 @@ fn run<F: Fabric>(
         common,
     );
 
-    let mut latency = LatencyHistograms::new(phases, net.endpoints());
-    let mut timeseries = net.timeseries(Duration::from_ns(request.bin_ns));
+    let (mut latency, mut timeseries) = net.collectors(phases, Duration::from_ns(request.bin_ns));
     let mut waste = net.waste();
-    let mut tracers = Tracers::new(request.trace_format, request.trace_limit, net.site_of());
-    let mut sink = match &common.stream {
-        Some(path) => Some(crate::stream::sink(
-            net,
+    let mut tracers = Tracers::new(request.trace_format, request.trace_limit);
+    // Under `--stream` the sink stands in front of the latency /
+    // time-series pair and feeds it; otherwise the pair is fed directly.
+    let mut sink = None;
+    let mut sinks: Vec<&mut dyn RecordSink> = match &common.stream {
+        Some(path) => vec![sink.insert(crate::stream::sink::<F>(
             path,
             common,
             config.clone(),
-            phases,
-            Some(request.bin_ns),
+            crate::stream::window(common, Some(request.bin_ns)),
             request.trace_limit,
-        )?),
-        None => None,
+            &mut latency,
+            &mut timeseries,
+        )?)],
+        None => vec![&mut latency, &mut timeseries],
     };
-
-    let mut extra: Vec<&mut dyn Observer<F::Node>> = vec![&mut latency, &mut timeseries];
     if let Some(waste) = waste.as_mut() {
-        extra.push(waste);
+        sinks.push(waste);
     }
-    tracers.push_into(&mut extra);
-    if let Some(sink) = sink.as_mut() {
-        extra.push(sink);
-    }
-    let mut report = drive(net, &run, &mut extra, None).map_err(asynoc::SimError::from)?;
+    tracers.push_into(&mut sinks);
+    let mut recorder = Recorder::new(net.site_of(), sinks);
+    let mut report =
+        drive(net, &run, &mut [&mut recorder], None).map_err(asynoc::SimError::from)?;
     let engine_profile = report.profile.take();
 
     let (waste_value, power_value) = F::energy_sections(&report, waste.as_ref(), phases.measure());

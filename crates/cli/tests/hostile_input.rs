@@ -677,6 +677,52 @@ fn mutated_spec_maps_never_panic_and_exit_as_the_contract_says() {
     );
 }
 
+#[test]
+fn mutated_fault_plans_run_or_fail_with_a_located_error() {
+    const PLANS: [&str; 5] = [
+        "stall:3:2:500;drop:1:0:1:500",
+        "stall:0:1:300;corrupt:0:1:both;stuck:7:2",
+        "lose:0:0;stall:175:3:200",
+        "corrupt:55:1:drop;lose:7:1",
+        "drop:7:2:2:700;stall:12:1:100000000",
+    ];
+    const FABRICS: [&str; 3] = [
+        "--arch BasicHybridSpeculative",
+        "--substrate mesh --size 4",
+        "--substrate vcmesh --mcast dpm --size 4",
+    ];
+    let tail = "--benchmark Multicast5 --rate 0.1 --warmup-ns 10 --measure-ns 60 --oracle";
+    let mut rng = SimRng::seed_from(0xFA17_91A2);
+    let (mut ran, mut refused, mut off_fabric) = (0, 0, 0);
+    for round in 0..240 {
+        let valid = PLANS[rng.index(PLANS.len())];
+        let plan = mutated_placement(&mut rng, valid, ";");
+        let mut args = vec!["faults", "--plan", &plan];
+        args.extend(FABRICS[round % 3].split(' ').chain(tail.split(' ')));
+        let started = Instant::now();
+        let output = asynoc(&args);
+        assert!(started.elapsed() < Duration::from_secs(2), "{plan:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        // Exit 0, or 1 behind an `error:` line (a plan the grammar or the
+        // fabric refuses, or one the oracle rejects): never a signal, a
+        // panic, or — the text is one flag's value — a usage error.
+        match output.status.code() {
+            Some(0) => ran += 1,
+            Some(1) => {
+                let first = stderr.lines().next().unwrap_or_default();
+                assert!(first.starts_with("error: "), "{plan:?}: {stderr}");
+                refused += usize::from(first.starts_with("error: --plan: "));
+                off_fabric += usize::from(first.contains(" is outside this fabric's 0.."));
+            }
+            code => panic!("{plan:?}: exit {code:?}: {stderr}"),
+        }
+    }
+    assert!(
+        ran > 20 && refused > 60 && off_fabric > 20,
+        "{ran} ran, {refused} refused, {off_fabric} of them for their aim"
+    );
+}
+
 /// The latency delta of a `window` record, as `asynoc metrics --stream`
 /// writes it for headers that took 40, 700 and 700 ps.
 const DELTA: &str = r#"{"overall":{"n":3,"min":40,"max":700,"sum":"1440","b":[[40,1],[171,2]]},"per_dest":[{"dest":1,"h":{"n":3,"min":40,"max":700,"sum":"1440","b":[[40,1],[171,2]]}}],"per_hops":[{"hops":4,"h":{"n":3,"min":40,"max":700,"sum":"1440","b":[[40,1],[171,2]]}}]}"#;

@@ -3,8 +3,8 @@
 //! Power accounting and per-node activity are composable [`Observer`]s.
 //! Every run carries both as its [`MotProbes`];
 //! [`crate::Network::run_with_observers`] lets callers append their own
-//! (a [`TraceCollector`](asynoc_telemetry::TraceCollector), a custom
-//! histogram, a live event dump) without touching the engine.
+//! (a [`Recorder`](asynoc_telemetry::Recorder) feeding telemetry's
+//! collectors, a live event dump) without touching the engine.
 
 use asynoc_engine::{Observer, RunConfig, SimEvent};
 use asynoc_kernel::Time;

@@ -18,9 +18,9 @@
 //! rules, and the tree routing — via [`MotModel`], and the [`Substrate`]
 //! contract ([`Network`]'s endpoint count, fault domain, and report
 //! section) the engine's one driver runs it through. Statistics and power
-//! attach as [`Observer`]s (see [`crate::observers`]); tracing is a
-//! [`TraceCollector`](asynoc_telemetry::TraceCollector) the caller
-//! registers, its nodes placed by [`Network::site_of`].
+//! attach as [`Observer`]s (see [`crate::observers`]); telemetry is one
+//! more, a [`Recorder`](asynoc_telemetry::Recorder) the caller registers,
+//! its nodes placed by [`Network::site_of`].
 
 use std::rc::Rc;
 
@@ -124,9 +124,8 @@ impl Network {
         fanout + self.config.size().total_fanin_nodes() as f64 * timing.fanin_area_um2
     }
 
-    /// Places a node by its coordinates (`fo[s0:1.1]`, `fi[d4:2.0]`): the
-    /// one view of a node that traces, streams, the time-series and the
-    /// waste ledger are built from.
+    /// Places a node by its coordinates (`fo[s0:1.1]`, `fi[d4:2.0]`): what
+    /// a run's [`Recorder`](asynoc_telemetry::Recorder) is built with.
     #[must_use]
     pub fn site_of(&self) -> SiteOf<MotNode> {
         let size = self.config.size();
@@ -581,7 +580,7 @@ mod tests {
     use crate::config::{NetworkConfig, RunConfig};
     use asynoc_packet::RouteSymbol;
     use asynoc_stats::Phases;
-    use asynoc_telemetry::{Action, Detail, TraceCollector};
+    use asynoc_telemetry::{Action, Detail, Recorder, TraceCollector};
     use asynoc_topology::Architecture;
     use asynoc_traffic::Benchmark;
 
@@ -725,8 +724,11 @@ mod tests {
                     Network::new(NetworkConfig::eight_by_eight(arch).with_seed(7)).unwrap();
                 let run = RunConfig::quick(Benchmark::Multicast5, 0.3);
                 let traced = |run: &RunConfig| {
-                    let mut trace = TraceCollector::new(512, network.site_of());
-                    let report = network.run_with_observers(run, &mut [&mut trace]).unwrap();
+                    let mut trace = TraceCollector::new(512);
+                    let mut recorder = Recorder::new(network.site_of(), vec![&mut trace]);
+                    let report = network
+                        .run_with_observers(run, &mut [&mut recorder])
+                        .unwrap();
                     (report, trace.into_records())
                 };
                 let (serial, serial_trace) = traced(&run);
@@ -995,9 +997,12 @@ mod tests {
         )
         .unwrap();
         let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
-        let mut collector = TraceCollector::new(500, network.site_of());
+        let mut collector = TraceCollector::new(500);
         network
-            .run_with_observers(&run, &mut [&mut collector])
+            .run_with_observers(
+                &run,
+                &mut [&mut Recorder::new(network.site_of(), vec![&mut collector])],
+            )
             .unwrap();
         let trace = collector.into_records();
         assert_eq!(trace.len(), 500, "the run outlasts the cap");

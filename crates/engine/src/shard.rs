@@ -149,16 +149,6 @@ impl Partition {
         self.lookahead
     }
 
-    /// How many channels have their two ends on different shards.
-    #[must_use]
-    pub fn cut_channels(&self) -> usize {
-        self.channel_up
-            .iter()
-            .zip(&self.channel_down)
-            .filter(|(up, down)| up != down)
-            .count()
-    }
-
     /// The shard owning `source` (and its injection events).
     #[must_use]
     pub fn source_shard(&self, source: usize) -> usize {

@@ -21,21 +21,18 @@
 //! - [`judge`] — the oracle: recoverable plans must leave the delivery
 //!   multiset identical with a latency delta bounded by the injected
 //!   budget; unrecoverable plans must degrade gracefully (every loss in
-//!   the ledger, every broken tree explained).
-//! - [`shrink_plan`] — failing plans bisect to a minimal reproducer
-//!   (`asynoc faults` prints the line that replays it).
+//!   the ledger, every broken tree explained); `asynoc faults` prints
+//!   the line that replays a violated pair.
 
 #![deny(missing_docs)]
 
 pub mod oracle;
 pub mod outcome;
 pub mod plan;
-pub mod shrink;
 
 pub use oracle::{judge, OracleCheck, OracleVerdict};
 pub use outcome::{run_outcome, DeliveryLog, DeliveryMultiset, RunOutcome};
 pub use plan::{FaultEntry, FaultPlan, PlanError};
-pub use shrink::shrink_plan;
 
 // Re-exported so plan targets and verdicts can be produced without a
 // direct engine dependency.

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use asynoc::{drive, Observer, RunConfig, SimError, SimEvent, Substrate, Time};
 use asynoc_engine::FaultSummary;
-use asynoc_telemetry::{FaultLedger, TokenLedger};
+use asynoc_telemetry::{FaultLedger, RecordSink, Recorder, SiteOf, TokenLedger};
 
 use crate::plan::FaultPlan;
 
@@ -90,9 +90,10 @@ pub struct RunOutcome {
 }
 
 /// Runs `net`, faulted iff `plan` is non-empty, with the oracle's
-/// observer stack (delivery log, fault ledger, token ledger) ahead of the
-/// caller's `observers` (e.g. a streaming sink), and distills the
-/// outcome. Extra observers see the identical, ungated event stream and
+/// stack — the delivery log on the event stream, the fault and token
+/// ledgers on the records a [`Recorder`] over `site_of` makes of it —
+/// ahead of the caller's `sinks` (e.g. a streaming sink), and distills
+/// the outcome. Extra sinks see the identical, ungated record stream and
 /// cannot perturb the outcome — streamed fault runs stay oracle-clean.
 ///
 /// # Errors
@@ -102,23 +103,21 @@ pub fn run_outcome<S: Substrate>(
     net: &S,
     run: &RunConfig,
     plan: Option<&FaultPlan>,
-    observers: &mut [&mut dyn Observer<S::Node>],
+    site_of: SiteOf<S::Node>,
+    sinks: &mut [&mut dyn RecordSink],
 ) -> Result<RunOutcome, SimError> {
     let mut log = DeliveryLog::new();
     let mut ledger = FaultLedger::new();
     let mut tokens = TokenLedger::default();
-    let mut stack: Vec<&mut dyn Observer<S::Node>> = vec![&mut log, &mut ledger, &mut tokens];
-    // Reborrowing each caller observer shortens its trait-object lifetime
+    let mut stack: Vec<&mut dyn RecordSink> = vec![&mut ledger, &mut tokens];
+    // Reborrowing each caller sink shortens its trait-object lifetime
     // to the local stack's.
-    stack.extend(
-        observers
-            .iter_mut()
-            .map(|o| &mut **o as &mut dyn Observer<S::Node>),
-    );
+    stack.extend(sinks.iter_mut().map(|s| &mut **s as &mut dyn RecordSink));
+    let mut recorder = Recorder::new(site_of, stack);
     let mut armed = plan
         .filter(|plan| !plan.entries.is_empty())
         .map(FaultPlan::arm);
-    let mut report = drive(net, run, &mut stack, armed.as_mut())?;
+    let mut report = drive(net, run, &mut [&mut log, &mut recorder], armed.as_mut())?;
     let trees = tokens.tally();
     Ok(RunOutcome {
         deliveries: log.into_deliveries(),
@@ -158,7 +157,8 @@ mod tests {
     #[test]
     fn clean_outcomes_record_deliveries_and_no_faults() {
         let net = small_net(11);
-        let outcome = run_outcome(&net, &quick_run(), None, &mut []).expect("run succeeds");
+        let outcome =
+            run_outcome(&net, &quick_run(), None, net.site_of(), &mut []).expect("run succeeds");
         assert!(!outcome.deliveries.is_empty(), "headers were delivered");
         assert_eq!(outcome.ledger.total(), 0);
         assert_eq!(outcome.summary.total(), 0);
@@ -169,9 +169,10 @@ mod tests {
     #[test]
     fn stalled_outcome_matches_clean_deliveries() {
         let net = small_net(11);
-        let clean = run_outcome(&net, &quick_run(), None, &mut []).expect("clean run");
+        let outcome = |plan| run_outcome(&net, &quick_run(), plan, net.site_of(), &mut []);
+        let clean = outcome(None).expect("clean run");
         let plan = FaultPlan::parse("stall:0:3:400;stall:5:2:300").expect("valid");
-        let faulted = run_outcome(&net, &quick_run(), Some(&plan), &mut []).expect("faulted run");
+        let faulted = outcome(Some(&plan)).expect("faulted run");
         assert_eq!(clean.deliveries, faulted.deliveries);
         assert_eq!(faulted.summary.stalls, faulted.ledger.total());
         assert!(faulted.summary.stalls > 0, "the stalls actually fired");

@@ -111,43 +111,42 @@ impl FaultEntry {
     ///
     /// Returns a [`PlanError`] naming the malformed token.
     pub fn parse(token: &str) -> Result<FaultEntry, PlanError> {
-        let bad = || PlanError::new(format!("malformed fault token {token:?}"));
         let fields: Vec<&str> = token.split(':').collect();
-        let uint = |raw: &str| raw.parse::<u64>().map_err(|_| bad());
-        match fields.as_slice() {
-            ["stall", channel, hits, extra] => Ok(FaultEntry::Stall {
-                channel: uint(channel)? as usize,
-                hits: uint(hits)? as u32,
-                extra_ps: uint(extra)?,
-            }),
-            ["corrupt", site, hits, sym] => {
-                let symbol = match *sym {
-                    "both" => RouteSymbol::Both,
-                    "drop" => RouteSymbol::Drop,
-                    _ => return Err(bad()),
-                };
-                Ok(FaultEntry::Corrupt {
-                    site: uint(site)? as usize,
-                    hits: uint(hits)? as u32,
-                    symbol,
-                })
-            }
-            ["stuck", site, hits] => Ok(FaultEntry::Stuck {
-                site: uint(site)? as usize,
-                hits: uint(hits)? as u32,
-            }),
-            ["drop", source, nth, drops, delay] => Ok(FaultEntry::Drop {
-                source: uint(source)? as usize,
-                nth: uint(nth)?,
-                drops: uint(drops)? as u32,
-                delay_ps: uint(delay)?,
-            }),
-            ["lose", source, nth] => Ok(FaultEntry::Lose {
-                source: uint(source)? as usize,
-                nth: uint(nth)?,
-            }),
-            _ => Err(bad()),
-        }
+        // A number too wide for its field is malformed, never truncated.
+        let entry = || {
+            Some(match fields.as_slice() {
+                ["stall", channel, hits, extra] => FaultEntry::Stall {
+                    channel: channel.parse().ok()?,
+                    hits: hits.parse().ok()?,
+                    extra_ps: extra.parse().ok()?,
+                },
+                ["corrupt", site, hits, symbol] => FaultEntry::Corrupt {
+                    site: site.parse().ok()?,
+                    hits: hits.parse().ok()?,
+                    symbol: match *symbol {
+                        "both" => RouteSymbol::Both,
+                        "drop" => RouteSymbol::Drop,
+                        _ => return None,
+                    },
+                },
+                ["stuck", site, hits] => FaultEntry::Stuck {
+                    site: site.parse().ok()?,
+                    hits: hits.parse().ok()?,
+                },
+                ["drop", source, nth, drops, delay] => FaultEntry::Drop {
+                    source: source.parse().ok()?,
+                    nth: nth.parse().ok()?,
+                    drops: drops.parse().ok()?,
+                    delay_ps: delay.parse().ok()?,
+                },
+                ["lose", source, nth] => FaultEntry::Lose {
+                    source: source.parse().ok()?,
+                    nth: nth.parse().ok()?,
+                },
+                _ => return None,
+            })
+        };
+        entry().ok_or_else(|| PlanError::new(format!("malformed fault token {token:?}")))
     }
 
     /// Whether this entry, on a substrate with `domain`, is guaranteed
@@ -170,14 +169,15 @@ impl FaultEntry {
         }
     }
 
-    /// The worst-case extra latency this entry can inject, ps.
+    /// The worst-case extra latency this entry can inject, ps
+    /// (saturating).
     #[must_use]
     pub fn delay_budget_ps(&self) -> u64 {
         match *self {
-            FaultEntry::Stall { hits, extra_ps, .. } => u64::from(hits) * extra_ps,
+            FaultEntry::Stall { hits, extra_ps, .. } => extra_ps.saturating_mul(hits.into()),
             FaultEntry::Drop {
                 drops, delay_ps, ..
-            } => u64::from(drops) * delay_ps,
+            } => delay_ps.saturating_mul(drops.into()),
             _ => 0,
         }
     }
@@ -210,6 +210,10 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+/// The most delay a plan may inject in all, ps: half the simulated clock's
+/// range, so that no stalled or re-sent flit is due past its end.
+const MAX_DELAY_PS: u64 = u64::MAX / 2;
 
 /// An ordered fault-injection campaign.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -306,7 +310,50 @@ impl FaultPlan {
     /// much the faulted run's mean may exceed the clean run's).
     #[must_use]
     pub fn delay_budget_ps(&self) -> u64 {
-        self.entries.iter().map(FaultEntry::delay_budget_ps).sum()
+        let budgets = self.entries.iter().map(FaultEntry::delay_budget_ps);
+        budgets.fold(0, u64::saturating_add)
+    }
+
+    /// Holds every entry to the fabric the plan is aimed at — a stall's
+    /// channel and a drop's or loss's source inside `domain`, a symbol
+    /// override at one of the fabric's `symbol_sites` routing nodes
+    /// (none on a mesh) — and the delays together to half the simulated
+    /// clock: an entry aimed elsewhere never fires, and would read as a
+    /// fault the fabric shrugged off.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PlanError`] naming the first offending entry by its
+    /// 1-based position and text.
+    pub fn validate(&self, domain: &FaultDomain, symbol_sites: usize) -> Result<(), PlanError> {
+        let mut budget_ps = 0u64;
+        for (index, entry) in self.entries.iter().enumerate() {
+            let refuse = |reason: String| {
+                let (nth, token) = (index + 1, entry.encode());
+                PlanError::new(format!("entry {nth} {token:?}: {reason}"))
+            };
+            let (what, target, count) = match *entry {
+                FaultEntry::Stall { channel, .. } => ("channel", channel, domain.channels),
+                FaultEntry::Corrupt { site, .. } | FaultEntry::Stuck { site, .. } => {
+                    ("symbol site", site, symbol_sites)
+                }
+                FaultEntry::Drop { source, .. } | FaultEntry::Lose { source, .. } => {
+                    ("source", source, domain.endpoints)
+                }
+            };
+            if target >= count {
+                return Err(refuse(format!(
+                    "{what} {target} is outside this fabric's 0..{count}"
+                )));
+            }
+            budget_ps = budget_ps.saturating_add(entry.delay_budget_ps());
+            if budget_ps > MAX_DELAY_PS {
+                return Err(refuse(format!(
+                    "the plan's delays add up to more than {MAX_DELAY_PS} ps"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Compiles the plan into the engine's armed table.
@@ -429,6 +476,62 @@ mod tests {
         let plan =
             FaultPlan::parse("stall:1:2:300;drop:0:1:2:500;lose:0:0;stuck:1:4").expect("valid");
         assert_eq!(plan.delay_budget_ps(), 2 * 300 + 2 * 500);
+    }
+
+    #[test]
+    fn numbers_too_wide_for_their_field_are_malformed_not_truncated() {
+        // 2^32 hits used to arm none; 2^64 of anything never parsed.
+        for bad in [
+            "stall:3:4294967296:10",
+            "drop:0:0:4294967296:10",
+            "stuck:1:4294967296",
+            "lose:18446744073709551616:0",
+        ] {
+            assert!(FaultPlan::parse(bad).is_err(), "{bad}");
+        }
+        let wide = FaultPlan::parse("stall:0:4294967295:18446744073709551615").expect("fits");
+        assert_eq!(wide.delay_budget_ps(), u64::MAX, "saturates");
+    }
+
+    #[test]
+    fn a_plan_aimed_outside_the_fabric_is_refused_entry_by_entry() {
+        let domain = FaultDomain {
+            channels: 176,
+            endpoints: 8,
+            corrupt_sites: vec![0, 1],
+        };
+        let refusal = |text: &str, symbol_sites| {
+            let plan = FaultPlan::parse(text).expect("well-formed");
+            plan.validate(&domain, symbol_sites)
+                .map_err(|e| e.to_string())
+        };
+        assert_eq!(
+            refusal(
+                "stall:175:1:10;corrupt:55:1:drop;stuck:55:2;drop:7:0:1:5;lose:7:9",
+                56
+            ),
+            Ok(())
+        );
+        for (text, symbol_sites, complaint) in [
+            (
+                "stall:99999:1:10;lose:77:1",
+                56,
+                "entry 1 \"stall:99999:1:10\": channel 99999 is outside this fabric's 0..176",
+            ),
+            (
+                "stuck:0:1",
+                0,
+                "entry 1 \"stuck:0:1\": symbol site 0 is outside this fabric's 0..0",
+            ),
+            (
+                "stall:0:1:5;stall:1:3:4611686018427387904",
+                56,
+                "entry 2 \"stall:1:3:4611686018427387904\": the plan's delays add up to more \
+                 than 9223372036854775807 ps",
+            ),
+        ] {
+            assert_eq!(refusal(text, symbol_sites), Err(complaint.to_string()));
+        }
     }
 
     #[test]

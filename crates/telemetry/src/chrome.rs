@@ -9,11 +9,10 @@
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use asynoc_engine::{ForwardInfo, Observer, SimEvent};
-use asynoc_kernel::Time;
-
 use crate::json::JsonValue;
-use crate::site::{Site, SiteOf};
+use crate::recorder::RecordSink;
+use crate::site::Site;
+use crate::trace::{Action, Detail, TraceRecord};
 
 #[derive(Clone, Debug)]
 struct ChromeEvent {
@@ -178,21 +177,20 @@ pub fn validate_chrome(text: &str) -> Result<usize, String> {
     Ok(timed)
 }
 
-/// A bounded observer rendering the engine event stream as a Chrome
-/// trace: spans for node firings (sized by busy time), instants for
-/// injections, throttles, and deliveries.
-pub struct ChromeTraceObserver<N> {
-    site_of: SiteOf<N>,
+/// A bounded record sink rendering a run as a Chrome trace: spans for
+/// node firings (sized by busy time), instants for injections,
+/// deliveries and faults. An event is named from what its record
+/// carries: `pkt{packet}[{flit}]`, with the forward's detail.
+pub struct ChromeTraceObserver {
     limit: usize,
     trace: ChromeTrace,
 }
 
-impl<N: Copy> ChromeTraceObserver<N> {
-    /// Records up to `limit` events, one track per site `site_of` names.
+impl ChromeTraceObserver {
+    /// Records up to `limit` events, one track per site.
     #[must_use]
-    pub fn new(limit: usize, site_of: SiteOf<N>) -> Self {
+    pub fn new(limit: usize) -> Self {
         ChromeTraceObserver {
-            site_of,
             limit,
             trace: ChromeTrace::new(),
         }
@@ -211,37 +209,38 @@ impl<N: Copy> ChromeTraceObserver<N> {
     }
 }
 
-impl<N: Copy> Observer<N> for ChromeTraceObserver<N> {
-    fn on_event(&mut self, at: Time, _in_window: bool, event: &SimEvent<'_, N>) {
+impl RecordSink for ChromeTraceObserver {
+    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
         if self.trace.len() >= self.limit {
             return;
         }
+        let flit = format!("pkt{}[{}]", record.packet, record.flit);
         // A fault gets a track of its own kind, not its site's.
-        let track = match event {
-            SimEvent::Fault { site, .. } => format!("fault{site}"),
-            _ => Site::of_event(event, &*self.site_of).to_string(),
+        let track = match (record.action, record.site) {
+            (Action::Fault, Site::Channel(n) | Site::Node(n) | Site::Source(n)) => {
+                format!("fault{n}")
+            }
+            (_, site) => site.to_string(),
         };
-        let (ts, trace) = (at.as_ps(), &mut self.trace);
-        match event {
-            SimEvent::Inject { flit, .. } => trace.instant(&track, ts, &format!("inject {flit}")),
-            SimEvent::Forward {
-                flit, info, busy, ..
-            } => {
-                let name = match info {
-                    ForwardInfo::Routed(symbol) => format!("{flit} [{symbol}]"),
-                    ForwardInfo::Arbitrated { input } => format!("{flit} (input {input})"),
-                };
-                trace.span(&track, ts, busy.as_ps(), &name);
+        let (ts, trace) = (record.t_ps, &mut self.trace);
+        match (record.action, record.detail) {
+            (Action::Inject, _) => trace.instant(&track, ts, &format!("inject {flit}")),
+            (Action::Forward, Detail::Input(input)) => {
+                trace.span(
+                    &track,
+                    ts,
+                    record.busy_ps,
+                    &format!("{flit} (input {input})"),
+                );
             }
-            SimEvent::Drop { flit, busy, .. } => {
-                trace.span(&track, ts, busy.as_ps(), &format!("THROTTLE {flit}"));
+            (Action::Forward, detail) => {
+                trace.span(&track, ts, record.busy_ps, &format!("{flit} [{detail}]"));
             }
-            SimEvent::Deliver { flit, .. } => {
-                trace.instant(&track, ts, &format!("deliver {flit}"));
+            (Action::Throttle, _) => {
+                trace.span(&track, ts, record.busy_ps, &format!("THROTTLE {flit}"));
             }
-            SimEvent::Fault { class, flit, .. } => {
-                trace.instant(&track, ts, &format!("{class} {flit}"));
-            }
+            (Action::Deliver, _) => trace.instant(&track, ts, &format!("deliver {flit}")),
+            (Action::Fault, detail) => trace.instant(&track, ts, &format!("{detail} {flit}")),
         }
     }
 }
@@ -249,25 +248,6 @@ impl<N: Copy> Observer<N> for ChromeTraceObserver<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
-    use std::sync::Arc;
-
-    use asynoc_kernel::Duration;
-    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
-
-    fn flit() -> Flit {
-        Flit::new(
-            Arc::new(PacketDescriptor::new(
-                PacketId::new(3),
-                0,
-                DestSet::unicast(1),
-                RouteHeader::for_tree(8),
-                1,
-                Time::ZERO,
-            )),
-            0,
-        )
-    }
 
     #[test]
     fn rendered_trace_validates_and_counts_events() {
@@ -321,35 +301,27 @@ mod tests {
 
     #[test]
     fn observer_emits_spans_for_forwards_and_validates() {
-        let f = flit();
-        let mut observer: ChromeTraceObserver<usize> =
-            ChromeTraceObserver::new(10, Rc::new(Site::Router));
-        observer.on_event(
-            Time::from_ps(10),
-            false,
-            &SimEvent::Inject {
-                source: 0,
-                flit: &f,
-            },
-        );
-        observer.on_event(
-            Time::from_ps(62),
-            true,
-            &SimEvent::Forward {
-                node: 4usize,
-                flit: &f,
-                info: ForwardInfo::Arbitrated { input: 0 },
-                copies: 1,
-                busy: Duration::from_ps(52),
-            },
-        );
-        observer.on_event(
-            Time::from_ps(130),
-            true,
-            &SimEvent::Deliver { dest: 1, flit: &f },
-        );
+        let mut observer = ChromeTraceObserver::new(10);
+        let at = |t_ps, action, site| TraceRecord {
+            t_ps,
+            packet: 3,
+            action,
+            site,
+            ..TraceRecord::INJECT
+        };
+        observer.on_record(&at(10, Action::Inject, Site::Source(0)), false);
+        let firing = TraceRecord {
+            detail: Detail::Input(0),
+            busy_ps: 52,
+            ..at(62, Action::Forward, Site::Router(4))
+        };
+        observer.on_record(&firing, true);
+        observer.on_record(&at(130, Action::Deliver, Site::Sink(1)), true);
         let text = observer.into_trace().render();
         assert_eq!(validate_chrome(&text), Ok(3));
+        for name in ["inject pkt3[0]", "pkt3[0] (input 0)", "deliver pkt3[0]"] {
+            assert!(text.contains(&format!("\"name\": \"{name}\"")), "{name}");
+        }
     }
 
     #[test]

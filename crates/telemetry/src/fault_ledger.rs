@@ -12,18 +12,18 @@
 
 use std::collections::BTreeMap;
 
-use asynoc_engine::{Observer, SimEvent};
-use asynoc_kernel::{FaultClass, Time};
+use asynoc_kernel::FaultClass;
 
 use crate::json::JsonValue;
-use crate::site::Site;
+use crate::recorder::RecordSink;
+use crate::trace::{Action, Detail, TraceRecord};
 
 /// Counts every fault event of a run, by class and by site.
 ///
-/// Substrate-agnostic: the engine's fault events carry plain site
-/// indices, placed by [`Site::of_fault`] as trace records place them
-/// (`ch*` for stalls, `node*` for symbol overrides, `src*` for source
-/// drops), so ledger rows join against trace records.
+/// Substrate-agnostic: a fault record's site is placed by
+/// [`Site::of_fault`](crate::Site::of_fault) (`ch*` for stalls, `node*`
+/// for symbol overrides, `src*` for source drops), so ledger rows join
+/// against trace records.
 #[derive(Clone, Debug, Default)]
 pub struct FaultLedger {
     by_class: [u64; FaultClass::ALL.len()],
@@ -109,21 +109,20 @@ impl FaultLedger {
     }
 }
 
-impl<N> Observer<N> for FaultLedger {
-    fn on_event(&mut self, _at: Time, _in_window: bool, event: &SimEvent<'_, N>) {
-        let SimEvent::Fault { class, site, flit } = event else {
+impl RecordSink for FaultLedger {
+    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
+        let (Action::Fault, Detail::Fault(class)) = (record.action, record.detail) else {
             return;
         };
         let index = FaultClass::ALL
             .iter()
-            .position(|c| c == class)
+            .position(|&c| c == class)
             .expect("class is in ALL");
         self.by_class[index] += 1;
-        let key = format!("{}:{}", Site::of_fault(*class, *site), class.label());
+        let key = format!("{}:{}", record.site, class.label());
         *self.per_site.entry(key).or_default() += 1;
-        if *class == FaultClass::PacketLost {
-            self.lost_packets
-                .push(flit.descriptor().logical_id().as_u64());
+        if class == FaultClass::PacketLost {
+            self.lost_packets.push(record.logical);
         }
     }
 }
@@ -131,47 +130,28 @@ impl<N> Observer<N> for FaultLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::site::Site;
 
-    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
-
-    fn flit(id: u64) -> Flit {
-        Flit::new(
-            Arc::new(PacketDescriptor::new(
-                PacketId::new(id),
-                0,
-                DestSet::unicast(1),
-                RouteHeader::for_tree(8),
-                1,
-                Time::ZERO,
-            )),
-            0,
-        )
+    fn fault(class: FaultClass, index: usize, logical: u64) -> TraceRecord {
+        TraceRecord {
+            logical,
+            site: Site::of_fault(class, index),
+            action: Action::Fault,
+            detail: Detail::Fault(class),
+            copies: 0,
+            ..TraceRecord::INJECT
+        }
     }
 
     #[test]
     fn counts_by_class_and_site() {
         let mut ledger = FaultLedger::new();
-        let f = flit(7);
-        let events: [SimEvent<'_, usize>; 3] = [
-            SimEvent::Fault {
-                class: FaultClass::LinkStall,
-                site: 4,
-                flit: &f,
-            },
-            SimEvent::Fault {
-                class: FaultClass::LinkStall,
-                site: 4,
-                flit: &f,
-            },
-            SimEvent::Fault {
-                class: FaultClass::SymbolCorrupt,
-                site: 9,
-                flit: &f,
-            },
-        ];
-        for event in &events {
-            ledger.on_event(Time::ZERO, false, event);
+        for record in [
+            fault(FaultClass::LinkStall, 4, 7),
+            fault(FaultClass::LinkStall, 4, 7),
+            fault(FaultClass::SymbolCorrupt, 9, 7),
+        ] {
+            ledger.on_record(&record, false);
         }
         // Ungated: all three were outside the window yet counted.
         assert_eq!(ledger.total(), 3);
@@ -184,13 +164,7 @@ mod tests {
     #[test]
     fn lost_packets_are_recorded_by_logical_id() {
         let mut ledger = FaultLedger::new();
-        let f = flit(42);
-        let event: SimEvent<'_, usize> = SimEvent::Fault {
-            class: FaultClass::PacketLost,
-            site: 0,
-            flit: &f,
-        };
-        ledger.on_event(Time::ZERO, true, &event);
+        ledger.on_record(&fault(FaultClass::PacketLost, 0, 42), true);
         assert_eq!(ledger.lost(), 1);
         assert_eq!(ledger.lost_packets(), &[42]);
         let json = ledger.to_json().render();
@@ -199,14 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn non_fault_events_are_ignored() {
+    fn non_fault_records_are_ignored() {
         let mut ledger = FaultLedger::new();
-        let f = flit(1);
-        let event: SimEvent<'_, usize> = SimEvent::Inject {
-            source: 0,
-            flit: &f,
-        };
-        ledger.on_event(Time::ZERO, true, &event);
+        ledger.on_record(&TraceRecord::INJECT, true);
         assert_eq!(ledger.total(), 0);
     }
 }

@@ -1,13 +1,15 @@
 //! Per-destination and per-hop-count latency distributions.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use asynoc_engine::{Observer, SimEvent};
-use asynoc_kernel::Time;
+use asynoc_kernel::{Duration, Time};
 use asynoc_stats::Phases;
 
 use crate::histogram::{from_delta_json, summary_members, to_delta_json, LogHistogram};
 use crate::json::JsonValue;
+use crate::recorder::RecordSink;
+use crate::site::Site;
+use crate::trace::{Action, TraceRecord};
 
 /// Streams header-delivery latencies into log-bucketed histograms:
 /// one overall, one per destination, one per hop count.
@@ -18,14 +20,20 @@ use crate::json::JsonValue;
 /// engine's per-logical-packet report (on unicast traffic the two are
 /// equal), but broken out by where the copy landed and how many node
 /// traversals its packet's header needed. Hop count is the number of
-/// `Forward` events the physical packet's header generated: the exact
+/// `forward` records the physical packet's header generated: the exact
 /// path length for unicast traffic, the replication-tree edge count for
 /// in-network multicast.
+///
+/// The report is rendered from the run's totals. Once a stream sink
+/// windows the collector ([`drain_window`]), every sample also lands in
+/// the delta the next drain takes.
+///
+/// [`drain_window`]: LatencyHistograms::drain_window
 pub struct LatencyHistograms {
     phases: Phases,
-    overall: LogHistogram,
-    per_dest: Vec<LogHistogram>,
-    per_hops: BTreeMap<u32, LogHistogram>,
+    endpoints: usize,
+    total: LatencyWindow,
+    window: Option<LatencyWindow>,
     header_forwards: HashMap<u64, u32>,
 }
 
@@ -36,92 +44,63 @@ impl LatencyHistograms {
     pub fn new(phases: Phases, endpoints: usize) -> Self {
         LatencyHistograms {
             phases,
-            overall: LogHistogram::new(),
-            per_dest: vec![LogHistogram::new(); endpoints],
-            per_hops: BTreeMap::new(),
+            endpoints,
+            total: LatencyWindow::default(),
+            window: None,
             header_forwards: HashMap::new(),
         }
     }
 
-    /// A collector used purely as a fold accumulator: it never observes
-    /// events (so the phase gate is irrelevant), only
+    /// A collector used purely as a fold accumulator: it never sees a
+    /// record (so the phase gate is irrelevant), only
     /// [`LatencyHistograms::absorb`]s drained windows and renders
     /// [`LatencyHistograms::to_json`].
     #[must_use]
     pub fn accumulator(endpoints: usize) -> Self {
-        LatencyHistograms::new(
-            Phases::new(
-                asynoc_kernel::Duration::ZERO,
-                asynoc_kernel::Duration::from_ps(1),
-            ),
-            endpoints,
-        )
+        LatencyHistograms::new(Phases::new(Duration::ZERO, Duration::from_ps(1)), endpoints)
     }
 
     /// The all-destinations histogram.
     #[must_use]
     pub fn overall(&self) -> &LogHistogram {
-        &self.overall
+        &self.total.overall
     }
 
-    /// Per-destination histograms, indexed by endpoint.
-    #[must_use]
-    pub fn per_dest(&self) -> &[LogHistogram] {
-        &self.per_dest
-    }
-
-    /// Per-hop-count histograms.
-    #[must_use]
-    pub fn per_hops(&self) -> &BTreeMap<u32, LogHistogram> {
-        &self.per_hops
-    }
-
-    /// Number of destination slots the collector was built with.
+    /// Number of destinations the collector was built for.
     #[must_use]
     pub fn endpoints(&self) -> usize {
-        self.per_dest.len()
+        self.endpoints
     }
 
-    /// Drains the histograms accumulated since the last drain into a
-    /// [`LatencyWindow`] delta, leaving the collector empty but keeping
-    /// its persistent hop-count bookkeeping. Streaming sinks call this
-    /// at every window boundary; the drained deltas [`absorb`]ed back
-    /// in order reproduce the batch collector exactly (histogram merge
-    /// is associative and lossless).
+    /// Takes the samples recorded since the last drain as a
+    /// [`LatencyWindow`] delta — none before the first drain, which is
+    /// what starts the delta being kept; the totals and the hop-count
+    /// bookkeeping stay. A stream sink drains once as it opens and then
+    /// at every window boundary; the deltas [`absorb`]ed in order into
+    /// an accumulator reproduce the totals exactly (histogram merge is
+    /// associative and lossless).
     ///
     /// [`absorb`]: LatencyHistograms::absorb
     #[must_use]
     pub fn drain_window(&mut self) -> LatencyWindow {
-        let overall = std::mem::take(&mut self.overall);
-        let per_dest: Vec<(u64, LogHistogram)> = self
-            .per_dest
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, h)| h.count() > 0)
-            .map(|(dest, h)| (dest as u64, std::mem::take(h)))
-            .collect();
-        let per_hops: Vec<(u32, LogHistogram)> =
-            std::mem::take(&mut self.per_hops).into_iter().collect();
-        LatencyWindow {
-            overall,
-            per_dest,
-            per_hops,
-        }
+        self.window
+            .replace(LatencyWindow::default())
+            .unwrap_or_default()
     }
 
-    /// Folds a drained window delta back into the collector (the
-    /// inverse of [`LatencyHistograms::drain_window`], used by the
-    /// stream fold). Destinations outside the collector's range are
-    /// ignored.
+    /// Folds a drained window delta into the totals (the inverse of
+    /// [`LatencyHistograms::drain_window`], used by the stream fold).
+    /// Destinations outside the collector's range are ignored.
     pub fn absorb(&mut self, window: &LatencyWindow) {
-        self.overall.merge(&window.overall);
+        let total = &mut self.total;
+        total.overall.merge(&window.overall);
         for (dest, h) in &window.per_dest {
-            if let Some(mine) = self.per_dest.get_mut(*dest as usize) {
-                mine.merge(h);
+            if *dest < self.endpoints as u64 {
+                slot(&mut total.per_dest, *dest).merge(h);
             }
         }
         for (hops, h) in &window.per_hops {
-            self.per_hops.entry(*hops).or_default().merge(h);
+            slot(&mut total.per_hops, *hops).merge(h);
         }
     }
 
@@ -145,25 +124,31 @@ impl LatencyHistograms {
             fields.extend(summary_members(h));
             JsonValue::Object(fields)
         };
-        let occupied = self
-            .per_dest
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.count() > 0);
-        let per_dest = occupied.map(|(dest, h)| keyed("dest", dest as u64, h));
-        let per_hops = self
-            .per_hops
-            .iter()
-            .map(|(hops, h)| keyed("hops", u64::from(*hops), h));
-        let mut members = summary_members(&self.overall);
+        let occupied = self.total.per_dest.iter().filter(|(_, h)| h.count() > 0);
+        let per_dest = occupied.map(|(dest, h)| keyed("dest", *dest, h));
+        let per_hops = self.total.per_hops.iter();
+        let per_hops = per_hops.map(|(hops, h)| keyed("hops", u64::from(*hops), h));
+        let mut members = summary_members(&self.total.overall);
         members.push(("per_dest".to_string(), JsonValue::Array(per_dest.collect())));
         members.push(("per_hops".to_string(), JsonValue::Array(per_hops.collect())));
         JsonValue::Object(members)
     }
 }
 
-/// One window's worth of drained latency histograms: the overall delta
-/// plus only the destinations and hop counts that saw samples.
+/// The histogram of `key` in a key-ordered sparse list, empty on first
+/// sight.
+fn slot<K: Ord + Copy>(entries: &mut Vec<(K, LogHistogram)>, key: K) -> &mut LogHistogram {
+    let found = entries.binary_search_by_key(&key, |entry| entry.0);
+    let at = found.unwrap_or_else(|at| {
+        entries.insert(at, (key, LogHistogram::new()));
+        at
+    });
+    &mut entries[at].1
+}
+
+/// One window's worth of latency histograms: the overall one plus only
+/// the destinations and hop counts that saw samples, in key order — a
+/// drained delta, and the shape the collector's totals are kept in.
 ///
 /// Serialized into `window` records of the `asynoc-stream-v1` NDJSON
 /// stream; parsing and [`LatencyHistograms::absorb`]ing every window of
@@ -179,6 +164,14 @@ pub struct LatencyWindow {
 }
 
 impl LatencyWindow {
+    fn record(&mut self, dest: Option<u64>, hops: u32, latency: Duration) {
+        self.overall.record(latency);
+        if let Some(dest) = dest {
+            slot(&mut self.per_dest, dest).record(latency);
+        }
+        slot(&mut self.per_hops, hops).record(latency);
+    }
+
     /// Returns `true` if the window recorded no samples at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -240,33 +233,31 @@ impl LatencyWindow {
     }
 }
 
-impl<N> Observer<N> for LatencyHistograms {
-    fn on_event(&mut self, at: Time, _in_window: bool, event: &SimEvent<'_, N>) {
-        match event {
-            SimEvent::Forward { flit, .. } if flit.kind().is_header() => {
-                *self
-                    .header_forwards
-                    .entry(flit.descriptor().id().as_u64())
-                    .or_insert(0) += 1;
-            }
-            SimEvent::Deliver { dest, flit } if flit.kind().is_header() => {
-                let created = flit.descriptor().created_at();
+impl RecordSink for LatencyHistograms {
+    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
+        if record.flit != 0 {
+            return;
+        }
+        match record.action {
+            Action::Forward => *self.header_forwards.entry(record.packet).or_insert(0) += 1,
+            Action::Deliver => {
+                let created = Time::from_ps(record.created_ps);
                 if !self.phases.in_measurement(created) {
                     return;
                 }
-                let latency = at.saturating_since(created);
-                self.overall.record(latency);
-                if let Some(h) = self.per_dest.get_mut(*dest) {
-                    h.record(latency);
+                let latency = Time::from_ps(record.t_ps).saturating_since(created);
+                let dest = match record.site {
+                    Site::Sink(dest) if dest < self.endpoints => Some(dest as u64),
+                    _ => None,
+                };
+                let hops = self.header_forwards.get(&record.packet).copied();
+                let hops = hops.unwrap_or(0);
+                self.total.record(dest, hops, latency);
+                if let Some(window) = &mut self.window {
+                    window.record(dest, hops, latency);
                 }
-                let hops = self
-                    .header_forwards
-                    .get(&flit.descriptor().id().as_u64())
-                    .copied()
-                    .unwrap_or(0);
-                self.per_hops.entry(hops).or_default().record(latency);
             }
-            _ => {}
+            Action::Inject | Action::Throttle | Action::Fault => {}
         }
     }
 }
@@ -274,23 +265,17 @@ impl<N> Observer<N> for LatencyHistograms {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    use asynoc_kernel::Duration;
-    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
-
-    fn header(id: u64, dest: usize, created: Time) -> Flit {
-        Flit::new(
-            Arc::new(PacketDescriptor::new(
-                PacketId::new(id),
-                0,
-                DestSet::unicast(dest),
-                RouteHeader::for_tree(8),
-                2,
-                created,
-            )),
-            0,
-        )
+    /// A header's delivery at `dest`, or one of its forwards.
+    fn header(action: Action, packet: u64, dest: usize, created_ps: u64, t_ps: u64) -> TraceRecord {
+        TraceRecord {
+            t_ps,
+            packet,
+            created_ps,
+            action,
+            site: Site::Sink(dest),
+            ..TraceRecord::INJECT
+        }
     }
 
     fn phases() -> Phases {
@@ -300,86 +285,75 @@ mod tests {
     #[test]
     fn samples_only_window_created_packets() {
         let mut collector = LatencyHistograms::new(phases(), 8);
-        let early = header(1, 3, Time::from_ps(50_000)); // warmup
-        let inside = header(2, 3, Time::from_ps(200_000)); // window
-        for (flit, at) in [(&early, 60_000u64), (&inside, 200_700)] {
-            let event: SimEvent<'_, usize> = SimEvent::Deliver { dest: 3, flit };
-            collector.on_event(Time::from_ps(at), true, &event);
-        }
+        // Created in warmup, then inside the window.
+        collector.on_record(&header(Action::Deliver, 1, 3, 50_000, 60_000), true);
+        collector.on_record(&header(Action::Deliver, 2, 3, 200_000, 200_700), true);
+        // A body flit's delivery is no sample.
+        let body = TraceRecord {
+            flit: 1,
+            ..header(Action::Deliver, 2, 3, 200_000, 200_900)
+        };
+        collector.on_record(&body, true);
         assert_eq!(collector.overall().count(), 1);
         assert_eq!(collector.overall().max(), Some(Duration::from_ps(700)));
-        assert_eq!(collector.per_dest()[3].count(), 1);
-        assert_eq!(collector.per_dest()[0].count(), 0);
+        let per_dest = &collector.total.per_dest;
+        assert_eq!(
+            (per_dest.len(), per_dest[0].0, per_dest[0].1.count()),
+            (1, 3, 1)
+        );
     }
 
     #[test]
     fn hop_counts_key_the_breakdown() {
         let mut collector = LatencyHistograms::new(phases(), 8);
-        let flit = header(7, 1, Time::from_ps(150_000));
         for k in 0..3u64 {
-            let event: SimEvent<'_, usize> = SimEvent::Forward {
-                node: 0,
-                flit: &flit,
-                info: asynoc_engine::ForwardInfo::Arbitrated { input: 0 },
-                copies: 1,
-                busy: Duration::from_ps(10),
-            };
-            collector.on_event(Time::from_ps(150_100 + k), true, &event);
+            collector.on_record(&header(Action::Forward, 7, 1, 150_000, 150_100 + k), true);
         }
-        let deliver: SimEvent<'_, usize> = SimEvent::Deliver {
-            dest: 1,
-            flit: &flit,
-        };
-        collector.on_event(Time::from_ps(151_000), true, &deliver);
-        assert_eq!(collector.per_hops().len(), 1);
-        assert_eq!(collector.per_hops()[&3].count(), 1);
+        collector.on_record(&header(Action::Deliver, 7, 1, 150_000, 151_000), true);
+        let per_hops = &collector.total.per_hops;
+        assert_eq!(
+            (per_hops.len(), per_hops[0].0, per_hops[0].1.count()),
+            (1, 3, 1)
+        );
     }
 
     #[test]
-    fn drained_windows_absorb_back_to_the_batch_document() {
-        // Run the same event stream through a batch collector and a
-        // windowed one (drained every few events); absorbing the drained
-        // windows into an accumulator must reproduce the batch JSON
-        // byte-for-byte.
-        let mut batch = LatencyHistograms::new(phases(), 8);
-        let mut windowed = LatencyHistograms::new(phases(), 8);
+    fn drained_windows_absorb_back_to_the_totals() {
+        // One collector, drained every few records as a stream sink
+        // would: absorbing the drained windows into an accumulator must
+        // reproduce its own totals' JSON byte for byte, and draining must
+        // leave those totals alone.
+        let mut collector = LatencyHistograms::new(phases(), 8);
         let mut accumulator = LatencyHistograms::accumulator(8);
-        let mut drained = Vec::new();
+        // The first drain opens the window: nothing is kept before it.
+        let mut drained = vec![collector.drain_window()];
         for k in 0..40u64 {
-            let flit = header(k, (k % 8) as usize, Time::from_ps(150_000 + k * 17));
-            let deliver: SimEvent<'_, usize> = SimEvent::Deliver {
-                dest: (k % 8) as usize,
-                flit: &flit,
-            };
-            let at = Time::from_ps(150_000 + k * 17 + 311 + (k % 5) * 37);
-            batch.on_event(at, true, &deliver);
-            windowed.on_event(at, true, &deliver);
+            let created = 150_000 + k * 17;
+            let at = created + 311 + (k % 5) * 37;
+            collector.on_record(
+                &header(Action::Deliver, k, (k % 8) as usize, created, at),
+                true,
+            );
             if k % 7 == 6 {
-                drained.push(windowed.drain_window());
+                drained.push(collector.drain_window());
             }
         }
-        drained.push(windowed.drain_window());
+        drained.push(collector.drain_window());
+        assert!(collector.drain_window().is_empty(), "a drain takes it all");
+        assert_eq!(collector.overall().count(), 40);
         for window in &drained {
             // Serde round-trip on the way, as the stream would.
             let parsed = JsonValue::parse(&window.to_json().render()).expect("valid JSON");
             let back = LatencyWindow::from_json(&parsed).expect("well-formed window");
             accumulator.absorb(&back);
         }
-        assert_eq!(accumulator.to_json().render(), batch.to_json().render());
+        assert_eq!(accumulator.to_json().render(), collector.to_json().render());
     }
 
     #[test]
     fn forget_packet_releases_hop_bookkeeping() {
         let mut collector = LatencyHistograms::new(phases(), 8);
-        let flit = header(9, 1, Time::from_ps(150_000));
-        let forward: SimEvent<'_, usize> = SimEvent::Forward {
-            node: 0,
-            flit: &flit,
-            info: asynoc_engine::ForwardInfo::Arbitrated { input: 0 },
-            copies: 1,
-            busy: Duration::from_ps(10),
-        };
-        collector.on_event(Time::from_ps(150_100), true, &forward);
+        collector.on_record(&header(Action::Forward, 9, 1, 150_000, 150_100), true);
         assert_eq!(collector.header_forwards.len(), 1);
         collector.forget_packet(9);
         assert!(collector.header_forwards.is_empty());
@@ -388,12 +362,7 @@ mod tests {
     #[test]
     fn json_skips_empty_destinations() {
         let mut collector = LatencyHistograms::new(phases(), 4);
-        let flit = header(1, 2, Time::from_ps(150_000));
-        let deliver: SimEvent<'_, usize> = SimEvent::Deliver {
-            dest: 2,
-            flit: &flit,
-        };
-        collector.on_event(Time::from_ps(150_052), true, &deliver);
+        collector.on_record(&header(Action::Deliver, 1, 2, 150_000, 150_052), true);
         let json = collector.to_json();
         let per_dest = json.get("per_dest").and_then(JsonValue::as_array).unwrap();
         assert_eq!(per_dest.len(), 1);

@@ -1,11 +1,14 @@
-//! `asynoc-telemetry` — composable, substrate-agnostic observers over the
-//! engine's event stream.
+//! `asynoc-telemetry` — composable, substrate-agnostic collectors over
+//! one typed record of what happened.
 //!
-//! The simulators (the `asynoc` MoT, the `asynoc-mesh` 2D mesh) expose one
+//! The simulators (the `asynoc` MoT, the 2D meshes) expose one
 //! instrumentation point: the engine's `Observer<N>` trait, called
-//! synchronously for every inject/forward/drop/deliver. Everything in this
-//! crate is an implementation of that trait (or an export format for what
-//! one collected), generic over the substrate's node type `N`:
+//! synchronously for every inject/forward/drop/deliver. This crate
+//! implements it once — a [`Recorder`] owns the run's [`SiteOf`], builds
+//! each event's [`TraceRecord`] and hands it to every registered
+//! [`RecordSink`] — and everything else here is a record sink (or an
+//! export format for what one collected), so it runs the same from a
+//! live run and from a recording of one:
 //!
 //! - [`LatencyHistograms`] — log-bucketed latency distributions
 //!   (p50/p90/p99/p999), overall, per destination, and per hop count.
@@ -19,7 +22,7 @@
 //!   (reconciles with the fault oracle and span-tree analysis).
 //! - [`Site`] — where an event happened: the one identity of a node
 //!   above the engine, the only writer and reader of the site-label
-//!   grammar. A substrate hands its observers one [`SiteOf`] function.
+//!   grammar. A substrate hands the run's recorder one [`SiteOf`] function.
 //! - [`TraceCollector`] / [`render_trace`] — flat, typed, `Copy` trace
 //!   records with NDJSON import/export shared by every substrate;
 //!   [`TraceWriter`] spells the same lines at event time without keeping
@@ -29,16 +32,16 @@
 //!   what is in flight.
 //! - [`ChromeTraceObserver`] / [`ChromeTrace`] — Chrome trace-event
 //!   (Perfetto-loadable) export, with a [`validate_chrome`] checker.
-//! - [`StreamSink`] — bounded-memory live export: `asynoc-stream-v1`
-//!   NDJSON windows/traces/watchpoints flushed per simulated-time
-//!   window, with [`fold_stream`] (incrementally: [`StreamFolder`])
-//!   reconstructing the batch `asynoc-metrics-v1` document byte for byte
-//!   from a finished stream.
+//! - [`StreamSink`] — live export: a window over the run's
+//!   [`LatencyHistograms`] and [`TimeSeries`] writing `asynoc-stream-v1`
+//!   NDJSON windows/traces/watchpoints per simulated-time window, with
+//!   [`fold_stream`] (incrementally: [`StreamFolder`]) reconstructing the
+//!   batch `asynoc-metrics-v1` document byte for byte from a finished
+//!   stream.
 //!
-//! Registering none of these costs nothing: the engine's observer slice is
-//! simply empty (`benches/observer_overhead.rs` in `asynoc-bench` guards
-//! this). Serialization is hand-rolled JSON ([`JsonValue`]) because the
-//! workspace is dependency-free.
+//! Registering none of these costs nothing: no recorder is built and the
+//! engine's observer slice is simply empty. Serialization is hand-rolled
+//! JSON ([`JsonValue`]) because the workspace is dependency-free.
 
 #![deny(missing_docs)]
 
@@ -47,6 +50,7 @@ pub mod fault_ledger;
 pub mod histogram;
 pub mod json;
 pub mod latency;
+pub mod recorder;
 #[cfg(test)]
 mod reference;
 pub mod site;
@@ -61,6 +65,7 @@ pub use fault_ledger::FaultLedger;
 pub use histogram::LogHistogram;
 pub use json::{JsonError, JsonValue};
 pub use latency::{LatencyHistograms, LatencyWindow};
+pub use recorder::{RecordSink, Recorder};
 pub use site::{Site, SiteOf, Stage};
 pub use stream::{
     fold_stream, StreamConfig, StreamFoldError, StreamFolder, StreamLine, StreamSink,

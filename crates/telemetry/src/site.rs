@@ -1,9 +1,9 @@
 //! Where an event happened: the one identity of a node above the engine.
 //!
 //! The engine knows a node as its substrate's own index type; every
-//! observer, record and report knows it as a [`Site`] — the coordinates
+//! collector, record and report knows it as a [`Site`] — the coordinates
 //! the wiring of both fabrics is fully determined by. A substrate hands
-//! its observers one [`SiteOf`] function and nothing else; the label
+//! the run's recorder one [`SiteOf`] function and nothing else; the label
 //! grammar (`src3`, `fo[s2:1.0]`, `fi[d4:2.3]`, `D5`, `r12`, `ch101`,
 //! `node15`) has one writer, [`Site`]'s `Display`, and one reader, its
 //! `FromStr`; and the tree arithmetic — a node's stage, its causal
@@ -14,7 +14,6 @@ use std::fmt;
 use std::rc::Rc;
 use std::str::FromStr;
 
-use asynoc_engine::SimEvent;
 use asynoc_kernel::FaultClass;
 
 use crate::json::write_digits;
@@ -54,8 +53,8 @@ pub enum Site {
     Node(usize),
 }
 
-/// How a substrate names its nodes: the one view of a node every observer
-/// is built from.
+/// How a substrate names its nodes: what a run's one
+/// [`Recorder`](crate::Recorder) places every firing node with.
 pub type SiteOf<N> = Rc<dyn Fn(N) -> Site>;
 
 /// The pipeline stage a site belongs to: the key time-series levels,
@@ -107,16 +106,6 @@ impl fmt::Display for Stage {
 }
 
 impl Site {
-    /// Where `event` happened; `site_of` names the substrate's nodes.
-    pub fn of_event<N: Copy>(event: &SimEvent<'_, N>, site_of: &dyn Fn(N) -> Site) -> Site {
-        match *event {
-            SimEvent::Inject { source, .. } => Site::Source(source),
-            SimEvent::Forward { node, .. } | SimEvent::Drop { node, .. } => site_of(node),
-            SimEvent::Deliver { dest, .. } => Site::Sink(dest),
-            SimEvent::Fault { class, site, .. } => Site::of_fault(class, site),
-        }
-    }
-
     /// Where a fault of `class` was injected: the engine's fault events
     /// carry a channel id for stalls, a symbol site for corruptions and a
     /// source index for drops and losses.

@@ -1,7 +1,7 @@
 //! Streaming telemetry: bounded-memory NDJSON export of windowed
 //! metric deltas, with online invariant watchpoints.
 //!
-//! A [`StreamSink`] is an engine observer that writes an
+//! A [`StreamSink`] is a record sink that writes an
 //! [`STREAM_SCHEMA`] NDJSON stream *while the run executes*: one `head`
 //! record describing the run, one `window` record per closed
 //! simulated-time window (latency histogram deltas and finalized
@@ -11,22 +11,26 @@
 //!
 //! Two properties anchor the design:
 //!
-//! - **Determinism.** The sink is driven purely by the observer event
-//!   stream, which the engine replays in exact serial order regardless
+//! - **Determinism.** The sink is driven purely by the record stream,
+//!   which the engine's events arrive as in exact serial order regardless
 //!   of shard count — so serial and sharded runs of the same spec
 //!   produce *byte-identical* streams.
-//! - **Concatenation.** Folding a metrics-grade stream back together
-//!   ([`fold_stream`]) reproduces the batch `asynoc-metrics-v1`
-//!   document byte-for-byte: latency deltas merge losslessly
-//!   ([`LatencyHistograms::absorb`]), window bins concatenate into the
-//!   batch `bins` array, and the scalar sections (waste, throughput,
-//!   power, counters) ride the `end` record unchanged.
+//! - **Concatenation.** The sink keeps no latency or time-series state of
+//!   its own: it is a window over the run's [`LatencyHistograms`] and
+//!   [`TimeSeries`], which it borrows, feeds, and reads deltas from at
+//!   every flush. So folding a metrics-grade stream back together
+//!   ([`fold_stream`]) reproduces the batch `asynoc-metrics-v1` document
+//!   byte-for-byte by construction: latency deltas merge losslessly
+//!   ([`LatencyHistograms::absorb`]) into the very totals the document
+//!   renders, window bins are the document's `bins` in order, and the
+//!   scalar sections (waste, throughput, power, counters) ride the `end`
+//!   record unchanged.
 //!
-//! Live memory is bounded independent of event count: histogram deltas
-//! are drained every window, emitted bins are never revisited (the bin
-//! store itself is capped), the trace buffer is drained per window, and
-//! per-flit watchpoint bookkeeping is proportional to *in-flight*
-//! traffic, not run length.
+//! What the sink itself holds is bounded independent of record count:
+//! the trace buffer is drained per window, and per-flit watchpoint
+//! bookkeeping is proportional to *in-flight* traffic, not run length
+//! (the borrowed collectors keep what a batch run keeps: fixed-size
+//! histograms and a capped bin store).
 //!
 //! # Watchpoints
 //!
@@ -53,16 +57,15 @@
 use std::collections::{HashMap, HashSet};
 use std::io::{BufWriter, Write};
 
-use asynoc_engine::{NodeKey, Observer, SimEvent};
 use asynoc_kernel::{Duration, Time, WindowClock};
-use asynoc_stats::Phases;
 
 use crate::json::{write_u64, JsonError, JsonValue, Scanner};
 use crate::latency::{LatencyHistograms, LatencyWindow};
-use crate::site::{Site, SiteOf};
+use crate::recorder::RecordSink;
+use crate::site::Site;
 use crate::timeseries::TimeSeries;
 use crate::tokens::TokenLedger;
-use crate::trace::TraceWriter;
+use crate::trace::{Action, TraceRecord, TraceWriter};
 use crate::METRICS_SCHEMA;
 
 /// Schema tag of the streaming NDJSON format (the `schema` field of the
@@ -109,26 +112,26 @@ pub struct StreamSummary {
     pub watchpoints: u64,
 }
 
-/// The streaming observer. See the module docs for the record protocol.
+/// The streaming sink. See the module docs for the record protocol.
 ///
-/// Register it alongside (or instead of) the batch collectors; after
-/// the run, call [`StreamSink::finish`] with the scalar summary
-/// sections to close the stream.
-pub struct StreamSink<N> {
+/// It stands in front of the run's latency and time-series collectors:
+/// register it *instead of* them, and it feeds each record on; after the
+/// run, call [`StreamSink::finish`] with the scalar summary sections to
+/// close the stream and release the collectors.
+pub struct StreamSink<'a> {
     out: BufWriter<Box<dyn Write>>,
     err: Option<std::io::Error>,
     clock: WindowClock,
-    latency: LatencyHistograms,
-    series: TimeSeries<N>,
-    trace: Option<TraceWriter<N>>,
-    site_of: SiteOf<N>,
+    latency: &'a mut LatencyHistograms,
+    series: &'a mut TimeSeries,
+    trace: Option<TraceWriter>,
     // Per-window counters, reset at every flush.
     w_events: u64,
     w_injected: u64,
     w_delivered: u64,
     w_dropped: u64,
     w_forwards: u64,
-    node_busy: HashMap<u64, (N, u64)>,
+    node_busy: HashMap<Site, u64>,
     // Run-wide state.
     in_flight: i64,
     emitted_bins: usize,
@@ -136,7 +139,7 @@ pub struct StreamSink<N> {
     /// Every flit in flight, with the site that last touched it.
     tokens: TokenLedger<Site>,
     packet_refs: HashMap<u64, i64>,
-    watermark_fired: HashSet<u64>,
+    watermark_fired: HashSet<Site>,
     stall_run: u64,
     stalled: bool,
     conservation_fired: u64,
@@ -144,13 +147,24 @@ pub struct StreamSink<N> {
     watchpoints: u64,
 }
 
-impl<N: Copy + NodeKey> StreamSink<N> {
-    /// Opens a stream over `out`: writes the `head` record and returns
-    /// the sink ready to observe events. `phases` gates latency
-    /// sampling exactly as the batch collector does; `endpoints` sizes
-    /// the per-destination breakdown; `series` supplies the bin width
-    /// and level grouping (build it exactly as the batch path would);
-    /// `site_of` places nodes in trace and watchpoint records.
+/// Orders the sites of one window's `busy_watermark` records as the
+/// substrates number their nodes: tree by tree in level order, a fanout
+/// node ahead of the fanin node of the same coordinates; routers by index.
+fn node_order(site: Site) -> (usize, u32, usize, bool) {
+    match site {
+        Site::Fanout { tree, level, index } => (tree, level, index, false),
+        Site::Fanin { tree, level, index } => (tree, level, index, true),
+        Site::Source(n) | Site::Sink(n) | Site::Router(n) | Site::Channel(n) | Site::Node(n) => {
+            (n, 0, 0, false)
+        }
+    }
+}
+
+impl<'a> StreamSink<'a> {
+    /// Opens a stream over `out`, windowing the run's `latency` and
+    /// `series`: writes the `head` record (bin width, level grouping and
+    /// endpoint count are the collectors' own) and returns the sink ready
+    /// to take records.
     ///
     /// # Errors
     ///
@@ -163,11 +177,11 @@ impl<N: Copy + NodeKey> StreamSink<N> {
     pub fn new(
         out: Box<dyn Write>,
         cfg: StreamConfig,
-        phases: Phases,
-        endpoints: usize,
-        series: TimeSeries<N>,
-        site_of: SiteOf<N>,
-    ) -> std::io::Result<StreamSink<N>> {
+        latency: &'a mut LatencyHistograms,
+        series: &'a mut TimeSeries,
+    ) -> std::io::Result<StreamSink<'a>> {
+        // The first window's delta starts here, empty.
+        let _ = latency.drain_window();
         let bin = series.bin_width();
         assert!(
             !cfg.window.is_zero() && cfg.window.as_ps().is_multiple_of(bin.as_ps()),
@@ -175,9 +189,7 @@ impl<N: Copy + NodeKey> StreamSink<N> {
             cfg.window,
             bin,
         );
-        let trace = cfg
-            .trace_limit
-            .map(|limit| TraceWriter::new(limit, SiteOf::clone(&site_of)));
+        let trace = cfg.trace_limit.map(TraceWriter::new);
         let labels: Vec<JsonValue> = series
             .level_labels()
             .into_iter()
@@ -194,7 +206,10 @@ impl<N: Copy + NodeKey> StreamSink<N> {
             ("window_ps".to_string(), JsonValue::uint(cfg.window.as_ps())),
             ("bin_ps".to_string(), JsonValue::uint(bin.as_ps())),
             ("levels".to_string(), JsonValue::Array(labels)),
-            ("endpoints".to_string(), JsonValue::uint(endpoints as u64)),
+            (
+                "endpoints".to_string(),
+                JsonValue::uint(latency.endpoints() as u64),
+            ),
             ("trace".to_string(), JsonValue::Bool(trace.is_some())),
             (
                 "watch".to_string(),
@@ -220,10 +235,9 @@ impl<N: Copy + NodeKey> StreamSink<N> {
             out,
             err: None,
             clock: WindowClock::new(cfg.window),
-            latency: LatencyHistograms::new(phases, endpoints),
+            latency,
             series,
             trace,
-            site_of,
             w_events: 0,
             w_injected: 0,
             w_delivered: 0,
@@ -244,12 +258,6 @@ impl<N: Copy + NodeKey> StreamSink<N> {
         })
     }
 
-    /// Watchpoint records emitted so far (drives `--watch-fatal`).
-    #[must_use]
-    pub fn watchpoints_fired(&self) -> u64 {
-        self.watchpoints
-    }
-
     /// Flushes the final partial window, runs the close-time check, and
     /// writes the `end` record carrying `sections` — the scalar summary
     /// sections (`waste`, `throughput`, `power`, `counters`) exactly as
@@ -265,7 +273,7 @@ impl<N: Copy + NodeKey> StreamSink<N> {
     /// # Errors
     ///
     /// Surfaces the first I/O error encountered at any point of the
-    /// stream's life (the observer path itself cannot fail, so errors
+    /// stream's life (the record path itself cannot fail, so errors
     /// are held until here).
     pub fn finish(
         mut self,
@@ -328,9 +336,9 @@ impl<N: Copy + NodeKey> StreamSink<N> {
     /// Emits the `window` record for `seq` plus any trace records and
     /// window-scoped watchpoints, then resets the per-window state.
     /// `backfill` materializes gap bins up to the window boundary —
-    /// exactly the bins the batch collector would create when the event
-    /// that triggered this flush reaches it — and must be `false` only
-    /// for the final partial window (where no further event exists).
+    /// exactly the bins the series would create when the record that
+    /// triggered this flush reaches it — and must be `false` only for
+    /// the final partial window (where no further record exists).
     fn flush_window(&mut self, seq: u64, backfill: bool) {
         let boundary = self.clock.boundary_of(seq);
         if backfill {
@@ -384,23 +392,22 @@ impl<N: Copy + NodeKey> StreamSink<N> {
     }
 
     /// Evaluates the window-scoped invariants for the window that just
-    /// closed. Emission order is deterministic: busy watermarks sorted
-    /// by node key, then waste rate, then the stall check.
+    /// closed. Emission order is deterministic: busy watermarks in
+    /// [`node_order`], then waste rate, then the stall check.
     fn window_watchpoints(&mut self, seq: u64, boundary: Time) {
         let window_ps = self.clock.width().as_ps();
-        let mut hot: Vec<(u64, N, u64)> = self
+        let mut hot: Vec<(Site, u64)> = self
             .node_busy
             .iter()
-            .filter(|(key, (_, busy))| {
-                *busy as f64 / window_ps as f64 > BUSY_CEILING
-                    && !self.watermark_fired.contains(*key)
+            .filter(|(site, busy)| {
+                **busy as f64 / window_ps as f64 > BUSY_CEILING
+                    && !self.watermark_fired.contains(*site)
             })
-            .map(|(key, (node, busy))| (*key, *node, *busy))
+            .map(|(site, busy)| (*site, *busy))
             .collect();
-        hot.sort_unstable_by_key(|(key, _, _)| *key);
-        for (key, node, busy) in hot {
-            self.watermark_fired.insert(key);
-            let site = (self.site_of)(node);
+        hot.sort_unstable_by_key(|(site, _)| node_order(*site));
+        for (site, busy) in hot {
+            self.watermark_fired.insert(site);
             let value = busy as f64 / window_ps as f64;
             self.watchpoint(
                 "busy_watermark",
@@ -489,23 +496,22 @@ impl<N: Copy + NodeKey> StreamSink<N> {
         self.write_value(&record);
     }
 
-    /// Moves a lifecycle event's tokens on the per-flit ledger, fires
+    /// Moves a lifecycle record's tokens on the per-flit ledger, fires
     /// `token_conservation` if a copy count went negative, and lets go of
     /// a packet's latency bookkeeping with its last copy. `delta` is the
-    /// event's net change of copies in flight.
-    fn track_tokens(&mut self, at: Time, event: &SimEvent<'_, N>, delta: i64) {
+    /// record's net change of copies in flight.
+    fn track_tokens(&mut self, record: &TraceRecord, delta: i64) {
         self.in_flight += delta;
-        let site = Site::of_event(event, &*self.site_of);
-        let (key, tokens) = self.tokens.apply(at, event, site);
+        let (key, tokens) = self.tokens.apply(record, record.site);
         let refs = tokens.in_flight;
         if refs < 0 && self.conservation_fired < MAX_CONSERVATION_RECORDS {
             self.conservation_fired += 1;
-            let seq = self.clock.seq_of(at);
+            let at = Time::from_ps(record.t_ps);
             self.watchpoint(
                 "token_conservation",
-                seq,
+                self.clock.seq_of(at),
                 at,
-                Some(site),
+                Some(record.site),
                 Some(key),
                 Some(refs as f64),
                 format!("flit copy count went to {refs}"),
@@ -520,15 +526,15 @@ impl<N: Copy + NodeKey> StreamSink<N> {
     }
 }
 
-impl<N: Copy + NodeKey> Observer<N> for StreamSink<N> {
-    fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>) {
-        if let Some(range) = self.clock.crossed(at) {
+impl RecordSink for StreamSink<'_> {
+    fn on_record(&mut self, record: &TraceRecord, in_window: bool) {
+        if let Some(range) = self.clock.crossed(Time::from_ps(record.t_ps)) {
             for seq in range {
                 self.flush_window(seq, true);
             }
         }
-        self.latency.on_event(at, in_window, event);
-        self.series.on_event(at, in_window, event);
+        self.latency.on_record(record, in_window);
+        self.series.on_record(record, in_window);
         if let Some(trace) = &mut self.trace {
             // The window that will flush this line: the next to close.
             let seq = self.clock.next_seq();
@@ -537,45 +543,39 @@ impl<N: Copy + NodeKey> Observer<N> for StreamSink<N> {
                 write_u64(line, seq);
                 line.push_str(",\"record\":");
             };
-            trace.record(at, event, open, "}\n");
+            trace.record(record, open, "}\n");
         }
         self.w_events += 1;
-        let mut busy_at = |node: &N, busy: &Duration| {
-            let slot = self.node_busy.entry(node.node_key()).or_insert((*node, 0));
-            slot.1 += busy.as_ps();
-        };
-        // The event's net change of copies in flight.
-        let delta = match event {
-            SimEvent::Inject { .. } => {
+        if matches!(record.action, Action::Forward | Action::Throttle) {
+            *self.node_busy.entry(record.site).or_insert(0) += record.busy_ps;
+        }
+        // The record's net change of copies in flight.
+        let delta = match record.action {
+            Action::Inject => {
                 self.w_injected += 1;
                 1
             }
-            SimEvent::Forward {
-                node, copies, busy, ..
-            } => {
+            Action::Forward => {
                 self.w_forwards += 1;
-                busy_at(node, busy);
-                i64::from(*copies) - 1
+                i64::from(record.copies) - 1
             }
-            SimEvent::Drop { node, busy, .. } => {
+            Action::Throttle => {
                 self.w_dropped += 1;
-                busy_at(node, busy);
                 -1
             }
-            SimEvent::Deliver { .. } => {
+            Action::Deliver => {
                 self.w_delivered += 1;
                 -1
             }
             // Fault hooks fire alongside the flit's normal lifecycle
             // events, so they move no tokens (see `TimeSeries`); the
             // ledger remembers which flits they touched.
-            SimEvent::Fault { .. } => {
-                let site = Site::of_event(event, &*self.site_of);
-                self.tokens.apply(at, event, site);
+            Action::Fault => {
+                self.tokens.apply(record, record.site);
                 return;
             }
         };
-        self.track_tokens(at, event, delta);
+        self.track_tokens(record, delta);
     }
 }
 
@@ -805,11 +805,11 @@ pub fn fold_stream(text: &str) -> Result<JsonValue, StreamFoldError> {
 mod tests {
     use super::*;
     use crate::reference;
+    use crate::trace::Detail;
     use std::cell::RefCell;
     use std::rc::Rc;
-    use std::sync::Arc;
 
-    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
+    use asynoc_stats::Phases;
 
     /// A `Box<dyn Write>` target the test can read back.
     #[derive(Clone, Default)]
@@ -831,100 +831,95 @@ mod tests {
         }
     }
 
-    fn flit(id: u64, dest: usize, created: Time) -> Flit {
-        Flit::new(
-            Arc::new(PacketDescriptor::new(
-                PacketId::new(id),
-                0,
-                DestSet::unicast(dest),
-                RouteHeader::for_tree(8),
-                1,
-                created,
-            )),
-            0,
-        )
-    }
-
-    fn phases() -> Phases {
-        Phases::new(Duration::ZERO, Duration::from_ns(100))
-    }
-
-    fn make_sink(buf: &SharedBuf, trace: Option<usize>) -> StreamSink<usize> {
-        StreamSink::new(
-            Box::new(buf.clone()),
-            StreamConfig {
-                substrate: "mot".to_string(),
-                config: JsonValue::Object(vec![("seed".to_string(), JsonValue::uint(42))]),
-                window: Duration::from_ns(2),
-                trace_limit: trace,
-            },
-            phases(),
-            8,
-            series(),
-            Rc::new(Site::Router),
-        )
-        .expect("head write succeeds")
-    }
-
-    /// Four routers, one level, 1 ns bins.
-    fn series() -> TimeSeries<usize> {
+    /// The run's pair: eight destinations sampled from time zero; four
+    /// routers, one level, 1 ns bins.
+    fn collectors() -> (LatencyHistograms, TimeSeries) {
         let routers = crate::LevelSpec {
             stage: crate::site::Stage::Router,
             nodes: 4,
         };
-        TimeSeries::new(Duration::from_ns(1), vec![routers], Rc::new(Site::Router))
-    }
-
-    fn inject(at: u64, f: &Flit) -> (Time, SimEvent<'_, usize>) {
-        (Time::from_ps(at), SimEvent::Inject { source: 0, flit: f })
-    }
-
-    fn deliver(at: u64, dest: usize, f: &Flit) -> (Time, SimEvent<'_, usize>) {
-        (Time::from_ps(at), SimEvent::Deliver { dest, flit: f })
-    }
-
-    fn forward(
-        at: u64,
-        node: usize,
-        copies: u8,
-        busy: u64,
-        f: &Flit,
-    ) -> (Time, SimEvent<'_, usize>) {
         (
-            Time::from_ps(at),
-            SimEvent::Forward {
-                node,
-                flit: f,
-                info: asynoc_engine::ForwardInfo::Arbitrated { input: 0 },
-                copies,
-                busy: Duration::from_ps(busy),
-            },
+            LatencyHistograms::new(Phases::new(Duration::ZERO, Duration::from_ns(100)), 8),
+            TimeSeries::new(Duration::from_ns(1), vec![routers]),
         )
     }
 
-    #[test]
-    fn stream_folds_back_to_the_batch_sections() {
-        let buf = SharedBuf::default();
-        let mut sink = make_sink(&buf, None);
-        // The same events drive independent batch collectors.
-        let mut batch_latency = LatencyHistograms::new(phases(), 8);
-        let mut batch_series = series();
-        let flits: Vec<Flit> = (0..6)
-            .map(|k| flit(k, (k % 8) as usize, Time::from_ps(100 + k * 1_700)))
-            .collect();
-        for (k, f) in flits.iter().enumerate() {
-            let k = k as u64;
-            let events = [
-                inject(100 + k * 1_700, f),
-                forward(400 + k * 1_700, (k % 4) as usize, 1, 80, f),
-                deliver(900 + k * 1_700, (k % 8) as usize, f),
-            ];
-            for (at, event) in events {
-                sink.on_event(at, true, &event);
-                batch_latency.on_event(at, true, &event);
-                batch_series.on_event(at, true, &event);
-            }
+    /// Streams `records` into `buf` through a sink over `pair` and closes
+    /// it.
+    fn stream(
+        buf: &SharedBuf,
+        pair: &mut (LatencyHistograms, TimeSeries),
+        trace: Option<usize>,
+        records: &[TraceRecord],
+        sections: JsonValue,
+        packets_incomplete: usize,
+    ) -> StreamSummary {
+        let config = StreamConfig {
+            substrate: "mot".to_string(),
+            config: JsonValue::Object(vec![("seed".to_string(), JsonValue::uint(42))]),
+            window: Duration::from_ns(2),
+            trace_limit: trace,
+        };
+        let mut sink = StreamSink::new(Box::new(buf.clone()), config, &mut pair.0, &mut pair.1)
+            .expect("head write succeeds");
+        for record in records {
+            sink.on_record(record, true);
         }
+        sink.finish(sections, packets_incomplete)
+            .expect("stream closes")
+    }
+
+    /// [`stream`] with nothing to say at the close.
+    fn stream_of(buf: &SharedBuf, records: &[TraceRecord]) -> StreamSummary {
+        let none = JsonValue::Object(Vec::new());
+        stream(buf, &mut collectors(), None, records, none, 0)
+    }
+
+    fn record(t_ps: u64, packet: u64, action: Action, site: Site) -> TraceRecord {
+        TraceRecord {
+            t_ps,
+            packet,
+            action,
+            site,
+            copies: u8::from(action == Action::Inject),
+            ..TraceRecord::INJECT
+        }
+    }
+
+    fn inject(t_ps: u64, packet: u64) -> TraceRecord {
+        record(t_ps, packet, Action::Inject, Site::Source(0))
+    }
+
+    fn deliver(t_ps: u64, packet: u64, dest: usize) -> TraceRecord {
+        record(t_ps, packet, Action::Deliver, Site::Sink(dest))
+    }
+
+    fn forward(t_ps: u64, packet: u64, node: usize, busy_ps: u64) -> TraceRecord {
+        TraceRecord {
+            copies: 1,
+            busy_ps,
+            ..record(t_ps, packet, Action::Forward, Site::Router(node))
+        }
+    }
+
+    #[test]
+    fn stream_folds_back_to_the_collectors_it_windows() {
+        let buf = SharedBuf::default();
+        let mut pair = collectors();
+        let records: Vec<TraceRecord> = (0..6u64)
+            .flat_map(|k| {
+                let created_ps = 100 + k * 1_700;
+                [
+                    inject(created_ps, k),
+                    forward(400 + k * 1_700, k, (k % 4) as usize, 80),
+                    deliver(900 + k * 1_700, k, (k % 8) as usize),
+                ]
+                .map(|record| TraceRecord {
+                    created_ps,
+                    ..record
+                })
+            })
+            .collect();
         let sections = JsonValue::Object(vec![
             ("waste".to_string(), JsonValue::Null),
             (
@@ -932,19 +927,29 @@ mod tests {
                 JsonValue::Object(vec![("delivered".to_string(), JsonValue::uint(6))]),
             ),
         ]);
-        let summary = sink.finish(sections, 0).expect("stream closes");
+        let summary = stream(&buf, &mut pair, None, &records, sections, 0);
         assert!(summary.windows >= 4, "several windows closed");
         assert_eq!(summary.watchpoints, 0, "clean run fires nothing");
+
+        // The borrowed pair is what collectors fed the same records hold.
+        let (mut latency, mut series) = collectors();
+        for record in &records {
+            latency.on_record(record, true);
+            series.on_record(record, true);
+        }
+        assert_eq!(pair.0.overall().count(), 6);
+        assert_eq!(pair.0.to_json().render(), latency.to_json().render());
+        assert_eq!(pair.1.to_json().render(), series.to_json().render());
 
         let folded = fold_stream(&buf.text()).expect("stream folds");
         assert_eq!(
             folded.get("latency").unwrap().render(),
-            batch_latency.to_json().render(),
+            latency.to_json().render(),
             "latency deltas merge back to the batch section"
         );
         assert_eq!(
             folded.get("timeseries").unwrap().render(),
-            batch_series.to_json().render(),
+            series.to_json().render(),
             "window bins concatenate to the batch series"
         );
         assert_eq!(
@@ -962,15 +967,9 @@ mod tests {
     #[test]
     fn streams_are_line_structured_and_headed() {
         let buf = SharedBuf::default();
-        let mut sink = make_sink(&buf, Some(100));
-        let f = flit(1, 2, Time::from_ps(50));
-        let events = [inject(50, &f), deliver(2_500, 2, &f)];
-        for (at, event) in events {
-            sink.on_event(at, true, &event);
-        }
-        let _ = sink
-            .finish(JsonValue::Object(Vec::new()), 0)
-            .expect("stream closes");
+        let records = [inject(50, 1), deliver(2_500, 1, 2)];
+        let none = JsonValue::Object(Vec::new());
+        stream(&buf, &mut collectors(), Some(100), &records, none, 0);
         let text = buf.text();
         let first = text.lines().next().expect("head line");
         let head = JsonValue::parse(first).expect("head parses");
@@ -979,6 +978,9 @@ mod tests {
             Some(STREAM_SCHEMA)
         );
         assert_eq!(head.get("trace"), Some(&JsonValue::Bool(true)));
+        // What the head says of the run is the collectors' own.
+        assert_eq!(head.get("endpoints"), Some(&JsonValue::uint(8)));
+        assert_eq!(head.get("bin_ps"), Some(&JsonValue::uint(1_000)));
         assert!(
             text.lines().any(|l| l.contains("\"type\":\"trace\"")),
             "trace records stream with the windows"
@@ -998,21 +1000,16 @@ mod tests {
     #[test]
     fn stall_watchpoint_names_the_oldest_flit() {
         let buf = SharedBuf::default();
-        let mut sink = make_sink(&buf, None);
-        let f = flit(7, 1, Time::from_ps(100));
-        let events = [
-            inject(100, &f),
-            forward(300, 2, 1, 50, &f),
-            // Nothing moves for many windows; the next event closes them
-            // all at once and the stall fires during the gap.
-            deliver(20_500, 1, &f),
-        ];
-        for (at, event) in events {
-            sink.on_event(at, true, &event);
-        }
-        let summary = sink
-            .finish(JsonValue::Object(Vec::new()), 0)
-            .expect("stream closes");
+        let summary = stream_of(
+            &buf,
+            &[
+                inject(100, 7),
+                forward(300, 7, 2, 50),
+                // Nothing moves for many windows; the next record closes
+                // them all at once and the stall fires during the gap.
+                deliver(20_500, 7, 1),
+            ],
+        );
         assert_eq!(summary.watchpoints, 1);
         let text = buf.text();
         let alert = text
@@ -1032,13 +1029,7 @@ mod tests {
     fn conservation_watchpoint_fires() {
         // A delivery that was never injected drives the ledger negative.
         let buf = SharedBuf::default();
-        let mut sink = make_sink(&buf, None);
-        let f = flit(3, 1, Time::from_ps(100));
-        let (at, event) = deliver(100, 1, &f);
-        sink.on_event(at, true, &event);
-        let summary = sink
-            .finish(JsonValue::Object(Vec::new()), 0)
-            .expect("stream closes");
+        let summary = stream_of(&buf, &[deliver(100, 3, 1)]);
         assert_eq!(summary.watchpoints, 1);
         assert!(buf.text().contains("\"kind\":\"token_conservation\""));
     }
@@ -1048,25 +1039,23 @@ mod tests {
     /// the packet its close-time record names, if one fired.
     fn close_time_record(packets_incomplete: usize, stalled: bool) -> Option<f64> {
         let buf = SharedBuf::default();
-        let mut sink = make_sink(&buf, None);
-        let (f, g) = (
-            flit(4, 1, Time::from_ps(100)),
-            flit(5, 1, Time::from_ps(150)),
-        );
-        for (at, event) in [inject(100, &f), inject(150, &g)] {
-            sink.on_event(at, true, &event);
-        }
+        let mut records = vec![inject(100, 4), inject(150, 5)];
         if stalled {
-            let stall = SimEvent::Fault {
-                class: asynoc_kernel::FaultClass::LinkStall,
-                site: 0,
-                flit: &g,
-            };
-            sink.on_event(Time::from_ps(200), true, &stall);
+            let class = asynoc_kernel::FaultClass::LinkStall;
+            records.push(TraceRecord {
+                detail: Detail::Fault(class),
+                ..record(200, 5, Action::Fault, Site::of_fault(class, 0))
+            });
         }
-        let summary = sink
-            .finish(JsonValue::Object(Vec::new()), packets_incomplete)
-            .expect("stream closes");
+        let none = JsonValue::Object(Vec::new());
+        let summary = stream(
+            &buf,
+            &mut collectors(),
+            None,
+            &records,
+            none,
+            packets_incomplete,
+        );
         let text = buf.text();
         let record = text
             .lines()
@@ -1095,47 +1084,54 @@ mod tests {
 
     #[test]
     fn busy_and_waste_watchpoints_fire_once() {
-        let buf = SharedBuf::default();
-        let mut sink = make_sink(&buf, None);
-        let f = flit(9, 1, Time::from_ps(10));
         // Pump the copy count up so drops cannot go negative.
-        for k in 0..40 {
-            let (at, event) = inject(10 + k, &f);
-            sink.on_event(at, true, &event);
+        let mut records: Vec<TraceRecord> = (0..40).map(|k| inject(10 + k, 9)).collect();
+        // Two nodes accumulate 1990 ps of busy inside a 2000 ps window.
+        let mot_node = |tree, level| Site::Fanin {
+            tree,
+            level,
+            index: 0,
+        };
+        for (at, site) in [(500, mot_node(1, 0)), (501, mot_node(0, 1))] {
+            records.push(TraceRecord {
+                site,
+                ..forward(at, 9, 0, 1_990)
+            });
         }
-        // Node 3 accumulates 1990 ps of busy inside a 2000 ps window.
-        let (at, event) = forward(500, 3, 1, 1_990, &f);
-        sink.on_event(at, true, &event);
         // 32 forwards make the window's waste ratio meaningful; 28
         // throttles against them exceed the ceiling.
-        for k in 0..WASTE_MIN_FORWARDS {
-            let (at, event) = forward(600 + k, 1, 1, 10, &f);
-            sink.on_event(at, true, &event);
-        }
-        for k in 0..28 {
-            let (at, event) = (
-                Time::from_ps(700 + k),
-                SimEvent::Drop {
-                    node: 1usize,
-                    flit: &f,
-                    busy: Duration::from_ps(5),
-                },
-            );
-            sink.on_event(at, true, &event);
-        }
+        records.extend((0..WASTE_MIN_FORWARDS).map(|k| forward(600 + k, 9, 1, 10)));
+        records.extend((0..28).map(|k| TraceRecord {
+            busy_ps: 5,
+            ..record(700 + k, 9, Action::Throttle, Site::Router(1))
+        }));
         // Drain the rest, crossing a boundary.
-        for k in 0..12 {
-            let (at, event) = deliver(2_600 + k, 1, &f);
-            sink.on_event(at, true, &event);
-        }
-        let summary = sink
-            .finish(JsonValue::Object(Vec::new()), 0)
-            .expect("stream closes");
+        records.extend((0..12).map(|k| deliver(2_600 + k, 9, 1)));
+        let buf = SharedBuf::default();
+        let summary = stream_of(&buf, &records);
         let text = buf.text();
-        assert!(text.contains("\"kind\":\"busy_watermark\""));
-        assert!(text.contains("\"site\":\"r3\""));
-        assert!(text.contains("\"kind\":\"waste_rate\""));
-        assert_eq!(summary.watchpoints, 2, "each fires exactly once");
+        let kinds: Vec<(&str, Option<&str>)> = text
+            .lines()
+            .filter(|l| l.contains("\"type\":\"watchpoint\""))
+            .map(|l| {
+                let label = |key: &str| {
+                    let rest = &l[l.find(key)? + key.len()..];
+                    rest.strip_prefix('"')?.split('"').next()
+                };
+                (label("\"kind\":").expect("a kind"), label("\"site\":"))
+            })
+            .collect();
+        // Each fires exactly once; the hot nodes in the substrates' own
+        // numbering (tree by tree, level order), whichever fired first.
+        assert_eq!(
+            kinds,
+            [
+                ("busy_watermark", Some("fi[d0:1.0]")),
+                ("busy_watermark", Some("fi[d1:0.0]")),
+                ("waste_rate", None),
+            ]
+        );
+        assert_eq!(summary.watchpoints, 3);
     }
 
     #[test]

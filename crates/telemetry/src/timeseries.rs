@@ -5,11 +5,12 @@
 //! bisection over whole-window averages, the time-series shows injected vs
 //! delivered rates diverging and in-flight flit count climbing, bin by bin.
 
-use asynoc_engine::{Observer, SimEvent};
 use asynoc_kernel::{Duration, Time};
 
 use crate::json::JsonValue;
-use crate::site::{SiteOf, Stage};
+use crate::recorder::RecordSink;
+use crate::site::{Site, Stage};
+use crate::trace::{Action, TraceRecord};
 
 /// One group of nodes whose busy time is aggregated per bin — a tree
 /// level on the MoT, the whole router array on the mesh.
@@ -38,21 +39,20 @@ pub struct Bin {
     busy_ps: Vec<u64>,
 }
 
-/// A substrate-agnostic time-series observer with fixed-width bins.
+/// A substrate-agnostic time-series collector with fixed-width bins.
 ///
 /// All phases are recorded (the warmup ramp and post-window drain are part
-/// of the story); each event's node-busy duration is attributed to the bin
-/// containing the event instant.
-pub struct TimeSeries<N> {
+/// of the story); each record's node-busy duration is attributed to the bin
+/// containing its instant.
+pub struct TimeSeries {
     bin: Duration,
     levels: Vec<LevelSpec>,
-    site_of: SiteOf<N>,
     bins: Vec<Bin>,
     in_flight: i64,
     cap: usize,
 }
 
-impl<N: Copy> TimeSeries<N> {
+impl TimeSeries {
     /// Creates a time-series with `bin`-wide buckets over the given level
     /// groups. A firing node's busy time goes to the group of its site's
     /// stage; a node of no listed stage is left out of the accounting.
@@ -61,12 +61,11 @@ impl<N: Copy> TimeSeries<N> {
     ///
     /// Panics if `bin` is zero.
     #[must_use]
-    pub fn new(bin: Duration, levels: Vec<LevelSpec>, site_of: SiteOf<N>) -> Self {
+    pub fn new(bin: Duration, levels: Vec<LevelSpec>) -> Self {
         assert!(!bin.is_zero(), "bin width must be non-zero");
         TimeSeries {
             bin,
             levels,
-            site_of,
             bins: Vec::new(),
             in_flight: 0,
             cap: 1 << 16,
@@ -94,8 +93,8 @@ impl<N: Copy> TimeSeries<N> {
         busy as f64 / capacity as f64
     }
 
-    fn bin_at(&mut self, at: Time) -> Option<usize> {
-        let index = (at.as_ps() / self.bin.as_ps()) as usize;
+    fn bin_at(&mut self, t_ps: u64) -> Option<usize> {
+        let index = (t_ps / self.bin.as_ps()) as usize;
         if index >= self.cap {
             return None;
         }
@@ -110,10 +109,10 @@ impl<N: Copy> TimeSeries<N> {
         Some(index)
     }
 
-    fn add_busy(&mut self, index: usize, node: N, busy: Duration) {
-        let stage = (self.site_of)(node).stage();
+    fn add_busy(&mut self, index: usize, site: Site, busy_ps: u64) {
+        let stage = site.stage();
         if let Some(level) = self.levels.iter().position(|l| l.stage == stage) {
-            self.bins[index].busy_ps[level] += busy.as_ps();
+            self.bins[index].busy_ps[level] += busy_ps;
         }
     }
 
@@ -138,15 +137,15 @@ impl<N: Copy> TimeSeries<N> {
 
     /// Materializes every bin covering instants strictly before `at`
     /// (gap bins inherit the running in-flight level, exactly as a
-    /// later event would create them). Streaming sinks call this at a
-    /// window boundary so the bins below it are final and can be
-    /// emitted; batch collectors never need it because the triggering
-    /// event itself backfills the same bins.
+    /// later record would create them). A stream sink windowing this
+    /// collector calls it at a window boundary so the bins below it are
+    /// final and can be emitted; the record that crossed the boundary
+    /// would have backfilled the same bins.
     pub fn backfill_before(&mut self, at: Time) {
         if at == Time::ZERO {
             return;
         }
-        let _ = self.bin_at(Time::from_ps(at.as_ps() - 1));
+        let _ = self.bin_at(at.as_ps() - 1);
     }
 
     /// One bin's JSON object, exactly as it appears in the batch
@@ -194,37 +193,35 @@ impl<N: Copy> TimeSeries<N> {
     }
 }
 
-impl<N: Copy> Observer<N> for TimeSeries<N> {
-    fn on_event(&mut self, at: Time, _in_window: bool, event: &SimEvent<'_, N>) {
-        let Some(index) = self.bin_at(at) else {
+impl RecordSink for TimeSeries {
+    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
+        let Some(index) = self.bin_at(record.t_ps) else {
             return;
         };
-        match event {
-            SimEvent::Inject { .. } => {
+        match record.action {
+            Action::Inject => {
                 self.bins[index].injected += 1;
                 self.in_flight += 1;
             }
-            SimEvent::Forward {
-                node, copies, busy, ..
-            } => {
+            Action::Forward => {
                 self.bins[index].forwards += 1;
                 // One input copy consumed, `copies` output copies launched.
-                self.in_flight += i64::from(*copies) - 1;
-                self.add_busy(index, *node, *busy);
+                self.in_flight += i64::from(record.copies) - 1;
+                self.add_busy(index, record.site, record.busy_ps);
             }
-            SimEvent::Drop { node, busy, .. } => {
+            Action::Throttle => {
                 self.bins[index].dropped += 1;
                 self.in_flight -= 1;
-                self.add_busy(index, *node, *busy);
+                self.add_busy(index, record.site, record.busy_ps);
             }
-            SimEvent::Deliver { .. } => {
+            Action::Deliver => {
                 self.bins[index].delivered += 1;
                 self.in_flight -= 1;
             }
             // Fault hooks fire alongside the flit's normal lifecycle
             // events (a stalled launch still Arrives; a dropped header
             // was never Injected), so they move no in-flight tokens.
-            SimEvent::Fault { .. } => {}
+            Action::Fault => {}
         }
         self.bins[index].in_flight = self.in_flight;
     }
@@ -233,58 +230,39 @@ impl<N: Copy> Observer<N> for TimeSeries<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
-    use std::sync::Arc;
 
-    use crate::site::Site;
-
-    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
-
-    fn flit() -> Flit {
-        Flit::new(
-            Arc::new(PacketDescriptor::new(
-                PacketId::new(1),
-                0,
-                DestSet::unicast(1),
-                RouteHeader::for_tree(8),
-                1,
-                Time::ZERO,
-            )),
-            0,
-        )
-    }
-
-    fn series() -> TimeSeries<usize> {
+    fn series() -> TimeSeries {
         let routers = LevelSpec {
             stage: Stage::Router,
             nodes: 4,
         };
-        // Nodes past the four routers sit at a stage the series does not list.
-        let site_of = |node| match node {
-            0..4 => Site::Router(node),
-            _ => Site::Node(node),
-        };
-        TimeSeries::new(Duration::from_ns(1), vec![routers], Rc::new(site_of))
+        TimeSeries::new(Duration::from_ns(1), vec![routers])
+    }
+
+    fn at(t_ps: u64, action: Action) -> TraceRecord {
+        TraceRecord {
+            t_ps,
+            action,
+            ..TraceRecord::INJECT
+        }
+    }
+
+    /// A forward or throttle at `site` that kept it busy for `busy_ps`.
+    fn firing(t_ps: u64, action: Action, site: Site, copies: u8, busy_ps: u64) -> TraceRecord {
+        TraceRecord {
+            site,
+            copies,
+            busy_ps,
+            ..at(t_ps, action)
+        }
     }
 
     #[test]
     fn events_land_in_their_bins_and_gaps_carry_in_flight() {
         let mut ts = series();
-        let f = flit();
-        ts.on_event(
-            Time::from_ps(100),
-            false,
-            &SimEvent::Inject {
-                source: 0,
-                flit: &f,
-            },
-        );
+        ts.on_record(&at(100, Action::Inject), false);
         // Two empty bins pass, then delivery in bin 3.
-        ts.on_event(
-            Time::from_ps(3_500),
-            true,
-            &SimEvent::Deliver { dest: 1, flit: &f },
-        );
+        ts.on_record(&at(3_500, Action::Deliver), true);
         assert_eq!(ts.bins().len(), 4);
         assert_eq!(ts.bins()[0].injected, 1);
         assert_eq!(ts.bins()[0].in_flight, 1);
@@ -297,49 +275,19 @@ mod tests {
     #[test]
     fn replication_and_drops_move_in_flight() {
         let mut ts = series();
-        let f = flit();
-        ts.on_event(
-            Time::from_ps(10),
-            true,
-            &SimEvent::Inject {
-                source: 0,
-                flit: &f,
-            },
-        );
-        ts.on_event(
-            Time::from_ps(20),
-            true,
-            &SimEvent::Forward {
-                node: 0usize,
-                flit: &f,
-                info: asynoc_engine::ForwardInfo::Arbitrated { input: 0 },
-                copies: 2,
-                busy: Duration::from_ps(100),
-            },
-        );
+        ts.on_record(&at(10, Action::Inject), true);
+        let fork = firing(20, Action::Forward, Site::Router(0), 2, 100);
+        ts.on_record(&fork, true);
         assert_eq!(ts.bins()[0].in_flight, 2, "a broadcast added a copy");
-        ts.on_event(
-            Time::from_ps(30),
-            true,
-            &SimEvent::Drop {
-                node: 1usize,
-                flit: &f,
-                busy: Duration::from_ps(80),
-            },
-        );
+        let throttle = firing(30, Action::Throttle, Site::Router(1), 0, 80);
+        ts.on_record(&throttle, true);
         assert_eq!(ts.bins()[0].in_flight, 1, "the throttle removed it");
         assert_eq!(ts.bins()[0].dropped, 1);
-        ts.on_event(
-            Time::from_ps(40),
-            true,
-            &SimEvent::Drop {
-                node: 7usize,
-                flit: &f,
-                busy: Duration::from_ps(500),
-            },
-        );
-        // 100 + 80 ps of busy over 4 nodes x 1000 ps; node 7's stage is
-        // not a level of the series, so its 500 ps count nowhere.
+        // A site at a stage the series does not list.
+        let elsewhere = firing(40, Action::Throttle, Site::Node(7), 0, 500);
+        ts.on_record(&elsewhere, true);
+        // 100 + 80 ps of busy over 4 nodes x 1000 ps; the 500 ps count
+        // nowhere.
         assert!((ts.busy_fraction(0, 0) - 180.0 / 4000.0).abs() < 1e-12);
         assert_eq!(ts.bins()[0].dropped, 2);
     }
@@ -347,15 +295,7 @@ mod tests {
     #[test]
     fn json_shape_is_stable() {
         let mut ts = series();
-        let f = flit();
-        ts.on_event(
-            Time::from_ps(10),
-            true,
-            &SimEvent::Inject {
-                source: 0,
-                flit: &f,
-            },
-        );
+        ts.on_record(&at(10, Action::Inject), true);
         let json = ts.to_json();
         assert_eq!(json.get("bin_ps").and_then(JsonValue::as_f64), Some(1000.0));
         let bins = json.get("bins").and_then(JsonValue::as_array).unwrap();

@@ -14,10 +14,9 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use asynoc_engine::{Observer, SimEvent};
-use asynoc_kernel::Time;
-
+use crate::recorder::RecordSink;
 use crate::site::Site;
+use crate::trace::{Action, TraceRecord};
 
 /// The copies of one flit of one packet, as counted so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,12 +62,12 @@ pub struct TokenTally {
 
 struct Open<T> {
     tokens: FlitTokens,
-    first_seen: Time,
+    first_seen_ps: u64,
     note: T,
 }
 
 /// The flit trees of a run that are not closed clean, each with the
-/// `note` of the last event that moved it (the stream keeps the event's
+/// `note` of the last record that moved it (the stream keeps the record's
 /// site there, for causal labels in its watchpoints).
 ///
 /// A tree is forgotten when it closes without a fault record. One that a
@@ -89,33 +88,21 @@ impl<T> Default for TokenLedger<T> {
 }
 
 impl<T: Copy> TokenLedger<T> {
-    /// Moves `event`'s tokens on its flit's tree and returns the flit's
-    /// `(packet, flit)` key with the tree as the event left it.
-    pub fn apply<N>(
-        &mut self,
-        at: Time,
-        event: &SimEvent<'_, N>,
-        note: T,
-    ) -> ((u64, u8), FlitTokens) {
-        let (SimEvent::Inject { flit, .. }
-        | SimEvent::Forward { flit, .. }
-        | SimEvent::Drop { flit, .. }
-        | SimEvent::Deliver { flit, .. }
-        | SimEvent::Fault { flit, .. }) = event;
-        let key = (flit.descriptor().id().as_u64(), flit.index());
+    /// Moves `record`'s tokens on its flit's tree and returns the flit's
+    /// `(packet, flit)` key with the tree as the record left it.
+    pub fn apply(&mut self, record: &TraceRecord, note: T) -> ((u64, u8), FlitTokens) {
+        let key = (record.packet, record.flit);
         let open = match self.open.entry(key) {
             Entry::Occupied(known) => known.into_mut(),
             Entry::Vacant(unknown) => {
                 // A tree begins at its source: with the injection, or with
-                // a fault on the injection link before it. Any other event
-                // on a flit the ledger does not hold comes after its tree
+                // a fault on the injection link before it. Any other record
+                // of a flit the ledger does not hold comes after its tree
                 // closed and was forgotten; the tree is taken up again as
                 // it was left — injected, balanced, clean.
-                let begins = match *event {
-                    SimEvent::Inject { .. } => true,
-                    SimEvent::Fault { class, site, .. } => {
-                        matches!(Site::of_fault(class, site), Site::Source(_))
-                    }
+                let begins = match record.action {
+                    Action::Inject => true,
+                    Action::Fault => matches!(record.site, Site::Source(_)),
                     _ => false,
                 };
                 unknown.insert(Open {
@@ -123,26 +110,26 @@ impl<T: Copy> TokenLedger<T> {
                         injected: !begins,
                         ..FlitTokens::default()
                     },
-                    first_seen: at,
+                    first_seen_ps: record.t_ps,
                     note,
                 })
             }
         };
         let tokens = &mut open.tokens;
-        match event {
-            SimEvent::Inject { .. } => {
+        match record.action {
+            Action::Inject => {
                 tokens.injected = true;
                 tokens.in_flight += 1;
                 // In flight since now, even if a fault record came first.
-                open.first_seen = at;
+                open.first_seen_ps = record.t_ps;
             }
             // One input copy consumed, `copies` output copies launched.
-            SimEvent::Forward { copies, .. } => tokens.in_flight += i64::from(*copies) - 1,
-            SimEvent::Drop { .. } | SimEvent::Deliver { .. } => tokens.in_flight -= 1,
-            SimEvent::Fault { .. } => tokens.faulted = true,
+            Action::Forward => tokens.in_flight += i64::from(record.copies) - 1,
+            Action::Throttle | Action::Deliver => tokens.in_flight -= 1,
+            Action::Fault => tokens.faulted = true,
         }
         // A fault record annotates: the note stays where the flit last moved.
-        if !matches!(event, SimEvent::Fault { .. }) {
+        if record.action != Action::Fault {
             open.note = note;
         }
         let tokens = *tokens;
@@ -161,7 +148,7 @@ impl<T: Copy> TokenLedger<T> {
         self.open
             .iter()
             .filter(|(_, open)| open.tokens.in_flight > 0 && (open.tokens.faulted || !faulted_only))
-            .min_by_key(|(key, open)| (open.first_seen, **key))
+            .min_by_key(|(key, open)| (open.first_seen_ps, **key))
             .map(|(key, open)| (*key, open.note))
     }
 
@@ -179,80 +166,57 @@ impl<T: Copy> TokenLedger<T> {
     }
 }
 
-impl<N> Observer<N> for TokenLedger {
-    fn on_event(&mut self, at: Time, _in_window: bool, event: &SimEvent<'_, N>) {
-        self.apply(at, event, ());
+impl RecordSink for TokenLedger {
+    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
+        self.apply(record, ());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::trace::Detail;
 
-    use asynoc_engine::ForwardInfo;
-    use asynoc_kernel::{Duration, FaultClass};
-    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
+    use asynoc_kernel::FaultClass;
 
-    fn flit(id: u64) -> Flit {
-        Flit::new(
-            Arc::new(PacketDescriptor::new(
-                PacketId::new(id),
-                0,
-                DestSet::unicast(1),
-                RouteHeader::for_tree(8),
-                1,
-                Time::ZERO,
-            )),
-            0,
-        )
-    }
-
-    fn inject(flit: &Flit) -> SimEvent<'_, usize> {
-        SimEvent::Inject { source: 0, flit }
-    }
-
-    fn deliver(flit: &Flit) -> SimEvent<'_, usize> {
-        SimEvent::Deliver { dest: 1, flit }
-    }
-
-    fn forward(flit: &Flit, copies: u8) -> SimEvent<'_, usize> {
-        SimEvent::Forward {
-            node: 0,
-            flit,
-            info: ForwardInfo::Arbitrated { input: 0 },
+    fn record(packet: u64, action: Action, copies: u8) -> TraceRecord {
+        TraceRecord {
+            packet,
+            action,
             copies,
-            busy: Duration::ZERO,
+            ..TraceRecord::INJECT
         }
     }
 
-    fn fault(flit: &Flit, class: FaultClass) -> SimEvent<'_, usize> {
-        SimEvent::Fault {
-            class,
-            site: 0,
-            flit,
+    fn inject(packet: u64) -> TraceRecord {
+        record(packet, Action::Inject, 1)
+    }
+
+    fn deliver(packet: u64) -> TraceRecord {
+        record(packet, Action::Deliver, 0)
+    }
+
+    fn fault(packet: u64, class: FaultClass) -> TraceRecord {
+        TraceRecord {
+            site: Site::of_fault(class, 0),
+            detail: Detail::Fault(class),
+            ..record(packet, Action::Fault, 0)
         }
     }
 
     #[test]
     fn a_tree_retires_when_its_last_copy_is_consumed() {
-        let (f, g) = (flit(7), flit(8));
         let mut ledger: TokenLedger<&str> = TokenLedger::default();
-        let at = Time::from_ps;
-        ledger.apply(at(30), &inject(&g), "g");
-        ledger.apply(at(10), &inject(&f), "src");
-        let (key, forked) = ledger.apply(at(20), &forward(&f, 2), "fork");
+        let at = |t_ps: u64, record: TraceRecord| TraceRecord { t_ps, ..record };
+        ledger.apply(&at(30, inject(8)), "g");
+        ledger.apply(&at(10, inject(7)), "src");
+        let (key, forked) = ledger.apply(&at(20, record(7, Action::Forward, 2)), "fork");
         assert_eq!(key, (7, 0));
         assert_eq!(forked.in_flight, 2);
         // The flit first seen earliest, with its latest note.
         assert_eq!(ledger.oldest_in_flight(false), Some(((7, 0), "fork")));
-        let throttle = SimEvent::Drop {
-            node: 1usize,
-            flit: &f,
-            busy: Duration::ZERO,
-        };
-        ledger.apply(at(40), &throttle, "x");
-        let (_, last) = ledger.apply(at(50), &deliver(&f), "sink");
+        ledger.apply(&at(40, record(7, Action::Throttle, 0)), "x");
+        let (_, last) = ledger.apply(&at(50, deliver(7)), "sink");
         assert!(last.closed() && !last.broken());
         assert_eq!(ledger.oldest_in_flight(false), Some(((8, 0), "g")));
         // An open tree is not a broken one.
@@ -264,20 +228,19 @@ mod tests {
     fn a_fault_record_after_the_last_copy_finds_its_tree() {
         // The VC mesh stalls a credit return after the delivery it pays
         // for: the record names a flit whose tree has closed.
-        let (clean, stalled) = (flit(1), flit(2));
         let mut ledger = TokenLedger::default();
-        let events = [
-            inject(&clean),
-            deliver(&clean),
-            fault(&clean, FaultClass::LinkStall),
-            fault(&clean, FaultClass::LinkStall),
-            inject(&stalled),
-            fault(&stalled, FaultClass::LinkStall),
-            deliver(&stalled),
-            fault(&stalled, FaultClass::LinkStall),
+        let records = [
+            inject(1),
+            deliver(1),
+            fault(1, FaultClass::LinkStall),
+            fault(1, FaultClass::LinkStall),
+            inject(2),
+            fault(2, FaultClass::LinkStall),
+            deliver(2),
+            fault(2, FaultClass::LinkStall),
         ];
-        for event in &events {
-            ledger.on_event(Time::ZERO, true, event);
+        for record in &records {
+            ledger.on_record(record, true);
         }
         let affected = TokenTally {
             fault_affected: 2,
@@ -292,25 +255,24 @@ mod tests {
 
     #[test]
     fn faults_annotate_and_a_lost_packet_is_broken_with_cause() {
-        let (stalled, lost, ghost) = (flit(1), flit(2), flit(3));
         let mut ledger = TokenLedger::default();
-        let events = [
+        let records = [
             // A header dropped on the injection link, re-sent, stalled once.
-            fault(&stalled, FaultClass::FlitDrop),
-            inject(&stalled),
-            fault(&stalled, FaultClass::LinkStall),
-            deliver(&stalled),
+            fault(1, FaultClass::FlitDrop),
+            inject(1),
+            fault(1, FaultClass::LinkStall),
+            deliver(1),
             // A packet discarded at its source: fault records only.
-            fault(&lost, FaultClass::FlitDrop),
-            fault(&lost, FaultClass::PacketLost),
+            fault(2, FaultClass::FlitDrop),
+            fault(2, FaultClass::PacketLost),
             // One delivery too many on a tree that closed clean and was
             // forgotten: broken without a cause.
-            inject(&ghost),
-            deliver(&ghost),
-            deliver(&ghost),
+            inject(3),
+            deliver(3),
+            deliver(3),
         ];
-        for event in &events {
-            ledger.on_event(Time::ZERO, true, event);
+        for record in &records {
+            ledger.on_record(record, true);
         }
         assert_eq!(
             ledger.tally(),

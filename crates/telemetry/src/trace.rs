@@ -1,9 +1,9 @@
 //! Substrate-neutral trace records with NDJSON import/export.
 //!
 //! A [`TraceRecord`] is the flat, serializable form of one flit action.
-//! Every substrate produces them the same way — the generic
-//! [`TraceCollector`] observer builds them straight off the engine event
-//! stream — so one parser round-trips traces from any simulator. A
+//! Every substrate produces them the same way — a run's
+//! [`Recorder`](crate::Recorder) builds one per engine event — so one
+//! parser round-trips traces from any simulator. A
 //! record is typed and `Copy`: where it happened is a [`Site`], what
 //! happened an [`Action`], how a [`Detail`]; text exists only in
 //! [`TraceRecord::write_ndjson`] and in the line reader.
@@ -22,12 +22,12 @@ use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
-use asynoc_engine::{ForwardInfo, Observer, SimEvent};
-use asynoc_kernel::{FaultClass, Time};
+use asynoc_kernel::FaultClass;
 use asynoc_packet::RouteSymbol;
 
 use crate::json::{exact_u64, write_digits, write_u64, JsonError, JsonValue, Scanner};
-use crate::site::{coordinate, Site, SiteOf};
+use crate::recorder::RecordSink;
+use crate::site::{coordinate, Site};
 
 /// Schema tag carried by a trace file's leading meta line.
 pub const TRACE_SCHEMA: &str = "asynoc-trace-v2";
@@ -181,53 +181,6 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// The record of `event`; `site_of` places the substrate's nodes.
-    #[must_use]
-    pub fn of<N: Copy>(
-        at: Time,
-        event: &SimEvent<'_, N>,
-        site_of: &dyn Fn(N) -> Site,
-    ) -> TraceRecord {
-        let (flit, action, detail, copies, busy_ps) = match event {
-            SimEvent::Inject { flit, .. } => (flit, Action::Inject, Detail::None, 1, 0),
-            SimEvent::Forward {
-                flit,
-                info,
-                copies,
-                busy,
-                ..
-            } => {
-                let detail = match *info {
-                    ForwardInfo::Routed(symbol) => Detail::Routed(symbol),
-                    ForwardInfo::Arbitrated { input } => Detail::Input(input),
-                };
-                (flit, Action::Forward, detail, *copies, busy.as_ps())
-            }
-            SimEvent::Drop { flit, busy, .. } => {
-                (flit, Action::Throttle, Detail::None, 0, busy.as_ps())
-            }
-            SimEvent::Deliver { flit, .. } => (flit, Action::Deliver, Detail::None, 0, 0),
-            SimEvent::Fault { class, flit, .. } => {
-                (flit, Action::Fault, Detail::Fault(*class), 0, 0)
-            }
-        };
-        let descriptor = flit.descriptor();
-        TraceRecord {
-            t_ps: at.as_ps(),
-            packet: descriptor.id().as_u64(),
-            logical: descriptor.logical_id().as_u64(),
-            flit: flit.index(),
-            src: descriptor.source() as u64,
-            dests: descriptor.dests().len() as u64,
-            created_ps: descriptor.created_at().as_ps(),
-            site: Site::of_event(event, site_of),
-            action,
-            detail,
-            copies,
-            busy_ps,
-        }
-    }
-
     /// Renders the record as one NDJSON line (no trailing newline).
     #[must_use]
     pub fn to_ndjson(&self) -> String {
@@ -319,7 +272,7 @@ pub struct TraceMeta {
 impl TraceMeta {
     /// Returns `true` when `created_ps` falls inside the measurement
     /// window `[warmup, warmup + measure)` — the same gate the latency
-    /// and waste observers apply.
+    /// and waste collectors apply.
     #[must_use]
     pub fn in_measurement(&self, t_ps: u64) -> bool {
         t_ps >= self.warmup_ps && t_ps < self.warmup_ps + self.measure_ps
@@ -707,21 +660,19 @@ pub fn parse_trace_lenient(
     (meta, records, errors)
 }
 
-/// A bounded, substrate-agnostic trace observer producing
-/// [`TraceRecord`]s for every phase of a run.
-pub struct TraceCollector<N> {
-    site_of: SiteOf<N>,
+/// A bounded record sink keeping the [`TraceRecord`]s of every phase of
+/// a run.
+pub struct TraceCollector {
     limit: usize,
     records: Vec<TraceRecord>,
     dropped: u64,
 }
 
-impl<N: Copy> TraceCollector<N> {
-    /// Collects up to `limit` records, placing nodes via `site_of`.
+impl TraceCollector {
+    /// Collects up to `limit` records.
     #[must_use]
-    pub fn new(limit: usize, site_of: SiteOf<N>) -> Self {
+    pub fn new(limit: usize) -> Self {
         TraceCollector {
-            site_of,
             limit,
             records: Vec::with_capacity(limit.min(4096)),
             dropped: 0,
@@ -748,38 +699,34 @@ impl<N: Copy> TraceCollector<N> {
     }
 }
 
-impl<N: Copy> Observer<N> for TraceCollector<N> {
-    fn on_event(&mut self, at: Time, _in_window: bool, event: &SimEvent<'_, N>) {
+impl RecordSink for TraceCollector {
+    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
         if self.records.len() >= self.limit {
             self.dropped += 1;
             return;
         }
-        self.records
-            .push(TraceRecord::of(at, event, &*self.site_of));
+        self.records.push(*record);
     }
 }
 
-/// A trace observer that keeps text, not records: every event's record
-/// is written at event time into one growing buffer. What `--trace-out`
-/// and a stream's `trace` lines are made by; an event costs no allocation
+/// A record sink that keeps text, not records: every record is written
+/// as it arrives into one growing buffer. What `--trace-out` and a
+/// stream's `trace` lines are made by; a record costs no allocation
 /// beyond the buffer's own growth.
-pub struct TraceWriter<N> {
-    site_of: SiteOf<N>,
+pub struct TraceWriter {
     limit: usize,
     lines: usize,
     dropped: u64,
     text: String,
 }
 
-impl<N: Copy> TraceWriter<N> {
-    /// Writes up to `limit` records between two [`clear`]s, placing nodes
-    /// via `site_of`.
+impl TraceWriter {
+    /// Writes up to `limit` records between two [`clear`]s.
     ///
     /// [`clear`]: TraceWriter::clear
     #[must_use]
-    pub fn new(limit: usize, site_of: SiteOf<N>) -> Self {
+    pub fn new(limit: usize) -> Self {
         TraceWriter {
-            site_of,
             limit,
             lines: 0,
             dropped: 0,
@@ -787,23 +734,16 @@ impl<N: Copy> TraceWriter<N> {
         }
     }
 
-    /// Appends one line — whatever `open` writes, the event's record,
-    /// then `close` — or counts the event as dropped once the limit is
-    /// reached.
-    pub fn record(
-        &mut self,
-        at: Time,
-        event: &SimEvent<'_, N>,
-        open: impl FnOnce(&mut String),
-        close: &str,
-    ) {
+    /// Appends one line — whatever `open` writes, `record`, then `close`
+    /// — or counts the record as dropped once the limit is reached.
+    pub fn record(&mut self, record: &TraceRecord, open: impl FnOnce(&mut String), close: &str) {
         if self.lines >= self.limit {
             self.dropped += 1;
             return;
         }
         self.lines += 1;
         open(&mut self.text);
-        TraceRecord::of(at, event, &*self.site_of).write_ndjson(&mut self.text);
+        record.write_ndjson(&mut self.text);
         self.text.push_str(close);
     }
 
@@ -813,7 +753,7 @@ impl<N: Copy> TraceWriter<N> {
         &self.text
     }
 
-    /// Events not written because the limit was reached.
+    /// Records not written because the limit was reached.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -827,21 +767,38 @@ impl<N: Copy> TraceWriter<N> {
     }
 }
 
-impl<N: Copy> Observer<N> for TraceWriter<N> {
-    fn on_event(&mut self, at: Time, _in_window: bool, event: &SimEvent<'_, N>) {
-        self.record(at, event, |_| {}, "\n");
+impl RecordSink for TraceWriter {
+    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
+        self.record(record, |_| {}, "\n");
     }
+}
+
+#[cfg(test)]
+impl TraceRecord {
+    /// The header of single-flit unicast packet 0 injected at source 0 at
+    /// time zero: the literal collector tests vary.
+    pub(crate) const INJECT: TraceRecord = TraceRecord {
+        t_ps: 0,
+        packet: 0,
+        logical: 0,
+        flit: 0,
+        src: 0,
+        dests: 1,
+        created_ps: 0,
+        site: Site::Source(0),
+        action: Action::Inject,
+        detail: Detail::None,
+        copies: 1,
+        busy_ps: 0,
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference;
-    use std::rc::Rc;
-    use std::sync::Arc;
 
-    use asynoc_kernel::{Duration, SimRng};
-    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
+    use asynoc_kernel::SimRng;
 
     fn record() -> TraceRecord {
         TraceRecord {
@@ -1391,157 +1348,29 @@ mod tests {
 
     #[test]
     fn event_time_writer_spells_what_the_collector_collects() {
-        let flit = Flit::new(
-            Arc::new(PacketDescriptor::new(
-                PacketId::new(7),
-                5,
-                DestSet::unicast(1),
-                RouteHeader::for_tree(8),
-                1,
-                Time::from_ps(5),
-            )),
-            0,
-        );
-        let busy = Duration::from_ps(52);
-        let mut events = vec![
-            SimEvent::Inject {
-                source: 4,
-                flit: &flit,
-            },
-            SimEvent::Drop {
-                node: 2usize,
-                flit: &flit,
-                busy,
-            },
-            SimEvent::Deliver {
-                dest: 63,
-                flit: &flit,
-            },
-        ];
-        for (node, symbol) in RouteSymbol::ALL.into_iter().enumerate() {
-            events.push(SimEvent::Forward {
-                node,
-                flit: &flit,
-                info: ForwardInfo::Routed(symbol),
-                copies: symbol.copy_count() as u8,
-                busy,
-            });
-            events.push(SimEvent::Forward {
-                node,
-                flit: &flit,
-                info: ForwardInfo::Arbitrated { input: node },
-                copies: 1,
-                busy,
-            });
+        let mut rng = SimRng::seed_from(0xc011);
+        let records: Vec<TraceRecord> = (0..64).map(|_| drawn_record(&mut rng)).collect();
+        let mut collector = TraceCollector::new(records.len());
+        let mut writer = TraceWriter::new(records.len());
+        for record in &records {
+            collector.on_record(record, true);
+            writer.on_record(record, true);
         }
-        for (site, class) in FaultClass::ALL.into_iter().enumerate() {
-            events.push(SimEvent::Fault {
-                class,
-                site,
-                flit: &flit,
-            });
-        }
-        // Odd nodes route, even ones arbitrate.
-        let site_of: SiteOf<usize> = Rc::new(|node| match node % 2 {
-            0 => Site::Fanin {
-                tree: node,
-                level: 1,
-                index: 0,
-            },
-            _ => Site::Fanout {
-                tree: 5,
-                level: 2,
-                index: node,
-            },
-        });
-        let mut collector = TraceCollector::new(events.len(), Rc::clone(&site_of));
-        let mut writer = TraceWriter::new(events.len(), site_of);
-        for (at, event) in events.iter().enumerate() {
-            let at = Time::from_ps(at as u64 * 100);
-            collector.on_event(at, true, event);
-            writer.on_event(at, true, event);
-        }
-        let sites: Vec<String> = collector
-            .records()
-            .iter()
-            .map(|r| r.site.to_string())
-            .collect();
-        assert_eq!(sites[..4], ["src4", "fi[d2:1.0]", "D63", "fi[d0:1.0]"]);
-        assert_eq!(
-            sites[sites.len() - 5..],
-            ["ch0", "node1", "node2", "src3", "src4"]
-        );
-        let mut collected = String::new();
-        for record in collector.records() {
-            collected.push_str(&writes_like_the_tree(record));
-            collected.push('\n');
-        }
+        assert_eq!(collector.records(), records);
+        let collected: String = records.iter().map(|r| r.to_ndjson() + "\n").collect();
         assert_eq!(writer.text(), collected);
-        assert_eq!(writer.text().lines().count(), events.len());
 
-        // Past the limit events are counted, not written; `clear` opens
+        // Past the limit records are counted, not kept; `clear` opens
         // it anew, and a wrapper goes around the same record.
-        writer.on_event(Time::ZERO, true, &events[0]);
+        writer.on_record(&records[0], false);
+        collector.on_record(&records[0], false);
         assert_eq!((writer.dropped(), writer.text()), (1, collected.as_str()));
+        assert_eq!((collector.dropped(), collector.records().len()), (1, 64));
         writer.clear();
-        writer.record(Time::ZERO, &events[1], |line| line.push_str("{\"r\":"), "}");
-        let first = collector.records()[1]
-            .to_ndjson()
-            .replacen("\"t_ps\":100", "\"t_ps\":0", 1);
-        assert_eq!(writer.text(), format!("{{\"r\":{first}}}"));
-    }
-
-    #[test]
-    fn collector_maps_events_and_respects_limit() {
-        let flit = Flit::new(
-            Arc::new(PacketDescriptor::new(
-                PacketId::new(3),
-                0,
-                DestSet::unicast(1),
-                RouteHeader::for_tree(8),
-                1,
-                Time::from_ps(5),
-            )),
-            0,
+        writer.record(&records[1], |line| line.push_str("{\"r\":"), "}");
+        assert_eq!(
+            writer.text(),
+            format!("{{\"r\":{}}}", records[1].to_ndjson())
         );
-        let mut collector: TraceCollector<usize> = TraceCollector::new(2, Rc::new(Site::Router));
-        collector.on_event(
-            Time::from_ps(10),
-            false,
-            &SimEvent::Inject {
-                source: 4,
-                flit: &flit,
-            },
-        );
-        collector.on_event(
-            Time::from_ps(20),
-            true,
-            &SimEvent::Forward {
-                node: 9usize,
-                flit: &flit,
-                info: ForwardInfo::Arbitrated { input: 1 },
-                copies: 1,
-                busy: Duration::from_ps(52),
-            },
-        );
-        collector.on_event(
-            Time::from_ps(30),
-            true,
-            &SimEvent::Deliver {
-                dest: 1,
-                flit: &flit,
-            },
-        );
-        assert_eq!(collector.dropped(), 1, "overflow is counted");
-        let records = collector.into_records();
-        assert_eq!(records.len(), 2, "limit caps the trace");
-        assert_eq!(records[0].site, Site::Source(4));
-        assert_eq!(records[0].action, Action::Inject);
-        assert_eq!(records[0].created_ps, 5);
-        assert_eq!(records[0].copies, 1);
-        assert_eq!(records[1].site, Site::Router(9));
-        assert_eq!(records[1].detail, Detail::Input(1));
-        assert_eq!(records[1].busy_ps, 52);
-        assert_eq!(records[1].logical, 3);
     }
 }

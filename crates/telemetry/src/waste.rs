@@ -2,7 +2,7 @@
 //!
 //! The paper's defense of local speculation is that its waste — redundant
 //! copies a speculative node broadcasts and a non-speculative neighbor
-//! throttles — is "confined to small local regions". This observer turns
+//! throttles — is "confined to small local regions". This ledger turns
 //! that claim into a checkable report: for every node it counts the
 //! throttles it absorbed and the redundant copies it created, and prices
 //! them in femtojoules with the same constants the power model uses, so
@@ -11,11 +11,10 @@
 
 use std::collections::HashMap;
 
-use asynoc_engine::{Observer, SimEvent};
-use asynoc_kernel::Time;
-
 use crate::json::JsonValue;
-use crate::site::{Site, SiteOf};
+use crate::recorder::RecordSink;
+use crate::site::Site;
+use crate::trace::{Action, TraceRecord};
 
 /// Per-node waste counters.
 #[derive(Clone, Debug, Default)]
@@ -31,30 +30,28 @@ pub struct NodeWaste {
     pub wasted_wire_fj: f64,
 }
 
-/// The speculation-waste ledger observer.
+/// The speculation-waste ledger.
 ///
 /// Gated on the measurement window (like the power observer), so its
 /// totals are comparable with the run's `PowerReport`.
-pub struct SpeculationWaste<N> {
+pub struct SpeculationWaste {
     wire_fj: f64,
     drop_fj: f64,
-    site_of: SiteOf<N>,
     per_node: HashMap<Site, NodeWaste>,
     injected: u64,
     forward_copies: u64,
 }
 
-impl<N: Copy> SpeculationWaste<N> {
+impl SpeculationWaste {
     /// Creates a ledger pricing drops at `drop_fj` and wire launches at
     /// `wire_fj` (use the substrate's `TimingModel` constants so totals
     /// reconcile with its energy ledger). A throttled copy is attributed
     /// to the site that created it ([`Site::creator`]).
     #[must_use]
-    pub fn new(wire_fj: f64, drop_fj: f64, site_of: SiteOf<N>) -> Self {
+    pub fn new(wire_fj: f64, drop_fj: f64) -> Self {
         SpeculationWaste {
             wire_fj,
             drop_fj,
-            site_of,
             per_node: HashMap::new(),
             injected: 0,
             forward_copies: 0,
@@ -161,26 +158,25 @@ impl<N: Copy> SpeculationWaste<N> {
     }
 }
 
-impl<N: Copy> Observer<N> for SpeculationWaste<N> {
-    fn on_event(&mut self, _at: Time, in_window: bool, event: &SimEvent<'_, N>) {
+impl RecordSink for SpeculationWaste {
+    fn on_record(&mut self, record: &TraceRecord, in_window: bool) {
         if !in_window {
             return;
         }
-        match event {
-            SimEvent::Inject { .. } => self.injected += 1,
-            SimEvent::Forward { copies, .. } => self.forward_copies += u64::from(*copies),
-            SimEvent::Drop { node, .. } => {
-                let site = (self.site_of)(*node);
-                let record = self.per_node.entry(site).or_default();
-                record.throttles += 1;
-                record.drop_fj += self.drop_fj;
-                record.wasted_wire_fj += self.wire_fj;
+        match record.action {
+            Action::Inject => self.injected += 1,
+            Action::Forward => self.forward_copies += u64::from(record.copies),
+            Action::Throttle => {
+                let waste = self.per_node.entry(record.site).or_default();
+                waste.throttles += 1;
+                waste.drop_fj += self.drop_fj;
+                waste.wasted_wire_fj += self.wire_fj;
                 self.per_node
-                    .entry(site.creator())
+                    .entry(record.site.creator())
                     .or_default()
                     .redundant_created += 1;
             }
-            SimEvent::Deliver { .. } | SimEvent::Fault { .. } => {}
+            Action::Deliver | Action::Fault => {}
         }
     }
 }
@@ -188,57 +184,31 @@ impl<N: Copy> Observer<N> for SpeculationWaste<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
-    use std::sync::Arc;
 
-    use asynoc_kernel::Duration;
-    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
-
-    fn flit() -> Flit {
-        Flit::new(
-            Arc::new(PacketDescriptor::new(
-                PacketId::new(1),
-                0,
-                DestSet::unicast(1),
-                RouteHeader::for_tree(8),
-                1,
-                Time::ZERO,
-            )),
-            0,
-        )
+    fn ledger() -> SpeculationWaste {
+        SpeculationWaste::new(200.0, 400.0)
     }
 
-    /// A ledger over one fanout tree whose nodes are numbered in level
-    /// order (node 5 is `fo[s0:2.2]`, its parent node 2 is `fo[s0:1.1]`).
-    fn ledger() -> SpeculationWaste<usize> {
-        SpeculationWaste::new(
-            200.0,
-            400.0,
-            Rc::new(|n: usize| {
-                let level = (n + 1).ilog2();
-                Site::Fanout {
-                    tree: 0,
-                    level,
-                    index: n + 1 - (1 << level),
-                }
-            }),
-        )
+    /// A throttle at fanout node `level.index` of source tree 0.
+    fn throttle(level: u32, index: usize) -> TraceRecord {
+        TraceRecord {
+            site: Site::Fanout {
+                tree: 0,
+                level,
+                index,
+            },
+            action: Action::Throttle,
+            copies: 0,
+            busy_ps: 80,
+            ..TraceRecord::INJECT
+        }
     }
 
     #[test]
     fn drops_price_and_attribute_to_the_parent() {
         let mut ledger = ledger();
-        let f = flit();
         for _ in 0..3 {
-            ledger.on_event(
-                Time::from_ps(10),
-                true,
-                &SimEvent::Drop {
-                    node: 5usize,
-                    flit: &f,
-                    busy: Duration::from_ps(80),
-                },
-            );
+            ledger.on_record(&throttle(2, 2), true);
         }
         assert_eq!(ledger.total_throttles(), 3);
         let rows = ledger.per_node();
@@ -247,7 +217,7 @@ mod tests {
         assert_eq!(
             (rows[0].1.throttles, rows[0].1.redundant_created),
             (0, 3),
-            "the parent created what node 5 threw away"
+            "the parent created what its child threw away"
         );
         assert_eq!(rows[1].0, "fo[s0:2.2]");
         assert_eq!((rows[1].1.throttles, rows[1].1.redundant_created), (3, 0));
@@ -258,16 +228,7 @@ mod tests {
     #[test]
     fn warmup_events_are_ignored() {
         let mut ledger = ledger();
-        let f = flit();
-        ledger.on_event(
-            Time::from_ps(10),
-            false,
-            &SimEvent::Drop {
-                node: 1usize,
-                flit: &f,
-                busy: Duration::from_ps(80),
-            },
-        );
+        ledger.on_record(&throttle(1, 0), false);
         assert_eq!(ledger.total_throttles(), 0);
         assert!(ledger.per_node().is_empty());
     }
@@ -275,42 +236,20 @@ mod tests {
     #[test]
     fn wire_total_counts_injections_and_copies() {
         let mut ledger = ledger();
-        let f = flit();
-        ledger.on_event(
-            Time::from_ps(1),
-            true,
-            &SimEvent::Inject {
-                source: 0,
-                flit: &f,
-            },
-        );
-        ledger.on_event(
-            Time::from_ps(2),
-            true,
-            &SimEvent::Forward {
-                node: 0usize,
-                flit: &f,
-                info: asynoc_engine::ForwardInfo::Arbitrated { input: 0 },
-                copies: 2,
-                busy: Duration::from_ps(52),
-            },
-        );
+        ledger.on_record(&TraceRecord::INJECT, true);
+        let fork = TraceRecord {
+            action: Action::Forward,
+            copies: 2,
+            ..throttle(0, 0)
+        };
+        ledger.on_record(&fork, true);
         assert!((ledger.total_wire_fj() - 3.0 * 200.0).abs() < 1e-9);
     }
 
     #[test]
     fn json_totals_match_accessors() {
         let mut ledger = ledger();
-        let f = flit();
-        ledger.on_event(
-            Time::from_ps(10),
-            true,
-            &SimEvent::Drop {
-                node: 3usize,
-                flit: &f,
-                busy: Duration::from_ps(80),
-            },
-        );
+        ledger.on_record(&throttle(2, 0), true);
         let json = ledger.to_json(6000.0);
         assert_eq!(
             json.get("total_drop_fj").and_then(JsonValue::as_f64),

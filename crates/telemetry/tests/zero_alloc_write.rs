@@ -5,7 +5,8 @@
 //! probe crate's counting allocator is attributable to the code between
 //! two snapshots.
 //!
-//! Two sinks write trace records, both through one [`TraceWriter`]:
+//! Two sinks write trace records, both through one [`TraceWriter`], each
+//! registered with the [`Recorder`] that builds an event's record:
 //!
 //! - `--stream --stream-trace`: a [`StreamSink`] renders each event's
 //!   `trace` line into a buffer it empties, capacity kept, at every
@@ -26,7 +27,8 @@ use asynoc_kernel::{Duration, Time};
 use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader, RouteSymbol};
 use asynoc_stats::Phases;
 use asynoc_telemetry::{
-    JsonValue, LevelSpec, Site, SiteOf, Stage, StreamConfig, StreamSink, TimeSeries, TraceWriter,
+    JsonValue, LatencyHistograms, LevelSpec, Recorder, Site, SiteOf, Stage, StreamConfig,
+    StreamSink, TimeSeries, TraceWriter,
 };
 
 #[global_allocator]
@@ -106,6 +108,17 @@ fn main() {
 
     // `--stream --stream-trace`.
     let window = Duration::from_ps(WINDOW_PS);
+    let phases = Phases::new(Duration::ZERO, Duration::from_ps(u64::MAX / 2));
+    let mut latency = LatencyHistograms::new(phases, ENDPOINTS);
+    let mut series = TimeSeries::new(
+        window,
+        (0..3)
+            .map(|level| LevelSpec {
+                stage: Stage::Fanout(level),
+                nodes: ENDPOINTS,
+            })
+            .collect(),
+    );
     let mut sink = StreamSink::new(
         Box::new(std::io::sink()),
         StreamConfig {
@@ -114,21 +127,11 @@ fn main() {
             window,
             trace_limit: Some(usize::MAX),
         },
-        Phases::new(Duration::ZERO, Duration::from_ps(u64::MAX / 2)),
-        ENDPOINTS,
-        TimeSeries::new(
-            window,
-            (0..3)
-                .map(|level| LevelSpec {
-                    stage: Stage::Fanout(level),
-                    nodes: ENDPOINTS,
-                })
-                .collect(),
-            site_of(),
-        ),
-        site_of(),
+        &mut latency,
+        &mut series,
     )
     .expect("the head record is written");
+    let mut recorder = Recorder::new(site_of(), vec![&mut sink]);
     // Four windows warm the sink up; the fifth is the one held to zero.
     let mut in_window = [u64::MAX; 5];
     for (window, count) in in_window.iter_mut().enumerate() {
@@ -136,10 +139,10 @@ fn main() {
         // The window's first event flushes the one before (which builds
         // the `window` record's tree), and its first round refills what
         // the flush drained. Everything after that is steady state.
-        at = round(&mut sink, &flits, at);
+        at = round(&mut recorder, &flits, at);
         let before = allocations();
         for _ in 1..ROUNDS {
-            at = round(&mut sink, &flits, at);
+            at = round(&mut recorder, &flits, at);
         }
         *count = allocations() - before;
     }
@@ -158,11 +161,12 @@ fn main() {
     );
 
     // `--trace-out`, counted from the first event.
-    let mut writer = TraceWriter::new(usize::MAX, site_of());
+    let mut writer = TraceWriter::new(usize::MAX);
+    let mut recorder = Recorder::new(site_of(), vec![&mut writer]);
     let before = allocations();
     let mut at = START_PS;
     for _ in 0..5 * ROUNDS {
-        at = round(&mut writer, &flits, at);
+        at = round(&mut recorder, &flits, at);
     }
     let grown = allocations() - before;
     // An empty buffer doubling its way to this length: one growth a bit.

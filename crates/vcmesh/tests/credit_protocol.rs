@@ -28,7 +28,10 @@ use std::rc::Rc;
 use asynoc_kernel::Duration;
 use asynoc_mesh::MeshSize;
 use asynoc_stats::Phases;
-use asynoc_telemetry::{JsonValue, LevelSpec, Site, Stage, StreamConfig, StreamSink, TimeSeries};
+use asynoc_telemetry::{
+    JsonValue, LatencyHistograms, LevelSpec, Recorder, Site, Stage, StreamConfig, StreamSink,
+    TimeSeries,
+};
 use asynoc_traffic::Benchmark;
 use asynoc_vcmesh::{drive, McastScheme, RunConfig, VcMeshConfig, VcMeshNetwork, VcMeshReport};
 
@@ -117,6 +120,12 @@ fn progress_watchdog_stays_quiet_on_clean_multicast_runs() {
         let buf = SharedBuf::default();
         let net = network(seed, McastScheme::Dpm);
         let endpoints = net.config().size().endpoints();
+        let mut latency = LatencyHistograms::new(phases(), endpoints);
+        let routers = LevelSpec {
+            stage: Stage::Router,
+            nodes: endpoints,
+        };
+        let mut series = TimeSeries::new(Duration::from_ns(100), vec![routers]);
         let mut sink = StreamSink::new(
             Box::new(buf.clone()),
             StreamConfig {
@@ -125,21 +134,13 @@ fn progress_watchdog_stays_quiet_on_clean_multicast_runs() {
                 window: Duration::from_ns(100),
                 trace_limit: None,
             },
-            phases(),
-            endpoints,
-            TimeSeries::new(
-                Duration::from_ns(100),
-                vec![LevelSpec {
-                    stage: Stage::Router,
-                    nodes: endpoints,
-                }],
-                Rc::new(Site::Router),
-            ),
-            Rc::new(Site::Router),
+            &mut latency,
+            &mut series,
         )
         .expect("sink construction succeeds");
         let run = RunConfig::quick(Benchmark::Multicast10, 0.1);
-        let report = drive(&net, &run, &mut [&mut sink], None).expect("run succeeds");
+        let mut recorder = Recorder::new(Rc::new(Site::Router), vec![&mut sink]);
+        let report = drive(&net, &run, &mut [&mut recorder], None).expect("run succeeds");
         assert_eq!(
             report.packets_incomplete, 0,
             "seed {seed}: run did not drain"

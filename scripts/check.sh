@@ -25,7 +25,6 @@ if [[ "${1:-}" != --fast ]]; then
     # Built once: every gate below runs a binary under target/release.
     step cargo build --release --workspace --bins --examples
 fi
-step cargo test -q
 step cargo test --workspace -q
 if [[ "${1:-}" == --fast ]]; then
     echo "OK: lints and tests passed"
@@ -59,9 +58,10 @@ run_bin() { # OUT BIN ARGS..: target/release/BIN (or examples/BIN) must exit 0
 #   BIN ARGS [> FILE]       run the binary, stdout to FILE
 #   same FILTER A B [C..]   B, C.. equal A, each seen through FILTER (cat: same stdout, same file)
 #   has FILE TAG            FILE contains the text TAG
+#   exits N BIN ARGS        BIN exits with status N; its stderr is kept in the file stderr
 #   reproduces F BIN ARGS   BIN's stdout is results/F, byte for byte
 gate() {
-    local name=$1 steps step w out
+    local name=$1 steps step w out code
     echo "==> $name"
     rm -rf "$tmp/row" && mkdir "$tmp/row" && cd "$tmp/row"
     IFS=';' read -ra steps <<<"$2"
@@ -73,6 +73,11 @@ gate() {
                 diff <("${w[1]}" "${w[2]}") <("${w[1]}" "$out") ||
                     fail "$out differs from ${w[2]} (both through ${w[1]})"
             done
+            ;;
+        exits)
+            code=0
+            "$bin/${w[2]}" "${w[@]:3}" >/dev/null 2>stderr || code=$?
+            [[ $code == "${w[1]}" ]] || fail "exit $code, not ${w[1]}: ${w[*]:2}"
             ;;
         has) grep -qF -- "${step#*"${w[1]}" }" "${w[1]}" || fail "${w[1]} lacks ${step#*"${w[1]}" }" ;;
         reproduces)
@@ -132,6 +137,9 @@ fault oracle, --shards 1 == 2 (mesh) | asynoc faults $fmesh $pair --shards 1 --r
  asynoc faults $fmesh $pair --shards 2 --report-out 2.json ; same cat 1.json 2.json
 fault oracle, --shards 1 == 2 (vcmesh) | asynoc faults $fvcmesh $pair --shards 1 --report-out 1.json ;\
  asynoc faults $fvcmesh $pair --shards 2 --report-out 2.json ; same cat 1.json 2.json
+# a plan entry aimed at a channel, source or symbol site the fabric does not have never fires: it is
+# refused before any run, not reported as a fault the fabric shrugged off
+fault plan outside the fabric is refused | exits 1 asynoc faults $fmot $pair --plan stall:99999:1:10 ; has stderr error: --plan: entry 1
 # 900 000 events a twin: the oracle judges from the stream and keeps no trace, so its verdict
 # holds however long the run is (it kept 500 000 records once, and was wrong past them)
 fault oracle past the old trace cap | asynoc faults --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 --plan lose:0:2000 --oracle --measure-ns 60000 --report-out r.json ;\

@@ -10,13 +10,12 @@
 //! (`consumed > created`, or events with no injection) is impossible in
 //! a well-formed trace and must never appear.
 
-use asynoc::{
-    Architecture, Benchmark, Duration, MotNode, Network, NetworkConfig, Observer, Phases, RunConfig,
-};
+use asynoc::{Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
 use asynoc_analysis::{critical_paths, Analysis, Scorecard, SpanForest};
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
 use asynoc_telemetry::{
-    LatencyHistograms, Site, SpeculationWaste, TraceCollector, TraceMeta, TraceRecord,
+    parse_trace, JsonValue, LatencyHistograms, LevelSpec, RecordSink, Recorder, Site,
+    SpeculationWaste, Stage, TimeSeries, TraceCollector, TraceMeta, TraceRecord,
 };
 
 fn phases() -> Phases {
@@ -34,7 +33,7 @@ fn mot_trace(
     TraceMeta,
     Vec<TraceRecord>,
     LatencyHistograms,
-    SpeculationWaste<MotNode>,
+    SpeculationWaste,
 ) {
     let net =
         Network::new(NetworkConfig::eight_by_eight(arch).with_seed(seed)).expect("valid config");
@@ -46,11 +45,10 @@ fn mot_trace(
         .with_phases(phases);
 
     let mut latency = LatencyHistograms::new(phases, size.n());
-    let mut waste = SpeculationWaste::new(timing.wire_fj, timing.drop_fj, net.site_of());
-    let mut collector: TraceCollector<MotNode> = TraceCollector::new(1_000_000, net.site_of());
-    let mut observers: Vec<&mut dyn Observer<MotNode>> =
-        vec![&mut latency, &mut waste, &mut collector];
-    net.run_with_observers(&run, &mut observers)
+    let mut waste = SpeculationWaste::new(timing.wire_fj, timing.drop_fj);
+    let mut collector = TraceCollector::new(1_000_000);
+    let sinks: Vec<&mut dyn RecordSink> = vec![&mut latency, &mut waste, &mut collector];
+    net.run_with_observers(&run, &mut [&mut Recorder::new(net.site_of(), sinks)])
         .expect("run succeeds");
 
     let meta = TraceMeta {
@@ -74,12 +72,12 @@ fn mesh_trace(benchmark: Benchmark, rate: f64, seed: u64) -> (TraceMeta, Vec<Tra
     let size = MeshSize::new(4, 4).expect("valid size");
     let net = MeshNetwork::new(MeshConfig::new(size).with_seed(seed)).expect("valid config");
     let phases = phases();
-    let mut collector: TraceCollector<usize> =
-        TraceCollector::new(1_000_000, std::rc::Rc::new(Site::Router));
+    let mut collector = TraceCollector::new(1_000_000);
     let run = RunConfig::new(benchmark, rate)
         .expect("positive rate")
         .with_phases(phases);
-    asynoc::drive(&net, &run, &mut [&mut collector], None).expect("run succeeds");
+    let mut recorder = Recorder::new(std::rc::Rc::new(Site::Router), vec![&mut collector]);
+    asynoc::drive(&net, &run, &mut [&mut recorder], None).expect("run succeeds");
     let meta = TraceMeta {
         substrate: "mesh".to_string(),
         arch: None,
@@ -237,4 +235,96 @@ fn scorecard_reconciles_with_the_waste_ledger() {
     // Region totals sum to the ledger totals.
     let region_throttles: u64 = card.regions.iter().map(|r| r.throttles).sum();
     assert_eq!(region_throttles, card.total_throttles);
+}
+
+/// Offline == online: a record is lossless for every collector. One
+/// `metrics` run per substrate writes its document and its uncapped
+/// trace; fresh collectors fed the parsed file, gated as the meta line
+/// says, must render the document's own sections byte for byte.
+#[test]
+fn collectors_give_the_same_answer_from_a_recording() {
+    let path = |name: &str| {
+        let file = format!("asynoc-replay-{}-{name}", std::process::id());
+        std::env::temp_dir()
+            .join(file)
+            .to_string_lossy()
+            .into_owned()
+    };
+    let routers = |nodes| {
+        let stage = Stage::Router;
+        vec![LevelSpec { stage, nodes }]
+    };
+    let mot = Network::new(NetworkConfig::eight_by_eight(
+        Architecture::BasicHybridSpeculative,
+    ))
+    .expect("valid config");
+    for (fabric, endpoints, levels) in [
+        (
+            "--arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3",
+            8,
+            mot.levels(),
+        ),
+        (
+            "--substrate mesh --benchmark Uniform-random --rate 0.1 --size 4",
+            16,
+            routers(16),
+        ),
+        (
+            "--substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4",
+            16,
+            routers(16),
+        ),
+    ] {
+        let (doc_path, trace_path) = (path("doc.json"), path("trace.ndjson"));
+        let line = format!(
+            "metrics {fabric} --warmup-ns 40 --measure-ns 300 --bin-ns 50 \
+             --metrics-out {doc_path} --trace-out {trace_path} --trace-limit 100000000"
+        );
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let command = asynoc_cli::parse(&argv).expect("a valid invocation");
+        asynoc_cli::execute(&command, &mut Vec::new()).expect("the run succeeds");
+        let read = |path: &str| {
+            let text = std::fs::read_to_string(path).expect(path);
+            let _ = std::fs::remove_file(path);
+            text
+        };
+        let online = JsonValue::parse(&read(&doc_path)).expect("a metrics document");
+        let (meta, records) = parse_trace(&read(&trace_path)).expect("a well-formed trace");
+        let meta = meta.expect("the trace leads with its meta line");
+        assert_eq!(meta.dropped_events, 0, "{fabric}: the recording is whole");
+        assert!(records.len() > 1_000, "{fabric}: {} records", records.len());
+
+        let phases = Phases::new(
+            Duration::from_ps(meta.warmup_ps),
+            Duration::from_ps(meta.measure_ps),
+        );
+        let mut latency = LatencyHistograms::new(phases, endpoints);
+        let mut series = TimeSeries::new(Duration::from_ns(50), levels);
+        let mut waste = meta
+            .wire_fj
+            .zip(meta.drop_fj)
+            .map(|(wire_fj, drop_fj)| SpeculationWaste::new(wire_fj, drop_fj));
+        for record in &records {
+            let in_window = meta.in_measurement(record.t_ps);
+            latency.on_record(record, in_window);
+            series.on_record(record, in_window);
+            if let Some(waste) = waste.as_mut() {
+                waste.on_record(record, in_window);
+            }
+        }
+
+        let section = |key: &str| online.get(key).expect(key).render();
+        assert_eq!(latency.to_json().render(), section("latency"), "{fabric}");
+        assert_eq!(series.to_json().render(), section("timeseries"), "{fabric}");
+        let offline_waste = waste.map_or(JsonValue::Null, |waste| {
+            // As `metrics` prices it: mW x ps is fJ.
+            let power = |key: &str| {
+                let power = online.get("power").and_then(|power| power.get(key));
+                power.and_then(JsonValue::as_f64).expect(key)
+            };
+            waste.to_json(power("dynamic_mw") * power("window_ps"))
+        });
+        assert_eq!(offline_waste.render(), section("waste"), "{fabric}");
+        assert_eq!(offline_waste == JsonValue::Null, endpoints == 16);
+    }
 }

@@ -11,8 +11,13 @@ use asynoc_gates::mousetrap::{SpeculativeFork, StageDelays};
 use asynoc_gates::{vcd, GateSim};
 use asynoc_kernel::Time;
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
-use asynoc_telemetry::{parse_trace, Action, Site, TraceCollector, TraceRecord};
+use asynoc_telemetry::{parse_trace, Action, Recorder, Site, SiteOf, TraceCollector, TraceRecord};
 use asynoc_vcmesh::{McastScheme, VcMeshConfig, VcMeshNetwork};
+
+/// How both meshes place their nodes.
+fn routers() -> SiteOf<usize> {
+    std::rc::Rc::new(Site::Router)
+}
 
 #[test]
 fn mot_beats_mesh_at_equal_endpoint_count() {
@@ -104,10 +109,12 @@ fn both_substrates_emit_round_trippable_ndjson_traces() {
     let run = RunConfig::new(Benchmark::Multicast10, 0.2)
         .expect("positive rate")
         .with_phases(phases);
-    let mut mot_trace = TraceCollector::new(50_000, mot.site_of());
-    drive(&mot, &run, &mut [&mut mot_trace], None).expect("MoT run succeeds");
-    let mut mesh_trace = TraceCollector::new(50_000, std::rc::Rc::new(Site::Router));
-    drive(&mesh, &run, &mut [&mut mesh_trace], None).expect("mesh run succeeds");
+    let (mut mot_trace, mut mesh_trace) =
+        (TraceCollector::new(50_000), TraceCollector::new(50_000));
+    let mut recorder = Recorder::new(mot.site_of(), vec![&mut mot_trace]);
+    drive(&mot, &run, &mut [&mut recorder], None).expect("MoT run succeeds");
+    let mut recorder = Recorder::new(routers(), vec![&mut mesh_trace]);
+    drive(&mesh, &run, &mut [&mut recorder], None).expect("mesh run succeeds");
 
     for (substrate, records) in [
         ("mot", mot_trace.into_records()),
@@ -142,15 +149,15 @@ fn one_recoverable_fault_plan_satisfies_the_oracle_on_both_substrates() {
     // contract on the MoT, on the mesh, and on the credit-based VC
     // mesh. Channel and source indices are chosen to exist in every
     // fault domain.
-    fn check<S: Substrate>(substrate: &str, net: &S) {
+    fn check<S: Substrate>(substrate: &str, net: &S, site_of: SiteOf<S::Node>) {
         let plan =
             FaultPlan::parse("stall:0:2:300;stall:1:1:200;drop:1:0:1:500").expect("valid plan");
         let run = RunConfig::new(Benchmark::UniformRandom, 0.1)
             .expect("positive rate")
             .with_phases(Phases::new(Duration::from_ns(20), Duration::from_ns(150)));
         let domain = net.fault_domain();
-        let clean = run_outcome(net, &run, None, &mut []).expect("clean run");
-        let faulted = run_outcome(net, &run, Some(&plan), &mut []).expect("faulted run");
+        let clean = run_outcome(net, &run, None, site_of.clone(), &mut []).expect("clean run");
+        let faulted = run_outcome(net, &run, Some(&plan), site_of, &mut []).expect("faulted run");
         assert!(
             plan.recoverable(&domain),
             "{substrate}: stalls and retried drops are recoverable everywhere"
@@ -176,14 +183,16 @@ fn one_recoverable_fault_plan_satisfies_the_oracle_on_both_substrates() {
         .with_seed(7),
     )
     .expect("valid config");
-    check("mot", &mot);
+    check("mot", &mot, mot.site_of());
     check(
         "mesh",
         &MeshNetwork::square(4, 7, 5, ()).expect("valid mesh"),
+        routers(),
     );
     check(
         "vcmesh",
         &VcMeshNetwork::square(4, 7, 5, McastScheme::XyTree).expect("valid vcmesh"),
+        routers(),
     );
 }
 
@@ -245,7 +254,7 @@ fn multicast_delivery_multisets_agree_across_substrates() {
     let run = RunConfig::new(Benchmark::Multicast5, 0.1)
         .expect("positive rate")
         .with_phases(phases);
-    let reference = run_outcome(&mot, &run, None, &mut []).expect("MoT run");
+    let reference = run_outcome(&mot, &run, None, mot.site_of(), &mut []).expect("MoT run");
     assert!(
         reference.deliveries.keys().any(|(_, _)| true),
         "reference run delivered nothing"
@@ -253,7 +262,7 @@ fn multicast_delivery_multisets_agree_across_substrates() {
 
     for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
         let net = VcMeshNetwork::square(4, 7, 5, mcast).expect("valid vcmesh");
-        let outcome = run_outcome(&net, &run, None, &mut []).expect("vcmesh run");
+        let outcome = run_outcome(&net, &run, None, routers(), &mut []).expect("vcmesh run");
         assert_eq!(
             outcome.deliveries, reference.deliveries,
             "{mcast}: delivery multiset diverged from the MoT reference"

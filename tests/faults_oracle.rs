@@ -14,6 +14,7 @@ use asynoc::{
 };
 use asynoc_faults::{judge, run_outcome, FaultPlan};
 use asynoc_mesh::MeshNetwork;
+use asynoc_telemetry::{Site, SiteOf};
 
 fn mot_net(seed: u64) -> Network {
     Network::new(
@@ -43,7 +44,7 @@ fn fifty_seeded_recoverable_plans_satisfy_the_oracle_on_mot() {
     for net_seed in 0..5u64 {
         let net = mot_net(net_seed);
         let domain = net.fault_domain();
-        let clean = run_outcome(&net, &run, None, &mut []).expect("clean run");
+        let clean = run_outcome(&net, &run, None, net.site_of(), &mut []).expect("clean run");
         assert!(!clean.deliveries.is_empty(), "clean twin delivered traffic");
         for plan_seed in 0..10u64 {
             let plan = FaultPlan::random(net_seed * 1_000 + plan_seed, 0.15, &domain);
@@ -52,7 +53,8 @@ fn fifty_seeded_recoverable_plans_satisfy_the_oracle_on_mot() {
                 plan.recoverable(&domain),
                 "random plans draw recoverable entries only"
             );
-            let faulted = run_outcome(&net, &run, Some(&plan), &mut []).expect("faulted run");
+            let faulted =
+                run_outcome(&net, &run, Some(&plan), net.site_of(), &mut []).expect("faulted run");
             let verdict = judge(&clean, &faulted, &plan, &domain);
             assert!(verdict.recoverable);
             assert!(
@@ -76,7 +78,8 @@ fn seeded_recoverable_plans_satisfy_the_oracle_on_the_mesh() {
         .with_phases(Phases::new(Duration::from_ns(20), Duration::from_ns(150)));
     let net = MeshNetwork::square(4, 7, 5, ()).expect("valid mesh");
     let domain = net.fault_domain();
-    let clean = run_outcome(&net, &run, None, &mut []).expect("clean run");
+    let routers = || -> SiteOf<usize> { std::rc::Rc::new(Site::Router) };
+    let clean = run_outcome(&net, &run, None, routers(), &mut []).expect("clean run");
     assert!(!clean.deliveries.is_empty(), "clean twin delivered traffic");
     for plan_seed in 0..10u64 {
         let plan = FaultPlan::random(plan_seed, 0.15, &domain);
@@ -84,7 +87,8 @@ fn seeded_recoverable_plans_satisfy_the_oracle_on_the_mesh() {
             plan.recoverable(&domain),
             "mesh random plans are recoverable"
         );
-        let faulted = run_outcome(&net, &run, Some(&plan), &mut []).expect("faulted run");
+        let faulted =
+            run_outcome(&net, &run, Some(&plan), routers(), &mut []).expect("faulted run");
         let verdict = judge(&clean, &faulted, &plan, &domain);
         assert!(
             verdict.pass(),
@@ -108,8 +112,9 @@ fn lethal_losses_reconcile_ledger_against_span_analysis() {
     let plan = FaultPlan::parse("lose:0:0;lose:3:1;lose:6:0").expect("valid");
     assert!(!plan.recoverable(&domain));
 
-    let clean = run_outcome(&net, &run, None, &mut []).expect("clean run");
-    let faulted = run_outcome(&net, &run, Some(&plan), &mut []).expect("faulted run");
+    let clean = run_outcome(&net, &run, None, net.site_of(), &mut []).expect("clean run");
+    let faulted =
+        run_outcome(&net, &run, Some(&plan), net.site_of(), &mut []).expect("faulted run");
 
     assert_eq!(faulted.summary.lost, 3, "all three losses fired");
     assert_eq!(faulted.ledger.lost(), 3, "the ledger saw all of them");

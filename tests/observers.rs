@@ -1,12 +1,17 @@
 //! Observer contract tests: registration order, measurement-window
 //! gating, and the zero-observer fast path.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use asynoc::{
     Architecture, Benchmark, Duration, MotNode, Network, NetworkConfig, Observer, Phases,
     RunConfig, SimEvent, Time,
+};
+use asynoc_telemetry::{
+    ChromeTraceObserver, FaultLedger, JsonValue, LatencyHistograms, RecordSink, Recorder, SiteOf,
+    SpeculationWaste, StreamConfig, StreamSink, TimeSeries, TokenLedger, TraceCollector,
+    TraceWriter,
 };
 
 fn network() -> Network {
@@ -119,4 +124,79 @@ fn observers_do_not_change_the_measurement() {
     assert_eq!(bare.flits_throttled, observed.flits_throttled);
     assert_eq!(bare.events_processed, observed.events_processed);
     assert_eq!(bare.latency.mean(), observed.latency.mean());
+}
+
+/// Counts the events a node fired (`Forward`, `Drop`) and the rest.
+#[derive(Default)]
+struct Located {
+    fired: usize,
+    elsewhere: usize,
+}
+
+impl Observer<MotNode> for Located {
+    fn on_event(&mut self, _at: Time, _in_window: bool, event: &SimEvent<'_, MotNode>) {
+        match event {
+            SimEvent::Forward { .. } | SimEvent::Drop { .. } => self.fired += 1,
+            _ => self.elsewhere += 1,
+        }
+    }
+}
+
+#[test]
+fn a_located_event_is_placed_once_whatever_is_registered() {
+    // Everything `metrics --stream --stream-trace --trace-out` registers,
+    // both trace formats, and the fault oracle's two ledgers, on one
+    // recorder: the run's `SiteOf` is asked where a node sits once per
+    // event a node fired, and never for an injection or a delivery.
+    let net = network();
+    let placed = Rc::new(Cell::new(0usize));
+    let site_of: SiteOf<MotNode> = {
+        let (placed, site_of) = (Rc::clone(&placed), net.site_of());
+        Rc::new(move |node| {
+            placed.set(placed.get() + 1);
+            site_of(node)
+        })
+    };
+    let timing = net.config().timing();
+    let bin = Duration::from_ns(50);
+    let mut latency = LatencyHistograms::new(phases(), net.config().size().n());
+    let mut series = TimeSeries::new(bin, net.levels());
+    let mut sink = StreamSink::new(
+        Box::new(std::io::sink()),
+        StreamConfig {
+            substrate: "mot".to_string(),
+            config: JsonValue::Null,
+            window: bin,
+            trace_limit: Some(usize::MAX),
+        },
+        &mut latency,
+        &mut series,
+    )
+    .expect("the head record is written");
+    let mut waste = SpeculationWaste::new(timing.wire_fj, timing.drop_fj);
+    let (mut tokens, mut faults) = (TokenLedger::default(), FaultLedger::new());
+    let (mut collector, mut writer) = (TraceCollector::new(1 << 20), TraceWriter::new(1 << 20));
+    let mut chrome = ChromeTraceObserver::new(1 << 20);
+    let sinks: Vec<&mut dyn RecordSink> = vec![
+        &mut sink,
+        &mut waste,
+        &mut tokens,
+        &mut faults,
+        &mut collector,
+        &mut writer,
+        &mut chrome,
+    ];
+    let mut located = Located::default();
+    let mut recorder = Recorder::new(site_of, sinks);
+    net.run_with_observers(&run_config(), &mut [&mut located, &mut recorder])
+        .expect("run succeeds");
+    sink.finish(JsonValue::Object(Vec::new()), 0)
+        .expect("the stream closes");
+
+    assert!(located.fired > 1_000 && located.elsewhere > 1_000);
+    assert_eq!(placed.get(), located.fired);
+    // And every sink saw every event.
+    assert_eq!(collector.records().len(), located.fired + located.elsewhere);
+    assert_eq!(writer.text().lines().count(), collector.records().len());
+    assert_eq!(chrome.trace().len(), collector.records().len());
 }

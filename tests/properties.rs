@@ -6,7 +6,6 @@
 //! zero external dependencies and fails reproducibly.
 
 use asynoc::{Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
-use asynoc_faults::{run_outcome, shrink_plan, FaultEntry, FaultPlan};
 use asynoc_kernel::SimRng;
 
 fn benchmarks() -> Vec<Benchmark> {
@@ -110,60 +109,4 @@ fn runs_are_deterministic() {
         assert_eq!(a.flits_throttled, b.flits_throttled);
         assert_eq!(a.packets_measured, b.packets_measured);
     }
-}
-
-/// A fault plan that violates the recoverable contract shrinks to a
-/// minimal reproducer: the predicate reruns the real differential pair
-/// on every candidate, so the surviving entry is the one interaction
-/// that actually changes the delivered multiset — and the harness
-/// prints the exact CLI line that replays it.
-#[test]
-fn failing_fault_plans_shrink_to_a_minimal_reproducer() {
-    let seed = 3;
-    let network = Network::new(
-        NetworkConfig::eight_by_eight(Architecture::BasicHybridSpeculative).with_seed(seed),
-    )
-    .expect("valid config");
-    let run = RunConfig::new(Benchmark::Multicast5, 0.2)
-        .expect("positive rate")
-        .with_phases(Phases::new(Duration::from_ns(20), Duration::from_ns(120)));
-    let clean = run_outcome(&network, &run, None, &mut []).expect("clean run");
-
-    // One lethal loss buried in recoverable noise. The noise entries
-    // leave the delivered multiset untouched; only the loss diverges it.
-    let plan = FaultPlan::parse("stall:0:3:300;drop:1:0:1:500;lose:2:0;stall:5:2:200")
-        .expect("valid plan");
-    let diverges = |candidate: &FaultPlan| {
-        let faulted = run_outcome(&network, &run, Some(candidate), &mut []).expect("faulted run");
-        faulted.deliveries != clean.deliveries
-    };
-    assert!(diverges(&plan), "the full plan reproduces the divergence");
-
-    let minimal = shrink_plan(&plan, diverges);
-    assert_eq!(
-        minimal.entries,
-        vec![FaultEntry::Lose { source: 2, nth: 0 }],
-        "shrinking isolates the lethal entry"
-    );
-    let faulted = run_outcome(&network, &run, Some(&minimal), &mut []).expect("minimal run");
-    assert_ne!(
-        faulted.deliveries, clean.deliveries,
-        "the minimal plan still reproduces"
-    );
-
-    // The pair above, as the command line names it.
-    let argv: Vec<String> = "faults --arch BasicHybridSpeculative --benchmark Multicast5 \
-                             --rate 0.2 --seed 3 --warmup-ns 20 --measure-ns 120"
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-    let Ok(asynoc_cli::Command::Faults(request)) = asynoc_cli::parse(&argv) else {
-        panic!("a valid faults invocation");
-    };
-    assert_eq!(
-        asynoc_cli::faults::replay_line(&request, &minimal),
-        "asynoc faults --substrate mot --arch BasicHybridSpeculative --benchmark Multicast5 \
-         --rate 0.2 --size 8 --seed 3 --flits 5 --warmup-ns 20 --measure-ns 120 \
-         --plan 'lose:2:0' --oracle"
-    );
 }
