@@ -18,7 +18,7 @@
 
 use std::hint::black_box;
 
-use asynoc::{Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
+use asynoc::{drive, Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
 use asynoc_bench::ratio::{paired_rounds, quartiles, Bound};
 use asynoc_engine::ArmedFaults;
 use asynoc_kernel::{CalendarQueue, EventQueue, SimRng, Time};
@@ -148,9 +148,7 @@ fn main() {
         ROUNDS,
         || {
             let mut faults = ArmedFaults::new();
-            let report = network
-                .run_with_faults(&bare, &mut faults, &mut [])
-                .expect("run succeeds");
+            let report = drive(&network, &bare, &mut [], Some(&mut faults)).expect("run succeeds");
             assert_eq!(report.events_processed, events);
             black_box(report);
         },

@@ -5,7 +5,7 @@
 //! Usage: `cargo run --release -p asynoc-bench --bin packet_trace [--seed N]`
 
 use asynoc::telemetry::{Action, Detail, Recorder, TraceCollector, TraceRecord};
-use asynoc::{Architecture, Benchmark, Network, NetworkConfig, RunConfig, Time};
+use asynoc::{drive, Architecture, Benchmark, Network, NetworkConfig, RunConfig, Time};
 
 /// One journey line: when, which flit, where, and what the node did.
 fn journey_line(record: &TraceRecord) -> String {
@@ -41,9 +41,7 @@ fn main() {
     let run = RunConfig::quick(Benchmark::Multicast10, 0.2);
     let mut collector = TraceCollector::new(40_000);
     let mut recorder = Recorder::new(network.site_of(), vec![&mut collector]);
-    network
-        .run_with_observers(&run, &mut [&mut recorder])
-        .expect("run succeeds");
+    drive(&network, &run, &mut [&mut recorder], None).expect("run succeeds");
     let trace = collector.into_records();
 
     // Prefer a multicast packet whose journey also shows a throttled

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use asynoc::probe::{peak_bytes, reset_peak_bytes};
 use asynoc::telemetry::{LatencyHistograms, Recorder, StreamConfig, StreamSink, TimeSeries};
-use asynoc::{Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
+use asynoc::{drive, Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
 use asynoc_kernel::with_deadline;
 use asynoc_topology::MotSize;
 
@@ -120,8 +120,7 @@ fn streamed_run(net: &Network, shards: usize, measure_ns: u64) -> Streamed {
     reset_peak_bytes();
     let report = {
         let mut recorder = Recorder::new(net.site_of(), vec![&mut sink]);
-        net.run_with_observers(&run, &mut [&mut recorder])
-            .expect("run completes")
+        drive(net, &run, &mut [&mut recorder], None).expect("run completes")
     };
     let peak_bytes = peak_bytes();
     let wall_ns = started.elapsed().as_nanos().max(1) as f64;

@@ -13,10 +13,10 @@
 
 use std::rc::Rc;
 
+use asynoc::faults::{run_outcome, FaultPlan};
 use asynoc::telemetry::{Site, SiteOf};
 use asynoc::{drive, Architecture, Benchmark, RunConfig, Substrate};
 use asynoc_bench::conformance::{mot, Fingerprint};
-use asynoc_faults::{run_outcome, FaultPlan};
 use asynoc_kernel::{with_deadline, Duration};
 use asynoc_mesh::{MeshNetwork, MeshReport};
 use asynoc_stats::Phases;

@@ -210,7 +210,10 @@ pub const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "saturate",
         synopsis: "--arch <A> --benchmark <B> [--quick] [--probe-fan <K>] [common options]",
-        rejects: &[],
+        rejects: &[(
+            "warmup-ns measure-ns",
+            "saturate probes on its own schedule (--quick or the paper's); {} is not available",
+        )],
         notes: "saturation search. --probe-fan <K> probes K rates per search round\n\
                 (k-section; deterministic, but K changes which rates are probed).",
         build: saturate,
@@ -1705,6 +1708,24 @@ pub(crate) mod tests {
             let err = parse(&argv(line)).unwrap_err();
             assert!(err.message().contains("run --spec-map"), "{err}");
         }
+    }
+
+    #[test]
+    fn saturate_refuses_the_window_flags_its_probes_would_ignore() {
+        for flag in ["--warmup-ns 5000", "--measure-ns 3"] {
+            let line = format!("saturate --arch Baseline --benchmark Shuffle --quick {flag}");
+            let err = parse(&argv(&line)).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert_eq!(
+                err.message(),
+                format!(
+                    "saturate probes on its own schedule (--quick or the paper's); \
+                     {name} is not available"
+                )
+            );
+        }
+        let help = help(Some("saturate"));
+        assert!(!help.contains("--warmup-ns") && !help.contains("--measure-ns"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! JSON fault report — and, with `--oracle`, the differential
 //! conformance verdict against a clean twin under the same seed.
 //!
-//! The command is the CLI surface of `asynoc-faults`: a plan either
+//! The command is the CLI surface of `asynoc::faults`: a plan either
 //! replays from its compact text encoding (`--plan`) or is drawn,
 //! recoverable-only, from the substrate's certified fault domain
 //! (`--seed` x `--fault-rate`). A failing oracle exits non-zero with
@@ -11,10 +11,10 @@
 
 use std::io::Write;
 
-use asynoc::{Architecture, Benchmark};
-use asynoc_faults::{
+use asynoc::faults::{
     judge, run_outcome, FaultDomain, FaultPlan, OracleVerdict, RunOutcome, FAULTS_SCHEMA,
 };
+use asynoc::{Architecture, Benchmark};
 use asynoc_mesh::Wormhole;
 use asynoc_telemetry::{JsonValue, RecordSink};
 use asynoc_vcmesh::{McastScheme, VcRouter};

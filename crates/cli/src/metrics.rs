@@ -528,8 +528,8 @@ mod tests {
 
     #[test]
     fn mesh_counters_report_the_engines_delivered_flits() {
+        use asynoc::faults::DeliveryLog;
         use asynoc::{Observer, SimEvent, Time};
-        use asynoc_faults::DeliveryLog;
 
         // The mesh document used to hard-code `flits_delivered` to 0 next
         // to a non-zero `packets_measured`. With single-flit packets every

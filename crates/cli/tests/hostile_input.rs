@@ -727,30 +727,43 @@ fn mutated_fault_plans_run_or_fail_with_a_located_error() {
 /// writes it for headers that took 40, 700 and 700 ps.
 const DELTA: &str = r#"{"overall":{"n":3,"min":40,"max":700,"sum":"1440","b":[[40,1],[171,2]]},"per_dest":[{"dest":1,"h":{"n":3,"min":40,"max":700,"sum":"1440","b":[[40,1],[171,2]]}}],"per_hops":[{"hops":4,"h":{"n":3,"min":40,"max":700,"sum":"1440","b":[[40,1],[171,2]]}}]}"#;
 
-/// `watch --once --fold` over [`STREAM_HEAD`] and one `window` record
-/// carrying the latency delta `delta`: exit 0, or exit 1 with the fold's
-/// located error — never a signal, and never the seconds an allocation
-/// sized by the file would take. Returns whether it folded.
-fn folds(test: &str, delta: &str) -> bool {
-    let window = format!(
-        "{{\"type\":\"window\",\"seq\":0,\"t_ps\":0,\"events\":9,\"injected\":3,\"delivered\":3,\
-         \"dropped\":0,\"forwards\":3,\"in_flight\":0,\"latency\":{delta},\"bins\":[]}}"
-    );
-    let stream = fixture(test, &format!("{STREAM_HEAD}\n{window}\n"));
+/// `watch --stream-in F --once --fold G` over the stream `text`, in under
+/// 2 s: never the seconds an allocation sized by the file would take.
+fn fold_stream(test: &str, text: &str) -> Output {
+    let stream = fixture(test, text);
+    let fold = fixture(&format!("{test}.fold.json"), "");
     let started = Instant::now();
-    let output = asynoc(&["watch", "--stream-in", &stream, "--once", "--fold", "-"]);
+    let output = asynoc(&["watch", "--stream-in", &stream, "--once", "--fold", &fold]);
     let took = started.elapsed();
-    let _ = std::fs::remove_file(stream);
-    assert!(took < Duration::from_secs(2), "{delta}: {took:?}");
+    let _ = (std::fs::remove_file(stream), std::fs::remove_file(fold));
+    assert!(took < Duration::from_secs(2), "{text}: {took:?}");
+    output
+}
+
+/// Whether `output` folded: exit 0, or exit 1 behind an error line that
+/// starts with `located` — never a signal.
+fn is_folded(output: &Output, located: &str, what: &str) -> bool {
     if output.status.code() != Some(0) {
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(1), "{delta}: {stderr}");
-        assert!(
-            stderr.starts_with("error: --fold: line 2: "),
-            "{delta}: {stderr}"
-        );
+        assert_eq!(output.status.code(), Some(1), "{what}: {stderr}");
+        assert!(stderr.starts_with(located), "{what}: {stderr}");
     }
     output.status.success()
+}
+
+/// A `window` record carrying the latency delta `delta`.
+fn window(delta: &str) -> String {
+    format!(
+        "{{\"type\":\"window\",\"seq\":0,\"t_ps\":0,\"events\":9,\"injected\":3,\"delivered\":3,\
+         \"dropped\":0,\"forwards\":3,\"in_flight\":0,\"latency\":{delta},\"bins\":[]}}"
+    )
+}
+
+/// Whether [`STREAM_HEAD`] and one `window` record carrying the latency
+/// delta `delta` fold; a refusal must be the fold's error at line 2.
+fn folds(test: &str, delta: &str) -> bool {
+    let output = fold_stream(test, &format!("{STREAM_HEAD}\n{}\n", window(delta)));
+    is_folded(&output, "error: --fold: line 2: ", delta)
 }
 
 #[test]
@@ -785,6 +798,37 @@ fn a_hostile_window_delta_is_a_located_error_not_an_allocation() {
     }
 }
 
+#[test]
+fn windows_claiming_more_samples_than_a_count_holds_are_a_located_error() {
+    // Each window claims 2^53 - 1 headers of 1 458 ps, a count every
+    // decoder accepts. Two thousand of them used to wrap the folded count
+    // to 2 of them and report a mean of 1 494 450 ps, with exit 0.
+    let n: u64 = (1 << 53) - 1;
+    let sum = u128::from(n) * 1_458;
+    let overall = format!(r#"{{"n":{n},"min":1458,"max":1458,"sum":"{sum}","b":[[205,{n}]]}}"#);
+    let delta = format!(r#"{{"overall":{overall},"per_dest":[],"per_hops":[]}}"#);
+    let windows = vec![window(&delta); 2_050].join("\n");
+    let output = fold_stream("overflow.ndjson", &format!("{STREAM_HEAD}\n{windows}\n"));
+    // The head is line 1; the window that passes 2^64 - 1 samples is the
+    // 2 049th.
+    let line = format!("line {}", u64::MAX / n + 2);
+    assert_located_error(&output, &["--fold", &line, "64-bit count"]);
+}
+
+#[test]
+fn a_window_naming_a_destination_past_the_heads_endpoints_is_a_located_error() {
+    // It used to fold with exit 0 into `"per_dest": []` beside a count of 3.
+    let delta = DELTA.replace(r#""dest":1"#, r#""dest":4000000000"#);
+    let output = fold_stream(
+        "far-dest.ndjson",
+        &format!("{STREAM_HEAD}\n{}\n", window(&delta)),
+    );
+    assert_located_error(
+        &output,
+        &["--fold", "line 2", "destination 4000000000 is outside 0..4"],
+    );
+}
+
 /// Numbers a field of a latency delta can be swapped for: bucket indices
 /// around the end of the domain, counts, sizes no machine holds, and the
 /// usual non-integers.
@@ -807,26 +851,37 @@ const DELTA_NUMBERS: [&str; 16] = [
     "x",
 ];
 
+/// `text` with one run of its digits swapped for one of [`DELTA_NUMBERS`].
+fn mutated_digits(rng: &mut SimRng, text: &str) -> String {
+    let bytes = text.as_bytes();
+    let starts: Vec<usize> = (1..text.len())
+        .filter(|&i| bytes[i].is_ascii_digit() && !bytes[i - 1].is_ascii_digit())
+        .collect();
+    let start = starts[rng.index(starts.len())];
+    let digits = text[start..].bytes().take_while(u8::is_ascii_digit).count();
+    let with = DELTA_NUMBERS[rng.index(DELTA_NUMBERS.len())];
+    format!("{}{with}{}", &text[..start], &text[start + digits..])
+}
+
+/// The `head` record of an 8-endpoint MoT run, as `asynoc metrics --stream`
+/// writes it.
+const REAL_HEAD: &str = r#"{"schema":"asynoc-stream-v1","type":"head","substrate":"mot","config":{"arch":"OptHybridSpeculative","benchmark":"Multicast10","rate_gfs":0.4,"size":8,"seed":42,"flits":5},"window_ps":10000,"bin_ps":10000,"levels":["fanout-L0","fanout-L1","fanout-L2","fanin-L0","fanin-L1","fanin-L2"],"endpoints":8,"trace":false,"watch":{"stall_windows":8,"busy_ceiling":0.98,"waste_ceiling":0.75,"waste_min_forwards":32}}"#;
+
+/// That run's first `window` record, carrying [`DELTA`] as its latency.
+const REAL_WINDOW: &str = r#"{"type":"window","seq":0,"t_ps":0,"events":301,"injected":26,"delivered":43,"dropped":8,"forwards":224,"in_flight":4,"latency":LATENCY,"bins":[{"t_ps":0,"injected":26,"delivered":43,"dropped":8,"forwards":224,"in_flight":4,"busy_fraction":[0.06075,0.07115,0.04513125,0.086,0.043,0.022]}]}"#;
+
+/// An `end` record with that run's scalar sections (the waste ledger left
+/// out).
+const REAL_END: &str = r#"{"type":"end","windows":1,"watchpoints":0,"sections":{"throughput":{"offered_gfs":0.625,"injected_gfs":0.675,"delivered_gfs":1.0875,"acceptance":1.08},"power":{"fanout_mw":10.704,"fanin_mw":11.592,"wire_mw":11.78,"dropped_mw":0.64,"dynamic_mw":34.716,"leakage_mw":1.3073199999999998,"total_mw":36.02332,"window_ps":10000},"counters":{"packets_measured":10,"packets_incomplete":0,"flits_throttled":16,"flits_delivered":87,"events_processed":1903,"shards":1,"shard_events":[1903]}}}"#;
+
 #[test]
 fn mutated_window_deltas_fold_or_fail_with_a_located_error() {
     let mut rng = SimRng::seed_from(0x00DE_17A5);
-    let starts: Vec<usize> = (1..DELTA.len())
-        .filter(|&i| {
-            DELTA.as_bytes()[i].is_ascii_digit() && !DELTA.as_bytes()[i - 1].is_ascii_digit()
-        })
-        .collect();
     let (mut folded, mut refused) = (0, 0);
     for _ in 0..300 {
         // Swap one run of digits: an `n`, `min`, `max`, `sum`, bucket
         // index, count, `dest` or `hops`.
-        let start = starts[rng.index(starts.len())];
-        let digits = DELTA[start..]
-            .bytes()
-            .take_while(u8::is_ascii_digit)
-            .count();
-        let with = DELTA_NUMBERS[rng.index(DELTA_NUMBERS.len())];
-        let mutant = format!("{}{with}{}", &DELTA[..start], &DELTA[start + digits..]);
-        if folds("mutant.ndjson", &mutant) {
+        if folds("mutant.ndjson", &mutated_digits(&mut rng, DELTA)) {
             folded += 1;
         } else {
             refused += 1;
@@ -834,6 +889,28 @@ fn mutated_window_deltas_fold_or_fail_with_a_located_error() {
     }
     assert!(
         folded > 10 && refused > 100,
+        "{folded} folded, {refused} refused"
+    );
+
+    // The same mutator over the `head` record — `endpoints`, `levels`,
+    // `bin_ps`, `config` — and over the `end` record's `sections`.
+    let window = REAL_WINDOW.replace("LATENCY", DELTA);
+    let (mut folded, mut refused) = (0, 0);
+    for round in 0..160 {
+        let (head, end) = if round % 2 == 0 {
+            (mutated_digits(&mut rng, REAL_HEAD), REAL_END.to_string())
+        } else {
+            (REAL_HEAD.to_string(), mutated_digits(&mut rng, REAL_END))
+        };
+        let text = format!("{head}\n{window}\n{end}\n");
+        if is_folded(&fold_stream("mutant-head.ndjson", &text), "error: ", &text) {
+            folded += 1;
+        } else {
+            refused += 1;
+        }
+    }
+    assert!(
+        folded > 40 && refused > 20,
         "{folded} folded, {refused} refused"
     );
 }

@@ -1,9 +1,8 @@
-//! `asynoc-faults` — deterministic fault injection with a differential
-//! conformance oracle.
+//! Deterministic fault injection with a differential conformance oracle.
 //!
 //! The speculation protocol's whole claim is *local recovery*: a
 //! mis-speculated copy dies at the next non-speculative stage without
-//! anyone upstream noticing. This crate stress-tests that claim by
+//! anyone upstream noticing. This module stress-tests that claim by
 //! injecting seed-reproducible faults into the shared engine's run loop
 //! — on every substrate — and holding every faulted run against a clean
 //! twin under the same seed:

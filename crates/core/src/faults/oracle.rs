@@ -15,13 +15,13 @@
 //!   explained by fault records ([`broken_with_cause`] reconciles
 //!   exactly with the ledger's loss count).
 //!
-//! [`broken_with_cause`]: crate::RunOutcome::broken_with_cause
+//! [`broken_with_cause`]: super::RunOutcome::broken_with_cause
 
 use asynoc_engine::FaultDomain;
 use asynoc_telemetry::JsonValue;
 
-use crate::outcome::RunOutcome;
-use crate::plan::FaultPlan;
+use super::outcome::RunOutcome;
+use super::plan::FaultPlan;
 
 /// One named oracle check.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -14,11 +14,11 @@
 
 use std::collections::BTreeMap;
 
-use asynoc::{drive, Observer, RunConfig, SimError, SimEvent, Substrate, Time};
+use crate::{drive, Observer, RunConfig, SimError, SimEvent, Substrate, Time};
 use asynoc_engine::FaultSummary;
 use asynoc_telemetry::{FaultLedger, RecordSink, Recorder, SiteOf, TokenLedger};
 
-use crate::plan::FaultPlan;
+use super::plan::FaultPlan;
 
 /// The delivered-destination multiset: how many header flits each
 /// `(logical packet, destination)` pair received. Recoverable faults
@@ -135,7 +135,7 @@ pub fn run_outcome<S: Substrate>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asynoc::{Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases};
+    use crate::{Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases};
 
     fn quick_run() -> RunConfig {
         RunConfig::new(Benchmark::Multicast5, 0.2)

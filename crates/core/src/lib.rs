@@ -49,6 +49,7 @@ pub mod config;
 pub mod error;
 pub mod explore;
 pub mod fabric;
+pub mod faults;
 pub mod harness;
 pub mod observers;
 pub mod report;

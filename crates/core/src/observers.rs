@@ -1,9 +1,9 @@
 //! The MoT network's standard observers.
 //!
 //! Power accounting and per-node activity are composable [`Observer`]s.
-//! Every run carries both as its [`MotProbes`];
-//! [`crate::Network::run_with_observers`] lets callers append their own
-//! (a [`Recorder`](asynoc_telemetry::Recorder) feeding telemetry's
+//! Every run carries both as its [`MotProbes`]; [`drive`](crate::drive)'s
+//! `extra` observers let callers append their own (a
+//! [`Recorder`](asynoc_telemetry::Recorder) feeding telemetry's
 //! collectors, a live event dump) without touching the engine.
 
 use asynoc_engine::{Observer, RunConfig, SimEvent};

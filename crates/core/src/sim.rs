@@ -18,15 +18,16 @@
 //! rules, and the tree routing — via [`MotModel`], and the [`Substrate`]
 //! contract ([`Network`]'s endpoint count, fault domain, and report
 //! section) the engine's one driver runs it through. Statistics and power
-//! attach as [`Observer`]s (see [`crate::observers`]); telemetry is one
-//! more, a [`Recorder`](asynoc_telemetry::Recorder) the caller registers,
-//! its nodes placed by [`Network::site_of`].
+//! attach as [`Observer`](asynoc_engine::Observer)s (see
+//! [`crate::observers`]); telemetry is one more, a
+//! [`Recorder`](asynoc_telemetry::Recorder) the caller registers, its
+//! nodes placed by [`Network::site_of`].
 
 use std::rc::Rc;
 
 use asynoc_engine::{
-    drive, ArmedFaults, ChannelEnds, Ctx, EngineReport, FaultDomain, ForwardInfo, NodeKey, NodeRef,
-    Observer, Partition, ShardModel, SimEvent, SimModel, Substrate,
+    drive, ChannelEnds, Ctx, EngineReport, FaultDomain, ForwardInfo, NodeKey, NodeRef, Partition,
+    SimEvent, SimModel, Substrate,
 };
 use asynoc_kernel::{Duration, Time};
 use asynoc_nodes::{FaninState, FanoutState, FlitClass, TimingModel};
@@ -167,44 +168,6 @@ impl Network {
     pub fn run(&self, run: &RunConfig) -> Result<RunReport, SimError> {
         Ok(drive(self, run, &mut [], None)?)
     }
-
-    /// Executes one run with caller-supplied observers registered after
-    /// the standard power/activity pair.
-    ///
-    /// Extra observers see the identical event stream the built-in ones
-    /// do, in registration order, without perturbing the simulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the traffic specification is invalid for this
-    /// network (rate, benchmark/source mismatch).
-    pub fn run_with_observers(
-        &self,
-        run: &RunConfig,
-        extra: &mut [&mut dyn Observer<MotNode>],
-    ) -> Result<RunReport, SimError> {
-        Ok(drive(self, run, extra, None)?)
-    }
-
-    /// Executes one run with an armed fault table threaded into the
-    /// engine's injection hooks (see [`asynoc_engine::run_with_faults`]).
-    ///
-    /// The caller keeps ownership of `faults` and reads back its
-    /// [`summary`](ArmedFaults::summary) afterwards; target indices
-    /// should come from [`fault_domain`](Substrate::fault_domain).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the traffic specification is invalid for this
-    /// network (rate, benchmark/source mismatch).
-    pub fn run_with_faults(
-        &self,
-        run: &RunConfig,
-        faults: &mut ArmedFaults,
-        extra: &mut [&mut dyn Observer<MotNode>],
-    ) -> Result<RunReport, SimError> {
-        Ok(drive(self, run, extra, Some(faults))?)
-    }
 }
 
 impl Substrate for Network {
@@ -323,7 +286,7 @@ impl<'a> MotModel<'a> {
         }
     }
 
-    fn fire_fanout(&mut self, flat: usize, ctx: &mut Ctx<'_, '_, MotNode>) {
+    fn fire_fanout(&mut self, flat: usize, ctx: &mut impl Ctx<MotNode>) {
         let input = self.fabric.fanout_input[flat];
         let Some(flit_ref) = ctx.arrived(input) else {
             return;
@@ -416,7 +379,7 @@ impl<'a> MotModel<'a> {
         self.fanout_next_fire[flat] = ctx.now() + timing.cycle_floor;
     }
 
-    fn fire_fanin(&mut self, flat: usize, ctx: &mut Ctx<'_, '_, MotNode>) {
+    fn fire_fanin(&mut self, flat: usize, ctx: &mut impl Ctx<MotNode>) {
         let [c0, c1] = self.fabric.fanin_input[flat];
         let p0 = ctx.arrived(c0).is_some();
         let p1 = ctx.arrived(c1).is_some();
@@ -510,11 +473,29 @@ impl SimModel for MotModel<'_> {
             .expect("benchmark destinations are validated at construction");
     }
 
-    fn fire(&mut self, node: MotNode, ctx: &mut Ctx<'_, '_, MotNode>) {
+    fn fire(&mut self, node: MotNode, ctx: &mut impl Ctx<MotNode>) {
         match node {
             MotNode::Fanout(flat) => self.fire_fanout(flat, ctx),
             MotNode::Fanin(flat) => self.fire_fanin(flat, ctx),
         }
+    }
+
+    /// Bands of whole endpoint trees: source `s`'s fanout tree and sink
+    /// `d`'s fanin tree live with their endpoints, so the only channels
+    /// crossing shards are fanout-leaf → fanin-leaf links.
+    fn partition(&self, shards: usize) -> Partition {
+        let n = self.fabric.size.n();
+        let shards = shards.clamp(1, n);
+        let size = self.fabric.size;
+        let band = |endpoint: usize| endpoint * shards / n;
+        Partition::from_assignment(self, shards, self.min_cut_delay(), |node| match node {
+            NodeRef::Source(s) => band(s),
+            NodeRef::Sink(d) => band(d),
+            NodeRef::Node(MotNode::Fanout(flat)) => band(self.fabric.fanout_coords[flat].tree),
+            NodeRef::Node(MotNode::Fanin(flat)) => {
+                band(FaninNodeId::from_flat_index(size, flat).tree)
+            }
+        })
     }
 }
 
@@ -548,36 +529,11 @@ impl MotModel<'_> {
     }
 }
 
-impl ShardModel for MotModel<'_> {
-    /// Bands of whole endpoint trees: source `s`'s fanout tree and sink
-    /// `d`'s fanin tree live with their endpoints, so the only channels
-    /// crossing shards are fanout-leaf → fanin-leaf links.
-    fn partition(&self, shards: usize) -> Partition {
-        let n = self.fabric.size.n();
-        let shards = shards.clamp(1, n);
-        let lookahead = if shards > 1 {
-            self.min_cut_delay()
-        } else {
-            // Unused on the serial path, but must be non-zero.
-            Duration::from_ps(1)
-        };
-        let size = self.fabric.size;
-        let band = |endpoint: usize| endpoint * shards / n;
-        Partition::from_assignment(self, shards, lookahead, |node| match node {
-            NodeRef::Source(s) => band(s),
-            NodeRef::Sink(d) => band(d),
-            NodeRef::Node(MotNode::Fanout(flat)) => band(self.fabric.fanout_coords[flat].tree),
-            NodeRef::Node(MotNode::Fanin(flat)) => {
-                band(FaninNodeId::from_flat_index(size, flat).tree)
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{NetworkConfig, RunConfig};
+    use asynoc_engine::Observer;
     use asynoc_packet::RouteSymbol;
     use asynoc_stats::Phases;
     use asynoc_telemetry::{Action, Detail, Recorder, TraceCollector};
@@ -726,9 +682,7 @@ mod tests {
                 let traced = |run: &RunConfig| {
                     let mut trace = TraceCollector::new(512);
                     let mut recorder = Recorder::new(network.site_of(), vec![&mut trace]);
-                    let report = network
-                        .run_with_observers(run, &mut [&mut recorder])
-                        .unwrap();
+                    let report = drive(&network, run, &mut [&mut recorder], None).unwrap();
                     (report, trace.into_records())
                 };
                 let (serial, serial_trace) = traced(&run);
@@ -998,12 +952,8 @@ mod tests {
         .unwrap();
         let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
         let mut collector = TraceCollector::new(500);
-        network
-            .run_with_observers(
-                &run,
-                &mut [&mut Recorder::new(network.site_of(), vec![&mut collector])],
-            )
-            .unwrap();
+        let mut recorder = Recorder::new(network.site_of(), vec![&mut collector]);
+        drive(&network, &run, &mut [&mut recorder], None).unwrap();
         let trace = collector.into_records();
         assert_eq!(trace.len(), 500, "the run outlasts the cap");
         // Times are non-decreasing.
@@ -1062,9 +1012,7 @@ mod tests {
             injects: 0,
             delivers: 0,
         };
-        let observed = network
-            .run_with_observers(&run, &mut [&mut counter])
-            .unwrap();
+        let observed = drive(&network, &run, &mut [&mut counter], None).unwrap();
         assert!(counter.injects > 0);
         assert!(counter.delivers > 0);
         assert_eq!(plain.latency.mean(), observed.latency.mean());

@@ -4,8 +4,8 @@
 //! the engine's hot paths probe at channel launches, source header
 //! firings, and (via the model) routing-symbol reads. When no entry is
 //! armed every probe is one `Option` branch, so the hooks are free for
-//! clean runs — `run` passes no fault state at all and
-//! [`run_with_faults`](crate::run_with_faults) threads one in.
+//! clean runs — [`run`](crate::run) threads a table in only when given
+//! one.
 //!
 //! The struct is substrate-agnostic: channels, sources, and symbol sites
 //! are plain indices; the substrate's fault domain decides which indices
@@ -121,8 +121,8 @@ impl FaultSummary {
 }
 
 /// The armed fault tables one run consults. Build with the `add_*`
-/// methods (typically from a decoded `asynoc-faults` plan), pass to
-/// [`run_with_faults`](crate::run_with_faults), then read back the
+/// methods (typically from a decoded `asynoc::faults` plan), pass to
+/// [`run`](crate::run), then read back the
 /// [`summary`](ArmedFaults::summary).
 #[derive(Clone, Debug, Default)]
 pub struct ArmedFaults {

@@ -9,17 +9,20 @@
 //! This crate owns that discipline once:
 //!
 //! - [`SimModel`] is what a substrate implements — its channel wiring,
-//!   timing constants, routing, and node firing rules.
+//!   timing constants, routing, node firing rules, and how it splits into
+//!   shards ([`Partition`]; one, unless it says otherwise).
+//! - [`Ctx`] is the engine state a firing node may touch.
 //! - [`Observer`] receives the engine's event stream (injections,
 //!   forwards, drops, deliveries) so statistics, power accounting, and
 //!   tracing compose per run instead of being hard-wired into the loop.
-//! - [`Session`] is one prepared simulation; [`run`] wraps it and
-//!   returns an [`EngineReport`] plus the model (whose accumulated state
-//!   the caller may harvest).
-//! - [`run_with_faults`] is the same loop with an [`ArmedFaults`] table
-//!   threaded into its hooks — deterministic fault injection (stalls,
-//!   symbol corruption, source drops/losses) with zero cost when
-//!   disarmed.
+//! - [`run`] is the one way to execute a simulation: serially, or across
+//!   the shards the model's partition names — conservative
+//!   lookahead-bounded windows and a deterministic fold that keeps every
+//!   observable result bit-identical to the serial run's — with an
+//!   [`ArmedFaults`] table threaded into its hooks when given
+//!   (deterministic stalls, symbol corruption, source drops/losses; free
+//!   when absent). It returns an [`EngineReport`] plus the model, whose
+//!   accumulated state the caller may harvest.
 //! - [`Substrate`] is what a ready-to-run *network* implements on top of
 //!   its model — endpoint count, traffic parameters, fault domain, and
 //!   its own report section — so that [`drive`] turns one [`RunConfig`]
@@ -28,12 +31,6 @@
 //! - [`parallel_map`] fans independent work items (seeds, configs,
 //!   saturation probe points) across OS threads with deterministic
 //!   result ordering — the experiment layer's multi-core runner.
-//! - [`run_sharded`] / [`run_sharded_with_faults`] split *one* run
-//!   across OS threads: a [`ShardModel`] partitions its entities into
-//!   shards ([`Partition`]) synchronised in conservative lookahead-bound
-//!   windows, and a deterministic fold makes the observable results —
-//!   observer streams, reports, audits — bit-identical to the serial
-//!   runner's for every shard count.
 //!
 //! # Performance discipline
 //!
@@ -44,8 +41,7 @@
 //!   `(time, canonical key, insertion seq)` — the key ranks simultaneous
 //!   events by kind and entity index; the calendar queue realizes that
 //!   order exactly (the kernel tests it against the binary heap), so a
-//!   seeded run is bit-identical under any shard count (see
-//!   [`run_sharded`]).
+//!   seeded run is bit-identical under any shard count (see [`run`]).
 //! - **Zero-allocation steady state.** All run state is pre-sized at
 //!   construction, packet descriptors are recycled through an internal
 //!   free-list once their tails deliver, and event payloads are small
@@ -69,9 +65,6 @@ pub use asynoc_kernel::parallel_map;
 pub use asynoc_probe as probe;
 pub use fault::{ArmedFaults, FaultDomain, FaultSummary, SourceFaultAction};
 pub use observer::{ForwardInfo, Observer, SimEvent};
-pub use session::{
-    run, run_with_faults, ChannelEnds, Ctx, EngineReport, NodeKey, NodeRef, RunSpec, Session,
-    SimModel,
-};
-pub use shard::{run_sharded, run_sharded_with_faults, Partition, ShardModel};
+pub use session::{run, ChannelEnds, Ctx, EngineReport, NodeKey, NodeRef, RunSpec, SimModel};
+pub use shard::Partition;
 pub use substrate::{drive, RunConfig, Substrate};

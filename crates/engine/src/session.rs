@@ -1,7 +1,18 @@
-//! The engine's event loop, channel plumbing, and measurement protocol.
+//! The engine's one event loop, its channel plumbing, and the
+//! measurement protocol.
+//!
+//! A [`Session`] is one prepared simulation, or one shard of one. Its
+//! [`Role`] — a type parameter, so the choice costs nothing at run time —
+//! says where the effects of an event go: straight on to the observers
+//! and the pending-packet table on a serial run ([`Direct`]), into a log
+//! and an outbox on a shard ([`Shard`](crate::shard::Shard)). Everything
+//! else — the per-event body, the handlers, the teardown, the report — is
+//! written once, and a serial run is the one-shard run.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::Arc;
+use std::time::Instant;
 
 use asynoc_kernel::{CalendarQueue, Duration, FaultClass, Time};
 use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader, RouteSymbol};
@@ -14,7 +25,7 @@ use crate::fault::{ArmedFaults, SourceFaultAction};
 use crate::observer::{Observer, SimEvent};
 use crate::pending::{PendOp, PendingTable};
 use crate::pool::FlitPool;
-use crate::shard::{OwnedSimEvent, ShardLog, ShardState, WireMsg};
+use crate::shard::{run_sharded, End, Partition, WireMsg};
 
 /// One end of a channel: who launches into it / who consumes from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,8 +76,10 @@ impl NodeKey for usize {
 ///
 /// The engine owns sources, sinks, channels, the event queue, and all
 /// measurement; the model owns its nodes' dynamic state and fires them
-/// when the engine wakes them.
-pub trait SimModel {
+/// when the engine wakes them. A sharded run clones the model once per
+/// shard beyond the first; each copy only ever fires the nodes its shard
+/// owns, so node state never needs synchronisation.
+pub trait SimModel: Clone + Send {
     /// The substrate's node identifier (e.g. an enum of fanout/fanin
     /// indices for the MoT, a router index for the mesh).
     type Node: Copy + std::fmt::Debug + NodeKey + Send;
@@ -108,7 +121,24 @@ pub trait SimModel {
     /// outputs, schedule frees/retries via `ctx`. Called whenever an
     /// event may have unblocked the node; must do nothing if the node's
     /// preconditions do not hold.
-    fn fire(&mut self, node: Self::Node, ctx: &mut Ctx<'_, '_, Self::Node>);
+    fn fire(&mut self, node: Self::Node, ctx: &mut impl Ctx<Self::Node>);
+    /// Assigns every entity to one of at most `shards` shards, with the
+    /// lookahead bound that makes the cut safe. Implementations may clamp
+    /// `shards` (e.g. to the row count of a mesh); the engine honours
+    /// whatever the returned partition says. The default keeps the whole
+    /// model on one shard: a model that does not override it always runs
+    /// serially.
+    fn partition(&self, shards: usize) -> Partition {
+        let _ = shards;
+        Partition::from_assignment(self, 1, Duration::ZERO, |_| 0)
+    }
+    /// Folds the other shards' models into this one — the model shard 0
+    /// ran — after a sharded run, so that its accumulated analytics (e.g.
+    /// hop counters) cover the whole run. The default does nothing, which
+    /// is correct for a model whose caller reads nothing it accumulated.
+    fn merge_shards(&mut self, shards: Vec<Self>) {
+        drop(shards);
+    }
 }
 
 /// Execution parameters of one run, as the event loop sees them: the
@@ -146,6 +176,19 @@ impl RunSpec {
             progress: false,
         }
     }
+
+    /// The bound a run executes events strictly before: the injection
+    /// end without a drain; with one, a picosecond past the hard cap —
+    /// one extra measurement window plus warmup, since a saturated run
+    /// never finishes draining.
+    pub(crate) fn end(&self) -> Time {
+        let injection_end = self.phases.measurement_end();
+        if self.drain {
+            injection_end + self.phases.measure() + self.phases.warmup() + Duration::from_ps(1)
+        } else {
+            injection_end
+        }
+    }
 }
 
 /// The event queue's initial capacity. Pending events are bounded by the
@@ -155,33 +198,23 @@ pub(crate) fn queue_presize(channels: usize, endpoints: usize) -> usize {
 }
 
 /// How often the progress heartbeat may redraw.
-pub(crate) const PROGRESS_INTERVAL_MS: u64 = 250;
+const PROGRESS_INTERVAL_MS: u64 = 250;
 /// Event-count mask between heartbeat ticks: the run loop only consults
 /// the wall clock every `PROGRESS_TICK_MASK + 1` events.
-pub(crate) const PROGRESS_TICK_MASK: u64 = 0xFFF;
-
-/// The heartbeat a serial run owns outright (sharded runs build one
-/// shared meter in the sharded runner instead).
-fn serial_progress(spec: &RunSpec) -> Option<Arc<ProgressMeter>> {
-    if spec.progress {
-        ProgressMeter::stderr(1, PROGRESS_INTERVAL_MS).map(Arc::new)
-    } else {
-        None
-    }
-}
+const PROGRESS_TICK_MASK: u64 = 0xFFF;
 
 /// The host wall-clock phase tracker of a profiled run: stamps the
 /// simulated-phase boundary crossings (warmup → measurement → drain) so
 /// the profile can say where the *host's* time went. Boxed behind an
-/// `Option` in [`Ctx`]; a non-profiled run pays one predictable branch
+/// `Option` in [`Core`]; a non-profiled run pays one predictable branch
 /// per event and never reads the clock.
 #[derive(Debug)]
-pub(crate) struct RunProf {
+struct RunProf {
     measure_start: Time,
     injection_end: Time,
     /// 0 = warmup, 1 = measurement, 2 = drain.
     stage: u8,
-    stamp: std::time::Instant,
+    stamp: Instant,
     wall: PhaseWall,
 }
 
@@ -191,7 +224,7 @@ impl RunProf {
             measure_start: Time::ZERO + phases.warmup(),
             injection_end: phases.measurement_end(),
             stage: 0,
-            stamp: std::time::Instant::now(),
+            stamp: Instant::now(),
             wall: PhaseWall::default(),
         }
     }
@@ -210,7 +243,7 @@ impl RunProf {
             if t < boundary {
                 break;
             }
-            let now = std::time::Instant::now();
+            let now = Instant::now();
             let elapsed = u64::try_from((now - self.stamp).as_nanos()).unwrap_or(u64::MAX);
             if self.stage == 0 {
                 self.wall.warmup_ns += elapsed;
@@ -288,7 +321,7 @@ pub(crate) enum Event<N> {
 
 /// The canonical ordering key of an event: kind rank in the top byte,
 /// entity index below. Simultaneous events fire in ascending key order
-/// on every scheduler *and* on every shard layout — the serial loop and
+/// on every scheduler *and* on every shard layout — a serial session and
 /// the sharded merge both sort by `(time, key)`, which is what makes a
 /// sharded run's observable stream bit-identical to the serial one.
 /// Equal `(time, key)` pairs (re-scheduled retries of one target) are
@@ -343,12 +376,163 @@ impl ChannelState {
 /// ([`launch`](Ctx::launch)), schedule handshake completion
 /// ([`free_after`](Ctx::free_after)) and cycle-floor retries
 /// ([`retry`](Ctx::retry)), and report what they did
-/// ([`emit`](Ctx::emit)).
-pub struct Ctx<'obs, 'run, N> {
+/// ([`emit`](Ctx::emit)). The engine implements it once for a serial run
+/// and once for a shard, so [`SimModel::fire`] is compiled for each and
+/// neither pays for the other.
+pub trait Ctx<N> {
+    /// Current simulated time.
+    #[must_use]
+    fn now(&self) -> Time;
+    /// Whether `now` falls inside the measurement window.
+    #[must_use]
+    fn in_window(&self) -> bool;
+    /// Whether `channel` is free for a launch.
+    #[must_use]
+    fn is_free(&self, channel: usize) -> bool;
+    /// The flit awaiting consumption on `channel`, if any.
+    #[must_use]
+    fn arrived(&self, channel: usize) -> Option<&Flit>;
+    /// Consumes the arrived flit on `channel`, leaving the channel
+    /// draining (its handshake completes via [`free_after`](Ctx::free_after)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no flit is awaiting consumption on `channel`.
+    fn take_arrived(&mut self, channel: usize) -> Flit;
+    /// Launches `flit` onto `channel`; it arrives downstream after
+    /// `flight`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `channel` is not free.
+    fn launch(&mut self, channel: usize, flit: Flit, flight: Duration);
+    /// The routing symbol fanout site `site` reads for a flit of
+    /// `packet`, when an armed fault overrides the encoded one. Returns
+    /// the override plus the class to report — the class is `Some`
+    /// exactly once per afflicted train, when the override first
+    /// latches; the model emits the [`SimEvent::Fault`] then.
+    fn fault_symbol(
+        &mut self,
+        site: usize,
+        packet: u64,
+        is_header: bool,
+    ) -> Option<(RouteSymbol, Option<FaultClass>)>;
+    /// Schedules `channel` (currently draining) to become free after
+    /// `delay`, waking its upstream entity.
+    fn free_after(&mut self, channel: usize, delay: Duration);
+    /// Schedules a re-attempt to fire `node` at `at` (cycle-floor
+    /// stalls only; all other blockings are woken by the event that
+    /// clears them).
+    fn retry(&mut self, node: N, at: Time);
+    /// Reports an instrumented event to every registered observer, and
+    /// folds throttle counts into the engine's statistics.
+    fn emit(&mut self, event: &SimEvent<'_, N>);
+}
+
+/// Where the effects of a session's events go. [`Direct`] hands them
+/// straight on (a serial run); [`Shard`](crate::shard::Shard) logs them
+/// for the fold and posts cut-channel events to the other shards.
+pub(crate) trait Role<N> {
+    /// The shard this session runs.
+    fn shard(&self) -> usize;
+    /// Whether this session injects `source`'s packets.
+    fn owns_source(&self, source: usize) -> bool;
+    /// Pops the next event due before `end`; `None` ends the loop.
+    fn pop(queue: &mut CalendarQueue<Event<N>>, end: Time) -> Option<(Time, Event<N>)>;
+    /// The other shard that executes the event due `delay` from now at
+    /// `end` of `channel`, when the channel is cut there.
+    fn remote(&self, channel: usize, end: End, delay: Duration) -> Option<usize>;
+    /// Sends `message` to shard `to`, which [`remote`](Role::remote) named.
+    fn post(&mut self, to: usize, message: WireMsg);
+    /// Hands on an observer event of the event being executed.
+    fn emit(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>);
+    /// Hands on a pending-packet transition of the event being executed.
+    fn pend(&mut self, at: Time, op: PendOp);
+    /// Closes the event that executed at `at` under `key` as the
+    /// session's `occ`-th; `Break` ends the run.
+    fn close(
+        &mut self,
+        at: Time,
+        key: u64,
+        occ: u64,
+        drain_tail: bool,
+        faults: Option<&ArmedFaults>,
+    ) -> ControlFlow<()>;
+}
+
+/// A serial run's role, and what the sharded fold replays into: the
+/// observers, and the pending-packet table in which every logical packet
+/// completes.
+pub(crate) struct Direct<'obs, 'run, N> {
+    pub(crate) observers: &'run mut [&'obs mut dyn Observer<N>],
+    pub(crate) pending: PendingTable,
+}
+
+impl<N> Direct<'_, '_, N> {
+    /// Whether the run is over after an event: the serial loop stops at
+    /// the first drain-tail event that leaves no measured packet in
+    /// flight.
+    pub(crate) fn settled(&self, drain_tail: bool) -> bool {
+        drain_tail && self.pending.measured_in_flight() == 0
+    }
+}
+
+impl<N> Role<N> for Direct<'_, '_, N> {
+    fn shard(&self) -> usize {
+        0
+    }
+
+    fn owns_source(&self, _source: usize) -> bool {
+        true
+    }
+
+    /// The run is one window: the event that passes `end` is popped and
+    /// dropped with the rest of the queue.
+    fn pop(queue: &mut CalendarQueue<Event<N>>, end: Time) -> Option<(Time, Event<N>)> {
+        queue.pop().filter(|&(at, _)| at < end)
+    }
+
+    fn remote(&self, _channel: usize, _end: End, _delay: Duration) -> Option<usize> {
+        None
+    }
+
+    fn post(&mut self, _to: usize, _message: WireMsg) {
+        unreachable!("a serial run cuts no channel");
+    }
+
+    /// Hands `event` to every observer, in registration order.
+    fn emit(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>) {
+        for observer in self.observers.iter_mut() {
+            observer.on_event(at, in_window, event);
+        }
+    }
+
+    fn pend(&mut self, at: Time, op: PendOp) {
+        self.pending.apply(at, &op);
+    }
+
+    fn close(
+        &mut self,
+        _at: Time,
+        _key: u64,
+        _occ: u64,
+        drain_tail: bool,
+        _faults: Option<&ArmedFaults>,
+    ) -> ControlFlow<()> {
+        if self.settled(drain_tail) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
+/// The engine state of one session: the queue, the channels, the
+/// sources, the counters, and its [`Role`]. Models see it as a [`Ctx`].
+pub(crate) struct Core<'f, N, R> {
     phases: Phases,
     drain: bool,
     injection_end: Time,
-    hard_cap: Time,
 
     queue: CalendarQueue<Event<N>>,
     now: Time,
@@ -362,12 +546,8 @@ pub struct Ctx<'obs, 'run, N> {
     /// so every shard allocates the exact ids a serial run would without
     /// any cross-shard coordination.
     next_packet_id: Vec<u64>,
-    /// Completion accounting (a shard logs its transitions instead).
-    pending: PendingTable,
 
-    /// Sharded-run state, or `None` on a serial run (one branch per
-    /// touch point keeps the serial hot path free).
-    shard: Option<Box<ShardState<N>>>,
+    role: R,
 
     throughput: ThroughputCounter,
     flits_throttled: u64,
@@ -381,44 +561,48 @@ pub struct Ctx<'obs, 'run, N> {
     /// the other shards of a sharded run).
     progress: Option<Arc<ProgressMeter>>,
 
-    observers: &'run mut [&'obs mut dyn Observer<N>],
     /// Armed fault tables, or `None` on clean runs (one branch per hook
     /// keeps the disarmed path free).
-    faults: Option<&'run mut ArmedFaults>,
+    faults: Option<&'f mut ArmedFaults>,
 }
 
-impl<N: Copy + std::fmt::Debug + NodeKey> Ctx<'_, '_, N> {
-    /// Current simulated time.
-    #[must_use]
-    pub fn now(&self) -> Time {
+impl<N: NodeKey, R: Role<N>> Core<'_, N, R> {
+    /// Schedules `event` at `at` under its canonical ordering key.
+    fn schedule_event(&mut self, at: Time, event: Event<N>) {
+        let key = event_key(&event);
+        self.queue.schedule_keyed(at, key, event);
+    }
+
+    /// Hands on a pending-packet transition of the event being executed.
+    fn pend(&mut self, op: PendOp) {
+        self.role.pend(self.now, op);
+    }
+
+    fn alloc_id(&mut self, source: usize) -> PacketId {
+        let id = PacketId::new(((source as u64) << 32) | self.next_packet_id[source]);
+        self.next_packet_id[source] += 1;
+        id
+    }
+}
+
+impl<N: NodeKey, R: Role<N>> Ctx<N> for Core<'_, N, R> {
+    fn now(&self) -> Time {
         self.now
     }
 
-    /// Whether `now` falls inside the measurement window.
-    #[must_use]
-    pub fn in_window(&self) -> bool {
+    fn in_window(&self) -> bool {
         self.phases.in_measurement(self.now)
     }
 
-    /// Whether `channel` is free for a launch.
-    #[must_use]
-    pub fn is_free(&self, channel: usize) -> bool {
+    fn is_free(&self, channel: usize) -> bool {
         self.channels[channel].is_free()
     }
 
-    /// The flit awaiting consumption on `channel`, if any.
-    #[must_use]
-    pub fn arrived(&self, channel: usize) -> Option<&Flit> {
+    fn arrived(&self, channel: usize) -> Option<&Flit> {
         self.channels[channel].arrived()
     }
 
-    /// Consumes the arrived flit on `channel`, leaving the channel
-    /// draining (its handshake completes via [`free_after`](Ctx::free_after)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no flit is awaiting consumption on `channel`.
-    pub fn take_arrived(&mut self, channel: usize) -> Flit {
+    fn take_arrived(&mut self, channel: usize) -> Flit {
         let state = std::mem::replace(&mut self.channels[channel], ChannelState::Draining);
         let ChannelState::Arrived(flit) = state else {
             unreachable!("take_arrived on a channel with no waiting flit");
@@ -426,19 +610,7 @@ impl<N: Copy + std::fmt::Debug + NodeKey> Ctx<'_, '_, N> {
         flit
     }
 
-    /// Schedules `event` at `at` under its canonical ordering key.
-    fn schedule_event(&mut self, at: Time, event: Event<N>) {
-        let key = event_key(&event);
-        self.queue.schedule_keyed(at, key, event);
-    }
-
-    /// Launches `flit` onto `channel`; it arrives downstream after
-    /// `flight`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `channel` is not free.
-    pub fn launch(&mut self, channel: usize, flit: Flit, flight: Duration) {
+    fn launch(&mut self, channel: usize, flit: Flit, flight: Duration) {
         debug_assert!(self.channels[channel].is_free(), "launch on busy channel");
         let mut flight = flight;
         if let Some(extra) = self
@@ -453,34 +625,20 @@ impl<N: Copy + std::fmt::Debug + NodeKey> Ctx<'_, '_, N> {
             });
             flight += extra;
         }
-        if let Some(shard) = self.shard.as_mut() {
-            let owner = shard.partition.channel_downstream_shard(channel);
-            if owner != shard.shard {
-                // Cut channel: the arrival executes on the downstream
-                // owner. Keep the local copy in flight so this side's
-                // `is_free` stays honest until the free message returns.
-                debug_assert!(
-                    flight >= shard.partition.lookahead(),
-                    "cut-channel flight below the partition's lookahead"
-                );
-                let at = self.now + flight;
-                self.channels[channel] = ChannelState::InFlight(flit.clone());
-                shard
-                    .outbox
-                    .push((owner, WireMsg::Arrive { channel, flit, at }));
-                return;
-            }
+        let at = self.now + flight;
+        if let Some(owner) = self.role.remote(channel, End::Downstream, flight) {
+            // Cut channel: the arrival executes on the downstream owner.
+            // Keep the local copy in flight so this side's `is_free` stays
+            // honest until the free message returns.
+            self.channels[channel] = ChannelState::InFlight(flit.clone());
+            self.role.post(owner, WireMsg::Arrive { channel, flit, at });
+            return;
         }
         self.channels[channel] = ChannelState::InFlight(flit);
-        self.schedule_event(self.now + flight, Event::Arrive { channel });
+        self.schedule_event(at, Event::Arrive { channel });
     }
 
-    /// The routing symbol fanout site `site` reads for a flit of
-    /// `packet`, when an armed fault overrides the encoded one. Returns
-    /// the override plus the class to report — the class is `Some`
-    /// exactly once per afflicted train, when the override first
-    /// latches; the model emits the [`SimEvent::Fault`] then.
-    pub fn fault_symbol(
+    fn fault_symbol(
         &mut self,
         site: usize,
         packet: u64,
@@ -491,30 +649,18 @@ impl<N: Copy + std::fmt::Debug + NodeKey> Ctx<'_, '_, N> {
         Some((symbol, fresh.then_some(class)))
     }
 
-    /// Schedules `channel` (currently draining) to become free after
-    /// `delay`, waking its upstream entity.
-    pub fn free_after(&mut self, channel: usize, delay: Duration) {
-        if let Some(shard) = self.shard.as_mut() {
-            let owner = shard.partition.channel_upstream_shard(channel);
-            if owner != shard.shard {
-                // Cut channel consumed on this side: the free event wakes
-                // the upstream launcher, so it executes on its shard.
-                debug_assert!(
-                    delay >= shard.partition.lookahead(),
-                    "cut-channel free delay below the partition's lookahead"
-                );
-                let at = self.now + delay;
-                shard.outbox.push((owner, WireMsg::Free { channel, at }));
-                return;
-            }
+    fn free_after(&mut self, channel: usize, delay: Duration) {
+        let at = self.now + delay;
+        if let Some(owner) = self.role.remote(channel, End::Upstream, delay) {
+            // Cut channel consumed on this side: the free event wakes the
+            // upstream launcher, so it executes on its shard.
+            self.role.post(owner, WireMsg::Free { channel, at });
+            return;
         }
-        self.schedule_event(self.now + delay, Event::FreeChannel { channel });
+        self.schedule_event(at, Event::FreeChannel { channel });
     }
 
-    /// Schedules a re-attempt to fire `node` at `at` (cycle-floor
-    /// stalls only; all other blockings are woken by the event that
-    /// clears them).
-    pub fn retry(&mut self, node: N, at: Time) {
+    fn retry(&mut self, node: N, at: Time) {
         self.schedule_event(
             at,
             Event::Retry {
@@ -523,96 +669,50 @@ impl<N: Copy + std::fmt::Debug + NodeKey> Ctx<'_, '_, N> {
         );
     }
 
-    /// Reports an instrumented event to every registered observer, and
-    /// folds throttle counts into the engine's statistics.
-    pub fn emit(&mut self, event: &SimEvent<'_, N>) {
+    fn emit(&mut self, event: &SimEvent<'_, N>) {
         let in_window = self.in_window();
         if in_window {
             if let SimEvent::Drop { .. } = event {
                 self.flits_throttled += 1;
             }
         }
-        if let Some(shard) = self.shard.as_mut() {
-            // Sharded runs log the stream per executed event; shard 0
-            // replays it to the real observers in exact serial order.
-            if shard.record_obs {
-                shard.log.push_obs(OwnedSimEvent::capture(event));
-            }
-            return;
-        }
-        for observer in self.observers.iter_mut() {
-            observer.on_event(self.now, in_window, event);
-        }
-    }
-
-    /// Applies a pending-packet transition of the event being executed.
-    /// A shard only logs it: the packet's destinations may live on other
-    /// shards, so shard 0 applies every shard's in the serial order.
-    fn pend(&mut self, op: PendOp) {
-        match self.shard.as_mut() {
-            Some(shard) => shard.log.push_pend(op),
-            None => self.pending.apply(self.now, &op),
-        }
-    }
-
-    fn alloc_id(&mut self, source: usize) -> PacketId {
-        let id = PacketId::new(((source as u64) << 32) | self.next_packet_id[source]);
-        self.next_packet_id[source] += 1;
-        id
+        self.role.emit(self.now, in_window, event);
     }
 }
 
-/// Executes one simulation of `model` fed by `traffic`, reporting to
-/// `observers`, and returns the measurements plus the model (whose
-/// accumulated state — e.g. per-packet analytics from
+/// Executes one simulation of `model` fed by `traffic` on up to `shards`
+/// shards, reporting to `observers`, and returns the measurements plus
+/// the model (whose accumulated state — e.g. per-packet analytics from
 /// [`SimModel::on_packet`] — the caller may harvest).
+///
+/// With `shards` 1, or a model that [partitions](SimModel::partition)
+/// into one shard, the run executes serially on the calling thread.
+/// Otherwise it executes as conservative shards synchronised in
+/// lookahead-bounded windows, and the results — the report, every
+/// observer's event stream, the fault summary, any panic from the
+/// delivery audit — are bit-identical to the serial run's; only
+/// [`EngineReport::shards`], [`EngineReport::shard_events`] and the host
+/// figures differ.
+///
+/// `faults`, when given, is threaded into the loop's hooks: channel
+/// launches may be stalled, routing-symbol reads overridden, and source
+/// headers dropped (with re-send) or lost, exactly as it prescribes. The
+/// caller keeps the table and reads back its
+/// [`summary`](ArmedFaults::summary) afterwards.
 ///
 /// # Panics
 ///
 /// Panics if `traffic` does not provide one generator per endpoint, or
 /// if a header reaches a destination outside its packet's awaited set
 /// (the delivery audit: a duplicate means a redundant speculative copy
-/// escaped throttling).
-pub fn run<M: SimModel>(
-    model: M,
-    traffic: Vec<SourceTraffic>,
-    spec: RunSpec,
-    observers: &mut [&mut dyn Observer<M::Node>],
-) -> (EngineReport, M) {
-    Session::new(model, traffic, spec, observers).run()
-}
-
-/// [`run`], with an armed fault table threaded into the loop's hooks:
-/// channel launches may be stalled, routing-symbol reads overridden, and
-/// source headers dropped (with re-send) or lost, exactly as `faults`
-/// prescribes. The caller keeps ownership of `faults` and reads back its
-/// [`summary`](ArmedFaults::summary) afterwards.
-///
-/// # Panics
-///
-/// As [`run`].
-pub fn run_with_faults<M: SimModel>(
-    model: M,
-    traffic: Vec<SourceTraffic>,
-    spec: RunSpec,
-    faults: &mut ArmedFaults,
-    observers: &mut [&mut dyn Observer<M::Node>],
-) -> (EngineReport, M) {
-    Session::with_faults(model, traffic, spec, observers, faults).run()
-}
-
-/// One prepared simulation: model, traffic, wiring, and all pre-sized
-/// engine state, ready to [`run`](Session::run).
-///
-/// Construction does all the setup allocation — channel wiring, the
-/// event queue, source queues, and the pending-packet table with its
-/// latency histogram — so that the run loop itself can stay
-/// allocation-free once the descriptor pool warms up.
+/// escaped throttling). A panic on any shard — in the model, an
+/// observer, or the audit — ends the other shards' loops and is
+/// re-raised here once they have joined.
 ///
 /// # Examples
 ///
 /// ```
-/// use asynoc_engine::{ChannelEnds, Ctx, NodeRef, RunSpec, Session, SimModel};
+/// use asynoc_engine::{run, ChannelEnds, Ctx, NodeRef, RunSpec, SimModel};
 /// use asynoc_kernel::Duration;
 /// use asynoc_packet::{DestSet, RouteHeader};
 /// use asynoc_stats::Phases;
@@ -620,6 +720,7 @@ pub fn run_with_faults<M: SimModel>(
 ///
 /// /// Two endpoints joined by crossed wires: source 0 feeds sink 1 and
 /// /// source 1 feeds sink 0, with no routing nodes in between.
+/// #[derive(Clone)]
 /// struct CrossedWires;
 ///
 /// impl SimModel for CrossedWires {
@@ -640,7 +741,7 @@ pub fn run_with_faults<M: SimModel>(
 ///     fn route(&self, _source: usize, _dests: DestSet) -> RouteHeader {
 ///         RouteHeader::for_tree(2)
 ///     }
-///     fn fire(&mut self, _node: (), _ctx: &mut Ctx<'_, '_, ()>) {}
+///     fn fire(&mut self, _node: (), _ctx: &mut impl Ctx<()>) {}
 /// }
 ///
 /// // Nearest-neighbor traffic sends each packet to source + 1 (mod 2),
@@ -649,11 +750,142 @@ pub fn run_with_faults<M: SimModel>(
 ///     .map(|s| SourceTraffic::new(Benchmark::NearestNeighbor, 2, s, 0.4, 1, 7).unwrap())
 ///     .collect();
 /// let spec = RunSpec::new(Phases::new(Duration::from_ns(2), Duration::from_ns(20)), true);
-/// let (report, _model) = Session::new(CrossedWires, traffic, spec, &mut []).run();
+/// let (report, _model) = run(CrossedWires, traffic, spec, 1, None, &mut []);
 /// assert!(report.packets_measured > 0);
 /// assert_eq!(report.packets_incomplete, 0);
 /// ```
-pub struct Session<'obs, 'run, M: SimModel> {
+pub fn run<M: SimModel>(
+    model: M,
+    traffic: Vec<SourceTraffic>,
+    spec: RunSpec,
+    shards: usize,
+    faults: Option<&mut ArmedFaults>,
+    observers: &mut [&mut dyn Observer<M::Node>],
+) -> (EngineReport, M) {
+    let start = Instant::now();
+    let partition = if shards > 1 {
+        Some(model.partition(shards)).filter(|partition| partition.shards() > 1)
+    } else {
+        None
+    };
+    let lookahead = partition
+        .as_ref()
+        .map_or(Duration::ZERO, Partition::lookahead);
+    let progress = if spec.progress {
+        let shards = partition.as_ref().map_or(1, Partition::shards);
+        ProgressMeter::stderr(shards, PROGRESS_INTERVAL_MS).map(Arc::new)
+    } else {
+        None
+    };
+    let direct = Direct {
+        observers,
+        pending: PendingTable::new(model.endpoints()),
+    };
+    let (parts, direct) = match partition {
+        None => {
+            let queue = CalendarQueue::with_capacity(queue_presize(
+                model.channel_count(),
+                model.endpoints(),
+            ));
+            let mut session = Session::new(
+                model,
+                traffic,
+                spec,
+                faults,
+                direct,
+                queue,
+                progress.clone(),
+            );
+            session.execute(spec.end());
+            let (part, direct) = session.into_part();
+            (vec![part], direct)
+        }
+        Some(partition) => run_sharded(
+            model,
+            traffic,
+            spec,
+            partition,
+            faults,
+            direct,
+            progress.clone(),
+        ),
+    };
+    if let Some(progress) = &progress {
+        progress.finish();
+    }
+    report(parts, direct.pending, spec, lookahead, start)
+}
+
+/// What one finished session contributes to its run's report.
+pub(crate) struct Part<M> {
+    /// Events the report attributes to this shard.
+    pub(crate) events: u64,
+    throughput: ThroughputCounter,
+    flits_throttled: u64,
+    flits_delivered: u64,
+    /// This shard's profile section, when the run was profiled.
+    pub(crate) profile: Option<ShardProfile>,
+    model: M,
+}
+
+/// Assembles a run's report from its shards' parts — one, on a serial
+/// run — and the pending-packet table their events completed in. The
+/// model that comes back is shard 0's, the others merged into it.
+fn report<M: SimModel>(
+    parts: Vec<Part<M>>,
+    pending: PendingTable,
+    spec: RunSpec,
+    lookahead: Duration,
+    start: Instant,
+) -> (EngineReport, M) {
+    let mut throughput = ThroughputCounter::new(parts[0].model.endpoints());
+    let (mut flits_throttled, mut flits_delivered) = (0, 0);
+    let mut shard_events = Vec::with_capacity(parts.len());
+    let mut profiles = Vec::new();
+    let mut models = Vec::with_capacity(parts.len());
+    for part in parts {
+        throughput.absorb(&part.throughput);
+        flits_throttled += part.flits_throttled;
+        flits_delivered += part.flits_delivered;
+        shard_events.push(part.events);
+        profiles.extend(part.profile);
+        models.push(part.model);
+    }
+    let mut models = models.into_iter();
+    let mut model = models.next().expect("a run has a shard");
+    model.merge_shards(models.collect());
+    let wall = start.elapsed();
+    let profile = spec.profile.then(|| {
+        Box::new(EngineProfile {
+            wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
+            lookahead_ps: lookahead.as_ps(),
+            shards: profiles,
+        })
+    });
+    let (latency, packets_incomplete) = pending.finish();
+    let report = EngineReport {
+        packets_measured: latency.count() as usize,
+        latency,
+        throughput: throughput.per_source_gfs(spec.phases.measure()),
+        packets_incomplete,
+        flits_throttled,
+        flits_delivered,
+        events_processed: shard_events.iter().sum(),
+        shards: shard_events.len(),
+        shard_events,
+        wall,
+        profile,
+    };
+    (report, model)
+}
+
+/// One prepared simulation, or one shard of one: model, traffic, wiring,
+/// and all pre-sized engine state.
+///
+/// Construction does all the setup allocation — channel wiring, the
+/// event queue, source queues — so that the loop itself can stay
+/// allocation-free once the descriptor pool warms up.
+pub(crate) struct Session<'f, M: SimModel, R> {
     model: M,
     wiring: Vec<ChannelEnds<M::Node>>,
     source_channel: Vec<usize>,
@@ -662,113 +894,32 @@ pub struct Session<'obs, 'run, M: SimModel> {
     sink_ack: Duration,
     serializes_multicast: bool,
     pool: FlitPool,
-    ctx: Ctx<'obs, 'run, M::Node>,
+    ctx: Core<'f, M::Node, R>,
 }
 
-impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
-    /// Prepares a clean (fault-free) simulation.
+impl<'f, M: SimModel, R: Role<M::Node>> Session<'f, M, R> {
+    /// Prepares a session that plays `role`, with `faults` threaded into
+    /// its hooks when given.
     ///
     /// # Panics
     ///
     /// Panics if `traffic` does not provide one generator per endpoint.
-    pub fn new(
+    pub(crate) fn new(
         model: M,
         traffic: Vec<SourceTraffic>,
         spec: RunSpec,
-        observers: &'run mut [&'obs mut dyn Observer<M::Node>],
-    ) -> Self {
-        let progress = serial_progress(&spec);
-        Session::build(model, traffic, spec, observers, None, None, None, progress)
-    }
-
-    /// Prepares a simulation with an armed fault table threaded into the
-    /// loop's hooks (see [`run_with_faults`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traffic` does not provide one generator per endpoint.
-    pub fn with_faults(
-        model: M,
-        traffic: Vec<SourceTraffic>,
-        spec: RunSpec,
-        observers: &'run mut [&'obs mut dyn Observer<M::Node>],
-        faults: &'run mut ArmedFaults,
-    ) -> Self {
-        let progress = serial_progress(&spec);
-        Session::build(
-            model,
-            traffic,
-            spec,
-            observers,
-            Some(faults),
-            None,
-            None,
-            progress,
-        )
-    }
-
-    /// Prepares one shard of a sharded run: the session owns only the
-    /// sources its shard was assigned, logs its observable stream into
-    /// the shard's log, and exchanges cut-channel influence via the
-    /// sharded runner's mailboxes (see `crate::shard`).
-    pub(crate) fn build_shard(
-        model: M,
-        traffic: Vec<SourceTraffic>,
-        spec: RunSpec,
-        faults: Option<&'run mut ArmedFaults>,
-        shard: Box<ShardState<M::Node>>,
+        faults: Option<&'f mut ArmedFaults>,
+        role: R,
         queue: CalendarQueue<Event<M::Node>>,
-        progress: Option<Arc<ProgressMeter>>,
-    ) -> Self
-    where
-        'obs: 'run,
-    {
-        Session::build(
-            model,
-            traffic,
-            spec,
-            &mut [],
-            faults,
-            Some(shard),
-            Some(queue),
-            progress,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        model: M,
-        traffic: Vec<SourceTraffic>,
-        spec: RunSpec,
-        observers: &'run mut [&'obs mut dyn Observer<M::Node>],
-        faults: Option<&'run mut ArmedFaults>,
-        shard: Option<Box<ShardState<M::Node>>>,
-        queue: Option<CalendarQueue<Event<M::Node>>>,
         progress: Option<Arc<ProgressMeter>>,
     ) -> Self {
         let n = model.endpoints();
         assert_eq!(traffic.len(), n, "one traffic generator per endpoint");
         let channels = model.channel_count();
-        let wiring = (0..channels).map(|c| model.channel_ends(c)).collect();
-        let source_channel = (0..n).map(|s| model.source_channel(s)).collect();
-        let source_wire_delay = model.source_wire_delay();
-        let source_cycle = model.source_cycle();
-        let sink_ack = model.sink_ack();
-        let serializes_multicast = model.serializes_multicast();
-
-        let injection_end = spec.phases.measurement_end();
-        // Saturated runs never finish draining; cap the drain at one extra
-        // measurement window plus warmup.
-        let hard_cap = injection_end + spec.phases.measure() + spec.phases.warmup();
-
-        // Pre-size everything the run loop touches.
-        let queue =
-            queue.unwrap_or_else(|| CalendarQueue::with_capacity(queue_presize(channels, n)));
-        let mut ctx = Ctx {
+        let mut ctx = Core {
             phases: spec.phases,
             drain: spec.drain,
-            injection_end,
-            hard_cap,
+            injection_end: spec.phases.measurement_end(),
             queue,
             now: Time::ZERO,
             channels: vec![ChannelState::Free; channels],
@@ -776,8 +927,7 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
             source_next_fire: vec![Time::ZERO; n],
             traffic,
             next_packet_id: vec![0; n],
-            pending: PendingTable::new(n),
-            shard,
+            role,
             throughput: ThroughputCounter::new(n),
             flits_throttled: 0,
             flits_delivered: 0,
@@ -785,7 +935,6 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
             kinds: EventKindCounts::default(),
             prof: spec.profile.then(|| Box::new(RunProf::new(spec.phases))),
             progress,
-            observers,
             faults,
         };
 
@@ -795,194 +944,114 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
         // schedules only the sources it owns.
         for s in 0..n {
             let gap = ctx.traffic[s].next_gap();
-            let owned = ctx
-                .shard
-                .as_ref()
-                .is_none_or(|shard| shard.partition.source_shard(s) == shard.shard);
-            if owned {
+            if ctx.role.owns_source(s) {
                 ctx.schedule_event(Time::ZERO + gap, Event::Inject { source: s });
             }
         }
 
         Session {
+            wiring: (0..channels).map(|c| model.channel_ends(c)).collect(),
+            source_channel: (0..n).map(|s| model.source_channel(s)).collect(),
+            source_wire_delay: model.source_wire_delay(),
+            source_cycle: model.source_cycle(),
+            sink_ack: model.sink_ack(),
+            serializes_multicast: model.serializes_multicast(),
             model,
-            wiring,
-            source_channel,
-            source_wire_delay,
-            source_cycle,
-            sink_ack,
-            serializes_multicast,
             pool: FlitPool::new(n * 64 + 256),
             ctx,
         }
     }
 
-    /// Executes the event loop to completion and returns the
-    /// measurements plus the model (whose accumulated state the caller
-    /// may harvest).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a header reaches a destination outside its packet's
-    /// awaited set (the delivery audit: a duplicate means a redundant
-    /// speculative copy escaped throttling).
-    pub fn run(mut self) -> (EngineReport, M) {
-        let start = std::time::Instant::now();
-        self.execute();
-        self.finish(start)
-    }
-
-    fn execute(&mut self) {
-        while let Some((t, event)) = self.ctx.queue.pop() {
-            self.ctx.now = t;
-            if t > self.ctx.hard_cap {
-                break;
-            }
-            if !self.ctx.drain && t >= self.ctx.injection_end {
-                break;
-            }
-            self.ctx.events_processed += 1;
-            if let Some(prof) = self.ctx.prof.as_deref_mut() {
-                prof.note(t);
-            }
-            match event {
-                Event::Inject { source } => {
-                    self.ctx.kinds.inject += 1;
-                    self.handle_inject(source);
-                }
-                Event::Arrive { channel } => {
-                    self.ctx.kinds.arrive += 1;
-                    self.handle_arrive(channel);
-                }
-                Event::FreeChannel { channel } => {
-                    self.ctx.kinds.free += 1;
-                    self.handle_free(channel);
-                }
-                Event::Retry { target } => {
-                    self.ctx.kinds.retry += 1;
-                    self.wake(target);
-                }
-            }
-            if self.ctx.events_processed & PROGRESS_TICK_MASK == 0 {
-                if let Some(progress) = &self.ctx.progress {
-                    progress.record(0, self.ctx.events_processed);
-                }
-            }
-            if self.ctx.drain
-                && self.ctx.now >= self.ctx.injection_end
-                && self.ctx.pending.measured_in_flight() == 0
-            {
+    /// Executes every event due before `end` — the whole run on a serial
+    /// session, one window on a shard — unless the role ends the run
+    /// first.
+    pub(crate) fn execute(&mut self, end: Time) {
+        while let Some((t, event)) = R::pop(&mut self.ctx.queue, end) {
+            if self.step(t, event).is_break() {
                 break;
             }
         }
     }
 
-    fn finish(self, start: std::time::Instant) -> (EngineReport, M) {
-        let pool_stats = self.pool.stats();
+    /// The per-event body every run kind shares.
+    fn step(&mut self, t: Time, event: Event<M::Node>) -> ControlFlow<()> {
+        self.ctx.now = t;
+        self.ctx.events_processed += 1;
+        if let Some(prof) = self.ctx.prof.as_deref_mut() {
+            prof.note(t);
+        }
+        match event {
+            Event::Inject { source } => {
+                self.ctx.kinds.inject += 1;
+                self.handle_inject(source);
+            }
+            Event::Arrive { channel } => {
+                self.ctx.kinds.arrive += 1;
+                self.handle_arrive(channel);
+            }
+            Event::FreeChannel { channel } => {
+                self.ctx.kinds.free += 1;
+                self.handle_free(channel);
+            }
+            Event::Retry { target } => {
+                self.ctx.kinds.retry += 1;
+                self.wake(target);
+            }
+        }
+        let ctx = &mut self.ctx;
+        if ctx.events_processed & PROGRESS_TICK_MASK == 0 {
+            if let Some(progress) = &ctx.progress {
+                progress.record(ctx.role.shard(), ctx.events_processed);
+            }
+        }
+        let drain_tail = ctx.drain && t >= ctx.injection_end;
+        let faults = ctx.faults.as_deref();
+        ctx.role.close(
+            t,
+            event_key(&event),
+            ctx.events_processed,
+            drain_tail,
+            faults,
+        )
+    }
+
+    /// Tears the session down into its part of the report, and its role.
+    ///
+    /// The profile section carries what the session observed (events,
+    /// kinds, queue/pool counters, phase wall split); a shard's window
+    /// loop fills in the window-protocol figures it alone can see.
+    pub(crate) fn into_part(self) -> (Part<M>, R) {
+        let pool = self.pool.stats();
         let ctx = self.ctx;
-        if let Some(progress) = &ctx.progress {
-            progress.finish();
-        }
-        let wall = start.elapsed();
-        let profile = ctx.prof.map(|prof| {
-            Box::new(EngineProfile {
-                wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-                lookahead_ps: 0,
-                shards: vec![ShardProfile {
-                    shard: 0,
-                    events: ctx.events_processed,
-                    kinds: ctx.kinds,
-                    queue: ctx.queue.stats(),
-                    pool: pool_stats,
-                    phase: prof.close(),
-                    ..ShardProfile::default()
-                }],
-            })
+        let profile = ctx.prof.map(|prof| ShardProfile {
+            shard: ctx.role.shard(),
+            events: ctx.events_processed,
+            kinds: ctx.kinds,
+            queue: ctx.queue.stats(),
+            pool,
+            phase: prof.close(),
+            ..ShardProfile::default()
         });
-        let throughput = ctx.throughput.per_source_gfs(ctx.phases.measure());
-        let (latency, packets_incomplete) = ctx.pending.finish();
-        let report = EngineReport {
-            packets_measured: latency.count() as usize,
-            latency,
-            throughput,
-            packets_incomplete,
+        let part = Part {
+            events: ctx.events_processed,
+            throughput: ctx.throughput,
             flits_throttled: ctx.flits_throttled,
             flits_delivered: ctx.flits_delivered,
-            events_processed: ctx.events_processed,
-            shards: 1,
-            shard_events: vec![ctx.events_processed],
-            wall,
             profile,
+            model: self.model,
         };
-        (report, self.model)
+        (part, ctx.role)
     }
 
-    // ------------------------------------------------------------------
-    // Sharded execution (driven by `crate::shard::run_sharded`)
-    // ------------------------------------------------------------------
+    /// The role, for a shard's window loop to drain its outbox and hand
+    /// its log off.
+    pub(crate) fn role_mut(&mut self) -> &mut R {
+        &mut self.ctx.role
+    }
 
     /// Earliest pending local event time (published at window barriers).
     pub(crate) fn peek_time(&self) -> Option<Time> {
         self.ctx.queue.peek_time()
-    }
-
-    /// Executes every local event strictly before `end`, logging each
-    /// executed event's observable effects into the shard's log.
-    ///
-    /// Newly scheduled local events that still fall inside the window
-    /// are executed too, so on return the local frontier is at least
-    /// `end` — the invariant the conservative window protocol rests on.
-    pub(crate) fn execute_window(&mut self, end: Time) {
-        while self.ctx.queue.peek_time().is_some_and(|t| t < end) {
-            let (t, event) = self.ctx.queue.pop().expect("peeked non-empty");
-            self.ctx.now = t;
-            if let Some(prof) = self.ctx.prof.as_deref_mut() {
-                prof.note(t);
-            }
-            let key = event_key(&event);
-            let fault_before = self.ctx.faults.as_deref().map(ArmedFaults::summary);
-            let (shard_index, occ) = {
-                let shard = self.ctx.shard.as_mut().expect("sharded session");
-                shard.occ += 1;
-                (shard.shard, shard.occ)
-            };
-            match event {
-                Event::Inject { source } => {
-                    self.ctx.kinds.inject += 1;
-                    self.handle_inject(source);
-                }
-                Event::Arrive { channel } => {
-                    self.ctx.kinds.arrive += 1;
-                    self.handle_arrive(channel);
-                }
-                Event::FreeChannel { channel } => {
-                    self.ctx.kinds.free += 1;
-                    self.handle_free(channel);
-                }
-                Event::Retry { target } => {
-                    self.ctx.kinds.retry += 1;
-                    self.wake(target);
-                }
-            }
-            if occ & PROGRESS_TICK_MASK == 0 {
-                if let Some(progress) = &self.ctx.progress {
-                    progress.record(shard_index, occ);
-                }
-            }
-            let fault_delta = fault_before.and_then(|before| {
-                let after = self.ctx.faults.as_deref().expect("still armed").summary();
-                crate::shard::summary_delta(before, after)
-            });
-            // An event that did nothing observable leaves no record —
-            // except in the drain tail, where the fold needs every event
-            // to find the serial loop's exact stopping point.
-            let drain_tail = self.ctx.drain && t >= self.ctx.injection_end;
-            let shard = self.ctx.shard.as_mut().expect("sharded session");
-            shard.log.close(t, key, occ, fault_delta, drain_tail);
-            if t < self.ctx.injection_end {
-                shard.pre_end_events += 1;
-            }
-        }
     }
 
     /// Applies one cross-shard message: reconstructs the channel state
@@ -1001,49 +1070,6 @@ impl<'obs, 'run, M: SimModel> Session<'obs, 'run, M> {
                 self.ctx.channels[channel] = ChannelState::Draining;
                 self.ctx.schedule_event(at, Event::FreeChannel { channel });
             }
-        }
-    }
-
-    /// The cut-channel messages this shard's last window produced, for
-    /// the runner to drain into the mailboxes.
-    pub(crate) fn outbox(&mut self) -> &mut Vec<(usize, WireMsg)> {
-        &mut self.ctx.shard.as_mut().expect("sharded session").outbox
-    }
-
-    /// The shard's log, for the runner to swap out at a hand-off.
-    pub(crate) fn log_mut(&mut self) -> &mut ShardLog<M::Node> {
-        &mut self.ctx.shard.as_mut().expect("sharded session").log
-    }
-
-    /// Tears one finished shard down into what the runner collects.
-    ///
-    /// The shard's profile section carries what the *session* observed
-    /// (events, kinds, queue/pool counters, phase wall split); the
-    /// worker loop fills in the window-protocol figures (windows,
-    /// barrier waits, mailbox traffic) it alone can see.
-    pub(crate) fn into_shard_parts(self) -> crate::shard::ShardParts<M> {
-        let pool_stats = self.pool.stats();
-        let ctx = self.ctx;
-        let shard = *ctx.shard.expect("sharded session");
-        let profile = ctx.prof.map(|prof| {
-            Box::new(ShardProfile {
-                shard: shard.shard,
-                events: shard.occ,
-                kinds: ctx.kinds,
-                queue: ctx.queue.stats(),
-                pool: pool_stats,
-                phase: prof.close(),
-                ..ShardProfile::default()
-            })
-        });
-        crate::shard::ShardParts {
-            log: shard.log,
-            pre_end_events: shard.pre_end_events,
-            throughput: ctx.throughput,
-            flits_throttled: ctx.flits_throttled,
-            flits_delivered: ctx.flits_delivered,
-            profile,
-            model: self.model,
         }
     }
 
@@ -1282,6 +1308,7 @@ mod tests {
     /// The simplest possible substrate: two endpoints joined by one
     /// arbitrating crossbar node. Channels 0–1 inject into the node,
     /// channels 2–3 deliver to the sinks.
+    #[derive(Clone)]
     struct Crossbar {
         forward: Duration,
         free: Duration,
@@ -1351,7 +1378,7 @@ mod tests {
             self.packets_seen += 1;
         }
 
-        fn fire(&mut self, _node: (), ctx: &mut Ctx<'_, '_, ()>) {
+        fn fire(&mut self, _node: (), ctx: &mut impl Ctx<()>) {
             for input in 0..2 {
                 let Some(flit) = ctx.arrived(input) else {
                     continue;
@@ -1391,7 +1418,14 @@ mod tests {
 
     #[test]
     fn crossbar_delivers_and_counts() {
-        let (report, model) = run(Crossbar::new(), toy_traffic(7), toy_spec(), &mut []);
+        let (report, model) = run(
+            Crossbar::new(),
+            toy_traffic(7),
+            toy_spec(),
+            1,
+            None,
+            &mut [],
+        );
         assert!(report.packets_measured > 0, "no packets measured");
         assert_eq!(report.packets_incomplete, 0, "drain left packets in flight");
         assert!(report.flits_delivered > 0);
@@ -1428,6 +1462,8 @@ mod tests {
             Crossbar::new(),
             toy_traffic(3),
             toy_spec(),
+            1,
+            None,
             &mut [&mut first, &mut second],
         );
         assert!(!first.seen.is_empty());
@@ -1441,7 +1477,17 @@ mod tests {
 
     #[test]
     fn reruns_are_bit_identical() {
-        let run_once = || run(Crossbar::new(), toy_traffic(11), toy_spec(), &mut []).0;
+        let run_once = || {
+            run(
+                Crossbar::new(),
+                toy_traffic(11),
+                toy_spec(),
+                1,
+                None,
+                &mut [],
+            )
+            .0
+        };
         let (a, b) = (run_once(), run_once());
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.throughput, b.throughput);
@@ -1455,7 +1501,7 @@ mod tests {
             Phases::new(Duration::from_ns(2), Duration::from_ns(40)),
             false,
         );
-        let (report, _) = run(Crossbar::new(), toy_traffic(5), spec, &mut []);
+        let (report, _) = run(Crossbar::new(), toy_traffic(5), spec, 1, None, &mut []);
         assert!(report.packets_measured > 0);
     }
 }

@@ -1,17 +1,19 @@
 //! Conservative sharded execution with bit-identical observable streams.
 //!
-//! [`run_sharded`] partitions one simulation across OS threads: each
-//! shard owns a subset of sources, nodes, sinks, and channels (the
-//! [`Partition`] a [`ShardModel`] computes), runs its own event queue,
-//! and synchronises with the other shards in lookahead-bounded time
-//! windows (see `asynoc_kernel::sharded` for the window protocol).
+//! When a model partitions a run into more than one shard,
+//! [`run`](crate::run) hands it to [`run_sharded`]: each shard owns a
+//! subset of sources, nodes, sinks, and channels (the [`Partition`] the
+//! model computes), runs the serial run's [`Session`] in the [`Shard`]
+//! role on an event queue of its own, and synchronises with the other
+//! shards in lookahead-bounded time windows (see `asynoc_kernel::sharded`
+//! for the window protocol).
 //!
 //! # Why the results are bit-identical to a serial run
 //!
 //! Three mechanisms compose:
 //!
-//! 1. **Canonical event keys.** Both the serial loop and every shard
-//!    order simultaneous events by the same `(time, key)` pair (see
+//! 1. **Canonical event keys.** A serial session and every shard order
+//!    simultaneous events by the same `(time, key)` pair (see
 //!    `event_key` in the session module), so "which event fires first at
 //!    time t" does not depend on which queue holds it.
 //! 2. **Conservative windows.** A window never extends past the minimum
@@ -29,13 +31,13 @@
 //!    thread, which holds the observers — merges the slots *after* it:
 //!    every shard has then executed everything before the window's end,
 //!    so those records are final and their `(time, key, occurrence)`
-//!    merge is the serial loop's order. The fold replays observers,
-//!    reruns the delivery audit, computes latency, finds the serial
-//!    loop's precise drain stopping point and drops everything logged
-//!    past it. Shard 0 cannot reach the next barrier before it has
-//!    folded, so the barrier is the only synchronisation, two logs per
-//!    shard bound the memory, and a streaming observer sees the run
-//!    while it happens.
+//!    merge is the serial loop's order. The fold replays them into the
+//!    serial run's [`Direct`] role — observers, delivery audit, latency —
+//!    finds the serial loop's precise drain stopping point and drops
+//!    everything logged past it. Shard 0 cannot reach the next barrier
+//!    before it has folded, so the barrier is the only synchronisation,
+//!    two logs per shard bound the memory, and a streaming observer sees
+//!    the run while it happens.
 //!
 //! Live aggregates that only accumulate inside the measurement window
 //! (throughput counters, delivered/throttled flits) are summed directly:
@@ -56,16 +58,15 @@ use asynoc_kernel::{
     CalendarQueue, Duration, FaultClass, Mailboxes, ShardedScheduler, Time, WindowBarrier,
 };
 use asynoc_packet::Flit;
-use asynoc_probe::{EngineProfile, HostHistogram, ProfileSink, ProgressMeter, ShardProfile};
-use asynoc_stats::{Phases, ThroughputCounter};
+use asynoc_probe::{HostHistogram, ProfileSink, ProgressMeter};
+use asynoc_stats::Phases;
 use asynoc_traffic::SourceTraffic;
 
 use crate::fault::{ArmedFaults, FaultSummary};
-use crate::observer::{ForwardInfo, Observer, SimEvent};
-use crate::pending::{PendOp, PendingTable};
+use crate::observer::{ForwardInfo, SimEvent};
+use crate::pending::PendOp;
 use crate::session::{
-    queue_presize, run, run_with_faults, EngineReport, Event, NodeRef, RunSpec, Session, SimModel,
-    PROGRESS_INTERVAL_MS,
+    queue_presize, Direct, Event, NodeRef, Part, Role, RunSpec, Session, SimModel,
 };
 
 // ---------------------------------------------------------------------
@@ -168,25 +169,13 @@ impl Partition {
     }
 }
 
-/// A [`SimModel`] that can be partitioned for sharded execution.
-///
-/// The model is cloned once per shard; each clone only ever fires the
-/// nodes its shard owns, so node state never needs synchronisation.
-/// After the run, [`merge_shards`](ShardModel::merge_shards) folds the
-/// clones' accumulated analytics back into the original.
-pub trait ShardModel: SimModel + Clone + Send {
-    /// Computes the entity-to-shard assignment and its lookahead bound
-    /// for `shards` shards. Implementations may clamp `shards` down
-    /// (e.g. to the row count of a mesh); the runner honours whatever
-    /// the returned partition says.
-    fn partition(&self, shards: usize) -> Partition;
-
-    /// Folds the per-shard model clones' accumulated state (e.g. hop
-    /// counters) back into `self` after a sharded run. The default does
-    /// nothing, which is correct for models without cross-run analytics.
-    fn merge_shards(&mut self, shards: Vec<Self>) {
-        drop(shards);
-    }
+/// Which end of a channel an event executes at.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum End {
+    /// The launching end, which a free wakes.
+    Upstream,
+    /// The consuming end, at which a flit arrives.
+    Downstream,
 }
 
 // ---------------------------------------------------------------------
@@ -473,38 +462,96 @@ fn merge_logs<N, L: Deref<Target = ShardLog<N>>>(
     }
 }
 
-/// The shard-local state a sharded session threads through its hooks.
+/// One shard's [`Role`]: what its events produce goes into its log for
+/// the fold, and the events they schedule on another shard into its
+/// outbox for the window loop to deliver.
 #[derive(Debug)]
-pub(crate) struct ShardState<N> {
-    pub(crate) shard: usize,
-    pub(crate) partition: Arc<Partition>,
+pub(crate) struct Shard<N> {
+    shard: usize,
+    partition: Arc<Partition>,
     /// Whether observer events must be logged (any observer present).
-    pub(crate) record_obs: bool,
-    /// Events popped so far (the `occ` tag).
-    pub(crate) occ: u64,
+    record_obs: bool,
+    /// The fault table's summary as of the last event.
+    faults_seen: FaultSummary,
     /// Events executed before the injection end (never trimmed).
-    pub(crate) pre_end_events: u64,
-    pub(crate) outbox: Vec<(usize, WireMsg)>,
-    pub(crate) log: ShardLog<N>,
+    pre_end_events: u64,
+    outbox: Vec<(usize, WireMsg)>,
+    log: ShardLog<N>,
 }
 
-impl<N> ShardState<N> {
-    pub(crate) fn new(shard: usize, partition: Arc<Partition>, record_obs: bool) -> Box<Self> {
-        Box::new(ShardState {
-            shard,
-            partition,
-            record_obs,
-            occ: 0,
-            pre_end_events: 0,
-            outbox: Vec::new(),
-            log: ShardLog::new(),
+impl<N: Copy> Role<N> for Shard<N> {
+    fn shard(&self) -> usize {
+        self.shard
+    }
+
+    fn owns_source(&self, source: usize) -> bool {
+        self.partition.source_shard(source) == self.shard
+    }
+
+    /// A window at a time: the event past `end` stays queued for the
+    /// next.
+    fn pop(queue: &mut CalendarQueue<Event<N>>, end: Time) -> Option<(Time, Event<N>)> {
+        if queue.peek_time()? < end {
+            queue.pop()
+        } else {
+            None
+        }
+    }
+
+    fn remote(&self, channel: usize, end: End, delay: Duration) -> Option<usize> {
+        let owner = match end {
+            End::Upstream => self.partition.channel_upstream_shard(channel),
+            End::Downstream => self.partition.channel_downstream_shard(channel),
+        };
+        (owner != self.shard).then(|| {
+            debug_assert!(
+                delay >= self.partition.lookahead(),
+                "a cut-channel delay below the partition's lookahead"
+            );
+            owner
         })
+    }
+
+    fn post(&mut self, to: usize, message: WireMsg) {
+        self.outbox.push((to, message));
+    }
+
+    fn emit(&mut self, _at: Time, _in_window: bool, event: &SimEvent<'_, N>) {
+        if self.record_obs {
+            self.log.push_obs(OwnedSimEvent::capture(event));
+        }
+    }
+
+    /// The packet's destinations may live on other shards, so the fold
+    /// applies every shard's transitions in the serial order.
+    fn pend(&mut self, _at: Time, op: PendOp) {
+        self.log.push_pend(op);
+    }
+
+    fn close(
+        &mut self,
+        at: Time,
+        key: u64,
+        occ: u64,
+        drain_tail: bool,
+        faults: Option<&ArmedFaults>,
+    ) -> ControlFlow<()> {
+        let fault_delta = faults.and_then(|faults| {
+            let seen = std::mem::replace(&mut self.faults_seen, faults.summary());
+            summary_delta(seen, self.faults_seen)
+        });
+        // An event that did nothing observable leaves no record — except
+        // in the drain tail, where the fold needs every event to find the
+        // serial loop's exact stopping point.
+        self.log.close(at, key, occ, fault_delta, drain_tail);
+        self.pre_end_events += u64::from(!drain_tail);
+        ControlFlow::Continue(())
     }
 }
 
 /// The increments `after` added over `before`, or `None` if nothing
 /// fired.
-pub(crate) fn summary_delta(before: FaultSummary, after: FaultSummary) -> Option<FaultSummary> {
+fn summary_delta(before: FaultSummary, after: FaultSummary) -> Option<FaultSummary> {
     if before == after {
         return None;
     }
@@ -527,63 +574,114 @@ fn summary_add(a: FaultSummary, b: FaultSummary) -> FaultSummary {
     }
 }
 
-/// What one finished shard hands back to the runner.
-pub(crate) struct ShardParts<M: SimModel> {
-    /// What the shard logged after its last hand-off.
-    pub(crate) log: ShardLog<M::Node>,
-    pub(crate) pre_end_events: u64,
-    pub(crate) throughput: ThroughputCounter,
-    pub(crate) flits_throttled: u64,
-    pub(crate) flits_delivered: u64,
-    /// This shard's profile section, when the run was profiled.
-    pub(crate) profile: Option<Box<ShardProfile>>,
-    pub(crate) model: M,
-}
-
 // ---------------------------------------------------------------------
 // The sharded runner
 // ---------------------------------------------------------------------
 
-/// [`run`](crate::run), executed across `shards` conservative shards.
-///
-/// Results — the report, every observer's event stream, and any panic
-/// from the delivery audit — are bit-identical to the serial runner's
-/// for every shard count, including 1 (which simply delegates to it).
-/// Only [`EngineReport::shards`] / [`EngineReport::shard_events`] and
-/// the wall-clock time differ.
-///
-/// # Panics
-///
-/// As [`run`](crate::run). A panic on any shard — in the model, an
-/// observer, or the delivery audit — ends the other shards' loops and
-/// is re-raised here once they have joined.
-pub fn run_sharded<M: ShardModel>(
+/// Runs one simulation as the shards `partition` names and returns one
+/// part per shard, its events those the fold attributes to it, plus
+/// `direct` with the fold's replay applied. Shard 0 runs on the calling
+/// thread — it holds the observers, so it is the one that can fold — on
+/// the caller's model, traffic and fault table; the others run on
+/// threads of their own, on copies taken before shard 0 starts. The
+/// caller's fault summary is rewritten to the counts the serial run
+/// accumulates.
+pub(crate) fn run_sharded<'obs, 'run, M: SimModel>(
     model: M,
     traffic: Vec<SourceTraffic>,
     spec: RunSpec,
-    shards: usize,
-    observers: &mut [&mut dyn Observer<M::Node>],
-) -> (EngineReport, M) {
-    run_sharded_inner(model, traffic, spec, shards, observers, None)
-}
+    partition: Partition,
+    mut faults: Option<&mut ArmedFaults>,
+    direct: Direct<'obs, 'run, M::Node>,
+    progress: Option<Arc<ProgressMeter>>,
+) -> (Vec<Part<M>>, Direct<'obs, 'run, M::Node>) {
+    let shard_count = partition.shards();
+    let lookahead = partition.lookahead();
+    let scheduler: ShardedScheduler<Event<M::Node>> = ShardedScheduler::new(
+        shard_count,
+        queue_presize(model.channel_count(), model.endpoints()),
+        lookahead,
+    );
+    let mut shared = Shared {
+        barrier: WindowBarrier::new(shard_count),
+        mailboxes: [Mailboxes::new(shard_count), Mailboxes::new(shard_count)],
+        slots: (0..shard_count)
+            .map(|_| Mutex::new(ShardLog::new()))
+            .collect(),
+        end: spec.end(),
+        lookahead,
+        profile: spec.profile,
+    };
+    let partition = Arc::new(partition);
+    let record_obs = !direct.observers.is_empty();
+    let faults_seen = faults
+        .as_deref()
+        .map(ArmedFaults::summary)
+        .unwrap_or_default();
+    let role = |shard| Shard {
+        shard,
+        partition: Arc::clone(&partition),
+        record_obs,
+        faults_seen,
+        pre_end_events: 0,
+        outbox: Vec::new(),
+        log: ShardLog::new(),
+    };
+    let mut fold = Fold {
+        direct,
+        phases: spec.phases,
+        drain: spec.drain,
+        injection_end: spec.phases.measurement_end(),
+        fault_total: faults_seen,
+        tail_events: vec![0; shard_count],
+        done: false,
+    };
 
-/// [`run_with_faults`](crate::run_with_faults), executed across
-/// `shards` conservative shards. The caller's fault table is cloned
-/// into every shard; its summary is rewritten afterwards to exactly the
-/// counts the serial runner would have accumulated.
-///
-/// # Panics
-///
-/// As [`run_sharded`].
-pub fn run_sharded_with_faults<M: ShardModel>(
-    model: M,
-    traffic: Vec<SourceTraffic>,
-    spec: RunSpec,
-    shards: usize,
-    faults: &mut ArmedFaults,
-    observers: &mut [&mut dyn Observer<M::Node>],
-) -> (EngineReport, M) {
-    run_sharded_inner(model, traffic, spec, shards, observers, Some(faults))
+    let joined = std::thread::scope(|scope| {
+        let mut queues = scheduler.into_queues().into_iter().enumerate();
+        let (_, queue) = queues.next().expect("a sharded run has shards");
+        let handles: Vec<_> = queues
+            .map(|(shard, queue)| {
+                let (model, traffic, role) = (model.clone(), traffic.clone(), role(shard));
+                let mut faults = faults.as_deref().cloned();
+                let (shared, progress) = (&shared, progress.clone());
+                scope.spawn(move || {
+                    run_shard(shared, None, || {
+                        Session::new(model, traffic, spec, faults.as_mut(), role, queue, progress)
+                    })
+                })
+            })
+            .collect();
+        let first = run_shard(&shared, Some(&mut fold), || {
+            let faults = faults.as_deref_mut();
+            Session::new(model, traffic, spec, faults, role(0), queue, progress)
+        });
+        let mut joined = vec![Ok(first)];
+        joined.extend(handles.into_iter().map(|handle| handle.join()));
+        joined
+    });
+    let (mut parts, mut roles): (Vec<_>, Vec<_>) = joined
+        .into_iter()
+        .map(|shard| shard.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        .unzip();
+
+    // What is left to fold: a hand-off the run ended on before shard 0
+    // got to it, then what each shard logged after its last one.
+    let mut last_handoff: Vec<_> = shared
+        .slots
+        .iter_mut()
+        .map(|slot| slot.get_mut().unwrap_or_else(PoisonError::into_inner))
+        .collect();
+    fold.replay(&mut last_handoff);
+    let mut tails: Vec<_> = roles.iter_mut().map(|role| &mut role.log).collect();
+    fold.replay(&mut tails);
+    if let Some(faults) = faults {
+        faults.force_summary(fold.fault_total);
+    }
+    for ((part, role), tail) in parts.iter_mut().zip(&roles).zip(&fold.tail_events) {
+        part.events = role.pre_end_events + tail;
+    }
+    (parts, fold.direct)
 }
 
 /// Windows between two hand-offs of the shards' logs to the fold. A
@@ -605,9 +703,11 @@ struct Shared<N> {
     /// Where shard `s` leaves a finished log for the fold and finds the
     /// emptied one of the hand-off before.
     slots: Vec<Mutex<ShardLog<N>>>,
-    injection_end: Time,
-    hard_cap: Time,
+    /// The run's end ([`RunSpec::end`]): no window reaches past it.
+    end: Time,
     lookahead: Duration,
+    /// Whether barrier waits are timed for the profile.
+    profile: bool,
 }
 
 /// A slot's log. Its holders swap, merge and clear — never leave it
@@ -628,14 +728,13 @@ impl Drop for AbortOnUnwind<'_> {
     }
 }
 
-/// The serial loop's observer fan-out and pending-packet table, replayed
-/// from the shards' merged logs.
+/// The serial run's [`Direct`] role, replayed from the shards' merged
+/// logs.
 struct Fold<'obs, 'run, N> {
-    observers: &'run mut [&'obs mut dyn Observer<N>],
+    direct: Direct<'obs, 'run, N>,
     phases: Phases,
     drain: bool,
     injection_end: Time,
-    pending: PendingTable,
     fault_total: FaultSummary,
     /// Drain-tail events per shard, up to the stopping point.
     tail_events: Vec<u64>,
@@ -667,24 +766,17 @@ impl<N: Copy> Fold<'_, '_, N> {
         if drain_tail {
             self.tail_events[shard] += 1;
         }
-        if !record.obs.is_empty() {
-            let in_window = self.phases.in_measurement(time);
-            for owned in record.obs {
-                let event = owned.as_event();
-                for observer in self.observers.iter_mut() {
-                    observer.on_event(time, in_window, &event);
-                }
-            }
+        let in_window = self.phases.in_measurement(time);
+        for owned in record.obs {
+            self.direct.emit(time, in_window, &owned.as_event());
         }
-        for op in record.pend {
-            self.pending.apply(time, op);
+        for &op in record.pend {
+            self.direct.pend(time, op);
         }
         if let Some(delta) = record.fault_delta {
             self.fault_total = summary_add(self.fault_total, delta);
         }
-        // The serial loop stops at the first post-injection event that
-        // leaves no measured packet in flight; nothing after it counts.
-        if drain_tail && self.pending.measured_in_flight() == 0 {
+        if self.direct.settled(drain_tail) {
             self.done = true;
             return ControlFlow::Break(());
         }
@@ -692,185 +784,9 @@ impl<N: Copy> Fold<'_, '_, N> {
     }
 }
 
-fn run_sharded_inner<M: ShardModel>(
-    mut model: M,
-    traffic: Vec<SourceTraffic>,
-    spec: RunSpec,
-    shards: usize,
-    observers: &mut [&mut dyn Observer<M::Node>],
-    faults: Option<&mut ArmedFaults>,
-) -> (EngineReport, M) {
-    let partition = model.partition(shards);
-    if partition.shards() <= 1 {
-        return match faults {
-            None => run(model, traffic, spec, observers),
-            Some(faults) => run_with_faults(model, traffic, spec, faults, observers),
-        };
-    }
-    let start = std::time::Instant::now();
-    let n = model.endpoints();
-    assert_eq!(traffic.len(), n, "one traffic generator per endpoint");
-    let shard_count = partition.shards();
-    let lookahead = partition.lookahead();
-    let injection_end = spec.phases.measurement_end();
-    let scheduler: ShardedScheduler<Event<M::Node>> = ShardedScheduler::new(
-        shard_count,
-        queue_presize(model.channel_count(), n),
-        lookahead,
-    );
-    let mut shared = Shared {
-        barrier: WindowBarrier::new(shard_count),
-        mailboxes: [Mailboxes::new(shard_count), Mailboxes::new(shard_count)],
-        slots: (0..shard_count)
-            .map(|_| Mutex::new(ShardLog::new()))
-            .collect(),
-        injection_end,
-        hard_cap: injection_end + spec.phases.measure() + spec.phases.warmup(),
-        lookahead,
-    };
-    let partition = Arc::new(partition);
-    let record_obs = !observers.is_empty();
-    let progress = if spec.progress {
-        ProgressMeter::stderr(shard_count, PROGRESS_INTERVAL_MS).map(Arc::new)
-    } else {
-        None
-    };
-    let mut fold = Fold {
-        observers,
-        phases: spec.phases,
-        drain: spec.drain,
-        injection_end,
-        pending: PendingTable::new(n),
-        fault_total: faults
-            .as_deref()
-            .map(ArmedFaults::summary)
-            .unwrap_or_default(),
-        tail_events: vec![0; shard_count],
-        done: false,
-    };
-
-    // Shard 0 is the calling thread: it holds the observers, so it is
-    // the one that can fold, and it would otherwise only sleep in `join`.
-    let joined = std::thread::scope(|scope| {
-        let mut inputs = scheduler
-            .into_queues()
-            .into_iter()
-            .enumerate()
-            .map(|(shard, queue)| {
-                let state = ShardState::new(shard, Arc::clone(&partition), record_obs);
-                let shard_faults = faults.as_deref().cloned();
-                (model.clone(), traffic.clone(), shard_faults, state, queue)
-            });
-        let (model, traffic, shard_faults, state, queue) =
-            inputs.next().expect("a sharded run has shards");
-        let handles: Vec<_> = inputs
-            .map(|(model, traffic, shard_faults, state, queue)| {
-                let (shared, progress) = (&shared, progress.clone());
-                scope.spawn(move || {
-                    run_shard(
-                        model,
-                        traffic,
-                        spec,
-                        shard_faults,
-                        state,
-                        queue,
-                        shared,
-                        progress,
-                        None,
-                    )
-                })
-            })
-            .collect();
-        let first = run_shard(
-            model,
-            traffic,
-            spec,
-            shard_faults,
-            state,
-            queue,
-            &shared,
-            progress.clone(),
-            Some(&mut fold),
-        );
-        let mut joined = vec![Ok(first)];
-        joined.extend(handles.into_iter().map(|handle| handle.join()));
-        joined
-    });
-    let mut parts: Vec<ShardParts<M>> = Vec::with_capacity(shard_count);
-    for shard in joined {
-        match shard {
-            Ok(shard) => parts.push(shard),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-    if let Some(progress) = &progress {
-        progress.finish();
-    }
-
-    // What is left to fold: a hand-off the run ended on before shard 0
-    // got to it, then what each shard logged after its last one.
-    let mut last_handoff: Vec<_> = shared
-        .slots
-        .iter_mut()
-        .map(|slot| slot.get_mut().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    fold.replay(&mut last_handoff);
-    let mut tails: Vec<_> = parts.iter_mut().map(|part| &mut part.log).collect();
-    fold.replay(&mut tails);
-    let Fold {
-        pending,
-        fault_total,
-        tail_events,
-        ..
-    } = fold;
-    if let Some(faults) = faults {
-        faults.force_summary(fault_total);
-    }
-
-    let mut throughput = ThroughputCounter::new(n);
-    let mut flits_throttled = 0;
-    let mut flits_delivered = 0;
-    let mut shard_events = Vec::with_capacity(shard_count);
-    let mut shard_models = Vec::with_capacity(shard_count);
-    let mut shard_profiles = Vec::new();
-    for (part, tail) in parts.into_iter().zip(tail_events) {
-        throughput.absorb(&part.throughput);
-        flits_throttled += part.flits_throttled;
-        flits_delivered += part.flits_delivered;
-        shard_events.push(part.pre_end_events + tail);
-        shard_models.push(part.model);
-        if let Some(profile) = part.profile {
-            shard_profiles.push(*profile);
-        }
-    }
-    model.merge_shards(shard_models);
-
-    let profile = spec.profile.then(|| {
-        Box::new(EngineProfile {
-            wall_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            lookahead_ps: lookahead.as_ps(),
-            shards: shard_profiles,
-        })
-    });
-    let (latency, packets_incomplete) = pending.finish();
-    let report = EngineReport {
-        packets_measured: latency.count() as usize,
-        latency,
-        throughput: throughput.per_source_gfs(spec.phases.measure()),
-        packets_incomplete,
-        flits_throttled,
-        flits_delivered,
-        events_processed: shard_events.iter().sum(),
-        shards: shard_count,
-        shard_events,
-        wall: start.elapsed(),
-        profile,
-    };
-    (report, model)
-}
-
 /// One shard: the conservative window loop, one barrier wait per
-/// window. `fold` is `Some` on shard 0 alone.
+/// window, around the session `session` builds. `fold` is `Some` on
+/// shard 0 alone.
 ///
 /// Every shard derives the same window plan from the same barrier-
 /// published snapshot, so there is no coordinator thread. Cut-channel
@@ -881,46 +797,31 @@ fn run_sharded_inner<M: ShardModel>(
 /// has just sent: those are in no queue yet, and the minimum over queues
 /// plus messages in flight is what the receivers' queues would report
 /// once they had drained them.
-#[allow(clippy::too_many_arguments)]
-fn run_shard<M: SimModel>(
-    model: M,
-    traffic: Vec<SourceTraffic>,
-    spec: RunSpec,
-    mut faults: Option<ArmedFaults>,
-    state: Box<ShardState<M::Node>>,
-    queue: CalendarQueue<Event<M::Node>>,
+fn run_shard<'f, M: SimModel>(
     shared: &Shared<M::Node>,
-    progress: Option<Arc<ProgressMeter>>,
     mut fold: Option<&mut Fold<'_, '_, M::Node>>,
-) -> ShardParts<M> {
+    session: impl FnOnce() -> Session<'f, M, Shard<M::Node>>,
+) -> (Part<M>, Shard<M::Node>) {
     let _abort = AbortOnUnwind(&shared.barrier);
-    let shard = state.shard;
-    let drain = spec.drain;
+    let mut session = session();
+    let shard = session.role_mut().shard;
     // Window-protocol profiling: barrier waits are the only probes that
     // read the host clock, so they sit behind the sink; the message
     // counters are plain adds on the (cold) per-window path.
-    let sink = ProfileSink::new(spec.profile);
+    let sink = ProfileSink::new(shared.profile);
     let mut windows = 0u64;
     let mut barrier_wait = HostHistogram::new();
     let mut sent = vec![0u64; shared.slots.len()];
     let mut received = 0u64;
     let mut mailbox_high_water = 0u64;
-    let mut session = Session::build_shard(
-        model,
-        traffic,
-        spec,
-        faults.as_mut(),
-        state,
-        queue,
-        progress,
-    );
     let mut inbox: Vec<WireMsg> = Vec::new();
     // The earliest event this shard sent away in the window just run.
     let mut sent_earliest: Option<Time> = None;
     loop {
         let handoff = windows > 0 && windows.is_multiple_of(HANDOFF_WINDOWS);
         if handoff {
-            std::mem::swap(&mut *lock_slot(&shared.slots[shard]), session.log_mut());
+            let log = &mut session.role_mut().log;
+            std::mem::swap(&mut *lock_slot(&shared.slots[shard]), log);
         }
         let frontier = [session.peek_time(), sent_earliest]
             .into_iter()
@@ -946,38 +847,28 @@ fn run_shard<M: SimModel>(
         for message in inbox.drain(..) {
             session.apply_wire_message(message);
         }
-        if !drain && window_start >= shared.injection_end {
+        if window_start >= shared.end {
             break;
         }
-        if window_start > shared.hard_cap {
-            break;
-        }
-        let window_end = if drain {
-            // `hard_cap` is inclusive in the serial loop; one extra
-            // picosecond makes the exclusive window bound match it.
-            (window_start + shared.lookahead).min(shared.hard_cap + Duration::from_ps(1))
-        } else {
-            (window_start + shared.lookahead).min(shared.injection_end)
-        };
         windows += 1;
-        session.execute_window(window_end);
+        session.execute((window_start + shared.lookahead).min(shared.end));
         sent_earliest = None;
-        for (to, message) in session.outbox().drain(..) {
+        for (to, message) in session.role_mut().outbox.drain(..) {
             sent_earliest = Some(sent_earliest.map_or(message.at(), |at| at.min(message.at())));
             let depth = shared.mailboxes[(windows & 1) as usize].send(to, message);
             sent[to] += 1;
             mailbox_high_water = mailbox_high_water.max(depth as u64);
         }
     }
-    let mut parts = session.into_shard_parts();
-    if let Some(profile) = parts.profile.as_deref_mut() {
+    let (mut part, role) = session.into_part();
+    if let Some(profile) = part.profile.as_mut() {
         profile.windows = windows;
         profile.barrier_wait = barrier_wait;
         profile.sent = sent;
         profile.received = received;
         profile.mailbox_depth_high_water = mailbox_high_water;
     }
-    parts
+    (part, role)
 }
 
 #[cfg(test)]

@@ -17,8 +17,7 @@ use asynoc_traffic::{Benchmark, SourceTraffic, TrafficError};
 
 use crate::fault::{ArmedFaults, FaultDomain};
 use crate::observer::{Observer, SimEvent};
-use crate::session::{EngineReport, NodeKey, RunSpec};
-use crate::shard::{run_sharded, run_sharded_with_faults, ShardModel};
+use crate::session::{EngineReport, NodeKey, RunSpec, SimModel};
 
 /// One simulation run on any substrate: benchmark, offered load,
 /// measurement schedule, and how the host executes it.
@@ -181,14 +180,14 @@ impl RunConfig {
 ///
 /// Implementors are the ready-to-run network types (`asynoc::Network`,
 /// `asynoc_mesh::MeshNetwork`, `asynoc_vcmesh::VcMeshNetwork`): static
-/// descriptions that build a fresh [`ShardModel`] per run. A fourth
+/// descriptions that build a fresh [`SimModel`] per run. A fourth
 /// fabric implements this trait and inherits [`drive`], the fault oracle
 /// and the CLI's instrumented commands.
 pub trait Substrate {
     /// The fabric's node identifier, as observers see it.
     type Node: Copy + std::fmt::Debug + NodeKey + Send + 'static;
     /// The model one run executes (it may borrow the network).
-    type Model<'a>: ShardModel<Node = Self::Node>
+    type Model<'a>: SimModel<Node = Self::Node>
     where
         Self: 'a;
     /// Observers every run carries ahead of the caller's own and whose
@@ -281,12 +280,7 @@ pub fn drive<S: Substrate>(
     let (model, probes) = substrate.prepare(run);
     let mut bridge = Bridge { probes, extra };
     let observers: &mut [&mut dyn Observer<S::Node>] = &mut [&mut bridge];
-    let (engine, model) = match faults {
-        None => run_sharded(model, traffic, run.spec, run.shards, observers),
-        Some(faults) => {
-            run_sharded_with_faults(model, traffic, run.spec, run.shards, faults, observers)
-        }
-    };
+    let (engine, model) = crate::run(model, traffic, run.spec, run.shards, faults, observers);
     Ok(substrate.report(run, engine, model, bridge.probes))
 }
 

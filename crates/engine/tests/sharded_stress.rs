@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use asynoc_engine::{
-    run, run_sharded, ChannelEnds, Ctx, EngineReport, ForwardInfo, NodeRef, Observer, Partition,
-    RunSpec, ShardModel, SimEvent, SimModel,
+    run, ChannelEnds, Ctx, EngineReport, ForwardInfo, NodeRef, Observer, Partition, RunSpec,
+    SimEvent, SimModel,
 };
 use asynoc_kernel::{with_deadline, Duration, SimRng, Time};
 use asynoc_packet::{DestSet, RouteHeader};
@@ -117,7 +117,7 @@ impl SimModel for RelayRing {
         RouteHeader::for_tree(N)
     }
 
-    fn fire(&mut self, node: usize, ctx: &mut Ctx<'_, '_, usize>) {
+    fn fire(&mut self, node: usize, ctx: &mut impl Ctx<usize>) {
         // The ring input goes first: traffic already on the ring must
         // keep moving or a full ring would never drain.
         for input in [N + (node + N - 1) % N, node] {
@@ -158,9 +158,7 @@ impl SimModel for RelayRing {
             self.next_fire[node] = ctx.now() + CYCLE;
         }
     }
-}
 
-impl ShardModel for RelayRing {
     fn partition(&self, _shards: usize) -> Partition {
         let lookahead = FLIGHT.min(ACK);
         Partition::from_assignment(self, self.shards, lookahead, |entity| {
@@ -232,14 +230,15 @@ fn spec(measure_ps: u64, drain: bool) -> RunSpec {
 
 fn serial_run(seed: u64, spec: RunSpec) -> (EngineReport, u64, Tape) {
     let mut tape = Tape::default();
-    let (report, model) = run(RelayRing::serial(), traffic(seed), spec, &mut [&mut tape]);
+    let model = RelayRing::serial();
+    let (report, model) = run(model, traffic(seed), spec, 1, None, &mut [&mut tape]);
     (report, model.forwarded, tape)
 }
 
 fn sharded_run(seed: u64, spec: RunSpec, model: RelayRing) -> (EngineReport, u64, Tape) {
     let mut tape = Tape::default();
     let shards = model.shards;
-    let (report, model) = run_sharded(model, traffic(seed), spec, shards, &mut [&mut tape]);
+    let (report, model) = run(model, traffic(seed), spec, shards, None, &mut [&mut tape]);
     (report, model.forwarded, tape)
 }
 
@@ -350,7 +349,14 @@ fn the_fold_keeps_up_with_the_shards() {
             ..Tape::default()
         };
         let progress = Arc::clone(&model.progress);
-        run_sharded(model, traffic(9), spec(48_000, true), 3, &mut [&mut tape]);
+        run(
+            model,
+            traffic(9),
+            spec(48_000, true),
+            3,
+            None,
+            &mut [&mut tape],
+        );
         let at_first_event = tape.progress_at_first_event.expect("events observed");
         let at_the_end = progress.load(Ordering::Relaxed);
         assert!(
@@ -385,11 +391,12 @@ fn a_panic_in_the_fold_surfaces_instead_of_hanging() {
             breaks_at: Some(100),
             ..Tape::default()
         };
-        run_sharded(
+        run(
             node_five_apart(),
             traffic(1),
             spec(24_000, true),
             2,
+            None,
             &mut [&mut tape],
         );
     });

@@ -7,14 +7,14 @@
 //! event. Construction and warm-up may allocate freely (the pool fills,
 //! the calendar queue settles its bucket count, source queues and
 //! bucket rings reach their high-water marks); once the measurement
-//! window opens, `Session::run` must not touch the allocator at all.
+//! window opens, the run loop must not touch the allocator at all.
 //!
 //! This test runs with `harness = false` and owns the whole process: the
 //! counter is process-global, and libtest's runner machinery (the main
 //! thread parked on a channel while the test thread runs) performs a
 //! one-time lazy allocation at a nondeterministic moment — occasionally
 //! inside the measurement window. A single-threaded `main` makes every
-//! count in the window attributable to `Session::run`.
+//! count in the window attributable to the run loop.
 
 use asynoc_engine::probe::{allocations, CountingAlloc};
 use asynoc_engine::{
@@ -32,6 +32,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// inject into the node, channels 2–3 deliver to the sinks. The smallest
 /// substrate that still exercises forwarding, arbitration-free conflict
 /// (output busy), serialized multicast clones, and descriptor recycling.
+#[derive(Clone)]
 struct Crossbar;
 
 impl SimModel for Crossbar {
@@ -87,7 +88,7 @@ impl SimModel for Crossbar {
         header.reset_for_tree(2);
     }
 
-    fn fire(&mut self, _node: (), ctx: &mut Ctx<'_, '_, ()>) {
+    fn fire(&mut self, _node: (), ctx: &mut impl Ctx<()>) {
         for input in 0..2 {
             let Some(flit) = ctx.arrived(input) else {
                 continue;
@@ -142,7 +143,7 @@ fn main() {
         true,
     );
     let mut window = AllocWindow::default();
-    let (report, _model) = run(Crossbar, traffic, spec, &mut [&mut window]);
+    let (report, _model) = run(Crossbar, traffic, spec, 1, None, &mut [&mut window]);
 
     assert!(report.packets_measured > 0, "nothing measured");
     assert_eq!(report.packets_incomplete, 0, "packets in flight");

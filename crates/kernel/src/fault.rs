@@ -1,7 +1,7 @@
 //! Fault-event tagging shared by the engine and the telemetry layer.
 //!
 //! Fault injection lives in `asynoc-engine` (the hooks) and
-//! `asynoc-faults` (the plans); the *classification* of what was injected
+//! `asynoc::faults` (the plans); the *classification* of what was injected
 //! lives here so that kernel-adjacent consumers (trace records, ledgers,
 //! offline analysis) agree on one closed taxonomy without depending on
 //! the injection machinery.

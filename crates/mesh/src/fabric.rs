@@ -13,8 +13,8 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 use asynoc_engine::{
-    drive, ChannelEnds, Ctx, EngineReport, FaultDomain, NodeRef, Partition, RunConfig, ShardModel,
-    SimModel, Substrate,
+    drive, ChannelEnds, Ctx, EngineReport, FaultDomain, NodeRef, Partition, RunConfig, SimModel,
+    Substrate,
 };
 use asynoc_kernel::Duration;
 use asynoc_nodes::{FlitClass, KindTiming};
@@ -114,7 +114,7 @@ pub trait Router: Clone + fmt::Debug + Send {
     /// Fresh per-run state for every router of `grid`.
     fn new(grid: &Grid, settings: &Self::Settings, run: &RunConfig) -> Self;
     /// Attempts to fire `router`; see [`SimModel::fire`].
-    fn fire(&mut self, grid: &Grid, router: usize, ctx: &mut Ctx<'_, '_, usize>);
+    fn fire(&mut self, grid: &Grid, router: usize, ctx: &mut impl Ctx<usize>);
     /// Folds a shard clone's accumulated counters back in.
     fn merge(&mut self, _shard: Self) {}
     /// What the finished run reports.
@@ -535,12 +535,10 @@ impl<R: Router> SimModel for Model<R> {
         }
     }
 
-    fn fire(&mut self, router: usize, ctx: &mut Ctx<'_, '_, usize>) {
+    fn fire(&mut self, router: usize, ctx: &mut impl Ctx<usize>) {
         self.router.fire(&self.grid, router, ctx);
     }
-}
 
-impl<R: Router> ShardModel for Model<R> {
     /// Bands of whole mesh rows: every east/west link, injection, and
     /// ejection stays inside its band, so only north/south links between
     /// adjacent bands are cut — each with every channel it has, which is
@@ -562,7 +560,7 @@ impl<R: Router> ShardModel for Model<R> {
     }
 
     /// Counters accumulate per shard (each shard sees only its own
-    /// sources' packets and fires only its own routers); fold them back.
+    /// sources' packets and fires only its own routers); fold them in.
     fn merge_shards(&mut self, shards: Vec<Self>) {
         for shard in shards {
             self.hop_sum += shard.hop_sum;

@@ -50,7 +50,7 @@ impl Router for Wormhole {
         }
     }
 
-    fn fire(&mut self, grid: &Grid, router: usize, ctx: &mut Ctx<'_, '_, usize>) {
+    fn fire(&mut self, grid: &Grid, router: usize, ctx: &mut impl Ctx<usize>) {
         let size = grid.size();
         let timing = &grid.timing().router;
         let (router_in, router_out) = (grid.link_in(router), grid.link_out(router));

@@ -187,10 +187,15 @@ impl LogHistogram {
     }
 
     /// Folds another histogram into this one: the result equals the
-    /// histogram that recorded both sample sets itself.
-    pub fn merge(&mut self, other: &LogHistogram) {
+    /// histogram that recorded both sample sets itself. `None`, leaving
+    /// `self` as it was, when the two hold more samples between them than
+    /// a `u64` counts — a histogram read from a file can claim that many;
+    /// a bucket count or the `u128` sum cannot overflow before the count.
+    #[must_use]
+    pub fn merge(&mut self, other: &LogHistogram) -> Option<()> {
+        let count = self.count.checked_add(other.count)?;
         if other.count == 0 {
-            return;
+            return Some(());
         }
         if self.counts.len() < other.counts.len() {
             self.counts.resize(other.counts.len(), 0);
@@ -205,8 +210,9 @@ impl LogHistogram {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-        self.count += other.count;
+        self.count = count;
         self.sum += other.sum;
+        Some(())
     }
 
     /// The occupied buckets as `(bucket index, count)`, in index order.
@@ -386,12 +392,25 @@ mod tests {
     fn merging_equals_recording_everything_in_one() {
         let (a, b) = ([3u64, 700, 52_000], [9u64, 1_000_000]);
         let mut merged = histogram(&a);
-        merged.merge(&histogram(&b));
+        assert_eq!(merged.merge(&histogram(&b)), Some(()));
         assert_eq!(merged, histogram(&[&a[..], &b[..]].concat()));
         let mut into_empty = LogHistogram::preallocated();
-        into_empty.merge(&merged);
-        into_empty.merge(&LogHistogram::new());
+        assert_eq!(into_empty.merge(&merged), Some(()));
+        assert_eq!(into_empty.merge(&LogHistogram::new()), Some(()));
         assert_eq!(into_empty, merged);
+    }
+
+    #[test]
+    fn a_merge_past_the_sample_count_is_refused_and_changes_nothing() {
+        let full =
+            |n: u64| LogHistogram::from_parts(n, u128::from(n) * 1_458, 1_458, 1_458, [(205, n)]);
+        let nearly = full(u64::MAX - 1).expect("recordable parts");
+        let mut merged = nearly.clone();
+        assert_eq!(merged.merge(&histogram(&[1_458])), Some(()));
+        assert_eq!(merged, full(u64::MAX).expect("recordable parts"));
+        let mut refused = nearly.clone();
+        assert_eq!(refused.merge(&histogram(&[1_458, 1_458])), None);
+        assert_eq!(refused, nearly);
     }
 
     #[test]

@@ -90,18 +90,32 @@ impl LatencyHistograms {
 
     /// Folds a drained window delta into the totals (the inverse of
     /// [`LatencyHistograms::drain_window`], used by the stream fold).
-    /// Destinations outside the collector's range are ignored.
-    pub fn absorb(&mut self, window: &LatencyWindow) {
+    ///
+    /// # Errors
+    ///
+    /// A delta read from a file may name a destination outside the
+    /// collector's range, which is refused before anything is folded, or
+    /// carry more samples than the totals can count, which is refused
+    /// with the totals part-folded.
+    pub fn absorb(&mut self, window: &LatencyWindow) -> Result<(), String> {
+        let endpoints = self.endpoints as u64;
+        if let Some((dest, _)) = window.per_dest.iter().find(|(dest, _)| *dest >= endpoints) {
+            return Err(format!("destination {dest} is outside 0..{endpoints}"));
+        }
+        let overflow = || "more samples than a 64-bit count holds".to_string();
         let total = &mut self.total;
-        total.overall.merge(&window.overall);
+        total.overall.merge(&window.overall).ok_or_else(overflow)?;
         for (dest, h) in &window.per_dest {
-            if *dest < self.endpoints as u64 {
-                slot(&mut total.per_dest, *dest).merge(h);
-            }
+            slot(&mut total.per_dest, *dest)
+                .merge(h)
+                .ok_or_else(overflow)?;
         }
         for (hops, h) in &window.per_hops {
-            slot(&mut total.per_hops, *hops).merge(h);
+            slot(&mut total.per_hops, *hops)
+                .merge(h)
+                .ok_or_else(overflow)?;
         }
+        Ok(())
     }
 
     /// Releases the hop-count bookkeeping of a completed packet. The
@@ -345,7 +359,7 @@ mod tests {
             // Serde round-trip on the way, as the stream would.
             let parsed = JsonValue::parse(&window.to_json().render()).expect("valid JSON");
             let back = LatencyWindow::from_json(&parsed).expect("well-formed window");
-            accumulator.absorb(&back);
+            accumulator.absorb(&back).expect("a drained window absorbs");
         }
         assert_eq!(accumulator.to_json().render(), collector.to_json().render());
     }

@@ -283,7 +283,9 @@ pub(crate) fn fold_stream(text: &str) -> Result<JsonValue, StreamFoldError> {
                                 "window latency delta does not decode".to_string(),
                             )
                         })?;
-                        accumulator.absorb(&window);
+                        accumulator
+                            .absorb(&window)
+                            .map_err(|e| err(index + 1, format!("window latency delta: {e}")))?;
                     }
                 }
                 if let Some(window_bins) = value.get("bins").and_then(JsonValue::as_array) {

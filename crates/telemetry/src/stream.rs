@@ -664,7 +664,9 @@ const HEAD_MEMBERS: [&str; 4] = ["substrate", "config", "bin_ps", "levels"];
 /// `asynoc-metrics-v1` document of the same run.
 ///
 /// The first malformed line — a missing or mistyped `head`, unparsable
-/// JSON, a window whose latency delta does not decode — is remembered
+/// JSON, a window whose latency delta does not decode, names a
+/// destination past the head's `endpoints` or overflows the totals' counts
+/// — is remembered
 /// and reported by [`finish`](StreamFolder::finish); lines after it are
 /// ignored, so a consumer sharing the lines (the dashboard) can carry on.
 #[derive(Default)]
@@ -734,7 +736,9 @@ impl StreamFolder {
                     Some(delta) => {
                         let window = LatencyWindow::from_json(delta)
                             .ok_or("window latency delta does not decode")?;
-                        latency.absorb(&window);
+                        latency
+                            .absorb(&window)
+                            .map_err(|e| format!("window latency delta: {e}"))?;
                     }
                 }
                 if let Some(window_bins) = value.get("bins").and_then(JsonValue::as_array) {

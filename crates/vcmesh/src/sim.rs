@@ -244,7 +244,7 @@ impl VcRouter {
         route
     }
 
-    fn receive_credits(&mut self, grid: &Grid, r: usize, ctx: &mut Ctx<'_, '_, usize>) -> bool {
+    fn receive_credits(&mut self, grid: &Grid, r: usize, ctx: &mut impl Ctx<usize>) -> bool {
         let mut progress = false;
         for (p, &link) in grid.link_out(r)[..LOCAL].iter().enumerate() {
             if link == Grid::ABSENT {
@@ -274,7 +274,7 @@ impl VcRouter {
 
     /// VC + switch allocation over the FIFO heads, round-robin across
     /// the ten `(in port, vc)` slots.
-    fn transmit(&mut self, grid: &Grid, r: usize, ctx: &mut Ctx<'_, '_, usize>) -> bool {
+    fn transmit(&mut self, grid: &Grid, r: usize, ctx: &mut impl Ctx<usize>) -> bool {
         let mut progress = false;
         let start = self.state[r].prefer;
         for k in 0..SLOTS {
@@ -293,7 +293,7 @@ impl VcRouter {
         r: usize,
         p: usize,
         v: usize,
-        ctx: &mut Ctx<'_, '_, usize>,
+        ctx: &mut impl Ctx<usize>,
     ) -> bool {
         let (kind, branch, flit_count, id_bit) = match self.state[r].fifo[p][v].front() {
             None => return false,
@@ -412,7 +412,7 @@ impl VcRouter {
         true
     }
 
-    fn drain_inputs(&mut self, grid: &Grid, r: usize, ctx: &mut Ctx<'_, '_, usize>) -> bool {
+    fn drain_inputs(&mut self, grid: &Grid, r: usize, ctx: &mut impl Ctx<usize>) -> bool {
         let mut progress = false;
         for (p, &link) in grid.link_in(r).iter().enumerate() {
             if link == Grid::ABSENT {
@@ -448,7 +448,7 @@ impl VcRouter {
         progress
     }
 
-    fn return_credits(&mut self, grid: &Grid, r: usize, ctx: &mut Ctx<'_, '_, usize>) -> bool {
+    fn return_credits(&mut self, grid: &Grid, r: usize, ctx: &mut impl Ctx<usize>) -> bool {
         let mut progress = false;
         for (p, &link) in grid.link_in(r)[..LOCAL].iter().enumerate() {
             if link == Grid::ABSENT {
@@ -532,7 +532,7 @@ impl Router for VcRouter {
         }
     }
 
-    fn fire(&mut self, grid: &Grid, router: usize, ctx: &mut Ctx<'_, '_, usize>) {
+    fn fire(&mut self, grid: &Grid, router: usize, ctx: &mut impl Ctx<usize>) {
         // Fixpoint: a pop frees a FIFO slot, enabling a drain, enabling
         // a credit return — none of which generates an engine event for
         // this router, so iterate until nothing moves.

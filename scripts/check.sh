@@ -140,6 +140,8 @@ fault oracle, --shards 1 == 2 (vcmesh) | asynoc faults $fvcmesh $pair --shards 1
 # a plan entry aimed at a channel, source or symbol site the fabric does not have never fires: it is
 # refused before any run, not reported as a fault the fabric shrugged off
 fault plan outside the fabric is refused | exits 1 asynoc faults $fmot $pair --plan stall:99999:1:10 ; has stderr error: --plan: entry 1
+# saturate probes on its own schedule; a window flag it would ignore is a usage error, not a no-op
+saturate refuses the window flags | exits 2 asynoc saturate --arch Baseline --benchmark Shuffle --quick --measure-ns 3 ; has stderr error:
 # 900 000 events a twin: the oracle judges from the stream and keeps no trace, so its verdict
 # holds however long the run is (it kept 500 000 records once, and was wrong past them)
 fault oracle past the old trace cap | asynoc faults --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 --plan lose:0:2000 --oracle --measure-ns 60000 --report-out r.json ;\

@@ -48,8 +48,8 @@ fn mot_trace(
     let mut waste = SpeculationWaste::new(timing.wire_fj, timing.drop_fj);
     let mut collector = TraceCollector::new(1_000_000);
     let sinks: Vec<&mut dyn RecordSink> = vec![&mut latency, &mut waste, &mut collector];
-    net.run_with_observers(&run, &mut [&mut Recorder::new(net.site_of(), sinks)])
-        .expect("run succeeds");
+    let mut recorder = Recorder::new(net.site_of(), sinks);
+    asynoc::drive(&net, &run, &mut [&mut recorder], None).expect("run succeeds");
 
     let meta = TraceMeta {
         substrate: "mot".to_string(),

@@ -2,11 +2,11 @@
 //! gate-level circuits, the MoT network simulator, and the mesh comparison
 //! fabric — must tell one coherent story.
 
+use asynoc::faults::{judge, run_outcome, FaultPlan};
 use asynoc::{
     drive, Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases, RunConfig,
     Substrate,
 };
-use asynoc_faults::{judge, run_outcome, FaultPlan};
 use asynoc_gates::mousetrap::{SpeculativeFork, StageDelays};
 use asynoc_gates::{vcd, GateSim};
 use asynoc_kernel::Time;

@@ -8,11 +8,11 @@
 //! the span analysis's broken-with-cause count, and nothing vanishes
 //! silently.
 
+use asynoc::faults::{judge, run_outcome, FaultPlan};
 use asynoc::{
     Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases, RunConfig,
     Substrate,
 };
-use asynoc_faults::{judge, run_outcome, FaultPlan};
 use asynoc_mesh::MeshNetwork;
 use asynoc_telemetry::{Site, SiteOf};
 

@@ -5,7 +5,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use asynoc::{
-    Architecture, Benchmark, Duration, MotNode, Network, NetworkConfig, Observer, Phases,
+    drive, Architecture, Benchmark, Duration, MotNode, Network, NetworkConfig, Observer, Phases,
     RunConfig, SimEvent, Time,
 };
 use asynoc_telemetry::{
@@ -53,8 +53,7 @@ fn observers_fire_in_registration_order() {
         tag: "second",
         log: Rc::clone(&log),
     };
-    net.run_with_observers(&run_config(), &mut [&mut first, &mut second])
-        .expect("run succeeds");
+    drive(&net, &run_config(), &mut [&mut first, &mut second], None).expect("run succeeds");
 
     let log = log.borrow();
     assert!(!log.is_empty(), "observers saw events");
@@ -80,8 +79,7 @@ fn in_window_flag_matches_the_measurement_phases() {
     let net = network();
     let phases = phases();
     let mut probe = WindowProbe { seen: Vec::new() };
-    net.run_with_observers(&run_config(), &mut [&mut probe])
-        .expect("run succeeds");
+    drive(&net, &run_config(), &mut [&mut probe], None).expect("run succeeds");
 
     assert!(!probe.seen.is_empty());
     let mut warmup = 0u64;
@@ -115,9 +113,7 @@ fn observers_do_not_change_the_measurement() {
     let net = network();
     let bare = net.run(&run_config()).expect("run succeeds");
     let mut probe = WindowProbe { seen: Vec::new() };
-    let observed = net
-        .run_with_observers(&run_config(), &mut [&mut probe])
-        .expect("run succeeds");
+    let observed = drive(&net, &run_config(), &mut [&mut probe], None).expect("run succeeds");
 
     assert_eq!(bare.packets_measured, observed.packets_measured);
     assert_eq!(bare.flits_delivered, observed.flits_delivered);
@@ -188,8 +184,13 @@ fn a_located_event_is_placed_once_whatever_is_registered() {
     ];
     let mut located = Located::default();
     let mut recorder = Recorder::new(site_of, sinks);
-    net.run_with_observers(&run_config(), &mut [&mut located, &mut recorder])
-        .expect("run succeeds");
+    drive(
+        &net,
+        &run_config(),
+        &mut [&mut located, &mut recorder],
+        None,
+    )
+    .expect("run succeeds");
     sink.finish(JsonValue::Object(Vec::new()), 0)
         .expect("the stream closes");
 
