@@ -143,7 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn ranks_nodes_by_blocked_time() {
+    fn blocked_time_ranks_nodes_levels_and_fanin_trees() {
         let records = sample_records();
         let forest = SpanForest::build(&records);
         let attribution = Attribution::build(&forest, &records);
@@ -162,26 +162,13 @@ mod tests {
         assert_eq!(fanout.service_ps, 20);
         assert_eq!(fanout.blocked_ps, 10);
         assert_eq!(fanout.arbitration_blocked_ps, 0);
-    }
-
-    #[test]
-    fn levels_come_out_in_pipeline_order() {
-        let records = sample_records();
-        let forest = SpanForest::build(&records);
-        let attribution = Attribution::build(&forest, &records);
+        // Levels in pipeline order; fanin trees by destination.
         let keys: Vec<&str> = attribution
             .per_level
             .iter()
             .map(|s| s.site.as_str())
             .collect();
         assert_eq!(keys, vec!["source", "fanout-L0", "fanin-L0", "sink"]);
-    }
-
-    #[test]
-    fn fanin_rollup_groups_by_destination_tree() {
-        let records = sample_records();
-        let forest = SpanForest::build(&records);
-        let attribution = Attribution::build(&forest, &records);
         assert_eq!(attribution.per_fanin_tree.len(), 1);
         assert_eq!(attribution.per_fanin_tree[0].site, "fanin-tree-d0");
         assert_eq!(attribution.per_fanin_tree[0].blocked_ps, 80);

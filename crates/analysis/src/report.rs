@@ -516,17 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_components_telescope_in_the_report() {
-        let analysis = Analysis::build(Some(meta()), trace(), 5);
-        for path in analysis.paths() {
-            assert_eq!(
-                path.source_queue_ps + path.service_ps + path.queue_ps,
-                path.latency_ps
-            );
-        }
-    }
-
-    #[test]
     fn metaless_trace_reports_unknown_substrate_and_no_scorecard() {
         let analysis = Analysis::build(None, trace(), 5);
         let json = analysis.to_json(3);
@@ -540,14 +529,5 @@ mod tests {
             json.get("ingest").and_then(|i| i.get("skipped_lines")),
             Some(&JsonValue::uint(3))
         );
-    }
-
-    #[test]
-    fn heatmap_text_carries_both_maps() {
-        let analysis = Analysis::build(Some(meta()), trace(), 5);
-        let text = analysis.heatmap_text();
-        assert!(text.contains("channel busy"));
-        assert!(text.contains("wait (queueing time)"));
-        assert!(text.contains("fo-L0"));
     }
 }

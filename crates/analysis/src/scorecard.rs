@@ -189,34 +189,18 @@ mod tests {
     }
 
     #[test]
-    fn totals_price_throttles_with_meta_constants() {
+    fn a_throttle_is_priced_and_charged_to_its_creators_region() {
         let records = speculative_trace();
         let forest = SpanForest::build(&records);
         let card = Scorecard::build(&meta(), &forest, &records).unwrap();
         assert_eq!(card.total_throttles, 1);
         assert!((card.total_drop_fj - 0.5).abs() < 1e-12);
         assert!((card.total_wasted_wire_fj - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn region_is_the_throttlers_fanout_parent() {
-        let records = speculative_trace();
-        let forest = SpanForest::build(&records);
-        let card = Scorecard::build(&meta(), &forest, &records).unwrap();
+        // Throttle at fo[s0:1.1] -> creator fo[s0:0.0], the fanout-L0
+        // fork; its busy 20 is that level's median, so no latency credit.
         assert_eq!(card.regions.len(), 1);
-        // Throttle at fo[s0:1.1] -> creator fo[s0:0.0].
         assert_eq!(card.regions[0].region, "fo[s0:0.0]");
         assert_eq!(card.regions[0].throttles, 1);
-    }
-
-    #[test]
-    fn fork_faster_than_level_median_earns_latency_credit() {
-        let records = speculative_trace();
-        let forest = SpanForest::build(&records);
-        let card = Scorecard::build(&meta(), &forest, &records).unwrap();
-        // fanout-L0 median busy is 20 (only the root); fork busy 20 ->
-        // saved 0 at the root level median... the throttle's fork is the
-        // root itself, median 20, so credit is 0 here.
         assert_eq!(card.regions[0].est_latency_saved_ps, 0);
     }
 

@@ -476,23 +476,19 @@ mod tests {
         // Delivers hang off their fanin roots.
         assert_eq!(tree.nodes[8].parent, Some(6));
         assert_eq!(tree.nodes[9].parent, Some(7));
-    }
-
-    #[test]
-    fn segments_decompose_into_service_and_queueing() {
-        let records = multicast_trace();
-        let forest = SpanForest::build(&records);
-        let tree = &forest.trees[0];
-        // Injection: source-queue wait since creation.
-        assert_eq!(tree.nodes[0].segment_ps, 50);
-        assert_eq!(tree.nodes[0].queue_ps, 50);
-        // Root fanout: 50 ps segment, busy 52 clamps to the segment.
-        assert_eq!(tree.nodes[1].segment_ps, 50);
-        assert_eq!(tree.nodes[1].service_ps, 50);
-        assert_eq!(tree.nodes[1].queue_ps, 0);
-        // Fanin leaf d0: segment 60, busy 90 clamped.
-        assert_eq!(tree.nodes[4].segment_ps, 60);
-        assert_eq!(tree.nodes[4].service_ps, 60);
+        // Segments decompose into service and queueing: the injection
+        // waited 50 ps in its source queue; the root's 52 ps busy and the
+        // fanin leaf's 90 clamp to their 50 and 60 ps segments.
+        assert_eq!((tree.nodes[0].segment_ps, tree.nodes[0].queue_ps), (50, 50));
+        let root = &tree.nodes[1];
+        assert_eq!(
+            (root.segment_ps, root.service_ps, root.queue_ps),
+            (50, 50, 0)
+        );
+        assert_eq!(
+            (tree.nodes[4].segment_ps, tree.nodes[4].service_ps),
+            (60, 60)
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! `--quick` flag for a fast low-precision pass and default to the paper's
 //! measurement protocol ([`asynoc::harness::Quality::paper`]).
 
+#![deny(missing_docs)]
 use asynoc::harness::Quality;
 use asynoc::{Architecture, Benchmark};
 

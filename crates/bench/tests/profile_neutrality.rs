@@ -95,36 +95,25 @@ fn check_profile_attribution(
 }
 
 #[test]
-fn mot_runs_are_bit_identical_with_profiling_on() {
+fn every_substrate_runs_bit_identical_with_profiling_on() {
     with_deadline(DEADLINE_S, || {
+        let same_hops = |plain: f64, profiled: f64| assert!((plain - profiled).abs() == 0.0);
         runs_are_bit_identical_with_profiling_on(
             &mot(Architecture::OptHybridSpeculative, 7),
             &RunConfig::quick(Benchmark::Multicast10, 0.3),
             |_, _| {},
         );
-    });
-}
-
-#[test]
-fn mesh_runs_are_bit_identical_with_profiling_on() {
-    with_deadline(DEADLINE_S, || {
         runs_are_bit_identical_with_profiling_on(
             &MeshNetwork::square(4, 7, 5, ()).unwrap(),
             &RunConfig::quick(Benchmark::UniformRandom, 0.25),
-            |plain, profiled| assert!((plain.mean_hops - profiled.mean_hops).abs() == 0.0),
+            |plain, profiled| same_hops(plain.mean_hops, profiled.mean_hops),
         );
-    });
-}
-
-#[test]
-fn vcmesh_runs_are_bit_identical_with_profiling_on() {
-    with_deadline(DEADLINE_S, || {
         for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
             runs_are_bit_identical_with_profiling_on(
                 &VcMeshNetwork::square(4, 7, 5, mcast).unwrap(),
                 &RunConfig::quick(Benchmark::Multicast10, 0.1),
                 |plain, profiled| {
-                    assert!((plain.mean_hops - profiled.mean_hops).abs() == 0.0);
+                    same_hops(plain.mean_hops, profiled.mean_hops);
                     assert_eq!(
                         plain.router.link_traversals,
                         profiled.router.link_traversals

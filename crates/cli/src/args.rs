@@ -655,6 +655,17 @@ fn fail<T>(message: impl Into<String>) -> Parsed<T> {
 /// keeps every sum the engine forms in range.
 const MAX_NS: u64 = u64::MAX / 1_000 / 8;
 
+/// Largest `--seeds`, `--probe-fan` or `--steps`: each sizes a list up front.
+const MAX_COUNT: usize = 10_000;
+
+/// `value` of the count flag `--key`, refused above [`MAX_COUNT`].
+fn at_most(key: &str, value: usize) -> Parsed<usize> {
+    if value > MAX_COUNT {
+        return fail(format!("--{key} must be at most {MAX_COUNT}"));
+    }
+    Ok(value)
+}
+
 /// The flags one invocation gave, by table name (bare flags map to "").
 struct Flags(BTreeMap<&'static str, String>);
 
@@ -809,7 +820,7 @@ const SUBSTRATE_ONLY: [(&str, &str, &str); 3] = [
 ];
 
 fn run(flags: &Flags) -> Parsed<Command> {
-    let seeds = flags.positive("seeds")?.unwrap_or(1);
+    let seeds = at_most("seeds", flags.positive("seeds")?.unwrap_or(1))?;
     if seeds > 1 && flags.has("stream") {
         return fail(
             "--stream is not available with --seeds > 1 (one stream per run; \
@@ -829,7 +840,7 @@ fn run(flags: &Flags) -> Parsed<Command> {
 
 fn saturate(flags: &Flags) -> Parsed<Command> {
     Ok(Command::Saturate {
-        probe_fan: flags.positive("probe-fan")?.unwrap_or(1),
+        probe_fan: at_most("probe-fan", flags.positive("probe-fan")?.unwrap_or(1))?,
         arch: flags.required("arch")?,
         benchmark: flags.required("benchmark")?,
         quick: flags.has("quick"),
@@ -840,7 +851,7 @@ fn saturate(flags: &Flags) -> Parsed<Command> {
 fn sweep(flags: &Flags) -> Parsed<Command> {
     let from: f64 = flags.required("from")?;
     let to: f64 = flags.required("to")?;
-    let steps: usize = flags.required("steps")?;
+    let steps = at_most("steps", flags.required("steps")?)?;
     if !(from > 0.0 && to > from) {
         return fail("sweep requires 0 < --from < --to");
     }
@@ -1011,750 +1022,233 @@ pub(crate) mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
-    #[test]
-    fn empty_and_help() {
-        assert_eq!(parse(&[]), Ok(Command::Help(None)));
-        assert_eq!(parse(&argv("help")), Ok(Command::Help(None)));
-        assert_eq!(parse(&argv("--help")), Ok(Command::Help(None)));
-    }
-
-    #[test]
-    fn run_with_defaults() {
-        let cmd = parse(&argv(
-            "run --arch OptHybridSpeculative --benchmark Multicast10 --rate 0.4",
-        ))
-        .expect("valid invocation");
-        assert_eq!(
-            cmd,
-            Command::Run {
-                arch: Some(Architecture::OptHybridSpeculative),
-                spec_map: None,
-                benchmark: Benchmark::Multicast10,
-                rate: 0.4,
-                seeds: 1,
-                common: CommonOptions::default(),
-            }
-        );
-    }
-
-    /// A run is split across threads only when asked: the README's
-    /// commands must not land on the sharded path by default.
-    #[test]
-    fn one_shard_unless_asked() {
-        let defaults = CommonOptions::default();
-        assert_eq!(defaults.shards, 1);
-        assert_eq!(defaults.jobs, asynoc::default_parallelism());
-        assert!(help(None).contains("--shards to 1"));
-        let Ok(Command::Run { common, .. }) = parse(&argv(
-            "run --arch Baseline --benchmark Shuffle --rate 0.2 --size 64 --shards 2",
-        )) else {
-            panic!("expected run");
-        };
-        assert_eq!(common.shards, 2);
-    }
-
-    #[test]
-    fn run_with_all_options() {
-        let cmd = parse(&argv(
-            "run --arch baseline --benchmark shuffle --rate 1.0 --size 16 \
-             --seed 7 --flits 3 --warmup-ns 100 --measure-ns 1000",
-        ))
-        .expect("valid invocation");
-        let Command::Run { arch, common, .. } = cmd else {
-            panic!("expected run");
-        };
-        assert_eq!(arch, Some(Architecture::Baseline));
-        assert_eq!(common.size, 16);
-        assert_eq!(common.seed, 7);
-        assert_eq!(common.flits, 3);
-        assert_eq!(common.warmup_ns, Some(100));
-        assert_eq!(common.measure_ns, Some(1000));
-    }
-
-    #[test]
-    fn saturate_quick_flag() {
-        let cmd = parse(&argv(
-            "saturate --arch Baseline --benchmark Hotspot --quick",
-        ))
-        .expect("valid invocation");
-        assert!(matches!(cmd, Command::Saturate { quick: true, .. }));
-        let cmd =
-            parse(&argv("saturate --arch Baseline --benchmark Hotspot")).expect("valid invocation");
-        assert!(matches!(cmd, Command::Saturate { quick: false, .. }));
-    }
-
-    #[test]
-    fn sweep_validation() {
-        assert!(parse(&argv(
-            "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 1.0 --steps 5"
-        ))
-        .is_ok());
-        assert!(parse(&argv(
-            "sweep --arch Baseline --benchmark Shuffle --from 1.0 --to 0.1 --steps 5"
-        ))
-        .is_err());
-        assert!(parse(&argv(
-            "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 1.0 --steps 1"
-        ))
-        .is_err());
-    }
-
-    #[test]
-    fn info_defaults_and_overrides() {
-        assert_eq!(
-            parse(&argv("info")),
-            Ok(Command::Info {
-                arch: None,
-                size: 8
-            })
-        );
-        assert_eq!(
-            parse(&argv("info --arch OptAllSpeculative --size 16")),
-            Ok(Command::Info {
-                arch: Some(Architecture::OptAllSpeculative),
-                size: 16
-            })
-        );
-    }
-
-    #[test]
-    fn errors_are_specific() {
-        let err = parse(&argv("run --benchmark Shuffle --rate 0.4")).unwrap_err();
-        assert!(err.message().contains("--arch"));
-        let err = parse(&argv("run --arch Baseline --benchmark Shuffle --rate nope")).unwrap_err();
-        assert!(err.message().contains("--rate"));
-        let err = parse(&argv("run --arch Baseline --bogus 3")).unwrap_err();
-        assert!(err.message().contains("--bogus"));
-        let err = parse(&argv("fly --arch Baseline")).unwrap_err();
-        assert!(err.message().contains("fly"));
-        let err = parse(&argv("run --arch Warp9 --benchmark Shuffle --rate 0.4")).unwrap_err();
-        assert!(err.message().contains("Warp9"));
-        let err = parse(&argv("run positional")).unwrap_err();
-        assert!(err.message().contains("positional"));
-        let err = parse(&argv(
-            "run --arch Baseline --arch Baseline --benchmark Shuffle --rate 0.4",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("twice"));
-        let err = parse(&argv("run --arch")).unwrap_err();
-        assert!(err.message().contains("requires a value"));
-    }
-
-    #[test]
-    fn jobs_seeds_and_probe_fan_parse() {
-        let cmd = parse(&argv(
-            "run --arch Baseline --benchmark Shuffle --rate 0.4 --seeds 4 --jobs 4",
-        ))
-        .expect("valid invocation");
-        let Command::Run { seeds, common, .. } = cmd else {
-            panic!("expected run");
-        };
-        assert_eq!(seeds, 4);
-        assert_eq!(common.jobs, 4);
-
-        let cmd = parse(&argv(
-            "saturate --arch Baseline --benchmark Hotspot --quick --probe-fan 3 --jobs 2",
-        ))
-        .expect("valid invocation");
-        let Command::Saturate {
-            probe_fan, common, ..
-        } = cmd
-        else {
-            panic!("expected saturate");
-        };
-        assert_eq!(probe_fan, 3);
-        assert_eq!(common.jobs, 2);
-
-        let cmd = parse(&argv(
-            "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 1.0 --steps 5 --jobs 3",
-        ))
-        .expect("valid invocation");
-        let Command::Sweep { common, .. } = cmd else {
-            panic!("expected sweep");
-        };
-        assert_eq!(common.jobs, 3);
-    }
-
-    #[test]
-    fn zero_jobs_seeds_and_probe_fan_rejected() {
-        for line in [
-            "run --arch Baseline --benchmark Shuffle --rate 0.4 --jobs 0",
-            "run --arch Baseline --benchmark Shuffle --rate 0.4 --seeds 0",
-            "saturate --arch Baseline --benchmark Hotspot --probe-fan 0",
-        ] {
-            let err = parse(&argv(line)).unwrap_err();
-            assert!(err.message().contains("at least 1"), "{line}: {err}");
-        }
-    }
-
-    #[test]
-    fn mesh_command_with_defaults_and_overrides() {
-        let cmd = parse(&argv("mesh --benchmark Tornado --rate 0.2")).expect("valid");
-        assert!(matches!(
-            cmd,
-            Command::Mesh {
-                cols: 4,
-                rows: 4,
-                benchmark: Benchmark::Tornado,
-                ..
-            }
-        ));
-        let cmd = parse(&argv(
-            "mesh --benchmark Shuffle --rate 0.2 --cols 8 --rows 8",
-        ))
-        .expect("valid");
-        assert!(matches!(
-            cmd,
-            Command::Mesh {
-                cols: 8,
-                rows: 8,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn metrics_defaults_and_overrides() {
-        let cmd = parse(&argv(
-            "metrics --arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3",
-        ))
-        .expect("valid invocation");
-        assert_eq!(
-            cmd,
-            Command::Metrics(MetricsRequest {
-                arch: Some(Architecture::BasicHybridSpeculative),
-                spec_map: None,
-                benchmark: Benchmark::Multicast10,
-                rate: 0.3,
-                substrate: Substrate::Mot,
-                mcast: McastScheme::XyTree,
-                bin_ns: 100,
-                metrics_out: None,
-                trace_format: None,
-                trace_out: None,
-                trace_limit: 100_000,
-                common: CommonOptions::default(),
-            })
-        );
-        let cmd = parse(&argv(
-            "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --bin-ns 50 \
-             --metrics-out m.json --trace-format chrome --trace-out t.json --trace-limit 500",
-        ))
-        .expect("valid invocation");
-        let Command::Metrics(MetricsRequest {
-            bin_ns,
-            metrics_out,
-            trace_format,
-            trace_out,
-            trace_limit,
-            ..
-        }) = cmd
-        else {
-            panic!("expected metrics");
-        };
-        assert_eq!(bin_ns, 50);
-        assert_eq!(metrics_out, Some("m.json".to_string()));
-        assert_eq!(trace_format, Some(TraceFormat::Chrome));
-        assert_eq!(trace_out, Some("t.json".to_string()));
-        assert_eq!(trace_limit, 500);
-    }
-
-    #[test]
-    fn metrics_mesh_substrate_needs_no_arch() {
-        let cmd = parse(&argv(
-            "metrics --substrate mesh --benchmark Tornado --rate 0.1",
-        ))
-        .expect("valid");
-        assert!(matches!(
-            cmd,
-            Command::Metrics(MetricsRequest {
-                substrate: Substrate::Mesh,
-                arch: None,
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn vcmesh_substrate_parses_with_and_without_mcast() {
-        let cmd = parse(&argv(
-            "metrics --substrate vcmesh --benchmark Multicast5 --rate 0.1",
-        ))
-        .expect("valid");
-        assert!(matches!(
-            cmd,
-            Command::Metrics(MetricsRequest {
-                substrate: Substrate::Vcmesh,
-                mcast: McastScheme::XyTree,
-                arch: None,
-                ..
-            })
-        ));
-        let cmd = parse(&argv(
-            "metrics --substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1",
-        ))
-        .expect("valid");
-        assert!(matches!(
-            cmd,
-            Command::Metrics(MetricsRequest {
-                substrate: Substrate::Vcmesh,
-                mcast: McastScheme::Dpm,
-                ..
-            })
-        ));
-        let cmd = parse(&argv(
-            "faults --substrate vcmesh --mcast xy-tree --benchmark Tornado --rate 0.1",
-        ))
-        .expect("valid");
-        assert!(matches!(
-            cmd,
-            Command::Faults(FaultsRequest {
-                substrate: Substrate::Vcmesh,
-                mcast: McastScheme::XyTree,
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn mcast_is_vcmesh_only_and_validated() {
-        // --mcast on a non-vcmesh substrate is rejected.
-        let err = parse(&argv(
-            "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --mcast dpm",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("vcmesh"), "{err}");
-        let err = parse(&argv(
-            "faults --substrate mesh --benchmark Shuffle --rate 0.2 --mcast dpm",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("vcmesh"), "{err}");
-        // Unknown scheme names are named in the error.
-        let err = parse(&argv(
-            "metrics --substrate vcmesh --benchmark Shuffle --rate 0.2 --mcast steiner",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("steiner"), "{err}");
-    }
-
-    #[test]
-    fn metrics_trace_out_alone_defaults_to_ndjson() {
-        let cmd = parse(&argv(
-            "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --trace-out t.ndjson",
-        ))
-        .expect("valid");
-        assert!(matches!(
-            cmd,
-            Command::Metrics(MetricsRequest {
-                trace_format: Some(TraceFormat::Ndjson),
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn metrics_validation_errors() {
-        // mot substrate without an architecture.
-        let err = parse(&argv("metrics --benchmark Shuffle --rate 0.2")).unwrap_err();
-        assert!(err.message().contains("--arch"), "{err}");
-        // trace format without a destination.
-        let err = parse(&argv(
-            "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --trace-format ndjson",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("--trace-out"), "{err}");
-        // unknown enum values.
-        let err = parse(&argv(
-            "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --substrate torus",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("torus"), "{err}");
-        let err = parse(&argv(
-            "metrics --arch Baseline --benchmark Shuffle --rate 0.2 \
-             --trace-format xml --trace-out t",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("xml"), "{err}");
-        // degenerate bin width.
-        let err = parse(&argv(
-            "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --bin-ns 0",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("bin-ns"), "{err}");
-    }
-
-    #[test]
-    fn analyze_defaults_and_overrides() {
-        let cmd = parse(&argv("analyze --trace-in t.ndjson")).expect("valid invocation");
-        assert_eq!(
-            cmd,
-            Command::Analyze(AnalyzeRequest {
-                trace_in: "t.ndjson".to_string(),
-                report_out: None,
-                top: 10,
-                heatmap: false,
-                lenient: false,
-                profile: None,
-            })
-        );
-        let cmd = parse(&argv(
-            "analyze --trace-in t.ndjson --report-out r.json --top 3 --heatmap --lenient",
-        ))
-        .expect("valid invocation");
-        assert_eq!(
-            cmd,
-            Command::Analyze(AnalyzeRequest {
-                trace_in: "t.ndjson".to_string(),
-                report_out: Some("r.json".to_string()),
-                top: 3,
-                heatmap: true,
-                lenient: true,
-                profile: None,
-            })
-        );
-    }
-
-    #[test]
-    fn analyze_validation_errors() {
-        let err = parse(&argv("analyze")).unwrap_err();
-        assert!(err.message().contains("--trace-in"), "{err}");
-        let err = parse(&argv("analyze --trace-in t --top 0")).unwrap_err();
-        assert!(err.message().contains("--top"), "{err}");
-        let err = parse(&argv("analyze --trace-in t --size 8")).unwrap_err();
-        assert!(err.message().contains("--size"), "{err}");
-    }
-
-    #[test]
-    fn faults_defaults_and_overrides() {
-        let cmd = parse(&argv(
-            "faults --arch Baseline --benchmark Shuffle --rate 0.2",
-        ))
-        .expect("valid invocation");
-        assert_eq!(
-            cmd,
-            Command::Faults(FaultsRequest {
-                arch: Some(Architecture::Baseline),
-                spec_map: None,
-                benchmark: Benchmark::Shuffle,
-                rate: 0.2,
-                substrate: Substrate::Mot,
-                mcast: McastScheme::XyTree,
-                plan: None,
-                fault_rate: 0.15,
-                oracle: false,
-                report_out: None,
-                common: CommonOptions::default(),
-            })
-        );
-        let cmd = parse(&argv(
-            "faults --substrate mesh --benchmark Tornado --rate 0.1 --plan stall:3:1:200 \
-             --fault-rate 0.4 --oracle --report-out f.json --seed 7",
-        ))
-        .expect("valid invocation");
-        let Command::Faults(FaultsRequest {
-            arch,
-            plan,
-            fault_rate,
-            oracle,
-            report_out,
-            common,
-            ..
-        }) = cmd
-        else {
-            panic!("expected faults");
-        };
-        assert_eq!(arch, None);
-        assert_eq!(plan, Some("stall:3:1:200".to_string()));
-        assert!((fault_rate - 0.4).abs() < 1e-12);
-        assert!(oracle);
-        assert_eq!(report_out, Some("f.json".to_string()));
-        assert_eq!(common.seed, 7);
-    }
-
-    #[test]
-    fn faults_validation_errors() {
-        let err = parse(&argv("faults --benchmark Shuffle --rate 0.2")).unwrap_err();
-        assert!(err.message().contains("--arch"), "{err}");
-        let err = parse(&argv(
-            "faults --arch Baseline --benchmark Shuffle --rate 0.2 --fault-rate 0",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("--fault-rate"), "{err}");
-    }
-
-    #[test]
-    fn stream_flags_parse_on_single_run_commands() {
-        for line in [
-            "run --arch Baseline --benchmark Shuffle --rate 0.4",
-            "mesh --benchmark Tornado --rate 0.1",
-            "metrics --arch Baseline --benchmark Shuffle --rate 0.2",
-            "faults --arch Baseline --benchmark Shuffle --rate 0.2",
-        ] {
-            let cmd = parse(&argv(&format!(
-                "{line} --stream s.ndjson --stream-window-ns 500 --stream-trace --watch-fatal"
-            )))
-            .expect("stream flags parse");
-            let common = match cmd {
-                Command::Run { common, .. }
-                | Command::Mesh { common, .. }
-                | Command::Metrics(MetricsRequest { common, .. })
-                | Command::Faults(FaultsRequest { common, .. }) => common,
-                other => panic!("unexpected command {other:?}"),
-            };
-            assert_eq!(common.stream, Some("s.ndjson".to_string()));
-            assert_eq!(common.stream_window_ns, Some(500));
-            assert!(common.stream_trace);
-            assert!(common.watch_fatal);
-        }
-    }
-
-    #[test]
-    fn stream_flags_are_rejected_where_meaningless() {
-        // The search commands drive many runs through one invocation.
-        for line in [
-            "saturate --arch Baseline --benchmark Hotspot --stream s.ndjson",
-            "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 0.2 --steps 2 \
-             --stream s.ndjson",
-        ] {
-            let err = parse(&argv(line)).unwrap_err();
-            assert!(err.message().contains("--stream"), "{err}");
-        }
-        // Seed replication would overwrite the one stream file.
-        let err = parse(&argv(
-            "run --arch Baseline --benchmark Shuffle --rate 0.4 --seeds 2 --stream s.ndjson",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("--seeds"), "{err}");
-        // The modifier flags need a stream to modify.
-        let err = parse(&argv(
-            "run --arch Baseline --benchmark Shuffle --rate 0.4 --watch-fatal",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("requires --stream"), "{err}");
-        // The metrics window must respect the bin grid.
-        let err = parse(&argv(
-            "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --bin-ns 100 \
-             --stream s.ndjson --stream-window-ns 150",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("multiple"), "{err}");
-    }
-
-    #[test]
-    fn profile_now_parses_on_saturate_and_sweep() {
-        assert!(parse(&argv(
-            "saturate --arch Baseline --benchmark Hotspot --quick --profile p.json"
-        ))
-        .is_ok());
-        assert!(parse(&argv(
-            "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 0.2 --steps 2 \
-             --profile p.json"
-        ))
-        .is_ok());
-    }
-
-    #[test]
-    fn watch_defaults_and_overrides() {
-        assert_eq!(
-            parse(&argv("watch --stream-in s.ndjson")),
-            Ok(Command::Watch(WatchRequest {
-                stream_in: "s.ndjson".to_string(),
-                fold: None,
-                once: false,
-                interval_ms: 200,
-            }))
-        );
-        assert_eq!(
-            parse(&argv(
-                "watch --stream-in s.ndjson --fold m.json --once --interval-ms 50"
-            )),
-            Ok(Command::Watch(WatchRequest {
-                stream_in: "s.ndjson".to_string(),
-                fold: Some("m.json".to_string()),
-                once: true,
-                interval_ms: 50,
-            }))
-        );
+    /// `argv => fields`: the line parses, and each of the comma-separated
+    /// `field: value`s is a whole field of the parsed command's `Debug` form
+    /// (`rate: 0.2` matches neither `fault_rate: 0.2` nor `rate: 0.25`).
+    const PARSES_TO: &[&str] = &[
+        "run --arch OptHybridSpeculative --benchmark Multicast10 --rate 0.4 \
+         => arch: Some(OptHybridSpeculative), spec_map: None, benchmark: Multicast10, rate: 0.4, \
+         seeds: 1",
+        "run --arch baseline --benchmark shuffle --rate 1.0 --size 16 --seed 7 --flits 3 \
+         --warmup-ns 100 --measure-ns 1000 => arch: Some(Baseline), benchmark: Shuffle, size: 16, \
+         seed: 7, flits: 3, warmup_ns: Some(100), measure_ns: Some(1000)",
+        "run --arch Baseline --benchmark Shuffle --rate 0.2 --size 64 --shards 2 => size: 64, \
+         shards: 2",
+        "run --arch Baseline --benchmark Shuffle --rate 0.4 --seeds 4 --jobs 4 => seeds: 4, \
+         jobs: 4",
+        "run --arch Baseline --benchmark Multicast_static --rate 0.2 => benchmark: MulticastStatic",
+        "run --spec-map levels:sp,ns,ns --benchmark Multicast10 --rate 0.3 => arch: None, \
+         spec_map: Some(\"levels:sp,ns,ns\")",
+        "saturate --arch Baseline --benchmark Hotspot --quick => quick: true, probe_fan: 1",
+        "saturate --arch Baseline --benchmark Hotspot => quick: false",
+        "saturate --arch Baseline --benchmark Hotspot --probe-fan 3 --jobs 2 --profile p.json \
+         => probe_fan: 3, jobs: 2, profile: Some(\"p.json\")",
+        "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 1.0 --steps 5 --jobs 3 \
+         => from: 0.1, to: 1.0, steps: 5, jobs: 3",
+        "mesh --benchmark Tornado --rate 0.2 => cols: 4, rows: 4, benchmark: Tornado",
+        "mesh --benchmark Shuffle --rate 0.2 --cols 8 --rows 8 => cols: 8, rows: 8",
+        "metrics --arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3 \
+         => substrate: Mot, mcast: XyTree, bin_ns: 100, metrics_out: None, trace_format: None, \
+         trace_out: None, trace_limit: 100000",
+        "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --bin-ns 50 --metrics-out m.json \
+         --trace-format chrome --trace-out t.json --trace-limit 500 => bin_ns: 50, \
+         metrics_out: Some(\"m.json\"), trace_format: Some(Chrome), trace_out: Some(\"t.json\"), \
+         trace_limit: 500",
+        "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --trace-out t.ndjson \
+         => trace_format: Some(Ndjson)",
+        "metrics --substrate mesh --benchmark Tornado --rate 0.1 --size 4 => substrate: Mesh, \
+         arch: None, size: 4",
+        "metrics --substrate vcmesh --benchmark Multicast5 --rate 0.1 => substrate: Vcmesh, \
+         mcast: XyTree, arch: None",
+        "metrics --substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 => mcast: Dpm",
+        "analyze --trace-in t.ndjson => trace_in: \"t.ndjson\", report_out: None, top: 10, \
+         heatmap: false, lenient: false, profile: None",
+        "analyze --trace-in t.ndjson --report-out r.json --top 3 --heatmap --lenient \
+         => report_out: Some(\"r.json\"), top: 3, heatmap: true, lenient: true",
+        "faults --arch Baseline --benchmark Shuffle --rate 0.2 => arch: Some(Baseline), \
+         substrate: Mot, plan: None, fault_rate: 0.15, oracle: false, report_out: None",
+        "faults --substrate mesh --benchmark Tornado --rate 0.1 --plan stall:3:1:200 \
+         --fault-rate 0.4 --oracle --report-out f.json --seed 7 => arch: None, \
+         plan: Some(\"stall:3:1:200\"), fault_rate: 0.4, oracle: true, \
+         report_out: Some(\"f.json\"), seed: 7",
+        "faults --substrate vcmesh --mcast xy-tree --benchmark Tornado --rate 0.1 --size 4 \
+         => substrate: Vcmesh, mcast: XyTree, size: 4",
+        "explore --smoke => benchmark: None, rate: None, granularity: Level, beam: 4, \
+         max_points: None, guard: Some(OptHybridSpeculative), tolerance: 0.05, report_out: None, \
+         smoke: true",
+        "explore --benchmark Multicast5 --rate 0.25 --granularity node --beam 2 --max-points 40 \
+         --guard OptNonSpeculative --tolerance 0.1 --report-out e.json --size 4 --jobs 2 \
+         => benchmark: Some(Multicast5), rate: Some(0.25), granularity: Node, beam: 2, \
+         max_points: Some(40), guard: Some(OptNonSpeculative), tolerance: 0.1, \
+         report_out: Some(\"e.json\"), smoke: false, size: 4, jobs: 2",
+        "explore --guard none => guard: None",
+        "watch --stream-in s.ndjson => stream_in: \"s.ndjson\", fold: None, once: false, \
+         interval_ms: 200",
+        "watch --stream-in s.ndjson --fold m.json --once --interval-ms 50 \
+         => fold: Some(\"m.json\"), once: true, interval_ms: 50",
         // Stdin cannot be tailed.
-        assert!(matches!(
-            parse(&argv("watch --stream-in -")),
-            Ok(Command::Watch(WatchRequest { once: true, .. }))
-        ));
-        let err = parse(&argv("watch")).unwrap_err();
-        assert!(err.message().contains("--stream-in"), "{err}");
-    }
+        "watch --stream-in - => once: true",
+        "info => arch: None, size: 8",
+        "info --arch OptAllSpeculative --size 16 => arch: Some(OptAllSpeculative), size: 16",
+        // --stream and its modifiers on each single-run command.
+        "run --arch Baseline --benchmark Shuffle --rate 0.4 --stream s.ndjson \
+         --stream-window-ns 500 --stream-trace --watch-fatal => stream: Some(\"s.ndjson\"), \
+         stream_window_ns: Some(500), stream_trace: true, watch_fatal: true",
+        "mesh --benchmark Tornado --rate 0.1 --stream s.ndjson \
+         --stream-window-ns 500 --stream-trace --watch-fatal => stream: Some(\"s.ndjson\"), \
+         stream_window_ns: Some(500), stream_trace: true, watch_fatal: true",
+        "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --stream s.ndjson \
+         --stream-window-ns 500 --stream-trace --watch-fatal => stream: Some(\"s.ndjson\"), \
+         stream_window_ns: Some(500), stream_trace: true, watch_fatal: true",
+        "faults --arch Baseline --benchmark Shuffle --rate 0.2 --stream s.ndjson \
+         --stream-window-ns 500 --stream-trace --watch-fatal => stream: Some(\"s.ndjson\"), \
+         stream_window_ns: Some(500), stream_trace: true, watch_fatal: true",
+    ];
 
     #[test]
-    fn spec_map_parses_on_run_metrics_and_faults() {
-        for line in [
-            "run --spec-map levels:sp,ns,ns --benchmark Multicast10 --rate 0.3",
-            "metrics --spec-map levels:sp,ns,ns --benchmark Multicast10 --rate 0.3",
-            "faults --spec-map levels:sp,ns,ns --benchmark Multicast10 --rate 0.3",
-        ] {
-            let cmd = parse(&argv(line)).expect("spec-map parses");
-            let (arch, spec_map) = match cmd {
-                Command::Run { arch, spec_map, .. }
-                | Command::Metrics(MetricsRequest { arch, spec_map, .. })
-                | Command::Faults(FaultsRequest { arch, spec_map, .. }) => (arch, spec_map),
-                other => panic!("unexpected command {other:?}"),
-            };
-            assert_eq!(arch, None);
-            assert_eq!(spec_map, Some("levels:sp,ns,ns".to_string()));
-        }
-    }
-
-    #[test]
-    fn spec_map_and_arch_are_mutually_exclusive() {
-        for line in [
-            "run --arch Baseline --spec-map levels:ns,ns,ns --benchmark Shuffle --rate 0.2",
-            "metrics --arch Baseline --spec-map Baseline --benchmark Shuffle --rate 0.2",
-            "faults --arch Baseline --spec-map Baseline --benchmark Shuffle --rate 0.2",
-        ] {
-            let err = parse(&argv(line)).unwrap_err();
-            assert!(err.message().contains("mutually exclusive"), "{err}");
-        }
-        // Non-MoT substrates take neither.
-        let err = parse(&argv(
-            "metrics --substrate mesh --spec-map Baseline --benchmark Shuffle --rate 0.2",
-        ))
-        .unwrap_err();
-        assert!(err.message().contains("mot substrate only"), "{err}");
-        // The placement requirement names both spellings.
-        let err = parse(&argv("run --benchmark Shuffle --rate 0.2")).unwrap_err();
-        assert!(err.message().contains("--arch or --spec-map"), "{err}");
-    }
-
-    #[test]
-    fn explore_defaults_and_overrides() {
-        let cmd = parse(&argv("explore --smoke")).expect("valid invocation");
-        assert_eq!(
-            cmd,
-            Command::Explore(ExploreRequest {
-                benchmark: None,
-                rate: None,
-                granularity: Granularity::Level,
-                beam: 4,
-                max_points: None,
-                guard: Some(Architecture::OptHybridSpeculative),
-                tolerance: 0.05,
-                report_out: None,
-                smoke: true,
-                common: CommonOptions::default(),
-            })
-        );
-        let cmd = parse(&argv(
-            "explore --benchmark Multicast5 --rate 0.25 --granularity node --beam 2 \
-             --max-points 40 --guard OptNonSpeculative --tolerance 0.1 --report-out e.json \
-             --size 4 --jobs 2",
-        ))
-        .expect("valid invocation");
-        let Command::Explore(ExploreRequest {
-            benchmark,
-            rate,
-            granularity,
-            beam,
-            max_points,
-            guard,
-            tolerance,
-            report_out,
-            smoke,
-            common,
-        }) = cmd
-        else {
-            panic!("expected explore");
-        };
-        assert_eq!(benchmark, Some(Benchmark::Multicast5));
-        assert_eq!(rate, Some(0.25));
-        assert_eq!(granularity, Granularity::Node);
-        assert_eq!(beam, 2);
-        assert_eq!(max_points, Some(40));
-        assert_eq!(guard, Some(Architecture::OptNonSpeculative));
-        assert!((tolerance - 0.1).abs() < 1e-12);
-        assert_eq!(report_out, Some("e.json".to_string()));
-        assert!(!smoke);
-        assert_eq!(common.size, 4);
-        assert_eq!(common.jobs, 2);
-        // --guard none disables the regression guard.
-        let cmd = parse(&argv("explore --guard none")).expect("valid invocation");
-        assert!(matches!(
-            cmd,
-            Command::Explore(ExploreRequest { guard: None, .. })
-        ));
-    }
-
-    #[test]
-    fn explore_rejects_per_run_flags_with_pointers() {
-        // Fault-campaign flags name the faults alternative.
-        for line in [
-            "explore --plan stall:3:1:200",
-            "explore --fault-rate 0.2",
-            "explore --oracle",
-        ] {
-            let err = parse(&argv(line)).unwrap_err();
-            assert!(err.message().contains("faults --spec-map"), "{err}");
-        }
-        // Streaming flags name the metrics alternative.
-        for line in [
-            "explore --stream s.ndjson",
-            "explore --stream-window-ns 500",
-            "explore --stream-trace",
-            "explore --watch-fatal",
-        ] {
-            let err = parse(&argv(line)).unwrap_err();
-            assert!(err.message().contains("metrics --spec-map"), "{err}");
-        }
-        // Host-side observability flags name the run alternative.
-        for line in ["explore --profile p.json", "explore --progress"] {
-            let err = parse(&argv(line)).unwrap_err();
-            assert!(err.message().contains("run --spec-map"), "{err}");
-        }
-    }
-
-    #[test]
-    fn saturate_refuses_the_window_flags_its_probes_would_ignore() {
-        for flag in ["--warmup-ns 5000", "--measure-ns 3"] {
-            let line = format!("saturate --arch Baseline --benchmark Shuffle --quick {flag}");
-            let err = parse(&argv(&line)).unwrap_err();
-            let name = flag.split(' ').next().unwrap();
-            assert_eq!(
-                err.message(),
-                format!(
-                    "saturate probes on its own schedule (--quick or the paper's); \
-                     {name} is not available"
-                )
-            );
-        }
-        let help = help(Some("saturate"));
-        assert!(!help.contains("--warmup-ns") && !help.contains("--measure-ns"));
-    }
-
-    #[test]
-    fn explore_validation_errors() {
-        let err = parse(&argv("explore --beam 0")).unwrap_err();
-        assert!(err.message().contains("--beam"), "{err}");
-        let err = parse(&argv("explore --max-points 0")).unwrap_err();
-        assert!(err.message().contains("--max-points"), "{err}");
-        let err = parse(&argv("explore --tolerance -0.5")).unwrap_err();
-        assert!(err.message().contains("--tolerance"), "{err}");
-        let err = parse(&argv("explore --granularity tile")).unwrap_err();
-        assert!(err.message().contains("tile"), "{err}");
-        let err = parse(&argv("explore --guard Warp9")).unwrap_err();
-        assert!(err.message().contains("Warp9"), "{err}");
-    }
-
-    #[test]
-    fn benchmark_aliases_parse() {
-        let cmd = parse(&argv(
-            "run --arch Baseline --benchmark Multicast_static --rate 0.2",
-        ))
-        .expect("paper spelling accepted");
-        assert!(matches!(
-            cmd,
-            Command::Run {
-                benchmark: Benchmark::MulticastStatic,
-                ..
+    fn every_flag_sets_the_field_it_names() {
+        let cut = |text: &str| format!("|{}|", text.replace(['{', '}', '(', ')', ',', ' '], "|"));
+        for (line, fields) in rows(PARSES_TO) {
+            let parsed = parse(&argv(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let parsed = cut(&format!("{parsed:?}"));
+            for field in fields.split(", ") {
+                assert!(
+                    parsed.contains(&cut(field)),
+                    "{line}: no {field} in {parsed}"
+                );
             }
-        ));
+        }
+    }
+
+    /// The `argv => expected` rows of `table`.
+    fn rows(table: &'static [&'static str]) -> impl Iterator<Item = (&'static str, &'static str)> {
+        table.iter().map(|row| row.split_once(" => ").expect(row))
+    }
+
+    /// The smallest line each simulation command takes leaves every shared
+    /// option at its default: one run on one thread unless asked.
+    #[test]
+    fn a_minimal_line_takes_every_default() {
+        let defaults = CommonOptions::default();
+        assert_eq!((defaults.shards, defaults.size), (1, 8));
+        assert_eq!(defaults.jobs, asynoc::default_parallelism());
+        for spec in COMMANDS
+            .iter()
+            .filter(|spec| spec.synopsis.contains("[common"))
+        {
+            let parsed = parse(&line(spec, &required(spec), "")).expect(spec.name);
+            let common = format!("common: {defaults:?}");
+            assert!(format!("{parsed:?}").contains(&common), "{}", spec.name);
+        }
+    }
+
+    /// `argv => part`: the line is refused with a message holding `part`.
+    const REFUSED: &[&str] = &[
+        "run --benchmark Shuffle --rate 0.4 => --arch or --spec-map",
+        "run --arch Baseline --benchmark Shuffle --rate nope => --rate",
+        "run --arch Baseline --bogus 3 => unknown option --bogus",
+        "fly --arch Baseline => unknown command \"fly\"",
+        "run --arch Warp9 --benchmark Shuffle --rate 0.4 => Warp9",
+        "run positional => positional",
+        "run --arch Baseline --arch Baseline --benchmark Shuffle --rate 0.4 => --arch given twice",
+        "run --arch => --arch requires a value",
+        "run --arch Baseline --benchmark Shuffle --rate 0.4 --jobs 0 => --jobs must be at least 1",
+        "run --arch Baseline --benchmark Shuffle --rate 0.4 --seeds 0 => \
+         --seeds must be at least 1",
+        "saturate --arch Baseline --benchmark Hotspot --probe-fan 0 => \
+         --probe-fan must be at least 1",
+        "sweep --arch Baseline --benchmark Shuffle --from 1.0 --to 0.1 --steps 5 => 0 < --from < \
+         --to",
+        "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 1.0 --steps 1 => \
+         --steps must be at least 2",
+        "metrics --benchmark Shuffle --rate 0.2 => --arch",
+        "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --trace-format ndjson => \
+         --trace-format requires --trace-out",
+        "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --substrate torus => torus",
+        "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --trace-format xml --trace-out t \
+         => xml",
+        "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --bin-ns 0 => --bin-ns",
+        "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --mcast dpm => \
+         --mcast applies to the vcmesh substrate only",
+        "faults --substrate mesh --benchmark Shuffle --rate 0.2 --mcast dpm => \
+         --mcast applies to the vcmesh substrate only",
+        "metrics --substrate vcmesh --benchmark Shuffle --rate 0.2 --mcast steiner => steiner",
+        "metrics --substrate mesh --arch Baseline --benchmark Shuffle --rate 0.2 => \
+         --arch applies to the mot substrate only",
+        "faults --substrate vcmesh --arch Baseline --benchmark Shuffle --rate 0.2 => \
+         --arch applies to the mot substrate only",
+        "metrics --substrate mesh --spec-map Baseline --benchmark Shuffle --rate 0.2 => \
+         --spec-map applies to the mot substrate only",
+        "run --arch Baseline --spec-map levels:ns,ns,ns --benchmark Shuffle --rate 0.2 \
+         => mutually exclusive",
+        "faults --arch Baseline --spec-map Baseline --benchmark Shuffle --rate 0.2 \
+         => mutually exclusive",
+        "analyze => --trace-in",
+        "analyze --trace-in t --top 0 => --top",
+        "analyze --trace-in t --size 8 => unknown option --size",
+        "faults --benchmark Shuffle --rate 0.2 => --arch",
+        "faults --arch Baseline --benchmark Shuffle --rate 0.2 --fault-rate 0 => --fault-rate",
+        // The search commands drive many runs through one invocation.
+        "saturate --arch Baseline --benchmark Hotspot --stream s.ndjson => --stream",
+        "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 0.2 --steps 2 --stream s => \
+         --stream",
+        "saturate --arch Baseline --benchmark Shuffle --quick --warmup-ns 5000 => \
+         --warmup-ns is not available",
+        // Seed replication would overwrite the one stream file.
+        "run --arch Baseline --benchmark Shuffle --rate 0.4 --seeds 2 --stream s.ndjson => \
+         --seeds > 1",
+        "run --arch Baseline --benchmark Shuffle --rate 0.4 --watch-fatal => \
+         --watch-fatal requires --stream",
+        "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --bin-ns 100 --stream s \
+         --stream-window-ns 150 => must be a non-zero multiple of --bin-ns",
+        "watch => --stream-in",
+        "mesh --benchmark Tornado --rate 0.1 --size 8 => \
+         --size does not shape `asynoc mesh`; the fabric is --cols <C> by --rows <R>",
+        "explore --beam 0 => --beam",
+        "explore --max-points 0 => --max-points",
+        "explore --tolerance -0.5 => --tolerance",
+        "explore --granularity tile => tile",
+        "explore --guard Warp9 => Warp9",
+        "explore --oracle => faults --spec-map",
+        "explore --stream-trace => metrics --spec-map",
+        "explore --progress => run --spec-map",
+        "help fly => fly",
+        "help run now => now",
+    ];
+
+    #[test]
+    fn every_refusal_names_what_it_refuses() {
+        for (line, part) in rows(REFUSED) {
+            let err = parse(&argv(line)).expect_err(line);
+            assert!(err.message().contains(part), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_flag_at_its_maximum_parses_and_one_past_it_is_refused() {
+        let run = "run --arch Baseline --benchmark Shuffle --rate 0.2";
+        let count = MAX_COUNT as u64;
+        for (line, flag, max) in [
+            (run, "seeds", count),
+            (
+                "saturate --arch Baseline --benchmark Hotspot",
+                "probe-fan",
+                count,
+            ),
+            (
+                "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 0.2",
+                "steps",
+                count,
+            ),
+            (run, "warmup-ns", MAX_NS),
+            (run, "measure-ns", MAX_NS),
+        ] {
+            let at = |value: u64| parse(&argv(&format!("{line} --{flag} {value}")));
+            at(max).unwrap_or_else(|e| panic!("--{flag} {max}: {e}"));
+            let err = at(max + 1).expect_err(flag).to_string();
+            assert!(err.starts_with(&format!("--{flag} must be")), "{err}");
+            assert!(err.contains(&max.to_string()), "{err}");
+        }
     }
 
     /// A valid value for `flag`.
@@ -1912,6 +1406,9 @@ pub(crate) mod tests {
 
     #[test]
     fn help_for_one_command_parses_three_ways() {
+        for line in ["", "help", "--help"] {
+            assert_eq!(parse(&argv(line)), Ok(Command::Help(None)), "{line}");
+        }
         for spec in COMMANDS {
             for line in [
                 format!("help {}", spec.name),
@@ -1925,38 +1422,6 @@ pub(crate) mod tests {
                 );
             }
             assert!(help(Some(spec.name)).contains(&format!("asynoc {}", spec.name)));
-        }
-        let err = parse(&argv("help fly")).unwrap_err();
-        assert!(err.message().contains("fly"), "{err}");
-        let err = parse(&argv("help run now")).unwrap_err();
-        assert!(err.message().contains("now"), "{err}");
-    }
-
-    #[test]
-    fn mesh_refuses_size_and_points_at_cols_and_rows() {
-        let err = parse(&argv("mesh --benchmark Tornado --rate 0.1 --size 8")).unwrap_err();
-        for part in ["--size", "--cols", "--rows"] {
-            assert!(err.message().contains(part), "{err}");
-        }
-        // The square mesh substrates are still shaped by --size.
-        for line in [
-            "metrics --substrate mesh --benchmark Tornado --rate 0.1 --size 4",
-            "faults --substrate vcmesh --benchmark Tornado --rate 0.1 --size 4",
-        ] {
-            assert!(parse(&argv(line)).is_ok(), "{line}");
-        }
-    }
-
-    #[test]
-    fn arch_is_refused_off_the_mot_substrate_like_spec_map() {
-        for command in ["metrics", "faults"] {
-            for substrate in ["mesh", "vcmesh"] {
-                let err = parse(&argv(&format!(
-                    "{command} --substrate {substrate} --arch Baseline --benchmark Shuffle --rate 0.2"
-                )))
-                .unwrap_err();
-                assert_eq!(err.message(), "--arch applies to the mot substrate only");
-            }
         }
     }
 

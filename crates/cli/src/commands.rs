@@ -599,23 +599,41 @@ mod tests {
         String::from_utf8(out).expect("utf8 output")
     }
 
-    #[test]
-    fn help_prints_usage() {
-        let text = run_cli("help");
-        assert!(text.contains("USAGE"));
-        assert!(text.contains("OptHybridSpeculative"));
-    }
+    /// `argv => part; part; !absent`: what a command prints, and what it
+    /// must not.
+    const PRINTS: &[&str] = &[
+        "help => USAGE; OptHybridSpeculative",
+        "run --arch OptHybridSpeculative --benchmark Multicast10 --rate 0.3 --warmup-ns 80 \
+         --measure-ns 600 => packets measured; latency mean; power; !WARNING",
+        "run --arch Baseline --benchmark Uniform-random --rate 2.5 --warmup-ns 80 --measure-ns 400 \
+         => WARNING",
+        "run --spec-map levels:sp,ns,ns;node:0.1.0=ons --benchmark Multicast5 --rate 0.2 \
+         --warmup-ns 40 --measure-ns 300 => levels:sp,ns,ns;node:0.1.0=ons (8x8) x",
+        "run --arch Baseline --benchmark Shuffle --rate 0.3 --seeds 3 --warmup-ns 60 \
+         --measure-ns 400 => 3 seeds; 42; 43; 44; mean latency across seeds",
+        // Hotspot anchor: ~0.29 GF/s per source.
+        "saturate --arch Baseline --benchmark Hotspot --quick => stable injected load; \
+         delivered plateau; 0.2",
+        "sweep --arch Baseline --benchmark Shuffle --from 0.2 --to 0.6 --steps 3 --warmup-ns 60 \
+         --measure-ns 400 => 0.200; 0.400; 0.600",
+        "mesh --benchmark Uniform-random --rate 0.15 --cols 4 --rows 4 --warmup-ns 60 \
+         --measure-ns 500 => 4x4 mesh; mean hops; !WARNING",
+        // 20: the 16x16 hybrid's address bits.
+        "info --size 16 => Baseline; BasicNonSpeculative; BasicHybridSpeculative; \
+         OptHybridSpeculative; OptNonSpeculative; OptAllSpeculative; 20",
+        "info --arch OptAllSpeculative => OptAllSpeculative; !BasicNonSpeculative",
+    ];
 
     #[test]
-    fn run_reports_measurements() {
-        let text = run_cli(
-            "run --arch OptHybridSpeculative --benchmark Multicast10 --rate 0.3 \
-             --warmup-ns 80 --measure-ns 600",
-        );
-        assert!(text.contains("packets measured"));
-        assert!(text.contains("latency mean"));
-        assert!(text.contains("power"));
-        assert!(!text.contains("WARNING"));
+    fn every_command_prints_what_it_measured() {
+        for (line, parts) in PRINTS.iter().map(|row| row.split_once(" => ").expect(row)) {
+            let text = run_cli(line);
+            for part in parts.split("; ") {
+                let absent = part.strip_prefix('!');
+                let found = text.contains(absent.unwrap_or(part));
+                assert_eq!(found, absent.is_none(), "{line}: {part}\n{text}");
+            }
+        }
     }
 
     #[test]
@@ -669,80 +687,6 @@ mod tests {
                 assert_eq!(guard.get("arch").and_then(JsonValue::as_str), Some(&*name));
             }
         }
-    }
-
-    #[test]
-    fn seed_replication_reports_all_seeds_and_is_jobs_invariant() {
-        let base = "run --arch Baseline --benchmark Shuffle --rate 0.3 --seeds 3 \
-                    --warmup-ns 60 --measure-ns 400";
-        let serial = run_cli(&format!("{base} --jobs 1"));
-        assert!(serial.contains("3 seeds"));
-        for seed in [42, 43, 44] {
-            assert!(
-                serial.contains(&seed.to_string()),
-                "seed {seed} missing:\n{serial}"
-            );
-        }
-        assert!(serial.contains("mean latency across seeds"));
-        // Worker count must change wall-clock only, never the report.
-        let parallel = run_cli(&format!("{base} --jobs 3"));
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn run_warns_when_saturated() {
-        let text = run_cli(
-            "run --arch Baseline --benchmark Uniform-random --rate 2.5 \
-             --warmup-ns 80 --measure-ns 400",
-        );
-        assert!(text.contains("WARNING"), "saturated run must warn: {text}");
-    }
-
-    #[test]
-    fn saturate_quick_reports_both_quantities() {
-        let text = run_cli("saturate --arch Baseline --benchmark Hotspot --quick");
-        assert!(text.contains("stable injected load"));
-        assert!(text.contains("delivered plateau"));
-        // Hotspot anchor: ~0.29 GF/s per source.
-        assert!(text.contains("0.2"), "unexpected hotspot value: {text}");
-    }
-
-    #[test]
-    fn sweep_prints_every_point() {
-        let text = run_cli(
-            "sweep --arch Baseline --benchmark Shuffle --from 0.2 --to 0.6 --steps 3 \
-             --warmup-ns 60 --measure-ns 400",
-        );
-        assert!(text.contains("0.200"));
-        assert!(text.contains("0.400"));
-        assert!(text.contains("0.600"));
-    }
-
-    #[test]
-    fn info_lists_all_architectures() {
-        let text = run_cli("info --size 16");
-        for arch in Architecture::ALL {
-            assert!(text.contains(&arch.to_string()), "{arch} missing:\n{text}");
-        }
-        assert!(text.contains("20")); // 16x16 hybrid address bits
-    }
-
-    #[test]
-    fn info_single_architecture() {
-        let text = run_cli("info --arch OptAllSpeculative");
-        assert!(text.contains("OptAllSpeculative"));
-        assert!(!text.contains("BasicNonSpeculative"));
-    }
-
-    #[test]
-    fn mesh_run_reports() {
-        let text = run_cli(
-            "mesh --benchmark Uniform-random --rate 0.15 --cols 4 --rows 4 \
-             --warmup-ns 60 --measure-ns 500",
-        );
-        assert!(text.contains("4x4 mesh"));
-        assert!(text.contains("mean hops"));
-        assert!(!text.contains("WARNING"));
     }
 
     #[test]
@@ -834,193 +778,106 @@ mod tests {
     }
 
     #[test]
-    fn profiled_saturate_collects_one_run_per_probe() {
-        let path = std::env::temp_dir().join(format!(
-            "asynoc-saturate-profile-{}.json",
-            std::process::id()
-        ));
-        let path = path.to_string_lossy().into_owned();
-        let runs = profile_runs(
-            &format!("saturate --arch Baseline --benchmark Hotspot --quick --profile {path}"),
-            &path,
-        );
-        // The bisection search always takes at least two probes (plus
-        // the delivered-plateau run).
-        assert!(runs >= 2, "expected >= 2 profiled probes, got {runs}");
-    }
-
-    #[test]
-    fn profiled_sweep_collects_one_run_per_point() {
-        let path =
-            std::env::temp_dir().join(format!("asynoc-sweep-profile-{}.json", std::process::id()));
-        let path = path.to_string_lossy().into_owned();
-        let runs = profile_runs(
-            &format!(
+    fn a_profiled_search_collects_one_run_per_simulation() {
+        let path = temp_path("profile.json");
+        for (line, runs) in [
+            // The bisection always takes at least two probes (plus the
+            // delivered-plateau run).
+            (
+                "saturate --arch Baseline --benchmark Hotspot --quick",
+                2..=usize::MAX,
+            ),
+            (
                 "sweep --arch Baseline --benchmark Shuffle --from 0.2 --to 0.4 --steps 3 \
-                 --warmup-ns 60 --measure-ns 400 --profile {path}"
-            ),
-            &path,
-        );
-        assert_eq!(runs, 3, "one runs[] entry per sweep point");
-    }
-
-    #[test]
-    fn run_and_mesh_stream_without_perturbing_the_report() {
-        use asynoc_telemetry::{fold_stream, JsonValue};
-        for (tag, base) in [
-            (
-                "run",
-                "run --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 \
-                 --warmup-ns 40 --measure-ns 300",
-            ),
-            (
-                "mesh",
-                "mesh --benchmark Uniform-random --rate 0.15 --cols 4 --rows 4 \
-                 --warmup-ns 60 --measure-ns 500",
+                 --warmup-ns 60 --measure-ns 400",
+                3..=3,
             ),
         ] {
-            let path = std::env::temp_dir()
-                .join(format!("asynoc-{tag}-stream-{}.ndjson", std::process::id()));
-            let path = path.to_string_lossy().into_owned();
-            let plain = run_cli(base);
-            let streamed = run_cli(&format!("{base} --stream {path}"));
-            assert_eq!(plain, streamed, "{tag}: --stream must not change stdout");
-            let stream = std::fs::read_to_string(&path).expect("stream file");
-            let _ = std::fs::remove_file(&path);
-            let folded = fold_stream(&stream).expect("run stream folds");
+            let profiled = profile_runs(&format!("{line} --profile {path}"), &path);
             assert!(
-                folded
-                    .get("throughput")
-                    .and_then(|t| t.get("delivered_gfs"))
-                    .and_then(JsonValue::as_f64)
-                    .unwrap()
-                    > 0.0,
-                "{tag}: end sections carry the scalar summary"
+                runs.contains(&profiled),
+                "{line}: {profiled} runs[] entries"
             );
         }
     }
 
-    #[test]
-    fn every_preset_run_is_bit_identical_to_its_map_form() {
-        // The tentpole equivalence proof at the CLI surface: expressing
-        // each of the paper's six architectures as an explicit speculation
-        // map must reproduce the preset run byte-for-byte — headers,
-        // percentiles, power, histogram, everything.
-        let size = asynoc::MotSize::new(8).unwrap();
-        let tail = "--benchmark Multicast5 --rate 0.2 --warmup-ns 40 --measure-ns 300";
-        for arch in Architecture::ALL {
-            let map = SpecMap::preset(arch, size).to_string();
-            let preset = run_cli(&format!("run --arch {arch} {tail}"));
-            let mapped = run_cli(&format!("run --spec-map {map} {tail}"));
-            assert_eq!(preset, mapped, "{arch}: map form must be bit-identical");
-        }
+    fn temp_path(name: &str) -> String {
+        let file = format!("asynoc-commands-test-{}-{name}", std::process::id());
+        std::env::temp_dir()
+            .join(file)
+            .to_string_lossy()
+            .into_owned()
     }
 
+    /// Invocations that must print the same bytes: the worker count and
+    /// every spelling of one placement change nothing a run reports.
     #[test]
-    fn preset_named_spec_map_is_bit_identical_too() {
-        let tail = "--benchmark Shuffle --rate 0.2 --warmup-ns 40 --measure-ns 300";
-        let preset = run_cli(&format!("run --arch OptHybridSpeculative {tail}"));
+    fn equivalent_invocations_print_the_same_bytes() {
+        let tail = "--benchmark Multicast5 --rate 0.2 --warmup-ns 40 --measure-ns 300";
+        let (map, preset) = (temp_path("map.json"), temp_path("preset.json"));
+        let nodes = r#"[{"tree": 0, "level": 1, "index": 0, "kind": "ons"}]"#;
+        let json = format!(r#"{{"levels": ["sp", "ns", "ns"], "nodes": {nodes}}}"#);
+        std::fs::write(&map, json).expect("spec-map file");
+        std::fs::write(&preset, r#"{"preset": "Baseline"}"#).expect("spec-map file");
+        let seeds = "run --arch Baseline --benchmark Shuffle --rate 0.3 --seeds 3 \
+                     --warmup-ns 60 --measure-ns 400";
+        let mut pairs = vec![
+            (format!("{seeds} --jobs 1"), format!("{seeds} --jobs 3")),
+            (
+                format!("run --spec-map levels:sp,ns,ns;node:0.1.0=ons {tail}"),
+                format!("run --spec-map @{map} {tail}"),
+            ),
+            (
+                format!("run --arch Baseline {tail}"),
+                format!("run --spec-map @{preset} {tail}"),
+            ),
+        ];
         for form in ["OptHybridSpeculative", "preset:OptHybridSpeculative"] {
-            let mapped = run_cli(&format!("run --spec-map {form} {tail}"));
-            assert_eq!(preset, mapped, "{form} must resolve to the preset run");
+            let preset = format!("run --arch OptHybridSpeculative {tail}");
+            pairs.push((preset, format!("run --spec-map {form} {tail}")));
         }
+        // Each of the paper's six networks as an explicit map.
+        let size = MotSize::new(8).expect("8x8");
+        for arch in Architecture::ALL {
+            let levels = SpecMap::preset(arch, size);
+            pairs.push((
+                format!("run --arch {arch} {tail}"),
+                format!("run --spec-map {levels} {tail}"),
+            ));
+        }
+        for (a, b) in &pairs {
+            assert_eq!(run_cli(a), run_cli(b), "{a}\n{b}");
+        }
+        let _ = (std::fs::remove_file(map), std::fs::remove_file(preset));
     }
 
+    /// `--stream` is one more observer: stdout stays byte-identical, and
+    /// the stream folds back to a document carrying the run's summary.
     #[test]
-    fn custom_map_reports_its_canonical_identity_and_reproduces_itself() {
-        // A placement with a node override is not a preset: the report
-        // header carries the canonical map string, and feeding that string
-        // back reproduces the run — every report names its own recipe.
-        let tail = "--benchmark Multicast5 --rate 0.2 --warmup-ns 40 --measure-ns 300";
-        let custom = "levels:sp,ns,ns;node:0.1.0=ons";
-        let first = run_cli(&format!("run --spec-map {custom} {tail}"));
-        assert!(
-            first.starts_with(custom),
-            "header must carry the canonical map string:\n{first}"
-        );
-        let second = run_cli(&format!("run --spec-map {custom} {tail}"));
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn json_spec_map_file_matches_the_text_form() {
-        let path =
-            std::env::temp_dir().join(format!("asynoc-spec-map-{}.json", std::process::id()));
-        let path_str = path.to_string_lossy().into_owned();
-        std::fs::write(
-            &path,
-            r#"{"levels": ["sp", "ns", "ns"],
-                "nodes": [{"tree": 0, "level": 1, "index": 0, "kind": "ons"}]}"#,
-        )
-        .expect("spec-map file");
-        let tail = "--benchmark Multicast5 --rate 0.2 --warmup-ns 40 --measure-ns 300";
-        let text = run_cli(&format!(
-            "run --spec-map levels:sp,ns,ns;node:0.1.0=ons {tail}"
-        ));
-        let json = run_cli(&format!("run --spec-map @{path_str} {tail}"));
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(text, json, "@file JSON form must equal the text form");
-    }
-
-    #[test]
-    fn json_preset_spec_map_file_matches_the_preset() {
-        let path =
-            std::env::temp_dir().join(format!("asynoc-spec-preset-{}.json", std::process::id()));
-        let path_str = path.to_string_lossy().into_owned();
-        std::fs::write(&path, r#"{"preset": "Baseline"}"#).expect("spec-map file");
-        let tail = "--benchmark Shuffle --rate 0.2 --warmup-ns 40 --measure-ns 300";
-        let preset = run_cli(&format!("run --arch Baseline {tail}"));
-        let json = run_cli(&format!("run --spec-map @{path_str} {tail}"));
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(preset, json);
-    }
-
-    #[test]
-    fn invalid_spec_maps_are_rejected_with_the_validation_detail() {
-        // An inline map is refused by the parser (a usage error, like a
-        // bad --arch); the same placement in an @file when the command runs.
-        let reject = |line: &str, needle: &str| {
-            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-            let err = match parse(&args) {
-                Err(usage) => usage.to_string(),
-                Ok(command) => execute(&command, &mut Vec::new()).unwrap_err().to_string(),
-            };
-            assert!(err.starts_with("--spec-map"), "{line}: {err}");
-            assert!(err.contains(needle), "{line}: {err}");
-        };
-        let tail = "--benchmark Shuffle --rate 0.2";
-        // Wrong level count for an 8x8 (3 levels).
-        reject(&format!("run --spec-map levels:sp,ns {tail}"), "level");
-        // Speculating at the leaf level breaks delivery filtering.
-        reject(&format!("run --spec-map levels:ns,ns,sp {tail}"), "leaf");
-        // A speculative node whose children cannot throttle.
-        reject(
-            &format!("run --spec-map levels:ns,sp,ns;node:0.2.0=sp {tail}"),
-            "leaf",
-        );
-        // Node coordinates outside the fabric.
-        reject(
-            &format!("run --spec-map levels:ns,ns,ns;node:9.0.0=sp {tail}"),
-            "range",
-        );
-        // A level of 2^32 used to wrap to 0 and quietly make the root
-        // speculative, in both forms.
-        reject(
-            &format!("run --spec-map levels:ons,ons,ons;node:0.4294967296.0=osp {tail}"),
-            "s0:4294967296.0 out of range",
-        );
-        let path =
-            std::env::temp_dir().join(format!("asynoc-spec-wrap-{}.json", std::process::id()));
-        std::fs::write(
-            &path,
-            r#"{"levels": ["ons", "ons", "ons"],
-                "nodes": [{"tree": 0, "level": 4294967296, "index": 0, "kind": "osp"}]}"#,
-        )
-        .expect("spec-map file");
-        reject(
-            &format!("run --spec-map @{} {tail}", path.to_string_lossy()),
-            "s0:4294967296.0 out of range",
-        );
+    fn a_streamed_run_prints_what_an_unstreamed_one_does() {
+        use asynoc_telemetry::fold_stream;
+        let path = temp_path("stream.ndjson");
+        for base in [
+            "run --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 --warmup-ns 40 \
+             --measure-ns 300",
+            "mesh --benchmark Uniform-random --rate 0.15 --cols 4 --rows 4 --warmup-ns 60 \
+             --measure-ns 500",
+            "metrics --arch BasicHybridSpeculative --benchmark Multicast5 --rate 0.2 \
+             --warmup-ns 40 --measure-ns 200 --stream-trace",
+        ] {
+            let plain = run_cli(&base.replace(" --stream-trace", ""));
+            assert_eq!(plain, run_cli(&format!("{base} --stream {path}")), "{base}");
+            let stream = std::fs::read_to_string(&path).expect("stream file");
+            let folded = fold_stream(&stream).expect("the stream folds");
+            let delivered = folded
+                .get("throughput")
+                .and_then(|t| t.get("delivered_gfs"));
+            assert!(delivered.and_then(JsonValue::as_f64) > Some(0.0), "{base}");
+            assert_eq!(
+                stream.contains("\"type\":\"trace\""),
+                base.contains("trace")
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -306,24 +306,33 @@ mod tests {
         String::from_utf8(out).expect("utf8 output")
     }
 
-    fn explore_doc(line: &str) -> JsonValue {
-        JsonValue::parse(&run_cli(line)).expect("explore output is valid JSON")
-    }
-
     #[test]
-    fn smoke_exploration_emits_the_full_document() {
+    fn smoke_exploration_writes_the_full_document_and_prints_its_summary() {
         // Tolerance 1.0 always holds (epsilon < 1 by construction), so the
         // default guard cannot flake this test.
-        let doc = explore_doc("explore --smoke --size 4 --tolerance 1.0");
-        assert_eq!(
-            doc.get("schema").and_then(JsonValue::as_str),
-            Some(EXPLORE_SCHEMA)
-        );
-        assert_eq!(doc.get("truncated"), Some(&JsonValue::Bool(false)));
+        let path =
+            std::env::temp_dir().join(format!("asynoc-explore-report-{}.json", std::process::id()));
+        let path = path.to_string_lossy().into_owned();
+        let text = run_cli(&format!(
+            "explore --smoke --size 4 --tolerance 1.0 --report-out {path}"
+        ));
+        for part in [
+            "explored 9 of 9 placements",
+            "front",
+            "exploration report written",
+        ] {
+            assert!(text.contains(part), "{text}");
+        }
+        let doc = JsonValue::parse(&std::fs::read_to_string(&path).expect("report file"))
+            .expect("report is valid JSON");
+        let _ = std::fs::remove_file(&path);
+        let get = |key: &str| doc.get(key).expect(key);
+        assert_eq!(get("schema").as_str(), Some(EXPLORE_SCHEMA));
+        assert_eq!(get("truncated"), &JsonValue::Bool(false));
         // 4×4 per-level space: 4 interior × 2 leaf + baseline.
-        assert_eq!(doc.get("space").and_then(JsonValue::as_f64), Some(9.0));
-        assert_eq!(doc.get("evaluated").and_then(JsonValue::as_f64), Some(9.0));
-        let points = doc.get("points").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(get("space").as_f64(), Some(9.0));
+        assert_eq!(get("evaluated").as_f64(), Some(9.0));
+        let points = get("points").as_array().expect("points");
         assert_eq!(points.len(), 9);
         for point in points {
             assert!(point.get("map").and_then(JsonValue::as_str).is_some());
@@ -332,56 +341,13 @@ mod tests {
                 .and_then(JsonValue::as_f64)
                 .is_some());
         }
-        let front = doc.get("front").and_then(JsonValue::as_array).unwrap();
-        assert!(!front.is_empty(), "a front always exists");
-        let guard = doc.get("guard").expect("guard section");
+        assert!(!get("front").as_array().expect("front").is_empty());
+        let guard = get("guard");
         assert_eq!(
             guard.get("arch").and_then(JsonValue::as_str),
             Some("OptHybridSpeculative")
         );
         assert_eq!(guard.get("within_tolerance"), Some(&JsonValue::Bool(true)));
-    }
-
-    #[test]
-    fn exploration_is_jobs_invariant() {
-        let base = "explore --smoke --size 4 --guard none";
-        let serial = run_cli(&format!("{base} --jobs 1"));
-        let parallel = run_cli(&format!("{base} --jobs 2"));
-        assert_eq!(serial, parallel, "worker count must not change the report");
-    }
-
-    #[test]
-    fn exhausted_budget_is_flagged_truncated() {
-        let doc = explore_doc("explore --smoke --size 4 --max-points 3 --guard none");
-        assert_eq!(doc.get("truncated"), Some(&JsonValue::Bool(true)));
-        assert_eq!(doc.get("evaluated").and_then(JsonValue::as_f64), Some(3.0));
-        assert!(
-            !doc.get("front")
-                .and_then(JsonValue::as_array)
-                .unwrap()
-                .is_empty(),
-            "partial exploration still reports its front"
-        );
-    }
-
-    #[test]
-    fn report_out_writes_the_file_and_prints_the_summary() {
-        let path =
-            std::env::temp_dir().join(format!("asynoc-explore-report-{}.json", std::process::id()));
-        let path = path.to_string_lossy().into_owned();
-        let text = run_cli(&format!(
-            "explore --smoke --size 4 --guard none --report-out {path}"
-        ));
-        assert!(text.contains("explored 9 of 9 placements"), "{text}");
-        assert!(text.contains("front"), "{text}");
-        assert!(text.contains("exploration report written"), "{text}");
-        let doc = JsonValue::parse(&std::fs::read_to_string(&path).expect("report file"))
-            .expect("report is valid JSON");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(
-            doc.get("schema").and_then(JsonValue::as_str),
-            Some(EXPLORE_SCHEMA)
-        );
     }
 
     #[test]

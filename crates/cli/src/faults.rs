@@ -548,155 +548,54 @@ mod tests {
     }
 
     #[test]
-    fn mot_oracle_run_emits_a_passing_report() {
-        let doc = JsonValue::parse(&run_cli(
-            "faults --arch BasicHybridSpeculative --benchmark Multicast5 --rate 0.2 \
-             --size 8 --warmup-ns 20 --measure-ns 150 --oracle",
-        ))
-        .expect("fault report is valid JSON");
-        assert_eq!(
-            doc.get("schema").and_then(JsonValue::as_str),
-            Some(FAULTS_SCHEMA)
-        );
-        let oracle = doc.get("oracle").expect("oracle section");
-        assert_eq!(oracle.get("pass"), Some(&JsonValue::Bool(true)));
-        assert_eq!(oracle.get("recoverable"), Some(&JsonValue::Bool(true)));
-        // The random plan actually armed something.
-        let entries = doc
-            .get("plan")
-            .and_then(|p| p.get("entries"))
-            .and_then(JsonValue::as_f64)
-            .unwrap();
-        assert!(entries >= 1.0);
-    }
-
-    #[test]
-    fn mesh_substrate_judges_the_same_contract() {
-        let doc = JsonValue::parse(&run_cli(
-            "faults --substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 \
-             --warmup-ns 20 --measure-ns 150 --oracle",
-        ))
-        .expect("fault report is valid JSON");
-        assert_eq!(
-            doc.get("substrate").and_then(JsonValue::as_str),
-            Some("mesh")
-        );
-        assert_eq!(
-            doc.get("oracle").and_then(|o| o.get("pass")),
-            Some(&JsonValue::Bool(true))
-        );
-    }
-
-    #[test]
-    fn vcmesh_substrate_judges_the_same_contract() {
-        for mcast in ["xy-tree", "dpm"] {
-            let doc = JsonValue::parse(&run_cli(&format!(
-                "faults --substrate vcmesh --mcast {mcast} --benchmark Multicast5 --rate 0.1 \
-                 --size 4 --warmup-ns 20 --measure-ns 150 --oracle"
-            )))
-            .expect("fault report is valid JSON");
-            assert_eq!(
-                doc.get("substrate").and_then(JsonValue::as_str),
-                Some("vcmesh")
-            );
-            assert_eq!(
-                doc.get("oracle").and_then(|o| o.get("pass")),
-                Some(&JsonValue::Bool(true)),
-                "vcmesh ({mcast}) oracle must pass"
-            );
-        }
-    }
-
-    #[test]
-    fn lethal_plan_degrades_gracefully_and_reconciles() {
-        // A lethal loss is unrecoverable, but the oracle still *passes*:
-        // the degradation contract demands the loss be fully accounted
-        // (ledger, absent deliveries, explained broken tree), not that
-        // nothing was lost.
-        let doc = JsonValue::parse(&run_cli(
-            "faults --arch Baseline --benchmark Shuffle --rate 0.2 --size 8 \
-             --warmup-ns 20 --measure-ns 150 --oracle --plan lose:0:0",
-        ))
-        .expect("fault report is valid JSON");
-        let oracle = doc.get("oracle").expect("oracle section");
-        assert_eq!(oracle.get("recoverable"), Some(&JsonValue::Bool(false)));
-        assert_eq!(oracle.get("pass"), Some(&JsonValue::Bool(true)));
-        let faulted = doc.get("faulted").expect("faulted outcome");
-        assert_eq!(
-            faulted.get("summary").and_then(|s| s.get("lost")),
-            Some(&JsonValue::uint(1))
-        );
-        assert_eq!(
-            faulted
-                .get("analysis")
-                .and_then(|a| a.get("broken_with_cause")),
-            Some(&JsonValue::uint(1)),
-            "the lost packet's tree is broken-with-cause"
-        );
-    }
-
-    #[test]
     fn seeded_stall_trips_the_no_progress_watchpoint() {
         // A 100 us link stall parks a flit far past the horizon of a
         // 150 ns run: measured packets stay incomplete, so the stream's
         // close-time record must fire and name the site where the flit
-        // was last seen. A 10 ps stall on the same flit is over long
-        // before the end, and must not.
-        let stream_path = std::env::temp_dir().join(format!(
-            "asynoc-faults-stall-stream-{}.ndjson",
-            std::process::id()
-        ));
-        let stream_path = stream_path.to_string_lossy().into_owned();
-        let report_path = std::env::temp_dir().join(format!(
-            "asynoc-faults-stall-report-{}.json",
-            std::process::id()
-        ));
-        let report_path = report_path.to_string_lossy().into_owned();
-        let line = |stall_ps: u64| {
-            format!(
+        // was last seen, and --watch-fatal turns it into a non-zero exit
+        // *after* the report is written. A 10 ps stall on the same flit is
+        // over long before the end, and must not.
+        let path = |name: &str| {
+            let file = format!("asynoc-faults-stall-{}-{name}", std::process::id());
+            std::env::temp_dir()
+                .join(file)
+                .to_string_lossy()
+                .into_owned()
+        };
+        let (stream_path, report_path) = (path("stream.ndjson"), path("report.json"));
+        let run = |stall_ps: u64| {
+            let line = format!(
                 "faults --arch Baseline --benchmark Shuffle --rate 0.2 --size 8 \
                  --warmup-ns 20 --measure-ns 150 --plan stall:0:1:{stall_ps} \
                  --report-out {report_path} --stream {stream_path} --watch-fatal"
-            )
+            );
+            let result = execute(&parse(&words(&line)).expect("valid"), &mut Vec::new());
+            let stream = std::fs::read_to_string(&stream_path).expect("stream file");
+            (result.map_err(|e| e.to_string()), stream)
         };
-
-        // --watch-fatal turns the tripped invariant into a non-zero exit
-        // *after* the report is written.
-        let args: Vec<String> = line(100_000_000)
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let command = parse(&args).expect("valid invocation");
-        let mut out = Vec::new();
-        let err = execute(&command, &mut out).expect_err("--watch-fatal must abort");
-        assert!(err.to_string().contains("--watch-fatal"), "{err}");
+        let (fatal, stream) = run(100_000_000);
+        assert!(fatal
+            .expect_err("--watch-fatal must abort")
+            .contains("--watch-fatal"));
         assert!(
             std::fs::read_to_string(&report_path).is_ok(),
-            "report written before the fatal exit"
+            "report written first"
         );
-        let stream = std::fs::read_to_string(&stream_path).expect("stream file");
         let alert = stream
             .lines()
-            .find(|l| l.contains("\"kind\":\"no_progress\""))
-            .expect("stall must trip the no-progress watchpoint");
-        let record = JsonValue::parse(alert).expect("watchpoint record parses");
-        assert_eq!(
-            record.get("site").and_then(JsonValue::as_str),
-            Some("src0"),
-            "watchpoint names the causal site: {alert}"
-        );
-        assert_eq!(
-            record.get("packet").and_then(JsonValue::as_f64),
-            Some(0.0),
-            "watchpoint names the stalled packet: {alert}"
-        );
-
-        run_cli(&line(10));
-        let stream = std::fs::read_to_string(&stream_path).expect("stream file");
+            .find(|l| l.contains("\"kind\":\"no_progress\""));
+        let record = JsonValue::parse(alert.expect("the stall trips it")).expect("parses");
+        // The causal site, and the stalled packet.
+        assert_eq!(record.get("site").and_then(JsonValue::as_str), Some("src0"));
+        assert_eq!(record.get("packet").and_then(JsonValue::as_f64), Some(0.0));
+        let (recovered, stream) = run(10);
+        assert_eq!(recovered, Ok(()));
         let end = stream.lines().last().expect("end record");
         assert!(end.contains("\"watchpoints\":0"), "recovered stall: {end}");
-        let _ = std::fs::remove_file(&stream_path);
-        let _ = std::fs::remove_file(&report_path);
+        let _ = (
+            std::fs::remove_file(&stream_path),
+            std::fs::remove_file(&report_path),
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! Everything the CLI does is a thin veneer over the [`asynoc`] public API,
 //! so scripted experiments can migrate to Rust code without surprises.
 
+#![deny(missing_docs)]
 pub mod analyze;
 pub mod args;
 pub mod commands;

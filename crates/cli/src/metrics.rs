@@ -384,7 +384,7 @@ mod tests {
     use super::*;
     use crate::args::{parse, Command};
     use crate::commands::execute;
-    use asynoc_telemetry::{parse_trace, validate_chrome, Action};
+    use asynoc_telemetry::validate_chrome;
 
     fn argv(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
@@ -407,142 +407,55 @@ mod tests {
         path.to_string_lossy().into_owned()
     }
 
+    /// The member at the dotted `path` of `doc`.
+    fn at<'a>(doc: &'a JsonValue, path: &str) -> &'a JsonValue {
+        let member = |value: &'a JsonValue, key| value.get(key).expect(path);
+        path.split('.').fold(doc, member)
+    }
+
+    fn num(doc: &JsonValue, path: &str) -> f64 {
+        at(doc, path).as_f64().expect(path)
+    }
+
     #[test]
     fn mot_report_has_percentiles_busy_fractions_and_waste() {
         let doc = metrics_doc(
             "metrics --arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3 \
              --warmup-ns 40 --measure-ns 400 --bin-ns 50",
         );
-        assert_eq!(
-            doc.get("schema").and_then(JsonValue::as_str),
-            Some(METRICS_SCHEMA)
-        );
-        assert_eq!(
-            doc.get("substrate").and_then(JsonValue::as_str),
-            Some("mot")
-        );
-        let latency = doc.get("latency").expect("latency section");
-        assert!(latency.get("p50_ps").and_then(JsonValue::as_f64).unwrap() > 0.0);
-        assert!(
-            latency.get("p99_ps").and_then(JsonValue::as_f64).unwrap()
-                >= latency.get("p50_ps").and_then(JsonValue::as_f64).unwrap()
-        );
-        assert!(
-            !latency
-                .get("per_dest")
-                .and_then(JsonValue::as_array)
-                .unwrap()
-                .is_empty(),
-            "per-destination breakdown populated"
-        );
-        assert!(!latency
-            .get("per_hops")
-            .and_then(JsonValue::as_array)
-            .unwrap()
-            .is_empty());
-        let timeseries = doc.get("timeseries").expect("timeseries section");
-        let levels = timeseries
-            .get("levels")
-            .and_then(JsonValue::as_array)
-            .unwrap();
+        assert_eq!(at(&doc, "schema").as_str(), Some(METRICS_SCHEMA));
+        assert_eq!(at(&doc, "substrate").as_str(), Some("mot"));
+        let (p50, p99) = (num(&doc, "latency.p50_ps"), num(&doc, "latency.p99_ps"));
+        assert!(p50 > 0.0 && p99 >= p50, "{p50} / {p99}");
+        for list in ["latency.per_dest", "latency.per_hops", "waste.per_node"] {
+            assert!(!at(&doc, list).as_array().expect(list).is_empty(), "{list}");
+        }
         // 8x8 MoT: three fanout levels + three fanin levels.
-        assert_eq!(levels.len(), 6);
-        let bins = timeseries
-            .get("bins")
-            .and_then(JsonValue::as_array)
-            .unwrap();
-        assert!(!bins.is_empty());
-        let busiest = bins
-            .iter()
-            .flat_map(|bin| {
-                bin.get("busy_fraction")
-                    .and_then(JsonValue::as_array)
-                    .unwrap()
-                    .iter()
-                    .map(|v| v.as_f64().unwrap())
-                    .collect::<Vec<_>>()
-            })
-            .fold(0.0f64, f64::max);
-        assert!(busiest > 0.0, "some level saw traffic");
-        assert!(busiest <= 1.0, "busy fraction is a fraction: {busiest}");
-        // The hybrid network speculates, so the ledger must have entries.
-        let waste = doc.get("waste").expect("waste section");
-        assert!(
-            waste
-                .get("total_throttles")
-                .and_then(JsonValue::as_f64)
-                .unwrap()
-                > 0.0
-        );
-        assert!(!waste
-            .get("per_node")
-            .and_then(JsonValue::as_array)
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn waste_ledger_reconciles_with_the_energy_ledger() {
-        let doc = metrics_doc(
-            "metrics --arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3 \
-             --warmup-ns 40 --measure-ns 400",
-        );
-        let waste_drop_fj = doc
-            .get("waste")
-            .and_then(|w| w.get("total_drop_fj"))
-            .and_then(JsonValue::as_f64)
-            .unwrap();
-        let power = doc.get("power").expect("power section");
-        let dropped_mw = power.get("dropped_mw").and_then(JsonValue::as_f64).unwrap();
-        let window_ps = power.get("window_ps").and_then(JsonValue::as_f64).unwrap();
-        // Both observers price the same in-window drops at the same fJ,
-        // so the ledgers must agree (up to f64 summation order).
-        let energy_drop_fj = dropped_mw * window_ps;
-        assert!(waste_drop_fj > 0.0, "hybrid network must drop copies");
-        assert!(
-            (waste_drop_fj - energy_drop_fj).abs() <= 1e-6 * energy_drop_fj.max(1.0),
-            "waste ledger {waste_drop_fj} fJ vs energy ledger {energy_drop_fj} fJ"
-        );
-    }
-
-    #[test]
-    fn mesh_report_has_latency_but_null_power() {
-        let doc = metrics_doc(
-            "metrics --substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 \
-             --warmup-ns 40 --measure-ns 400",
-        );
         assert_eq!(
-            doc.get("substrate").and_then(JsonValue::as_str),
-            Some("mesh")
+            at(&doc, "timeseries.levels").as_array().map(<[_]>::len),
+            Some(6)
         );
-        assert_eq!(doc.get("power"), Some(&JsonValue::Null));
-        assert_eq!(doc.get("waste"), Some(&JsonValue::Null));
+        let bins = at(&doc, "timeseries.bins").as_array().expect("bins");
+        let busy = bins
+            .iter()
+            .flat_map(|bin| at(bin, "busy_fraction").as_array().unwrap());
+        let busiest = busy.map(|v| v.as_f64().unwrap()).fold(0.0, f64::max);
+        assert!(busiest > 0.0 && busiest <= 1.0, "busy fraction {busiest}");
+        // The hybrid network speculates, and the waste ledger prices its
+        // drops exactly as the energy ledger does (mW x ps is fJ).
+        let drop_fj = num(&doc, "waste.total_drop_fj");
+        let energy_fj = num(&doc, "power.dropped_mw") * num(&doc, "power.window_ps");
+        assert!(drop_fj > 0.0, "hybrid network must drop copies");
         assert!(
-            doc.get("latency")
-                .and_then(|l| l.get("count"))
-                .and_then(JsonValue::as_f64)
-                .unwrap()
-                > 0.0
+            (drop_fj - energy_fj).abs() <= 1e-6 * energy_fj,
+            "waste ledger {drop_fj} fJ vs energy ledger {energy_fj} fJ"
         );
     }
 
     #[test]
     fn mesh_counters_report_the_engines_delivered_flits() {
-        use asynoc::faults::DeliveryLog;
-        use asynoc::{Observer, SimEvent, Time};
-
         // The mesh document used to hard-code `flits_delivered` to 0 next
-        // to a non-zero `packets_measured`. With single-flit packets every
-        // delivered flit is a header, so the counter must equal what a
-        // delivery log sees inside the measurement window.
-        struct InWindow(DeliveryLog);
-        impl Observer<usize> for InWindow {
-            fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, usize>) {
-                if in_window {
-                    self.0.on_event(at, in_window, event);
-                }
-            }
-        }
+        // to a non-zero `packets_measured`: its counters are the engine's.
         let line = "metrics --substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 \
                     --flits 1 --warmup-ns 40 --measure-ns 400";
         let Command::Metrics(MetricsRequest { common, .. }) =
@@ -551,31 +464,29 @@ mod tests {
             panic!("expected metrics");
         };
         let run = run_config(Benchmark::UniformRandom, 0.1, &common).unwrap();
-        let mut log = InWindow(DeliveryLog::new());
-        drive(
-            &fabric::mesh::<Wormhole>(4, 4, (), &common).unwrap(),
-            &run,
-            &mut [&mut log],
-            None,
-        )
-        .unwrap();
-        let logged: u64 = log.0.deliveries().values().sum();
-
-        let counters = metrics_doc(line);
-        let counters = counters.get("counters").expect("counters section");
+        let mesh = fabric::mesh::<Wormhole>(4, 4, (), &common).unwrap();
+        let engine = drive(&mesh, &run, &mut [], None).unwrap();
+        let doc = metrics_doc(line);
         assert_eq!(
-            counters.get("shards").and_then(JsonValue::as_f64),
-            Some(1.0),
-            "no --shards: one shard"
+            at(&doc, "power"),
+            &JsonValue::Null,
+            "no energy model on a mesh"
         );
-        let delivered = counters.get("flits_delivered").and_then(JsonValue::as_f64);
-        assert!(logged > 0, "the run delivered traffic");
-        assert_eq!(delivered, Some(logged as f64));
-        assert_eq!(
-            counters.get("flits_throttled").and_then(JsonValue::as_f64),
-            Some(0.0),
-            "a wormhole mesh never throttles"
-        );
+        assert_eq!(at(&doc, "waste"), &JsonValue::Null);
+        assert!(engine.flits_delivered > 0, "the run delivered traffic");
+        for (counter, value) in [
+            ("flits_delivered", engine.flits_delivered),
+            ("packets_measured", engine.packets_measured as u64),
+            // A wormhole mesh never throttles; no --shards is one shard.
+            ("flits_throttled", 0),
+            ("shards", 1),
+        ] {
+            assert_eq!(
+                num(&doc, &format!("counters.{counter}")),
+                value as f64,
+                "{counter}"
+            );
+        }
     }
 
     #[test]
@@ -643,39 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn dpm_report_uses_no_more_links_than_xy_tree() {
-        let base = "metrics --substrate vcmesh --benchmark Multicast10 --rate 0.1 --size 4 \
-                    --warmup-ns 40 --measure-ns 400";
-        let links = |doc: &JsonValue| {
-            doc.get("vcs")
-                .and_then(|v| v.get("link_traversals"))
-                .and_then(JsonValue::as_f64)
-                .unwrap()
-        };
-        let tree = metrics_doc(&format!("{base} --mcast xy-tree"));
-        let dpm = metrics_doc(&format!("{base} --mcast dpm"));
-        assert_eq!(
-            dpm.get("vcs")
-                .and_then(|v| v.get("mcast"))
-                .and_then(JsonValue::as_str),
-            Some("dpm"),
-            "dpm doc is tagged with its scheme"
-        );
-        assert!(
-            links(&dpm) <= links(&tree),
-            "DPM must not use more links than the XY tree: {} vs {}",
-            links(&dpm),
-            links(&tree)
-        );
-        // Identical injection schedule: both schemes measure the same
-        // packet population.
-        assert_eq!(
-            dpm.get("counters").and_then(|c| c.get("packets_measured")),
-            tree.get("counters").and_then(|c| c.get("packets_measured")),
-        );
-    }
-
-    #[test]
     fn streamed_windows_fold_back_into_the_batch_document() {
         asynoc_kernel::with_deadline(120, || {
             use asynoc_telemetry::fold_stream;
@@ -734,28 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn watch_fold_reproduces_the_batch_report_via_the_cli() {
-        let batch_path = temp_path("watch-batch.json");
-        let stream_path = temp_path("watch-stream.ndjson");
-        let folded_path = temp_path("watch-folded.json");
-        run_cli(&format!(
-            "metrics --arch Baseline --benchmark Shuffle --rate 0.2 \
-             --warmup-ns 40 --measure-ns 300 --metrics-out {batch_path} \
-             --stream {stream_path} --stream-window-ns 100"
-        ));
-        let text = run_cli(&format!(
-            "watch --stream-in {stream_path} --once --fold {folded_path}"
-        ));
-        assert!(text.contains("stream ended"), "{text}");
-        let batch = std::fs::read_to_string(&batch_path).expect("batch report");
-        let folded = std::fs::read_to_string(&folded_path).expect("folded report");
-        assert_eq!(folded, batch, "watch --fold must reproduce the batch bytes");
-        let _ = std::fs::remove_file(&batch_path);
-        let _ = std::fs::remove_file(&stream_path);
-        let _ = std::fs::remove_file(&folded_path);
-    }
-
-    #[test]
     fn clean_runs_pass_watch_fatal_on_every_substrate() {
         // The engine stops draining at the last measured header, so every
         // run closes with copies in flight; that alone is no watchpoint.
@@ -784,27 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_leaves_the_batch_outputs_unchanged() {
-        // --stream is an additive observer: stdout (the batch report)
-        // must stay byte-identical with and without it.
-        let stream_path = temp_path("invariance.ndjson");
-        let base = "metrics --arch BasicHybridSpeculative --benchmark Multicast5 --rate 0.2 \
-                    --warmup-ns 40 --measure-ns 200";
-        let plain = run_cli(base);
-        let streamed = run_cli(&format!("{base} --stream {stream_path} --stream-trace"));
-        assert_eq!(plain, streamed);
-        let stream = std::fs::read_to_string(&stream_path).expect("stream file");
-        let _ = std::fs::remove_file(&stream_path);
-        assert!(stream.contains("\"type\":\"head\""));
-        assert!(stream.contains("\"type\":\"window\""));
-        assert!(
-            stream.contains("\"type\":\"trace\""),
-            "--stream-trace embeds trace records"
-        );
-        assert!(stream.contains("\"type\":\"end\""));
-    }
-
-    #[test]
     fn chrome_trace_export_validates() {
         let trace_path = temp_path("chrome.json");
         let metrics_path = temp_path("report.json");
@@ -820,36 +655,6 @@ mod tests {
         assert!(events > 0, "trace has events");
         let report = std::fs::read_to_string(&metrics_path).expect("report file");
         assert!(JsonValue::parse(&report).is_ok());
-        let _ = std::fs::remove_file(&trace_path);
-        let _ = std::fs::remove_file(&metrics_path);
-    }
-
-    #[test]
-    fn ndjson_trace_export_round_trips() {
-        let trace_path = temp_path("trace.ndjson");
-        let metrics_path = temp_path("ndjson-report.json");
-        run_cli(&format!(
-            "metrics --arch Baseline --benchmark Shuffle --rate 0.2 \
-             --warmup-ns 40 --measure-ns 200 --metrics-out {metrics_path} \
-             --trace-out {trace_path} --trace-limit 200000"
-        ));
-        let text = std::fs::read_to_string(&trace_path).expect("trace file");
-        let (meta, records) = parse_trace(&text).expect("well-formed NDJSON");
-        let meta = meta.expect("trace leads with a meta line");
-        assert_eq!(meta.substrate, "mot");
-        assert_eq!(meta.arch.as_deref(), Some("Baseline"));
-        assert_eq!(meta.dropped_events, 0, "limit 2000 drops nothing here");
-        assert!(!records.is_empty());
-        assert!(records.iter().any(|r| r.action == Action::Inject));
-        assert!(records.iter().any(|r| r.action == Action::Deliver));
-        assert!(
-            records
-                .iter()
-                .any(|r| r.action == Action::Deliver && r.created_ps < r.t_ps),
-            "records carry causal fields"
-        );
-        // One meta line + one line per record.
-        assert_eq!(records.len() + 1, text.lines().count());
         let _ = std::fs::remove_file(&trace_path);
         let _ = std::fs::remove_file(&metrics_path);
     }

@@ -116,6 +116,8 @@ fn out_of_range_run_flags_are_usage_errors_not_panics() {
         ("--stream-window-ns", &huge),
         ("--bin-ns", &huge),
     ];
+    // Each line, and what its error line must name.
+    let mut lines: Vec<(Vec<&str>, String)> = Vec::new();
     for command in commands {
         for (flag, value) in flags {
             if flag == "--bin-ns" && command[0] != "metrics" {
@@ -127,16 +129,33 @@ fn out_of_range_run_flags_are_usage_errors_not_panics() {
                 args.extend(["--size", "4"]);
             }
             args.extend(["--stream", "-", flag, value]);
-            let output = asynoc(&args);
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
-            let first = stderr.lines().next().unwrap_or_default();
-            assert!(
-                first.starts_with("error: ") && first.contains(flag),
-                "{args:?}: {first}"
-            );
-            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            lines.push((args, flag.to_string()));
         }
+    }
+    // A count that sizes a list up front used to abort on the allocation
+    // (`memory allocation of 800000000000 bytes failed`, exit 134).
+    let hotspot = ["--arch", "Baseline", "--benchmark", "Hotspot"];
+    for (command, flag) in [
+        (
+            &["run", "--rate", "0.1", "--size", "2", "--measure-ns", "10"][..],
+            "--seeds",
+        ),
+        (&["saturate", "--quick"], "--probe-fan"),
+        (&["sweep", "--from", "0.1", "--to", "0.2"], "--steps"),
+    ] {
+        let args = [command, &hotspot, &[flag, "100000000000"]].concat();
+        lines.push((args, format!("{flag} must be at most 10000")));
+    }
+    for (args, named) in lines {
+        let output = asynoc(&args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error: ") && first.contains(&named),
+            "{args:?}: {first}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
     // A window the flag range allows is a run, however long: sizing the
     // latency reservoir for it up front used to abort at once (`memory
@@ -324,6 +343,14 @@ fn a_malformed_inline_spec_map_is_a_usage_error_like_a_malformed_arch() {
             "--spec-map: invalid speculation map: expected a preset name",
         ),
         (
+            "levels:ns,sp,ns;node:0.2.0=sp",
+            "--spec-map: leaf fanout node 0 of tree 0 is speculative",
+        ),
+        (
+            "levels:ns,ns,ns;node:9.0.0=sp",
+            "--spec-map: fanout node s9:0.0 out of range for 8x8 network",
+        ),
+        (
             "levels:ons,ons,ons;node:0.4294967296.0=osp",
             "--spec-map: fanout node s0:4294967296.0 out of range for 8x8 network",
         ),
@@ -355,55 +382,14 @@ fn a_malformed_inline_spec_map_is_a_usage_error_like_a_malformed_arch() {
     assert!(stderr.contains("s0:4294967296.0 out of range"), "{stderr}");
 }
 
-#[test]
-fn a_single_pass_watch_over_something_else_is_an_error_not_an_empty_dashboard() {
-    let empty = fixture("empty.ndjson", "");
-    let trace = fixture(
-        "not-a-stream.ndjson",
-        "{\"t_ps\":10,\"packet\":1,\"flit\":0,\"site\":\"src0\",\"action\":\"inject\",\"detail\":\"\",\"copies\":1}\n",
-    );
-    for path in [empty, trace] {
-        let output = asynoc(&["watch", "--stream-in", &path, "--once"]);
-        assert_located_error(
-            &output,
-            &["line 1: expected a \"asynoc-stream-v1\" head record"],
-        );
-        assert!(output.stdout.is_empty(), "no dashboard for a non-stream");
-        let _ = std::fs::remove_file(path);
-    }
-}
-
-/// A path no file can be created at, and the argv of a small MoT run.
+/// A path no file can be created at.
 const NOWHERE: &str = "/nonexistent-asynoc-dir/out";
-const SMALL_RUN: [&str; 10] = [
-    "--arch",
-    "Baseline",
-    "--benchmark",
-    "Shuffle",
-    "--rate",
-    "0.2",
-    "--warmup-ns",
-    "20",
-    "--measure-ns",
-    "100",
-];
 
-/// `command … flag NOWHERE` fails with the flag, the path and the OS error
-/// on its one `error:` line, with nothing on stdout and — where `command`
-/// alone works for seconds — long before the work could have been done.
-fn assert_fails_before_it_works(command: &[&str], flag: &str) {
-    let started = Instant::now();
-    let output = asynoc(&[command, &[flag, NOWHERE]].concat());
-    let took = started.elapsed();
-    let located = format!("error: {flag} {NOWHERE}: No such file or directory");
-    assert_located_error(&output, &[&located]);
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.is_empty(), "{command:?} reported first: {stdout}");
-    assert!(
-        took < Duration::from_millis(500),
-        "{command:?} worked first: {took:?}"
-    );
-}
+/// The windows and threads of a run that takes seconds.
+const LONG: &str = "--warmup-ns 20 --measure-ns 200000 --jobs 1 --shards 1";
+
+/// A placed MoT run, with `LONG` a run that takes seconds.
+const RUN: &str = "--arch Baseline --benchmark Shuffle --rate 0.2";
 
 /// A file of `count` inject records, bare (a trace) or wrapped as the
 /// `trace` lines of a stream: seconds of `analyze` or `watch --fold`.
@@ -433,74 +419,63 @@ fn many_records(name: &str, count: u64, stream: bool) -> String {
     fixture(name, &text)
 }
 
-/// Simulating commands whose run takes seconds, `--jobs 1 --shards 1`.
-const LONG: [&str; 8] = [
-    "--warmup-ns",
-    "20",
-    "--measure-ns",
-    "200000",
-    "--jobs",
-    "1",
-    "--shards",
-    "1",
-];
-
+/// Every output a command writes is created before the command works:
+/// `command … flag NOWHERE` fails with the flag, the path and the OS error
+/// on its one `error:` line, with nothing on stdout, long before the
+/// seconds of work `command` alone takes could have been done.
 #[test]
-fn an_unwritable_trace_out_fails_before_the_run_and_says_which_file() {
-    let metrics = [&["metrics"], &SMALL_RUN[..6], &LONG[..]].concat();
-    assert_fails_before_it_works(&metrics, "--trace-out");
-}
-
-#[test]
-fn an_unwritable_metrics_out_fails_before_the_run_and_says_which_file() {
-    let metrics = [&["metrics"], &SMALL_RUN[..6], &LONG[..]].concat();
-    assert_fails_before_it_works(&metrics, "--metrics-out");
-}
-
-#[test]
-fn an_unwritable_stream_says_which_file() {
-    for command in ["run", "metrics", "faults"] {
-        assert_fails_before_it_works(&[&[command], &SMALL_RUN[..]].concat(), "--stream");
-    }
-}
-
-#[test]
-fn an_unwritable_profile_fails_before_the_work_on_every_command_that_takes_one() {
-    let placed = &SMALL_RUN[..6];
-    for command in ["run", "metrics", "faults"] {
-        assert_fails_before_it_works(&[&[command], placed, &LONG[..]].concat(), "--profile");
-    }
-    let mesh = ["mesh", "--benchmark", "Shuffle", "--rate", "0.2"];
-    assert_fails_before_it_works(&[&mesh[..], &LONG[..]].concat(), "--profile");
-    let saturate = ["saturate", "--arch", "Baseline", "--benchmark", "Shuffle"];
-    assert_fails_before_it_works(&[&saturate[..], &LONG[4..]].concat(), "--profile");
-    let sweep = ["--from", "0.1", "--to", "0.4", "--steps", "4"];
-    assert_fails_before_it_works(
-        &[&["sweep"], &placed[..4], &sweep[..], &LONG[..]].concat(),
-        "--profile",
-    );
+fn an_unwritable_output_fails_before_the_work_and_says_which_file() {
     let trace = many_records("long-trace.ndjson", 200_000, false);
-    assert_fails_before_it_works(&["analyze", "--trace-in", &trace], "--profile");
-    let _ = std::fs::remove_file(trace);
-}
-
-#[test]
-fn an_unwritable_report_out_fails_before_the_work() {
-    let faults = [&["faults"], &SMALL_RUN[..6], &LONG[..], &["--oracle"][..]].concat();
-    assert_fails_before_it_works(&faults, "--report-out");
-    assert_fails_before_it_works(&["explore", "--jobs", "1", "--shards", "1"], "--report-out");
-    let trace = many_records("long-trace-2.ndjson", 200_000, false);
-    assert_fails_before_it_works(&["analyze", "--trace-in", &trace], "--report-out");
-    let _ = std::fs::remove_file(trace);
-}
-
-#[test]
-fn an_unwritable_fold_fails_before_the_dashboard() {
     let stream = many_records("long-stream.ndjson", 200_000, true);
-    assert_fails_before_it_works(&["watch", "--stream-in", &stream, "--once"], "--fold");
-    // Tailing: the file ends, so without the early failure this returns too.
-    assert_fails_before_it_works(&["watch", "--stream-in", &stream], "--fold");
-    let _ = std::fs::remove_file(stream);
+    let mut lines = vec![
+        (format!("metrics {RUN} {LONG}"), "--trace-out"),
+        (format!("metrics {RUN} {LONG}"), "--metrics-out"),
+        (format!("faults {RUN} {LONG} --oracle"), "--report-out"),
+        (
+            format!("mesh --benchmark Shuffle --rate 0.2 {LONG}"),
+            "--profile",
+        ),
+        (
+            "saturate --arch Baseline --benchmark Shuffle --jobs 1".to_string(),
+            "--profile",
+        ),
+        (
+            format!(
+                "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 0.4 --steps 4 {LONG}"
+            ),
+            "--profile",
+        ),
+        (format!("analyze --trace-in {trace}"), "--profile"),
+        (format!("analyze --trace-in {trace}"), "--report-out"),
+        ("explore --jobs 1 --shards 1".to_string(), "--report-out"),
+        (format!("watch --stream-in {stream} --once"), "--fold"),
+        // Tailing: the file ends, so without the early failure this returns too.
+        (format!("watch --stream-in {stream}"), "--fold"),
+    ];
+    for command in ["run", "metrics", "faults"] {
+        lines.push((format!("{command} {RUN} {LONG}"), "--stream"));
+        lines.push((format!("{command} {RUN} {LONG}"), "--profile"));
+    }
+    for (line, flag) in lines {
+        let started = Instant::now();
+        let output = asynoc(
+            &[
+                &line.split_whitespace().collect::<Vec<_>>()[..],
+                &[flag, NOWHERE],
+            ]
+            .concat(),
+        );
+        let took = started.elapsed();
+        let located = format!("error: {flag} {NOWHERE}: No such file or directory");
+        assert_located_error(&output, &[&located]);
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.is_empty(), "{line} {flag} reported first: {stdout}");
+        assert!(
+            took < Duration::from_millis(500),
+            "{line} {flag} worked first: {took:?}"
+        );
+    }
+    let _ = (std::fs::remove_file(trace), std::fs::remove_file(stream));
 }
 
 #[test]
@@ -521,7 +496,7 @@ fn a_closed_pipe_is_a_quiet_exit_not_an_error() {
     // `asynoc run … | head -0`: the reader is gone long before the report
     // is written. This used to end `error: Broken pipe (os error 32)`, exit 1.
     let mut child = Command::new(env!("CARGO_BIN_EXE_asynoc"))
-        .args([&["run"], &SMALL_RUN[..6], &LONG[..]].concat())
+        .args(format!("run {RUN} {LONG}").split_whitespace())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()

@@ -141,25 +141,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults() {
+    fn defaults_and_builder_overrides() {
         let c = NetworkConfig::eight_by_eight(Architecture::Baseline);
-        assert_eq!(c.size().n(), 8);
-        assert_eq!(c.flits_per_packet(), 5);
-        assert_eq!(c.seed(), 0);
+        assert_eq!((c.size().n(), c.flits_per_packet(), c.seed()), (8, 5, 0));
         assert_eq!(*c.timing(), TimingModel::calibrated());
-    }
-
-    #[test]
-    fn builder_overrides() {
+        assert_eq!(TimingModel::default(), TimingModel::calibrated());
         let mut timing = TimingModel::calibrated();
         timing.wire_fj = 0.0;
-        let c = NetworkConfig::eight_by_eight(Architecture::OptNonSpeculative)
-            .with_seed(9)
-            .with_flits_per_packet(3)
-            .with_timing(timing.clone());
-        assert_eq!(c.seed(), 9);
-        assert_eq!(c.flits_per_packet(), 3);
-        assert_eq!(c.timing().wire_fj, 0.0);
+        let c = c.with_seed(9).with_flits_per_packet(3).with_timing(timing);
+        assert_eq!(
+            (c.seed(), c.flits_per_packet(), c.timing().wire_fj),
+            (9, 3, 0.0)
+        );
     }
 
     #[test]

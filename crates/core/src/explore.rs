@@ -549,17 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn level_space_contains_all_presets() {
-        let space = level_space(MotSize::new(8).unwrap());
-        for arch in Architecture::ALL {
-            assert!(
-                space.iter().any(|m| m.label() == Some(arch)),
-                "{arch} missing from level space"
-            );
-        }
-    }
-
-    #[test]
     fn exhaustive_smoke_explore_has_a_front() {
         let report = explore(&ExploreSpec::smoke(size4())).unwrap();
         assert_eq!(report.evaluated, 9);
@@ -571,24 +560,6 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn explore_is_jobs_invariant() {
-        let mut one = ExploreSpec::smoke(size4());
-        one.jobs = 1;
-        let mut four = ExploreSpec::smoke(size4());
-        four.jobs = 4;
-        let a = explore(&one).unwrap();
-        let b = explore(&four).unwrap();
-        assert_eq!(a.points.len(), b.points.len());
-        for (x, y) in a.points.iter().zip(&b.points) {
-            assert_eq!(x.map, y.map);
-            assert_eq!(x.p50_ps, y.p50_ps);
-            assert_eq!(x.p99_ps, y.p99_ps);
-            assert_eq!(x.power_mw.to_bits(), y.power_mw.to_bits());
-            assert_eq!(x.on_front, y.on_front);
-        }
     }
 
     #[test]

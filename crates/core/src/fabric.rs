@@ -208,13 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_count_8x8() {
-        let fabric = Fabric::build(&preset(Architecture::Baseline));
-        // 8 source channels + 56 fanout nodes × 2 outputs + 56 fanin outputs.
-        assert_eq!(fabric.channel_count(), 8 + 112 + 56);
-    }
-
-    #[test]
     fn every_fanout_node_has_input_and_outputs() {
         let fabric = Fabric::build(&preset(Architecture::OptHybridSpeculative));
         for flat in 0..fabric.fanout_kind.len() {
@@ -246,19 +239,6 @@ mod tests {
             vec![1; 8],
             "each sink fed by exactly one channel"
         );
-    }
-
-    #[test]
-    fn kinds_follow_architecture_levels() {
-        let fabric = Fabric::build(&preset(Architecture::OptAllSpeculative));
-        for (flat, id) in FanoutNodeId::all(size8()).enumerate() {
-            let expected = if id.level == 2 {
-                FanoutKind::OptNonSpeculative
-            } else {
-                FanoutKind::OptSpeculative
-            };
-            assert_eq!(fabric.fanout_kind[flat], expected);
-        }
     }
 
     #[test]
@@ -321,7 +301,7 @@ mod tests {
 
     #[test]
     fn builds_all_sizes() {
-        for n in [2usize, 4, 16, 32] {
+        for n in [2usize, 4, 8, 16, 32] {
             let size = MotSize::new(n).unwrap();
             let fabric = Fabric::build(&SpecMap::preset(Architecture::OptHybridSpeculative, size));
             assert_eq!(fabric.fanout_kind.len(), n * (n - 1));

@@ -306,15 +306,4 @@ mod tests {
             .iter()
             .any(|c| c.name == "delivery-subset"));
     }
-
-    #[test]
-    fn verdict_json_round_trips() {
-        let plan = FaultPlan::parse("stall:3:1:200").expect("valid");
-        let clean = outcome(&[((1, 0), 1)]);
-        let faulted = outcome(&[((1, 0), 1)]);
-        let verdict = judge(&clean, &faulted, &plan, &domain());
-        let json = verdict.to_json();
-        assert_eq!(JsonValue::parse(&json.render()), Ok(json.clone()));
-        assert_eq!(json.get("pass"), Some(&JsonValue::Bool(true)));
-    }
 }

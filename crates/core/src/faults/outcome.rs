@@ -131,50 +131,3 @@ pub fn run_outcome<S: Substrate>(
         profile: report.profile.take(),
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases};
-
-    fn quick_run() -> RunConfig {
-        RunConfig::new(Benchmark::Multicast5, 0.2)
-            .expect("positive rate")
-            .with_phases(Phases::new(Duration::from_ns(20), Duration::from_ns(120)))
-    }
-
-    fn small_net(seed: u64) -> Network {
-        Network::new(
-            NetworkConfig::new(
-                MotSize::new(8).expect("valid"),
-                Architecture::BasicHybridSpeculative,
-            )
-            .with_seed(seed),
-        )
-        .expect("valid config")
-    }
-
-    #[test]
-    fn clean_outcomes_record_deliveries_and_no_faults() {
-        let net = small_net(11);
-        let outcome =
-            run_outcome(&net, &quick_run(), None, net.site_of(), &mut []).expect("run succeeds");
-        assert!(!outcome.deliveries.is_empty(), "headers were delivered");
-        assert_eq!(outcome.ledger.total(), 0);
-        assert_eq!(outcome.summary.total(), 0);
-        assert_eq!(outcome.fault_affected_trees, 0);
-        assert!(outcome.mean_latency_ps.is_some());
-    }
-
-    #[test]
-    fn stalled_outcome_matches_clean_deliveries() {
-        let net = small_net(11);
-        let outcome = |plan| run_outcome(&net, &quick_run(), plan, net.site_of(), &mut []);
-        let clean = outcome(None).expect("clean run");
-        let plan = FaultPlan::parse("stall:0:3:400;stall:5:2:300").expect("valid");
-        let faulted = outcome(Some(&plan)).expect("faulted run");
-        assert_eq!(clean.deliveries, faulted.deliveries);
-        assert_eq!(faulted.summary.stalls, faulted.ledger.total());
-        assert!(faulted.summary.stalls > 0, "the stalls actually fired");
-    }
-}

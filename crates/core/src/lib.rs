@@ -45,6 +45,7 @@
 //! `asynoc-bench` crate wraps them in runnable binaries. See
 //! `EXPERIMENTS.md` at the workspace root for paper-vs-measured results.
 
+#![deny(missing_docs)]
 pub mod config;
 pub mod error;
 pub mod explore;

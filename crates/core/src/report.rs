@@ -210,17 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_activity_is_zero() {
-        let a = activity();
-        assert_eq!(a.fanout_level_fires(), vec![0, 0, 0]);
-        assert_eq!(a.fanout_level_throttles(), vec![0, 0, 0]);
-        assert_eq!(a.fanin_tree_fires(), vec![0; 8]);
-        let root = FanoutNodeId::root(0);
-        assert_eq!(a.fanout_fires(root), 0);
-        assert_eq!(a.fanout_utilization(root), 0.0);
-    }
-
-    #[test]
     fn recording_updates_the_right_node_and_level() {
         let mut a = activity();
         let size = a.size();

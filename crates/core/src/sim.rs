@@ -533,10 +533,7 @@ impl MotModel<'_> {
 mod tests {
     use super::*;
     use crate::config::{NetworkConfig, RunConfig};
-    use asynoc_engine::Observer;
-    use asynoc_packet::RouteSymbol;
-    use asynoc_stats::Phases;
-    use asynoc_telemetry::{Action, Detail, Recorder, TraceCollector};
+    use asynoc_telemetry::{Recorder, TraceCollector};
     use asynoc_topology::Architecture;
     use asynoc_traffic::Benchmark;
 
@@ -545,131 +542,19 @@ mod tests {
         network.run(&RunConfig::quick(benchmark, rate)).unwrap()
     }
 
+    /// Replication happens inside a parallel-multicast network, never in
+    /// front of a serializing one: delivered / injected flits.
     #[test]
-    fn light_load_delivers_everything() {
-        for arch in Architecture::ALL {
-            let report = quick_run(arch, Benchmark::UniformRandom, 0.1);
-            assert!(report.packets_measured > 0, "{arch}: no packets measured");
-            assert_eq!(
-                report.packets_incomplete, 0,
-                "{arch}: packets stuck at light load"
-            );
-            assert!(
-                report.acceptance() > 0.99,
-                "{arch}: acceptance {} at light load",
-                report.acceptance()
-            );
+    fn only_a_parallel_network_replicates_in_flight() {
+        for (arch, replication) in [
+            (Architecture::OptHybridSpeculative, 1.05..=f64::MAX),
+            (Architecture::Baseline, 0.9..=1.1),
+        ] {
+            let report = quick_run(arch, Benchmark::Multicast10, 0.2);
+            let throughput = report.throughput;
+            let ratio = throughput.delivered / throughput.injected.max(1e-9);
+            assert!(replication.contains(&ratio), "{arch}: {throughput}");
         }
-    }
-
-    #[test]
-    fn zero_load_latency_reflects_path_length() {
-        // At very light load, mean latency approaches the sum of node
-        // forward latencies + wire hops. Baseline 8x8: 3 fanout (263 ps)
-        // + 3 fanin (220 ps) + 7 wires (60 ps) ≈ 1.9 ns.
-        let report = quick_run(Architecture::Baseline, Benchmark::Shuffle, 0.05);
-        let mean = report.latency.mean().unwrap();
-        assert!(
-            mean.as_ps() > 1_500 && mean.as_ps() < 3_000,
-            "unexpected zero-load latency {mean}"
-        );
-    }
-
-    #[test]
-    fn speculative_networks_are_faster_at_light_load() {
-        let baseline = quick_run(
-            Architecture::BasicNonSpeculative,
-            Benchmark::UniformRandom,
-            0.2,
-        );
-        let hybrid = quick_run(
-            Architecture::BasicHybridSpeculative,
-            Benchmark::UniformRandom,
-            0.2,
-        );
-        let base_mean = baseline.latency.mean().unwrap();
-        let hybrid_mean = hybrid.latency.mean().unwrap();
-        assert!(
-            hybrid_mean < base_mean,
-            "hybrid {hybrid_mean} not faster than non-speculative {base_mean}"
-        );
-    }
-
-    #[test]
-    fn speculation_throttles_redundant_copies() {
-        let hybrid = quick_run(
-            Architecture::BasicHybridSpeculative,
-            Benchmark::UniformRandom,
-            0.2,
-        );
-        assert!(
-            hybrid.flits_throttled > 0,
-            "speculative broadcasts must produce throttled copies"
-        );
-        let nonspec = quick_run(
-            Architecture::BasicNonSpeculative,
-            Benchmark::UniformRandom,
-            0.2,
-        );
-        assert_eq!(
-            nonspec.flits_throttled, 0,
-            "non-speculative unicast traffic has nothing to throttle"
-        );
-    }
-
-    #[test]
-    fn multicast_delivers_replicas() {
-        let report = quick_run(
-            Architecture::OptHybridSpeculative,
-            Benchmark::Multicast10,
-            0.3,
-        );
-        // Delivered exceeds injected because replicas fan out inside the
-        // network.
-        assert!(
-            report.throughput.delivered > report.throughput.injected * 1.05,
-            "expected replication: {}",
-            report.throughput
-        );
-    }
-
-    #[test]
-    fn serial_baseline_injects_clones() {
-        let report = quick_run(Architecture::Baseline, Benchmark::Multicast10, 0.2);
-        // The baseline serializes multicasts into clones, so offered ≈
-        // injected ≈ delivered (no in-network replication).
-        assert!(report.packets_measured > 0);
-        let ratio = report.throughput.delivered / report.throughput.injected.max(1e-9);
-        assert!(
-            (0.9..=1.1).contains(&ratio),
-            "serial multicast should not replicate in-network: {}",
-            report.throughput
-        );
-    }
-
-    #[test]
-    fn overload_is_detected_as_non_acceptance() {
-        // 3 flits/ns per source is far beyond any architecture's capacity.
-        let network =
-            Network::new(NetworkConfig::eight_by_eight(Architecture::Baseline).with_seed(1))
-                .unwrap();
-        let run = RunConfig::quick(Benchmark::UniformRandom, 3.0).with_drain(false);
-        let report = network.run(&run).unwrap();
-        assert!(
-            report.acceptance() < 0.9,
-            "overload must show up as refused injections, got {}",
-            report.acceptance()
-        );
-    }
-
-    #[test]
-    fn identical_seeds_reproduce_identical_runs() {
-        let a = quick_run(Architecture::OptAllSpeculative, Benchmark::Multicast5, 0.4);
-        let b = quick_run(Architecture::OptAllSpeculative, Benchmark::Multicast5, 0.4);
-        assert_eq!(a.latency.mean(), b.latency.mean());
-        assert_eq!(a.flits_delivered, b.flits_delivered);
-        assert_eq!(a.flits_throttled, b.flits_throttled);
-        assert_eq!(a.events_processed, b.events_processed);
     }
 
     #[test]
@@ -735,37 +620,20 @@ mod tests {
         }
     }
 
+    /// A fanout node fires at most once per cycle floor: stretched past
+    /// every acknowledge, the floor alone caps an uncontended permutation.
     #[test]
-    fn different_seeds_differ() {
-        let network1 =
-            Network::new(NetworkConfig::eight_by_eight(Architecture::Baseline).with_seed(1))
-                .unwrap();
-        let network2 =
-            Network::new(NetworkConfig::eight_by_eight(Architecture::Baseline).with_seed(2))
-                .unwrap();
-        let run = RunConfig::quick(Benchmark::UniformRandom, 0.3);
-        let a = network1.run(&run).unwrap();
-        let b = network2.run(&run).unwrap();
-        assert_ne!(a.latency.mean(), b.latency.mean());
-    }
-
-    #[test]
-    fn hotspot_saturates_near_paper_anchor() {
-        // All 8 sources hammer destination 0; the fanin root → sink stage
-        // caps per-source throughput at ≈ 0.29 GF/s.
-        let network =
-            Network::new(NetworkConfig::eight_by_eight(Architecture::Baseline).with_seed(3))
-                .unwrap();
-        let run = RunConfig::new(Benchmark::Hotspot, 0.8)
-            .unwrap()
-            .with_phases(Phases::new(Duration::from_ns(200), Duration::from_ns(2000)))
-            .with_drain(false);
-        let report = network.run(&run).unwrap();
+    fn a_cycle_floor_paces_its_node() {
+        let mut timing = TimingModel::calibrated();
+        timing.baseline.cycle_floor = Duration::from_ps(2_000);
+        let config = NetworkConfig::eight_by_eight(Architecture::Baseline).with_timing(timing);
+        let network = Network::new(config.with_seed(42)).unwrap();
+        let report = network
+            .run(&RunConfig::quick(Benchmark::Shuffle, 1.0))
+            .unwrap();
+        // One flit per 2 ns per source, where 1.0 GF/s is otherwise accepted.
         let delivered = report.throughput.delivered;
-        assert!(
-            (0.26..=0.32).contains(&delivered),
-            "hotspot ceiling {delivered} GF/s per source"
-        );
+        assert!((0.4..=0.5).contains(&delivered), "{delivered} GF/s");
     }
 
     #[test]
@@ -781,72 +649,38 @@ mod tests {
         assert!(low.power.leakage_mw() > 0.0);
     }
 
+    /// Redundant copies die at the first non-speculative node: a fanout
+    /// level throttles exactly when it obeys its symbols and the level
+    /// above it speculates — the paper's "local region" of speculation.
     #[test]
-    fn custom_speculation_map_network_runs_and_throttles() {
+    fn copies_die_at_the_first_non_speculative_level_below_a_speculative_one() {
         let size = asynoc_topology::MotSize::new(8).unwrap();
-        let map = asynoc_topology::SpecMap::parse(size, "levels:ons,osp,ons").unwrap();
-        let network = Network::new(NetworkConfig::with_spec_map(map).with_seed(42)).unwrap();
-        let report = network
-            .run(&RunConfig::quick(Benchmark::Multicast10, 0.3))
-            .unwrap();
-        assert!(report.packets_measured > 0);
-        assert_eq!(report.packets_incomplete, 0, "custom map lost packets");
-        assert!(
-            report.flits_throttled > 0,
-            "mid-level speculation must produce throttled copies"
-        );
-    }
-
-    #[test]
-    fn activity_localizes_throttling_below_speculative_levels() {
-        // In the hybrid (speculative root only), redundant copies die at
-        // level 1 — the "local region" of local speculation.
-        let report = quick_run(
-            Architecture::BasicHybridSpeculative,
-            Benchmark::UniformRandom,
-            0.2,
-        );
-        let throttles = report.activity.fanout_level_throttles();
-        assert_eq!(throttles[0], 0, "the root level has nothing to throttle");
-        assert!(throttles[1] > 0, "wrong-path copies must die at level 1");
-        assert_eq!(
-            throttles[2], 0,
-            "local speculation must confine waste to the region below the root"
-        );
-    }
-
-    #[test]
-    fn activity_throttling_widens_under_full_speculation() {
-        // Almost-fully-speculative: copies travel further before dying at
-        // the (non-speculative) leaf level.
-        let report = quick_run(
-            Architecture::OptAllSpeculative,
-            Benchmark::UniformRandom,
-            0.2,
-        );
-        let throttles = report.activity.fanout_level_throttles();
-        assert!(
-            throttles[2] > 0,
-            "all-speculative waste must reach the leaf level"
-        );
-    }
-
-    #[test]
-    fn activity_counts_match_totals() {
-        let report = quick_run(
-            Architecture::OptHybridSpeculative,
-            Benchmark::Multicast10,
-            0.3,
-        );
-        let throttle_total: u64 = report.activity.fanout_level_throttles().iter().sum();
-        assert_eq!(throttle_total, report.flits_throttled);
-        let fanin_total: u64 = report.activity.fanin_tree_fires().iter().sum();
-        assert!(fanin_total > 0);
-        let (busiest, utilization) = report.activity.busiest_fanin().expect("nodes exist");
-        assert!(
-            utilization > 0.0 && utilization <= 1.0,
-            "{busiest}: {utilization}"
-        );
+        for map in [
+            "levels:ns,ns,ns",
+            "levels:sp,ns,ns",
+            "levels:ons,osp,ons",
+            "levels:osp,osp,ons",
+        ] {
+            let map = asynoc_topology::SpecMap::parse(size, map).unwrap();
+            let kinds = map.level_kinds().to_vec();
+            let network = Network::new(NetworkConfig::with_spec_map(map).with_seed(42)).unwrap();
+            let report = network
+                .run(&RunConfig::quick(Benchmark::UniformRandom, 0.2))
+                .unwrap();
+            assert_eq!(report.packets_incomplete, 0, "{kinds:?}");
+            let throttles = report.activity.fanout_level_throttles();
+            assert_eq!(throttles.iter().sum::<u64>(), report.flits_throttled);
+            for (level, &count) in throttles.iter().enumerate() {
+                let region_edge = level > 0
+                    && kinds[level - 1].is_speculative()
+                    && !kinds[level].is_speculative();
+                assert_eq!(
+                    count > 0,
+                    region_edge,
+                    "{kinds:?}: level {level} {throttles:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -942,81 +776,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trace_records_a_packet_journey() {
-        let network = Network::new(
-            NetworkConfig::eight_by_eight(Architecture::BasicHybridSpeculative).with_seed(42),
-        )
-        .unwrap();
-        let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
-        let mut collector = TraceCollector::new(500);
-        let mut recorder = Recorder::new(network.site_of(), vec![&mut collector]);
-        drive(&network, &run, &mut [&mut recorder], None).unwrap();
-        let trace = collector.into_records();
-        assert_eq!(trace.len(), 500, "the run outlasts the cap");
-        // Times are non-decreasing.
-        assert!(trace.windows(2).all(|w| w[0].t_ps <= w[1].t_ps));
-        // With a speculative root, the trace must show both broadcasts and
-        // throttles, and at least one delivery.
-        assert!(trace.iter().any(|e| e.action == Action::Throttle));
-        assert!(trace.iter().any(|e| e.action == Action::Deliver));
-        assert!(trace.iter().any(|e| e.action == Action::Forward
-            && matches!(e.site, Site::Fanout { level: 0, .. })
-            && e.detail == Detail::Routed(RouteSymbol::Both)));
-        // Every traced packet's journey starts with an injection.
-        assert_eq!(trace[0].action, Action::Inject);
-    }
-
-    #[test]
-    fn multicast_static_only_three_sources_multicast() {
-        let report = quick_run(
-            Architecture::OptHybridSpeculative,
-            Benchmark::MulticastStatic,
-            0.3,
-        );
-        assert!(report.packets_measured > 0);
-        assert!(report.throughput.delivered > report.throughput.injected);
-    }
-
-    #[test]
-    fn engine_counters_populate_the_report() {
-        let report = quick_run(Architecture::Baseline, Benchmark::UniformRandom, 0.1);
-        assert!(report.events_processed > 0, "engine processed no events");
-        assert!(report.wall > std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn extra_observers_see_the_run_without_perturbing_it() {
-        struct Counter {
-            injects: u64,
-            delivers: u64,
-        }
-        impl Observer<MotNode> for Counter {
-            fn on_event(&mut self, _at: Time, _in_window: bool, event: &SimEvent<'_, MotNode>) {
-                match event {
-                    SimEvent::Inject { .. } => self.injects += 1,
-                    SimEvent::Deliver { .. } => self.delivers += 1,
-                    _ => {}
-                }
-            }
-        }
-
-        let network =
-            Network::new(NetworkConfig::eight_by_eight(Architecture::Baseline).with_seed(42))
-                .unwrap();
-        let run = RunConfig::quick(Benchmark::UniformRandom, 0.2);
-        let plain = network.run(&run).unwrap();
-        let mut counter = Counter {
-            injects: 0,
-            delivers: 0,
-        };
-        let observed = drive(&network, &run, &mut [&mut counter], None).unwrap();
-        assert!(counter.injects > 0);
-        assert!(counter.delivers > 0);
-        assert_eq!(plain.latency.mean(), observed.latency.mean());
-        assert_eq!(plain.flits_delivered, observed.flits_delivered);
-        assert_eq!(plain.events_processed, observed.events_processed);
     }
 }

@@ -390,13 +390,4 @@ mod tests {
         assert_eq!(faults.summary().drops, 2);
         assert_eq!(faults.summary().lost, 0);
     }
-
-    #[test]
-    fn lethal_drop_counts_as_lost() {
-        let mut faults = ArmedFaults::new();
-        faults.add_lose(0, 0);
-        assert_eq!(faults.on_source_header(0, 7), Some(SourceFaultAction::Lose));
-        assert_eq!(faults.summary().lost, 1);
-        assert_eq!(faults.on_source_header(0, 8), None);
-    }
 }

@@ -1433,74 +1433,8 @@ mod tests {
         assert!(model.packets_seen > 0);
         // Uncontended path: source wire (50) + node forward (200).
         assert_eq!(report.latency.min(), Some(Duration::from_ps(250)));
-    }
-
-    /// Records the engine's event stream as comparable tuples.
-    #[derive(Default)]
-    struct Recorder {
-        seen: Vec<(u64, &'static str, bool)>,
-    }
-
-    impl Observer<()> for Recorder {
-        fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, ()>) {
-            let tag = match event {
-                SimEvent::Inject { .. } => "inject",
-                SimEvent::Forward { .. } => "forward",
-                SimEvent::Drop { .. } => "drop",
-                SimEvent::Deliver { .. } => "deliver",
-                SimEvent::Fault { .. } => "fault",
-            };
-            self.seen.push((at.as_ps(), tag, in_window));
-        }
-    }
-
-    #[test]
-    fn observers_see_identical_streams_in_registration_order() {
-        let mut first = Recorder::default();
-        let mut second = Recorder::default();
-        run(
-            Crossbar::new(),
-            toy_traffic(3),
-            toy_spec(),
-            1,
-            None,
-            &mut [&mut first, &mut second],
-        );
-        assert!(!first.seen.is_empty());
-        assert_eq!(first.seen, second.seen);
-        let count = |tag| first.seen.iter().filter(|(_, t, _)| *t == tag).count();
-        assert!(count("inject") > 0);
-        assert!(count("forward") > 0);
-        assert!(count("deliver") > 0);
-        assert_eq!(count("drop"), 0, "the crossbar never throttles");
-    }
-
-    #[test]
-    fn reruns_are_bit_identical() {
-        let run_once = || {
-            run(
-                Crossbar::new(),
-                toy_traffic(11),
-                toy_spec(),
-                1,
-                None,
-                &mut [],
-            )
-            .0
-        };
-        let (a, b) = (run_once(), run_once());
-        assert_eq!(a.latency, b.latency);
-        assert_eq!(a.throughput, b.throughput);
-        assert_eq!(a.flits_delivered, b.flits_delivered);
-        assert_eq!(a.events_processed, b.events_processed);
-    }
-
-    #[test]
-    fn no_drain_stops_at_injection_end() {
-        let spec = RunSpec::new(
-            Phases::new(Duration::from_ns(2), Duration::from_ns(40)),
-            false,
-        );
+        // Without a drain the run stops at the injection end.
+        let spec = RunSpec::new(toy_spec().phases, false);
         let (report, _) = run(Crossbar::new(), toy_traffic(5), spec, 1, None, &mut []);
         assert!(report.packets_measured > 0);
     }

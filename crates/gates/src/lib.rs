@@ -42,6 +42,7 @@
 //! assert!(sim.level(c)); // fired at 120 ps, after *both* inputs rose
 //! ```
 
+#![deny(missing_docs)]
 pub mod mousetrap;
 pub mod netlist;
 pub mod sim;

@@ -310,6 +310,9 @@ mod tests {
         assert!(GateKind::Inv.eval(&[false], false));
         assert!(!GateKind::Inv.eval(&[true], false));
         assert!(GateKind::Buf.eval(&[true], false));
+        assert_eq!((GateKind::Inv.arity(), GateKind::C2.arity()), (1, 2));
+        assert!(GateKind::C2.is_sequential() && GateKind::Latch.is_sequential());
+        assert!(!GateKind::Xor2.is_sequential());
     }
 
     #[test]
@@ -332,15 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn arity_and_sequential_flags() {
-        assert_eq!(GateKind::Inv.arity(), 1);
-        assert_eq!(GateKind::C2.arity(), 2);
-        assert!(GateKind::C2.is_sequential());
-        assert!(GateKind::Latch.is_sequential());
-        assert!(!GateKind::Xor2.is_sequential());
-    }
-
-    #[test]
     fn netlist_wiring_bookkeeping() {
         let mut netlist = Netlist::new();
         let a = netlist.input("a");
@@ -355,15 +349,6 @@ mod tests {
         assert_eq!(netlist.fanout_of(y), &[1]);
         assert_eq!(netlist.fanout_of(a), &[0]);
         assert_eq!(netlist.net_name(z), "z");
-    }
-
-    #[test]
-    fn initial_levels() {
-        let mut netlist = Netlist::new();
-        let a = netlist.input("a");
-        assert!(!netlist.initial_level(a));
-        netlist.set_initial(a, true);
-        assert!(netlist.initial_level(a));
     }
 
     #[test]

@@ -380,15 +380,4 @@ mod tests {
         sim.run_until_quiet();
         assert!(sim.level(y), "the feedback loop must hold the pulse");
     }
-
-    #[test]
-    fn settle_alias() {
-        let mut netlist = Netlist::new();
-        let a = netlist.input("a");
-        netlist.set_initial(a, true);
-        let y = netlist.gate(GateKind::Buf, &[a], Duration::from_ps(5), "y");
-        let mut sim = GateSim::new(&netlist);
-        sim.settle();
-        assert!(sim.level(y));
-    }
 }

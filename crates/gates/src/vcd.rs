@@ -110,52 +110,6 @@ mod tests {
     use crate::netlist::GateKind;
     use asynoc_kernel::{Duration, Time};
 
-    fn demo() -> (Netlist, Vec<Change>) {
-        let mut netlist = Netlist::new();
-        let a = netlist.input("a");
-        let y = netlist.gate(GateKind::Inv, &[a], Duration::from_ps(10), "y");
-        let mut sim = GateSim::new(&netlist);
-        sim.set_at(Time::from_ps(100), a, true);
-        sim.run_until_quiet();
-        let log = sim.log().to_vec();
-        let _ = y;
-        (netlist, log)
-    }
-
-    #[test]
-    fn header_and_vars_present() {
-        let (netlist, log) = demo();
-        let dump = render_changes(&netlist, &log, "top");
-        assert!(dump.contains("$timescale 1ps $end"));
-        assert!(dump.contains("$scope module top $end"));
-        assert!(dump.contains("$var wire 1 ! a $end"));
-        assert!(dump.contains("$var wire 1 \" y $end"));
-        assert!(dump.contains("$enddefinitions $end"));
-    }
-
-    #[test]
-    fn dumpvars_lists_initial_levels() {
-        let (netlist, log) = demo();
-        let dump = render_changes(&netlist, &log, "top");
-        let dumpvars = dump
-            .split("$dumpvars")
-            .nth(1)
-            .and_then(|s| s.split("$end").next())
-            .expect("dumpvars section");
-        assert!(dumpvars.contains("0!"));
-        assert!(dumpvars.contains("0\""));
-    }
-
-    #[test]
-    fn changes_grouped_by_timestamp() {
-        let (netlist, log) = demo();
-        let dump = render_changes(&netlist, &log, "top");
-        // y settles high at t=10 (settle), a rises at 100, y falls at 110.
-        assert!(dump.contains("#10\n1\""));
-        assert!(dump.contains("#100\n1!"));
-        assert!(dump.contains("#110\n0\""));
-    }
-
     #[test]
     fn identifiers_are_printable_and_unique() {
         let ids: Vec<String> = (0..500).map(identifier).collect();

@@ -387,81 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn pops_in_time_order() {
-        let mut queue = CalendarQueue::new();
-        queue.schedule(Time::from_ps(30), 3);
-        queue.schedule(Time::from_ps(10), 1);
-        queue.schedule(Time::from_ps(20), 2);
-        assert_eq!(drain(&mut queue), [(10, 1), (20, 2), (30, 3)]);
-    }
-
-    #[test]
-    fn simultaneous_events_pop_fifo() {
-        let mut queue = CalendarQueue::new();
-        for value in 0..100 {
-            queue.schedule(Time::from_ps(7), value);
-        }
-        let popped: Vec<u32> = std::iter::from_fn(|| queue.pop()).map(|(_, e)| e).collect();
-        assert_eq!(popped, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_time_does_not_remove() {
-        let mut queue = CalendarQueue::new();
-        queue.schedule(Time::from_ps(4), 'x');
-        assert_eq!(queue.peek_time(), Some(Time::from_ps(4)));
-        assert_eq!(queue.len(), 1);
-        assert_eq!(queue.pop(), Some((Time::from_ps(4), 'x')));
-        assert_eq!(queue.peek_time(), None);
-    }
-
-    #[test]
-    fn len_and_empty_track_contents() {
-        let mut queue = CalendarQueue::new();
-        assert!(queue.is_empty());
-        queue.schedule(Time::ZERO, ());
-        queue.schedule(Time::ZERO, ());
-        assert_eq!(queue.len(), 2);
-        queue.clear();
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn fifo_survives_clear() {
-        let mut queue = CalendarQueue::new();
-        queue.schedule(Time::from_ps(1), 0);
-        queue.clear();
-        queue.schedule(Time::from_ps(1), 1);
-        queue.schedule(Time::from_ps(1), 2);
-        assert_eq!(drain(&mut queue), [(1, 1), (1, 2)]);
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_stays_ordered() {
-        let mut queue = CalendarQueue::new();
-        queue.schedule(Time::from_ps(10), 1);
-        queue.schedule(Time::from_ps(5), 0);
-        assert_eq!(queue.pop(), Some((Time::from_ps(5), 0)));
-        queue.schedule(Time::from_ps(7), 2);
-        queue.schedule(Time::from_ps(10), 3);
-        assert_eq!(drain(&mut queue), [(7, 2), (10, 1), (10, 3)]);
-    }
-
-    #[test]
-    fn growth_and_shrink_keep_order() {
-        // Push far past the grow threshold, drain past the shrink
-        // threshold, and verify global ordering throughout.
-        let mut queue = CalendarQueue::new();
-        let mut rng = SimRng::seed_from(99);
-        for i in 0..10_000u32 {
-            queue.schedule(Time::from_ps(rng.index(1_000_000) as u64), i);
-        }
-        let popped = drain(&mut queue);
-        assert_eq!(popped.len(), 10_000);
-        assert!(popped.windows(2).all(|w| w[0].0 <= w[1].0), "time order");
-    }
-
-    #[test]
     fn sparse_far_future_events_are_found() {
         // Events much farther apart than a calendar year force the
         // direct-search fallback.
@@ -487,26 +412,6 @@ mod tests {
         // the queue must stay correct if a caller does).
         queue.schedule(Time::from_ps(1), 999);
         assert_eq!(queue.pop(), Some((Time::from_ps(1), 999)));
-    }
-
-    #[test]
-    fn keys_order_simultaneous_events_like_the_heap() {
-        let mut calendar = CalendarQueue::new();
-        let mut heap = crate::EventQueue::new();
-        for (time, key, value) in [
-            (5u64, 9u64, 0u32),
-            (5, 2, 1),
-            (5, 2, 2),
-            (5, 1, 3),
-            (1, 7, 4),
-        ] {
-            calendar.schedule_keyed(Time::from_ps(time), key, value);
-            heap.schedule_keyed(Time::from_ps(time), key, value);
-        }
-        for _ in 0..5 {
-            assert_eq!(calendar.pop(), heap.pop());
-        }
-        assert!(calendar.is_empty());
     }
 
     #[test]
@@ -591,24 +496,5 @@ mod tests {
         // The queue stays usable after the empty pop.
         queue.schedule(Time::from_ps(99), 1);
         assert_eq!(queue.pop(), Some((Time::from_ps(99), 1)));
-    }
-
-    #[test]
-    fn hold_pattern_matches_steady_state_usage() {
-        // The engine's usage pattern: pop one, schedule one slightly in
-        // the future, at a roughly constant population.
-        let mut queue = CalendarQueue::new();
-        let mut rng = SimRng::seed_from(7);
-        for i in 0..512u32 {
-            queue.schedule(Time::from_ps(rng.index(5_000) as u64), i);
-        }
-        let mut last = 0u64;
-        for i in 0..100_000u32 {
-            let (t, _) = queue.pop().expect("population constant");
-            assert!(t.as_ps() >= last, "time went backwards");
-            last = t.as_ps();
-            queue.schedule(t + crate::Duration::from_ps(1 + rng.index(2_000) as u64), i);
-        }
-        assert_eq!(queue.len(), 512);
     }
 }

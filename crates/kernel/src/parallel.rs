@@ -115,13 +115,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preserves_input_order() {
-        let items: Vec<usize> = (0..64).collect();
-        let out = parallel_map(4, items, |i| i * 3);
-        assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn serial_and_parallel_agree() {
         let items: Vec<u64> = (0..40).collect();
         let serial = parallel_map(1, items.clone(), |i| {
@@ -147,6 +140,7 @@ mod tests {
     fn zero_jobs_runs_serially() {
         let out = parallel_map(0, vec![5, 6], |i| i * 2);
         assert_eq!(out, vec![10, 12]);
+        assert!(default_parallelism() >= 1);
     }
 
     #[test]
@@ -181,10 +175,5 @@ mod tests {
         let payload = result.expect_err("panic must propagate");
         let message = payload.downcast_ref::<String>().expect("formatted message");
         assert!(message.contains("item 0"), "unexpected message: {message}");
-    }
-
-    #[test]
-    fn default_parallelism_is_at_least_one() {
-        assert!(default_parallelism() >= 1);
     }
 }

@@ -202,15 +202,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn same_seed_same_stream() {
-        let mut a = SimRng::seed_from(7);
-        let mut b = SimRng::seed_from(7);
-        for _ in 0..1000 {
-            assert_eq!(a.index(1000), b.index(1000));
-        }
-    }
-
-    #[test]
     fn reference_vector_xoshiro256pp() {
         // First outputs of xoshiro256++ with SplitMix64-expanded seed 0,
         // checked against the reference C implementation. Pins the stream
@@ -232,14 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn index_stays_in_bounds() {
-        let mut rng = SimRng::seed_from(1);
-        for _ in 0..10_000 {
-            assert!(rng.index(8) < 8);
-        }
-    }
-
-    #[test]
     fn index_is_roughly_uniform() {
         let mut rng = SimRng::seed_from(23);
         let mut buckets = [0usize; 8];
@@ -258,13 +241,6 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn index_rejects_zero_bound() {
         let _ = SimRng::seed_from(0).index(0);
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut rng = SimRng::seed_from(3);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
     }
 
     #[test]
@@ -305,12 +281,6 @@ mod tests {
             assert!(picked.windows(2).all(|w| w[0] < w[1]));
             assert!(picked.iter().all(|&d| d < 8));
         }
-    }
-
-    #[test]
-    fn distinct_indices_full_draw_is_identity_set() {
-        let mut rng = SimRng::seed_from(19);
-        assert_eq!(rng.distinct_indices(4, 4), vec![0, 1, 2, 3]);
     }
 
     #[test]

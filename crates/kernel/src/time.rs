@@ -363,36 +363,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn time_add_duration() {
-        assert_eq!(Time::from_ps(10) + Duration::from_ps(5), Time::from_ps(15));
-    }
-
-    #[test]
-    fn time_difference_is_duration() {
+    fn arithmetic_is_exact_in_picoseconds() {
+        let (ps, d) = (Time::from_ps, Duration::from_ps);
+        assert_eq!(ps(10) + d(5), ps(15));
+        assert_eq!(ps(100) - ps(40), d(60));
+        assert_eq!(ps(5).saturating_since(ps(9)), Duration::ZERO);
+        assert_eq!(ps(9).saturating_since(ps(5)), d(4));
         assert_eq!(
-            Time::from_ps(100) - Time::from_ps(40),
-            Duration::from_ps(60)
+            (Time::from_ns(3), Duration::from_ns(2)),
+            (ps(3_000), d(2_000))
         );
-    }
-
-    #[test]
-    fn saturating_since_clamps_to_zero() {
-        let early = Time::from_ps(5);
-        let late = Time::from_ps(9);
-        assert_eq!(early.saturating_since(late), Duration::ZERO);
-        assert_eq!(late.saturating_since(early), Duration::from_ps(4));
-    }
-
-    #[test]
-    fn nanosecond_constructors_scale_by_thousand() {
-        assert_eq!(Time::from_ns(3), Time::from_ps(3_000));
-        assert_eq!(Duration::from_ns(2), Duration::from_ps(2_000));
-    }
-
-    #[test]
-    fn as_ns_f64_is_fractional() {
-        assert!((Time::from_ps(1_500).as_ns_f64() - 1.5).abs() < 1e-12);
-        assert!((Duration::from_ps(250).as_ns_f64() - 0.25).abs() < 1e-12);
+        assert_eq!(
+            (d(30) * 3, d(30) / 2, d(30) + d(30), d(30) - d(10)),
+            (d(90), d(15), d(60), d(20))
+        );
+        assert_eq!([1, 2, 3].map(d).into_iter().sum::<Duration>(), d(6));
+        assert_eq!((ps(4).max(ps(9)), ps(4).min(ps(9))), (ps(9), ps(4)));
+        assert_eq!((d(4).max(d(9)), d(4).min(d(9))), (d(9), d(4)));
+        assert_eq!(
+            (Time::default(), Duration::default()),
+            (Time::ZERO, Duration::ZERO)
+        );
+        assert!((ps(1_500).as_ns_f64() - 1.5).abs() < 1e-12);
+        assert!((d(250).as_ns_f64() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -414,45 +407,10 @@ mod tests {
     }
 
     #[test]
-    fn duration_arithmetic() {
-        let d = Duration::from_ps(30);
-        assert_eq!(d * 3, Duration::from_ps(90));
-        assert_eq!(d / 2, Duration::from_ps(15));
-        assert_eq!(d + d, Duration::from_ps(60));
-        assert_eq!(d - Duration::from_ps(10), Duration::from_ps(20));
-    }
-
-    #[test]
-    fn duration_sum() {
-        let total: Duration = [1u64, 2, 3].iter().map(|&p| Duration::from_ps(p)).sum();
-        assert_eq!(total, Duration::from_ps(6));
-    }
-
-    #[test]
-    fn min_max_helpers() {
-        assert_eq!(Time::from_ps(4).max(Time::from_ps(9)), Time::from_ps(9));
-        assert_eq!(Time::from_ps(4).min(Time::from_ps(9)), Time::from_ps(4));
-        assert_eq!(
-            Duration::from_ps(4).max(Duration::from_ps(9)),
-            Duration::from_ps(9)
-        );
-        assert_eq!(
-            Duration::from_ps(4).min(Duration::from_ps(9)),
-            Duration::from_ps(4)
-        );
-    }
-
-    #[test]
     fn display_picks_readable_unit() {
         assert_eq!(Duration::from_ps(52).to_string(), "52 ps");
         assert_eq!(Duration::from_ps(1_500).to_string(), "1.500 ns");
         assert_eq!(Duration::from_ps(2_500_000).to_string(), "2.500 us");
         assert_eq!(Time::from_ps(675).to_string(), "675 ps");
-    }
-
-    #[test]
-    fn default_is_zero() {
-        assert_eq!(Time::default(), Time::ZERO);
-        assert_eq!(Duration::default(), Duration::ZERO);
     }
 }

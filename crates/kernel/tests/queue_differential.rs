@@ -1,7 +1,8 @@
 //! Differential test: the calendar queue must pop the exact same
-//! `(time, seq, event)` stream as the binary heap under randomized
-//! workloads, including interleaved pops, duplicate times, clears, and
-//! populations that cross the resize thresholds in both directions.
+//! `(time, key, seq)`-ordered stream as the binary heap under randomized
+//! workloads, including interleaved pops, duplicate times and keys,
+//! clears, and populations that cross the resize thresholds in both
+//! directions.
 
 use asynoc_kernel::{CalendarQueue, Duration, EventQueue, SimRng, Time};
 
@@ -27,8 +28,15 @@ fn lockstep(seed: u64, ops: usize, horizon: u64, pop_bias: u32) {
             // duplicate times common enough to exercise FIFO ties.
             let gap = rng.index(horizon as usize) as u64 / 4 * 4;
             let at = clock + Duration::from_ps(gap);
-            heap.schedule(at, op as u64);
-            calendar.schedule(at, op as u64);
+            if rng.chance(0.5) {
+                // A caller's key, from few enough values to tie often.
+                let key = rng.index(4) as u64;
+                heap.schedule_keyed(at, key, op as u64);
+                calendar.schedule_keyed(at, key, op as u64);
+            } else {
+                heap.schedule(at, op as u64);
+                calendar.schedule(at, op as u64);
+            }
         }
         assert_eq!(heap.len(), calendar.len(), "seed {seed} op {op}: len");
         assert_eq!(

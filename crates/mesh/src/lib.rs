@@ -53,6 +53,7 @@
 //! carries the wormhole router; `asynoc-vcmesh` supplies the credit-based
 //! VC router with in-network multicast on the same fabric.
 
+#![deny(missing_docs)]
 pub mod fabric;
 pub mod router;
 pub mod size;

@@ -186,23 +186,16 @@ mod tests {
     }
 
     #[test]
-    fn xy_routes_x_first() {
-        let here = RouterId { x: 0, y: 0 };
-        // Destination (3,3): go east until the column matches.
-        assert_eq!(route_port(size4(), here, size4().index(3, 3)), Port::East);
-        let mid = RouterId { x: 3, y: 0 };
-        assert_eq!(route_port(size4(), mid, size4().index(3, 3)), Port::South);
-    }
-
-    #[test]
-    fn xy_all_directions() {
-        let here = RouterId { x: 2, y: 2 };
-        let s = size4();
+    fn xy_routes_x_first_then_y_then_ejects() {
+        let (s, here) = (size4(), RouterId { x: 2, y: 2 });
         assert_eq!(route_port(s, here, s.index(3, 2)), Port::East);
         assert_eq!(route_port(s, here, s.index(0, 2)), Port::West);
         assert_eq!(route_port(s, here, s.index(2, 0)), Port::North);
         assert_eq!(route_port(s, here, s.index(2, 3)), Port::South);
         assert_eq!(route_port(s, here, s.index(2, 2)), Port::Local);
+        // Off both axes: the column first.
+        assert_eq!(route_port(s, here, s.index(3, 3)), Port::East);
+        assert_eq!(route_port(s, here, s.index(0, 0)), Port::West);
     }
 
     #[test]
@@ -264,15 +257,6 @@ mod tests {
     #[should_panic(expected = "idle output")]
     fn body_without_header_detected() {
         OutputLock::new().advance(0, FlitKind::Body);
-    }
-
-    #[test]
-    fn port_indices_dense_and_distinct() {
-        let mut seen = [false; 5];
-        for port in Port::ALL {
-            assert!(!seen[port.index()]);
-            seen[port.index()] = true;
-        }
     }
 
     /// Round-robin never starves a persistently requesting input.

@@ -118,18 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn flits_of_different_packets_may_interleave() {
-        // Per-flit arbitration: a header from input 1 may be granted while
-        // input 0's packet is still mid-flight. This is the deadlock-freedom
-        // property (see module docs).
-        let mut arb = FaninState::new();
-        arb.advance(0, FlitKind::Header);
-        assert_eq!(arb.select(true, true), Some(1));
-        arb.advance(1, FlitKind::Header);
-        assert_eq!(arb.select(true, true), Some(0));
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn input_index_checked() {
         FaninState::new().advance(2, FlitKind::Header);

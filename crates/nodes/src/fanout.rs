@@ -223,25 +223,87 @@ impl FanoutState {
 mod tests {
     use super::*;
 
-    const PACKET: [FlitKind; 5] = [
-        FlitKind::Header,
-        FlitKind::Body,
-        FlitKind::Body,
-        FlitKind::Body,
-        FlitKind::Tail,
+    /// `kind symbol => what the node forwards of each flit` (`*`: the flit
+    /// rides the pre-allocated fast path). A row's length is its packet's:
+    /// one entry is a single header-tail flit, more are a header, bodies
+    /// and a tail. Every kind meets every symbol it can read.
+    const DECISIONS: &[&str] = &[
+        "base top => top top top top top",
+        "base bottom => bottom bottom bottom bottom bottom",
+        // Non-speculative: its own symbol, a Drop included (§4(b)).
+        "ns drop => drop drop drop drop drop",
+        "ns top => top top top top top",
+        "ns bottom => bottom bottom bottom bottom bottom",
+        "ns both => both both both both both",
+        // Speculative: broadcast, whatever the symbol (§4(a)).
+        "sp drop => both both both both both",
+        "sp top => both both both both both",
+        "sp bottom => both both both both both",
+        "sp both => both both both both both",
+        // Optimized speculative: broadcast the header and the tail; bodies
+        // follow the latched symbol, so a redundant copy's die here (§4(c)).
+        "osp drop => both drop* drop* drop* both",
+        "osp top => both top* top* top* both",
+        "osp bottom => both bottom* bottom* bottom* both",
+        "osp both => both both* both* both* both",
+        "osp drop => both both",
+        "osp top => both both",
+        "osp bottom => both both",
+        "osp both => both both",
+        "osp top => both",
+        // Optimized non-speculative: route the header, fast-path the rest
+        // (§4(d)).
+        "ons drop => drop drop* drop* drop* drop*",
+        "ons top => top top* top* top* top*",
+        "ons bottom => bottom bottom* bottom* bottom* bottom*",
+        "ons both => both both* both* both* both*",
+        "ons drop => drop drop*",
+        "ons top => top top*",
+        "ons bottom => bottom bottom*",
+        "ons both => both both*",
+        "ons top => top",
     ];
 
-    fn run_packet(kind: FanoutKind, symbol: RouteSymbol) -> Vec<FanoutDecision> {
-        let mut state = FanoutState::new(kind);
-        PACKET.iter().map(|&f| state.decide(f, symbol)).collect()
-    }
-
     #[test]
-    fn baseline_forwards_unicast_symbols_verbatim() {
-        for symbol in [RouteSymbol::Top, RouteSymbol::Bottom] {
-            for decision in run_packet(FanoutKind::Baseline, symbol) {
-                assert_eq!(decision.forward, symbol);
-                assert!(!decision.fast_path);
+    fn every_kind_decides_each_flit_as_the_paper_says() {
+        let symbol = |label| {
+            *RouteSymbol::ALL
+                .iter()
+                .find(|s| s.label() == label)
+                .unwrap()
+        };
+        for row in DECISIONS {
+            let (node, decisions) = row.split_once(" => ").expect(row);
+            let (kind, read) = node.split_once(' ').expect(row);
+            let (kind, read) = (FanoutKind::parse_token(kind).expect(row), symbol(read));
+            let expected: Vec<&str> = decisions.split(' ').collect();
+            let flits: Vec<FlitKind> = (0..expected.len())
+                .map(|i| match (i, expected.len()) {
+                    (_, 1) => FlitKind::HeaderTail,
+                    (0, _) => FlitKind::Header,
+                    (i, n) if i + 1 == n => FlitKind::Tail,
+                    _ => FlitKind::Body,
+                })
+                .collect();
+            let mut state = FanoutState::new(kind);
+            // Twice over: the tail leaves nothing latched for the next packet.
+            for _ in 0..2 {
+                for (&flit, want) in flits.iter().zip(&expected) {
+                    let preview = state.peek(flit, read);
+                    assert_eq!(preview, state.peek(flit, read), "{row}: peek mutates");
+                    let decision = state.decide(flit, read);
+                    assert_eq!(preview, decision, "{row}");
+                    let fast = if decision.fast_path { "*" } else { "" };
+                    assert_eq!(
+                        format!("{}{fast}", decision.forward),
+                        *want,
+                        "{row}: {flit}"
+                    );
+                    if flit == FlitKind::Header {
+                        assert_eq!(state.has_allocation(), kind.is_optimized(), "{row}");
+                    }
+                }
+                assert!(!state.has_allocation(), "{row}");
             }
         }
     }
@@ -259,126 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn non_speculative_follows_symbol_including_throttle() {
-        for symbol in RouteSymbol::ALL {
-            for decision in run_packet(FanoutKind::NonSpeculative, symbol) {
-                assert_eq!(decision.forward, symbol);
-                assert_eq!(decision.is_drop(), symbol.is_drop());
-            }
-        }
-    }
-
-    #[test]
-    fn speculative_always_broadcasts() {
-        for symbol in RouteSymbol::ALL {
-            for decision in run_packet(FanoutKind::Speculative, symbol) {
-                assert_eq!(decision.forward, RouteSymbol::Both);
-            }
-        }
-    }
-
-    #[test]
-    fn opt_speculative_broadcasts_header_and_tail_only() {
-        let decisions = run_packet(FanoutKind::OptSpeculative, RouteSymbol::Bottom);
-        assert_eq!(decisions[0].forward, RouteSymbol::Both); // header
-        for body in &decisions[1..4] {
-            assert_eq!(body.forward, RouteSymbol::Bottom);
-            assert!(body.fast_path);
-        }
-        assert_eq!(decisions[4].forward, RouteSymbol::Both); // tail
-    }
-
-    #[test]
-    fn opt_speculative_throttles_redundant_bodies() {
-        // A redundant copy (symbol = Drop) is broadcast as header/tail but
-        // its body flits are blocked — the §4(c) power saving.
-        let decisions = run_packet(FanoutKind::OptSpeculative, RouteSymbol::Drop);
-        assert_eq!(decisions[0].forward, RouteSymbol::Both);
-        assert!(decisions[1].is_drop());
-        assert!(decisions[2].is_drop());
-        assert!(decisions[3].is_drop());
-        assert_eq!(decisions[4].forward, RouteSymbol::Both);
-    }
-
-    #[test]
-    fn opt_speculative_releases_latch_after_tail() {
-        let mut state = FanoutState::new(FanoutKind::OptSpeculative);
-        let _ = state.decide(FlitKind::Header, RouteSymbol::Top);
-        assert!(state.has_allocation());
-        let _ = state.decide(FlitKind::Tail, RouteSymbol::Top);
-        assert!(!state.has_allocation());
-        // The next packet latches its own route.
-        let _ = state.decide(FlitKind::Header, RouteSymbol::Bottom);
-        let body = state.decide(FlitKind::Body, RouteSymbol::Bottom);
-        assert_eq!(body.forward, RouteSymbol::Bottom);
-    }
-
-    #[test]
-    fn opt_non_speculative_preallocates_channel() {
-        let decisions = run_packet(FanoutKind::OptNonSpeculative, RouteSymbol::Both);
-        assert_eq!(decisions[0].forward, RouteSymbol::Both);
-        assert!(!decisions[0].fast_path); // header pays route computation
-        for later in &decisions[1..] {
-            assert_eq!(later.forward, RouteSymbol::Both);
-            assert!(later.fast_path); // body/tail fast-forward
-        }
-    }
-
-    #[test]
-    fn opt_non_speculative_tail_releases() {
-        let mut state = FanoutState::new(FanoutKind::OptNonSpeculative);
-        let _ = state.decide(FlitKind::Header, RouteSymbol::Top);
-        assert!(state.has_allocation());
-        let tail = state.decide(FlitKind::Tail, RouteSymbol::Top);
-        assert!(tail.fast_path);
-        assert!(!state.has_allocation());
-    }
-
-    #[test]
-    fn opt_non_speculative_throttles_drop_for_whole_packet() {
-        let decisions = run_packet(FanoutKind::OptNonSpeculative, RouteSymbol::Drop);
-        assert!(decisions.iter().all(|d| d.is_drop()));
-    }
-
-    #[test]
-    fn single_flit_packets_leave_no_state() {
-        for kind in [FanoutKind::OptSpeculative, FanoutKind::OptNonSpeculative] {
-            let mut state = FanoutState::new(kind);
-            let decision = state.decide(FlitKind::HeaderTail, RouteSymbol::Top);
-            assert!(!state.has_allocation());
-            if kind == FanoutKind::OptSpeculative {
-                assert_eq!(decision.forward, RouteSymbol::Both);
-            } else {
-                assert_eq!(decision.forward, RouteSymbol::Top);
-            }
-        }
-    }
-
-    #[test]
-    fn peek_matches_decide_without_mutating() {
-        for kind in [
-            FanoutKind::Baseline,
-            FanoutKind::NonSpeculative,
-            FanoutKind::Speculative,
-            FanoutKind::OptSpeculative,
-            FanoutKind::OptNonSpeculative,
-        ] {
-            let mut state = FanoutState::new(kind);
-            let symbol = if kind == FanoutKind::Baseline {
-                RouteSymbol::Top
-            } else {
-                RouteSymbol::Both
-            };
-            for flit in PACKET {
-                let preview = state.peek(flit, symbol);
-                let preview_again = state.peek(flit, symbol);
-                assert_eq!(preview, preview_again, "peek must not mutate");
-                assert_eq!(preview, state.decide(flit, symbol));
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "no latched header")]
     fn opt_speculative_body_without_header_is_a_protocol_violation() {
         let _ =
@@ -390,67 +332,5 @@ mod tests {
     fn opt_non_speculative_body_without_header_is_a_protocol_violation() {
         let _ = FanoutState::new(FanoutKind::OptNonSpeculative)
             .decide(FlitKind::Body, RouteSymbol::Top);
-    }
-
-    /// For every kind and symbol, a full packet never forwards a body
-    /// flit to a port the routing symbol does not demand, except at
-    /// (unoptimized) speculative nodes — the invariant behind the
-    /// paper's power accounting.
-    #[test]
-    fn body_flits_never_exceed_route() {
-        for kind in [
-            FanoutKind::Baseline,
-            FanoutKind::NonSpeculative,
-            FanoutKind::Speculative,
-            FanoutKind::OptSpeculative,
-            FanoutKind::OptNonSpeculative,
-        ] {
-            for symbol in RouteSymbol::ALL {
-                if kind == FanoutKind::Baseline
-                    && !matches!(symbol, RouteSymbol::Top | RouteSymbol::Bottom)
-                {
-                    continue;
-                }
-                let decisions = run_packet(kind, symbol);
-                for body in &decisions[1..4] {
-                    if kind != FanoutKind::Speculative {
-                        assert!(
-                            !body.forward.wants_top()
-                                || symbol.wants_top()
-                                || kind == FanoutKind::Baseline
-                        );
-                        assert!(
-                            !body.forward.wants_bottom()
-                                || symbol.wants_bottom()
-                                || kind == FanoutKind::Baseline
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Optimized nodes always return to the idle state after the tail,
-    /// for any packet length >= 2.
-    #[test]
-    fn tail_always_releases() {
-        for len in 2usize..10 {
-            for symbol in RouteSymbol::ALL {
-                for kind in [FanoutKind::OptSpeculative, FanoutKind::OptNonSpeculative] {
-                    let mut state = FanoutState::new(kind);
-                    for i in 0..len {
-                        let flit = if i == 0 {
-                            FlitKind::Header
-                        } else if i == len - 1 {
-                            FlitKind::Tail
-                        } else {
-                            FlitKind::Body
-                        };
-                        let _ = state.decide(flit, symbol);
-                    }
-                    assert!(!state.has_allocation());
-                }
-            }
-        }
     }
 }

@@ -18,6 +18,7 @@
 //! here schedules events, which is what keeps every protocol rule unit- and
 //! property-testable in isolation.
 
+#![deny(missing_docs)]
 pub mod fanin;
 pub mod fanout;
 pub mod timing;

@@ -414,50 +414,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_node_table_values() {
-        let model = TimingModel::calibrated();
-        let rows = model.node_cost_table();
-        let find = |name: &str| rows.iter().find(|r| r.name.contains(name)).unwrap();
-        assert_eq!(find("Baseline").area_um2, 342.0);
-        assert_eq!(find("Baseline").latency, Duration::from_ps(263));
-        assert_eq!(find("Unoptimized speculative").area_um2, 247.0);
-        assert_eq!(
-            find("Unoptimized speculative").latency,
-            Duration::from_ps(52)
-        );
-        assert_eq!(find("Unoptimized non-speculative").area_um2, 406.0);
-        assert_eq!(
-            find("Unoptimized non-speculative").latency,
-            Duration::from_ps(299)
-        );
-        assert_eq!(find("Optimized speculative").area_um2, 373.0);
-        assert_eq!(
-            find("Optimized speculative").latency,
-            Duration::from_ps(120)
-        );
-        assert_eq!(find("Optimized non-speculative").area_um2, 366.0);
-        assert_eq!(
-            find("Optimized non-speculative").latency,
-            Duration::from_ps(279)
-        );
-    }
-
-    #[test]
-    fn paper_ordering_of_node_costs() {
-        let m = TimingModel::calibrated();
-        // Speculative nodes are drastically smaller and faster than
-        // baseline; non-speculative slightly larger/slower than baseline;
-        // optimized non-speculative slightly cheaper than unoptimized.
-        assert!(m.speculative_area_um2 < m.baseline_area_um2);
-        assert!(m.speculative.forward_header < m.baseline.forward_header);
-        assert!(m.non_speculative_area_um2 > m.baseline_area_um2);
-        assert!(m.non_speculative.forward_header > m.baseline.forward_header);
-        assert!(m.opt_non_speculative_area_um2 < m.non_speculative_area_um2);
-        assert!(m.opt_non_speculative.forward_header < m.non_speculative.forward_header);
-        assert!(m.opt_speculative.forward_header > m.speculative.forward_header);
-    }
-
-    #[test]
     fn hotspot_anchor_fanin_root_stage() {
         // The fanin-root → sink stage (fwd + wire + sink_ack ≈ 431 ps) caps
         // an 8-source hotspot at the paper's 0.29 GF/s per source; the
@@ -477,52 +433,30 @@ mod tests {
         );
     }
 
+    /// Table 1's Shuffle anchors, from the stage period of a permutation
+    /// path's identical neighbours, averaged over a five-flit packet.
     #[test]
-    fn shuffle_anchor_baseline_stage() {
-        // Baseline→baseline stage period ≈ 676 ps ⇒ Shuffle saturation
-        // ≈ 1.48 GF/s.
+    fn shuffle_anchors_follow_the_stage_period() {
         let m = TimingModel::calibrated();
-        let period = m.stage_period(&m.baseline, &m.baseline, FlitClass::Header);
-        let gfs = 1_000.0 / period.as_ps() as f64;
-        assert!(
-            (gfs - 1.48).abs() < 0.02,
-            "baseline shuffle anchor off: {gfs}"
-        );
-    }
-
-    #[test]
-    fn shuffle_anchor_non_speculative_stage() {
-        // Non-speculative→non-speculative ≈ 820 ps ⇒ ≈ 1.22 GF/s.
-        let m = TimingModel::calibrated();
-        let period = m.stage_period(&m.non_speculative, &m.non_speculative, FlitClass::Header);
-        let gfs = 1_000.0 / period.as_ps() as f64;
-        assert!(
-            (gfs - 1.22).abs() < 0.02,
-            "nonspec shuffle anchor off: {gfs}"
-        );
-    }
-
-    #[test]
-    fn optimized_mixed_stage_is_faster_on_bodies() {
-        let m = TimingModel::calibrated();
-        let header = m.stage_period(
-            &m.opt_non_speculative,
-            &m.opt_non_speculative,
-            FlitClass::Header,
-        );
-        let body = m.stage_period(
-            &m.opt_non_speculative,
-            &m.opt_non_speculative,
-            FlitClass::Body,
-        );
-        assert!(body < header);
-        // 5-flit average ≈ 630 ps ⇒ ≈ 1.59 GF/s (paper: 1.57).
-        let avg = (header.as_ps() + 4 * body.as_ps()) as f64 / 5.0;
-        let gfs = 1_000.0 / avg;
-        assert!(
-            (gfs - 1.57).abs() < 0.06,
-            "optnonspec shuffle anchor off: {gfs}"
-        );
+        for (name, kind, paper_gfs, tolerance) in [
+            ("baseline", &m.baseline, 1.48, 0.02),
+            ("non-speculative", &m.non_speculative, 1.22, 0.02),
+            (
+                "optimized non-speculative",
+                &m.opt_non_speculative,
+                1.57,
+                0.06,
+            ),
+        ] {
+            let header = m.stage_period(kind, kind, FlitClass::Header);
+            let body = m.stage_period(kind, kind, FlitClass::Body);
+            assert!(body <= header, "{name}: the body fast path is never slower");
+            let gfs = 1_000.0 * 5.0 / (header.as_ps() + 4 * body.as_ps()) as f64;
+            assert!(
+                (gfs - paper_gfs).abs() < tolerance,
+                "{name} anchor off: {gfs}"
+            );
+        }
     }
 
     #[test]
@@ -543,24 +477,6 @@ mod tests {
         assert_eq!(FlitClass::of(FlitKind::HeaderTail), FlitClass::Header);
         assert_eq!(FlitClass::of(FlitKind::Body), FlitClass::Body);
         assert_eq!(FlitClass::of(FlitKind::Tail), FlitClass::Body);
-    }
-
-    #[test]
-    fn energy_accessors_match_kind() {
-        let m = TimingModel::calibrated();
-        assert_eq!(
-            m.fanout_energy(FanoutKind::Speculative).header_fj,
-            m.speculative_energy.header_fj
-        );
-        assert_eq!(
-            m.fanout_energy(FanoutKind::OptNonSpeculative)
-                .for_class(FlitClass::Body),
-            540.0
-        );
-        assert!(
-            m.fanout_energy(FanoutKind::Speculative).header_fj
-                < m.fanout_energy(FanoutKind::NonSpeculative).header_fj
-        );
     }
 
     #[test]
@@ -599,11 +515,6 @@ mod tests {
             p4 > p2.mul_f64(1.3),
             "four-phase stage {p4} vs two-phase {p2}"
         );
-    }
-
-    #[test]
-    fn default_is_calibrated() {
-        assert_eq!(TimingModel::default(), TimingModel::calibrated());
     }
 
     #[test]

@@ -335,35 +335,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn symbol_bits_roundtrip() {
-        for symbol in RouteSymbol::ALL {
-            assert_eq!(RouteSymbol::from_bits(symbol.to_bits()), symbol);
-        }
-    }
-
-    #[test]
-    fn symbol_from_bits_masks_high_bits() {
-        assert_eq!(RouteSymbol::from_bits(0b111), RouteSymbol::Both);
-        assert_eq!(RouteSymbol::from_bits(0b100), RouteSymbol::Drop);
-    }
-
-    #[test]
-    fn symbol_port_flags() {
-        assert!(RouteSymbol::Top.wants_top() && !RouteSymbol::Top.wants_bottom());
-        assert!(!RouteSymbol::Bottom.wants_top() && RouteSymbol::Bottom.wants_bottom());
-        assert!(RouteSymbol::Both.wants_top() && RouteSymbol::Both.wants_bottom());
-        assert!(!RouteSymbol::Drop.wants_top() && !RouteSymbol::Drop.wants_bottom());
-        assert_eq!(RouteSymbol::Both.copy_count(), 2);
-        assert_eq!(RouteSymbol::Drop.copy_count(), 0);
-    }
-
-    #[test]
-    fn symbol_from_ports_matches_flags() {
-        for symbol in RouteSymbol::ALL {
-            assert_eq!(
-                RouteSymbol::from_ports(symbol.wants_top(), symbol.wants_bottom()),
-                symbol
-            );
+    fn every_symbol_spells_its_wire_bits_and_its_ports() {
+        use RouteSymbol::*;
+        for (symbol, bits, top, bottom) in [
+            (Drop, 0b00, false, false),
+            (Top, 0b01, true, false),
+            (Bottom, 0b10, false, true),
+            (Both, 0b11, true, true),
+        ] {
+            assert_eq!(symbol.to_bits(), bits);
+            // Only the low two bits are read.
+            assert_eq!(RouteSymbol::from_bits(bits | 0b100), symbol);
+            assert_eq!((symbol.wants_top(), symbol.wants_bottom()), (top, bottom));
+            assert_eq!(RouteSymbol::from_ports(top, bottom), symbol);
+            assert_eq!(symbol.copy_count(), usize::from(top) + usize::from(bottom));
+            assert_eq!(symbol.is_drop(), !(top || bottom));
         }
     }
 
@@ -374,26 +360,6 @@ mod tests {
         assert_eq!(header.levels(), 3);
         assert!(header.iter().all(|(_, _, s)| s.is_drop()));
         assert_eq!(header.active_nodes(), 0);
-    }
-
-    #[test]
-    fn header_set_and_get() {
-        let mut header = RouteHeader::for_tree(8);
-        header.set(1, 1, RouteSymbol::Top);
-        header.set(2, 3, RouteSymbol::Both);
-        assert_eq!(header.symbol(1, 1), RouteSymbol::Top);
-        assert_eq!(header.symbol(2, 3), RouteSymbol::Both);
-        assert_eq!(header.active_nodes(), 2);
-    }
-
-    #[test]
-    fn header_iter_covers_every_slot_once() {
-        let header = RouteHeader::for_tree(16);
-        let slots: Vec<(u32, usize)> = header.iter().map(|(l, i, _)| (l, i)).collect();
-        assert_eq!(slots.len(), 15);
-        let mut dedup = slots.clone();
-        dedup.dedup();
-        assert_eq!(dedup, slots);
     }
 
     #[test]
@@ -434,12 +400,6 @@ mod tests {
         assert_eq!(path.len(), 3);
         assert!(path.turn(0));
         assert!(!path.turn(1));
-    }
-
-    #[test]
-    fn baseline_path_is_three_bits_for_8x8_and_four_for_16x16() {
-        assert_eq!(BaselinePath::to_destination(8, 0).len(), 3);
-        assert_eq!(BaselinePath::to_destination(16, 0).len(), 4);
     }
 
     #[test]

@@ -132,27 +132,7 @@ mod tests {
     use crate::address::fanout_tree_nodes;
 
     const NONSPEC_8: [bool; 3] = [false, false, false];
-    const HYBRID_8: [bool; 3] = [true, false, false];
-    const ALLSPEC_8: [bool; 3] = [true, true, false];
     const NONSPEC_16: [bool; 4] = [false, false, false, false];
-    const HYBRID_16: [bool; 4] = [true, false, true, false];
-    const ALLSPEC_16: [bool; 4] = [true, true, true, false];
-
-    #[test]
-    fn paper_table_8x8() {
-        assert_eq!(baseline_address_bits(8), 3);
-        assert_eq!(network_address_bits(8, &NONSPEC_8), 14);
-        assert_eq!(network_address_bits(8, &HYBRID_8), 12);
-        assert_eq!(network_address_bits(8, &ALLSPEC_8), 8);
-    }
-
-    #[test]
-    fn paper_table_16x16() {
-        assert_eq!(baseline_address_bits(16), 4);
-        assert_eq!(network_address_bits(16, &NONSPEC_16), 30);
-        assert_eq!(network_address_bits(16, &HYBRID_16), 20);
-        assert_eq!(network_address_bits(16, &ALLSPEC_16), 16);
-    }
 
     #[test]
     fn nonspec_count_is_whole_tree_without_speculation() {

@@ -201,58 +201,33 @@ mod tests {
     }
 
     #[test]
-    fn five_flit_train_roles() {
-        let train: Vec<Flit> = Flit::train(&descriptor(5)).collect();
-        let kinds: Vec<FlitKind> = train.iter().map(Flit::kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                FlitKind::Header,
-                FlitKind::Body,
-                FlitKind::Body,
-                FlitKind::Body,
-                FlitKind::Tail,
-            ]
-        );
-        assert_eq!(
-            train.iter().map(Flit::index).collect::<Vec<_>>(),
-            [0, 1, 2, 3, 4]
-        );
-    }
-
-    #[test]
-    fn two_flit_packet_has_header_and_tail() {
-        let kinds: Vec<FlitKind> = Flit::train(&descriptor(2)).map(|f| f.kind()).collect();
-        assert_eq!(kinds, [FlitKind::Header, FlitKind::Tail]);
-    }
-
-    #[test]
-    fn single_flit_packet_is_header_tail() {
-        let kinds: Vec<FlitKind> = Flit::train(&descriptor(1)).map(|f| f.kind()).collect();
-        assert_eq!(kinds, [FlitKind::HeaderTail]);
-        assert!(FlitKind::HeaderTail.is_header());
-        assert!(FlitKind::HeaderTail.is_tail());
-        assert!(!FlitKind::HeaderTail.is_body());
+    fn a_train_is_header_bodies_tail_or_one_header_tail() {
+        use FlitKind::*;
+        for (flits, kinds) in [
+            (5, &[Header, Body, Body, Body, Tail][..]),
+            (2, &[Header, Tail]),
+            (1, &[HeaderTail]),
+        ] {
+            let train: Vec<Flit> = Flit::train(&descriptor(flits)).collect();
+            assert_eq!(train.iter().map(Flit::kind).collect::<Vec<_>>(), kinds);
+            assert!(train.iter().map(Flit::index).eq(0..flits));
+            // One descriptor behind every flit and every copy of one.
+            assert!(train
+                .iter()
+                .all(|f| Arc::ptr_eq(f.clone().descriptor(), train[0].descriptor())));
+            let (head, tail) = (train[0].kind(), train[train.len() - 1].kind());
+            assert!(head.is_header() && tail.is_tail() && !head.is_body());
+            assert_eq!(head.is_tail(), flits == 1);
+            assert!(train
+                .iter()
+                .all(|f| f.kind().is_body() == (f.kind() == Body)));
+        }
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn flit_index_must_be_in_range() {
         let _ = Flit::new(descriptor(5), 5);
-    }
-
-    #[test]
-    fn clones_share_descriptor() {
-        let flit = Flit::new(descriptor(5), 0);
-        let copy = flit.clone();
-        assert!(Arc::ptr_eq(flit.descriptor(), copy.descriptor()));
-    }
-
-    #[test]
-    fn kind_predicates() {
-        assert!(FlitKind::Header.is_header() && !FlitKind::Header.is_tail());
-        assert!(FlitKind::Tail.is_tail() && !FlitKind::Tail.is_header());
-        assert!(FlitKind::Body.is_body());
     }
 
     #[test]

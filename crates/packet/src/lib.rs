@@ -27,6 +27,7 @@
 //! assert_eq!(RouteSymbol::Both.to_bits(), 0b11);
 //! ```
 
+#![deny(missing_docs)]
 pub mod address;
 pub mod coding;
 pub mod destset;

@@ -211,8 +211,13 @@ mod tests {
         assert_eq!(d.flit_count(), 5);
         assert_eq!(d.created_at(), Time::from_ps(100));
         assert!(!d.is_multicast());
+        let both: DestSet = [1usize, 2].into_iter().collect();
+        let mut multicast = descriptor();
+        multicast.reset(PacketId::new(1), 0, both, 5, Time::ZERO, None);
+        assert!(multicast.is_multicast());
         assert_eq!(d.group(), None);
         assert_eq!(d.logical_id(), PacketId::new(3));
+        assert!(PacketId::new(1) < PacketId::new(2) && PacketId::default() == PacketId::new(0));
     }
 
     #[test]
@@ -220,20 +225,6 @@ mod tests {
         let d = descriptor().with_group(PacketId::new(99));
         assert_eq!(d.group(), Some(PacketId::new(99)));
         assert_eq!(d.logical_id(), PacketId::new(99));
-    }
-
-    #[test]
-    fn multicast_detection() {
-        let dests: DestSet = [1usize, 2].into_iter().collect();
-        let d = PacketDescriptor::new(
-            PacketId::new(1),
-            0,
-            dests,
-            RouteHeader::for_tree(8),
-            5,
-            Time::ZERO,
-        );
-        assert!(d.is_multicast());
     }
 
     #[test]
@@ -289,11 +280,5 @@ mod tests {
     fn reset_rejects_empty_destinations() {
         let mut d = descriptor();
         d.reset(PacketId::new(1), 0, DestSet::EMPTY, 5, Time::ZERO, None);
-    }
-
-    #[test]
-    fn packet_id_ordering() {
-        assert!(PacketId::new(1) < PacketId::new(2));
-        assert_eq!(PacketId::default(), PacketId::new(0));
     }
 }

@@ -24,6 +24,7 @@
 //! assert_eq!(stats.mean(), Some(Duration::from_ps(2_000)));
 //! ```
 
+#![deny(missing_docs)]
 pub mod histogram;
 pub mod phases;
 pub mod saturation;

@@ -107,30 +107,16 @@ mod tests {
     }
 
     #[test]
-    fn paper_standard_values() {
-        let standard = Phases::paper_standard(false);
-        assert_eq!(standard.warmup(), Duration::from_ns(320));
-        assert_eq!(standard.measure(), Duration::from_ns(3200));
-        let doubled = Phases::paper_standard(true);
-        assert_eq!(doubled.warmup(), Duration::from_ns(640));
-        assert_eq!(doubled.measure(), Duration::from_ns(6400));
-    }
-
-    #[test]
-    fn scaled_multiplies_both_phases() {
-        let phases = Phases::paper_standard(false).scaled(3);
-        assert_eq!(phases.warmup(), Duration::from_ns(960));
-        assert_eq!(phases.measure(), Duration::from_ns(9600));
+    fn paper_standard_values_and_scaling() {
+        let at = |phases: Phases| (phases.warmup().as_ps(), phases.measure().as_ps());
+        assert_eq!(at(Phases::paper_standard(false)), (320_000, 3_200_000));
+        assert_eq!(at(Phases::paper_standard(true)), (640_000, 6_400_000));
+        assert_eq!(at(Phases::default().scaled(3)), (960_000, 9_600_000));
     }
 
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_measurement_rejected() {
         let _ = Phases::new(Duration::ZERO, Duration::ZERO);
-    }
-
-    #[test]
-    fn default_is_paper_standard() {
-        assert_eq!(Phases::default(), Phases::paper_standard(false));
     }
 }

@@ -203,12 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn finds_known_threshold() {
-        let sat = find_saturation_multi(0.0, 4.0, 0.005, 1, 1, step_network(1.26));
-        assert!((sat - 1.26).abs() < 0.005, "found {sat}");
-    }
-
-    #[test]
     fn saturated_at_low_end_returns_lo_and_stable_at_high_end_returns_hi() {
         for fan in [1, 3] {
             let low = step_network(0.1);
@@ -249,18 +243,13 @@ mod tests {
         assert_eq!(probe.judge(1.0, 0.90), StabilityVerdict::Saturated);
         assert_eq!(probe.judge(0.0, 0.0), StabilityVerdict::Stable);
         assert_eq!(probe.judge(1.0, 0.95), StabilityVerdict::Stable);
+        assert_eq!(StabilityVerdict::Saturated.to_string(), "saturated");
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn probe_rejects_nan() {
         let _ = StabilityProbe::new().judge(f64::NAN, 1.0);
-    }
-
-    #[test]
-    fn verdict_display() {
-        assert_eq!(StabilityVerdict::Stable.to_string(), "stable");
-        assert_eq!(StabilityVerdict::Saturated.to_string(), "saturated");
     }
 
     #[test]

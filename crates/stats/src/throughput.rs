@@ -165,8 +165,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rates_divide_by_sources_and_window() {
+    fn rates_divide_by_sources_and_window_and_acceptance_is_their_ratio() {
         let mut c = ThroughputCounter::new(4);
+        assert_eq!(c.per_source_gfs(Duration::from_ns(1)).acceptance(), 1.0);
         c.record_offered(100);
         c.record_injected(80);
         c.record_delivered(60);
@@ -174,21 +175,10 @@ mod tests {
         assert!((r.offered - 5.0).abs() < 1e-9);
         assert!((r.injected - 4.0).abs() < 1e-9);
         assert!((r.delivered - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn acceptance_ratio() {
-        let mut c = ThroughputCounter::new(1);
-        c.record_offered(200);
-        c.record_injected(150);
-        let r = c.per_source_gfs(Duration::from_ns(1));
-        assert!((r.acceptance() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn acceptance_with_no_offered_load_is_one() {
-        let c = ThroughputCounter::new(1);
-        assert_eq!(c.per_source_gfs(Duration::from_ns(1)).acceptance(), 1.0);
+        assert!((r.acceptance() - 0.8).abs() < 1e-9);
+        assert!(r
+            .to_string()
+            .starts_with("offered 5.000 / injected 4.000 / delivered 3.000"));
     }
 
     #[test]
@@ -215,13 +205,5 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_window_rejected() {
         let _ = ThroughputCounter::new(1).per_source_gfs(Duration::ZERO);
-    }
-
-    #[test]
-    fn display_contains_all_rates() {
-        let mut c = ThroughputCounter::new(1);
-        c.record_offered(1);
-        let text = c.per_source_gfs(Duration::from_ns(1)).to_string();
-        assert!(text.contains("offered") && text.contains("delivered"));
     }
 }

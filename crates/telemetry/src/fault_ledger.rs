@@ -147,13 +147,15 @@ mod tests {
     fn counts_by_class_and_site() {
         let mut ledger = FaultLedger::new();
         for record in [
+            TraceRecord::INJECT,
             fault(FaultClass::LinkStall, 4, 7),
             fault(FaultClass::LinkStall, 4, 7),
             fault(FaultClass::SymbolCorrupt, 9, 7),
         ] {
             ledger.on_record(&record, false);
         }
-        // Ungated: all three were outside the window yet counted.
+        // Ungated: all three faults were outside the window yet counted;
+        // the injection is no fault.
         assert_eq!(ledger.total(), 3);
         assert_eq!(ledger.count(FaultClass::LinkStall), 2);
         assert_eq!(ledger.per_site().get("ch4:link-stall"), Some(&2));
@@ -170,12 +172,5 @@ mod tests {
         let json = ledger.to_json().render();
         assert!(json.contains("packet-lost"));
         assert!(json.contains("src0:packet-lost"));
-    }
-
-    #[test]
-    fn non_fault_records_are_ignored() {
-        let mut ledger = FaultLedger::new();
-        ledger.on_record(&TraceRecord::INJECT, true);
-        assert_eq!(ledger.total(), 0);
     }
 }

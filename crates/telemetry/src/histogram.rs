@@ -129,13 +129,8 @@ mod tests {
     }
 
     #[test]
-    fn the_summary_has_the_schema_fields_and_nulls_when_empty() {
+    fn the_summary_is_exact_for_one_sample_and_null_when_empty() {
         let json = JsonValue::Object(summary_members(&histogram(&[52])));
-        for key in [
-            "count", "mean_ps", "min_ps", "p50_ps", "p90_ps", "p99_ps", "p999_ps", "max_ps",
-        ] {
-            assert!(json.get(key).is_some(), "missing {key}");
-        }
         assert_eq!(json.get("p99_ps").and_then(JsonValue::as_f64), Some(52.0));
         let empty = JsonValue::Object(summary_members(&LogHistogram::new()));
         assert_eq!(empty.get("p50_ps"), Some(&JsonValue::Null));

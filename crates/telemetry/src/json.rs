@@ -658,19 +658,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_compact_and_ordered() {
+    fn renders_compact_ordered_and_pretty_and_parses_back() {
         let value = JsonValue::Object(vec![
             ("b".to_string(), JsonValue::uint(2)),
             ("a".to_string(), JsonValue::Array(vec![JsonValue::Null])),
         ]);
         assert_eq!(value.render(), r#"{"b":2,"a":[null]}"#);
-    }
-
-    #[test]
-    fn integers_render_without_decimal_point() {
-        assert_eq!(JsonValue::uint(52).render(), "52");
-        assert_eq!(JsonValue::Number(0.25).render(), "0.25");
-        assert_eq!(JsonValue::Number(f64::NAN).render(), "null");
+        let pretty = value.render_pretty();
+        assert!(pretty.contains('\n'));
+        assert_eq!(JsonValue::parse(&pretty), Ok(value));
+        let text = r#"{"a":[1,2.5,-3],"b":{"c":true,"d":null},"e":"x"}"#;
+        let value = JsonValue::parse(text).expect("parses");
+        assert_eq!(value.render(), text);
+        let get = |key| value.get("b").and_then(|b| b.get(key));
+        assert_eq!(
+            (get("c"), get("d")),
+            (Some(&JsonValue::Bool(true)), Some(&JsonValue::Null))
+        );
     }
 
     /// How numbers and strings were spelled before the allocation-free
@@ -747,40 +751,6 @@ mod tests {
             assert_eq!(value.render(), spelled_the_old_way(&value));
             assert_eq!(JsonValue::parse(&value.render()), Ok(value));
         }
-    }
-
-    #[test]
-    fn string_escaping_round_trips() {
-        let original = "a\"b\\c\nd\te\u{1}ü";
-        let rendered = JsonValue::str(original).render();
-        let parsed = JsonValue::parse(&rendered).expect("parses");
-        assert_eq!(parsed.as_str(), Some(original));
-    }
-
-    #[test]
-    fn parse_round_trips_nested_documents() {
-        let text = r#"{"a":[1,2.5,-3],"b":{"c":true,"d":null},"e":"x"}"#;
-        let value = JsonValue::parse(text).expect("parses");
-        assert_eq!(JsonValue::parse(&value.render()), Ok(value.clone()));
-        assert_eq!(
-            value.get("a").and_then(|a| a.as_array()).map(<[_]>::len),
-            Some(3)
-        );
-        assert_eq!(
-            value.get("b").and_then(|b| b.get("c")),
-            Some(&JsonValue::Bool(true))
-        );
-    }
-
-    #[test]
-    fn pretty_output_parses_back() {
-        let value = JsonValue::Object(vec![(
-            "xs".to_string(),
-            JsonValue::Array(vec![JsonValue::uint(1), JsonValue::uint(2)]),
-        )]);
-        let pretty = value.render_pretty();
-        assert!(pretty.contains('\n'));
-        assert_eq!(JsonValue::parse(&pretty), Ok(value));
     }
 
     #[test]

@@ -281,24 +281,12 @@ mod tests {
 
     #[test]
     fn every_form_round_trips() {
+        let fo = |tree, level, index| Site::Fanout { tree, level, index };
+        let fi = |tree, level, index| Site::Fanin { tree, level, index };
         let forms = [
             ("src3", Site::Source(3)),
-            (
-                "fo[s2:1.0]",
-                Site::Fanout {
-                    tree: 2,
-                    level: 1,
-                    index: 0,
-                },
-            ),
-            (
-                "fi[d4:2.3]",
-                Site::Fanin {
-                    tree: 4,
-                    level: 2,
-                    index: 3,
-                },
-            ),
+            ("fo[s2:1.0]", fo(2, 1, 0)),
+            ("fi[d4:2.3]", fi(4, 2, 3)),
             ("D5", Site::Sink(5)),
             ("r12", Site::Router(12)),
             ("ch101", Site::Channel(101)),
@@ -306,11 +294,7 @@ mod tests {
             ("src0", Site::Source(0)),
             (
                 "fi[d18446744073709551615:4294967295.18446744073709551615]",
-                Site::Fanin {
-                    tree: usize::MAX,
-                    level: u32::MAX,
-                    index: usize::MAX,
-                },
+                fi(usize::MAX, u32::MAX, usize::MAX),
             ),
         ];
         for (label, expected) in forms {

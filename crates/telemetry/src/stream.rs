@@ -931,9 +931,32 @@ mod tests {
                 JsonValue::Object(vec![("delivered".to_string(), JsonValue::uint(6))]),
             ),
         ]);
-        let summary = stream(&buf, &mut pair, None, &records, sections, 0);
+        let summary = stream(&buf, &mut pair, Some(100), &records, sections, 0);
         assert!(summary.windows >= 4, "several windows closed");
         assert_eq!(summary.watchpoints, 0, "clean run fires nothing");
+        // One JSON object a line: the head, what the head says of the run
+        // being the collectors' own, trace records among the windows, and
+        // the end record last.
+        let text = buf.text();
+        let lines: Vec<JsonValue> = text
+            .lines()
+            .map(|l| JsonValue::parse(l).expect(l))
+            .collect();
+        let head = &lines[0];
+        assert_eq!(
+            head.get("schema").and_then(JsonValue::as_str),
+            Some(STREAM_SCHEMA)
+        );
+        assert_eq!(head.get("trace"), Some(&JsonValue::Bool(true)));
+        assert_eq!(head.get("endpoints"), Some(&JsonValue::uint(8)));
+        assert_eq!(head.get("bin_ps"), Some(&JsonValue::uint(1_000)));
+        let kind = |line: &JsonValue| {
+            line.get("type")
+                .and_then(JsonValue::as_str)
+                .map(str::to_owned)
+        };
+        assert!(lines.iter().any(|l| kind(l).as_deref() == Some("trace")));
+        assert_eq!(lines.last().and_then(kind).as_deref(), Some("end"));
 
         // The borrowed pair is what collectors fed the same records hold.
         let (mut latency, mut series) = collectors();
@@ -945,7 +968,7 @@ mod tests {
         assert_eq!(pair.0.to_json().render(), latency.to_json().render());
         assert_eq!(pair.1.to_json().render(), series.to_json().render());
 
-        let folded = fold_stream(&buf.text()).expect("stream folds");
+        let folded = fold_stream(&text).expect("stream folds");
         assert_eq!(
             folded.get("latency").unwrap().render(),
             latency.to_json().render(),
@@ -966,39 +989,6 @@ mod tests {
             "end sections splice in verbatim"
         );
         assert_eq!(folded.get("waste"), Some(&JsonValue::Null));
-    }
-
-    #[test]
-    fn streams_are_line_structured_and_headed() {
-        let buf = SharedBuf::default();
-        let records = [inject(50, 1), deliver(2_500, 1, 2)];
-        let none = JsonValue::Object(Vec::new());
-        stream(&buf, &mut collectors(), Some(100), &records, none, 0);
-        let text = buf.text();
-        let first = text.lines().next().expect("head line");
-        let head = JsonValue::parse(first).expect("head parses");
-        assert_eq!(
-            head.get("schema").and_then(JsonValue::as_str),
-            Some(STREAM_SCHEMA)
-        );
-        assert_eq!(head.get("trace"), Some(&JsonValue::Bool(true)));
-        // What the head says of the run is the collectors' own.
-        assert_eq!(head.get("endpoints"), Some(&JsonValue::uint(8)));
-        assert_eq!(head.get("bin_ps"), Some(&JsonValue::uint(1_000)));
-        assert!(
-            text.lines().any(|l| l.contains("\"type\":\"trace\"")),
-            "trace records stream with the windows"
-        );
-        for line in text.lines() {
-            let _ = JsonValue::parse(line).expect("every line is one JSON object");
-        }
-        assert!(
-            text.lines()
-                .last()
-                .expect("end line")
-                .contains("\"type\":\"end\""),
-            "the end record closes the stream"
-        );
     }
 
     #[test]

@@ -291,19 +291,4 @@ mod tests {
         assert!((ts.busy_fraction(0, 0) - 180.0 / 4000.0).abs() < 1e-12);
         assert_eq!(ts.bins()[0].dropped, 2);
     }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let mut ts = series();
-        ts.on_record(&at(10, Action::Inject), true);
-        let json = ts.to_json();
-        assert_eq!(json.get("bin_ps").and_then(JsonValue::as_f64), Some(1000.0));
-        let bins = json.get("bins").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(bins.len(), 1);
-        let busy = bins[0]
-            .get("busy_fraction")
-            .and_then(JsonValue::as_array)
-            .unwrap();
-        assert_eq!(busy.len(), 1);
-    }
 }

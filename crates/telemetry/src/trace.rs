@@ -838,14 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn ndjson_round_trips_one_record() {
-        let original = record();
-        let line = original.to_ndjson();
-        assert!(!line.contains('\n'));
-        assert_eq!(TraceRecord::from_ndjson(&line), Ok(original));
-    }
-
-    #[test]
     fn v1_records_parse_with_defaults() {
         let line = "{\"t_ps\":1500,\"packet\":7,\"flit\":0,\"site\":\"src2\",\
                     \"action\":\"inject\",\"detail\":\"\"}";
@@ -896,27 +888,28 @@ mod tests {
     }
 
     #[test]
-    fn meta_window_gate_matches_phases_convention() {
-        let m = meta();
-        assert!(!m.in_measurement(39_999));
-        assert!(m.in_measurement(40_000));
-        assert!(m.in_measurement(439_999));
-        assert!(!m.in_measurement(440_000), "half-open upper bound");
-    }
-
-    #[test]
     fn malformed_lines_report_line_number_and_field() {
-        let text = format!("{}\n{{\"t_ps\":1}}\n", record().to_ndjson());
-        let err = parse_trace(&text).unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("packet"), "names the field: {err}");
-        assert!(err.to_string().starts_with("line 2:"));
-        let err = parse_trace("not json").unwrap_err();
-        assert_eq!(err.line, 1);
         let bad_field = "{\"t_ps\":\"late\",\"packet\":1,\"flit\":0,\
                          \"site\":\"src0\",\"action\":\"inject\",\"detail\":\"\"}";
-        let err = parse_trace(bad_field).unwrap_err();
-        assert!(err.message.contains("t_ps"), "{err}");
+        for (text, line, field) in [
+            (
+                format!("{}\n{{\"t_ps\":1}}\n", record().to_ndjson()),
+                2,
+                "packet",
+            ),
+            ("not json".to_string(), 1, ""),
+            (bad_field.to_string(), 1, "t_ps"),
+            (
+                "{\"schema\":\"asynoc-trace-v99\"}\n".to_string(),
+                1,
+                "schema",
+            ),
+        ] {
+            let err = parse_trace(&text).unwrap_err();
+            assert_eq!(err.line, line, "{err}");
+            assert!(err.message.contains(field), "names the field: {err}");
+            assert!(err.to_string().starts_with(&format!("line {line}:")));
+        }
     }
 
     #[test]
@@ -935,14 +928,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_meta_line_is_an_error() {
-        let text = "{\"schema\":\"asynoc-trace-v99\"}\n";
-        let err = parse_trace(text).unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(err.message.contains("schema"), "{err}");
-    }
-
-    #[test]
     fn out_of_range_integers_are_located_errors() {
         let with = |field: &str| {
             format!(
@@ -951,35 +936,31 @@ mod tests {
             )
         };
         // Each of these used to come back as a plausible number (255, 0, 1).
-        for (field, complaint) in [
-            ("\"flit\":300", "field \"flit\": 300 does not fit u8"),
-            (
-                "\"flit\":0,\"copies\":256",
-                "field \"copies\": 256 does not fit u8",
-            ),
-            (
-                "\"flit\":0,\"busy_ps\":-5",
-                "field \"busy_ps\": -5 does not fit u64",
-            ),
-            (
-                "\"flit\":0,\"created_ps\":1.7",
-                "field \"created_ps\": 1.7 does not fit u64",
-            ),
-            (
-                "\"flit\":0,\"src\":1e300",
-                "field \"src\": 1e300 does not fit u64",
-            ),
+        for (members, width) in [
+            ("\"flit\":300", "u8"),
+            ("\"flit\":0,\"copies\":256", "u8"),
+            ("\"flit\":0,\"busy_ps\":-5", "u64"),
+            ("\"flit\":0,\"created_ps\":1.7", "u64"),
+            ("\"flit\":0,\"src\":1e300", "u64"),
         ] {
-            let text = format!("{}\n{}\n", record().to_ndjson(), with(field));
+            let (name, value) = members
+                .rsplit(',')
+                .next()
+                .and_then(|m| m.split_once(':'))
+                .unwrap();
+            let text = format!("{}\n{}\n", record().to_ndjson(), with(members));
             let err = parse_trace(&text).unwrap_err();
-            assert_eq!(err.to_string(), format!("line 2: {complaint}"));
+            assert_eq!(
+                err.to_string(),
+                format!("line 2: field {name}: {value} does not fit {width}")
+            );
             assert!(
-                reference::record_from_ndjson(&with(field)).is_ok(),
-                "{field}"
+                reference::record_from_ndjson(&with(members)).is_ok(),
+                "{members}"
             );
             // `--lenient` counts the line as skipped.
             let (_, records, errors) = parse_trace_lenient(&text);
-            assert_eq!((records.len(), errors.len()), (1, 1), "{field}");
+            assert_eq!((records.len(), errors.len()), (1, 1), "{members}");
         }
         // Ids past 2^53 keep every bit; the cast used to round them.
         let wide = with("\"flit\":0,\"logical\":9007199254740993");
@@ -996,16 +977,6 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "line 1: field \"flits\": 300 does not fit u8"
-        );
-    }
-
-    #[test]
-    fn hostile_nesting_is_a_located_error() {
-        let text = format!("{}\n{}\n", record().to_ndjson(), "[".repeat(2_000_000));
-        let err = parse_trace(&text).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "line 2: JSON error at byte 128: nesting deeper than 128 levels"
         );
     }
 
@@ -1231,77 +1202,39 @@ mod tests {
             )
         };
         assert!(TraceRecord::from_ndjson(&line("src0", "inject", "")).is_ok());
-        for (site, action, detail, complaint) in [
-            (
-                "fo[s2:nope]",
-                "forward",
-                "",
-                "field \"site\": \"fo[s2:nope]\" is not a site",
-            ),
-            (
-                "fo[s2:1.]",
-                "forward",
-                "",
-                "field \"site\": \"fo[s2:1.]\" is not a site",
-            ),
-            (
-                "fi[d18446744073709551616:0.0]",
-                "forward",
-                "",
-                "field \"site\": \"fi[d18446744073709551616:0.0]\" is not a site",
-            ),
-            (
-                "r-1",
-                "forward",
-                "",
-                "field \"site\": \"r-1\" is not a site",
-            ),
-            ("D", "deliver", "", "field \"site\": \"D\" is not a site"),
-            ("", "inject", "", "field \"site\": \"\" is not a site"),
-            ("?", "inject", "", "field \"site\": \"?\" is not a site"),
-            (
-                "src0",
-                "explode",
-                "",
-                "field \"action\": \"explode\" is not an action",
-            ),
-            (
-                "src0",
-                "Inject",
-                "",
-                "field \"action\": \"Inject\" is not an action",
-            ),
-            ("src0", "", "", "field \"action\": \"\" is not an action"),
-            (
-                "r1",
-                "forward",
-                "sideways",
-                "field \"detail\": \"sideways\" is not a detail",
-            ),
-            (
-                "r1",
-                "forward",
-                "input",
-                "field \"detail\": \"input\" is not a detail",
-            ),
-            (
-                "r1",
-                "forward",
-                "input18446744073709551616",
-                "field \"detail\": \"input18446744073709551616\" is not a detail",
-            ),
+        for (field, label) in [
+            ("site", "fo[s2:nope]"),
+            ("site", "fo[s2:1.]"),
+            ("site", "fi[d18446744073709551616:0.0]"),
+            ("site", "r-1"),
+            ("site", "D"),
+            ("site", ""),
+            ("site", "?"),
+            ("action", "explode"),
+            ("action", "Inject"),
+            ("action", ""),
+            ("detail", "sideways"),
+            ("detail", "input"),
+            ("detail", "input18446744073709551616"),
         ] {
+            let [site, action, detail] = match field {
+                "site" => [label, "forward", ""],
+                "action" => ["src0", label, ""],
+                _ => ["r1", "forward", label],
+            };
+            let noun = match field {
+                "site" => "a site",
+                "action" => "an action",
+                _ => "a detail",
+            };
+            let complaint = format!("field \"{field}\": \"{label}\" is not {noun}");
             let text = format!("{}\n{}\n", record().to_ndjson(), line(site, action, detail));
             let err = parse_trace(&text).unwrap_err();
             assert_eq!(err.line, 2, "{err}");
-            assert!(err.message.contains(complaint), "{err}");
+            assert!(err.message.contains(&complaint), "{err}");
             // `--lenient` counts the line as skipped.
             let (_, records, errors) = parse_trace_lenient(&text);
-            assert_eq!(
-                (records.len(), errors.len()),
-                (1, 1),
-                "{site} {action} {detail}"
-            );
+            assert_eq!((records.len(), errors.len()), (1, 1), "{field} {label}");
         }
         // A label that is not a string at all names the field too.
         let err = TraceRecord::from_ndjson(&line("src0", "inject", "").replace("\"src0\"", "7"));

@@ -256,79 +256,33 @@ mod tests {
         MotSize::new(n).unwrap()
     }
 
-    fn speculative_levels(arch: Architecture, n: usize) -> Vec<bool> {
-        let s = size(n);
-        (0..s.levels())
-            .map(|level| arch.fanout_kind(s, level).is_speculative())
-            .collect()
+    /// Fig 3: every preset's per-level kinds, root first; at 16x16 the
+    /// hybrid speculates on alternate levels, and nothing on the leaves.
+    #[test]
+    fn fanout_kinds_per_architecture() {
+        use Architecture::*;
+        for (arch, at_8, at_16) in [
+            (Baseline, "base,base,base", "base,base,base,base"),
+            (BasicNonSpeculative, "ns,ns,ns", "ns,ns,ns,ns"),
+            (BasicHybridSpeculative, "sp,ns,ns", "sp,ns,sp,ns"),
+            (OptHybridSpeculative, "osp,ons,ons", "osp,ons,osp,ons"),
+            (OptNonSpeculative, "ons,ons,ons", "ons,ons,ons,ons"),
+            (OptAllSpeculative, "osp,osp,ons", "osp,osp,osp,ons"),
+        ] {
+            for (n, levels) in [(8, at_8), (16, at_16)] {
+                let map = crate::SpecMap::preset(arch, size(n));
+                assert_eq!(map.to_string(), format!("levels:{levels}"), "{arch} at {n}");
+            }
+        }
     }
 
     #[test]
-    fn hybrid_levels_match_fig3b_and_fig3d() {
-        let hybrid = Architecture::OptHybridSpeculative;
-        assert_eq!(speculative_levels(hybrid, 8), [true, false, false]);
-        assert_eq!(speculative_levels(hybrid, 16), [true, false, true, false]);
-    }
-
-    #[test]
-    fn all_speculative_keeps_leaf_level_non_speculative() {
-        let all = Architecture::OptAllSpeculative;
-        assert_eq!(speculative_levels(all, 8), [true, true, false]);
-        assert_eq!(speculative_levels(all, 16), [true, true, true, false]);
-    }
-
-    #[test]
-    fn fanout_kinds_per_architecture_8x8() {
-        let s = size(8);
-        let kinds = |arch: Architecture| -> Vec<FanoutKind> {
-            (0..3).map(|l| arch.fanout_kind(s, l)).collect()
-        };
-        assert_eq!(kinds(Architecture::Baseline), vec![FanoutKind::Baseline; 3]);
-        assert_eq!(
-            kinds(Architecture::BasicNonSpeculative),
-            vec![FanoutKind::NonSpeculative; 3]
-        );
-        assert_eq!(
-            kinds(Architecture::BasicHybridSpeculative),
-            vec![
-                FanoutKind::Speculative,
-                FanoutKind::NonSpeculative,
-                FanoutKind::NonSpeculative
-            ]
-        );
-        assert_eq!(
-            kinds(Architecture::OptHybridSpeculative),
-            vec![
-                FanoutKind::OptSpeculative,
-                FanoutKind::OptNonSpeculative,
-                FanoutKind::OptNonSpeculative
-            ]
-        );
-        assert_eq!(
-            kinds(Architecture::OptNonSpeculative),
-            vec![FanoutKind::OptNonSpeculative; 3]
-        );
-        assert_eq!(
-            kinds(Architecture::OptAllSpeculative),
-            vec![
-                FanoutKind::OptSpeculative,
-                FanoutKind::OptSpeculative,
-                FanoutKind::OptNonSpeculative
-            ]
-        );
-    }
-
-    #[test]
-    fn kind_predicates() {
+    fn predicates_and_groups() {
         assert!(FanoutKind::Speculative.is_speculative());
         assert!(FanoutKind::OptSpeculative.is_speculative());
         assert!(!FanoutKind::NonSpeculative.is_speculative());
         assert!(FanoutKind::OptNonSpeculative.is_optimized());
         assert!(!FanoutKind::Baseline.is_optimized());
-    }
-
-    #[test]
-    fn architecture_groups() {
         assert_eq!(Architecture::ALL.len(), 6);
         assert_eq!(Architecture::CONTRIBUTION_TRAJECTORY.len(), 4);
         assert_eq!(Architecture::DESIGN_SPACE.len(), 3);
@@ -347,16 +301,8 @@ mod tests {
                 Ok(arch)
             );
         }
+        assert_eq!(FanoutKind::OptSpeculative.to_string(), "opt-speculative");
         let err = "NoSuchNetwork".parse::<Architecture>().unwrap_err();
         assert!(err.to_string().contains("NoSuchNetwork"));
-    }
-
-    #[test]
-    fn display_names_match_paper() {
-        assert_eq!(
-            Architecture::OptHybridSpeculative.to_string(),
-            "OptHybridSpeculative"
-        );
-        assert_eq!(FanoutKind::OptSpeculative.to_string(), "opt-speculative");
     }
 }

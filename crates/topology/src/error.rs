@@ -159,16 +159,4 @@ mod tests {
             assert!(!msg.ends_with('.'));
         }
     }
-
-    #[test]
-    fn errors_are_comparable() {
-        assert_eq!(
-            TopologyError::SpeculativeLeafLevel,
-            TopologyError::SpeculativeLeafLevel
-        );
-        assert_ne!(
-            TopologyError::InvalidSize { requested: 3 },
-            TopologyError::InvalidSize { requested: 5 }
-        );
-    }
 }

@@ -359,88 +359,36 @@ mod tests {
         assert!(!root.is_leaf_level(size8()));
     }
 
+    /// One path per source-destination pair: the turns spelled by the
+    /// destination's bits, most significant first, lead from the source's
+    /// root to the leaf slot of exactly that destination's fanin tree.
     #[test]
-    fn fanout_children_chain_to_fanin_leaf() {
-        let size = size8();
-        let root = FanoutNodeId::root(5);
-        let FanoutChild::Node(mid) = root.child(size, OutputPort::Bottom) else {
-            panic!("root child should be a node");
-        };
-        assert_eq!(
-            mid,
-            FanoutNodeId {
-                tree: 5,
-                level: 1,
-                index: 1
-            }
-        );
-        let FanoutChild::Node(leaf) = mid.child(size, OutputPort::Top) else {
-            panic!("mid child should be a node");
-        };
-        assert_eq!(
-            leaf,
-            FanoutNodeId {
-                tree: 5,
-                level: 2,
-                index: 2
-            }
-        );
-        assert!(leaf.is_leaf_level(size));
-        assert_eq!(
-            leaf.child(size, OutputPort::Bottom),
-            FanoutChild::FaninLeaf { dest: 5, source: 5 }
-        );
-        assert_eq!(
-            leaf.child(size, OutputPort::Top),
-            FanoutChild::FaninLeaf { dest: 4, source: 5 }
-        );
-    }
-
-    #[test]
-    fn every_destination_reachable_by_unique_leaf_port() {
-        let size = size8();
-        for source in 0..8 {
-            let mut seen = [false; 8];
-            for node in FanoutNodeId::all(size).filter(|n| n.tree == source) {
-                if node.is_leaf_level(size) {
-                    for port in OutputPort::BOTH {
-                        let FanoutChild::FaninLeaf { dest, source: s } = node.child(size, port)
-                        else {
-                            panic!("leaf child must be a fanin leaf");
-                        };
-                        assert_eq!(s, source);
-                        assert!(!seen[dest], "destination {dest} reached twice");
-                        seen[dest] = true;
+    fn the_destination_bits_are_the_one_path_to_it() {
+        for levels in 1u32..7 {
+            let size = MotSize::new(1usize << levels).unwrap();
+            for (source, dest) in (0..size.n()).flat_map(|s| (0..size.n()).map(move |d| (s, d))) {
+                let mut node = FanoutNodeId::root(source);
+                for level in 0..levels {
+                    let port = OutputPort::from_index(dest >> (levels - 1 - level) & 1);
+                    assert_eq!(node.is_leaf_level(size), level + 1 == levels);
+                    match node.child(size, port) {
+                        FanoutChild::Node(next) => node = next,
+                        leaf => assert_eq!(leaf, FanoutChild::FaninLeaf { dest, source }),
                     }
                 }
             }
-            assert!(seen.iter().all(|&v| v));
         }
-    }
-
-    #[test]
-    fn fanin_leaf_for_source_pairs_adjacent_sources() {
-        let size = size8();
-        let (node, input) = FaninNodeId::leaf_for_source(size, 3, 6);
-        assert_eq!(
-            node,
-            FaninNodeId {
+        for (source, input) in [(6, 0), (7, 1)] {
+            let leaf = FaninNodeId {
                 tree: 3,
                 level: 2,
-                index: 3
-            }
-        );
-        assert_eq!(input, 0);
-        let (node, input) = FaninNodeId::leaf_for_source(size, 3, 7);
-        assert_eq!(
-            node,
-            FaninNodeId {
-                tree: 3,
-                level: 2,
-                index: 3
-            }
-        );
-        assert_eq!(input, 1);
+                index: 3,
+            };
+            assert_eq!(
+                FaninNodeId::leaf_for_source(size8(), 3, source),
+                (leaf, input)
+            );
+        }
     }
 
     #[test]
@@ -473,67 +421,21 @@ mod tests {
     }
 
     #[test]
-    fn flat_index_is_a_bijection() {
-        let size = size8();
-        for flat in 0..size.total_fanout_nodes() {
-            let id = FanoutNodeId::from_flat_index(size, flat);
-            assert!(id.is_valid(size));
-            assert_eq!(id.flat_index(size), flat);
-        }
-        for flat in 0..size.total_fanin_nodes() {
-            let id = FaninNodeId::from_flat_index(size, flat);
-            assert!(id.is_valid(size));
-            assert_eq!(id.flat_index(size), flat);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn flat_index_bounds_checked() {
         let _ = FanoutNodeId::from_flat_index(size8(), 56);
     }
 
     #[test]
-    fn all_enumerates_each_node_once() {
-        let size = size8();
-        let nodes: Vec<FanoutNodeId> = FanoutNodeId::all(size).collect();
-        assert_eq!(nodes.len(), 56);
-        let mut sorted = nodes.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 56);
-    }
-
-    #[test]
-    fn display_formats() {
-        assert_eq!(
-            FanoutNodeId {
-                tree: 2,
-                level: 1,
-                index: 0
-            }
-            .to_string(),
-            "fo[s2:1.0]"
-        );
-        assert_eq!(
-            FaninNodeId {
-                tree: 4,
-                level: 2,
-                index: 3
-            }
-            .to_string(),
-            "fi[d4:2.3]"
-        );
-    }
-
-    #[test]
-    fn flat_roundtrip_all_sizes() {
+    fn flat_index_is_a_bijection_at_every_size() {
         for levels in 1u32..7 {
             let size = MotSize::new(1usize << levels).unwrap();
             for flat in 0..size.total_fanout_nodes() {
                 let id = FanoutNodeId::from_flat_index(size, flat);
+                assert!(id.is_valid(size));
                 assert_eq!(id.flat_index(size), flat);
                 let fid = FaninNodeId::from_flat_index(size, flat);
+                assert!(fid.is_valid(size));
                 assert_eq!(fid.flat_index(size), flat);
             }
         }

@@ -166,32 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn node_counts_for_16x16() {
-        let size = MotSize::new(16).unwrap();
-        assert_eq!(size.levels(), 4);
-        assert_eq!(size.fanout_nodes_per_tree(), 15);
-        assert_eq!(size.total_fanout_nodes(), 240);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn nodes_at_level_bounds_checked() {
         let _ = MotSize::new(8).unwrap().nodes_at_level(3);
-    }
-
-    #[test]
-    fn index_validation() {
-        let size = MotSize::new(8).unwrap();
-        assert!(size.check_source(7).is_ok());
-        assert!(size.check_destination(7).is_ok());
-        assert!(matches!(
-            size.check_source(8),
-            Err(TopologyError::SourceOutOfRange { .. })
-        ));
-        assert!(matches!(
-            size.check_destination(8),
-            Err(TopologyError::DestinationOutOfRange { .. })
-        ));
     }
 
     #[test]

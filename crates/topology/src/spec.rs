@@ -470,103 +470,60 @@ mod tests {
             .unwrap();
         assert_eq!(custom.to_string(), "levels:ons,ons,ons;node:3.1.1=osp");
         assert_eq!(SpecMap::parse(size8(), &custom.to_string()), Ok(custom));
+        let hybrid = SpecMap::preset(Architecture::OptHybridSpeculative, size8());
+        for form in ["OptHybridSpeculative", "preset:opthybridspeculative"] {
+            assert_eq!(SpecMap::parse(size8(), form), Ok(hybrid.clone()), "{form}");
+        }
     }
 
+    /// Every rule of the module docs, and the text grammar, refuse a map.
     #[test]
-    fn parse_accepts_preset_forms() {
-        let expect = SpecMap::preset(Architecture::OptHybridSpeculative, size8());
-        assert_eq!(
-            SpecMap::parse(size8(), "OptHybridSpeculative"),
-            Ok(expect.clone())
-        );
-        assert_eq!(
-            SpecMap::parse(size8(), "preset:opthybridspeculative"),
-            Ok(expect.clone())
-        );
-        assert_eq!(SpecMap::parse(size8(), "levels:osp,ons,ons"), Ok(expect));
-    }
-
-    #[test]
-    fn parse_syntax_errors() {
+    fn validation_refuses_what_the_rules_forbid() {
+        use TopologyError::*;
+        for (text, refusal) in [
+            (
+                "levels:ons,ons",
+                LevelCountMismatch {
+                    provided: 2,
+                    required: 3,
+                },
+            ),
+            // The fanin network cannot throttle: no speculative leaf.
+            ("levels:osp,osp,osp", SpeculativeLeafLevel),
+            (
+                "levels:ons,ons,ons;node:0.2.3=osp",
+                NonThrottlingLeaf { tree: 0, index: 3 },
+            ),
+            ("levels:base,ons,ons", MixedBaselineKind),
+            ("levels:base,base,base;node:0.0.0=osp", MixedBaselineKind),
+            ("levels:ons,ons,ons;node:0.0.0=base", MixedBaselineKind),
+            (
+                "levels:ons,ons,ons;node:8.0.0=osp",
+                NodeOutOfRange {
+                    tree: 8,
+                    level: 0,
+                    index: 0,
+                    size: 8,
+                },
+            ),
+        ] {
+            assert_eq!(SpecMap::parse(size8(), text), Err(refusal), "{text}");
+        }
         for bad in [
             "nonsense",
             "preset:NoSuchNetwork",
-            "levels:osp,ons",
             "levels:xyz,ons,ons",
             "levels:ons,ons,ons;node:0.0=osp",
             "levels:ons,ons,ons;node:a.b.c=osp",
             "levels:ons,ons,ons;node:0.0.0",
             "levels:ons,ons,ons;tree:0.0.0=osp",
         ] {
-            assert!(SpecMap::parse(size8(), bad).is_err(), "{bad:?}");
+            let refused = SpecMap::parse(size8(), bad);
+            assert!(
+                matches!(refused, Err(SpecMapSyntax { .. })),
+                "{bad}: {refused:?}"
+            );
         }
-    }
-
-    #[test]
-    fn validation_rejects_wrong_level_count() {
-        assert_eq!(
-            SpecMap::from_levels(size8(), vec![FanoutKind::OptNonSpeculative; 2]),
-            Err(TopologyError::LevelCountMismatch {
-                provided: 2,
-                required: 3
-            })
-        );
-    }
-
-    #[test]
-    fn validation_rejects_speculative_leaf_level() {
-        assert_eq!(
-            SpecMap::from_levels(size8(), vec![FanoutKind::OptSpeculative; 3]),
-            Err(TopologyError::SpeculativeLeafLevel)
-        );
-    }
-
-    #[test]
-    fn validation_rejects_out_of_range_node() {
-        let map = SpecMap::preset(Architecture::OptNonSpeculative, size8());
-        assert_eq!(
-            map.with_node(node(8, 0, 0), FanoutKind::OptSpeculative),
-            Err(TopologyError::NodeOutOfRange {
-                tree: 8,
-                level: 0,
-                index: 0,
-                size: 8
-            })
-        );
-    }
-
-    #[test]
-    fn validation_rejects_speculative_leaf_node() {
-        let map = SpecMap::preset(Architecture::OptNonSpeculative, size8());
-        assert_eq!(
-            map.with_node(node(0, 2, 3), FanoutKind::OptSpeculative),
-            Err(TopologyError::NonThrottlingLeaf { tree: 0, index: 3 })
-        );
-    }
-
-    #[test]
-    fn validation_rejects_baseline_mixing() {
-        assert_eq!(
-            SpecMap::from_levels(
-                size8(),
-                vec![
-                    FanoutKind::Baseline,
-                    FanoutKind::OptNonSpeculative,
-                    FanoutKind::OptNonSpeculative
-                ]
-            ),
-            Err(TopologyError::MixedBaselineKind)
-        );
-        let serial = SpecMap::preset(Architecture::Baseline, size8());
-        assert_eq!(
-            serial.with_node(node(0, 0, 0), FanoutKind::OptSpeculative),
-            Err(TopologyError::MixedBaselineKind)
-        );
-        let parallel = SpecMap::preset(Architecture::OptNonSpeculative, size8());
-        assert_eq!(
-            parallel.with_node(node(0, 0, 0), FanoutKind::Baseline),
-            Err(TopologyError::MixedBaselineKind)
-        );
     }
 
     #[test]

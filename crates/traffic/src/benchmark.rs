@@ -321,12 +321,6 @@ mod tests {
                 DestSet::unicast(d)
             );
         }
-        // It is a bijection.
-        let mut seen = [false; 8];
-        for s in 0..8 {
-            seen[Benchmark::shuffle_destination(8, s)] = true;
-        }
-        assert!(seen.iter().all(|&v| v));
     }
 
     #[test]
@@ -341,31 +335,22 @@ mod tests {
     }
 
     #[test]
-    fn multicast5_fraction_is_about_five_percent() {
-        let mut r = rng();
-        let trials = 50_000;
-        let multicasts = (0..trials)
-            .filter(|_| Benchmark::Multicast5.sample_dests(&mut r, 8, 0).len() > 1)
-            .count();
-        let frac = multicasts as f64 / trials as f64;
-        assert!(
-            (frac - 0.05).abs() < 0.01,
-            "observed multicast fraction {frac}"
-        );
-    }
-
-    #[test]
-    fn multicast10_fraction_is_about_ten_percent() {
-        let mut r = rng();
-        let trials = 50_000;
-        let multicasts = (0..trials)
-            .filter(|_| Benchmark::Multicast10.sample_dests(&mut r, 8, 0).len() > 1)
-            .count();
-        let frac = multicasts as f64 / trials as f64;
-        assert!(
-            (frac - 0.10).abs() < 0.01,
-            "observed multicast fraction {frac}"
-        );
+    fn multicast_fractions_are_the_papers() {
+        for (benchmark, fraction) in [
+            (Benchmark::Multicast5, 0.05),
+            (Benchmark::Multicast10, 0.10),
+        ] {
+            let mut r = rng();
+            let trials = 50_000;
+            let multicasts = (0..trials)
+                .filter(|_| benchmark.sample_dests(&mut r, 8, 0).len() > 1)
+                .count();
+            let observed = multicasts as f64 / trials as f64;
+            assert!(
+                (observed - fraction).abs() < 0.01,
+                "{benchmark}: {observed}"
+            );
+        }
     }
 
     #[test]
@@ -394,13 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn non_static_benchmarks_have_no_static_sources() {
-        for b in Benchmark::UNICAST {
-            assert!((0..8).all(|s| !b.is_static_multicast_source(8, s)));
-        }
-    }
-
-    #[test]
     fn benchmark_groups() {
         assert_eq!(Benchmark::ALL.len(), 6);
         assert!(Benchmark::UNICAST.iter().all(|b| !b.has_multicast()));
@@ -408,11 +386,18 @@ mod tests {
         assert_eq!(Benchmark::POWER_SET.len(), 4);
         assert_eq!(Benchmark::EXTENDED.len(), 5);
         assert!(Benchmark::EXTENDED.iter().all(|b| !b.has_multicast()));
+        let static_sources = |b: Benchmark| {
+            (0..8)
+                .filter(|&s| b.is_static_multicast_source(8, s))
+                .count()
+        };
+        assert!(Benchmark::UNICAST.iter().all(|&b| static_sources(b) == 0));
     }
 
     #[test]
-    fn extended_permutations_are_bijections() {
+    fn permutations_are_bijections() {
         for benchmark in [
+            Benchmark::Shuffle,
             Benchmark::BitComplement,
             Benchmark::BitReverse,
             Benchmark::Transpose,
@@ -461,6 +446,8 @@ mod tests {
         for benchmark in Benchmark::ALL.into_iter().chain(Benchmark::EXTENDED) {
             assert_eq!(benchmark.to_string().parse::<Benchmark>(), Ok(benchmark));
         }
+        assert_eq!(Benchmark::UniformRandom.to_string(), "Uniform-random");
+        assert_eq!(Benchmark::MulticastStatic.to_string(), "Multicast-static");
         // The paper's underscore spelling also parses.
         assert_eq!(
             "Multicast_static".parse::<Benchmark>(),
@@ -474,26 +461,8 @@ mod tests {
     }
 
     #[test]
-    fn display_names_match_paper() {
-        assert_eq!(Benchmark::UniformRandom.to_string(), "Uniform-random");
-        assert_eq!(Benchmark::MulticastStatic.to_string(), "Multicast-static");
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn sample_rejects_bad_source() {
         let _ = Benchmark::UniformRandom.sample_dests(&mut rng(), 8, 8);
-    }
-
-    #[test]
-    fn multicast_sampling_determinism() {
-        let mut a = SimRng::seed_from(7);
-        let mut b = SimRng::seed_from(7);
-        for _ in 0..100 {
-            assert_eq!(
-                Benchmark::Multicast10.sample_dests(&mut a, 8, 4),
-                Benchmark::Multicast10.sample_dests(&mut b, 8, 4)
-            );
-        }
     }
 }

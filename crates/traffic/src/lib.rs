@@ -26,6 +26,7 @@
 //! # Ok::<(), asynoc_traffic::TrafficError>(())
 //! ```
 
+#![deny(missing_docs)]
 pub mod benchmark;
 pub mod source;
 

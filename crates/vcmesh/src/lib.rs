@@ -34,6 +34,7 @@
 //! # Ok::<(), asynoc_vcmesh::MeshError>(())
 //! ```
 
+#![deny(missing_docs)]
 pub mod scheme;
 pub mod sim;
 

@@ -245,17 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_and_displays() {
-        assert_eq!(
-            "xy-tree".parse::<McastScheme>().unwrap(),
-            McastScheme::XyTree
-        );
-        assert_eq!("dpm".parse::<McastScheme>().unwrap(), McastScheme::Dpm);
-        assert!("vct".parse::<McastScheme>().is_err());
-        assert_eq!(McastScheme::Dpm.to_string(), "dpm");
-    }
-
-    #[test]
     fn tree_partition_groups_by_first_hop() {
         let s = size4();
         // From router 5 = (1,1): 6=(2,1) east, 4=(0,1) west, 1=(1,0)

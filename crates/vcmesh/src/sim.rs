@@ -589,25 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn multicast_delivers_in_network() {
-        for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
-            let report = network(4, 4, mcast)
-                .run(Benchmark::Multicast5, 0.15, quick_phases())
-                .unwrap();
-            assert!(report.packets_measured > 0, "{mcast}: nothing measured");
-            assert_eq!(
-                report.packets_incomplete, 0,
-                "{mcast}: undelivered multicast"
-            );
-            assert!(
-                report.router.link_traversals > 0,
-                "{mcast}: no links counted"
-            );
-            assert_eq!(report.router.credit_violations, 0, "{mcast}: ledger broke");
-        }
-    }
-
-    #[test]
     fn both_vc_planes_carry_traffic() {
         let report = network(4, 4, McastScheme::XyTree)
             .run(Benchmark::UniformRandom, 0.2, quick_phases())
@@ -618,38 +599,6 @@ mod tests {
             "VC1 idle (id-parity allocation broken)"
         );
         assert!(report.router.vc_peak.iter().all(|&p| p <= VC_DEPTH as u64));
-    }
-
-    #[test]
-    fn dpm_uses_no_more_links_than_tree() {
-        for seed in [1u64, 7, 42] {
-            let mut reports = Vec::new();
-            for mcast in [McastScheme::XyTree, McastScheme::Dpm] {
-                let net = VcMeshNetwork::new(
-                    VcMeshConfig::new(MeshSize::new(4, 4).unwrap())
-                        .with_seed(seed)
-                        .with_mcast(mcast),
-                )
-                .unwrap();
-                reports.push(
-                    net.run(Benchmark::Multicast10, 0.1, quick_phases())
-                        .unwrap(),
-                );
-            }
-            let (tree, dpm) = (&reports[0], &reports[1]);
-            assert_eq!(
-                tree.packets_measured, dpm.packets_measured,
-                "seed {seed}: injection must be identical across schemes"
-            );
-            assert_eq!(tree.packets_incomplete, 0, "seed {seed}");
-            assert_eq!(dpm.packets_incomplete, 0, "seed {seed}");
-            assert!(
-                dpm.router.link_traversals <= tree.router.link_traversals,
-                "seed {seed}: DPM {} > tree {}",
-                dpm.router.link_traversals,
-                tree.router.link_traversals
-            );
-        }
     }
 
     #[test]

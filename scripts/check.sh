@@ -16,9 +16,10 @@ step() {
     "$@"
 }
 # Lints first: they fail in seconds, tests take minutes. Rustdoc is part of
-# the contract: most crates carry #![deny(missing_docs)], and none may ship
-# a broken intra-doc link.
+# the contract: every crate carries #![deny(missing_docs)], and none may ship
+# a broken intra-doc link. The mutation table must name lines that exist.
 step cargo fmt --check
+step scripts/mutants.sh --check
 step cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" step cargo doc --no-deps --workspace --quiet
 if [[ "${1:-}" != --fast ]]; then

@@ -37,20 +37,16 @@ fn mot_trace(
 ) {
     let net =
         Network::new(NetworkConfig::eight_by_eight(arch).with_seed(seed)).expect("valid config");
-    let size = net.config().size();
     let timing = net.config().timing();
-    let phases = phases();
     let run = RunConfig::new(benchmark, rate)
         .expect("positive rate")
-        .with_phases(phases);
-
-    let mut latency = LatencyHistograms::new(phases, size.n());
+        .with_phases(phases());
+    let mut latency = LatencyHistograms::new(phases(), net.config().size().n());
     let mut waste = SpeculationWaste::new(timing.wire_fj, timing.drop_fj);
     let mut collector = TraceCollector::new(1_000_000);
     let sinks: Vec<&mut dyn RecordSink> = vec![&mut latency, &mut waste, &mut collector];
     let mut recorder = Recorder::new(net.site_of(), sinks);
     asynoc::drive(&net, &run, &mut [&mut recorder], None).expect("run succeeds");
-
     let meta = TraceMeta {
         substrate: "mot".to_string(),
         arch: Some(arch.to_string()),
@@ -58,40 +54,43 @@ fn mot_trace(
         seed,
         flits: 1,
         rate,
-        warmup_ps: phases.warmup().as_ps(),
-        measure_ps: phases.measure().as_ps(),
+        warmup_ps: phases().warmup().as_ps(),
+        measure_ps: phases().measure().as_ps(),
         wire_fj: Some(timing.wire_fj),
         drop_fj: Some(timing.drop_fj),
         dropped_events: collector.dropped(),
     };
-    let records = collector.records().to_vec();
-    (meta, records, latency, waste)
+    (meta, collector.records().to_vec(), latency, waste)
 }
 
-fn mesh_trace(benchmark: Benchmark, rate: f64, seed: u64) -> (TraceMeta, Vec<TraceRecord>) {
+fn mesh_trace(benchmark: Benchmark, rate: f64, seed: u64) -> Vec<TraceRecord> {
     let size = MeshSize::new(4, 4).expect("valid size");
     let net = MeshNetwork::new(MeshConfig::new(size).with_seed(seed)).expect("valid config");
-    let phases = phases();
     let mut collector = TraceCollector::new(1_000_000);
     let run = RunConfig::new(benchmark, rate)
         .expect("positive rate")
-        .with_phases(phases);
+        .with_phases(phases());
     let mut recorder = Recorder::new(std::rc::Rc::new(Site::Router), vec![&mut collector]);
     asynoc::drive(&net, &run, &mut [&mut recorder], None).expect("run succeeds");
-    let meta = TraceMeta {
-        substrate: "mesh".to_string(),
-        arch: None,
-        size: 4,
-        seed,
-        flits: 1,
-        rate,
-        warmup_ps: phases.warmup().as_ps(),
-        measure_ps: phases.measure().as_ps(),
-        wire_fj: None,
-        drop_fj: None,
-        dropped_events: collector.dropped(),
-    };
-    (meta, collector.records().to_vec())
+    collector.records().to_vec()
+}
+
+/// Every critical path of `records` telescopes exactly: source queue plus
+/// per-hop service plus per-hop queueing is the end-to-end latency, and so
+/// is the sum of its hop segments.
+fn assert_paths_telescope(forest: &SpanForest, records: &[TraceRecord], context: &str) {
+    let paths = critical_paths(forest, records);
+    assert!(!paths.is_empty(), "{context}: no critical paths");
+    for path in &paths {
+        assert_eq!(
+            path.source_queue_ps + path.service_ps + path.queue_ps,
+            path.latency_ps,
+            "{context}: logical packet {} does not telescope",
+            path.logical
+        );
+        let hop_sum: u64 = path.hops.iter().map(|h| h.segment_ps).sum();
+        assert_eq!(hop_sum, path.latency_ps, "{context}: hop segments");
+    }
 }
 
 /// Asserts the closure property on one record stream: no broken trees,
@@ -138,22 +137,7 @@ fn mot_span_trees_close_under_random_traffic() {
                 let (_, records, _, _) = mot_trace(arch, benchmark, 0.25, seed);
                 let context = format!("{arch} {benchmark} seed {seed}");
                 let forest = assert_forest_closes(&records, &context);
-
-                // Every critical path telescopes exactly: source queue
-                // plus per-hop service plus per-hop queueing is the
-                // end-to-end latency.
-                let paths = critical_paths(&forest, &records);
-                assert!(!paths.is_empty(), "{context}: no critical paths");
-                for path in &paths {
-                    assert_eq!(
-                        path.source_queue_ps + path.service_ps + path.queue_ps,
-                        path.latency_ps,
-                        "{context}: logical packet {} does not telescope",
-                        path.logical
-                    );
-                    let hop_sum: u64 = path.hops.iter().map(|h| h.segment_ps).sum();
-                    assert_eq!(hop_sum, path.latency_ps, "{context}: hop segments");
-                }
+                assert_paths_telescope(&forest, &records, &context);
             }
         }
     }
@@ -163,19 +147,10 @@ fn mot_span_trees_close_under_random_traffic() {
 fn mesh_span_trees_close_under_random_traffic() {
     for seed in [2, 9] {
         for benchmark in [Benchmark::UniformRandom, Benchmark::Shuffle] {
-            let (_, records) = mesh_trace(benchmark, 0.1, seed);
+            let records = mesh_trace(benchmark, 0.1, seed);
             let context = format!("mesh {benchmark} seed {seed}");
             let forest = assert_forest_closes(&records, &context);
-            let paths = critical_paths(&forest, &records);
-            assert!(!paths.is_empty(), "{context}: no critical paths");
-            for path in &paths {
-                assert_eq!(
-                    path.source_queue_ps + path.service_ps + path.queue_ps,
-                    path.latency_ps,
-                    "{context}: logical packet {}",
-                    path.logical
-                );
-            }
+            assert_paths_telescope(&forest, &records, &context);
         }
     }
 }

@@ -19,33 +19,37 @@ fn routers() -> SiteOf<usize> {
     std::rc::Rc::new(Site::Router)
 }
 
+/// The two 64-endpoint fabrics: an OptHybridSpeculative 64x64 MoT and an
+/// 8x8 mesh, both seeded 9.
+fn sixty_four_endpoints() -> (Network, MeshNetwork) {
+    let size = MotSize::new(64).expect("valid");
+    let mot = NetworkConfig::new(size, Architecture::OptHybridSpeculative).with_seed(9);
+    let mesh = MeshConfig::new(MeshSize::new(8, 8).expect("valid")).with_seed(9);
+    (
+        Network::new(mot).expect("valid config"),
+        MeshNetwork::new(mesh).expect("valid config"),
+    )
+}
+
+/// Both fabrics' reports on one traffic spec.
+fn on_both(benchmark: Benchmark, rate: f64) -> (asynoc::RunReport, asynoc_mesh::MeshReport) {
+    let phases = Phases::new(Duration::from_ns(100), Duration::from_ns(800));
+    let (mot, mesh) = sixty_four_endpoints();
+    let run = RunConfig::new(benchmark, rate)
+        .expect("positive rate")
+        .with_phases(phases);
+    (
+        mot.run(&run).expect("MoT run succeeds"),
+        mesh.run(benchmark, rate, phases)
+            .expect("mesh run succeeds"),
+    )
+}
+
 #[test]
 fn mot_beats_mesh_at_equal_endpoint_count() {
-    let phases = Phases::new(Duration::from_ns(100), Duration::from_ns(800));
-    let mot = Network::new(
-        NetworkConfig::new(
-            MotSize::new(64).expect("valid"),
-            Architecture::OptHybridSpeculative,
-        )
-        .with_seed(9),
-    )
-    .expect("valid config");
-    let mesh = MeshNetwork::new(MeshConfig::new(MeshSize::new(8, 8).expect("valid")).with_seed(9))
-        .expect("valid config");
-
-    let mot_report = mot
-        .run(
-            &RunConfig::new(Benchmark::UniformRandom, 0.1)
-                .expect("positive rate")
-                .with_phases(phases),
-        )
-        .expect("MoT run succeeds");
-    let mesh_report = mesh
-        .run(Benchmark::UniformRandom, 0.1, phases)
-        .expect("mesh run succeeds");
-
-    let mot_mean = mot_report.latency.mean().expect("samples");
-    let mesh_mean = mesh_report.latency.mean().expect("samples");
+    let (mot, mesh) = on_both(Benchmark::UniformRandom, 0.1);
+    let (mot_mean, mesh_mean) = (mot.latency.mean(), mesh.latency.mean());
+    let (mot_mean, mesh_mean) = (mot_mean.expect("samples"), mesh_mean.expect("samples"));
     assert!(
         mot_mean < mesh_mean,
         "log-depth MoT ({mot_mean}) must beat Manhattan-distance mesh ({mesh_mean})"
@@ -57,32 +61,10 @@ fn mesh_multicast_collapse_vs_mot() {
     // The quantitative core of the paper's motivation, across substrates:
     // serialized dense multicast on the mesh collapses while the MoT's
     // in-network replication barely notices.
-    let phases = Phases::new(Duration::from_ns(100), Duration::from_ns(800));
-    let mot = Network::new(
-        NetworkConfig::new(
-            MotSize::new(64).expect("valid"),
-            Architecture::OptHybridSpeculative,
-        )
-        .with_seed(9),
-    )
-    .expect("valid config");
-    let mesh = MeshNetwork::new(MeshConfig::new(MeshSize::new(8, 8).expect("valid")).with_seed(9))
-        .expect("valid config");
-
-    let mot_report = mot
-        .run(
-            &RunConfig::new(Benchmark::Multicast10, 0.2)
-                .expect("positive rate")
-                .with_phases(phases),
-        )
-        .expect("MoT run succeeds");
-    let mesh_report = mesh
-        .run(Benchmark::Multicast10, 0.2, phases)
-        .expect("mesh run succeeds");
-
-    assert!(mot_report.acceptance() > 0.98, "MoT absorbs the load");
-    let ratio = mesh_report.latency.mean().expect("samples").as_ps() as f64
-        / mot_report.latency.mean().expect("samples").as_ps() as f64;
+    let (mot, mesh) = on_both(Benchmark::Multicast10, 0.2);
+    assert!(mot.acceptance() > 0.98, "MoT absorbs the load");
+    let ratio = mesh.latency.mean().expect("samples").as_ps() as f64
+        / mot.latency.mean().expect("samples").as_ps() as f64;
     assert!(
         ratio > 5.0,
         "serialized mesh multicast should be dramatically slower (got {ratio:.1}x)"
@@ -94,21 +76,10 @@ fn both_substrates_emit_round_trippable_ndjson_traces() {
     // Observability must be substrate-agnostic: the same collector type,
     // parameterised only by the node type, produces NDJSON that one shared
     // parser round-trips for both the MoT and the mesh.
-    let phases = Phases::new(Duration::from_ns(60), Duration::from_ns(400));
-    let mot = Network::new(
-        NetworkConfig::new(
-            MotSize::new(64).expect("valid"),
-            Architecture::OptHybridSpeculative,
-        )
-        .with_seed(9),
-    )
-    .expect("valid config");
-    let mesh = MeshNetwork::new(MeshConfig::new(MeshSize::new(8, 8).expect("valid")).with_seed(9))
-        .expect("valid config");
-
+    let (mot, mesh) = sixty_four_endpoints();
     let run = RunConfig::new(Benchmark::Multicast10, 0.2)
         .expect("positive rate")
-        .with_phases(phases);
+        .with_phases(Phases::new(Duration::from_ns(60), Duration::from_ns(400)));
     let (mut mot_trace, mut mesh_trace) =
         (TraceCollector::new(50_000), TraceCollector::new(50_000));
     let mut recorder = Recorder::new(mot.site_of(), vec![&mut mot_trace]);

@@ -20,25 +20,16 @@ fn run_once(seed: u64, benchmark: Benchmark, rate: f64) -> (Option<Duration>, u6
     )
 }
 
-#[test]
-fn same_seed_is_bit_identical() {
-    for benchmark in [Benchmark::UniformRandom, Benchmark::Multicast10] {
-        let a = run_once(7, benchmark, 0.35);
-        let b = run_once(7, benchmark, 0.35);
-        assert_eq!(a.0, b.0, "{benchmark}: latency differs");
-        assert_eq!(a.1, b.1, "{benchmark}: delivered differs");
-        assert_eq!(a.2, b.2, "{benchmark}: throttled differs");
-        assert_eq!(a.3, b.3, "{benchmark}: power differs");
-    }
-}
-
 /// Everything a `RunReport` measures, except the wall-clock diagnostic
 /// (which legitimately varies between executions).
-fn fingerprint(seed: u64, benchmark: Benchmark, rate: f64) -> impl PartialEq + std::fmt::Debug {
-    let network = Network::new(
-        NetworkConfig::eight_by_eight(Architecture::OptHybridSpeculative).with_seed(seed),
-    )
-    .expect("valid config");
+fn fingerprint(
+    arch: Architecture,
+    seed: u64,
+    benchmark: Benchmark,
+    rate: f64,
+) -> impl PartialEq + std::fmt::Debug {
+    let network =
+        Network::new(NetworkConfig::eight_by_eight(arch).with_seed(seed)).expect("valid config");
     let run = RunConfig::new(benchmark, rate)
         .expect("positive rate")
         .with_phases(Phases::new(Duration::from_ns(100), Duration::from_ns(800)));
@@ -58,6 +49,17 @@ fn fingerprint(seed: u64, benchmark: Benchmark, rate: f64) -> impl PartialEq + s
     )
 }
 
+/// Identical seeds reproduce identical runs, everything a report
+/// measures (`properties.rs::runs_are_deterministic` samples the
+/// architecture x benchmark space).
+#[test]
+fn same_seed_is_bit_identical() {
+    for benchmark in [Benchmark::UniformRandom, Benchmark::Multicast10] {
+        let run = || fingerprint(Architecture::OptHybridSpeculative, 7, benchmark, 0.35);
+        assert_eq!(run(), run(), "{benchmark}");
+    }
+}
+
 /// The multi-core runner regression test: fanning runs across worker
 /// threads must reproduce the serial results bit for bit (excluding wall).
 #[test]
@@ -70,7 +72,9 @@ fn parallel_execution_is_bit_identical_to_serial() {
         (5, Benchmark::Multicast5, 0.35),
         (6, Benchmark::MulticastStatic, 0.2),
     ];
-    let job = |(seed, benchmark, rate): (u64, Benchmark, f64)| fingerprint(seed, benchmark, rate);
+    let job = |(seed, benchmark, rate): (u64, Benchmark, f64)| {
+        fingerprint(Architecture::OptHybridSpeculative, seed, benchmark, rate)
+    };
     let serial = asynoc::parallel_map(1, runs.clone(), job);
     let parallel = asynoc::parallel_map(4, runs, job);
     assert_eq!(

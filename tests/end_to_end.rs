@@ -2,7 +2,9 @@
 //! the full stack (topology → routing → node state machines → event loop →
 //! statistics) and produces sane measurements.
 
-use asynoc::{Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
+use asynoc::{
+    Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases, RunConfig,
+};
 
 fn network(arch: Architecture) -> Network {
     Network::new(NetworkConfig::eight_by_eight(arch).with_seed(99)).expect("valid config")
@@ -68,72 +70,57 @@ fn multicast_completion_means_every_destination_got_the_header() {
     }
 }
 
+/// `config` measures packets under `benchmark` at `rate` and drains them all.
+fn drains(config: NetworkConfig, benchmark: Benchmark, rate: f64) {
+    let what = format!("{} x {benchmark}", config.spec_map());
+    let net = Network::new(config).expect("valid config");
+    let run = RunConfig::new(benchmark, rate)
+        .expect("positive rate")
+        .with_phases(short());
+    let report = net.run(&run).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert!(report.packets_measured > 0, "{what}: nothing measured");
+    assert_eq!(report.packets_incomplete, 0, "{what}: lost packets");
+}
+
 #[test]
 fn sixteen_by_sixteen_networks_work() {
-    use asynoc::MotSize;
+    let size = MotSize::new(16).expect("16 is valid");
     for arch in [
         Architecture::OptNonSpeculative,
         Architecture::OptHybridSpeculative,
         Architecture::OptAllSpeculative,
     ] {
-        let config = NetworkConfig::new(MotSize::new(16).expect("16 is valid"), arch);
-        let net = Network::new(config).expect("valid config");
-        let run = RunConfig::new(Benchmark::Multicast5, 0.15)
-            .expect("positive rate")
-            .with_phases(short());
-        let report = net.run(&run).expect("16x16 run succeeds");
-        assert!(
-            report.packets_measured > 0,
-            "{arch}: 16x16 produced nothing"
-        );
-        assert_eq!(report.packets_incomplete, 0, "{arch}: 16x16 lost packets");
+        drains(NetworkConfig::new(size, arch), Benchmark::Multicast5, 0.15);
     }
 }
 
 #[test]
 fn tiny_and_wide_networks_work() {
-    use asynoc::MotSize;
     for n in [2usize, 4, 32] {
-        let config = NetworkConfig::new(
-            MotSize::new(n).expect("valid size"),
-            Architecture::OptHybridSpeculative,
-        );
-        let net = Network::new(config).expect("valid config");
-        let run = RunConfig::new(Benchmark::UniformRandom, 0.1)
-            .expect("positive rate")
-            .with_phases(short());
-        let report = net.run(&run).expect("run succeeds");
-        assert!(report.packets_measured > 0, "{n}x{n}: nothing measured");
-        assert_eq!(report.packets_incomplete, 0, "{n}x{n}: lost packets");
+        let size = MotSize::new(n).expect("valid size");
+        let config = NetworkConfig::new(size, Architecture::OptHybridSpeculative);
+        drains(config, Benchmark::UniformRandom, 0.1);
     }
 }
 
 #[test]
 fn single_flit_packets_flow() {
-    let config = NetworkConfig::eight_by_eight(Architecture::OptAllSpeculative)
-        .with_flits_per_packet(1)
-        .with_seed(5);
-    let net = Network::new(config).expect("valid config");
-    let run = RunConfig::new(Benchmark::Multicast10, 0.1)
-        .expect("positive rate")
-        .with_phases(short());
-    let report = net.run(&run).expect("single-flit run succeeds");
-    assert!(report.packets_measured > 0);
-    assert_eq!(report.packets_incomplete, 0);
+    let config = NetworkConfig::eight_by_eight(Architecture::OptAllSpeculative);
+    drains(
+        config.with_flits_per_packet(1).with_seed(5),
+        Benchmark::Multicast10,
+        0.1,
+    );
 }
 
 #[test]
 fn long_packets_flow() {
-    let config = NetworkConfig::eight_by_eight(Architecture::OptHybridSpeculative)
-        .with_flits_per_packet(9)
-        .with_seed(5);
-    let net = Network::new(config).expect("valid config");
-    let run = RunConfig::new(Benchmark::Multicast5, 0.1)
-        .expect("positive rate")
-        .with_phases(short());
-    let report = net.run(&run).expect("9-flit run succeeds");
-    assert!(report.packets_measured > 0);
-    assert_eq!(report.packets_incomplete, 0);
+    let config = NetworkConfig::eight_by_eight(Architecture::OptHybridSpeculative);
+    drains(
+        config.with_flits_per_packet(9).with_seed(5),
+        Benchmark::Multicast5,
+        0.1,
+    );
 }
 
 #[test]

@@ -7,13 +7,14 @@
 //! or a wrong per-kind latency shows up as a picosecond-level mismatch.
 
 use asynoc::{
-    Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig, TimingModel,
+    Architecture, Benchmark, Duration, MotSize, Network, NetworkConfig, Phases, RunConfig,
+    TimingModel,
 };
 use asynoc_nodes::FlitClass;
 
 /// Analytic header latency from source to any destination (all MoT paths
 /// have equal length) in an uncontended network.
-fn golden_header_latency(architecture: Architecture, size: asynoc::MotSize) -> Duration {
+fn golden_header_latency(architecture: Architecture, size: MotSize) -> Duration {
     let timing = TimingModel::calibrated();
     let levels = size.levels();
     // Hop sequence: source→L0, L0→L1, …, L(levels-1)→fanin leaf,
@@ -27,9 +28,9 @@ fn golden_header_latency(architecture: Architecture, size: asynoc::MotSize) -> D
     total
 }
 
-fn min_latency(architecture: Architecture, benchmark: Benchmark) -> Duration {
-    let network = Network::new(NetworkConfig::eight_by_eight(architecture).with_seed(17))
-        .expect("valid config");
+fn min_latency(architecture: Architecture, size: MotSize, benchmark: Benchmark) -> Duration {
+    let network =
+        Network::new(NetworkConfig::new(size, architecture).with_seed(17)).expect("valid config");
     // Very light load: virtually every packet sees an empty network.
     let run = RunConfig::new(benchmark, 0.02)
         .expect("positive rate")
@@ -41,10 +42,10 @@ fn min_latency(architecture: Architecture, benchmark: Benchmark) -> Duration {
 
 #[test]
 fn zero_load_unicast_latency_matches_golden_model_exactly() {
-    let size = asynoc::MotSize::new(8).expect("valid size");
+    let size = MotSize::new(8).expect("valid size");
     for architecture in Architecture::ALL {
         let golden = golden_header_latency(architecture, size);
-        let observed = min_latency(architecture, Benchmark::Shuffle);
+        let observed = min_latency(architecture, size, Benchmark::Shuffle);
         assert_eq!(
             observed, golden,
             "{architecture}: observed minimum {observed} != analytic {golden}"
@@ -57,14 +58,14 @@ fn zero_load_multicast_latency_matches_golden_model_exactly() {
     // Every MoT path has the same depth, so an uncontended multicast's
     // last-header arrival equals the unicast golden value for parallel
     // networks.
-    let size = asynoc::MotSize::new(8).expect("valid size");
+    let size = MotSize::new(8).expect("valid size");
     for architecture in [
         Architecture::BasicNonSpeculative,
         Architecture::OptHybridSpeculative,
         Architecture::OptAllSpeculative,
     ] {
         let golden = golden_header_latency(architecture, size);
-        let observed = min_latency(architecture, Benchmark::Multicast10);
+        let observed = min_latency(architecture, size, Benchmark::Multicast10);
         assert_eq!(
             observed, golden,
             "{architecture}: multicast minimum {observed} != analytic {golden}"
@@ -76,7 +77,7 @@ fn zero_load_multicast_latency_matches_golden_model_exactly() {
 fn golden_model_orders_architectures_like_the_paper() {
     // The analytic model alone already predicts the zero-load ordering:
     // speculative roots shave (299−52) ps per replaced level.
-    let size = asynoc::MotSize::new(8).expect("valid size");
+    let size = MotSize::new(8).expect("valid size");
     let basic_nonspec = golden_header_latency(Architecture::BasicNonSpeculative, size);
     let basic_hybrid = golden_header_latency(Architecture::BasicHybridSpeculative, size);
     let baseline = golden_header_latency(Architecture::Baseline, size);
@@ -91,14 +92,8 @@ fn golden_model_orders_architectures_like_the_paper() {
 
 #[test]
 fn golden_model_holds_for_16x16() {
-    let size = asynoc::MotSize::new(16).expect("valid size");
+    let size = MotSize::new(16).expect("valid size");
     let architecture = Architecture::OptHybridSpeculative;
     let golden = golden_header_latency(architecture, size);
-    let network =
-        Network::new(NetworkConfig::new(size, architecture).with_seed(17)).expect("valid config");
-    let run = RunConfig::new(Benchmark::Shuffle, 0.02)
-        .expect("positive rate")
-        .with_phases(Phases::new(Duration::from_ns(50), Duration::from_ns(4000)));
-    let report = network.run(&run).expect("run succeeds");
-    assert_eq!(report.latency.min().expect("samples"), golden);
+    assert_eq!(min_latency(architecture, size, Benchmark::Shuffle), golden);
 }
