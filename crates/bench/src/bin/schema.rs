@@ -93,14 +93,12 @@ fn main() {
              --warmup-ns 20 --measure-ns 150 --oracle \
              --plan stall:0:2:300;drop:1:0:1:500;lose:2:0",
         )),
-        // A sharded run populates every section of the document: two
-        // shards give non-empty barrier-wait buckets, cross-cut `sent`
-        // slots, and a meaningful imbalance summary.
+        // One run populates every section of the document.
         "profile" => {
             let path = temp("profile.json");
             run(&format!(
                 "run --arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3 \
-                 --shards 2 --warmup-ns 40 --measure-ns 400 --profile {path}"
+                 --warmup-ns 40 --measure-ns 400 --profile {path}"
             ));
             let text = std::fs::read_to_string(&path).expect("profile document written");
             let _ = std::fs::remove_file(&path);

@@ -1,24 +1,19 @@
 //! Bounded-memory gate for streaming telemetry: a streamed 64x64 MoT
-//! run's peak allocation must be independent of how long the run is —
-//! serial and sharded alike.
+//! run's peak allocation must be independent of how long the run is.
 //!
 //! The live-export contract is O(window), not O(events): the stream
 //! sink drains every buffer at each flush window, and the engine's own
-//! latency statistic is a fixed-size histogram. A sharded run keeps the
-//! same promise: its shards log into flat buffers that shard 0 folds — and
-//! the sink writes — every few windows, so two logs per shard are all
-//! the run ever holds. This binary measures peak heap (via the
-//! `CountingAlloc` global allocator) across a short and an 8x-longer
-//! streamed run, on one shard and on two, and fails when the long run's
-//! peak exceeds the short run's by more than a fixed headroom factor.
+//! latency statistic is a fixed-size histogram. This binary measures
+//! peak heap (via the `CountingAlloc` global allocator) across a short
+//! and an 8x-longer streamed run, and fails when the long run's peak
+//! exceeds the short run's by more than a fixed headroom factor.
 //! A quotient of two allocation counts, so it holds on any host and in
 //! any build profile: it runs under `cargo test --workspace`, without the
 //! test harness because it installs the counting allocator and wants no
 //! other thread's allocations in the peak.
 //!
-//! The sharded long run also proves the stream is live: its first
-//! `window` record must be written in the first half of the run's wall
-//! time (with an end-of-run fold it followed the last event).
+//! The long run also proves the stream is live: its first `window`
+//! record must be written in the first half of the run's wall time.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +22,6 @@ use std::time::Instant;
 use asynoc::probe::{peak_bytes, reset_peak_bytes};
 use asynoc::telemetry::{LatencyHistograms, Recorder, StreamConfig, StreamSink, TimeSeries};
 use asynoc::{drive, Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
-use asynoc_kernel::with_deadline;
 use asynoc_topology::MotSize;
 
 #[global_allocator]
@@ -38,8 +32,6 @@ static GLOBAL: asynoc::probe::CountingAlloc = asynoc::probe::CountingAlloc;
 /// O(events) buffer shows up as ~8x).
 const HEADROOM: f64 = 1.5;
 
-/// A window protocol that loses a wake-up hangs; fail instead.
-const DEADLINE_S: u64 = 600;
 /// Flush window and series bin: a twelfth of the long run, so that its
 /// first `window` record is due well inside the first half.
 const WINDOW_NS: u64 = 200;
@@ -106,12 +98,11 @@ struct Streamed {
     first_window_share: f64,
 }
 
-fn streamed_run(net: &Network, shards: usize, measure_ns: u64) -> Streamed {
+fn streamed_run(net: &Network, measure_ns: u64) -> Streamed {
     let phases = Phases::new(Duration::from_ns(40), Duration::from_ns(measure_ns));
     let run = RunConfig::new(Benchmark::Multicast5, 0.05)
         .expect("valid run")
-        .with_phases(phases)
-        .with_shards(shards);
+        .with_phases(phases);
     let stream_start = STREAM_BYTES.load(Ordering::Relaxed);
     FIRST_WINDOW_NS.store(0, Ordering::Relaxed);
     let started = Instant::now();
@@ -129,7 +120,6 @@ fn streamed_run(net: &Network, shards: usize, measure_ns: u64) -> Streamed {
         report.packets_incomplete,
     )
     .expect("stream closes");
-    assert_eq!(report.shards, shards);
     Streamed {
         peak_bytes,
         events: report.events_processed,
@@ -138,8 +128,8 @@ fn streamed_run(net: &Network, shards: usize, measure_ns: u64) -> Streamed {
     }
 }
 
-/// The gate at one shard count; `false` when it fails.
-fn peak_is_bounded(shards: usize) -> bool {
+/// The gate; `false` when it fails.
+fn peak_is_bounded() -> bool {
     let size = 64;
     let net = Network::new(NetworkConfig::new(
         MotSize::new(size).expect("64 is a power of two"),
@@ -149,13 +139,13 @@ fn peak_is_bounded(shards: usize) -> bool {
 
     // Warm the allocator and event pool so the measured short run is
     // not charged for one-time growth the long run gets for free.
-    let _ = streamed_run(&net, shards, 300);
+    let _ = streamed_run(&net, 300);
 
-    let short = streamed_run(&net, shards, 300);
-    let long = streamed_run(&net, shards, 2400);
+    let short = streamed_run(&net, 300);
+    let long = streamed_run(&net, 2400);
     let ratio = long.peak_bytes as f64 / short.peak_bytes.max(1) as f64;
     println!(
-        "memcheck ({size}x{size} MoT, streamed, {shards} shard(s)):\n\
+        "memcheck ({size}x{size} MoT, streamed):\n\
          \x20 short run : {:>9} events, peak {:>11} B, stream {} B\n\
          \x20 long run  : {:>9} events, peak {:>11} B, stream {} B\n\
          \x20 peak ratio: {ratio:.3} (events grew {:.1}x, gate {HEADROOM}); \
@@ -179,16 +169,15 @@ fn peak_is_bounded(shards: usize) -> bool {
     );
     if ratio > HEADROOM {
         eprintln!(
-            "FAIL: peak allocation grew {ratio:.2}x on an 8x-longer streamed run at \
-             {shards} shard(s) (> {HEADROOM}); an O(events) buffer is hiding in the \
-             live-export path"
+            "FAIL: peak allocation grew {ratio:.2}x on an 8x-longer streamed run \
+             (> {HEADROOM}); an O(events) buffer is hiding in the live-export path"
         );
         return false;
     }
     if !(long.first_window_share > 0.0 && long.first_window_share < 0.5) {
         eprintln!(
-            "FAIL: at {shards} shard(s) the first window record was written {:.0} % into \
-             the run; the stream is not live",
+            "FAIL: the first window record was written {:.0} % into the run; the \
+             stream is not live",
             100.0 * long.first_window_share
         );
         return false;
@@ -197,10 +186,8 @@ fn peak_is_bounded(shards: usize) -> bool {
 }
 
 fn main() {
-    for shards in [1, 2] {
-        if !with_deadline(DEADLINE_S, move || peak_is_bounded(shards)) {
-            std::process::exit(1);
-        }
+    if !peak_is_bounded() {
+        std::process::exit(1);
     }
     println!("OK: streamed peak memory is bounded independent of run length");
 }

@@ -1,7 +1,6 @@
 //! One conformance suite over both mesh routers: what the mesh fabric
 //! promises whatever router it carries — light load delivers everything,
-//! one seed gives one run, `--shards 1/2/3/4` are bit-identical, a bad
-//! rate is refused. Written once, generic over [`Router`]; a new router
+//! one seed gives one run, a bad rate is refused. Written once, generic over [`Router`]; a new router
 //! joins by implementing [`Conformant`] and adding one line per test.
 //! Router-specific behaviour (the wormhole lock and golden latency, the
 //! VC planes, DPM's link count, the credit protocol) is tested beside
@@ -10,8 +9,7 @@
 use std::fmt::Debug;
 
 use asynoc::{Benchmark, Duration, Phases};
-use asynoc_kernel::with_deadline;
-use asynoc_mesh::{drive, MeshError, Network, Report, Router, RunConfig, Wormhole};
+use asynoc_mesh::{MeshError, Network, Report, Router, Wormhole};
 use asynoc_vcmesh::{McastScheme, VcRouter, VC_COUNT};
 
 fn phases() -> Phases {
@@ -21,10 +19,10 @@ fn phases() -> Phases {
 /// What the suite needs to know about a router's report section.
 trait Conformant: Router {
     /// The part of the section that is a function of the event stream —
-    /// equal across repeated runs and across shard counts.
+    /// equal across repeated runs.
     type Exact: PartialEq + Debug;
     fn exact(report: &Report<Self::Section>) -> Self::Exact;
-    /// Router-specific health of a serial run's report.
+    /// Router-specific health of a run's report.
     fn sound(_report: &Report<Self::Section>) {}
 }
 
@@ -39,7 +37,7 @@ impl Conformant for VcRouter {
         let vc = &report.router;
         (vc.link_traversals, vc.vc_pushes, vc.vc_peak)
     }
-    /// The serial-only credit ledger ran and balanced.
+    /// The credit ledger ran and balanced.
     fn sound(report: &Report<Self::Section>) {
         assert!(report.router.credit_checks > 0, "ledger never ran");
         assert_eq!(report.router.credit_violations, 0, "ledger broke");
@@ -79,32 +77,6 @@ fn one_seed_gives_one_run<R: Conformant>(settings: R::Settings) {
     assert_eq!(R::exact(&a), R::exact(&b));
 }
 
-fn sharded_runs_match_serial_bit_for_bit<R: Conformant>(settings: R::Settings) {
-    let net = network::<R>(4, 11, &settings);
-    let serial = net.run(Benchmark::Multicast5, 0.2, phases()).unwrap();
-    assert_eq!(serial.shards, 1);
-    R::sound(&serial);
-    for shards in [2, 3, 4] {
-        let run = RunConfig::new(Benchmark::Multicast5, 0.2)
-            .unwrap()
-            .with_phases(phases())
-            .with_shards(shards);
-        let sharded = drive(&net, &run, &mut [], None).unwrap();
-        assert_eq!(sharded.shards, shards);
-        assert_eq!(
-            sharded.shard_events.iter().sum::<u64>(),
-            sharded.events_processed
-        );
-        assert_eq!(sharded.events_processed, serial.events_processed);
-        assert_eq!(sharded.latency, serial.latency);
-        assert_eq!(sharded.throughput, serial.throughput);
-        assert_eq!(sharded.packets_measured, serial.packets_measured);
-        assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);
-        assert!((sharded.mean_hops - serial.mean_hops).abs() == 0.0);
-        assert_eq!(R::exact(&sharded), R::exact(&serial), "shards {shards}");
-    }
-}
-
 fn a_bad_rate_is_refused<R: Conformant>(settings: R::Settings) {
     for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
         assert!(matches!(
@@ -126,15 +98,6 @@ fn every_router_is_deterministic_under_one_seed() {
     one_seed_gives_one_run::<Wormhole>(());
     one_seed_gives_one_run::<VcRouter>(McastScheme::XyTree);
     one_seed_gives_one_run::<VcRouter>(McastScheme::Dpm);
-}
-
-#[test]
-fn every_router_is_bit_identical_at_every_shard_count() {
-    with_deadline(120, || {
-        sharded_runs_match_serial_bit_for_bit::<Wormhole>(());
-        sharded_runs_match_serial_bit_for_bit::<VcRouter>(McastScheme::XyTree);
-        sharded_runs_match_serial_bit_for_bit::<VcRouter>(McastScheme::Dpm);
-    });
 }
 
 #[test]

@@ -14,8 +14,10 @@ use asynoc_vcmesh::{McastScheme, VcMeshNetwork};
 
 fn holds<S: Substrate>(net: &S, site_of: SiteOf<S::Node>) {
     let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
-    assert_eq!(run.shards(), 1, "a default run is serial");
-    assert!(!run.profile() && !run.progress(), "and unprofiled");
+    assert!(
+        !run.profile() && !run.progress(),
+        "a default run is unprofiled"
+    );
 
     // Fault plans index channels and endpoints of the model that runs.
     let (model, _probes) = net.prepare(&run);
@@ -35,8 +37,6 @@ fn holds<S: Substrate>(net: &S, site_of: SiteOf<S::Node>) {
     )
     .expect("run succeeds");
     assert_eq!(report.latency, *online.overall());
-    assert_eq!(report.shards, 1);
-    assert_eq!(report.shard_events, [report.events_processed]);
     assert!(report.profile.is_none());
     assert!(report.packets_measured > 0);
 }

@@ -99,7 +99,8 @@ pub const FLAGS: &[Flag] = &[
     flag("warmup-ns",        "<W>",             Common, "warmup window in ns (default: paper standard)"),
     flag("measure-ns",       "<M>",             Common, "measurement window in ns (default: paper standard)"),
     flag("jobs",             "<J>",             Common, "worker threads for independent runs"),
-    flag("shards",           "<S>",             Common, "conservative shards splitting each single run"),
+    // Read by benchmark/e2e/src/workloads.rs, which passes it on every workload.
+    flag("shards",           "<S>",             Common, "accepted and ignored: every run is one thread"),
     flag("profile",          "<path>",          Common, "write an asynoc-profile-v1 JSON self-profile here"),
     flag("progress",         "",                Common, "single-line stderr heartbeat"),
     flag("stream",           "<path|->",        Stream, "append asynoc-stream-v1 NDJSON telemetry here"),
@@ -130,17 +131,16 @@ const SECTIONS: [(Group, &str, &str); 3] = [
     (
         Common,
         "COMMON OPTIONS",
-        "--jobs defaults to all hardware threads and --shards to 1: independent\n\
-         runs spread across cores at no cost, while splitting one run only pays\n\
-         on fabrics large enough to fill a window between barriers (shards are\n\
-         clamped to what the topology supports). Results are bit-identical at\n\
-         any setting — only wall time changes. --profile records the simulator's own execution\n\
-         (scheduler counters, per-shard balance, barrier waits, phase wall\n\
-         splits); multi-run commands (run --seeds, saturate, sweep, faults\n\
-         --oracle) collect one runs[] entry per simulation. --progress reports\n\
-         events done, events/s and per-shard lag a few times per second, only\n\
-         when stderr is a terminal (set ASYNOC_PROGRESS_FORCE=1 to override).\n\
-         Neither changes simulation results.",
+        "--jobs defaults to all hardware threads: independent runs (seeds,\n\
+         sweep points, saturation probes, explore candidates) spread across\n\
+         cores, and each run executes on one thread. Results are bit-identical\n\
+         at any setting — only wall time changes. --profile records the\n\
+         simulator's own execution (scheduler counters, phase wall splits);\n\
+         multi-run commands (run --seeds, saturate, sweep, faults --oracle)\n\
+         collect one runs[] entry per simulation. --progress reports events\n\
+         done and events/s a few times per second, only when stderr is a\n\
+         terminal (set ASYNOC_PROGRESS_FORCE=1 to override). Neither changes\n\
+         simulation results.",
     ),
     (
         Stream,
@@ -571,9 +571,6 @@ pub struct CommonOptions {
     pub measure_ns: Option<u64>,
     /// Worker threads for independent runs (wall-clock only, never results).
     pub jobs: usize,
-    /// Conservative shards splitting each single run across threads
-    /// (wall-clock only, never results).
-    pub shards: usize,
     /// Write an `asynoc-profile-v1` self-profile of the simulator's own
     /// execution to this path (host-side metadata only, never results).
     pub profile: Option<String>,
@@ -602,9 +599,6 @@ impl Default for CommonOptions {
             warmup_ns: None,
             measure_ns: None,
             jobs: asynoc::default_parallelism(),
-            // One run on one thread unless asked: even a 64×64 MoT on two
-            // threads does not beat the serial loop (EXPERIMENTS.md).
-            shards: 1,
             profile: None,
             progress: false,
             stream: None,
@@ -748,8 +742,12 @@ impl Flags {
             warmup_ns: self.ns("warmup-ns", 0)?,
             measure_ns: self.ns("measure-ns", 1)?,
             jobs: self.positive("jobs")?.unwrap_or(defaults.jobs),
-            shards: self.positive("shards")?.unwrap_or(defaults.shards),
-            profile: self.get("profile")?,
+            profile: {
+                // `--shards` is validated like every count, in its old
+                // place among the flags, then ignored: benchmark/ passes it.
+                self.positive::<usize>("shards")?;
+                self.get("profile")?
+            },
             progress: self.has("progress"),
             stream: self.get("stream")?,
             stream_window_ns: self.ns("stream-window-ns", 1)?,
@@ -1032,8 +1030,7 @@ pub(crate) mod tests {
         "run --arch baseline --benchmark shuffle --rate 1.0 --size 16 --seed 7 --flits 3 \
          --warmup-ns 100 --measure-ns 1000 => arch: Some(Baseline), benchmark: Shuffle, size: 16, \
          seed: 7, flits: 3, warmup_ns: Some(100), measure_ns: Some(1000)",
-        "run --arch Baseline --benchmark Shuffle --rate 0.2 --size 64 --shards 2 => size: 64, \
-         shards: 2",
+        "run --arch Baseline --benchmark Shuffle --rate 0.2 --size 64 => size: 64",
         "run --arch Baseline --benchmark Shuffle --rate 0.4 --seeds 4 --jobs 4 => seeds: 4, \
          jobs: 4",
         "run --arch Baseline --benchmark Multicast_static --rate 0.2 => benchmark: MulticastStatic",
@@ -1126,11 +1123,11 @@ pub(crate) mod tests {
     }
 
     /// The smallest line each simulation command takes leaves every shared
-    /// option at its default: one run on one thread unless asked.
+    /// option at its default.
     #[test]
     fn a_minimal_line_takes_every_default() {
         let defaults = CommonOptions::default();
-        assert_eq!((defaults.shards, defaults.size), (1, 8));
+        assert_eq!(defaults.size, 8);
         assert_eq!(defaults.jobs, asynoc::default_parallelism());
         for spec in COMMANDS
             .iter()

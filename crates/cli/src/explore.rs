@@ -76,7 +76,6 @@ fn explore_spec(request: &ExploreRequest) -> Result<ExploreSpec, CliError> {
     spec.granularity = request.granularity;
     spec.beam_width = request.beam;
     spec.jobs = request.common.jobs;
-    spec.shards = request.common.shards;
     spec.max_points = request.max_points;
     Ok(spec)
 }

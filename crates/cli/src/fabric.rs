@@ -135,10 +135,9 @@ impl MeshRouter for Wormhole {
 impl MeshRouter for VcRouter {
     const TAG: &'static str = "vcmesh";
 
-    /// The `vcs` section: the multicast scheme and the shard-exact
-    /// VC-plane counters — the serial-only credit-conservation ledger
-    /// stays out of the document so `--shards N` reports remain
-    /// byte-identical.
+    /// The `vcs` section: the multicast scheme and the VC-plane counters.
+    /// The credit-conservation ledger's audit counts stay out of the
+    /// document: they check the router, they do not describe the run.
     fn extra_sections(mcast: &McastScheme, report: &VcMeshReport) -> Vec<(String, JsonValue)> {
         let uints =
             |values: &[u64]| JsonValue::Array(values.iter().map(|&v| JsonValue::uint(v)).collect());

@@ -197,17 +197,6 @@ pub(crate) fn counters_json(report: &EngineReport) -> JsonValue {
             "events_processed".to_string(),
             JsonValue::uint(report.events_processed),
         ),
-        ("shards".to_string(), JsonValue::uint(report.shards as u64)),
-        (
-            "shard_events".to_string(),
-            JsonValue::Array(
-                report
-                    .shard_events
-                    .iter()
-                    .map(|&e| JsonValue::uint(e))
-                    .collect(),
-            ),
-        ),
     ])
 }
 
@@ -477,9 +466,8 @@ mod tests {
         for (counter, value) in [
             ("flits_delivered", engine.flits_delivered),
             ("packets_measured", engine.packets_measured as u64),
-            // A wormhole mesh never throttles; no --shards is one shard.
+            // A wormhole mesh never throttles.
             ("flits_throttled", 0),
-            ("shards", 1),
         ] {
             assert_eq!(
                 num(&doc, &format!("counters.{counter}")),
@@ -490,125 +478,65 @@ mod tests {
     }
 
     #[test]
-    fn vcmesh_report_carries_the_vc_section_and_is_shard_invariant() {
-        asynoc_kernel::with_deadline(120, || {
-            let base = "metrics --substrate vcmesh --benchmark Multicast10 --rate 0.1 --size 4 \
-                    --warmup-ns 40 --measure-ns 400";
-            let doc = metrics_doc(&format!("{base} --shards 1"));
-            assert_eq!(
-                doc.get("substrate").and_then(JsonValue::as_str),
-                Some("vcmesh")
-            );
-            assert_eq!(doc.get("power"), Some(&JsonValue::Null));
-            assert_eq!(doc.get("waste"), Some(&JsonValue::Null));
-            assert!(
-                doc.get("latency")
-                    .and_then(|l| l.get("count"))
-                    .and_then(JsonValue::as_f64)
-                    .unwrap()
-                    > 0.0
-            );
-            let vcs = doc.get("vcs").expect("vcs section");
-            assert_eq!(
-                vcs.get("mcast").and_then(JsonValue::as_str),
-                Some("xy-tree")
-            );
-            let pushes = vcs.get("vc_pushes").and_then(JsonValue::as_array).unwrap();
-            assert_eq!(pushes.len(), asynoc_vcmesh::VC_COUNT);
-            assert!(
-                pushes.iter().map(|p| p.as_f64().unwrap()).sum::<f64>() > 0.0,
-                "VC planes carried traffic"
-            );
-            assert!(
-                vcs.get("link_traversals")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap()
-                    > 0.0
-            );
-            // The acceptance gate: the whole document — including every vcs
-            // counter — must be byte-identical across shard counts (only the
-            // counters section's shard layout legitimately differs, and it
-            // does so identically in batch and stream).
-            let serial = run_cli(&format!("{base} --shards 1"));
-            let sharded = run_cli(&format!("{base} --shards 2"));
-            let strip_layout = |text: &str| {
-                let JsonValue::Object(mut members) = JsonValue::parse(text).unwrap() else {
-                    panic!("report is an object");
-                };
-                for (key, value) in &mut members {
-                    if key == "counters" {
-                        let JsonValue::Object(counters) = value else {
-                            panic!("counters is an object");
-                        };
-                        counters.retain(|(k, _)| k != "shards" && k != "shard_events");
-                    }
-                }
-                JsonValue::Object(members).render_pretty()
-            };
-            assert_eq!(
-                strip_layout(&serial),
-                strip_layout(&sharded),
-                "vcmesh metrics must be shard-invariant"
-            );
-        });
+    fn vcmesh_report_carries_the_vc_section() {
+        let doc = metrics_doc(
+            "metrics --substrate vcmesh --benchmark Multicast10 --rate 0.1 --size 4 \
+             --warmup-ns 40 --measure-ns 400",
+        );
+        assert_eq!(
+            doc.get("substrate").and_then(JsonValue::as_str),
+            Some("vcmesh")
+        );
+        assert_eq!(doc.get("power"), Some(&JsonValue::Null));
+        assert_eq!(doc.get("waste"), Some(&JsonValue::Null));
+        assert!(num(&doc, "latency.count") > 0.0);
+        let vcs = doc.get("vcs").expect("vcs section");
+        assert_eq!(
+            vcs.get("mcast").and_then(JsonValue::as_str),
+            Some("xy-tree")
+        );
+        let pushes = vcs.get("vc_pushes").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(pushes.len(), asynoc_vcmesh::VC_COUNT);
+        assert!(
+            pushes.iter().map(|p| p.as_f64().unwrap()).sum::<f64>() > 0.0,
+            "VC planes carried traffic"
+        );
+        assert!(num(&doc, "vcs.link_traversals") > 0.0);
     }
 
     #[test]
     fn streamed_windows_fold_back_into_the_batch_document() {
-        asynoc_kernel::with_deadline(120, || {
-            use asynoc_telemetry::fold_stream;
-            // Both substrates, serial and sharded: the incremental stream
-            // must fold into the exact batch report, and the event-record
-            // prefix of the stream must be shard-invariant.
-            for (tag, substrate_args) in [
-                (
-                    "mot",
-                    "--arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3 --bin-ns 50",
-                ),
-                (
-                    "mesh",
-                    "--substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 --bin-ns 50",
-                ),
-                (
-                    "vcmesh",
-                    "--substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4 \
+        use asynoc_telemetry::fold_stream;
+        // Every substrate: the incremental stream must fold into the
+        // exact batch report.
+        for (tag, substrate_args) in [
+            (
+                "mot",
+                "--arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3 --bin-ns 50",
+            ),
+            (
+                "mesh",
+                "--substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 --bin-ns 50",
+            ),
+            (
+                "vcmesh",
+                "--substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4 \
                  --bin-ns 50",
-                ),
-            ] {
-                let mut streams = Vec::new();
-                for shards in [1usize, 2] {
-                    let batch_path = temp_path(&format!("fold-batch-{tag}-{shards}.json"));
-                    let stream_path = temp_path(&format!("fold-stream-{tag}-{shards}.ndjson"));
-                    run_cli(&format!(
-                        "metrics {substrate_args} --warmup-ns 40 --measure-ns 400 \
-                     --shards {shards} --metrics-out {batch_path} --stream {stream_path}"
-                    ));
-                    let batch = std::fs::read_to_string(&batch_path).expect("batch report");
-                    let stream = std::fs::read_to_string(&stream_path).expect("stream file");
-                    let folded = fold_stream(&stream).expect("stream folds").render_pretty();
-                    assert_eq!(
-                        folded, batch,
-                        "fold != batch for {substrate_args} shards {shards}"
-                    );
-                    streams.push(stream);
-                    let _ = std::fs::remove_file(&batch_path);
-                    let _ = std::fs::remove_file(&stream_path);
-                }
-                // Everything up to the end record is byte-identical across
-                // shard counts; the end record's counters section records
-                // the shard layout itself, so it legitimately differs.
-                let prefix = |text: &str| {
-                    let mut lines: Vec<&str> = text.lines().collect();
-                    assert!(lines.pop().is_some_and(|l| l.contains("\"type\":\"end\"")));
-                    lines.join("\n")
-                };
-                assert_eq!(
-                    prefix(&streams[0]),
-                    prefix(&streams[1]),
-                    "{tag} stream records must be shard-invariant"
-                );
-            }
-        });
+            ),
+        ] {
+            let batch_path = temp_path(&format!("fold-batch-{tag}.json"));
+            let stream_path = temp_path(&format!("fold-stream-{tag}.ndjson"));
+            run_cli(&format!(
+                "metrics {substrate_args} --warmup-ns 40 --measure-ns 400 \
+                 --metrics-out {batch_path} --stream {stream_path}"
+            ));
+            let batch = std::fs::read_to_string(&batch_path).expect("batch report");
+            let stream = std::fs::read_to_string(&stream_path).expect("stream file");
+            let folded = fold_stream(&stream).expect("stream folds").render_pretty();
+            assert_eq!(folded, batch, "fold != batch for {substrate_args}");
+            let _ = std::fs::remove_file(&batch_path);
+            let _ = std::fs::remove_file(&stream_path);
+        }
     }
 
     #[test]

@@ -19,10 +19,7 @@
 use std::io::Write;
 use std::time::Instant;
 
-use asynoc::probe::{
-    allocations, EngineProfile, HostHistogram, PhaseWall, PoolStats, QueueStats, ShardProfile,
-    PROFILE_SCHEMA,
-};
+use asynoc::probe::{allocations, EngineProfile, PhaseWall, PoolStats, QueueStats, PROFILE_SCHEMA};
 use asynoc_telemetry::JsonValue;
 
 use crate::commands::CliError;
@@ -66,7 +63,7 @@ impl ProfileWriter {
     }
 
     /// Appends one run's section: the identity `config` the run was
-    /// keyed by plus the engine's per-shard profile.
+    /// keyed by plus the engine's profile.
     pub fn add_run(&mut self, config: JsonValue, profile: &EngineProfile) {
         self.runs.push(run_json(config, profile));
     }
@@ -100,12 +97,35 @@ impl ProfileWriter {
 }
 
 fn run_json(config: JsonValue, profile: &EngineProfile) -> JsonValue {
-    let events: u64 = profile.shards.iter().map(|s| s.events).sum();
     let wall_s = profile.wall_ns as f64 / 1e9;
-    let imbalance = profile.imbalance();
+    let uint = |key: &str, value: u64| (key.to_string(), JsonValue::uint(value));
+    // `lookahead_ps`, `windows`, `barrier_wait.total_ns` and
+    // `imbalance.event_ratio` hold the one-thread values, and the counters
+    // sit under `shards[0]`, because benchmark/e2e/src/profile.rs reads
+    // exactly those paths.
+    let counters = JsonValue::Object(vec![
+        uint("events", profile.events),
+        uint("windows", 0),
+        (
+            "kinds".to_string(),
+            JsonValue::Object(vec![
+                uint("inject", profile.kinds.inject),
+                uint("arrive", profile.kinds.arrive),
+                uint("free", profile.kinds.free),
+                uint("retry", profile.kinds.retry),
+            ]),
+        ),
+        ("queue".to_string(), queue_json(&profile.queue)),
+        ("pool".to_string(), pool_json(&profile.pool)),
+        (
+            "barrier_wait".to_string(),
+            JsonValue::Object(vec![uint("total_ns", 0)]),
+        ),
+        ("phase".to_string(), phase_json(&profile.phase)),
+    ]);
     JsonValue::Object(vec![
         ("config".to_string(), config),
-        ("events".to_string(), JsonValue::uint(events)),
+        uint("events", profile.events),
         (
             "wall_ms".to_string(),
             JsonValue::Number(profile.wall_ns as f64 / 1e6),
@@ -113,77 +133,17 @@ fn run_json(config: JsonValue, profile: &EngineProfile) -> JsonValue {
         (
             "events_per_sec".to_string(),
             JsonValue::Number(if wall_s > 0.0 {
-                events as f64 / wall_s
+                profile.events as f64 / wall_s
             } else {
                 0.0
             }),
         ),
-        (
-            "lookahead_ps".to_string(),
-            JsonValue::uint(profile.lookahead_ps),
-        ),
-        (
-            "shards".to_string(),
-            JsonValue::Array(profile.shards.iter().map(shard_json).collect()),
-        ),
+        uint("lookahead_ps", 0),
+        ("shards".to_string(), JsonValue::Array(vec![counters])),
         (
             "imbalance".to_string(),
-            JsonValue::Object(vec![
-                (
-                    "max_shard_events".to_string(),
-                    JsonValue::uint(imbalance.max_shard_events),
-                ),
-                (
-                    "mean_shard_events".to_string(),
-                    JsonValue::Number(imbalance.mean_shard_events),
-                ),
-                (
-                    "event_ratio".to_string(),
-                    JsonValue::Number(imbalance.event_ratio),
-                ),
-                (
-                    "barrier_wait_ns".to_string(),
-                    JsonValue::uint(imbalance.barrier_wait_ns),
-                ),
-                (
-                    "barrier_wait_share".to_string(),
-                    JsonValue::Number(imbalance.barrier_wait_share),
-                ),
-            ]),
+            JsonValue::Object(vec![("event_ratio".to_string(), JsonValue::Number(1.0))]),
         ),
-    ])
-}
-
-fn shard_json(shard: &ShardProfile) -> JsonValue {
-    JsonValue::Object(vec![
-        ("shard".to_string(), JsonValue::uint(shard.shard as u64)),
-        ("events".to_string(), JsonValue::uint(shard.events)),
-        ("windows".to_string(), JsonValue::uint(shard.windows)),
-        (
-            "kinds".to_string(),
-            JsonValue::Object(vec![
-                ("inject".to_string(), JsonValue::uint(shard.kinds.inject)),
-                ("arrive".to_string(), JsonValue::uint(shard.kinds.arrive)),
-                ("free".to_string(), JsonValue::uint(shard.kinds.free)),
-                ("retry".to_string(), JsonValue::uint(shard.kinds.retry)),
-            ]),
-        ),
-        ("queue".to_string(), queue_json(&shard.queue)),
-        ("pool".to_string(), pool_json(&shard.pool)),
-        (
-            "barrier_wait".to_string(),
-            histogram_json(&shard.barrier_wait),
-        ),
-        (
-            "sent".to_string(),
-            JsonValue::Array(shard.sent.iter().map(|&n| JsonValue::uint(n)).collect()),
-        ),
-        ("received".to_string(), JsonValue::uint(shard.received)),
-        (
-            "mailbox_depth_high_water".to_string(),
-            JsonValue::uint(shard.mailbox_depth_high_water),
-        ),
-        ("phase".to_string(), phase_json(&shard.phase)),
     ])
 }
 
@@ -217,28 +177,6 @@ fn pool_json(pool: &PoolStats) -> JsonValue {
     ])
 }
 
-fn histogram_json(hist: &HostHistogram) -> JsonValue {
-    JsonValue::Object(vec![
-        ("count".to_string(), JsonValue::uint(hist.count())),
-        ("total_ns".to_string(), JsonValue::uint(hist.total_ns())),
-        ("max_ns".to_string(), JsonValue::uint(hist.max_ns())),
-        ("mean_ns".to_string(), JsonValue::Number(hist.mean_ns())),
-        (
-            "buckets".to_string(),
-            JsonValue::Array(
-                hist.nonzero_buckets()
-                    .map(|(floor_ns, count)| {
-                        JsonValue::Object(vec![
-                            ("floor_ns".to_string(), JsonValue::uint(floor_ns)),
-                            ("count".to_string(), JsonValue::uint(count)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 fn phase_json(phase: &PhaseWall) -> JsonValue {
     JsonValue::Object(vec![
         ("warmup_ns".to_string(), JsonValue::uint(phase.warmup_ns)),
@@ -252,27 +190,18 @@ mod tests {
     use super::*;
 
     fn sample_profile() -> EngineProfile {
-        let mut shard = ShardProfile {
-            shard: 0,
-            events: 100,
-            windows: 4,
-            ..ShardProfile::default()
-        };
-        shard.kinds.inject = 25;
-        shard.kinds.arrive = 75;
-        shard.queue.inserts = 100;
-        shard.queue.pops = 100;
-        shard.pool.takes = 10;
-        shard.pool.hits = 9;
-        shard
-            .barrier_wait
-            .record(std::time::Duration::from_nanos(300));
-        shard.sent = vec![0, 7];
-        EngineProfile {
+        let mut profile = EngineProfile {
             wall_ns: 2_000_000,
-            lookahead_ps: 500,
-            shards: vec![shard],
-        }
+            events: 100,
+            ..EngineProfile::default()
+        };
+        profile.kinds.inject = 25;
+        profile.kinds.arrive = 75;
+        profile.queue.inserts = 100;
+        profile.queue.pops = 100;
+        profile.pool.takes = 10;
+        profile.pool.hits = 9;
+        profile
     }
 
     #[test]
@@ -304,47 +233,22 @@ mod tests {
         let runs = doc.get("runs").and_then(JsonValue::as_array).expect("runs");
         assert_eq!(runs.len(), 1);
         let run = &runs[0];
-        assert_eq!(run.get("events").and_then(JsonValue::as_f64), Some(100.0));
-        assert_eq!(run.get("wall_ms").and_then(JsonValue::as_f64), Some(2.0));
-        let shards = run
-            .get("shards")
-            .and_then(JsonValue::as_array)
-            .expect("shard sections");
-        assert_eq!(shards.len(), 1);
-        let shard = &shards[0];
-        assert_eq!(
-            shard
-                .get("kinds")
-                .and_then(|k| k.get("arrive"))
-                .and_then(JsonValue::as_f64),
-            Some(75.0)
-        );
-        assert_eq!(
-            shard
-                .get("pool")
-                .and_then(|p| p.get("hit_rate"))
-                .and_then(JsonValue::as_f64),
-            Some(0.9)
-        );
-        // Barrier-wait buckets are (floor_ns, count) pairs: 300 ns falls
-        // in [256, 512).
-        let buckets = shard
-            .get("barrier_wait")
-            .and_then(|h| h.get("buckets"))
-            .and_then(JsonValue::as_array)
-            .expect("buckets");
-        assert_eq!(
-            buckets[0].get("floor_ns").and_then(JsonValue::as_f64),
-            Some(256.0)
-        );
-        let imbalance = run.get("imbalance").expect("imbalance summary");
-        assert_eq!(
-            imbalance.get("event_ratio").and_then(JsonValue::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            imbalance.get("barrier_wait_ns").and_then(JsonValue::as_f64),
-            Some(300.0)
-        );
+        let num = |at: &str| {
+            at.split('/')
+                .try_fold(run, |value, key| match key.parse::<usize>() {
+                    Ok(index) => value.as_array()?.get(index),
+                    Err(_) => value.get(key),
+                })
+                .and_then(JsonValue::as_f64)
+        };
+        assert_eq!(num("events"), Some(100.0));
+        assert_eq!(num("wall_ms"), Some(2.0));
+        assert_eq!(num("shards/0/kinds/arrive"), Some(75.0));
+        assert_eq!(num("shards/0/pool/hit_rate"), Some(0.9));
+        // The members the benchmark reads, at their one-thread values.
+        assert_eq!(num("lookahead_ps"), Some(0.0));
+        assert_eq!(num("shards/0/windows"), Some(0.0));
+        assert_eq!(num("shards/0/barrier_wait/total_ns"), Some(0.0));
+        assert_eq!(num("imbalance/event_ratio"), Some(1.0));
     }
 }

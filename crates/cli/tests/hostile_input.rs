@@ -386,7 +386,7 @@ fn a_malformed_inline_spec_map_is_a_usage_error_like_a_malformed_arch() {
 const NOWHERE: &str = "/nonexistent-asynoc-dir/out";
 
 /// The windows and threads of a run that takes seconds.
-const LONG: &str = "--warmup-ns 20 --measure-ns 200000 --jobs 1 --shards 1";
+const LONG: &str = "--warmup-ns 20 --measure-ns 200000 --jobs 1";
 
 /// A placed MoT run, with `LONG` a run that takes seconds.
 const RUN: &str = "--arch Baseline --benchmark Shuffle --rate 0.2";
@@ -447,7 +447,7 @@ fn an_unwritable_output_fails_before_the_work_and_says_which_file() {
         ),
         (format!("analyze --trace-in {trace}"), "--profile"),
         (format!("analyze --trace-in {trace}"), "--report-out"),
-        ("explore --jobs 1 --shards 1".to_string(), "--report-out"),
+        ("explore --jobs 1".to_string(), "--report-out"),
         (format!("watch --stream-in {stream} --once"), "--fold"),
         // Tailing: the file ends, so without the early failure this returns too.
         (format!("watch --stream-in {stream}"), "--fold"),
@@ -600,7 +600,7 @@ fn mutated_spec_maps_never_panic_and_exit_as_the_contract_says() {
         r#"{"levels":["osp","ons","ons"]}"#,
         r#"{"levels":["ons","ons","ons"],"nodes":[{"tree":0,"level":0,"index":0,"kind":"osp"},{"tree":7,"level":1,"index":1,"kind":"osp"}]}"#,
     ];
-    let tail = "--benchmark Shuffle --rate 0.2 --warmup-ns 10 --measure-ns 40 --shards 1";
+    let tail = "--benchmark Shuffle --rate 0.2 --warmup-ns 10 --measure-ns 40";
     let mut rng = SimRng::seed_from(0x5BEC_3A90);
     let file = fixture("mutant.json", "");
     let (mut ran, mut usage, mut bad_file) = (0, 0, 0);

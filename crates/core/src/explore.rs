@@ -130,8 +130,6 @@ pub struct ExploreSpec {
     /// Worker threads for fanning runs out; results are bit-identical for
     /// every value.
     pub jobs: usize,
-    /// Conservative shards per individual run.
-    pub shards: usize,
     /// Maximum number of placements to simulate; `None` is unbounded. An
     /// exhausted budget truncates the search but still reports the front
     /// over everything evaluated.
@@ -153,7 +151,6 @@ impl ExploreSpec {
             granularity: Granularity::Level,
             beam_width: 4,
             jobs: 1,
-            shards: 1,
             max_points: None,
         }
     }
@@ -353,9 +350,7 @@ pub fn evaluate(spec: &ExploreSpec, map: &SpecMap) -> Result<PlacementScore, Sim
         .with_seed(spec.seed)
         .with_flits_per_packet(spec.flits_per_packet);
     let network = Network::new(config)?;
-    let run = RunConfig::new(spec.benchmark, spec.rate_gfs)?
-        .with_phases(spec.phases)
-        .with_shards(spec.shards);
+    let run = RunConfig::new(spec.benchmark, spec.rate_gfs)?.with_phases(spec.phases);
     let report = network.run(&run)?;
     let acceptance = report.acceptance();
     let feasible = report.packets_measured > 0

@@ -71,9 +71,6 @@ pub struct Quality {
     /// Worker threads for independent cells/seeds/probes. Never affects
     /// results, only wall-clock time.
     pub jobs: usize,
-    /// Conservative shards splitting each single run across threads.
-    /// Never affects results, only wall-clock time.
-    pub shards: usize,
 }
 
 impl Quality {
@@ -88,7 +85,6 @@ impl Quality {
             seed: 42,
             probe_fan: 1,
             jobs: 1,
-            shards: 1,
         }
     }
 
@@ -105,7 +101,6 @@ impl Quality {
             seed: 42,
             probe_fan: 1,
             jobs: 1,
-            shards: 1,
         }
     }
 
@@ -113,18 +108,6 @@ impl Quality {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the conservative shard count for each single run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "a run needs at least one shard");
-        self.shards = shards;
         self
     }
 
@@ -292,7 +275,6 @@ fn saturation_of_inner(
             .expect("bisection rates are positive")
             .with_phases(quality.probe_phases)
             .with_drain(false)
-            .with_shards(quality.shards)
             .with_profile(collect_profiles);
         let mut report = network.run(&run).expect("probe run cannot fail");
         if let Some(profile) = report.profile.take() {
@@ -318,7 +300,6 @@ fn saturation_of_inner(
     let run = RunConfig::new(benchmark, quality.rate_ceiling)?
         .with_phases(quality.probe_phases.scaled(2))
         .with_drain(false)
-        .with_shards(quality.shards)
         .with_profile(collect_profiles);
     let mut report = network.run(&run)?;
     let point = SaturationPoint {
@@ -353,9 +334,7 @@ pub fn latency_at_fraction(
         Network::new(NetworkConfig::eight_by_eight(architecture).with_seed(quality.seed))?;
     let saturation = saturation_of(&network, benchmark, quality)?;
     let load = (saturation.injected_gfs * fraction).max(0.02);
-    let run = RunConfig::new(benchmark, load)?
-        .with_phases(quality.measure_phases_for(benchmark))
-        .with_shards(quality.shards);
+    let run = RunConfig::new(benchmark, load)?.with_phases(quality.measure_phases_for(benchmark));
     let report = network.run(&run)?;
     Ok(LatencyCell {
         architecture,
@@ -471,9 +450,8 @@ pub fn table1_power(quality: &Quality) -> Result<Vec<PowerCell>, SimError> {
     parallel_map(quality.jobs, cells, |(benchmark, load, architecture)| {
         let network =
             Network::new(NetworkConfig::eight_by_eight(architecture).with_seed(quality.seed))?;
-        let run = RunConfig::new(benchmark, load)?
-            .with_phases(quality.measure_phases_for(benchmark))
-            .with_shards(quality.shards);
+        let run =
+            RunConfig::new(benchmark, load)?.with_phases(quality.measure_phases_for(benchmark));
         let report = network.run(&run)?;
         Ok(PowerCell {
             architecture,
@@ -575,9 +553,8 @@ pub fn measure_across_seeds(
     assert!(!seeds.is_empty(), "need at least one seed");
     let samples = parallel_map(quality.jobs, seeds.to_vec(), |seed| {
         let network = Network::new(NetworkConfig::eight_by_eight(architecture).with_seed(seed))?;
-        let run = RunConfig::new(benchmark, rate_gfs)?
-            .with_phases(quality.measure_phases_for(benchmark))
-            .with_shards(quality.shards);
+        let run =
+            RunConfig::new(benchmark, rate_gfs)?.with_phases(quality.measure_phases_for(benchmark));
         let report = network.run(&run)?;
         Ok::<_, SimError>((
             report
@@ -614,9 +591,8 @@ pub fn measure(
 ) -> Result<RunReport, SimError> {
     let network =
         Network::new(NetworkConfig::eight_by_eight(architecture).with_seed(quality.seed))?;
-    let run = RunConfig::new(benchmark, rate_gfs)?
-        .with_phases(quality.measure_phases_for(benchmark))
-        .with_shards(quality.shards);
+    let run =
+        RunConfig::new(benchmark, rate_gfs)?.with_phases(quality.measure_phases_for(benchmark));
     network.run(&run)
 }
 
@@ -738,8 +714,6 @@ mod tests {
             profiles.windows(2).all(|w| w[0].0 <= w[1].0),
             "profiles sorted by probed rate"
         );
-        assert!(profiles
-            .iter()
-            .all(|(_, p)| p.shards.iter().map(|s| s.events).sum::<u64>() > 0));
+        assert!(profiles.iter().all(|(_, p)| p.events > 0));
     }
 }

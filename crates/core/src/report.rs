@@ -187,15 +187,13 @@ impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "packets={} latency[{}] throughput[{}] power[{}] throttled={} events={} shards={} shard_events={:?} wall={:?}",
+            "packets={} latency[{}] throughput[{}] power[{}] throttled={} events={} wall={:?}",
             self.packets_measured,
             self.latency,
             self.throughput,
             self.power,
             self.flits_throttled,
             self.events_processed,
-            self.shards,
-            self.shard_events,
             self.wall
         )
     }

@@ -26,8 +26,8 @@
 use std::rc::Rc;
 
 use asynoc_engine::{
-    drive, ChannelEnds, Ctx, EngineReport, FaultDomain, ForwardInfo, NodeKey, NodeRef, Partition,
-    SimEvent, SimModel, Substrate,
+    drive, ChannelEnds, Ctx, EngineReport, FaultDomain, ForwardInfo, NodeKey, NodeRef, SimEvent,
+    SimModel, Substrate,
 };
 use asynoc_kernel::{Duration, Time};
 use asynoc_nodes::{FaninState, FanoutState, FlitClass, TimingModel};
@@ -259,7 +259,6 @@ impl Substrate for Network {
 /// Dynamic per-node state (speculation latches, arbitration fairness,
 /// cycle floors) lives here; everything substrate-independent lives in
 /// the engine.
-#[derive(Clone)]
 pub struct MotModel<'a> {
     fabric: &'a Fabric,
     timing: &'a TimingModel,
@@ -479,61 +478,12 @@ impl SimModel for MotModel<'_> {
             MotNode::Fanin(flat) => self.fire_fanin(flat, ctx),
         }
     }
-
-    /// Bands of whole endpoint trees: source `s`'s fanout tree and sink
-    /// `d`'s fanin tree live with their endpoints, so the only channels
-    /// crossing shards are fanout-leaf → fanin-leaf links.
-    fn partition(&self, shards: usize) -> Partition {
-        let n = self.fabric.size.n();
-        let shards = shards.clamp(1, n);
-        let size = self.fabric.size;
-        let band = |endpoint: usize| endpoint * shards / n;
-        Partition::from_assignment(self, shards, self.min_cut_delay(), |node| match node {
-            NodeRef::Source(s) => band(s),
-            NodeRef::Sink(d) => band(d),
-            NodeRef::Node(MotNode::Fanout(flat)) => band(self.fabric.fanout_coords[flat].tree),
-            NodeRef::Node(MotNode::Fanin(flat)) => {
-                band(FaninNodeId::from_flat_index(size, flat).tree)
-            }
-        })
-    }
-}
-
-impl MotModel<'_> {
-    /// The smallest delay that can cross a shard cut. Every cut channel
-    /// is a fanout-leaf → fanin-leaf link, crossed forward only by a
-    /// *leaf* fanout's launch (`forward + wire`) and backward only by the
-    /// fanin's acknowledge (`free_delay`), so the minimum runs over the
-    /// kinds present at the leaf fanout level and the fanin — not over
-    /// the faster speculative kinds further up, which `SpecMap` keeps
-    /// off the leaves and which would only narrow the windows.
-    fn min_cut_delay(&self) -> Duration {
-        let wire = self.timing.wire_delay;
-        let classes = [FlitClass::Header, FlitClass::Body];
-        let leaf_level = self.fabric.size.levels() - 1;
-        let launches = self
-            .fabric
-            .fanout_kind
-            .iter()
-            .zip(&self.fabric.fanout_coords)
-            .filter(|(_, coords)| coords.level == leaf_level)
-            .flat_map(|(&kind, _)| {
-                let timing = self.timing.fanout(kind);
-                classes.map(|class| timing.forward(class) + wire)
-            });
-        let acknowledges = classes.map(|class| self.timing.fanin.free_delay(class));
-        launches
-            .chain(acknowledges)
-            .min()
-            .expect("the fanin acknowledges")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{NetworkConfig, RunConfig};
-    use asynoc_telemetry::{Recorder, TraceCollector};
     use asynoc_topology::Architecture;
     use asynoc_traffic::Benchmark;
 
@@ -554,69 +504,6 @@ mod tests {
             let throughput = report.throughput;
             let ratio = throughput.delivered / throughput.injected.max(1e-9);
             assert!(replication.contains(&ratio), "{arch}: {throughput}");
-        }
-    }
-
-    #[test]
-    fn sharded_runs_match_serial_bit_for_bit() {
-        asynoc_kernel::with_deadline(120, || {
-            for arch in [Architecture::Baseline, Architecture::OptHybridSpeculative] {
-                let network =
-                    Network::new(NetworkConfig::eight_by_eight(arch).with_seed(7)).unwrap();
-                let run = RunConfig::quick(Benchmark::Multicast5, 0.3);
-                let traced = |run: &RunConfig| {
-                    let mut trace = TraceCollector::new(512);
-                    let mut recorder = Recorder::new(network.site_of(), vec![&mut trace]);
-                    let report = drive(&network, run, &mut [&mut recorder], None).unwrap();
-                    (report, trace.into_records())
-                };
-                let (serial, serial_trace) = traced(&run);
-                assert_eq!(serial.shards, 1);
-                for shards in [2, 3, 8] {
-                    let (sharded, sharded_trace) = traced(&run.clone().with_shards(shards));
-                    assert_eq!(sharded.shards, shards, "{arch}: shard count honoured");
-                    assert_eq!(
-                        sharded.shard_events.iter().sum::<u64>(),
-                        sharded.events_processed
-                    );
-                    assert_eq!(sharded.events_processed, serial.events_processed, "{arch}");
-                    assert_eq!(sharded.latency, serial.latency, "{arch}");
-                    assert_eq!(sharded.throughput, serial.throughput, "{arch}");
-                    assert_eq!(sharded.packets_measured, serial.packets_measured);
-                    assert_eq!(sharded.packets_incomplete, serial.packets_incomplete);
-                    assert_eq!(sharded.flits_throttled, serial.flits_throttled, "{arch}");
-                    assert_eq!(sharded.flits_delivered, serial.flits_delivered, "{arch}");
-                    assert_eq!(sharded_trace, serial_trace, "{arch}: trace streams differ");
-                    assert_eq!(
-                        format!("{:?}", sharded.activity),
-                        format!("{:?}", serial.activity),
-                        "{arch}: per-node activity differs"
-                    );
-                    assert!(
-                        (sharded.power.total_mw() - serial.power.total_mw()).abs() < 1e-12,
-                        "{arch}: power accounting differs"
-                    );
-                }
-            }
-        });
-    }
-
-    /// The cut is crossed forward by a leaf fanout's launch and backward
-    /// by the fanin's acknowledge, and no preset puts a speculative kind
-    /// on the leaves: the fanin's 160 ps is the tight bound everywhere,
-    /// not the 112–150 ps of a speculative node further up the tree.
-    #[test]
-    fn lookahead_is_the_tightest_delay_on_the_cut() {
-        for arch in Architecture::ALL {
-            let network = Network::new(NetworkConfig::eight_by_eight(arch)).unwrap();
-            let (model, _) = network.prepare(&RunConfig::quick(Benchmark::Shuffle, 0.1));
-            let fanin = network.config().timing().fanin;
-            assert_eq!(
-                model.partition(2).lookahead(),
-                fanin.free_delay(FlitClass::Header),
-                "{arch}"
-            );
-            assert_eq!(model.partition(2).lookahead(), Duration::from_ps(160));
         }
     }
 

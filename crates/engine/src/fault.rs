@@ -202,12 +202,6 @@ impl ArmedFaults {
         self.summary
     }
 
-    /// Overwrites the summary with the serially-ordered totals the
-    /// sharded fold reconstructed (each shard fired only its own share).
-    pub(crate) fn force_summary(&mut self, summary: FaultSummary) {
-        self.summary = summary;
-    }
-
     /// Consumes one stall hit for a launch on `channel`, if armed.
     pub(crate) fn stall_for(&mut self, channel: usize) -> Option<Duration> {
         let entry = self

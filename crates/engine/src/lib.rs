@@ -9,16 +9,13 @@
 //! This crate owns that discipline once:
 //!
 //! - [`SimModel`] is what a substrate implements — its channel wiring,
-//!   timing constants, routing, node firing rules, and how it splits into
-//!   shards ([`Partition`]; one, unless it says otherwise).
+//!   timing constants, routing, and node firing rules.
 //! - [`Ctx`] is the engine state a firing node may touch.
 //! - [`Observer`] receives the engine's event stream (injections,
 //!   forwards, drops, deliveries) so statistics, power accounting, and
 //!   tracing compose per run instead of being hard-wired into the loop.
-//! - [`run`] is the one way to execute a simulation: serially, or across
-//!   the shards the model's partition names — conservative
-//!   lookahead-bounded windows and a deterministic fold that keeps every
-//!   observable result bit-identical to the serial run's — with an
+//! - [`run`] is the one way to execute a simulation — one event loop on
+//!   the calling thread — with an
 //!   [`ArmedFaults`] table threaded into its hooks when given
 //!   (deterministic stalls, symbol corruption, source drops/losses; free
 //!   when absent). It returns an [`EngineReport`] plus the model, whose
@@ -41,7 +38,7 @@
 //!   `(time, canonical key, insertion seq)` — the key ranks simultaneous
 //!   events by kind and entity index; the calendar queue realizes that
 //!   order exactly (the kernel tests it against the binary heap), so a
-//!   seeded run is bit-identical under any shard count (see [`run`]).
+//!   seeded run is bit-identical on every host.
 //! - **Zero-allocation steady state.** All run state is pre-sized at
 //!   construction, packet descriptors are recycled through an internal
 //!   free-list once their tails deliver, and event payloads are small
@@ -55,7 +52,6 @@ mod observer;
 mod pending;
 mod pool;
 mod session;
-mod shard;
 mod substrate;
 
 pub use asynoc_kernel::parallel_map;
@@ -66,5 +62,4 @@ pub use asynoc_probe as probe;
 pub use fault::{ArmedFaults, FaultDomain, FaultSummary, SourceFaultAction};
 pub use observer::{ForwardInfo, Observer, SimEvent};
 pub use session::{run, ChannelEnds, Ctx, EngineReport, NodeKey, NodeRef, RunSpec, SimModel};
-pub use shard::Partition;
 pub use substrate::{drive, RunConfig, Substrate};

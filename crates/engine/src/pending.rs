@@ -1,9 +1,8 @@
 //! The pending-packet table: completion accounting and the delivery audit.
 //!
-//! A serial session applies each transition as its event executes; a
-//! sharded run logs them per shard and shard 0 applies them in the serial
-//! loop's order. Either way this is the one place a logical packet
-//! completes, and so the one line that records a latency.
+//! The session applies each transition as its event executes. This is the
+//! one place a logical packet completes, and so the one line that records
+//! a latency.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -11,22 +10,6 @@ use std::hash::{BuildHasher, Hasher};
 use asynoc_kernel::Time;
 use asynoc_packet::DestSet;
 use asynoc_stats::LogHistogram;
-
-/// One transition of the pending-packet table.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum PendOp {
-    /// A logical packet entered the network.
-    Insert {
-        logical: u64,
-        awaiting: DestSet,
-        measured: bool,
-    },
-    /// A header reached `dest`.
-    Deliver { logical: u64, dest: usize },
-    /// A packet was discarded at its source (lethal fault): its
-    /// destinations no longer await delivery.
-    Lose { logical: u64, dests: DestSet },
-}
 
 /// Latency bookkeeping for one logical packet.
 #[derive(Clone, Copy, Debug)]
@@ -110,7 +93,19 @@ impl PendingTable {
         (self.latency, self.measured_in_flight)
     }
 
-    /// Applies the transition `op` of an event executing at `time`.
+    /// A logical packet entered the network at `time`, awaiting its
+    /// header at every destination of `awaiting`.
+    pub(crate) fn insert(&mut self, time: Time, logical: u64, awaiting: DestSet, measured: bool) {
+        let entry = Pending {
+            created_at: time,
+            awaiting,
+            measured,
+        };
+        self.pending.insert(logical, entry);
+        self.measured_in_flight += usize::from(measured);
+    }
+
+    /// A header of `logical` reached `dest` at `time`.
     ///
     /// # Panics
     ///
@@ -118,50 +113,36 @@ impl PendingTable {
     /// audit: a header may reach each destination in its set exactly once.
     /// A duplicate means a redundant speculative copy escaped throttling; a
     /// miss would show up as a never-completing packet.
-    pub(crate) fn apply(&mut self, time: Time, op: &PendOp) {
-        match *op {
-            PendOp::Insert {
-                logical,
-                awaiting,
-                measured,
-            } => {
-                let entry = Pending {
-                    created_at: time,
-                    awaiting,
-                    measured,
-                };
-                self.pending.insert(logical, entry);
-                self.measured_in_flight += usize::from(measured);
+    pub(crate) fn deliver(&mut self, time: Time, logical: u64, dest: usize) {
+        let Some(entry) = self.pending.get_mut(&logical) else {
+            panic!(
+                "packet {logical}: header delivered at destination {dest} after \
+                 completion — a redundant speculative copy escaped throttling"
+            );
+        };
+        assert!(
+            entry.awaiting.contains(dest),
+            "packet {logical}: duplicate or misrouted header at destination {dest}"
+        );
+        entry.awaiting.remove(dest);
+        if entry.awaiting.is_empty() {
+            if let Some(created_at) = self.retire(logical) {
+                self.latency.record(time.saturating_since(created_at));
             }
-            PendOp::Deliver { logical, dest } => {
-                let Some(entry) = self.pending.get_mut(&logical) else {
-                    panic!(
-                        "packet {logical}: header delivered at destination {dest} after \
-                         completion — a redundant speculative copy escaped throttling"
-                    );
-                };
-                assert!(
-                    entry.awaiting.contains(dest),
-                    "packet {logical}: duplicate or misrouted header at destination {dest}"
-                );
+        }
+    }
+
+    /// `logical` was discarded at its source (lethal fault): `dests` no
+    /// longer await delivery.
+    pub(crate) fn lose(&mut self, logical: u64, dests: DestSet) {
+        if let Some(entry) = self.pending.get_mut(&logical) {
+            for dest in dests.iter() {
                 entry.awaiting.remove(dest);
-                if entry.awaiting.is_empty() {
-                    if let Some(created_at) = self.retire(logical) {
-                        self.latency.record(time.saturating_since(created_at));
-                    }
-                }
             }
-            PendOp::Lose { logical, dests } => {
-                if let Some(entry) = self.pending.get_mut(&logical) {
-                    for dest in dests.iter() {
-                        entry.awaiting.remove(dest);
-                    }
-                    if entry.awaiting.is_empty() {
-                        // Starved of its last destinations: counted by the
-                        // fault summary, not given a latency.
-                        self.retire(logical);
-                    }
-                }
+            if entry.awaiting.is_empty() {
+                // Starved of its last destinations: counted by the fault
+                // summary, not given a latency.
+                self.retire(logical);
             }
         }
     }
@@ -182,47 +163,36 @@ mod tests {
     /// A table holding measured packet 7, created at 100 ps.
     fn table_with_packet_7(awaiting: &[usize]) -> PendingTable {
         let mut table = PendingTable::new(4);
-        let insert = PendOp::Insert {
-            logical: 7,
-            awaiting: awaiting.iter().copied().collect(),
-            measured: true,
-        };
-        table.apply(Time::from_ps(100), &insert);
+        let awaiting = awaiting.iter().copied().collect();
+        table.insert(Time::from_ps(100), 7, awaiting, true);
         table
-    }
-
-    fn deliver(dest: usize) -> PendOp {
-        PendOp::Deliver { logical: 7, dest }
     }
 
     #[test]
     #[should_panic(expected = "packet 7: duplicate or misrouted header at destination 2")]
     fn a_second_delivery_to_one_destination_fails_the_audit() {
         let mut table = table_with_packet_7(&[1, 2]);
-        table.apply(Time::from_ps(300), &deliver(2));
-        table.apply(Time::from_ps(310), &deliver(2));
+        table.deliver(Time::from_ps(300), 7, 2);
+        table.deliver(Time::from_ps(310), 7, 2);
     }
 
     #[test]
     #[should_panic(expected = "packet 7: header delivered at destination 1 after completion")]
     fn a_delivery_after_completion_fails_the_audit() {
         let mut table = table_with_packet_7(&[1]);
-        table.apply(Time::from_ps(300), &deliver(1));
-        table.apply(Time::from_ps(310), &deliver(1));
+        table.deliver(Time::from_ps(300), 7, 1);
+        table.deliver(Time::from_ps(310), 7, 1);
     }
 
     #[test]
     fn losing_the_last_awaited_destinations_retires_the_packet_without_a_latency() {
         let mut table = table_with_packet_7(&[1, 2, 3]);
-        table.apply(Time::from_ps(300), &deliver(2));
-        let lose = PendOp::Lose {
-            logical: 7,
-            dests: [1, 3].into_iter().collect(),
-        };
-        table.apply(Time::from_ps(400), &lose);
+        table.deliver(Time::from_ps(300), 7, 2);
+        let lost = [1, 3].into_iter().collect();
+        table.lose(7, lost);
         assert_eq!(table.measured_in_flight(), 0);
         // Losing it again, as a later clone of the same packet would, is a no-op.
-        table.apply(Time::from_ps(500), &lose);
+        table.lose(7, lost);
         assert!(table.finish().0.is_empty());
     }
 }

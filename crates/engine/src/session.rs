@@ -1,31 +1,25 @@
 //! The engine's one event loop, its channel plumbing, and the
 //! measurement protocol.
 //!
-//! A [`Session`] is one prepared simulation, or one shard of one. Its
-//! [`Role`] — a type parameter, so the choice costs nothing at run time —
-//! says where the effects of an event go: straight on to the observers
-//! and the pending-packet table on a serial run ([`Direct`]), into a log
-//! and an outbox on a shard ([`Shard`](crate::shard::Shard)). Everything
-//! else — the per-event body, the handlers, the teardown, the report — is
-//! written once, and a serial run is the one-shard run.
+//! A [`Session`] is one prepared simulation. It runs on the calling
+//! thread, hands every event's effects straight on to the observers and
+//! the pending-packet table, and tears down into the run's report.
 
 use std::collections::VecDeque;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
 use asynoc_kernel::{CalendarQueue, Duration, FaultClass, Time};
 use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader, RouteSymbol};
-use asynoc_probe::{EngineProfile, EventKindCounts, PhaseWall, ProgressMeter, ShardProfile};
+use asynoc_probe::{EngineProfile, EventKindCounts, PhaseWall, ProgressMeter};
 use asynoc_stats::throughput::ThroughputReport;
 use asynoc_stats::{LogHistogram, Phases, ThroughputCounter};
 use asynoc_traffic::SourceTraffic;
 
 use crate::fault::{ArmedFaults, SourceFaultAction};
 use crate::observer::{Observer, SimEvent};
-use crate::pending::{PendOp, PendingTable};
+use crate::pending::PendingTable;
 use crate::pool::FlitPool;
-use crate::shard::{run_sharded, End, Partition, WireMsg};
 
 /// One end of a channel: who launches into it / who consumes from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,13 +70,11 @@ impl NodeKey for usize {
 ///
 /// The engine owns sources, sinks, channels, the event queue, and all
 /// measurement; the model owns its nodes' dynamic state and fires them
-/// when the engine wakes them. A sharded run clones the model once per
-/// shard beyond the first; each copy only ever fires the nodes its shard
-/// owns, so node state never needs synchronisation.
-pub trait SimModel: Clone + Send {
+/// when the engine wakes them.
+pub trait SimModel {
     /// The substrate's node identifier (e.g. an enum of fanout/fanin
     /// indices for the MoT, a router index for the mesh).
-    type Node: Copy + std::fmt::Debug + NodeKey + Send;
+    type Node: Copy + std::fmt::Debug + NodeKey;
 
     /// Number of traffic endpoints (sources == sinks).
     fn endpoints(&self) -> usize;
@@ -122,23 +114,6 @@ pub trait SimModel: Clone + Send {
     /// event may have unblocked the node; must do nothing if the node's
     /// preconditions do not hold.
     fn fire(&mut self, node: Self::Node, ctx: &mut impl Ctx<Self::Node>);
-    /// Assigns every entity to one of at most `shards` shards, with the
-    /// lookahead bound that makes the cut safe. Implementations may clamp
-    /// `shards` (e.g. to the row count of a mesh); the engine honours
-    /// whatever the returned partition says. The default keeps the whole
-    /// model on one shard: a model that does not override it always runs
-    /// serially.
-    fn partition(&self, shards: usize) -> Partition {
-        let _ = shards;
-        Partition::from_assignment(self, 1, Duration::ZERO, |_| 0)
-    }
-    /// Folds the other shards' models into this one — the model shard 0
-    /// ran — after a sharded run, so that its accumulated analytics (e.g.
-    /// hop counters) cover the whole run. The default does nothing, which
-    /// is correct for a model whose caller reads nothing it accumulated.
-    fn merge_shards(&mut self, shards: Vec<Self>) {
-        drop(shards);
-    }
 }
 
 /// Execution parameters of one run, as the event loop sees them: the
@@ -154,13 +129,12 @@ pub struct RunSpec {
     /// (bounded by a hard cap so saturated runs still terminate).
     pub drain: bool,
     /// Collect a runtime self-profile ([`EngineReport::profile`]): host
-    /// wall-clock phase splits, queue/pool counters, and — on sharded
-    /// runs — per-shard barrier-wait histograms and mailbox traffic.
-    /// Profiling only reads clocks and counters; the simulated results
-    /// stay bit-identical with it on or off.
+    /// wall-clock phase splits and queue/pool counters. Profiling only
+    /// reads clocks and counters; the simulated results stay
+    /// bit-identical with it on or off.
     pub profile: bool,
-    /// Draw a single-line stderr heartbeat (events done, rate, per-shard
-    /// lag) while the run executes. Suppressed automatically when stderr
+    /// Draw a single-line stderr heartbeat (events done, rate) while the
+    /// run executes. Suppressed automatically when stderr
     /// is not a terminal unless `ASYNOC_PROGRESS_FORCE` is set.
     pub progress: bool,
 }
@@ -181,7 +155,7 @@ impl RunSpec {
     /// end without a drain; with one, a picosecond past the hard cap —
     /// one extra measurement window plus warmup, since a saturated run
     /// never finishes draining.
-    pub(crate) fn end(&self) -> Time {
+    fn end(&self) -> Time {
         let injection_end = self.phases.measurement_end();
         if self.drain {
             injection_end + self.phases.measure() + self.phases.warmup() + Duration::from_ps(1)
@@ -193,7 +167,7 @@ impl RunSpec {
 
 /// The event queue's initial capacity. Pending events are bounded by the
 /// channel count (one in-flight or free event each) plus a few per source.
-pub(crate) fn queue_presize(channels: usize, endpoints: usize) -> usize {
+fn queue_presize(channels: usize, endpoints: usize) -> usize {
     (channels * 2 + endpoints * 4).max(1024)
 }
 
@@ -287,11 +261,6 @@ pub struct EngineReport {
     pub flits_delivered: u64,
     /// Events the engine processed over the whole run.
     pub events_processed: u64,
-    /// How many shards executed the run (1 for a serial run).
-    pub shards: usize,
-    /// Events processed per shard (one entry, equal to
-    /// `events_processed`, for a serial run).
-    pub shard_events: Vec<u64>,
     /// Host wall-clock time the run took.
     pub wall: std::time::Duration,
     /// The runtime self-profile, when [`RunSpec::profile`] was set.
@@ -308,7 +277,7 @@ impl EngineReport {
 
 /// Events driving a simulation.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Event<N> {
+enum Event<N> {
     /// Source `source` generates its next packet.
     Inject { source: usize },
     /// The flit in flight on `channel` reaches the downstream input.
@@ -321,12 +290,10 @@ pub(crate) enum Event<N> {
 
 /// The canonical ordering key of an event: kind rank in the top byte,
 /// entity index below. Simultaneous events fire in ascending key order
-/// on every scheduler *and* on every shard layout — a serial session and
-/// the sharded merge both sort by `(time, key)`, which is what makes a
-/// sharded run's observable stream bit-identical to the serial one.
-/// Equal `(time, key)` pairs (re-scheduled retries of one target) are
-/// always scheduled by the same shard and fall back to insertion order.
-pub(crate) fn event_key<N: NodeKey>(event: &Event<N>) -> u64 {
+/// on every scheduler; equal `(time, key)` pairs (re-scheduled retries of
+/// one target) fall back to insertion order. This order decides every
+/// tie, so changing it moves report bytes.
+fn event_key<N: NodeKey>(event: &Event<N>) -> u64 {
     match event {
         Event::Inject { source } => *source as u64,
         Event::Arrive { channel } => (1 << 56) | *channel as u64,
@@ -376,9 +343,7 @@ impl ChannelState {
 /// ([`launch`](Ctx::launch)), schedule handshake completion
 /// ([`free_after`](Ctx::free_after)) and cycle-floor retries
 /// ([`retry`](Ctx::retry)), and report what they did
-/// ([`emit`](Ctx::emit)). The engine implements it once for a serial run
-/// and once for a shard, so [`SimModel::fire`] is compiled for each and
-/// neither pays for the other.
+/// ([`emit`](Ctx::emit)).
 pub trait Ctx<N> {
     /// Current simulated time.
     #[must_use]
@@ -429,107 +394,10 @@ pub trait Ctx<N> {
     fn emit(&mut self, event: &SimEvent<'_, N>);
 }
 
-/// Where the effects of a session's events go. [`Direct`] hands them
-/// straight on (a serial run); [`Shard`](crate::shard::Shard) logs them
-/// for the fold and posts cut-channel events to the other shards.
-pub(crate) trait Role<N> {
-    /// The shard this session runs.
-    fn shard(&self) -> usize;
-    /// Whether this session injects `source`'s packets.
-    fn owns_source(&self, source: usize) -> bool;
-    /// Pops the next event due before `end`; `None` ends the loop.
-    fn pop(queue: &mut CalendarQueue<Event<N>>, end: Time) -> Option<(Time, Event<N>)>;
-    /// The other shard that executes the event due `delay` from now at
-    /// `end` of `channel`, when the channel is cut there.
-    fn remote(&self, channel: usize, end: End, delay: Duration) -> Option<usize>;
-    /// Sends `message` to shard `to`, which [`remote`](Role::remote) named.
-    fn post(&mut self, to: usize, message: WireMsg);
-    /// Hands on an observer event of the event being executed.
-    fn emit(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>);
-    /// Hands on a pending-packet transition of the event being executed.
-    fn pend(&mut self, at: Time, op: PendOp);
-    /// Closes the event that executed at `at` under `key` as the
-    /// session's `occ`-th; `Break` ends the run.
-    fn close(
-        &mut self,
-        at: Time,
-        key: u64,
-        occ: u64,
-        drain_tail: bool,
-        faults: Option<&ArmedFaults>,
-    ) -> ControlFlow<()>;
-}
-
-/// A serial run's role, and what the sharded fold replays into: the
-/// observers, and the pending-packet table in which every logical packet
-/// completes.
-pub(crate) struct Direct<'obs, 'run, N> {
-    pub(crate) observers: &'run mut [&'obs mut dyn Observer<N>],
-    pub(crate) pending: PendingTable,
-}
-
-impl<N> Direct<'_, '_, N> {
-    /// Whether the run is over after an event: the serial loop stops at
-    /// the first drain-tail event that leaves no measured packet in
-    /// flight.
-    pub(crate) fn settled(&self, drain_tail: bool) -> bool {
-        drain_tail && self.pending.measured_in_flight() == 0
-    }
-}
-
-impl<N> Role<N> for Direct<'_, '_, N> {
-    fn shard(&self) -> usize {
-        0
-    }
-
-    fn owns_source(&self, _source: usize) -> bool {
-        true
-    }
-
-    /// The run is one window: the event that passes `end` is popped and
-    /// dropped with the rest of the queue.
-    fn pop(queue: &mut CalendarQueue<Event<N>>, end: Time) -> Option<(Time, Event<N>)> {
-        queue.pop().filter(|&(at, _)| at < end)
-    }
-
-    fn remote(&self, _channel: usize, _end: End, _delay: Duration) -> Option<usize> {
-        None
-    }
-
-    fn post(&mut self, _to: usize, _message: WireMsg) {
-        unreachable!("a serial run cuts no channel");
-    }
-
-    /// Hands `event` to every observer, in registration order.
-    fn emit(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>) {
-        for observer in self.observers.iter_mut() {
-            observer.on_event(at, in_window, event);
-        }
-    }
-
-    fn pend(&mut self, at: Time, op: PendOp) {
-        self.pending.apply(at, &op);
-    }
-
-    fn close(
-        &mut self,
-        _at: Time,
-        _key: u64,
-        _occ: u64,
-        drain_tail: bool,
-        _faults: Option<&ArmedFaults>,
-    ) -> ControlFlow<()> {
-        if self.settled(drain_tail) {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    }
-}
-
 /// The engine state of one session: the queue, the channels, the
-/// sources, the counters, and its [`Role`]. Models see it as a [`Ctx`].
-pub(crate) struct Core<'f, N, R> {
+/// sources, the counters, and where events go. Models see it as a
+/// [`Ctx`].
+struct Core<'r, 'obs, N> {
     phases: Phases,
     drain: bool,
     injection_end: Time,
@@ -542,12 +410,13 @@ pub(crate) struct Core<'f, N, R> {
     source_next_fire: Vec<Time>,
     traffic: Vec<SourceTraffic>,
 
-    /// Per-source packet counters: ids are `(source << 32) | counter`,
-    /// so every shard allocates the exact ids a serial run would without
-    /// any cross-shard coordination.
+    /// Per-source packet counters: ids are `(source << 32) | counter`.
     next_packet_id: Vec<u64>,
 
-    role: R,
+    /// Every observer, handed each event in registration order.
+    observers: &'r mut [&'obs mut dyn Observer<N>],
+    /// Every logical packet in flight; where latencies are recorded.
+    pending: PendingTable,
 
     throughput: ThroughputCounter,
     flits_throttled: u64,
@@ -557,25 +426,19 @@ pub(crate) struct Core<'f, N, R> {
     kinds: EventKindCounts,
     /// Phase wall-clock tracker, armed by [`RunSpec::profile`].
     prof: Option<Box<RunProf>>,
-    /// Progress heartbeat, armed by [`RunSpec::progress`] (shared with
-    /// the other shards of a sharded run).
-    progress: Option<Arc<ProgressMeter>>,
+    /// Progress heartbeat, armed by [`RunSpec::progress`].
+    progress: Option<ProgressMeter>,
 
     /// Armed fault tables, or `None` on clean runs (one branch per hook
     /// keeps the disarmed path free).
-    faults: Option<&'f mut ArmedFaults>,
+    faults: Option<&'r mut ArmedFaults>,
 }
 
-impl<N: NodeKey, R: Role<N>> Core<'_, N, R> {
+impl<N: NodeKey> Core<'_, '_, N> {
     /// Schedules `event` at `at` under its canonical ordering key.
     fn schedule_event(&mut self, at: Time, event: Event<N>) {
         let key = event_key(&event);
         self.queue.schedule_keyed(at, key, event);
-    }
-
-    /// Hands on a pending-packet transition of the event being executed.
-    fn pend(&mut self, op: PendOp) {
-        self.role.pend(self.now, op);
     }
 
     fn alloc_id(&mut self, source: usize) -> PacketId {
@@ -585,7 +448,7 @@ impl<N: NodeKey, R: Role<N>> Core<'_, N, R> {
     }
 }
 
-impl<N: NodeKey, R: Role<N>> Ctx<N> for Core<'_, N, R> {
+impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
     fn now(&self) -> Time {
         self.now
     }
@@ -625,17 +488,8 @@ impl<N: NodeKey, R: Role<N>> Ctx<N> for Core<'_, N, R> {
             });
             flight += extra;
         }
-        let at = self.now + flight;
-        if let Some(owner) = self.role.remote(channel, End::Downstream, flight) {
-            // Cut channel: the arrival executes on the downstream owner.
-            // Keep the local copy in flight so this side's `is_free` stays
-            // honest until the free message returns.
-            self.channels[channel] = ChannelState::InFlight(flit.clone());
-            self.role.post(owner, WireMsg::Arrive { channel, flit, at });
-            return;
-        }
         self.channels[channel] = ChannelState::InFlight(flit);
-        self.schedule_event(at, Event::Arrive { channel });
+        self.schedule_event(self.now + flight, Event::Arrive { channel });
     }
 
     fn fault_symbol(
@@ -650,14 +504,7 @@ impl<N: NodeKey, R: Role<N>> Ctx<N> for Core<'_, N, R> {
     }
 
     fn free_after(&mut self, channel: usize, delay: Duration) {
-        let at = self.now + delay;
-        if let Some(owner) = self.role.remote(channel, End::Upstream, delay) {
-            // Cut channel consumed on this side: the free event wakes the
-            // upstream launcher, so it executes on its shard.
-            self.role.post(owner, WireMsg::Free { channel, at });
-            return;
-        }
-        self.schedule_event(at, Event::FreeChannel { channel });
+        self.schedule_event(self.now + delay, Event::FreeChannel { channel });
     }
 
     fn retry(&mut self, node: N, at: Time) {
@@ -676,23 +523,16 @@ impl<N: NodeKey, R: Role<N>> Ctx<N> for Core<'_, N, R> {
                 self.flits_throttled += 1;
             }
         }
-        self.role.emit(self.now, in_window, event);
+        for observer in self.observers.iter_mut() {
+            observer.on_event(self.now, in_window, event);
+        }
     }
 }
 
-/// Executes one simulation of `model` fed by `traffic` on up to `shards`
-/// shards, reporting to `observers`, and returns the measurements plus
+/// Executes one simulation of `model` fed by `traffic` on the calling
+/// thread, reporting to `observers`, and returns the measurements plus
 /// the model (whose accumulated state — e.g. per-packet analytics from
 /// [`SimModel::on_packet`] — the caller may harvest).
-///
-/// With `shards` 1, or a model that [partitions](SimModel::partition)
-/// into one shard, the run executes serially on the calling thread.
-/// Otherwise it executes as conservative shards synchronised in
-/// lookahead-bounded windows, and the results — the report, every
-/// observer's event stream, the fault summary, any panic from the
-/// delivery audit — are bit-identical to the serial run's; only
-/// [`EngineReport::shards`], [`EngineReport::shard_events`] and the host
-/// figures differ.
 ///
 /// `faults`, when given, is threaded into the loop's hooks: channel
 /// launches may be stalled, routing-symbol reads overridden, and source
@@ -705,9 +545,7 @@ impl<N: NodeKey, R: Role<N>> Ctx<N> for Core<'_, N, R> {
 /// Panics if `traffic` does not provide one generator per endpoint, or
 /// if a header reaches a destination outside its packet's awaited set
 /// (the delivery audit: a duplicate means a redundant speculative copy
-/// escaped throttling). A panic on any shard — in the model, an
-/// observer, or the audit — ends the other shards' loops and is
-/// re-raised here once they have joined.
+/// escaped throttling).
 ///
 /// # Examples
 ///
@@ -720,7 +558,6 @@ impl<N: NodeKey, R: Role<N>> Ctx<N> for Core<'_, N, R> {
 ///
 /// /// Two endpoints joined by crossed wires: source 0 feeds sink 1 and
 /// /// source 1 feeds sink 0, with no routing nodes in between.
-/// #[derive(Clone)]
 /// struct CrossedWires;
 ///
 /// impl SimModel for CrossedWires {
@@ -750,7 +587,7 @@ impl<N: NodeKey, R: Role<N>> Ctx<N> for Core<'_, N, R> {
 ///     .map(|s| SourceTraffic::new(Benchmark::NearestNeighbor, 2, s, 0.4, 1, 7).unwrap())
 ///     .collect();
 /// let spec = RunSpec::new(Phases::new(Duration::from_ns(2), Duration::from_ns(20)), true);
-/// let (report, _model) = run(CrossedWires, traffic, spec, 1, None, &mut []);
+/// let (report, _model) = run(CrossedWires, traffic, spec, None, &mut []);
 /// assert!(report.packets_measured > 0);
 /// assert_eq!(report.packets_incomplete, 0);
 /// ```
@@ -758,134 +595,22 @@ pub fn run<M: SimModel>(
     model: M,
     traffic: Vec<SourceTraffic>,
     spec: RunSpec,
-    shards: usize,
     faults: Option<&mut ArmedFaults>,
     observers: &mut [&mut dyn Observer<M::Node>],
 ) -> (EngineReport, M) {
     let start = Instant::now();
-    let partition = if shards > 1 {
-        Some(model.partition(shards)).filter(|partition| partition.shards() > 1)
-    } else {
-        None
-    };
-    let lookahead = partition
-        .as_ref()
-        .map_or(Duration::ZERO, Partition::lookahead);
-    let progress = if spec.progress {
-        let shards = partition.as_ref().map_or(1, Partition::shards);
-        ProgressMeter::stderr(shards, PROGRESS_INTERVAL_MS).map(Arc::new)
-    } else {
-        None
-    };
-    let direct = Direct {
-        observers,
-        pending: PendingTable::new(model.endpoints()),
-    };
-    let (parts, direct) = match partition {
-        None => {
-            let queue = CalendarQueue::with_capacity(queue_presize(
-                model.channel_count(),
-                model.endpoints(),
-            ));
-            let mut session = Session::new(
-                model,
-                traffic,
-                spec,
-                faults,
-                direct,
-                queue,
-                progress.clone(),
-            );
-            session.execute(spec.end());
-            let (part, direct) = session.into_part();
-            (vec![part], direct)
-        }
-        Some(partition) => run_sharded(
-            model,
-            traffic,
-            spec,
-            partition,
-            faults,
-            direct,
-            progress.clone(),
-        ),
-    };
-    if let Some(progress) = &progress {
-        progress.finish();
-    }
-    report(parts, direct.pending, spec, lookahead, start)
+    let mut session = Session::new(model, traffic, spec, faults, observers);
+    session.execute(spec.end());
+    session.finish(spec, start)
 }
 
-/// What one finished session contributes to its run's report.
-pub(crate) struct Part<M> {
-    /// Events the report attributes to this shard.
-    pub(crate) events: u64,
-    throughput: ThroughputCounter,
-    flits_throttled: u64,
-    flits_delivered: u64,
-    /// This shard's profile section, when the run was profiled.
-    pub(crate) profile: Option<ShardProfile>,
-    model: M,
-}
-
-/// Assembles a run's report from its shards' parts — one, on a serial
-/// run — and the pending-packet table their events completed in. The
-/// model that comes back is shard 0's, the others merged into it.
-fn report<M: SimModel>(
-    parts: Vec<Part<M>>,
-    pending: PendingTable,
-    spec: RunSpec,
-    lookahead: Duration,
-    start: Instant,
-) -> (EngineReport, M) {
-    let mut throughput = ThroughputCounter::new(parts[0].model.endpoints());
-    let (mut flits_throttled, mut flits_delivered) = (0, 0);
-    let mut shard_events = Vec::with_capacity(parts.len());
-    let mut profiles = Vec::new();
-    let mut models = Vec::with_capacity(parts.len());
-    for part in parts {
-        throughput.absorb(&part.throughput);
-        flits_throttled += part.flits_throttled;
-        flits_delivered += part.flits_delivered;
-        shard_events.push(part.events);
-        profiles.extend(part.profile);
-        models.push(part.model);
-    }
-    let mut models = models.into_iter();
-    let mut model = models.next().expect("a run has a shard");
-    model.merge_shards(models.collect());
-    let wall = start.elapsed();
-    let profile = spec.profile.then(|| {
-        Box::new(EngineProfile {
-            wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-            lookahead_ps: lookahead.as_ps(),
-            shards: profiles,
-        })
-    });
-    let (latency, packets_incomplete) = pending.finish();
-    let report = EngineReport {
-        packets_measured: latency.count() as usize,
-        latency,
-        throughput: throughput.per_source_gfs(spec.phases.measure()),
-        packets_incomplete,
-        flits_throttled,
-        flits_delivered,
-        events_processed: shard_events.iter().sum(),
-        shards: shard_events.len(),
-        shard_events,
-        wall,
-        profile,
-    };
-    (report, model)
-}
-
-/// One prepared simulation, or one shard of one: model, traffic, wiring,
-/// and all pre-sized engine state.
+/// One prepared simulation: model, traffic, wiring, and all pre-sized
+/// engine state.
 ///
 /// Construction does all the setup allocation — channel wiring, the
 /// event queue, source queues — so that the loop itself can stay
 /// allocation-free once the descriptor pool warms up.
-pub(crate) struct Session<'f, M: SimModel, R> {
+struct Session<'r, 'obs, M: SimModel> {
     model: M,
     wiring: Vec<ChannelEnds<M::Node>>,
     source_channel: Vec<usize>,
@@ -894,24 +619,22 @@ pub(crate) struct Session<'f, M: SimModel, R> {
     sink_ack: Duration,
     serializes_multicast: bool,
     pool: FlitPool,
-    ctx: Core<'f, M::Node, R>,
+    ctx: Core<'r, 'obs, M::Node>,
 }
 
-impl<'f, M: SimModel, R: Role<M::Node>> Session<'f, M, R> {
-    /// Prepares a session that plays `role`, with `faults` threaded into
-    /// its hooks when given.
+impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
+    /// Prepares a session, with `faults` threaded into its hooks when
+    /// given.
     ///
     /// # Panics
     ///
     /// Panics if `traffic` does not provide one generator per endpoint.
-    pub(crate) fn new(
+    fn new(
         model: M,
         traffic: Vec<SourceTraffic>,
         spec: RunSpec,
-        faults: Option<&'f mut ArmedFaults>,
-        role: R,
-        queue: CalendarQueue<Event<M::Node>>,
-        progress: Option<Arc<ProgressMeter>>,
+        faults: Option<&'r mut ArmedFaults>,
+        observers: &'r mut [&'obs mut dyn Observer<M::Node>],
     ) -> Self {
         let n = model.endpoints();
         assert_eq!(traffic.len(), n, "one traffic generator per endpoint");
@@ -920,33 +643,33 @@ impl<'f, M: SimModel, R: Role<M::Node>> Session<'f, M, R> {
             phases: spec.phases,
             drain: spec.drain,
             injection_end: spec.phases.measurement_end(),
-            queue,
+            queue: CalendarQueue::with_capacity(queue_presize(channels, n)),
             now: Time::ZERO,
             channels: vec![ChannelState::Free; channels],
             source_queue: (0..n).map(|_| VecDeque::with_capacity(64)).collect(),
             source_next_fire: vec![Time::ZERO; n],
             traffic,
             next_packet_id: vec![0; n],
-            role,
+            observers,
+            pending: PendingTable::new(n),
             throughput: ThroughputCounter::new(n),
             flits_throttled: 0,
             flits_delivered: 0,
             events_processed: 0,
             kinds: EventKindCounts::default(),
             prof: spec.profile.then(|| Box::new(RunProf::new(spec.phases))),
-            progress,
+            progress: if spec.progress {
+                ProgressMeter::stderr(PROGRESS_INTERVAL_MS)
+            } else {
+                None
+            },
             faults,
         };
 
-        // Prime each source's first injection. A shard advances every
-        // source's traffic RNG identically (the per-source generators are
-        // self-seeded, so unowned ones simply never advance again) but
-        // schedules only the sources it owns.
+        // Prime each source's first injection.
         for s in 0..n {
             let gap = ctx.traffic[s].next_gap();
-            if ctx.role.owns_source(s) {
-                ctx.schedule_event(Time::ZERO + gap, Event::Inject { source: s });
-            }
+            ctx.schedule_event(Time::ZERO + gap, Event::Inject { source: s });
         }
 
         Session {
@@ -962,19 +685,22 @@ impl<'f, M: SimModel, R: Role<M::Node>> Session<'f, M, R> {
         }
     }
 
-    /// Executes every event due before `end` — the whole run on a serial
-    /// session, one window on a shard — unless the role ends the run
-    /// first.
-    pub(crate) fn execute(&mut self, end: Time) {
-        while let Some((t, event)) = R::pop(&mut self.ctx.queue, end) {
-            if self.step(t, event).is_break() {
+    /// Executes every event due before `end`, or until the drain tail
+    /// leaves no measured packet in flight: the event that passes `end`
+    /// is popped and dropped with the rest of the queue.
+    fn execute(&mut self, end: Time) {
+        while let Some((t, event)) = self.ctx.queue.pop().filter(|&(at, _)| at < end) {
+            self.step(t, event);
+            let ctx = &self.ctx;
+            let drain_tail = ctx.drain && t >= ctx.injection_end;
+            if drain_tail && ctx.pending.measured_in_flight() == 0 {
                 break;
             }
         }
     }
 
-    /// The per-event body every run kind shares.
-    fn step(&mut self, t: Time, event: Event<M::Node>) -> ControlFlow<()> {
+    /// The per-event body.
+    fn step(&mut self, t: Time, event: Event<M::Node>) {
         self.ctx.now = t;
         self.ctx.events_processed += 1;
         if let Some(prof) = self.ctx.prof.as_deref_mut() {
@@ -1000,77 +726,43 @@ impl<'f, M: SimModel, R: Role<M::Node>> Session<'f, M, R> {
         }
         let ctx = &mut self.ctx;
         if ctx.events_processed & PROGRESS_TICK_MASK == 0 {
-            if let Some(progress) = &ctx.progress {
-                progress.record(ctx.role.shard(), ctx.events_processed);
+            if let Some(progress) = &mut ctx.progress {
+                progress.record(ctx.events_processed);
             }
         }
-        let drain_tail = ctx.drain && t >= ctx.injection_end;
-        let faults = ctx.faults.as_deref();
-        ctx.role.close(
-            t,
-            event_key(&event),
-            ctx.events_processed,
-            drain_tail,
-            faults,
-        )
     }
 
-    /// Tears the session down into its part of the report, and its role.
-    ///
-    /// The profile section carries what the session observed (events,
-    /// kinds, queue/pool counters, phase wall split); a shard's window
-    /// loop fills in the window-protocol figures it alone can see.
-    pub(crate) fn into_part(self) -> (Part<M>, R) {
+    /// Tears the session down into the run's report and the model.
+    fn finish(self, spec: RunSpec, start: Instant) -> (EngineReport, M) {
         let pool = self.pool.stats();
-        let ctx = self.ctx;
-        let profile = ctx.prof.map(|prof| ShardProfile {
-            shard: ctx.role.shard(),
-            events: ctx.events_processed,
-            kinds: ctx.kinds,
-            queue: ctx.queue.stats(),
-            pool,
-            phase: prof.close(),
-            ..ShardProfile::default()
+        let mut ctx = self.ctx;
+        if let Some(progress) = &mut ctx.progress {
+            progress.finish();
+        }
+        let wall = start.elapsed();
+        let profile = ctx.prof.map(|prof| {
+            Box::new(EngineProfile {
+                wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
+                events: ctx.events_processed,
+                kinds: ctx.kinds,
+                queue: ctx.queue.stats(),
+                pool,
+                phase: prof.close(),
+            })
         });
-        let part = Part {
-            events: ctx.events_processed,
-            throughput: ctx.throughput,
+        let (latency, packets_incomplete) = ctx.pending.finish();
+        let report = EngineReport {
+            packets_measured: latency.count() as usize,
+            latency,
+            throughput: ctx.throughput.per_source_gfs(spec.phases.measure()),
+            packets_incomplete,
             flits_throttled: ctx.flits_throttled,
             flits_delivered: ctx.flits_delivered,
+            events_processed: ctx.events_processed,
+            wall,
             profile,
-            model: self.model,
         };
-        (part, ctx.role)
-    }
-
-    /// The role, for a shard's window loop to drain its outbox and hand
-    /// its log off.
-    pub(crate) fn role_mut(&mut self) -> &mut R {
-        &mut self.ctx.role
-    }
-
-    /// Earliest pending local event time (published at window barriers).
-    pub(crate) fn peek_time(&self) -> Option<Time> {
-        self.ctx.queue.peek_time()
-    }
-
-    /// Applies one cross-shard message: reconstructs the channel state
-    /// the sending shard established and schedules the carried event
-    /// under its canonical key, so local ordering is independent of the
-    /// order messages happened to be drained in.
-    pub(crate) fn apply_wire_message(&mut self, message: WireMsg) {
-        match message {
-            WireMsg::Arrive { channel, flit, at } => {
-                self.ctx.channels[channel] = ChannelState::InFlight(flit);
-                self.ctx.schedule_event(at, Event::Arrive { channel });
-            }
-            WireMsg::Free { channel, at } => {
-                // The downstream shard consumed the flit; mirror its
-                // draining state so `handle_free`'s invariant holds here.
-                self.ctx.channels[channel] = ChannelState::Draining;
-                self.ctx.schedule_event(at, Event::FreeChannel { channel });
-            }
-        }
+        (report, self.model)
     }
 
     // ------------------------------------------------------------------
@@ -1142,13 +834,10 @@ impl<'f, M: SimModel, R: Role<M::Node>> Session<'f, M, R> {
             self.model.on_packet(source, dests, measured);
         }
 
-        self.ctx.pend(PendOp::Insert {
-            logical: logical.as_u64(),
-            awaiting: dests,
-            measured,
-        });
+        let (ctx, logical) = (&mut self.ctx, logical.as_u64());
+        ctx.pending.insert(ctx.now, logical, dests, measured);
         if measured {
-            self.ctx.throughput.record_offered(offered_flits);
+            ctx.throughput.record_offered(offered_flits);
         }
     }
 
@@ -1256,10 +945,10 @@ impl<'f, M: SimModel, R: Role<M::Node>> Session<'f, M, R> {
                     }
                     // Release its latency bookkeeping, so the drain
                     // still terminates.
-                    self.ctx.pend(PendOp::Lose {
-                        logical: flit.descriptor().logical_id().as_u64(),
-                        dests: flit.descriptor().dests(),
-                    });
+                    let descriptor = flit.descriptor();
+                    self.ctx
+                        .pending
+                        .lose(descriptor.logical_id().as_u64(), descriptor.dests());
                     self.fire_source(source);
                     return;
                 }
@@ -1288,7 +977,7 @@ impl<'f, M: SimModel, R: Role<M::Node>> Session<'f, M, R> {
         }
         if flit.kind().is_header() {
             let logical = flit.descriptor().logical_id().as_u64();
-            self.ctx.pend(PendOp::Deliver { logical, dest });
+            self.ctx.pending.deliver(self.ctx.now, logical, dest);
         }
         if flit.kind().is_tail() {
             // The tail is the last flit of its train to be consumed here;
@@ -1308,7 +997,6 @@ mod tests {
     /// The simplest possible substrate: two endpoints joined by one
     /// arbitrating crossbar node. Channels 0–1 inject into the node,
     /// channels 2–3 deliver to the sinks.
-    #[derive(Clone)]
     struct Crossbar {
         forward: Duration,
         free: Duration,
@@ -1418,14 +1106,7 @@ mod tests {
 
     #[test]
     fn crossbar_delivers_and_counts() {
-        let (report, model) = run(
-            Crossbar::new(),
-            toy_traffic(7),
-            toy_spec(),
-            1,
-            None,
-            &mut [],
-        );
+        let (report, model) = run(Crossbar::new(), toy_traffic(7), toy_spec(), None, &mut []);
         assert!(report.packets_measured > 0, "no packets measured");
         assert_eq!(report.packets_incomplete, 0, "drain left packets in flight");
         assert!(report.flits_delivered > 0);
@@ -1435,7 +1116,7 @@ mod tests {
         assert_eq!(report.latency.min(), Some(Duration::from_ps(250)));
         // Without a drain the run stops at the injection end.
         let spec = RunSpec::new(toy_spec().phases, false);
-        let (report, _) = run(Crossbar::new(), toy_traffic(5), spec, 1, None, &mut []);
+        let (report, _) = run(Crossbar::new(), toy_traffic(5), spec, None, &mut []);
         assert!(report.packets_measured > 0);
     }
 }

@@ -36,21 +36,19 @@ use crate::session::{EngineReport, NodeKey, RunSpec, SimModel};
 ///
 /// let run = RunConfig::new(Benchmark::Shuffle, 0.5)?;
 /// assert_eq!(run.rate_gfs(), 0.5);
-/// assert_eq!(run.shards(), 1);
 /// # Ok::<(), asynoc_traffic::TrafficError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunConfig {
     benchmark: Benchmark,
     rate_gfs: f64,
-    shards: usize,
     spec: RunSpec,
 }
 
 impl RunConfig {
     /// Creates a run at `rate_gfs` flits/ns per source with the paper's
     /// standard measurement schedule (doubled for `Multicast_static`),
-    /// draining enabled, one shard, and profiling off.
+    /// draining enabled, and profiling off.
     ///
     /// # Errors
     ///
@@ -64,7 +62,6 @@ impl RunConfig {
         Ok(RunConfig {
             benchmark,
             rate_gfs,
-            shards: 1,
             spec: RunSpec::new(phases, true),
         })
     }
@@ -97,25 +94,8 @@ impl RunConfig {
         self
     }
 
-    /// Splits the run across `shards` conservative shards (threads).
-    ///
-    /// Results are bit-identical for every shard count (the sharded
-    /// engine merges observable streams back into exact serial order);
-    /// this only affects run speed on multi-core hosts. The substrate
-    /// clamps the count to what its topology can support.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "a run needs at least one shard");
-        self.shards = shards;
-        self
-    }
-
     /// Enables runtime self-profiling: the engine fills
-    /// [`EngineReport::profile`] with per-shard counters, histograms, and
+    /// [`EngineReport::profile`] with event, queue and pool counters and
     /// phase wall-clock splits. Simulation results are bit-identical with
     /// profiling on or off — only host-side metadata is collected.
     #[must_use]
@@ -157,12 +137,6 @@ impl RunConfig {
         self.spec.drain
     }
 
-    /// How many shards execute the run (default 1: serial).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Whether the run collects an engine profile (default off).
     #[must_use]
     pub fn profile(&self) -> bool {
@@ -185,7 +159,7 @@ impl RunConfig {
 /// and the CLI's instrumented commands.
 pub trait Substrate {
     /// The fabric's node identifier, as observers see it.
-    type Node: Copy + std::fmt::Debug + NodeKey + Send + 'static;
+    type Node: Copy + std::fmt::Debug + NodeKey + 'static;
     /// The model one run executes (it may borrow the network).
     type Model<'a>: SimModel<Node = Self::Node>
     where
@@ -247,8 +221,7 @@ impl<P: Observer<N>, N> Observer<N> for Bridge<'_, '_, P, N> {
 
 /// Executes `run` on `substrate`: builds one traffic generator per
 /// endpoint, a fresh model, and the observer stack (the substrate's
-/// probes, then `extra`), and runs them on `run.shards()` shards — with
-/// `faults` threaded into the engine's injection hooks when given (the
+/// probes, then `extra`), and runs them — with `faults` threaded into the engine's injection hooks when given (the
 /// caller keeps the table and reads back its summary afterwards).
 ///
 /// Extra observers see the identical event stream the probes do, in
@@ -280,7 +253,7 @@ pub fn drive<S: Substrate>(
     let (model, probes) = substrate.prepare(run);
     let mut bridge = Bridge { probes, extra };
     let observers: &mut [&mut dyn Observer<S::Node>] = &mut [&mut bridge];
-    let (engine, model) = crate::run(model, traffic, run.spec, run.shards, faults, observers);
+    let (engine, model) = crate::run(model, traffic, run.spec, faults, observers);
     Ok(substrate.report(run, engine, model, bridge.probes))
 }
 

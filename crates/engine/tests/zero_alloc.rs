@@ -32,7 +32,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// inject into the node, channels 2–3 deliver to the sinks. The smallest
 /// substrate that still exercises forwarding, arbitration-free conflict
 /// (output busy), serialized multicast clones, and descriptor recycling.
-#[derive(Clone)]
 struct Crossbar;
 
 impl SimModel for Crossbar {
@@ -143,7 +142,7 @@ fn main() {
         true,
     );
     let mut window = AllocWindow::default();
-    let (report, _model) = run(Crossbar, traffic, spec, 1, None, &mut [&mut window]);
+    let (report, _model) = run(Crossbar, traffic, spec, None, &mut [&mut window]);
 
     assert!(report.packets_measured > 0, "nothing measured");
     assert_eq!(report.packets_incomplete, 0, "packets in flight");

@@ -18,13 +18,8 @@
 //!   inter-arrival sampling used by the paper's traffic generators,
 //! - [`parallel_map`]: a multi-core fan-out with deterministic result
 //!   ordering, used by the experiment layer to spread independent runs
-//!   (seeds, sweep points, saturation probes) across OS threads,
-//! - [`sharded`]: the cross-shard plumbing ([`ShardedScheduler`],
-//!   [`Mailboxes`], [`WindowBarrier`]) for conservative *intra-run*
-//!   parallelism, where one simulation is partitioned across threads and
-//!   synchronised in lookahead-bounded time windows — one abortable
-//!   barrier wait per window — plus [`with_deadline`], the watchdog every
-//!   multi-shard test in the workspace runs under.
+//!   (seeds, sweep points, saturation probes) across OS threads — the
+//!   only parallelism there is: one simulation runs on one thread.
 //!
 //! # Examples
 //!
@@ -41,18 +36,19 @@
 
 #![deny(missing_docs)]
 
+mod barrier;
 pub mod calendar;
 pub mod fault;
 pub mod parallel;
 pub mod queue;
 pub mod rng;
-pub mod sharded;
 pub mod time;
 
+/// Read by `benchmark/layers` (its barrier round-trip layer) and nothing else.
+pub use barrier::WindowBarrier;
 pub use calendar::CalendarQueue;
 pub use fault::FaultClass;
 pub use parallel::{default_parallelism, parallel_map};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use sharded::{with_deadline, Mailboxes, ShardedScheduler, WindowBarrier};
 pub use time::{Duration, Time, WindowClock};

@@ -97,8 +97,8 @@ fn payload_message(payload: &(dyn Any + Send)) -> &str {
     }
 }
 
-/// The host's available parallelism, used as the default for `--jobs`
-/// and `--shards`: the number of hardware threads the OS reports, or 1
+/// The host's available parallelism, used as the default for `--jobs`:
+/// the number of hardware threads the OS reports, or 1
 /// if that cannot be determined.
 #[must_use]
 pub fn default_parallelism() -> usize {

@@ -8,10 +8,9 @@
 //! increasing sequence number, so simultaneous events pop in exactly the
 //! order they were scheduled (FIFO), independent of payload.
 //!
-//! For sharded (parallel) execution, insertion order alone is not
-//! reproducible across shard counts, so every entry also carries a caller
-//! supplied *key* ([`EventQueue::schedule_keyed`]): the queue's total
-//! order is `(time, key, seq)`. Plain [`EventQueue::schedule`] uses the
+//! Every entry also carries a caller-supplied *key*
+//! ([`EventQueue::schedule_keyed`]): the queue's total order is
+//! `(time, key, seq)`. Plain [`EventQueue::schedule`] uses the
 //! insertion sequence as the key, which degenerates to the classic
 //! `(time, seq)` FIFO order.
 
@@ -122,8 +121,7 @@ impl<E> EventQueue<E> {
     /// same-key ties fall back to insertion order.
     ///
     /// Keys give the pop order a meaning that is independent of *when*
-    /// the events were inserted, which is what lets per-shard queues in a
-    /// parallel run reproduce a serial run's event order bit for bit.
+    /// the events were inserted.
     pub fn schedule_keyed(&mut self, time: Time, key: u64, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -286,8 +286,7 @@ impl fmt::Display for Duration {
 /// [`WindowClock::crossed`] yields, *before* the event is processed,
 /// the sequence numbers of every window that just closed — so a
 /// streaming sink can flush window `k` exactly when the first event at
-/// or past its boundary shows up, independent of how the run is
-/// sharded (the engine replays sharded event streams in serial order).
+/// or past its boundary shows up.
 ///
 /// # Examples
 ///

@@ -13,11 +13,10 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 use asynoc_engine::{
-    drive, ChannelEnds, Ctx, EngineReport, FaultDomain, NodeRef, Partition, RunConfig, SimModel,
-    Substrate,
+    drive, ChannelEnds, Ctx, EngineReport, FaultDomain, NodeRef, RunConfig, SimModel, Substrate,
 };
 use asynoc_kernel::Duration;
-use asynoc_nodes::{FlitClass, KindTiming};
+use asynoc_nodes::KindTiming;
 use asynoc_packet::{DestSet, RouteHeader};
 use asynoc_stats::Phases;
 use asynoc_traffic::Benchmark;
@@ -63,23 +62,6 @@ impl MeshTiming {
             source_cycle: Duration::from_ps(100),
         }
     }
-
-    /// The smallest delay a data channel can carry across a link: a launch
-    /// (`forward + wire`) or the downstream router's acknowledge
-    /// (`free_delay`), whichever is smaller over both flit classes.
-    #[must_use]
-    pub fn data_lookahead(&self) -> Duration {
-        [FlitClass::Header, FlitClass::Body]
-            .into_iter()
-            .flat_map(|class| {
-                [
-                    self.router.forward(class) + self.wire_delay,
-                    self.router.free_delay(class),
-                ]
-            })
-            .min()
-            .expect("two classes considered")
-    }
 }
 
 /// What a router supplies to run on the mesh fabric: the shape of a link,
@@ -87,10 +69,10 @@ impl MeshTiming {
 ///
 /// A new *router* (another flow-control or multicast discipline on the
 /// same grid) implements this trait and inherits the config, report and
-/// network types, the `Substrate` impl, sharding, the fault domain and
-/// every CLI command. A new *fabric* (another topology) implements
+/// network types, the `Substrate` impl, the fault domain and every CLI
+/// command. A new *fabric* (another topology) implements
 /// `Substrate` itself.
-pub trait Router: Clone + fmt::Debug + Send {
+pub trait Router: fmt::Debug {
     /// The router's own static settings in a [`Config`].
     type Settings: Clone + fmt::Debug + PartialEq + Default;
     /// The router's section of a [`Report`].
@@ -105,18 +87,10 @@ pub trait Router: Clone + fmt::Debug + Send {
     /// Whether sources serialize a multicast into unicast clones.
     const SERIALIZES_MULTICAST: bool;
 
-    /// The smallest delay any channel of a link can carry: the sharded
-    /// engine's lookahead across a cut link. A router with return
-    /// channels folds their delays in.
-    fn lookahead(timing: &MeshTiming) -> Duration {
-        timing.data_lookahead()
-    }
     /// Fresh per-run state for every router of `grid`.
     fn new(grid: &Grid, settings: &Self::Settings, run: &RunConfig) -> Self;
     /// Attempts to fire `router`; see [`SimModel::fire`].
     fn fire(&mut self, grid: &Grid, router: usize, ctx: &mut impl Ctx<usize>);
-    /// Folds a shard clone's accumulated counters back in.
-    fn merge(&mut self, _shard: Self) {}
     /// What the finished run reports.
     fn section(self) -> Self::Section;
 }
@@ -241,8 +215,8 @@ impl Grid {
 
 /// Static description of a mesh network: what is fixed about the fabric
 /// (size, packet length, seed) and the router's own settings `S`.
-/// Everything that varies per run (benchmark, rate, phases, shards,
-/// profiling) is a [`RunConfig`].
+/// Everything that varies per run (benchmark, rate, phases, profiling)
+/// is a [`RunConfig`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Config<S> {
     size: MeshSize,
@@ -381,8 +355,8 @@ impl<R: Router> Network<R> {
     }
 
     /// Runs `benchmark` at `rate` flits/ns per endpoint over `phases`,
-    /// serially and with a bounded drain. Observers, fault tables, shards
-    /// and profiling go through [`drive`] with a full [`RunConfig`].
+    /// with a bounded drain. Observers, fault tables and profiling go
+    /// through [`drive`] with a full [`RunConfig`].
     ///
     /// # Errors
     ///
@@ -468,7 +442,6 @@ impl<R: Router> Substrate for Network<R> {
 
 /// The engine model of a mesh run: the grid, the router's state, and the
 /// hop analytics.
-#[derive(Clone)]
 pub struct Model<R> {
     grid: Grid,
     router: R,
@@ -537,35 +510,5 @@ impl<R: Router> SimModel for Model<R> {
 
     fn fire(&mut self, router: usize, ctx: &mut impl Ctx<usize>) {
         self.router.fire(&self.grid, router, ctx);
-    }
-
-    /// Bands of whole mesh rows: every east/west link, injection, and
-    /// ejection stays inside its band, so only north/south links between
-    /// adjacent bands are cut — each with every channel it has, which is
-    /// why the lookahead is the router's to name.
-    fn partition(&self, shards: usize) -> Partition {
-        let size = self.grid.size;
-        let rows = size.rows();
-        let shards = shards.clamp(1, rows);
-        let band = |endpoint: usize| {
-            let (_, y) = size.coords(endpoint);
-            y * shards / rows
-        };
-        let lookahead = R::lookahead(&self.grid.timing);
-        Partition::from_assignment(self, shards, lookahead, |node| match node {
-            NodeRef::Source(s) => band(s),
-            NodeRef::Node(r) => band(r),
-            NodeRef::Sink(d) => band(d),
-        })
-    }
-
-    /// Counters accumulate per shard (each shard sees only its own
-    /// sources' packets and fires only its own routers); fold them in.
-    fn merge_shards(&mut self, shards: Vec<Self>) {
-        for shard in shards {
-            self.hop_sum += shard.hop_sum;
-            self.hop_count += shard.hop_count;
-            self.router.merge(shard.router);
-        }
     }
 }

@@ -33,8 +33,7 @@
 //! ```
 //!
 //! `MeshConfig` holds what is static about the fabric (size, packet
-//! length, seed). Shards, profiling, observers and fault tables are
-//! per-run: build a [`RunConfig`] and hand the network to [`drive`], the
+//! length, seed). Profiling, observers and fault tables are per-run: build a [`RunConfig`] and hand the network to [`drive`], the
 //! engine's one driver under every [`Substrate`].
 //!
 //! ```
@@ -42,14 +41,14 @@
 //! use asynoc_traffic::Benchmark;
 //!
 //! let network = MeshNetwork::new(MeshConfig::new(MeshSize::new(4, 4)?).with_seed(7))?;
-//! let run = RunConfig::quick(Benchmark::UniformRandom, 0.2).with_shards(2);
+//! let run = RunConfig::quick(Benchmark::UniformRandom, 0.2).with_profile(true);
 //! let report = drive(&network, &run, &mut [], None)?;
-//! assert_eq!(report.shards, 2);
+//! assert!(report.profile.is_some());
 //! # Ok::<(), asynoc_mesh::MeshError>(())
 //! ```
 //!
 //! The mesh is one fabric ([`fabric`]: grid, channel table, config,
-//! report, network, sharding) parameterised by its [`Router`]. This crate
+//! report, network) parameterised by its [`Router`]. This crate
 //! carries the wormhole router; `asynoc-vcmesh` supplies the credit-based
 //! VC router with in-network multicast on the same fabric.
 

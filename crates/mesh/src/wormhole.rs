@@ -26,7 +26,7 @@ pub type MeshNetwork = Network<Wormhole>;
 /// The wormhole router's per-run state: one output lock and one cycle
 /// floor per router and output port. A link is one data channel, and
 /// every multicast is serialized at its source.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Wormhole {
     locks: Vec<[OutputLock; 5]>,
     out_next_fire: Vec<[Time; 5]>,

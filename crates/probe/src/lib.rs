@@ -2,25 +2,18 @@
 //! execution.
 //!
 //! Everything else in the workspace measures the *simulated* network;
-//! this crate measures the *simulator*: where the host's time goes, how
-//! the event queues behave, how evenly a sharded run's work is spread.
-//! It sits below `asynoc-kernel` so every layer (kernel queues, the
-//! engine's run loop, the CLI) can record into the same vocabulary:
+//! this crate measures the *simulator*: where the host's time goes and
+//! how the event queue behaves. It sits below `asynoc-kernel` so every
+//! layer (kernel queues, the engine's run loop, the CLI) can record into
+//! the same vocabulary:
 //!
 //! - [`QueueStats`] / [`PoolStats`] / [`EventKindCounts`] — cheap
 //!   monotonic counters embedded in the hot structures. They are plain
 //!   `u64` adds, always on: a single increment disappears next to the
 //!   40–55 ns a simulated event costs, so there is nothing to toggle.
-//! - [`HostHistogram`] — a log-bucketed histogram of *host* durations
-//!   (barrier waits, window stalls). Recording calls `Instant::now`,
-//!   which is **not** free, so callers gate these behind the run's
-//!   profile flag — the [`ProfileSink`] pattern: when profiling is off
-//!   the call sites reduce to a branch on a `bool`/`Option` that the
-//!   compiler hoists, and the hot path stays unchanged (guarded by the
-//!   `observer_overhead` bench).
-//! - [`ShardProfile`] / [`EngineProfile`] / [`Imbalance`] — the
-//!   per-shard sections and load-imbalance summary of the pinned
-//!   `asynoc-profile-v1` report the CLI emits.
+//! - [`EngineProfile`] — one run's section of the pinned
+//!   `asynoc-profile-v1` report the CLI emits: those counters plus the
+//!   run's wall clock, split across its simulated phases ([`PhaseWall`]).
 //! - [`ProgressMeter`] — the `--progress` heartbeat: one `\r`-refreshed
 //!   stderr line, rate-limited by wall-clock, TTY-gated.
 //! - [`CountingAlloc`] — the counting global allocator (grown out of
@@ -33,66 +26,13 @@
 #![deny(missing_docs)]
 
 pub mod alloc;
-pub mod hist;
 pub mod progress;
 pub mod stats;
 
 pub use alloc::{allocations, current_bytes, peak_bytes, reset_peak_bytes, CountingAlloc};
-pub use hist::HostHistogram;
 pub use progress::ProgressMeter;
-pub use stats::{
-    EngineProfile, EventKindCounts, Imbalance, PhaseWall, PoolStats, QueueStats, ShardProfile,
-};
+pub use stats::{EngineProfile, EventKindCounts, PhaseWall, PoolStats, QueueStats};
 
 /// The profile report's schema identifier (`schema` field of the JSON
 /// document `--profile` emits). Bump when the report shape changes.
 pub const PROFILE_SCHEMA: &str = "asynoc-profile-v1";
-
-/// A sink for profile samples: either armed (record) or disarmed
-/// (every call inlines to nothing).
-///
-/// The workspace's convention, rather than a trait object: hot
-/// structures carry always-on counters, and the *expensive* probes —
-/// anything touching `Instant::now` — sit behind `ProfileSink::armed`,
-/// so a disabled profile costs one predictable branch.
-///
-/// # Examples
-///
-/// ```
-/// use asynoc_probe::{HostHistogram, ProfileSink};
-///
-/// let mut sink = ProfileSink::new(true);
-/// let mut waits = HostHistogram::new();
-/// if let Some(started) = sink.start() {
-///     // ... the timed section ...
-///     waits.record(started.elapsed());
-/// }
-/// assert_eq!(waits.count(), 1);
-/// assert!(ProfileSink::new(false).start().is_none());
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProfileSink {
-    armed: bool,
-}
-
-impl ProfileSink {
-    /// Creates a sink; `armed = false` makes every probe a no-op.
-    #[must_use]
-    pub fn new(armed: bool) -> Self {
-        ProfileSink { armed }
-    }
-
-    /// Whether probes record.
-    #[must_use]
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Starts a timed section: `Some(Instant)` when armed, `None` (no
-    /// clock read at all) when disarmed.
-    #[inline]
-    #[must_use]
-    pub fn start(&self) -> Option<std::time::Instant> {
-        self.armed.then(std::time::Instant::now)
-    }
-}

@@ -1,11 +1,10 @@
 //! The `--progress` heartbeat.
 //!
-//! A single stderr line — events done, event rate, per-shard lag —
-//! redrawn in place (`\r`, no newline) at most once per configured
-//! wall-clock interval. Shard workers call [`ProgressMeter::record`]
-//! from their window loop; the meter itself decides (via a CAS on the
-//! elapsed-interval counter) which single caller actually prints, so
-//! the call is a few atomic operations in the common no-print case.
+//! A single stderr line — events done and event rate — redrawn in place
+//! (`\r`, no newline) at most once per configured wall-clock interval.
+//! The run loop calls [`ProgressMeter::record`] every few thousand
+//! events; the meter reads the clock there and prints only when an
+//! interval has passed.
 //!
 //! The heartbeat is for humans watching a terminal: construction via
 //! [`ProgressMeter::stderr`] yields `None` when stderr is not a TTY
@@ -14,7 +13,6 @@
 //! is set.
 
 use std::io::{IsTerminal, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// See the module docs.
@@ -22,20 +20,19 @@ use std::time::Instant;
 pub struct ProgressMeter {
     started: Instant,
     interval_ms: u64,
-    events: Vec<AtomicU64>,
-    last_tick: AtomicU64,
-    printed: AtomicBool,
+    last_tick: u64,
+    printed: bool,
 }
 
 impl ProgressMeter {
-    /// A meter for `shards` workers printing to stderr at most every
-    /// `interval_ms` milliseconds — or `None` when stderr is not a
-    /// terminal and `ASYNOC_PROGRESS_FORCE` is unset.
+    /// A meter printing to stderr at most every `interval_ms`
+    /// milliseconds — or `None` when stderr is not a terminal and
+    /// `ASYNOC_PROGRESS_FORCE` is unset.
     #[must_use]
-    pub fn stderr(shards: usize, interval_ms: u64) -> Option<Self> {
+    pub fn stderr(interval_ms: u64) -> Option<Self> {
         let forced = std::env::var_os("ASYNOC_PROGRESS_FORCE").is_some();
         if std::io::stderr().is_terminal() || forced {
-            Some(Self::forced(shards, interval_ms))
+            Some(Self::forced(interval_ms))
         } else {
             None
         }
@@ -44,63 +41,41 @@ impl ProgressMeter {
     /// A meter that skips the TTY check (tests, or callers that gate
     /// themselves).
     #[must_use]
-    pub fn forced(shards: usize, interval_ms: u64) -> Self {
+    pub fn forced(interval_ms: u64) -> Self {
         ProgressMeter {
             started: Instant::now(),
             interval_ms: interval_ms.max(1),
-            events: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            last_tick: AtomicU64::new(0),
-            printed: AtomicBool::new(false),
+            last_tick: 0,
+            printed: false,
         }
     }
 
-    /// Publishes `events` as shard `shard`'s running event total and
-    /// redraws the heartbeat line if this call crossed an interval
-    /// boundary. Out-of-range shards are ignored.
-    pub fn record(&self, shard: usize, events: u64) {
-        let Some(slot) = self.events.get(shard) else {
-            return;
-        };
-        slot.store(events, Ordering::Relaxed);
+    /// Notes `events` as the run's event total so far and redraws the
+    /// heartbeat line if an interval boundary has passed since the last
+    /// redraw.
+    pub fn record(&mut self, events: u64) {
         let tick = self.started.elapsed().as_millis() as u64 / self.interval_ms;
-        let last = self.last_tick.load(Ordering::Relaxed);
-        if tick > last
-            && self
-                .last_tick
-                .compare_exchange(last, tick, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.redraw();
+        if tick > self.last_tick {
+            self.last_tick = tick;
+            self.redraw(events);
         }
     }
 
-    fn redraw(&self) {
-        let counts: Vec<u64> = self
-            .events
-            .iter()
-            .map(|slot| slot.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
+    fn redraw(&mut self, events: u64) {
         let secs = self.started.elapsed().as_secs_f64().max(1e-9);
-        let rate = total as f64 / secs / 1.0e6;
-        let mut line = format!("\r[asynoc] events={total} rate={rate:.2} Mev/s");
-        if counts.len() > 1 {
-            let max = counts.iter().copied().max().unwrap_or(0);
-            let min = counts.iter().copied().min().unwrap_or(0);
-            line.push_str(&format!(" shards={} lag={}", counts.len(), max - min));
-        }
-        // Pad so a shrinking line fully overwrites its predecessor.
-        line.push_str("          ");
+        let rate = events as f64 / secs / 1.0e6;
+        // Padded so a shrinking line fully overwrites its predecessor.
+        let line = format!("\r[asynoc] events={events} rate={rate:.2} Mev/s          ");
         let mut stderr = std::io::stderr().lock();
         let _ = stderr.write_all(line.as_bytes());
         let _ = stderr.flush();
-        self.printed.store(true, Ordering::Relaxed);
+        self.printed = true;
     }
 
     /// Ends the heartbeat: terminates the in-place line with a newline
     /// if anything was ever drawn. Call once when the run completes.
-    pub fn finish(&self) {
-        if self.printed.swap(false, Ordering::Relaxed) {
+    pub fn finish(&mut self) {
+        if std::mem::take(&mut self.printed) {
             let mut stderr = std::io::stderr().lock();
             let _ = stderr.write_all(b"\n");
             let _ = stderr.flush();
@@ -113,21 +88,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_tolerates_out_of_range_shards() {
-        let meter = ProgressMeter::forced(2, 1_000_000);
-        meter.record(7, 42);
-        meter.record(0, 10);
-        assert_eq!(meter.events[0].load(Ordering::Relaxed), 10);
-        assert_eq!(meter.events[1].load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
     fn long_interval_never_prints() {
-        let meter = ProgressMeter::forced(1, 1_000_000);
+        let mut meter = ProgressMeter::forced(1_000_000);
         for i in 0..100 {
-            meter.record(0, i);
+            meter.record(i);
         }
-        assert!(!meter.printed.load(Ordering::Relaxed));
+        assert!(!meter.printed);
         meter.finish();
     }
 
@@ -139,30 +105,24 @@ mod tests {
         // the negative half when someone runs the tests on a live TTY.
         std::env::remove_var("ASYNOC_PROGRESS_FORCE");
         if !std::io::stderr().is_terminal() {
-            assert!(ProgressMeter::stderr(2, 1_000).is_none());
+            assert!(ProgressMeter::stderr(1_000).is_none());
         }
         // ASYNOC_PROGRESS_FORCE=1 overrides the TTY check.
         std::env::set_var("ASYNOC_PROGRESS_FORCE", "1");
-        let meter = ProgressMeter::stderr(2, 1_000_000).expect("forced by the environment");
+        let mut meter = ProgressMeter::stderr(1_000_000).expect("forced by the environment");
         std::env::remove_var("ASYNOC_PROGRESS_FORCE");
-        meter.record(0, 5);
-        meter.record(1, 7);
-        assert_eq!(meter.events[0].load(Ordering::Relaxed), 5);
+        meter.record(5);
         meter.finish();
     }
 
     #[test]
     fn short_interval_redraws_and_finish_terminates_the_line() {
-        let meter = ProgressMeter::forced(2, 1);
+        let mut meter = ProgressMeter::forced(1);
         std::thread::sleep(std::time::Duration::from_millis(3));
-        meter.record(0, 1_000);
-        meter.record(1, 400);
-        assert!(meter.printed.load(Ordering::Relaxed), "interval crossed");
+        meter.record(1_000);
+        assert!(meter.printed, "interval crossed");
         meter.finish();
-        assert!(
-            !meter.printed.load(Ordering::Relaxed),
-            "finish resets the drawn flag exactly once"
-        );
+        assert!(!meter.printed, "finish resets the drawn flag exactly once");
         meter.finish();
     }
 }

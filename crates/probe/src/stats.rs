@@ -1,12 +1,9 @@
 //! The counter vocabulary of the `asynoc-profile-v1` report.
 //!
-//! Plain data: every field is public and every type merges, so the
-//! sharded engine can accumulate per shard and fold afterwards. Counts
-//! are monotonic `u64`s; a single add on the simulator's hot path is
-//! free next to the tens of nanoseconds an event costs, so these stay
-//! on even when no profile is requested.
-
-use crate::hist::HostHistogram;
+//! Plain data: every field is public. Counts are monotonic `u64`s; a
+//! single add on the simulator's hot path is free next to the tens of
+//! nanoseconds an event costs, so these stay on even when no profile is
+//! requested.
 
 /// Event-queue behavior counters (embedded in both scheduler kinds).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -22,17 +19,6 @@ pub struct QueueStats {
     pub fallback_scans: u64,
     /// Most events pending at once.
     pub depth_high_water: u64,
-}
-
-impl QueueStats {
-    /// Accumulates `other` into `self` (high waters take the max).
-    pub fn merge(&mut self, other: &QueueStats) {
-        self.inserts += other.inserts;
-        self.pops += other.pops;
-        self.resizes += other.resizes;
-        self.fallback_scans += other.fallback_scans;
-        self.depth_high_water = self.depth_high_water.max(other.depth_high_water);
-    }
 }
 
 /// Descriptor-pool behavior counters (the engine's `FlitPool`).
@@ -61,15 +47,6 @@ impl PoolStats {
             self.hits as f64 / self.takes as f64
         }
     }
-
-    /// Accumulates `other` into `self` (high waters take the max).
-    pub fn merge(&mut self, other: &PoolStats) {
-        self.takes += other.takes;
-        self.hits += other.hits;
-        self.recycled += other.recycled;
-        self.rejected += other.rejected;
-        self.occupancy_high_water = self.occupancy_high_water.max(other.occupancy_high_water);
-    }
 }
 
 /// How many events of each kind a run executed.
@@ -85,22 +62,6 @@ pub struct EventKindCounts {
     pub retry: u64,
 }
 
-impl EventKindCounts {
-    /// Total events across all kinds.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.inject + self.arrive + self.free + self.retry
-    }
-
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &EventKindCounts) {
-        self.inject += other.inject;
-        self.arrive += other.arrive;
-        self.free += other.free;
-        self.retry += other.retry;
-    }
-}
-
 /// Host wall-clock split across the run's simulated phases: how long
 /// the host spent executing events whose simulated time fell in the
 /// warmup window, the measurement window, and the drain tail.
@@ -114,130 +75,26 @@ pub struct PhaseWall {
     pub drain_ns: u64,
 }
 
-impl PhaseWall {
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &PhaseWall) {
-        self.warmup_ns += other.warmup_ns;
-        self.measure_ns += other.measure_ns;
-        self.drain_ns += other.drain_ns;
-    }
-}
-
-/// Everything one shard's worker recorded about its own execution.
-///
-/// A serial run produces exactly one of these (shard 0) with the
-/// barrier/mailbox sections empty.
-#[derive(Clone, Debug, Default)]
-pub struct ShardProfile {
-    /// Shard index.
-    pub shard: usize,
-    /// Events this shard's worker executed (host work; the folded
-    /// per-shard attribution in the report may differ at the drain
-    /// boundary).
-    pub events: u64,
-    /// Conservative time windows the shard ran (0 for a serial run).
-    pub windows: u64,
-    /// Per-kind breakdown of the executed events.
-    pub kinds: EventKindCounts,
-    /// The shard's event-queue counters.
-    pub queue: QueueStats,
-    /// The shard's descriptor-pool counters.
-    pub pool: PoolStats,
-    /// Host time spent waiting at the window barrier (both phases).
-    pub barrier_wait: HostHistogram,
-    /// Cross-cut messages sent to each destination shard (empty for a
-    /// serial run; the own-shard slot stays 0).
-    pub sent: Vec<u64>,
-    /// Cross-cut messages received over all windows.
-    pub received: u64,
-    /// Deepest any destination mailbox was right after this shard
-    /// appended to it.
-    pub mailbox_depth_high_water: u64,
-    /// Host wall-clock split across the simulated phases.
-    pub phase: PhaseWall,
-}
-
-/// The engine-level profile of one run: per-shard sections plus the
-/// run-wide figures the imbalance summary is computed from.
+/// The engine-level profile of one run.
 #[derive(Clone, Debug, Default)]
 pub struct EngineProfile {
     /// Host nanoseconds the whole run took.
     pub wall_ns: u64,
-    /// The sharded window width in picoseconds (0 for a serial run).
-    pub lookahead_ps: u64,
-    /// One section per shard (exactly one for a serial run).
-    pub shards: Vec<ShardProfile>,
-}
-
-impl EngineProfile {
-    /// The load-imbalance summary over the per-shard sections.
-    #[must_use]
-    pub fn imbalance(&self) -> Imbalance {
-        let shards = self.shards.len().max(1) as u64;
-        let max_events = self.shards.iter().map(|s| s.events).max().unwrap_or(0);
-        let total_events: u64 = self.shards.iter().map(|s| s.events).sum();
-        let mean_events = total_events as f64 / shards as f64;
-        let wait_ns: u64 = self.shards.iter().map(|s| s.barrier_wait.total_ns()).sum();
-        // Each shard has `wall_ns` of host time; waiting anywhere is
-        // capacity lost, so the share is over the run's total CPU time.
-        let cpu_ns = (self.wall_ns * shards).max(1);
-        Imbalance {
-            max_shard_events: max_events,
-            mean_shard_events: mean_events,
-            event_ratio: if mean_events > 0.0 {
-                max_events as f64 / mean_events
-            } else {
-                1.0
-            },
-            barrier_wait_ns: wait_ns,
-            barrier_wait_share: wait_ns as f64 / cpu_ns as f64,
-        }
-    }
-}
-
-/// How unevenly a sharded run's work was spread (all 1.0/0.0-ish for a
-/// serial run).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Imbalance {
-    /// Events executed by the busiest shard.
-    pub max_shard_events: u64,
-    /// Mean events per shard.
-    pub mean_shard_events: f64,
-    /// `max / mean` — 1.0 is a perfect split.
-    pub event_ratio: f64,
-    /// Total host nanoseconds all shards spent at the window barrier.
-    pub barrier_wait_ns: u64,
-    /// Barrier wait as a fraction of the run's total CPU time
-    /// (`shards x wall`); the headroom a better partition could recover.
-    pub barrier_wait_share: f64,
+    /// Events the run executed.
+    pub events: u64,
+    /// Per-kind breakdown of the executed events.
+    pub kinds: EventKindCounts,
+    /// The event-queue counters.
+    pub queue: QueueStats,
+    /// The descriptor-pool counters.
+    pub pool: PoolStats,
+    /// Host wall-clock split across the simulated phases.
+    pub phase: PhaseWall,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn queue_stats_merge_adds_counts_and_maxes_high_water() {
-        let mut a = QueueStats {
-            inserts: 10,
-            pops: 9,
-            resizes: 1,
-            fallback_scans: 2,
-            depth_high_water: 5,
-        };
-        let b = QueueStats {
-            inserts: 1,
-            pops: 1,
-            resizes: 0,
-            fallback_scans: 0,
-            depth_high_water: 9,
-        };
-        a.merge(&b);
-        assert_eq!(a.inserts, 11);
-        assert_eq!(a.pops, 10);
-        assert_eq!(a.depth_high_water, 9);
-    }
 
     #[test]
     fn pool_hit_rate_handles_empty_and_partial() {
@@ -248,46 +105,5 @@ mod tests {
             ..PoolStats::default()
         };
         assert_eq!(stats.hit_rate(), 0.75);
-    }
-
-    #[test]
-    fn imbalance_of_a_perfect_split() {
-        let shard = |events| ShardProfile {
-            events,
-            ..ShardProfile::default()
-        };
-        let profile = EngineProfile {
-            wall_ns: 1_000,
-            lookahead_ps: 500,
-            shards: vec![shard(100), shard(100)],
-        };
-        let imbalance = profile.imbalance();
-        assert_eq!(imbalance.max_shard_events, 100);
-        assert_eq!(imbalance.mean_shard_events, 100.0);
-        assert_eq!(imbalance.event_ratio, 1.0);
-        assert_eq!(imbalance.barrier_wait_share, 0.0);
-    }
-
-    #[test]
-    fn imbalance_reports_the_skew_and_wait_share() {
-        let mut slow = ShardProfile {
-            events: 300,
-            ..ShardProfile::default()
-        };
-        slow.barrier_wait.record(Duration::from_nanos(500));
-        let fast = ShardProfile {
-            events: 100,
-            ..ShardProfile::default()
-        };
-        let profile = EngineProfile {
-            wall_ns: 1_000,
-            lookahead_ps: 500,
-            shards: vec![slow, fast],
-        };
-        let imbalance = profile.imbalance();
-        assert_eq!(imbalance.max_shard_events, 300);
-        assert_eq!(imbalance.event_ratio, 1.5);
-        assert_eq!(imbalance.barrier_wait_ns, 500);
-        assert_eq!(imbalance.barrier_wait_share, 0.25);
     }
 }

@@ -273,7 +273,9 @@ impl LogHistogram {
     /// The samples spread over `bins` equal-width bins spanning
     /// `[min, max]`, as `(low edge, high edge, count)` rows for display
     /// (the last bin is closed); each bucket is counted whole at the value
-    /// a quantile would report for it. No rows if there are no samples.
+    /// a quantile would report for it. No row is narrower than 1 ps: a
+    /// range of `max − min` ps gets at most that many rows, and equal
+    /// samples one. No rows if there are no samples.
     ///
     /// # Panics
     ///
@@ -284,6 +286,7 @@ impl LogHistogram {
             return Vec::new();
         }
         let span = (self.max - self.min).max(1);
+        let bins = bins.min(span);
         let edge = |bin: u64| Duration::from_ps(self.min + span * bin / bins);
         let mut rows: Vec<_> = (0..bins).map(|bin| (edge(bin), edge(bin + 1), 0)).collect();
         for (bucket, n) in self.buckets() {
@@ -466,7 +469,10 @@ mod tests {
             let bins = rng.range_inclusive(1, 15);
             let h = histogram(&samples);
             let rows = h.equal_width(bins as u64);
+            let span = h.max().unwrap().as_ps() - h.min().unwrap().as_ps();
+            let bins = bins.min(span.max(1) as usize);
             assert_eq!(rows.len(), bins);
+            assert!(rows.iter().all(|row| row.1 > row.0), "a zero-width row");
             assert_eq!(rows.iter().map(|row| row.2).sum::<u64>(), h.count());
             assert_eq!(Some(rows[0].0), h.min());
             assert!(rows.windows(2).all(|pair| pair[0].1 == pair[1].0));
@@ -475,10 +481,12 @@ mod tests {
                 h.max().unwrap().max(rows[0].0 + Duration::from_ps(1))
             );
         }
+        // Equal samples are one 1 ps row, and a 3 ps range at most three.
         let single = histogram(&[500, 500, 500]).equal_width(4);
-        assert_eq!(
-            single.iter().map(|row| row.2).collect::<Vec<_>>(),
-            [3, 0, 0, 0]
-        );
+        let ps = Duration::from_ps;
+        assert_eq!(single, [(ps(500), ps(501), 3)]);
+        let narrow = histogram(&[500, 503]).equal_width(8);
+        assert_eq!(narrow.len(), 3);
+        assert_eq!(narrow.iter().map(|row| row.2).sum::<u64>(), 2);
     }
 }

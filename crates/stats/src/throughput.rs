@@ -112,23 +112,6 @@ impl ThroughputCounter {
         }
     }
 
-    /// Adds another counter's totals into this one — merging per-shard
-    /// counters after a sharded run, where each shard counted only the
-    /// endpoints it owned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two counters disagree on the source count.
-    pub fn absorb(&mut self, other: &ThroughputCounter) {
-        assert_eq!(
-            self.sources, other.sources,
-            "merging counters for different networks"
-        );
-        self.offered_flits += other.offered_flits;
-        self.injected_flits += other.injected_flits;
-        self.delivered_flits += other.delivered_flits;
-    }
-
     /// Resets all counters (end of warmup).
     pub fn reset(&mut self) {
         self.injected_flits = 0;

@@ -331,8 +331,7 @@ pub(crate) struct Run {
 
 /// Traces and streams of all three substrates, plus a faulted MoT run
 /// whose stream carries `fault` records and watchpoints, produced once
-/// per test process by the CLI itself — serially, so the `end` record's
-/// shard layout is the same on every host and the texts can be pinned.
+/// per test process by the CLI itself, so the texts can be pinned.
 pub(crate) fn real_runs() -> &'static [Run] {
     static RUNS: OnceLock<Vec<Run>> = OnceLock::new();
     RUNS.get_or_init(|| {
@@ -350,7 +349,7 @@ pub(crate) fn real_runs() -> &'static [Run] {
                 std::env::temp_dir().join(file).to_string_lossy().into_owned()
             };
             let (trace_path, stream_path) = (path("trace.ndjson"), path("stream.ndjson"));
-            let mut line = format!("{command} --shards 1 --stream {stream_path} --stream-trace");
+            let mut line = format!("{command} --stream {stream_path} --stream-trace");
             // `faults` has no `--trace-out`; its records ride the stream.
             if name != "mot-faulted" {
                 line.push_str(&format!(" --trace-limit 200000 --trace-out {trace_path}"));

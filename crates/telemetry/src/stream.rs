@@ -12,9 +12,8 @@
 //! Two properties anchor the design:
 //!
 //! - **Determinism.** The sink is driven purely by the record stream,
-//!   which the engine's events arrive as in exact serial order regardless
-//!   of shard count — so serial and sharded runs of the same spec
-//!   produce *byte-identical* streams.
+//!   which arrives in the engine's deterministic event order — so two
+//!   runs of the same spec produce *byte-identical* streams.
 //! - **Concatenation.** The sink keeps no latency or time-series state of
 //!   its own: it is a window over the run's [`LatencyHistograms`] and
 //!   [`TimeSeries`], which it borrows, feeds, and reads deltas from at

@@ -3,8 +3,8 @@
 //! MoT competes against.
 //!
 //! This crate is a *router* for `asynoc-mesh`'s fabric, not a fabric of
-//! its own: the grid, channel table, config / report / network skeleton,
-//! sharding and fault domain are the mesh's, shared with the wormhole
+//! its own: the grid, channel table, config / report / network skeleton
+//! and fault domain are the mesh's, shared with the wormhole
 //! router. Where that baseline serializes every multicast into unicast
 //! clones over single-flit handshaken links, this router models the
 //! reference microarchitecture used by synchronous multicast studies:
@@ -15,10 +15,10 @@
 //! al., arXiv 2108.00566), which merges partitions whose paths overlap.
 //!
 //! It runs on the same `asynoc-engine` event loop as the other two
-//! substrates, so every command, observer, fault plan, stream schema,
-//! and sharding mode applies unchanged. `VcMeshConfig` holds what is
-//! static about the fabric (size, packet length, seed, multicast
-//! scheme); shards, profiling, observers and fault tables are per-run —
+//! substrates, so every command, observer, fault plan and stream schema
+//! applies unchanged. `VcMeshConfig` holds what is static about the
+//! fabric (size, packet length, seed, multicast scheme); profiling,
+//! observers and fault tables are per-run —
 //! build a [`RunConfig`] and hand the network to [`drive`]:
 //!
 //! ```
@@ -27,7 +27,7 @@
 //!
 //! let config = VcMeshConfig::new(MeshSize::new(4, 4)?).with_mcast(McastScheme::Dpm);
 //! let network = VcMeshNetwork::new(config)?;
-//! let run = RunConfig::quick(Benchmark::Multicast5, 0.1).with_shards(2);
+//! let run = RunConfig::quick(Benchmark::Multicast5, 0.1);
 //! let report = drive(&network, &run, &mut [], None)?;
 //! assert_eq!(report.packets_incomplete, 0);
 //! assert!(report.router.link_traversals > 0);

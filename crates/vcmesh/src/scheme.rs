@@ -120,9 +120,8 @@ fn greedy_target(size: MeshSize, here: usize, rest: DestSet) -> usize {
 /// `cost(here, branch)` is the minimum number of link traversals needed to
 /// deliver `branch` from `here` under DPM's two candidate moves (tree
 /// split vs. merged worm); `partition` makes the matching choice. The
-/// memo is a pure cache — lookups never affect results — so the planner
-/// clones freely into shard-local models.
-#[derive(Clone, Debug, Default)]
+/// memo is a pure cache — lookups never affect results.
+#[derive(Debug, Default)]
 pub struct DpmPlanner {
     memo: HashMap<(usize, u64), u64>,
 }

@@ -6,8 +6,7 @@
 //! in-network multicast. Each inter-router link carries `VC_COUNT` data
 //! channels and `VC_COUNT` credit-return channels, all first-class sim
 //! channels — so link-stall faults apply to the credit loop exactly as
-//! they do to data, and the sharded engine cuts the credit loop with the
-//! same conservative lookahead discipline.
+//! they do to data.
 //!
 //! A router's `fire` runs a fixpoint over four phases — absorb returned
 //! credits, transmit FIFO heads (VC + switch allocation), drain arrived
@@ -27,7 +26,7 @@ use std::collections::VecDeque;
 
 use asynoc_engine::{Ctx, ForwardInfo, RunConfig, SimEvent};
 use asynoc_kernel::{Duration, Time};
-use asynoc_mesh::{Config, Grid, MeshSize, MeshTiming, Network, Port, Report, Router};
+use asynoc_mesh::{Config, Grid, MeshSize, Network, Port, Report, Router};
 use asynoc_nodes::FlitClass;
 use asynoc_packet::{DestSet, Flit, FlitKind};
 use asynoc_stats::Phases;
@@ -44,9 +43,9 @@ const LOCAL: usize = 4; // Port::Local.index()
 const SLOTS: usize = PORTS * VC_COUNT;
 
 /// Credit-return wire flight (downstream router → upstream counter). The
-/// credit loop's two delays come on top of the fabric's [`MeshTiming`]:
-/// the comparison should isolate the flow-control and multicast
-/// discipline, not re-litigate gate delays.
+/// credit loop's two delays come on top of the fabric's
+/// [`MeshTiming`](asynoc_mesh::MeshTiming): the comparison should isolate
+/// the flow-control and multicast discipline, not re-litigate gate delays.
 const CREDIT_FLIGHT: Duration = Duration::from_ps(300);
 /// Channel-free delay after absorbing a returned credit.
 const CREDIT_ACK: Duration = Duration::from_ps(200);
@@ -112,8 +111,7 @@ pub struct VcSection {
     pub vc_pushes: [u64; VC_COUNT],
     /// Peak in-window FIFO occupancy per VC (over all routers/ports).
     pub vc_peak: [u64; VC_COUNT],
-    /// Credit-conservation audits performed (serial runs only: the
-    /// ledger needs the whole fabric in one address space).
+    /// Credit-conservation audits performed.
     pub credit_checks: u64,
     /// Audits where `free + in-flight + buffered + owed + returning`
     /// differed from the credit pool. Always 0 in a correct build.
@@ -154,7 +152,7 @@ impl RouteBranches {
 }
 
 /// Per-router state: input FIFOs, credit counters, worm bookkeeping.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct RouterState {
     /// Input FIFOs, `[in port][vc]` (Local uses VC 0 only).
     fifo: [[VecDeque<Flit>; VC_COUNT]; PORTS],
@@ -196,13 +194,10 @@ impl RouterState {
 /// `l + v`, the credit return for VC `v` is `l + VC_COUNT + v` — so a
 /// router's outgoing links carry its data out and its credits back in,
 /// and its incoming links the reverse.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct VcRouter {
     mcast: McastScheme,
     phases: Phases,
-    /// Credit-conservation ledger armed? Serial runs only: in-flight
-    /// counts span both ends of a link, which sharded clones cannot see.
-    ledger: bool,
     state: Vec<RouterState>,
     dpm: DpmPlanner,
     /// Ledger: flits launched but not yet drained, per data channel.
@@ -257,9 +252,7 @@ impl VcRouter {
                 }
                 let _credit = ctx.take_arrived(ch);
                 ctx.free_after(ch, CREDIT_ACK);
-                if self.ledger {
-                    self.credit_in_flight[ch] -= 1;
-                }
+                self.credit_in_flight[ch] -= 1;
                 let credits = &mut self.state[r].credits[p][v];
                 *credits += 1;
                 debug_assert!(
@@ -381,9 +374,7 @@ impl VcRouter {
             ctx.launch(ch, flit.clone().with_branch(part), flight);
             if po != LOCAL {
                 self.state[r].credits[po][vo] -= 1;
-                if self.ledger {
-                    self.data_in_flight[ch] += 1;
-                }
+                self.data_in_flight[ch] += 1;
                 if kind.is_header() && measured {
                     self.section.link_traversals += 1;
                 }
@@ -433,7 +424,7 @@ impl VcRouter {
                 let flit = ctx.take_arrived(ch);
                 let class = FlitClass::of(flit.kind());
                 ctx.free_after(ch, grid.timing().router.free_delay(class));
-                if self.ledger && p != LOCAL {
+                if p != LOCAL {
                     self.data_in_flight[ch] -= 1;
                 }
                 self.state[r].fifo[p][v].push_back(flit);
@@ -464,9 +455,7 @@ impl VcRouter {
                     .expect("an owed credit implies a previously popped flit");
                 ctx.launch(ch, token, CREDIT_FLIGHT);
                 self.state[r].owed[p][v] -= 1;
-                if self.ledger {
-                    self.credit_in_flight[ch] += 1;
-                }
+                self.credit_in_flight[ch] += 1;
                 progress = true;
             }
         }
@@ -509,19 +498,10 @@ impl Router for VcRouter {
     /// In-network multicast: one packet, forked at divergence points.
     const SERIALIZES_MULTICAST: bool = false;
 
-    /// The cut north/south links each drag their credit-return twins
-    /// across the band boundary, so the lookahead must also admit the
-    /// credit loop's delays: a credit launch and its absorption
-    /// acknowledge, alongside data launches and frees.
-    fn lookahead(timing: &MeshTiming) -> Duration {
-        timing.data_lookahead().min(CREDIT_FLIGHT).min(CREDIT_ACK)
-    }
-
     fn new(grid: &Grid, mcast: &McastScheme, run: &RunConfig) -> Self {
         VcRouter {
             mcast: *mcast,
             phases: run.phases(),
-            ledger: run.shards() == 1,
             state: (0..grid.size().endpoints())
                 .map(|_| RouterState::new())
                 .collect(),
@@ -546,22 +526,7 @@ impl Router for VcRouter {
                 break;
             }
         }
-        if self.ledger {
-            self.audit_credits(grid, router);
-        }
-    }
-
-    /// Each router is owned by exactly one shard, so counters add; per-VC
-    /// peaks merge by maximum.
-    fn merge(&mut self, shard: Self) {
-        let (total, part) = (&mut self.section, shard.section);
-        total.link_traversals += part.link_traversals;
-        for v in 0..VC_COUNT {
-            total.vc_pushes[v] += part.vc_pushes[v];
-            total.vc_peak[v] = total.vc_peak[v].max(part.vc_peak[v]);
-        }
-        total.credit_checks += part.credit_checks;
-        total.credit_violations += part.credit_violations;
+        self.audit_credits(grid, router);
     }
 
     fn section(self) -> VcSection {

@@ -50,8 +50,7 @@ fn network(seed: u64, mcast: McastScheme) -> VcMeshNetwork {
         .expect("config is valid")
 }
 
-/// A serial run (the credit ledger only arms when one shard sees the
-/// whole fabric).
+/// One run with the credit ledger armed.
 fn run(seed: u64, mcast: McastScheme) -> VcMeshReport {
     network(seed, mcast)
         .run(Benchmark::Multicast10, 0.1, phases())

@@ -33,13 +33,7 @@ if [[ "${1:-}" == --fast ]]; then
 fi
 step cargo bench -q -p asynoc-bench --bench ratios
 
-# Filters a comparison looks through: FILTER FILE -> stdout.
-no_shards() { # a metrics document minus the fields that record the shard layout
-    sed -e '/"shard_events": \[/,/\]/d' -e '/"shards":/d' "$1"
-}
-no_end() { # a stream minus its end record, whose counters name the shard split
-    sed '$d' "$1"
-}
+# A filter a comparison looks through: FILTER FILE -> stdout.
 records() { # the records of a trace file (after its meta line) or of a stream's trace lines
     sed -n -e 's/^{"type":"trace","seq":[0-9]*,"record":\(.*\)}$/\1/p' -e t -e '/^{"t_ps":/p' "$1"
 }
@@ -120,24 +114,17 @@ trace round-trip (mesh) | asynoc metrics $mesh $traced --metrics-out m.json --tr
 trace round-trip (vcmesh) | asynoc metrics $vcmesh $traced --metrics-out m.json --trace-out t.ndjson ;\
  asynoc analyze --trace-in t.ndjson --report-out a.json --top 5 ;\
  asynoc metrics $vcmesh $traced --stream s.ndjson --stream-trace ; same records t.ndjson s.ndjson
-# sharded == serial, and --profile writes its document without moving stdout
-shards 1/2/4 and --profile (mot 64x64) | asynoc run $big_mot --shards 1 > 1 ; asynoc run $big_mot --shards 2 > 2 ;\
- asynoc run $big_mot --shards 4 > 4 ; asynoc run $big_mot --shards 2 --profile p.json > p ;\
- same cat 1 2 4 p ; has p.json "schema": "asynoc-profile-v1"
-shards 1/2/4 and --profile (mesh 8x8) | asynoc mesh $big_mesh --shards 1 > 1 ; asynoc mesh $big_mesh --shards 2 > 2 ;\
- asynoc mesh $big_mesh --shards 4 > 4 ; asynoc mesh $big_mesh --shards 2 --profile p.json > p ;\
- same cat 1 2 4 p ; has p.json "schema": "asynoc-profile-v1"
-shards 1/2/4 (vcmesh 4x4 metrics) | asynoc metrics $vcmesh --shards 1 --metrics-out 1.json ;\
- asynoc metrics $vcmesh --shards 2 --metrics-out 2.json ;\
- asynoc metrics $vcmesh --shards 4 --metrics-out 4.json ; same no_shards 1.json 2.json 4.json
-# clean vs faulted under one seed: the command exits non-zero when the oracle fails, and
-# the report it writes is the same on one shard and on two (--shards defaults to 1)
-fault oracle, --shards 1 == 2 (mot) | asynoc faults $fmot $pair --shards 1 --report-out 1.json ;\
- asynoc faults $fmot $pair --shards 2 --report-out 2.json ; same cat 1.json 2.json
-fault oracle, --shards 1 == 2 (mesh) | asynoc faults $fmesh $pair --shards 1 --report-out 1.json ;\
- asynoc faults $fmesh $pair --shards 2 --report-out 2.json ; same cat 1.json 2.json
-fault oracle, --shards 1 == 2 (vcmesh) | asynoc faults $fvcmesh $pair --shards 1 --report-out 1.json ;\
- asynoc faults $fvcmesh $pair --shards 2 --report-out 2.json ; same cat 1.json 2.json
+# --profile writes its document without moving stdout
+--profile (mot 64x64) | asynoc run $big_mot > 1 ; asynoc run $big_mot --profile p.json > p ;\
+ same cat 1 p ; has p.json "schema": "asynoc-profile-v1"
+--profile (mesh 8x8) | asynoc mesh $big_mesh > 1 ; asynoc mesh $big_mesh --profile p.json > p ;\
+ same cat 1 p ; has p.json "schema": "asynoc-profile-v1"
+# every run is one thread; --shards is still accepted (benchmark/ passes it) and changes nothing
+--shards is accepted and ignored | asynoc run $big_mot > 1 ; asynoc run $big_mot --shards 4 > 4 ; same cat 1 4
+# clean vs faulted under one seed: the command exits non-zero when the oracle fails
+fault oracle (mot) | asynoc faults $fmot $pair --report-out 1.json ; has 1.json "pass": true
+fault oracle (mesh) | asynoc faults $fmesh $pair --report-out 1.json ; has 1.json "pass": true
+fault oracle (vcmesh) | asynoc faults $fvcmesh $pair --report-out 1.json ; has 1.json "pass": true
 # a plan entry aimed at a channel, source or symbol site the fabric does not have never fires: it is
 # refused before any run, not reported as a fault the fabric shrugged off
 fault plan outside the fabric is refused | exits 1 asynoc faults $fmot $pair --plan stall:99999:1:10 ; has stderr error: --plan: entry 1
@@ -148,23 +135,17 @@ saturate refuses the window flags | exits 2 asynoc saturate --arch Baseline --be
 fault oracle past the old trace cap | asynoc faults --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 --plan lose:0:2000 --oracle --measure-ns 60000 --report-out r.json ;\
  has r.json "pass": true
 # the built-in guard exits non-zero if OptHybridSpeculative drifts off the Pareto front's envelope
-explore guard, --jobs 1 == 2, --shards 1 == 2 | asynoc explore --smoke --jobs 1 --shards 1 > 1 ; asynoc explore --smoke --jobs 2 --shards 1 > 2 ;\
- asynoc explore --smoke --jobs 2 --shards 2 > s ; same cat 1 2 s ; has 1 "schema": "asynoc-explore-v1"
+explore guard, --jobs 1 == 2 | asynoc explore --smoke --jobs 1 > 1 ; asynoc explore --smoke --jobs 2 > 2 ;\
+ same cat 1 2 ; has 1 "schema": "asynoc-explore-v1"
 # at 4x4 OptAllSpeculative and OptHybridSpeculative are one map: the guard finds a preset by its map, not its label
 explore guard on an aliased preset | asynoc explore --smoke --size 4 --guard OptAllSpeculative > g ; has g "arch": "OptAllSpeculative"
-# folded stream == batch document at --shards 1 and 2; the streams agree up to their end record
-fold-back (mot) | asynoc metrics $mot --shards 1 --metrics-out b1.json --stream s1.ndjson ;\
- asynoc watch --stream-in s1.ndjson --once --fold f1.json ; same cat b1.json f1.json ;\
- asynoc metrics $mot --shards 2 --metrics-out b2.json --stream s2.ndjson ;\
- asynoc watch --stream-in s2.ndjson --once --fold f2.json ; same cat b2.json f2.json ; same no_end s1.ndjson s2.ndjson
-fold-back (mesh) | asynoc metrics $mesh --shards 1 --metrics-out b1.json --stream s1.ndjson ;\
- asynoc watch --stream-in s1.ndjson --once --fold f1.json ; same cat b1.json f1.json ;\
- asynoc metrics $mesh --shards 2 --metrics-out b2.json --stream s2.ndjson ;\
- asynoc watch --stream-in s2.ndjson --once --fold f2.json ; same cat b2.json f2.json ; same no_end s1.ndjson s2.ndjson
-fold-back (vcmesh) | asynoc metrics $vcmesh --shards 1 --metrics-out b1.json --stream s1.ndjson ;\
- asynoc watch --stream-in s1.ndjson --once --fold f1.json ; same cat b1.json f1.json ;\
- asynoc metrics $vcmesh --shards 2 --metrics-out b2.json --stream s2.ndjson ;\
- asynoc watch --stream-in s2.ndjson --once --fold f2.json ; same cat b2.json f2.json ; same no_end s1.ndjson s2.ndjson
+# folded stream == batch document
+fold-back (mot) | asynoc metrics $mot --metrics-out b.json --stream s.ndjson ;\
+ asynoc watch --stream-in s.ndjson --once --fold f.json ; same cat b.json f.json
+fold-back (mesh) | asynoc metrics $mesh --metrics-out b.json --stream s.ndjson ;\
+ asynoc watch --stream-in s.ndjson --once --fold f.json ; same cat b.json f.json
+fold-back (vcmesh) | asynoc metrics $vcmesh --metrics-out b.json --stream s.ndjson ;\
+ asynoc watch --stream-in s.ndjson --once --fold f.json ; same cat b.json f.json
 # every run closes with copies in flight (the drain stops at the last measured header); that is no
 # watchpoint, so --watch-fatal exits 0 on a clean run of every substrate
 clean run under --watch-fatal (mot) | asynoc metrics $mot --metrics-out m.json --stream s.ndjson --watch-fatal ; has s.ndjson "watchpoints":0
