@@ -1,8 +1,11 @@
-//! The three speed claims that are quotients taken inside one process,
+//! The four speed claims that are quotients taken inside one process,
 //! and therefore hold still on a host whose speed does not:
 //!
 //! - the calendar queue is ≥ 1.3× its binary-heap reference under the
-//!   hold model at depth 4096;
+//!   uniform hold model at depth 4096;
+//! - it is ≥ 1.8× the heap under an engine-shaped hold: depth 64, every
+//!   gap one of the fabric's stage delays or, one time in 20, a source's
+//!   next injection;
 //! - a profiled run (`RunConfig::with_profile`, the CLI's `--profile`)
 //!   costs ≤ 1.05× the bare run;
 //! - a run threading a disarmed fault table costs ≤ 1.05× a run with none.
@@ -26,7 +29,7 @@ use asynoc_kernel::{CalendarQueue, EventQueue, SimRng, Time};
 /// Paired rounds per gate. In a noisy quarter-hour single quotients of the
 /// two ≤ 1.05 gates spread ±0.05, so 40 rounds left the median ±0.02 —
 /// within reach of the bound from the disarmed hooks' true 1.02; 100 halve
-/// that for 13 s in all.
+/// that.
 const ROUNDS: usize = 100;
 
 /// The deep operating point of engine runs (a 64×64 substrate keeps a few
@@ -35,6 +38,18 @@ const ROUNDS: usize = 100;
 /// system.
 const HOLD_DEPTH: usize = 4_096;
 const HOLD_OPS: u64 = 400_000;
+
+/// An 8×8 run's queue depth (Multicast10 at 0.4 GF/s reads a
+/// `depth_high_water` of 71).
+const ENGINE_DEPTH: usize = 64;
+const ENGINE_OPS: u64 = 2_000_000;
+/// `TimingModel::calibrated`'s delays in ps: a throttle's acknowledge,
+/// the source cycle, speculative forward + wire, a cycle floor, the sink
+/// acknowledge, baseline and non-speculative forward + wire, and the
+/// non-speculative forward + acknowledge.
+const STAGE_DELAYS_PS: [u64; 8] = [80, 100, 112, 150, 251, 323, 359, 461];
+/// A source's mean injection gap at 0.4 GF/s and five flits per packet.
+const INJECTION_GAP: Duration = Duration::from_ps(12_500);
 
 /// The three operations the hold model needs, so one pass drives either
 /// queue type.
@@ -62,32 +77,61 @@ macro_rules! hold_queue {
 hold_queue!(EventQueue);
 hold_queue!(CalendarQueue);
 
-/// One hold-model pass (Vaucher & Duval): pre-fill to [`HOLD_DEPTH`], then
-/// [`HOLD_OPS`] times pop the earliest event and schedule a replacement a
-/// random gap ahead, then drain. Gap sampling is seeded, so both queue
-/// types see the identical event sequence, and the gap range keeps the
-/// pending-event density near one per picosecond — the regime simulator
-/// runs occupy.
-fn hold<Q: HoldQueue>() -> u64 {
-    let mut rng = SimRng::seed_from(HOLD_DEPTH as u64);
-    let mut queue = Q::with_capacity(HOLD_DEPTH);
-    for i in 0..HOLD_DEPTH {
-        queue.schedule(
-            Time::from_ps(rng.range_inclusive(0, 2 * HOLD_DEPTH) as u64),
-            i as u64,
-        );
+/// Uniform gaps up to the depth keep the pending-event density near one
+/// per picosecond.
+fn uniform_gap(rng: &mut SimRng) -> u64 {
+    rng.range_inclusive(50, HOLD_DEPTH) as u64
+}
+
+/// A stage delay, or one time in 20 an exponential injection gap.
+fn engine_gap(rng: &mut SimRng) -> u64 {
+    if rng.index(20) == 0 {
+        rng.exponential(INJECTION_GAP).as_ps()
+    } else {
+        STAGE_DELAYS_PS[rng.index(STAGE_DELAYS_PS.len())]
+    }
+}
+
+/// One hold-model pass (Vaucher & Duval): pre-fill to `depth`, then `ops`
+/// times pop the earliest event and schedule a replacement `gap` ahead,
+/// then drain. Gap sampling is seeded, so both queue types see the
+/// identical event sequence.
+fn hold<Q: HoldQueue>(depth: usize, ops: u64, gap: fn(&mut SimRng) -> u64) -> u64 {
+    let mut rng = SimRng::seed_from(depth as u64);
+    let mut queue = Q::with_capacity(depth);
+    for i in 0..depth {
+        queue.schedule(Time::from_ps(gap(&mut rng)), i as u64);
     }
     let mut checksum = 0u64;
-    for _ in 0..HOLD_OPS {
+    for _ in 0..ops {
         let (time, payload) = queue.pop().expect("hold keeps the queue full");
         checksum = checksum.wrapping_add(time.as_ps()).wrapping_add(payload);
-        let gap = rng.range_inclusive(50, HOLD_DEPTH) as u64;
-        queue.schedule(time + Duration::from_ps(gap), payload);
+        queue.schedule(time + Duration::from_ps(gap(&mut rng)), payload);
     }
     while let Some((time, _)) = queue.pop() {
         checksum = checksum.wrapping_add(time.as_ps());
     }
     checksum
+}
+
+/// Paired heap / calendar rounds of one hold workload, after an untimed
+/// pass in which the two queues must agree on the identical event
+/// sequence.
+fn hold_quotients(depth: usize, ops: u64, gap: fn(&mut SimRng) -> u64) -> Vec<f64> {
+    assert_eq!(
+        hold::<EventQueue<u64>>(depth, ops, gap),
+        hold::<CalendarQueue<u64>>(depth, ops, gap),
+        "the queues diverged on the same event sequence"
+    );
+    paired_rounds(
+        ROUNDS,
+        || {
+            black_box(hold::<EventQueue<u64>>(depth, ops, gap));
+        },
+        || {
+            black_box(hold::<CalendarQueue<u64>>(depth, ops, gap));
+        },
+    )
 }
 
 /// Prints one gate's quartiles and verdict.
@@ -104,22 +148,8 @@ fn judge(name: &str, bound: Bound, quotients: &[f64]) -> bool {
 fn main() {
     println!("ratios: median of {ROUNDS} paired-round quotients per gate");
 
-    // Untimed first passes: the two queues must agree on the identical
-    // event sequence before their times are worth comparing.
-    assert_eq!(
-        hold::<EventQueue<u64>>(),
-        hold::<CalendarQueue<u64>>(),
-        "the queues diverged on the same event sequence"
-    );
-    let scheduler = paired_rounds(
-        ROUNDS,
-        || {
-            black_box(hold::<EventQueue<u64>>());
-        },
-        || {
-            black_box(hold::<CalendarQueue<u64>>());
-        },
-    );
+    let uniform = hold_quotients(HOLD_DEPTH, HOLD_OPS, uniform_gap);
+    let engine_shaped = hold_quotients(ENGINE_DEPTH, ENGINE_OPS, engine_gap);
 
     let network = Network::new(
         NetworkConfig::eight_by_eight(Architecture::BasicHybridSpeculative).with_seed(3),
@@ -159,7 +189,12 @@ fn main() {
         judge(
             &format!("heap / calendar, hold model at depth {HOLD_DEPTH}"),
             Bound::AtLeast(1.3),
-            &scheduler,
+            &uniform,
+        ),
+        judge(
+            &format!("heap / calendar, engine-shaped at depth {ENGINE_DEPTH}"),
+            Bound::AtLeast(1.8),
+            &engine_shaped,
         ),
         judge("profiled run / bare run", Bound::AtMost(1.05), &profile),
         judge(

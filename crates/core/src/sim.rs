@@ -85,6 +85,15 @@ impl NodeKey for MotNode {
             MotNode::Fanin(flat) => ((flat as u64) << 1) | 1,
         }
     }
+
+    fn from_node_key(key: u64) -> Self {
+        let flat = (key >> 1) as usize;
+        if key & 1 == 0 {
+            MotNode::Fanout(flat)
+        } else {
+            MotNode::Fanin(flat)
+        }
+    }
 }
 
 impl Network {
@@ -619,6 +628,16 @@ mod tests {
             for site in [Site::Source(n), Site::Sink(n), Site::Router(n)] {
                 assert_eq!(site.to_string().parse(), Ok(site));
             }
+        }
+    }
+
+    #[test]
+    fn every_node_key_reads_back_its_node() {
+        let size = network_of(64).config().size();
+        let fanouts = (0..size.total_fanout_nodes()).map(MotNode::Fanout);
+        let fanins = (0..size.total_fanin_nodes()).map(MotNode::Fanin);
+        for node in fanouts.chain(fanins) {
+            assert_eq!(MotNode::from_node_key(node.node_key()), node);
         }
     }
 

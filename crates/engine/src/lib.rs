@@ -36,14 +36,14 @@
 //!
 //! - **Scheduler-independent results.** Events are totally ordered by
 //!   `(time, canonical key, insertion seq)` — the key ranks simultaneous
-//!   events by kind and entity index; the calendar queue realizes that
-//!   order exactly (the kernel tests it against the binary heap), so a
-//!   seeded run is bit-identical on every host.
+//!   events by kind and entity index; the kernel's timing wheel realizes
+//!   that order exactly (the kernel tests it against the binary heap), so
+//!   a seeded run is bit-identical on every host.
 //! - **Zero-allocation steady state.** All run state is pre-sized at
 //!   construction, packet descriptors are recycled through an internal
-//!   free-list once their tails deliver, and event payloads are small
-//!   `Copy` values stored inline in the queue — after warm-up, a clean
-//!   run performs no heap allocation (see `tests/zero_alloc.rs`).
+//!   free-list once their tails deliver, and an event is queued as its
+//!   ordering key alone — after warm-up, a clean run performs no heap
+//!   allocation (see `tests/zero_alloc.rs`).
 
 #![deny(missing_docs)]
 

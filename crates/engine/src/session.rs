@@ -49,20 +49,30 @@ pub struct ChannelEnds<N> {
 /// independence); retry events target model nodes, so the model's node
 /// type must map injectively into a `u64` that is the same on every
 /// run. Keys must fit in 56 bits — the top byte carries the event kind.
+/// The queue stores an event as its key alone, so the map must also be
+/// inverted.
 pub trait NodeKey {
     /// This node's ordering key (injective over the substrate's nodes).
     fn node_key(&self) -> u64;
+    /// The node whose [`node_key`](NodeKey::node_key) is `key`.
+    fn from_node_key(key: u64) -> Self;
 }
 
 impl NodeKey for () {
     fn node_key(&self) -> u64 {
         0
     }
+
+    fn from_node_key(_key: u64) -> Self {}
 }
 
 impl NodeKey for usize {
     fn node_key(&self) -> u64 {
         *self as u64
+    }
+
+    fn from_node_key(key: u64) -> Self {
+        key as usize
     }
 }
 
@@ -163,12 +173,6 @@ impl RunSpec {
             injection_end
         }
     }
-}
-
-/// The event queue's initial capacity. Pending events are bounded by the
-/// channel count (one in-flight or free event each) plus a few per source.
-fn queue_presize(channels: usize, endpoints: usize) -> usize {
-    (channels * 2 + endpoints * 4).max(1024)
 }
 
 /// How often the progress heartbeat may redraw.
@@ -276,7 +280,7 @@ impl EngineReport {
 }
 
 /// Events driving a simulation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Event<N> {
     /// Source `source` generates its next packet.
     Inject { source: usize },
@@ -290,23 +294,49 @@ enum Event<N> {
 
 /// The canonical ordering key of an event: kind rank in the top byte,
 /// entity index below. Simultaneous events fire in ascending key order
-/// on every scheduler; equal `(time, key)` pairs (re-scheduled retries of
-/// one target) fall back to insertion order. This order decides every
-/// tie, so changing it moves report bytes.
+/// on every scheduler. This order decides every tie, so changing it moves
+/// report bytes. The key is injective, so the queue holds an event as its
+/// key alone ([`Event::from_key`]): two entries with equal `(time, key)`
+/// are the same event, and their order cannot move a byte.
 fn event_key<N: NodeKey>(event: &Event<N>) -> u64 {
     match event {
         Event::Inject { source } => *source as u64,
-        Event::Arrive { channel } => (1 << 56) | *channel as u64,
-        Event::FreeChannel { channel } => (2 << 56) | *channel as u64,
+        Event::Arrive { channel } => (1 << KIND_SHIFT) | *channel as u64,
+        Event::FreeChannel { channel } => (2 << KIND_SHIFT) | *channel as u64,
         Event::Retry {
             target: NodeRef::Source(source),
-        } => (3 << 56) | *source as u64,
+        } => (3 << KIND_SHIFT) | *source as u64,
         Event::Retry {
             target: NodeRef::Node(node),
-        } => (4 << 56) | node.node_key(),
+        } => (4 << KIND_SHIFT) | node.node_key(),
         Event::Retry {
             target: NodeRef::Sink(sink),
-        } => (5 << 56) | *sink as u64,
+        } => (5 << KIND_SHIFT) | *sink as u64,
+    }
+}
+
+/// An event key's kind rank sits above this bit; its entity index below.
+const KIND_SHIFT: u32 = 56;
+
+impl<N: NodeKey> Event<N> {
+    /// The event whose [`event_key`] is `key`.
+    fn from_key(key: u64) -> Self {
+        let index = key & ((1 << KIND_SHIFT) - 1);
+        let entity = index as usize;
+        match key >> KIND_SHIFT {
+            0 => Event::Inject { source: entity },
+            1 => Event::Arrive { channel: entity },
+            2 => Event::FreeChannel { channel: entity },
+            3 => Event::Retry {
+                target: NodeRef::Source(entity),
+            },
+            4 => Event::Retry {
+                target: NodeRef::Node(N::from_node_key(index)),
+            },
+            _ => Event::Retry {
+                target: NodeRef::Sink(entity),
+            },
+        }
     }
 }
 
@@ -402,7 +432,8 @@ struct Core<'r, 'obs, N> {
     drain: bool,
     injection_end: Time,
 
-    queue: CalendarQueue<Event<N>>,
+    /// Pending events, each held as its [`event_key`].
+    queue: CalendarQueue<()>,
     now: Time,
 
     channels: Vec<ChannelState>,
@@ -437,8 +468,7 @@ struct Core<'r, 'obs, N> {
 impl<N: NodeKey> Core<'_, '_, N> {
     /// Schedules `event` at `at` under its canonical ordering key.
     fn schedule_event(&mut self, at: Time, event: Event<N>) {
-        let key = event_key(&event);
-        self.queue.schedule_keyed(at, key, event);
+        self.queue.schedule_keyed(at, event_key(&event), ());
     }
 
     fn alloc_id(&mut self, source: usize) -> PacketId {
@@ -643,7 +673,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             phases: spec.phases,
             drain: spec.drain,
             injection_end: spec.phases.measurement_end(),
-            queue: CalendarQueue::with_capacity(queue_presize(channels, n)),
+            queue: CalendarQueue::new(),
             now: Time::ZERO,
             channels: vec![ChannelState::Free; channels],
             source_queue: (0..n).map(|_| VecDeque::with_capacity(64)).collect(),
@@ -689,8 +719,8 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
     /// leaves no measured packet in flight: the event that passes `end`
     /// is popped and dropped with the rest of the queue.
     fn execute(&mut self, end: Time) {
-        while let Some((t, event)) = self.ctx.queue.pop().filter(|&(at, _)| at < end) {
-            self.step(t, event);
+        while let Some((t, key, ())) = self.ctx.queue.pop_keyed().filter(|&(at, ..)| at < end) {
+            self.step(t, Event::from_key(key));
             let ctx = &self.ctx;
             let drain_tail = ctx.drain && t >= ctx.injection_end;
             if drain_tail && ctx.pending.measured_in_flight() == 0 {
@@ -1102,6 +1132,32 @@ mod tests {
             Phases::new(Duration::from_ns(2), Duration::from_ns(40)),
             true,
         )
+    }
+
+    #[test]
+    fn every_event_reads_back_from_its_key() {
+        let widest = (1usize << KIND_SHIFT) - 1;
+        let events = [
+            Event::Inject { source: 3 },
+            Event::Arrive { channel: widest },
+            Event::FreeChannel { channel: 0 },
+            Event::Retry {
+                target: NodeRef::Source(7),
+            },
+            Event::Retry {
+                target: NodeRef::Node(widest),
+            },
+            Event::Retry {
+                target: NodeRef::Sink(widest),
+            },
+        ];
+        for event in events {
+            assert_eq!(Event::from_key(event_key(&event)), event);
+        }
+        let unit = Event::Retry {
+            target: NodeRef::Node(()),
+        };
+        assert_eq!(Event::from_key(event_key(&unit)), unit);
     }
 
     #[test]

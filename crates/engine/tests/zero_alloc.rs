@@ -5,8 +5,8 @@
 //! the same one for its profile report); an observer snapshots the
 //! count at the first in-window event and at the first post-window
 //! event. Construction and warm-up may allocate freely (the pool fills,
-//! the calendar queue settles its bucket count, source queues and
-//! bucket rings reach their high-water marks); once the measurement
+//! the event queue's node arena, source queues and bucket rings reach
+//! their high-water marks); once the measurement
 //! window opens, the run loop must not touch the allocator at all.
 //!
 //! This test runs with `harness = false` and owns the whole process: the

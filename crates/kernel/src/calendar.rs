@@ -1,70 +1,52 @@
-//! Calendar-queue event scheduling.
+//! The event queue every run schedules on: a picosecond timing wheel
+//! (Varghese & Lauck, SOSP 1987).
 //!
-//! The binary-heap [`EventQueue`](crate::EventQueue) costs `O(log n)` per
-//! operation and walks a pointer-hostile implicit tree; once every
-//! experiment funnels through one global queue, that logarithm is the
-//! simulator's ceiling. A *calendar queue* (Brown, CACM 1988) instead
-//! hashes each event by its firing time into one of `n_buckets` time
-//! buckets — exactly like writing appointments into a desk calendar with
-//! one page per day — and dequeues by scanning forward from the current
-//! "day". With the bucket count kept proportional to the population's
-//! time span (lazy resize on power-of-two thresholds), both `schedule`
-//! and `pop` are amortized `O(1)`.
-//!
-//! Bucket widths and counts are powers of two, so the entire hot path is
-//! shifts, masks, and compares — no division and no wide arithmetic. An
-//! event's *day* is `time >> width_shift`; its bucket is `day & mask`.
+//! Every node forward, acknowledge and wire flight of a simulated fabric
+//! (the paper's fixed per-stage delays, §5.1) lands a few hundred
+//! picoseconds ahead; a source's next injection, nanoseconds ahead. So
+//! 4 096 one-picosecond slots cover the window `[base, base + 4 096)`,
+//! where `base` is the last popped time: an event inside it is filed by
+//! its time alone (`time & MASK`), and the earliest is found with
+//! `trailing_zeros` on an occupancy bitmap. Events past the window wait
+//! in an overflow heap and migrate in as `base` advances. Nothing is
+//! calibrated and nothing resizes.
 //!
 //! # Determinism
 //!
-//! [`CalendarQueue`] reproduces the heap's contract exactly: events pop
-//! in ascending `(time, key, seq)` order, where `key` is the caller's
-//! ordering key ([`CalendarQueue::schedule_keyed`]; plain
-//! [`CalendarQueue::schedule`] uses the insertion sequence so the order
-//! degenerates to the classic `(time, seq)` FIFO) and `seq` is the
-//! insertion sequence number. Two events with equal times always land in
-//! the same bucket (the bucket index is a pure function of the time), and
-//! each bucket is kept sorted by `(time, key, seq)`, so tie-breaking
-//! survives the hashing. The differential tests in
-//! `tests/queue_differential.rs` drive both queues from seeded workloads
-//! and assert identical pop streams.
+//! Events pop in the heap's exact `(time, key, seq)` order (see
+//! [`EventQueue`]). A slot's entries share their time; each slot is a list
+//! in ascending key order where a new entry goes behind every equal key,
+//! so insertion order stands in for `seq`. The overflow heap is an
+//! [`EventQueue`] and hands its entries over in order as soon as the
+//! window reaches them, before anything can be filed at their time
+//! directly. `tests/queue_differential.rs` drives both queues from seeded
+//! workloads and asserts identical pop streams.
 
 use asynoc_probe::QueueStats;
 
+use crate::queue::EventQueue;
 use crate::time::Time;
 
-/// Minimum number of buckets; shrinking stops here.
-const MIN_BUCKETS: usize = 16;
-/// Grow when pending events exceed `rebuild_len * GROW_FACTOR`.
-const GROW_FACTOR: usize = 2;
-/// Shrink when pending events drop below `rebuild_len / SHRINK_DIVISOR`
-/// (the wide hysteresis band keeps a steady-state simulation from
-/// oscillating between sizes, which keeps the hot path allocation-free).
-const SHRINK_DIVISOR: usize = 8;
-/// Below this bucket count a fruitless full-year scan is answered by the
-/// direct search alone — at this size the search costs no more than a
-/// heap pop, and skipping the rebuild keeps small steady-state queues
-/// (the engine's) from ever touching the allocator mid-run.
-const RECALIBRATE_MIN_BUCKETS: usize = 64;
-/// Earliest events sampled to calibrate the bucket width on a rebuild.
-const WIDTH_SAMPLE: usize = 64;
-/// A drained bucket holding more capacity than this (entries) is shrunk
-/// back, releasing memory ratcheted up by a one-off burst. Well above
-/// any steady-state bucket population (~2–4 entries), so a calibrated
-/// queue never touches the allocator here.
-const OVERSIZED_BUCKET: usize = 64;
+/// One-picosecond slots on the wheel: the window ahead of `base` that is
+/// filed without the heap. Above every per-stage delay, below a
+/// source's injection gap.
+const SLOTS: u64 = 4_096;
+/// `slot = time & MASK`.
+const MASK: usize = SLOTS as usize - 1;
+/// Ends a slot's list and the free list.
+const NIL: u32 = u32::MAX;
 
 #[derive(Clone, Debug)]
-struct Entry<E> {
-    time: Time,
+struct Node<E> {
     key: u64,
-    seq: u64,
-    event: E,
+    /// The next entry of the same slot (or of the free list), or [`NIL`].
+    next: u32,
+    /// `None` while the node sits on the free list.
+    event: Option<E>,
 }
 
-/// A time-bucketed event queue with `O(1)` amortized operations and the
-/// same deterministic `(time, key, seq)` tie-breaking as
-/// [`EventQueue`](crate::EventQueue).
+/// A picosecond timing wheel with `O(1)` operations inside its window and
+/// the same deterministic `(time, key, seq)` order as [`EventQueue`].
 ///
 /// # Examples
 ///
@@ -80,66 +62,58 @@ struct Entry<E> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CalendarQueue<E> {
-    /// Each bucket is sorted *descending* by `(time, seq)` so the
-    /// earliest entry pops from the end in `O(1)`.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// `buckets.len() - 1`; the bucket count is a power of two so the
-    /// year hash is a mask, not a modulo.
-    mask: usize,
-    /// Bucket width is `1 << width_shift` picoseconds, so the day of an
-    /// event is a shift (`time >> width_shift`), never a division.
-    width_shift: u32,
-    /// Pending events.
+    /// The window's first picosecond; no pending event is earlier.
+    base: u64,
+    /// Each slot's first entry (the next to pop), an index into `nodes`.
+    heads: Box<[u32; SLOTS as usize]>,
+    /// Bit `s % 64` of `words[s / 64]` is set iff slot `s` holds an entry.
+    words: [u64; SLOTS as usize / 64],
+    /// Bit `w` is set iff `words[w]` is non-zero.
+    summary: u64,
+    /// Every slot's entries, linked through `next`, plus the free list:
+    /// one arena, which allocates only when the wheel's population
+    /// reaches a new high.
+    nodes: Vec<Node<E>>,
+    /// Head of the free list through `nodes`.
+    free: u32,
+    /// Every event at or past `base + SLOTS`.
+    overflow: EventQueue<E>,
+    /// Pending events, wheel and overflow together.
     len: usize,
-    /// Next insertion sequence number (monotonic, survives `clear`).
+    /// Next insertion sequence number (monotonic, survives `clear`): the
+    /// key of an unkeyed event.
     next_seq: u64,
-    /// The day (`time >> width_shift`) the dequeue scan stands on; the
-    /// scan never needs to revisit anything earlier.
-    cursor_day: u64,
-    /// Operations since the last rebuild — the cooldown that keeps
-    /// fallback-triggered recalibration amortized `O(1)` (see
-    /// [`pop`](CalendarQueue::pop)).
-    ops_since_rebuild: usize,
-    /// Population at the last rebuild; grow/shrink thresholds anchor to
-    /// it rather than to the bucket count, because the bucket count is
-    /// capped by the population's time span and may sit far below `len`.
-    rebuild_len: usize,
-    /// Reused by [`resize`](CalendarQueue::resize) to drain the buckets,
-    /// so steady-state rebuilds do not touch the allocator once it has
-    /// grown to the population's high-water mark.
-    scratch: Vec<Entry<E>>,
     /// Behavior counters ([`CalendarQueue::stats`]); plain adds, always on.
     stats: QueueStats,
 }
 
 impl<E> CalendarQueue<E> {
-    /// Creates an empty queue with the minimum bucket count.
+    /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
         CalendarQueue::with_capacity(0)
     }
 
-    /// Creates an empty queue pre-sized for about `capacity` pending
-    /// events, so the first resize happens past that population.
+    /// Creates an empty queue with room for about `capacity` pending
+    /// events in the wheel and as many in the overflow heap.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        let n_buckets = capacity.next_power_of_two().max(MIN_BUCKETS);
         CalendarQueue {
-            buckets: (0..n_buckets).map(|_| Vec::new()).collect(),
-            mask: n_buckets - 1,
-            width_shift: 0,
+            base: 0,
+            heads: Box::new([NIL; SLOTS as usize]),
+            words: [0; SLOTS as usize / 64],
+            summary: 0,
+            nodes: Vec::with_capacity(capacity),
+            free: NIL,
+            overflow: EventQueue::with_capacity(capacity),
             len: 0,
             next_seq: 0,
-            cursor_day: 0,
-            ops_since_rebuild: 0,
-            rebuild_len: n_buckets,
-            scratch: Vec::new(),
             stats: QueueStats::default(),
         }
     }
 
-    /// The queue's behavior counters so far: inserts, pops, resizes,
-    /// fallback scans, and the depth high-water mark.
+    /// The queue's behavior counters so far: inserts, pops, pops served
+    /// from the overflow heap, and the depth high-water mark.
     #[must_use]
     pub fn stats(&self) -> QueueStats {
         self.stats
@@ -160,16 +134,19 @@ impl<E> CalendarQueue<E> {
     /// Drops all pending events while keeping the sequence counter, so
     /// determinism is preserved across a clear.
     pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
+        self.heads.fill(NIL);
+        self.words = [0; SLOTS as usize / 64];
+        self.summary = 0;
+        self.nodes.clear();
+        self.free = NIL;
+        self.overflow.clear();
         self.len = 0;
     }
 
     /// Schedules `event` to fire at `time`.
     ///
     /// Events scheduled for the same instant fire in the order they were
-    /// scheduled, exactly as on [`EventQueue`](crate::EventQueue).
+    /// scheduled, exactly as on [`EventQueue`].
     pub fn schedule(&mut self, time: Time, event: E) {
         // Using the insertion sequence as the key reproduces the classic
         // (time, seq) FIFO order exactly.
@@ -180,192 +157,163 @@ impl<E> CalendarQueue<E> {
     /// Schedules `event` to fire at `time` under an explicit ordering
     /// `key`: simultaneous events pop in ascending `key` order, and
     /// same-key ties fall back to insertion order. See
-    /// [`EventQueue::schedule_keyed`](crate::EventQueue::schedule_keyed).
+    /// [`EventQueue::schedule_keyed`].
     pub fn schedule_keyed(&mut self, time: Time, key: u64, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let day = time.as_ps() >> self.width_shift;
-        if self.len == 0 || day < self.cursor_day {
-            // Point the scan at the event (first arrival, or an event
-            // landing behind the scan position — the simulator never
-            // schedules into the past, but the queue must not rely on
-            // that).
-            self.cursor_day = day;
+        let t = time.as_ps();
+        if t < self.base || self.len == 0 {
+            // Open the window at the event: the first arrival, or one
+            // behind the window (the simulator never schedules into the
+            // past, but the queue must not rely on that).
+            self.rebase(t);
         }
-        let bucket = (day as usize) & self.mask;
-        let entry = Entry {
-            time,
-            key,
-            seq,
-            event,
-        };
-        // Descending order: find the first element that sorts *before*
-        // the new entry and insert ahead of it. Buckets are short on
-        // average (a few entries), so this is one or two cache lines.
-        let position = self.buckets[bucket]
-            .partition_point(|e| (e.time, e.key, e.seq) > (entry.time, entry.key, entry.seq));
-        self.buckets[bucket].insert(position, entry);
+        self.next_seq += 1;
         self.len += 1;
         self.stats.inserts += 1;
         self.stats.depth_high_water = self.stats.depth_high_water.max(self.len as u64);
-        self.ops_since_rebuild += 1;
-        if self.len > self.rebuild_len * GROW_FACTOR {
-            self.resize();
+        if self.covers(t) {
+            self.file(t, key, event);
+        } else {
+            self.overflow.schedule_keyed(time, key, event);
         }
-    }
-
-    /// Locates the next entry without mutating: returns the bucket that
-    /// holds it, the day to commit the scan to, and whether the
-    /// direct-search fallback was needed.
-    fn find_next(&self) -> Option<(usize, u64, bool)> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut day = self.cursor_day;
-        for _ in 0..self.buckets.len() {
-            let bucket = (day as usize) & self.mask;
-            if let Some(entry) = self.buckets[bucket].last() {
-                // The bucket's minimum is a frontier hit iff it belongs
-                // to the scan's current day (entries from future years
-                // alias into the same bucket and must wait; past days
-                // cannot occur — schedule() drags the cursor back).
-                if entry.time.as_ps() >> self.width_shift <= day {
-                    return Some((bucket, day, false));
-                }
-            }
-            day = day.saturating_add(1);
-        }
-        // A whole year scanned with no hit: the queue is sparse relative
-        // to its year span. Find the globally earliest entry directly
-        // (each bucket's candidate is its last element) and jump the
-        // scan to its day. Ties in time cannot span buckets, so
-        // comparing (time, key, seq) across candidates stays exact.
-        let (bucket, entry) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(b, bucket)| bucket.last().map(|e| (b, e)))
-            .min_by_key(|(_, e)| (e.time, e.key, e.seq))
-            .expect("len > 0 means some bucket is non-empty");
-        Some((bucket, entry.time.as_ps() >> self.width_shift, true))
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty.
-    ///
-    /// A fruitless full-year scan means the bucket width no longer fits
-    /// the event spacing (e.g. a pre-sized queue whose first population
-    /// is far sparser than one event per picosecond-wide bucket). When
-    /// the calendar is large enough for that scan to hurt (64+ buckets;
-    /// below that a direct search costs no more than a heap pop and a
-    /// rebuild would only churn), repeated fallbacks trigger a
-    /// rebuild that recalibrates the width — rate-limited to once per
-    /// `len` operations so the rebuild cost stays amortized `O(1)`.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let mut found = self.find_next()?;
-        if found.2 {
+        self.pop_keyed().map(|(time, _, event)| (time, event))
+    }
+
+    /// Removes and returns the earliest event with the key it was
+    /// scheduled under, or `None` if the queue is empty.
+    pub fn pop_keyed(&mut self) -> Option<(Time, u64, E)> {
+        if self.summary == 0 {
+            // The wheel is empty: jump the window to the overflow's head.
+            let next = self.overflow.peek_time()?;
             self.stats.fallback_scans += 1;
-            if self.buckets.len() >= RECALIBRATE_MIN_BUCKETS && self.ops_since_rebuild >= self.len {
-                self.resize();
-                found = self.find_next().expect("resize keeps every event");
-            }
+            self.advance(next.as_ps());
         }
-        let (bucket, day, _) = found;
-        self.cursor_day = day;
-        let entry = self.buckets[bucket].pop().expect("find_next found it");
-        if self.buckets[bucket].is_empty() && self.buckets[bucket].capacity() > OVERSIZED_BUCKET {
-            self.buckets[bucket].shrink_to(OVERSIZED_BUCKET);
-        }
+        let (t, key, event) = self.take_first();
         self.len -= 1;
         self.stats.pops += 1;
-        self.ops_since_rebuild += 1;
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.rebuild_len / SHRINK_DIVISOR {
-            self.resize();
+        if t != self.base {
+            self.advance(t);
         }
-        Some((entry.time, entry.event))
+        Some((Time::from_ps(t), key, event))
     }
 
     /// Returns the firing time of the earliest event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<Time> {
-        self.find_next().map(|(bucket, _, _)| {
-            self.buckets[bucket]
-                .last()
-                .expect("find_next found it")
-                .time
-        })
+        if self.summary == 0 {
+            return self.overflow.peek_time();
+        }
+        Some(Time::from_ps(self.slot_time(self.first_slot())))
     }
 
-    /// Rebuilds the calendar around the current population: the bucket
-    /// width tracks the average spacing of pending events (~2–4 events
-    /// per bucket, rounded to a power of two) and the bucket count tracks
-    /// the population's *time span*, so a year covers the pending window
-    /// once or twice over. Capping the count by the span matters when
-    /// events are denser than one per picosecond (width clamps to 1):
-    /// `len`-proportional sizing would leave most of the ring permanently
-    /// empty, wasting memory the dequeue scan then has to walk past.
-    fn resize(&mut self) {
-        self.stats.resizes += 1;
-        let mut entries = std::mem::take(&mut self.scratch);
-        debug_assert!(entries.is_empty());
-        for bucket in &mut self.buckets {
-            entries.append(bucket);
+    /// Whether `t` falls inside the window (written so that a window
+    /// reaching past `u64::MAX` cannot overflow).
+    fn covers(&self, t: u64) -> bool {
+        t >= self.base && t - self.base < SLOTS
+    }
+
+    /// The time of an occupied `slot`: its distance ahead of `base`'s slot.
+    fn slot_time(&self, slot: usize) -> u64 {
+        self.base + (slot.wrapping_sub(self.base as usize) & MASK) as u64
+    }
+
+    /// The first occupied slot at or after `base`'s, wrapping around the
+    /// wheel. The wheel must hold an entry.
+    fn first_slot(&self) -> usize {
+        let from = self.base as usize & MASK;
+        let word = from >> 6;
+        let here = self.words[word] & (u64::MAX << (from & 63));
+        if here != 0 {
+            return word << 6 | here.trailing_zeros() as usize;
         }
-        let (min, max) = entries.iter().fold((u64::MAX, 0u64), |(lo, hi), e| {
-            (lo.min(e.time.as_ps()), hi.max(e.time.as_ps()))
-        });
-        let span = max.saturating_sub(min);
-        // Ideal width ≈ 3 × the average spacing *of the earliest events*
-        // (the ones the dequeue scan meets next), rounded down to a
-        // power of two so day extraction is a shift. Calibrating on the
-        // global mean instead is an outlier trap: a handful of
-        // far-future events (each source's next injection) stretch the
-        // span so far that the dense near-term bulk collapses into a
-        // single day — every insert then pays an O(bulk) sorted-Vec
-        // shuffle and every bucket's capacity ratchets to the bulk's
-        // high-water mark as the day cursor wraps the ring.
-        let ideal = if self.len >= 2 {
-            let k = self.len.min(WIDTH_SAMPLE);
-            let (_, kth, _) = entries.select_nth_unstable_by_key(k - 1, |e| (e.time, e.key, e.seq));
-            let near_span = kth.time.as_ps().saturating_sub(min);
-            u64::try_from(u128::from(near_span) * 3 / k as u128)
-                .unwrap_or(u64::MAX)
-                .max(1)
-        } else {
-            1
+        let later = self.summary & (u64::MAX << word << 1);
+        // No later word: the earliest entry wrapped around below `from`.
+        let word = if later != 0 { later } else { self.summary }.trailing_zeros() as usize;
+        word << 6 | self.words[word].trailing_zeros() as usize
+    }
+
+    /// Files an event inside the window into its slot, behind every entry
+    /// whose key is not greater.
+    fn file(&mut self, t: u64, key: u64, event: E) {
+        let node = Node {
+            key,
+            next: NIL,
+            event: Some(event),
         };
-        self.width_shift = 63 - ideal.leading_zeros();
-        let spanned = usize::try_from((span >> self.width_shift) + 1).unwrap_or(usize::MAX);
-        let n_buckets = spanned
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS, self.len.next_power_of_two().max(MIN_BUCKETS));
-        self.mask = n_buckets - 1;
-        self.ops_since_rebuild = 0;
-        self.rebuild_len = self.len.max(MIN_BUCKETS);
-        if self.buckets.len() != n_buckets {
-            self.buckets.resize_with(n_buckets, Vec::new);
-        }
-        for entry in entries.drain(..) {
-            let bucket = ((entry.time.as_ps() >> self.width_shift) as usize) & self.mask;
-            self.buckets[bucket].push(entry);
-        }
-        self.scratch = entries;
-        for bucket in &mut self.buckets {
-            bucket.sort_unstable_by_key(|e| core::cmp::Reverse((e.time, e.key, e.seq)));
-        }
-        // Re-anchor the scan on the earliest event (or a neutral origin).
-        if self.len == 0 {
-            self.cursor_day = 0;
+        let new = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 events in the wheel")
         } else {
-            let earliest = self
-                .buckets
-                .iter()
-                .filter_map(|b| b.last())
-                .map(|e| e.time)
-                .min()
-                .expect("len > 0");
-            self.cursor_day = earliest.as_ps() >> self.width_shift;
+            let new = self.free;
+            self.free = std::mem::replace(&mut self.nodes[new as usize], node).next;
+            new
+        };
+        let slot = t as usize & MASK;
+        let (mut prev, mut next) = (NIL, self.heads[slot]);
+        while next != NIL && self.nodes[next as usize].key <= key {
+            prev = next;
+            next = self.nodes[next as usize].next;
         }
+        self.nodes[new as usize].next = next;
+        if prev == NIL {
+            self.heads[slot] = new;
+        } else {
+            self.nodes[prev as usize].next = new;
+        }
+        self.words[slot >> 6] |= 1 << (slot & 63);
+        self.summary |= 1 << (slot >> 6);
+    }
+
+    /// Unlinks the wheel's earliest entry (the wheel must hold one) and
+    /// returns its time, key and event.
+    fn take_first(&mut self) -> (u64, u64, E) {
+        let slot = self.first_slot();
+        let index = self.heads[slot];
+        let freed = Node {
+            key: 0,
+            next: self.free,
+            event: None,
+        };
+        let node = std::mem::replace(&mut self.nodes[index as usize], freed);
+        self.free = index;
+        self.heads[slot] = node.next;
+        if node.next == NIL {
+            self.words[slot >> 6] &= !(1 << (slot & 63));
+            if self.words[slot >> 6] == 0 {
+                self.summary &= !(1 << (slot >> 6));
+            }
+        }
+        let event = node.event.expect("a linked node holds its event");
+        (self.slot_time(slot), node.key, event)
+    }
+
+    /// Moves the window to open at `base` — no later than any pending
+    /// event — and files every overflow event it now covers.
+    fn advance(&mut self, base: u64) {
+        self.base = base;
+        while let Some(time) = self.overflow.peek_time().filter(|t| self.covers(t.as_ps())) {
+            let (_, key, event) = self.overflow.pop_keyed().expect("peeked an event");
+            self.file(time.as_ps(), key, event);
+        }
+    }
+
+    /// Reopens the window at `base`, behind every pending event: the
+    /// wheel empties into the overflow heap in pop order (so equal
+    /// `(time, key)` entries keep their FIFO) and [`advance`] files back
+    /// what the new window covers.
+    ///
+    /// [`advance`]: CalendarQueue::advance
+    #[cold]
+    fn rebase(&mut self, base: u64) {
+        while self.summary != 0 {
+            let (t, key, event) = self.take_first();
+            self.overflow.schedule_keyed(Time::from_ps(t), key, event);
+        }
+        self.advance(base);
     }
 }
 
@@ -388,8 +336,8 @@ mod tests {
 
     #[test]
     fn sparse_far_future_events_are_found() {
-        // Events much farther apart than a calendar year force the
-        // direct-search fallback.
+        // Events much farther apart than the window each wait in the
+        // overflow heap until the wheel runs dry.
         let mut queue = CalendarQueue::new();
         queue.schedule(Time::from_ps(3), 0);
         queue.schedule(Time::from_ps(1_000_000_000), 1);
@@ -398,6 +346,7 @@ mod tests {
             drain(&mut queue),
             [(3, 0), (1_000_000_000, 1), (500_000_000_000, 2)]
         );
+        assert_eq!(queue.stats().fallback_scans, 2);
     }
 
     #[test]
@@ -408,17 +357,58 @@ mod tests {
         }
         let _ = queue.pop();
         let _ = queue.pop();
-        // Behind the scan position (the simulator never does this, but
-        // the queue must stay correct if a caller does).
+        // Behind the window (the simulator never does this, but the queue
+        // must stay correct if a caller does).
         queue.schedule(Time::from_ps(1), 999);
         assert_eq!(queue.pop(), Some((Time::from_ps(1), 999)));
+        assert_eq!(queue.pop(), Some((Time::from_ps(1_002), 2)));
+    }
+
+    #[test]
+    fn the_window_ends_4096_ps_ahead() {
+        let mut queue = CalendarQueue::new();
+        for (ahead, value) in [(4_096, 2), (0, 0), (4_095, 1), (4_097, 3)] {
+            queue.schedule(Time::from_ps(10_000 + ahead), value);
+        }
+        // The window opened at the first arrival (10 000 + 4 096); the
+        // earlier arrival reopened it at 10 000, which leaves exactly
+        // 4 096 and 4 097 outside.
+        assert_eq!(queue.overflow.len(), 2);
+        assert_eq!(queue.peek_time(), Some(Time::from_ps(10_000)));
+        assert_eq!(
+            drain(&mut queue),
+            [(10_000, 0), (14_095, 1), (14_096, 2), (14_097, 3)]
+        );
+        assert_eq!(queue.stats().fallback_scans, 0);
+    }
+
+    #[test]
+    fn equal_keys_stay_fifo_across_migration_and_rebase() {
+        let mut queue = CalendarQueue::new();
+        let at = |t| Time::from_ps(t);
+        queue.schedule_keyed(at(0), 0, 0);
+        queue.schedule_keyed(at(6_000), 0, 1);
+        // Both past the window: they migrate in together, in seq order.
+        queue.schedule_keyed(at(10_000), 7, 3);
+        queue.schedule_keyed(at(10_000), 7, 4);
+        assert_eq!(queue.overflow.len(), 3);
+        assert_eq!(queue.pop(), Some((at(0), 0)));
+        assert_eq!(queue.pop(), Some((at(6_000), 1)));
+        assert!(queue.overflow.is_empty());
+        // Filed directly behind the migrated ones; a smaller key ahead.
+        queue.schedule_keyed(at(10_000), 7, 5);
+        queue.schedule_keyed(at(10_000), 3, 2);
+        // Behind the window: the wheel empties into the heap and refills.
+        queue.schedule_keyed(at(100), 9, 99);
+        assert_eq!(queue.pop(), Some((at(100), 99)));
+        let order: Vec<_> = std::iter::from_fn(|| queue.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, [2, 3, 4, 5]);
     }
 
     #[test]
     fn near_max_timestamps_pop_in_order() {
-        // Times at the top of the u64 range stress the day arithmetic:
-        // `day.saturating_add(1)` in the scan, the span subtraction in
-        // resize, and the u128 width computation must all stay exact.
+        // Times at the top of the u64 range stress the window arithmetic:
+        // `base + SLOTS` would overflow, so the window test subtracts.
         let mut queue = CalendarQueue::new();
         let top = u64::MAX;
         queue.schedule(Time::from_ps(top), 2);
@@ -434,10 +424,9 @@ mod tests {
     }
 
     #[test]
-    fn near_max_timestamps_survive_a_resize() {
-        // Enough population to cross the grow threshold while the span
-        // stretches from the origin to near u64::MAX, forcing the widest
-        // possible bucket width during recalibration.
+    fn near_max_timestamps_cross_the_overflow() {
+        // A population from the origin to near u64::MAX: the far end
+        // waits in the overflow heap and migrates in at the very top.
         let mut queue = CalendarQueue::new();
         let mut expected = Vec::new();
         for i in 0..64u32 {
@@ -452,10 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn resize_mid_drain_keeps_remaining_order() {
-        // Fill well past the grow threshold, then drain: the shrink
-        // rebuild fires while events are still pending, and the
-        // remaining stream must stay sorted across the rebuild.
+    fn a_far_burst_mid_drain_keeps_remaining_order() {
         let mut queue = CalendarQueue::new();
         let mut rng = SimRng::seed_from(42);
         for i in 0..4_096u32 {
@@ -468,9 +454,8 @@ mod tests {
             last = t.as_ps();
             popped += 1;
             if popped == 2_048 {
-                // Mid-drain, force a recalibration by scheduling a burst
-                // far outside the current year span (all later than any
-                // pending event, so the order assertion stays valid).
+                // All later than any pending event, so the order
+                // assertion stays valid.
                 for j in 0..16u32 {
                     queue.schedule(Time::from_ps((1 << 40) + u64::from(j)), 10_000 + j);
                 }
@@ -481,19 +466,18 @@ mod tests {
     }
 
     #[test]
-    fn empty_pop_after_span_capped_resize() {
-        // A dense population (span 0: all events at one instant) caps the
-        // bucket count at MIN_BUCKETS during resize; draining to empty
-        // and popping again must return None, not scan garbage.
+    fn empty_pop_after_a_dense_instant() {
+        // One slot holding 256 events drains to empty; popping again must
+        // return None and the queue must stay usable.
         let mut queue = CalendarQueue::new();
         for i in 0..256u32 {
             queue.schedule(Time::from_ps(12_345), i);
         }
         let popped = drain(&mut queue);
         assert_eq!(popped.len(), 256);
+        assert!(popped.iter().map(|&(_, e)| e).eq(0..256));
         assert_eq!(queue.pop(), None);
         assert_eq!(queue.peek_time(), None);
-        // The queue stays usable after the empty pop.
         queue.schedule(Time::from_ps(99), 1);
         assert_eq!(queue.pop(), Some((Time::from_ps(99), 1)));
     }

@@ -8,9 +8,10 @@
 //!
 //! - [`Time`] / [`Duration`]: picosecond time arithmetic with checked
 //!   semantics and human-readable formatting,
-//! - [`CalendarQueue`]: the time-bucketed queue every run schedules on
-//!   (`O(1)` amortized operations, ties broken in FIFO insertion order,
-//!   so identical seeds reproduce identical simulations),
+//! - [`CalendarQueue`]: the picosecond timing wheel every run schedules
+//!   on (`O(1)` operations within 4 096 ps of the present, an overflow
+//!   heap beyond; ties broken in FIFO insertion order, so identical seeds
+//!   reproduce identical simulations),
 //! - [`EventQueue`]: a binary-heap priority queue with the same
 //!   `(time, key, seq)` order — the reference the calendar queue is
 //!   tested against, not a run-time choice,

@@ -35,14 +35,14 @@ use crate::time::Time;
 /// let order: Vec<_> = std::iter::from_fn(|| queue.pop()).map(|(_, e)| e).collect();
 /// assert_eq!(order, ["a", "b", "c"]);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     stats: QueueStats,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Entry<E> {
     time: Time,
     key: u64,
@@ -98,8 +98,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The queue's behavior counters so far: inserts, pops, and the
-    /// depth high-water mark (resizes and fallback scans stay 0 — those
-    /// are calendar-queue phenomena).
+    /// depth high-water mark (resizes and fallback scans stay 0).
     #[must_use]
     pub fn stats(&self) -> QueueStats {
         self.stats
@@ -138,7 +137,16 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let popped = self.heap.pop().map(|entry| (entry.time, entry.event));
+        self.pop_keyed().map(|(time, _, event)| (time, event))
+    }
+
+    /// Removes and returns the earliest event with the key it was
+    /// scheduled under, or `None` if the queue is empty.
+    pub(crate) fn pop_keyed(&mut self) -> Option<(Time, u64, E)> {
+        let popped = self
+            .heap
+            .pop()
+            .map(|entry| (entry.time, entry.key, entry.event));
         self.stats.pops += popped.is_some() as u64;
         popped
     }

@@ -1,16 +1,17 @@
 //! Differential test: the calendar queue must pop the exact same
 //! `(time, key, seq)`-ordered stream as the binary heap under randomized
 //! workloads, including interleaved pops, duplicate times and keys,
-//! clears, and populations that cross the resize thresholds in both
-//! directions.
+//! clears, gaps on both sides of the wheel's 4 096 ps window, and
+//! schedules behind the last popped time.
 
 use asynoc_kernel::{CalendarQueue, Duration, EventQueue, SimRng, Time};
 
 /// Drives both queues through an identical schedule/pop script and
-/// asserts every popped `(time, event)` pair matches. The event payload
-/// is the global operation index, so a mismatch pinpoints the exact
-/// divergent insertion.
-fn lockstep(seed: u64, ops: usize, horizon: u64, pop_bias: u32) {
+/// asserts every popped `(time, event)` pair matches. Each schedule lands
+/// `gap` ahead of the latest popped time, or with probability `behind`
+/// up to 2 000 ps before it. The event payload is the global operation
+/// index, so a mismatch pinpoints the exact divergent insertion.
+fn lockstep(seed: u64, ops: usize, pop_bias: u32, behind: f64, gap: impl Fn(&mut SimRng) -> u64) {
     let mut rng = SimRng::seed_from(seed);
     let mut heap: EventQueue<u64> = EventQueue::new();
     let mut calendar: CalendarQueue<u64> = CalendarQueue::new();
@@ -24,10 +25,11 @@ fn lockstep(seed: u64, ops: usize, horizon: u64, pop_bias: u32) {
                 clock = clock.max(t);
             }
         } else {
-            // Mostly future events (the simulator's pattern), with
-            // duplicate times common enough to exercise FIFO ties.
-            let gap = rng.index(horizon as usize) as u64 / 4 * 4;
-            let at = clock + Duration::from_ps(gap);
+            let at = if rng.chance(behind) {
+                Time::from_ps(clock.as_ps().saturating_sub(rng.index(2_000) as u64))
+            } else {
+                clock + Duration::from_ps(gap(&mut rng))
+            };
             if rng.chance(0.5) {
                 // A caller's key, from few enough values to tie often.
                 let key = rng.index(4) as u64;
@@ -55,24 +57,30 @@ fn lockstep(seed: u64, ops: usize, horizon: u64, pop_bias: u32) {
     }
 }
 
+/// Uniform gaps below `horizon`, rounded to multiples of 4 ps so that
+/// duplicate times are common enough to exercise FIFO ties.
+fn uniform(horizon: usize) -> impl Fn(&mut SimRng) -> u64 {
+    move |rng| rng.index(horizon) as u64 / 4 * 4
+}
+
 #[test]
 fn ten_seeds_balanced_workload() {
     for seed in 0..10 {
-        lockstep(seed, 20_000, 5_000, 50);
+        lockstep(seed, 20_000, 50, 0.0, uniform(5_000));
     }
 }
 
 #[test]
-fn push_heavy_grows_through_resizes() {
+fn push_heavy_workload() {
     for seed in 100..105 {
-        lockstep(seed, 30_000, 2_000, 20);
+        lockstep(seed, 30_000, 20, 0.0, uniform(2_000));
     }
 }
 
 #[test]
-fn pop_heavy_shrinks_through_resizes() {
+fn pop_heavy_sparse_workload() {
     for seed in 200..205 {
-        lockstep(seed, 30_000, 50_000, 75);
+        lockstep(seed, 30_000, 75, 0.0, uniform(50_000));
     }
 }
 
@@ -81,7 +89,23 @@ fn dense_duplicate_times() {
     // Horizon 4 with /4*4 rounding collapses nearly all gaps to 0,
     // making FIFO tie-breaking carry the whole ordering.
     for seed in 300..305 {
-        lockstep(seed, 10_000, 4, 40);
+        lockstep(seed, 10_000, 40, 0.0, uniform(4));
+    }
+}
+
+#[test]
+fn gaps_cross_the_window_and_schedules_land_behind_it() {
+    // The engine's shape: stage delays of 50–500 ps inside the window,
+    // one gap in ten an injection 5–50 ns out in the overflow heap, and
+    // now and then a schedule behind the last pop.
+    for seed in 400..405 {
+        lockstep(seed, 30_000, 50, 0.01, |rng| {
+            if rng.chance(0.1) {
+                rng.range_inclusive(5_000, 50_000) as u64
+            } else {
+                rng.range_inclusive(50, 500) as u64 / 10 * 10
+            }
+        });
     }
 }
 

@@ -12,10 +12,11 @@ pub struct QueueStats {
     pub inserts: u64,
     /// Events popped.
     pub pops: u64,
-    /// Bucket-array resizes (calendar queue only; 0 for the heap).
+    /// Always 0: the timing wheel never resizes. Kept because the
+    /// `asynoc-profile-v1` document still carries `queue/resizes`.
     pub resizes: u64,
-    /// Pops that fell back to a full bucket scan because the cursor
-    /// day held nothing (calendar queue only; 0 for the heap).
+    /// Pops that found the timing wheel empty and were served by moving
+    /// its window to the overflow heap's earliest event (0 for the heap).
     pub fallback_scans: u64,
     /// Most events pending at once.
     pub depth_high_water: u64,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate: whether the repository still works. Every gate is
-# deterministic except `--bench ratios`, whose three are quotients taken
+# deterministic except `--bench ratios`, whose four are quotients taken
 # inside one process. How *fast* it is, is benchmark/run.sh's to say.
 #
 #   scripts/check.sh            the full gate
