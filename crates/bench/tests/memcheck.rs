@@ -28,7 +28,7 @@ use asynoc_topology::MotSize;
 static GLOBAL: asynoc::probe::CountingAlloc = asynoc::probe::CountingAlloc;
 
 /// The long run may use this much more peak heap than the short one —
-/// headroom for event-pool high-water jitter, not for real growth (an
+/// headroom for event-queue high-water jitter, not for real growth (an
 /// O(events) buffer shows up as ~8x).
 const HEADROOM: f64 = 1.5;
 
@@ -137,7 +137,7 @@ fn peak_is_bounded() -> bool {
     ))
     .expect("network builds");
 
-    // Warm the allocator and event pool so the measured short run is
+    // Warm the allocator and the event queue so the measured short run is
     // not charged for one-time growth the long run gets for free.
     let _ = streamed_run(&net, 300);
 

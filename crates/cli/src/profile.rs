@@ -100,9 +100,9 @@ fn run_json(config: JsonValue, profile: &EngineProfile) -> JsonValue {
     let wall_s = profile.wall_ns as f64 / 1e9;
     let uint = |key: &str, value: u64| (key.to_string(), JsonValue::uint(value));
     // `lookahead_ps`, `windows`, `barrier_wait.total_ns` and
-    // `imbalance.event_ratio` hold the one-thread values, and the counters
-    // sit under `shards[0]`, because benchmark/e2e/src/profile.rs reads
-    // exactly those paths.
+    // `imbalance.event_ratio` hold the one-thread values, the counters sit
+    // under `shards[0]`, and `pool` keeps `takes` and `hits`, because
+    // benchmark/e2e/src/profile.rs reads exactly those paths.
     let counters = JsonValue::Object(vec![
         uint("events", profile.events),
         uint("windows", 0),
@@ -167,13 +167,6 @@ fn pool_json(pool: &PoolStats) -> JsonValue {
     JsonValue::Object(vec![
         ("takes".to_string(), JsonValue::uint(pool.takes)),
         ("hits".to_string(), JsonValue::uint(pool.hits)),
-        ("recycled".to_string(), JsonValue::uint(pool.recycled)),
-        ("rejected".to_string(), JsonValue::uint(pool.rejected)),
-        (
-            "occupancy_high_water".to_string(),
-            JsonValue::uint(pool.occupancy_high_water),
-        ),
-        ("hit_rate".to_string(), JsonValue::Number(pool.hit_rate())),
     ])
 }
 
@@ -200,7 +193,7 @@ mod tests {
         profile.queue.inserts = 100;
         profile.queue.pops = 100;
         profile.pool.takes = 10;
-        profile.pool.hits = 9;
+        profile.pool.hits = 10;
         profile
     }
 
@@ -244,7 +237,7 @@ mod tests {
         assert_eq!(num("events"), Some(100.0));
         assert_eq!(num("wall_ms"), Some(2.0));
         assert_eq!(num("shards/0/kinds/arrive"), Some(75.0));
-        assert_eq!(num("shards/0/pool/hit_rate"), Some(0.9));
+        assert_eq!(num("shards/0/pool/hits"), Some(10.0));
         // The members the benchmark reads, at their one-thread values.
         assert_eq!(num("lookahead_ps"), Some(0.0));
         assert_eq!(num("shards/0/windows"), Some(0.0));

@@ -31,11 +31,8 @@ use asynoc_engine::{
 };
 use asynoc_kernel::{Duration, Time};
 use asynoc_nodes::{FaninState, FanoutState, FlitClass, TimingModel};
-use asynoc_packet::{DestSet, RouteHeader};
 use asynoc_telemetry::{LevelSpec, Site, SiteOf, Stage};
-use asynoc_topology::{
-    multicast_route, multicast_route_into, FaninNodeId, FanoutKind, FanoutNodeId, OutputPort,
-};
+use asynoc_topology::{FaninNodeId, FanoutKind, FanoutNodeId, OutputPort};
 
 use crate::config::{NetworkConfig, RunConfig};
 use crate::error::SimError;
@@ -299,22 +296,19 @@ impl<'a> MotModel<'a> {
         let Some(flit_ref) = ctx.arrived(input) else {
             return;
         };
-        let coords = self.fabric.fanout_coords[flat];
-        let mut symbol = flit_ref
-            .descriptor()
-            .route()
-            .symbol(coords.level, coords.index);
+        // No header rides the flit: the node reads the symbol the encoder
+        // would have written for it, from the destination set.
+        let descriptor = flit_ref.descriptor();
+        let node = self.fabric.fanout_coords[flat];
+        let mut symbol = node.symbol_for(self.fabric.size, descriptor.dests());
         let flit_kind = flit_ref.kind();
-        let packet = flit_ref.descriptor().id().as_u64();
+        let packet = descriptor.id().as_u64();
         if let Some((corrupted, fresh)) = ctx.fault_symbol(flat, packet, flit_kind.is_header()) {
             symbol = corrupted;
             if let Some(class) = fresh {
                 // First read of the afflicted train: report the injection
                 // once, even if the node then stalls and re-fires.
-                let flit = ctx
-                    .arrived(input)
-                    .expect("flit checked present above")
-                    .clone();
+                let flit = *ctx.arrived(input).expect("flit checked present above");
                 ctx.emit(&SimEvent::Fault {
                     class,
                     site: flat,
@@ -380,7 +374,7 @@ impl<'a> MotModel<'a> {
                     continue;
                 }
                 let out = self.fabric.fanout_out[flat][port.index()];
-                ctx.launch(out, flit.clone(), forward + self.timing.wire_delay);
+                ctx.launch(out, flit, forward + self.timing.wire_delay);
             }
             ctx.free_after(input, timing.free_delay(class));
         }
@@ -469,16 +463,6 @@ impl SimModel for MotModel<'_> {
 
     fn serializes_multicast(&self) -> bool {
         self.fabric.serializes_multicast
-    }
-
-    fn route(&self, source: usize, dests: DestSet) -> RouteHeader {
-        multicast_route(self.fabric.size, source, dests)
-            .expect("benchmark destinations are validated at construction")
-    }
-
-    fn route_into(&self, source: usize, dests: DestSet, header: &mut RouteHeader) {
-        multicast_route_into(self.fabric.size, source, dests, header)
-            .expect("benchmark destinations are validated at construction");
     }
 
     fn fire(&mut self, node: MotNode, ctx: &mut impl Ctx<MotNode>) {

@@ -9,7 +9,8 @@
 //! This crate owns that discipline once:
 //!
 //! - [`SimModel`] is what a substrate implements — its channel wiring,
-//!   timing constants, routing, and node firing rules.
+//!   timing constants, and node firing rules (routing included: a node
+//!   routes from the destination set its flit carries).
 //! - [`Ctx`] is the engine state a firing node may touch.
 //! - [`Observer`] receives the engine's event stream (injections,
 //!   forwards, drops, deliveries) so statistics, power accounting, and
@@ -40,17 +41,16 @@
 //!   that order exactly (the kernel tests it against the binary heap), so
 //!   a seeded run is bit-identical on every host.
 //! - **Zero-allocation steady state.** All run state is pre-sized at
-//!   construction, packet descriptors are recycled through an internal
-//!   free-list once their tails deliver, and an event is queued as its
-//!   ordering key alone — after warm-up, a clean run performs no heap
-//!   allocation (see `tests/zero_alloc.rs`).
+//!   construction, a flit carries its packet descriptor by value (nothing
+//!   per packet is on the heap), and an event is queued as its ordering
+//!   key alone — after warm-up, a clean run performs no heap allocation
+//!   (see `tests/zero_alloc.rs`).
 
 #![deny(missing_docs)]
 
 mod fault;
 mod observer;
 mod pending;
-mod pool;
 mod session;
 mod substrate;
 

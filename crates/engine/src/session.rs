@@ -6,12 +6,11 @@
 //! the pending-packet table, and tears down into the run's report.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Instant;
 
 use asynoc_kernel::{CalendarQueue, Duration, FaultClass, Time};
-use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader, RouteSymbol};
-use asynoc_probe::{EngineProfile, EventKindCounts, PhaseWall, ProgressMeter};
+use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteSymbol};
+use asynoc_probe::{EngineProfile, EventKindCounts, PhaseWall, PoolStats, ProgressMeter};
 use asynoc_stats::throughput::ThroughputReport;
 use asynoc_stats::{LogHistogram, Phases, ThroughputCounter};
 use asynoc_traffic::SourceTraffic;
@@ -19,7 +18,6 @@ use asynoc_traffic::SourceTraffic;
 use crate::fault::{ArmedFaults, SourceFaultAction};
 use crate::observer::{Observer, SimEvent};
 use crate::pending::PendingTable;
-use crate::pool::FlitPool;
 
 /// One end of a channel: who launches into it / who consumes from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,7 +78,9 @@ impl NodeKey for usize {
 ///
 /// The engine owns sources, sinks, channels, the event queue, and all
 /// measurement; the model owns its nodes' dynamic state and fires them
-/// when the engine wakes them.
+/// when the engine wakes them. A flit carries its packet's descriptor by
+/// value and no route: a node routes from the descriptor's destination
+/// set.
 pub trait SimModel {
     /// The substrate's node identifier (e.g. an enum of fanout/fanin
     /// indices for the MoT, a router index for the mesh).
@@ -103,17 +103,6 @@ pub trait SimModel {
     /// Whether multicasts are serialized at the source into unicast
     /// clones (the paper's baseline; always true for the mesh).
     fn serializes_multicast(&self) -> bool;
-    /// Builds the routing header a packet from `source` to `dests`
-    /// carries.
-    fn route(&self, source: usize, dests: DestSet) -> RouteHeader;
-    /// Rewrites `header` in place for a packet from `source` to `dests`,
-    /// reusing its symbol storage. The engine calls this when it recycles
-    /// a delivered packet's descriptor; substrates with an in-place
-    /// encoder should override the default (which falls back to
-    /// [`route`](SimModel::route) and allocates).
-    fn route_into(&self, source: usize, dests: DestSet, header: &mut RouteHeader) {
-        *header = self.route(source, dests);
-    }
     /// Hook called once per created physical packet (serialized clones
     /// included); models accumulate per-packet analytics here.
     fn on_packet(&mut self, source: usize, dest: DestSet, measured: bool) {
@@ -139,7 +128,7 @@ pub struct RunSpec {
     /// (bounded by a hard cap so saturated runs still terminate).
     pub drain: bool,
     /// Collect a runtime self-profile ([`EngineReport::profile`]): host
-    /// wall-clock phase splits and queue/pool counters. Profiling only
+    /// wall-clock phase splits and queue counters. Profiling only
     /// reads clocks and counters; the simulated results stay
     /// bit-identical with it on or off.
     pub profile: bool,
@@ -437,12 +426,17 @@ struct Core<'r, 'obs, N> {
     now: Time,
 
     channels: Vec<ChannelState>,
-    source_queue: Vec<VecDeque<Flit>>,
+    /// Per-source packets waiting to inject, and the index of the front
+    /// packet's next flit.
+    source_queue: Vec<VecDeque<PacketDescriptor>>,
+    source_next_flit: Vec<u8>,
     source_next_fire: Vec<Time>,
     traffic: Vec<SourceTraffic>,
 
     /// Per-source packet counters: ids are `(source << 32) | counter`.
     next_packet_id: Vec<u64>,
+    /// Physical packets created (serialized clones counted one by one).
+    packets_created: u64,
 
     /// Every observer, handed each event in registration order.
     observers: &'r mut [&'obs mut dyn Observer<N>],
@@ -582,7 +576,6 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
 /// ```
 /// use asynoc_engine::{run, ChannelEnds, Ctx, NodeRef, RunSpec, SimModel};
 /// use asynoc_kernel::Duration;
-/// use asynoc_packet::{DestSet, RouteHeader};
 /// use asynoc_stats::Phases;
 /// use asynoc_traffic::{Benchmark, SourceTraffic};
 ///
@@ -605,9 +598,6 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
 ///     fn source_cycle(&self) -> Duration { Duration::from_ps(100) }
 ///     fn sink_ack(&self) -> Duration { Duration::from_ps(100) }
 ///     fn serializes_multicast(&self) -> bool { true }
-///     fn route(&self, _source: usize, _dests: DestSet) -> RouteHeader {
-///         RouteHeader::for_tree(2)
-///     }
 ///     fn fire(&mut self, _node: (), _ctx: &mut impl Ctx<()>) {}
 /// }
 ///
@@ -638,8 +628,9 @@ pub fn run<M: SimModel>(
 /// engine state.
 ///
 /// Construction does all the setup allocation — channel wiring, the
-/// event queue, source queues — so that the loop itself can stay
-/// allocation-free once the descriptor pool warms up.
+/// event queue, source queues — so that the loop itself allocates
+/// nothing: a flit carries its descriptor by value, so nothing per packet
+/// lives on the heap.
 struct Session<'r, 'obs, M: SimModel> {
     model: M,
     wiring: Vec<ChannelEnds<M::Node>>,
@@ -648,7 +639,6 @@ struct Session<'r, 'obs, M: SimModel> {
     source_cycle: Duration,
     sink_ack: Duration,
     serializes_multicast: bool,
-    pool: FlitPool,
     ctx: Core<'r, 'obs, M::Node>,
 }
 
@@ -676,10 +666,12 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             queue: CalendarQueue::new(),
             now: Time::ZERO,
             channels: vec![ChannelState::Free; channels],
-            source_queue: (0..n).map(|_| VecDeque::with_capacity(64)).collect(),
+            source_queue: (0..n).map(|_| VecDeque::with_capacity(16)).collect(),
+            source_next_flit: vec![0; n],
             source_next_fire: vec![Time::ZERO; n],
             traffic,
             next_packet_id: vec![0; n],
+            packets_created: 0,
             observers,
             pending: PendingTable::new(n),
             throughput: ThroughputCounter::new(n),
@@ -710,7 +702,6 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             sink_ack: model.sink_ack(),
             serializes_multicast: model.serializes_multicast(),
             model,
-            pool: FlitPool::new(n * 64 + 256),
             ctx,
         }
     }
@@ -764,7 +755,6 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
 
     /// Tears the session down into the run's report and the model.
     fn finish(self, spec: RunSpec, start: Instant) -> (EngineReport, M) {
-        let pool = self.pool.stats();
         let mut ctx = self.ctx;
         if let Some(progress) = &mut ctx.progress {
             progress.finish();
@@ -776,7 +766,11 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
                 events: ctx.events_processed,
                 kinds: ctx.kinds,
                 queue: ctx.queue.stats(),
-                pool,
+                // No descriptor allocates, so every one is a pool hit.
+                pool: PoolStats {
+                    takes: ctx.packets_created,
+                    hits: ctx.packets_created,
+                },
                 phase: prof.close(),
             })
         });
@@ -811,33 +805,6 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         self.fire_source(source);
     }
 
-    /// Produces a descriptor for a new packet, rewriting a recycled one
-    /// in place when the pool has one (no heap allocation) and
-    /// allocating fresh otherwise.
-    fn alloc_descriptor(
-        &mut self,
-        id: PacketId,
-        source: usize,
-        dests: DestSet,
-        flits: u8,
-        group: Option<PacketId>,
-    ) -> Arc<PacketDescriptor> {
-        if let Some(mut recycled) = self.pool.take() {
-            let descriptor = Arc::get_mut(&mut recycled).expect("pooled descriptors are unique");
-            descriptor.reset(id, source, dests, flits, self.ctx.now, group);
-            self.model.route_into(source, dests, descriptor.route_mut());
-            recycled
-        } else {
-            let route = self.model.route(source, dests);
-            let mut descriptor =
-                PacketDescriptor::new(id, source, dests, route, flits, self.ctx.now);
-            if let Some(group) = group {
-                descriptor = descriptor.with_group(group);
-            }
-            Arc::new(descriptor)
-        }
-    }
-
     fn create_packets(&mut self, source: usize, dests: DestSet) {
         let measured = self.ctx.in_window();
         let logical = self.ctx.alloc_id(source);
@@ -851,15 +818,17 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             for dest in dests.iter() {
                 let id = self.ctx.alloc_id(source);
                 let clone_dests = DestSet::unicast(dest);
-                let descriptor =
-                    self.alloc_descriptor(id, source, clone_dests, flits, Some(logical));
-                self.ctx.source_queue[source].extend(Flit::train(&descriptor));
+                let clone = PacketDescriptor::new(id, source, clone_dests, flits, self.ctx.now)
+                    .with_group(logical);
+                self.ctx.source_queue[source].push_back(clone);
+                self.ctx.packets_created += 1;
                 offered_flits += u64::from(flits);
                 self.model.on_packet(source, clone_dests, measured);
             }
         } else {
-            let descriptor = self.alloc_descriptor(logical, source, dests, flits, None);
-            self.ctx.source_queue[source].extend(Flit::train(&descriptor));
+            let packet = PacketDescriptor::new(logical, source, dests, flits, self.ctx.now);
+            self.ctx.source_queue[source].push_back(packet);
+            self.ctx.packets_created += 1;
             offered_flits = u64::from(flits);
             self.model.on_packet(source, dests, measured);
         }
@@ -909,9 +878,9 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
     // ------------------------------------------------------------------
 
     fn fire_source(&mut self, source: usize) {
-        if self.ctx.source_queue[source].is_empty() {
+        let Some(&packet) = self.ctx.source_queue[source].front() else {
             return;
-        }
+        };
         let channel = self.source_channel[source];
         if !self.ctx.channels[channel].is_free() {
             return;
@@ -925,23 +894,23 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             );
             return;
         }
-        let flit = self.ctx.source_queue[source]
-            .pop_front()
-            .expect("queue checked non-empty");
+        let flit = Flit::new(packet, self.ctx.source_next_flit[source]);
         if flit.kind().is_header() {
-            let action = self.ctx.faults.as_mut().and_then(|faults| {
-                faults.on_source_header(source, flit.descriptor().id().as_u64())
-            });
+            let action = self
+                .ctx
+                .faults
+                .as_mut()
+                .and_then(|faults| faults.on_source_header(source, packet.id().as_u64()));
             match action {
                 Some(SourceFaultAction::Resend { delay }) => {
                     // The header is dropped on the injection link; the
-                    // source times out and re-sends the same flit.
+                    // source times out and re-sends the same flit, which
+                    // is still at the head of its queue.
                     self.ctx.emit(&SimEvent::Fault {
                         class: FaultClass::FlitDrop,
                         site: source,
                         flit: &flit,
                     });
-                    self.ctx.source_queue[source].push_front(flit);
                     let resume = self.ctx.now + delay;
                     self.ctx.source_next_fire[source] = resume;
                     self.ctx.schedule_event(
@@ -966,19 +935,12 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
                         site: source,
                         flit: &flit,
                     });
-                    let id = flit.descriptor().id();
-                    while self.ctx.source_queue[source]
-                        .front()
-                        .is_some_and(|f| f.descriptor().id() == id)
-                    {
-                        self.ctx.source_queue[source].pop_front();
-                    }
+                    self.ctx.source_queue[source].pop_front();
                     // Release its latency bookkeeping, so the drain
                     // still terminates.
-                    let descriptor = flit.descriptor();
                     self.ctx
                         .pending
-                        .lose(descriptor.logical_id().as_u64(), descriptor.dests());
+                        .lose(packet.logical_id().as_u64(), packet.dests());
                     self.fire_source(source);
                     return;
                 }
@@ -991,6 +953,12 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         });
         if self.ctx.in_window() {
             self.ctx.throughput.record_injected(1);
+        }
+        if flit.kind().is_tail() {
+            self.ctx.source_next_flit[source] = 0;
+            self.ctx.source_queue[source].pop_front();
+        } else {
+            self.ctx.source_next_flit[source] += 1;
         }
         let wire = self.source_wire_delay;
         self.ctx.launch(channel, flit, wire);
@@ -1008,12 +976,6 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         if flit.kind().is_header() {
             let logical = flit.descriptor().logical_id().as_u64();
             self.ctx.pending.deliver(self.ctx.now, logical, dest);
-        }
-        if flit.kind().is_tail() {
-            // The tail is the last flit of its train to be consumed here;
-            // once every sibling copy has delivered, the descriptor is
-            // unique again and the next injection rewrites it in place.
-            self.pool.recycle(flit.into_descriptor());
         }
     }
 }
@@ -1086,10 +1048,6 @@ mod tests {
 
         fn serializes_multicast(&self) -> bool {
             true
-        }
-
-        fn route(&self, _source: usize, _dests: DestSet) -> RouteHeader {
-            RouteHeader::for_tree(2)
         }
 
         fn on_packet(&mut self, _source: usize, _dest: DestSet, _measured: bool) {

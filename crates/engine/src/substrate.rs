@@ -95,7 +95,7 @@ impl RunConfig {
     }
 
     /// Enables runtime self-profiling: the engine fills
-    /// [`EngineReport::profile`] with event, queue and pool counters and
+    /// [`EngineReport::profile`] with event and queue counters and
     /// phase wall-clock splits. Simulation results are bit-identical with
     /// profiling on or off — only host-side metadata is collected.
     #[must_use]

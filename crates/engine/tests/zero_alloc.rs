@@ -4,10 +4,11 @@
 //! allocator (this harness is where it grew out of; the CLI installs
 //! the same one for its profile report); an observer snapshots the
 //! count at the first in-window event and at the first post-window
-//! event. Construction and warm-up may allocate freely (the pool fills,
-//! the event queue's node arena, source queues and bucket rings reach
-//! their high-water marks); once the measurement
-//! window opens, the run loop must not touch the allocator at all.
+//! event. Construction and warm-up may allocate freely (the event queue's
+//! node arena, source queues and bucket rings reach their high-water
+//! marks); once the measurement window opens, the run loop must not touch
+//! the allocator at all. A flit carries its descriptor by value, so no
+//! packet needs the heap.
 //!
 //! This test runs with `harness = false` and owns the whole process: the
 //! counter is process-global, and libtest's runner machinery (the main
@@ -21,7 +22,6 @@ use asynoc_engine::{
     run, ChannelEnds, Ctx, ForwardInfo, NodeRef, Observer, RunSpec, SimEvent, SimModel,
 };
 use asynoc_kernel::{Duration, Time};
-use asynoc_packet::{DestSet, RouteHeader};
 use asynoc_stats::Phases;
 use asynoc_traffic::{Benchmark, SourceTraffic};
 
@@ -31,7 +31,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Two endpoints joined by one arbitrating crossbar node: channels 0–1
 /// inject into the node, channels 2–3 deliver to the sinks. The smallest
 /// substrate that still exercises forwarding, arbitration-free conflict
-/// (output busy), serialized multicast clones, and descriptor recycling.
+/// (output busy), and serialized multicast clones.
 struct Crossbar;
 
 impl SimModel for Crossbar {
@@ -77,14 +77,6 @@ impl SimModel for Crossbar {
 
     fn serializes_multicast(&self) -> bool {
         true
-    }
-
-    fn route(&self, _source: usize, _dests: DestSet) -> RouteHeader {
-        RouteHeader::for_tree(2)
-    }
-
-    fn route_into(&self, _source: usize, _dests: DestSet, header: &mut RouteHeader) {
-        header.reset_for_tree(2);
     }
 
     fn fire(&mut self, _node: (), ctx: &mut impl Ctx<()>) {

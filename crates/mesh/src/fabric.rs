@@ -17,7 +17,7 @@ use asynoc_engine::{
 };
 use asynoc_kernel::Duration;
 use asynoc_nodes::KindTiming;
-use asynoc_packet::{DestSet, RouteHeader};
+use asynoc_packet::DestSet;
 use asynoc_stats::Phases;
 use asynoc_traffic::Benchmark;
 
@@ -482,20 +482,6 @@ impl<R: Router> SimModel for Model<R> {
 
     fn serializes_multicast(&self) -> bool {
         R::SERIALIZES_MULTICAST
-    }
-
-    fn route(&self, _source: usize, _dests: DestSet) -> RouteHeader {
-        // Mesh routers route by destination index, not tree symbols, but
-        // the shared descriptor type carries a route header; a minimal
-        // one-slot header keeps allocation trivial.
-        RouteHeader::for_tree(2)
-    }
-
-    fn route_into(&self, _source: usize, _dests: DestSet, header: &mut RouteHeader) {
-        // Rewrite the recycled descriptor's header in place to the same
-        // minimal shape `route` produces, so pooled injections stay
-        // allocation-free.
-        header.reset_for_tree(2);
     }
 
     fn on_packet(&mut self, source: usize, dests: DestSet, measured: bool) {

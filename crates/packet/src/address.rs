@@ -11,9 +11,10 @@
 //!   how non-speculative nodes throttle the redundant copies created by
 //!   their speculative neighbors.
 //!
-//! `RouteHeader` stores a symbol slot for **all** nodes of the tree (simpler
-//! and branch-free at simulation time); the *encoded* wire size, which only
-//! counts non-speculative fields, is computed by [`crate::coding`].
+//! `RouteHeader` stores a symbol slot for **all** nodes of the tree; the
+//! *encoded* wire size, which only counts non-speculative fields, is
+//! computed by [`crate::coding`]. The simulator carries no header: a node
+//! reads its symbol from the packet's destination set by the same rule.
 
 use std::fmt;
 
@@ -174,24 +175,6 @@ impl RouteHeader {
             symbols: vec![RouteSymbol::Drop; fanout_tree_nodes(n)],
             levels: n.trailing_zeros(),
         }
-    }
-
-    /// Re-initializes the header in place to all-[`Drop`](RouteSymbol::Drop)
-    /// for a fanout tree with `n` leaves, reusing the existing symbol
-    /// storage when it is large enough (the allocation-free counterpart of
-    /// [`for_tree`](Self::for_tree)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a power of two or is less than 2.
-    pub fn reset_for_tree(&mut self, n: usize) {
-        assert!(
-            n >= 2 && n.is_power_of_two(),
-            "fanout tree size must be a power of two >= 2, got {n}"
-        );
-        self.symbols.clear();
-        self.symbols.resize(fanout_tree_nodes(n), RouteSymbol::Drop);
-        self.levels = n.trailing_zeros();
     }
 
     /// Number of fanout levels (`log2` of the leaf count).
@@ -373,23 +356,6 @@ mod tests {
     fn header_rejects_bad_index() {
         let header = RouteHeader::for_tree(8);
         let _ = header.symbol(1, 2);
-    }
-
-    #[test]
-    fn reset_for_tree_matches_fresh_header() {
-        let mut header = RouteHeader::for_tree(16);
-        header.set(3, 5, RouteSymbol::Both);
-        header.reset_for_tree(8);
-        assert_eq!(header, RouteHeader::for_tree(8));
-        header.reset_for_tree(16);
-        assert_eq!(header, RouteHeader::for_tree(16));
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn reset_for_tree_rejects_non_power_of_two() {
-        let mut header = RouteHeader::for_tree(8);
-        header.reset_for_tree(3);
     }
 
     #[test]

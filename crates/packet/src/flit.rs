@@ -7,7 +7,6 @@
 //! the length a per-packet parameter.
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::destset::DestSet;
 use crate::packet::PacketDescriptor;
@@ -57,38 +56,32 @@ impl fmt::Display for FlitKind {
     }
 }
 
-/// One flit in flight.
+/// One flit in flight: a plain value carrying its packet's descriptor.
 ///
-/// Flits are cheap to clone: replication at a multicast branch point (or a
-/// speculative broadcast) clones the handle, not the descriptor.
+/// Replication at a multicast branch point (or a speculative broadcast)
+/// copies the flit, descriptor included.
 ///
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
 /// use asynoc_kernel::Time;
-/// use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader};
+/// use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId};
 ///
-/// let descriptor = Arc::new(PacketDescriptor::new(
-///     PacketId::new(1),
-///     0,
-///     DestSet::unicast(5),
-///     RouteHeader::for_tree(8),
-///     5,
-///     Time::ZERO,
-/// ));
-/// let flits: Vec<Flit> = Flit::train(&descriptor).collect();
-/// assert_eq!(flits.len(), 5);
+/// let descriptor = PacketDescriptor::new(PacketId::new(1), 0, DestSet::unicast(5), 5, Time::ZERO);
+/// let flits: Vec<Flit> = (0..5).map(|index| Flit::new(descriptor, index)).collect();
 /// assert!(flits[0].kind().is_header());
 /// assert!(flits[4].kind().is_tail());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Flit {
-    descriptor: Arc<PacketDescriptor>,
+    descriptor: PacketDescriptor,
     kind: FlitKind,
     index: u8,
     branch: DestSet,
 }
+
+// Every channel slot holds one flit: see `PacketDescriptor`'s size assert.
+const _: () = assert!(std::mem::size_of::<Flit>() <= 56);
 
 impl Flit {
     /// Creates the `index`-th flit of `descriptor`'s packet.
@@ -97,7 +90,7 @@ impl Flit {
     ///
     /// Panics if `index` is outside the packet's flit count.
     #[must_use]
-    pub fn new(descriptor: Arc<PacketDescriptor>, index: u8) -> Self {
+    pub fn new(descriptor: PacketDescriptor, index: u8) -> Self {
         let count = descriptor.flit_count();
         assert!(
             index < count,
@@ -112,32 +105,18 @@ impl Flit {
         } else {
             FlitKind::Body
         };
-        let branch = descriptor.dests();
         Flit {
             descriptor,
             kind,
             index,
-            branch,
+            branch: descriptor.dests(),
         }
     }
 
-    /// Produces the packet's whole flit train, header first.
-    pub fn train(descriptor: &Arc<PacketDescriptor>) -> impl Iterator<Item = Flit> + '_ {
-        (0..descriptor.flit_count()).map(move |index| Flit::new(Arc::clone(descriptor), index))
-    }
-
-    /// The shared packet descriptor.
+    /// The packet descriptor.
     #[must_use]
-    pub fn descriptor(&self) -> &Arc<PacketDescriptor> {
+    pub fn descriptor(&self) -> &PacketDescriptor {
         &self.descriptor
-    }
-
-    /// Consumes the flit and returns its descriptor handle, so the last
-    /// holder of a delivered packet can hand the descriptor back to a
-    /// recycling pool without an extra refcount bump.
-    #[must_use]
-    pub fn into_descriptor(self) -> Arc<PacketDescriptor> {
-        self.descriptor
     }
 
     /// The flit's role within the packet.
@@ -185,19 +164,17 @@ impl fmt::Display for Flit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::destset::DestSet;
-    use crate::packet::{PacketDescriptor, PacketId};
+    use crate::packet::PacketId;
     use asynoc_kernel::Time;
 
-    fn descriptor(flits: u8) -> Arc<PacketDescriptor> {
-        Arc::new(PacketDescriptor::new(
+    fn descriptor(flits: u8) -> PacketDescriptor {
+        PacketDescriptor::new(
             PacketId::new(9),
             2,
             DestSet::unicast(1),
-            crate::RouteHeader::for_tree(8),
             flits,
             Time::from_ps(10),
-        ))
+        )
     }
 
     #[test]
@@ -208,13 +185,11 @@ mod tests {
             (2, &[Header, Tail]),
             (1, &[HeaderTail]),
         ] {
-            let train: Vec<Flit> = Flit::train(&descriptor(flits)).collect();
+            let train: Vec<Flit> = (0..flits)
+                .map(|index| Flit::new(descriptor(flits), index))
+                .collect();
             assert_eq!(train.iter().map(Flit::kind).collect::<Vec<_>>(), kinds);
             assert!(train.iter().map(Flit::index).eq(0..flits));
-            // One descriptor behind every flit and every copy of one.
-            assert!(train
-                .iter()
-                .all(|f| Arc::ptr_eq(f.clone().descriptor(), train[0].descriptor())));
             let (head, tail) = (train[0].kind(), train[train.len() - 1].kind());
             assert!(head.is_header() && tail.is_tail() && !head.is_body());
             assert_eq!(head.is_tail(), flits == 1);
@@ -240,8 +215,9 @@ mod tests {
     fn branch_starts_full_and_narrows_per_copy() {
         let flit = Flit::new(descriptor(5), 0);
         assert_eq!(flit.branch(), flit.descriptor().dests());
-        let narrowed = flit.clone().with_branch(DestSet::unicast(1));
+        let narrowed = flit.with_branch(DestSet::unicast(1));
         assert_eq!(narrowed.branch(), DestSet::unicast(1));
+        assert_eq!(narrowed.descriptor(), flit.descriptor());
         assert_eq!(flit.branch(), flit.descriptor().dests());
     }
 }

@@ -1,10 +1,10 @@
 //! Packet, flit, and source-routing-header model for the `asynoc` workspace.
 //!
 //! The DAC'16 network moves fixed-length multi-flit packets (the paper uses
-//! five flits). A packet is described once, in a shared
-//! [`PacketDescriptor`], and each [`Flit`] carries a cheap handle to it —
-//! mirroring the hardware, where only the header carries routing state and
-//! body/tail flits follow the path the header opened.
+//! five flits). A packet is described once, in a small `Copy`
+//! [`PacketDescriptor`] that each [`Flit`] carries by value — nothing per
+//! packet lives on the heap. As in the hardware, only the header's routing
+//! state steers a node; body/tail flits follow the path the header opened.
 //!
 //! Source routing comes in two flavors:
 //!

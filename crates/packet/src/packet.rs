@@ -4,7 +4,6 @@ use std::fmt;
 
 use asynoc_kernel::Time;
 
-use crate::address::RouteHeader;
 use crate::destset::DestSet;
 
 /// A unique, monotonically assigned packet identifier.
@@ -41,36 +40,44 @@ impl fmt::Display for PacketId {
     }
 }
 
-/// Immutable description of one packet in flight, shared by all its flits
-/// (and all replicated copies of them).
+/// Immutable description of one packet in flight, carried by value in
+/// every one of its flits (and every replicated copy of them).
 ///
-/// `group` links the unicast clones that the serial-multicast baseline emits
-/// for one logical multicast: all clones carry the original packet's id, so
-/// latency can be accounted "up to the arrival of all headers" of the
-/// logical packet, exactly as the paper measures.
-#[derive(Clone, Debug)]
+/// `logical` links the unicast clones that the serial-multicast baseline
+/// emits for one logical multicast: all clones carry the original packet's
+/// id there, so latency can be accounted "up to the arrival of all headers"
+/// of the logical packet, exactly as the paper measures. A packet that is
+/// not a clone is its own logical packet.
+///
+/// The descriptor holds no route: a fanout node reads its symbol from
+/// [`dests`](Self::dests) (`asynoc-topology`'s `FanoutNodeId::symbol_for`),
+/// so nothing per packet lives on the heap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketDescriptor {
     id: PacketId,
-    source: usize,
+    logical: PacketId,
     dests: DestSet,
-    route: RouteHeader,
-    flit_count: u8,
     created_at: Time,
-    group: Option<PacketId>,
+    source: u32,
+    flit_count: u8,
 }
 
+// A flit copies its descriptor on every launch and every channel slot
+// holds one: a field added here is paid for in every channel of the table.
+const _: () = assert!(std::mem::size_of::<PacketDescriptor>() <= 40);
+
 impl PacketDescriptor {
-    /// Creates a descriptor for a parallel (tree-routed) packet.
+    /// Creates a descriptor for a packet that is its own logical packet.
     ///
     /// # Panics
     ///
-    /// Panics if `dests` is empty or `flit_count` is zero.
+    /// Panics if `dests` is empty, `flit_count` is zero or `source` does
+    /// not fit in 32 bits.
     #[must_use]
     pub fn new(
         id: PacketId,
         source: usize,
         dests: DestSet,
-        route: RouteHeader,
         flit_count: u8,
         created_at: Time,
     ) -> Self {
@@ -78,48 +85,19 @@ impl PacketDescriptor {
         assert!(flit_count > 0, "packet {id} must have at least one flit");
         PacketDescriptor {
             id,
-            source,
+            logical: id,
             dests,
-            route,
-            flit_count,
             created_at,
-            group: None,
+            source: u32::try_from(source).expect("source index fits in 32 bits"),
+            flit_count,
         }
     }
 
     /// Marks this packet as one clone of a serialized multicast group.
     #[must_use]
     pub fn with_group(mut self, group: PacketId) -> Self {
-        self.group = Some(group);
+        self.logical = group;
         self
-    }
-
-    /// Re-initializes a recycled descriptor in place for a new packet,
-    /// keeping the existing [`RouteHeader`] storage (rewrite it through
-    /// [`route_mut`](Self::route_mut)). This is the allocation-free
-    /// counterpart of [`new`](Self::new) used by the engine's descriptor
-    /// pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dests` is empty or `flit_count` is zero.
-    pub fn reset(
-        &mut self,
-        id: PacketId,
-        source: usize,
-        dests: DestSet,
-        flit_count: u8,
-        created_at: Time,
-        group: Option<PacketId>,
-    ) {
-        assert!(!dests.is_empty(), "packet {id} has no destinations");
-        assert!(flit_count > 0, "packet {id} must have at least one flit");
-        self.id = id;
-        self.source = source;
-        self.dests = dests;
-        self.flit_count = flit_count;
-        self.created_at = created_at;
-        self.group = group;
     }
 
     /// The packet's unique id.
@@ -131,26 +109,13 @@ impl PacketDescriptor {
     /// Index of the injecting source.
     #[must_use]
     pub fn source(&self) -> usize {
-        self.source
+        self.source as usize
     }
 
     /// The destination set.
     #[must_use]
     pub fn dests(&self) -> DestSet {
         self.dests
-    }
-
-    /// The source-routing header.
-    #[must_use]
-    pub fn route(&self) -> &RouteHeader {
-        &self.route
-    }
-
-    /// Mutable access to the source-routing header, for rebuilding a
-    /// recycled descriptor's route in place.
-    #[must_use]
-    pub fn route_mut(&mut self) -> &mut RouteHeader {
-        &mut self.route
     }
 
     /// Number of flits in the packet.
@@ -166,17 +131,11 @@ impl PacketDescriptor {
         self.created_at
     }
 
-    /// The logical packet this clone belongs to (serial multicast), if any.
-    #[must_use]
-    pub fn group(&self) -> Option<PacketId> {
-        self.group
-    }
-
-    /// The id used for latency grouping: the serialization group if present,
-    /// otherwise the packet's own id.
+    /// The id used for latency grouping: the serialization group of a
+    /// clone, otherwise the packet's own id.
     #[must_use]
     pub fn logical_id(&self) -> PacketId {
-        self.group.unwrap_or(self.id)
+        self.logical
     }
 
     /// Returns `true` if this packet targets more than one destination.
@@ -189,14 +148,12 @@ impl PacketDescriptor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RouteHeader;
 
     fn descriptor() -> PacketDescriptor {
         PacketDescriptor::new(
             PacketId::new(3),
             1,
             DestSet::unicast(4),
-            RouteHeader::for_tree(8),
             5,
             Time::from_ps(100),
         )
@@ -212,10 +169,8 @@ mod tests {
         assert_eq!(d.created_at(), Time::from_ps(100));
         assert!(!d.is_multicast());
         let both: DestSet = [1usize, 2].into_iter().collect();
-        let mut multicast = descriptor();
-        multicast.reset(PacketId::new(1), 0, both, 5, Time::ZERO, None);
+        let multicast = PacketDescriptor::new(PacketId::new(1), 0, both, 5, Time::ZERO);
         assert!(multicast.is_multicast());
-        assert_eq!(d.group(), None);
         assert_eq!(d.logical_id(), PacketId::new(3));
         assert!(PacketId::new(1) < PacketId::new(2) && PacketId::default() == PacketId::new(0));
     }
@@ -223,62 +178,19 @@ mod tests {
     #[test]
     fn group_overrides_logical_id() {
         let d = descriptor().with_group(PacketId::new(99));
-        assert_eq!(d.group(), Some(PacketId::new(99)));
+        assert_eq!(d.id(), PacketId::new(3));
         assert_eq!(d.logical_id(), PacketId::new(99));
     }
 
     #[test]
     #[should_panic(expected = "no destinations")]
     fn rejects_empty_destinations() {
-        let _ = PacketDescriptor::new(
-            PacketId::new(1),
-            0,
-            DestSet::EMPTY,
-            RouteHeader::for_tree(8),
-            5,
-            Time::ZERO,
-        );
+        let _ = PacketDescriptor::new(PacketId::new(1), 0, DestSet::EMPTY, 5, Time::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "at least one flit")]
     fn rejects_zero_flits() {
-        let _ = PacketDescriptor::new(
-            PacketId::new(1),
-            0,
-            DestSet::unicast(0),
-            RouteHeader::for_tree(8),
-            0,
-            Time::ZERO,
-        );
-    }
-
-    #[test]
-    fn reset_overwrites_everything_but_route_storage() {
-        let mut d = descriptor().with_group(PacketId::new(99));
-        d.route_mut().set(0, 0, crate::RouteSymbol::Both);
-        d.reset(
-            PacketId::new(7),
-            3,
-            DestSet::unicast(2),
-            2,
-            Time::from_ps(500),
-            None,
-        );
-        assert_eq!(d.id(), PacketId::new(7));
-        assert_eq!(d.source(), 3);
-        assert_eq!(d.dests(), DestSet::unicast(2));
-        assert_eq!(d.flit_count(), 2);
-        assert_eq!(d.created_at(), Time::from_ps(500));
-        assert_eq!(d.group(), None);
-        // The route is the caller's to rewrite; reset leaves it alone.
-        assert_eq!(d.route().symbol(0, 0), crate::RouteSymbol::Both);
-    }
-
-    #[test]
-    #[should_panic(expected = "no destinations")]
-    fn reset_rejects_empty_destinations() {
-        let mut d = descriptor();
-        d.reset(PacketId::new(1), 0, DestSet::EMPTY, 5, Time::ZERO, None);
+        let _ = PacketDescriptor::new(PacketId::new(1), 0, DestSet::unicast(0), 0, Time::ZERO);
     }
 }

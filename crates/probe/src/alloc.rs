@@ -4,9 +4,9 @@
 //! thin wrapper over the system allocator that counts `alloc` calls in
 //! a relaxed atomic. Binaries install it with `#[global_allocator]` so
 //! the profile report can state how often the process touched the heap
-//! — the steady-state answer should be "almost never" thanks to the
-//! descriptor pool, and the counter is how a regression shows up in a
-//! profile before it shows up in a benchmark.
+//! — the steady-state answer should be "never", since a flit carries its
+//! descriptor by value, and the counter is how a regression shows up in
+//! a profile before it shows up in a benchmark.
 //!
 //! Alongside the call counter the wrapper tracks *live bytes* and their
 //! high-water mark, which is what the bounded-memory gate for streaming

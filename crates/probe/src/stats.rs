@@ -22,32 +22,16 @@ pub struct QueueStats {
     pub depth_high_water: u64,
 }
 
-/// Descriptor-pool behavior counters (the engine's `FlitPool`).
+/// Packet-descriptor counters. A flit carries its descriptor by value, so
+/// no descriptor allocates and `hits` always equals `takes`; both are kept
+/// because the `asynoc-profile-v1` document still carries `pool/takes` and
+/// `pool/hits`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Descriptor requests (one per created physical packet).
+    /// Physical packets created (serialized clones counted one by one).
     pub takes: u64,
-    /// Requests satisfied by a recycled descriptor (no allocation).
+    /// Descriptors built without a heap allocation: all of them.
     pub hits: u64,
-    /// Descriptors returned to the pool.
-    pub recycled: u64,
-    /// Returns the pool refused (still shared, or at capacity).
-    pub rejected: u64,
-    /// Most descriptors parked in the pool at once.
-    pub occupancy_high_water: u64,
-}
-
-impl PoolStats {
-    /// Fraction of descriptor requests served without allocating
-    /// (1.0 when nothing was requested — an empty pool wasted nothing).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.takes == 0 {
-            1.0
-        } else {
-            self.hits as f64 / self.takes as f64
-        }
-    }
 }
 
 /// How many events of each kind a run executed.
@@ -87,24 +71,8 @@ pub struct EngineProfile {
     pub kinds: EventKindCounts,
     /// The event-queue counters.
     pub queue: QueueStats,
-    /// The descriptor-pool counters.
+    /// The packet-descriptor counters.
     pub pool: PoolStats,
     /// Host wall-clock split across the simulated phases.
     pub phase: PhaseWall,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pool_hit_rate_handles_empty_and_partial() {
-        assert_eq!(PoolStats::default().hit_rate(), 1.0);
-        let stats = PoolStats {
-            takes: 4,
-            hits: 3,
-            ..PoolStats::default()
-        };
-        assert_eq!(stats.hit_rate(), 0.75);
-    }
 }

@@ -103,26 +103,22 @@ impl<N: Copy> Observer<N> for Recorder<'_, N> {
 mod tests {
     use super::*;
     use std::rc::Rc;
-    use std::sync::Arc;
 
     use asynoc_kernel::{Duration, FaultClass};
-    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader, RouteSymbol};
+    use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteSymbol};
 
     use crate::trace::TraceCollector;
 
     #[test]
     fn every_event_kind_becomes_the_record_that_names_it() {
-        let flit = Flit::new(
-            Arc::new(PacketDescriptor::new(
-                PacketId::new(7),
-                5,
-                DestSet::unicast(1),
-                RouteHeader::for_tree(8),
-                1,
-                Time::from_ps(5),
-            )),
-            0,
+        let descriptor = PacketDescriptor::new(
+            PacketId::new(7),
+            5,
+            DestSet::unicast(1),
+            1,
+            Time::from_ps(5),
         );
+        let flit = Flit::new(descriptor, 0);
         let busy = Duration::from_ps(52);
         let mut events = vec![
             SimEvent::Inject {

@@ -19,12 +19,11 @@
 //!   labels to warm up (a site is rendered digit by digit per record).
 
 use std::rc::Rc;
-use std::sync::Arc;
 
 use asynoc_engine::probe::{allocations, CountingAlloc};
 use asynoc_engine::{ForwardInfo, Observer, SimEvent};
 use asynoc_kernel::{Duration, Time};
-use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteHeader, RouteSymbol};
+use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteSymbol};
 use asynoc_stats::Phases;
 use asynoc_telemetry::{
     JsonValue, LatencyHistograms, LevelSpec, Recorder, Site, SiteOf, Stage, StreamConfig,
@@ -96,11 +95,10 @@ fn main() {
                 PacketId::new(id),
                 id as usize % ENDPOINTS,
                 DestSet::unicast((id as usize + 3) % ENDPOINTS),
-                RouteHeader::for_tree(ENDPOINTS),
                 1,
                 Time::from_ps(START_PS),
             );
-            Flit::new(Arc::new(descriptor), 0)
+            Flit::new(descriptor, 0)
         })
         .collect();
     const ROUNDS: u64 = 40;

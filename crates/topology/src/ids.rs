@@ -15,6 +15,8 @@
 
 use std::fmt;
 
+use asynoc_packet::{DestSet, RouteSymbol};
+
 use crate::size::MotSize;
 
 /// One of a fanout node's two output channels.
@@ -128,6 +130,21 @@ impl FanoutNodeId {
             OutputPort::Top => (low, mid),
             OutputPort::Bottom => (mid, high),
         }
+    }
+
+    /// The routing symbol this node reads for a packet bound to `dests`:
+    /// which of its output half-spans hold a destination, and
+    /// [`RouteSymbol::Drop`] when its span holds none. This is the one
+    /// spelling of the paper's symbol rule — the encoder writes it into
+    /// the header and the simulated node reads it from the destination set.
+    #[must_use]
+    pub fn symbol_for(self, size: MotSize, dests: DestSet) -> RouteSymbol {
+        let (low, high) = self.dest_span(size);
+        let mid = low + (high - low) / 2;
+        RouteSymbol::from_ports(
+            dests.intersects_range(low, mid),
+            dests.intersects_range(mid, high),
+        )
     }
 
     /// What the given output port connects to.

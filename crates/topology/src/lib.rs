@@ -18,6 +18,8 @@
 //!
 //! - [`MotSize`]: validated network sizes and node counting,
 //! - [`FanoutNodeId`] / [`FaninNodeId`]: node coordinates and flat indices,
+//!   and the symbol a fanout node reads for a destination set
+//!   ([`FanoutNodeId::symbol_for`]),
 //! - [`Architecture`] / [`FanoutKind`]: the paper's six network
 //!   configurations and the five node kinds they are built from,
 //! - [`SpecMap`]: the one speculation-placement type — which [`FanoutKind`]
@@ -49,6 +51,6 @@ pub mod spec;
 pub use arch::{Architecture, FanoutKind};
 pub use error::TopologyError;
 pub use ids::{FaninNodeId, FaninParent, FanoutChild, FanoutNodeId, OutputPort};
-pub use route::{multicast_route, multicast_route_into, unicast_route};
+pub use route::{multicast_route, unicast_route};
 pub use size::MotSize;
 pub use spec::SpecMap;

@@ -1,14 +1,16 @@
 //! Source-routing encoders.
 //!
 //! The source computes every fanout node's routing symbol when it builds a
-//! packet header. For a node whose destination span intersects the packet's
-//! destination set, the symbol says which output half-spans are demanded
-//! (`Top`/`Bottom`/`Both`); every other node keeps the default
-//! [`RouteSymbol::Drop`] — and that default is precisely the throttling
-//! information non-speculative nodes use to stop redundant speculative
-//! copies.
+//! packet header, by the one rule [`FanoutNodeId::symbol_for`] spells: for a
+//! node whose destination span intersects the packet's destination set, the
+//! symbol says which output half-spans are demanded (`Top`/`Bottom`/`Both`);
+//! every other node keeps [`RouteSymbol::Drop`](asynoc_packet::RouteSymbol::Drop)
+//! — and that default is precisely the throttling information
+//! non-speculative nodes use to stop redundant speculative copies. The
+//! simulator carries no header: its nodes read the same rule from the
+//! destination set.
 
-use asynoc_packet::{BaselinePath, DestSet, RouteHeader, RouteSymbol};
+use asynoc_packet::{BaselinePath, DestSet, RouteHeader};
 
 use crate::error::TopologyError;
 use crate::ids::FanoutNodeId;
@@ -44,27 +46,6 @@ pub fn multicast_route(
     source: usize,
     dests: DestSet,
 ) -> Result<RouteHeader, TopologyError> {
-    let mut header = RouteHeader::for_tree(size.n());
-    multicast_route_into(size, source, dests, &mut header)?;
-    Ok(header)
-}
-
-/// In-place variant of [`multicast_route`]: rewrites `header` for the new
-/// packet, reusing its symbol storage so steady-state routing performs no
-/// heap allocation. `header` may come from any earlier route (any tree
-/// size); it is reset to `size`'s tree first.
-///
-/// # Errors
-///
-/// Returns an error if `dests` is empty or contains an index outside the
-/// network, or if `source` is out of range. `header` is only modified on
-/// success.
-pub fn multicast_route_into(
-    size: MotSize,
-    source: usize,
-    dests: DestSet,
-    header: &mut RouteHeader,
-) -> Result<(), TopologyError> {
     size.check_source(source)?;
     if dests.is_empty() {
         return Err(TopologyError::EmptyDestinationSet);
@@ -75,8 +56,7 @@ pub fn multicast_route_into(
             size: size.n(),
         });
     }
-
-    header.reset_for_tree(size.n());
+    let mut header = RouteHeader::for_tree(size.n());
     for level in 0..size.levels() {
         for index in 0..size.nodes_at_level(level) {
             let node = FanoutNodeId {
@@ -84,19 +64,10 @@ pub fn multicast_route_into(
                 level,
                 index,
             };
-            let (low, high) = node.dest_span(size);
-            if !dests.intersects_range(low, high) {
-                continue;
-            }
-            let mid = low + (high - low) / 2;
-            let symbol = RouteSymbol::from_ports(
-                dests.intersects_range(low, mid),
-                dests.intersects_range(mid, high),
-            );
-            header.set(level, index, symbol);
+            header.set(level, index, node.symbol_for(size, dests));
         }
     }
-    Ok(())
+    Ok(header)
 }
 
 /// Encodes the baseline per-level turn bits for a unicast packet.
@@ -153,6 +124,7 @@ pub fn delivered_destinations(size: MotSize, source: usize, header: &RouteHeader
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asynoc_packet::RouteSymbol;
 
     fn size8() -> MotSize {
         MotSize::new(8).unwrap()
@@ -208,18 +180,6 @@ mod tests {
         assert!(unicast_route(size8(), 9, 0).is_err());
     }
 
-    #[test]
-    fn route_into_reused_header_matches_fresh() {
-        let mut header = multicast_route(size8(), 0, DestSet::unicast(5)).unwrap();
-        let dests: DestSet = [0usize, 3, 7].into_iter().collect();
-        multicast_route_into(size8(), 2, dests, &mut header).unwrap();
-        assert_eq!(header, multicast_route(size8(), 2, dests).unwrap());
-        // Reuse across tree sizes too.
-        let size16 = MotSize::new(16).unwrap();
-        multicast_route_into(size16, 1, dests, &mut header).unwrap();
-        assert_eq!(header, multicast_route(size16, 1, dests).unwrap());
-    }
-
     fn next_rand(state: &mut u64) -> u64 {
         // SplitMix64: deterministic case generation without external crates.
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -229,17 +189,32 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// The symbol rule the encoder writes and the simulated node reads
+    /// delivers to exactly the destination set: every source × every
+    /// non-empty destination subset up to 8 × 8, 32 random cases above.
     #[test]
     fn encoder_replay_roundtrip() {
         let mut state = 0xDEAD_BEEFu64;
         for levels in 1u32..7 {
             let size = MotSize::new(1usize << levels).unwrap();
-            for _case in 0..32 {
-                let source = next_rand(&mut state) as usize % size.n();
-                let dests = DestSet::from_bits(next_rand(&mut state)).restricted_to(0, size.n());
-                if dests.is_empty() {
-                    continue;
-                }
+            let n = size.n();
+            let cases: Vec<(usize, DestSet)> = if n <= 8 {
+                (0..n)
+                    .flat_map(|s| (1..1u64 << n).map(move |bits| (s, DestSet::from_bits(bits))))
+                    .collect()
+            } else {
+                (0..32)
+                    .map(|_| {
+                        let source = next_rand(&mut state) as usize % n;
+                        (
+                            source,
+                            DestSet::from_bits(next_rand(&mut state)).restricted_to(0, n),
+                        )
+                    })
+                    .filter(|(_, dests)| !dests.is_empty())
+                    .collect()
+            };
+            for (source, dests) in cases {
                 let header = multicast_route(size, source, dests).unwrap();
                 assert_eq!(delivered_destinations(size, source, &header), dests);
             }

@@ -371,7 +371,7 @@ impl VcRouter {
         let flight = timing.router.forward(class) + timing.wire_delay;
         for (po, vo, part) in route.iter() {
             let ch = out[po] + vo;
-            ctx.launch(ch, flit.clone().with_branch(part), flight);
+            ctx.launch(ch, flit.with_branch(part), flight);
             if po != LOCAL {
                 self.state[r].credits[po][vo] -= 1;
                 self.data_in_flight[ch] += 1;
@@ -451,7 +451,6 @@ impl VcRouter {
                     continue; // the channel's free event re-fires us
                 }
                 let token = self.state[r].token[p][v]
-                    .clone()
                     .expect("an owed credit implies a previously popped flit");
                 ctx.launch(ch, token, CREDIT_FLIGHT);
                 self.state[r].owed[p][v] -= 1;
