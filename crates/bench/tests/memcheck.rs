@@ -1,5 +1,6 @@
-//! Bounded-memory gate for streaming telemetry: a streamed 64x64 MoT
-//! run's peak allocation must be independent of how long the run is.
+//! Bounded-memory gates: a streamed 64x64 MoT run's peak allocation,
+//! and an 8x8 VC-mesh DPM run's, must be independent of how long the
+//! run is.
 //!
 //! The live-export contract is O(window), not O(events): the stream
 //! sink drains every buffer at each flush window, and the engine's own
@@ -14,6 +15,10 @@
 //!
 //! The long run also proves the stream is live: its first `window`
 //! record must be written in the first half of the run's wall time.
+//!
+//! The DPM gate holds the VC mesh's multicast planner to the same
+//! quotient: its memo is a cache sized once per run, so a planner that
+//! kept every plan it ever made shows up as growth with simulated time.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,6 +28,7 @@ use asynoc::probe::{peak_bytes, reset_peak_bytes};
 use asynoc::telemetry::{LatencyHistograms, Recorder, StreamConfig, StreamSink, TimeSeries};
 use asynoc::{drive, Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
 use asynoc_topology::MotSize;
+use asynoc_vcmesh::{McastScheme, MeshSize, VcMeshConfig, VcMeshNetwork};
 
 #[global_allocator]
 static GLOBAL: asynoc::probe::CountingAlloc = asynoc::probe::CountingAlloc;
@@ -185,9 +191,51 @@ fn peak_is_bounded() -> bool {
     true
 }
 
+/// Peak heap and events of one bare 8x8 DPM run measuring `measure_ns`.
+fn dpm_run(net: &VcMeshNetwork, measure_ns: u64) -> (u64, u64) {
+    let phases = Phases::new(Duration::from_ns(40), Duration::from_ns(measure_ns));
+    reset_peak_bytes();
+    let report = net
+        .run(Benchmark::Multicast5, 0.1, phases)
+        .expect("run completes");
+    (peak_bytes(), report.events_processed)
+}
+
+/// The DPM gate; `false` when it fails.
+fn dpm_peak_is_bounded() -> bool {
+    let size = MeshSize::new(8, 8).expect("8x8 is a valid mesh size");
+    let net = VcMeshNetwork::new(VcMeshConfig::new(size).with_mcast(McastScheme::Dpm))
+        .expect("network builds");
+    let _ = dpm_run(&net, 250);
+    let (short_peak, short_events) = dpm_run(&net, 250);
+    let (long_peak, long_events) = dpm_run(&net, 2000);
+    let ratio = long_peak as f64 / short_peak.max(1) as f64;
+    println!(
+        "memcheck (8x8 VC mesh, dpm):\n\
+         \x20 short run : {short_events:>9} events, peak {short_peak:>11} B\n\
+         \x20 long run  : {long_events:>9} events, peak {long_peak:>11} B\n\
+         \x20 peak ratio: {ratio:.3} (events grew {:.1}x, gate {HEADROOM})",
+        long_events as f64 / short_events.max(1) as f64,
+    );
+    assert!(
+        long_events > 4 * short_events,
+        "long run must process several times more events for the gate to mean anything"
+    );
+    if ratio > HEADROOM {
+        eprintln!(
+            "FAIL: peak allocation grew {ratio:.2}x on an 8x-longer DPM run \
+             (> {HEADROOM}); the multicast planner keeps state per plan"
+        );
+        return false;
+    }
+    true
+}
+
 fn main() {
-    if !peak_is_bounded() {
+    let streamed = peak_is_bounded();
+    let dpm = dpm_peak_is_bounded();
+    if !(streamed && dpm) {
         std::process::exit(1);
     }
-    println!("OK: streamed peak memory is bounded independent of run length");
+    println!("OK: streamed and DPM peak memory are bounded independent of run length");
 }

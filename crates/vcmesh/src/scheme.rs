@@ -18,7 +18,6 @@
 //!   planned (and therefore simulated) link traversals are ≤ the tree's
 //!   for the same destination set, by induction over the recursion.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -100,37 +99,76 @@ pub fn tree_partition(size: MeshSize, here: usize, branch: DestSet) -> [DestSet;
     parts
 }
 
-/// The nearest remaining destination (ties broken toward the lowest
-/// index), which a merged worm heads for first.
-fn greedy_target(size: MeshSize, here: usize, rest: DestSet) -> usize {
-    let mut best = usize::MAX;
-    let mut best_hops = usize::MAX;
-    for dest in rest.iter() {
-        let hops = size.hops(here, dest);
-        if hops < best_hops {
-            best_hops = hops;
-            best = dest;
-        }
-    }
-    best
+/// The planner's memo holds `2^MEMO_BITS` slots, one entry each.
+const MEMO_BITS: u32 = 12;
+
+/// One memo slot: the planned cost of delivering `rest` from `here`.
+/// `rest` is never empty when planned, so the zeroed slot is vacant.
+#[derive(Clone, Copy, Debug, Default)]
+struct MemoEntry {
+    rest: u64,
+    here: u32,
+    cost: u32,
 }
 
-/// Memoized Dynamic Partition Merging planner.
+/// The memo slot `(here, rest)` maps to.
+fn memo_slot(here: usize, rest: DestSet) -> usize {
+    let key = rest.bits() ^ (here as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (key.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> (64 - MEMO_BITS)) as usize
+}
+
+/// Memoized Dynamic Partition Merging planner for one mesh size.
 ///
 /// `cost(here, branch)` is the minimum number of link traversals needed to
 /// deliver `branch` from `here` under DPM's two candidate moves (tree
-/// split vs. merged worm); `partition` makes the matching choice. The
-/// memo is a pure cache — lookups never affect results.
-#[derive(Debug, Default)]
+/// split vs. merged worm); `partition` makes the matching choice.
+///
+/// Two tables per router, built once: the XY port masks (the tree
+/// partition of every endpoint, so a split is five ANDs) and the
+/// hop-distance rings (the greedy target is the lowest index of the
+/// first ring that meets the remaining set). The memo is a fixed
+/// direct-mapped table tagged by `(here, rest)`: a pure cache, so a
+/// collision only costs a recomputation and lookups never affect
+/// results.
+#[derive(Debug)]
 pub struct DpmPlanner {
-    memo: HashMap<(usize, u64), u64>,
+    size: MeshSize,
+    /// `ports[here][port]`: the endpoints whose XY route leaves `here`
+    /// through `port` (`here` itself at `Local`).
+    ports: Vec<[DestSet; 5]>,
+    /// `rings[here * ring_count + d]`: the endpoints `d` hops from `here`.
+    rings: Vec<DestSet>,
+    ring_count: usize,
+    memo: Box<[MemoEntry]>,
 }
 
 impl DpmPlanner {
-    /// Creates an empty planner.
+    /// Creates an empty planner for `size`.
     #[must_use]
-    pub fn new() -> Self {
-        DpmPlanner::default()
+    pub fn new(size: MeshSize) -> Self {
+        let n = size.endpoints();
+        let every: DestSet = (0..n).collect();
+        let ring_count = size.cols() + size.rows() - 1;
+        let mut rings = vec![DestSet::EMPTY; n * ring_count];
+        for here in 0..n {
+            for dest in 0..n {
+                rings[here * ring_count + size.hops(here, dest)].insert(dest);
+            }
+        }
+        DpmPlanner {
+            size,
+            ports: (0..n)
+                .map(|here| tree_partition(size, here, every))
+                .collect(),
+            rings,
+            ring_count,
+            memo: vec![MemoEntry::default(); 1 << MEMO_BITS].into_boxed_slice(),
+        }
+    }
+
+    /// [`tree_partition`] by the port masks.
+    pub(crate) fn split(&self, here: usize, branch: DestSet) -> [DestSet; 5] {
+        self.ports[here].map(|mask| DestSet::from_bits(mask.bits() & branch.bits()))
     }
 
     /// Minimum link traversals to deliver `branch` from `here`.
@@ -141,18 +179,25 @@ impl DpmPlanner {
     /// and a merged worm's hop toward the greedy target shrinks the
     /// minimum distance by one.
     #[must_use]
-    pub fn cost(&mut self, size: MeshSize, here: usize, branch: DestSet) -> u64 {
+    pub fn cost(&mut self, here: usize, branch: DestSet) -> u64 {
         let mut rest = branch;
         rest.remove(here);
         if rest.is_empty() {
             return 0;
         }
-        if let Some(&cached) = self.memo.get(&(here, rest.bits())) {
-            return cached;
+        let slot = memo_slot(here, rest);
+        let entry = self.memo[slot];
+        if entry.rest == rest.bits() && entry.here == here as u32 {
+            return u64::from(entry.cost);
         }
-        let (tree, worm) = self.candidates(size, here, rest);
+        let (tree, worm) = self.candidates(here, rest);
         let best = tree.min(worm);
-        self.memo.insert((here, rest.bits()), best);
+        self.memo[slot] = MemoEntry {
+            rest: rest.bits(),
+            here: here as u32,
+            // At most 64 destinations × 14 hops.
+            cost: best as u32,
+        };
         best
     }
 
@@ -160,16 +205,16 @@ impl DpmPlanner {
     /// remainder into one worm when that is strictly cheaper than the
     /// XY tree split (ties keep the tree).
     #[must_use]
-    pub fn partition(&mut self, size: MeshSize, here: usize, branch: DestSet) -> [DestSet; 5] {
-        let mut parts = tree_partition(size, here, branch);
+    pub fn partition(&mut self, here: usize, branch: DestSet) -> [DestSet; 5] {
+        let mut parts = self.split(here, branch);
         let mut rest = branch;
         rest.remove(here);
         if rest.len() < 2 {
             return parts; // nothing to merge
         }
-        let (tree, worm) = self.candidates(size, here, rest);
+        let (tree, worm) = self.candidates(here, rest);
         if worm < tree {
-            let merged = route_port(size, router_id(size, here), greedy_target(size, here, rest));
+            let merged = self.toward_nearest(here, rest);
             for port in [Port::North, Port::South, Port::East, Port::West] {
                 parts[port.index()] = DestSet::EMPTY;
             }
@@ -179,23 +224,38 @@ impl DpmPlanner {
     }
 
     /// (tree cost, worm cost) of delivering the non-local set `rest`.
-    fn candidates(&mut self, size: MeshSize, here: usize, rest: DestSet) -> (u64, u64) {
-        let parts = tree_partition(size, here, rest);
+    fn candidates(&mut self, here: usize, rest: DestSet) -> (u64, u64) {
+        let parts = self.split(here, rest);
         let mut tree = 0u64;
         for port in [Port::North, Port::South, Port::East, Port::West] {
             let part = parts[port.index()];
             if !part.is_empty() {
-                tree += 1 + self.cost(size, step(size, here, port), part);
+                tree += 1 + self.cost(step(self.size, here, port), part);
             }
         }
-        let toward = route_port(size, router_id(size, here), greedy_target(size, here, rest));
-        let worm = 1 + self.cost(size, step(size, here, toward), rest);
+        let toward = self.toward_nearest(here, rest);
+        let worm = 1 + self.cost(step(self.size, here, toward), rest);
         (tree, worm)
+    }
+
+    /// The XY port toward the nearest destination of `rest` (ties broken
+    /// toward the lowest index), which a merged worm heads for first.
+    fn toward_nearest(&self, here: usize, rest: DestSet) -> Port {
+        let rings = &self.rings[here * self.ring_count..][..self.ring_count];
+        let nearest = rings
+            .iter()
+            .map(|ring| ring.bits() & rest.bits())
+            .find(|&hit| hit != 0)
+            .expect("rest is a non-empty set of endpoints")
+            .trailing_zeros() as usize;
+        route_port(self.size, router_id(self.size, here), nearest)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn size4() -> MeshSize {
@@ -218,7 +278,7 @@ mod tests {
             steps += 1;
             assert!(steps < 10_000, "partition walk does not converge");
             let parts = match dpm.as_deref_mut() {
-                Some(planner) => planner.partition(size, here, branch),
+                Some(planner) => planner.partition(here, branch),
                 None => tree_partition(size, here, branch),
             };
             let mut rebuilt = DestSet::EMPTY;
@@ -269,33 +329,117 @@ mod tests {
         assert_eq!(shared, 3 + 1, "prefix 0→3 shared, one extra hop to 7");
     }
 
+    /// The nearest remaining destination (ties broken toward the lowest
+    /// index), which a merged worm heads for first.
+    fn greedy_target(size: MeshSize, here: usize, rest: DestSet) -> usize {
+        let mut best = usize::MAX;
+        let mut best_hops = usize::MAX;
+        for dest in rest.iter() {
+            let hops = size.hops(here, dest);
+            if hops < best_hops {
+                best_hops = hops;
+                best = dest;
+            }
+        }
+        best
+    }
+
+    /// The planner before its tables, kept as the reference: the same
+    /// recursion, an unbounded map memo (one entry per `(here, rest)` it
+    /// ever planned), the XY split by [`tree_partition`] and the greedy
+    /// target by a scan.
+    #[derive(Default)]
+    struct ReferencePlanner {
+        memo: BTreeMap<(usize, u64), u64>,
+    }
+
+    impl ReferencePlanner {
+        fn cost(&mut self, size: MeshSize, here: usize, branch: DestSet) -> u64 {
+            let mut rest = branch;
+            rest.remove(here);
+            if rest.is_empty() {
+                return 0;
+            }
+            if let Some(&cached) = self.memo.get(&(here, rest.bits())) {
+                return cached;
+            }
+            let (tree, worm) = self.candidates(size, here, rest);
+            let best = tree.min(worm);
+            self.memo.insert((here, rest.bits()), best);
+            best
+        }
+
+        fn partition(&mut self, size: MeshSize, here: usize, branch: DestSet) -> [DestSet; 5] {
+            let mut parts = tree_partition(size, here, branch);
+            let mut rest = branch;
+            rest.remove(here);
+            if rest.len() < 2 {
+                return parts; // nothing to merge
+            }
+            let (tree, worm) = self.candidates(size, here, rest);
+            if worm < tree {
+                let merged =
+                    route_port(size, router_id(size, here), greedy_target(size, here, rest));
+                for port in [Port::North, Port::South, Port::East, Port::West] {
+                    parts[port.index()] = DestSet::EMPTY;
+                }
+                parts[merged.index()] = rest;
+            }
+            parts
+        }
+
+        fn candidates(&mut self, size: MeshSize, here: usize, rest: DestSet) -> (u64, u64) {
+            let parts = tree_partition(size, here, rest);
+            let mut tree = 0u64;
+            for port in [Port::North, Port::South, Port::East, Port::West] {
+                let part = parts[port.index()];
+                if !part.is_empty() {
+                    tree += 1 + self.cost(size, step(size, here, port), part);
+                }
+            }
+            let toward = route_port(size, router_id(size, here), greedy_target(size, here, rest));
+            let worm = 1 + self.cost(size, step(size, here, toward), rest);
+            (tree, worm)
+        }
+    }
+
+    /// Every router × every destination subset of at most four endpoints,
+    /// on a square and a non-square mesh, through one planner per mesh
+    /// (so its memo table evicts and its tag check decides hits): the
+    /// tables give the reference's split, cost and partition; walking the
+    /// partitions pays exactly the planned cost; and DPM never pays more
+    /// links than the XY tree.
     #[test]
-    fn dpm_cost_never_exceeds_tree_cost() {
-        let s = size4();
-        let mut dpm = DpmPlanner::new();
-        let cases: &[&[usize]] = &[
-            &[15],
-            &[3, 12],
-            &[1, 4, 5],
-            &[2, 7, 8, 13],
-            &[0, 3, 12, 15],
-            &[1, 2, 3, 5, 6, 7, 9, 10, 11],
-            &[4, 6, 9, 11, 14],
-        ];
-        for dests in cases {
-            for source in 0..s.endpoints() {
-                let branch = set(dests);
-                let tree = walk(s, None, source, branch);
-                let merged = walk(s, Some(&mut dpm), source, branch);
-                assert!(
-                    merged <= tree,
-                    "DPM ({merged}) beat by tree ({tree}) from {source} to {branch}"
-                );
-                assert_eq!(
-                    merged,
-                    dpm.cost(s, source, branch),
-                    "walked links must equal planned cost from {source}"
-                );
+    fn dpm_equals_the_reference_on_every_small_destination_set() {
+        for (cols, rows) in [(4, 4), (4, 2)] {
+            let s = MeshSize::new(cols, rows).unwrap();
+            let n = s.endpoints();
+            let sets: Vec<DestSet> = (0u64..1 << n)
+                .filter(|bits| bits.count_ones() <= 4)
+                .map(DestSet::from_bits)
+                .collect();
+            let mut dpm = DpmPlanner::new(s);
+            let mut reference = ReferencePlanner::default();
+            for source in 0..n {
+                for &branch in &sets {
+                    let at = format!("{s} from {source} to {branch}");
+                    assert_eq!(
+                        dpm.split(source, branch),
+                        tree_partition(s, source, branch),
+                        "{at}"
+                    );
+                    let cost = dpm.cost(source, branch);
+                    assert_eq!(cost, reference.cost(s, source, branch), "cost {at}");
+                    assert_eq!(
+                        dpm.partition(source, branch),
+                        reference.partition(s, source, branch),
+                        "partition {at}"
+                    );
+                    let tree = walk(s, None, source, branch);
+                    let merged = walk(s, Some(&mut dpm), source, branch);
+                    assert!(merged <= tree, "DPM ({merged}) beat by tree ({tree}) {at}");
+                    assert_eq!(merged, cost, "walked links must equal planned cost {at}");
+                }
             }
         }
     }
@@ -303,14 +447,14 @@ mod tests {
     #[test]
     fn dpm_merges_collinear_destinations() {
         let s = size4();
-        let mut dpm = DpmPlanner::new();
+        let mut dpm = DpmPlanner::new(s);
         // 1=(1,0) and 14=(2,3) from 0: the tree forks east + south at the
         // source (cost 1 + 5); merging through the near destination first
         // is not cheaper here, but a chain 1=(1,0), 5=(1,1), 13=(1,3) is
         // one straight worm after the first hop.
         let chain = set(&[1, 5, 13]);
-        assert_eq!(dpm.cost(s, 0, chain), 4, "east then straight south");
-        let parts = dpm.partition(s, 1, set(&[5, 13]));
+        assert_eq!(dpm.cost(0, chain), 4, "east then straight south");
+        let parts = dpm.partition(1, set(&[5, 13]));
         assert_eq!(parts[Port::South.index()], set(&[5, 13]), "merged worm");
     }
 }

@@ -12,7 +12,9 @@
 //! credits, transmit FIFO heads (VC + switch allocation), drain arrived
 //! flits into FIFOs, and return credits upstream — because progress in
 //! one phase (a pop freeing a FIFO slot) can enable another within the
-//! same wakeup without generating an engine event.
+//! same wakeup without generating an engine event. Each phase visits
+//! only the `(port, vc)` slots a mask marks as having work; the router
+//! that launches a flit or a credit sets the receiver's bit.
 //!
 //! Multicast forks are atomic: a header forwards only when *every*
 //! branch of its scheme partition is ready (output VC unowned, credits
@@ -31,7 +33,7 @@ use asynoc_nodes::FlitClass;
 use asynoc_packet::{DestSet, Flit, FlitKind};
 use asynoc_stats::Phases;
 
-use crate::scheme::{tree_partition, DpmPlanner, McastScheme};
+use crate::scheme::{DpmPlanner, McastScheme};
 
 /// Virtual channels per link.
 pub const VC_COUNT: usize = 2;
@@ -41,6 +43,27 @@ pub const VC_DEPTH: usize = 8;
 const PORTS: usize = 5;
 const LOCAL: usize = 4; // Port::Local.index()
 const SLOTS: usize = PORTS * VC_COUNT;
+
+/// The mask bit of slot `(port, vc)`.
+const fn bit(port: usize, vc: usize) -> u16 {
+    1 << (port * VC_COUNT + vc)
+}
+
+/// The set bits of `mask`, lowest first.
+fn set_bits(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let at = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            at
+        })
+    })
+}
+
+/// The `(port, vc)` slots set in `mask`, lowest bit first.
+fn slots(mask: u16) -> impl Iterator<Item = (usize, usize)> {
+    set_bits(mask).map(|slot| (slot / VC_COUNT, slot % VC_COUNT))
+}
 
 /// Credit-return wire flight (downstream router → upstream counter). The
 /// credit loop's two delays come on top of the fabric's
@@ -151,7 +174,9 @@ impl RouteBranches {
     }
 }
 
-/// Per-router state: input FIFOs, credit counters, worm bookkeeping.
+/// Per-router state: input FIFOs, credit counters, worm bookkeeping,
+/// and the slot masks (bit `port * VC_COUNT + vc`) that say where the
+/// four phases of `fire` have work.
 #[derive(Debug)]
 struct RouterState {
     /// Input FIFOs, `[in port][vc]` (Local uses VC 0 only).
@@ -172,10 +197,20 @@ struct RouterState {
     next_fire: [Time; PORTS],
     /// Round-robin start slot for the input scan.
     prefer: usize,
+    /// Input FIFOs that are not empty.
+    queued: u16,
+    /// Inputs with a data flit launched toward them and not yet drained.
+    inbound: u16,
+    /// Outputs with a credit flying back to them.
+    returning: u16,
+    /// Inputs owing credits upstream.
+    owing: u16,
+    /// The router through each neighbor port (`Grid::ABSENT` at an edge).
+    neighbor: [usize; LOCAL],
 }
 
 impl RouterState {
-    fn new() -> Self {
+    fn new(neighbor: [usize; LOCAL]) -> Self {
         RouterState {
             fifo: std::array::from_fn(|_| std::array::from_fn(|_| VecDeque::new())),
             credits: [[VC_DEPTH as u8; VC_COUNT]; PORTS],
@@ -185,6 +220,11 @@ impl RouterState {
             owner: [[None; VC_COUNT]; PORTS],
             next_fire: [Time::ZERO; PORTS],
             prefer: 0,
+            queued: 0,
+            inbound: 0,
+            returning: 0,
+            owing: 0,
+            neighbor,
         }
     }
 }
@@ -199,11 +239,7 @@ pub struct VcRouter {
     mcast: McastScheme,
     phases: Phases,
     state: Vec<RouterState>,
-    dpm: DpmPlanner,
-    /// Ledger: flits launched but not yet drained, per data channel.
-    data_in_flight: Vec<u32>,
-    /// Ledger: credits launched but not yet absorbed, per credit channel.
-    credit_in_flight: Vec<u32>,
+    planner: DpmPlanner,
     section: VcSection,
 }
 
@@ -214,10 +250,10 @@ impl VcRouter {
     /// VC when this router is itself a delivery point, so a merged
     /// worm's post-delivery segment — the spot where DPM's path can
     /// break XY order — continues on the other VC.
-    fn plan(&mut self, size: MeshSize, r: usize, branch: DestSet, in_vc: usize) -> RouteBranches {
+    fn plan(&mut self, r: usize, branch: DestSet, in_vc: usize) -> RouteBranches {
         let parts = match self.mcast {
-            McastScheme::XyTree => tree_partition(size, r, branch),
-            McastScheme::Dpm => self.dpm.partition(size, r, branch),
+            McastScheme::XyTree => self.planner.split(r, branch),
+            McastScheme::Dpm => self.planner.partition(r, branch),
         };
         let out_vc = if self.mcast == McastScheme::Dpm && branch.contains(r) {
             (in_vc + 1) % VC_COUNT
@@ -241,36 +277,37 @@ impl VcRouter {
 
     fn receive_credits(&mut self, grid: &Grid, r: usize, ctx: &mut impl Ctx<usize>) -> bool {
         let mut progress = false;
-        for (p, &link) in grid.link_out(r)[..LOCAL].iter().enumerate() {
-            if link == Grid::ABSENT {
+        let out = grid.link_out(r);
+        for (p, v) in slots(self.state[r].returning) {
+            let ch = out[p] + VC_COUNT + v;
+            if ctx.arrived(ch).is_none() {
                 continue;
             }
-            for v in 0..VC_COUNT {
-                let ch = link + VC_COUNT + v;
-                if ctx.arrived(ch).is_none() {
-                    continue;
-                }
-                let _credit = ctx.take_arrived(ch);
-                ctx.free_after(ch, CREDIT_ACK);
-                self.credit_in_flight[ch] -= 1;
-                let credits = &mut self.state[r].credits[p][v];
-                *credits += 1;
-                debug_assert!(
-                    *credits as usize <= VC_DEPTH,
-                    "credit counter overran the pool at router {r}"
-                );
-                progress = true;
-            }
+            let _credit = ctx.take_arrived(ch);
+            ctx.free_after(ch, CREDIT_ACK);
+            self.state[r].returning &= !bit(p, v);
+            let credits = &mut self.state[r].credits[p][v];
+            *credits += 1;
+            debug_assert!(
+                *credits as usize <= VC_DEPTH,
+                "credit counter overran the pool at router {r}"
+            );
+            progress = true;
         }
         progress
     }
 
     /// VC + switch allocation over the FIFO heads, round-robin across
-    /// the ten `(in port, vc)` slots.
+    /// the ten `(in port, vc)` slots. Only the non-empty ones are tried:
+    /// nothing fills a FIFO here and only a slot's own pop can empty it,
+    /// so the mask read once names exactly the heads a full scan would.
     fn transmit(&mut self, grid: &Grid, r: usize, ctx: &mut impl Ctx<usize>) -> bool {
         let mut progress = false;
         let start = self.state[r].prefer;
-        for k in 0..SLOTS {
+        let queued = self.state[r].queued;
+        // Rotated so that bit k is slot `start + k`: the scan's order.
+        let rotated = (queued >> start | queued << (SLOTS - start)) & ((1 << SLOTS) - 1);
+        for k in set_bits(rotated) {
             let slot = (start + k) % SLOTS;
             if self.try_forward(grid, r, slot / VC_COUNT, slot % VC_COUNT, ctx) {
                 self.state[r].prefer = (slot + 1) % SLOTS;
@@ -302,7 +339,7 @@ impl VcRouter {
                 // Injected packets pick their starting VC by packet-id
                 // parity, spreading load across both VC planes.
                 let in_vc = if p == LOCAL { id_bit % VC_COUNT } else { v };
-                self.plan(grid.size(), r, branch, in_vc)
+                self.plan(r, branch, in_vc)
             }
             (false, Some(route)) => route,
             (got_header, _) => unreachable!(
@@ -358,6 +395,9 @@ impl VcRouter {
         }
 
         let flit = self.state[r].fifo[p][v].pop_front().expect("head checked");
+        if self.state[r].fifo[p][v].is_empty() {
+            self.state[r].queued &= !bit(p, v);
+        }
         let class = FlitClass::of(kind);
         let timing = grid.timing();
         let measured = self.phases.in_measurement(flit.descriptor().created_at());
@@ -374,7 +414,8 @@ impl VcRouter {
             ctx.launch(ch, flit.with_branch(part), flight);
             if po != LOCAL {
                 self.state[r].credits[po][vo] -= 1;
-                self.data_in_flight[ch] += 1;
+                let nb = self.state[r].neighbor[po];
+                self.state[nb].inbound |= bit(po ^ 1, vo);
                 if kind.is_header() && measured {
                     self.section.link_traversals += 1;
                 }
@@ -398,87 +439,88 @@ impl VcRouter {
         if p != LOCAL {
             // The pop freed a FIFO slot: owe the upstream router a credit.
             self.state[r].owed[p][v] += 1;
+            self.state[r].owing |= bit(p, v);
             self.state[r].token[p][v] = Some(flit);
         }
         true
     }
 
+    /// Drains arrived flits: the neighbor inputs with a flit on the wire,
+    /// then the injection channel, which sources launch into unmarked.
     fn drain_inputs(&mut self, grid: &Grid, r: usize, ctx: &mut impl Ctx<usize>) -> bool {
         let mut progress = false;
-        for (p, &link) in grid.link_in(r).iter().enumerate() {
-            if link == Grid::ABSENT {
+        let link_in = grid.link_in(r);
+        for (p, v) in slots(self.state[r].inbound).chain([(LOCAL, 0)]) {
+            let ch = link_in[p] + v;
+            if ctx.arrived(ch).is_none() {
                 continue;
             }
-            let vcs = if p == LOCAL { 1 } else { VC_COUNT };
-            for v in 0..vcs {
-                let ch = link + v;
-                if ctx.arrived(ch).is_none() {
-                    continue;
-                }
-                if self.state[r].fifo[p][v].len() >= VC_DEPTH {
-                    // Only the creditless injection channel may back up;
-                    // neighbor links never overrun their credit pool.
-                    debug_assert!(p == LOCAL, "credit overrun on a neighbor link at {r}");
-                    continue;
-                }
-                let flit = ctx.take_arrived(ch);
-                let class = FlitClass::of(flit.kind());
-                ctx.free_after(ch, grid.timing().router.free_delay(class));
-                if p != LOCAL {
-                    self.data_in_flight[ch] -= 1;
-                }
-                self.state[r].fifo[p][v].push_back(flit);
-                if ctx.in_window() {
-                    let depth = self.state[r].fifo[p][v].len() as u64;
-                    self.section.vc_pushes[v] += 1;
-                    self.section.vc_peak[v] = self.section.vc_peak[v].max(depth);
-                }
-                progress = true;
+            let state = &mut self.state[r];
+            if state.fifo[p][v].len() >= VC_DEPTH {
+                // Only the creditless injection channel may back up;
+                // neighbor links never overrun their credit pool.
+                debug_assert!(p == LOCAL, "credit overrun on a neighbor link at {r}");
+                continue;
             }
+            let flit = ctx.take_arrived(ch);
+            let class = FlitClass::of(flit.kind());
+            ctx.free_after(ch, grid.timing().router.free_delay(class));
+            state.inbound &= !bit(p, v);
+            state.queued |= bit(p, v);
+            state.fifo[p][v].push_back(flit);
+            if ctx.in_window() {
+                let depth = state.fifo[p][v].len() as u64;
+                self.section.vc_pushes[v] += 1;
+                self.section.vc_peak[v] = self.section.vc_peak[v].max(depth);
+            }
+            progress = true;
         }
         progress
     }
 
     fn return_credits(&mut self, grid: &Grid, r: usize, ctx: &mut impl Ctx<usize>) -> bool {
         let mut progress = false;
-        for (p, &link) in grid.link_in(r)[..LOCAL].iter().enumerate() {
-            if link == Grid::ABSENT {
-                continue;
+        let link_in = grid.link_in(r);
+        for (p, v) in slots(self.state[r].owing) {
+            let ch = link_in[p] + VC_COUNT + v;
+            if !ctx.is_free(ch) {
+                continue; // the channel's free event re-fires us
             }
-            for v in 0..VC_COUNT {
-                let ch = link + VC_COUNT + v;
-                if self.state[r].owed[p][v] == 0 || !ctx.is_free(ch) {
-                    continue; // the channel's free event re-fires us
-                }
-                let token = self.state[r].token[p][v]
-                    .expect("an owed credit implies a previously popped flit");
-                ctx.launch(ch, token, CREDIT_FLIGHT);
-                self.state[r].owed[p][v] -= 1;
-                self.credit_in_flight[ch] += 1;
-                progress = true;
+            let state = &mut self.state[r];
+            let token = state.token[p][v].expect("an owed credit implies a previously popped flit");
+            ctx.launch(ch, token, CREDIT_FLIGHT);
+            state.owed[p][v] -= 1;
+            if state.owed[p][v] == 0 {
+                state.owing &= !bit(p, v);
             }
+            let nb = state.neighbor[p];
+            self.state[nb].returning |= bit(p ^ 1, v);
+            progress = true;
         }
         progress
     }
 
-    /// Serial-run invariant: for every output link and VC, the credit
-    /// pool splits exactly into free credits + flits in flight + flits
-    /// buffered downstream + credits owed + credits in flight back.
-    fn audit_credits(&mut self, grid: &Grid, r: usize) {
-        for (p, &link) in grid.link_out(r)[..LOCAL].iter().enumerate() {
-            let Some(nb) = grid.neighbor(r, p) else {
+    /// Invariant checked at every firing: for every output link and VC,
+    /// the credit pool splits exactly into free credits + flits in
+    /// flight + flits buffered downstream + credits owed + credits in
+    /// flight back. A channel holds at most one flit, so the in-flight
+    /// terms are the `inbound` and `returning` bits.
+    fn audit_credits(&mut self, r: usize) {
+        let here = &self.state[r];
+        for (p, &nb) in here.neighbor.iter().enumerate() {
+            if nb == Grid::ABSENT {
                 continue;
-            };
+            }
             // The neighbor receives the link on the opposite port, which
             // the dense N, S, E, W order pairs up as 0/1 and 2/3.
             let q = p ^ 1;
-            debug_assert_eq!(grid.link_in(nb)[q], link);
+            let far = &self.state[nb];
             for v in 0..VC_COUNT {
-                let total = u32::from(self.state[r].credits[p][v])
-                    + self.data_in_flight[link + v]
-                    + self.state[nb].fifo[q][v].len() as u32
-                    + u32::from(self.state[nb].owed[q][v])
-                    + self.credit_in_flight[link + VC_COUNT + v];
+                let total = u32::from(here.credits[p][v])
+                    + u32::from(far.inbound & bit(q, v) != 0)
+                    + far.fifo[q][v].len() as u32
+                    + u32::from(far.owed[q][v])
+                    + u32::from(here.returning & bit(p, v) != 0);
                 self.section.credit_checks += 1;
                 if total != VC_DEPTH as u32 {
                     self.section.credit_violations += 1;
@@ -498,15 +540,20 @@ impl Router for VcRouter {
     const SERIALIZES_MULTICAST: bool = false;
 
     fn new(grid: &Grid, mcast: &McastScheme, run: &RunConfig) -> Self {
+        let neighbors = |r: usize| {
+            std::array::from_fn(|p| {
+                let nb = grid.neighbor(r, p).unwrap_or(Grid::ABSENT);
+                debug_assert!(nb == Grid::ABSENT || grid.link_in(nb)[p ^ 1] == grid.link_out(r)[p]);
+                nb
+            })
+        };
         VcRouter {
             mcast: *mcast,
             phases: run.phases(),
             state: (0..grid.size().endpoints())
-                .map(|_| RouterState::new())
+                .map(|r| RouterState::new(neighbors(r)))
                 .collect(),
-            dpm: DpmPlanner::new(),
-            data_in_flight: vec![0; grid.channels()],
-            credit_in_flight: vec![0; grid.channels()],
+            planner: DpmPlanner::new(grid.size()),
             section: VcSection::default(),
         }
     }
@@ -525,7 +572,7 @@ impl Router for VcRouter {
                 break;
             }
         }
-        self.audit_credits(grid, router);
+        self.audit_credits(router);
     }
 
     fn section(self) -> VcSection {

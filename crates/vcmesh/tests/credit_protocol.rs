@@ -3,12 +3,13 @@
 //! Three invariants, checked across ten seeds (and the first two across
 //! both multicast schemes):
 //!
-//! 1. **Credits never go negative and are conserved.** The router's
-//!    serial-mode ledger audits every credit decrement against the
-//!    receiver's free-slot count; `credit_checks` counts the audits and
-//!    `credit_violations` the failures. (Debug builds also back this
-//!    with `debug_assert!`s inside the switch-allocation path, so a
-//!    violation aborts the test binary outright.)
+//! 1. **Credits never go negative and are conserved.** Once per firing
+//!    the router audits that every output VC's credit pool splits
+//!    exactly into free credits, flits on the wire, flits buffered
+//!    downstream, credits owed and credits flying back; `credit_checks`
+//!    counts the audits and `credit_violations` the failures. (Debug
+//!    builds also back this with `debug_assert!`s on the credit counter
+//!    and the FIFO depth, so an overrun aborts the test binary outright.)
 //! 2. **No VC deadlock under random multicast traffic.** Every injected
 //!    packet must finish draining before the engine's hard cap — a
 //!    cyclic VC dependency would strand flits and show up as
@@ -50,17 +51,17 @@ fn network(seed: u64, mcast: McastScheme) -> VcMeshNetwork {
         .expect("config is valid")
 }
 
-/// One run with the credit ledger armed.
+/// One 4x4 Multicast10 run; the credit audit runs at every firing.
 fn run(seed: u64, mcast: McastScheme) -> VcMeshReport {
     network(seed, mcast)
         .run(Benchmark::Multicast10, 0.1, phases())
         .expect("run succeeds")
 }
 
-/// Credits are audited on every grant in serial mode, and the audit
-/// never finds a negative or over-returned credit counter; and random
-/// multicast traffic drains completely under both schemes: no packet is
-/// stranded by a cyclic VC dependency.
+/// Credits are audited at every router firing, and the audit never
+/// finds a pool that does not add up; and random multicast traffic
+/// drains completely under both schemes: no packet is stranded by a
+/// cyclic VC dependency.
 #[test]
 fn credits_are_conserved_and_no_vc_deadlocks_across_seeds() {
     for seed in SEEDS {
@@ -69,7 +70,7 @@ fn credits_are_conserved_and_no_vc_deadlocks_across_seeds() {
             let vc = &report.router;
             assert!(
                 vc.credit_checks > 0,
-                "seed {seed} {mcast}: the ledger never armed"
+                "seed {seed} {mcast}: the credit audit never ran"
             );
             assert_eq!(
                 vc.credit_violations, 0,
