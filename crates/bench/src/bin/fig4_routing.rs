@@ -5,19 +5,18 @@
 //! Usage: `cargo run -p asynoc-bench --bin fig4_routing`
 
 use asynoc::{Architecture, DestSet, MotSize, SpecMap};
-use asynoc_packet::RouteHeader;
-use asynoc_topology::{multicast_route, FanoutChild, FanoutNodeId, OutputPort};
+use asynoc_topology::{FanoutChild, FanoutNodeId, OutputPort};
 
 /// Walks a packet's copies down the fanout tree, printing what every
 /// visited node does. Speculative nodes broadcast (possibly creating
 /// redundant copies); non-speculative nodes obey their routing symbol.
-fn walk(map: &SpecMap, source: usize, header: &RouteHeader) {
+fn walk(map: &SpecMap, source: usize, dests: DestSet) {
     let size = map.size();
     let mut frontier = vec![FanoutNodeId::root(source)];
     while !frontier.is_empty() {
         let mut next = Vec::new();
         for node in frontier {
-            let symbol = header.symbol(node.level, node.index);
+            let symbol = node.symbol_for(size, dests);
             let speculative = map.kind_of(node).is_speculative();
             let action = if speculative {
                 format!("SPECULATIVE: broadcast (true route: {symbol})")
@@ -39,10 +38,9 @@ fn walk(map: &SpecMap, source: usize, header: &RouteHeader) {
                 match node.child(size, port) {
                     FanoutChild::Node(child) => next.push(child),
                     FanoutChild::FaninLeaf { dest, .. } => {
-                        let wanted = header.symbol(node.level, node.index);
                         let delivered = match port {
-                            OutputPort::Top => wanted.wants_top(),
-                            OutputPort::Bottom => wanted.wants_bottom(),
+                            OutputPort::Top => symbol.wants_top(),
+                            OutputPort::Bottom => symbol.wants_bottom(),
                         };
                         debug_assert!(
                             delivered || speculative,
@@ -62,14 +60,11 @@ fn main() {
     let map = SpecMap::preset(Architecture::OptHybridSpeculative, size);
 
     println!("Figure 4(a): unicast packet, source 0 -> D7, hybrid 8x8 network");
-    let unicast = multicast_route(size, 0, DestSet::unicast(7)).expect("valid route");
-    walk(&map, 0, &unicast);
+    walk(&map, 0, DestSet::unicast(7));
     println!();
 
     println!("Figure 4(b): multicast packet, source 0 -> {{D0, D1, D2}}, hybrid 8x8 network");
-    let dests: DestSet = [0usize, 1, 2].into_iter().collect();
-    let multicast = multicast_route(size, 0, dests).expect("valid route");
-    walk(&map, 0, &multicast);
+    walk(&map, 0, [0usize, 1, 2].into_iter().collect());
     println!();
     println!(
         "The speculative root always broadcasts; the copy on the wrong path is \

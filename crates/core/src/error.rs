@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn conversions_wrap_sources() {
-        let t: SimError = TopologyError::EmptyDestinationSet.into();
+        let t: SimError = TopologyError::MixedBaselineKind.into();
         assert!(matches!(t, SimError::Topology(_)));
         assert!(t.source().is_some());
         let t: SimError = TrafficError::ZeroLengthPacket.into();
@@ -84,7 +84,7 @@ mod tests {
             .to_string()
             .contains("-2"));
         assert!(SimError::ZeroLengthPacket.to_string().contains("flit"));
-        assert!(SimError::Topology(TopologyError::EmptyDestinationSet)
+        assert!(SimError::Topology(TopologyError::MixedBaselineKind)
             .to_string()
             .contains("topology"));
     }

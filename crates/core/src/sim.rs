@@ -296,8 +296,8 @@ impl<'a> MotModel<'a> {
         let Some(flit_ref) = ctx.arrived(input) else {
             return;
         };
-        // No header rides the flit: the node reads the symbol the encoder
-        // would have written for it, from the destination set.
+        // No header rides the flit: the node reads its symbol from the
+        // destination set.
         let descriptor = flit_ref.descriptor();
         let node = self.fabric.fanout_coords[flat];
         let mut symbol = node.symbol_for(self.fabric.size, descriptor.dests());

@@ -21,22 +21,6 @@ pub enum TopologyError {
         /// Levels required by the network size.
         required: usize,
     },
-    /// A destination index is outside the network.
-    DestinationOutOfRange {
-        /// The rejected destination.
-        dest: usize,
-        /// The network size.
-        size: usize,
-    },
-    /// A source index is outside the network.
-    SourceOutOfRange {
-        /// The rejected source.
-        source: usize,
-        /// The network size.
-        size: usize,
-    },
-    /// A packet was given an empty destination set.
-    EmptyDestinationSet,
     /// A per-node speculation override names a fanout node that does not
     /// exist in the network.
     NodeOutOfRange {
@@ -85,16 +69,6 @@ impl fmt::Display for TopologyError {
                 f,
                 "speculation map has {provided} levels but the tree has {required}"
             ),
-            TopologyError::DestinationOutOfRange { dest, size } => {
-                write!(
-                    f,
-                    "destination {dest} out of range for {size}x{size} network"
-                )
-            }
-            TopologyError::SourceOutOfRange { source, size } => {
-                write!(f, "source {source} out of range for {size}x{size} network")
-            }
-            TopologyError::EmptyDestinationSet => write!(f, "destination set is empty"),
             TopologyError::NodeOutOfRange {
                 tree,
                 level,
@@ -136,9 +110,6 @@ mod tests {
                 required: 3,
             }
             .to_string(),
-            TopologyError::DestinationOutOfRange { dest: 9, size: 8 }.to_string(),
-            TopologyError::SourceOutOfRange { source: 9, size: 8 }.to_string(),
-            TopologyError::EmptyDestinationSet.to_string(),
             TopologyError::NodeOutOfRange {
                 tree: 0,
                 level: 9,

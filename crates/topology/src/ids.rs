@@ -135,8 +135,8 @@ impl FanoutNodeId {
     /// The routing symbol this node reads for a packet bound to `dests`:
     /// which of its output half-spans hold a destination, and
     /// [`RouteSymbol::Drop`] when its span holds none. This is the one
-    /// spelling of the paper's symbol rule — the encoder writes it into
-    /// the header and the simulated node reads it from the destination set.
+    /// spelling of the paper's symbol rule: the simulated node reads it
+    /// from the packet's destination set instead of a header field.
     #[must_use]
     pub fn symbol_for(self, size: MotSize, dests: DestSet) -> RouteSymbol {
         let (low, high) = self.dest_span(size);
@@ -406,6 +406,88 @@ mod tests {
                 (leaf, input)
             );
         }
+    }
+
+    fn next_rand(state: &mut u64) -> u64 {
+        // SplitMix64: deterministic case generation without external crates.
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The destinations a header bound to `dests` reaches from `source`'s
+    /// root when every node forwards on the outputs its symbol demands.
+    fn delivered(size: MotSize, source: usize, dests: DestSet) -> DestSet {
+        let mut delivered = DestSet::new();
+        let mut stack = vec![FanoutNodeId::root(source)];
+        while let Some(node) = stack.pop() {
+            let symbol = node.symbol_for(size, dests);
+            for (wants, port) in [
+                (symbol.wants_top(), OutputPort::Top),
+                (symbol.wants_bottom(), OutputPort::Bottom),
+            ] {
+                if !wants {
+                    continue;
+                }
+                match node.child(size, port) {
+                    FanoutChild::Node(next) => stack.push(next),
+                    FanoutChild::FaninLeaf { dest, .. } => delivered.insert(dest),
+                }
+            }
+        }
+        delivered
+    }
+
+    /// The symbol rule delivers to exactly the destination set: every
+    /// source × every non-empty destination subset up to 8 × 8, 32 seeded
+    /// cases above.
+    #[test]
+    fn the_symbol_rule_delivers_exactly_the_destination_set() {
+        let mut state = 0xDEAD_BEEFu64;
+        for levels in 1u32..7 {
+            let size = MotSize::new(1usize << levels).unwrap();
+            let n = size.n();
+            let cases: Vec<(usize, DestSet)> = if n <= 8 {
+                (0..n)
+                    .flat_map(|s| (1..1u64 << n).map(move |bits| (s, DestSet::from_bits(bits))))
+                    .collect()
+            } else {
+                (0..32)
+                    .map(|_| {
+                        let source = next_rand(&mut state) as usize % n;
+                        (
+                            source,
+                            DestSet::from_bits(next_rand(&mut state)).restricted_to(0, n),
+                        )
+                    })
+                    .filter(|(_, dests)| !dests.is_empty())
+                    .collect()
+            };
+            for (source, dests) in cases {
+                assert_eq!(delivered(size, source, dests), dests);
+            }
+        }
+    }
+
+    /// Fig 4(b): source 0 multicasts to {0, 1, 2} in an 8×8 network.
+    #[test]
+    fn figure_4b_symbols() {
+        let dests: DestSet = [0usize, 1, 2].into_iter().collect();
+        let symbol = |level, index| {
+            FanoutNodeId {
+                tree: 0,
+                level,
+                index,
+            }
+            .symbol_for(size8(), dests)
+        };
+        assert_eq!(symbol(0, 0), RouteSymbol::Top);
+        assert_eq!(symbol(1, 0), RouteSymbol::Both);
+        assert_eq!(symbol(2, 0), RouteSymbol::Both); // dests 0 and 1
+        assert_eq!(symbol(2, 1), RouteSymbol::Top); // dest 2 only
+        assert_eq!(symbol(1, 1), RouteSymbol::Drop);
     }
 
     #[test]

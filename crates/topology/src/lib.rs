@@ -24,9 +24,7 @@
 //!   configurations and the five node kinds they are built from,
 //! - [`SpecMap`]: the one speculation-placement type — which [`FanoutKind`]
 //!   every fanout node gets, validated, with its node counts and header
-//!   address bits,
-//! - [`route`]: multicast route-symbol computation (the source-routing
-//!   encoder).
+//!   address bits.
 //!
 //! # Examples
 //!
@@ -44,13 +42,11 @@
 pub mod arch;
 pub mod error;
 pub mod ids;
-pub mod route;
 pub mod size;
 pub mod spec;
 
 pub use arch::{Architecture, FanoutKind};
 pub use error::TopologyError;
 pub use ids::{FaninNodeId, FaninParent, FanoutChild, FanoutNodeId, OutputPort};
-pub use route::{multicast_route, unicast_route};
 pub use size::MotSize;
 pub use spec::SpecMap;

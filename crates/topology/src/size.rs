@@ -85,35 +85,6 @@ impl MotSize {
         assert!(level < self.levels(), "level {level} out of range");
         1usize << level
     }
-
-    /// Validates a source index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::SourceOutOfRange`] if `source >= n`.
-    pub fn check_source(self, source: usize) -> Result<(), TopologyError> {
-        if source < self.n {
-            Ok(())
-        } else {
-            Err(TopologyError::SourceOutOfRange {
-                source,
-                size: self.n,
-            })
-        }
-    }
-
-    /// Validates a destination index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::DestinationOutOfRange`] if `dest >= n`.
-    pub fn check_destination(self, dest: usize) -> Result<(), TopologyError> {
-        if dest < self.n {
-            Ok(())
-        } else {
-            Err(TopologyError::DestinationOutOfRange { dest, size: self.n })
-        }
-    }
 }
 
 impl fmt::Display for MotSize {

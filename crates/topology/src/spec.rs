@@ -19,10 +19,9 @@
 //! simulator's fabric builder all hold one, so no placement reaches a
 //! fabric without passing these rules.
 //!
-//! Because route headers are purely structural — one 2-bit symbol slot per
-//! `(level, index)` regardless of node kind, with speculative nodes simply
-//! ignoring theirs — per-node overrides never change header layout, only
-//! throttling behavior and the number of *used* address bits.
+//! A speculative node reads no route symbol, so its 2-bit address field
+//! drops out of the header: a per-node override changes which nodes
+//! throttle and, through the widest tree, [`SpecMap::address_bits`].
 //!
 //! Maps have a canonical text form accepted by the CLI's `--spec-map`:
 //!
@@ -54,8 +53,6 @@
 //! ```
 
 use std::fmt;
-
-use asynoc_packet::coding;
 
 use crate::arch::{Architecture, FanoutKind};
 use crate::error::TopologyError;
@@ -340,7 +337,7 @@ impl SpecMap {
     #[must_use]
     pub fn address_bits(&self) -> usize {
         if self.serializes_multicast() {
-            coding::baseline_address_bits(self.size.n())
+            self.size.levels() as usize
         } else {
             2 * self.non_speculative_nodes()
         }
@@ -444,18 +441,19 @@ mod tests {
                     continue;
                 };
                 legal += 1;
-                let obeying = coding::non_speculative_node_count(n, &flags);
+                // Level l holds 2^l nodes; each obeying one costs 2 bits.
+                let obeying: usize = (0..levels)
+                    .filter(|&l| !flags[l as usize])
+                    .map(|l| 1usize << l)
+                    .sum();
                 assert_eq!(map.non_speculative_nodes(), obeying, "{map}");
                 assert_eq!(map.speculative_nodes(), n - 1 - obeying, "{map}");
-                assert_eq!(
-                    map.address_bits(),
-                    coding::network_address_bits(n, &flags),
-                    "{map}"
-                );
+                assert_eq!(map.address_bits(), 2 * obeying, "{map}");
             }
             assert_eq!(legal, 2 * 4usize.pow(levels - 1), "n={n}");
+            // The serial baseline spends one turn bit per level.
             let serial = SpecMap::preset(Architecture::Baseline, size);
-            assert_eq!(serial.address_bits(), coding::baseline_address_bits(n));
+            assert_eq!(serial.address_bits(), n.trailing_zeros() as usize);
         }
     }
 
