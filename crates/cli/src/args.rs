@@ -826,13 +826,25 @@ fn run(flags: &Flags) -> Parsed<Command> {
         );
     }
     let (arch, spec_map) = flags.placement(true)?;
+    let (benchmark, rate, common) = (
+        flags.required("benchmark")?,
+        flags.required("rate")?,
+        flags.common()?,
+    );
+    if common.seed.checked_add(seeds as u64 - 1).is_none() {
+        return fail(format!(
+            "--seed {} and --seeds {seeds} run past the largest seed {} (seeds are S … S+K−1)",
+            common.seed,
+            u64::MAX
+        ));
+    }
     Ok(Command::Run {
         arch,
         spec_map,
-        benchmark: flags.required("benchmark")?,
-        rate: flags.required("rate")?,
+        benchmark,
+        rate,
         seeds,
-        common: flags.common()?,
+        common,
     })
 }
 
@@ -850,6 +862,11 @@ fn sweep(flags: &Flags) -> Parsed<Command> {
     let from: f64 = flags.required("from")?;
     let to: f64 = flags.required("to")?;
     let steps = at_most("steps", flags.required("steps")?)?;
+    for (key, value) in [("from", from), ("to", to)] {
+        if !value.is_finite() {
+            return fail(format!("--{key} must be finite"));
+        }
+    }
     if !(from > 0.0 && to > from) {
         return fail("sweep requires 0 < --from < --to");
     }
@@ -1033,6 +1050,8 @@ pub(crate) mod tests {
         "run --arch Baseline --benchmark Shuffle --rate 0.2 --size 64 => size: 64",
         "run --arch Baseline --benchmark Shuffle --rate 0.4 --seeds 4 --jobs 4 => seeds: 4, \
          jobs: 4",
+        "run --arch Baseline --benchmark Shuffle --rate 0.4 --seed 18446744073709551615 \
+         => seed: 18446744073709551615, seeds: 1",
         "run --arch Baseline --benchmark Multicast_static --rate 0.2 => benchmark: MulticastStatic",
         "run --spec-map levels:sp,ns,ns --benchmark Multicast10 --rate 0.3 => arch: None, \
          spec_map: Some(\"levels:sp,ns,ns\")",
@@ -1152,12 +1171,16 @@ pub(crate) mod tests {
         "run --arch Baseline --benchmark Shuffle --rate 0.4 --jobs 0 => --jobs must be at least 1",
         "run --arch Baseline --benchmark Shuffle --rate 0.4 --seeds 0 => \
          --seeds must be at least 1",
+        "run --arch Baseline --benchmark Shuffle --rate 0.1 --seeds 2 --seed 18446744073709551615 \
+         => --seed 18446744073709551615 and --seeds 2 run past the largest seed",
         "saturate --arch Baseline --benchmark Hotspot --probe-fan 0 => \
          --probe-fan must be at least 1",
         "sweep --arch Baseline --benchmark Shuffle --from 1.0 --to 0.1 --steps 5 => 0 < --from < \
          --to",
         "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 1.0 --steps 1 => \
          --steps must be at least 2",
+        "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to inf --steps 2 => \
+         --to must be finite",
         "metrics --benchmark Shuffle --rate 0.2 => --arch",
         "metrics --arch Baseline --benchmark Shuffle --rate 0.2 --trace-format ndjson => \
          --trace-format requires --trace-out",

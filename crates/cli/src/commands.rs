@@ -3,7 +3,7 @@
 
 use std::io::{self, Read, Write};
 
-use asynoc::harness::{saturation_of, saturation_of_profiled, Quality, SeedStats};
+use asynoc::harness::{saturation_of, saturation_of_profiled, Quality};
 use asynoc::{
     drive, parallel_map, Architecture, Duration, FanoutKind, MotSize, Network, NetworkConfig,
     Phases, RunConfig, RunReport, SimError, SpecMap,
@@ -207,6 +207,26 @@ pub(crate) fn run_config(
 /// A latency column: the value, or `-` when no packet completed.
 fn or_dash(latency: Option<Duration>) -> String {
     latency.map_or("-".to_string(), |d| d.to_string())
+}
+
+/// Mean ± sample standard deviation over independent seeds.
+struct SeedStats {
+    mean: f64,
+    std_dev: f64,
+}
+
+impl SeedStats {
+    /// Aggregates one sample per seed (`--seeds` is at least 1).
+    fn from_samples(samples: &[f64]) -> Self {
+        let n = samples.len();
+        let mean = samples.iter().sum::<f64>() / n as f64;
+        let std_dev = if n > 1 {
+            (samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1) as f64).sqrt()
+        } else {
+            0.0
+        };
+        SeedStats { mean, std_dev }
+    }
 }
 
 /// `run --seeds K`: replicates one measurement over consecutive seeds,
@@ -621,6 +641,14 @@ mod tests {
          OptHybridSpeculative; OptNonSpeculative; OptAllSpeculative; 20",
         "info --arch OptAllSpeculative => OptAllSpeculative; !BasicNonSpeculative",
     ];
+
+    #[test]
+    fn seed_stats_mean_and_deviation() {
+        let stats = SeedStats::from_samples(&[2.0, 4.0, 6.0]);
+        assert!((stats.mean - 4.0).abs() < 1e-12);
+        assert!((stats.std_dev - 2.0).abs() < 1e-12);
+        assert_eq!(SeedStats::from_samples(&[5.0]).std_dev, 0.0);
+    }
 
     #[test]
     fn every_command_prints_what_it_measured() {

@@ -29,7 +29,7 @@
 //! # Multi-core execution
 //!
 //! Every grid-shaped entry point fans its independent cells (architecture ×
-//! benchmark pairs, seeds, saturation probe points) across OS threads via
+//! benchmark pairs, saturation probe points) across OS threads via
 //! [`asynoc_engine::parallel_map`], controlled by [`Quality::jobs`].
 //! Parallelism is an implementation detail of wall-clock time only: results
 //! are placed by input index and every probe schedule is independent of the
@@ -68,7 +68,7 @@ pub struct Quality {
     /// Affects which rates are probed — deterministically — so it is part
     /// of the experiment definition; `1` reproduces classic bisection.
     pub probe_fan: usize,
-    /// Worker threads for independent cells/seeds/probes. Never affects
+    /// Worker threads for independent cells and probes. Never affects
     /// results, only wall-clock time.
     pub jobs: usize,
 }
@@ -494,90 +494,6 @@ pub fn node_cost_rows() -> Vec<NodeCostRow> {
     TimingModel::calibrated().node_cost_table()
 }
 
-/// Mean ± sample standard deviation over independent seeds.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SeedStats {
-    /// Mean across seeds.
-    pub mean: f64,
-    /// Sample standard deviation across seeds (0 for a single seed).
-    pub std_dev: f64,
-    /// Number of seeds aggregated.
-    pub seeds: usize,
-}
-
-impl SeedStats {
-    /// Aggregates one sample per seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    #[must_use]
-    pub fn from_samples(samples: &[f64]) -> Self {
-        let n = samples.len();
-        assert!(n > 0, "need at least one sample");
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let std_dev = if n > 1 {
-            (samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1) as f64).sqrt()
-        } else {
-            0.0
-        };
-        SeedStats {
-            mean,
-            std_dev,
-            seeds: n,
-        }
-    }
-}
-
-/// Runs one (architecture, benchmark, rate) measurement across several
-/// seeds and aggregates mean latency (ps) and total power (mW).
-///
-/// The paper reports single numbers from one long run; seed-replication
-/// quantifies how much of any observed difference is noise. Returns
-/// `(latency, power)` statistics.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the underlying runs.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-pub fn measure_across_seeds(
-    architecture: Architecture,
-    benchmark: Benchmark,
-    rate_gfs: f64,
-    seeds: &[u64],
-    quality: &Quality,
-) -> Result<(SeedStats, SeedStats), SimError> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let samples = parallel_map(quality.jobs, seeds.to_vec(), |seed| {
-        let network = Network::new(NetworkConfig::eight_by_eight(architecture).with_seed(seed))?;
-        let run =
-            RunConfig::new(benchmark, rate_gfs)?.with_phases(quality.measure_phases_for(benchmark));
-        let report = network.run(&run)?;
-        Ok::<_, SimError>((
-            report
-                .latency
-                .mean()
-                .map(|d| d.as_ps() as f64)
-                .unwrap_or_default(),
-            report.power.total_mw(),
-        ))
-    });
-    let mut latencies = Vec::with_capacity(seeds.len());
-    let mut powers = Vec::with_capacity(seeds.len());
-    for sample in samples {
-        let (latency, power) = sample?;
-        latencies.push(latency);
-        powers.push(power);
-    }
-    Ok((
-        SeedStats::from_samples(&latencies),
-        SeedStats::from_samples(&powers),
-    ))
-}
-
 /// Convenience: one full measurement run (latency + throughput + power).
 ///
 /// # Errors
@@ -621,56 +537,6 @@ mod tests {
             baseline.delivered_gfs,
             nonspec.delivered_gfs
         );
-    }
-
-    #[test]
-    fn seed_stats_mean_and_deviation() {
-        let stats = SeedStats::from_samples(&[2.0, 4.0, 6.0]);
-        assert!((stats.mean - 4.0).abs() < 1e-12);
-        assert!((stats.std_dev - 2.0).abs() < 1e-12);
-        assert_eq!(stats.seeds, 3);
-        let single = SeedStats::from_samples(&[5.0]);
-        assert_eq!(single.std_dev, 0.0);
-    }
-
-    #[test]
-    fn measure_across_seeds_aggregates() {
-        let (latency, power) = measure_across_seeds(
-            Architecture::OptHybridSpeculative,
-            Benchmark::UniformRandom,
-            0.3,
-            &[1, 2, 3],
-            &Quality::quick(),
-        )
-        .expect("runs succeed");
-        assert_eq!(latency.seeds, 3);
-        assert!(latency.mean > 1_000.0, "latency mean {} ps", latency.mean);
-        assert!(latency.std_dev < latency.mean, "noise dominates signal");
-        assert!(power.mean > 1.0);
-    }
-
-    #[test]
-    fn parallel_seeds_match_serial_bitwise() {
-        let serial = measure_across_seeds(
-            Architecture::OptHybridSpeculative,
-            Benchmark::Multicast5,
-            0.25,
-            &[1, 2, 3, 4],
-            &Quality::quick(),
-        )
-        .expect("serial runs succeed");
-        let parallel = measure_across_seeds(
-            Architecture::OptHybridSpeculative,
-            Benchmark::Multicast5,
-            0.25,
-            &[1, 2, 3, 4],
-            &Quality::quick().with_jobs(4),
-        )
-        .expect("parallel runs succeed");
-        // Bit-identical, not approximately equal: the parallel runner must
-        // be indistinguishable from the serial one (PartialEq on f64 fields
-        // compares exact bit patterns for these finite values).
-        assert_eq!(serial, parallel);
     }
 
     #[test]

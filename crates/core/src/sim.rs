@@ -17,11 +17,10 @@
 //! only what is MoT-specific — the fabric wiring, the fanout/fanin firing
 //! rules, and the tree routing — via [`MotModel`], and the [`Substrate`]
 //! contract ([`Network`]'s endpoint count, fault domain, and report
-//! section) the engine's one driver runs it through. Statistics and power
-//! attach as [`Observer`](asynoc_engine::Observer)s (see
-//! [`crate::observers`]); telemetry is one more, a
-//! [`Recorder`](asynoc_telemetry::Recorder) the caller registers, its
-//! nodes placed by [`Network::site_of`].
+//! section) the engine's one driver runs it through. Power attaches as an
+//! [`Observer`](asynoc_engine::Observer) (see [`crate::observers`]);
+//! telemetry is one more, a [`Recorder`](asynoc_telemetry::Recorder) the
+//! caller registers, its nodes placed by [`Network::site_of`].
 
 use std::rc::Rc;
 
@@ -236,11 +235,11 @@ impl Substrate for Network {
         }
     }
 
-    fn prepare(&self, run: &RunConfig) -> (MotModel<'_>, MotProbes<'_>) {
+    fn prepare(&self, _run: &RunConfig) -> (MotModel<'_>, MotProbes<'_>) {
         let timing = self.config.timing();
         (
             MotModel::new(&self.fabric, timing),
-            MotProbes::new(timing, &self.fabric, run),
+            MotProbes::new(timing, &self.fabric),
         )
     }
 
@@ -251,11 +250,10 @@ impl Substrate for Network {
         _model: MotModel<'_>,
         probes: MotProbes<'_>,
     ) -> RunReport {
-        let (ledger, activity) = probes.finish();
+        let ledger = probes.into_ledger();
         RunReport {
             engine,
             power: ledger.report(run.phases().measure(), self.leakage_mw()),
-            activity,
         }
     }
 }
@@ -475,8 +473,11 @@ impl SimModel for MotModel<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::config::{NetworkConfig, RunConfig};
+    use asynoc_telemetry::{Action, RecordSink, Recorder, SpeculationWaste, TraceRecord};
     use asynoc_topology::Architecture;
     use asynoc_traffic::Benchmark;
 
@@ -529,6 +530,18 @@ mod tests {
         assert!(low.power.leakage_mw() > 0.0);
     }
 
+    /// One quick run on `network` whose records `sinks` see.
+    fn recorded_run(
+        network: &Network,
+        benchmark: Benchmark,
+        rate: f64,
+        sinks: Vec<&mut dyn RecordSink>,
+    ) -> RunReport {
+        let mut recorder = Recorder::new(network.site_of(), sinks);
+        let run = RunConfig::quick(benchmark, rate);
+        drive(network, &run, &mut [&mut recorder], None).unwrap()
+    }
+
     /// Redundant copies die at the first non-speculative node: a fanout
     /// level throttles exactly when it obeys its symbols and the level
     /// above it speculates — the paper's "local region" of speculation.
@@ -544,11 +557,16 @@ mod tests {
             let map = asynoc_topology::SpecMap::parse(size, map).unwrap();
             let kinds = map.level_kinds().to_vec();
             let network = Network::new(NetworkConfig::with_spec_map(map).with_seed(42)).unwrap();
-            let report = network
-                .run(&RunConfig::quick(Benchmark::UniformRandom, 0.2))
-                .unwrap();
+            let timing = network.config().timing();
+            let mut waste = SpeculationWaste::new(timing.wire_fj, timing.drop_fj);
+            let report = recorded_run(&network, Benchmark::UniformRandom, 0.2, vec![&mut waste]);
             assert_eq!(report.packets_incomplete, 0, "{kinds:?}");
-            let throttles = report.activity.fanout_level_throttles();
+            let mut throttles = vec![0; kinds.len()];
+            for (label, node) in waste.per_node() {
+                if let Stage::Fanout(level) = label.parse::<Site>().unwrap().stage() {
+                    throttles[level as usize] += node.throttles;
+                }
+            }
             assert_eq!(throttles.iter().sum::<u64>(), report.flits_throttled);
             for (level, &count) in throttles.iter().enumerate() {
                 let region_edge = level > 0
@@ -563,13 +581,44 @@ mod tests {
         }
     }
 
+    /// Fires and busy picoseconds per fanin node over the measurement
+    /// window.
+    #[derive(Default)]
+    struct FaninLoad(HashMap<FaninNodeId, (u64, u64)>);
+
+    impl RecordSink for FaninLoad {
+        fn on_record(&mut self, record: &TraceRecord, in_window: bool) {
+            if let (true, Action::Forward, Site::Fanin { tree, level, index }) =
+                (in_window, record.action, record.site)
+            {
+                let load = self
+                    .0
+                    .entry(FaninNodeId { tree, level, index })
+                    .or_default();
+                *load = (load.0 + 1, load.1 + record.busy_ps);
+            }
+        }
+    }
+
     #[test]
     fn hotspot_activity_concentrates_on_one_fanin_tree() {
-        let report = quick_run(Architecture::Baseline, Benchmark::Hotspot, 0.15);
-        let per_tree = report.activity.fanin_tree_fires();
+        let network =
+            Network::new(NetworkConfig::eight_by_eight(Architecture::Baseline).with_seed(42))
+                .unwrap();
+        let mut load = FaninLoad::default();
+        recorded_run(&network, Benchmark::Hotspot, 0.15, vec![&mut load]);
+        let mut per_tree = vec![0; network.config().size().n()];
+        for (node, (fires, _)) in &load.0 {
+            per_tree[node.tree] += fires;
+        }
         assert!(per_tree[0] > 0);
         assert!(per_tree[1..].iter().all(|&fires| fires == 0));
-        let (busiest, _) = report.activity.busiest_fanin().expect("nodes exist");
+        let busiest = load
+            .0
+            .iter()
+            .max_by_key(|(_, &(_, busy))| busy)
+            .expect("nodes exist")
+            .0;
         assert_eq!(busiest.tree, 0, "hotspot bottleneck must sit in tree 0");
     }
 

@@ -165,8 +165,8 @@ pub trait Substrate {
     where
         Self: 'a;
     /// Observers every run carries ahead of the caller's own and whose
-    /// state feeds the report (the MoT's power and activity
-    /// recorders); `()` for a fabric with none.
+    /// state feeds the report (the MoT's power ledger); `()` for a
+    /// fabric with none.
     type Probes<'a>: Observer<Self::Node>
     where
         Self: 'a;

@@ -130,6 +130,11 @@ fault oracle (vcmesh) | asynoc faults $fvcmesh $pair --report-out 1.json ; has 1
 fault plan outside the fabric is refused | exits 1 asynoc faults $fmot $pair --plan stall:99999:1:10 ; has stderr error: --plan: entry 1
 # saturate probes on its own schedule; a window flag it would ignore is a usage error, not a no-op
 saturate refuses the window flags | exits 2 asynoc saturate --arch Baseline --benchmark Shuffle --quick --measure-ns 3 ; has stderr error:
+# every seed S … S+K−1 of run --seeds must exist and a sweep's ends must be finite: both are usage
+# errors, refused before anything reaches stdout
+run refuses seeds past the largest u64 | exits 2 asynoc run --arch Baseline --benchmark Shuffle --rate 0.1 --measure-ns 100 --seeds 2 --seed 18446744073709551615 ;\
+ has stderr error: --seed 18446744073709551615 and --seeds 2
+sweep refuses an infinite --to | exits 2 asynoc sweep --arch Baseline --benchmark Shuffle --from 0.1 --to inf --steps 2 ; has stderr error: --to must be finite
 # 900 000 events a twin: the oracle judges from the stream and keeps no trace, so its verdict
 # holds however long the run is (it kept 500 000 records once, and was wrong past them)
 fault oracle past the old trace cap | asynoc faults --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 --plan lose:0:2000 --oracle --measure-ns 60000 --report-out r.json ;\

@@ -5,8 +5,9 @@
 //! seeded sample of the parameter space so the suite builds offline with
 //! zero external dependencies and fails reproducibly.
 
-use asynoc::{Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
+use asynoc::{drive, Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
 use asynoc_kernel::SimRng;
+use asynoc_telemetry::{Recorder, SpeculationWaste};
 
 fn benchmarks() -> Vec<Benchmark> {
     Benchmark::ALL
@@ -50,7 +51,10 @@ fn light_load_invariants() {
         let run = RunConfig::new(benchmark, rate)
             .expect("positive rate")
             .with_phases(Phases::new(Duration::from_ns(60), Duration::from_ns(500)));
-        let report = network.run(&run).expect("run succeeds");
+        let timing = network.config().timing();
+        let mut waste = SpeculationWaste::new(timing.wire_fj, timing.drop_fj);
+        let mut recorder = Recorder::new(network.site_of(), vec![&mut waste]);
+        let report = drive(&network, &run, &mut [&mut recorder], None).expect("run succeeds");
 
         assert_eq!(
             report.packets_incomplete, 0,
@@ -76,9 +80,8 @@ fn light_load_invariants() {
                 "{arch} cannot throttle without speculative nodes"
             );
         }
-        // Activity bookkeeping is consistent with the headline counters.
-        let throttles: u64 = report.activity.fanout_level_throttles().iter().sum();
-        assert_eq!(throttles, report.flits_throttled);
+        // The telemetry waste ledger holds the engine's throttle counter.
+        assert_eq!(waste.total_throttles(), report.flits_throttled);
         // Power must include leakage and scale sanely.
         assert!(report.power.total_mw() > network.leakage_mw());
     }
