@@ -1,4 +1,4 @@
-//! The four speed claims that are quotients taken inside one process,
+//! The three speed claims that are quotients taken inside one process,
 //! and therefore hold still on a host whose speed does not:
 //!
 //! - the calendar queue is ≥ 1.3× its binary-heap reference under the
@@ -6,15 +6,13 @@
 //! - it is ≥ 1.8× the heap under an engine-shaped hold: depth 64, every
 //!   gap one of the fabric's stage delays or, one time in 20, a source's
 //!   next injection;
-//! - a profiled run (`RunConfig::with_profile`, the CLI's `--profile`)
-//!   costs ≤ 1.05× the bare run;
 //! - a run threading a disarmed fault table costs ≤ 1.05× a run with none.
 //!
 //! Each is judged on the median of [`ROUNDS`] paired-round quotients
 //! (`asynoc_bench::ratio`). Every absolute time — ns per event, per hold,
 //! per record — is `benchmark/run.sh`'s to report, with host-speed scaling
 //! behind it. This is a bench target and not a test because a debug build
-//! measures a different program (profile overhead 1.10×, calendar 4.2×).
+//! measures a different program (calendar 4.2×).
 //!
 //! `cargo bench -p asynoc-bench --bench ratios` takes no arguments and
 //! exits non-zero when a gate fails.
@@ -27,9 +25,8 @@ use asynoc_engine::ArmedFaults;
 use asynoc_kernel::{CalendarQueue, EventQueue, SimRng, Time};
 
 /// Paired rounds per gate. In a noisy quarter-hour single quotients of the
-/// two ≤ 1.05 gates spread ±0.05, so 40 rounds left the median ±0.02 —
-/// within reach of the bound from the disarmed hooks' true 1.02; 100 halve
-/// that.
+/// ≤ 1.05 gate spread ±0.05, so 40 rounds left the median ±0.02 — within
+/// reach of the bound from the disarmed hooks' true 1.02; 100 halve that.
 const ROUNDS: usize = 100;
 
 /// The deep operating point of engine runs (a 64×64 substrate keeps a few
@@ -158,22 +155,11 @@ fn main() {
     let bare = RunConfig::new(Benchmark::Multicast10, 0.3)
         .expect("positive rate")
         .with_phases(Phases::new(Duration::from_ns(40), Duration::from_ns(3_200)));
-    let profiled = bare.clone().with_profile(true);
     let events = network.run(&bare).expect("run succeeds").events_processed;
     let run_bare = || {
         black_box(network.run(&bare).expect("run succeeds"));
     };
 
-    let profile = paired_rounds(
-        ROUNDS,
-        || {
-            let report = network.run(&profiled).expect("run succeeds");
-            assert!(report.profile.is_some(), "profile was collected");
-            assert_eq!(report.events_processed, events);
-            black_box(report);
-        },
-        run_bare,
-    );
     let disarmed = paired_rounds(
         ROUNDS,
         || {
@@ -196,7 +182,6 @@ fn main() {
             Bound::AtLeast(1.8),
             &engine_shaped,
         ),
-        judge("profiled run / bare run", Bound::AtMost(1.05), &profile),
         judge(
             "disarmed fault hooks / none",
             Bound::AtMost(1.05),

@@ -82,9 +82,11 @@ fn main() {
     for benchmark in [Benchmark::Shuffle, Benchmark::Multicast10] {
         let sat_with = saturation_of(&with_fast_path, benchmark, &quality)
             .expect("run succeeds")
+            .0
             .delivered_gfs;
         let sat_without = saturation_of(&without_fast_path, benchmark, &quality)
             .expect("run succeeds")
+            .0
             .delivered_gfs;
         println!(
             "  {benchmark}: saturation {sat_with:.2} GF/s with pre-allocation, \
@@ -139,9 +141,11 @@ fn main() {
     for benchmark in [Benchmark::Shuffle, Benchmark::Multicast10] {
         let sat2 = saturation_of(&two_phase, benchmark, &quality)
             .expect("run succeeds")
+            .0
             .delivered_gfs;
         let sat4 = saturation_of(&four_phase, benchmark, &quality)
             .expect("run succeeds")
+            .0
             .delivered_gfs;
         println!(
             "  {benchmark}: two-phase {sat2:.2} GF/s vs four-phase {sat4:.2} GF/s ({:+.0}%)",

@@ -14,10 +14,7 @@ use asynoc_vcmesh::{McastScheme, VcMeshNetwork};
 
 fn holds<S: Substrate>(net: &S, site_of: SiteOf<S::Node>) {
     let run = RunConfig::quick(Benchmark::UniformRandom, 0.1);
-    assert!(
-        !run.profile() && !run.progress(),
-        "a default run is unprofiled"
-    );
+    assert!(!run.progress(), "a default run draws no heartbeat");
 
     // Fault plans index channels and endpoints of the model that runs.
     let (model, _probes) = net.prepare(&run);
@@ -37,8 +34,9 @@ fn holds<S: Substrate>(net: &S, site_of: SiteOf<S::Node>) {
     )
     .expect("run succeeds");
     assert_eq!(report.latency, *online.overall());
-    assert!(report.profile.is_none());
     assert!(report.packets_measured > 0);
+    // Every run profiles itself: the per-kind counts sum to the events run.
+    assert_eq!(report.profile.kinds.total(), report.events_processed);
 }
 
 #[test]

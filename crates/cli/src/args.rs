@@ -723,6 +723,22 @@ impl Flags {
         self.get(key)?.ok_or_else(missing)
     }
 
+    /// `--rate` in flits/ns per source, if given: positive and finite.
+    fn rate(&self) -> Parsed<Option<f64>> {
+        match self.get::<f64>("rate")? {
+            Some(rate) if !(rate > 0.0 && rate.is_finite()) => {
+                fail(format!("--rate {rate} must be positive and finite"))
+            }
+            value => Ok(value),
+        }
+    }
+
+    /// The required `--rate`.
+    fn required_rate(&self) -> Parsed<f64> {
+        let missing = || ParseCliError::new("missing required option --rate");
+        self.rate()?.ok_or_else(missing)
+    }
+
     /// A simulated-time flag in nanoseconds, `min..=MAX_NS`.
     fn ns(&self, key: &str, min: u64) -> Parsed<Option<u64>> {
         match self.get(key)? {
@@ -828,7 +844,7 @@ fn run(flags: &Flags) -> Parsed<Command> {
     let (arch, spec_map) = flags.placement(true)?;
     let (benchmark, rate, common) = (
         flags.required("benchmark")?,
-        flags.required("rate")?,
+        flags.required_rate()?,
         flags.common()?,
     );
     if common.seed.checked_add(seeds as u64 - 1).is_none() {
@@ -886,7 +902,7 @@ fn sweep(flags: &Flags) -> Parsed<Command> {
 fn mesh(flags: &Flags) -> Parsed<Command> {
     Ok(Command::Mesh {
         benchmark: flags.required("benchmark")?,
-        rate: flags.required("rate")?,
+        rate: flags.required_rate()?,
         cols: flags.get("cols")?.unwrap_or(4),
         rows: flags.get("rows")?.unwrap_or(4),
         common: flags.common()?,
@@ -913,7 +929,7 @@ fn metrics(flags: &Flags) -> Parsed<Command> {
         arch,
         spec_map,
         benchmark: flags.required("benchmark")?,
-        rate: flags.required("rate")?,
+        rate: flags.required_rate()?,
         substrate,
         mcast,
         bin_ns,
@@ -947,7 +963,7 @@ fn faults(flags: &Flags) -> Parsed<Command> {
         arch,
         spec_map,
         benchmark: flags.required("benchmark")?,
-        rate: flags.required("rate")?,
+        rate: flags.required_rate()?,
         substrate,
         mcast,
         plan: flags.get("plan")?,
@@ -970,7 +986,7 @@ fn explore(flags: &Flags) -> Parsed<Command> {
     }
     Ok(Command::Explore(ExploreRequest {
         benchmark: flags.get("benchmark")?,
-        rate: flags.get("rate")?,
+        rate: flags.rate()?,
         granularity: flags.get("granularity")?.unwrap_or(Granularity::Level),
         beam: flags.positive("beam")?.unwrap_or(4),
         max_points: flags.positive("max-points")?,
@@ -1085,7 +1101,7 @@ pub(crate) mod tests {
          substrate: Mot, plan: None, fault_rate: 0.15, oracle: false, report_out: None",
         "faults --substrate mesh --benchmark Tornado --rate 0.1 --plan stall:3:1:200 \
          --fault-rate 0.4 --oracle --report-out f.json --seed 7 => arch: None, \
-         plan: Some(\"stall:3:1:200\"), fault_rate: 0.4, oracle: true, \
+         plan: Some(FaultPlan { entries: [Stall { channel: 3, fault_rate: 0.4, oracle: true, \
          report_out: Some(\"f.json\"), seed: 7",
         "faults --substrate vcmesh --mcast xy-tree --benchmark Tornado --rate 0.1 --size 4 \
          => substrate: Vcmesh, mcast: XyTree, size: 4",
@@ -1208,6 +1224,10 @@ pub(crate) mod tests {
         "analyze --trace-in t --size 8 => unknown option --size",
         "faults --benchmark Shuffle --rate 0.2 => --arch",
         "faults --arch Baseline --benchmark Shuffle --rate 0.2 --fault-rate 0 => --fault-rate",
+        // A bad --rate is refused before any output file exists (the
+        // commands that write files: hostile_input.rs).
+        "run --arch Baseline --benchmark Shuffle --rate 0 => --rate 0 must be positive and finite",
+        "mesh --benchmark Tornado --rate -1 => --rate -1 must be positive and finite",
         // The search commands drive many runs through one invocation.
         "saturate --arch Baseline --benchmark Hotspot --stream s.ndjson => --stream",
         "sweep --arch Baseline --benchmark Shuffle --from 0.1 --to 0.2 --steps 2 --stream s => \

@@ -3,7 +3,7 @@
 
 use std::io::{self, Read, Write};
 
-use asynoc::harness::{saturation_of, saturation_of_profiled, Quality};
+use asynoc::harness::{saturation_of, Quality};
 use asynoc::{
     drive, parallel_map, Architecture, Duration, FanoutKind, MotSize, Network, NetworkConfig,
     Phases, RunConfig, RunReport, SimError, SpecMap,
@@ -190,8 +190,7 @@ pub(crate) fn phases_for(benchmark: asynoc::Benchmark, common: &CommonOptions) -
     Phases::new(warmup, measure)
 }
 
-/// The run `common` describes: its phases and the profile/progress
-/// switches.
+/// The run `common` describes: its phases and the progress switch.
 pub(crate) fn run_config(
     benchmark: asynoc::Benchmark,
     rate: f64,
@@ -200,7 +199,6 @@ pub(crate) fn run_config(
     Ok(RunConfig::new(benchmark, rate)
         .map_err(SimError::from)?
         .with_phases(phases_for(benchmark, common))
-        .with_profile(common.profile.is_some())
         .with_progress(common.progress))
 }
 
@@ -266,9 +264,9 @@ fn run_across_seeds(
     let mut means_ps = Vec::with_capacity(seeds);
     for result in reports {
         let (report, options) = result?;
-        if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
+        if let Some(profiler) = profiler.as_mut() {
             let config = config_json(Some(identity), benchmark, rate, common.size, &options);
-            profiler.add_run(config, profile);
+            profiler.add_run(config, &report.profile);
         }
         let mean = report.latency.mean();
         let p99 = report.latency.p99();
@@ -332,8 +330,8 @@ fn single_run<F: Fabric>(
         None => drive(net, run, &mut [], None),
     }
     .map_err(SimError::from)?;
-    if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &report.profile) {
-        profiler.add_run(config, profile);
+    if let Some(profiler) = profiler.as_mut() {
+        profiler.add_run(config, &report.profile);
     }
     print(out, &report)?;
     if let Some(profiler) = profiler {
@@ -464,20 +462,17 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             quality.seed = common.seed;
             quality.probe_fan = *probe_fan;
             quality.jobs = common.jobs;
-            // A profiled search collects one runs[] entry per bisection
+            // A profiled search writes one runs[] entry per bisection
             // probe (plus the plateau run), keyed by its offered rate.
-            let (identity, size) = (arch.to_string(), common.size);
-            let point = match profiler.as_mut() {
-                Some(profiler) => {
-                    let (point, profiles) = saturation_of_profiled(&net, *benchmark, &quality)?;
-                    for (rate, profile) in &profiles {
-                        let config = config_json(Some(&identity), *benchmark, *rate, size, common);
-                        profiler.add_run(config, profile);
-                    }
-                    point
+            let (point, profiles) = saturation_of(&net, *benchmark, &quality)?;
+            if let Some(profiler) = profiler.as_mut() {
+                let identity = arch.to_string();
+                for (rate, profile) in &profiles {
+                    let config =
+                        config_json(Some(&identity), *benchmark, *rate, common.size, common);
+                    profiler.add_run(config, profile);
                 }
-                None => saturation_of(&net, *benchmark, &quality)?,
-            };
+            }
             writeln!(out, "{arch} x {benchmark} saturation:")?;
             writeln!(
                 out,
@@ -516,18 +511,18 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
                 .map(|k| from + (to - from) * k as f64 / (*steps - 1) as f64)
                 .collect();
             let points = parallel_map(common.jobs, rates, |rate| {
-                let mut report = net.run(&run_config(*benchmark, rate, common)?)?;
+                let report = net.run(&run_config(*benchmark, rate, common)?)?;
                 let mean = or_dash(report.latency.mean());
                 let p99 = or_dash(report.latency.p99());
-                Ok::<_, CliError>((rate, mean, p99, report.acceptance(), report.profile.take()))
+                Ok::<_, CliError>((rate, mean, p99, report.acceptance(), report.profile))
             });
             for point in points {
                 let (rate, mean, p99, acceptance, profile) = point?;
-                if let (Some(profiler), Some(profile)) = (profiler.as_mut(), &profile) {
+                if let Some(profiler) = profiler.as_mut() {
                     let identity = arch.to_string();
                     let config =
                         config_json(Some(&identity), *benchmark, rate, common.size, common);
-                    profiler.add_run(config, profile);
+                    profiler.add_run(config, &profile);
                 }
                 writeln!(
                     out,

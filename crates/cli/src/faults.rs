@@ -40,8 +40,9 @@ pub struct FaultsRequest {
     pub substrate: Substrate,
     /// Multicast scheme on the vcmesh substrate (unused elsewhere).
     pub mcast: McastScheme,
-    /// Encoded plan to replay (`None` = draw from seed and rate).
-    pub plan: Option<String>,
+    /// Plan to replay, parsed from its text encoding (`None` = draw from
+    /// seed and rate).
+    pub plan: Option<FaultPlan>,
     /// Random-plan density over the fault domain.
     pub fault_rate: f64,
     /// Pair with a clean twin and judge the oracle.
@@ -200,17 +201,18 @@ fn run_pair<F: Fabric>(
     Ok((domain, plan, faulted, clean, watchpoints))
 }
 
-/// The plan `request` names: `--plan` text, every entry of which must be
-/// aimed inside the fabric (`domain` and its `symbol_sites`), or one drawn
-/// from `domain`.
+/// The plan `request` names: the `--plan` one, every entry of which must
+/// be aimed inside the fabric (`domain` and its `symbol_sites`), or one
+/// drawn from `domain`.
 fn resolve_plan(
     request: &FaultsRequest,
     domain: &FaultDomain,
     symbol_sites: usize,
 ) -> Result<FaultPlan, CliError> {
     match &request.plan {
-        Some(text) => FaultPlan::parse(text)
-            .and_then(|plan| plan.validate(domain, symbol_sites).map(|()| plan))
+        Some(plan) => plan
+            .validate(domain, symbol_sites)
+            .map(|()| plan.clone())
             .map_err(|e| CliError::Invalid(format!("--plan: {e}"))),
         None => Ok(FaultPlan::random(
             request.common.seed,
@@ -278,9 +280,7 @@ fn faults_on<F: Fabric>(
         // One `runs[]` entry per simulation: the faulted run first, then
         // (under --oracle) its clean twin with the same identity keys.
         for outcome in std::iter::once(&faulted).chain(clean.as_ref()) {
-            if let Some(profile) = &outcome.profile {
-                profiler.add_run(config.clone(), profile);
-            }
+            profiler.add_run(config.clone(), &outcome.profile);
         }
     }
     let verdict: Option<OracleVerdict> = clean
@@ -468,7 +468,7 @@ mod tests {
             let replay = replay_line(&request, &plan);
             let rest = replay.strip_prefix("asynoc ").expect(&replay);
             let expected = FaultsRequest {
-                plan: Some(plan.encode()),
+                plan: Some(plan.clone()),
                 oracle: true,
                 ..request
             };

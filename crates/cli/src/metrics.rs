@@ -201,13 +201,9 @@ pub(crate) fn counters_json(report: &EngineReport) -> JsonValue {
 }
 
 /// One run's outputs: the report document, the run's identity `config`
-/// with the engine's self-profile (if requested), and the number of
-/// watchpoint records the stream fired (0 without `--stream`).
-type MetricsRun = (
-    JsonValue,
-    Option<(JsonValue, Box<asynoc::probe::EngineProfile>)>,
-    u64,
-);
+/// with the engine's self-profile, and the number of watchpoint records
+/// the stream fired (0 without `--stream`).
+type MetricsRun = (JsonValue, (JsonValue, asynoc::probe::EngineProfile), u64);
 
 /// Runs `net` with the telemetry stack, writes the trace to `trace_out`
 /// (if requested) and assembles the report document. `waste` and `power`
@@ -253,9 +249,7 @@ fn run<F: Fabric>(
     }
     tracers.push_into(&mut sinks);
     let mut recorder = Recorder::new(net.site_of(), sinks);
-    let mut report =
-        drive(net, &run, &mut [&mut recorder], None).map_err(asynoc::SimError::from)?;
-    let engine_profile = report.profile.take();
+    let report = drive(net, &run, &mut [&mut recorder], None).map_err(asynoc::SimError::from)?;
 
     let (waste_value, power_value) = F::energy_sections(&report, waste.as_ref(), phases.measure());
     let mut sections = vec![
@@ -308,7 +302,7 @@ fn run<F: Fabric>(
     }
     Ok((
         JsonValue::Object(doc),
-        engine_profile.map(|profile| (config, profile)),
+        (config, report.profile),
         watchpoints,
     ))
 }
@@ -359,9 +353,8 @@ pub fn execute_metrics(request: &MetricsRequest, out: &mut dyn Write) -> Result<
         None => out.write_all(rendered.as_bytes())?,
     }
     if let Some(mut profiler) = profiler {
-        if let Some((config, engine_profile)) = &engine_profile {
-            profiler.add_run(config.clone(), engine_profile);
-        }
+        let (config, engine_profile) = engine_profile;
+        profiler.add_run(config, &engine_profile);
         profiler.finish()?;
     }
     crate::stream::fatal_check(watchpoints, common)?;

@@ -19,7 +19,7 @@
 use std::io::Write;
 use std::time::Instant;
 
-use asynoc::probe::{allocations, EngineProfile, PhaseWall, PoolStats, QueueStats, PROFILE_SCHEMA};
+use asynoc::probe::{allocations, EngineProfile, PhaseWall, QueueStats, PROFILE_SCHEMA};
 use asynoc_telemetry::JsonValue;
 
 use crate::commands::CliError;
@@ -98,13 +98,16 @@ impl ProfileWriter {
 
 fn run_json(config: JsonValue, profile: &EngineProfile) -> JsonValue {
     let wall_s = profile.wall_ns as f64 / 1e9;
+    let events = profile.kinds.total();
     let uint = |key: &str, value: u64| (key.to_string(), JsonValue::uint(value));
     // `lookahead_ps`, `windows`, `barrier_wait.total_ns` and
     // `imbalance.event_ratio` hold the one-thread values, the counters sit
-    // under `shards[0]`, and `pool` keeps `takes` and `hits`, because
+    // under `shards[0]`, `queue` keeps `resizes` (0: the timing wheel never
+    // resizes), and `pool` keeps `takes` and `hits` (both the packets
+    // created: no descriptor allocates), because
     // benchmark/e2e/src/profile.rs reads exactly those paths.
     let counters = JsonValue::Object(vec![
-        uint("events", profile.events),
+        uint("events", events),
         uint("windows", 0),
         (
             "kinds".to_string(),
@@ -116,7 +119,13 @@ fn run_json(config: JsonValue, profile: &EngineProfile) -> JsonValue {
             ]),
         ),
         ("queue".to_string(), queue_json(&profile.queue)),
-        ("pool".to_string(), pool_json(&profile.pool)),
+        (
+            "pool".to_string(),
+            JsonValue::Object(vec![
+                uint("takes", profile.packets),
+                uint("hits", profile.packets),
+            ]),
+        ),
         (
             "barrier_wait".to_string(),
             JsonValue::Object(vec![uint("total_ns", 0)]),
@@ -125,7 +134,7 @@ fn run_json(config: JsonValue, profile: &EngineProfile) -> JsonValue {
     ]);
     JsonValue::Object(vec![
         ("config".to_string(), config),
-        uint("events", profile.events),
+        uint("events", events),
         (
             "wall_ms".to_string(),
             JsonValue::Number(profile.wall_ns as f64 / 1e6),
@@ -133,7 +142,7 @@ fn run_json(config: JsonValue, profile: &EngineProfile) -> JsonValue {
         (
             "events_per_sec".to_string(),
             JsonValue::Number(if wall_s > 0.0 {
-                profile.events as f64 / wall_s
+                events as f64 / wall_s
             } else {
                 0.0
             }),
@@ -151,7 +160,7 @@ fn queue_json(queue: &QueueStats) -> JsonValue {
     JsonValue::Object(vec![
         ("inserts".to_string(), JsonValue::uint(queue.inserts)),
         ("pops".to_string(), JsonValue::uint(queue.pops)),
-        ("resizes".to_string(), JsonValue::uint(queue.resizes)),
+        ("resizes".to_string(), JsonValue::uint(0)),
         (
             "fallback_scans".to_string(),
             JsonValue::uint(queue.fallback_scans),
@@ -160,13 +169,6 @@ fn queue_json(queue: &QueueStats) -> JsonValue {
             "depth_high_water".to_string(),
             JsonValue::uint(queue.depth_high_water),
         ),
-    ])
-}
-
-fn pool_json(pool: &PoolStats) -> JsonValue {
-    JsonValue::Object(vec![
-        ("takes".to_string(), JsonValue::uint(pool.takes)),
-        ("hits".to_string(), JsonValue::uint(pool.hits)),
     ])
 }
 
@@ -185,15 +187,13 @@ mod tests {
     fn sample_profile() -> EngineProfile {
         let mut profile = EngineProfile {
             wall_ns: 2_000_000,
-            events: 100,
+            packets: 10,
             ..EngineProfile::default()
         };
         profile.kinds.inject = 25;
         profile.kinds.arrive = 75;
         profile.queue.inserts = 100;
         profile.queue.pops = 100;
-        profile.pool.takes = 10;
-        profile.pool.hits = 10;
         profile
     }
 

@@ -178,6 +178,63 @@ fn out_of_range_run_flags_are_usage_errors_not_panics() {
 }
 
 #[test]
+fn a_bad_rate_or_plan_is_refused_before_any_output_file_exists() {
+    let named = |name: &str| {
+        let file = format!("asynoc-hostile-{}-refused-{name}", std::process::id());
+        std::env::temp_dir()
+            .join(file)
+            .to_string_lossy()
+            .into_owned()
+    };
+    let outputs = ["m.json", "p.json", "t.ndjson", "r.json"].map(named);
+    let [metrics, profile, trace, report] = outputs.each_ref().map(String::as_str);
+    let placed = ["--arch", "Baseline", "--benchmark", "Shuffle"];
+    // Each line, and what its error line must name.
+    let mut lines: Vec<(Vec<&str>, &str)> = Vec::new();
+    for rate in ["0", "-1", "nan", "inf"] {
+        let metrics_line = [&["metrics"][..], &placed, &["--rate", rate]].concat();
+        let written = [
+            "--metrics-out",
+            metrics,
+            "--profile",
+            profile,
+            "--trace-out",
+            trace,
+        ];
+        lines.push(([&metrics_line[..], &written].concat(), "--rate"));
+        let faults_line = [&["faults"][..], &placed, &["--rate", rate]].concat();
+        let written = ["--report-out", report, "--profile", profile];
+        lines.push(([&faults_line[..], &written].concat(), "--rate"));
+        let explore_line = ["explore", "--smoke", "--rate", rate, "--report-out", report];
+        lines.push((explore_line.to_vec(), "--rate"));
+    }
+    let plan = [
+        &["faults"][..],
+        &placed,
+        &["--rate", "0.2", "--plan", "bogus"],
+    ]
+    .concat();
+    let written = ["--report-out", report, "--profile", profile];
+    lines.push((
+        [&plan[..], &written].concat(),
+        "--plan: malformed fault token",
+    ));
+    for (args, named) in lines {
+        let output = asynoc(&args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error: ") && first.contains(named),
+            "{args:?}: {first}"
+        );
+        for path in &outputs {
+            assert!(!std::path::Path::new(path).exists(), "{args:?} left {path}");
+        }
+    }
+}
+
+#[test]
 fn a_non_power_of_two_mesh_says_so() {
     let output = asynoc(&[
         "metrics",
@@ -678,13 +735,18 @@ fn mutated_fault_plans_run_or_fail_with_a_located_error() {
         let output = asynoc(&args);
         assert!(started.elapsed() < Duration::from_secs(2), "{plan:?}");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        // Exit 0, or 1 behind an `error:` line (a plan the grammar or the
-        // fabric refuses, or one the oracle rejects): never a signal, a
-        // panic, or — the text is one flag's value — a usage error.
+        // Exit 0; 2 behind an `error: --plan:` line (a plan the grammar
+        // refuses, a usage error like any malformed flag value); or 1
+        // behind an `error:` line (a plan the fabric refuses, or one the
+        // oracle rejects): never a signal or a panic.
+        let first = stderr.lines().next().unwrap_or_default();
         match output.status.code() {
             Some(0) => ran += 1,
+            Some(2) => {
+                assert!(first.starts_with("error: --plan: "), "{plan:?}: {stderr}");
+                refused += 1;
+            }
             Some(1) => {
-                let first = stderr.lines().next().unwrap_or_default();
                 assert!(first.starts_with("error: "), "{plan:?}: {stderr}");
                 refused += usize::from(first.starts_with("error: --plan: "));
                 off_fabric += usize::from(first.contains(" is outside this fabric's 0.."));

@@ -84,9 +84,9 @@ pub struct RunOutcome {
     pub broken_trees: usize,
     /// Broken trees explained by fault records (never silent loss).
     pub broken_with_cause: usize,
-    /// The engine's self-profile, when the run enabled profiling.
-    /// Host-side metadata only — the oracle never compares it.
-    pub profile: Option<Box<asynoc_engine::probe::EngineProfile>>,
+    /// The engine's self-profile. Host-side metadata only — the oracle
+    /// never compares it.
+    pub profile: asynoc_engine::probe::EngineProfile,
 }
 
 /// Runs `net`, faulted iff `plan` is non-empty, with the oracle's
@@ -117,7 +117,7 @@ pub fn run_outcome<S: Substrate>(
     let mut armed = plan
         .filter(|plan| !plan.entries.is_empty())
         .map(FaultPlan::arm);
-    let mut report = drive(net, run, &mut [&mut log, &mut recorder], armed.as_mut())?;
+    let report = drive(net, run, &mut [&mut log, &mut recorder], armed.as_mut())?;
     let trees = tokens.tally();
     Ok(RunOutcome {
         deliveries: log.into_deliveries(),
@@ -128,6 +128,6 @@ pub fn run_outcome<S: Substrate>(
         fault_affected_trees: trees.fault_affected,
         broken_trees: trees.broken,
         broken_with_cause: trees.broken_with_cause,
-        profile: report.profile.take(),
+        profile: report.profile,
     })
 }

@@ -222,6 +222,14 @@ pub struct FaultPlan {
     pub entries: Vec<FaultEntry>,
 }
 
+impl std::str::FromStr for FaultPlan {
+    type Err = PlanError;
+
+    fn from_str(text: &str) -> Result<FaultPlan, PlanError> {
+        FaultPlan::parse(text)
+    }
+}
+
 impl FaultPlan {
     /// An empty plan (arms nothing).
     #[must_use]

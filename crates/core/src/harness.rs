@@ -34,10 +34,10 @@
 //! Parallelism is an implementation detail of wall-clock time only: results
 //! are placed by input index and every probe schedule is independent of the
 //! worker count, so any `jobs` setting produces bit-identical reports
-//! (excluding the `wall` diagnostics). [`Quality::probe_fan`] separately
-//! widens the saturation search from bisection to k-section — that *does*
-//! change which rates are probed (deterministically), so it is a distinct
-//! knob rather than being derived from `jobs`.
+//! (excluding the host-time `profile` diagnostics). [`Quality::probe_fan`]
+//! separately widens the saturation search from bisection to k-section —
+//! that *does* change which rates are probed (deterministically), so it is
+//! a distinct knob rather than being derived from `jobs`.
 
 use asynoc_engine::parallel_map;
 use asynoc_kernel::Duration;
@@ -208,10 +208,12 @@ pub fn saturation(
 ) -> Result<SaturationPoint, SimError> {
     let network =
         Network::new(NetworkConfig::eight_by_eight(architecture).with_seed(quality.seed))?;
-    saturation_of(&network, benchmark, quality)
+    Ok(saturation_of(&network, benchmark, quality)?.0)
 }
 
-/// Finds the saturation point of an already-built network.
+/// Finds the saturation point of an already-built network, with the
+/// engine self-profile of every run the search performed (`asynoc
+/// saturate --profile` writes one `runs[]` entry per profile).
 ///
 /// Two quantities are produced, matching the two ways "saturation" is used
 /// in the paper:
@@ -235,54 +237,19 @@ pub fn saturation_of(
     network: &Network,
     benchmark: Benchmark,
     quality: &Quality,
-) -> Result<SaturationPoint, SimError> {
-    Ok(saturation_of_inner(network, benchmark, quality, false)?.0)
-}
-
-/// The engine self-profiles of every run a saturation search performed,
-/// keyed by the probed rate and sorted by it (deterministic at any
-/// `jobs`/`probe_fan` setting). The overload plateau run appears under
-/// [`Quality::rate_ceiling`].
-pub type ProbeProfiles = Vec<(f64, Box<asynoc_engine::probe::EngineProfile>)>;
-
-/// [`saturation_of`] with the engine's self-profile collected from every
-/// probe run (`asynoc saturate --profile` surfaces these as one `runs[]`
-/// entry per probe). Profiling is host-side metadata only: the returned
-/// saturation point is bit-identical to the unprofiled search.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the underlying runs.
-pub fn saturation_of_profiled(
-    network: &Network,
-    benchmark: Benchmark,
-    quality: &Quality,
 ) -> Result<(SaturationPoint, ProbeProfiles), SimError> {
-    let (point, profiles) = saturation_of_inner(network, benchmark, quality, true)?;
-    Ok((point, profiles.unwrap_or_default()))
-}
-
-fn saturation_of_inner(
-    network: &Network,
-    benchmark: Benchmark,
-    quality: &Quality,
-    collect_profiles: bool,
-) -> Result<(SaturationPoint, Option<ProbeProfiles>), SimError> {
     let probe = StabilityProbe::new();
     let profiles: std::sync::Mutex<ProbeProfiles> = std::sync::Mutex::new(Vec::new());
     let judge = |rate: f64| {
         let run = RunConfig::new(benchmark, rate)
             .expect("bisection rates are positive")
             .with_phases(quality.probe_phases)
-            .with_drain(false)
-            .with_profile(collect_profiles);
-        let mut report = network.run(&run).expect("probe run cannot fail");
-        if let Some(profile) = report.profile.take() {
-            profiles
-                .lock()
-                .expect("probe profile lock")
-                .push((rate, profile));
-        }
+            .with_drain(false);
+        let report = network.run(&run).expect("probe run cannot fail");
+        profiles
+            .lock()
+            .expect("probe profile lock")
+            .push((rate, report.profile));
         probe.judge(report.throughput.offered, report.throughput.injected)
     };
     let injected_gfs = find_saturation_multi(
@@ -299,25 +266,25 @@ fn saturation_of_inner(
     // verdict, goes straight into the reported table).
     let run = RunConfig::new(benchmark, quality.rate_ceiling)?
         .with_phases(quality.probe_phases.scaled(2))
-        .with_drain(false)
-        .with_profile(collect_profiles);
-    let mut report = network.run(&run)?;
+        .with_drain(false);
+    let report = network.run(&run)?;
     let point = SaturationPoint {
         injected_gfs,
         delivered_gfs: report.throughput.delivered,
     };
-    if !collect_profiles {
-        return Ok((point, None));
-    }
     let mut profiles = profiles.into_inner().expect("probe profile lock");
-    if let Some(profile) = report.profile.take() {
-        profiles.push((quality.rate_ceiling, profile));
-    }
+    profiles.push((quality.rate_ceiling, report.profile));
     // Probes land in worker-completion order; re-key by rate so the
     // profile document is independent of scheduling.
     profiles.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("probe rates are finite"));
-    Ok((point, Some(profiles)))
+    Ok((point, profiles))
 }
+
+/// The engine self-profiles of every run a saturation search performed,
+/// keyed by the probed rate and sorted by it (deterministic at any
+/// `jobs`/`probe_fan` setting). The overload plateau run appears under
+/// [`Quality::rate_ceiling`].
+pub type ProbeProfiles = Vec<(f64, asynoc_engine::probe::EngineProfile)>;
 
 /// Runs one latency measurement at `fraction` of the network's saturation.
 ///
@@ -332,7 +299,7 @@ pub fn latency_at_fraction(
 ) -> Result<LatencyCell, SimError> {
     let network =
         Network::new(NetworkConfig::eight_by_eight(architecture).with_seed(quality.seed))?;
-    let saturation = saturation_of(&network, benchmark, quality)?;
+    let (saturation, _) = saturation_of(&network, benchmark, quality)?;
     let load = (saturation.injected_gfs * fraction).max(0.02);
     let run = RunConfig::new(benchmark, load)?.with_phases(quality.measure_phases_for(benchmark));
     let report = network.run(&run)?;
@@ -416,7 +383,7 @@ pub fn table1_throughput(
         Ok((
             architecture,
             benchmark,
-            saturation_of(&network, benchmark, quality)?,
+            saturation_of(&network, benchmark, quality)?.0,
         ))
     })
     .into_iter()
@@ -565,21 +532,20 @@ mod tests {
     }
 
     #[test]
-    fn profiled_saturation_matches_unprofiled_and_collects_probes() {
+    fn a_saturation_search_collects_one_profile_per_run() {
         let quality = Quality::quick();
         let network = Network::new(
             NetworkConfig::eight_by_eight(Architecture::Baseline).with_seed(quality.seed),
         )
         .unwrap();
-        let plain = saturation_of(&network, Benchmark::Hotspot, &quality).unwrap();
-        let (profiled, profiles) =
-            saturation_of_profiled(&network, Benchmark::Hotspot, &quality).unwrap();
-        assert_eq!(plain, profiled, "profiling must not perturb the search");
+        let (_, profiles) = saturation_of(&network, Benchmark::Hotspot, &quality).unwrap();
         assert!(profiles.len() >= 2, "probes plus the plateau run");
         assert!(
             profiles.windows(2).all(|w| w[0].0 <= w[1].0),
             "profiles sorted by probed rate"
         );
-        assert!(profiles.iter().all(|(_, p)| p.events > 0));
+        assert!(profiles.iter().all(|(_, p)| p.kinds.total() > 0));
+        // Probes never drain.
+        assert!(profiles.iter().all(|(_, p)| p.phase.drain_ns == 0));
     }
 }

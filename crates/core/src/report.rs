@@ -14,9 +14,8 @@ pub struct RunReport {
     /// What the engine measured. Latency is per logical packet, creation
     /// → arrival of the *last* header at its destinations (the paper's
     /// metric); `flits_throttled` counts the redundant copies throttled
-    /// at non-speculative nodes, the footprint of speculation. `wall` and
-    /// `profile` are host-side metadata, excluded from determinism
-    /// comparisons.
+    /// at non-speculative nodes, the footprint of speculation. `profile`
+    /// is host-side metadata, excluded from determinism comparisons.
     pub engine: EngineReport,
     /// Total network power over the measurement window.
     pub power: PowerReport,
@@ -47,7 +46,7 @@ impl fmt::Display for RunReport {
             self.power,
             self.flits_throttled,
             self.events_processed,
-            self.wall
+            std::time::Duration::from_nanos(self.profile.wall_ns)
         )
     }
 }

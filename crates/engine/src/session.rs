@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use asynoc_kernel::{CalendarQueue, Duration, FaultClass, Time};
 use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteSymbol};
-use asynoc_probe::{EngineProfile, EventKindCounts, PhaseWall, PoolStats, ProgressMeter};
+use asynoc_probe::{EngineProfile, EventKindCounts, PhaseWall, ProgressMeter};
 use asynoc_stats::throughput::ThroughputReport;
 use asynoc_stats::{LogHistogram, Phases, ThroughputCounter};
 use asynoc_traffic::SourceTraffic;
@@ -127,11 +127,6 @@ pub struct RunSpec {
     /// Whether to drain in-flight measured packets after injection stops
     /// (bounded by a hard cap so saturated runs still terminate).
     pub drain: bool,
-    /// Collect a runtime self-profile ([`EngineReport::profile`]): host
-    /// wall-clock phase splits and queue counters. Profiling only
-    /// reads clocks and counters; the simulated results stay
-    /// bit-identical with it on or off.
-    pub profile: bool,
     /// Draw a single-line stderr heartbeat (events done, rate) while the
     /// run executes. Suppressed automatically when stderr
     /// is not a terminal unless `ASYNOC_PROGRESS_FORCE` is set.
@@ -139,28 +134,22 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Creates a spec with profiling and the heartbeat off.
+    /// Creates a spec with the heartbeat off.
     #[must_use]
     pub fn new(phases: Phases, drain: bool) -> Self {
         RunSpec {
             phases,
             drain,
-            profile: false,
             progress: false,
         }
     }
 
-    /// The bound a run executes events strictly before: the injection
-    /// end without a drain; with one, a picosecond past the hard cap —
-    /// one extra measurement window plus warmup, since a saturated run
-    /// never finishes draining.
-    fn end(&self) -> Time {
-        let injection_end = self.phases.measurement_end();
-        if self.drain {
-            injection_end + self.phases.measure() + self.phases.warmup() + Duration::from_ps(1)
-        } else {
-            injection_end
-        }
+    /// The bound the drain tail executes events strictly before: a
+    /// picosecond past the hard cap — one extra measurement window plus
+    /// warmup, since a saturated run never finishes draining.
+    fn drain_end(&self) -> Time {
+        let phases = self.phases;
+        phases.measurement_end() + phases.measure() + phases.warmup() + Duration::from_ps(1)
     }
 }
 
@@ -170,70 +159,9 @@ const PROGRESS_INTERVAL_MS: u64 = 250;
 /// the wall clock every `PROGRESS_TICK_MASK + 1` events.
 const PROGRESS_TICK_MASK: u64 = 0xFFF;
 
-/// The host wall-clock phase tracker of a profiled run: stamps the
-/// simulated-phase boundary crossings (warmup → measurement → drain) so
-/// the profile can say where the *host's* time went. Boxed behind an
-/// `Option` in [`Core`]; a non-profiled run pays one predictable branch
-/// per event and never reads the clock.
-#[derive(Debug)]
-struct RunProf {
-    measure_start: Time,
-    injection_end: Time,
-    /// 0 = warmup, 1 = measurement, 2 = drain.
-    stage: u8,
-    stamp: Instant,
-    wall: PhaseWall,
-}
-
-impl RunProf {
-    fn new(phases: Phases) -> Self {
-        RunProf {
-            measure_start: Time::ZERO + phases.warmup(),
-            injection_end: phases.measurement_end(),
-            stage: 0,
-            stamp: Instant::now(),
-            wall: PhaseWall::default(),
-        }
-    }
-
-    /// Notes that the run is about to execute an event at `t`, closing
-    /// any simulated phase the event has moved past. Reads the clock
-    /// only at the two boundary crossings.
-    #[inline]
-    fn note(&mut self, t: Time) {
-        while self.stage < 2 {
-            let boundary = if self.stage == 0 {
-                self.measure_start
-            } else {
-                self.injection_end
-            };
-            if t < boundary {
-                break;
-            }
-            let now = Instant::now();
-            let elapsed = u64::try_from((now - self.stamp).as_nanos()).unwrap_or(u64::MAX);
-            if self.stage == 0 {
-                self.wall.warmup_ns += elapsed;
-            } else {
-                self.wall.measure_ns += elapsed;
-            }
-            self.stamp = now;
-            self.stage += 1;
-        }
-    }
-
-    /// Closes the profile, attributing the remaining time to whichever
-    /// phase the run ended in.
-    fn close(self) -> PhaseWall {
-        let mut wall = self.wall;
-        let elapsed = u64::try_from(self.stamp.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        match self.stage {
-            0 => wall.warmup_ns += elapsed,
-            1 => wall.measure_ns += elapsed,
-            _ => wall.drain_ns += elapsed,
-        }
-        wall
-    }
+/// A host duration in whole nanoseconds, saturating.
+fn nanos(duration: std::time::Duration) -> u64 {
+    u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Everything the engine measured in one run.
@@ -254,10 +182,10 @@ pub struct EngineReport {
     pub flits_delivered: u64,
     /// Events the engine processed over the whole run.
     pub events_processed: u64,
-    /// Host wall-clock time the run took.
-    pub wall: std::time::Duration,
-    /// The runtime self-profile, when [`RunSpec::profile`] was set.
-    pub profile: Option<Box<EngineProfile>>,
+    /// The run's self-profile: host wall clock, its split across the
+    /// simulated phases, and the event and queue counters. Host-side
+    /// metadata, excluded from determinism comparisons.
+    pub profile: EngineProfile,
 }
 
 impl EngineReport {
@@ -418,7 +346,6 @@ pub trait Ctx<N> {
 /// [`Ctx`].
 struct Core<'r, 'obs, N> {
     phases: Phases,
-    drain: bool,
     injection_end: Time,
 
     /// Pending events, each held as its [`event_key`].
@@ -447,10 +374,8 @@ struct Core<'r, 'obs, N> {
     flits_throttled: u64,
     flits_delivered: u64,
     events_processed: u64,
-    /// Per-kind event counts (always on; a u64 add per event).
+    /// Per-kind event counts (a u64 add per event).
     kinds: EventKindCounts,
-    /// Phase wall-clock tracker, armed by [`RunSpec::profile`].
-    prof: Option<Box<RunProf>>,
     /// Progress heartbeat, armed by [`RunSpec::progress`].
     progress: Option<ProgressMeter>,
 
@@ -620,8 +545,8 @@ pub fn run<M: SimModel>(
 ) -> (EngineReport, M) {
     let start = Instant::now();
     let mut session = Session::new(model, traffic, spec, faults, observers);
-    session.execute(spec.end());
-    session.finish(spec, start)
+    let phase = session.execute(spec, start);
+    session.finish(spec, start, phase)
 }
 
 /// One prepared simulation: model, traffic, wiring, and all pre-sized
@@ -661,7 +586,6 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         let channels = model.channel_count();
         let mut ctx = Core {
             phases: spec.phases,
-            drain: spec.drain,
             injection_end: spec.phases.measurement_end(),
             queue: CalendarQueue::new(),
             now: Time::ZERO,
@@ -679,7 +603,6 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             flits_delivered: 0,
             events_processed: 0,
             kinds: EventKindCounts::default(),
-            prof: spec.profile.then(|| Box::new(RunProf::new(spec.phases))),
             progress: if spec.progress {
                 ProgressMeter::stderr(PROGRESS_INTERVAL_MS)
             } else {
@@ -706,27 +629,60 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         }
     }
 
-    /// Executes every event due before `end`, or until the drain tail
-    /// leaves no measured packet in flight: the event that passes `end`
-    /// is popped and dropped with the rest of the queue.
-    fn execute(&mut self, end: Time) {
-        while let Some((t, key, ())) = self.ctx.queue.pop_keyed().filter(|&(at, ..)| at < end) {
-            self.step(t, Event::from_key(key));
-            let ctx = &self.ctx;
-            let drain_tail = ctx.drain && t >= ctx.injection_end;
-            if drain_tail && ctx.pending.measured_in_flight() == 0 {
-                break;
-            }
+    /// Executes the run phase by phase — the warmup window, the
+    /// measurement window, then the drain tail when `spec` drains — and
+    /// returns the host time each phase took, counted from `start`. The
+    /// event that ends one phase opens the next; the one that passes the
+    /// last bound is dropped with the rest of the queue.
+    fn execute(&mut self, spec: RunSpec, start: Instant) -> PhaseWall {
+        let mut wall = PhaseWall::default();
+        let mut since = start;
+        let mut lap = |ns: &mut u64| {
+            let now = Instant::now();
+            *ns = nanos(now - since);
+            since = now;
+        };
+        let next = self.segment(None, Time::ZERO + spec.phases.warmup(), false);
+        lap(&mut wall.warmup_ns);
+        let next = self.segment(next, spec.phases.measurement_end(), false);
+        lap(&mut wall.measure_ns);
+        if spec.drain {
+            self.segment(next, spec.drain_end(), true);
+            lap(&mut wall.drain_ns);
         }
+        wall
+    }
+
+    /// Executes the events due before `bound`, starting with `next` (the
+    /// event the previous phase popped past its own bound). Returns the
+    /// first event due at or past `bound` — popped, not executed — or
+    /// `None` once the queue runs dry or, `until_drained`, once no
+    /// measured packet is in flight.
+    fn segment(
+        &mut self,
+        next: Option<(Time, u64)>,
+        bound: Time,
+        until_drained: bool,
+    ) -> Option<(Time, u64)> {
+        let pop = |queue: &mut CalendarQueue<()>| queue.pop_keyed().map(|(t, key, ())| (t, key));
+        let mut next = next.or_else(|| pop(&mut self.ctx.queue));
+        while let Some((t, key)) = next {
+            if t >= bound {
+                return next;
+            }
+            self.step(t, Event::from_key(key));
+            if until_drained && self.ctx.pending.measured_in_flight() == 0 {
+                return None;
+            }
+            next = pop(&mut self.ctx.queue);
+        }
+        None
     }
 
     /// The per-event body.
     fn step(&mut self, t: Time, event: Event<M::Node>) {
         self.ctx.now = t;
         self.ctx.events_processed += 1;
-        if let Some(prof) = self.ctx.prof.as_deref_mut() {
-            prof.note(t);
-        }
         match event {
             Event::Inject { source } => {
                 self.ctx.kinds.inject += 1;
@@ -754,26 +710,18 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
     }
 
     /// Tears the session down into the run's report and the model.
-    fn finish(self, spec: RunSpec, start: Instant) -> (EngineReport, M) {
+    fn finish(self, spec: RunSpec, start: Instant, phase: PhaseWall) -> (EngineReport, M) {
         let mut ctx = self.ctx;
         if let Some(progress) = &mut ctx.progress {
             progress.finish();
         }
-        let wall = start.elapsed();
-        let profile = ctx.prof.map(|prof| {
-            Box::new(EngineProfile {
-                wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-                events: ctx.events_processed,
-                kinds: ctx.kinds,
-                queue: ctx.queue.stats(),
-                // No descriptor allocates, so every one is a pool hit.
-                pool: PoolStats {
-                    takes: ctx.packets_created,
-                    hits: ctx.packets_created,
-                },
-                phase: prof.close(),
-            })
-        });
+        let profile = EngineProfile {
+            wall_ns: nanos(start.elapsed()),
+            kinds: ctx.kinds,
+            queue: ctx.queue.stats(),
+            packets: ctx.packets_created,
+            phase,
+        };
         let (latency, packets_incomplete) = ctx.pending.finish();
         let report = EngineReport {
             packets_measured: latency.count() as usize,
@@ -783,7 +731,6 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             flits_throttled: ctx.flits_throttled,
             flits_delivered: ctx.flits_delivered,
             events_processed: ctx.events_processed,
-            wall,
             profile,
         };
         (report, self.model)
@@ -1132,5 +1079,23 @@ mod tests {
         let spec = RunSpec::new(toy_spec().phases, false);
         let (report, _) = run(Crossbar::new(), toy_traffic(5), spec, None, &mut []);
         assert!(report.packets_measured > 0);
+    }
+
+    #[test]
+    fn the_phase_split_comes_from_the_loop_segments() {
+        for drain in [true, false] {
+            let spec = RunSpec::new(toy_spec().phases, drain);
+            let (report, _) = run(Crossbar::new(), toy_traffic(7), spec, None, &mut []);
+            let (profile, phase) = (&report.profile, report.profile.phase);
+            if !drain {
+                assert_eq!(phase.drain_ns, 0, "a run without a drain has no drain time");
+            }
+            assert!(
+                phase.warmup_ns + phase.measure_ns + phase.drain_ns <= profile.wall_ns,
+                "{phase:?} exceeds the run's {} ns",
+                profile.wall_ns
+            );
+            assert_eq!(profile.kinds.total(), report.events_processed);
+        }
     }
 }

@@ -48,7 +48,7 @@ pub struct RunConfig {
 impl RunConfig {
     /// Creates a run at `rate_gfs` flits/ns per source with the paper's
     /// standard measurement schedule (doubled for `Multicast_static`),
-    /// draining enabled, and profiling off.
+    /// draining enabled, and the heartbeat off.
     ///
     /// # Errors
     ///
@@ -94,19 +94,9 @@ impl RunConfig {
         self
     }
 
-    /// Enables runtime self-profiling: the engine fills
-    /// [`EngineReport::profile`] with event and queue counters and
-    /// phase wall-clock splits. Simulation results are bit-identical with
-    /// profiling on or off — only host-side metadata is collected.
-    #[must_use]
-    pub fn with_profile(mut self, profile: bool) -> Self {
-        self.spec.profile = profile;
-        self
-    }
-
     /// Enables the stderr progress heartbeat (a single line refreshed a
     /// few times per second; suppressed when stderr is not a terminal).
-    /// Like profiling, it never perturbs simulation results.
+    /// It never perturbs simulation results.
     #[must_use]
     pub fn with_progress(mut self, progress: bool) -> Self {
         self.spec.progress = progress;
@@ -135,12 +125,6 @@ impl RunConfig {
     #[must_use]
     pub fn drain(&self) -> bool {
         self.spec.drain
-    }
-
-    /// Whether the run collects an engine profile (default off).
-    #[must_use]
-    pub fn profile(&self) -> bool {
-        self.spec.profile
     }
 
     /// Whether the run prints a progress heartbeat (default off).

@@ -98,7 +98,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The queue's behavior counters so far: inserts, pops, and the
-    /// depth high-water mark (resizes and fallback scans stay 0).
+    /// depth high-water mark (fallback scans stay 0).
     #[must_use]
     pub fn stats(&self) -> QueueStats {
         self.stats

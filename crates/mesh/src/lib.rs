@@ -33,17 +33,18 @@
 //! ```
 //!
 //! `MeshConfig` holds what is static about the fabric (size, packet
-//! length, seed). Profiling, observers and fault tables are per-run: build a [`RunConfig`] and hand the network to [`drive`], the
-//! engine's one driver under every [`Substrate`].
+//! length, seed). Phases, observers and fault tables are per-run: build a
+//! [`RunConfig`] and hand the network to [`drive`], the engine's one
+//! driver under every [`Substrate`]. Every run profiles itself.
 //!
 //! ```
 //! use asynoc_mesh::{drive, MeshConfig, MeshNetwork, MeshSize, RunConfig};
 //! use asynoc_traffic::Benchmark;
 //!
 //! let network = MeshNetwork::new(MeshConfig::new(MeshSize::new(4, 4)?).with_seed(7))?;
-//! let run = RunConfig::quick(Benchmark::UniformRandom, 0.2).with_profile(true);
+//! let run = RunConfig::quick(Benchmark::UniformRandom, 0.2);
 //! let report = drive(&network, &run, &mut [], None)?;
-//! assert!(report.profile.is_some());
+//! assert_eq!(report.profile.kinds.total(), report.events_processed);
 //! # Ok::<(), asynoc_mesh::MeshError>(())
 //! ```
 //!

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate: whether the repository still works. Every gate is
-# deterministic except `--bench ratios`, whose four are quotients taken
+# deterministic except `--bench ratios`, whose three are quotients taken
 # inside one process. How *fast* it is, is benchmark/run.sh's to say.
 #
 #   scripts/check.sh            the full gate
@@ -95,6 +95,7 @@ mesh='--substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 --warmup-n
 vcmesh='--substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4 --warmup-ns 40 --measure-ns 400'
 big_mot='--arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 --size 64'
 big_mesh='--benchmark Uniform-random --rate 0.1 --cols 8 --rows 8'
+sat='--arch Baseline --benchmark Hotspot --quick --jobs 2'
 pair='--warmup-ns 20 --measure-ns 150 --oracle'
 fmot='--arch BasicHybridSpeculative --benchmark Multicast5 --rate 0.2'
 fmesh='--substrate mesh --benchmark Uniform-random --rate 0.1 --size 4'
@@ -119,6 +120,10 @@ trace round-trip (vcmesh) | asynoc metrics $vcmesh $traced --metrics-out m.json 
  same cat 1 p ; has p.json "schema": "asynoc-profile-v1"
 --profile (mesh 8x8) | asynoc mesh $big_mesh > 1 ; asynoc mesh $big_mesh --profile p.json > p ;\
  same cat 1 p ; has p.json "schema": "asynoc-profile-v1"
+--profile (saturate --quick) | asynoc saturate $sat > 1 ; asynoc saturate $sat --profile p.json > p ;\
+ same cat 1 p ; has p.json "schema": "asynoc-profile-v1"
+--profile (faults --oracle) | asynoc faults $fmot $pair > 1 ; asynoc faults $fmot $pair --profile p.json > p ;\
+ same cat 1 p ; has p.json "schema": "asynoc-profile-v1"
 # every run is one thread; --shards is still accepted (benchmark/ passes it) and changes nothing
 --shards is accepted and ignored | asynoc run $big_mot > 1 ; asynoc run $big_mot --shards 4 > 4 ; same cat 1 4
 # clean vs faulted under one seed: the command exits non-zero when the oracle fails
@@ -135,6 +140,8 @@ saturate refuses the window flags | exits 2 asynoc saturate --arch Baseline --be
 run refuses seeds past the largest u64 | exits 2 asynoc run --arch Baseline --benchmark Shuffle --rate 0.1 --measure-ns 100 --seeds 2 --seed 18446744073709551615 ;\
  has stderr error: --seed 18446744073709551615 and --seeds 2
 sweep refuses an infinite --to | exits 2 asynoc sweep --arch Baseline --benchmark Shuffle --from 0.1 --to inf --steps 2 ; has stderr error: --to must be finite
+# a rate that is not positive and finite is a usage error, refused before any output file is created
+metrics refuses --rate 0 | exits 2 asynoc metrics --arch Baseline --benchmark Shuffle --rate 0 --metrics-out m.json ; has stderr error: --rate 0 must be positive and finite
 # 900 000 events a twin: the oracle judges from the stream and keeps no trace, so its verdict
 # holds however long the run is (it kept 500 000 records once, and was wrong past them)
 fault oracle past the old trace cap | asynoc faults --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 --plan lose:0:2000 --oracle --measure-ns 60000 --report-out r.json ;\
