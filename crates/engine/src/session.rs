@@ -630,10 +630,11 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
     }
 
     /// Executes the run phase by phase — the warmup window, the
-    /// measurement window, then the drain tail when `spec` drains — and
-    /// returns the host time each phase took, counted from `start`. The
-    /// event that ends one phase opens the next; the one that passes the
-    /// last bound is dropped with the rest of the queue.
+    /// measurement window, then the drain tail when `spec` drains and a
+    /// measured packet is still in flight — and returns the host time each
+    /// phase took, counted from `start`. The event that ends one phase
+    /// opens the next; the one that passes the last bound is dropped with
+    /// the rest of the queue.
     fn execute(&mut self, spec: RunSpec, start: Instant) -> PhaseWall {
         let mut wall = PhaseWall::default();
         let mut since = start;
@@ -646,7 +647,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         lap(&mut wall.warmup_ns);
         let next = self.segment(next, spec.phases.measurement_end(), false);
         lap(&mut wall.measure_ns);
-        if spec.drain {
+        if spec.drain && self.ctx.pending.measured_in_flight() > 0 {
             self.segment(next, spec.drain_end(), true);
             lap(&mut wall.drain_ns);
         }
@@ -1079,6 +1080,35 @@ mod tests {
         let spec = RunSpec::new(toy_spec().phases, false);
         let (report, _) = run(Crossbar::new(), toy_traffic(5), spec, None, &mut []);
         assert!(report.packets_measured > 0);
+    }
+
+    #[test]
+    fn a_run_with_nothing_to_drain_stops_at_the_window() {
+        // A seed whose window closes with no measured packet in flight:
+        // draining it must execute nothing past the window.
+        let phases = toy_spec().phases;
+        let cut = |seed| {
+            run(
+                Crossbar::new(),
+                toy_traffic(seed),
+                RunSpec::new(phases, false),
+                None,
+                &mut [],
+            )
+            .0
+        };
+        let seed = (0..64)
+            .find(|&seed| cut(seed).packets_incomplete == 0)
+            .expect("some seed completes every measured packet in the window");
+        let (drained, _) = run(
+            Crossbar::new(),
+            toy_traffic(seed),
+            toy_spec(),
+            None,
+            &mut [],
+        );
+        assert_eq!(drained.events_processed, cut(seed).events_processed);
+        assert_eq!(drained.profile.phase.drain_ns, 0);
     }
 
     #[test]
