@@ -331,7 +331,7 @@ impl<'a> MotModel<'a> {
                     OutputPort::Bottom => decision.forward.wants_bottom(),
                 };
                 if demanded && !ctx.is_free(self.fabric.fanout_out[flat][port.index()]) {
-                    return; // woken by that channel's free event
+                    return; // woken by that channel's free, now waited on
                 }
             }
         }
@@ -392,7 +392,7 @@ impl<'a> MotModel<'a> {
         }
         let out = self.fabric.fanin_out[flat];
         if !ctx.is_free(out) {
-            return; // woken when the output drains
+            return; // woken when the output drains, now waited on
         }
 
         let input_channel = [c0, c1][winner];
@@ -409,6 +409,10 @@ impl<'a> MotModel<'a> {
             busy: timing.free_delay(class),
         });
         ctx.launch(out, flit, timing.forward(class) + self.timing.wire_delay);
+        if ctx.arrived([c1, c0][winner]).is_some() {
+            // The losing input waits on the output just taken.
+            ctx.wake_on_free(out);
+        }
         ctx.free_after(input_channel, timing.free_delay(class));
         self.fanin_next_fire[flat] = ctx.now() + timing.cycle_floor;
     }

@@ -112,6 +112,12 @@ pub trait SimModel {
     /// outputs, schedule frees/retries via `ctx`. Called whenever an
     /// event may have unblocked the node; must do nothing if the node's
     /// preconditions do not hold.
+    ///
+    /// A channel's free wakes its upstream only if the upstream waits on
+    /// it, so the model must leave no wait unannounced: a node blocked on
+    /// a busy output learns so from [`Ctx::is_free`], which subscribes it,
+    /// and a node that launches onto an output while another of its flits
+    /// still needs that output calls [`Ctx::wake_on_free`] for it.
     fn fire(&mut self, node: Self::Node, ctx: &mut impl Ctx<Self::Node>);
 }
 
@@ -203,7 +209,8 @@ enum Event<N> {
     Inject { source: usize },
     /// The flit in flight on `channel` reaches the downstream input.
     Arrive { channel: usize },
-    /// `channel` completes its handshake and becomes free.
+    /// `channel` completes its handshake and becomes free; scheduled only
+    /// for a channel whose upstream waits on it.
     FreeChannel { channel: usize },
     /// Re-attempt firing after a cycle-floor stall.
     Retry { target: NodeRef<N> },
@@ -257,30 +264,22 @@ impl<N: NodeKey> Event<N> {
     }
 }
 
-/// Dynamic state of one channel.
+/// Dynamic state of one channel. `waited` is set once the channel's
+/// upstream waits on its free (see [`Ctx::is_free`]): only a waited
+/// channel's free is an event. The flag rides in the flit variants'
+/// padding, so it costs no memory.
 #[derive(Clone, Debug)]
 enum ChannelState {
     /// Empty; upstream may launch.
     Free,
     /// A flit was launched and is in flight.
-    InFlight(Flit),
+    InFlight { flit: Flit, waited: bool },
     /// The flit sits at the downstream input, awaiting consumption.
-    Arrived(Flit),
-    /// Consumed; the handshake is completing (ack in flight).
-    Draining,
-}
-
-impl ChannelState {
-    fn is_free(&self) -> bool {
-        matches!(self, ChannelState::Free)
-    }
-
-    fn arrived(&self) -> Option<&Flit> {
-        match self {
-            ChannelState::Arrived(flit) => Some(flit),
-            _ => None,
-        }
-    }
+    Arrived { flit: Flit, waited: bool },
+    /// Consumed; the handshake is completing (ack in flight). It completes
+    /// at `free_at`, set by [`Ctx::free_after`]; from then on the channel
+    /// reads free without any event (see [`Core::acknowledged`]).
+    Draining { free_at: Option<Time>, waited: bool },
 }
 
 /// The engine state a firing node may touch.
@@ -298,9 +297,19 @@ pub trait Ctx<N> {
     /// Whether `now` falls inside the measurement window.
     #[must_use]
     fn in_window(&self) -> bool;
-    /// Whether `channel` is free for a launch.
+    /// Whether `channel` is free for a launch. A busy answer subscribes
+    /// the channel's upstream — the firing node, the only one that asks —
+    /// to its free: the free wakes it as an event. A channel nobody waits
+    /// on frees without one, so a model must ask here (or call
+    /// [`wake_on_free`](Ctx::wake_on_free)) before it relies on being
+    /// woken.
     #[must_use]
-    fn is_free(&self, channel: usize) -> bool;
+    fn is_free(&mut self, channel: usize) -> bool;
+    /// Subscribes `channel`'s upstream to its free, as a busy
+    /// [`is_free`](Ctx::is_free) answer does. A node calls it after a
+    /// launch when another of its flits still needs the same channel;
+    /// does nothing if the channel reads free.
+    fn wake_on_free(&mut self, channel: usize);
     /// The flit awaiting consumption on `channel`, if any.
     #[must_use]
     fn arrived(&self, channel: usize) -> Option<&Flit>;
@@ -329,8 +338,14 @@ pub trait Ctx<N> {
         packet: u64,
         is_header: bool,
     ) -> Option<(RouteSymbol, Option<FaultClass>)>;
-    /// Schedules `channel` (currently draining) to become free after
-    /// `delay`, waking its upstream entity.
+    /// Completes the handshake of `channel` (consumed, so draining) after
+    /// `delay`, which must be positive: from then on the channel reads
+    /// free, and the free wakes its upstream if the upstream waits on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` has not been consumed with
+    /// [`take_arrived`](Ctx::take_arrived).
     fn free_after(&mut self, channel: usize, delay: Duration);
     /// Schedules a re-attempt to fire `node` at `at` (cycle-floor
     /// stalls only; all other blockings are woken by the event that
@@ -351,6 +366,9 @@ struct Core<'r, 'obs, N> {
     /// Pending events, each held as its [`event_key`].
     queue: CalendarQueue<()>,
     now: Time,
+    /// The [`event_key`] of the event being executed; with `now`, its
+    /// place in the run's total order.
+    key: u64,
 
     channels: Vec<ChannelState>,
     /// Per-source packets waiting to inject, and the index of the front
@@ -390,6 +408,25 @@ impl<N: NodeKey> Core<'_, '_, N> {
         self.queue.schedule_keyed(at, event_key(&event), ());
     }
 
+    /// Whether an acknowledge completing at `at` on `channel` has
+    /// completed by the current event: exactly when that channel's
+    /// `FreeChannel` event, were it scheduled, would already have run.
+    fn acknowledged(&self, at: Time, channel: usize) -> bool {
+        at < self.now
+            || (at == self.now && event_key(&Event::<N>::FreeChannel { channel }) < self.key)
+    }
+
+    /// Whether `channel` is free at the current event.
+    fn reads_free(&self, channel: usize) -> bool {
+        match self.channels[channel] {
+            ChannelState::Free => true,
+            ChannelState::Draining {
+                free_at: Some(at), ..
+            } => self.acknowledged(at, channel),
+            _ => false,
+        }
+    }
+
     fn alloc_id(&mut self, source: usize) -> PacketId {
         let id = PacketId::new(((source as u64) << 32) | self.next_packet_id[source]);
         self.next_packet_id[source] += 1;
@@ -406,24 +443,54 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
         self.phases.in_measurement(self.now)
     }
 
-    fn is_free(&self, channel: usize) -> bool {
-        self.channels[channel].is_free()
+    fn is_free(&mut self, channel: usize) -> bool {
+        if self.reads_free(channel) {
+            return true;
+        }
+        let free_at = match &mut self.channels[channel] {
+            ChannelState::InFlight { waited, .. } | ChannelState::Arrived { waited, .. } => {
+                *waited = true;
+                None
+            }
+            ChannelState::Draining { free_at, waited } => {
+                // The first subscription of a draining channel schedules
+                // its free; a later one finds it scheduled.
+                (!std::mem::replace(waited, true))
+                    .then_some(*free_at)
+                    .flatten()
+            }
+            ChannelState::Free => unreachable!("a free channel reads free"),
+        };
+        if let Some(at) = free_at {
+            self.schedule_event(at, Event::FreeChannel { channel });
+        }
+        false
+    }
+
+    fn wake_on_free(&mut self, channel: usize) {
+        let _ = self.is_free(channel);
     }
 
     fn arrived(&self, channel: usize) -> Option<&Flit> {
-        self.channels[channel].arrived()
+        match &self.channels[channel] {
+            ChannelState::Arrived { flit, .. } => Some(flit),
+            _ => None,
+        }
     }
 
     fn take_arrived(&mut self, channel: usize) -> Flit {
-        let state = std::mem::replace(&mut self.channels[channel], ChannelState::Draining);
-        let ChannelState::Arrived(flit) = state else {
+        let ChannelState::Arrived { flit, waited } = self.channels[channel] else {
             unreachable!("take_arrived on a channel with no waiting flit");
+        };
+        self.channels[channel] = ChannelState::Draining {
+            free_at: None,
+            waited,
         };
         flit
     }
 
     fn launch(&mut self, channel: usize, flit: Flit, flight: Duration) {
-        debug_assert!(self.channels[channel].is_free(), "launch on busy channel");
+        debug_assert!(self.reads_free(channel), "launch on busy channel");
         let mut flight = flight;
         if let Some(extra) = self
             .faults
@@ -437,7 +504,10 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
             });
             flight += extra;
         }
-        self.channels[channel] = ChannelState::InFlight(flit);
+        self.channels[channel] = ChannelState::InFlight {
+            flit,
+            waited: false,
+        };
         self.schedule_event(self.now + flight, Event::Arrive { channel });
     }
 
@@ -453,7 +523,17 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
     }
 
     fn free_after(&mut self, channel: usize, delay: Duration) {
-        self.schedule_event(self.now + delay, Event::FreeChannel { channel });
+        // A zero delay would read free at once, ahead of where its event
+        // would have run.
+        debug_assert!(!delay.is_zero(), "an acknowledge takes time");
+        let at = self.now + delay;
+        let ChannelState::Draining { free_at, waited } = &mut self.channels[channel] else {
+            unreachable!("free_after on a channel that was not consumed");
+        };
+        *free_at = Some(at);
+        if *waited {
+            self.schedule_event(at, Event::FreeChannel { channel });
+        }
     }
 
     fn retry(&mut self, node: N, at: Time) {
@@ -589,6 +669,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             injection_end: spec.phases.measurement_end(),
             queue: CalendarQueue::new(),
             now: Time::ZERO,
+            key: 0,
             channels: vec![ChannelState::Free; channels],
             source_queue: (0..n).map(|_| VecDeque::with_capacity(16)).collect(),
             source_next_flit: vec![0; n],
@@ -671,7 +752,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             if t >= bound {
                 return next;
             }
-            self.step(t, Event::from_key(key));
+            self.step(t, key);
             if until_drained && self.ctx.pending.measured_in_flight() == 0 {
                 return None;
             }
@@ -680,11 +761,12 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         None
     }
 
-    /// The per-event body.
-    fn step(&mut self, t: Time, event: Event<M::Node>) {
+    /// The per-event body: executes the event whose key is `key`.
+    fn step(&mut self, t: Time, key: u64) {
         self.ctx.now = t;
+        self.ctx.key = key;
         self.ctx.events_processed += 1;
-        match event {
+        match Event::from_key(key) {
             Event::Inject { source } => {
                 self.ctx.kinds.inject += 1;
                 self.handle_inject(source);
@@ -793,11 +875,10 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
     // ------------------------------------------------------------------
 
     fn handle_arrive(&mut self, channel: usize) {
-        let state = std::mem::replace(&mut self.ctx.channels[channel], ChannelState::Free);
-        let ChannelState::InFlight(flit) = state else {
+        let ChannelState::InFlight { flit, waited } = self.ctx.channels[channel] else {
             unreachable!("arrival on a channel that was not in flight");
         };
-        self.ctx.channels[channel] = ChannelState::Arrived(flit);
+        self.ctx.channels[channel] = ChannelState::Arrived { flit, waited };
         match self.wiring[channel].downstream {
             NodeRef::Sink(dest) => self.sink_consume(channel, dest),
             other => self.wake(other),
@@ -806,8 +887,11 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
 
     fn handle_free(&mut self, channel: usize) {
         debug_assert!(
-            matches!(self.ctx.channels[channel], ChannelState::Draining),
-            "freed a channel that was not draining"
+            matches!(
+                self.ctx.channels[channel],
+                ChannelState::Draining { free_at: Some(at), waited: true } if at == self.ctx.now
+            ),
+            "freed a channel that was not waited on to free now"
         );
         self.ctx.channels[channel] = ChannelState::Free;
         self.wake(self.wiring[channel].upstream);
@@ -830,7 +914,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             return;
         };
         let channel = self.source_channel[source];
-        if !self.ctx.channels[channel].is_free() {
+        if !self.ctx.is_free(channel) {
             return;
         }
         if self.ctx.now < self.ctx.source_next_fire[source] {
@@ -910,6 +994,10 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         }
         let wire = self.source_wire_delay;
         self.ctx.launch(channel, flit, wire);
+        if !self.ctx.source_queue[source].is_empty() {
+            // The next flit waits on the channel just taken.
+            self.ctx.wake_on_free(channel);
+        }
         self.ctx.source_next_fire[source] = self.ctx.now + self.source_cycle;
     }
 
@@ -1080,6 +1168,64 @@ mod tests {
         let spec = RunSpec::new(toy_spec().phases, false);
         let (report, _) = run(Crossbar::new(), toy_traffic(5), spec, None, &mut []);
         assert!(report.packets_measured > 0);
+    }
+
+    #[test]
+    fn a_losing_input_is_woken_by_the_output_it_waits_on() {
+        // Hotspot traffic: both sources aim at sink 0, so the crossbar's
+        // second input keeps losing output 2 to the first and must be
+        // woken by that output's free, which it subscribed to by asking.
+        let traffic = (0..2)
+            .map(|s| SourceTraffic::new(Benchmark::Hotspot, 2, s, 0.8, 1, 7).unwrap())
+            .collect();
+        let (report, _) = run(Crossbar::new(), traffic, toy_spec(), None, &mut []);
+        assert_eq!(report.packets_incomplete, 0, "a waiting input was stranded");
+        assert!(report.profile.kinds.free > 0, "nobody waited on a free");
+        // The latencies every acknowledge waking its sender gave.
+        let latency = &report.latency;
+        assert_eq!(
+            (
+                latency.count(),
+                latency.min(),
+                latency.max(),
+                latency.mean()
+            ),
+            (
+                71,
+                Some(Duration::from_ps(250)),
+                Some(Duration::from_ps(1_433)),
+                Some(Duration::from_ps(418))
+            )
+        );
+    }
+
+    #[test]
+    fn a_free_due_now_is_seen_by_later_kinds_only() {
+        let mut session = Session::new(Crossbar::new(), toy_traffic(7), toy_spec(), None, &mut []);
+        let ctx = &mut session.ctx;
+        let now = Time::from_ps(1_000);
+        ctx.now = now;
+        ctx.channels[2] = ChannelState::Draining {
+            free_at: Some(now),
+            waited: false,
+        };
+        let key = |event: Event<()>| event_key(&event);
+        // A retry at `now` runs after the channel's free would have.
+        ctx.key = key(Event::Retry {
+            target: NodeRef::Node(()),
+        });
+        assert!(ctx.is_free(2));
+        // So does the free of a higher channel; an arrival, or the free of
+        // a lower channel, runs before it.
+        ctx.key = key(Event::FreeChannel { channel: 3 });
+        assert!(ctx.is_free(2));
+        let queued = ctx.queue.len();
+        ctx.key = key(Event::Arrive { channel: 0 });
+        assert!(!ctx.is_free(2));
+        ctx.key = key(Event::FreeChannel { channel: 1 });
+        assert!(!ctx.is_free(2));
+        // The first busy answer subscribed: the free became one event.
+        assert_eq!(ctx.queue.len(), queued + 1);
     }
 
     #[test]

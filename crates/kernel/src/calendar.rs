@@ -16,7 +16,9 @@
 //! Events pop in the heap's exact `(time, key, seq)` order (see
 //! [`EventQueue`]). A slot's entries share their time; each slot is a list
 //! in ascending key order where a new entry goes behind every equal key,
-//! so insertion order stands in for `seq`. The overflow heap is an
+//! so insertion order stands in for `seq`. The slot also knows its last
+//! entry, so a key at or above it — the common case when hundreds of
+//! events share an instant — appends without walking the list. The overflow heap is an
 //! [`EventQueue`] and hands its entries over in order as soon as the
 //! window reaches them, before anything can be filed at their time
 //! directly. `tests/queue_differential.rs` drives both queues from seeded
@@ -66,6 +68,8 @@ pub struct CalendarQueue<E> {
     base: u64,
     /// Each slot's first entry (the next to pop), an index into `nodes`.
     heads: Box<[u32; SLOTS as usize]>,
+    /// Each slot's last entry, or [`NIL`] when the slot is empty.
+    tails: Box<[u32; SLOTS as usize]>,
     /// Bit `s % 64` of `words[s / 64]` is set iff slot `s` holds an entry.
     words: [u64; SLOTS as usize / 64],
     /// Bit `w` is set iff `words[w]` is non-zero.
@@ -101,6 +105,7 @@ impl<E> CalendarQueue<E> {
         CalendarQueue {
             base: 0,
             heads: Box::new([NIL; SLOTS as usize]),
+            tails: Box::new([NIL; SLOTS as usize]),
             words: [0; SLOTS as usize / 64],
             summary: 0,
             nodes: Vec::with_capacity(capacity),
@@ -135,6 +140,7 @@ impl<E> CalendarQueue<E> {
     /// determinism is preserved across a clear.
     pub fn clear(&mut self) {
         self.heads.fill(NIL);
+        self.tails.fill(NIL);
         self.words = [0; SLOTS as usize / 64];
         self.summary = 0;
         self.nodes.clear();
@@ -253,16 +259,27 @@ impl<E> CalendarQueue<E> {
             new
         };
         let slot = t as usize & MASK;
-        let (mut prev, mut next) = (NIL, self.heads[slot]);
-        while next != NIL && self.nodes[next as usize].key <= key {
-            prev = next;
-            next = self.nodes[next as usize].next;
-        }
-        self.nodes[new as usize].next = next;
-        if prev == NIL {
+        let tail = self.tails[slot];
+        if tail == NIL {
             self.heads[slot] = new;
+            self.tails[slot] = new;
+        } else if self.nodes[tail as usize].key <= key {
+            self.nodes[tail as usize].next = new;
+            self.tails[slot] = new;
         } else {
-            self.nodes[prev as usize].next = new;
+            // Below the last key: walk to the first greater key, which
+            // exists, so the new entry is never last.
+            let (mut prev, mut next) = (NIL, self.heads[slot]);
+            while next != NIL && self.nodes[next as usize].key <= key {
+                prev = next;
+                next = self.nodes[next as usize].next;
+            }
+            self.nodes[new as usize].next = next;
+            if prev == NIL {
+                self.heads[slot] = new;
+            } else {
+                self.nodes[prev as usize].next = new;
+            }
         }
         self.words[slot >> 6] |= 1 << (slot & 63);
         self.summary |= 1 << (slot >> 6);
@@ -282,6 +299,7 @@ impl<E> CalendarQueue<E> {
         self.free = index;
         self.heads[slot] = node.next;
         if node.next == NIL {
+            self.tails[slot] = NIL;
             self.words[slot >> 6] &= !(1 << (slot & 63));
             if self.words[slot >> 6] == 0 {
                 self.summary &= !(1 << (slot >> 6));

@@ -127,3 +127,57 @@ fn clear_preserves_sequence_parity() {
         calendar.clear();
     }
 }
+
+#[test]
+fn same_instant_bursts_append_walk_and_lead() {
+    // Hundreds of events per picosecond, as a 64x64 fabric files them:
+    // keys mostly ascending (the slot's tail append), one in ten equal to
+    // the last (still an append, behind it), one in ten below it (a walk
+    // into the list, or a new head).
+    for seed in 500..505 {
+        let mut rng = SimRng::seed_from(seed);
+        let mut heap: EventQueue<u64> = EventQueue::new();
+        let mut calendar: CalendarQueue<u64> = CalendarQueue::new();
+        let (mut clock, mut key, mut op) = (0u64, 0u64, 0u64);
+        for _ in 0..30 {
+            for _ in 0..400 {
+                let at = Time::from_ps(clock + rng.index(3) as u64);
+                key = match rng.index(10) {
+                    0 => key,
+                    1 => key.saturating_sub(rng.index(600) as u64),
+                    _ => key + 1 + rng.index(3) as u64,
+                };
+                heap.schedule_keyed(at, key, op);
+                calendar.schedule_keyed(at, key, op);
+                op += 1;
+            }
+            for _ in 0..300 {
+                let popped = heap.pop();
+                assert_eq!(popped, calendar.pop(), "seed {seed} op {op}: pop diverged");
+                clock = popped.map_or(clock, |(t, _)| t.as_ps());
+            }
+        }
+        while let Some(popped) = heap.pop() {
+            assert_eq!(Some(popped), calendar.pop(), "seed {seed}: drain diverged");
+        }
+        assert!(calendar.is_empty());
+    }
+}
+
+#[test]
+fn clear_forgets_every_slot() {
+    // A cleared queue files into the slots it used as if they were new:
+    // nothing links behind an entry the clear dropped.
+    let mut calendar: CalendarQueue<u32> = CalendarQueue::new();
+    for i in 0..8 {
+        calendar.schedule_keyed(Time::from_ps(40), u64::from(i), i);
+    }
+    calendar.clear();
+    calendar.schedule_keyed(Time::from_ps(40), 5, 100);
+    calendar.schedule_keyed(Time::from_ps(40), 5, 101);
+    calendar.schedule_keyed(Time::from_ps(40), 1, 102);
+    let order: Vec<_> = std::iter::from_fn(|| calendar.pop())
+        .map(|(_, e)| e)
+        .collect();
+    assert_eq!(order, [102, 100, 101]);
+}

@@ -90,7 +90,7 @@ impl Router for Wormhole {
                 continue;
             };
             if !ctx.is_free(out_channel) {
-                continue; // woken by the output's free event
+                continue; // woken by the output's free, now waited on
             }
             if ctx.now() < self.out_next_fire[router][out_port.index()] {
                 ctx.retry(router, self.out_next_fire[router][out_port.index()]);
@@ -114,6 +114,10 @@ impl Router for Wormhole {
                 flit,
                 timing.forward(class) + grid.timing().wire_delay,
             );
+            if request_count > 1 {
+                // Another input waits on the output just taken.
+                ctx.wake_on_free(out_channel);
+            }
             ctx.free_after(in_channel, timing.free_delay(class));
             self.out_next_fire[router][out_port.index()] = ctx.now() + timing.cycle_floor;
         }

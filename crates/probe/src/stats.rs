@@ -25,7 +25,8 @@ pub struct EventKindCounts {
     pub inject: u64,
     /// Channel-arrival events.
     pub arrive: u64,
-    /// Channel-free (handshake completion) events.
+    /// Channel-free (handshake completion) events: only the completions
+    /// a sender waited on are events.
     pub free: u64,
     /// Cycle-floor retry events.
     pub retry: u64,

@@ -1261,13 +1261,15 @@ mod tests {
         // whose writers rendered every record through a `JsonValue` tree.
         // (The stream column is that commit's files less the close-time
         // `no_progress` record every clean run then ended with, and its
-        // count in `end`: the record now means work left undone; and less
-        // the `shards` / `shard_events` counters its `end` record carried.)
+        // count in `end`: the record now means work left undone; less
+        // the `shards` / `shard_events` counters its `end` record carried;
+        // and with `end`'s `events_processed` counting a channel free only
+        // when a sender waited on it.)
         const EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
         const PINNED: [(&str, u64, u64); 4] = [
-            ("mot", 0xa3d2_ebf9_7695_08ee, 0x1c99_306e_34bd_d2c5),
-            ("mesh", 0x7d44_5f18_2072_1d19, 0xb821_0b32_9185_b0e7),
-            ("vcmesh", 0xd776_23d5_8d68_f914, 0xd724_c88c_a75e_8905),
+            ("mot", 0xa3d2_ebf9_7695_08ee, 0x7d8e_a72e_8fde_032f),
+            ("mesh", 0x7d44_5f18_2072_1d19, 0x5faa_9a9d_1b06_805b),
+            ("vcmesh", 0xd776_23d5_8d68_f914, 0x516d_caf7_15ac_ebdb),
             ("mot-faulted", EMPTY, 0x9433_b1a4_248d_bb5d),
         ];
         let written: Vec<_> = reference::real_runs()

@@ -241,6 +241,8 @@ pub struct VcRouter {
     state: Vec<RouterState>,
     planner: DpmPlanner,
     section: VcSection,
+    /// Whether the firing router scheduled a cycle-floor retry.
+    stalled: bool,
 }
 
 impl VcRouter {
@@ -382,7 +384,7 @@ impl VcRouter {
                 }
             }
             if !ctx.is_free(out[po] + vo) {
-                return false; // woken by the output's free event
+                return false; // woken by the output's free, now waited on
             }
             if now < self.state[r].next_fire[po] {
                 let at = self.state[r].next_fire[po];
@@ -391,6 +393,7 @@ impl VcRouter {
         }
         if let Some(at) = floor_block {
             ctx.retry(r, at);
+            self.stalled = true;
             return false;
         }
 
@@ -484,7 +487,7 @@ impl VcRouter {
         for (p, v) in slots(self.state[r].owing) {
             let ch = link_in[p] + VC_COUNT + v;
             if !ctx.is_free(ch) {
-                continue; // the channel's free event re-fires us
+                continue; // the channel's free, now waited on, re-fires us
             }
             let state = &mut self.state[r];
             let token = state.token[p][v].expect("an owed credit implies a previously popped flit");
@@ -498,6 +501,23 @@ impl VcRouter {
             progress = true;
         }
         progress
+    }
+
+    /// Subscribes router `r`, held by a cycle floor, to the free of every
+    /// busy channel it drives: data out, ejection and credit return. Any
+    /// of them may resume it before its retry — one freeing at the
+    /// floor's own instant, ahead of the retry in event order, or one
+    /// freeing earlier that finds it held again — so same-instant forwards
+    /// keep their order and each hold schedules its own retry.
+    fn listen(grid: &Grid, r: usize, ctx: &mut impl Ctx<usize>) {
+        let (out, link_in) = (grid.link_out(r), grid.link_in(r));
+        ctx.wake_on_free(out[LOCAL]);
+        for p in (0..LOCAL).filter(|&p| out[p] != Grid::ABSENT) {
+            for v in 0..VC_COUNT {
+                ctx.wake_on_free(out[p] + v);
+                ctx.wake_on_free(link_in[p] + VC_COUNT + v);
+            }
+        }
     }
 
     /// Invariant checked at every firing: for every output link and VC,
@@ -555,6 +575,7 @@ impl Router for VcRouter {
                 .collect(),
             planner: DpmPlanner::new(grid.size()),
             section: VcSection::default(),
+            stalled: false,
         }
     }
 
@@ -571,6 +592,9 @@ impl Router for VcRouter {
             if !progress {
                 break;
             }
+        }
+        if std::mem::take(&mut self.stalled) {
+            Self::listen(grid, router, ctx);
         }
         self.audit_credits(router);
     }
@@ -610,6 +634,17 @@ mod tests {
             "VC1 idle (id-parity allocation broken)"
         );
         assert!(report.router.vc_peak.iter().all(|&p| p <= VC_DEPTH as u64));
+    }
+
+    #[test]
+    fn a_router_held_by_its_floor_hears_every_link_it_drives() {
+        // A held router schedules a retry at every firing that finds it
+        // held, and the free of each link it drives fires it until then:
+        // 130 retries here, where a router deaf to those frees takes 126.
+        let report = network(4, 4, McastScheme::Dpm)
+            .run(Benchmark::Multicast5, 0.1, Phases::paper_standard(false))
+            .unwrap();
+        assert_eq!(report.profile.kinds.retry, 130);
     }
 
     #[test]
