@@ -266,8 +266,7 @@ impl<N: NodeKey> Event<N> {
 
 /// Dynamic state of one channel. `waited` is set once the channel's
 /// upstream waits on its free (see [`Ctx::is_free`]): only a waited
-/// channel's free is an event. The flag rides in the flit variants'
-/// padding, so it costs no memory.
+/// channel's free is an event.
 #[derive(Clone, Debug)]
 enum ChannelState {
     /// Empty; upstream may launch.
@@ -281,6 +280,10 @@ enum ChannelState {
     /// reads free without any event (see [`Core::acknowledged`]).
     Draining { free_at: Option<Time>, waited: bool },
 }
+
+// Every channel holds one of these: the flags and the completion time
+// must fit beside the flit, in the tag's word.
+const _: () = assert!(std::mem::size_of::<ChannelState>() <= 64);
 
 /// The engine state a firing node may touch.
 ///
@@ -452,13 +455,14 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
                 *waited = true;
                 None
             }
-            ChannelState::Draining { free_at, waited } => {
-                // The first subscription of a draining channel schedules
-                // its free; a later one finds it scheduled.
-                (!std::mem::replace(waited, true))
-                    .then_some(*free_at)
-                    .flatten()
+            // The first subscription of a draining channel schedules its
+            // free, if `free_after` has timed it; a later one finds it
+            // scheduled.
+            ChannelState::Draining { free_at, waited } if !*waited => {
+                *waited = true;
+                *free_at
             }
+            ChannelState::Draining { .. } => None,
             ChannelState::Free => unreachable!("a free channel reads free"),
         };
         if let Some(at) = free_at {
