@@ -38,6 +38,20 @@ const MASK: usize = SLOTS as usize - 1;
 /// Ends a slot's list and the free list.
 const NIL: u32 = u32::MAX;
 
+/// One slot's list: its first entry (the next to pop) and its last, as
+/// indices into the node arena, or [`NIL`] when the slot is empty. The
+/// two ends share a cache line.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
+
 #[derive(Clone, Debug)]
 struct Node<E> {
     key: u64,
@@ -66,10 +80,8 @@ struct Node<E> {
 pub struct CalendarQueue<E> {
     /// The window's first picosecond; no pending event is earlier.
     base: u64,
-    /// Each slot's first entry (the next to pop), an index into `nodes`.
-    heads: Box<[u32; SLOTS as usize]>,
-    /// Each slot's last entry, or [`NIL`] when the slot is empty.
-    tails: Box<[u32; SLOTS as usize]>,
+    /// Each slot's list ends.
+    slots: Box<[Slot; SLOTS as usize]>,
     /// Bit `s % 64` of `words[s / 64]` is set iff slot `s` holds an entry.
     words: [u64; SLOTS as usize / 64],
     /// Bit `w` is set iff `words[w]` is non-zero.
@@ -104,8 +116,7 @@ impl<E> CalendarQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         CalendarQueue {
             base: 0,
-            heads: Box::new([NIL; SLOTS as usize]),
-            tails: Box::new([NIL; SLOTS as usize]),
+            slots: Box::new([EMPTY; SLOTS as usize]),
             words: [0; SLOTS as usize / 64],
             summary: 0,
             nodes: Vec::with_capacity(capacity),
@@ -139,8 +150,7 @@ impl<E> CalendarQueue<E> {
     /// Drops all pending events while keeping the sequence counter, so
     /// determinism is preserved across a clear.
     pub fn clear(&mut self) {
-        self.heads.fill(NIL);
-        self.tails.fill(NIL);
+        self.slots.fill(EMPTY);
         self.words = [0; SLOTS as usize / 64];
         self.summary = 0;
         self.nodes.clear();
@@ -259,24 +269,26 @@ impl<E> CalendarQueue<E> {
             new
         };
         let slot = t as usize & MASK;
-        let tail = self.tails[slot];
+        let tail = self.slots[slot].tail;
         if tail == NIL {
-            self.heads[slot] = new;
-            self.tails[slot] = new;
+            self.slots[slot] = Slot {
+                head: new,
+                tail: new,
+            };
         } else if self.nodes[tail as usize].key <= key {
             self.nodes[tail as usize].next = new;
-            self.tails[slot] = new;
+            self.slots[slot].tail = new;
         } else {
             // Below the last key: walk to the first greater key, which
             // exists, so the new entry is never last.
-            let (mut prev, mut next) = (NIL, self.heads[slot]);
+            let (mut prev, mut next) = (NIL, self.slots[slot].head);
             while next != NIL && self.nodes[next as usize].key <= key {
                 prev = next;
                 next = self.nodes[next as usize].next;
             }
             self.nodes[new as usize].next = next;
             if prev == NIL {
-                self.heads[slot] = new;
+                self.slots[slot].head = new;
             } else {
                 self.nodes[prev as usize].next = new;
             }
@@ -289,7 +301,7 @@ impl<E> CalendarQueue<E> {
     /// returns its time, key and event.
     fn take_first(&mut self) -> (u64, u64, E) {
         let slot = self.first_slot();
-        let index = self.heads[slot];
+        let index = self.slots[slot].head;
         let freed = Node {
             key: 0,
             next: self.free,
@@ -297,9 +309,9 @@ impl<E> CalendarQueue<E> {
         };
         let node = std::mem::replace(&mut self.nodes[index as usize], freed);
         self.free = index;
-        self.heads[slot] = node.next;
+        self.slots[slot].head = node.next;
         if node.next == NIL {
-            self.tails[slot] = NIL;
+            self.slots[slot].tail = NIL;
             self.words[slot >> 6] &= !(1 << (slot & 63));
             if self.words[slot >> 6] == 0 {
                 self.summary &= !(1 << (slot >> 6));
