@@ -331,7 +331,7 @@ impl<'a> MotModel<'a> {
                     OutputPort::Bottom => decision.forward.wants_bottom(),
                 };
                 if demanded && !ctx.is_free(self.fabric.fanout_out[flat][port.index()]) {
-                    return; // woken by that channel's free, now waited on
+                    return; // subscribed: that channel's free wakes us
                 }
             }
         }
@@ -392,7 +392,7 @@ impl<'a> MotModel<'a> {
         }
         let out = self.fabric.fanin_out[flat];
         if !ctx.is_free(out) {
-            return; // woken when the output drains, now waited on
+            return; // subscribed: woken when the output drains
         }
 
         let input_channel = [c0, c1][winner];

@@ -18,11 +18,11 @@
 //! in ascending key order where a new entry goes behind every equal key,
 //! so insertion order stands in for `seq`. The slot also knows its last
 //! entry, so a key at or above it — the common case when hundreds of
-//! events share an instant — appends without walking the list. The overflow heap is an
-//! [`EventQueue`] and hands its entries over in order as soon as the
-//! window reaches them, before anything can be filed at their time
-//! directly. `tests/queue_differential.rs` drives both queues from seeded
-//! workloads and asserts identical pop streams.
+//! events share an instant — appends without walking the list. The
+//! overflow heap is an [`EventQueue`] and hands its entries over in order
+//! as soon as the window reaches them, before anything can be filed at
+//! their time directly. `tests/queue_differential.rs` drives both queues
+//! from seeded workloads and asserts identical pop streams.
 
 use asynoc_probe::QueueStats;
 

@@ -90,7 +90,7 @@ impl Router for Wormhole {
                 continue;
             };
             if !ctx.is_free(out_channel) {
-                continue; // woken by the output's free, now waited on
+                continue; // subscribed: woken by the output's free
             }
             if ctx.now() < self.out_next_fire[router][out_port.index()] {
                 ctx.retry(router, self.out_next_fire[router][out_port.index()]);

@@ -384,7 +384,7 @@ impl VcRouter {
                 }
             }
             if !ctx.is_free(out[po] + vo) {
-                return false; // woken by the output's free, now waited on
+                return false; // subscribed: woken by the output's free
             }
             if now < self.state[r].next_fire[po] {
                 let at = self.state[r].next_fire[po];
@@ -487,7 +487,7 @@ impl VcRouter {
         for (p, v) in slots(self.state[r].owing) {
             let ch = link_in[p] + VC_COUNT + v;
             if !ctx.is_free(ch) {
-                continue; // the channel's free, now waited on, re-fires us
+                continue; // subscribed: the channel's free re-fires us
             }
             let state = &mut self.state[r];
             let token = state.token[p][v].expect("an owed credit implies a previously popped flit");
