@@ -17,7 +17,7 @@ fn holds<S: Substrate>(net: &S, site_of: SiteOf<S::Node>) {
     assert!(!run.progress(), "a default run draws no heartbeat");
 
     // Fault plans index channels and endpoints of the model that runs.
-    let (model, _probes) = net.prepare(&run);
+    let model = net.prepare(&run);
     let domain = net.fault_domain();
     assert_eq!(domain.channels, model.channel_count());
     assert_eq!(domain.endpoints, model.endpoints());

@@ -424,13 +424,13 @@ mod tests {
         let busiest = busy.map(|v| v.as_f64().unwrap()).fold(0.0, f64::max);
         assert!(busiest > 0.0 && busiest <= 1.0, "busy fraction {busiest}");
         // The hybrid network speculates, and the waste ledger prices its
-        // drops exactly as the energy ledger does (mW x ps is fJ).
+        // drops exactly as the power report does (mW x ps is fJ).
         let drop_fj = num(&doc, "waste.total_drop_fj");
         let energy_fj = num(&doc, "power.dropped_mw") * num(&doc, "power.window_ps");
         assert!(drop_fj > 0.0, "hybrid network must drop copies");
         assert!(
             (drop_fj - energy_fj).abs() <= 1e-6 * energy_fj,
-            "waste ledger {drop_fj} fJ vs energy ledger {energy_fj} fJ"
+            "waste ledger {drop_fj} fJ vs power report {energy_fj} fJ"
         );
     }
 

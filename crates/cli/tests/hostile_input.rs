@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 
 use asynoc_cli::args::{COMMANDS, FLAGS};
 use asynoc_kernel::SimRng;
+use asynoc_telemetry::JsonValue;
 
 fn asynoc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_asynoc"))
@@ -900,16 +901,57 @@ fn mutated_digits(rng: &mut SimRng, text: &str) -> String {
     format!("{}{with}{}", &text[..start], &text[start + digits..])
 }
 
-/// The `head` record of an 8-endpoint MoT run, as `asynoc metrics --stream`
-/// writes it.
+/// The MoT run the `REAL_*` records come from: `asynoc` with these
+/// arguments and `--stream <path>` writes the three records, one a line.
+const REAL_ARGV: [&str; 19] = [
+    "metrics",
+    "--arch",
+    "OptHybridSpeculative",
+    "--benchmark",
+    "Multicast10",
+    "--rate",
+    "0.4",
+    "--size",
+    "8",
+    "--seed",
+    "42",
+    "--warmup-ns",
+    "0",
+    "--measure-ns",
+    "10",
+    "--stream-window-ns",
+    "10",
+    "--bin-ns",
+    "10",
+];
+
+/// The `head` record of that run, as `asynoc metrics --stream` writes it.
 const REAL_HEAD: &str = r#"{"schema":"asynoc-stream-v1","type":"head","substrate":"mot","config":{"arch":"OptHybridSpeculative","benchmark":"Multicast10","rate_gfs":0.4,"size":8,"seed":42,"flits":5},"window_ps":10000,"bin_ps":10000,"levels":["fanout-L0","fanout-L1","fanout-L2","fanin-L0","fanin-L1","fanin-L2"],"endpoints":8,"trace":false,"watch":{"stall_windows":8,"busy_ceiling":0.98,"waste_ceiling":0.75,"waste_min_forwards":32}}"#;
 
 /// That run's first `window` record, carrying [`DELTA`] as its latency.
 const REAL_WINDOW: &str = r#"{"type":"window","seq":0,"t_ps":0,"events":301,"injected":26,"delivered":43,"dropped":8,"forwards":224,"in_flight":4,"latency":LATENCY,"bins":[{"t_ps":0,"injected":26,"delivered":43,"dropped":8,"forwards":224,"in_flight":4,"busy_fraction":[0.06075,0.07115,0.04513125,0.086,0.043,0.022]}]}"#;
 
-/// An `end` record with that run's scalar sections (the waste ledger left
-/// out).
-const REAL_END: &str = r#"{"type":"end","windows":1,"watchpoints":0,"sections":{"throughput":{"offered_gfs":0.625,"injected_gfs":0.675,"delivered_gfs":1.0875,"acceptance":1.08},"power":{"fanout_mw":10.704,"fanin_mw":11.592,"wire_mw":11.78,"dropped_mw":0.64,"dynamic_mw":34.716,"leakage_mw":1.3073199999999998,"total_mw":36.02332,"window_ps":10000},"counters":{"packets_measured":10,"packets_incomplete":0,"flits_throttled":16,"flits_delivered":87,"events_processed":1903,"shards":1,"shard_events":[1903]}}}"#;
+/// That run's `end` record (its waste ledger left out).
+const REAL_END: &str = r#"{"type":"end","windows":2,"watchpoints":0,"sections":{"throughput":{"offered_gfs":0.4375,"injected_gfs":0.325,"delivered_gfs":0.5375,"acceptance":0.7428571428571429},"power":{"fanout_mw":5.008,"fanin_mw":5.46,"wire_mw":5.58,"dropped_mw":0.32,"dynamic_mw":16.368000000000002,"leakage_mw":1.3073199999999998,"total_mw":17.675320000000003,"window_ps":10000},"counters":{"packets_measured":7,"packets_incomplete":0,"flits_throttled":8,"flits_delivered":43,"events_processed":424}}}"#;
+
+/// The `counters` keys of an `end` record.
+fn counter_keys(end: &str) -> Vec<String> {
+    let end = JsonValue::parse(end).expect("an end record parses");
+    let counters = end.get("sections").and_then(|s| s.get("counters"));
+    let counters = counters.and_then(JsonValue::as_object).expect("counters");
+    counters.iter().map(|(key, _)| key.clone()).collect()
+}
+
+#[test]
+fn the_real_end_record_has_the_writers_counters() {
+    let stream = fixture("real.ndjson", "");
+    let output = asynoc(&[&REAL_ARGV[..], &["--stream", &stream]].concat());
+    let written = std::fs::read_to_string(&stream).expect("the stream is written");
+    let _ = std::fs::remove_file(&stream);
+    assert!(output.status.success(), "{output:?}");
+    let end = written.lines().last().expect("an end record");
+    assert_eq!(counter_keys(REAL_END), counter_keys(end));
+}
 
 #[test]
 fn mutated_window_deltas_fold_or_fail_with_a_located_error() {

@@ -52,7 +52,6 @@ pub mod explore;
 pub mod fabric;
 pub mod faults;
 pub mod harness;
-pub mod observers;
 pub mod report;
 pub mod sim;
 

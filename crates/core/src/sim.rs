@@ -17,10 +17,13 @@
 //! only what is MoT-specific — the fabric wiring, the fanout/fanin firing
 //! rules, and the tree routing — via [`MotModel`], and the [`Substrate`]
 //! contract ([`Network`]'s endpoint count, fault domain, and report
-//! section) the engine's one driver runs it through. Power attaches as an
-//! [`Observer`](asynoc_engine::Observer) (see [`crate::observers`]);
-//! telemetry is one more, a [`Recorder`](asynoc_telemetry::Recorder) the
-//! caller registers, its nodes placed by [`Network::site_of`].
+//! section) the engine's one driver runs it through. Power is counted:
+//! the model tallies its in-window forwards and launched copies, and
+//! [`Network`]'s report prices them with the [`TimingModel`]'s per-event
+//! energies. Telemetry is an [`Observer`](asynoc_engine::Observer), a
+//! [`Recorder`](asynoc_telemetry::Recorder) the caller registers, its
+//! nodes placed by [`Network::site_of`]; a run with none registers no
+//! observer at all.
 
 use std::rc::Rc;
 
@@ -30,13 +33,13 @@ use asynoc_engine::{
 };
 use asynoc_kernel::{Duration, Time};
 use asynoc_nodes::{FaninState, FanoutState, FlitClass, TimingModel};
+use asynoc_power::PowerReport;
 use asynoc_telemetry::{LevelSpec, Site, SiteOf, Stage};
 use asynoc_topology::{FaninNodeId, FanoutKind, FanoutNodeId, OutputPort};
 
 use crate::config::{NetworkConfig, RunConfig};
 use crate::error::SimError;
 use crate::fabric::{Downstream, Entity, Fabric};
-use crate::observers::MotProbes;
 use crate::report::RunReport;
 
 /// A ready-to-run simulated network.
@@ -178,7 +181,6 @@ impl Network {
 impl Substrate for Network {
     type Node = MotNode;
     type Model<'a> = MotModel<'a>;
-    type Probes<'a> = MotProbes<'a>;
     type Report = RunReport;
 
     fn endpoints(&self) -> usize {
@@ -235,27 +237,79 @@ impl Substrate for Network {
         }
     }
 
-    fn prepare(&self, _run: &RunConfig) -> (MotModel<'_>, MotProbes<'_>) {
-        let timing = self.config.timing();
-        (
-            MotModel::new(&self.fabric, timing),
-            MotProbes::new(timing, &self.fabric),
-        )
+    fn prepare(&self, _run: &RunConfig) -> MotModel<'_> {
+        MotModel::new(&self.fabric, self.config.timing())
     }
 
-    fn report(
-        &self,
-        run: &RunConfig,
-        engine: EngineReport,
-        _model: MotModel<'_>,
-        probes: MotProbes<'_>,
-    ) -> RunReport {
-        let ledger = probes.into_ledger();
+    /// Prices the window's activity: each fanout forward at its kind's
+    /// and class's energy, each fanin forward at its class's, every wire
+    /// launch (the engine's injections plus the nodes' copies) at
+    /// `wire_fj`, and every throttled flit at `drop_fj`.
+    fn report(&self, run: &RunConfig, engine: EngineReport, model: MotModel<'_>) -> RunReport {
+        let (timing, activity) = (self.config.timing(), &model.activity);
+        let fanout = FanoutKind::ALL
+            .into_iter()
+            .flat_map(|kind| {
+                FlitClass::ALL.map(|class| {
+                    let count = activity.fanout[kind as usize][class as usize];
+                    priced(count, timing.fanout_energy(kind).for_class(class))
+                })
+            })
+            .sum();
+        let fanin = FlitClass::ALL
+            .into_iter()
+            .map(|class| {
+                let count = activity.fanin[class as usize];
+                priced(count, timing.fanin_energy.for_class(class))
+            })
+            .sum();
+        let wire = priced(engine.flits_injected + activity.copies, timing.wire_fj);
+        let dropped = priced(engine.flits_throttled, timing.drop_fj);
         RunReport {
+            power: PowerReport::new(
+                [fanout, fanin, wire, dropped],
+                run.phases().measure(),
+                self.leakage_mw(),
+            ),
             engine,
-            power: ledger.report(run.phases().measure(), self.leakage_mw()),
         }
     }
+}
+
+/// The energy of `count` events at `fj` femtojoules each.
+///
+/// Every energy constant of the presets is a whole number of fJ, at
+/// most 1 000 (`asynoc_nodes::timing`'s tests hold each one to it), so
+/// each product and every sum of them is exact — the same `f64` as adding
+/// `fj` once per event, in any order — while totals stay below 2^53 fJ.
+/// They do: a total that large needs some 9 × 10^12 priced events in one
+/// measurement window, weeks of host time at the engine's ~10^7 events
+/// per second.
+///
+/// # Panics
+///
+/// Panics if `fj` is negative or not finite.
+fn priced(count: u64, fj: f64) -> f64 {
+    assert!(
+        fj.is_finite() && fj >= 0.0,
+        "energy per event must be finite and non-negative, got {fj}"
+    );
+    count as f64 * fj
+}
+
+/// The switching activity a run's power is priced from, counted inside
+/// the measurement window. A source's launches are the engine's
+/// [`flits_injected`](EngineReport::flits_injected) and a throttle its
+/// [`flits_throttled`](EngineReport::flits_throttled), so neither is
+/// counted here.
+#[derive(Default)]
+struct Activity {
+    /// Flits forwarded by fanout nodes, by kind and flit class.
+    fanout: [[u64; 2]; FanoutKind::ALL.len()],
+    /// Flits forwarded by fanin nodes, by flit class.
+    fanin: [u64; 2],
+    /// Copies the nodes launched onto channels.
+    copies: u64,
 }
 
 /// The MoT substrate: fabric wiring, node firing rules, tree routing.
@@ -270,6 +324,7 @@ pub struct MotModel<'a> {
     fanout_next_fire: Vec<Time>,
     fanin_state: Vec<FaninState>,
     fanin_next_fire: Vec<Time>,
+    activity: Activity,
 }
 
 impl<'a> MotModel<'a> {
@@ -286,6 +341,7 @@ impl<'a> MotModel<'a> {
             fanout_next_fire: vec![Time::ZERO; fabric.fanout_kind.len()],
             fanin_state: (0..fanin_total).map(|_| FaninState::new()).collect(),
             fanin_next_fire: vec![Time::ZERO; fanin_total],
+            activity: Activity::default(),
         }
     }
 
@@ -363,6 +419,10 @@ impl<'a> MotModel<'a> {
                 copies,
                 busy: timing.free_delay(class),
             });
+            if ctx.in_window() {
+                self.activity.fanout[kind as usize][class as usize] += 1;
+                self.activity.copies += u64::from(copies);
+            }
             for port in OutputPort::BOTH {
                 let demanded = match port {
                     OutputPort::Top => decision.forward.wants_top(),
@@ -408,6 +468,10 @@ impl<'a> MotModel<'a> {
             copies: 1,
             busy: timing.free_delay(class),
         });
+        if ctx.in_window() {
+            self.activity.fanin[class as usize] += 1;
+            self.activity.copies += 1;
+        }
         ctx.launch(out, flit, timing.forward(class) + self.timing.wire_delay);
         if ctx.arrived([c1, c0][winner]).is_some() {
             // The losing input waits on the output just taken.
@@ -532,6 +596,18 @@ mod tests {
             low.power
         );
         assert!(low.power.leakage_mw() > 0.0);
+    }
+
+    /// Every constant is checked, even one no event of the run used: a
+    /// baseline network never throttles.
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn a_negative_energy_is_rejected() {
+        let mut timing = TimingModel::calibrated();
+        timing.drop_fj = -1.0;
+        let config = NetworkConfig::eight_by_eight(Architecture::Baseline).with_timing(timing);
+        let network = Network::new(config).unwrap();
+        let _ = network.run(&RunConfig::quick(Benchmark::UniformRandom, 0.1));
     }
 
     /// One quick run on `network` whose records `sinks` see.

@@ -182,6 +182,8 @@ pub struct EngineReport {
     /// Measured packets still in flight at the end (saturation
     /// indicator).
     pub packets_incomplete: usize,
+    /// Flits injected (accepted from the source queues) in the window.
+    pub flits_injected: u64,
     /// Flits throttled (dropped by speculation recovery) in the window.
     pub flits_throttled: u64,
     /// Flits delivered to sinks in the window.
@@ -392,6 +394,7 @@ struct Core<'r, 'obs, N> {
     pending: PendingTable,
 
     throughput: ThroughputCounter,
+    flits_injected: u64,
     flits_throttled: u64,
     flits_delivered: u64,
     events_processed: u64,
@@ -684,6 +687,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             observers,
             pending: PendingTable::new(n),
             throughput: ThroughputCounter::new(n),
+            flits_injected: 0,
             flits_throttled: 0,
             flits_delivered: 0,
             events_processed: 0,
@@ -815,6 +819,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             latency,
             throughput: ctx.throughput.per_source_gfs(spec.phases.measure()),
             packets_incomplete,
+            flits_injected: ctx.flits_injected,
             flits_throttled: ctx.flits_throttled,
             flits_delivered: ctx.flits_delivered,
             events_processed: ctx.events_processed,
@@ -989,6 +994,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         });
         if self.ctx.in_window() {
             self.ctx.throughput.record_injected(1);
+            self.ctx.flits_injected += 1;
         }
         if flit.kind().is_tail() {
             self.ctx.source_next_flit[source] = 0;

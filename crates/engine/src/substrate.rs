@@ -11,12 +11,12 @@
 
 use std::ops::DerefMut;
 
-use asynoc_kernel::{Duration, Time};
+use asynoc_kernel::Duration;
 use asynoc_stats::Phases;
 use asynoc_traffic::{Benchmark, SourceTraffic, TrafficError};
 
 use crate::fault::{ArmedFaults, FaultDomain};
-use crate::observer::{Observer, SimEvent};
+use crate::observer::Observer;
 use crate::session::{EngineReport, NodeKey, RunSpec, SimModel};
 
 /// One simulation run on any substrate: benchmark, offered load,
@@ -148,12 +148,6 @@ pub trait Substrate {
     type Model<'a>: SimModel<Node = Self::Node>
     where
         Self: 'a;
-    /// Observers every run carries ahead of the caller's own and whose
-    /// state feeds the report (the MoT's power ledger); `()` for a
-    /// fabric with none.
-    type Probes<'a>: Observer<Self::Node>
-    where
-        Self: 'a;
     /// What one run reports: the engine's measurements, reachable
     /// through `Deref`, beside the fabric's own section.
     type Report: DerefMut<Target = EngineReport>;
@@ -167,49 +161,22 @@ pub trait Substrate {
     /// The legal fault-injection targets; `channels` equals the model's
     /// channel count.
     fn fault_domain(&self) -> FaultDomain;
-    /// A fresh model and probe set for `run`.
-    fn prepare(&self, run: &RunConfig) -> (Self::Model<'_>, Self::Probes<'_>);
+    /// A fresh model for `run`.
+    fn prepare(&self, run: &RunConfig) -> Self::Model<'_>;
     /// Assembles the report from the engine's measurements and what the
-    /// finished model and probes accumulated.
-    fn report(
-        &self,
-        run: &RunConfig,
-        engine: EngineReport,
-        model: Self::Model<'_>,
-        probes: Self::Probes<'_>,
-    ) -> Self::Report;
-}
-
-impl<N> Observer<N> for () {
-    fn on_event(&mut self, _at: Time, _in_window: bool, _event: &SimEvent<'_, N>) {}
-}
-
-/// The one observer the engine sees: the substrate's probes, then the
-/// caller's observers in registration order. `&mut dyn` is invariant in
-/// the trait object's lifetime, so the caller's observers cannot join a
-/// slice of short-lived local ones directly; this adapter bridges the
-/// two lifetimes.
-struct Bridge<'x, 'y, P, N> {
-    probes: P,
-    extra: &'x mut [&'y mut dyn Observer<N>],
-}
-
-impl<P: Observer<N>, N> Observer<N> for Bridge<'_, '_, P, N> {
-    fn on_event(&mut self, at: Time, in_window: bool, event: &SimEvent<'_, N>) {
-        self.probes.on_event(at, in_window, event);
-        for observer in self.extra.iter_mut() {
-            observer.on_event(at, in_window, event);
-        }
-    }
+    /// finished model accumulated.
+    fn report(&self, run: &RunConfig, engine: EngineReport, model: Self::Model<'_>)
+        -> Self::Report;
 }
 
 /// Executes `run` on `substrate`: builds one traffic generator per
-/// endpoint, a fresh model, and the observer stack (the substrate's
-/// probes, then `extra`), and runs them — with `faults` threaded into the engine's injection hooks when given (the
-/// caller keeps the table and reads back its summary afterwards).
+/// endpoint and a fresh model, and runs them with the caller's
+/// `observers` — and with `faults` threaded into the engine's injection
+/// hooks when given (the caller keeps the table and reads back its
+/// summary afterwards).
 ///
-/// Extra observers see the identical event stream the probes do, in
-/// registration order, without perturbing the simulation.
+/// Observers see every event in registration order without perturbing
+/// the simulation; a run with none takes the engine's zero-observer path.
 ///
 /// # Errors
 ///
@@ -218,7 +185,7 @@ impl<P: Observer<N>, N> Observer<N> for Bridge<'_, '_, P, N> {
 pub fn drive<S: Substrate>(
     substrate: &S,
     run: &RunConfig,
-    extra: &mut [&mut dyn Observer<S::Node>],
+    observers: &mut [&mut dyn Observer<S::Node>],
     faults: Option<&mut ArmedFaults>,
 ) -> Result<S::Report, TrafficError> {
     let n = substrate.endpoints();
@@ -234,11 +201,9 @@ pub fn drive<S: Substrate>(
             )
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let (model, probes) = substrate.prepare(run);
-    let mut bridge = Bridge { probes, extra };
-    let observers: &mut [&mut dyn Observer<S::Node>] = &mut [&mut bridge];
+    let model = substrate.prepare(run);
     let (engine, model) = crate::run(model, traffic, run.spec, faults, observers);
-    Ok(substrate.report(run, engine, model, bridge.probes))
+    Ok(substrate.report(run, engine, model))
 }
 
 #[cfg(test)]

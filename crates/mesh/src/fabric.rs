@@ -379,10 +379,6 @@ impl<R: Router> Substrate for Network<R> {
         = Model<R>
     where
         R: 'a;
-    type Probes<'a>
-        = ()
-    where
-        R: 'a;
     type Report = Report<R::Section>;
 
     fn endpoints(&self) -> usize {
@@ -409,16 +405,15 @@ impl<R: Router> Substrate for Network<R> {
         }
     }
 
-    fn prepare(&self, run: &RunConfig) -> (Model<R>, ()) {
+    fn prepare(&self, run: &RunConfig) -> Model<R> {
         let grid = Grid::new::<R>(self.config.size);
         let router = R::new(&grid, &self.config.router, run);
-        let model = Model {
+        Model {
             grid,
             router,
             hop_sum: 0,
             hop_count: 0,
-        };
-        (model, ())
+        }
     }
 
     fn report(
@@ -426,7 +421,6 @@ impl<R: Router> Substrate for Network<R> {
         _run: &RunConfig,
         engine: EngineReport,
         model: Model<R>,
-        _probes: (),
     ) -> Report<R::Section> {
         let mean_hops = match model.hop_count {
             0 => 0.0,

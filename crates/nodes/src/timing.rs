@@ -50,6 +50,9 @@ pub enum FlitClass {
 }
 
 impl FlitClass {
+    /// Both classes, in declaration order.
+    pub const ALL: [FlitClass; 2] = [FlitClass::Header, FlitClass::Body];
+
     /// Classifies a flit kind.
     #[must_use]
     pub fn of(kind: FlitKind) -> Self {
@@ -515,6 +518,41 @@ mod tests {
             p4 > p2.mul_f64(1.3),
             "four-phase stage {p4} vs two-phase {p2}"
         );
+    }
+
+    /// A run's power is its event counts times these constants, which is
+    /// exact only for whole numbers of fJ (see `asynoc::sim`'s pricing).
+    #[test]
+    fn every_energy_is_a_whole_number_of_femtojoules() {
+        for (name, m) in [
+            ("calibrated", TimingModel::calibrated()),
+            ("four-phase", TimingModel::four_phase()),
+        ] {
+            let fanout = FanoutKind::ALL.into_iter().flat_map(|kind| {
+                FlitClass::ALL.map(|class| {
+                    (
+                        format!("{kind:?} {class:?}"),
+                        m.fanout_energy(kind).for_class(class),
+                    )
+                })
+            });
+            let fanin = FlitClass::ALL
+                .map(|class| (format!("fanin {class:?}"), m.fanin_energy.for_class(class)));
+            let priced: Vec<_> = fanout
+                .chain(fanin)
+                .chain([
+                    ("wire".to_string(), m.wire_fj),
+                    ("drop".to_string(), m.drop_fj),
+                ])
+                .collect();
+            assert_eq!(priced.len(), 5 * 2 + 2 + 2);
+            for (what, fj) in priced {
+                assert!(
+                    fj.is_finite() && (0.0..=1_000.0).contains(&fj) && fj.fract() == 0.0,
+                    "{name} {what}: {fj} fJ"
+                );
+            }
+        }
     }
 
     #[test]

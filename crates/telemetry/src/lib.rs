@@ -16,7 +16,7 @@
 //!   flits, and per-level channel busy-fraction.
 //! - [`SpeculationWaste`] — the per-node waste ledger: throttles absorbed,
 //!   redundant copies created, wasted wire/drop energy priced with the
-//!   substrate's own constants (reconciles with its energy ledger).
+//!   substrate's own constants (reconciles with its power report).
 //! - [`FaultLedger`] — per-class/per-site counters of injected fault
 //!   events, including the logical ids of packets lost at a source
 //!   (reconciles with the fault oracle and span-tree analysis).

@@ -294,6 +294,14 @@ pub(crate) fn fold_stream(text: &str) -> Result<JsonValue, StreamFoldError> {
             }
             Some("end") => {
                 if let Some(members) = value.get("sections").and_then(JsonValue::as_object) {
+                    let counters = members.iter().find(|(key, _)| key == "counters");
+                    let counters = counters.and_then(|(_, c)| c.as_object());
+                    for (key, count) in counters.unwrap_or_default() {
+                        if count.as_u64().is_none() {
+                            let message = format!("end counter {key:?} is not a count");
+                            return Err(err(index + 1, message));
+                        }
+                    }
                     sections = members.to_vec();
                 }
             }

@@ -746,6 +746,11 @@ impl StreamFolder {
             }
             Some("end") => {
                 if let Some(members) = value.get("sections").and_then(JsonValue::as_object) {
+                    let counters = value.get("sections").and_then(|s| s.get("counters"));
+                    let counters = counters.and_then(JsonValue::as_object).unwrap_or_default();
+                    if let Some((key, _)) = counters.iter().find(|(_, n)| n.as_u64().is_none()) {
+                        return Err(format!("end counter {key:?} is not a count"));
+                    }
                     self.sections = members.to_vec();
                 }
             }
@@ -1223,6 +1228,20 @@ mod tests {
             "{folded} of {documents} folded"
         );
         assert!(divergences > 0, "no head misread its endpoints");
+    }
+
+    /// The writer's counters are counts: a folded document never carries
+    /// a negative, fractional or inexact one.
+    #[test]
+    fn fold_rejects_an_end_counter_that_is_not_a_count() {
+        let head = r#"{"schema":"asynoc-stream-v1","type":"head","substrate":"mot","config":{},"bin_ps":1,"levels":[],"endpoints":1}"#;
+        let end = |n: &str| format!(r#"{{"type":"end","sections":{{"counters":{{"n":{n}}}}}}}"#);
+        assert!(fold_stream(&format!("{head}\n{}\n", end("7"))).is_ok());
+        for n in ["-1", "1.5", "9007199254740992"] {
+            let err = fold_stream(&format!("{head}\n{}\n", end(n))).unwrap_err();
+            assert_eq!(err.line, 2, "{n}");
+            assert!(err.message.contains("\"n\" is not a count"), "{err}");
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! that claim into a checkable report: for every node it counts the
 //! throttles it absorbed and the redundant copies it created, and prices
 //! them in femtojoules with the same constants the power model uses, so
-//! the ledger's totals reconcile exactly with the `EnergyLedger`'s
-//! `Dropped` category.
+//! the ledger's drop total reconciles exactly with the power report's
+//! `Dropped` category, which prices the engine's count of the same
+//! throttles.
 
 use std::collections::HashMap;
 
@@ -32,7 +33,7 @@ pub struct NodeWaste {
 
 /// The speculation-waste ledger.
 ///
-/// Gated on the measurement window (like the power observer), so its
+/// Gated on the measurement window (like the power counts), so its
 /// totals are comparable with the run's `PowerReport`.
 pub struct SpeculationWaste {
     wire_fj: f64,
@@ -45,7 +46,7 @@ pub struct SpeculationWaste {
 impl SpeculationWaste {
     /// Creates a ledger pricing drops at `drop_fj` and wire launches at
     /// `wire_fj` (use the substrate's `TimingModel` constants so totals
-    /// reconcile with its energy ledger). A throttled copy is attributed
+    /// reconcile with its power report). A throttled copy is attributed
     /// to the site that created it ([`Site::creator`]).
     #[must_use]
     pub fn new(wire_fj: f64, drop_fj: f64) -> Self {

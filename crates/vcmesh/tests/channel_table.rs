@@ -43,7 +43,7 @@ fn pinned<S: Substrate<Node = usize>>(
     per_link: usize,
     runs_backward: impl Fn(usize) -> bool,
 ) {
-    let (model, _probes) = net.prepare(&RunConfig::quick(Benchmark::UniformRandom, 0.1));
+    let model = net.prepare(&RunConfig::quick(Benchmark::UniformRandom, 0.1));
     let ends = |channel: usize| {
         let ends = model.channel_ends(channel);
         (ends.upstream, ends.downstream)

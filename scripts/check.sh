@@ -21,6 +21,10 @@ step() {
 step cargo fmt --check
 step scripts/mutants.sh --check
 step cargo clippy --workspace --all-targets -- -D warnings
+# benchmark/ is a workspace of its own over these crates, built by its
+# run.sh only if it can be: an API change that breaks it, or that would
+# rewrite benchmark/Cargo.lock, fails here instead.
+step cargo check --locked --offline --manifest-path benchmark/Cargo.toml --workspace
 RUSTDOCFLAGS="-D warnings" step cargo doc --no-deps --workspace --quiet
 if [[ "${1:-}" != --fast ]]; then
     # Built once: every gate below runs a binary under target/release.
