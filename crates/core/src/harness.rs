@@ -274,7 +274,7 @@ pub fn saturation_of(
     };
     let mut profiles = profiles.into_inner().expect("probe profile lock");
     profiles.push((quality.rate_ceiling, report.profile));
-    // Probes land in worker-completion order; re-key by rate so the
+    // Saturation probes land in worker-completion order; re-key by rate so the
     // profile document is independent of scheduling.
     profiles.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("probe rates are finite"));
     Ok((point, profiles))
@@ -545,7 +545,7 @@ mod tests {
             "profiles sorted by probed rate"
         );
         assert!(profiles.iter().all(|(_, p)| p.kinds.total() > 0));
-        // Probes never drain.
+        // Saturation probes never drain.
         assert!(profiles.iter().all(|(_, p)| p.phase.drain_ns == 0));
     }
 }
