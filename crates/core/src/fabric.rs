@@ -1,10 +1,10 @@
 //! Static network structure: nodes, channels, and their wiring.
 //!
 //! The fabric is the elaborated netlist of one MoT network: every fanout
-//! and fanin node instance (with its [`FanoutKind`]), every bundled-data
-//! channel, and who is upstream/downstream of each channel. It is built
-//! once per [`crate::Network`] and never mutated; all dynamic state lives
-//! in [`crate::sim`].
+//! node's [`FanoutKind`], every bundled-data channel, and who is
+//! upstream/downstream of each channel. It is built once per
+//! [`crate::Network`] and never mutated; each run's model reads its
+//! per-node slots off the channel list (see [`crate::sim`]).
 
 use asynoc_topology::{
     FaninNodeId, FaninParent, FanoutChild, FanoutKind, FanoutNodeId, MotSize, OutputPort, SpecMap,
@@ -18,8 +18,13 @@ use asynoc_topology::{
 pub(crate) enum Entity {
     /// Source `s` (drains its injection queue).
     Source(usize),
-    /// Fanout node by flat index.
-    Fanout(usize),
+    /// One of a fanout node's two outputs.
+    Fanout {
+        /// Flat fanout node index.
+        flat: usize,
+        /// Which output.
+        port: OutputPort,
+    },
     /// Fanin node by flat index.
     Fanin(usize),
 }
@@ -57,16 +62,6 @@ pub(crate) struct Fabric {
     pub serializes_multicast: bool,
     /// Node kind per flat fanout index.
     pub fanout_kind: Vec<FanoutKind>,
-    /// Coordinates per flat fanout index (for route-symbol lookup).
-    pub fanout_coords: Vec<FanoutNodeId>,
-    /// Input channel per flat fanout index.
-    pub fanout_input: Vec<usize>,
-    /// Output channels (top, bottom) per flat fanout index.
-    pub fanout_out: Vec<[usize; 2]>,
-    /// Input channels per flat fanin index.
-    pub fanin_input: Vec<[usize; 2]>,
-    /// Output channel per flat fanin index.
-    pub fanin_out: Vec<usize>,
     /// Channel from each source into its fanout root.
     pub source_out: Vec<usize>,
     /// All channel wiring, indexed by channel id.
@@ -77,11 +72,6 @@ impl Fabric {
     /// Elaborates the network a speculation placement describes.
     pub(crate) fn build(map: &SpecMap) -> Self {
         let size = map.size();
-        let n = size.n();
-        let per_tree = size.fanout_nodes_per_tree();
-        let fanout_total = size.total_fanout_nodes();
-        let fanin_total = size.total_fanin_nodes();
-
         let mut channels: Vec<ChannelWiring> = Vec::new();
         let mut alloc = |upstream: Entity, downstream: Downstream| -> usize {
             channels.push(ChannelWiring {
@@ -91,36 +81,20 @@ impl Fabric {
             channels.len() - 1
         };
 
-        let mut fanout_kind = Vec::with_capacity(fanout_total);
-        let mut fanout_coords = Vec::with_capacity(fanout_total);
-        let mut fanout_input = vec![usize::MAX; fanout_total];
-        let mut fanout_out = vec![[usize::MAX; 2]; fanout_total];
-        let mut fanin_input = vec![[usize::MAX; 2]; fanin_total];
-        let mut fanin_out = vec![usize::MAX; fanin_total];
-        let mut source_out = Vec::with_capacity(n);
-
-        for id in FanoutNodeId::all(size) {
-            fanout_kind.push(map.kind_of(id));
-            fanout_coords.push(id);
-        }
-
         // Source → fanout-root channels.
-        for s in 0..n {
-            let root_flat = FanoutNodeId::root(s).flat_index(size);
-            let c = alloc(Entity::Source(s), Downstream::Fanout(root_flat));
-            source_out.push(c);
-            fanout_input[root_flat] = c;
-        }
+        let source_out = (0..size.n())
+            .map(|s| {
+                let root_flat = FanoutNodeId::root(s).flat_index(size);
+                alloc(Entity::Source(s), Downstream::Fanout(root_flat))
+            })
+            .collect();
 
-        // Fanout outputs.
+        // Fanout outputs, top then bottom.
         for id in FanoutNodeId::all(size) {
             let flat = id.flat_index(size);
             for port in OutputPort::BOTH {
                 let downstream = match id.child(size, port) {
-                    FanoutChild::Node(next) => {
-                        let next_flat = next.flat_index(size);
-                        Downstream::Fanout(next_flat)
-                    }
+                    FanoutChild::Node(next) => Downstream::Fanout(next.flat_index(size)),
                     FanoutChild::FaninLeaf { dest, source } => {
                         let (leaf, input) = FaninNodeId::leaf_for_source(size, dest, source);
                         Downstream::Fanin {
@@ -129,19 +103,12 @@ impl Fabric {
                         }
                     }
                 };
-                let c = alloc(Entity::Fanout(flat), downstream);
-                fanout_out[flat][port.index()] = c;
-                match downstream {
-                    Downstream::Fanout(next_flat) => fanout_input[next_flat] = c,
-                    Downstream::Fanin { flat: fi, input } => fanin_input[fi][input] = c,
-                    Downstream::Sink(_) => unreachable!("fanout outputs never feed sinks"),
-                }
+                alloc(Entity::Fanout { flat, port }, downstream);
             }
         }
 
         // Fanin outputs.
         for id in FaninNodeId::all(size) {
-            let flat = id.flat_index(size);
             let downstream = match id.parent(size) {
                 FaninParent::Node { id: up, input } => Downstream::Fanin {
                     flat: up.flat_index(size),
@@ -149,28 +116,13 @@ impl Fabric {
                 },
                 FaninParent::Sink { dest } => Downstream::Sink(dest),
             };
-            let c = alloc(Entity::Fanin(flat), downstream);
-            fanin_out[flat] = c;
-            if let Downstream::Fanin { flat: fi, input } = downstream {
-                fanin_input[fi][input] = c;
-            }
+            alloc(Entity::Fanin(id.flat_index(size)), downstream);
         }
-
-        debug_assert!(fanout_input.iter().all(|&c| c != usize::MAX));
-        debug_assert!(fanin_input
-            .iter()
-            .all(|a| a.iter().all(|&c| c != usize::MAX)));
-        debug_assert_eq!(per_tree * n, fanout_total);
 
         Fabric {
             size,
             serializes_multicast: map.serializes_multicast(),
-            fanout_kind,
-            fanout_coords,
-            fanout_input,
-            fanout_out,
-            fanin_input,
-            fanin_out,
+            fanout_kind: FanoutNodeId::all(size).map(|id| map.kind_of(id)).collect(),
             source_out,
             channels,
         }
@@ -208,21 +160,28 @@ mod tests {
     }
 
     #[test]
-    fn every_fanout_node_has_input_and_outputs() {
+    fn every_node_has_its_inputs_and_outputs() {
         let fabric = Fabric::build(&preset(Architecture::OptHybridSpeculative));
-        for flat in 0..fabric.fanout_kind.len() {
-            let input = fabric.fanout_input[flat];
-            assert!(matches!(
-                fabric.channels[input].downstream,
-                Downstream::Fanout(f) if f == flat
-            ));
-            for out in fabric.fanout_out[flat] {
-                assert!(matches!(
-                    fabric.channels[out].upstream,
-                    Entity::Fanout(f) if f == flat
-                ));
+        let (fanouts, fanins) = (fabric.fanout_kind.len(), size8().total_fanin_nodes());
+        let (mut fanout_in, mut fanout_out) = (vec![0; fanouts], vec![[0; 2]; fanouts]);
+        let (mut fanin_in, mut fanin_out) = (vec![[0; 2]; fanins], vec![0; fanins]);
+        for wiring in &fabric.channels {
+            match wiring.upstream {
+                Entity::Fanout { flat, port } => fanout_out[flat][port.index()] += 1,
+                Entity::Fanin(flat) => fanin_out[flat] += 1,
+                Entity::Source(_) => {}
+            }
+            match wiring.downstream {
+                Downstream::Fanout(flat) => fanout_in[flat] += 1,
+                Downstream::Fanin { flat, input } => fanin_in[flat][input] += 1,
+                Downstream::Sink(_) => {}
             }
         }
+        assert!(fanout_in.iter().chain(&fanin_out).all(|&count| count == 1));
+        assert!(fanout_out
+            .iter()
+            .chain(&fanin_in)
+            .all(|&count| count == [1, 1]));
     }
 
     #[test]

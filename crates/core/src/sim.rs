@@ -32,10 +32,11 @@ use asynoc_engine::{
     SimModel, Substrate,
 };
 use asynoc_kernel::{Duration, Time};
-use asynoc_nodes::{FaninState, FanoutState, FlitClass, TimingModel};
+use asynoc_nodes::{FaninState, FanoutState, FlitClass, KindTiming, TimingModel};
+use asynoc_packet::{DestSet, RouteSymbol};
 use asynoc_power::PowerReport;
 use asynoc_telemetry::{LevelSpec, Site, SiteOf, Stage};
-use asynoc_topology::{FaninNodeId, FanoutKind, FanoutNodeId, OutputPort};
+use asynoc_topology::{FaninNodeId, FanoutKind, FanoutNodeId};
 
 use crate::config::{NetworkConfig, RunConfig};
 use crate::error::SimError;
@@ -205,7 +206,8 @@ impl Substrate for Network {
     /// default-`Drop` symbol there and throttles before arbitration —
     /// the same local-recovery region speculation itself relies on.
     fn fault_domain(&self) -> FaultDomain {
-        let levels = self.config.size().levels();
+        let size = self.config.size();
+        let levels = size.levels();
         // A level is a guaranteed throttle stage iff *every* node on it
         // obeys its routing symbol (speculative kinds forward headers
         // regardless, letting spurious copies slip deeper).
@@ -215,7 +217,7 @@ impl Substrate for Network {
                 kind,
                 FanoutKind::NonSpeculative | FanoutKind::OptNonSpeculative
             ) {
-                level_throttles[self.fabric.fanout_coords[flat].level as usize] = false;
+                level_throttles[FanoutNodeId::from_flat_index(size, flat).level as usize] = false;
             }
         }
         let corrupt_sites = self
@@ -224,7 +226,7 @@ impl Substrate for Network {
             .iter()
             .enumerate()
             .filter(|&(flat, &kind)| {
-                let level = self.fabric.fanout_coords[flat].level;
+                let level = FanoutNodeId::from_flat_index(size, flat).level;
                 kind != FanoutKind::Baseline
                     && (level + 1..levels).any(|m| level_throttles[m as usize])
             })
@@ -232,7 +234,7 @@ impl Substrate for Network {
             .collect();
         FaultDomain {
             channels: self.fabric.channels.len(),
-            endpoints: self.config.size().n(),
+            endpoints: size.n(),
             corrupt_sites,
         }
     }
@@ -312,51 +314,117 @@ struct Activity {
     copies: u64,
 }
 
+/// One fanout node, as its firing reads and writes it: its channels and
+/// [`FanoutNodeId::port_masks`] (outputs top first), its kind and latch,
+/// and when it may fire next.
+struct FanoutSlot {
+    masks: [DestSet; 2],
+    next_fire: Time,
+    input: u32,
+    out: [u32; 2],
+    state: FanoutState,
+}
+
+/// One fanin node: its channels, its arbiter, and when it may fire next.
+#[derive(Clone, Default)]
+struct FaninSlot {
+    next_fire: Time,
+    input: [u32; 2],
+    out: u32,
+    arbiter: FaninState,
+}
+
+/// A node kind's delays for one flit class: a launched copy's `flight`
+/// (forward latency plus the wire), the input's `free` after a forward and
+/// `drop` after a throttle, and the cycle `floor` between two fires.
+#[derive(Clone, Copy)]
+struct Delays {
+    flight: Duration,
+    free: Duration,
+    drop: Duration,
+    floor: Duration,
+}
+
+impl Delays {
+    fn resolve(kind: &KindTiming, wire: Duration) -> [Delays; 2] {
+        FlitClass::ALL.map(|class| Delays {
+            flight: kind.forward(class) + wire,
+            free: kind.free_delay(class),
+            drop: kind.drop_ack,
+            floor: kind.cycle_floor,
+        })
+    }
+}
+
 /// The MoT substrate: fabric wiring, node firing rules, tree routing.
 ///
-/// Dynamic per-node state (speculation latches, arbitration fairness,
-/// cycle floors) lives here; everything substrate-independent lives in
-/// the engine.
+/// Each run's node state sits in one slot per node, indexed by the flat
+/// id, with the node's channels beside it; the slots are read off the
+/// fabric's channel list when the run is prepared, and the fabric keeps no
+/// per-node copy. Everything substrate-independent lives in the engine.
 pub struct MotModel<'a> {
     fabric: &'a Fabric,
     timing: &'a TimingModel,
-    fanout_state: Vec<FanoutState>,
-    fanout_next_fire: Vec<Time>,
-    fanin_state: Vec<FaninState>,
-    fanin_next_fire: Vec<Time>,
+    fanout: Vec<FanoutSlot>,
+    fanin: Vec<FaninSlot>,
+    /// Per fanout kind, then per flit class.
+    fanout_delays: [[Delays; 2]; FanoutKind::ALL.len()],
+    fanin_delays: [Delays; 2],
     activity: Activity,
 }
 
 impl<'a> MotModel<'a> {
     fn new(fabric: &'a Fabric, timing: &'a TimingModel) -> Self {
-        let fanin_total = fabric.fanin_input.len();
+        let size = fabric.size;
+        let mut fanout: Vec<FanoutSlot> = FanoutNodeId::all(size)
+            .zip(&fabric.fanout_kind)
+            .map(|(id, &kind)| FanoutSlot {
+                masks: id.port_masks(size),
+                next_fire: Time::ZERO,
+                input: 0,
+                out: [0; 2],
+                state: FanoutState::new(kind),
+            })
+            .collect();
+        let mut fanin = vec![FaninSlot::default(); size.total_fanin_nodes()];
+        for (channel, wiring) in fabric.channels.iter().enumerate() {
+            let channel = u32::try_from(channel).expect("channel ids fit in 32 bits");
+            match wiring.upstream {
+                Entity::Fanout { flat, port } => fanout[flat].out[port.index()] = channel,
+                Entity::Fanin(flat) => fanin[flat].out = channel,
+                Entity::Source(_) => {}
+            }
+            match wiring.downstream {
+                Downstream::Fanout(flat) => fanout[flat].input = channel,
+                Downstream::Fanin { flat, input } => fanin[flat].input[input] = channel,
+                Downstream::Sink(_) => {}
+            }
+        }
+        let wire = timing.wire_delay;
         MotModel {
             fabric,
             timing,
-            fanout_state: fabric
-                .fanout_kind
-                .iter()
-                .map(|&k| FanoutState::new(k))
-                .collect(),
-            fanout_next_fire: vec![Time::ZERO; fabric.fanout_kind.len()],
-            fanin_state: (0..fanin_total).map(|_| FaninState::new()).collect(),
-            fanin_next_fire: vec![Time::ZERO; fanin_total],
+            fanout,
+            fanin,
+            fanout_delays: FanoutKind::ALL.map(|kind| Delays::resolve(timing.fanout(kind), wire)),
+            fanin_delays: Delays::resolve(&timing.fanin, wire),
             activity: Activity::default(),
         }
     }
 
     fn fire_fanout(&mut self, flat: usize, ctx: &mut impl Ctx<MotNode>) {
-        let input = self.fabric.fanout_input[flat];
-        let Some(flit_ref) = ctx.arrived(input) else {
+        let slot = &self.fanout[flat];
+        let input = slot.input as usize;
+        let Some(flit) = ctx.arrived(input) else {
             return;
         };
         // No header rides the flit: the node reads its symbol from the
-        // destination set.
-        let descriptor = flit_ref.descriptor();
-        let node = self.fabric.fanout_coords[flat];
-        let mut symbol = node.symbol_for(self.fabric.size, descriptor.dests());
-        let flit_kind = flit_ref.kind();
-        let packet = descriptor.id().as_u64();
+        // destination set, through the masks of its two output spans.
+        let [top, bottom] = slot.masks;
+        let dests = flit.descriptor().dests();
+        let mut symbol = RouteSymbol::from_ports(dests.intersects(top), dests.intersects(bottom));
+        let flit_kind = flit.kind();
+        let packet = flit.descriptor().id().as_u64();
         if let Some((corrupted, fresh)) = ctx.fault_symbol(flat, packet, flit_kind.is_header()) {
             symbol = corrupted;
             if let Some(class) = fresh {
@@ -370,115 +438,101 @@ impl<'a> MotModel<'a> {
                 });
             }
         }
-        let decision = self.fanout_state[flat].peek(flit_kind, symbol);
+        // Decided on a copy of the latch, committed only if the node fires.
+        let mut state = slot.state;
+        let decision = state.decide(flit_kind, symbol);
 
-        if ctx.now() < self.fanout_next_fire[flat] {
-            ctx.retry(MotNode::Fanout(flat), self.fanout_next_fire[flat]);
+        if ctx.now() < slot.next_fire {
+            ctx.retry(MotNode::Fanout(flat), slot.next_fire);
             return;
         }
-        if !decision.is_drop() {
-            // All demanded outputs must be free *simultaneously*: the
-            // speculative node's C-element acknowledge and the
-            // non-speculative node's parallel Reqout generation both couple
-            // the outputs.
-            for port in OutputPort::BOTH {
-                let demanded = match port {
-                    OutputPort::Top => decision.forward.wants_top(),
-                    OutputPort::Bottom => decision.forward.wants_bottom(),
-                };
-                if demanded && !ctx.is_free(self.fabric.fanout_out[flat][port.index()]) {
-                    return; // subscribed: that channel's free wakes us
-                }
+        let forward = decision.forward;
+        let demanded = [forward.wants_top(), forward.wants_bottom()];
+        // All demanded outputs must be free *simultaneously*: the
+        // speculative node's C-element acknowledge and the non-speculative
+        // node's parallel Reqout generation both couple the outputs.
+        for (out, demanded) in slot.out.into_iter().zip(demanded) {
+            if demanded && !ctx.is_free(out as usize) {
+                return; // subscribed: that channel's free wakes us
             }
         }
 
-        let committed = self.fanout_state[flat].decide(flit_kind, symbol);
-        debug_assert_eq!(committed, decision);
         let flit = ctx.take_arrived(input);
-
-        let kind = self.fabric.fanout_kind[flat];
-        let timing = *self.timing.fanout(kind);
-        let class = FlitClass::of(flit_kind);
-
+        let (kind, class) = (state.kind(), FlitClass::of(flit_kind));
+        let delays = self.fanout_delays[kind as usize][class as usize];
         if decision.is_drop() {
             // Throttle: acknowledge upstream without forwarding.
             ctx.emit(&SimEvent::Drop {
                 node: MotNode::Fanout(flat),
                 flit: &flit,
-                busy: timing.drop_ack,
+                busy: delays.drop,
             });
-            ctx.free_after(input, timing.drop_ack);
+            ctx.free_after(input, delays.drop);
         } else {
-            let forward = timing.forward(class);
-            let copies =
-                u8::from(decision.forward.wants_top()) + u8::from(decision.forward.wants_bottom());
+            let copies = u8::from(demanded[0]) + u8::from(demanded[1]);
             ctx.emit(&SimEvent::Forward {
                 node: MotNode::Fanout(flat),
                 flit: &flit,
-                info: ForwardInfo::Routed(decision.forward),
+                info: ForwardInfo::Routed(forward),
                 copies,
-                busy: timing.free_delay(class),
+                busy: delays.free,
             });
             if ctx.in_window() {
                 self.activity.fanout[kind as usize][class as usize] += 1;
                 self.activity.copies += u64::from(copies);
             }
-            for port in OutputPort::BOTH {
-                let demanded = match port {
-                    OutputPort::Top => decision.forward.wants_top(),
-                    OutputPort::Bottom => decision.forward.wants_bottom(),
-                };
-                if !demanded {
-                    continue;
+            for (out, demanded) in slot.out.into_iter().zip(demanded) {
+                if demanded {
+                    ctx.launch(out as usize, flit, delays.flight);
                 }
-                let out = self.fabric.fanout_out[flat][port.index()];
-                ctx.launch(out, flit, forward + self.timing.wire_delay);
             }
-            ctx.free_after(input, timing.free_delay(class));
+            ctx.free_after(input, delays.free);
         }
-        self.fanout_next_fire[flat] = ctx.now() + timing.cycle_floor;
+        let slot = &mut self.fanout[flat];
+        (slot.state, slot.next_fire) = (state, ctx.now() + delays.floor);
     }
 
     fn fire_fanin(&mut self, flat: usize, ctx: &mut impl Ctx<MotNode>) {
-        let [c0, c1] = self.fabric.fanin_input[flat];
+        let slot = &self.fanin[flat];
+        let [c0, c1] = slot.input.map(|channel| channel as usize);
         let p0 = ctx.arrived(c0).is_some();
         let p1 = ctx.arrived(c1).is_some();
-        let Some(winner) = self.fanin_state[flat].select(p0, p1) else {
+        let Some(winner) = slot.arbiter.select(p0, p1) else {
             return;
         };
-        if ctx.now() < self.fanin_next_fire[flat] {
-            ctx.retry(MotNode::Fanin(flat), self.fanin_next_fire[flat]);
+        if ctx.now() < slot.next_fire {
+            ctx.retry(MotNode::Fanin(flat), slot.next_fire);
             return;
         }
-        let out = self.fabric.fanin_out[flat];
+        let out = slot.out as usize;
         if !ctx.is_free(out) {
             return; // subscribed: woken when the output drains
         }
 
         let input_channel = [c0, c1][winner];
         let flit = ctx.take_arrived(input_channel);
-        self.fanin_state[flat].advance(winner, flit.kind());
-
-        let timing = self.timing.fanin;
         let class = FlitClass::of(flit.kind());
+        let delays = self.fanin_delays[class as usize];
         ctx.emit(&SimEvent::Forward {
             node: MotNode::Fanin(flat),
             flit: &flit,
             info: ForwardInfo::Arbitrated { input: winner },
             copies: 1,
-            busy: timing.free_delay(class),
+            busy: delays.free,
         });
         if ctx.in_window() {
             self.activity.fanin[class as usize] += 1;
             self.activity.copies += 1;
         }
-        ctx.launch(out, flit, timing.forward(class) + self.timing.wire_delay);
+        ctx.launch(out, flit, delays.flight);
         if ctx.arrived([c1, c0][winner]).is_some() {
             // The losing input waits on the output just taken.
             ctx.wake_on_free(out);
         }
-        ctx.free_after(input_channel, timing.free_delay(class));
-        self.fanin_next_fire[flat] = ctx.now() + timing.cycle_floor;
+        ctx.free_after(input_channel, delays.free);
+        let slot = &mut self.fanin[flat];
+        slot.arbiter.advance(winner, flit.kind());
+        slot.next_fire = ctx.now() + delays.floor;
     }
 }
 
@@ -497,7 +551,7 @@ impl SimModel for MotModel<'_> {
         let wiring = &self.fabric.channels[channel];
         let upstream = match wiring.upstream {
             Entity::Source(s) => NodeRef::Source(s),
-            Entity::Fanout(f) => NodeRef::Node(MotNode::Fanout(f)),
+            Entity::Fanout { flat, .. } => NodeRef::Node(MotNode::Fanout(flat)),
             Entity::Fanin(f) => NodeRef::Node(MotNode::Fanin(f)),
         };
         let downstream = match wiring.downstream {
@@ -764,9 +818,9 @@ mod tests {
             for wiring in &fabric.channels {
                 let (upstream, tree) = match wiring.upstream {
                     Entity::Source(source) => (Site::Source(source), source),
-                    Entity::Fanout(flat) => (
+                    Entity::Fanout { flat, .. } => (
                         site_of(MotNode::Fanout(flat)),
-                        fabric.fanout_coords[flat].tree,
+                        FanoutNodeId::from_flat_index(fabric.size, flat).tree,
                     ),
                     // Past the fanout leaves the candidates name no source.
                     Entity::Fanin(flat) => (site_of(MotNode::Fanin(flat)), usize::MAX),
@@ -784,10 +838,13 @@ mod tests {
             // A throttled copy's creator is the throttler's wiring parent:
             // "redundant copies die at the first non-speculative node"
             // needs exactly this edge.
-            for (flat, &input) in fabric.fanout_input.iter().enumerate() {
+            for wiring in &fabric.channels {
+                let Downstream::Fanout(flat) = wiring.downstream else {
+                    continue;
+                };
                 let site = site_of(MotNode::Fanout(flat));
-                match fabric.channels[input].upstream {
-                    Entity::Fanout(parent) => {
+                match wiring.upstream {
+                    Entity::Fanout { flat: parent, .. } => {
                         assert_eq!(site.creator(), site_of(MotNode::Fanout(parent)));
                     }
                     // A root throttle is attributed to the root itself.

@@ -273,10 +273,13 @@ impl<N: NodeKey> Event<N> {
 enum ChannelState {
     /// Empty; upstream may launch.
     Free,
-    /// A flit was launched and is in flight.
-    InFlight { flit: Flit, waited: bool },
-    /// The flit sits at the downstream input, awaiting consumption.
-    Arrived { flit: Flit, waited: bool },
+    /// A flit was launched: in flight until `arrived` (set in place: the
+    /// flit does not move), then awaiting consumption downstream.
+    Held {
+        flit: Flit,
+        arrived: bool,
+        waited: bool,
+    },
     /// Consumed; the handshake is completing (ack in flight). It completes
     /// at `free_at`, set by [`Ctx::free_after`]; from then on the channel
     /// reads free without any event (see [`Core::acknowledged`]).
@@ -454,7 +457,7 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
             return true;
         }
         let free_at = match &mut self.channels[channel] {
-            ChannelState::InFlight { waited, .. } | ChannelState::Arrived { waited, .. } => {
+            ChannelState::Held { waited, .. } => {
                 *waited = true;
                 None
             }
@@ -480,13 +483,18 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
 
     fn arrived(&self, channel: usize) -> Option<&Flit> {
         match &self.channels[channel] {
-            ChannelState::Arrived { flit, .. } => Some(flit),
+            ChannelState::Held { flit, arrived, .. } if *arrived => Some(flit),
             _ => None,
         }
     }
 
     fn take_arrived(&mut self, channel: usize) -> Flit {
-        let ChannelState::Arrived { flit, waited } = self.channels[channel] else {
+        let ChannelState::Held {
+            flit,
+            arrived: true,
+            waited,
+        } = self.channels[channel]
+        else {
             unreachable!("take_arrived on a channel with no waiting flit");
         };
         self.channels[channel] = ChannelState::Draining {
@@ -511,8 +519,9 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
             });
             flight += extra;
         }
-        self.channels[channel] = ChannelState::InFlight {
+        self.channels[channel] = ChannelState::Held {
             flit,
+            arrived: false,
             waited: false,
         };
         self.schedule_event(self.now + flight, Event::Arrive { channel });
@@ -884,10 +893,11 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
     // ------------------------------------------------------------------
 
     fn handle_arrive(&mut self, channel: usize) {
-        let ChannelState::InFlight { flit, waited } = self.ctx.channels[channel] else {
+        let ChannelState::Held { arrived, .. } = &mut self.ctx.channels[channel] else {
             unreachable!("arrival on a channel that was not in flight");
         };
-        self.ctx.channels[channel] = ChannelState::Arrived { flit, waited };
+        debug_assert!(!*arrived, "a flit arrives once");
+        *arrived = true;
         match self.wiring[channel].downstream {
             NodeRef::Sink(dest) => self.sink_consume(channel, dest),
             other => self.wake(other),

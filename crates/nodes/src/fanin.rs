@@ -75,12 +75,6 @@ impl FaninState {
         assert!(input < 2, "fanin input {input} out of range");
         self.prefer = 1 - input;
     }
-
-    /// The input that would win the next contested arbitration.
-    #[must_use]
-    pub fn preferred(&self) -> usize {
-        self.prefer
-    }
 }
 
 #[cfg(test)]
@@ -112,9 +106,9 @@ mod tests {
     fn preference_flips_even_for_uncontested_grants() {
         let mut arb = FaninState::new();
         arb.advance(0, FlitKind::Header);
-        assert_eq!(arb.preferred(), 1);
+        assert_eq!(arb.select(true, true), Some(1));
         arb.advance(1, FlitKind::Tail);
-        assert_eq!(arb.preferred(), 0);
+        assert_eq!(arb.select(true, true), Some(0));
     }
 
     #[test]

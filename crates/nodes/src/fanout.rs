@@ -67,7 +67,7 @@ impl FanoutDecision {
 /// let tail = state.decide(FlitKind::Tail, RouteSymbol::Top);
 /// assert_eq!(tail.forward, RouteSymbol::Both);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct FanoutState {
     kind: FanoutKind,
     latched: Option<RouteSymbol>,
@@ -93,21 +93,6 @@ impl FanoutState {
     #[must_use]
     pub fn has_allocation(&self) -> bool {
         self.latched.is_some()
-    }
-
-    /// Previews the decision for a flit without changing latched state.
-    ///
-    /// The simulator uses this to test whether the demanded output channels
-    /// are free before committing: a blocked node must re-evaluate later
-    /// with its state unchanged. [`decide`](Self::decide) returns the same
-    /// decision and commits the state change.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`decide`](Self::decide).
-    #[must_use]
-    pub fn peek(&self, flit: FlitKind, symbol: RouteSymbol) -> FanoutDecision {
-        self.clone().decide(flit, symbol)
     }
 
     /// Decides what to do with a flit whose 2-bit routing symbol *for this
@@ -289,10 +274,7 @@ mod tests {
             // Twice over: the tail leaves nothing latched for the next packet.
             for _ in 0..2 {
                 for (&flit, want) in flits.iter().zip(&expected) {
-                    let preview = state.peek(flit, read);
-                    assert_eq!(preview, state.peek(flit, read), "{row}: peek mutates");
                     let decision = state.decide(flit, read);
-                    assert_eq!(preview, decision, "{row}");
                     let fast = if decision.fast_path { "*" } else { "" };
                     assert_eq!(
                         format!("{}{fast}", decision.forward),

@@ -84,9 +84,7 @@ pub struct KindTiming {
 }
 
 impl KindTiming {
-    /// Forward latency for a flit of the given class; `fast_path` selects
-    /// the body latency even for flits that would otherwise pay the header
-    /// latency (not used today, kept for symmetry).
+    /// Forward latency for a flit of the given class.
     #[must_use]
     pub fn forward(&self, class: FlitClass) -> Duration {
         match class {

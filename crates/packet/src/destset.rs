@@ -130,10 +130,10 @@ impl DestSet {
         DestSet(self.0 & mask)
     }
 
-    /// Returns `true` if any destination lies in `low..high`.
+    /// Returns `true` if the two sets share a destination.
     #[must_use]
-    pub fn intersects_range(self, low: usize, high: usize) -> bool {
-        !self.restricted_to(low, high).is_empty()
+    pub const fn intersects(self, other: DestSet) -> bool {
+        self.0 & other.0 != 0
     }
 
     /// Returns the union of two sets.
@@ -263,8 +263,8 @@ mod tests {
         assert_eq!(top.iter().collect::<Vec<_>>(), vec![0, 2, 3]);
         let bottom = set.restricted_to(4, 8);
         assert_eq!(bottom.iter().collect::<Vec<_>>(), vec![4, 7]);
-        assert!(set.intersects_range(4, 8));
-        assert!(!set.intersects_range(5, 7));
+        assert!(set.intersects(DestSet::from_bits(0xF0)));
+        assert!(!set.intersects(DestSet::from_bits(0x60)));
     }
 
     #[test]

@@ -132,19 +132,25 @@ impl FanoutNodeId {
         }
     }
 
+    /// The destinations each output port covers, top first: the
+    /// [`port_span`](Self::port_span)s as sets.
+    #[must_use]
+    pub fn port_masks(self, size: MotSize) -> [DestSet; 2] {
+        OutputPort::BOTH.map(|port| {
+            let (low, high) = self.port_span(size, port);
+            DestSet::from_bits(u64::MAX).restricted_to(low, high)
+        })
+    }
+
     /// The routing symbol this node reads for a packet bound to `dests`:
-    /// which of its output half-spans hold a destination, and
-    /// [`RouteSymbol::Drop`] when its span holds none. This is the one
+    /// which of its [`port_masks`](Self::port_masks) hold a destination,
+    /// and [`RouteSymbol::Drop`] when neither does. This is the one
     /// spelling of the paper's symbol rule: the simulated node reads it
     /// from the packet's destination set instead of a header field.
     #[must_use]
     pub fn symbol_for(self, size: MotSize, dests: DestSet) -> RouteSymbol {
-        let (low, high) = self.dest_span(size);
-        let mid = low + (high - low) / 2;
-        RouteSymbol::from_ports(
-            dests.intersects_range(low, mid),
-            dests.intersects_range(mid, high),
-        )
+        let [top, bottom] = self.port_masks(size);
+        RouteSymbol::from_ports(dests.intersects(top), dests.intersects(bottom))
     }
 
     /// What the given output port connects to.
@@ -552,6 +558,50 @@ mod tests {
                 assert_eq!(tlow, low);
                 assert_eq!(thigh, blow);
                 assert_eq!(bhigh, high);
+            }
+        }
+    }
+
+    /// A set meets a port's mask exactly when one of its destinations
+    /// lies in that port's span, and the symbol says which ports it met:
+    /// every node × every destination set up to 8 × 8, 1 000 seeded sets
+    /// per node above (every other one sparse, so `Drop` turns up deep).
+    #[test]
+    fn port_masks_are_the_port_spans() {
+        let mut state = 0x5EED_u64;
+        for levels in 1u32..7 {
+            let size = MotSize::new(1usize << levels).unwrap();
+            let n = size.n();
+            for id in FanoutNodeId::all(size) {
+                let masks = id.port_masks(size);
+                let spans = OutputPort::BOTH.map(|port| id.port_span(size, port));
+                let sets: Vec<DestSet> = if n <= 8 {
+                    (0..1u64 << n).map(DestSet::from_bits).collect()
+                } else {
+                    (0..1000)
+                        .map(|i| {
+                            let mut bits = next_rand(&mut state);
+                            if i % 2 == 1 {
+                                bits &= next_rand(&mut state) & next_rand(&mut state);
+                            }
+                            DestSet::from_bits(bits).restricted_to(0, n)
+                        })
+                        .collect()
+                };
+                for dests in sets {
+                    let met = spans.map(|(low, high)| {
+                        dests.iter().find(|&d| d >= low).is_some_and(|d| d < high)
+                    });
+                    assert_eq!(
+                        masks.map(|mask| dests.intersects(mask)),
+                        met,
+                        "{id} {dests}"
+                    );
+                    assert_eq!(
+                        id.symbol_for(size, dests),
+                        RouteSymbol::from_ports(met[0], met[1])
+                    );
+                }
             }
         }
     }

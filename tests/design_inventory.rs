@@ -1,6 +1,7 @@
 //! DESIGN.md's workspace inventory is checked against the workspace: a
 //! crate added, folded or renamed without its row fails here, as a
-//! README command line that no longer parses fails in `asynoc-cli`.
+//! README command line that no longer parses fails in `asynoc-cli`. The
+//! release profile is held here too.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -49,4 +50,25 @@ fn design_inventory_names_exactly_the_workspace_members() {
         documented, members,
         "DESIGN.md §3 (left) vs crates/* (right)"
     );
+}
+
+/// The benchmark measures the release build of `asynoc-cli`, whose hot
+/// path crosses seven crates per event: the profile must keep it one
+/// optimisation unit, or the calls between them stop inlining unseen.
+#[test]
+fn the_release_profile_is_whole_program() {
+    let manifest = include_str!("../Cargo.toml");
+    let profile: Vec<&str> = manifest
+        .lines()
+        .skip_while(|line| *line != "[profile.release]")
+        .skip(1)
+        .take_while(|line| !line.starts_with('['))
+        .map(str::trim)
+        .collect();
+    for setting in ["lto = \"fat\"", "codegen-units = 1"] {
+        assert!(
+            profile.contains(&setting),
+            "Cargo.toml [profile.release] lacks `{setting}`: {profile:?}"
+        );
+    }
 }
