@@ -9,9 +9,7 @@
 //! into the contention story the paper tells around its Figure 6:
 //! which stage of the MoT eats the latency as load rises.
 
-use std::collections::HashMap;
-
-use asynoc_telemetry::{Action, Detail, Site, Stage, TraceRecord};
+use asynoc_telemetry::{Action, Detail, HashMap, Site, Stage, TraceRecord};
 
 use crate::span::SpanForest;
 
@@ -59,7 +57,7 @@ impl Attribution {
     /// Aggregates every span node of `forest` over its backing records.
     #[must_use]
     pub fn build(forest: &SpanForest, records: &[TraceRecord]) -> Attribution {
-        let mut per_node: HashMap<Site, NodeStat> = HashMap::new();
+        let mut per_node: HashMap<Site, NodeStat> = HashMap::default();
         for tree in &forest.trees {
             for node in &tree.nodes {
                 let record = &records[node.record];
@@ -79,8 +77,8 @@ impl Attribution {
             }
         }
 
-        let mut per_level: HashMap<Stage, NodeStat> = HashMap::new();
-        let mut per_fanin: HashMap<usize, NodeStat> = HashMap::new();
+        let mut per_level: HashMap<Stage, NodeStat> = HashMap::default();
+        let mut per_fanin: HashMap<usize, NodeStat> = HashMap::default();
         for (site, stat) in &per_node {
             let stage = site.stage();
             let level = per_level.entry(stage).or_insert_with(|| NodeStat {

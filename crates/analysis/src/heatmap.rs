@@ -13,9 +13,7 @@
 //! Intensity uses a ten-step ASCII ramp normalized to the hottest cell
 //! of each map, so the output is a relative picture, not a scale.
 
-use std::collections::HashMap;
-
-use asynoc_telemetry::{Site, TraceRecord};
+use asynoc_telemetry::{HashMap, Site, TraceRecord};
 
 use crate::span::SpanForest;
 
@@ -34,8 +32,8 @@ impl Heatmap {
     /// Renders both maps from a span forest.
     #[must_use]
     pub fn build(forest: &SpanForest, records: &[TraceRecord]) -> Heatmap {
-        let mut busy: HashMap<Site, u64> = HashMap::new();
-        let mut wait: HashMap<Site, u64> = HashMap::new();
+        let mut busy: HashMap<Site, u64> = HashMap::default();
+        let mut wait: HashMap<Site, u64> = HashMap::default();
         for tree in &forest.trees {
             for node in &tree.nodes {
                 let site = records[node.record].site;
@@ -177,7 +175,7 @@ fn mesh_rows(parsed: &[(Site, u64)]) -> Vec<Row> {
 
 /// Neither fabric's nodes: one row per stage, one aggregate cell.
 fn generic_rows(parsed: &[(Site, u64)]) -> Vec<Row> {
-    let mut by_key: HashMap<String, u64> = HashMap::new();
+    let mut by_key: HashMap<String, u64> = HashMap::default();
     for (site, value) in parsed {
         *by_key.entry(site.stage().to_string()).or_default() += value;
     }

@@ -17,9 +17,7 @@
 //! much faster the speculative forward was than the median forward at
 //! the same fanout level. A counterfactual run is the only exact answer.
 
-use std::collections::HashMap;
-
-use asynoc_telemetry::{Action, Site, TraceMeta, TraceRecord};
+use asynoc_telemetry::{Action, HashMap, Site, TraceMeta, TraceRecord};
 
 use crate::span::SpanForest;
 
@@ -67,7 +65,7 @@ impl Scorecard {
 
         // Median handshake occupancy of fanout forwards per level: the
         // baseline a speculative fork is compared against.
-        let mut busy_by_level: HashMap<u32, Vec<u64>> = HashMap::new();
+        let mut busy_by_level: HashMap<u32, Vec<u64>> = HashMap::default();
         for record in records {
             if let (Action::Forward, Site::Fanout { level, .. }) = (record.action, record.site) {
                 busy_by_level.entry(level).or_default().push(record.busy_ps);
@@ -81,7 +79,7 @@ impl Scorecard {
             })
             .collect();
 
-        let mut regions: HashMap<Site, RegionScore> = HashMap::new();
+        let mut regions: HashMap<Site, RegionScore> = HashMap::default();
         let mut total_throttles = 0u64;
         let mut total_saved = 0u64;
         for tree in &forest.trees {

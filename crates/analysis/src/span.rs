@@ -17,9 +17,7 @@
 //! channel). The split telescopes: summing a path's segments yields
 //! exactly the end-to-end latency, whatever the attribution.
 
-use std::collections::HashMap;
-
-use asynoc_telemetry::{Action, Site, TraceRecord};
+use asynoc_telemetry::{Action, HashMap, Site, TraceRecord};
 
 /// One event in a flit's span tree, with its resolved causal parent and
 /// the decomposed edge delay leading to it.
@@ -138,21 +136,23 @@ impl SpanForest {
     /// slice.
     #[must_use]
     pub fn build(records: &[TraceRecord]) -> SpanForest {
-        let mut groups: HashMap<(u64, u8), Vec<usize>> = HashMap::new();
-        let mut order: Vec<(u64, u8)> = Vec::new();
+        // Each flit's record indices, flits in order of first record.
+        let mut group_of: HashMap<(u64, u8), usize> = HashMap::default();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
         for (index, record) in records.iter().enumerate() {
-            let key = (record.packet, record.flit);
-            let entry = groups.entry(key).or_default();
-            if entry.is_empty() {
-                order.push(key);
-            }
-            entry.push(index);
+            let group = *group_of
+                .entry((record.packet, record.flit))
+                .or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+            groups[group].push(index);
         }
 
         let mut by_site = SiteIndex::default();
-        let mut trees: Vec<FlitTree> = order
-            .into_iter()
-            .map(|key| build_tree(records, &groups[&key], &mut by_site))
+        let mut trees: Vec<FlitTree> = groups
+            .iter()
+            .map(|indices| build_tree(records, indices, &mut by_site))
             .collect();
         trees.sort_by_key(|t| (t.logical, t.packet, t.flit));
         let open_trees = trees.iter().filter(|t| !t.closed).count();
@@ -339,7 +339,7 @@ pub struct CriticalPath {
 pub fn critical_paths(forest: &SpanForest, records: &[TraceRecord]) -> Vec<CriticalPath> {
     // The completing delivery of a logical packet is its last header
     // deliver across all clone trees.
-    let mut last_deliver: HashMap<u64, (usize, usize)> = HashMap::new(); // logical -> (tree, node)
+    let mut last_deliver: HashMap<u64, (usize, usize)> = HashMap::default(); // logical -> (tree, node)
     for (tree_index, tree) in forest.trees.iter().enumerate() {
         if tree.flit != 0 {
             continue;
@@ -566,7 +566,7 @@ mod tests {
     /// labels formatted per record, looked up in a map of every node's
     /// label.
     fn label_keyed_parents(records: &[TraceRecord]) -> Vec<Option<usize>> {
-        let mut by_site: HashMap<String, Vec<usize>> = HashMap::new();
+        let mut by_site: HashMap<String, Vec<usize>> = HashMap::default();
         let src = records[0].src as usize;
         let mut parents = Vec::new();
         for (position, record) in records.iter().enumerate() {

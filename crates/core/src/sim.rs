@@ -440,13 +440,12 @@ impl<'a> MotModel<'a> {
         }
         // Decided on a copy of the latch, committed only if the node fires.
         let mut state = slot.state;
-        let decision = state.decide(flit_kind, symbol);
+        let forward = state.decide(flit_kind, symbol);
 
         if ctx.now() < slot.next_fire {
             ctx.retry(MotNode::Fanout(flat), slot.next_fire);
             return;
         }
-        let forward = decision.forward;
         let demanded = [forward.wants_top(), forward.wants_bottom()];
         // All demanded outputs must be free *simultaneously*: the
         // speculative node's C-element acknowledge and the non-speculative
@@ -460,7 +459,7 @@ impl<'a> MotModel<'a> {
         let flit = ctx.take_arrived(input);
         let (kind, class) = (state.kind(), FlitClass::of(flit_kind));
         let delays = self.fanout_delays[kind as usize][class as usize];
-        if decision.is_drop() {
+        if forward.is_drop() {
             // Throttle: acknowledge upstream without forwarding.
             ctx.emit(&SimEvent::Drop {
                 node: MotNode::Fanout(flat),

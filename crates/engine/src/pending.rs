@@ -4,9 +4,9 @@
 //! one place a logical packet completes, and so the one line that records
 //! a latency.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
+use std::collections::hash_map::Entry;
 
+use asynoc_kernel::hash::{HashMap, WordState};
 use asynoc_kernel::Time;
 use asynoc_packet::DestSet;
 use asynoc_stats::LogHistogram;
@@ -20,53 +20,18 @@ struct Pending {
     measured: bool,
 }
 
-/// Deterministic hash state for the pending-packet map.
-///
-/// The std `RandomState` seeds itself per process, which makes hashmap
-/// growth and tombstone layout — and therefore the run loop's exact
-/// allocation behavior — vary between processes. Packet ids are
-/// sequential `u64`s, so a SplitMix64 finalizer gives full avalanche
-/// with one multiply chain and the same layout on every run.
-#[derive(Clone, Copy, Debug, Default)]
-struct DetHashState;
-
-impl BuildHasher for DetHashState {
-    type Hasher = DetHasher;
-
-    fn build_hasher(&self) -> DetHasher {
-        DetHasher(0)
-    }
-}
-
-/// See [`DetHashState`].
-#[derive(Clone, Copy, Debug)]
-struct DetHasher(u64);
-
-impl Hasher for DetHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // FNV-1a fallback; the pending map only hashes u64 keys.
-        for &byte in bytes {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let mut z = n.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-}
+/// The pending map's hash state. Its seed is fixed, not drawn per
+/// process: packet ids come from the traffic generator, never from a
+/// user's file, and a fixed seed gives the table the same growth and
+/// tombstone layout — so the run loop the same allocation behavior — in
+/// every process.
+const PENDING_HASH: WordState = WordState::with_seed(0x9E37_79B9_7F4A_7C15);
 
 /// Every logical packet in flight, and the latency of every measured one
 /// that completed (creation → last header arrival).
 #[derive(Debug)]
 pub(crate) struct PendingTable {
-    pending: HashMap<u64, Pending, DetHashState>,
+    pending: HashMap<u64, Pending>,
     measured_in_flight: usize,
     latency: LogHistogram,
 }
@@ -76,7 +41,7 @@ impl PendingTable {
     /// steady state allocates nothing here.
     pub(crate) fn new(endpoints: usize) -> Self {
         PendingTable {
-            pending: HashMap::with_capacity_and_hasher(endpoints * 16 + 256, DetHashState),
+            pending: HashMap::with_capacity_and_hasher(endpoints * 16 + 256, PENDING_HASH),
             measured_in_flight: 0,
             latency: LogHistogram::preallocated(),
         }
@@ -114,20 +79,23 @@ impl PendingTable {
     /// A duplicate means a redundant speculative copy escaped throttling; a
     /// miss would show up as a never-completing packet.
     pub(crate) fn deliver(&mut self, time: Time, logical: u64, dest: usize) {
-        let Some(entry) = self.pending.get_mut(&logical) else {
+        let Entry::Occupied(mut entry) = self.pending.entry(logical) else {
             panic!(
                 "packet {logical}: header delivered at destination {dest} after \
                  completion — a redundant speculative copy escaped throttling"
             );
         };
+        let awaiting = &mut entry.get_mut().awaiting;
         assert!(
-            entry.awaiting.contains(dest),
+            awaiting.contains(dest),
             "packet {logical}: duplicate or misrouted header at destination {dest}"
         );
-        entry.awaiting.remove(dest);
-        if entry.awaiting.is_empty() {
-            if let Some(created_at) = self.retire(logical) {
-                self.latency.record(time.saturating_since(created_at));
+        awaiting.remove(dest);
+        if awaiting.is_empty() {
+            let done = entry.remove();
+            self.measured_in_flight -= usize::from(done.measured);
+            if done.measured {
+                self.latency.record(time.saturating_since(done.created_at));
             }
         }
     }
@@ -135,24 +103,17 @@ impl PendingTable {
     /// `logical` was discarded at its source (lethal fault): `dests` no
     /// longer await delivery.
     pub(crate) fn lose(&mut self, logical: u64, dests: DestSet) {
-        if let Some(entry) = self.pending.get_mut(&logical) {
+        if let Entry::Occupied(mut entry) = self.pending.entry(logical) {
+            let awaiting = &mut entry.get_mut().awaiting;
             for dest in dests.iter() {
-                entry.awaiting.remove(dest);
+                awaiting.remove(dest);
             }
-            if entry.awaiting.is_empty() {
+            if awaiting.is_empty() {
                 // Starved of its last destinations: counted by the fault
                 // summary, not given a latency.
-                self.retire(logical);
+                self.measured_in_flight -= usize::from(entry.remove().measured);
             }
         }
-    }
-
-    /// Removes `logical`, which awaits nothing more; its creation time if
-    /// it was measured.
-    fn retire(&mut self, logical: u64) -> Option<Time> {
-        let done = self.pending.remove(&logical).expect("entry present");
-        self.measured_in_flight -= usize::from(done.measured);
-        done.measured.then_some(done.created_at)
     }
 }
 

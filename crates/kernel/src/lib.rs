@@ -15,6 +15,8 @@
 //! - [`EventQueue`]: a binary-heap priority queue with the same
 //!   `(time, key, seq)` order — the reference the calendar queue is
 //!   tested against, not a run-time choice,
+//! - [`hash`]: the one hasher of every map on a per-event or per-record
+//!   path (a multiply per word, a SplitMix64 finish),
 //! - [`rng`]: a seeded random-number layer with the exponential
 //!   inter-arrival sampling used by the paper's traffic generators,
 //! - [`parallel_map`]: a multi-core fan-out with deterministic result
@@ -40,6 +42,7 @@
 mod barrier;
 pub mod calendar;
 pub mod fault;
+pub mod hash;
 pub mod parallel;
 pub mod queue;
 pub mod rng;

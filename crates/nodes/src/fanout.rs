@@ -1,14 +1,13 @@
 //! Fanout node behavior: routing, replication, throttling, speculation.
 //!
-//! The decision a fanout node takes for one flit is summarized by a
-//! [`FanoutDecision`]: the set of output ports demanded (expressed as a
-//! [`RouteSymbol`], where `Drop` means the flit is throttled and only
-//! acknowledged). All ports demanded by a decision must be free before the
-//! node fires — this models the parallel `Reqout` generation of the
-//! non-speculative node and the C-element acknowledge of the speculative
-//! node (§4(a)/(b)), and is exactly where speculation's congestion penalty
-//! comes from: a speculative node cannot accept a new flit while *either*
-//! output is stalled.
+//! The decision a fanout node takes for one flit is the set of output
+//! ports it demands, expressed as a [`RouteSymbol`] (`Drop` means the
+//! flit is throttled and only acknowledged). All ports demanded must be
+//! free before the node fires — this models the parallel `Reqout`
+//! generation of the non-speculative node and the C-element acknowledge
+//! of the speculative node (§4(a)/(b)), and is exactly where
+//! speculation's congestion penalty comes from: a speculative node cannot
+//! accept a new flit while *either* output is stalled.
 //!
 //! Per-kind semantics (paper section in parentheses):
 //!
@@ -22,26 +21,6 @@
 
 use asynoc_packet::{FlitKind, RouteSymbol};
 use asynoc_topology::FanoutKind;
-
-/// What a fanout node does with one flit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FanoutDecision {
-    /// Output ports demanded; [`RouteSymbol::Drop`] means the flit is
-    /// throttled (acknowledged upstream, never forwarded).
-    pub forward: RouteSymbol,
-    /// `true` if body/tail flits ride a pre-allocated channel and skip
-    /// route computation (the §4(d) fast path) — the simulator charges the
-    /// reduced body-forward latency only when this is set.
-    pub fast_path: bool,
-}
-
-impl FanoutDecision {
-    /// Returns `true` if the flit is throttled at this node.
-    #[must_use]
-    pub fn is_drop(self) -> bool {
-        self.forward.is_drop()
-    }
-}
 
 /// Mutable per-node routing state.
 ///
@@ -59,13 +38,13 @@ impl FanoutDecision {
 /// let mut state = FanoutState::new(FanoutKind::OptSpeculative);
 /// // Header speculatively broadcasts but latches the true route...
 /// let header = state.decide(FlitKind::Header, RouteSymbol::Top);
-/// assert_eq!(header.forward, RouteSymbol::Both);
+/// assert_eq!(header, RouteSymbol::Both);
 /// // ...so body flits only use the correct output (power optimization).
 /// let body = state.decide(FlitKind::Body, RouteSymbol::Top);
-/// assert_eq!(body.forward, RouteSymbol::Top);
+/// assert_eq!(body, RouteSymbol::Top);
 /// // The tail returns the node to its default broadcast state.
 /// let tail = state.decide(FlitKind::Tail, RouteSymbol::Top);
-/// assert_eq!(tail.forward, RouteSymbol::Both);
+/// assert_eq!(tail, RouteSymbol::Both);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct FanoutState {
@@ -95,8 +74,10 @@ impl FanoutState {
         self.latched.is_some()
     }
 
-    /// Decides what to do with a flit whose 2-bit routing symbol *for this
-    /// node* is `symbol`, updating latched state.
+    /// Decides which outputs a flit whose 2-bit routing symbol *for this
+    /// node* is `symbol` demands, updating latched state;
+    /// [`RouteSymbol::Drop`] throttles it (acknowledged upstream, never
+    /// forwarded).
     ///
     /// Flits of one packet must be presented in order (header first, tail
     /// last); the single-input channel of a fanout node guarantees packets
@@ -107,81 +88,50 @@ impl FanoutState {
     /// Panics if a baseline node is asked to replicate (`Both`) or throttle
     /// (`Drop`) — the baseline network is unicast-only, so its traffic
     /// generator must serialize multicasts before injection.
-    pub fn decide(&mut self, flit: FlitKind, symbol: RouteSymbol) -> FanoutDecision {
+    pub fn decide(&mut self, flit: FlitKind, symbol: RouteSymbol) -> RouteSymbol {
         match self.kind {
             FanoutKind::Baseline => {
                 assert!(
                     matches!(symbol, RouteSymbol::Top | RouteSymbol::Bottom),
                     "baseline fanout node received non-unicast symbol {symbol}"
                 );
-                FanoutDecision {
-                    forward: symbol,
-                    fast_path: false,
-                }
+                symbol
             }
-            FanoutKind::NonSpeculative => FanoutDecision {
-                forward: symbol,
-                fast_path: false,
-            },
-            FanoutKind::Speculative => FanoutDecision {
-                forward: RouteSymbol::Both,
-                fast_path: false,
-            },
+            FanoutKind::NonSpeculative => symbol,
+            FanoutKind::Speculative => RouteSymbol::Both,
             FanoutKind::OptSpeculative => self.decide_opt_speculative(flit, symbol),
             FanoutKind::OptNonSpeculative => self.decide_opt_non_speculative(flit, symbol),
         }
     }
 
-    fn decide_opt_speculative(&mut self, flit: FlitKind, symbol: RouteSymbol) -> FanoutDecision {
+    fn decide_opt_speculative(&mut self, flit: FlitKind, symbol: RouteSymbol) -> RouteSymbol {
         match flit {
             FlitKind::Header => {
                 // Speculate on the header, remember the real route for the
                 // body flits (§4(c)).
                 self.latched = Some(symbol);
-                FanoutDecision {
-                    forward: RouteSymbol::Both,
-                    fast_path: false,
-                }
+                RouteSymbol::Both
             }
-            FlitKind::Body => {
-                let latched = self
-                    .latched
-                    .expect("body flit reached an opt-speculative node with no latched header");
-                FanoutDecision {
-                    forward: latched,
-                    fast_path: true,
-                }
-            }
+            FlitKind::Body => self
+                .latched
+                .expect("body flit reached an opt-speculative node with no latched header"),
             FlitKind::Tail => {
                 // The output modules return to normally-transparent after
                 // the tail, so the tail itself is still broadcast (§4(c)).
                 self.latched = None;
-                FanoutDecision {
-                    forward: RouteSymbol::Both,
-                    fast_path: false,
-                }
+                RouteSymbol::Both
             }
-            FlitKind::HeaderTail => FanoutDecision {
-                forward: RouteSymbol::Both,
-                fast_path: false,
-            },
+            FlitKind::HeaderTail => RouteSymbol::Both,
         }
     }
 
-    fn decide_opt_non_speculative(
-        &mut self,
-        flit: FlitKind,
-        symbol: RouteSymbol,
-    ) -> FanoutDecision {
+    fn decide_opt_non_speculative(&mut self, flit: FlitKind, symbol: RouteSymbol) -> RouteSymbol {
         match flit {
             FlitKind::Header => {
                 // Header pays full route computation and pre-allocates the
                 // channel(s) (§4(d)).
                 self.latched = Some(symbol);
-                FanoutDecision {
-                    forward: symbol,
-                    fast_path: false,
-                }
+                symbol
             }
             FlitKind::Body | FlitKind::Tail => {
                 let latched = self.latched.expect(
@@ -191,15 +141,9 @@ impl FanoutState {
                     // Routing of the tail releases the channel (§4(d)).
                     self.latched = None;
                 }
-                FanoutDecision {
-                    forward: latched,
-                    fast_path: true,
-                }
+                latched
             }
-            FlitKind::HeaderTail => FanoutDecision {
-                forward: symbol,
-                fast_path: false,
-            },
+            FlitKind::HeaderTail => symbol,
         }
     }
 }
@@ -208,10 +152,9 @@ impl FanoutState {
 mod tests {
     use super::*;
 
-    /// `kind symbol => what the node forwards of each flit` (`*`: the flit
-    /// rides the pre-allocated fast path). A row's length is its packet's:
-    /// one entry is a single header-tail flit, more are a header, bodies
-    /// and a tail. Every kind meets every symbol it can read.
+    /// `kind symbol => what the node forwards of each flit`. A row's
+    /// length is its packet's: one entry is a single header-tail flit,
+    /// more are a header, bodies and a tail. Every kind meets every symbol it can read.
     const DECISIONS: &[&str] = &[
         "base top => top top top top top",
         "base bottom => bottom bottom bottom bottom bottom",
@@ -227,25 +170,25 @@ mod tests {
         "sp both => both both both both both",
         // Optimized speculative: broadcast the header and the tail; bodies
         // follow the latched symbol, so a redundant copy's die here (§4(c)).
-        "osp drop => both drop* drop* drop* both",
-        "osp top => both top* top* top* both",
-        "osp bottom => both bottom* bottom* bottom* both",
-        "osp both => both both* both* both* both",
+        "osp drop => both drop drop drop both",
+        "osp top => both top top top both",
+        "osp bottom => both bottom bottom bottom both",
+        "osp both => both both both both both",
         "osp drop => both both",
         "osp top => both both",
         "osp bottom => both both",
         "osp both => both both",
         "osp top => both",
-        // Optimized non-speculative: route the header, fast-path the rest
-        // (§4(d)).
-        "ons drop => drop drop* drop* drop* drop*",
-        "ons top => top top* top* top* top*",
-        "ons bottom => bottom bottom* bottom* bottom* bottom*",
-        "ons both => both both* both* both* both*",
-        "ons drop => drop drop*",
-        "ons top => top top*",
-        "ons bottom => bottom bottom*",
-        "ons both => both both*",
+        // Optimized non-speculative: route the header, the rest follow the
+        // pre-allocated route (§4(d)).
+        "ons drop => drop drop drop drop drop",
+        "ons top => top top top top top",
+        "ons bottom => bottom bottom bottom bottom bottom",
+        "ons both => both both both both both",
+        "ons drop => drop drop",
+        "ons top => top top",
+        "ons bottom => bottom bottom",
+        "ons both => both both",
         "ons top => top",
     ];
 
@@ -274,13 +217,8 @@ mod tests {
             // Twice over: the tail leaves nothing latched for the next packet.
             for _ in 0..2 {
                 for (&flit, want) in flits.iter().zip(&expected) {
-                    let decision = state.decide(flit, read);
-                    let fast = if decision.fast_path { "*" } else { "" };
-                    assert_eq!(
-                        format!("{}{fast}", decision.forward),
-                        *want,
-                        "{row}: {flit}"
-                    );
+                    let forward = state.decide(flit, read);
+                    assert_eq!(forward.to_string(), *want, "{row}: {flit}");
                     if flit == FlitKind::Header {
                         assert_eq!(state.has_allocation(), kind.is_optimized(), "{row}");
                     }

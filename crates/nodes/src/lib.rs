@@ -24,5 +24,5 @@ pub mod fanout;
 pub mod timing;
 
 pub use fanin::FaninState;
-pub use fanout::{FanoutDecision, FanoutState};
+pub use fanout::FanoutState;
 pub use timing::{FlitClass, KindEnergy, KindTiming, NodeCostRow, TimingModel};

@@ -234,25 +234,41 @@ fn write_number(out: &mut String, n: f64) {
 
 /// Appends `v` in decimal, every digit exact: the one spelling of an
 /// integer, under [`JsonValue::render`] and the record writers alike.
-/// Digits go through a stack buffer; nothing is allocated.
+/// Digits are slices of a constant pair table; nothing is allocated.
 pub fn write_u64(out: &mut String, v: u64) {
     // Writing to a `String` cannot fail.
     let _ = write_digits(out, v);
 }
 
-/// [`write_u64`] into any text sink (a `Display` impl's formatter).
-pub(crate) fn write_digits<W: fmt::Write>(out: &mut W, mut v: u64) -> fmt::Result {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+/// Every two-digit number, `00` to `99`, one after another.
+const PAIRS: &str = "\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// [`write_u64`] into any text sink (a `Display` impl's formatter): two
+/// digits per division, each pair a slice of [`PAIRS`], so no digit is
+/// checked as text at run time.
+pub(crate) fn write_digits<W: fmt::Write>(out: &mut W, v: u64) -> fmt::Result {
+    let pair = |n: u64| &PAIRS[2 * n as usize..2 * n as usize + 2];
+    // The pairs below the leading one or two digits, least significant first.
+    let mut low = [0u8; 10];
+    let mut count = 0;
+    let mut lead = v;
+    while lead >= 100 {
+        low[count] = (lead % 100) as u8;
+        lead /= 100;
+        count += 1;
     }
-    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+    // A lone lead digit is the second of its pair.
+    let skip = usize::from(lead < 10);
+    out.write_str(&pair(lead)[skip..])?;
+    for &n in low[..count].iter().rev() {
+        out.write_str(pair(u64::from(n)))?;
+    }
+    Ok(())
 }
 
 /// Appends `s` as a JSON string: the one spelling of a string. Runs

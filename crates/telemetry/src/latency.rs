@@ -1,7 +1,6 @@
 //! Per-destination and per-hop-count latency distributions.
 
-use std::collections::HashMap;
-
+use asynoc_kernel::hash::HashMap;
 use asynoc_kernel::{Duration, Time};
 use asynoc_stats::Phases;
 
@@ -47,7 +46,7 @@ impl LatencyHistograms {
             endpoints,
             total: LatencyWindow::default(),
             window: None,
-            header_forwards: HashMap::new(),
+            header_forwards: HashMap::default(),
         }
     }
 

@@ -79,6 +79,11 @@ pub use trace::{
 };
 pub use waste::{NodeWaste, SpeculationWaste};
 
+/// The maps every record sink keys by packet or site, on the kernel's one
+/// hasher — here for the analysis crate, which reads the workspace
+/// through this one.
+pub use asynoc_kernel::hash::{HashMap, HashSet};
+
 /// The metrics report's schema identifier (`schema` field of the JSON
 /// document `asynoc metrics` emits). Bump when the report shape changes.
 pub const METRICS_SCHEMA: &str = "asynoc-metrics-v1";

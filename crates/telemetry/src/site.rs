@@ -194,7 +194,7 @@ impl Site {
         candidates.into_iter().flatten()
     }
 
-    /// Writes the label: digits go through a stack buffer, so a record
+    /// Writes the label: digits are slices of a constant table, so a record
     /// writer renders a site per event without allocating.
     pub(crate) fn write_to<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
         let mut tree_node = |open: &str, tree: usize, level: u32, index: usize| {
@@ -300,6 +300,47 @@ mod tests {
         for (label, expected) in forms {
             assert_eq!(label.parse(), Ok(expected), "{label}");
             assert_eq!(expected.to_string(), label);
+        }
+    }
+
+    #[test]
+    fn display_and_write_to_spell_every_digit_count() {
+        // 0, and both sides of every power of ten a `usize` holds.
+        let boundaries = (1..=19u32)
+            .flat_map(|exp| [10usize.pow(exp) - 1, 10usize.pow(exp)])
+            .chain([0, usize::MAX]);
+        for n in boundaries {
+            let level = u32::try_from(n).unwrap_or(u32::MAX);
+            let forms = [
+                (Site::Source(n), format!("src{n}")),
+                (Site::Sink(n), format!("D{n}")),
+                (Site::Router(n), format!("r{n}")),
+                (Site::Channel(n), format!("ch{n}")),
+                (Site::Node(n), format!("node{n}")),
+                (
+                    Site::Fanout {
+                        tree: n,
+                        level,
+                        index: n,
+                    },
+                    format!("fo[s{n}:{level}.{n}]"),
+                ),
+                (
+                    Site::Fanin {
+                        tree: 0,
+                        level,
+                        index: n,
+                    },
+                    format!("fi[d0:{level}.{n}]"),
+                ),
+            ];
+            for (site, label) in forms {
+                let mut written = String::new();
+                site.write_to(&mut written)
+                    .expect("a String takes any text");
+                assert_eq!(written, label);
+                assert_eq!(site.to_string(), label);
+            }
         }
     }
 

@@ -53,9 +53,10 @@
 //!   `WASTE_CEILING` (fires once per run; needs `WASTE_MIN_FORWARDS`
 //!   forwards to avoid small-sample noise).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 use std::io::{BufWriter, Write};
 
+use asynoc_kernel::hash::{HashMap, HashSet};
 use asynoc_kernel::{Duration, Time, WindowClock};
 
 use crate::json::{write_u64, JsonError, JsonValue, Scanner};
@@ -242,13 +243,13 @@ impl<'a> StreamSink<'a> {
             w_delivered: 0,
             w_dropped: 0,
             w_forwards: 0,
-            node_busy: HashMap::new(),
+            node_busy: HashMap::default(),
             in_flight: 0,
             emitted_bins: 0,
             windows: 0,
             tokens: TokenLedger::default(),
-            packet_refs: HashMap::new(),
-            watermark_fired: HashSet::new(),
+            packet_refs: HashMap::default(),
+            watermark_fired: HashSet::default(),
             stall_run: 0,
             stalled: false,
             conservation_fired: 0,
@@ -516,10 +517,13 @@ impl<'a> StreamSink<'a> {
                 format!("flit copy count went to {refs}"),
             );
         }
-        let packet = self.packet_refs.entry(key.0).or_insert(0);
-        *packet += delta;
-        if *packet <= 0 {
-            self.packet_refs.remove(&key.0);
+        let mut packet = match self.packet_refs.entry(key.0) {
+            Entry::Occupied(known) => known,
+            Entry::Vacant(unknown) => unknown.insert_entry(0),
+        };
+        *packet.get_mut() += delta;
+        if *packet.get() <= 0 {
+            packet.remove();
             self.latency.forget_packet(key.0);
         }
     }

@@ -12,7 +12,8 @@
 //! run ends.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+
+use asynoc_kernel::hash::HashMap;
 
 use crate::recorder::RecordSink;
 use crate::site::Site;
@@ -82,18 +83,19 @@ pub struct TokenLedger<T = ()> {
 impl<T> Default for TokenLedger<T> {
     fn default() -> Self {
         TokenLedger {
-            open: HashMap::new(),
+            open: HashMap::default(),
         }
     }
 }
 
 impl<T: Copy> TokenLedger<T> {
     /// Moves `record`'s tokens on its flit's tree and returns the flit's
-    /// `(packet, flit)` key with the tree as the record left it.
+    /// `(packet, flit)` key with the tree as the record left it. A tree
+    /// that closes clean is let go through the entry that found it.
     pub fn apply(&mut self, record: &TraceRecord, note: T) -> ((u64, u8), FlitTokens) {
         let key = (record.packet, record.flit);
-        let open = match self.open.entry(key) {
-            Entry::Occupied(known) => known.into_mut(),
+        let mut entry = match self.open.entry(key) {
+            Entry::Occupied(known) => known,
             Entry::Vacant(unknown) => {
                 // A tree begins at its source: with the injection, or with
                 // a fault on the injection link before it. Any other record
@@ -105,7 +107,7 @@ impl<T: Copy> TokenLedger<T> {
                     Action::Fault => matches!(record.site, Site::Source(_)),
                     _ => false,
                 };
-                unknown.insert(Open {
+                unknown.insert_entry(Open {
                     tokens: FlitTokens {
                         injected: !begins,
                         ..FlitTokens::default()
@@ -115,6 +117,7 @@ impl<T: Copy> TokenLedger<T> {
                 })
             }
         };
+        let open = entry.get_mut();
         let tokens = &mut open.tokens;
         match record.action {
             Action::Inject => {
@@ -134,7 +137,7 @@ impl<T: Copy> TokenLedger<T> {
         }
         let tokens = *tokens;
         if tokens.closed() && !tokens.faulted {
-            self.open.remove(&key);
+            entry.remove();
         }
         (key, tokens)
     }

@@ -10,7 +10,7 @@
 //! `Dropped` category, which prices the engine's count of the same
 //! throttles.
 
-use std::collections::HashMap;
+use asynoc_kernel::hash::HashMap;
 
 use crate::json::JsonValue;
 use crate::recorder::RecordSink;
@@ -53,7 +53,7 @@ impl SpeculationWaste {
         SpeculationWaste {
             wire_fj,
             drop_fj,
-            per_node: HashMap::new(),
+            per_node: HashMap::default(),
             injected: 0,
             forward_copies: 0,
         }

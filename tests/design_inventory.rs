@@ -1,7 +1,7 @@
 //! DESIGN.md's workspace inventory is checked against the workspace: a
 //! crate added, folded or renamed without its row fails here, as a
 //! README command line that no longer parses fails in `asynoc-cli`. The
-//! release profile is held here too.
+//! release profile and the hasher of per-record maps are held here too.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -71,4 +71,56 @@ fn the_release_profile_is_whole_program() {
             "Cargo.toml [profile.release] lacks `{setting}`: {profile:?}"
         );
     }
+}
+
+/// Every `.rs` file under `dir`, code only: line comments are cut.
+fn sources(dir: &Path) -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("a readable source directory") {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            files.extend(sources(&path));
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            let text = std::fs::read_to_string(&path).expect("a readable source file");
+            let code: Vec<&str> = text
+                .lines()
+                .map(|line| line.split_once("//").map_or(line, |(code, _)| code))
+                .collect();
+            files.push((path.display().to_string(), code.join("\n")));
+        }
+    }
+    files
+}
+
+/// The engine, telemetry and analysis crates look a map up per event or
+/// per record: each of their maps hashes with the kernel's one hasher
+/// (`asynoc_kernel::hash`), never std's default SipHash.
+#[test]
+fn no_per_record_map_hashes_with_std_default_hasher() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let defaults = [
+        "RandomState",
+        "HashMap::new(",
+        "HashSet::new(",
+        "HashMap::with_capacity(",
+        "HashSet::with_capacity(",
+    ];
+    let mut offences = Vec::new();
+    for krate in ["engine", "telemetry", "analysis"] {
+        for (file, code) in sources(&crates.join(krate).join("src")) {
+            // A `use` of std's maps, or a path to them.
+            for statement in code.split(';') {
+                let names_map = statement.contains("HashMap") || statement.contains("HashSet");
+                if statement.contains("std::collections") && names_map {
+                    offences.push(format!("{file}: {}", statement.trim()));
+                }
+            }
+            let built = defaults.iter().filter(|default| code.contains(*default));
+            offences.extend(built.map(|default| format!("{file}: {default}")));
+        }
+    }
+    assert!(
+        offences.is_empty(),
+        "std's default hasher on a per-record path: {offences:#?}"
+    );
 }
