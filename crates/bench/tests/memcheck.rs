@@ -19,13 +19,24 @@
 //! The DPM gate holds the VC mesh's multicast planner to the same
 //! quotient: its memo is a cache sized once per run, so a planner that
 //! kept every plan it ever made shows up as growth with simulated time.
+//!
+//! The trace gates hold the per-flit trace to it, both ways: a run
+//! writing every record to a file (`metrics --trace-out`) holds the
+//! sink's drain buffer, not the trace; and reading that file back line by
+//! line (`analyze`) holds one line of text beside the records it keeps —
+//! the records themselves are the parse's product and are not counted.
 
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufReader, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use asynoc::probe::{peak_bytes, reset_peak_bytes};
-use asynoc::telemetry::{LatencyHistograms, Recorder, StreamConfig, StreamSink, TimeSeries};
+use asynoc::telemetry::{
+    read_trace, LatencyHistograms, Recorder, StreamConfig, StreamSink, TimeSeries, TraceFile,
+    TraceMeta, TraceRecord,
+};
 use asynoc::{drive, Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
 use asynoc_topology::MotSize;
 use asynoc_vcmesh::{McastScheme, MeshSize, VcMeshConfig, VcMeshNetwork};
@@ -231,11 +242,115 @@ fn dpm_peak_is_bounded() -> bool {
     true
 }
 
+/// Peak heap of one 8x8 MoT run writing every trace record to `path`,
+/// measuring `measure_ns`, and the trace's size in bytes.
+fn traced_run(net: &Network, measure_ns: u64, path: &Path) -> (u64, u64) {
+    let phases = Phases::new(Duration::from_ns(40), Duration::from_ns(measure_ns));
+    let run = RunConfig::new(Benchmark::Multicast10, 0.3)
+        .expect("valid run")
+        .with_phases(phases);
+    let meta = TraceMeta {
+        substrate: "mot".to_string(),
+        arch: None,
+        size: net.config().size().n() as u64,
+        seed: 0,
+        flits: 5,
+        rate: 0.3,
+        warmup_ps: phases.warmup().as_ps(),
+        measure_ps: phases.measure().as_ps(),
+        wire_fj: None,
+        drop_fj: None,
+        dropped_events: 0,
+    };
+    let file = File::create(path).expect("a temporary trace file");
+    reset_peak_bytes();
+    let mut trace = TraceFile::new(file, meta, usize::MAX).expect("the meta line is written");
+    {
+        let mut recorder = Recorder::new(net.site_of(), vec![&mut trace]);
+        drive(net, &run, &mut [&mut recorder], None).expect("run completes");
+    }
+    trace.finish().expect("the trace closes");
+    let peak = peak_bytes();
+    (peak, std::fs::metadata(path).expect("the trace file").len())
+}
+
+/// Peak heap of reading the trace at `path` line by line, less the
+/// records the read returns, and how many there were.
+fn parse_excess(path: &Path) -> (u64, usize) {
+    let input = BufReader::new(File::open(path).expect("the trace file"));
+    reset_peak_bytes();
+    let (meta, records, errors) = read_trace(input, false).expect("the trace reads");
+    let kept = (records.capacity() * std::mem::size_of::<TraceRecord>()) as u64;
+    let excess = peak_bytes().saturating_sub(kept);
+    assert!(
+        meta.is_some() && errors.is_empty(),
+        "the trace parses whole"
+    );
+    (excess, records.len())
+}
+
+/// The two trace gates; `false` when either fails.
+fn trace_io_is_bounded() -> bool {
+    let net = Network::new(NetworkConfig::new(
+        MotSize::new(8).expect("8 is a power of two"),
+        Architecture::OptHybridSpeculative,
+    ))
+    .expect("network builds");
+    let path = |name: &str| -> PathBuf {
+        let file = format!("asynoc-memcheck-{}-{name}.ndjson", std::process::id());
+        std::env::temp_dir().join(file)
+    };
+    let (short_path, long_path) = (path("short"), path("long"));
+    let _ = traced_run(&net, 500, &short_path);
+    let (short_peak, short_bytes) = traced_run(&net, 500, &short_path);
+    let (long_peak, long_bytes) = traced_run(&net, 4000, &long_path);
+    let _ = parse_excess(&short_path);
+    let (short_excess, short_records) = parse_excess(&short_path);
+    let (long_excess, long_records) = parse_excess(&long_path);
+    let _ = (
+        std::fs::remove_file(short_path),
+        std::fs::remove_file(long_path),
+    );
+    let write_ratio = long_peak as f64 / short_peak.max(1) as f64;
+    let read_ratio = long_excess as f64 / short_excess.max(1) as f64;
+    println!(
+        "memcheck (8x8 MoT, --trace-out, then read back line by line):\n\
+         \x20 short run : trace {short_bytes:>10} B, write peak {short_peak:>9} B, \
+         {short_records:>7} records read, read peak beyond them {short_excess:>9} B\n\
+         \x20 long run  : trace {long_bytes:>10} B, write peak {long_peak:>9} B, \
+         {long_records:>7} records read, read peak beyond them {long_excess:>9} B\n\
+         \x20 peak ratios: write {write_ratio:.3}, read {read_ratio:.3} (trace grew {:.1}x, \
+         gate {HEADROOM})",
+        long_bytes as f64 / short_bytes.max(1) as f64,
+    );
+    assert!(
+        long_bytes > 4 * short_bytes && short_bytes > 16 * 64 * 1024,
+        "both traces must be many drain buffers long, the long one several times the short"
+    );
+    let mut bounded = true;
+    if write_ratio > HEADROOM {
+        eprintln!(
+            "FAIL: peak allocation grew {write_ratio:.2}x on an 8x-longer traced run \
+             (> {HEADROOM}); the trace file sink keeps the trace"
+        );
+        bounded = false;
+    }
+    if read_ratio > HEADROOM {
+        eprintln!(
+            "FAIL: peak allocation beside the records grew {read_ratio:.2}x reading an \
+             8x-longer trace (> {HEADROOM}); the trace reader keeps the text"
+        );
+        bounded = false;
+    }
+    bounded
+}
+
 fn main() {
     let streamed = peak_is_bounded();
     let dpm = dpm_peak_is_bounded();
-    if !(streamed && dpm) {
+    let traced = trace_io_is_bounded();
+    if !(streamed && dpm && traced) {
         std::process::exit(1);
     }
-    println!("OK: streamed and DPM peak memory are bounded independent of run length");
+    println!("OK: streamed, DPM and trace-file peak memory are bounded independent of run length");
 }

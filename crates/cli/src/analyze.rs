@@ -9,12 +9,12 @@
 //! under `--heatmap`); without it, stdout is the pure JSON document —
 //! unless `--heatmap` asks for the human-readable maps instead.
 
-use std::io::Write;
+use std::io::{BufReader, Write};
 
 use asynoc_analysis::Analysis;
-use asynoc_telemetry::{parse_trace, parse_trace_lenient};
+use asynoc_telemetry::read_trace;
 
-use crate::commands::{create_optional, read_input, CliError};
+use crate::commands::{create_optional, named, open_input, CliError};
 
 /// A fully-resolved `analyze` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,18 +43,15 @@ pub struct AnalyzeRequest {
 /// first malformed trace line.
 pub fn execute_analyze(request: &AnalyzeRequest, out: &mut dyn Write) -> Result<(), CliError> {
     let profiler = crate::profile::ProfileWriter::when(request.profile.as_ref(), "analyze")?;
-    let text = read_input("--trace-in", &request.trace_in)?;
+    let input = BufReader::new(open_input("--trace-in", &request.trace_in)?);
     let mut report_file = create_optional("--report-out", request.report_out.as_ref())?;
-    let (meta, records, skipped) = if request.lenient {
-        let (meta, records, errors) = parse_trace_lenient(&text);
-        (meta, records, errors.len() as u64)
-    } else {
-        let (meta, records) = parse_trace(&text)
-            .map_err(|e| CliError::Invalid(format!("{}: {e}", request.trace_in)))?;
-        (meta, records, 0)
-    };
-    // The records hold no text: it need not sit under the analysis' peak.
-    drop(text);
+    // One line of text at a time: the records are all the parse keeps.
+    let (meta, records, errors) =
+        read_trace(input, request.lenient).map_err(named("--trace-in", &request.trace_in))?;
+    if let (false, Some(first)) = (request.lenient, errors.first()) {
+        return Err(CliError::Invalid(format!("{}: {first}", request.trace_in)));
+    }
+    let skipped = errors.len() as u64;
     if records.is_empty() {
         return Err(CliError::Invalid(format!(
             "{}: no trace records to analyze",

@@ -1,7 +1,7 @@
 //! Command execution, writing human-readable reports to any `Write` sink
 //! (tests capture a `Vec<u8>`, `main` passes stdout).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use asynoc::harness::{saturation_of, Quality};
 use asynoc::{
@@ -53,7 +53,7 @@ impl From<io::Error> for CliError {
 
 /// An I/O failure on the file a flag names says which flag and which
 /// path, not just what the OS thought of it.
-fn named<'a>(flag: &'a str, path: &'a str) -> impl Fn(io::Error) -> CliError + 'a {
+pub(crate) fn named<'a>(flag: &'a str, path: &'a str) -> impl Fn(io::Error) -> CliError + 'a {
     move |e| CliError::Io(io::Error::new(e.kind(), format!("{flag} {path}: {e}")))
 }
 
@@ -76,15 +76,6 @@ pub(crate) fn open_input(flag: &str, path: &str) -> Result<std::fs::File, CliErr
     std::fs::File::open(path).map_err(named(flag, path))
 }
 
-/// Reads the whole of the file [`open_input`] opens.
-pub(crate) fn read_input(flag: &str, path: &str) -> Result<String, CliError> {
-    let mut text = String::new();
-    open_input(flag, path)?
-        .read_to_string(&mut text)
-        .map_err(named(flag, path))?;
-    Ok(text)
-}
-
 /// Resolves `--arch` / `--spec-map` into a validated [`SpecMap`] at the
 /// `--size` in effect. Accepts preset names, the `levels:`/`node:` text
 /// grammar, and `@path` JSON documents.
@@ -98,7 +89,7 @@ pub(crate) fn resolve_spec_map(
         (Some(arch), None) => Ok(SpecMap::preset(arch, size)),
         (None, Some(raw)) => {
             if let Some(path) = raw.strip_prefix('@') {
-                let text = read_input("--spec-map", path)?;
+                let text = std::fs::read_to_string(path).map_err(named("--spec-map", path))?;
                 let doc = JsonValue::parse(&text)
                     .map_err(|e| CliError::Invalid(format!("--spec-map {path}: {e}")))?;
                 spec_map_from_json(size, &doc)

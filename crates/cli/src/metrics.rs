@@ -7,20 +7,21 @@
 //! speculation-waste ledger, and the run's power/throughput/counter
 //! summaries, all under the [`METRICS_SCHEMA`] version tag.
 
-use std::fs::File;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{ErrorKind, Write};
 
 use asynoc::{drive, Architecture, Benchmark, Duration, EngineReport, RunReport};
 use asynoc_mesh::Wormhole;
 use asynoc_power::EnergyCategory;
 use asynoc_telemetry::{
-    ChromeTraceObserver, JsonValue, RecordSink, Recorder, TraceMeta, TraceWriter, METRICS_SCHEMA,
+    ChromeTraceObserver, JsonValue, RecordSink, Recorder, TraceFile, TraceMeta, METRICS_SCHEMA,
 };
 use asynoc_vcmesh::{McastScheme, VcRouter};
 
 use crate::args::{CommonOptions, Substrate, TraceFormat};
 use crate::commands::{
-    create_optional, network_for, phases_for, placement_id, resolve_spec_map, run_config, CliError,
+    create_optional, create_output, named, network_for, phases_for, placement_id, resolve_spec_map,
+    run_config, CliError,
 };
 use crate::fabric::{self, Fabric};
 
@@ -53,47 +54,60 @@ pub struct MetricsRequest {
     pub common: CommonOptions,
 }
 
-/// The optional trace sink pair: exactly one is live when tracing.
-struct Tracers {
-    ndjson: Option<TraceWriter>,
-    chrome: Option<ChromeTraceObserver>,
+/// The `--trace-out` sink. NDJSON lines go to the file as the run goes
+/// ([`TraceFile`]); a Chrome trace is one JSON document, kept whole and
+/// written when the run ends.
+enum Tracer {
+    Ndjson(TraceFile),
+    Chrome(ChromeTraceObserver, File),
 }
 
-impl Tracers {
-    fn new(format: Option<TraceFormat>, limit: usize) -> Self {
-        let (ndjson, chrome) = match format {
-            Some(TraceFormat::Ndjson) => (Some(TraceWriter::new(limit)), None),
-            Some(TraceFormat::Chrome) => (None, Some(ChromeTraceObserver::new(limit))),
-            None => (None, None),
-        };
-        Tracers { ndjson, chrome }
-    }
-
-    fn push_into<'a>(&'a mut self, sinks: &mut Vec<&'a mut dyn RecordSink>) {
-        if let Some(writer) = self.ndjson.as_mut() {
-            sinks.push(writer);
-        }
-        if let Some(observer) = self.chrome.as_mut() {
-            sinks.push(observer);
+impl Tracer {
+    fn sink(&mut self) -> &mut dyn RecordSink {
+        match self {
+            Tracer::Ndjson(file) => file,
+            Tracer::Chrome(observer, _) => observer,
         }
     }
 
-    /// Writes the collected trace. NDJSON traces lead with the run's
-    /// meta line (stamped with how many events the cap dropped) so
-    /// `asynoc analyze` can gate and price its results, then the lines
-    /// the writer rendered as the events went by; Chrome traces have no
-    /// meta notion.
-    fn write_to(self, mut meta: TraceMeta, out: &mut File) -> std::io::Result<()> {
-        if let Some(writer) = self.ndjson {
-            meta.dropped_events = writer.dropped();
-            writeln!(out, "{}", meta.to_ndjson())?;
-            out.write_all(writer.text().as_bytes())?;
+    fn finish(self) -> std::io::Result<()> {
+        match self {
+            Tracer::Ndjson(file) => file.finish(),
+            Tracer::Chrome(observer, mut out) => {
+                out.write_all(observer.into_trace().render().as_bytes())
+            }
         }
-        if let Some(observer) = self.chrome {
-            out.write_all(observer.into_trace().render().as_bytes())?;
-        }
-        Ok(())
     }
+}
+
+/// A failed `--trace-out` names the flag and the path; a capped trace
+/// that could not be finished in place names the cap too.
+fn trace_error(request: &MetricsRequest) -> impl Fn(std::io::Error) -> CliError + '_ {
+    move |e| {
+        let path = request.trace_out.as_deref().unwrap_or_default();
+        if e.kind() == ErrorKind::Unsupported {
+            let limit = request.trace_limit;
+            return CliError::Invalid(format!(
+                "--trace-out {path}: {e}; raise --trace-limit {limit} or write to a regular file"
+            ));
+        }
+        named("--trace-out", path)(e)
+    }
+}
+
+/// Opens `--trace-out` for writing and, when it is (or will be) a regular
+/// file, for reading too: a capped NDJSON trace reads its body back to
+/// shift it. A pipe is opened for writing only, so that a reader that
+/// goes away is a broken pipe, not a writer blocked on its own pipe.
+fn open_trace_out(path: &str) -> Result<File, CliError> {
+    let regular = std::fs::metadata(path).map_or(true, |meta| meta.is_file());
+    let opened = OpenOptions::new()
+        .read(regular)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path);
+    opened.or_else(|_| create_output("--trace-out", path))
 }
 
 /// The identity keys a run is reproducible from — shared by the metrics
@@ -213,7 +227,7 @@ fn run<F: Fabric>(
     net: &F,
     identity: Option<String>,
     request: &MetricsRequest,
-    trace_out: Option<&mut File>,
+    trace_out: Option<File>,
 ) -> Result<MetricsRun, CliError> {
     let common = &request.common;
     let phases = phases_for(request.benchmark, common);
@@ -228,7 +242,32 @@ fn run<F: Fabric>(
 
     let (mut latency, mut timeseries) = net.collectors(phases, Duration::from_ns(request.bin_ns));
     let mut waste = net.waste();
-    let mut tracers = Tracers::new(request.trace_format, request.trace_limit);
+    // Every field of the trace's meta line but the count the cap drops is
+    // known before the run, so the line leads the file from the start.
+    let energy = net.energy_fj();
+    let meta = TraceMeta {
+        substrate: F::TAG.to_string(),
+        arch: identity,
+        size: common.size as u64,
+        seed: common.seed,
+        flits: common.flits,
+        rate: request.rate,
+        warmup_ps: phases.warmup().as_ps(),
+        measure_ps: phases.measure().as_ps(),
+        wire_fj: energy.map(|(wire, _)| wire),
+        drop_fj: energy.map(|(_, drop)| drop),
+        dropped_events: 0,
+    };
+    let limit = request.trace_limit;
+    let mut tracer = match (trace_out, request.trace_format) {
+        (Some(file), Some(TraceFormat::Chrome)) => {
+            Some(Tracer::Chrome(ChromeTraceObserver::new(limit), file))
+        }
+        (Some(file), _) => Some(Tracer::Ndjson(
+            TraceFile::new(file, meta, limit).map_err(trace_error(request))?,
+        )),
+        (None, _) => None,
+    };
     // Under `--stream` the sink stands in front of the latency /
     // time-series pair and feeds it; otherwise the pair is fed directly.
     let mut sink = None;
@@ -247,7 +286,9 @@ fn run<F: Fabric>(
     if let Some(waste) = waste.as_mut() {
         sinks.push(waste);
     }
-    tracers.push_into(&mut sinks);
+    if let Some(tracer) = tracer.as_mut() {
+        sinks.push(tracer.sink());
+    }
     let mut recorder = Recorder::new(net.site_of(), sinks);
     let report = drive(net, &run, &mut [&mut recorder], None).map_err(asynoc::SimError::from)?;
 
@@ -283,22 +324,8 @@ fn run<F: Fabric>(
         ("timeseries".to_string(), timeseries.to_json()),
     ];
     doc.extend(sections);
-    let energy = net.energy_fj();
-    let meta = TraceMeta {
-        substrate: F::TAG.to_string(),
-        arch: identity,
-        size: common.size as u64,
-        seed: common.seed,
-        flits: common.flits,
-        rate: request.rate,
-        warmup_ps: phases.warmup().as_ps(),
-        measure_ps: phases.measure().as_ps(),
-        wire_fj: energy.map(|(wire, _)| wire),
-        drop_fj: energy.map(|(_, drop)| drop),
-        dropped_events: 0,
-    };
-    if let Some(file) = trace_out {
-        tracers.write_to(meta, file)?;
+    if let Some(tracer) = tracer {
+        tracer.finish().map_err(trace_error(request))?;
     }
     Ok((
         JsonValue::Object(doc),
@@ -320,8 +347,11 @@ pub fn execute_metrics(request: &MetricsRequest, out: &mut dyn Write) -> Result<
     let common = &request.common;
     let profiler = crate::profile::ProfileWriter::when(common.profile.as_ref(), "metrics")?;
     let mut metrics_file = create_optional("--metrics-out", request.metrics_out.as_ref())?;
-    let mut trace_file = create_optional("--trace-out", request.trace_out.as_ref())?;
-    let trace_out = trace_file.as_mut();
+    let trace_out = request
+        .trace_out
+        .as_deref()
+        .map(open_trace_out)
+        .transpose()?;
     let (doc, engine_profile, watchpoints) = match request.substrate {
         Substrate::Mot => {
             let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), common)?;

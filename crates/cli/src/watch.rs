@@ -12,12 +12,12 @@
 //! *host-time* stall ("the file stopped growing") is detected here,
 //! since only the consumer can see wall-clock silence.
 
-use std::io::{BufRead, BufReader, Read, Seek, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::time::Instant;
 
 use asynoc_telemetry::{JsonValue, StreamFolder, StreamLine, STREAM_SCHEMA};
 
-use crate::commands::{create_optional, open_input, read_input, CliError};
+use crate::commands::{create_optional, named, open_input, CliError};
 
 /// A fully-resolved `watch` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -255,80 +255,94 @@ fn finish(
 /// Returns a [`CliError`] when the stream cannot be read, is not an
 /// `asynoc-stream-v1` document, or `--fold` fails to decode it.
 pub fn execute_watch(request: &WatchRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    if request.stream_in == "-" || request.once {
-        // Single pass over a complete (or cut-off) stream text.
-        let text = if request.stream_in == "-" {
-            let mut text = String::new();
-            std::io::stdin().read_to_string(&mut text)?;
-            text
-        } else {
-            read_input("--stream-in", &request.stream_in)?
-        };
+    if request.stream_in == "-" {
+        return watch(std::io::stdin().lock(), request, out, None);
+    }
+    let input = BufReader::new(open_input("--stream-in", &request.stream_in)?);
+    if request.once {
+        return watch(input, request, out, None);
+    }
+    let interval = std::time::Duration::from_millis(request.interval_ms);
+    watch(
+        input,
+        request,
+        out,
+        Some(&mut || std::thread::sleep(interval)),
+    )
+}
+
+/// Reads the next line of `input` onto the end of `line`; `false` at the
+/// end of the input. A read error names the stream, unless it is stdin.
+fn read_more(
+    input: &mut impl BufRead,
+    line: &mut String,
+    request: &WatchRequest,
+) -> Result<bool, CliError> {
+    match input.read_line(line) {
+        Ok(read) => Ok(read > 0),
+        Err(e) if request.stream_in == "-" => Err(e.into()),
+        Err(e) => Err(named("--stream-in", &request.stream_in)(e)),
+    }
+}
+
+/// Feeds the dashboard every line of `input`, one at a time, then writes
+/// the summary. A single pass (`idle` is `None`) refuses an input that
+/// does not open with a head record and ends with the input, whose last
+/// line needs no newline. A tail ends at the `end` record and calls
+/// `idle` between polls; a partial last line waits for the rest of its
+/// bytes.
+fn watch(
+    mut input: impl BufRead,
+    request: &WatchRequest,
+    out: &mut dyn Write,
+    mut idle: Option<&mut dyn FnMut()>,
+) -> Result<(), CliError> {
+    let tailing = idle.is_some();
+    let started = Instant::now();
+    let (mut line, mut blanks) = (String::new(), 0);
+    if !tailing {
         // A complete stream opens with its head; without one this is some
         // other file (or none), not a run that reported all zeroes.
-        let opening = text
-            .lines()
-            .enumerate()
-            .find(|(_, line)| !line.trim().is_empty());
-        let is_head = |line| match StreamLine::parse(line) {
+        while read_more(&mut input, &mut line, request)? && line.trim().is_empty() {
+            line.clear();
+            blanks += 1;
+        }
+        let head = match StreamLine::parse(&line) {
             Ok(StreamLine::Record(value)) => {
                 value.get("type").and_then(JsonValue::as_str) == Some("head")
             }
             _ => false,
         };
-        if !opening.is_some_and(|(_, line)| is_head(line)) {
+        if !head {
+            let at = if line.is_empty() { 1 } else { blanks + 1 };
             return Err(CliError::Invalid(format!(
-                "line {}: expected a {STREAM_SCHEMA:?} head record",
-                opening.map_or(1, |(index, _)| index + 1)
+                "line {at}: expected a {STREAM_SCHEMA:?} head record"
             )));
         }
-        let mut dashboard = Dashboard::new(request)?;
-        for line in text.lines() {
-            dashboard.ingest(line, out)?;
-        }
-        return finish(dashboard, request, out, None);
     }
-    let interval = std::time::Duration::from_millis(request.interval_ms);
-    tail(request, out, || std::thread::sleep(interval))
-}
-
-/// Tails the file until its `end` record arrives, calling `idle` between
-/// polls.
-fn tail(
-    request: &WatchRequest,
-    out: &mut dyn Write,
-    mut idle: impl FnMut(),
-) -> Result<(), CliError> {
-    let mut reader = BufReader::new(open_input("--stream-in", &request.stream_in)?);
     let mut dashboard = Dashboard::new(request)?;
-    let mut carry = String::new();
-    let started = Instant::now();
+    for _ in 0..blanks {
+        dashboard.ingest("", out)?;
+    }
     let mut quiet_polls: u32 = 0;
     let mut stall_noted = false;
     loop {
         let mut grew = false;
-        loop {
-            carry.clear();
-            // Stop at a partial trailing line: rewind so the next poll
-            // re-reads it once the producer finishes writing it.
-            let before = reader.stream_position()?;
-            let n = reader.read_line(&mut carry)?;
-            if n == 0 {
-                break;
-            }
-            if !carry.ends_with('\n') {
-                reader.seek(std::io::SeekFrom::Start(before))?;
+        // A single pass starts with its head line already read.
+        while !(line.is_empty() || tailing) || read_more(&mut input, &mut line, request)? {
+            if tailing && !line.ends_with('\n') {
                 break;
             }
             grew = true;
-            dashboard.ingest(&carry, out)?;
-            if dashboard.ended {
+            dashboard.ingest(&line, out)?;
+            line.clear();
+            if tailing && dashboard.ended {
                 break;
             }
         }
-        if dashboard.ended {
+        let Some(idle) = idle.as_mut().filter(|_| !dashboard.ended) else {
             break;
-        }
+        };
         if grew {
             quiet_polls = 0;
             stall_noted = false;
@@ -346,12 +360,8 @@ fn tail(
         }
         idle();
     }
-    finish(
-        dashboard,
-        request,
-        out,
-        Some(started.elapsed().as_secs_f64()),
-    )
+    let host_elapsed = tailing.then(|| started.elapsed().as_secs_f64());
+    finish(dashboard, request, out, host_elapsed)
 }
 
 #[cfg(test)]
@@ -489,7 +499,8 @@ mod tests {
         std::fs::write(&live, &stream[..cut]).expect("first half");
         let mut rest = Some(&stream[cut..]);
         let mut out = Vec::new();
-        tail(&request(&live, &folded_tail, false), &mut out, || {
+        let input = BufReader::new(std::fs::File::open(&live).expect("live stream"));
+        let mut second_half = || {
             if let Some(rest) = rest.take() {
                 let mut file = std::fs::OpenOptions::new()
                     .append(true)
@@ -497,8 +508,10 @@ mod tests {
                     .expect("live stream");
                 file.write_all(rest).expect("second half");
             }
-        })
-        .expect("tail follows the stream to its end record");
+        };
+        let request = request(&live, &folded_tail, false);
+        watch(input, &request, &mut out, Some(&mut second_half))
+            .expect("tail follows the stream to its end record");
         assert!(rest.is_none(), "the tail went idle on the partial line");
         let out = String::from_utf8(out).expect("utf8");
         assert!(out.contains("stream ended"), "{out}");

@@ -576,6 +576,105 @@ fn a_closed_pipe_is_a_quiet_exit_not_an_error() {
     assert_eq!(child.wait().expect("it ends").code(), Some(2));
 }
 
+/// A small traced run: a few thousand records, past the trace sink's
+/// 64 KiB drain point.
+const TRACED: &str = "metrics --arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3 \
+                      --warmup-ns 40 --measure-ns 400";
+
+/// `TRACED` with `args`, its metrics report going to a file.
+fn traced(test: &str, args: &str) -> Output {
+    let report = fixture(&format!("{test}-report.json"), "");
+    let line = format!("{TRACED} --metrics-out {report} {args}");
+    let output = asynoc(&line.split_whitespace().collect::<Vec<_>>());
+    let _ = std::fs::remove_file(report);
+    output
+}
+
+/// `--trace-out` writes as the run goes: a write that fails is held and
+/// reported when the run ends, naming the flag, never a panic.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_trace_out_that_cannot_be_written_says_so() {
+    let output = traced("full", "--trace-out /dev/full");
+    assert_located_error(
+        &output,
+        &["error: --trace-out /dev/full: No space left on device"],
+    );
+}
+
+/// An uncapped trace never seeks, so it streams down a pipe, byte for
+/// byte the file it writes; a capped one must rewrite its meta line in
+/// place, so a pipe is refused with the two flags that decide it.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_uncapped_trace_streams_down_a_pipe_and_a_capped_one_needs_a_file() {
+    let file = fixture("pipe-reference.ndjson", "");
+    let reference = traced("file", &format!("--trace-out {file}"));
+    assert_eq!(reference.status.code(), Some(0));
+    let written = std::fs::read(&file).expect("the trace file");
+    let _ = std::fs::remove_file(file);
+    // `Command::output` hands the child a pipe for its stdout.
+    let piped = traced("pipe", "--trace-out /dev/stdout");
+    assert_eq!(piped.status.code(), Some(0), "{piped:?}");
+    assert!(written.len() > 64 * 1024, "{} bytes", written.len());
+    assert!(
+        piped.stdout.starts_with(&written),
+        "the piped trace differs"
+    );
+    let status = String::from_utf8_lossy(&piped.stdout[written.len()..]);
+    assert!(
+        status.ends_with("trace written to /dev/stdout\n"),
+        "{status}"
+    );
+
+    let capped = traced("capped", "--trace-out /dev/stdout --trace-limit 500");
+    assert_located_error(
+        &capped,
+        &[
+            "error: --trace-out /dev/stdout: ",
+            "raise --trace-limit 500",
+        ],
+    );
+}
+
+/// A single pass over a stream that does not open with a head record
+/// names the line that should have been one, from a file or from stdin.
+#[test]
+fn a_single_pass_without_a_head_names_the_line() {
+    let window = "{\"type\":\"window\",\"seq\":0}";
+    for (name, text, line) in [
+        ("blank-first", format!("\n \r\n{window}\n"), 3),
+        ("not-a-head", format!("{window}\n{STREAM_HEAD}\n"), 1),
+        ("empty", String::new(), 1),
+    ] {
+        let stream = fixture(&format!("{name}.ndjson"), &text);
+        let expected = format!("error: line {line}: expected a \"asynoc-stream-v1\" head record\n");
+        let output = asynoc(&["watch", "--stream-in", &stream, "--once"]);
+        let _ = std::fs::remove_file(stream);
+        assert_eq!(output.status.code(), Some(1), "{name}");
+        assert_eq!(String::from_utf8_lossy(&output.stderr), expected, "{name}");
+        assert!(output.stdout.is_empty(), "{name}");
+
+        let mut child = Command::new(env!("CARGO_BIN_EXE_asynoc"))
+            .args(["watch", "--stream-in", "-"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the binary runs");
+        let mut stdin = child.stdin.take().expect("a stdin pipe");
+        std::io::Write::write_all(&mut stdin, text.as_bytes()).expect("the stream is written");
+        drop(stdin);
+        let output = child.wait_with_output().expect("the watch ends");
+        assert_eq!(output.status.code(), Some(1), "{name} on stdin");
+        assert_eq!(
+            String::from_utf8_lossy(&output.stderr),
+            expected,
+            "{name} on stdin"
+        );
+    }
+}
+
 /// Numbers a coordinate can be swapped for: in range, just out of it,
 /// wrapping `u32`/`u64`, negative, fractional, exponent, not a number.
 const COORDINATES: [&str; 12] = [

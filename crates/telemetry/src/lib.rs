@@ -26,7 +26,8 @@
 //! - [`TraceCollector`] / [`render_trace`] — flat, typed, `Copy` trace
 //!   records with NDJSON import/export shared by every substrate;
 //!   [`TraceWriter`] spells the same lines at event time without keeping
-//!   a record.
+//!   a record, and [`TraceFile`] drains them into a file as it goes;
+//!   [`read_trace`] reads a trace back one line at a time.
 //! - [`TokenLedger`] — token conservation per flit, online: what the
 //!   stream's watchpoints and the fault oracle judge from, holding only
 //!   what is in flight.
@@ -74,7 +75,7 @@ pub use stream::{
 pub use timeseries::{Bin, LevelSpec, TimeSeries};
 pub use tokens::{FlitTokens, TokenLedger, TokenTally};
 pub use trace::{
-    parse_trace, parse_trace_lenient, render_trace, Action, Detail, TraceCollector, TraceMeta,
+    parse_trace, read_trace, render_trace, Action, Detail, TraceCollector, TraceFile, TraceMeta,
     TraceParseError, TraceRecord, TraceWriter, TRACE_SCHEMA,
 };
 pub use waste::{NodeWaste, SpeculationWaste};

@@ -20,6 +20,8 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::fs::File;
+use std::io::{self, BufRead, BufWriter, Read, Seek, SeekFrom, Write};
 use std::str::FromStr;
 
 use asynoc_kernel::FaultClass;
@@ -605,31 +607,36 @@ pub(crate) fn parse_line(line: &str) -> Result<Line, String> {
 }
 
 /// Walks a document line by line, handing every malformed line to
-/// `on_error`, which decides whether the walk goes on.
+/// `on_error`, which decides whether the walk goes on. What it holds is
+/// one line of text and the records read so far.
 fn parse_lines(
-    text: &str,
+    mut input: impl BufRead,
     mut on_error: impl FnMut(TraceParseError) -> bool,
-) -> (Option<TraceMeta>, Vec<TraceRecord>) {
-    let mut meta = None;
-    let mut records = Vec::new();
-    for (index, line) in text.lines().enumerate() {
-        match parse_line(line) {
+) -> io::Result<(Option<TraceMeta>, Vec<TraceRecord>)> {
+    let (mut meta, mut records, mut text, mut line) = (None, Vec::new(), String::new(), 0);
+    while input.read_line(&mut text)? > 0 {
+        line += 1;
+        // Lines end as `str::lines` ends them: at `\n`, or at `\r\n`.
+        let body = text.strip_suffix('\n').map_or(text.as_str(), |body| {
+            body.strip_suffix('\r').unwrap_or(body)
+        });
+        match parse_line(body) {
             Ok(Line::Blank) => {}
             Ok(Line::Meta(m)) => meta = Some(m),
             Ok(Line::Record(record)) => records.push(record),
             Err(message) => {
-                let line = index + 1;
                 if !on_error(TraceParseError { line, message }) {
                     break;
                 }
             }
         }
+        text.clear();
     }
-    (meta, records)
+    Ok((meta, records))
 }
 
-/// Parses an NDJSON trace document: an optional leading [`TraceMeta`]
-/// line, then one record per line (blank lines ignored).
+/// Parses an NDJSON trace document held in memory: an optional leading
+/// [`TraceMeta`] line, then one record per line (blank lines ignored).
 ///
 /// # Errors
 ///
@@ -637,27 +644,34 @@ fn parse_lines(
 /// offending field (or, for malformed JSON, the byte offset) of the first
 /// malformed line.
 pub fn parse_trace(text: &str) -> Result<(Option<TraceMeta>, Vec<TraceRecord>), TraceParseError> {
-    let mut first = None;
-    let parsed = parse_lines(text, |e| {
-        first = Some(e);
-        false
-    });
-    first.map_or(Ok(parsed), Err)
+    let (meta, records, mut errors) = match read_trace(text.as_bytes(), false) {
+        Ok(read) => read,
+        // A `&str` is UTF-8 and reading it cannot fail.
+        Err(e) => unreachable!("reading a string failed: {e}"),
+    };
+    errors.pop().map_or(Ok((meta, records)), Err)
 }
 
-/// Parses an NDJSON trace document, skipping malformed lines instead of
-/// aborting: returns the meta (if any), the good records, and one error
-/// per skipped line (`asynoc analyze --lenient`).
-#[must_use]
-pub fn parse_trace_lenient(
-    text: &str,
-) -> (Option<TraceMeta>, Vec<TraceRecord>, Vec<TraceParseError>) {
+/// Reads an NDJSON trace document from `input` one line at a time, as
+/// [`parse_trace`] reads one in memory: returns the meta (if any), the
+/// records, and the malformed lines. The first malformed line ends the
+/// read and is the one error returned, unless `lenient`, which skips
+/// every malformed line and reads on (`asynoc analyze --lenient`).
+///
+/// # Errors
+///
+/// Returns the I/O error of `input`, or [`io::ErrorKind::InvalidData`]
+/// for a line that is not UTF-8, whether `lenient` or not.
+pub fn read_trace(
+    input: impl BufRead,
+    lenient: bool,
+) -> io::Result<(Option<TraceMeta>, Vec<TraceRecord>, Vec<TraceParseError>)> {
     let mut errors = Vec::new();
-    let (meta, records) = parse_lines(text, |e| {
+    let (meta, records) = parse_lines(input, |e| {
         errors.push(e);
-        true
-    });
-    (meta, records, errors)
+        lenient
+    })?;
+    Ok((meta, records, errors))
 }
 
 /// A bounded record sink keeping the [`TraceRecord`]s of every phase of
@@ -765,12 +779,160 @@ impl TraceWriter {
         self.text.clear();
         self.lines = 0;
     }
+
+    /// Writes the text to `out` and empties it, keeping its capacity.
+    /// Unlike [`clear`](TraceWriter::clear) it leaves the limit where it
+    /// is: a sink that drains as it goes bounds the buffer, not the file.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the write; the text is emptied all the same.
+    pub(crate) fn drain_to(&mut self, out: &mut impl Write) -> io::Result<()> {
+        let written = out.write_all(self.text.as_bytes());
+        self.text.clear();
+        written
+    }
 }
 
 impl RecordSink for TraceWriter {
     fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
         self.record(record, |_| {}, "\n");
     }
+}
+
+/// The text a [`TraceFile`] holds before it drains it into the file.
+const DRAIN_BYTES: usize = 64 * 1024;
+
+/// The bytes a capped [`TraceFile`] moves per read and write when it
+/// makes room for its final meta line.
+const SHIFT_CHUNK: usize = 64 * 1024;
+
+/// A record sink writing a trace file as the run goes (`--trace-out`):
+/// the meta line first, then every record's line, drained from a
+/// [`TraceWriter`] into the file whenever its text passes 64 KiB. What it
+/// holds is that text, never the trace.
+///
+/// Every meta field but `dropped_events` is known before the run, so the
+/// meta line goes first with a count of 0, and an uncapped trace is
+/// written front to back. A capped one learns its count at the end:
+/// [`finish`](TraceFile::finish) then moves the body right by the
+/// count's extra digits, in place and tail first, and rewrites the meta
+/// line at offset 0. The bytes are those of the meta line plus
+/// [`TraceWriter::text`] written at the end.
+///
+/// As in a [`StreamSink`](crate::StreamSink), the record path cannot
+/// fail: the first write error is held for `finish`.
+pub struct TraceFile {
+    writer: TraceWriter,
+    out: BufWriter<File>,
+    meta: TraceMeta,
+    /// Where the body starts: the length of the meta line as written.
+    body: u64,
+    err: Option<io::Error>,
+}
+
+impl TraceFile {
+    /// Writes `meta`'s line, with `dropped_events` 0, to `file` and
+    /// returns the sink, ready to write up to `limit` records.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if the meta line cannot be written.
+    pub fn new(file: File, meta: TraceMeta, limit: usize) -> io::Result<TraceFile> {
+        let meta = TraceMeta {
+            dropped_events: 0,
+            ..meta
+        };
+        let line = meta.to_ndjson() + "\n";
+        let mut out = BufWriter::new(file);
+        out.write_all(line.as_bytes())?;
+        Ok(TraceFile {
+            writer: TraceWriter::new(limit),
+            out,
+            meta,
+            body: line.len() as u64,
+            err: None,
+        })
+    }
+
+    /// Empties the writer's text into the file, holding the first error.
+    fn drain(&mut self) {
+        if let Err(e) = self.writer.drain_to(&mut self.out) {
+            self.err.get_or_insert(e);
+        }
+    }
+
+    /// Writes the rest of the trace and, when the limit dropped events,
+    /// has the meta line say how many.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first I/O error of the run or of this last write. A
+    /// capped trace whose file is not a regular one (a pipe, a terminal)
+    /// cannot have its meta line rewritten: that is an
+    /// [`io::ErrorKind::Unsupported`] error.
+    pub fn finish(mut self) -> io::Result<()> {
+        self.drain();
+        if let Some(err) = self.err {
+            return Err(err);
+        }
+        let mut file = self
+            .out
+            .into_inner()
+            .map_err(io::IntoInnerError::into_error)?;
+        let dropped = self.writer.dropped();
+        if dropped == 0 {
+            return Ok(());
+        }
+        if !file.metadata()?.is_file() {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!(
+                    "the limit dropped {dropped} event(s), and only a regular file can have its \
+                     meta line rewritten to say so"
+                ),
+            ));
+        }
+        let line = TraceMeta {
+            dropped_events: dropped,
+            ..self.meta
+        }
+        .to_ndjson()
+            + "\n";
+        shift_right(&mut file, self.body, line.len() as u64 - self.body)?;
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(line.as_bytes())
+    }
+}
+
+impl RecordSink for TraceFile {
+    fn on_record(&mut self, record: &TraceRecord, in_window: bool) {
+        self.writer.on_record(record, in_window);
+        if self.writer.text().len() >= DRAIN_BYTES {
+            self.drain();
+        }
+    }
+}
+
+/// Moves the bytes of `file` from offset `from` to its end `by` bytes
+/// right, a chunk at a time from the tail, so no chunk is overwritten
+/// before it is read.
+fn shift_right(file: &mut File, from: u64, by: u64) -> io::Result<()> {
+    if by == 0 {
+        return Ok(());
+    }
+    let mut chunk = vec![0; SHIFT_CHUNK];
+    let mut end = file.metadata()?.len();
+    while end > from {
+        let start = end.saturating_sub(SHIFT_CHUNK as u64).max(from);
+        let bytes = &mut chunk[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(bytes)?;
+        file.seek(SeekFrom::Start(start + by))?;
+        file.write_all(bytes)?;
+        end = start;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -919,7 +1081,7 @@ mod tests {
             meta().to_ndjson(),
             record().to_ndjson()
         );
-        let (parsed_meta, records, errors) = parse_trace_lenient(&text);
+        let (parsed_meta, records, errors) = read_trace(text.as_bytes(), true).unwrap();
         assert_eq!(parsed_meta, Some(meta()));
         assert_eq!(records, vec![record()]);
         assert_eq!(errors.len(), 2);
@@ -959,7 +1121,7 @@ mod tests {
                 "{members}"
             );
             // `--lenient` counts the line as skipped.
-            let (_, records, errors) = parse_trace_lenient(&text);
+            let (_, records, errors) = read_trace(text.as_bytes(), true).unwrap();
             assert_eq!((records.len(), errors.len()), (1, 1), "{members}");
         }
         // Ids past 2^53 keep every bit; the cast used to round them.
@@ -1233,7 +1395,7 @@ mod tests {
             assert_eq!(err.line, 2, "{err}");
             assert!(err.message.contains(&complaint), "{err}");
             // `--lenient` counts the line as skipped.
-            let (_, records, errors) = parse_trace_lenient(&text);
+            let (_, records, errors) = read_trace(text.as_bytes(), true).unwrap();
             assert_eq!((records.len(), errors.len()), (1, 1), "{field} {label}");
         }
         // A label that is not a string at all names the field too.
@@ -1280,6 +1442,148 @@ mod tests {
             })
             .collect();
         assert_eq!(written, PINNED, "{written:#x?}");
+    }
+
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        let file = format!("asynoc-trace-test-{}-{name}", std::process::id());
+        std::env::temp_dir().join(file)
+    }
+
+    #[test]
+    fn trace_file_writes_what_the_buffered_writer_held() {
+        let mut rng = SimRng::seed_from(0xf11e);
+        // A body inside one shift chunk and one of several chunks (and
+        // several drains); caps whose counts cross digit boundaries.
+        for kept in [16, 2_000] {
+            let records: Vec<TraceRecord> =
+                (0..kept + 100).map(|_| drawn_record(&mut rng)).collect();
+            for dropped in [0, 1, 9, 10, 99, 100] {
+                let path = temp_path(&format!("{kept}-{dropped}.ndjson"));
+                let file = File::options()
+                    .read(true)
+                    .write(true)
+                    .create(true)
+                    .truncate(true)
+                    .open(&path)
+                    .expect("temp file");
+                let mut sink = TraceFile::new(file, meta(), kept).expect("meta line");
+                let mut writer = TraceWriter::new(kept);
+                for record in &records[..kept + dropped] {
+                    sink.on_record(record, true);
+                    writer.on_record(record, true);
+                }
+                sink.finish().expect("the trace closes");
+                let in_memory = TraceMeta {
+                    dropped_events: writer.dropped(),
+                    ..meta()
+                }
+                .to_ndjson()
+                    + "\n"
+                    + writer.text();
+                let written = std::fs::read_to_string(&path).expect("trace file");
+                let _ = std::fs::remove_file(&path);
+                let case = format!("{kept} kept, {dropped} dropped");
+                assert_eq!(writer.dropped(), dropped as u64, "{case}");
+                assert_eq!(written.len(), in_memory.len(), "{case}");
+                assert!(written == in_memory, "{case}: the files differ");
+                let chunks = in_memory.len().div_ceil(SHIFT_CHUNK);
+                assert_eq!(chunks > 2, kept > 16, "{case}: {chunks} chunk(s)");
+            }
+        }
+    }
+
+    #[test]
+    fn a_drain_keeps_the_limit() {
+        let mut writer = TraceWriter::new(2);
+        let mut drained = Vec::new();
+        for _ in 0..2 {
+            writer.on_record(&record(), true);
+            writer
+                .drain_to(&mut drained)
+                .expect("a Vec takes every byte");
+        }
+        writer.on_record(&record(), true);
+        assert_eq!((writer.text(), writer.dropped()), ("", 1));
+        assert_eq!(
+            drained,
+            (record().to_ndjson() + "\n").repeat(2).into_bytes()
+        );
+    }
+
+    /// What the document readers returned when they split a `&str` with
+    /// [`str::lines`].
+    fn read_by_str_lines(
+        text: &str,
+        lenient: bool,
+    ) -> (Option<TraceMeta>, Vec<TraceRecord>, Vec<TraceParseError>) {
+        let (mut meta, mut records, mut errors) = (None, Vec::new(), Vec::new());
+        for (index, line) in text.lines().enumerate() {
+            match parse_line(line) {
+                Ok(Line::Blank) => {}
+                Ok(Line::Meta(m)) => meta = Some(m),
+                Ok(Line::Record(r)) => records.push(r),
+                Err(message) => {
+                    errors.push(TraceParseError {
+                        line: index + 1,
+                        message,
+                    });
+                    if !lenient {
+                        break;
+                    }
+                }
+            }
+        }
+        (meta, records, errors)
+    }
+
+    #[test]
+    fn the_line_reader_splits_lines_as_str_lines_does() {
+        let (m, r) = (meta().to_ndjson(), record().to_ndjson());
+        let bad = "{\"t_ps\":1}";
+        let documents = [
+            format!("{m}\n{r}\n{r}\n"),
+            // CRLF endings, and a mix of both.
+            format!("{m}\r\n{r}\r\n{r}\r\n"),
+            format!("{m}\r\n{r}\n\r\n{r}\r\n"),
+            // A last line without a newline, or with a bare carriage return.
+            format!("{m}\n{r}\n{r}"),
+            format!("{m}\n{r}\n{r}\r"),
+            format!("{m}\r\n{r}\r\n{bad}"),
+            // Malformed lines after blank and CRLF lines keep their numbers.
+            format!("\r\n{m}\r\n \r\n{bad}\r\n{r}\r\nnot json\r\n{r}"),
+            format!("{r}\rnot json\n{r}\n"),
+            String::new(),
+            "\n\n".to_string(),
+        ];
+        for text in &documents {
+            let path = temp_path("lines.ndjson");
+            std::fs::write(&path, text).expect("fixture");
+            for lenient in [false, true] {
+                let expected = read_by_str_lines(text, lenient);
+                let from_bytes = read_trace(text.as_bytes(), lenient).expect("bytes read");
+                let file = io::BufReader::new(File::open(&path).expect("fixture"));
+                let from_file = read_trace(file, lenient).expect("file reads");
+                assert_eq!(from_bytes, expected, "{text:?}, lenient {lenient}");
+                assert_eq!(from_file, expected, "{text:?}, lenient {lenient}");
+            }
+            let strict = read_by_str_lines(text, false);
+            let parsed = parse_trace(text).map_err(|e| vec![e]);
+            assert_eq!(
+                parsed,
+                match strict.2.is_empty() {
+                    true => Ok((strict.0, strict.1)),
+                    false => Err(strict.2),
+                }
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+        // A line that is not UTF-8 is an I/O error, lenient or not.
+        let mut bytes = format!("{r}\n").into_bytes();
+        bytes.extend_from_slice(b"{\"t_ps\":\xff}\n");
+        for lenient in [false, true] {
+            let err = read_trace(bytes.as_slice(), lenient).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
     }
 
     #[test]

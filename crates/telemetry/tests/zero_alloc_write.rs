@@ -6,17 +6,17 @@
 //! two snapshots.
 //!
 //! Two sinks write trace records, both through one [`TraceWriter`], each
-//! registered with the [`Recorder`] that builds an event's record:
+//! registered with the [`Recorder`] that builds an event's record. Each
+//! renders a record's line into a buffer it empties, capacity kept, and
+//! keeps no table of labels to warm up (a site is rendered digit by digit
+//! per record). Once the buffer has grown to its working size, further
+//! traced events must not touch the allocator at all:
 //!
-//! - `--stream --stream-trace`: a [`StreamSink`] renders each event's
-//!   `trace` line into a buffer it empties, capacity kept, at every
-//!   window flush. Once the buffer has held a window and the sink's own
-//!   ledgers have reached their in-flight high-water mark, further traced
-//!   events must not touch the allocator at all.
-//! - `--trace-out`: a bare [`TraceWriter`] keeps every line until the run
-//!   ends, so its one buffer grows — geometrically, and that growth is
-//!   all it may allocate, from its first event on: it keeps no table of
-//!   labels to warm up (a site is rendered digit by digit per record).
+//! - `--stream --stream-trace`: a [`StreamSink`] empties its buffer at
+//!   every window flush; it is warm once the buffer has held a window and
+//!   the sink's own ledgers have reached their in-flight high-water mark.
+//! - `--trace-out`: a [`TraceFile`] drains its buffer into the file
+//!   whenever it passes 64 KiB; it is warm after its first drain.
 
 use std::rc::Rc;
 
@@ -27,7 +27,7 @@ use asynoc_packet::{DestSet, Flit, PacketDescriptor, PacketId, RouteSymbol};
 use asynoc_stats::Phases;
 use asynoc_telemetry::{
     JsonValue, LatencyHistograms, LevelSpec, Recorder, Site, SiteOf, Stage, StreamConfig,
-    StreamSink, TimeSeries, TraceWriter,
+    StreamSink, TimeSeries, TraceFile, TraceMeta,
 };
 
 #[global_allocator]
@@ -158,26 +158,53 @@ fn main() {
         records_per_window - PACKETS * 4
     );
 
-    // `--trace-out`, counted from the first event.
-    let mut writer = TraceWriter::new(usize::MAX);
-    let mut recorder = Recorder::new(site_of(), vec![&mut writer]);
-    let before = allocations();
+    // `--trace-out`, into a file: two rounds take the buffer past its
+    // 64 KiB drain point, and every round after them is steady state.
+    let path =
+        std::env::temp_dir().join(format!("asynoc-zero-alloc-{}.ndjson", std::process::id()));
+    let file = std::fs::File::create(&path).expect("a temporary trace file");
+    let meta = TraceMeta {
+        substrate: "mot".to_string(),
+        arch: None,
+        size: ENDPOINTS as u64,
+        seed: 0,
+        flits: 1,
+        rate: 0.1,
+        warmup_ps: 0,
+        measure_ps: u64::MAX / 2,
+        wire_fj: None,
+        drop_fj: None,
+        dropped_events: 0,
+    };
+    let mut trace = TraceFile::new(file, meta, usize::MAX).expect("the meta line is written");
+    let mut recorder = Recorder::new(site_of(), vec![&mut trace]);
     let mut at = START_PS;
-    for _ in 0..5 * ROUNDS {
+    for _ in 0..2 {
         at = round(&mut recorder, &flits, at);
     }
-    let grown = allocations() - before;
-    // An empty buffer doubling its way to this length: one growth a bit.
-    let doublings = u64::from(writer.text().len().ilog2()) + 1;
-    assert_eq!(writer.text().lines().count() as u64, 5 * records_per_window);
+    let before = allocations();
+    for _ in 2..5 * ROUNDS {
+        at = round(&mut recorder, &flits, at);
+    }
+    let drained = allocations() - before;
+    trace.finish().expect("the trace file closes");
+    let written = std::fs::read_to_string(&path).expect("the trace file");
+    let _ = std::fs::remove_file(&path);
+    // The meta line and every record, each on its own line.
+    assert_eq!(written.lines().count() as u64, 1 + 5 * records_per_window);
     assert!(
-        (1..=doublings).contains(&grown),
-        "{grown} allocation(s) while the buffer grew to {} bytes: more than its {doublings} \
-         doublings",
-        writer.text().len()
+        written.len() > 4 * 64 * 1024,
+        "{} bytes: the buffer never drained more than a few times",
+        written.len()
+    );
+    assert_eq!(
+        drained,
+        0,
+        "heap allocations over {} traced events of a warmed-up trace file: must be none",
+        5 * records_per_window - 2 * PACKETS * 4
     );
     println!(
-        "zero allocations per streamed trace record, {grown} buffer growths for {} kept ones, ok",
+        "zero allocations per trace record, streamed or written to a file ({} of them), ok",
         5 * records_per_window
     );
 }

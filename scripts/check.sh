@@ -42,6 +42,16 @@ records() { # the records of a trace file (after its meta line) or of a stream's
     sed -n -e 's/^{"type":"trace","seq":[0-9]*,"record":\(.*\)}$/\1/p' -e t -e '/^{"t_ps":/p' "$1"
 }
 
+# The first 500 records of a trace, and the events past them: the count a
+# capped trace's meta line carries, or what an uncapped trace holds beyond.
+capped() {
+    local past
+    records "$1" | sed -n 1,500p
+    past=$(grep -o '"dropped_events":[0-9]*' "$1" | cut -d: -f2)
+    [[ $past != 0 ]] || past=$(($(records "$1" | wc -l) - 500))
+    echo "past the first 500: $past"
+}
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 fail() {
@@ -119,6 +129,10 @@ trace round-trip (mesh) | asynoc metrics $mesh $traced --metrics-out m.json --tr
 trace round-trip (vcmesh) | asynoc metrics $vcmesh $traced --metrics-out m.json --trace-out t.ndjson ;\
  asynoc analyze --trace-in t.ndjson --report-out a.json --top 5 ;\
  asynoc metrics $vcmesh $traced --stream s.ndjson --stream-trace ; same records t.ndjson s.ndjson
+# a capped trace learns its count at the end: its meta line is rewritten in place over an intact body
+trace round-trip (mot, capped) | asynoc metrics $mot --trace-limit 500 --metrics-out m.json --trace-out t.ndjson ;\
+ asynoc analyze --trace-in t.ndjson --report-out a.json --top 5 ;\
+ asynoc metrics $mot $traced --trace-out full.ndjson ; same capped t.ndjson full.ndjson
 # --profile writes its document without moving stdout
 --profile (mot 64x64) | asynoc run $big_mot > 1 ; asynoc run $big_mot --profile p.json > p ;\
  same cat 1 p ; has p.json "schema": "asynoc-profile-v1"
