@@ -60,7 +60,26 @@ pub(crate) fn named<'a>(flag: &'a str, path: &'a str) -> impl Fn(io::Error) -> C
 /// Creates the file the output flag `flag` names. Commands call this
 /// before they work, so a path that cannot be written costs no run.
 pub(crate) fn create_output(flag: &str, path: &str) -> Result<std::fs::File, CliError> {
+    refuse_stdout_file(flag, path)?;
     std::fs::File::create(path).map_err(named(flag, path))
+}
+
+/// Refuses an output path that is the regular file stdout is redirected
+/// to (`--trace-out /dev/stdout > t.ndjson`, or `--trace-out t.ndjson >
+/// t.ndjson`): opened again, the file has a second offset, and the
+/// command's status lines would overwrite what the flag wrote. A pipe or
+/// a terminal behind `/dev/stdout` keeps no offset, so it passes.
+pub(crate) fn refuse_stdout_file(flag: &str, path: &str) -> Result<(), CliError> {
+    let target = |path: &str| std::fs::canonicalize(path).ok();
+    match (target(path), target("/dev/stdout")) {
+        (Some(output), Some(stdout)) if output == stdout && stdout.is_file() => {
+            Err(CliError::Invalid(format!(
+                "{flag} {path}: is the file stdout is redirected to, which the \
+                 command's status lines would overwrite; name another path"
+            )))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// [`create_output`] for a flag that may be absent.

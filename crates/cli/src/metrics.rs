@@ -20,8 +20,8 @@ use asynoc_vcmesh::{McastScheme, VcRouter};
 
 use crate::args::{CommonOptions, Substrate, TraceFormat};
 use crate::commands::{
-    create_optional, create_output, named, network_for, phases_for, placement_id, resolve_spec_map,
-    run_config, CliError,
+    create_optional, create_output, named, network_for, phases_for, placement_id,
+    refuse_stdout_file, resolve_spec_map, run_config, CliError,
 };
 use crate::fabric::{self, Fabric};
 
@@ -100,6 +100,7 @@ fn trace_error(request: &MetricsRequest) -> impl Fn(std::io::Error) -> CliError 
 /// shift it. A pipe is opened for writing only, so that a reader that
 /// goes away is a broken pipe, not a writer blocked on its own pipe.
 fn open_trace_out(path: &str) -> Result<File, CliError> {
+    refuse_stdout_file("--trace-out", path)?;
     let regular = std::fs::metadata(path).map_or(true, |meta| meta.is_file());
     let opened = OpenOptions::new()
         .read(regular)

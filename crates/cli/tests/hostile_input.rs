@@ -394,7 +394,7 @@ fn a_malformed_inline_spec_map_is_a_usage_error_like_a_malformed_arch() {
         ),
         (
             "levels:ns,ns,sp",
-            "--spec-map: leaf fanout level cannot be speculative",
+            "--spec-map: leaf fanout node 0 of tree 0 is speculative",
         ),
         (
             "nonsense",
@@ -635,6 +635,44 @@ fn an_uncapped_trace_streams_down_a_pipe_and_a_capped_one_needs_a_file() {
             "raise --trace-limit 500",
         ],
     );
+}
+
+/// An output flag naming the regular file stdout is redirected to would
+/// write it through a second offset, and the status lines would then
+/// overwrite the flag's bytes: refused before the run, naming the flag,
+/// with the file left empty as the shell made it.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_output_that_is_the_file_stdout_is_redirected_to_is_refused() {
+    let report = fixture("redirect-report.json", "");
+    let stdout = fixture("redirect-stdout.txt", "");
+    let metrics = format!("{TRACED} --metrics-out {report}");
+    let run = "run --arch OptHybridSpeculative --benchmark Multicast10 --rate 0.4 --measure-ns 200";
+    for (command, flag, path) in [
+        (metrics.as_str(), "--trace-out", "/dev/stdout"),
+        (metrics.as_str(), "--trace-out", stdout.as_str()),
+        (metrics.as_str(), "--stream", stdout.as_str()),
+        (run, "--profile", stdout.as_str()),
+    ] {
+        let line = format!("{command} {flag} {path}");
+        let redirected = std::fs::File::create(&stdout).expect("the redirect target");
+        let output = Command::new(env!("CARGO_BIN_EXE_asynoc"))
+            .args(line.split_whitespace())
+            .stdout(redirected)
+            .output()
+            .expect("the binary runs");
+        let refusal = format!("error: {flag} {path}: is the file stdout is redirected to");
+        assert_located_error(&output, &[&refusal]);
+        let written = std::fs::read(&stdout).expect("the redirect target");
+        assert!(
+            written.is_empty(),
+            "{line}: {}",
+            String::from_utf8_lossy(&written)
+        );
+    }
+    for path in [report, stdout] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// A single pass over a stream that does not open with a head record

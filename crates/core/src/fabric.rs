@@ -1,158 +1,176 @@
 //! Static network structure: nodes, channels, and their wiring.
 //!
-//! The fabric is the elaborated netlist of one MoT network: every fanout
-//! node's [`FanoutKind`], every bundled-data channel, and who is
-//! upstream/downstream of each channel. It is built once per
-//! [`crate::Network`] and never mutated; each run's model reads its
-//! per-node slots off the channel list (see [`crate::sim`]).
+//! The fabric is the elaborated netlist of one MoT network: the engine's
+//! [`Netlist`] — every bundled-data channel, who is upstream and
+//! downstream of it, each source's channel — and one slot per fanout and
+//! fanin node holding its kind and channels. One traversal of the trees
+//! builds both, once per [`crate::Network`]; nothing mutates them after.
+//! Every run borrows the netlist and clones the slots as its model's
+//! starting state (see [`crate::sim`]).
 
+use asynoc_engine::{ChannelEnds, Netlist, NodeRef};
+use asynoc_kernel::Time;
+use asynoc_nodes::{FaninState, FanoutState, TimingModel};
+use asynoc_packet::DestSet;
 use asynoc_topology::{
-    FaninNodeId, FaninParent, FanoutChild, FanoutKind, FanoutNodeId, MotSize, OutputPort, SpecMap,
+    FaninNodeId, FaninParent, FanoutChild, FanoutKind, FanoutNodeId, MotSize, OutputPort,
 };
 
-/// An entity that can be woken to attempt forward progress.
-///
-/// Sinks are never upstream of a channel, so they do not appear here;
-/// delivery endpoints exist only as [`Downstream::Sink`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum Entity {
-    /// Source `s` (drains its injection queue).
-    Source(usize),
-    /// One of a fanout node's two outputs.
-    Fanout {
-        /// Flat fanout node index.
-        flat: usize,
-        /// Which output.
-        port: OutputPort,
-    },
-    /// Fanin node by flat index.
-    Fanin(usize),
+use crate::config::NetworkConfig;
+use crate::sim::MotNode;
+
+/// One fanout node, as its firing reads and writes it: its channels and
+/// [`FanoutNodeId::port_masks`] (outputs top first), its kind and latch,
+/// and when it may fire next.
+#[derive(Clone, Debug)]
+pub(crate) struct FanoutSlot {
+    pub masks: [DestSet; 2],
+    pub next_fire: Time,
+    pub input: u32,
+    pub out: [u32; 2],
+    pub state: FanoutState,
 }
 
-/// The receiving end of a channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum Downstream {
-    /// A fanout node's single input.
-    Fanout(usize),
-    /// One of a fanin node's two inputs.
-    Fanin {
-        /// Flat fanin node index.
-        flat: usize,
-        /// Input slot, 0 or 1.
-        input: usize,
-    },
-    /// A destination sink.
-    Sink(usize),
-}
-
-/// One bundled-data channel's static wiring.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ChannelWiring {
-    /// Entity to wake when the channel frees.
-    pub upstream: Entity,
-    /// Where launched flits arrive.
-    pub downstream: Downstream,
+/// One fanin node: its channels, its arbiter, and when it may fire next.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FaninSlot {
+    pub next_fire: Time,
+    pub input: [u32; 2],
+    pub out: u32,
+    pub arbiter: FaninState,
 }
 
 /// The elaborated structure of one network.
 #[derive(Clone, Debug)]
 pub(crate) struct Fabric {
     pub size: MotSize,
-    /// Whether multicasts are serialized into unicast clones at the source.
-    pub serializes_multicast: bool,
-    /// Node kind per flat fanout index.
-    pub fanout_kind: Vec<FanoutKind>,
-    /// Channel from each source into its fanout root.
-    pub source_out: Vec<usize>,
-    /// All channel wiring, indexed by channel id.
-    pub channels: Vec<ChannelWiring>,
+    /// Channel ids: sources first, then each fanout node's outputs (top,
+    /// bottom) in flat order, then each fanin node's output in flat
+    /// order. A fault plan addresses channels by these numbers.
+    pub netlist: Netlist<MotNode>,
+    /// Per flat fanout index, the node's slot before any run.
+    pub fanout: Vec<FanoutSlot>,
+    /// Per flat fanin index, the node's slot before any run.
+    pub fanin: Vec<FaninSlot>,
 }
 
 impl Fabric {
-    /// Elaborates the network a speculation placement describes.
-    pub(crate) fn build(map: &SpecMap) -> Self {
+    /// Elaborates the network a configuration's speculation placement
+    /// describes, with its source and sink timing.
+    pub(crate) fn build(config: &NetworkConfig) -> Self {
+        let (map, timing) = (config.spec_map(), config.timing());
         let size = map.size();
-        let mut channels: Vec<ChannelWiring> = Vec::new();
-        let mut alloc = |upstream: Entity, downstream: Downstream| -> usize {
-            channels.push(ChannelWiring {
+        let mut channels = Vec::with_capacity(size.n() + 3 * size.total_fanout_nodes());
+        let mut connect = |upstream, downstream| {
+            channels.push(ChannelEnds {
                 upstream,
                 downstream,
             });
-            channels.len() - 1
+            u32::try_from(channels.len() - 1).expect("channel ids fit in 32 bits")
         };
+        let mut fanout: Vec<FanoutSlot> = FanoutNodeId::all(size)
+            .map(|id| FanoutSlot {
+                masks: id.port_masks(size),
+                next_fire: Time::ZERO,
+                input: 0,
+                out: [0; 2],
+                state: FanoutState::new(map.kind_of(id)),
+            })
+            .collect();
+        let mut fanin = vec![FaninSlot::default(); size.total_fanin_nodes()];
 
         // Source → fanout-root channels.
-        let source_out = (0..size.n())
+        let source_channel = (0..size.n())
             .map(|s| {
-                let root_flat = FanoutNodeId::root(s).flat_index(size);
-                alloc(Entity::Source(s), Downstream::Fanout(root_flat))
+                let root = FanoutNodeId::root(s).flat_index(size);
+                let channel = connect(NodeRef::Source(s), NodeRef::Node(MotNode::Fanout(root)));
+                fanout[root].input = channel;
+                channel as usize
             })
             .collect();
 
         // Fanout outputs, top then bottom.
         for id in FanoutNodeId::all(size) {
             let flat = id.flat_index(size);
+            let here = NodeRef::Node(MotNode::Fanout(flat));
             for port in OutputPort::BOTH {
-                let downstream = match id.child(size, port) {
-                    FanoutChild::Node(next) => Downstream::Fanout(next.flat_index(size)),
+                let channel = match id.child(size, port) {
+                    FanoutChild::Node(next) => {
+                        let next = next.flat_index(size);
+                        let channel = connect(here, NodeRef::Node(MotNode::Fanout(next)));
+                        fanout[next].input = channel;
+                        channel
+                    }
                     FanoutChild::FaninLeaf { dest, source } => {
                         let (leaf, input) = FaninNodeId::leaf_for_source(size, dest, source);
-                        Downstream::Fanin {
-                            flat: leaf.flat_index(size),
-                            input,
-                        }
+                        let leaf = leaf.flat_index(size);
+                        let channel = connect(here, NodeRef::Node(MotNode::Fanin(leaf)));
+                        fanin[leaf].input[input] = channel;
+                        channel
                     }
                 };
-                alloc(Entity::Fanout { flat, port }, downstream);
+                fanout[flat].out[port.index()] = channel;
             }
         }
 
         // Fanin outputs.
         for id in FaninNodeId::all(size) {
-            let downstream = match id.parent(size) {
-                FaninParent::Node { id: up, input } => Downstream::Fanin {
-                    flat: up.flat_index(size),
-                    input,
-                },
-                FaninParent::Sink { dest } => Downstream::Sink(dest),
+            let flat = id.flat_index(size);
+            let here = NodeRef::Node(MotNode::Fanin(flat));
+            let channel = match id.parent(size) {
+                FaninParent::Node { id: up, input } => {
+                    let up = up.flat_index(size);
+                    let channel = connect(here, NodeRef::Node(MotNode::Fanin(up)));
+                    fanin[up].input[input] = channel;
+                    channel
+                }
+                FaninParent::Sink { dest } => connect(here, NodeRef::Sink(dest)),
             };
-            alloc(Entity::Fanin(id.flat_index(size)), downstream);
+            fanin[flat].out = channel;
         }
 
         Fabric {
             size,
-            serializes_multicast: map.serializes_multicast(),
-            fanout_kind: FanoutNodeId::all(size).map(|id| map.kind_of(id)).collect(),
-            source_out,
-            channels,
+            netlist: Netlist {
+                channels,
+                source_channel,
+                source_wire_delay: timing.wire_delay,
+                source_cycle: timing.source_cycle,
+                sink_ack: timing.sink_ack,
+                serializes_multicast: map.serializes_multicast(),
+            },
+            fanout,
+            fanin,
         }
     }
 
+    /// Each fanout node's kind, by flat index.
+    pub(crate) fn kinds(&self) -> impl Iterator<Item = FanoutKind> + '_ {
+        self.fanout.iter().map(|slot| slot.state.kind())
+    }
+
     /// Total network leakage under a timing model, milliwatts.
-    pub(crate) fn leakage_mw(&self, timing: &asynoc_nodes::TimingModel) -> f64 {
+    pub(crate) fn leakage_mw(&self, timing: &TimingModel) -> f64 {
         let fanout: f64 = self
-            .fanout_kind
-            .iter()
-            .map(|&kind| timing.leakage_mw(timing.fanout_area(kind)))
+            .kinds()
+            .map(|kind| timing.leakage_mw(timing.fanout_area(kind)))
             .sum();
         let fanin = self.size.total_fanin_nodes() as f64 * timing.leakage_mw(timing.fanin_area_um2);
         fanout + fanin
-    }
-
-    /// Number of channels in the network.
-    #[cfg(test)]
-    pub(crate) fn channel_count(&self) -> usize {
-        self.channels.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asynoc_topology::Architecture;
+    use asynoc_topology::{Architecture, SpecMap};
 
-    fn preset(arch: Architecture) -> SpecMap {
-        SpecMap::preset(arch, size8())
+    fn build(map: SpecMap) -> Fabric {
+        Fabric::build(&NetworkConfig::with_spec_map(map))
+    }
+
+    fn preset(arch: Architecture) -> Fabric {
+        build(SpecMap::preset(arch, size8()))
     }
 
     fn size8() -> MotSize {
@@ -161,35 +179,49 @@ mod tests {
 
     #[test]
     fn every_node_has_its_inputs_and_outputs() {
-        let fabric = Fabric::build(&preset(Architecture::OptHybridSpeculative));
-        let (fanouts, fanins) = (fabric.fanout_kind.len(), size8().total_fanin_nodes());
-        let (mut fanout_in, mut fanout_out) = (vec![0; fanouts], vec![[0; 2]; fanouts]);
-        let (mut fanin_in, mut fanin_out) = (vec![[0; 2]; fanins], vec![0; fanins]);
-        for wiring in &fabric.channels {
-            match wiring.upstream {
-                Entity::Fanout { flat, port } => fanout_out[flat][port.index()] += 1,
-                Entity::Fanin(flat) => fanin_out[flat] += 1,
-                Entity::Source(_) => {}
+        let fabric = preset(Architecture::OptHybridSpeculative);
+        let (fanouts, fanins) = (fabric.fanout.len(), size8().total_fanin_nodes());
+        let (mut fanout_in, mut fanout_out) = (vec![0; fanouts], vec![0; fanouts]);
+        let (mut fanin_in, mut fanin_out) = (vec![0; fanins], vec![0; fanins]);
+        for ends in &fabric.netlist.channels {
+            match ends.upstream {
+                NodeRef::Node(MotNode::Fanout(flat)) => fanout_out[flat] += 1,
+                NodeRef::Node(MotNode::Fanin(flat)) => fanin_out[flat] += 1,
+                _ => {}
             }
-            match wiring.downstream {
-                Downstream::Fanout(flat) => fanout_in[flat] += 1,
-                Downstream::Fanin { flat, input } => fanin_in[flat][input] += 1,
-                Downstream::Sink(_) => {}
+            match ends.downstream {
+                NodeRef::Node(MotNode::Fanout(flat)) => fanout_in[flat] += 1,
+                NodeRef::Node(MotNode::Fanin(flat)) => fanin_in[flat] += 1,
+                _ => {}
             }
         }
         assert!(fanout_in.iter().chain(&fanin_out).all(|&count| count == 1));
-        assert!(fanout_out
-            .iter()
-            .chain(&fanin_in)
-            .all(|&count| count == [1, 1]));
+        assert!(fanout_out.iter().chain(&fanin_in).all(|&count| count == 2));
+        // Each slot names the channels whose ends name its node, each once.
+        let ends = |channel: u32| fabric.netlist.channels[channel as usize];
+        for (flat, slot) in fabric.fanout.iter().enumerate() {
+            let node = NodeRef::Node(MotNode::Fanout(flat));
+            assert_eq!(ends(slot.input).downstream, node);
+            assert!(slot.out.iter().all(|&out| ends(out).upstream == node));
+            assert_ne!(slot.out[0], slot.out[1]);
+        }
+        for (flat, slot) in fabric.fanin.iter().enumerate() {
+            let node = NodeRef::Node(MotNode::Fanin(flat));
+            assert_eq!(ends(slot.out).upstream, node);
+            assert!(slot
+                .input
+                .iter()
+                .all(|&input| ends(input).downstream == node));
+            assert_ne!(slot.input[0], slot.input[1]);
+        }
     }
 
     #[test]
     fn fanin_roots_feed_sinks() {
-        let fabric = Fabric::build(&preset(Architecture::Baseline));
+        let fabric = preset(Architecture::Baseline);
         let mut sink_feeds = vec![0usize; 8];
-        for wiring in &fabric.channels {
-            if let Downstream::Sink(d) = wiring.downstream {
+        for ends in &fabric.netlist.channels {
+            if let NodeRef::Sink(d) = ends.downstream {
                 sink_feeds[d] += 1;
             }
         }
@@ -207,11 +239,11 @@ mod tests {
             for arch in Architecture::ALL {
                 let preset = SpecMap::preset(arch, size);
                 let parsed = SpecMap::parse(size, &preset.to_string()).unwrap();
-                let (a, b) = (Fabric::build(&preset), Fabric::build(&parsed));
-                assert_eq!(a.fanout_kind, b.fanout_kind, "{arch} at {n}");
-                assert_eq!(a.serializes_multicast, b.serializes_multicast);
-                for (flat, id) in FanoutNodeId::all(size).enumerate() {
-                    assert_eq!(a.fanout_kind[flat], arch.fanout_kind(size, id.level));
+                let (a, b) = (build(preset), build(parsed));
+                assert!(a.kinds().eq(b.kinds()), "{arch} at {n}");
+                assert_eq!(a.netlist, b.netlist);
+                for (kind, id) in a.kinds().zip(FanoutNodeId::all(size)) {
+                    assert_eq!(kind, arch.fanout_kind(size, id.level));
                 }
             }
         }
@@ -221,8 +253,8 @@ mod tests {
     fn per_node_overrides_land_on_their_flat_index() {
         let map =
             SpecMap::parse(size8(), "levels:ons,ons,ons;node:3.1.1=osp;node:7.0.0=osp").unwrap();
-        let fabric = Fabric::build(&map);
-        for (flat, id) in FanoutNodeId::all(size8()).enumerate() {
+        let fabric = build(map);
+        for (kind, id) in fabric.kinds().zip(FanoutNodeId::all(size8())) {
             let overridden =
                 (id.tree, id.level, id.index) == (3, 1, 1) || (id.tree, id.level) == (7, 0);
             let expected = if overridden {
@@ -230,28 +262,27 @@ mod tests {
             } else {
                 FanoutKind::OptNonSpeculative
             };
-            assert_eq!(fabric.fanout_kind[flat], expected, "{id}");
+            assert_eq!(kind, expected, "{id}");
         }
     }
 
     #[test]
     fn source_channels_point_at_roots() {
-        let fabric = Fabric::build(&preset(Architecture::Baseline));
+        let fabric = preset(Architecture::Baseline);
+        assert_eq!(fabric.netlist.endpoints(), 8);
         for s in 0..8 {
-            let c = fabric.source_out[s];
-            assert!(matches!(fabric.channels[c].upstream, Entity::Source(src) if src == s));
-            let root_flat = FanoutNodeId::root(s).flat_index(size8());
-            assert!(
-                matches!(fabric.channels[c].downstream, Downstream::Fanout(f) if f == root_flat)
-            );
+            let ends = fabric.netlist.channels[fabric.netlist.source_channel[s]];
+            let root = FanoutNodeId::root(s).flat_index(size8());
+            assert_eq!(ends.upstream, NodeRef::Source(s));
+            assert_eq!(ends.downstream, NodeRef::Node(MotNode::Fanout(root)));
         }
     }
 
     #[test]
     fn leakage_depends_on_architecture_mix() {
-        let timing = asynoc_nodes::TimingModel::calibrated();
-        let nonspec = Fabric::build(&preset(Architecture::BasicNonSpeculative));
-        let hybrid = Fabric::build(&preset(Architecture::BasicHybridSpeculative));
+        let timing = TimingModel::calibrated();
+        let nonspec = preset(Architecture::BasicNonSpeculative);
+        let hybrid = preset(Architecture::BasicHybridSpeculative);
         // The hybrid swaps 8 large non-speculative roots for small
         // speculative ones, so it must leak less.
         assert!(hybrid.leakage_mw(&timing) < nonspec.leakage_mw(&timing));
@@ -262,9 +293,12 @@ mod tests {
     fn builds_all_sizes() {
         for n in [2usize, 4, 8, 16, 32] {
             let size = MotSize::new(n).unwrap();
-            let fabric = Fabric::build(&SpecMap::preset(Architecture::OptHybridSpeculative, size));
-            assert_eq!(fabric.fanout_kind.len(), n * (n - 1));
-            assert_eq!(fabric.channel_count(), n + 2 * n * (n - 1) + n * (n - 1));
+            let fabric = build(SpecMap::preset(Architecture::OptHybridSpeculative, size));
+            assert_eq!(fabric.fanout.len(), n * (n - 1));
+            assert_eq!(
+                fabric.netlist.channels.len(),
+                n + 2 * n * (n - 1) + n * (n - 1)
+            );
         }
     }
 }

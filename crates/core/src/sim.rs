@@ -14,10 +14,10 @@
 //!
 //! Sources, sinks, channels, the event queue, and the paper's §5.1
 //! measurement protocol live in `asynoc-engine`; this module contributes
-//! only what is MoT-specific — the fabric wiring, the fanout/fanin firing
-//! rules, and the tree routing — via [`MotModel`], and the [`Substrate`]
-//! contract ([`Network`]'s endpoint count, fault domain, and report
-//! section) the engine's one driver runs it through. Power is counted:
+//! only what is MoT-specific — the fanout/fanin firing rules and the tree
+//! routing — via [`MotModel`], and the [`Substrate`] contract
+//! ([`Network`]'s netlist, symbol-corruption sites, and report section)
+//! the engine's one driver runs it through. Power is counted:
 //! the model tallies its in-window forwards and launched copies, and
 //! [`Network`]'s report prices them with the [`TimingModel`]'s per-event
 //! energies. Telemetry is an [`Observer`](asynoc_engine::Observer), a
@@ -28,19 +28,18 @@
 use std::rc::Rc;
 
 use asynoc_engine::{
-    drive, ChannelEnds, Ctx, EngineReport, FaultDomain, ForwardInfo, NodeKey, NodeRef, SimEvent,
-    SimModel, Substrate,
+    drive, Ctx, EngineReport, ForwardInfo, Netlist, NodeKey, SimEvent, SimModel, Substrate,
 };
-use asynoc_kernel::{Duration, Time};
-use asynoc_nodes::{FaninState, FanoutState, FlitClass, KindTiming, TimingModel};
-use asynoc_packet::{DestSet, RouteSymbol};
+use asynoc_kernel::Duration;
+use asynoc_nodes::{FlitClass, KindTiming, TimingModel};
+use asynoc_packet::RouteSymbol;
 use asynoc_power::PowerReport;
 use asynoc_telemetry::{LevelSpec, Site, SiteOf, Stage};
 use asynoc_topology::{FaninNodeId, FanoutKind, FanoutNodeId};
 
 use crate::config::{NetworkConfig, RunConfig};
 use crate::error::SimError;
-use crate::fabric::{Downstream, Entity, Fabric};
+use crate::fabric::{Fabric, FaninSlot, FanoutSlot};
 use crate::report::RunReport;
 
 /// A ready-to-run simulated network.
@@ -105,7 +104,7 @@ impl Network {
     /// [`SpecMap`](asynoc_topology::SpecMap) — but returns `Result` so
     /// future validation does not break the API.
     pub fn new(config: NetworkConfig) -> Result<Self, SimError> {
-        let fabric = Fabric::build(config.spec_map());
+        let fabric = Fabric::build(&config);
         Ok(Network { config, fabric })
     }
 
@@ -125,12 +124,7 @@ impl Network {
     #[must_use]
     pub fn area_um2(&self) -> f64 {
         let timing = self.config.timing();
-        let fanout: f64 = self
-            .fabric
-            .fanout_kind
-            .iter()
-            .map(|&k| timing.fanout_area(k))
-            .sum();
+        let fanout: f64 = self.fabric.kinds().map(|k| timing.fanout_area(k)).sum();
         fanout + self.config.size().total_fanin_nodes() as f64 * timing.fanin_area_um2
     }
 
@@ -181,11 +175,11 @@ impl Network {
 
 impl Substrate for Network {
     type Node = MotNode;
-    type Model<'a> = MotModel<'a>;
+    type Model<'a> = MotModel;
     type Report = RunReport;
 
-    fn endpoints(&self) -> usize {
-        self.config.size().n()
+    fn netlist(&self) -> &Netlist<MotNode> {
+        &self.fabric.netlist
     }
 
     fn flits_per_packet(&self) -> u8 {
@@ -196,8 +190,6 @@ impl Substrate for Network {
         self.config.seed()
     }
 
-    /// The legal fault-injection targets of this network.
-    ///
     /// Symbol-corruption sites are restricted to fanout nodes where a
     /// widened (`Both`) override is provably recoverable: the node is
     /// not a baseline node (baseline hardware has no replication path at
@@ -205,14 +197,14 @@ impl Substrate for Network {
     /// symbol-obeying kinds, so every spurious copy reads its
     /// default-`Drop` symbol there and throttles before arbitration —
     /// the same local-recovery region speculation itself relies on.
-    fn fault_domain(&self) -> FaultDomain {
+    fn corrupt_sites(&self) -> Vec<usize> {
         let size = self.config.size();
         let levels = size.levels();
         // A level is a guaranteed throttle stage iff *every* node on it
         // obeys its routing symbol (speculative kinds forward headers
         // regardless, letting spurious copies slip deeper).
         let mut level_throttles = vec![true; levels as usize];
-        for (flat, &kind) in self.fabric.fanout_kind.iter().enumerate() {
+        for (flat, kind) in self.fabric.kinds().enumerate() {
             if !matches!(
                 kind,
                 FanoutKind::NonSpeculative | FanoutKind::OptNonSpeculative
@@ -220,26 +212,19 @@ impl Substrate for Network {
                 level_throttles[FanoutNodeId::from_flat_index(size, flat).level as usize] = false;
             }
         }
-        let corrupt_sites = self
-            .fabric
-            .fanout_kind
-            .iter()
+        self.fabric
+            .kinds()
             .enumerate()
-            .filter(|&(flat, &kind)| {
+            .filter(|&(flat, kind)| {
                 let level = FanoutNodeId::from_flat_index(size, flat).level;
                 kind != FanoutKind::Baseline
                     && (level + 1..levels).any(|m| level_throttles[m as usize])
             })
             .map(|(flat, _)| flat)
-            .collect();
-        FaultDomain {
-            channels: self.fabric.channels.len(),
-            endpoints: size.n(),
-            corrupt_sites,
-        }
+            .collect()
     }
 
-    fn prepare(&self, _run: &RunConfig) -> MotModel<'_> {
+    fn prepare(&self, _run: &RunConfig) -> MotModel {
         MotModel::new(&self.fabric, self.config.timing())
     }
 
@@ -247,7 +232,7 @@ impl Substrate for Network {
     /// and class's energy, each fanin forward at its class's, every wire
     /// launch (the engine's injections plus the nodes' copies) at
     /// `wire_fj`, and every throttled flit at `drop_fj`.
-    fn report(&self, run: &RunConfig, engine: EngineReport, model: MotModel<'_>) -> RunReport {
+    fn report(&self, run: &RunConfig, engine: EngineReport, model: MotModel) -> RunReport {
         let (timing, activity) = (self.config.timing(), &model.activity);
         let fanout = FanoutKind::ALL
             .into_iter()
@@ -314,26 +299,6 @@ struct Activity {
     copies: u64,
 }
 
-/// One fanout node, as its firing reads and writes it: its channels and
-/// [`FanoutNodeId::port_masks`] (outputs top first), its kind and latch,
-/// and when it may fire next.
-struct FanoutSlot {
-    masks: [DestSet; 2],
-    next_fire: Time,
-    input: u32,
-    out: [u32; 2],
-    state: FanoutState,
-}
-
-/// One fanin node: its channels, its arbiter, and when it may fire next.
-#[derive(Clone, Default)]
-struct FaninSlot {
-    next_fire: Time,
-    input: [u32; 2],
-    out: u32,
-    arbiter: FaninState,
-}
-
 /// A node kind's delays for one flit class: a launched copy's `flight`
 /// (forward latency plus the wire), the input's `free` after a forward and
 /// `drop` after a throttle, and the cycle `floor` between two fires.
@@ -356,15 +321,13 @@ impl Delays {
     }
 }
 
-/// The MoT substrate: fabric wiring, node firing rules, tree routing.
+/// The MoT substrate's firing rules and tree routing.
 ///
 /// Each run's node state sits in one slot per node, indexed by the flat
-/// id, with the node's channels beside it; the slots are read off the
-/// fabric's channel list when the run is prepared, and the fabric keeps no
-/// per-node copy. Everything substrate-independent lives in the engine.
-pub struct MotModel<'a> {
-    fabric: &'a Fabric,
-    timing: &'a TimingModel,
+/// id, with the node's channels beside it: a clone of the fabric's slots,
+/// built in the same traversal as its netlist. Everything
+/// substrate-independent — the netlist included — lives in the engine.
+pub struct MotModel {
     fanout: Vec<FanoutSlot>,
     fanin: Vec<FaninSlot>,
     /// Per fanout kind, then per flit class.
@@ -373,39 +336,12 @@ pub struct MotModel<'a> {
     activity: Activity,
 }
 
-impl<'a> MotModel<'a> {
-    fn new(fabric: &'a Fabric, timing: &'a TimingModel) -> Self {
-        let size = fabric.size;
-        let mut fanout: Vec<FanoutSlot> = FanoutNodeId::all(size)
-            .zip(&fabric.fanout_kind)
-            .map(|(id, &kind)| FanoutSlot {
-                masks: id.port_masks(size),
-                next_fire: Time::ZERO,
-                input: 0,
-                out: [0; 2],
-                state: FanoutState::new(kind),
-            })
-            .collect();
-        let mut fanin = vec![FaninSlot::default(); size.total_fanin_nodes()];
-        for (channel, wiring) in fabric.channels.iter().enumerate() {
-            let channel = u32::try_from(channel).expect("channel ids fit in 32 bits");
-            match wiring.upstream {
-                Entity::Fanout { flat, port } => fanout[flat].out[port.index()] = channel,
-                Entity::Fanin(flat) => fanin[flat].out = channel,
-                Entity::Source(_) => {}
-            }
-            match wiring.downstream {
-                Downstream::Fanout(flat) => fanout[flat].input = channel,
-                Downstream::Fanin { flat, input } => fanin[flat].input[input] = channel,
-                Downstream::Sink(_) => {}
-            }
-        }
+impl MotModel {
+    fn new(fabric: &Fabric, timing: &TimingModel) -> Self {
         let wire = timing.wire_delay;
         MotModel {
-            fabric,
-            timing,
-            fanout,
-            fanin,
+            fanout: fabric.fanout.clone(),
+            fanin: fabric.fanin.clone(),
             fanout_delays: FanoutKind::ALL.map(|kind| Delays::resolve(timing.fanout(kind), wire)),
             fanin_delays: Delays::resolve(&timing.fanin, wire),
             activity: Activity::default(),
@@ -535,54 +471,8 @@ impl<'a> MotModel<'a> {
     }
 }
 
-impl SimModel for MotModel<'_> {
+impl SimModel for MotModel {
     type Node = MotNode;
-
-    fn endpoints(&self) -> usize {
-        self.fabric.size.n()
-    }
-
-    fn channel_count(&self) -> usize {
-        self.fabric.channels.len()
-    }
-
-    fn channel_ends(&self, channel: usize) -> ChannelEnds<MotNode> {
-        let wiring = &self.fabric.channels[channel];
-        let upstream = match wiring.upstream {
-            Entity::Source(s) => NodeRef::Source(s),
-            Entity::Fanout { flat, .. } => NodeRef::Node(MotNode::Fanout(flat)),
-            Entity::Fanin(f) => NodeRef::Node(MotNode::Fanin(f)),
-        };
-        let downstream = match wiring.downstream {
-            Downstream::Fanout(f) => NodeRef::Node(MotNode::Fanout(f)),
-            Downstream::Fanin { flat, .. } => NodeRef::Node(MotNode::Fanin(flat)),
-            Downstream::Sink(d) => NodeRef::Sink(d),
-        };
-        ChannelEnds {
-            upstream,
-            downstream,
-        }
-    }
-
-    fn source_channel(&self, source: usize) -> usize {
-        self.fabric.source_out[source]
-    }
-
-    fn source_wire_delay(&self) -> Duration {
-        self.timing.wire_delay
-    }
-
-    fn source_cycle(&self) -> Duration {
-        self.timing.source_cycle
-    }
-
-    fn sink_ack(&self) -> Duration {
-        self.timing.sink_ack
-    }
-
-    fn serializes_multicast(&self) -> bool {
-        self.fabric.serializes_multicast
-    }
 
     fn fire(&mut self, node: MotNode, ctx: &mut impl Ctx<MotNode>) {
         match node {
@@ -809,45 +699,42 @@ mod tests {
 
     #[test]
     fn site_arithmetic_is_the_fabric_wiring() {
+        use asynoc_engine::NodeRef;
+
         for n in [2, 4, 8, 16] {
             let network = network_of(n);
-            let (fabric, site_of) = (&network.fabric, network.site_of());
-            // The upstream end of every channel is among the downstream
-            // end's parent candidates — for the source tree the flit is in.
-            for wiring in &fabric.channels {
-                let (upstream, tree) = match wiring.upstream {
-                    Entity::Source(source) => (Site::Source(source), source),
-                    Entity::Fanout { flat, .. } => (
-                        site_of(MotNode::Fanout(flat)),
-                        FanoutNodeId::from_flat_index(fabric.size, flat).tree,
-                    ),
-                    // Past the fanout leaves the candidates name no source.
-                    Entity::Fanin(flat) => (site_of(MotNode::Fanin(flat)), usize::MAX),
+            let (size, site_of) = (network.config().size(), network.site_of());
+            let site = |end: NodeRef<MotNode>| match end {
+                NodeRef::Source(source) => Site::Source(source),
+                NodeRef::Node(node) => site_of(node),
+                NodeRef::Sink(dest) => Site::Sink(dest),
+            };
+            for ends in &network.netlist().channels {
+                // The upstream end of every channel is among the downstream
+                // end's parent candidates — for the source tree the flit is
+                // in; past the fanout leaves the candidates name no source.
+                let tree = match ends.upstream {
+                    NodeRef::Source(source) => source,
+                    NodeRef::Node(MotNode::Fanout(flat)) => {
+                        FanoutNodeId::from_flat_index(size, flat).tree
+                    }
+                    _ => usize::MAX,
                 };
-                let downstream = match wiring.downstream {
-                    Downstream::Fanout(flat) => site_of(MotNode::Fanout(flat)),
-                    Downstream::Fanin { flat, .. } => site_of(MotNode::Fanin(flat)),
-                    Downstream::Sink(dest) => Site::Sink(dest),
-                };
+                let (upstream, downstream) = (site(ends.upstream), site(ends.downstream));
                 assert!(
                     downstream.parent_candidates(tree).any(|c| c == upstream),
                     "{n}x{n}: {upstream} feeds {downstream}"
                 );
-            }
-            // A throttled copy's creator is the throttler's wiring parent:
-            // "redundant copies die at the first non-speculative node"
-            // needs exactly this edge.
-            for wiring in &fabric.channels {
-                let Downstream::Fanout(flat) = wiring.downstream else {
-                    continue;
-                };
-                let site = site_of(MotNode::Fanout(flat));
-                match wiring.upstream {
-                    Entity::Fanout { flat: parent, .. } => {
-                        assert_eq!(site.creator(), site_of(MotNode::Fanout(parent)));
-                    }
-                    // A root throttle is attributed to the root itself.
-                    _ => assert_eq!(site.creator(), site),
+                // A throttled copy's creator is the throttler's wiring
+                // parent: "redundant copies die at the first non-speculative
+                // node" needs exactly this edge. A root throttle is
+                // attributed to the root itself.
+                if let NodeRef::Node(MotNode::Fanout(_)) = ends.downstream {
+                    let creator = match ends.upstream {
+                        NodeRef::Node(MotNode::Fanout(_)) => upstream,
+                        _ => downstream,
+                    };
+                    assert_eq!(downstream.creator(), creator);
                 }
             }
         }

@@ -18,7 +18,7 @@
 
 use asynoc::telemetry::{Action, Detail, RecordSink, Recorder, Site, TraceRecord};
 use asynoc::{drive, Architecture, Benchmark, MotNode, MotSize, Network, NetworkConfig, Substrate};
-use asynoc_engine::{NodeRef, RunConfig, SimModel};
+use asynoc_engine::{NodeRef, RunConfig};
 
 /// The flat index of node `(tree, level, index)`, fanout and fanin alike.
 fn flat(n: usize, tree: usize, level: usize, index: usize) -> usize {
@@ -30,9 +30,9 @@ fn pinned(n: usize) {
     let levels = size.levels() as usize;
     let net = Network::new(NetworkConfig::new(size, Architecture::OptHybridSpeculative))
         .expect("a preset builds");
-    let model = net.prepare(&RunConfig::quick(Benchmark::UniformRandom, 0.1));
+    let netlist = net.netlist();
     let ends = |channel: usize| {
-        let ends = model.channel_ends(channel);
+        let ends = netlist.channels[channel];
         (ends.upstream, ends.downstream)
     };
     let fanout = |tree, level, index| NodeRef::Node(MotNode::Fanout(flat(n, tree, level, index)));
@@ -40,7 +40,10 @@ fn pinned(n: usize) {
     let fanout_outputs = n + 2 * n * (n - 1);
 
     for source in 0..n {
-        assert_eq!(model.source_channel(source), source, "{n}x{n}: source {source}");
+        assert_eq!(
+            netlist.source_channel[source], source,
+            "{n}x{n}: source {source}"
+        );
         assert_eq!(
             ends(source),
             (NodeRef::Source(source), fanout(source, 0, 0)),
@@ -81,7 +84,7 @@ fn pinned(n: usize) {
         }
     }
     let channels = fanout_outputs + n * (n - 1);
-    assert_eq!(model.channel_count(), channels, "{n}x{n}");
+    assert_eq!(netlist.channels.len(), channels, "{n}x{n}");
     assert_eq!(net.fault_domain().channels, channels, "{n}x{n}");
     assert_eq!(net.fault_domain().endpoints, n, "{n}x{n}");
 }

@@ -8,24 +8,27 @@
 //! per-logical-packet latency to the last header arrival, bounded drain).
 //! This crate owns that discipline once:
 //!
-//! - [`SimModel`] is what a substrate implements — its channel wiring,
-//!   timing constants, and node firing rules (routing included: a node
-//!   routes from the destination set its flit carries).
+//! - [`Netlist`] is a network's static wiring — every channel's two
+//!   ends, each source's channel, the source and sink timing — built once
+//!   per network and borrowed by every run.
+//! - [`SimModel`] is what a substrate implements — its node firing rules
+//!   (routing included: a node routes from the destination set its flit
+//!   carries).
 //! - [`Ctx`] is the engine state a firing node may touch.
 //! - [`Observer`] receives the engine's event stream (injections,
 //!   forwards, drops, deliveries) so statistics, power accounting, and
 //!   tracing compose per run instead of being hard-wired into the loop.
 //! - [`run`] is the one way to execute a simulation — one event loop on
-//!   the calling thread — with an
+//!   the calling thread, over a borrowed netlist — with an
 //!   [`ArmedFaults`] table threaded into its hooks when given
 //!   (deterministic stalls, symbol corruption, source drops/losses; free
 //!   when absent). It returns an [`EngineReport`] plus the model, whose
 //!   accumulated state the caller may harvest.
 //! - [`Substrate`] is what a ready-to-run *network* implements on top of
-//!   its model — endpoint count, traffic parameters, fault domain, and
-//!   its own report section — so that [`drive`] turns one [`RunConfig`]
-//!   into a run on any fabric, and the fault oracle and the CLI dispatch
-//!   on the fabric once.
+//!   its model — its netlist, traffic parameters, symbol-corruption
+//!   sites, and its own report section — so that [`drive`] turns one
+//!   [`RunConfig`] into a run on any fabric, and the fault oracle and the
+//!   CLI dispatch on the fabric once.
 //! - [`parallel_map`] fans independent work items (seeds, configs,
 //!   saturation probe points) across OS threads with deterministic
 //!   result ordering — the experiment layer's multi-core runner.
@@ -49,6 +52,7 @@
 #![deny(missing_docs)]
 
 mod fault;
+mod netlist;
 mod observer;
 mod pending;
 mod session;
@@ -60,6 +64,7 @@ pub use asynoc_kernel::parallel_map;
 /// dependency just to read a profile).
 pub use asynoc_probe as probe;
 pub use fault::{ArmedFaults, FaultDomain, FaultSummary, SourceFaultAction};
+pub use netlist::{ChannelEnds, Netlist, NodeRef};
 pub use observer::{ForwardInfo, Observer, SimEvent};
-pub use session::{run, ChannelEnds, Ctx, EngineReport, NodeKey, NodeRef, RunSpec, SimModel};
+pub use session::{run, Ctx, EngineReport, NodeKey, RunSpec, SimModel};
 pub use substrate::{drive, RunConfig, Substrate};

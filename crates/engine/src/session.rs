@@ -16,29 +16,9 @@ use asynoc_stats::{LogHistogram, Phases, ThroughputCounter};
 use asynoc_traffic::SourceTraffic;
 
 use crate::fault::{ArmedFaults, SourceFaultAction};
+use crate::netlist::{Netlist, NodeRef};
 use crate::observer::{Observer, SimEvent};
 use crate::pending::PendingTable;
-
-/// One end of a channel: who launches into it / who consumes from it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeRef<N> {
-    /// A traffic source (engine-managed).
-    Source(usize),
-    /// A substrate node (model-managed).
-    Node(N),
-    /// A delivery endpoint (engine-managed).
-    Sink(usize),
-}
-
-/// Static wiring of one channel.
-#[derive(Clone, Copy, Debug)]
-pub struct ChannelEnds<N> {
-    /// The entity that launches flits into this channel and is woken when
-    /// it frees.
-    pub upstream: NodeRef<N>,
-    /// The entity woken when a flit arrives at this channel's far end.
-    pub downstream: NodeRef<N>,
-}
 
 /// A stable ordering key for a substrate's node identifiers.
 ///
@@ -74,35 +54,19 @@ impl NodeKey for usize {
     }
 }
 
-/// What a substrate must provide to run on the engine.
+/// What a substrate must provide to run on the engine, beside its
+/// [`Netlist`].
 ///
 /// The engine owns sources, sinks, channels, the event queue, and all
-/// measurement; the model owns its nodes' dynamic state and fires them
-/// when the engine wakes them. A flit carries its packet's descriptor by
-/// value and no route: a node routes from the descriptor's destination
-/// set.
+/// measurement, and reads the channel table off the netlist; the model
+/// owns its nodes' dynamic state and fires them when the engine wakes
+/// them. A flit carries its packet's descriptor by value and no route: a
+/// node routes from the descriptor's destination set.
 pub trait SimModel {
     /// The substrate's node identifier (e.g. an enum of fanout/fanin
     /// indices for the MoT, a router index for the mesh).
     type Node: Copy + std::fmt::Debug + NodeKey;
 
-    /// Number of traffic endpoints (sources == sinks).
-    fn endpoints(&self) -> usize;
-    /// Total channel count; channel ids are `0..channel_count()`.
-    fn channel_count(&self) -> usize;
-    /// Wiring of `channel`.
-    fn channel_ends(&self, channel: usize) -> ChannelEnds<Self::Node>;
-    /// The injection channel of `source`.
-    fn source_channel(&self, source: usize) -> usize;
-    /// Flight time of a flit from a source onto its injection channel.
-    fn source_wire_delay(&self) -> Duration;
-    /// Minimum flit spacing out of a source.
-    fn source_cycle(&self) -> Duration;
-    /// Channel-free delay after a sink consumes a flit.
-    fn sink_ack(&self) -> Duration;
-    /// Whether multicasts are serialized at the source into unicast
-    /// clones (the paper's baseline; always true for the mesh).
-    fn serializes_multicast(&self) -> bool;
     /// Hook called once per created physical packet (serialized clones
     /// included); models accumulate per-packet analytics here.
     fn on_packet(&mut self, source: usize, dest: DestSet, measured: bool) {
@@ -574,10 +538,12 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
     }
 }
 
-/// Executes one simulation of `model` fed by `traffic` on the calling
-/// thread, reporting to `observers`, and returns the measurements plus
-/// the model (whose accumulated state — e.g. per-packet analytics from
-/// [`SimModel::on_packet`] — the caller may harvest).
+/// Executes one simulation of `model` on `netlist`, fed by `traffic`, on
+/// the calling thread, reporting to `observers`, and returns the
+/// measurements plus the model (whose accumulated state — e.g.
+/// per-packet analytics from [`SimModel::on_packet`] — the caller may
+/// harvest). The netlist is read in place: a network that runs many
+/// times states its channel table once.
 ///
 /// `faults`, when given, is threaded into the loop's hooks: channel
 /// launches may be stalled, routing-symbol reads overridden, and source
@@ -595,30 +561,31 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
 /// # Examples
 ///
 /// ```
-/// use asynoc_engine::{run, ChannelEnds, Ctx, NodeRef, RunSpec, SimModel};
+/// use asynoc_engine::{run, ChannelEnds, Ctx, Netlist, NodeRef, RunSpec, SimModel};
 /// use asynoc_kernel::Duration;
 /// use asynoc_stats::Phases;
 /// use asynoc_traffic::{Benchmark, SourceTraffic};
 ///
-/// /// Two endpoints joined by crossed wires: source 0 feeds sink 1 and
-/// /// source 1 feeds sink 0, with no routing nodes in between.
-/// struct CrossedWires;
+/// // Two endpoints joined by crossed wires: source 0 feeds sink 1 and
+/// // source 1 feeds sink 0, with no routing nodes in between.
+/// let crossed = |source: usize| ChannelEnds {
+///     upstream: NodeRef::Source(source),
+///     downstream: NodeRef::Sink(1 - source),
+/// };
+/// let netlist = Netlist {
+///     channels: vec![crossed(0), crossed(1)],
+///     source_channel: vec![0, 1],
+///     source_wire_delay: Duration::from_ps(50),
+///     source_cycle: Duration::from_ps(100),
+///     sink_ack: Duration::from_ps(100),
+///     serializes_multicast: true,
+/// };
 ///
-/// impl SimModel for CrossedWires {
+/// /// Nothing between the wires fires.
+/// struct NoNodes;
+///
+/// impl SimModel for NoNodes {
 ///     type Node = ();
-///     fn endpoints(&self) -> usize { 2 }
-///     fn channel_count(&self) -> usize { 2 }
-///     fn channel_ends(&self, channel: usize) -> ChannelEnds<()> {
-///         ChannelEnds {
-///             upstream: NodeRef::Source(channel),
-///             downstream: NodeRef::Sink(1 - channel),
-///         }
-///     }
-///     fn source_channel(&self, source: usize) -> usize { source }
-///     fn source_wire_delay(&self) -> Duration { Duration::from_ps(50) }
-///     fn source_cycle(&self) -> Duration { Duration::from_ps(100) }
-///     fn sink_ack(&self) -> Duration { Duration::from_ps(100) }
-///     fn serializes_multicast(&self) -> bool { true }
 ///     fn fire(&mut self, _node: (), _ctx: &mut impl Ctx<()>) {}
 /// }
 ///
@@ -628,11 +595,12 @@ impl<N: NodeKey> Ctx<N> for Core<'_, '_, N> {
 ///     .map(|s| SourceTraffic::new(Benchmark::NearestNeighbor, 2, s, 0.4, 1, 7).unwrap())
 ///     .collect();
 /// let spec = RunSpec::new(Phases::new(Duration::from_ns(2), Duration::from_ns(20)), true);
-/// let (report, _model) = run(CrossedWires, traffic, spec, None, &mut []);
+/// let (report, _model) = run(&netlist, NoNodes, traffic, spec, None, &mut []);
 /// assert!(report.packets_measured > 0);
 /// assert_eq!(report.packets_incomplete, 0);
 /// ```
 pub fn run<M: SimModel>(
+    netlist: &Netlist<M::Node>,
     model: M,
     traffic: Vec<SourceTraffic>,
     spec: RunSpec,
@@ -640,26 +608,21 @@ pub fn run<M: SimModel>(
     observers: &mut [&mut dyn Observer<M::Node>],
 ) -> (EngineReport, M) {
     let start = Instant::now();
-    let mut session = Session::new(model, traffic, spec, faults, observers);
+    let mut session = Session::new(netlist, model, traffic, spec, faults, observers);
     let phase = session.execute(spec, start);
     session.finish(spec, start, phase)
 }
 
-/// One prepared simulation: model, traffic, wiring, and all pre-sized
-/// engine state.
+/// One prepared simulation: the borrowed netlist, the model, and all
+/// pre-sized engine state.
 ///
-/// Construction does all the setup allocation — channel wiring, the
+/// Construction does all the setup allocation — channel states, the
 /// event queue, source queues — so that the loop itself allocates
 /// nothing: a flit carries its descriptor by value, so nothing per packet
 /// lives on the heap.
 struct Session<'r, 'obs, M: SimModel> {
+    netlist: &'r Netlist<M::Node>,
     model: M,
-    wiring: Vec<ChannelEnds<M::Node>>,
-    source_channel: Vec<usize>,
-    source_wire_delay: Duration,
-    source_cycle: Duration,
-    sink_ack: Duration,
-    serializes_multicast: bool,
     ctx: Core<'r, 'obs, M::Node>,
 }
 
@@ -671,22 +634,22 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
     ///
     /// Panics if `traffic` does not provide one generator per endpoint.
     fn new(
+        netlist: &'r Netlist<M::Node>,
         model: M,
         traffic: Vec<SourceTraffic>,
         spec: RunSpec,
         faults: Option<&'r mut ArmedFaults>,
         observers: &'r mut [&'obs mut dyn Observer<M::Node>],
     ) -> Self {
-        let n = model.endpoints();
+        let n = netlist.endpoints();
         assert_eq!(traffic.len(), n, "one traffic generator per endpoint");
-        let channels = model.channel_count();
         let mut ctx = Core {
             phases: spec.phases,
             injection_end: spec.phases.measurement_end(),
             queue: CalendarQueue::new(),
             now: Time::ZERO,
             key: 0,
-            channels: vec![ChannelState::Free; channels],
+            channels: vec![ChannelState::Free; netlist.channels.len()],
             source_queue: (0..n).map(|_| VecDeque::with_capacity(16)).collect(),
             source_next_flit: vec![0; n],
             source_next_fire: vec![Time::ZERO; n],
@@ -716,12 +679,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         }
 
         Session {
-            wiring: (0..channels).map(|c| model.channel_ends(c)).collect(),
-            source_channel: (0..n).map(|s| model.source_channel(s)).collect(),
-            source_wire_delay: model.source_wire_delay(),
-            source_cycle: model.source_cycle(),
-            sink_ack: model.sink_ack(),
-            serializes_multicast: model.serializes_multicast(),
+            netlist,
             model,
             ctx,
         }
@@ -857,7 +815,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         let measured = self.ctx.in_window();
         let logical = self.ctx.alloc_id(source);
         let flits = self.ctx.traffic[source].flits_per_packet();
-        let serialize = self.serializes_multicast && dests.len() > 1;
+        let serialize = self.netlist.serializes_multicast && dests.len() > 1;
 
         let mut offered_flits = 0u64;
         if serialize {
@@ -898,7 +856,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         };
         debug_assert!(!*arrived, "a flit arrives once");
         *arrived = true;
-        match self.wiring[channel].downstream {
+        match self.netlist.channels[channel].downstream {
             NodeRef::Sink(dest) => self.sink_consume(channel, dest),
             other => self.wake(other),
         }
@@ -913,7 +871,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             "freed a channel that was not waited on to free now"
         );
         self.ctx.channels[channel] = ChannelState::Free;
-        self.wake(self.wiring[channel].upstream);
+        self.wake(self.netlist.channels[channel].upstream);
     }
 
     fn wake(&mut self, target: NodeRef<M::Node>) {
@@ -932,7 +890,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         let Some(&packet) = self.ctx.source_queue[source].front() else {
             return;
         };
-        let channel = self.source_channel[source];
+        let channel = self.netlist.source_channel[source];
         if !self.ctx.is_free(channel) {
             return;
         }
@@ -1012,18 +970,18 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         } else {
             self.ctx.source_next_flit[source] += 1;
         }
-        let wire = self.source_wire_delay;
-        self.ctx.launch(channel, flit, wire);
+        self.ctx
+            .launch(channel, flit, self.netlist.source_wire_delay);
         if !self.ctx.source_queue[source].is_empty() {
             // The next flit waits on the channel just taken.
             self.ctx.wake_on_free(channel);
         }
-        self.ctx.source_next_fire[source] = self.ctx.now + self.source_cycle;
+        self.ctx.source_next_fire[source] = self.ctx.now + self.netlist.source_cycle;
     }
 
     fn sink_consume(&mut self, channel: usize, dest: usize) {
         let flit = self.ctx.take_arrived(channel);
-        self.ctx.free_after(channel, self.sink_ack);
+        self.ctx.free_after(channel, self.netlist.sink_ack);
         self.ctx.emit(&SimEvent::Deliver { dest, flit: &flit });
         if self.ctx.in_window() {
             self.ctx.throughput.record_delivered(1);
@@ -1061,50 +1019,29 @@ mod tests {
         }
     }
 
+    /// The crossbar's wiring.
+    fn crossbar() -> Netlist<()> {
+        let ends = |upstream, downstream| crate::ChannelEnds {
+            upstream,
+            downstream,
+        };
+        Netlist {
+            channels: vec![
+                ends(NodeRef::Source(0), NodeRef::Node(())),
+                ends(NodeRef::Source(1), NodeRef::Node(())),
+                ends(NodeRef::Node(()), NodeRef::Sink(0)),
+                ends(NodeRef::Node(()), NodeRef::Sink(1)),
+            ],
+            source_channel: vec![0, 1],
+            source_wire_delay: Duration::from_ps(50),
+            source_cycle: Duration::from_ps(100),
+            sink_ack: Duration::from_ps(100),
+            serializes_multicast: true,
+        }
+    }
+
     impl SimModel for Crossbar {
         type Node = ();
-
-        fn endpoints(&self) -> usize {
-            2
-        }
-
-        fn channel_count(&self) -> usize {
-            4
-        }
-
-        fn channel_ends(&self, channel: usize) -> ChannelEnds<()> {
-            if channel < 2 {
-                ChannelEnds {
-                    upstream: NodeRef::Source(channel),
-                    downstream: NodeRef::Node(()),
-                }
-            } else {
-                ChannelEnds {
-                    upstream: NodeRef::Node(()),
-                    downstream: NodeRef::Sink(channel - 2),
-                }
-            }
-        }
-
-        fn source_channel(&self, source: usize) -> usize {
-            source
-        }
-
-        fn source_wire_delay(&self) -> Duration {
-            Duration::from_ps(50)
-        }
-
-        fn source_cycle(&self) -> Duration {
-            Duration::from_ps(100)
-        }
-
-        fn sink_ack(&self) -> Duration {
-            Duration::from_ps(100)
-        }
-
-        fn serializes_multicast(&self) -> bool {
-            true
-        }
 
         fn on_packet(&mut self, _source: usize, _dest: DestSet, _measured: bool) {
             self.packets_seen += 1;
@@ -1176,7 +1113,14 @@ mod tests {
 
     #[test]
     fn crossbar_delivers_and_counts() {
-        let (report, model) = run(Crossbar::new(), toy_traffic(7), toy_spec(), None, &mut []);
+        let (report, model) = run(
+            &crossbar(),
+            Crossbar::new(),
+            toy_traffic(7),
+            toy_spec(),
+            None,
+            &mut [],
+        );
         assert!(report.packets_measured > 0, "no packets measured");
         assert_eq!(report.packets_incomplete, 0, "drain left packets in flight");
         assert!(report.flits_delivered > 0);
@@ -1186,7 +1130,14 @@ mod tests {
         assert_eq!(report.latency.min(), Some(Duration::from_ps(250)));
         // Without a drain the run stops at the injection end.
         let spec = RunSpec::new(toy_spec().phases, false);
-        let (report, _) = run(Crossbar::new(), toy_traffic(5), spec, None, &mut []);
+        let (report, _) = run(
+            &crossbar(),
+            Crossbar::new(),
+            toy_traffic(5),
+            spec,
+            None,
+            &mut [],
+        );
         assert!(report.packets_measured > 0);
     }
 
@@ -1198,7 +1149,14 @@ mod tests {
         let traffic = (0..2)
             .map(|s| SourceTraffic::new(Benchmark::Hotspot, 2, s, 0.8, 1, 7).unwrap())
             .collect();
-        let (report, _) = run(Crossbar::new(), traffic, toy_spec(), None, &mut []);
+        let (report, _) = run(
+            &crossbar(),
+            Crossbar::new(),
+            traffic,
+            toy_spec(),
+            None,
+            &mut [],
+        );
         assert_eq!(report.packets_incomplete, 0, "a waiting input was stranded");
         assert!(report.profile.kinds.free > 0, "nobody waited on a free");
         // The latencies every acknowledge waking its sender gave.
@@ -1221,7 +1179,15 @@ mod tests {
 
     #[test]
     fn a_free_due_now_is_seen_by_later_kinds_only() {
-        let mut session = Session::new(Crossbar::new(), toy_traffic(7), toy_spec(), None, &mut []);
+        let netlist = crossbar();
+        let mut session = Session::new(
+            &netlist,
+            Crossbar::new(),
+            toy_traffic(7),
+            toy_spec(),
+            None,
+            &mut [],
+        );
         let ctx = &mut session.ctx;
         let now = Time::from_ps(1_000);
         ctx.now = now;
@@ -1255,6 +1221,7 @@ mod tests {
         let phases = toy_spec().phases;
         let cut = |seed| {
             run(
+                &crossbar(),
                 Crossbar::new(),
                 toy_traffic(seed),
                 RunSpec::new(phases, false),
@@ -1267,6 +1234,7 @@ mod tests {
             .find(|&seed| cut(seed).packets_incomplete == 0)
             .expect("some seed completes every measured packet in the window");
         let (drained, _) = run(
+            &crossbar(),
             Crossbar::new(),
             toy_traffic(seed),
             toy_spec(),
@@ -1281,7 +1249,14 @@ mod tests {
     fn the_phase_split_comes_from_the_loop_segments() {
         for drain in [true, false] {
             let spec = RunSpec::new(toy_spec().phases, drain);
-            let (report, _) = run(Crossbar::new(), toy_traffic(7), spec, None, &mut []);
+            let (report, _) = run(
+                &crossbar(),
+                Crossbar::new(),
+                toy_traffic(7),
+                spec,
+                None,
+                &mut [],
+            );
             let (profile, phase) = (&report.profile, report.profile.phase);
             if !drain {
                 assert_eq!(phase.drain_ns, 0, "a run without a drain has no drain time");

@@ -2,12 +2,13 @@
 //! driver under every fabric.
 //!
 //! A [`SimModel`](crate::SimModel) says how a fabric's nodes fire; a
-//! [`Substrate`] says how a *network* of them is run — how many endpoints
-//! it has, what traffic parameters it was built with, how to make a fresh
-//! model for one run, what its legal fault targets are, and what it adds
-//! to the engine's measurements. [`drive`] is the only place that turns a
-//! [`RunConfig`] into traffic generators and an engine run, so harnesses,
-//! the fault oracle and the CLI are written once against this trait.
+//! [`Substrate`] says how a *network* of them is run — its one
+//! [`Netlist`], what traffic parameters it was built with, how to make a
+//! fresh model for one run, where a routing symbol may be corrupted, and
+//! what it adds to the engine's measurements. [`drive`] is the only place
+//! that turns a [`RunConfig`] into traffic generators and an engine run,
+//! so harnesses, the fault oracle and the CLI are written once against
+//! this trait.
 
 use std::ops::DerefMut;
 
@@ -16,6 +17,7 @@ use asynoc_stats::Phases;
 use asynoc_traffic::{Benchmark, SourceTraffic, TrafficError};
 
 use crate::fault::{ArmedFaults, FaultDomain};
+use crate::netlist::Netlist;
 use crate::observer::Observer;
 use crate::session::{EngineReport, NodeKey, RunSpec, SimModel};
 
@@ -138,9 +140,10 @@ impl RunConfig {
 ///
 /// Implementors are the ready-to-run network types (`asynoc::Network`,
 /// `asynoc_mesh::MeshNetwork`, `asynoc_vcmesh::VcMeshNetwork`): static
-/// descriptions that build a fresh [`SimModel`] per run. A fourth
-/// fabric implements this trait and inherits [`drive`], the fault oracle
-/// and the CLI's instrumented commands.
+/// descriptions that hold their [`Netlist`] and build a fresh
+/// [`SimModel`] per run. A fourth fabric implements this trait and
+/// inherits [`drive`], the fault oracle and the CLI's instrumented
+/// commands.
 pub trait Substrate {
     /// The fabric's node identifier, as observers see it.
     type Node: Copy + std::fmt::Debug + NodeKey + 'static;
@@ -152,25 +155,45 @@ pub trait Substrate {
     /// through `Deref`, beside the fabric's own section.
     type Report: DerefMut<Target = EngineReport>;
 
-    /// Number of traffic endpoints (sources == sinks).
-    fn endpoints(&self) -> usize;
+    /// The network's channel table and endpoint constants, built once;
+    /// every run borrows it.
+    fn netlist(&self) -> &Netlist<Self::Node>;
     /// Flits per packet the network was configured with.
     fn flits_per_packet(&self) -> u8;
     /// The RNG seed traffic streams are derived from.
     fn seed(&self) -> u64;
-    /// The legal fault-injection targets; `channels` equals the model's
-    /// channel count.
-    fn fault_domain(&self) -> FaultDomain;
+    /// The routing-symbol sites where a widened override is provably
+    /// recoverable (see [`FaultDomain::corrupt_sites`]); none by default.
+    fn corrupt_sites(&self) -> Vec<usize> {
+        Vec::new()
+    }
     /// A fresh model for `run`.
     fn prepare(&self, run: &RunConfig) -> Self::Model<'_>;
     /// Assembles the report from the engine's measurements and what the
     /// finished model accumulated.
     fn report(&self, run: &RunConfig, engine: EngineReport, model: Self::Model<'_>)
         -> Self::Report;
+
+    /// Number of traffic endpoints (sources == sinks), off the netlist.
+    fn endpoints(&self) -> usize {
+        self.netlist().endpoints()
+    }
+
+    /// The legal fault-injection targets: the netlist's channels and
+    /// endpoints, and the fabric's [`corrupt_sites`](Self::corrupt_sites).
+    fn fault_domain(&self) -> FaultDomain {
+        let netlist = self.netlist();
+        FaultDomain {
+            channels: netlist.channels.len(),
+            endpoints: netlist.endpoints(),
+            corrupt_sites: self.corrupt_sites(),
+        }
+    }
 }
 
 /// Executes `run` on `substrate`: builds one traffic generator per
-/// endpoint and a fresh model, and runs them with the caller's
+/// endpoint and a fresh model, and runs them on the substrate's netlist
+/// with the caller's
 /// `observers` — and with `faults` threaded into the engine's injection
 /// hooks when given (the caller keeps the table and reads back its
 /// summary afterwards).
@@ -188,7 +211,8 @@ pub fn drive<S: Substrate>(
     observers: &mut [&mut dyn Observer<S::Node>],
     faults: Option<&mut ArmedFaults>,
 ) -> Result<S::Report, TrafficError> {
-    let n = substrate.endpoints();
+    let netlist = substrate.netlist();
+    let n = netlist.endpoints();
     let traffic = (0..n)
         .map(|source| {
             SourceTraffic::new(
@@ -202,7 +226,7 @@ pub fn drive<S: Substrate>(
         })
         .collect::<Result<Vec<_>, _>>()?;
     let model = substrate.prepare(run);
-    let (engine, model) = crate::run(model, traffic, run.spec, faults, observers);
+    let (engine, model) = crate::run(netlist, model, traffic, run.spec, faults, observers);
     Ok(substrate.report(run, engine, model))
 }
 

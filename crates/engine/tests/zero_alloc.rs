@@ -19,7 +19,7 @@
 
 use asynoc_engine::probe::{allocations, CountingAlloc};
 use asynoc_engine::{
-    run, ChannelEnds, Ctx, ForwardInfo, NodeRef, Observer, RunSpec, SimEvent, SimModel,
+    run, ChannelEnds, Ctx, ForwardInfo, Netlist, NodeRef, Observer, RunSpec, SimEvent, SimModel,
 };
 use asynoc_kernel::{Duration, Time};
 use asynoc_stats::Phases;
@@ -34,50 +34,29 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// (output busy), and serialized multicast clones.
 struct Crossbar;
 
+/// The crossbar's wiring.
+fn crossbar() -> Netlist<()> {
+    let ends = |upstream, downstream| ChannelEnds {
+        upstream,
+        downstream,
+    };
+    Netlist {
+        channels: vec![
+            ends(NodeRef::Source(0), NodeRef::Node(())),
+            ends(NodeRef::Source(1), NodeRef::Node(())),
+            ends(NodeRef::Node(()), NodeRef::Sink(0)),
+            ends(NodeRef::Node(()), NodeRef::Sink(1)),
+        ],
+        source_channel: vec![0, 1],
+        source_wire_delay: Duration::from_ps(50),
+        source_cycle: Duration::from_ps(100),
+        sink_ack: Duration::from_ps(100),
+        serializes_multicast: true,
+    }
+}
+
 impl SimModel for Crossbar {
     type Node = ();
-
-    fn endpoints(&self) -> usize {
-        2
-    }
-
-    fn channel_count(&self) -> usize {
-        4
-    }
-
-    fn channel_ends(&self, channel: usize) -> ChannelEnds<()> {
-        if channel < 2 {
-            ChannelEnds {
-                upstream: NodeRef::Source(channel),
-                downstream: NodeRef::Node(()),
-            }
-        } else {
-            ChannelEnds {
-                upstream: NodeRef::Node(()),
-                downstream: NodeRef::Sink(channel - 2),
-            }
-        }
-    }
-
-    fn source_channel(&self, source: usize) -> usize {
-        source
-    }
-
-    fn source_wire_delay(&self) -> Duration {
-        Duration::from_ps(50)
-    }
-
-    fn source_cycle(&self) -> Duration {
-        Duration::from_ps(100)
-    }
-
-    fn sink_ack(&self) -> Duration {
-        Duration::from_ps(100)
-    }
-
-    fn serializes_multicast(&self) -> bool {
-        true
-    }
 
     fn fire(&mut self, _node: (), ctx: &mut impl Ctx<()>) {
         for input in 0..2 {
@@ -134,7 +113,14 @@ fn main() {
         true,
     );
     let mut window = AllocWindow::default();
-    let (report, _model) = run(Crossbar, traffic, spec, None, &mut [&mut window]);
+    let (report, _model) = run(
+        &crossbar(),
+        Crossbar,
+        traffic,
+        spec,
+        None,
+        &mut [&mut window],
+    );
 
     assert!(report.packets_measured > 0, "nothing measured");
     assert_eq!(report.packets_incomplete, 0, "packets in flight");

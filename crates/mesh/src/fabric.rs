@@ -1,10 +1,11 @@
 //! The 2-D mesh fabric: everything a mesh is before its router fires.
 //!
-//! One [`Grid`] owns the geometry, the link timing and the channel table;
-//! one [`Config`] / [`Report`] / [`Network`] skeleton and one engine model
-//! ([`Model`]) carry a [`Router`], which supplies what actually differs
-//! between meshes: how many channels a link has, the per-router state,
-//! and `fire`. The wormhole router lives beside this module
+//! One [`Grid`] owns the geometry, the link timing and the channel table
+//! (the engine's [`Netlist`]), built once per [`Network`]; one [`Config`]
+//! / [`Report`] / [`Network`] skeleton and one engine model ([`Model`],
+//! which borrows the grid) carry a [`Router`], which supplies what
+//! actually differs between meshes: how many channels a link has, the
+//! per-router state, and `fire`. The wormhole router lives beside this module
 //! ([`Wormhole`](crate::Wormhole)); the credit-based VC router is
 //! `asynoc-vcmesh`. Dispatch is static: a `Network<R>` is monomorphised
 //! per router, so the fabric adds nothing to a router's firing path.
@@ -13,7 +14,7 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 use asynoc_engine::{
-    drive, ChannelEnds, Ctx, EngineReport, FaultDomain, NodeRef, RunConfig, SimModel, Substrate,
+    drive, ChannelEnds, Ctx, EngineReport, Netlist, NodeRef, RunConfig, SimModel, Substrate,
 };
 use asynoc_kernel::Duration;
 use asynoc_nodes::KindTiming;
@@ -95,7 +96,8 @@ pub trait Router: fmt::Debug {
     fn section(self) -> Self::Section;
 }
 
-/// The mesh geometry, its link timing and its channel table.
+/// The mesh geometry, its link timing and its channel table, built once
+/// per [`Network`].
 ///
 /// Channel ids are allocated router by router in row-major order: the
 /// links leaving through the north, south, east and west ports (skipping
@@ -106,7 +108,7 @@ pub trait Router: fmt::Debug {
 pub struct Grid {
     size: MeshSize,
     timing: MeshTiming,
-    wiring: Vec<ChannelEnds<usize>>,
+    netlist: Netlist<usize>,
     link_out: Vec<[usize; 5]>,
     link_in: Vec<[usize; 5]>,
 }
@@ -118,7 +120,7 @@ impl Grid {
 
     fn new<R: Router>(size: MeshSize) -> Self {
         let n = size.endpoints();
-        let mut wiring = Vec::with_capacity(Grid::channel_count::<R>(size));
+        let mut channels = Vec::with_capacity(Grid::channel_count::<R>(size));
         let mut link_out = vec![[Grid::ABSENT; 5]; n];
         let mut link_in = vec![[Grid::ABSENT; 5]; n];
         let ends = |upstream, downstream| ChannelEnds {
@@ -141,21 +143,32 @@ impl Grid {
                 }
                 let neighbor = size.index(nx as usize, ny as usize);
                 let there = NodeRef::Node(neighbor);
-                link_out[r][port.index()] = wiring.len();
-                link_in[neighbor][opposite.index()] = wiring.len();
-                wiring.extend((0..R::DATA_CHANNELS).map(|_| ends(here, there)));
-                wiring.extend((0..R::RETURN_CHANNELS).map(|_| ends(there, here)));
+                link_out[r][port.index()] = channels.len();
+                link_in[neighbor][opposite.index()] = channels.len();
+                channels.extend((0..R::DATA_CHANNELS).map(|_| ends(here, there)));
+                channels.extend((0..R::RETURN_CHANNELS).map(|_| ends(there, here)));
             }
-            link_in[r][Port::Local.index()] = wiring.len();
-            wiring.push(ends(NodeRef::Source(r), here));
-            link_out[r][Port::Local.index()] = wiring.len();
-            wiring.push(ends(here, NodeRef::Sink(r)));
+            link_in[r][Port::Local.index()] = channels.len();
+            channels.push(ends(NodeRef::Source(r), here));
+            link_out[r][Port::Local.index()] = channels.len();
+            channels.push(ends(here, NodeRef::Sink(r)));
         }
-        debug_assert_eq!(wiring.len(), Grid::channel_count::<R>(size));
+        debug_assert_eq!(channels.len(), Grid::channel_count::<R>(size));
+        let timing = MeshTiming::calibrated();
         Grid {
             size,
-            timing: MeshTiming::calibrated(),
-            wiring,
+            netlist: Netlist {
+                channels,
+                source_channel: link_in
+                    .iter()
+                    .map(|ports| ports[Port::Local.index()])
+                    .collect(),
+                source_wire_delay: timing.wire_delay,
+                source_cycle: timing.source_cycle,
+                sink_ack: timing.sink_ack,
+                serializes_multicast: R::SERIALIZES_MULTICAST,
+            },
+            timing,
             link_out,
             link_in,
         }
@@ -180,12 +193,6 @@ impl Grid {
         &self.timing
     }
 
-    /// Total channel count of this grid.
-    #[must_use]
-    pub fn channels(&self) -> usize {
-        self.wiring.len()
-    }
-
     /// Per dense port index: the first channel of the link leaving
     /// `router` through that port (its data channels, then the returns
     /// coming back); the ejection channel at `Local`.
@@ -206,7 +213,8 @@ impl Grid {
     /// dense port `port`.
     #[must_use]
     pub fn neighbor(&self, router: usize, port: usize) -> Option<usize> {
-        match self.wiring.get(self.link_out[router][port])?.downstream {
+        let link = self.netlist.channels.get(self.link_out[router][port])?;
+        match link.downstream {
             NodeRef::Node(neighbor) => Some(neighbor),
             _ => None,
         }
@@ -305,24 +313,26 @@ impl<T> DerefMut for Report<T> {
     }
 }
 
-/// A ready-to-run mesh network of `R` routers. Router nodes are
-/// identified to observers by their linear index.
+/// A ready-to-run mesh network of `R` routers: its configuration and its
+/// one [`Grid`]. Router nodes are identified to observers by their
+/// linear index.
 #[derive(Clone, Debug)]
 pub struct Network<R: Router> {
     config: Config<R::Settings>,
+    grid: Grid,
 }
 
 impl<R: Router> Network<R> {
-    /// Builds the network.
+    /// Builds the network and its grid.
     ///
     /// # Errors
     ///
     /// Currently infallible for a valid [`Config`]; returns `Result` for
     /// parity with the MoT API.
     pub fn new(config: impl Into<Config<R::Settings>>) -> Result<Self, MeshError> {
-        Ok(Network {
-            config: config.into(),
-        })
+        let config = config.into();
+        let grid = Grid::new::<R>(config.size);
+        Ok(Network { config, grid })
     }
 
     /// The square `side x side` network with the given seed, packet
@@ -373,16 +383,20 @@ impl<R: Router> Network<R> {
     }
 }
 
+/// The fault domain is the grid's whole netlist: every channel of every
+/// link is stallable (a credit return exactly as a data channel) and every
+/// source can drop. Mesh routers read destination indices, not tree
+/// symbols, so there are no symbol-corruption sites.
 impl<R: Router> Substrate for Network<R> {
     type Node = usize;
     type Model<'a>
-        = Model<R>
+        = Model<'a, R>
     where
         R: 'a;
     type Report = Report<R::Section>;
 
-    fn endpoints(&self) -> usize {
-        self.config.size.endpoints()
+    fn netlist(&self) -> &Netlist<usize> {
+        &self.grid.netlist
     }
 
     fn flits_per_packet(&self) -> u8 {
@@ -393,24 +407,11 @@ impl<R: Router> Substrate for Network<R> {
         self.config.seed
     }
 
-    /// Every channel of every link is stallable (a credit return exactly
-    /// as a data channel) and every source can drop; mesh routers read
-    /// destination indices, not tree symbols, so there are no
-    /// symbol-corruption sites.
-    fn fault_domain(&self) -> FaultDomain {
-        FaultDomain {
-            channels: Grid::channel_count::<R>(self.config.size),
-            endpoints: self.endpoints(),
-            corrupt_sites: Vec::new(),
-        }
-    }
-
-    fn prepare(&self, run: &RunConfig) -> Model<R> {
-        let grid = Grid::new::<R>(self.config.size);
-        let router = R::new(&grid, &self.config.router, run);
+    fn prepare(&self, run: &RunConfig) -> Model<'_, R> {
+        let grid = &self.grid;
         Model {
             grid,
-            router,
+            router: R::new(grid, &self.config.router, run),
             hop_sum: 0,
             hop_count: 0,
         }
@@ -420,7 +421,7 @@ impl<R: Router> Substrate for Network<R> {
         &self,
         _run: &RunConfig,
         engine: EngineReport,
-        model: Model<R>,
+        model: Model<'_, R>,
     ) -> Report<R::Section> {
         let mean_hops = match model.hop_count {
             0 => 0.0,
@@ -434,49 +435,17 @@ impl<R: Router> Substrate for Network<R> {
     }
 }
 
-/// The engine model of a mesh run: the grid, the router's state, and the
-/// hop analytics.
-pub struct Model<R> {
-    grid: Grid,
+/// The engine model of a mesh run: the borrowed grid, the router's
+/// state, and the hop analytics.
+pub struct Model<'a, R> {
+    grid: &'a Grid,
     router: R,
     hop_sum: u64,
     hop_count: u64,
 }
 
-impl<R: Router> SimModel for Model<R> {
+impl<R: Router> SimModel for Model<'_, R> {
     type Node = usize;
-
-    fn endpoints(&self) -> usize {
-        self.grid.size.endpoints()
-    }
-
-    fn channel_count(&self) -> usize {
-        self.grid.wiring.len()
-    }
-
-    fn channel_ends(&self, channel: usize) -> ChannelEnds<usize> {
-        self.grid.wiring[channel]
-    }
-
-    fn source_channel(&self, source: usize) -> usize {
-        self.grid.link_in[source][Port::Local.index()]
-    }
-
-    fn source_wire_delay(&self) -> Duration {
-        self.grid.timing.wire_delay
-    }
-
-    fn source_cycle(&self) -> Duration {
-        self.grid.timing.source_cycle
-    }
-
-    fn sink_ack(&self) -> Duration {
-        self.grid.timing.sink_ack
-    }
-
-    fn serializes_multicast(&self) -> bool {
-        R::SERIALIZES_MULTICAST
-    }
 
     fn on_packet(&mut self, source: usize, dests: DestSet, measured: bool) {
         if !measured {
@@ -489,6 +458,6 @@ impl<R: Router> SimModel for Model<R> {
     }
 
     fn fire(&mut self, router: usize, ctx: &mut impl Ctx<usize>) {
-        self.router.fire(&self.grid, router, ctx);
+        self.router.fire(self.grid, router, ctx);
     }
 }

@@ -11,9 +11,6 @@ pub enum TopologyError {
         /// The rejected size.
         requested: usize,
     },
-    /// A speculation map marked the leaf fanout level speculative, which the
-    /// fanin network cannot throttle.
-    SpeculativeLeafLevel,
     /// A speculation map's length does not match the tree depth.
     LevelCountMismatch {
         /// Flags supplied by the caller.
@@ -34,10 +31,12 @@ pub enum TopologyError {
         /// The network size.
         size: usize,
     },
-    /// A speculation map left a leaf-level fanout node speculative. Leaf
-    /// nodes feed the fanin network directly, which cannot throttle
-    /// misrouted packets, so every leaf node must obey its route symbol.
-    NonThrottlingLeaf {
+    /// A speculation map made a leaf-level fanout node speculative — by
+    /// its level's kind (naming the level's first node) or by a per-node
+    /// override. Leaf nodes feed the fanin network directly, which cannot
+    /// throttle misrouted packets, so every leaf node must obey its route
+    /// symbol.
+    SpeculativeLeaf {
         /// Source tree of the offending leaf node.
         tree: usize,
         /// Index within the leaf level of the offending node.
@@ -62,9 +61,6 @@ impl fmt::Display for TopologyError {
                 f,
                 "network size {requested} is not a power of two in 2..=64"
             ),
-            TopologyError::SpeculativeLeafLevel => {
-                write!(f, "leaf fanout level cannot be speculative")
-            }
             TopologyError::LevelCountMismatch { provided, required } => write!(
                 f,
                 "speculation map has {provided} levels but the tree has {required}"
@@ -78,7 +74,7 @@ impl fmt::Display for TopologyError {
                 f,
                 "fanout node s{tree}:{level}.{index} out of range for {size}x{size} network"
             ),
-            TopologyError::NonThrottlingLeaf { tree, index } => write!(
+            TopologyError::SpeculativeLeaf { tree, index } => write!(
                 f,
                 "leaf fanout node {index} of tree {tree} is speculative; leaf nodes must \
                  obey route symbols because the fanin network cannot throttle"
@@ -104,7 +100,6 @@ mod tests {
     fn display_messages_are_lowercase_and_informative() {
         let messages = [
             TopologyError::InvalidSize { requested: 12 }.to_string(),
-            TopologyError::SpeculativeLeafLevel.to_string(),
             TopologyError::LevelCountMismatch {
                 provided: 2,
                 required: 3,
@@ -117,7 +112,7 @@ mod tests {
                 size: 8,
             }
             .to_string(),
-            TopologyError::NonThrottlingLeaf { tree: 1, index: 2 }.to_string(),
+            TopologyError::SpeculativeLeaf { tree: 1, index: 2 }.to_string(),
             TopologyError::MixedBaselineKind.to_string(),
             TopologyError::SpecMapSyntax {
                 detail: "bad token".into(),

@@ -90,8 +90,8 @@ impl SpecMap {
     ///
     /// Returns [`TopologyError::LevelCountMismatch`] if the vector length
     /// does not equal the tree depth,
-    /// [`TopologyError::SpeculativeLeafLevel`] if the leaf level is
-    /// speculative, or [`TopologyError::MixedBaselineKind`] if baseline
+    /// [`TopologyError::SpeculativeLeaf`] naming the level's first node if
+    /// the leaf level is speculative, or [`TopologyError::MixedBaselineKind`] if baseline
     /// nodes are mixed with multicast kinds.
     pub fn from_levels(size: MotSize, levels: Vec<FanoutKind>) -> Result<Self, TopologyError> {
         let required = size.levels() as usize;
@@ -102,7 +102,7 @@ impl SpecMap {
             });
         }
         if levels[required - 1].is_speculative() {
-            return Err(TopologyError::SpeculativeLeafLevel);
+            return Err(TopologyError::SpeculativeLeaf { tree: 0, index: 0 });
         }
         let baselines = levels
             .iter()
@@ -151,7 +151,7 @@ impl SpecMap {
     /// # Errors
     ///
     /// Returns [`TopologyError::NodeOutOfRange`] if the node does not exist
-    /// at this size, [`TopologyError::NonThrottlingLeaf`] if a leaf-level
+    /// at this size, [`TopologyError::SpeculativeLeaf`] if a leaf-level
     /// node would become speculative, or
     /// [`TopologyError::MixedBaselineKind`] if the override would mix
     /// baseline and multicast kinds.
@@ -162,7 +162,7 @@ impl SpecMap {
     ) -> Result<Self, TopologyError> {
         self.node_at(node.tree, node.level as usize, node.index)?;
         if node.is_leaf_level(self.size) && kind.is_speculative() {
-            return Err(TopologyError::NonThrottlingLeaf {
+            return Err(TopologyError::SpeculativeLeaf {
                 tree: node.tree,
                 index: node.index,
             });
@@ -487,10 +487,10 @@ mod tests {
                 },
             ),
             // The fanin network cannot throttle: no speculative leaf.
-            ("levels:osp,osp,osp", SpeculativeLeafLevel),
+            ("levels:osp,osp,osp", SpeculativeLeaf { tree: 0, index: 0 }),
             (
                 "levels:ons,ons,ons;node:0.2.3=osp",
-                NonThrottlingLeaf { tree: 0, index: 3 },
+                SpeculativeLeaf { tree: 0, index: 3 },
             ),
             ("levels:base,ons,ons", MixedBaselineKind),
             ("levels:base,base,base;node:0.0.0=osp", MixedBaselineKind),

@@ -9,9 +9,8 @@
 //! mesh's `VC_COUNT` data then `VC_COUNT` credit channels, the credit
 //! ones running neighbour → router), then inject, then eject.
 
-use asynoc_engine::{NodeRef, RunConfig, SimModel, Substrate};
+use asynoc_engine::{NodeRef, Substrate};
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
-use asynoc_traffic::Benchmark;
 use asynoc_vcmesh::{VcMeshConfig, VcMeshNetwork, VC_COUNT};
 
 /// The neighbour of `(x, y)` through ports N, S, E, W, where one exists.
@@ -43,9 +42,9 @@ fn pinned<S: Substrate<Node = usize>>(
     per_link: usize,
     runs_backward: impl Fn(usize) -> bool,
 ) {
-    let model = net.prepare(&RunConfig::quick(Benchmark::UniformRandom, 0.1));
+    let netlist = net.netlist();
     let ends = |channel: usize| {
-        let ends = model.channel_ends(channel);
+        let ends = netlist.channels[channel];
         (ends.upstream, ends.downstream)
     };
     for r in 0..size.endpoints() {
@@ -69,7 +68,7 @@ fn pinned<S: Substrate<Node = usize>>(
             (NodeRef::Source(r), NodeRef::Node(r)),
             "{size}: inject of router {r}"
         );
-        assert_eq!(model.source_channel(r), next, "{size}: source {r}");
+        assert_eq!(netlist.source_channel[r], next, "{size}: source {r}");
         assert_eq!(
             ends(next + 1),
             (NodeRef::Node(r), NodeRef::Sink(r)),
@@ -79,7 +78,7 @@ fn pinned<S: Substrate<Node = usize>>(
     let (cols, rows) = (size.cols(), size.rows());
     let links = 2 * (cols * (rows - 1) + rows * (cols - 1));
     let channels = links * per_link + 2 * size.endpoints();
-    assert_eq!(model.channel_count(), channels, "{size}");
+    assert_eq!(netlist.channels.len(), channels, "{size}");
     assert_eq!(net.fault_domain().channels, channels, "{size}");
     assert_eq!(net.fault_domain().endpoints, size.endpoints(), "{size}");
 }
