@@ -60,7 +60,8 @@ impl Fabric {
     pub(crate) fn build(config: &NetworkConfig) -> Self {
         let (map, timing) = (config.spec_map(), config.timing());
         let size = map.size();
-        let mut channels = Vec::with_capacity(size.n() + 3 * size.total_fanout_nodes());
+        let outputs = 2 * size.total_fanout_nodes() + size.total_fanin_nodes();
+        let mut channels = Vec::with_capacity(size.n() + outputs);
         let mut connect = |upstream, downstream| {
             channels.push(ChannelEnds {
                 upstream,

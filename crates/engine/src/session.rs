@@ -16,7 +16,7 @@ use asynoc_stats::{LogHistogram, Phases, ThroughputCounter};
 use asynoc_traffic::SourceTraffic;
 
 use crate::fault::{ArmedFaults, SourceFaultAction};
-use crate::netlist::{Netlist, NodeRef};
+use crate::netlist::{ChannelEnds, Netlist, NodeRef};
 use crate::observer::{Observer, SimEvent};
 use crate::pending::PendingTable;
 
@@ -622,6 +622,10 @@ pub fn run<M: SimModel>(
 /// lives on the heap.
 struct Session<'r, 'obs, M: SimModel> {
     netlist: &'r Netlist<M::Node>,
+    /// The netlist's channel table, read on every arrival and free: held
+    /// as its own slice so that the per-event lookup does not first load
+    /// the netlist's address.
+    channels: &'r [ChannelEnds<M::Node>],
     model: M,
     ctx: Core<'r, 'obs, M::Node>,
 }
@@ -680,6 +684,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
 
         Session {
             netlist,
+            channels: &netlist.channels,
             model,
             ctx,
         }
@@ -856,7 +861,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
         };
         debug_assert!(!*arrived, "a flit arrives once");
         *arrived = true;
-        match self.netlist.channels[channel].downstream {
+        match self.channels[channel].downstream {
             NodeRef::Sink(dest) => self.sink_consume(channel, dest),
             other => self.wake(other),
         }
@@ -871,7 +876,7 @@ impl<'r, 'obs, M: SimModel> Session<'r, 'obs, M> {
             "freed a channel that was not waited on to free now"
         );
         self.ctx.channels[channel] = ChannelState::Free;
-        self.wake(self.netlist.channels[channel].upstream);
+        self.wake(self.channels[channel].upstream);
     }
 
     fn wake(&mut self, target: NodeRef<M::Node>) {
