@@ -1444,6 +1444,82 @@ mod tests {
         assert_eq!(written, PINNED, "{written:#x?}");
     }
 
+    #[test]
+    fn analysis_documents_are_byte_for_byte_pinned() {
+        // FNV-1a of the `asynoc-analysis-v1` document `analyze --top 5` and
+        // `analyze` (the default `--top`) print over five traces: a MoT
+        // multicast, a wormhole mesh whose multicasts are serial clones, a
+        // VC mesh under DPM, a faulted MoT run with lost packets (its
+        // stream's records under a meta line of its window and energy
+        // constants), and a trace capped at 500 records.
+        const PINNED: [(&str, u64, u64); 5] = [
+            ("mot", 0x6dfc_9113_e9c1_11c7, 0x6a4d_ce17_cad7_8e78),
+            ("mesh", 0x3787_200d_55d1_3f8a, 0xcabd_b63e_71e9_e080),
+            ("vcmesh", 0x4924_d31a_d381_d052, 0x82aa_a592_c9a1_2ae7),
+            ("mot-faulted", 0x5e84_f3ec_45b1_87cc, 0x0e08_ec57_0b50_cd27),
+            ("mot-capped", 0x0e9d_c204_9c93_a6e8, 0x3558_b27d_bd2b_7388),
+        ];
+        let cli = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let command = asynoc_cli::parse(&args).expect("valid invocation");
+            let mut out = Vec::new();
+            asynoc_cli::execute(&command, &mut out).expect("the command succeeds");
+            String::from_utf8(out).expect("utf8 output")
+        };
+        let window = "--warmup-ns 40 --measure-ns 400";
+        let traced = "--trace-limit 200000 --trace-out";
+        let faulted = "faults --arch BasicHybridSpeculative --benchmark Multicast5 --rate 0.2 \
+             --plan lose:0:0;lose:3:1;stall:3:2:500;drop:1:0:1:500 --warmup-ns 20 --measure-ns 150";
+        let pinned: Vec<_> = [
+            ("mot", format!("metrics --arch OptHybridSpeculative --benchmark Multicast10 --rate 0.4 {window} {traced}")),
+            ("mesh", format!("metrics --substrate mesh --benchmark Multicast10 --rate 0.05 --size 4 {window} {traced}")),
+            ("vcmesh", format!("metrics --substrate vcmesh --mcast dpm --benchmark Multicast5 --rate 0.1 --size 4 {window} {traced}")),
+            ("mot-faulted", format!("{faulted} --stream-trace --stream")),
+            ("mot-capped", format!("metrics --arch BasicHybridSpeculative --benchmark Multicast10 --rate 0.3 {window} --trace-limit 500 --trace-out")),
+        ]
+        .into_iter()
+        .map(|(name, command)| {
+            let path = temp_path(&format!("analysis-{name}.ndjson"));
+            let path = path.to_string_lossy();
+            cli(&format!("{command} {path}"));
+            if name == "mot-faulted" {
+                let stream = std::fs::read_to_string(&*path).expect("the stream");
+                let faulted_meta = TraceMeta {
+                    flits: 5,
+                    rate: 0.2,
+                    warmup_ps: 20_000,
+                    measure_ps: 150_000,
+                    wire_fj: Some(200.0),
+                    drop_fj: Some(400.0),
+                    ..meta()
+                };
+                let mut trace = faulted_meta.to_ndjson() + "\n";
+                for line in stream.lines().filter(|l| l.starts_with("{\"type\":\"trace\"")) {
+                    let (_, record) = line.split_once("\"record\":").expect("a trace line");
+                    trace.push_str(record.strip_suffix('}').expect("a wrapped record"));
+                    trace.push('\n');
+                }
+                std::fs::write(&*path, trace).expect("the trace file");
+            }
+            let documents = [
+                cli(&format!("analyze --trace-in {path} --top 5")),
+                cli(&format!("analyze --trace-in {path}")),
+            ];
+            let _ = std::fs::remove_file(&*path);
+            let ingest = JsonValue::parse(&documents[0]).expect("a document");
+            let count = |key: &str| ingest.get("ingest").and_then(|i| i.get(key)).cloned();
+            match name {
+                "mot-faulted" => assert_ne!(count("broken_with_cause"), Some(JsonValue::uint(0))),
+                "mot-capped" => assert_eq!(count("records"), Some(JsonValue::uint(500))),
+                _ => assert!(count("open_trees").is_some()),
+            }
+            let [top5, default] = documents.map(|document| reference::fnv1a(&document));
+            (name, top5, default)
+        })
+        .collect();
+        assert_eq!(pinned, PINNED, "{pinned:#x?}");
+    }
+
     fn temp_path(name: &str) -> std::path::PathBuf {
         let file = format!("asynoc-trace-test-{}-{name}", std::process::id());
         std::env::temp_dir().join(file)
