@@ -1,4 +1,4 @@
-//! Aggregate blocked-time attribution over a span forest.
+//! Aggregate blocked-time attribution over every span node of a trace.
 //!
 //! Where the critical path explains one packet, attribution explains the
 //! run: for every site, how much flit time was spent being *served*
@@ -9,9 +9,9 @@
 //! into the contention story the paper tells around its Figure 6:
 //! which stage of the MoT eats the latency as load rises.
 
-use asynoc_telemetry::{Action, Detail, HashMap, Site, Stage, TraceRecord};
+use asynoc_telemetry::{Action, Detail, HashMap, Site, Stage};
 
-use crate::span::SpanForest;
+use crate::span::SpanNode;
 
 /// Accumulated delay attribution for one site (or one aggregation key).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -53,33 +53,42 @@ pub struct Attribution {
     pub per_fanin_tree: Vec<NodeStat>,
 }
 
-impl Attribution {
-    /// Aggregates every span node of `forest` over its backing records.
-    #[must_use]
-    pub fn build(forest: &SpanForest, records: &[TraceRecord]) -> Attribution {
-        let mut per_node: HashMap<Site, NodeStat> = HashMap::default();
-        for tree in &forest.trees {
-            for node in &tree.nodes {
-                let record = &records[node.record];
-                let stat = per_node.entry(record.site).or_insert_with(|| NodeStat {
-                    site: record.site.to_string(),
-                    ..NodeStat::default()
-                });
-                stat.events += 1;
-                stat.service_ps += node.service_ps;
-                stat.blocked_ps += node.queue_ps;
-                if matches!(record.detail, Detail::Input(_)) {
-                    stat.arbitration_blocked_ps += node.queue_ps;
-                }
-                if node.kind == Action::Throttle {
-                    stat.throttles += 1;
-                }
-            }
-        }
+/// Per-site sums, taken span node by span node: bounded by the fabric's
+/// sites, whatever the trace's length.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PerSite(HashMap<Site, NodeStat>);
 
+impl PerSite {
+    /// Counts one span node; `detail` is its record's.
+    pub(crate) fn add(&mut self, node: &SpanNode, detail: Detail) {
+        let stat = self.0.entry(node.site).or_insert_with(|| NodeStat {
+            site: node.site.to_string(),
+            ..NodeStat::default()
+        });
+        stat.events += 1;
+        stat.service_ps += node.service_ps;
+        stat.blocked_ps += node.queue_ps;
+        if matches!(detail, Detail::Input(_)) {
+            stat.arbitration_blocked_ps += node.queue_ps;
+        }
+        if node.kind == Action::Throttle {
+            stat.throttles += 1;
+        }
+    }
+
+    /// Each site's total of `part` of its stats.
+    pub(crate) fn totals(&self, part: fn(&NodeStat) -> u64) -> Vec<(Site, u64)> {
+        self.0
+            .iter()
+            .map(|(&site, stat)| (site, part(stat)))
+            .collect()
+    }
+
+    /// Ranks the sites and rolls them up by level and fanin tree.
+    pub(crate) fn attribution(&self) -> Attribution {
         let mut per_level: HashMap<Stage, NodeStat> = HashMap::default();
         let mut per_fanin: HashMap<usize, NodeStat> = HashMap::default();
-        for (site, stat) in &per_node {
+        for (site, stat) in &self.0 {
             let stage = site.stage();
             let level = per_level.entry(stage).or_insert_with(|| NodeStat {
                 site: stage.to_string(),
@@ -95,7 +104,7 @@ impl Attribution {
             }
         }
 
-        let mut per_node: Vec<NodeStat> = per_node.into_values().collect();
+        let mut per_node: Vec<NodeStat> = self.0.values().cloned().collect();
         per_node.sort_by(|a, b| b.blocked_ps.cmp(&a.blocked_ps).then(a.site.cmp(&b.site)));
         let mut per_level: Vec<(Stage, NodeStat)> = per_level.into_iter().collect();
         per_level.sort_by_key(|(stage, _)| stage.pipeline_rank());
@@ -112,7 +121,7 @@ impl Attribution {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use asynoc_telemetry::TraceRecord;
 
     fn record(t_ps: u64, site: &str, action: &str, detail: &str, copies: u8) -> TraceRecord {
         TraceRecord {
@@ -142,9 +151,8 @@ mod tests {
 
     #[test]
     fn blocked_time_ranks_nodes_levels_and_fanin_trees() {
-        let records = sample_records();
-        let forest = SpanForest::build(&records);
-        let attribution = Attribution::build(&forest, &records);
+        let analysis = crate::Analysis::build(None, sample_records(), 10);
+        let attribution = analysis.attribution();
         // fi[d0:0.0]: segment 100, service 20 -> blocked 80; the worst.
         assert_eq!(attribution.per_node[0].site, "fi[d0:0.0]");
         assert_eq!(attribution.per_node[0].blocked_ps, 80);

@@ -1,6 +1,6 @@
 //! Textual congestion heatmaps over the topology grid.
 //!
-//! Two maps are rendered from the same span forest: **busy** (service
+//! Two maps are rendered from the same per-site sums: **busy** (service
 //! time absorbed per site — how hard each handshake stage works) and
 //! **wait** (queueing time in front of each site — where flits stall).
 //! The geometry is inferred from the sites themselves: MoT sites place
@@ -13,9 +13,9 @@
 //! Intensity uses a ten-step ASCII ramp normalized to the hottest cell
 //! of each map, so the output is a relative picture, not a scale.
 
-use asynoc_telemetry::{HashMap, Site, TraceRecord};
+use asynoc_telemetry::{HashMap, Site};
 
-use crate::span::SpanForest;
+use crate::attribution::PerSite;
 
 const RAMP: &[u8] = b" .:-=+*#%@";
 
@@ -29,21 +29,11 @@ pub struct Heatmap {
 }
 
 impl Heatmap {
-    /// Renders both maps from a span forest.
-    #[must_use]
-    pub fn build(forest: &SpanForest, records: &[TraceRecord]) -> Heatmap {
-        let mut busy: HashMap<Site, u64> = HashMap::default();
-        let mut wait: HashMap<Site, u64> = HashMap::default();
-        for tree in &forest.trees {
-            for node in &tree.nodes {
-                let site = records[node.record].site;
-                *busy.entry(site).or_default() += node.service_ps;
-                *wait.entry(site).or_default() += node.queue_ps;
-            }
-        }
+    /// Renders both maps from the per-site sums.
+    pub(crate) fn render(per_site: &PerSite) -> Heatmap {
         Heatmap {
-            busy: render_map(&busy),
-            wait: render_map(&wait),
+            busy: render_map(&per_site.totals(|stat| stat.service_ps)),
+            wait: render_map(&per_site.totals(|stat| stat.blocked_ps)),
         }
     }
 }
@@ -54,18 +44,16 @@ struct Row {
     cells: Vec<u64>,
 }
 
-fn render_map(values: &HashMap<Site, u64>) -> String {
-    let parsed: Vec<(Site, u64)> = values.iter().map(|(&site, &v)| (site, v)).collect();
-
+fn render_map(parsed: &[(Site, u64)]) -> String {
     let rows = if parsed.iter().any(|(s, _)| matches!(s, Site::Router(_))) {
-        mesh_rows(&parsed)
+        mesh_rows(parsed)
     } else if parsed
         .iter()
         .any(|(s, _)| matches!(s, Site::Fanout { .. } | Site::Fanin { .. }))
     {
-        mot_rows(&parsed)
+        mot_rows(parsed)
     } else {
-        generic_rows(&parsed)
+        generic_rows(parsed)
     };
 
     let max = rows
@@ -192,7 +180,7 @@ fn generic_rows(parsed: &[(Site, u64)]) -> Vec<Row> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use asynoc_telemetry::TraceRecord;
 
     fn record(t_ps: u64, site: &str, action: &str, busy_ps: u64) -> TraceRecord {
         TraceRecord {
@@ -221,8 +209,8 @@ mod tests {
             record(200, "fi[d3:0.0]", "forward", 30),
             record(210, "D3", "deliver", 0),
         ];
-        let forest = SpanForest::build(&records);
-        let map = Heatmap::build(&forest, &records);
+        let analysis = crate::Analysis::build(None, records, 10);
+        let map = analysis.heatmap();
         let lines: Vec<&str> = map.busy.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].trim_start().starts_with("fo-L0"));
@@ -245,8 +233,8 @@ mod tests {
             record(120, "r3", "forward", 60),
             record(130, "D3", "deliver", 0),
         ];
-        let forest = SpanForest::build(&records);
-        let map = Heatmap::build(&forest, &records);
+        let analysis = crate::Analysis::build(None, records, 10);
+        let map = analysis.heatmap();
         let lines: Vec<&str> = map.busy.lines().collect();
         assert_eq!(lines.len(), 2, "max router id 3 -> 2x2 grid");
         // r3 sits at row 1, col 1 and is the hottest cell.
@@ -260,8 +248,8 @@ mod tests {
             record(10, "src0", "inject", 0),
             record(40, "ch1", "fault", 30),
         ];
-        let forest = SpanForest::build(&records);
-        let map = Heatmap::build(&forest, &records);
+        let analysis = crate::Analysis::build(None, records, 10);
+        let map = analysis.heatmap();
         let labels: Vec<&str> = map
             .busy
             .lines()

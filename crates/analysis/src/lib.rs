@@ -3,11 +3,13 @@
 //! The telemetry stack answers *what happened*: latency percentiles,
 //! busy fractions, a waste ledger. This crate answers *why*: it ingests
 //! the [`TraceRecord`](asynoc_telemetry::TraceRecord) stream a run
-//! produced (live, via the [`TraceCollector`](asynoc_telemetry::TraceCollector)
-//! observer; or offline, from an NDJSON file) and reconstructs a **causal
-//! span tree per packet** — source injection, each fanout replication
-//! (including speculative copies later throttled), fanin arbitration
-//! waits, ejection. On top of the tree it computes:
+//! produced (live, as a record sink; or offline, from an NDJSON file)
+//! and reconstructs a **causal span tree per flit** — source injection,
+//! each fanout replication (including speculative copies later
+//! throttled), fanin arbitration waits, ejection. It is a fold
+//! ([`AnalysisFold`]): each tree is summarised and dropped when the
+//! token ledger closes it, so memory follows the flits in flight, not
+//! the trace. Over the trees it computes:
 //!
 //! - the **critical path** per packet, with each hop's delay split into
 //!   service (the node's handshake occupancy) and queueing (everything
@@ -38,9 +40,9 @@ pub mod scorecard;
 pub mod span;
 
 pub use attribution::{Attribution, NodeStat};
-pub use report::{Analysis, LatencySummary};
+pub use report::{Analysis, AnalysisFold, Ingest, LatencySummary};
 pub use scorecard::{RegionScore, Scorecard};
-pub use span::{critical_paths, CriticalPath, FlitTree, Hop, SpanForest, SpanNode};
+pub use span::{CriticalPath, FlitTree, Hop, SpanNode};
 
 // The typed vocabulary of a trace record lives beside it.
 pub use asynoc_telemetry::{Action, Site};

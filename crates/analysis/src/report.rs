@@ -1,22 +1,33 @@
-//! The assembled analysis report.
+//! The analysis fold and its report.
 //!
-//! [`Analysis::build`] runs the whole pipeline — span forest, critical
-//! paths, attribution, heatmap, scorecard — over one parsed trace and
-//! holds every intermediate result for inspection;
-//! [`Analysis::to_json`] serializes the pinned
-//! [`ANALYSIS_SCHEMA`](crate::ANALYSIS_SCHEMA) document the
+//! [`AnalysisFold`] takes a trace one record at a time, in time order.
+//! Each record grows its flit's span tree, which the
+//! [`TokenLedger`] holds; every section of the report is a sum or a
+//! top-k over span nodes and trees, so a node is counted as it arrives
+//! and a tree is summarised and dropped the moment the ledger closes it.
+//! Trees still open when the input ends are summarised then, as open or
+//! broken. What the fold holds is the flits in flight, one candidate
+//! path per logical packet not yet complete, the `top` slowest paths,
+//! and sums bounded by the fabric — not the trace.
+//!
+//! [`Analysis`] is the finished fold; [`Analysis::to_json`] serializes
+//! the pinned [`ANALYSIS_SCHEMA`](crate::ANALYSIS_SCHEMA) document the
 //! `asynoc analyze` subcommand emits. The latency block re-derives the
 //! same population the online histograms sample (delivered header
 //! copies whose packet was *created* inside the measurement window), so
 //! its count/mean/min/max reconcile with a `metrics` run of the same
 //! simulation.
 
-use asynoc_telemetry::{Action, JsonValue, TraceMeta, TraceRecord};
+use std::collections::hash_map::Entry;
 
-use crate::attribution::{Attribution, NodeStat};
+use asynoc_telemetry::{
+    Action, HashMap, JsonValue, RecordSink, TokenLedger, TokenTally, TraceMeta, TraceRecord, Tree,
+};
+
+use crate::attribution::{Attribution, NodeStat, PerSite};
 use crate::heatmap::Heatmap;
-use crate::scorecard::Scorecard;
-use crate::span::{critical_paths, CriticalPath, SpanForest};
+use crate::scorecard::{ScoreFold, Scorecard};
+use crate::span::{CriticalPath, FlitTree};
 
 /// Summary of the re-derived latency population.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -31,57 +42,344 @@ pub struct LatencySummary {
     pub max_ps: u64,
 }
 
-/// A fully analyzed trace.
+/// What the fold took in: the report's `ingest` counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Ingest {
+    /// Records folded.
+    pub records: u64,
+    /// Flit trees: one per `(packet, flit)` seen.
+    pub flit_trees: u64,
+    /// Physical packets seen.
+    pub packets: u64,
+    /// Logical packets seen (serial-multicast clones share one).
+    pub logical_packets: u64,
+    /// Trees whose copies were not all consumed when the input ended
+    /// (still in flight, or broken).
+    pub open_trees: u64,
+    /// Trees a fault touched, broken trees, and broken trees a fault
+    /// explains (a packet lost at its source).
+    pub trees: TokenTally,
+}
+
+/// The slowest critical paths, and sums over all of them for the means.
+#[derive(Clone, Debug, Default)]
+struct Paths {
+    /// The slowest, ordered by `(latency desc, logical)` when trimmed.
+    slowest: Vec<CriticalPath>,
+    count: u64,
+    latency_ps: u64,
+    source_queue_ps: u64,
+    service_ps: u64,
+    queue_ps: u64,
+}
+
+impl Paths {
+    fn add(&mut self, path: CriticalPath, top: usize) {
+        self.count += 1;
+        self.latency_ps += path.latency_ps;
+        self.source_queue_ps += path.source_queue_ps;
+        self.service_ps += path.service_ps;
+        self.queue_ps += path.queue_ps;
+        self.slowest.push(path);
+        if self.slowest.len() > top.saturating_mul(2).max(64) {
+            self.trim(top);
+        }
+    }
+
+    /// Keeps the `top` slowest, slowest first; ties go to the lower
+    /// logical id.
+    fn trim(&mut self, top: usize) {
+        (self.slowest)
+            .sort_by(|a, b| (b.latency_ps.cmp(&a.latency_ps)).then(a.logical.cmp(&b.logical)));
+        self.slowest.truncate(top);
+    }
+
+    fn mean(&self, sum: u64) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            sum as f64 / self.count as f64
+        }
+    }
+}
+
+/// A logical packet whose critical path is not final yet: some header
+/// tree of it is open, or its source may still inject a clone of it.
+#[derive(Default)]
+struct Pending {
+    /// Header trees of it the ledger holds.
+    open_headers: u32,
+    /// Its source has begun another logical packet: no clone follows.
+    sealed: bool,
+    /// The latest header delivery so far, `(t_ps, packet)` with its
+    /// path (`None` when that delivery's chain misses the injection).
+    best: Option<(u64, u64, Option<CriticalPath>)>,
+}
+
+/// The analysis of a trace, taken one record at a time.
+pub struct AnalysisFold {
+    meta: Option<TraceMeta>,
+    top: usize,
+    ingest: Ingest,
+    trees: TokenLedger<FlitTree>,
+    /// Per source: the last packet and logical packet it began. A source
+    /// begins its packets in id order (the engine numbers them as it
+    /// creates them, and injects them first come, first served), so a
+    /// larger id is a new one and the count needs no set of ids.
+    sources: HashMap<u64, (u64, u64)>,
+    pending: HashMap<u64, Pending>,
+    paths: Paths,
+    per_site: PerSite,
+    score: ScoreFold,
+    latency: (u64, u128, u64, u64),
+    /// Every summarised tree, when asked for ([`AnalysisFold::keeping_trees`]).
+    kept: Option<Vec<FlitTree>>,
+}
+
+impl AnalysisFold {
+    /// An empty fold. `top` bounds the ranked lists it keeps and reports.
+    #[must_use]
+    pub fn new(meta: Option<TraceMeta>, top: usize) -> AnalysisFold {
+        AnalysisFold {
+            meta,
+            top,
+            ingest: Ingest::default(),
+            trees: TokenLedger::default(),
+            sources: HashMap::default(),
+            pending: HashMap::default(),
+            paths: Paths::default(),
+            per_site: PerSite::default(),
+            score: ScoreFold::default(),
+            latency: (0, 0, u64::MAX, 0),
+            kept: None,
+        }
+    }
+
+    /// The same fold, keeping every tree it summarises (in the order it
+    /// summarises them) for [`Analysis::trees`]: memory grows with the
+    /// trace, so only tests ask.
+    #[must_use]
+    pub fn keeping_trees(mut self) -> AnalysisFold {
+        self.kept = Some(Vec::new());
+        self
+    }
+
+    /// Sets the meta line: its window gates what follows, and its energy
+    /// constants price the scorecard.
+    pub fn set_meta(&mut self, meta: TraceMeta) {
+        self.meta = Some(meta);
+    }
+
+    /// Records folded so far.
+    #[must_use]
+    pub fn records(&self) -> u64 {
+        self.ingest.records
+    }
+
+    /// Folds one record, the next in time order.
+    pub fn push(&mut self, record: &TraceRecord) {
+        self.ingest.records += 1;
+        self.count_ids(record);
+        let mut began = false;
+        let (_, tokens, tree) = self.trees.take(record, |begins| {
+            began = true;
+            FlitTree::new(record, !begins)
+        });
+        if began && record.flit == 0 {
+            self.pending.entry(record.logical).or_default().open_headers += 1;
+        }
+        let mut closed = None;
+        let tree = match tree {
+            Tree::Held(tree) => tree,
+            Tree::Closed(tree) => closed.insert(tree),
+        };
+        tree.tokens = tokens;
+        tree.push(record);
+        let node = &tree.nodes[tree.nodes.len() - 1];
+        self.per_site.add(node, record.detail);
+        if let Some(meta) = &self.meta {
+            let parent = node.parent.map(|p| &tree.nodes[p]);
+            self.score.add(node, parent, meta);
+        }
+        if let Some(tree) = closed {
+            self.summarise(tree);
+        }
+    }
+
+    /// Folds the trees the input left open and returns the analysis.
+    #[must_use]
+    pub fn finish(mut self) -> Analysis {
+        let mut held: Vec<FlitTree> = std::mem::take(&mut self.trees).into_held().collect();
+        held.sort_unstable_by_key(|tree| (tree.packet, tree.flit));
+        for tree in held {
+            self.summarise(tree);
+        }
+        let mut logicals: Vec<u64> = self.pending.keys().copied().collect();
+        logicals.sort_unstable();
+        for logical in logicals {
+            self.finalize(logical);
+        }
+        self.paths.trim(self.top);
+        let (count, sum, min, max) = self.latency;
+        let latency = if count == 0 {
+            LatencySummary::default()
+        } else {
+            LatencySummary {
+                count,
+                mean_ps: sum as f64 / count as f64,
+                min_ps: min,
+                max_ps: max,
+            }
+        };
+        Analysis {
+            scorecard: self.meta.as_ref().and_then(|m| self.score.finish(m)),
+            meta: self.meta,
+            top: self.top,
+            ingest: self.ingest,
+            paths: self.paths,
+            attribution: self.per_site.attribution(),
+            heatmap: Heatmap::render(&self.per_site),
+            latency,
+            trees: self.kept.unwrap_or_default(),
+        }
+    }
+
+    /// Counts a tree the ledger let go: its tokens, its share of the
+    /// latency population, and — a header — its logical packet's
+    /// critical-path candidate.
+    fn summarise(&mut self, tree: FlitTree) {
+        self.ingest.flit_trees += u64::from(!tree.resumed);
+        self.ingest.open_trees += u64::from(!tree.closed());
+        self.ingest.trees.add(tree.tokens);
+        if tree.flit == 0 {
+            // The histogram population: every delivered header copy of a
+            // packet created inside the measurement window (all copies
+            // when the trace carries no meta line).
+            let measured = (self.meta.as_ref()).is_none_or(|m| m.in_measurement(tree.created_ps));
+            let delivered = tree
+                .nodes
+                .iter()
+                .filter(|node| node.kind == Action::Deliver);
+            for node in delivered.filter(|_| measured) {
+                let sample = node.t_ps.saturating_sub(tree.created_ps);
+                let (count, sum, min, max) = &mut self.latency;
+                *count += 1;
+                *sum += u128::from(sample);
+                *min = (*min).min(sample);
+                *max = (*max).max(sample);
+            }
+            // The completing delivery of a logical packet is its last
+            // header delivery across all clone trees; ties go to the
+            // later packet.
+            let pending = self.pending.entry(tree.logical).or_default();
+            pending.open_headers = pending.open_headers.saturating_sub(1);
+            if let Some((t_ps, path)) = tree.last_delivery() {
+                let later = |&(best_ps, packet, _): &(u64, u64, _)| {
+                    (t_ps, tree.packet) >= (best_ps, packet)
+                };
+                if pending.best.as_ref().is_none_or(later) {
+                    pending.best = Some((t_ps, tree.packet, path));
+                }
+            }
+            if pending.sealed && pending.open_headers == 0 {
+                self.finalize(tree.logical);
+            }
+        }
+        if let Some(kept) = self.kept.as_mut() {
+            kept.push(tree);
+        }
+    }
+
+    /// Counts a packet and a logical packet the first time its source
+    /// names it, and seals the logical packet the source leaves.
+    fn count_ids(&mut self, record: &TraceRecord) {
+        match self.sources.entry(record.src) {
+            Entry::Vacant(first) => {
+                first.insert((record.packet, record.logical));
+                self.ingest.packets += 1;
+                self.ingest.logical_packets += 1;
+            }
+            Entry::Occupied(mut known) => {
+                let (packet, logical) = known.get_mut();
+                if record.packet > *packet {
+                    *packet = record.packet;
+                    self.ingest.packets += 1;
+                }
+                if record.logical > *logical {
+                    let left = std::mem::replace(logical, record.logical);
+                    self.ingest.logical_packets += 1;
+                    if let Some(pending) = self.pending.get_mut(&left) {
+                        pending.sealed = true;
+                        if pending.open_headers == 0 {
+                            self.finalize(left);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn finalize(&mut self, logical: u64) {
+        let pending = self.pending.remove(&logical);
+        if let Some(Pending {
+            best: Some((_, _, Some(path))),
+            ..
+        }) = pending
+        {
+            self.paths.add(path, self.top);
+        }
+    }
+}
+
+impl RecordSink for AnalysisFold {
+    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
+        self.push(record);
+    }
+}
+
+/// A finished analysis.
 #[derive(Clone, Debug)]
 pub struct Analysis {
     meta: Option<TraceMeta>,
-    records: Vec<TraceRecord>,
-    forest: SpanForest,
-    paths: Vec<CriticalPath>,
+    top: usize,
+    ingest: Ingest,
+    paths: Paths,
     attribution: Attribution,
     heatmap: Heatmap,
     scorecard: Option<Scorecard>,
     latency: LatencySummary,
-    top: usize,
+    trees: Vec<FlitTree>,
 }
 
 impl Analysis {
-    /// Runs the full pipeline over a parsed trace. `top` bounds the
-    /// ranked lists the JSON report emits (internal results are
-    /// unbounded).
+    /// Folds a parsed trace. `top` bounds the ranked lists the fold
+    /// keeps and the JSON report emits.
     #[must_use]
     pub fn build(meta: Option<TraceMeta>, records: Vec<TraceRecord>, top: usize) -> Analysis {
-        let forest = SpanForest::build(&records);
-        let paths = critical_paths(&forest, &records);
-        let attribution = Attribution::build(&forest, &records);
-        let heatmap = Heatmap::build(&forest, &records);
-        let scorecard = meta
-            .as_ref()
-            .and_then(|m| Scorecard::build(m, &forest, &records));
-        let latency = latency_summary(meta.as_ref(), &forest);
-        Analysis {
-            meta,
-            records,
-            forest,
-            paths,
-            attribution,
-            heatmap,
-            scorecard,
-            latency,
-            top,
+        let mut fold = AnalysisFold::new(meta, top);
+        for record in &records {
+            fold.push(record);
         }
+        fold.finish()
     }
 
-    /// The reconstructed span forest.
+    /// What the fold took in.
     #[must_use]
-    pub fn forest(&self) -> &SpanForest {
-        &self.forest
+    pub fn ingest(&self) -> Ingest {
+        self.ingest
     }
 
-    /// Every completed logical packet's critical path, slowest first.
+    /// The `top` slowest critical paths, slowest first.
     #[must_use]
     pub fn paths(&self) -> &[CriticalPath] {
-        &self.paths
+        &self.paths.slowest
+    }
+
+    /// Every tree the fold summarised, when it was
+    /// [`keeping_trees`](AnalysisFold::keeping_trees); empty otherwise.
+    #[must_use]
+    pub fn trees(&self) -> &[FlitTree] {
+        &self.trees
     }
 
     /// The re-derived latency population summary.
@@ -120,18 +418,8 @@ impl Analysis {
         let meta_json = self.meta.as_ref().map_or(JsonValue::Null, |m| {
             JsonValue::parse(&m.to_ndjson()).expect("meta renders valid JSON")
         });
-
-        let packets = distinct(self.forest.trees.iter().map(|t| t.packet));
-        let logical_packets = distinct(self.forest.trees.iter().map(|t| t.logical));
-
-        let slowest: Vec<JsonValue> = self.paths.iter().take(self.top).map(path_json).collect();
-        let mean = |f: fn(&CriticalPath) -> u64| -> f64 {
-            if self.paths.is_empty() {
-                0.0
-            } else {
-                self.paths.iter().map(f).sum::<u64>() as f64 / self.paths.len() as f64
-            }
-        };
+        let (ingest, paths) = (&self.ingest, &self.paths);
+        let slowest: Vec<JsonValue> = paths.slowest.iter().map(path_json).collect();
 
         JsonValue::Object(vec![
             ("schema".to_string(), JsonValue::str(crate::ANALYSIS_SCHEMA)),
@@ -140,35 +428,26 @@ impl Analysis {
             (
                 "ingest".to_string(),
                 JsonValue::Object(vec![
-                    (
-                        "records".to_string(),
-                        JsonValue::uint(self.records.len() as u64),
-                    ),
+                    ("records".to_string(), JsonValue::uint(ingest.records)),
                     ("skipped_lines".to_string(), JsonValue::uint(skipped_lines)),
-                    (
-                        "flit_trees".to_string(),
-                        JsonValue::uint(self.forest.trees.len() as u64),
-                    ),
-                    ("packets".to_string(), JsonValue::uint(packets)),
+                    ("flit_trees".to_string(), JsonValue::uint(ingest.flit_trees)),
+                    ("packets".to_string(), JsonValue::uint(ingest.packets)),
                     (
                         "logical_packets".to_string(),
-                        JsonValue::uint(logical_packets),
+                        JsonValue::uint(ingest.logical_packets),
                     ),
-                    (
-                        "open_trees".to_string(),
-                        JsonValue::uint(self.forest.open_trees as u64),
-                    ),
+                    ("open_trees".to_string(), JsonValue::uint(ingest.open_trees)),
                     (
                         "broken_trees".to_string(),
-                        JsonValue::uint(self.forest.broken_trees as u64),
+                        JsonValue::uint(ingest.trees.broken as u64),
                     ),
                     (
                         "fault_affected_trees".to_string(),
-                        JsonValue::uint(self.forest.fault_affected as u64),
+                        JsonValue::uint(ingest.trees.fault_affected as u64),
                     ),
                     (
                         "broken_with_cause".to_string(),
-                        JsonValue::uint(self.forest.broken_with_cause as u64),
+                        JsonValue::uint(ingest.trees.broken_with_cause as u64),
                     ),
                     (
                         "dropped_events".to_string(),
@@ -191,25 +470,22 @@ impl Analysis {
             (
                 "critical_path".to_string(),
                 JsonValue::Object(vec![
-                    (
-                        "packets_analyzed".to_string(),
-                        JsonValue::uint(self.paths.len() as u64),
-                    ),
+                    ("packets_analyzed".to_string(), JsonValue::uint(paths.count)),
                     (
                         "mean_latency_ps".to_string(),
-                        JsonValue::Number(mean(|p| p.latency_ps)),
+                        JsonValue::Number(paths.mean(paths.latency_ps)),
                     ),
                     (
                         "mean_source_queue_ps".to_string(),
-                        JsonValue::Number(mean(|p| p.source_queue_ps)),
+                        JsonValue::Number(paths.mean(paths.source_queue_ps)),
                     ),
                     (
                         "mean_service_ps".to_string(),
-                        JsonValue::Number(mean(|p| p.service_ps)),
+                        JsonValue::Number(paths.mean(paths.service_ps)),
                     ),
                     (
                         "mean_queue_ps".to_string(),
-                        JsonValue::Number(mean(|p| p.queue_ps)),
+                        JsonValue::Number(paths.mean(paths.queue_ps)),
                     ),
                     ("slowest".to_string(), JsonValue::Array(slowest)),
                 ]),
@@ -254,49 +530,6 @@ impl Analysis {
             "channel busy (service time)\n{}\nwait (queueing time)\n{}",
             self.heatmap.busy, self.heatmap.wait
         )
-    }
-}
-
-fn distinct(ids: impl Iterator<Item = u64>) -> u64 {
-    let mut ids: Vec<u64> = ids.collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids.len() as u64
-}
-
-/// Re-derives the histogram population: every delivered header copy of a
-/// packet created inside the measurement window (all copies when the
-/// trace carries no meta line).
-fn latency_summary(meta: Option<&TraceMeta>, forest: &SpanForest) -> LatencySummary {
-    let mut count = 0u64;
-    let mut sum = 0u128;
-    let mut min = u64::MAX;
-    let mut max = 0u64;
-    for tree in forest.headers() {
-        if let Some(m) = meta {
-            if !m.in_measurement(tree.created_ps) {
-                continue;
-            }
-        }
-        for node in &tree.nodes {
-            if node.kind != Action::Deliver {
-                continue;
-            }
-            let sample = node.t_ps.saturating_sub(tree.created_ps);
-            count += 1;
-            sum += u128::from(sample);
-            min = min.min(sample);
-            max = max.max(sample);
-        }
-    }
-    if count == 0 {
-        return LatencySummary::default();
-    }
-    LatencySummary {
-        count,
-        mean_ps: sum as f64 / count as f64,
-        min_ps: min,
-        max_ps: max,
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The online [`SpeculationWaste`](asynoc_telemetry) ledger counts what
 //! speculation *costs* — throttled copies and the energy they burned.
-//! The span forest shows what it *bought*: each throttle's parent is the
+//! The span trees show what it *bought*: each throttle's parent is the
 //! speculative fork itself, so we can see how quickly the speculating
 //! node moved compared with its non-speculating peers. The scorecard
 //! joins the two per **speculative region** — the fanout node that
@@ -17,9 +17,9 @@
 //! much faster the speculative forward was than the median forward at
 //! the same fanout level. A counterfactual run is the only exact answer.
 
-use asynoc_telemetry::{Action, HashMap, Site, TraceMeta, TraceRecord};
+use asynoc_telemetry::{Action, HashMap, Site, TraceMeta};
 
-use crate::span::SpanForest;
+use crate::span::SpanNode;
 
 /// Waste and benefit attributed to one speculative region.
 #[derive(Clone, Debug, PartialEq)]
@@ -51,83 +51,93 @@ pub struct Scorecard {
     pub est_latency_saved_ps: u64,
 }
 
-impl Scorecard {
-    /// Builds the scorecard, or `None` when the trace's meta carries no
-    /// energy constants (substrates without a speculation ledger).
-    #[must_use]
-    pub fn build(
-        meta: &TraceMeta,
-        forest: &SpanForest,
-        records: &[TraceRecord],
-    ) -> Option<Scorecard> {
+/// The scorecard's sums, taken event by event. Node timings make a
+/// level's fanout occupancies a handful of distinct values, so each is
+/// a count per `(level, busy_ps)`: the median is read off the counts
+/// when the trace ends, exactly, in memory bounded by the fabric.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ScoreFold {
+    /// Fanout forwards, per `(level, busy_ps)`.
+    busy: HashMap<(u32, u64), u64>,
+    /// Throttles inside the measurement window, per region.
+    throttles: HashMap<Site, u64>,
+    /// Those throttles whose parent is a speculative fork, per `(region,
+    /// fork level, fork busy_ps)`.
+    forks: HashMap<(Site, u32, u64), u64>,
+}
+
+impl ScoreFold {
+    /// Counts one span node; `parent` is its parent's node and `meta` the
+    /// trace's meta line, whose window gates throttles as the online
+    /// ledger does.
+    pub(crate) fn add(&mut self, node: &SpanNode, parent: Option<&SpanNode>, meta: &TraceMeta) {
+        match (node.kind, node.site) {
+            (Action::Forward, Site::Fanout { level, .. }) => {
+                *self.busy.entry((level, node.busy_ps)).or_default() += 1;
+            }
+            (Action::Throttle, site) if meta.in_measurement(node.t_ps) => {
+                let region = site.creator();
+                *self.throttles.entry(region).or_default() += 1;
+                // The throttle's span parent is the speculative fork.
+                if let Some(&SpanNode {
+                    kind: Action::Forward,
+                    copies: 2..,
+                    site: Site::Fanout { level, .. },
+                    busy_ps,
+                    ..
+                }) = parent
+                {
+                    *self.forks.entry((region, level, busy_ps)).or_default() += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The scorecard, or `None` when the trace's meta carries no energy
+    /// constants (substrates without a speculation ledger).
+    pub(crate) fn finish(&self, meta: &TraceMeta) -> Option<Scorecard> {
         let wire_fj = meta.wire_fj?;
         let drop_fj = meta.drop_fj?;
 
         // Median handshake occupancy of fanout forwards per level: the
         // baseline a speculative fork is compared against.
-        let mut busy_by_level: HashMap<u32, Vec<u64>> = HashMap::default();
-        for record in records {
-            if let (Action::Forward, Site::Fanout { level, .. }) = (record.action, record.site) {
-                busy_by_level.entry(level).or_default().push(record.busy_ps);
+        let mut busy: Vec<((u32, u64), u64)> = self.busy.iter().map(|(&k, &n)| (k, n)).collect();
+        busy.sort_unstable();
+        let mut median_by_level: HashMap<u32, u64> = HashMap::default();
+        for level in busy.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+            let half = level.iter().map(|&(_, n)| n).sum::<u64>() / 2;
+            let mut below = 0;
+            for &((key, value), n) in level {
+                below += n;
+                if below > half {
+                    median_by_level.insert(key, value);
+                    break;
+                }
             }
         }
-        let median_by_level: HashMap<u32, u64> = busy_by_level
-            .into_iter()
-            .map(|(key, mut busies)| {
-                busies.sort_unstable();
-                (key, busies[busies.len() / 2])
+
+        let mut saved: HashMap<Site, u64> = HashMap::default();
+        for (&(region, level, fork_busy), &n) in &self.forks {
+            let median = median_by_level.get(&level).copied().unwrap_or(0);
+            *saved.entry(region).or_default() += n * median.saturating_sub(fork_busy);
+        }
+        let mut regions: Vec<RegionScore> = (self.throttles.iter())
+            .map(|(region, &throttles)| RegionScore {
+                region: region.to_string(),
+                throttles,
+                drop_fj: throttles as f64 * drop_fj,
+                wasted_wire_fj: throttles as f64 * wire_fj,
+                est_latency_saved_ps: saved.get(region).copied().unwrap_or(0),
             })
             .collect();
-
-        let mut regions: HashMap<Site, RegionScore> = HashMap::default();
-        let mut total_throttles = 0u64;
-        let mut total_saved = 0u64;
-        for tree in &forest.trees {
-            for node in &tree.nodes {
-                if node.kind != Action::Throttle {
-                    continue;
-                }
-                let record = &records[node.record];
-                // Same window gate the online ledger applies: the event
-                // time must fall inside the measurement window.
-                if !meta.in_measurement(record.t_ps) {
-                    continue;
-                }
-                let region = record.site.creator();
-                let score = regions.entry(region).or_insert_with(|| RegionScore {
-                    region: region.to_string(),
-                    throttles: 0,
-                    drop_fj: 0.0,
-                    wasted_wire_fj: 0.0,
-                    est_latency_saved_ps: 0,
-                });
-                score.throttles += 1;
-                score.drop_fj += drop_fj;
-                score.wasted_wire_fj += wire_fj;
-                total_throttles += 1;
-                // The throttle's span parent is the speculative fork.
-                if let Some(p) = node.parent {
-                    let fork = &tree.nodes[p];
-                    let median = match records[fork.record].site {
-                        Site::Fanout { level, .. } => median_by_level.get(&level),
-                        _ => None,
-                    };
-                    if let (Action::Forward, 2.., Some(median)) = (fork.kind, fork.copies, median) {
-                        let saved = median.saturating_sub(fork.busy_ps);
-                        score.est_latency_saved_ps += saved;
-                        total_saved += saved;
-                    }
-                }
-            }
-        }
-
-        let mut regions: Vec<RegionScore> = regions.into_values().collect();
         regions.sort_by(|a, b| b.throttles.cmp(&a.throttles).then(a.region.cmp(&b.region)));
+        let total_throttles: u64 = regions.iter().map(|r| r.throttles).sum();
         Some(Scorecard {
             total_throttles,
             total_drop_fj: total_throttles as f64 * drop_fj,
             total_wasted_wire_fj: total_throttles as f64 * wire_fj,
-            est_latency_saved_ps: total_saved,
+            est_latency_saved_ps: regions.iter().map(|r| r.est_latency_saved_ps).sum(),
             regions,
         })
     }
@@ -136,6 +146,13 @@ impl Scorecard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asynoc_telemetry::TraceRecord;
+
+    fn scorecard(meta: TraceMeta, records: Vec<TraceRecord>) -> Option<Scorecard> {
+        crate::Analysis::build(Some(meta), records, 10)
+            .scorecard()
+            .cloned()
+    }
 
     fn meta() -> TraceMeta {
         TraceMeta {
@@ -188,9 +205,7 @@ mod tests {
 
     #[test]
     fn a_throttle_is_priced_and_charged_to_its_creators_region() {
-        let records = speculative_trace();
-        let forest = SpanForest::build(&records);
-        let card = Scorecard::build(&meta(), &forest, &records).unwrap();
+        let card = scorecard(meta(), speculative_trace()).unwrap();
         assert_eq!(card.total_throttles, 1);
         assert!((card.total_drop_fj - 0.5).abs() < 1e-12);
         assert!((card.total_wasted_wire_fj - 2.0).abs() < 1e-12);
@@ -206,18 +221,15 @@ mod tests {
     fn throttles_outside_the_window_are_ignored() {
         let mut records = speculative_trace();
         records[3].t_ps = 50; // before warmup ends
-        let forest = SpanForest::build(&records);
-        let card = Scorecard::build(&meta(), &forest, &records).unwrap();
+        let card = scorecard(meta(), records).unwrap();
         assert_eq!(card.total_throttles, 0);
         assert!(card.regions.is_empty());
     }
 
     #[test]
     fn missing_energy_constants_yield_no_scorecard() {
-        let records = speculative_trace();
-        let forest = SpanForest::build(&records);
         let mut m = meta();
         m.wire_fj = None;
-        assert!(Scorecard::build(&m, &forest, &records).is_none());
+        assert!(scorecard(m, speculative_trace()).is_none());
     }
 }

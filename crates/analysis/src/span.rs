@@ -11,22 +11,27 @@
 //! coordinate parents (mesh routers) fall back to the flit's previous
 //! event, which is exact for linear paths.
 //!
+//! A [`FlitTree`] grows one record at a time, in trace order, and each
+//! event's parent is resolved among the events before it — so the fold
+//! that owns the trees can summarise and drop one the moment its tokens
+//! close.
+//!
 //! Each edge's duration is split into **service** — the time the child
 //! site reports staying busy on the handshake (`busy_ps`) — and
 //! **queueing**, the remainder (wire flight plus waiting for the
 //! channel). The split telescopes: summing a path's segments yields
 //! exactly the end-to-end latency, whatever the attribution.
 
-use asynoc_telemetry::{Action, HashMap, Site, TraceRecord};
+use asynoc_telemetry::{Action, FlitTokens, HashMap, Site, TraceRecord};
 
 /// One event in a flit's span tree, with its resolved causal parent and
 /// the decomposed edge delay leading to it.
 #[derive(Clone, Debug)]
 pub struct SpanNode {
-    /// Index of the backing record in the analyzed slice.
-    pub record: usize,
     /// Event time, ps.
     pub t_ps: u64,
+    /// Where the event fired.
+    pub site: Site,
     /// Event kind.
     pub kind: Action,
     /// Copies the event put in flight.
@@ -34,7 +39,8 @@ pub struct SpanNode {
     /// The site's handshake occupancy for this event, ps.
     pub busy_ps: u64,
     /// Parent node index within the owning [`FlitTree`] (`None` for the
-    /// injection, or for orphans in a truncated trace).
+    /// injection, for orphans in a truncated trace, and for the first
+    /// event of a tree taken up again).
     pub parent: Option<usize>,
     /// Delay from the parent event (for the injection: from packet
     /// creation — the source-queue wait), ps.
@@ -45,7 +51,8 @@ pub struct SpanNode {
     pub queue_ps: u64,
 }
 
-/// The reconstructed span tree of one flit of one physical packet.
+/// The span tree of one flit of one physical packet, as far as its
+/// records have arrived.
 #[derive(Clone, Debug)]
 pub struct FlitTree {
     /// Physical packet id.
@@ -58,131 +65,153 @@ pub struct FlitTree {
     pub src: u64,
     /// Packet creation time, ps.
     pub created_ps: u64,
+    /// Whether the tree takes up a flit whose earlier tree closed clean
+    /// and was summarised (a fault record naming the flit after its last
+    /// copy was consumed): its events continue that tree, which the
+    /// summary already counted.
+    pub resumed: bool,
     /// Time-ordered events with resolved parents.
     pub nodes: Vec<SpanNode>,
-    /// Copies the tree put in flight: one injection plus each forward's
-    /// fan-out.
-    pub created: u64,
-    /// Copies consumed: every forward, throttle, and delivery takes one.
-    pub consumed: u64,
-    /// Fault-injection records in the tree (token-neutral annotations).
-    pub fault_events: u64,
-    /// Token conservation holds: `created == consumed` (and the tree has
-    /// its injection). `false` means copies were still in flight when
-    /// the trace ended — or, if [`FlitTree::broken`], something worse.
-    pub closed: bool,
+    /// The tree's copies as the token ledger counted them: closed when
+    /// every copy created was consumed, broken when more were consumed
+    /// or there was no injection.
+    pub tokens: FlitTokens,
+    by_site: SiteIndex,
 }
 
 impl FlitTree {
-    fn settle(&mut self) {
-        let mut injected = false;
-        for node in &self.nodes {
-            match node.kind {
-                Action::Inject => {
-                    injected = true;
-                    self.created += u64::from(node.copies.max(1));
-                }
-                Action::Forward => {
-                    self.consumed += 1;
-                    self.created += u64::from(node.copies);
-                }
-                Action::Throttle | Action::Deliver => self.consumed += 1,
-                Action::Fault => self.fault_events += 1,
-            }
+    /// An empty tree for the flit `first` names.
+    pub(crate) fn new(first: &TraceRecord, resumed: bool) -> FlitTree {
+        FlitTree {
+            packet: first.packet,
+            logical: first.logical,
+            flit: first.flit,
+            src: first.src,
+            created_ps: first.created_ps,
+            resumed,
+            nodes: Vec::new(),
+            tokens: FlitTokens::default(),
+            by_site: SiteIndex::default(),
         }
-        self.closed = injected && self.created == self.consumed;
+    }
+
+    /// Token conservation holds: every copy created was consumed.
+    #[must_use]
+    pub fn closed(&self) -> bool {
+        self.tokens.closed()
     }
 
     /// An *impossible* tree: more copies consumed than created, or
     /// events without an injection. A merely tail-truncated trace (the
     /// simulation or the trace cap stopped mid-flight) never produces
-    /// this — truncation only loses consumers, so `created > consumed`.
+    /// this — truncation only loses consumers.
     ///
     /// One legitimate producer exists: a packet discarded at its source
     /// leaves only fault records (no injection), so the tree is broken
-    /// *with cause* — [`fault_events`](FlitTree::fault_events) is
-    /// nonzero and the forest counts it under
-    /// [`broken_with_cause`](SpanForest::broken_with_cause).
+    /// *with cause* — its tokens are `faulted`.
     #[must_use]
     pub fn broken(&self) -> bool {
-        self.consumed > self.created || !self.nodes.iter().any(|n| n.kind == Action::Inject)
+        self.tokens.broken()
     }
-}
 
-/// Every flit tree of a trace, in deterministic `(logical, packet,
-/// flit)` order.
-#[derive(Clone, Debug)]
-pub struct SpanForest {
-    /// One tree per `(packet, flit)` pair seen in the trace.
-    pub trees: Vec<FlitTree>,
-    /// Trees whose token conservation check failed (copies still in
-    /// flight at trace end, or broken).
-    pub open_trees: usize,
-    /// Trees that are [`FlitTree::broken`] — impossible in a well-formed
-    /// trace, truncated or not.
-    pub broken_trees: usize,
-    /// Trees carrying at least one fault-injection record.
-    pub fault_affected: usize,
-    /// Broken trees that carry fault records — breakage *explained* by
-    /// injection (a packet lost at its source). In a faulted run this
-    /// must equal the fault ledger's lost-packet count; any excess of
-    /// [`broken_trees`](SpanForest::broken_trees) over it is a real
-    /// anomaly.
-    pub broken_with_cause: usize,
-}
+    /// Appends `record`'s event, its parent resolved among the events
+    /// before it.
+    pub(crate) fn push(&mut self, record: &TraceRecord) {
+        let (kind, site, t_ps) = (record.action, record.site, record.t_ps);
+        let parent = if kind == Action::Inject {
+            None
+        } else {
+            self.resolve_parent(site, t_ps)
+        };
+        let segment_ps = match (kind, parent) {
+            // The injection's segment is the source-queue wait since
+            // creation; latency telescopes from `created_ps`.
+            (Action::Inject, _) => t_ps.saturating_sub(record.created_ps),
+            (_, Some(p)) => t_ps.saturating_sub(self.nodes[p].t_ps),
+            (_, None) => 0,
+        };
+        let service_ps = if kind == Action::Inject {
+            0
+        } else {
+            record.busy_ps.min(segment_ps)
+        };
+        self.by_site.push(site);
+        self.nodes.push(SpanNode {
+            t_ps,
+            site,
+            kind,
+            copies: record.copies,
+            busy_ps: record.busy_ps,
+            parent,
+            segment_ps,
+            service_ps,
+            queue_ps: segment_ps - service_ps,
+        });
+    }
 
-impl SpanForest {
-    /// Reconstructs every flit's span tree from a time-ordered record
-    /// slice.
-    #[must_use]
-    pub fn build(records: &[TraceRecord]) -> SpanForest {
-        // Each flit's record indices, flits in order of first record.
-        let mut group_of: HashMap<(u64, u8), usize> = HashMap::default();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (index, record) in records.iter().enumerate() {
-            let group = *group_of
-                .entry((record.packet, record.flit))
-                .or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-            groups[group].push(index);
+    /// Finds the causal parent of an event at `site` among the nodes
+    /// built so far: first by the site's coordinate candidates, then —
+    /// when the site has none, or none of them matched — the flit's
+    /// previous event.
+    fn resolve_parent(&self, site: Site, t_ps: u64) -> Option<usize> {
+        site.parent_candidates(self.src as usize)
+            .find_map(|candidate| self.by_site.latest_before(candidate, t_ps, &self.nodes))
+            // Linear fallback — exact for single-copy paths (the mesh, where
+            // router sites have no coordinates and delivery sinks have no
+            // fanin tree to match), best-effort when the trace cap dropped
+            // the true coordinate parent: the flit's previous event is always
+            // a causal predecessor, so segments stay non-negative.
+            .or_else(|| self.nodes.len().checked_sub(1))
+    }
+
+    /// The tree's last delivery — the latest, ties to the later record —
+    /// as its time and the critical path to it, `None` when the chain of
+    /// parents does not reach the injection (the path would not
+    /// telescope to the measured latency). `None` without a delivery.
+    pub(crate) fn last_delivery(&self) -> Option<(u64, Option<CriticalPath>)> {
+        let (last, deliver) = (self.nodes.iter().enumerate())
+            .filter(|(_, node)| node.kind == Action::Deliver)
+            .max_by_key(|(position, node)| (node.t_ps, *position))?;
+        let mut chain = Vec::new();
+        let mut cursor = Some(last);
+        while let Some(position) = cursor {
+            chain.push(&self.nodes[position]);
+            cursor = self.nodes[position].parent;
         }
-
-        let mut by_site = SiteIndex::default();
-        let mut trees: Vec<FlitTree> = groups
-            .iter()
-            .map(|indices| build_tree(records, indices, &mut by_site))
+        chain.reverse();
+        if chain[0].kind != Action::Inject {
+            return Some((deliver.t_ps, None));
+        }
+        let hops: Vec<Hop> = (chain.iter())
+            .map(|node| Hop {
+                site: node.site,
+                action: node.kind,
+                t_ps: node.t_ps,
+                segment_ps: node.segment_ps,
+                service_ps: node.service_ps,
+                queue_ps: node.queue_ps,
+            })
             .collect();
-        trees.sort_by_key(|t| (t.logical, t.packet, t.flit));
-        let open_trees = trees.iter().filter(|t| !t.closed).count();
-        let broken_trees = trees.iter().filter(|t| t.broken()).count();
-        let fault_affected = trees.iter().filter(|t| t.fault_events > 0).count();
-        let broken_with_cause = trees
-            .iter()
-            .filter(|t| t.broken() && t.fault_events > 0)
-            .count();
-        SpanForest {
-            trees,
-            open_trees,
-            broken_trees,
-            fault_affected,
-            broken_with_cause,
-        }
-    }
-
-    /// The header (flit 0) trees, the population latency analysis uses.
-    pub fn headers(&self) -> impl Iterator<Item = &FlitTree> {
-        self.trees.iter().filter(|t| t.flit == 0)
+        let path = CriticalPath {
+            logical: self.logical,
+            packet: self.packet,
+            src: self.src,
+            created_ps: self.created_ps,
+            latency_ps: deliver.t_ps.saturating_sub(self.created_ps),
+            source_queue_ps: hops[0].segment_ps,
+            service_ps: hops.iter().skip(1).map(|h| h.service_ps).sum(),
+            queue_ps: hops.iter().skip(1).map(|h| h.queue_ps).sum(),
+            hops,
+        };
+        Some((deliver.t_ps, Some(path)))
     }
 }
 
 /// Where one tree's nodes sit, by parsed site, for coordinate parent
 /// lookup. A flit copy traverses a site at most once, so the index keeps
 /// the latest node per site; `earlier` chains back through any repeats
-/// so that a malformed trace resolves as it always did. One index is
-/// cleared and reused for every tree of a forest.
-#[derive(Default)]
+/// so that a malformed trace resolves as it always did.
+#[derive(Clone, Debug, Default)]
 struct SiteIndex {
     latest: HashMap<Site, usize>,
     /// Per node of the tree: the previous node at the same site.
@@ -190,11 +219,6 @@ struct SiteIndex {
 }
 
 impl SiteIndex {
-    fn clear(&mut self) {
-        self.latest.clear();
-        self.earlier.clear();
-    }
-
     /// Records that the tree's next node sits at `site`.
     fn push(&mut self, site: Site) {
         let earlier = self.latest.insert(site, self.earlier.len());
@@ -212,82 +236,6 @@ impl SiteIndex {
         }
         None
     }
-}
-
-fn build_tree(records: &[TraceRecord], indices: &[usize], by_site: &mut SiteIndex) -> FlitTree {
-    let first = &records[indices[0]];
-    let mut nodes: Vec<SpanNode> = Vec::with_capacity(indices.len());
-    by_site.clear();
-    let src = first.src as usize;
-
-    for &record_index in indices {
-        let record = &records[record_index];
-        let (kind, site) = (record.action, record.site);
-        let parent = if kind == Action::Inject {
-            None
-        } else {
-            resolve_parent(site, record.t_ps, src, &nodes, by_site)
-        };
-        let segment_ps = match (kind, parent) {
-            // The injection's segment is the source-queue wait since
-            // creation; latency telescopes from `created_ps`.
-            (Action::Inject, _) => record.t_ps.saturating_sub(record.created_ps),
-            (_, Some(p)) => record.t_ps.saturating_sub(nodes[p].t_ps),
-            (_, None) => 0,
-        };
-        let service_ps = if kind == Action::Inject {
-            0
-        } else {
-            record.busy_ps.min(segment_ps)
-        };
-        nodes.push(SpanNode {
-            record: record_index,
-            t_ps: record.t_ps,
-            kind,
-            copies: record.copies,
-            busy_ps: record.busy_ps,
-            parent,
-            segment_ps,
-            service_ps,
-            queue_ps: segment_ps - service_ps,
-        });
-        by_site.push(site);
-    }
-
-    let mut tree = FlitTree {
-        packet: first.packet,
-        logical: first.logical,
-        flit: first.flit,
-        src: first.src,
-        created_ps: first.created_ps,
-        nodes,
-        created: 0,
-        consumed: 0,
-        fault_events: 0,
-        closed: false,
-    };
-    tree.settle();
-    tree
-}
-
-/// Finds the causal parent of an event at `site` among the nodes built
-/// so far: first by the site's coordinate candidates, then — when the
-/// site has none, or none of them matched — the flit's previous event.
-fn resolve_parent(
-    site: Site,
-    t_ps: u64,
-    src: usize,
-    nodes: &[SpanNode],
-    by_site: &SiteIndex,
-) -> Option<usize> {
-    site.parent_candidates(src)
-        .find_map(|candidate| by_site.latest_before(candidate, t_ps, nodes))
-        // Linear fallback — exact for single-copy paths (the mesh, where
-        // router sites have no coordinates and delivery sinks have no fanin
-        // tree to match), best-effort when the trace cap dropped the true
-        // coordinate parent: the flit's previous event is always a causal
-        // predecessor, so segments stay non-negative.
-        .or_else(|| nodes.len().checked_sub(1))
 }
 
 /// One hop of a critical path.
@@ -333,86 +281,20 @@ pub struct CriticalPath {
     pub hops: Vec<Hop>,
 }
 
-/// Extracts the critical path of every logical packet that completed in
-/// the trace, sorted by descending latency.
-#[must_use]
-pub fn critical_paths(forest: &SpanForest, records: &[TraceRecord]) -> Vec<CriticalPath> {
-    // The completing delivery of a logical packet is its last header
-    // deliver across all clone trees.
-    let mut last_deliver: HashMap<u64, (usize, usize)> = HashMap::default(); // logical -> (tree, node)
-    for (tree_index, tree) in forest.trees.iter().enumerate() {
-        if tree.flit != 0 {
-            continue;
-        }
-        for (node_index, node) in tree.nodes.iter().enumerate() {
-            if node.kind != Action::Deliver {
-                continue;
-            }
-            let slot = last_deliver.entry(tree.logical).or_insert((0, 0));
-            let current = forest.trees[slot.0].nodes.get(slot.1);
-            if current.is_none_or(|c| c.kind != Action::Deliver || node.t_ps >= c.t_ps) {
-                *slot = (tree_index, node_index);
-            }
-        }
-    }
-
-    let mut paths: Vec<CriticalPath> = last_deliver
-        .into_iter()
-        .filter_map(|(logical, (tree_index, node_index))| {
-            let tree = &forest.trees[tree_index];
-            let mut chain = Vec::new();
-            let mut cursor = Some(node_index);
-            while let Some(position) = cursor {
-                chain.push(position);
-                cursor = tree.nodes[position].parent;
-            }
-            chain.reverse();
-            // A path must reach back to the injection for its components
-            // to telescope to the measured latency.
-            if tree.nodes[chain[0]].kind != Action::Inject {
-                return None;
-            }
-            let hops: Vec<Hop> = chain
-                .iter()
-                .map(|&position| {
-                    let node = &tree.nodes[position];
-                    let record = &records[node.record];
-                    Hop {
-                        site: record.site,
-                        action: record.action,
-                        t_ps: node.t_ps,
-                        segment_ps: node.segment_ps,
-                        service_ps: node.service_ps,
-                        queue_ps: node.queue_ps,
-                    }
-                })
-                .collect();
-            let deliver_t = tree.nodes[node_index].t_ps;
-            Some(CriticalPath {
-                logical,
-                packet: tree.packet,
-                src: tree.src,
-                created_ps: tree.created_ps,
-                latency_ps: deliver_t.saturating_sub(tree.created_ps),
-                source_queue_ps: hops[0].segment_ps,
-                service_ps: hops.iter().skip(1).map(|h| h.service_ps).sum(),
-                queue_ps: hops.iter().skip(1).map(|h| h.queue_ps).sum(),
-                hops,
-            })
-        })
-        .collect();
-    paths.sort_by(|a, b| {
-        b.latency_ps
-            .cmp(&a.latency_ps)
-            .then(a.logical.cmp(&b.logical))
-    });
-    paths
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{Analysis, AnalysisFold};
     use asynoc_telemetry::Detail;
+
+    /// Every tree of `records`, kept, and every critical path.
+    fn folded(records: &[TraceRecord]) -> Analysis {
+        let mut fold = AnalysisFold::new(None, usize::MAX).keeping_trees();
+        for record in records {
+            fold.push(record);
+        }
+        fold.finish()
+    }
 
     fn record(
         t_ps: u64,
@@ -459,12 +341,11 @@ mod tests {
 
     #[test]
     fn multicast_tree_closes_and_resolves_parents() {
-        let records = multicast_trace();
-        let forest = SpanForest::build(&records);
-        assert_eq!(forest.trees.len(), 1);
-        assert_eq!(forest.open_trees, 0);
-        let tree = &forest.trees[0];
-        assert!(tree.closed);
+        let analysis = folded(&multicast_trace());
+        assert_eq!(analysis.trees().len(), 1);
+        assert_eq!(analysis.ingest().open_trees, 0);
+        let tree = &analysis.trees()[0];
+        assert!(tree.closed());
         // Root fanout's parent is the injection.
         assert_eq!(tree.nodes[1].parent, Some(0));
         // Throttle hangs off the speculative root like any other copy.
@@ -495,29 +376,36 @@ mod tests {
     fn truncated_trace_is_open() {
         let mut records = multicast_trace();
         records.truncate(4); // lose the fanin story
-        let forest = SpanForest::build(&records);
-        assert_eq!(forest.open_trees, 1);
-        assert!(!forest.trees[0].closed);
+        let analysis = folded(&records);
+        assert_eq!(analysis.ingest().open_trees, 1);
+        let tree = &analysis.trees()[0];
+        assert!(!tree.closed());
         // Tail truncation loses consumers only — never "broken".
-        assert_eq!(forest.broken_trees, 0);
-        assert!(forest.trees[0].created > forest.trees[0].consumed);
+        assert_eq!(analysis.ingest().trees.broken, 0);
+        assert!(tree.tokens.in_flight > 0);
     }
 
     #[test]
     fn overconsumption_is_broken() {
         let mut records = multicast_trace();
-        // A deliver the fanout story never created.
+        // A deliver the fanout story never created, after the tree closed:
+        // the ledger takes the tree up again, one copy short.
         records.push(record(500, 7, 0, "D2", "deliver", 0, 0));
-        let forest = SpanForest::build(&records);
-        assert_eq!(forest.broken_trees, 1);
-        assert!(forest.trees[0].broken());
+        let analysis = folded(&records);
+        assert_eq!(analysis.ingest().trees.broken, 1);
+        assert_eq!(analysis.ingest().flit_trees, 1, "one flit, one tree");
+        let [whole, resumed] = analysis.trees() else {
+            panic!("the closed tree and the one taken up again");
+        };
+        assert!(whole.closed() && !whole.resumed);
+        assert!(resumed.resumed && resumed.broken());
+        assert_eq!(resumed.nodes[0].parent, None);
     }
 
     #[test]
     fn critical_path_components_sum_to_latency() {
-        let records = multicast_trace();
-        let forest = SpanForest::build(&records);
-        let paths = critical_paths(&forest, &records);
+        let analysis = folded(&multicast_trace());
+        let paths = analysis.paths();
         assert_eq!(paths.len(), 1);
         let path = &paths[0];
         // The completing delivery is D1 at 460; created at 100.
@@ -538,13 +426,14 @@ mod tests {
         let mut records = multicast_trace();
         // A link stall on the flit's journey: annotation only.
         records.insert(2, record(205, 7, 0, "ch3", "fault", 0, 0));
-        let forest = SpanForest::build(&records);
-        let tree = &forest.trees[0];
-        assert!(tree.closed, "fault annotations must not open the tree");
-        assert_eq!(tree.fault_events, 1);
-        assert_eq!(forest.fault_affected, 1);
-        assert_eq!(forest.broken_trees, 0);
-        assert_eq!(forest.broken_with_cause, 0);
+        let analysis = folded(&records);
+        let tree = &analysis.trees()[0];
+        assert!(tree.closed(), "fault annotations must not open the tree");
+        assert!(tree.tokens.faulted);
+        let tally = analysis.ingest().trees;
+        assert_eq!(tally.fault_affected, 1);
+        assert_eq!(tally.broken, 0);
+        assert_eq!(tally.broken_with_cause, 0);
     }
 
     #[test]
@@ -553,13 +442,17 @@ mod tests {
         // Packet 9 never injects: only its drop and loss records exist.
         records.push(record(600, 9, 0, "src0", "fault", 0, 0));
         records.push(record(600, 9, 0, "src0", "fault", 0, 0));
-        let forest = SpanForest::build(&records);
-        assert_eq!(forest.trees.len(), 2);
-        assert_eq!(forest.broken_trees, 1);
-        assert_eq!(forest.broken_with_cause, 1, "breakage is explained");
-        let lost = forest.trees.iter().find(|t| t.packet == 9).unwrap();
-        assert!(lost.broken());
-        assert_eq!(lost.fault_events, 2);
+        let analysis = folded(&records);
+        assert_eq!(analysis.trees().len(), 2);
+        assert_eq!(analysis.ingest().trees.broken, 1);
+        assert_eq!(
+            analysis.ingest().trees.broken_with_cause,
+            1,
+            "breakage is explained"
+        );
+        let lost = analysis.trees().iter().find(|t| t.packet == 9).unwrap();
+        assert!(lost.broken() && lost.tokens.faulted);
+        assert_eq!(lost.nodes.len(), 2);
     }
 
     /// Parent resolution as it was before sites were typed: candidate
@@ -642,9 +535,13 @@ mod tests {
             records.push(next);
         }
         records[0].src = 2;
-        let forest = SpanForest::build(&records);
-        assert_eq!(forest.trees.len(), 1);
-        let resolved: Vec<Option<usize>> = forest.trees[0].nodes.iter().map(|n| n.parent).collect();
+        // One tree fed the whole soup: the ledger would close and take it
+        // up again wherever its random tokens balance.
+        let mut tree = FlitTree::new(&records[0], false);
+        for record in &records {
+            tree.push(record);
+        }
+        let resolved: Vec<Option<usize>> = tree.nodes.iter().map(|n| n.parent).collect();
         let expected = label_keyed_parents(&records);
         assert_eq!(resolved, expected);
         // The soup must reach past the linear fallback, and past the
@@ -665,16 +562,16 @@ mod tests {
             record(280, 3, 0, "r6", "forward", 1, 40),
             record(340, 3, 0, "D6", "deliver", 0, 0),
         ];
-        let forest = SpanForest::build(&records);
-        let tree = &forest.trees[0];
-        assert!(tree.closed);
+        let analysis = folded(&records);
+        let tree = &analysis.trees()[0];
+        assert!(tree.closed());
         assert_eq!(tree.nodes[1].parent, Some(0));
         assert_eq!(tree.nodes[2].parent, Some(1));
         // "D6" parses as a sink whose fanin candidate is absent on the
         // mesh; the deliver falls back to the flit's previous event —
         // the last router hop, its true causal parent on a linear path.
         assert_eq!(tree.nodes[3].parent, Some(2));
-        let paths = critical_paths(&forest, &records);
+        let paths = analysis.paths();
         assert_eq!(paths.len(), 1, "the mesh chain yields a full path");
         let path = &paths[0];
         assert_eq!(

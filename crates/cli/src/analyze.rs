@@ -3,7 +3,7 @@
 //! Reads the NDJSON flit trace a `metrics --trace-out` run produced
 //! (meta line optional — a bare v1 record stream still analyzes, just
 //! without window gating or energy pricing), runs the
-//! `asynoc-analysis` pipeline, and emits the pinned
+//! `asynoc-analysis` fold over each record as it is read, and emits the pinned
 //! `asynoc-analysis-v1` JSON report. With `--report-out` the report
 //! goes to the file and the stream carries status (plus the heatmaps
 //! under `--heatmap`); without it, stdout is the pure JSON document —
@@ -11,8 +11,8 @@
 
 use std::io::{BufReader, Write};
 
-use asynoc_analysis::Analysis;
-use asynoc_telemetry::read_trace;
+use asynoc_analysis::AnalysisFold;
+use asynoc_telemetry::{visit_trace, TraceLine};
 
 use crate::commands::{create_optional, named, open_input, CliError};
 
@@ -45,21 +45,27 @@ pub fn execute_analyze(request: &AnalyzeRequest, out: &mut dyn Write) -> Result<
     let profiler = crate::profile::ProfileWriter::when(request.profile.as_ref(), "analyze")?;
     let input = BufReader::new(open_input("--trace-in", &request.trace_in)?);
     let mut report_file = create_optional("--report-out", request.report_out.as_ref())?;
-    // One line of text at a time: the records are all the parse keeps.
-    let (meta, records, errors) =
-        read_trace(input, request.lenient).map_err(named("--trace-in", &request.trace_in))?;
+    // One line of text at a time, each record folded as it is read: the
+    // fold holds the flits in flight, not the trace.
+    let mut fold = AnalysisFold::new(None, request.top);
+    let errors = visit_trace(input, request.lenient, |line| match line {
+        TraceLine::Blank => {}
+        TraceLine::Meta(meta) => fold.set_meta(meta),
+        TraceLine::Record(record) => fold.push(&record),
+    })
+    .map_err(named("--trace-in", &request.trace_in))?;
     if let (false, Some(first)) = (request.lenient, errors.first()) {
         return Err(CliError::Invalid(format!("{}: {first}", request.trace_in)));
     }
     let skipped = errors.len() as u64;
-    if records.is_empty() {
+    if fold.records() == 0 {
         return Err(CliError::Invalid(format!(
             "{}: no trace records to analyze",
             request.trace_in
         )));
     }
 
-    let analysis = Analysis::build(meta, records, request.top);
+    let analysis = fold.finish();
     let rendered = analysis.to_json(skipped).render_pretty();
     match request.report_out.as_ref().zip(report_file.as_mut()) {
         Some((path, file)) => {

@@ -341,23 +341,22 @@ mod tests {
     use crate::args::tests::{documented_lines, gate_lines, words};
     use crate::args::{parse, Command};
     use crate::commands::execute;
-    use asynoc_analysis::SpanForest;
-    use asynoc_telemetry::TraceCollector;
+    use asynoc_analysis::AnalysisFold;
 
     /// The faulted run and the clean twin of `request` on `net`, each with
-    /// a test-side collector beside the oracle's own observers: the three
+    /// an analysis fold beside the oracle's own observers: the three
     /// counters the online token ledger reported must be the ones the
-    /// span forest derives from the whole trace.
-    fn ledger_matches_forest_on<F: Fabric>(net: &F, request: &FaultsRequest) -> usize {
+    /// fold counts tree by tree. Returns the longer twin's record count.
+    fn ledger_matches_analysis_on<F: Fabric>(net: &F, request: &FaultsRequest) -> u64 {
         let plan =
             resolve_plan(request, &net.fault_domain(), net.symbol_sites()).expect("a valid plan");
         let run = run_config(request.benchmark, request.rate, &request.common).expect("a run");
         let mut records = 0;
         for plan in [Some(&plan), None] {
-            let mut collector = TraceCollector::new(usize::MAX);
-            let outcome = run_outcome(net, &run, plan, net.site_of(), &mut [&mut collector])
-                .expect("it runs");
-            let forest = SpanForest::build(collector.records());
+            let mut fold = AnalysisFold::new(None, 1);
+            let outcome =
+                run_outcome(net, &run, plan, net.site_of(), &mut [&mut fold]).expect("it runs");
+            let ingest = fold.finish().ingest();
             assert_eq!(
                 (
                     outcome.fault_affected_trees,
@@ -365,22 +364,22 @@ mod tests {
                     outcome.broken_with_cause
                 ),
                 (
-                    forest.fault_affected,
-                    forest.broken_trees,
-                    forest.broken_with_cause
+                    ingest.trees.fault_affected,
+                    ingest.trees.broken,
+                    ingest.trees.broken_with_cause
                 ),
-                "ledger vs forest over {} records of {request:?}",
-                collector.records().len()
+                "ledger vs analysis over {} records of {request:?}",
+                ingest.records
             );
-            assert_eq!(plan.is_none(), forest.fault_affected == 0);
-            records = records.max(collector.records().len());
+            assert_eq!(plan.is_none(), ingest.trees.fault_affected == 0);
+            records = records.max(ingest.records);
         }
         records
     }
 
-    /// [`ledger_matches_forest_on`] the fabric an `asynoc faults` line
+    /// [`ledger_matches_analysis_on`] the fabric an `asynoc faults` line
     /// names; returns the longer twin's record count.
-    fn ledger_matches_forest(line: &[String]) -> usize {
+    fn ledger_matches_analysis(line: &[String]) -> u64 {
         let Ok(Command::Faults(request)) = parse(line) else {
             panic!("{line:?} is not a faults invocation");
         };
@@ -390,13 +389,13 @@ mod tests {
                 let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), common)
                     .expect("a placement");
                 let net = network_for(&map, common).expect("a network");
-                ledger_matches_forest_on(&net, &request)
+                ledger_matches_analysis_on(&net, &request)
             }
-            Substrate::Mesh => ledger_matches_forest_on(
+            Substrate::Mesh => ledger_matches_analysis_on(
                 &fabric::mesh::<Wormhole>(common.size, common.size, (), common).expect("a mesh"),
                 &request,
             ),
-            Substrate::Vcmesh => ledger_matches_forest_on(
+            Substrate::Vcmesh => ledger_matches_analysis_on(
                 &fabric::mesh::<VcRouter>(common.size, common.size, request.mcast, common)
                     .expect("a VC mesh"),
                 &request,
@@ -405,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    fn the_token_ledger_counts_what_the_span_forest_counts() {
+    fn the_token_ledger_counts_what_the_analysis_counts() {
         // Every faults line the README and the gate run...
         let readme = documented_lines(include_str!("../../../README.md"));
         let check = gate_lines(include_str!("../../../scripts/check.sh"));
@@ -417,7 +416,7 @@ mod tests {
         assert!(documented.len() >= 5, "{} faults lines", documented.len());
         let longest = documented
             .iter()
-            .map(|line| ledger_matches_forest(line))
+            .map(|line| ledger_matches_analysis(line))
             .max();
         // ... one of which outruns the 500 000 records the oracle once kept.
         assert!(longest > Some(500_000), "{longest:?} records");
@@ -432,7 +431,7 @@ mod tests {
         ] {
             for _ in 0..20 {
                 let (seed, density) = (rng.index(1_000), (5 + rng.index(96)) as f64 / 100.0);
-                ledger_matches_forest(&words(&format!(
+                ledger_matches_analysis(&words(&format!(
                     "faults {fabric} --seed {seed} --fault-rate {density} \
                      --warmup-ns 20 --measure-ns 150"
                 )));

@@ -27,10 +27,11 @@
 //!   records with NDJSON import/export shared by every substrate;
 //!   [`TraceWriter`] spells the same lines at event time without keeping
 //!   a record, and [`TraceFile`] drains them into a file as it goes;
-//!   [`read_trace`] reads a trace back one line at a time.
+//!   [`read_trace`] reads a trace back one line at a time, and
+//!   [`visit_trace`] hands each line on as it is read.
 //! - [`TokenLedger`] — token conservation per flit, online: what the
-//!   stream's watchpoints and the fault oracle judge from, holding only
-//!   what is in flight.
+//!   stream's watchpoints, the fault oracle and the analysis fold judge
+//!   from, holding only what is in flight.
 //! - [`ChromeTraceObserver`] / [`ChromeTrace`] — Chrome trace-event
 //!   (Perfetto-loadable) export, with a [`validate_chrome`] checker.
 //! - [`StreamSink`] — live export: a window over the run's
@@ -73,10 +74,10 @@ pub use stream::{
     StreamSummary, STREAM_SCHEMA,
 };
 pub use timeseries::{Bin, LevelSpec, TimeSeries};
-pub use tokens::{FlitTokens, TokenLedger, TokenTally};
+pub use tokens::{FlitTokens, TokenLedger, TokenTally, Tree};
 pub use trace::{
-    parse_trace, read_trace, render_trace, Action, Detail, TraceCollector, TraceFile, TraceMeta,
-    TraceParseError, TraceRecord, TraceWriter, TRACE_SCHEMA,
+    parse_trace, read_trace, render_trace, visit_trace, Action, Detail, TraceCollector, TraceFile,
+    TraceLine, TraceMeta, TraceParseError, TraceRecord, TraceWriter, TRACE_SCHEMA,
 };
 pub use waste::{NodeWaste, SpeculationWaste};
 

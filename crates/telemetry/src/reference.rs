@@ -22,7 +22,7 @@ use asynoc_kernel::SimRng;
 use crate::json::{JsonError, JsonValue};
 use crate::latency::{LatencyHistograms, LatencyWindow};
 use crate::stream::{StreamFoldError, STREAM_SCHEMA};
-use crate::trace::{Line, TraceMeta, TraceRecord, TRACE_SCHEMA};
+use crate::trace::{TraceLine, TraceMeta, TraceRecord, TRACE_SCHEMA};
 use crate::METRICS_SCHEMA;
 
 /// The tree-based `TraceRecord::from_ndjson`, casts and all.
@@ -177,18 +177,18 @@ fn meta_from_json(value: &JsonValue) -> Result<TraceMeta, JsonError> {
 }
 
 /// The tree-based `parse_line`: a substring test, then up to two parses.
-pub(crate) fn trace_line(line: &str) -> Result<Line, JsonError> {
+pub(crate) fn trace_line(line: &str) -> Result<TraceLine, JsonError> {
     if line.trim().is_empty() {
-        return Ok(Line::Blank);
+        return Ok(TraceLine::Blank);
     }
     if line.contains("\"schema\"") {
         if let Ok(value) = JsonValue::parse(line) {
             if value.get("schema").is_some() {
-                return meta_from_json(&value).map(Line::Meta);
+                return meta_from_json(&value).map(TraceLine::Meta);
             }
         }
     }
-    record_from_ndjson(line).map(Line::Record)
+    record_from_ndjson(line).map(TraceLine::Record)
 }
 
 /// Whether the casts of the tree-based readers get one of `line`'s

@@ -5,11 +5,12 @@
 //! [`TokenLedger`] keeps that balance for every `(packet, flit)` while
 //! the run executes and forgets a flit the moment its tree closes clean,
 //! so it holds what is in flight and what a fault touched, never what
-//! has been — the accounting the span forest of `asynoc-analysis` does
-//! offline over a whole trace (`FlitTree::settle`), without the trace.
-//! The stream's `token_conservation` and `no_progress` watchpoints read
-//! it event by event; the fault oracle reads its [`TokenTally`] when the
-//! run ends.
+//! has been. It is the one spelling of conservation: the stream's
+//! `token_conservation` and `no_progress` watchpoints read it event by
+//! event, the fault oracle reads its [`TokenTally`] when the run ends,
+//! and the analysis fold of `asynoc-analysis` keeps each flit's span tree
+//! in it ([`TokenLedger::take`]) and summarises the tree when the ledger
+//! lets it go.
 
 use std::collections::hash_map::Entry;
 
@@ -61,15 +62,33 @@ pub struct TokenTally {
     pub broken_with_cause: usize,
 }
 
+impl TokenTally {
+    /// Counts one tree as its tokens stand.
+    pub fn add(&mut self, tokens: FlitTokens) {
+        self.fault_affected += usize::from(tokens.faulted);
+        self.broken += usize::from(tokens.broken());
+        self.broken_with_cause += usize::from(tokens.broken() && tokens.faulted);
+    }
+}
+
+/// The tree a record moved: still held, or closed clean and let go.
+pub enum Tree<'a, T> {
+    /// Held: in flight, broken, or closed with a fault record on it.
+    Held(&'a mut T),
+    /// Closed clean by this record, forgotten, its payload handed back.
+    Closed(T),
+}
+
 struct Open<T> {
     tokens: FlitTokens,
     first_seen_ps: u64,
     note: T,
 }
 
-/// The flit trees of a run that are not closed clean, each with the
-/// `note` of the last record that moved it (the stream keeps the record's
-/// site there, for causal labels in its watchpoints).
+/// The flit trees of a run that are not closed clean, each with a
+/// payload: the `note` of the last record that moved it (the stream keeps
+/// the record's site there, for causal labels in its watchpoints), or
+/// the whole span tree (the analysis fold).
 ///
 /// A tree is forgotten when it closes without a fault record. One that a
 /// fault touched is kept to the end — a fault can name a flit after its
@@ -88,11 +107,18 @@ impl<T> Default for TokenLedger<T> {
     }
 }
 
-impl<T: Copy> TokenLedger<T> {
+impl<T> TokenLedger<T> {
     /// Moves `record`'s tokens on its flit's tree and returns the flit's
-    /// `(packet, flit)` key with the tree as the record left it. A tree
-    /// that closes clean is let go through the entry that found it.
-    pub fn apply(&mut self, record: &TraceRecord, note: T) -> ((u64, u8), FlitTokens) {
+    /// `(packet, flit)` key, the tree's tokens as the record left them,
+    /// and the tree's payload. A tree the ledger does not hold gets
+    /// `begin(begins)`'s payload, `begins` saying whether the record
+    /// starts the tree or takes up one that closed and was forgotten. A
+    /// tree that closes clean is let go through the entry that found it.
+    pub fn take(
+        &mut self,
+        record: &TraceRecord,
+        begin: impl FnOnce(bool) -> T,
+    ) -> ((u64, u8), FlitTokens, Tree<'_, T>) {
         let key = (record.packet, record.flit);
         let mut entry = match self.open.entry(key) {
             Entry::Occupied(known) => known,
@@ -113,7 +139,7 @@ impl<T: Copy> TokenLedger<T> {
                         ..FlitTokens::default()
                     },
                     first_seen_ps: record.t_ps,
-                    note,
+                    note: begin(begins),
                 })
             }
         };
@@ -131,13 +157,28 @@ impl<T: Copy> TokenLedger<T> {
             Action::Throttle | Action::Deliver => tokens.in_flight -= 1,
             Action::Fault => tokens.faulted = true,
         }
-        // A fault record annotates: the note stays where the flit last moved.
-        if record.action != Action::Fault {
-            open.note = note;
-        }
         let tokens = *tokens;
-        if tokens.closed() && !tokens.faulted {
-            entry.remove();
+        let tree = if tokens.closed() && !tokens.faulted {
+            Tree::Closed(entry.remove().note)
+        } else {
+            Tree::Held(&mut entry.into_mut().note)
+        };
+        (key, tokens, tree)
+    }
+
+    /// The payload of every tree still held, in no order.
+    pub fn into_held(self) -> impl Iterator<Item = T> {
+        self.open.into_values().map(|open| open.note)
+    }
+}
+
+impl<T: Copy> TokenLedger<T> {
+    /// [`take`](TokenLedger::take) with `note` as the payload: a fault
+    /// record annotates, so the note stays where the flit last moved.
+    pub fn apply(&mut self, record: &TraceRecord, note: T) -> ((u64, u8), FlitTokens) {
+        let (key, tokens, tree) = self.take(record, |_| note);
+        if let (Tree::Held(held), false) = (tree, record.action == Action::Fault) {
+            *held = note;
         }
         (key, tokens)
     }
@@ -160,10 +201,8 @@ impl<T: Copy> TokenLedger<T> {
     #[must_use]
     pub fn tally(&self) -> TokenTally {
         let mut tally = TokenTally::default();
-        for Open { tokens, .. } in self.open.values() {
-            tally.fault_affected += usize::from(tokens.faulted);
-            tally.broken += usize::from(tokens.broken());
-            tally.broken_with_cause += usize::from(tokens.broken() && tokens.faulted);
+        for open in self.open.values() {
+            tally.add(open.tokens);
         }
         tally
     }

@@ -585,54 +585,28 @@ pub fn render_trace(meta: &TraceMeta, records: &[TraceRecord]) -> String {
     out
 }
 
-/// One line of a trace document.
+/// One well-formed line of a trace document.
 #[derive(Debug, PartialEq)]
-pub(crate) enum Line {
+pub enum TraceLine {
+    /// A blank line.
     Blank,
+    /// The meta line.
     Meta(TraceMeta),
+    /// A record.
     Record(TraceRecord),
 }
 
 /// Reads one line. A syntax error keeps its byte offset in the message;
 /// a field error names the field.
-pub(crate) fn parse_line(line: &str) -> Result<Line, String> {
+pub(crate) fn parse_line(line: &str) -> Result<TraceLine, String> {
     if line.trim().is_empty() {
-        return Ok(Line::Blank);
+        return Ok(TraceLine::Blank);
     }
     let fields = Fields::scan(line).map_err(|e| e.to_string())?;
     match fields.meta {
-        Some(meta) if !matches!(meta.schema, Slot::Missing) => meta.meta().map(Line::Meta),
-        _ => fields.record.record().map(Line::Record),
+        Some(meta) if !matches!(meta.schema, Slot::Missing) => meta.meta().map(TraceLine::Meta),
+        _ => fields.record.record().map(TraceLine::Record),
     }
-}
-
-/// Walks a document line by line, handing every malformed line to
-/// `on_error`, which decides whether the walk goes on. What it holds is
-/// one line of text and the records read so far.
-fn parse_lines(
-    mut input: impl BufRead,
-    mut on_error: impl FnMut(TraceParseError) -> bool,
-) -> io::Result<(Option<TraceMeta>, Vec<TraceRecord>)> {
-    let (mut meta, mut records, mut text, mut line) = (None, Vec::new(), String::new(), 0);
-    while input.read_line(&mut text)? > 0 {
-        line += 1;
-        // Lines end as `str::lines` ends them: at `\n`, or at `\r\n`.
-        let body = text.strip_suffix('\n').map_or(text.as_str(), |body| {
-            body.strip_suffix('\r').unwrap_or(body)
-        });
-        match parse_line(body) {
-            Ok(Line::Blank) => {}
-            Ok(Line::Meta(m)) => meta = Some(m),
-            Ok(Line::Record(record)) => records.push(record),
-            Err(message) => {
-                if !on_error(TraceParseError { line, message }) {
-                    break;
-                }
-            }
-        }
-        text.clear();
-    }
-    Ok((meta, records))
 }
 
 /// Parses an NDJSON trace document held in memory: an optional leading
@@ -666,12 +640,46 @@ pub fn read_trace(
     input: impl BufRead,
     lenient: bool,
 ) -> io::Result<(Option<TraceMeta>, Vec<TraceRecord>, Vec<TraceParseError>)> {
-    let mut errors = Vec::new();
-    let (meta, records) = parse_lines(input, |e| {
-        errors.push(e);
-        lenient
+    let (mut meta, mut records) = (None, Vec::new());
+    let errors = visit_trace(input, lenient, |line| match line {
+        TraceLine::Blank => {}
+        TraceLine::Meta(m) => meta = Some(m),
+        TraceLine::Record(record) => records.push(record),
     })?;
     Ok((meta, records, errors))
+}
+
+/// [`read_trace`], handing each well-formed line to `visit` as it is read
+/// instead of keeping the records: what it holds is one line of text.
+/// Returns the malformed lines.
+///
+/// # Errors
+///
+/// As [`read_trace`].
+pub fn visit_trace(
+    mut input: impl BufRead,
+    lenient: bool,
+    mut visit: impl FnMut(TraceLine),
+) -> io::Result<Vec<TraceParseError>> {
+    let (mut errors, mut text, mut line) = (Vec::new(), String::new(), 0);
+    while input.read_line(&mut text)? > 0 {
+        line += 1;
+        // Lines end as `str::lines` ends them: at `\n`, or at `\r\n`.
+        let body = text.strip_suffix('\n').map_or(text.as_str(), |body| {
+            body.strip_suffix('\r').unwrap_or(body)
+        });
+        match parse_line(body) {
+            Ok(parsed) => visit(parsed),
+            Err(message) => {
+                errors.push(TraceParseError { line, message });
+                if !lenient {
+                    break;
+                }
+            }
+        }
+        text.clear();
+    }
+    Ok(errors)
 }
 
 /// A bounded record sink keeping the [`TraceRecord`]s of every phase of
@@ -1028,7 +1036,7 @@ mod tests {
         let spaced = line.replace(',', " , ").replace("\":", "\" : ");
         assert_eq!(TraceRecord::from_ndjson(&spaced), Ok(record()));
         let meta_line = meta().to_ndjson().replace(',', ", ");
-        assert_eq!(parse_line(&meta_line), Ok(Line::Meta(meta())));
+        assert_eq!(parse_line(&meta_line), Ok(TraceLine::Meta(meta())));
     }
 
     #[test]
@@ -1595,9 +1603,9 @@ mod tests {
         let (mut meta, mut records, mut errors) = (None, Vec::new(), Vec::new());
         for (index, line) in text.lines().enumerate() {
             match parse_line(line) {
-                Ok(Line::Blank) => {}
-                Ok(Line::Meta(m)) => meta = Some(m),
-                Ok(Line::Record(r)) => records.push(r),
+                Ok(TraceLine::Blank) => {}
+                Ok(TraceLine::Meta(m)) => meta = Some(m),
+                Ok(TraceLine::Record(r)) => records.push(r),
                 Err(message) => {
                     errors.push(TraceParseError {
                         line: index + 1,

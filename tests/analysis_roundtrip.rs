@@ -1,5 +1,5 @@
-//! Round-trip properties of the offline analysis pipeline: trace a live
-//! run, rebuild the span forest, and check that causality, token
+//! Round-trip properties of the offline analysis fold: trace a live
+//! run, fold its span trees, and check that causality, token
 //! conservation, and the online ledgers all reconcile.
 //!
 //! The closure property is token conservation per flit tree: every copy
@@ -11,7 +11,7 @@
 //! a well-formed trace and must never appear.
 
 use asynoc::{Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
-use asynoc_analysis::{critical_paths, Analysis, Scorecard, SpanForest};
+use asynoc_analysis::{Analysis, AnalysisFold};
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
 use asynoc_telemetry::{
     parse_trace, JsonValue, LatencyHistograms, LevelSpec, RecordSink, Recorder, Site,
@@ -75,13 +75,23 @@ fn mesh_trace(benchmark: Benchmark, rate: f64, seed: u64) -> Vec<TraceRecord> {
     collector.records().to_vec()
 }
 
-/// Every critical path of `records` telescopes exactly: source queue plus
-/// per-hop service plus per-hop queueing is the end-to-end latency, and so
-/// is the sum of its hop segments.
-fn assert_paths_telescope(forest: &SpanForest, records: &[TraceRecord], context: &str) {
-    let paths = critical_paths(forest, records);
+/// The fold of `records`, keeping every tree it summarises and every
+/// critical path.
+fn fold_keeping_trees(records: &[TraceRecord]) -> Analysis {
+    let mut fold = AnalysisFold::new(None, usize::MAX).keeping_trees();
+    for record in records {
+        fold.push(record);
+    }
+    fold.finish()
+}
+
+/// Every critical path telescopes exactly: source queue plus per-hop
+/// service plus per-hop queueing is the end-to-end latency, and so is the
+/// sum of its hop segments.
+fn assert_paths_telescope(analysis: &Analysis, context: &str) {
+    let paths = analysis.paths();
     assert!(!paths.is_empty(), "{context}: no critical paths");
-    for path in &paths {
+    for path in paths {
         assert_eq!(
             path.source_queue_ps + path.service_ps + path.queue_ps,
             path.latency_ps,
@@ -96,37 +106,45 @@ fn assert_paths_telescope(forest: &SpanForest, records: &[TraceRecord], context:
 /// Asserts the closure property on one record stream: no broken trees,
 /// open trees only ever tail-truncated, and the overwhelming majority
 /// of trees fully closed.
-fn assert_forest_closes(records: &[TraceRecord], context: &str) -> SpanForest {
-    let forest = SpanForest::build(records);
-    assert!(!forest.trees.is_empty(), "{context}: trace has flit trees");
-    assert_eq!(forest.broken_trees, 0, "{context}: broken trees exist");
+fn assert_trees_close(records: &[TraceRecord], context: &str) -> Analysis {
+    let analysis = fold_keeping_trees(records);
+    let trees = analysis.trees();
+    assert!(!trees.is_empty(), "{context}: trace has flit trees");
+    assert_eq!(
+        analysis.ingest().trees.broken,
+        0,
+        "{context}: broken trees exist"
+    );
     let mut closed = 0usize;
-    for tree in &forest.trees {
+    for tree in trees {
         assert!(
             !tree.broken(),
             "{context}: packet {} is broken",
             tree.packet
         );
-        if tree.closed {
+        if tree.closed() {
             closed += 1;
         } else {
             // Truncation only loses consumers.
             assert!(
-                tree.created > tree.consumed,
-                "{context}: packet {} open with created {} <= consumed {}",
+                tree.tokens.in_flight > 0,
+                "{context}: packet {} open with {} copies in flight",
                 tree.packet,
-                tree.created,
-                tree.consumed
+                tree.tokens.in_flight
             );
         }
     }
-    assert_eq!(forest.trees.len() - closed, forest.open_trees, "{context}");
-    assert!(
-        closed * 10 >= forest.trees.len() * 9,
-        "{context}: only {closed} of {} trees closed",
-        forest.trees.len()
+    assert_eq!(
+        (trees.len() - closed) as u64,
+        analysis.ingest().open_trees,
+        "{context}"
     );
-    forest
+    assert!(
+        closed * 10 >= trees.len() * 9,
+        "{context}: only {closed} of {} trees closed",
+        trees.len()
+    );
+    analysis
 }
 
 #[test]
@@ -136,8 +154,8 @@ fn mot_span_trees_close_under_random_traffic() {
             for arch in [Architecture::Baseline, Architecture::BasicHybridSpeculative] {
                 let (_, records, _, _) = mot_trace(arch, benchmark, 0.25, seed);
                 let context = format!("{arch} {benchmark} seed {seed}");
-                let forest = assert_forest_closes(&records, &context);
-                assert_paths_telescope(&forest, &records, &context);
+                let analysis = assert_trees_close(&records, &context);
+                assert_paths_telescope(&analysis, &context);
             }
         }
     }
@@ -149,8 +167,8 @@ fn mesh_span_trees_close_under_random_traffic() {
         for benchmark in [Benchmark::UniformRandom, Benchmark::Shuffle] {
             let records = mesh_trace(benchmark, 0.1, seed);
             let context = format!("mesh {benchmark} seed {seed}");
-            let forest = assert_forest_closes(&records, &context);
-            assert_paths_telescope(&forest, &records, &context);
+            let analysis = assert_trees_close(&records, &context);
+            assert_paths_telescope(&analysis, &context);
         }
     }
 }
@@ -189,8 +207,8 @@ fn scorecard_reconciles_with_the_waste_ledger() {
         0.3,
         7,
     );
-    let forest = SpanForest::build(&records);
-    let card = Scorecard::build(&meta, &forest, &records).expect("meta has energy constants");
+    let analysis = Analysis::build(Some(meta), records, 10);
+    let card = analysis.scorecard().expect("meta has energy constants");
 
     assert!(card.total_throttles > 0, "hybrid run must throttle");
     assert_eq!(card.total_throttles, waste.total_throttles());
