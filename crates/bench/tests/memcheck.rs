@@ -20,11 +20,13 @@
 //! quotient: its memo is a cache sized once per run, so a planner that
 //! kept every plan it ever made shows up as growth with simulated time.
 //!
-//! The trace gates hold the per-flit trace to it, both ways: a run
+//! The trace gates hold the per-flit trace to it, three ways: a run
 //! writing every record to a file (`metrics --trace-out`) holds the
-//! sink's drain buffer, not the trace; and reading that file back line by
-//! line (`analyze`) holds one line of text beside the records it keeps —
-//! the records themselves are the parse's product and are not counted.
+//! sink's drain buffer, not the trace; reading that file back line by
+//! line (`read_trace`) holds one line of text beside the records it
+//! returns, which are not counted; and analysing it (`asynoc analyze`,
+//! in-process) holds the flits in flight, every byte counted — the fold
+//! summarises and drops each flit's span tree when its tokens close.
 
 use std::fs::File;
 use std::io::{BufReader, Write};
@@ -289,7 +291,21 @@ fn parse_excess(path: &Path) -> (u64, usize) {
     (excess, records.len())
 }
 
-/// The two trace gates; `false` when either fails.
+/// Peak heap of `asynoc analyze` over the trace at `path`, the whole
+/// command in this process: read, fold and report.
+fn analyze_peak(path: &Path) -> u64 {
+    let line = format!("analyze --trace-in {}", path.display());
+    let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+    let command = asynoc_cli::parse(&args).expect("a valid invocation");
+    let mut report = Vec::new();
+    reset_peak_bytes();
+    asynoc_cli::execute(&command, &mut report).expect("the trace analyses");
+    let peak = peak_bytes();
+    assert!(report.starts_with(b"{"), "the report is a JSON document");
+    peak
+}
+
+/// The three trace gates; `false` when any fails.
 fn trace_io_is_bounded() -> bool {
     let net = Network::new(NetworkConfig::new(
         MotSize::new(8).expect("8 is a power of two"),
@@ -307,20 +323,26 @@ fn trace_io_is_bounded() -> bool {
     let _ = parse_excess(&short_path);
     let (short_excess, short_records) = parse_excess(&short_path);
     let (long_excess, long_records) = parse_excess(&long_path);
+    let _ = analyze_peak(&short_path);
+    let short_analysis = analyze_peak(&short_path);
+    let long_analysis = analyze_peak(&long_path);
     let _ = (
         std::fs::remove_file(short_path),
         std::fs::remove_file(long_path),
     );
     let write_ratio = long_peak as f64 / short_peak.max(1) as f64;
     let read_ratio = long_excess as f64 / short_excess.max(1) as f64;
+    let analysis_ratio = long_analysis as f64 / short_analysis.max(1) as f64;
     println!(
-        "memcheck (8x8 MoT, --trace-out, then read back line by line):\n\
+        "memcheck (8x8 MoT, --trace-out, then read back line by line, then analyze):\n\
          \x20 short run : trace {short_bytes:>10} B, write peak {short_peak:>9} B, \
-         {short_records:>7} records read, read peak beyond them {short_excess:>9} B\n\
+         {short_records:>7} records read, read peak beyond them {short_excess:>9} B, \
+         analyze peak {short_analysis:>9} B\n\
          \x20 long run  : trace {long_bytes:>10} B, write peak {long_peak:>9} B, \
-         {long_records:>7} records read, read peak beyond them {long_excess:>9} B\n\
-         \x20 peak ratios: write {write_ratio:.3}, read {read_ratio:.3} (trace grew {:.1}x, \
-         gate {HEADROOM})",
+         {long_records:>7} records read, read peak beyond them {long_excess:>9} B, \
+         analyze peak {long_analysis:>9} B\n\
+         \x20 peak ratios: write {write_ratio:.3}, read {read_ratio:.3}, analyze \
+         {analysis_ratio:.3} (trace grew {:.1}x, gate {HEADROOM})",
         long_bytes as f64 / short_bytes.max(1) as f64,
     );
     assert!(
@@ -342,6 +364,13 @@ fn trace_io_is_bounded() -> bool {
         );
         bounded = false;
     }
+    if analysis_ratio > HEADROOM {
+        eprintln!(
+            "FAIL: analyze's peak allocation grew {analysis_ratio:.2}x over an 8x-longer \
+             trace (> {HEADROOM}); the analysis keeps flit trees past their close"
+        );
+        bounded = false;
+    }
     bounded
 }
 
@@ -352,5 +381,8 @@ fn main() {
     if !(streamed && dpm && traced) {
         std::process::exit(1);
     }
-    println!("OK: streamed, DPM and trace-file peak memory are bounded independent of run length");
+    println!(
+        "OK: streamed, DPM, trace-file and analysis peak memory are bounded independent of \
+         run length"
+    );
 }
