@@ -6,10 +6,10 @@
 //! produced (live, as a record sink; or offline, from an NDJSON file)
 //! and reconstructs a **causal span tree per flit** — source injection,
 //! each fanout replication (including speculative copies later
-//! throttled), fanin arbitration waits, ejection. It is a fold
-//! ([`AnalysisFold`]): each tree is summarised and dropped when the
-//! token ledger closes it, so memory follows the flits in flight, not
-//! the trace. Over the trees it computes:
+//! throttled), fanin arbitration waits, ejection. [`Analysis`] is a
+//! fold: each tree is summarised and dropped when the token ledger
+//! closes it, so memory follows the flits in flight, not the trace.
+//! Over the trees it computes:
 //!
 //! - the **critical path** per packet, with each hop's delay split into
 //!   service (the node's handshake occupancy) and queueing (everything
@@ -40,9 +40,9 @@ pub mod scorecard;
 pub mod span;
 
 pub use attribution::{Attribution, NodeStat};
-pub use report::{Analysis, AnalysisFold, Ingest, LatencySummary};
+pub use report::{Analysis, Ingest, LatencySummary};
 pub use scorecard::{RegionScore, Scorecard};
-pub use span::{CriticalPath, FlitTree, Hop, SpanNode};
+pub use span::{CriticalPath, FlitTree, SpanNode};
 
 // The typed vocabulary of a trace record lives beside it.
 pub use asynoc_telemetry::{Action, Site};

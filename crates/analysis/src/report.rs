@@ -1,22 +1,16 @@
-//! The analysis fold and its report.
+//! The analysis: a fold over a trace's records, and its report.
 //!
-//! [`AnalysisFold`] takes a trace one record at a time, in time order.
-//! Each record grows its flit's span tree, which the
-//! [`TokenLedger`] holds; every section of the report is a sum or a
-//! top-k over span nodes and trees, so a node is counted as it arrives
-//! and a tree is summarised and dropped the moment the ledger closes it.
-//! Trees still open when the input ends are summarised then, as open or
-//! broken. What the fold holds is the flits in flight, one candidate
-//! path per logical packet not yet complete, the `top` slowest paths,
-//! and sums bounded by the fabric — not the trace.
-//!
-//! [`Analysis`] is the finished fold; [`Analysis::to_json`] serializes
-//! the pinned [`ANALYSIS_SCHEMA`](crate::ANALYSIS_SCHEMA) document the
-//! `asynoc analyze` subcommand emits. The latency block re-derives the
-//! same population the online histograms sample (delivered header
-//! copies whose packet was *created* inside the measurement window), so
-//! its count/mean/min/max reconcile with a `metrics` run of the same
-//! simulation.
+//! [`Analysis`] takes records one at a time, in time order. Each grows
+//! its flit's span tree, held by the [`TokenLedger`]; every report
+//! section is a sum or a top-k over span nodes and trees, so a node is
+//! counted as it arrives and a tree is summarised and dropped the moment
+//! the ledger closes it. [`Analysis::finish`] summarises the trees still
+//! open. The fold holds the flits in flight, one candidate path per
+//! logical packet not yet complete, the `top` slowest paths, and sums
+//! bounded by the fabric — not the trace. The latency block re-derives
+//! the population the online histograms sample (delivered header copies
+//! of packets *created* in the measurement window), so it reconciles
+//! with a `metrics` run of the same simulation.
 
 use std::collections::hash_map::Entry;
 
@@ -26,8 +20,8 @@ use asynoc_telemetry::{
 
 use crate::attribution::{Attribution, NodeStat, PerSite};
 use crate::heatmap::Heatmap;
-use crate::scorecard::{ScoreFold, Scorecard};
-use crate::span::{CriticalPath, FlitTree};
+use crate::scorecard::{RegionScore, ScoreFold, Scorecard};
+use crate::span::{CriticalPath, FlitTree, SpanNode};
 
 /// Summary of the re-derived latency population.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -53,8 +47,7 @@ pub struct Ingest {
     pub packets: u64,
     /// Logical packets seen (serial-multicast clones share one).
     pub logical_packets: u64,
-    /// Trees whose copies were not all consumed when the input ended
-    /// (still in flight, or broken).
+    /// Trees with copies unconsumed when the input ended (or broken).
     pub open_trees: u64,
     /// Trees a fault touched, broken trees, and broken trees a fault
     /// explains (a packet lost at its source).
@@ -93,54 +86,48 @@ impl Paths {
             .sort_by(|a, b| (b.latency_ps.cmp(&a.latency_ps)).then(a.logical.cmp(&b.logical)));
         self.slowest.truncate(top);
     }
-
-    fn mean(&self, sum: u64) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            sum as f64 / self.count as f64
-        }
-    }
 }
 
-/// A logical packet whose critical path is not final yet: some header
-/// tree of it is open, or its source may still inject a clone of it.
+/// A logical packet whose critical path is not final yet: a header tree
+/// of it is open, or its source may still inject a clone of it.
 #[derive(Default)]
 struct Pending {
     /// Header trees of it the ledger holds.
     open_headers: u32,
     /// Its source has begun another logical packet: no clone follows.
     sealed: bool,
-    /// The latest header delivery so far, `(t_ps, packet)` with its
-    /// path (`None` when that delivery's chain misses the injection).
+    /// The latest header delivery so far, `(t_ps, packet)`, with its path
+    /// (`None` when that delivery's chain misses the injection).
     best: Option<(u64, u64, Option<CriticalPath>)>,
 }
 
-/// The analysis of a trace, taken one record at a time.
-pub struct AnalysisFold {
+/// The analysis of a trace: a fold while records are pushed, the report
+/// once [`finish`](Analysis::finish)ed.
+pub struct Analysis {
     meta: Option<TraceMeta>,
     top: usize,
     ingest: Ingest,
     trees: TokenLedger<FlitTree>,
     /// Per source: the last packet and logical packet it began. A source
     /// begins its packets in id order (the engine numbers them as it
-    /// creates them, and injects them first come, first served), so a
+    /// creates them and injects them first come, first served), so a
     /// larger id is a new one and the count needs no set of ids.
     sources: HashMap<u64, (u64, u64)>,
     pending: HashMap<u64, Pending>,
     paths: Paths,
     per_site: PerSite,
     score: ScoreFold,
+    /// Latency samples: count, sum, min, max.
     latency: (u64, u128, u64, u64),
-    /// Every summarised tree, when asked for ([`AnalysisFold::keeping_trees`]).
+    /// Every summarised tree, when asked for.
     kept: Option<Vec<FlitTree>>,
 }
 
-impl AnalysisFold {
+impl Analysis {
     /// An empty fold. `top` bounds the ranked lists it keeps and reports.
     #[must_use]
-    pub fn new(meta: Option<TraceMeta>, top: usize) -> AnalysisFold {
-        AnalysisFold {
+    pub fn new(meta: Option<TraceMeta>, top: usize) -> Analysis {
+        Analysis {
             meta,
             top,
             ingest: Ingest::default(),
@@ -155,11 +142,21 @@ impl AnalysisFold {
         }
     }
 
-    /// The same fold, keeping every tree it summarises (in the order it
-    /// summarises them) for [`Analysis::trees`]: memory grows with the
-    /// trace, so only tests ask.
+    /// Folds a parsed trace.
     #[must_use]
-    pub fn keeping_trees(mut self) -> AnalysisFold {
+    pub fn build(meta: Option<TraceMeta>, records: Vec<TraceRecord>, top: usize) -> Analysis {
+        let mut analysis = Analysis::new(meta, top);
+        for record in &records {
+            analysis.push(record);
+        }
+        analysis.finish()
+    }
+
+    /// The same fold, keeping every tree it summarises, in that order,
+    /// for [`trees`](Analysis::trees): memory grows with the trace, so
+    /// only tests ask.
+    #[must_use]
+    pub fn keeping_trees(mut self) -> Analysis {
         self.kept = Some(Vec::new());
         self
     }
@@ -168,12 +165,6 @@ impl AnalysisFold {
     /// constants price the scorecard.
     pub fn set_meta(&mut self, meta: TraceMeta) {
         self.meta = Some(meta);
-    }
-
-    /// Records folded so far.
-    #[must_use]
-    pub fn records(&self) -> u64 {
-        self.ingest.records
     }
 
     /// Folds one record, the next in time order.
@@ -206,7 +197,8 @@ impl AnalysisFold {
         }
     }
 
-    /// Folds the trees the input left open and returns the analysis.
+    /// Summarises the trees the input left open, as open or broken, and
+    /// completes every pending critical path.
     #[must_use]
     pub fn finish(mut self) -> Analysis {
         let mut held: Vec<FlitTree> = std::mem::take(&mut self.trees).into_held().collect();
@@ -220,28 +212,7 @@ impl AnalysisFold {
             self.finalize(logical);
         }
         self.paths.trim(self.top);
-        let (count, sum, min, max) = self.latency;
-        let latency = if count == 0 {
-            LatencySummary::default()
-        } else {
-            LatencySummary {
-                count,
-                mean_ps: sum as f64 / count as f64,
-                min_ps: min,
-                max_ps: max,
-            }
-        };
-        Analysis {
-            scorecard: self.meta.as_ref().and_then(|m| self.score.finish(m)),
-            meta: self.meta,
-            top: self.top,
-            ingest: self.ingest,
-            paths: self.paths,
-            attribution: self.per_site.attribution(),
-            heatmap: Heatmap::render(&self.per_site),
-            latency,
-            trees: self.kept.unwrap_or_default(),
-        }
+        self
     }
 
     /// Counts a tree the ledger let go: its tokens, its share of the
@@ -249,24 +220,19 @@ impl AnalysisFold {
     /// critical-path candidate.
     fn summarise(&mut self, tree: FlitTree) {
         self.ingest.flit_trees += u64::from(!tree.resumed);
-        self.ingest.open_trees += u64::from(!tree.closed());
+        self.ingest.open_trees += u64::from(!tree.tokens.closed());
         self.ingest.trees.add(tree.tokens);
         if tree.flit == 0 {
             // The histogram population: every delivered header copy of a
             // packet created inside the measurement window (all copies
             // when the trace carries no meta line).
             let measured = (self.meta.as_ref()).is_none_or(|m| m.in_measurement(tree.created_ps));
-            let delivered = tree
-                .nodes
-                .iter()
-                .filter(|node| node.kind == Action::Deliver);
+            let delivered = tree.nodes.iter().filter(|n| n.kind == Action::Deliver);
             for node in delivered.filter(|_| measured) {
                 let sample = node.t_ps.saturating_sub(tree.created_ps);
                 let (count, sum, min, max) = &mut self.latency;
-                *count += 1;
-                *sum += u128::from(sample);
-                *min = (*min).min(sample);
-                *max = (*max).max(sample);
+                (*count, *sum) = (*count + 1, *sum + u128::from(sample));
+                (*min, *max) = ((*min).min(sample), (*max).max(sample));
             }
             // The completing delivery of a logical packet is its last
             // header delivery across all clone trees; ties go to the
@@ -274,9 +240,7 @@ impl AnalysisFold {
             let pending = self.pending.entry(tree.logical).or_default();
             pending.open_headers = pending.open_headers.saturating_sub(1);
             if let Some((t_ps, path)) = tree.last_delivery() {
-                let later = |&(best_ps, packet, _): &(u64, u64, _)| {
-                    (t_ps, tree.packet) >= (best_ps, packet)
-                };
+                let later = |&(at, packet, _): &(u64, u64, _)| (t_ps, tree.packet) >= (at, packet);
                 if pending.best.as_ref().is_none_or(later) {
                     pending.best = Some((t_ps, tree.packet, path));
                 }
@@ -293,74 +257,39 @@ impl AnalysisFold {
     /// Counts a packet and a logical packet the first time its source
     /// names it, and seals the logical packet the source leaves.
     fn count_ids(&mut self, record: &TraceRecord) {
-        match self.sources.entry(record.src) {
+        let (packet, logical) = match self.sources.entry(record.src) {
+            Entry::Occupied(known) => known.into_mut(),
             Entry::Vacant(first) => {
-                first.insert((record.packet, record.logical));
                 self.ingest.packets += 1;
                 self.ingest.logical_packets += 1;
+                first.insert((record.packet, record.logical))
             }
-            Entry::Occupied(mut known) => {
-                let (packet, logical) = known.get_mut();
-                if record.packet > *packet {
-                    *packet = record.packet;
-                    self.ingest.packets += 1;
-                }
-                if record.logical > *logical {
-                    let left = std::mem::replace(logical, record.logical);
-                    self.ingest.logical_packets += 1;
-                    if let Some(pending) = self.pending.get_mut(&left) {
-                        pending.sealed = true;
-                        if pending.open_headers == 0 {
-                            self.finalize(left);
-                        }
-                    }
+        };
+        if record.packet > *packet {
+            *packet = record.packet;
+            self.ingest.packets += 1;
+        }
+        if record.logical > *logical {
+            let left = std::mem::replace(logical, record.logical);
+            self.ingest.logical_packets += 1;
+            if let Some(pending) = self.pending.get_mut(&left) {
+                pending.sealed = true;
+                if pending.open_headers == 0 {
+                    self.finalize(left);
                 }
             }
         }
     }
 
+    /// Adds `logical`'s critical path, now final, to the ranked paths.
     fn finalize(&mut self, logical: u64) {
-        let pending = self.pending.remove(&logical);
         if let Some(Pending {
             best: Some((_, _, Some(path))),
             ..
-        }) = pending
+        }) = self.pending.remove(&logical)
         {
             self.paths.add(path, self.top);
         }
-    }
-}
-
-impl RecordSink for AnalysisFold {
-    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
-        self.push(record);
-    }
-}
-
-/// A finished analysis.
-#[derive(Clone, Debug)]
-pub struct Analysis {
-    meta: Option<TraceMeta>,
-    top: usize,
-    ingest: Ingest,
-    paths: Paths,
-    attribution: Attribution,
-    heatmap: Heatmap,
-    scorecard: Option<Scorecard>,
-    latency: LatencySummary,
-    trees: Vec<FlitTree>,
-}
-
-impl Analysis {
-    /// Folds a parsed trace. `top` bounds the ranked lists the fold
-    /// keeps and the JSON report emits.
-    #[must_use]
-    pub fn build(meta: Option<TraceMeta>, records: Vec<TraceRecord>, top: usize) -> Analysis {
-        let mut fold = AnalysisFold::new(meta, top);
-        for record in &records {
-            fold.push(record);
-        }
-        fold.finish()
     }
 
     /// What the fold took in.
@@ -375,35 +304,43 @@ impl Analysis {
         &self.paths.slowest
     }
 
-    /// Every tree the fold summarised, when it was
-    /// [`keeping_trees`](AnalysisFold::keeping_trees); empty otherwise.
+    /// Every tree the fold summarised, if it was
+    /// [`keeping_trees`](Analysis::keeping_trees).
     #[must_use]
     pub fn trees(&self) -> &[FlitTree] {
-        &self.trees
+        self.kept.as_deref().unwrap_or_default()
     }
 
     /// The re-derived latency population summary.
     #[must_use]
     pub fn latency(&self) -> LatencySummary {
-        self.latency
+        match self.latency {
+            (0, ..) => LatencySummary::default(),
+            (count, sum, min_ps, max_ps) => LatencySummary {
+                count,
+                mean_ps: sum as f64 / count as f64,
+                min_ps,
+                max_ps,
+            },
+        }
     }
 
     /// Aggregate blocked-time attribution.
     #[must_use]
-    pub fn attribution(&self) -> &Attribution {
-        &self.attribution
+    pub fn attribution(&self) -> Attribution {
+        self.per_site.attribution()
     }
 
     /// The rendered congestion maps.
     #[must_use]
-    pub fn heatmap(&self) -> &Heatmap {
-        &self.heatmap
+    pub fn heatmap(&self) -> Heatmap {
+        Heatmap::render(&self.per_site)
     }
 
     /// The speculation scorecard, when the trace priced one.
     #[must_use]
-    pub fn scorecard(&self) -> Option<&Scorecard> {
-        self.scorecard.as_ref()
+    pub fn scorecard(&self) -> Option<Scorecard> {
+        self.score.finish(self.meta.as_ref()?)
     }
 
     /// Serializes the `asynoc-analysis-v1` report document.
@@ -411,114 +348,74 @@ impl Analysis {
     /// parse dropped before analysis.
     #[must_use]
     pub fn to_json(&self, skipped_lines: u64) -> JsonValue {
-        let substrate = self
-            .meta
-            .as_ref()
-            .map_or("unknown", |m| m.substrate.as_str());
-        let meta_json = self.meta.as_ref().map_or(JsonValue::Null, |m| {
+        let (meta, top) = (self.meta.as_ref(), self.top);
+        let meta_json = meta.map_or(JsonValue::Null, |m| {
             JsonValue::parse(&m.to_ndjson()).expect("meta renders valid JSON")
         });
-        let (ingest, paths) = (&self.ingest, &self.paths);
-        let slowest: Vec<JsonValue> = paths.slowest.iter().map(path_json).collect();
-
-        JsonValue::Object(vec![
-            ("schema".to_string(), JsonValue::str(crate::ANALYSIS_SCHEMA)),
-            ("substrate".to_string(), JsonValue::str(substrate)),
-            ("meta".to_string(), meta_json),
+        let (ingest, tally, latency) = (&self.ingest, &self.ingest.trees, self.latency());
+        let ingest_json = object([
+            ("records", uint(ingest.records)),
+            ("skipped_lines", uint(skipped_lines)),
+            ("flit_trees", uint(ingest.flit_trees)),
+            ("packets", uint(ingest.packets)),
+            ("logical_packets", uint(ingest.logical_packets)),
+            ("open_trees", uint(ingest.open_trees)),
+            ("broken_trees", uint(tally.broken as u64)),
+            ("fault_affected_trees", uint(tally.fault_affected as u64)),
+            ("broken_with_cause", uint(tally.broken_with_cause as u64)),
+            ("dropped_events", uint(meta.map_or(0, |m| m.dropped_events))),
+        ]);
+        let latency_json = object([
+            ("count", uint(latency.count)),
+            ("mean_ps", JsonValue::Number(latency.mean_ps)),
+            ("min_ps", uint(latency.min_ps)),
+            ("max_ps", uint(latency.max_ps)),
+        ]);
+        let paths = &self.paths;
+        let mean = |sum| match paths.count {
+            0 => JsonValue::Number(0.0),
+            count => JsonValue::Number(sum as f64 / count as f64),
+        };
+        let critical_path_json = object([
+            ("packets_analyzed", uint(paths.count)),
+            ("mean_latency_ps", mean(paths.latency_ps)),
+            ("mean_source_queue_ps", mean(paths.source_queue_ps)),
+            ("mean_service_ps", mean(paths.service_ps)),
+            ("mean_queue_ps", mean(paths.queue_ps)),
             (
-                "ingest".to_string(),
-                JsonValue::Object(vec![
-                    ("records".to_string(), JsonValue::uint(ingest.records)),
-                    ("skipped_lines".to_string(), JsonValue::uint(skipped_lines)),
-                    ("flit_trees".to_string(), JsonValue::uint(ingest.flit_trees)),
-                    ("packets".to_string(), JsonValue::uint(ingest.packets)),
-                    (
-                        "logical_packets".to_string(),
-                        JsonValue::uint(ingest.logical_packets),
-                    ),
-                    ("open_trees".to_string(), JsonValue::uint(ingest.open_trees)),
-                    (
-                        "broken_trees".to_string(),
-                        JsonValue::uint(ingest.trees.broken as u64),
-                    ),
-                    (
-                        "fault_affected_trees".to_string(),
-                        JsonValue::uint(ingest.trees.fault_affected as u64),
-                    ),
-                    (
-                        "broken_with_cause".to_string(),
-                        JsonValue::uint(ingest.trees.broken_with_cause as u64),
-                    ),
-                    (
-                        "dropped_events".to_string(),
-                        JsonValue::uint(self.meta.as_ref().map_or(0, |m| m.dropped_events)),
-                    ),
-                ]),
+                "slowest",
+                JsonValue::Array(paths.slowest.iter().map(path_json).collect()),
             ),
+        ]);
+        let attribution = self.attribution();
+        let attribution_json = object([
+            ("per_node", stats_json(&attribution.per_node, top)),
+            ("per_level", stats_json(&attribution.per_level, usize::MAX)),
             (
-                "latency".to_string(),
-                JsonValue::Object(vec![
-                    ("count".to_string(), JsonValue::uint(self.latency.count)),
-                    (
-                        "mean_ps".to_string(),
-                        JsonValue::Number(self.latency.mean_ps),
-                    ),
-                    ("min_ps".to_string(), JsonValue::uint(self.latency.min_ps)),
-                    ("max_ps".to_string(), JsonValue::uint(self.latency.max_ps)),
-                ]),
+                "per_fanin_tree",
+                stats_json(&attribution.per_fanin_tree, top),
             ),
+        ]);
+        let heatmap = self.heatmap();
+        let heatmap_json = object([
+            ("busy", JsonValue::str(heatmap.busy)),
+            ("wait", JsonValue::str(heatmap.wait)),
+        ]);
+        object([
+            ("schema", JsonValue::str(crate::ANALYSIS_SCHEMA)),
             (
-                "critical_path".to_string(),
-                JsonValue::Object(vec![
-                    ("packets_analyzed".to_string(), JsonValue::uint(paths.count)),
-                    (
-                        "mean_latency_ps".to_string(),
-                        JsonValue::Number(paths.mean(paths.latency_ps)),
-                    ),
-                    (
-                        "mean_source_queue_ps".to_string(),
-                        JsonValue::Number(paths.mean(paths.source_queue_ps)),
-                    ),
-                    (
-                        "mean_service_ps".to_string(),
-                        JsonValue::Number(paths.mean(paths.service_ps)),
-                    ),
-                    (
-                        "mean_queue_ps".to_string(),
-                        JsonValue::Number(paths.mean(paths.queue_ps)),
-                    ),
-                    ("slowest".to_string(), JsonValue::Array(slowest)),
-                ]),
+                "substrate",
+                JsonValue::str(meta.map_or("unknown", |m| &m.substrate)),
             ),
+            ("meta", meta_json),
+            ("ingest", ingest_json),
+            ("latency", latency_json),
+            ("critical_path", critical_path_json),
+            ("attribution", attribution_json),
+            ("heatmap", heatmap_json),
             (
-                "attribution".to_string(),
-                JsonValue::Object(vec![
-                    (
-                        "per_node".to_string(),
-                        stats_json(&self.attribution.per_node, self.top),
-                    ),
-                    (
-                        "per_level".to_string(),
-                        stats_json(&self.attribution.per_level, usize::MAX),
-                    ),
-                    (
-                        "per_fanin_tree".to_string(),
-                        stats_json(&self.attribution.per_fanin_tree, self.top),
-                    ),
-                ]),
-            ),
-            (
-                "heatmap".to_string(),
-                JsonValue::Object(vec![
-                    ("busy".to_string(), JsonValue::str(&self.heatmap.busy)),
-                    ("wait".to_string(), JsonValue::str(&self.heatmap.wait)),
-                ]),
-            ),
-            (
-                "scorecard".to_string(),
-                self.scorecard
-                    .as_ref()
-                    .map_or(JsonValue::Null, |c| scorecard_json(c, self.top)),
+                "scorecard",
+                (self.scorecard()).map_or(JsonValue::Null, |c| scorecard_json(&c, top)),
             ),
         ])
     }
@@ -526,109 +423,89 @@ impl Analysis {
     /// The two heatmaps as one printable block.
     #[must_use]
     pub fn heatmap_text(&self) -> String {
-        format!(
-            "channel busy (service time)\n{}\nwait (queueing time)\n{}",
-            self.heatmap.busy, self.heatmap.wait
-        )
+        let Heatmap { busy, wait } = self.heatmap();
+        format!("channel busy (service time)\n{busy}\nwait (queueing time)\n{wait}")
     }
 }
 
+impl RecordSink for Analysis {
+    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
+        self.push(record);
+    }
+}
+
+/// An object of `members`, in order.
+fn object<const N: usize>(members: [(&str, JsonValue); N]) -> JsonValue {
+    JsonValue::Object(Vec::from(
+        members.map(|(key, value)| (key.to_string(), value)),
+    ))
+}
+
+fn uint(value: u64) -> JsonValue {
+    JsonValue::uint(value)
+}
+
 fn path_json(path: &CriticalPath) -> JsonValue {
-    JsonValue::Object(vec![
-        ("logical".to_string(), JsonValue::uint(path.logical)),
-        ("packet".to_string(), JsonValue::uint(path.packet)),
-        ("src".to_string(), JsonValue::uint(path.src)),
-        ("latency_ps".to_string(), JsonValue::uint(path.latency_ps)),
+    let hop_json = |hop: &SpanNode| {
+        object([
+            ("site", JsonValue::str(hop.site.to_string())),
+            ("action", JsonValue::str(hop.kind.label())),
+            ("t_ps", uint(hop.t_ps)),
+            ("segment_ps", uint(hop.segment_ps)),
+            ("service_ps", uint(hop.service_ps)),
+            ("queue_ps", uint(hop.queue_ps)),
+        ])
+    };
+    object([
+        ("logical", uint(path.logical)),
+        ("packet", uint(path.packet)),
+        ("src", uint(path.src)),
+        ("latency_ps", uint(path.latency_ps)),
+        ("source_queue_ps", uint(path.source_queue_ps)),
+        ("service_ps", uint(path.service_ps)),
+        ("queue_ps", uint(path.queue_ps)),
         (
-            "source_queue_ps".to_string(),
-            JsonValue::uint(path.source_queue_ps),
-        ),
-        ("service_ps".to_string(), JsonValue::uint(path.service_ps)),
-        ("queue_ps".to_string(), JsonValue::uint(path.queue_ps)),
-        (
-            "hops".to_string(),
-            JsonValue::Array(
-                path.hops
-                    .iter()
-                    .map(|hop| {
-                        JsonValue::Object(vec![
-                            ("site".to_string(), JsonValue::str(hop.site.to_string())),
-                            ("action".to_string(), JsonValue::str(hop.action.label())),
-                            ("t_ps".to_string(), JsonValue::uint(hop.t_ps)),
-                            ("segment_ps".to_string(), JsonValue::uint(hop.segment_ps)),
-                            ("service_ps".to_string(), JsonValue::uint(hop.service_ps)),
-                            ("queue_ps".to_string(), JsonValue::uint(hop.queue_ps)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            "hops",
+            JsonValue::Array(path.hops.iter().map(hop_json).collect()),
         ),
     ])
 }
 
 fn stats_json(stats: &[NodeStat], top: usize) -> JsonValue {
-    JsonValue::Array(
-        stats
-            .iter()
-            .take(top)
-            .map(|s| {
-                JsonValue::Object(vec![
-                    ("site".to_string(), JsonValue::str(&s.site)),
-                    ("events".to_string(), JsonValue::uint(s.events)),
-                    ("service_ps".to_string(), JsonValue::uint(s.service_ps)),
-                    ("blocked_ps".to_string(), JsonValue::uint(s.blocked_ps)),
-                    (
-                        "arbitration_blocked_ps".to_string(),
-                        JsonValue::uint(s.arbitration_blocked_ps),
-                    ),
-                    ("throttles".to_string(), JsonValue::uint(s.throttles)),
-                ])
-            })
-            .collect(),
-    )
+    let stat_json = |s: &NodeStat| {
+        object([
+            ("site", JsonValue::str(&s.site)),
+            ("events", uint(s.events)),
+            ("service_ps", uint(s.service_ps)),
+            ("blocked_ps", uint(s.blocked_ps)),
+            ("arbitration_blocked_ps", uint(s.arbitration_blocked_ps)),
+            ("throttles", uint(s.throttles)),
+        ])
+    };
+    JsonValue::Array(stats.iter().take(top).map(stat_json).collect())
 }
 
 fn scorecard_json(card: &Scorecard, top: usize) -> JsonValue {
-    JsonValue::Object(vec![
+    let region_json = |r: &RegionScore| {
+        object([
+            ("region", JsonValue::str(&r.region)),
+            ("throttles", uint(r.throttles)),
+            ("drop_fj", JsonValue::Number(r.drop_fj)),
+            ("wasted_wire_fj", JsonValue::Number(r.wasted_wire_fj)),
+            ("est_latency_saved_ps", uint(r.est_latency_saved_ps)),
+        ])
+    };
+    object([
+        ("total_throttles", uint(card.total_throttles)),
+        ("total_drop_fj", JsonValue::Number(card.total_drop_fj)),
         (
-            "total_throttles".to_string(),
-            JsonValue::uint(card.total_throttles),
-        ),
-        (
-            "total_drop_fj".to_string(),
-            JsonValue::Number(card.total_drop_fj),
-        ),
-        (
-            "total_wasted_wire_fj".to_string(),
+            "total_wasted_wire_fj",
             JsonValue::Number(card.total_wasted_wire_fj),
         ),
+        ("est_latency_saved_ps", uint(card.est_latency_saved_ps)),
         (
-            "est_latency_saved_ps".to_string(),
-            JsonValue::uint(card.est_latency_saved_ps),
-        ),
-        (
-            "regions".to_string(),
-            JsonValue::Array(
-                card.regions
-                    .iter()
-                    .take(top)
-                    .map(|r| {
-                        JsonValue::Object(vec![
-                            ("region".to_string(), JsonValue::str(&r.region)),
-                            ("throttles".to_string(), JsonValue::uint(r.throttles)),
-                            ("drop_fj".to_string(), JsonValue::Number(r.drop_fj)),
-                            (
-                                "wasted_wire_fj".to_string(),
-                                JsonValue::Number(r.wasted_wire_fj),
-                            ),
-                            (
-                                "est_latency_saved_ps".to_string(),
-                                JsonValue::uint(r.est_latency_saved_ps),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
+            "regions",
+            JsonValue::Array(card.regions.iter().take(top).map(region_json).collect()),
         ),
     ])
 }
@@ -721,6 +598,31 @@ mod tests {
             .is_some());
         // The document parses back from its own rendering.
         assert_eq!(JsonValue::parse(&json.render()), Ok(json));
+    }
+
+    #[test]
+    fn equally_slow_paths_rank_by_logical_id() {
+        // Nine unicast packets of one source, each 300 ps from creation
+        // to delivery: the three kept are the lowest logical ids, in order.
+        let records: Vec<TraceRecord> = (1..=9u64)
+            .rev()
+            .flat_map(|packet| {
+                let created_ps = 1_000 * packet;
+                [
+                    (created_ps + 50, "src0", "inject", 1),
+                    (created_ps + 300, "D0", "deliver", 0),
+                ]
+                .map(|(t_ps, site, action, copies)| TraceRecord {
+                    created_ps,
+                    ..record(t_ps, packet, site, action, copies, 0)
+                })
+            })
+            .collect();
+        let analysis = Analysis::build(None, records, 3);
+        let ranked: Vec<(u64, u64)> = (analysis.paths().iter())
+            .map(|path| (path.latency_ps, path.logical))
+            .collect();
+        assert_eq!(ranked, [(300, 1), (300, 2), (300, 3)]);
     }
 
     #[test]

@@ -106,14 +106,14 @@ impl ScoreFold {
         busy.sort_unstable();
         let mut median_by_level: HashMap<u32, u64> = HashMap::default();
         for level in busy.chunk_by(|a, b| a.0 .0 == b.0 .0) {
-            let half = level.iter().map(|&(_, n)| n).sum::<u64>() / 2;
-            let mut below = 0;
+            // The value at rank `count / 2` of the level's sorted busies.
+            let mut rank = level.iter().map(|&(_, n)| n).sum::<u64>() / 2;
             for &((key, value), n) in level {
-                below += n;
-                if below > half {
+                if rank < n {
                     median_by_level.insert(key, value);
                     break;
                 }
+                rank -= n;
             }
         }
 
@@ -149,9 +149,7 @@ mod tests {
     use asynoc_telemetry::TraceRecord;
 
     fn scorecard(meta: TraceMeta, records: Vec<TraceRecord>) -> Option<Scorecard> {
-        crate::Analysis::build(Some(meta), records, 10)
-            .scorecard()
-            .cloned()
+        crate::Analysis::build(Some(meta), records, 10).scorecard()
     }
 
     fn meta() -> TraceMeta {
@@ -215,6 +213,28 @@ mod tests {
         assert_eq!(card.regions[0].region, "fo[s0:0.0]");
         assert_eq!(card.regions[0].throttles, 1);
         assert_eq!(card.regions[0].est_latency_saved_ps, 0);
+    }
+
+    #[test]
+    fn a_fork_is_credited_against_the_whole_traces_median() {
+        // Later forwards at the fork's level are slower: the level's median
+        // over the whole trace is 60, not the 20 of the fork alone.
+        let mut records = speculative_trace();
+        for (t_ps, site) in [
+            (500, "fo[s1:0.0]"),
+            (560, "fo[s1:1.0]"),
+            (620, "fo[s1:0.0]"),
+        ] {
+            records.push(TraceRecord {
+                packet: 2,
+                logical: 2,
+                src: 1,
+                ..record(t_ps, site, "forward", 1, 60)
+            });
+        }
+        let card = scorecard(meta(), records).unwrap();
+        assert_eq!(card.regions[0].est_latency_saved_ps, 40);
+        assert_eq!(card.est_latency_saved_ps, 40);
     }
 
     #[test]

@@ -74,7 +74,9 @@ pub struct FlitTree {
     pub nodes: Vec<SpanNode>,
     /// The tree's copies as the token ledger counted them: closed when
     /// every copy created was consumed, broken when more were consumed
-    /// or there was no injection.
+    /// or there was no injection (truncation only loses consumers, so
+    /// only a packet lost at its source breaks a well-formed tree — and
+    /// with cause: its tokens are `faulted`).
     pub tokens: FlitTokens,
     by_site: SiteIndex,
 }
@@ -93,25 +95,6 @@ impl FlitTree {
             tokens: FlitTokens::default(),
             by_site: SiteIndex::default(),
         }
-    }
-
-    /// Token conservation holds: every copy created was consumed.
-    #[must_use]
-    pub fn closed(&self) -> bool {
-        self.tokens.closed()
-    }
-
-    /// An *impossible* tree: more copies consumed than created, or
-    /// events without an injection. A merely tail-truncated trace (the
-    /// simulation or the trace cap stopped mid-flight) never produces
-    /// this — truncation only loses consumers.
-    ///
-    /// One legitimate producer exists: a packet discarded at its source
-    /// leaves only fault records (no injection), so the tree is broken
-    /// *with cause* — its tokens are `faulted`.
-    #[must_use]
-    pub fn broken(&self) -> bool {
-        self.tokens.broken()
     }
 
     /// Appends `record`'s event, its parent resolved among the events
@@ -172,26 +155,16 @@ impl FlitTree {
         let (last, deliver) = (self.nodes.iter().enumerate())
             .filter(|(_, node)| node.kind == Action::Deliver)
             .max_by_key(|(position, node)| (node.t_ps, *position))?;
-        let mut chain = Vec::new();
+        let mut hops = Vec::new();
         let mut cursor = Some(last);
         while let Some(position) = cursor {
-            chain.push(&self.nodes[position]);
+            hops.push(self.nodes[position].clone());
             cursor = self.nodes[position].parent;
         }
-        chain.reverse();
-        if chain[0].kind != Action::Inject {
+        hops.reverse();
+        if hops[0].kind != Action::Inject {
             return Some((deliver.t_ps, None));
         }
-        let hops: Vec<Hop> = (chain.iter())
-            .map(|node| Hop {
-                site: node.site,
-                action: node.kind,
-                t_ps: node.t_ps,
-                segment_ps: node.segment_ps,
-                service_ps: node.service_ps,
-                queue_ps: node.queue_ps,
-            })
-            .collect();
         let path = CriticalPath {
             logical: self.logical,
             packet: self.packet,
@@ -238,23 +211,6 @@ impl SiteIndex {
     }
 }
 
-/// One hop of a critical path.
-#[derive(Clone, Debug)]
-pub struct Hop {
-    /// Where the event fired.
-    pub site: Site,
-    /// What happened there.
-    pub action: Action,
-    /// Event time, ps.
-    pub t_ps: u64,
-    /// Delay since the previous hop, ps.
-    pub segment_ps: u64,
-    /// Service share, ps.
-    pub service_ps: u64,
-    /// Queueing share, ps.
-    pub queue_ps: u64,
-}
-
 /// The end-to-end critical path of one logical packet: the chain from
 /// creation through injection to the **last** header delivery (the
 /// arrival that completes the packet, exactly the instant latency is
@@ -277,19 +233,20 @@ pub struct CriticalPath {
     pub service_ps: u64,
     /// Total queueing along the path, ps.
     pub queue_ps: u64,
-    /// The hops, injection first.
-    pub hops: Vec<Hop>,
+    /// The span nodes along the path, injection first (their `parent`
+    /// indices are the tree's).
+    pub hops: Vec<SpanNode>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{Analysis, AnalysisFold};
+    use crate::report::Analysis;
     use asynoc_telemetry::Detail;
 
     /// Every tree of `records`, kept, and every critical path.
     fn folded(records: &[TraceRecord]) -> Analysis {
-        let mut fold = AnalysisFold::new(None, usize::MAX).keeping_trees();
+        let mut fold = Analysis::new(None, usize::MAX).keeping_trees();
         for record in records {
             fold.push(record);
         }
@@ -345,7 +302,7 @@ mod tests {
         assert_eq!(analysis.trees().len(), 1);
         assert_eq!(analysis.ingest().open_trees, 0);
         let tree = &analysis.trees()[0];
-        assert!(tree.closed());
+        assert!(tree.tokens.closed());
         // Root fanout's parent is the injection.
         assert_eq!(tree.nodes[1].parent, Some(0));
         // Throttle hangs off the speculative root like any other copy.
@@ -379,7 +336,7 @@ mod tests {
         let analysis = folded(&records);
         assert_eq!(analysis.ingest().open_trees, 1);
         let tree = &analysis.trees()[0];
-        assert!(!tree.closed());
+        assert!(!tree.tokens.closed());
         // Tail truncation loses consumers only — never "broken".
         assert_eq!(analysis.ingest().trees.broken, 0);
         assert!(tree.tokens.in_flight > 0);
@@ -397,8 +354,8 @@ mod tests {
         let [whole, resumed] = analysis.trees() else {
             panic!("the closed tree and the one taken up again");
         };
-        assert!(whole.closed() && !whole.resumed);
-        assert!(resumed.resumed && resumed.broken());
+        assert!(whole.tokens.closed() && !whole.resumed);
+        assert!(resumed.resumed && resumed.tokens.broken());
         assert_eq!(resumed.nodes[0].parent, None);
     }
 
@@ -428,7 +385,10 @@ mod tests {
         records.insert(2, record(205, 7, 0, "ch3", "fault", 0, 0));
         let analysis = folded(&records);
         let tree = &analysis.trees()[0];
-        assert!(tree.closed(), "fault annotations must not open the tree");
+        assert!(
+            tree.tokens.closed(),
+            "fault annotations must not open the tree"
+        );
         assert!(tree.tokens.faulted);
         let tally = analysis.ingest().trees;
         assert_eq!(tally.fault_affected, 1);
@@ -451,7 +411,7 @@ mod tests {
             "breakage is explained"
         );
         let lost = analysis.trees().iter().find(|t| t.packet == 9).unwrap();
-        assert!(lost.broken() && lost.tokens.faulted);
+        assert!(lost.tokens.broken() && lost.tokens.faulted);
         assert_eq!(lost.nodes.len(), 2);
     }
 
@@ -564,7 +524,7 @@ mod tests {
         ];
         let analysis = folded(&records);
         let tree = &analysis.trees()[0];
-        assert!(tree.closed());
+        assert!(tree.tokens.closed());
         assert_eq!(tree.nodes[1].parent, Some(0));
         assert_eq!(tree.nodes[2].parent, Some(1));
         // "D6" parses as a sink whose fanin candidate is absent on the

@@ -11,7 +11,7 @@
 
 use std::io::{BufReader, Write};
 
-use asynoc_analysis::AnalysisFold;
+use asynoc_analysis::Analysis;
 use asynoc_telemetry::{visit_trace, TraceLine};
 
 use crate::commands::{create_optional, named, open_input, CliError};
@@ -47,25 +47,25 @@ pub fn execute_analyze(request: &AnalyzeRequest, out: &mut dyn Write) -> Result<
     let mut report_file = create_optional("--report-out", request.report_out.as_ref())?;
     // One line of text at a time, each record folded as it is read: the
     // fold holds the flits in flight, not the trace.
-    let mut fold = AnalysisFold::new(None, request.top);
+    let mut analysis = Analysis::new(None, request.top);
     let errors = visit_trace(input, request.lenient, |line| match line {
         TraceLine::Blank => {}
-        TraceLine::Meta(meta) => fold.set_meta(meta),
-        TraceLine::Record(record) => fold.push(&record),
+        TraceLine::Meta(meta) => analysis.set_meta(meta),
+        TraceLine::Record(record) => analysis.push(&record),
     })
     .map_err(named("--trace-in", &request.trace_in))?;
     if let (false, Some(first)) = (request.lenient, errors.first()) {
         return Err(CliError::Invalid(format!("{}: {first}", request.trace_in)));
     }
     let skipped = errors.len() as u64;
-    if fold.records() == 0 {
+    if analysis.ingest().records == 0 {
         return Err(CliError::Invalid(format!(
             "{}: no trace records to analyze",
             request.trace_in
         )));
     }
 
-    let analysis = fold.finish();
+    let analysis = analysis.finish();
     let rendered = analysis.to_json(skipped).render_pretty();
     match request.report_out.as_ref().zip(report_file.as_mut()) {
         Some((path, file)) => {

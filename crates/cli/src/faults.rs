@@ -341,10 +341,10 @@ mod tests {
     use crate::args::tests::{documented_lines, gate_lines, words};
     use crate::args::{parse, Command};
     use crate::commands::execute;
-    use asynoc_analysis::AnalysisFold;
+    use asynoc_analysis::Analysis;
 
     /// The faulted run and the clean twin of `request` on `net`, each with
-    /// an analysis fold beside the oracle's own observers: the three
+    /// the analysis fold beside the oracle's own observers: the three
     /// counters the online token ledger reported must be the ones the
     /// fold counts tree by tree. Returns the longer twin's record count.
     fn ledger_matches_analysis_on<F: Fabric>(net: &F, request: &FaultsRequest) -> u64 {
@@ -353,10 +353,10 @@ mod tests {
         let run = run_config(request.benchmark, request.rate, &request.common).expect("a run");
         let mut records = 0;
         for plan in [Some(&plan), None] {
-            let mut fold = AnalysisFold::new(None, 1);
+            let mut analysis = Analysis::new(None, 1);
             let outcome =
-                run_outcome(net, &run, plan, net.site_of(), &mut [&mut fold]).expect("it runs");
-            let ingest = fold.finish().ingest();
+                run_outcome(net, &run, plan, net.site_of(), &mut [&mut analysis]).expect("it runs");
+            let ingest = analysis.finish().ingest();
             assert_eq!(
                 (
                     outcome.fault_affected_trees,

@@ -11,7 +11,7 @@
 //! a well-formed trace and must never appear.
 
 use asynoc::{Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
-use asynoc_analysis::{Analysis, AnalysisFold};
+use asynoc_analysis::Analysis;
 use asynoc_mesh::{MeshConfig, MeshNetwork, MeshSize};
 use asynoc_telemetry::{
     parse_trace, JsonValue, LatencyHistograms, LevelSpec, RecordSink, Recorder, Site,
@@ -78,7 +78,7 @@ fn mesh_trace(benchmark: Benchmark, rate: f64, seed: u64) -> Vec<TraceRecord> {
 /// The fold of `records`, keeping every tree it summarises and every
 /// critical path.
 fn fold_keeping_trees(records: &[TraceRecord]) -> Analysis {
-    let mut fold = AnalysisFold::new(None, usize::MAX).keeping_trees();
+    let mut fold = Analysis::new(None, usize::MAX).keeping_trees();
     for record in records {
         fold.push(record);
     }
@@ -118,11 +118,11 @@ fn assert_trees_close(records: &[TraceRecord], context: &str) -> Analysis {
     let mut closed = 0usize;
     for tree in trees {
         assert!(
-            !tree.broken(),
+            !tree.tokens.broken(),
             "{context}: packet {} is broken",
             tree.packet
         );
-        if tree.closed() {
+        if tree.tokens.closed() {
             closed += 1;
         } else {
             // Truncation only loses consumers.
