@@ -17,7 +17,9 @@ step() {
 }
 # Lints first: they fail in seconds, tests take minutes. Rustdoc is part of
 # the contract: every crate carries #![deny(missing_docs)], and none may ship
-# a broken intra-doc link. The mutation table must name lines that exist.
+# a broken intra-doc link. The mutation table must name lines that exist, and
+# each replacement must compile — rechecked where the entry or its package
+# changed since its last check (stamps under target/mutants/checked).
 step cargo fmt --check
 step scripts/mutants.sh --check
 step cargo clippy --workspace --all-targets -- -D warnings
