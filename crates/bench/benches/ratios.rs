@@ -8,8 +8,12 @@
 //!   next injection;
 //! - a run threading a disarmed fault table costs ≤ 1.05× a run with none.
 //!
-//! Each is judged on the median of [`ROUNDS`] paired-round quotients
-//! (`asynoc_bench::ratio`). Every absolute time — ns per event, per hold,
+//! Each times [`ROUNDS`] paired rounds (`asynoc_bench::ratio`). The
+//! disarmed-hooks gate is judged on the median round quotient, the two
+//! queue gates on the quotient of each side's fastest round: the host
+//! slows a calendar pass by up to half and a heap pass by a sixth, for
+//! seconds at a time, so their paired median read 1.81–2.34 over ten
+//! invocations of untouched code. Every absolute time — ns per event, per hold,
 //! per record — is `benchmark/run.sh`'s to report, with host-speed scaling
 //! behind it. This is a bench target and not a test because a debug build
 //! measures a different program (calendar 4.2×).
@@ -20,7 +24,7 @@
 use std::hint::black_box;
 
 use asynoc::{drive, Architecture, Benchmark, Duration, Network, NetworkConfig, Phases, RunConfig};
-use asynoc_bench::ratio::{paired_rounds, quartiles, Bound};
+use asynoc_bench::ratio::{fastest_quotient, paired_rounds, quartiles, quotients, Bound};
 use asynoc_engine::ArmedFaults;
 use asynoc_kernel::{CalendarQueue, EventQueue, SimRng, Time};
 
@@ -114,7 +118,7 @@ fn hold<Q: HoldQueue>(depth: usize, ops: u64, gap: fn(&mut SimRng) -> u64) -> u6
 /// Paired heap / calendar rounds of one hold workload, after an untimed
 /// pass in which the two queues must agree on the identical event
 /// sequence.
-fn hold_quotients(depth: usize, ops: u64, gap: fn(&mut SimRng) -> u64) -> Vec<f64> {
+fn hold_rounds(depth: usize, ops: u64, gap: fn(&mut SimRng) -> u64) -> Vec<(f64, f64)> {
     assert_eq!(
         hold::<EventQueue<u64>>(depth, ops, gap),
         hold::<CalendarQueue<u64>>(depth, ops, gap),
@@ -131,22 +135,29 @@ fn hold_quotients(depth: usize, ops: u64, gap: fn(&mut SimRng) -> u64) -> Vec<f6
     )
 }
 
-/// Prints one gate's quartiles and verdict.
-fn judge(name: &str, bound: Bound, quotients: &[f64]) -> bool {
-    let (q1, median, q3) = quartiles(quotients);
-    let pass = bound.holds(median);
+/// Prints one gate's round quotients and verdict; the gate judges the
+/// median quotient, or with `fastest` the fastest rounds' quotient.
+fn judge(name: &str, bound: Bound, rounds: &[(f64, f64)], fastest: bool) -> bool {
+    let (q1, median, q3) = quartiles(&quotients(rounds));
+    let (judged, statistic) = if fastest {
+        (fastest_quotient(rounds), "fastest")
+    } else {
+        (median, "median")
+    };
+    let pass = bound.holds(judged);
     println!(
-        "{name:<44} median {median:.3}  quartiles {q1:.3}-{q3:.3}  {bound:?}  {}",
+        "{name:<44} {statistic} {judged:.3}  (median {median:.3}, quartiles {q1:.3}-{q3:.3})  \
+         {bound:?}  {}",
         if pass { "ok" } else { "FAIL" }
     );
     pass
 }
 
 fn main() {
-    println!("ratios: median of {ROUNDS} paired-round quotients per gate");
+    println!("ratios: {ROUNDS} paired rounds per gate");
 
-    let uniform = hold_quotients(HOLD_DEPTH, HOLD_OPS, uniform_gap);
-    let engine_shaped = hold_quotients(ENGINE_DEPTH, ENGINE_OPS, engine_gap);
+    let uniform = hold_rounds(HOLD_DEPTH, HOLD_OPS, uniform_gap);
+    let engine_shaped = hold_rounds(ENGINE_DEPTH, ENGINE_OPS, engine_gap);
 
     let network = Network::new(
         NetworkConfig::eight_by_eight(Architecture::BasicHybridSpeculative).with_seed(3),
@@ -176,16 +187,19 @@ fn main() {
             &format!("heap / calendar, hold model at depth {HOLD_DEPTH}"),
             Bound::AtLeast(1.3),
             &uniform,
+            true,
         ),
         judge(
             &format!("heap / calendar, engine-shaped at depth {ENGINE_DEPTH}"),
             Bound::AtLeast(1.8),
             &engine_shaped,
+            true,
         ),
         judge(
             "disarmed fault hooks / none",
             Bound::AtMost(1.05),
             &disarmed,
+            false,
         ),
     ];
     if gates.contains(&false) {

@@ -1,15 +1,22 @@
-//! The statistic behind `benches/ratios.rs`: the median of paired-round
-//! quotients.
+//! The statistics behind `benches/ratios.rs`, over paired rounds.
 //!
-//! A round times side A and then side B back to back and keeps only
-//! `A / B`. Host drift (this class of VM swings ±30 % from minute to
-//! minute) moves both halves of a round together, so the quotient holds
-//! still where either absolute time does not. Of the quotients the
-//! *median* is judged: single rounds spread wide enough (0.73–1.65 for
-//! two equal sides) that the best round would wave a 15 % regression
-//! through, and the fastest unpaired samples drift apart with the host.
+//! A round times side A and then side B back to back. Host drift (this
+//! class of VM swings ±30 % from minute to minute) moves both halves of a
+//! round together, so the round's quotient `A / B` holds still where
+//! either absolute time does not; of the quotients the *median* is
+//! judged: single rounds spread wide enough (0.73–1.65 for two equal
+//! sides) that the best round would wave a 15 % regression through.
+//!
+//! Some drift does not move both halves together. On this class of VM an
+//! engine-shaped pass of the calendar queue takes 15 ms for seconds at a
+//! time, then 22–28 ms for seconds at a time, while the heap's pass moves
+//! only between 36 and 48 ms; the paired median then reads whichever
+//! mixture of the two host states the invocation met. For
+//! such a gate the quotient of each side's *fastest* round is judged:
+//! interference only ever adds time, so the fastest rounds are the ones
+//! it spared, and across an invocation's rounds each side has some.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What a gate requires of its median quotient.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -31,21 +38,30 @@ impl Bound {
     }
 }
 
-/// Times `rounds` rounds of `a` then `b` and returns each round's
-/// `a / b` wall-time quotient.
-pub fn paired_rounds(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> Vec<f64> {
-    fn timed(side: &mut dyn FnMut()) -> Duration {
+/// Times `rounds` rounds of `a` then `b` and returns each round's two
+/// wall times, seconds.
+pub fn paired_rounds(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> Vec<(f64, f64)> {
+    fn timed(side: &mut dyn FnMut()) -> f64 {
         let start = Instant::now();
         side();
-        start.elapsed()
+        start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE)
     }
     (0..rounds)
-        .map(|_| {
-            let numerator = timed(&mut a);
-            let denominator = timed(&mut b);
-            numerator.as_secs_f64() / denominator.as_secs_f64().max(f64::MIN_POSITIVE)
-        })
+        .map(|_| (timed(&mut a), timed(&mut b)))
         .collect()
+}
+
+/// Each round's `a / b` quotient.
+#[must_use]
+pub fn quotients(rounds: &[(f64, f64)]) -> Vec<f64> {
+    rounds.iter().map(|(a, b)| a / b).collect()
+}
+
+/// The quotient of the two sides' fastest rounds, `min a / min b`.
+#[must_use]
+pub fn fastest_quotient(rounds: &[(f64, f64)]) -> f64 {
+    let fastest = |side: fn(&(f64, f64)) -> f64| rounds.iter().map(side).fold(f64::MAX, f64::min);
+    fastest(|r| r.0) / fastest(|r| r.1)
 }
 
 /// The quartiles `(q1, median, q3)` of the quotients: nearest ranks for
@@ -109,14 +125,23 @@ mod tests {
         let spin = |label: char, millis: u64| {
             order.borrow_mut().push(label);
             let start = Instant::now();
-            while start.elapsed() < Duration::from_millis(millis) {
+            while start.elapsed() < std::time::Duration::from_millis(millis) {
                 std::hint::spin_loop();
             }
         };
-        let quotients = paired_rounds(3, || spin('a', 20), || spin('b', 1));
+        let rounds = paired_rounds(3, || spin('a', 20), || spin('b', 1));
         assert_eq!(*order.borrow(), ['a', 'b', 'a', 'b', 'a', 'b']);
-        assert_eq!(quotients.len(), 3);
+        assert_eq!(rounds.len(), 3);
         // Twenty to one: no scheduling hiccup turns that upside down twice.
-        assert!(quartiles(&quotients).1 > 1.0, "{quotients:?}");
+        assert!(quartiles(&quotients(&rounds)).1 > 1.0, "{rounds:?}");
+    }
+
+    #[test]
+    fn the_fastest_quotient_pairs_each_sides_fastest_round() {
+        // Side b is held up in the rounds where a was quick: no round's
+        // quotient is 2, the sides' fastest rounds are.
+        let rounds = [(2.0, 3.0), (4.0, 1.0), (3.0, 2.5)];
+        assert_eq!(quotients(&rounds), [2.0 / 3.0, 4.0, 1.2]);
+        assert_eq!(fastest_quotient(&rounds), 2.0);
     }
 }
