@@ -146,8 +146,8 @@ fn judge(name: &str, bound: Bound, rounds: &[(f64, f64)], fastest: bool) -> bool
     };
     let pass = bound.holds(judged);
     println!(
-        "{name:<44} {statistic} {judged:.3}  (median {median:.3}, quartiles {q1:.3}-{q3:.3})  \
-         {bound:?}  {}",
+        "{name:<44} {statistic} {judged:.3}  (rounds: median {median:.3}, quartiles \
+         {q1:.3}-{q3:.3})  {bound:?}  {}",
         if pass { "ok" } else { "FAIL" }
     );
     pass

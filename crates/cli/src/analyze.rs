@@ -2,8 +2,8 @@
 //!
 //! Reads the NDJSON flit trace a `metrics --trace-out` run produced
 //! (meta line optional — a bare v1 record stream still analyzes, just
-//! without window gating or energy pricing), runs the
-//! `asynoc-analysis` fold over each record as it is read, and emits the pinned
+//! without window gating or energy pricing), folds each record into the
+//! `asynoc-analysis` fold as it is read, and emits the pinned
 //! `asynoc-analysis-v1` JSON report. With `--report-out` the report
 //! goes to the file and the stream carries status (plus the heatmaps
 //! under `--heatmap`); without it, stdout is the pure JSON document —
