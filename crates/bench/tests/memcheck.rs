@@ -3,8 +3,9 @@
 //! run is.
 //!
 //! The live-export contract is O(window), not O(events): the stream
-//! sink drains every buffer at each flush window, and the engine's own
-//! latency statistic is a fixed-size histogram. This binary measures
+//! sink writes each window's records at its flush (its `trace` lines
+//! sooner, whenever they pass 64 KiB), and the engine's own latency
+//! statistic is a fixed-size histogram. This binary measures
 //! peak heap (via the `CountingAlloc` global allocator) across a short
 //! and an 8x-longer streamed run, and fails when the long run's peak
 //! exceeds the short run's by more than a fixed headroom factor.
@@ -20,13 +21,16 @@
 //! quotient: its memo is a cache sized once per run, so a planner that
 //! kept every plan it ever made shows up as growth with simulated time.
 //!
-//! The trace gates hold the per-flit trace to it, three ways: a run
+//! The trace gates hold the per-flit trace to it, four ways: a run
 //! writing every record to a file (`metrics --trace-out`) holds the
 //! sink's drain buffer, not the trace; reading that file back line by
 //! line (`read_trace`) holds one line of text beside the records it
-//! returns, which are not counted; and analysing it (`asynoc analyze`,
+//! returns, which are not counted; analysing it (`asynoc analyze`,
 //! in-process) holds the flits in flight, every byte counted — the fold
-//! summarises and drops each flit's span tree when its tokens close.
+//! summarises and drops each flit's span tree when its tokens close; and
+//! a run streaming every record (`--stream --stream-trace`) holds the
+//! same drain buffer whatever its window, so its peak is compared across
+//! an 8x-wider window rather than an 8x-longer run.
 
 use std::fs::File;
 use std::io::{BufReader, Write};
@@ -90,7 +94,14 @@ fn collectors_for(net: &Network, phases: Phases) -> (LatencyHistograms, TimeSeri
     )
 }
 
-fn sink_over<'a>(latency: &'a mut LatencyHistograms, series: &'a mut TimeSeries) -> StreamSink<'a> {
+/// A stream over the collectors, flushed every `window_ns`, with a
+/// `trace` line per record when `traced`.
+fn sink_over<'a>(
+    latency: &'a mut LatencyHistograms,
+    series: &'a mut TimeSeries,
+    window_ns: u64,
+    traced: bool,
+) -> StreamSink<'a> {
     StreamSink::new(
         Box::new(CountingWriter {
             started: Instant::now(),
@@ -98,8 +109,8 @@ fn sink_over<'a>(latency: &'a mut LatencyHistograms, series: &'a mut TimeSeries)
         StreamConfig {
             substrate: "mot".to_string(),
             config: asynoc::telemetry::JsonValue::Object(vec![]),
-            window: Duration::from_ns(WINDOW_NS),
-            trace_limit: None,
+            window: Duration::from_ns(window_ns),
+            trace_limit: traced.then_some(usize::MAX),
         },
         latency,
         series,
@@ -126,7 +137,7 @@ fn streamed_run(net: &Network, measure_ns: u64) -> Streamed {
     FIRST_WINDOW_NS.store(0, Ordering::Relaxed);
     let started = Instant::now();
     let (mut latency, mut series) = collectors_for(net, phases);
-    let mut sink = sink_over(&mut latency, &mut series);
+    let mut sink = sink_over(&mut latency, &mut series, WINDOW_NS, false);
     reset_peak_bytes();
     let report = {
         let mut recorder = Recorder::new(net.site_of(), vec![&mut sink]);
@@ -276,6 +287,28 @@ fn traced_run(net: &Network, measure_ns: u64, path: &Path) -> (u64, u64) {
     (peak, std::fs::metadata(path).expect("the trace file").len())
 }
 
+/// Peak heap of one 8x8 MoT run streaming every record as a `trace`
+/// line, flushed every `window_ns`.
+fn traced_stream_peak(net: &Network, window_ns: u64) -> u64 {
+    let phases = Phases::new(Duration::from_ns(40), Duration::from_ns(3200));
+    let run = RunConfig::new(Benchmark::Multicast10, 0.3)
+        .expect("valid run")
+        .with_phases(phases);
+    let (mut latency, mut series) = collectors_for(net, phases);
+    reset_peak_bytes();
+    let mut sink = sink_over(&mut latency, &mut series, window_ns, true);
+    let report = {
+        let mut recorder = Recorder::new(net.site_of(), vec![&mut sink]);
+        drive(net, &run, &mut [&mut recorder], None).expect("run completes")
+    };
+    sink.finish(
+        asynoc::telemetry::JsonValue::Object(vec![]),
+        report.packets_incomplete,
+    )
+    .expect("stream closes");
+    peak_bytes()
+}
+
 /// Peak heap of reading the trace at `path` line by line, less the
 /// records the read returns, and how many there were.
 fn parse_excess(path: &Path) -> (u64, usize) {
@@ -305,7 +338,7 @@ fn analyze_peak(path: &Path) -> u64 {
     peak
 }
 
-/// The three trace gates; `false` when any fails.
+/// The four trace gates; `false` when any fails.
 fn trace_io_is_bounded() -> bool {
     let net = Network::new(NetworkConfig::new(
         MotSize::new(8).expect("8 is a power of two"),
@@ -330,6 +363,10 @@ fn trace_io_is_bounded() -> bool {
         std::fs::remove_file(short_path),
         std::fs::remove_file(long_path),
     );
+    let _ = traced_stream_peak(&net, WINDOW_NS);
+    let narrow_stream = traced_stream_peak(&net, WINDOW_NS);
+    let wide_stream = traced_stream_peak(&net, 8 * WINDOW_NS);
+    let stream_ratio = wide_stream as f64 / narrow_stream.max(1) as f64;
     let write_ratio = long_peak as f64 / short_peak.max(1) as f64;
     let read_ratio = long_excess as f64 / short_excess.max(1) as f64;
     let analysis_ratio = long_analysis as f64 / short_analysis.max(1) as f64;
@@ -342,8 +379,12 @@ fn trace_io_is_bounded() -> bool {
          {long_records:>7} records read, read peak beyond them {long_excess:>9} B, \
          analyze peak {long_analysis:>9} B\n\
          \x20 peak ratios: write {write_ratio:.3}, read {read_ratio:.3}, analyze \
-         {analysis_ratio:.3} (trace grew {:.1}x, gate {HEADROOM})",
+         {analysis_ratio:.3} (trace grew {:.1}x, gate {HEADROOM})\n\
+         memcheck (8x8 MoT, --stream --stream-trace, {WINDOW_NS} ns versus {} ns windows):\n\
+         \x20 peak {narrow_stream} B versus {wide_stream} B: ratio {stream_ratio:.3} \
+         (gate {HEADROOM})",
         long_bytes as f64 / short_bytes.max(1) as f64,
+        8 * WINDOW_NS,
     );
     assert!(
         long_bytes > 4 * short_bytes && short_bytes > 16 * 64 * 1024,
@@ -371,6 +412,13 @@ fn trace_io_is_bounded() -> bool {
         );
         bounded = false;
     }
+    if stream_ratio > HEADROOM {
+        eprintln!(
+            "FAIL: a traced stream's peak allocation grew {stream_ratio:.2}x with an 8x-wider \
+             window (> {HEADROOM}); the stream sink keeps a window's trace lines"
+        );
+        bounded = false;
+    }
     bounded
 }
 
@@ -383,6 +431,6 @@ fn main() {
     }
     println!(
         "OK: streamed, DPM, trace-file and analysis peak memory are bounded independent of \
-         run length"
+         run length, and traced-stream peak memory independent of the window"
     );
 }

@@ -151,8 +151,9 @@ const SECTIONS: [(Group, &str, &str); 3] = [
          invariants fire (token-conservation violation, stall, busy watermark,\n\
          waste-rate ceiling), and an end record with the scalar summary\n\
          sections. Memory stays bounded by the window, not the run length (the\n\
-         run's own latency statistic is a fixed-size histogram too), and\n\
-         simulation results never change. On `metrics` the window must be a\n\
+         run's own latency statistic is a fixed-size histogram too; trace\n\
+         records leave in 64 KiB batches, not per window), and simulation\n\
+         results never change. On `metrics` the window must be a\n\
          multiple of --bin-ns. --stream-trace is bounded per window by\n\
          --trace-limit where available, else 100000.",
     ),

@@ -9,6 +9,8 @@
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use asynoc_kernel::hash::HashMap;
+
 use crate::json::JsonValue;
 use crate::recorder::RecordSink;
 use crate::site::Site;
@@ -27,7 +29,8 @@ struct ChromeEvent {
 /// An in-memory Chrome trace: named tracks plus timed events.
 #[derive(Clone, Debug, Default)]
 pub struct ChromeTrace {
-    tracks: Vec<String>,
+    /// Each track's label and id, ids numbered in first-seen order.
+    tracks: HashMap<String, usize>,
     events: Vec<ChromeEvent>,
 }
 
@@ -39,12 +42,12 @@ impl ChromeTrace {
     }
 
     fn track_id(&mut self, label: &str) -> usize {
-        if let Some(id) = self.tracks.iter().position(|t| t == label) {
-            id
-        } else {
-            self.tracks.push(label.to_string());
-            self.tracks.len() - 1
+        if let Some(&id) = self.tracks.get(label) {
+            return id;
         }
+        let id = self.tracks.len();
+        self.tracks.insert(label.to_string(), id);
+        id
     }
 
     /// Appends an instant event on `track`.
@@ -88,7 +91,9 @@ impl ChromeTrace {
     pub fn render(&self) -> String {
         let us = |ps: u64| JsonValue::Number(ps as f64 / 1e6);
         let mut events: Vec<JsonValue> = Vec::with_capacity(self.tracks.len() + self.events.len());
-        for (tid, label) in self.tracks.iter().enumerate() {
+        let mut tracks: Vec<(&String, &usize)> = self.tracks.iter().collect();
+        tracks.sort_unstable_by_key(|&(_, &tid)| tid);
+        for (label, &tid) in tracks {
             events.push(JsonValue::Object(vec![
                 ("name".to_string(), JsonValue::str("thread_name")),
                 ("ph".to_string(), JsonValue::str("M")),

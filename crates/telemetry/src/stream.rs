@@ -26,7 +26,8 @@
 //!   record unchanged.
 //!
 //! What the sink itself holds is bounded independent of record count:
-//! the trace buffer is drained per window, and per-flit watchpoint
+//! the `trace` lines leave for the writer whenever they pass 64 KiB (a
+//! window flush writes what is left), and per-flit watchpoint
 //! bookkeeping is proportional to *in-flight* traffic, not run length
 //! (the borrowed collectors keep what a batch run keeps: fixed-size
 //! histograms and a capped bin store).
@@ -353,7 +354,7 @@ impl<'a> StreamSink<'a> {
             .map(|i| self.series.bin_json(i))
             .collect();
         self.emitted_bins = target;
-        // The window's `trace` lines, rendered as its events went by.
+        // What is left of the window's `trace` lines.
         if let Some(trace) = &mut self.trace {
             Self::write_text(&mut self.out, &mut self.err, trace.text());
             trace.clear();
@@ -506,6 +507,11 @@ impl<'a> StreamSink<'a> {
         let refs = tokens.in_flight;
         if refs < 0 && self.conservation_fired < MAX_CONSERVATION_RECORDS {
             self.conservation_fired += 1;
+            // The watchpoint follows the trace lines of the records
+            // before it and of its own: record order.
+            if let Some(trace) = &mut self.trace {
+                trace.drain_to(&mut self.out, &mut self.err);
+            }
             let at = Time::from_ps(record.t_ps);
             self.watchpoint(
                 "token_conservation",
@@ -547,6 +553,7 @@ impl RecordSink for StreamSink<'_> {
                 line.push_str(",\"record\":");
             };
             trace.record(record, open, "}\n");
+            trace.drain_full(&mut self.out, &mut self.err);
         }
         self.w_events += 1;
         if matches!(record.action, Action::Forward | Action::Throttle) {
@@ -1028,12 +1035,26 @@ mod tests {
     }
 
     #[test]
-    fn conservation_watchpoint_fires() {
-        // A delivery that was never injected drives the ledger negative.
+    fn conservation_watchpoint_fires_in_record_order() {
+        // A delivery that was never injected drives the ledger negative;
+        // its watchpoint follows its own trace line, mid-window.
         let buf = SharedBuf::default();
-        let summary = stream_of(&buf, &[deliver(100, 3, 1)]);
+        let records = [inject(100, 1), deliver(200, 3, 1), deliver(300, 1, 2)];
+        let none = JsonValue::Object(Vec::new());
+        let summary = stream(&buf, &mut collectors(), Some(100), &records, none, 0);
         assert_eq!(summary.watchpoints, 1);
-        assert!(buf.text().contains("\"kind\":\"token_conservation\""));
+        let text = buf.text();
+        let kinds: Vec<&str> = text
+            .lines()
+            .skip(1)
+            .take(4)
+            .map(|l| match l {
+                _ if l.starts_with("{\"type\":\"trace\"") => "trace",
+                _ if l.contains("token_conservation") => "conservation",
+                _ => l,
+            })
+            .collect();
+        assert_eq!(kinds, ["trace", "trace", "conservation", "trace"]);
     }
 
     /// Closes a stream holding two flits in flight — packet 4, then

@@ -782,23 +782,31 @@ impl TraceWriter {
     }
 
     /// Empties the text, keeping its capacity, and opens the limit anew:
-    /// a sink that clears per window bounds the buffer by one window.
+    /// a sink that clears per window limits the records per window.
     pub fn clear(&mut self) {
         self.text.clear();
         self.lines = 0;
     }
 
-    /// Writes the text to `out` and empties it, keeping its capacity.
-    /// Unlike [`clear`](TraceWriter::clear) it leaves the limit where it
-    /// is: a sink that drains as it goes bounds the buffer, not the file.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the write; the text is emptied all the same.
-    pub(crate) fn drain_to(&mut self, out: &mut impl Write) -> io::Result<()> {
-        let written = out.write_all(self.text.as_bytes());
+    /// Writes the text to `out` unless `err` holds an earlier write's
+    /// error, holds this one's there, and empties the text all the same,
+    /// keeping its capacity. Unlike [`clear`](TraceWriter::clear) it
+    /// leaves the limit where it is: a sink that drains as it goes bounds
+    /// the buffer, not the file.
+    pub(crate) fn drain_to(&mut self, out: &mut impl Write, err: &mut Option<io::Error>) {
+        if err.is_none() {
+            *err = out.write_all(self.text.as_bytes()).err();
+        }
         self.text.clear();
-        written
+    }
+
+    /// [`drain_to`](TraceWriter::drain_to) once the text has passed 64
+    /// KiB: the drain rule of both sinks that write as they go,
+    /// [`TraceFile`] and [`StreamSink`](crate::StreamSink).
+    pub(crate) fn drain_full(&mut self, out: &mut impl Write, err: &mut Option<io::Error>) {
+        if self.text.len() >= DRAIN_BYTES {
+            self.drain_to(out, err);
+        }
     }
 }
 
@@ -808,7 +816,8 @@ impl RecordSink for TraceWriter {
     }
 }
 
-/// The text a [`TraceFile`] holds before it drains it into the file.
+/// The text a [`TraceWriter`] holds before
+/// [`drain_full`](TraceWriter::drain_full) writes it out.
 const DRAIN_BYTES: usize = 64 * 1024;
 
 /// The bytes a capped [`TraceFile`] moves per read and write when it
@@ -863,13 +872,6 @@ impl TraceFile {
         })
     }
 
-    /// Empties the writer's text into the file, holding the first error.
-    fn drain(&mut self) {
-        if let Err(e) = self.writer.drain_to(&mut self.out) {
-            self.err.get_or_insert(e);
-        }
-    }
-
     /// Writes the rest of the trace and, when the limit dropped events,
     /// has the meta line say how many.
     ///
@@ -880,7 +882,7 @@ impl TraceFile {
     /// cannot have its meta line rewritten: that is an
     /// [`io::ErrorKind::Unsupported`] error.
     pub fn finish(mut self) -> io::Result<()> {
-        self.drain();
+        self.writer.drain_to(&mut self.out, &mut self.err);
         if let Some(err) = self.err {
             return Err(err);
         }
@@ -916,9 +918,7 @@ impl TraceFile {
 impl RecordSink for TraceFile {
     fn on_record(&mut self, record: &TraceRecord, in_window: bool) {
         self.writer.on_record(record, in_window);
-        if self.writer.text().len() >= DRAIN_BYTES {
-            self.drain();
-        }
+        self.writer.drain_full(&mut self.out, &mut self.err);
     }
 }
 
@@ -1582,9 +1582,7 @@ mod tests {
         let mut drained = Vec::new();
         for _ in 0..2 {
             writer.on_record(&record(), true);
-            writer
-                .drain_to(&mut drained)
-                .expect("a Vec takes every byte");
+            writer.drain_to(&mut drained, &mut None);
         }
         writer.on_record(&record(), true);
         assert_eq!((writer.text(), writer.dropped()), ("", 1));

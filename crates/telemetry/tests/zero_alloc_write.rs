@@ -7,16 +7,16 @@
 //!
 //! Two sinks write trace records, both through one [`TraceWriter`], each
 //! registered with the [`Recorder`] that builds an event's record. Each
-//! renders a record's line into a buffer it empties, capacity kept, and
-//! keeps no table of labels to warm up (a site is rendered digit by digit
-//! per record). Once the buffer has grown to its working size, further
-//! traced events must not touch the allocator at all:
+//! renders a record's line into a buffer that it drains into its writer
+//! whenever it passes 64 KiB, capacity kept, and keeps no table of labels
+//! to warm up (a site is rendered digit by digit per record). Once the
+//! buffer has grown to its working size, further traced events must not
+//! touch the allocator at all:
 //!
-//! - `--stream --stream-trace`: a [`StreamSink`] empties its buffer at
-//!   every window flush; it is warm once the buffer has held a window and
-//!   the sink's own ledgers have reached their in-flight high-water mark.
-//! - `--trace-out`: a [`TraceFile`] drains its buffer into the file
-//!   whenever it passes 64 KiB; it is warm after its first drain.
+//! - `--stream --stream-trace`: a [`StreamSink`] is warm after its first
+//!   drain, once its own ledgers have reached their in-flight high-water
+//!   mark and a window flush has built its `window` record.
+//! - `--trace-out`: a [`TraceFile`] is warm after its first drain.
 
 use std::rc::Rc;
 
