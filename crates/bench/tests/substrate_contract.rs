@@ -29,6 +29,11 @@ fn holds<S: Substrate>(net: &S, site_of: SiteOf<S::Node>) {
     assert!(report.packets_measured > 0);
     // Every run profiles itself: the per-kind counts sum to the events run.
     assert_eq!(report.profile.kinds.total(), report.events_processed);
+    // A symbol override drawn from the recoverable sites is one the plan
+    // check admits: every such site reads a symbol.
+    let domain = net.fault_domain();
+    let sites = domain.symbol_sites;
+    assert!(domain.corrupt_sites.iter().all(|&site| site < sites));
 }
 
 #[test]

@@ -519,6 +519,26 @@ impl fmt::Display for Substrate {
     }
 }
 
+/// What `metrics` and `faults` run: the fabric and its placement, the
+/// traffic, and the shared options.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunTarget {
+    /// Which fabric to run on.
+    pub substrate: Substrate,
+    /// Multicast scheme on the vcmesh substrate (unused elsewhere).
+    pub mcast: McastScheme,
+    /// Network architecture preset (MoT substrate; exclusive with `spec_map`).
+    pub arch: Option<Architecture>,
+    /// Speculation-placement map (MoT substrate; exclusive with `arch`).
+    pub spec_map: Option<String>,
+    /// Traffic benchmark.
+    pub benchmark: Benchmark,
+    /// Offered load, flits/ns per source.
+    pub rate: f64,
+    /// Shared options.
+    pub common: CommonOptions,
+}
+
 impl FromStr for Substrate {
     type Err = String;
 
@@ -807,10 +827,10 @@ impl Flags {
         }
     }
 
-    /// Resolves the substrate-selection options shared by `metrics` and
-    /// `faults`: the substrate itself, the multicast scheme and the
-    /// placement (required on mot).
-    fn substrate(&self) -> Parsed<SubstrateOptions> {
+    /// Resolves the [`RunTarget`] `metrics` and `faults` share: the
+    /// substrate, the multicast scheme, the placement (required on mot),
+    /// the traffic and the shared options.
+    fn target(&self) -> Parsed<RunTarget> {
         let substrate = self.get("substrate")?.unwrap_or(Substrate::Mot);
         let mcast = self.get("mcast")?.unwrap_or_default();
         for (flag, only, hint) in SUBSTRATE_ONLY {
@@ -821,11 +841,17 @@ impl Flags {
             }
         }
         let (arch, spec_map) = self.placement(substrate == Substrate::Mot)?;
-        Ok((substrate, mcast, arch, spec_map))
+        Ok(RunTarget {
+            substrate,
+            mcast,
+            arch,
+            spec_map,
+            benchmark: self.required("benchmark")?,
+            rate: self.required_rate()?,
+            common: self.common()?,
+        })
     }
 }
-
-type SubstrateOptions = (Substrate, McastScheme, Option<Architecture>, Option<String>);
 
 /// The flags that exist on one substrate only, and the way out.
 const SUBSTRATE_ONLY: [(&str, &str, &str); 3] = [
@@ -911,7 +937,7 @@ fn mesh(flags: &Flags) -> Parsed<Command> {
 }
 
 fn metrics(flags: &Flags) -> Parsed<Command> {
-    let (substrate, mcast, arch, spec_map) = flags.substrate()?;
+    let target = flags.target()?;
     let explicit_format: Option<TraceFormat> = flags.get("trace-format")?;
     let trace_out = flags.get("trace-out")?;
     if explicit_format.is_some() && trace_out.is_none() {
@@ -927,19 +953,15 @@ fn metrics(flags: &Flags) -> Parsed<Command> {
         }
     }
     Ok(Command::Metrics(MetricsRequest {
-        arch,
-        spec_map,
-        benchmark: flags.required("benchmark")?,
-        rate: flags.required_rate()?,
-        substrate,
-        mcast,
+        target,
         bin_ns,
         metrics_out: flags.get("metrics-out")?,
         // --trace-out alone implies the round-trippable default.
         trace_format: explicit_format.or(trace_out.as_ref().map(|_| TraceFormat::Ndjson)),
         trace_out,
-        trace_limit: flags.get("trace-limit")?.unwrap_or(100_000),
-        common: flags.common()?,
+        trace_limit: flags
+            .get("trace-limit")?
+            .unwrap_or(crate::stream::DEFAULT_TRACE_LIMIT),
     }))
 }
 
@@ -955,23 +977,17 @@ fn analyze(flags: &Flags) -> Parsed<Command> {
 }
 
 fn faults(flags: &Flags) -> Parsed<Command> {
-    let (substrate, mcast, arch, spec_map) = flags.substrate()?;
+    let target = flags.target()?;
     let fault_rate: f64 = flags.get("fault-rate")?.unwrap_or(0.15);
     if !(fault_rate > 0.0 && fault_rate <= 1.0) {
         return fail("--fault-rate must be in (0, 1]");
     }
     Ok(Command::Faults(FaultsRequest {
-        arch,
-        spec_map,
-        benchmark: flags.required("benchmark")?,
-        rate: flags.required_rate()?,
-        substrate,
-        mcast,
+        target,
         plan: flags.get("plan")?,
         fault_rate,
         oracle: flags.has("oracle"),
         report_out: flags.get("report-out")?,
-        common: flags.common()?,
     }))
 }
 
@@ -1014,7 +1030,7 @@ fn watch(flags: &Flags) -> Parsed<Command> {
 fn info(flags: &Flags) -> Parsed<Command> {
     Ok(Command::Info {
         arch: flags.get("arch")?,
-        size: flags.get("size")?.unwrap_or(8),
+        size: flags.get("size")?.unwrap_or(DEFAULT_SIZE),
     })
 }
 

@@ -5,11 +5,11 @@ use std::io::{self, Write};
 
 use asynoc::harness::{saturation_of, Quality};
 use asynoc::{
-    drive, parallel_map, Architecture, Duration, FanoutKind, MotSize, Network, NetworkConfig,
-    Phases, RunConfig, RunReport, SimError, SpecMap,
+    parallel_map, Architecture, Duration, FanoutKind, MotSize, Network, NetworkConfig, Phases,
+    RunConfig, RunReport, SimError, SpecMap,
 };
 use asynoc_mesh::{MeshReport, Wormhole};
-use asynoc_telemetry::{JsonValue, Recorder};
+use asynoc_telemetry::JsonValue;
 
 use crate::args::{help, Command, CommonOptions};
 use crate::fabric::Fabric;
@@ -275,7 +275,7 @@ fn run_across_seeds(
     for result in reports {
         let (report, options) = result?;
         if let Some(profiler) = profiler.as_mut() {
-            let config = config_json(Some(identity), benchmark, rate, common.size, &options);
+            let config = config_json(Some(identity), benchmark, rate, &options);
             profiler.add_run(config, &report.profile);
         }
         let mean = report.latency.mean();
@@ -304,9 +304,9 @@ fn run_across_seeds(
 }
 
 /// One plain measurement run on `net`, shared by `run` and `mesh`: the
-/// self-profile and the optional stream sink around [`drive`], the
-/// command's text report from `print`, then the stream's end record
-/// (throughput, power where the fabric has an energy model, counters).
+/// self-profile and the command's text report from `print`, then the
+/// stream's end record (throughput, power where the fabric has an energy
+/// model, counters).
 fn single_run<F: Fabric>(
     command: &'static str,
     net: &F,
@@ -317,37 +317,16 @@ fn single_run<F: Fabric>(
     print: impl FnOnce(&mut dyn Write, &F::Report) -> io::Result<()>,
 ) -> Result<(), CliError> {
     let mut profiler = ProfileWriter::when(common.profile.as_ref(), command)?;
-    // The pair a `--stream` sink windows, binned by its flush window.
-    let window = crate::stream::window(common, None);
-    let (mut latency, mut series) = net.collectors(run.phases(), window);
-    let mut sink = match &common.stream {
-        Some(path) => Some(crate::stream::sink::<F>(
-            path,
-            common,
-            config.clone(),
-            window,
-            crate::stream::DEFAULT_TRACE_LIMIT,
-            &mut latency,
-            &mut series,
-        )?),
-        None => None,
-    };
-    let report = match sink.as_mut() {
-        Some(sink) => {
-            let mut recorder = Recorder::new(net.site_of(), vec![sink]);
-            drive(net, run, &mut [&mut recorder], None)
+    let limit = crate::stream::DEFAULT_TRACE_LIMIT;
+    let observed = crate::stream::observe(net, run, &config, None, limit, common, |sinks| {
+        let report = crate::stream::record(net, run, sinks)?;
+        if let Some(profiler) = profiler.as_mut() {
+            profiler.add_run(config.clone(), &report.profile);
         }
-        None => drive(net, run, &mut [], None),
-    }
-    .map_err(SimError::from)?;
-    if let Some(profiler) = profiler.as_mut() {
-        profiler.add_run(config, &report.profile);
-    }
-    print(out, &report)?;
-    if let Some(profiler) = profiler {
-        profiler.finish()?;
-    }
-    if let Some(sink) = sink {
+        print(out, &report)?;
+        if let Some(profiler) = profiler {
+            profiler.finish()?;
+        }
         let (_, power) = F::energy_sections(&report, None, run.phases().measure());
         let throughput = crate::metrics::throughput_json(&report.throughput);
         let mut sections = vec![("throughput".to_string(), throughput)];
@@ -356,12 +335,9 @@ fn single_run<F: Fabric>(
         }
         let counters = crate::metrics::counters_json(&report);
         sections.push(("counters".to_string(), counters));
-        let watchpoints = sink
-            .finish(JsonValue::Object(sections), report.packets_incomplete)?
-            .watchpoints;
-        crate::stream::fatal_check(watchpoints, common)?;
-    }
-    Ok(())
+        Ok(((), JsonValue::Object(sections), report.packets_incomplete))
+    })?;
+    crate::stream::fatal_check(observed.watchpoints, common)
 }
 
 fn print_run(out: &mut dyn Write, report: &RunReport) -> io::Result<()> {
@@ -445,7 +421,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             }
             let net = network_for(&map, common)?;
             let size = common.size;
-            let config = config_json(Some(&identity), *benchmark, *rate, size, common);
+            let config = config_json(Some(&identity), *benchmark, *rate, common);
             let run = run_config(*benchmark, *rate, common)?;
             single_run("run", &net, config, &run, common, out, |out, report| {
                 writeln!(
@@ -478,8 +454,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             if let Some(profiler) = profiler.as_mut() {
                 let identity = arch.to_string();
                 for (rate, profile) in &profiles {
-                    let config =
-                        config_json(Some(&identity), *benchmark, *rate, common.size, common);
+                    let config = config_json(Some(&identity), *benchmark, *rate, common);
                     profiler.add_run(config, profile);
                 }
             }
@@ -530,8 +505,7 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
                 let (rate, mean, p99, acceptance, profile) = point?;
                 if let Some(profiler) = profiler.as_mut() {
                     let identity = arch.to_string();
-                    let config =
-                        config_json(Some(&identity), *benchmark, rate, common.size, common);
+                    let config = config_json(Some(&identity), *benchmark, rate, common);
                     profiler.add_run(config, &profile);
                 }
                 writeln!(
@@ -558,7 +532,11 @@ pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
             let net = crate::fabric::mesh::<Wormhole>(*cols, *rows, (), common)?;
             // The mesh is cols x rows; `size` records the column count
             // (square in every default invocation).
-            let config = config_json(None, *benchmark, *rate, *cols, common);
+            let sized = CommonOptions {
+                size: *cols,
+                ..common.clone()
+            };
+            let config = config_json(None, *benchmark, *rate, &sized);
             let run = run_config(*benchmark, *rate, common)?;
             let size = net.config().size();
             single_run("mesh", &net, config, &run, common, out, |out, report| {

@@ -3,20 +3,20 @@
 //! nodes sit, how they group into time-series levels, and which document
 //! sections only it can fill.
 //!
-//! `metrics`, `faults` and the `--stream` sink are written once against
-//! [`Fabric`]; each command matches `--substrate` once to pick the type.
+//! `metrics` and `faults` are written once against [`Fabric`], as an
+//! [`OnFabric`] command; [`dispatch`] is the one place `--substrate` is
+//! matched to pick the type, and [`crate::stream::observe`] the one
+//! instrumented-run set-up every fabric command shares.
 
 use std::rc::Rc;
 
-use asynoc::{Duration, MotNode, Network, Phases, RunReport};
-use asynoc_mesh::{Config, MeshError, MeshSize, Network as MeshNetwork, Report, Router, Wormhole};
-use asynoc_telemetry::{
-    JsonValue, LatencyHistograms, LevelSpec, Site, SiteOf, SpeculationWaste, Stage, TimeSeries,
-};
-use asynoc_vcmesh::{McastScheme, VcMeshReport, VcRouter};
+use asynoc::{Duration, MotNode, Network, RunReport};
+use asynoc_mesh::{Config, MeshError, MeshSize, Network as MeshNetwork, Router, Wormhole};
+use asynoc_telemetry::{JsonValue, LevelSpec, Site, SiteOf, SpeculationWaste, Stage};
+use asynoc_vcmesh::{VcMeshReport, VcRouter};
 
-use crate::args::CommonOptions;
-use crate::commands::CliError;
+use crate::args::{CommonOptions, RunTarget, Substrate};
+use crate::commands::{network_for, placement_id, resolve_spec_map, CliError};
 
 /// A substrate the instrumented commands can run.
 pub(crate) trait Fabric: asynoc::Substrate {
@@ -36,32 +36,10 @@ pub(crate) trait Fabric: asynoc::Substrate {
         }]
     }
 
-    /// How many nodes read a routing symbol a fault plan can override,
-    /// numbered from 0: the fanout nodes of a tree fabric, none on a mesh.
-    fn symbol_sites(&self) -> usize {
-        0
-    }
-
     /// Wire-launch and drop-acknowledge energies, fJ — fabrics with an
     /// energy model only.
     fn energy_fj(&self) -> Option<(f64, f64)> {
         None
-    }
-
-    /// The pair every instrumented run keeps, and a `--stream` sink
-    /// windows: latency histograms gated on `phases`, and the
-    /// busy-fraction time-series with this fabric's level grouping.
-    fn collectors(&self, phases: Phases, bin: Duration) -> (LatencyHistograms, TimeSeries) {
-        (
-            LatencyHistograms::new(phases, self.endpoints()),
-            TimeSeries::new(bin, self.levels()),
-        )
-    }
-
-    /// The speculation-waste ledger — fabrics with an energy model only.
-    fn waste(&self) -> Option<SpeculationWaste> {
-        let (wire_fj, drop_fj) = self.energy_fj()?;
-        Some(SpeculationWaste::new(wire_fj, drop_fj))
     }
 
     /// The `waste` and `power` document sections (null without an energy
@@ -91,10 +69,6 @@ impl Fabric for Network {
         Network::levels(self)
     }
 
-    fn symbol_sites(&self) -> usize {
-        self.config().size().total_fanout_nodes()
-    }
-
     fn energy_fj(&self) -> Option<(f64, f64)> {
         let timing = self.config().timing();
         Some((timing.wire_fj, timing.drop_fj))
@@ -114,34 +88,29 @@ impl Fabric for Network {
     }
 }
 
-/// What a mesh router adds to the documents of the fabric it runs on.
-pub(crate) trait MeshRouter: Router {
-    /// The [`Fabric::TAG`] of a mesh of these routers.
-    const TAG: &'static str;
+impl Fabric for MeshNetwork<Wormhole> {
+    const TAG: &'static str = "mesh";
 
-    /// See [`Fabric::extra_sections`].
-    fn extra_sections(
-        _settings: &Self::Settings,
-        _report: &Report<Self::Section>,
-    ) -> Vec<(String, JsonValue)> {
-        Vec::new()
+    fn site_of(&self) -> SiteOf<usize> {
+        Rc::new(Site::Router)
     }
 }
 
-impl MeshRouter for Wormhole {
-    const TAG: &'static str = "mesh";
-}
-
-impl MeshRouter for VcRouter {
+impl Fabric for MeshNetwork<VcRouter> {
     const TAG: &'static str = "vcmesh";
+
+    fn site_of(&self) -> SiteOf<usize> {
+        Rc::new(Site::Router)
+    }
 
     /// The `vcs` section: the multicast scheme and the VC-plane counters.
     /// The credit-conservation ledger's audit counts stay out of the
     /// document: they check the router, they do not describe the run.
-    fn extra_sections(mcast: &McastScheme, report: &VcMeshReport) -> Vec<(String, JsonValue)> {
+    fn extra_sections(&self, report: &VcMeshReport) -> Vec<(String, JsonValue)> {
         let uints =
             |values: &[u64]| JsonValue::Array(values.iter().map(|&v| JsonValue::uint(v)).collect());
         let vc = &report.router;
+        let mcast = self.config().router();
         let vcs = JsonValue::Object(vec![
             ("mcast".to_string(), JsonValue::str(mcast.to_string())),
             ("vc_pushes".to_string(), uints(&vc.vc_pushes)),
@@ -156,20 +125,8 @@ impl MeshRouter for VcRouter {
     }
 }
 
-impl<R: MeshRouter> Fabric for MeshNetwork<R> {
-    const TAG: &'static str = R::TAG;
-
-    fn site_of(&self) -> SiteOf<usize> {
-        Rc::new(Site::Router)
-    }
-
-    fn extra_sections(&self, report: &Report<R::Section>) -> Vec<(String, JsonValue)> {
-        R::extra_sections(self.config().router(), report)
-    }
-}
-
 /// The `cols x rows` mesh of `R` routers `common` describes.
-pub(crate) fn mesh<R: MeshRouter>(
+pub(crate) fn mesh<R: Router>(
     cols: usize,
     rows: usize,
     settings: R::Settings,
@@ -181,4 +138,30 @@ pub(crate) fn mesh<R: MeshRouter>(
         .with_flits_per_packet(common.flits)
         .with_router(settings);
     MeshNetwork::new(config).map_err(invalid)
+}
+
+/// A command written once against [`Fabric`].
+pub(crate) trait OnFabric {
+    /// What the command returns.
+    type Output;
+
+    /// Runs the command on `net`. `placement` is the placement identity
+    /// string of a MoT run (preset name or canonical map form), `None` on
+    /// a mesh.
+    fn on<F: Fabric>(self, net: &F, placement: Option<String>) -> Result<Self::Output, CliError>;
+}
+
+/// Builds the fabric `target` names and runs `command` on it.
+pub(crate) fn dispatch<C: OnFabric>(target: &RunTarget, command: C) -> Result<C::Output, CliError> {
+    let common = &target.common;
+    let size = common.size;
+    match target.substrate {
+        Substrate::Mot => {
+            let map = resolve_spec_map(target.arch, target.spec_map.as_ref(), common)?;
+            let net = network_for(&map, common)?;
+            command.on(&net, Some(placement_id(target.arch, &map)))
+        }
+        Substrate::Mesh => command.on(&mesh::<Wormhole>(size, size, (), common)?, None),
+        Substrate::Vcmesh => command.on(&mesh::<VcRouter>(size, size, target.mcast, common)?, None),
+    }
 }

@@ -14,32 +14,19 @@ use std::io::Write;
 use asynoc::faults::{
     judge, run_outcome, FaultDomain, FaultPlan, OracleVerdict, RunOutcome, FAULTS_SCHEMA,
 };
-use asynoc::{Architecture, Benchmark};
-use asynoc_mesh::Wormhole;
 use asynoc_telemetry::{JsonValue, RecordSink};
-use asynoc_vcmesh::{McastScheme, VcRouter};
+use asynoc_vcmesh::McastScheme;
 
-use crate::args::{CommonOptions, Substrate};
-use crate::commands::{
-    create_optional, network_for, phases_for, placement_id, resolve_spec_map, run_config, CliError,
-};
-use crate::fabric::{self, Fabric};
+use crate::args::RunTarget;
+use crate::commands::{create_optional, run_config, CliError};
+use crate::fabric::{dispatch, Fabric, OnFabric};
+use crate::metrics::config_json;
 
 /// A fully-resolved `faults` invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultsRequest {
-    /// Network architecture preset (MoT substrate; exclusive with `spec_map`).
-    pub arch: Option<Architecture>,
-    /// Speculation-placement map (MoT substrate; exclusive with `arch`).
-    pub spec_map: Option<String>,
-    /// Traffic benchmark.
-    pub benchmark: Benchmark,
-    /// Offered load, flits/ns per source.
-    pub rate: f64,
-    /// Which fabric to inject into.
-    pub substrate: Substrate,
-    /// Multicast scheme on the vcmesh substrate (unused elsewhere).
-    pub mcast: McastScheme,
+    /// The fabric, placement, traffic and shared options to inject into.
+    pub target: RunTarget,
     /// Plan to replay, parsed from its text encoding (`None` = draw from
     /// seed and rate).
     pub plan: Option<FaultPlan>,
@@ -49,8 +36,6 @@ pub struct FaultsRequest {
     pub oracle: bool,
     /// JSON report destination (`None` = the command's output stream).
     pub report_out: Option<String>,
-    /// Shared options.
-    pub common: CommonOptions,
 }
 
 /// The `asynoc faults` line that re-runs `request`'s differential pair on
@@ -61,21 +46,22 @@ pub struct FaultsRequest {
 #[must_use]
 pub fn replay_line(request: &FaultsRequest, plan: &FaultPlan) -> String {
     let quoted = |text: &str| format!("'{}'", text.replace('\'', "'\\''"));
-    let common = &request.common;
-    let mut line = format!("asynoc faults --substrate {}", request.substrate);
+    let target = &request.target;
+    let common = &target.common;
+    let mut line = format!("asynoc faults --substrate {}", target.substrate);
     let mut flag = |name: &str, value: String| {
         line.push_str(" --");
         line.push_str(name);
         line.push(' ');
         line.push_str(&value);
     };
-    if let Some(arch) = request.arch {
+    if let Some(arch) = target.arch {
         flag("arch", arch.to_string());
-    } else if let Some(map) = &request.spec_map {
+    } else if let Some(map) = &target.spec_map {
         flag("spec-map", quoted(map));
     }
-    flag("benchmark", request.benchmark.to_string());
-    flag("rate", request.rate.to_string());
+    flag("benchmark", target.benchmark.to_string());
+    flag("rate", target.rate.to_string());
     flag("size", common.size.to_string());
     flag("seed", common.seed.to_string());
     flag("flits", common.flits.to_string());
@@ -85,8 +71,8 @@ pub fn replay_line(request: &FaultsRequest, plan: &FaultPlan) -> String {
     if let Some(measure) = common.measure_ns {
         flag("measure-ns", measure.to_string());
     }
-    if request.mcast != McastScheme::default() {
-        flag("mcast", request.mcast.to_string());
+    if target.mcast != McastScheme::default() {
+        flag("mcast", target.mcast.to_string());
     }
     flag("plan", quoted(&plan.encode()));
     line + " --oracle"
@@ -158,64 +144,16 @@ fn outcome_json(outcome: &RunOutcome) -> JsonValue {
     ])
 }
 
-/// Runs the faulted simulation on `net` and, under `--oracle`, its clean
-/// twin; returns the pair with the plan, its domain, and the number of
-/// watchpoint records the stream fired.
-fn run_pair<F: Fabric>(
-    net: &F,
-    config: &JsonValue,
-    request: &FaultsRequest,
-) -> Result<(FaultDomain, FaultPlan, RunOutcome, Option<RunOutcome>, u64), CliError> {
-    let common = &request.common;
-    let domain = net.fault_domain();
-    let plan = resolve_plan(request, &domain, net.symbol_sites())?;
-    let run = run_config(request.benchmark, request.rate, common)?;
-    // Only the faulted run is streamed: the clean twin stays
-    // unobserved so the oracle's reference is untouched.
-    let outcome = |plan, sinks: &mut [&mut dyn RecordSink]| {
-        run_outcome(net, &run, plan, net.site_of(), sinks)
-    };
-    let (faulted, watchpoints) = match &common.stream {
-        Some(path) => {
-            let window = crate::stream::window(common, None);
-            let phases = phases_for(request.benchmark, common);
-            let (mut latency, mut series) = net.collectors(phases, window);
-            let mut sink = crate::stream::sink::<F>(
-                path,
-                common,
-                config.clone(),
-                window,
-                crate::stream::DEFAULT_TRACE_LIMIT,
-                &mut latency,
-                &mut series,
-            )?;
-            let faulted = outcome(Some(&plan), &mut [&mut sink])?;
-            let watchpoints = sink
-                .finish(JsonValue::Object(vec![]), faulted.packets_incomplete)?
-                .watchpoints;
-            (faulted, watchpoints)
-        }
-        None => (outcome(Some(&plan), &mut [])?, 0),
-    };
-    let clean = request.oracle.then(|| outcome(None, &mut [])).transpose()?;
-    Ok((domain, plan, faulted, clean, watchpoints))
-}
-
 /// The plan `request` names: the `--plan` one, every entry of which must
-/// be aimed inside the fabric (`domain` and its `symbol_sites`), or one
-/// drawn from `domain`.
-fn resolve_plan(
-    request: &FaultsRequest,
-    domain: &FaultDomain,
-    symbol_sites: usize,
-) -> Result<FaultPlan, CliError> {
+/// be aimed inside the fabric's `domain`, or one drawn from `domain`.
+fn resolve_plan(request: &FaultsRequest, domain: &FaultDomain) -> Result<FaultPlan, CliError> {
     match &request.plan {
         Some(plan) => plan
-            .validate(domain, symbol_sites)
+            .validate(domain)
             .map(|()| plan.clone())
             .map_err(|e| CliError::Invalid(format!("--plan: {e}"))),
         None => Ok(FaultPlan::random(
-            request.common.seed,
+            request.target.common.seed,
             request.fault_rate,
             domain,
         )),
@@ -224,115 +162,106 @@ fn resolve_plan(
 
 /// Executes a `faults` command: runs the (pair of) simulations, writes
 /// the JSON report, and fails with the violated checks when the oracle
-/// rejects the pair.
+/// rejects the pair. The fabric is built before any file is created.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] on simulation, plan, I/O, or oracle failure.
 pub fn execute_faults(request: &FaultsRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    let common = &request.common;
-    match request.substrate {
-        Substrate::Mot => {
-            let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), common)?;
-            faults_on(
-                &network_for(&map, common)?,
-                Some(placement_id(request.arch, &map)),
-                request,
-                out,
-            )
-        }
-        Substrate::Mesh => faults_on(
-            &fabric::mesh::<Wormhole>(common.size, common.size, (), common)?,
-            None,
-            request,
-            out,
-        ),
-        Substrate::Vcmesh => faults_on(
-            &fabric::mesh::<VcRouter>(common.size, common.size, request.mcast, common)?,
-            None,
-            request,
-            out,
-        ),
-    }
+    dispatch(&request.target, Inject { request, out })
 }
 
-/// [`execute_faults`] on the fabric `--substrate` named. `placement` is
-/// the faulted run's placement identity string (preset name or canonical
-/// map form) — `None` off the MoT substrate.
-fn faults_on<F: Fabric>(
-    net: &F,
-    placement: Option<String>,
-    request: &FaultsRequest,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let common = &request.common;
-    let config = crate::metrics::config_json(
-        placement.as_deref(),
-        request.benchmark,
-        request.rate,
-        common.size,
-        common,
-    );
-    let mut profiler = crate::profile::ProfileWriter::when(common.profile.as_ref(), "faults")?;
-    let mut report_file = create_optional("--report-out", request.report_out.as_ref())?;
-    let (domain, plan, faulted, clean, watchpoints) = run_pair(net, &config, request)?;
-    if let Some(profiler) = profiler.as_mut() {
-        // One `runs[]` entry per simulation: the faulted run first, then
-        // (under --oracle) its clean twin with the same identity keys.
-        for outcome in std::iter::once(&faulted).chain(clean.as_ref()) {
-            profiler.add_run(config.clone(), &outcome.profile);
-        }
-    }
-    let verdict: Option<OracleVerdict> = clean
-        .as_ref()
-        .map(|clean| judge(clean, &faulted, &plan, &domain));
+/// A `faults` command on the fabric `--substrate` named, reporting to
+/// `out`.
+struct Inject<'a> {
+    request: &'a FaultsRequest,
+    out: &'a mut dyn Write,
+}
 
-    let doc = JsonValue::Object(vec![
-        ("schema".to_string(), JsonValue::str(FAULTS_SCHEMA)),
-        ("substrate".to_string(), JsonValue::str(F::TAG)),
-        ("config".to_string(), config),
-        ("plan".to_string(), plan_json(&plan, &domain)),
-        ("faulted".to_string(), outcome_json(&faulted)),
-        (
-            "clean".to_string(),
-            clean.as_ref().map_or(JsonValue::Null, outcome_json),
-        ),
-        (
-            "oracle".to_string(),
-            verdict
-                .as_ref()
-                .map_or(JsonValue::Null, OracleVerdict::to_json),
-        ),
-    ]);
-    let rendered = doc.render_pretty();
-    match request.report_out.as_ref().zip(report_file.as_mut()) {
-        Some((path, file)) => {
-            file.write_all(rendered.as_bytes())?;
-            writeln!(out, "fault report written to {path}")?;
-        }
-        // Bare stdout stays pure JSON so pipelines can parse it.
-        None => out.write_all(rendered.as_bytes())?,
-    }
-    if let Some(profiler) = profiler {
-        profiler.finish()?;
-    }
+impl OnFabric for Inject<'_> {
+    type Output = ();
 
-    if let Some(verdict) = &verdict {
-        if !verdict.pass() {
-            let failing: Vec<String> = verdict
-                .failures()
-                .iter()
-                .map(|c| format!("{}: {}", c.name, c.detail))
-                .collect();
-            return Err(CliError::Invalid(format!(
-                "fault oracle violated:\n  {}\nreplay: {}",
-                failing.join("\n  "),
-                replay_line(request, &plan)
-            )));
+    fn on<F: Fabric>(self, net: &F, placement: Option<String>) -> Result<(), CliError> {
+        let Inject { request, out } = self;
+        let target = &request.target;
+        let common = &target.common;
+        let config = config_json(placement.as_deref(), target.benchmark, target.rate, common);
+        let mut profiler = crate::profile::ProfileWriter::when(common.profile.as_ref(), "faults")?;
+        let mut report_file = create_optional("--report-out", request.report_out.as_ref())?;
+        let domain = net.fault_domain();
+        let plan = resolve_plan(request, &domain)?;
+        let run = run_config(target.benchmark, target.rate, common)?;
+        let outcome = |plan, sinks: &mut [&mut dyn RecordSink]| {
+            run_outcome(net, &run, plan, net.site_of(), sinks)
+        };
+        // Only the faulted run is streamed: the clean twin stays
+        // unobserved so the oracle's reference is untouched.
+        let limit = crate::stream::DEFAULT_TRACE_LIMIT;
+        let observed =
+            crate::stream::observe(net, &run, &config, None, limit, common, |mut sinks| {
+                let faulted = outcome(Some(&plan), &mut sinks)?;
+                let incomplete = faulted.packets_incomplete;
+                Ok((faulted, JsonValue::Object(vec![]), incomplete))
+            })?;
+        let faulted = observed.result;
+        let clean = request.oracle.then(|| outcome(None, &mut [])).transpose()?;
+        if let Some(profiler) = profiler.as_mut() {
+            // One `runs[]` entry per simulation: the faulted run first, then
+            // (under --oracle) its clean twin with the same identity keys.
+            for outcome in std::iter::once(&faulted).chain(clean.as_ref()) {
+                profiler.add_run(config.clone(), &outcome.profile);
+            }
         }
+        let verdict: Option<OracleVerdict> = clean
+            .as_ref()
+            .map(|clean| judge(clean, &faulted, &plan, &domain));
+
+        let doc = JsonValue::Object(vec![
+            ("schema".to_string(), JsonValue::str(FAULTS_SCHEMA)),
+            ("substrate".to_string(), JsonValue::str(F::TAG)),
+            ("config".to_string(), config),
+            ("plan".to_string(), plan_json(&plan, &domain)),
+            ("faulted".to_string(), outcome_json(&faulted)),
+            (
+                "clean".to_string(),
+                clean.as_ref().map_or(JsonValue::Null, outcome_json),
+            ),
+            (
+                "oracle".to_string(),
+                verdict
+                    .as_ref()
+                    .map_or(JsonValue::Null, OracleVerdict::to_json),
+            ),
+        ]);
+        let rendered = doc.render_pretty();
+        match request.report_out.as_ref().zip(report_file.as_mut()) {
+            Some((path, file)) => {
+                file.write_all(rendered.as_bytes())?;
+                writeln!(out, "fault report written to {path}")?;
+            }
+            // Bare stdout stays pure JSON so pipelines can parse it.
+            None => out.write_all(rendered.as_bytes())?,
+        }
+        if let Some(profiler) = profiler {
+            profiler.finish()?;
+        }
+
+        if let Some(verdict) = &verdict {
+            if !verdict.pass() {
+                let failing: Vec<String> = verdict
+                    .failures()
+                    .iter()
+                    .map(|c| format!("{}: {}", c.name, c.detail))
+                    .collect();
+                return Err(CliError::Invalid(format!(
+                    "fault oracle violated:\n  {}\nreplay: {}",
+                    failing.join("\n  "),
+                    replay_line(request, &plan)
+                )));
+            }
+        }
+        crate::stream::fatal_check(observed.watchpoints, common)
     }
-    crate::stream::fatal_check(watchpoints, common)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -343,64 +272,54 @@ mod tests {
     use crate::commands::execute;
     use asynoc_analysis::Analysis;
 
-    /// The faulted run and the clean twin of `request` on `net`, each with
-    /// the analysis fold beside the oracle's own observers: the three
-    /// counters the online token ledger reported must be the ones the
-    /// fold counts tree by tree. Returns the longer twin's record count.
-    fn ledger_matches_analysis_on<F: Fabric>(net: &F, request: &FaultsRequest) -> u64 {
-        let plan =
-            resolve_plan(request, &net.fault_domain(), net.symbol_sites()).expect("a valid plan");
-        let run = run_config(request.benchmark, request.rate, &request.common).expect("a run");
-        let mut records = 0;
-        for plan in [Some(&plan), None] {
-            let mut analysis = Analysis::new(None, 1);
-            let outcome =
-                run_outcome(net, &run, plan, net.site_of(), &mut [&mut analysis]).expect("it runs");
-            let ingest = analysis.finish().ingest();
-            assert_eq!(
-                (
-                    outcome.fault_affected_trees,
-                    outcome.broken_trees,
-                    outcome.broken_with_cause
-                ),
-                (
-                    ingest.trees.fault_affected,
-                    ingest.trees.broken,
-                    ingest.trees.broken_with_cause
-                ),
-                "ledger vs analysis over {} records of {request:?}",
-                ingest.records
-            );
-            assert_eq!(plan.is_none(), ingest.trees.fault_affected == 0);
-            records = records.max(ingest.records);
+    /// The faulted run and the clean twin of a request, each with the
+    /// analysis fold beside the oracle's own observers: the three counters
+    /// the online token ledger reported must be the ones the fold counts
+    /// tree by tree. Returns the longer twin's record count.
+    struct LedgerMatchesAnalysis<'a>(&'a FaultsRequest);
+
+    impl OnFabric for LedgerMatchesAnalysis<'_> {
+        type Output = u64;
+
+        fn on<F: Fabric>(self, net: &F, _: Option<String>) -> Result<u64, CliError> {
+            let request = self.0;
+            let target = &request.target;
+            let plan = resolve_plan(request, &net.fault_domain()).expect("a valid plan");
+            let run = run_config(target.benchmark, target.rate, &target.common).expect("a run");
+            let mut records = 0;
+            for plan in [Some(&plan), None] {
+                let mut analysis = Analysis::new(None, 1);
+                let outcome = run_outcome(net, &run, plan, net.site_of(), &mut [&mut analysis])
+                    .expect("it runs");
+                let ingest = analysis.finish().ingest();
+                assert_eq!(
+                    (
+                        outcome.fault_affected_trees,
+                        outcome.broken_trees,
+                        outcome.broken_with_cause
+                    ),
+                    (
+                        ingest.trees.fault_affected,
+                        ingest.trees.broken,
+                        ingest.trees.broken_with_cause
+                    ),
+                    "ledger vs analysis over {} records of {request:?}",
+                    ingest.records
+                );
+                assert_eq!(plan.is_none(), ingest.trees.fault_affected == 0);
+                records = records.max(ingest.records);
+            }
+            Ok(records)
         }
-        records
     }
 
-    /// [`ledger_matches_analysis_on`] the fabric an `asynoc faults` line
+    /// [`LedgerMatchesAnalysis`] on the fabric an `asynoc faults` line
     /// names; returns the longer twin's record count.
     fn ledger_matches_analysis(line: &[String]) -> u64 {
         let Ok(Command::Faults(request)) = parse(line) else {
             panic!("{line:?} is not a faults invocation");
         };
-        let common = &request.common;
-        match request.substrate {
-            Substrate::Mot => {
-                let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), common)
-                    .expect("a placement");
-                let net = network_for(&map, common).expect("a network");
-                ledger_matches_analysis_on(&net, &request)
-            }
-            Substrate::Mesh => ledger_matches_analysis_on(
-                &fabric::mesh::<Wormhole>(common.size, common.size, (), common).expect("a mesh"),
-                &request,
-            ),
-            Substrate::Vcmesh => ledger_matches_analysis_on(
-                &fabric::mesh::<VcRouter>(common.size, common.size, request.mcast, common)
-                    .expect("a VC mesh"),
-                &request,
-            ),
-        }
+        dispatch(&request.target, LedgerMatchesAnalysis(&request)).expect("a fabric")
     }
 
     #[test]
@@ -461,9 +380,10 @@ mod tests {
             let domain = FaultDomain {
                 channels: 64,
                 endpoints: 4,
+                symbol_sites: 0,
                 corrupt_sites: vec![],
             };
-            let plan = resolve_plan(&request, &domain, 0).expect("a valid plan");
+            let plan = resolve_plan(&request, &domain).expect("a valid plan");
             let replay = replay_line(&request, &plan);
             let rest = replay.strip_prefix("asynoc ").expect(&replay);
             let expected = FaultsRequest {

@@ -10,36 +10,25 @@
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
 
-use asynoc::{drive, Architecture, Benchmark, Duration, EngineReport, RunReport};
-use asynoc_mesh::Wormhole;
+use asynoc::{Benchmark, Duration, EngineReport, RunReport};
 use asynoc_power::EnergyCategory;
 use asynoc_telemetry::{
-    ChromeTraceObserver, JsonValue, RecordSink, Recorder, TraceFile, TraceMeta, METRICS_SCHEMA,
+    ChromeTraceObserver, JsonValue, RecordSink, SpeculationWaste, TraceFile, TraceMeta,
+    METRICS_SCHEMA,
 };
-use asynoc_vcmesh::{McastScheme, VcRouter};
 
-use crate::args::{CommonOptions, Substrate, TraceFormat};
+use crate::args::{CommonOptions, RunTarget, TraceFormat};
 use crate::commands::{
-    create_optional, create_output, named, network_for, phases_for, placement_id,
-    refuse_stdout_file, resolve_spec_map, run_config, CliError,
+    create_optional, create_output, named, refuse_stdout_file, run_config, CliError,
 };
-use crate::fabric::{self, Fabric};
+use crate::fabric::{dispatch, Fabric, OnFabric};
+use crate::profile::ProfileWriter;
 
 /// A fully-resolved `metrics` invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsRequest {
-    /// Network architecture preset (MoT substrate; exclusive with `spec_map`).
-    pub arch: Option<Architecture>,
-    /// Speculation-placement map (MoT substrate; exclusive with `arch`).
-    pub spec_map: Option<String>,
-    /// Traffic benchmark.
-    pub benchmark: Benchmark,
-    /// Offered load, flits/ns per source.
-    pub rate: f64,
-    /// Which fabric to instrument.
-    pub substrate: Substrate,
-    /// Multicast scheme on the vcmesh substrate (unused elsewhere).
-    pub mcast: McastScheme,
+    /// The fabric, placement, traffic and shared options to instrument.
+    pub target: RunTarget,
     /// Time-series bin width, ns.
     pub bin_ns: u64,
     /// JSON report destination (`None` = the command's output stream).
@@ -50,13 +39,11 @@ pub struct MetricsRequest {
     pub trace_out: Option<String>,
     /// Maximum trace events recorded.
     pub trace_limit: usize,
-    /// Shared options.
-    pub common: CommonOptions,
 }
 
 /// The `--trace-out` sink. NDJSON lines go to the file as the run goes
-/// ([`TraceFile`]); a Chrome trace is one JSON document, kept whole and
-/// written when the run ends.
+/// ([`TraceFile`]); a Chrome trace is one JSON document, its events kept
+/// compact and written when the run ends.
 enum Tracer {
     Ndjson(TraceFile),
     Chrome(ChromeTraceObserver, File),
@@ -73,9 +60,7 @@ impl Tracer {
     fn finish(self) -> std::io::Result<()> {
         match self {
             Tracer::Ndjson(file) => file.finish(),
-            Tracer::Chrome(observer, mut out) => {
-                out.write_all(observer.into_trace().render().as_bytes())
-            }
+            Tracer::Chrome(observer, out) => observer.write_to(out),
         }
     }
 }
@@ -117,12 +102,11 @@ fn open_trace_out(path: &str) -> Result<File, CliError> {
 /// `arch` is the placement identity string: a preset name, or the
 /// canonical `levels:` map form for custom `--spec-map` placements
 /// (either is a valid `--spec-map` value, so any report reproduces its
-/// own run).
+/// own run). `size` is `common`'s.
 pub(crate) fn config_json(
     arch: Option<&str>,
     benchmark: Benchmark,
     rate: f64,
-    size: usize,
     common: &CommonOptions,
 ) -> JsonValue {
     JsonValue::Object(vec![
@@ -135,7 +119,7 @@ pub(crate) fn config_json(
             JsonValue::str(benchmark.to_string()),
         ),
         ("rate_gfs".to_string(), JsonValue::Number(rate)),
-        ("size".to_string(), JsonValue::uint(size as u64)),
+        ("size".to_string(), JsonValue::uint(common.size as u64)),
         ("seed".to_string(), JsonValue::uint(common.seed)),
         (
             "flits".to_string(),
@@ -215,181 +199,142 @@ pub(crate) fn counters_json(report: &EngineReport) -> JsonValue {
     ])
 }
 
-/// One run's outputs: the report document, the run's identity `config`
-/// with the engine's self-profile, and the number of watchpoint records
-/// the stream fired (0 without `--stream`).
-type MetricsRun = (JsonValue, (JsonValue, asynoc::probe::EngineProfile), u64);
-
-/// Runs `net` with the telemetry stack, writes the trace to `trace_out`
-/// (if requested) and assembles the report document. `waste` and `power`
-/// are null on a fabric without an energy model; fabric-specific sections
-/// (the VC mesh's `vcs`) follow `counters`.
-fn run<F: Fabric>(
-    net: &F,
-    identity: Option<String>,
-    request: &MetricsRequest,
+/// A `metrics` command on the fabric `--substrate` names, with the
+/// files it writes, each created before the fabric is built.
+struct Instrument<'a> {
+    request: &'a MetricsRequest,
+    out: &'a mut dyn Write,
+    profiler: Option<ProfileWriter>,
+    metrics_file: Option<File>,
     trace_out: Option<File>,
-) -> Result<MetricsRun, CliError> {
-    let common = &request.common;
-    let phases = phases_for(request.benchmark, common);
-    let run = run_config(request.benchmark, request.rate, common)?;
-    let config = config_json(
-        identity.as_deref(),
-        request.benchmark,
-        request.rate,
-        common.size,
-        common,
-    );
+}
 
-    let (mut latency, mut timeseries) = net.collectors(phases, Duration::from_ns(request.bin_ns));
-    let mut waste = net.waste();
-    // Every field of the trace's meta line but the count the cap drops is
-    // known before the run, so the line leads the file from the start.
-    let energy = net.energy_fj();
-    let meta = TraceMeta {
-        substrate: F::TAG.to_string(),
-        arch: identity,
-        size: common.size as u64,
-        seed: common.seed,
-        flits: common.flits,
-        rate: request.rate,
-        warmup_ps: phases.warmup().as_ps(),
-        measure_ps: phases.measure().as_ps(),
-        wire_fj: energy.map(|(wire, _)| wire),
-        drop_fj: energy.map(|(_, drop)| drop),
-        dropped_events: 0,
-    };
-    let limit = request.trace_limit;
-    let mut tracer = match (trace_out, request.trace_format) {
-        (Some(file), Some(TraceFormat::Chrome)) => {
-            Some(Tracer::Chrome(ChromeTraceObserver::new(limit), file))
-        }
-        (Some(file), _) => Some(Tracer::Ndjson(
-            TraceFile::new(file, meta, limit).map_err(trace_error(request))?,
-        )),
-        (None, _) => None,
-    };
-    // Under `--stream` the sink stands in front of the latency /
-    // time-series pair and feeds it; otherwise the pair is fed directly.
-    let mut sink = None;
-    let mut sinks: Vec<&mut dyn RecordSink> = match &common.stream {
-        Some(path) => vec![sink.insert(crate::stream::sink::<F>(
-            path,
-            common,
-            config.clone(),
-            crate::stream::window(common, Some(request.bin_ns)),
-            request.trace_limit,
-            &mut latency,
-            &mut timeseries,
-        )?)],
-        None => vec![&mut latency, &mut timeseries],
-    };
-    if let Some(waste) = waste.as_mut() {
-        sinks.push(waste);
-    }
-    if let Some(tracer) = tracer.as_mut() {
-        sinks.push(tracer.sink());
-    }
-    let mut recorder = Recorder::new(net.site_of(), sinks);
-    let report = drive(net, &run, &mut [&mut recorder], None).map_err(asynoc::SimError::from)?;
+impl OnFabric for Instrument<'_> {
+    type Output = ();
 
-    let (waste_value, power_value) = F::energy_sections(&report, waste.as_ref(), phases.measure());
-    let mut sections = vec![
-        ("waste".to_string(), waste_value),
-        (
-            "throughput".to_string(),
-            throughput_json(&report.throughput),
-        ),
-        ("power".to_string(), power_value),
-        ("counters".to_string(), counters_json(&report)),
-    ];
-    sections.extend(net.extra_sections(&report));
-    // The stream's end record carries the scalar sections verbatim, in
-    // batch order, so `fold_stream` reproduces the document below
-    // byte-for-byte.
-    let watchpoints = match sink {
-        Some(sink) => {
-            sink.finish(
-                JsonValue::Object(sections.clone()),
-                report.packets_incomplete,
-            )?
-            .watchpoints
+    /// Runs `net` with the telemetry stack, then writes the report, the
+    /// trace and the self-profile. `waste` and `power` are null on a
+    /// fabric without an energy model; fabric-specific sections (the VC
+    /// mesh's `vcs`) follow `counters`.
+    fn on<F: Fabric>(self, net: &F, identity: Option<String>) -> Result<(), CliError> {
+        let request = self.request;
+        let target = &request.target;
+        let common = &target.common;
+        let run = run_config(target.benchmark, target.rate, common)?;
+        let phases = run.phases();
+        let config = config_json(identity.as_deref(), target.benchmark, target.rate, common);
+
+        let energy = net.energy_fj();
+        let mut waste = energy.map(|(wire, drop)| SpeculationWaste::new(wire, drop));
+        // Every field of the trace's meta line but the count the cap drops
+        // is known before the run, so the line leads the file from the start.
+        let meta = TraceMeta {
+            substrate: F::TAG.to_string(),
+            arch: identity,
+            size: common.size as u64,
+            seed: common.seed,
+            flits: common.flits,
+            rate: target.rate,
+            warmup_ps: phases.warmup().as_ps(),
+            measure_ps: phases.measure().as_ps(),
+            wire_fj: energy.map(|(wire, _)| wire),
+            drop_fj: energy.map(|(_, drop)| drop),
+            dropped_events: 0,
+        };
+        let limit = request.trace_limit;
+        let mut tracer = match (self.trace_out, request.trace_format) {
+            (Some(file), Some(TraceFormat::Chrome)) => {
+                Some(Tracer::Chrome(ChromeTraceObserver::new(limit), file))
+            }
+            (Some(file), _) => Some(Tracer::Ndjson(
+                TraceFile::new(file, meta, limit).map_err(trace_error(request))?,
+            )),
+            (None, _) => None,
+        };
+        let bin_ns = Some(request.bin_ns);
+        let observed = crate::stream::observe(net, &run, &config, bin_ns, limit, common, |pair| {
+            let own = waste.iter_mut().map(|waste| waste as &mut dyn RecordSink);
+            let sinks = pair
+                .into_iter()
+                .map(|sink| sink as &mut dyn RecordSink)
+                .chain(own)
+                .chain(tracer.as_mut().map(Tracer::sink))
+                .collect();
+            let report = crate::stream::record(net, &run, sinks)?;
+            let (waste_value, power_value) =
+                F::energy_sections(&report, waste.as_ref(), phases.measure());
+            let mut sections = vec![
+                ("waste".to_string(), waste_value),
+                (
+                    "throughput".to_string(),
+                    throughput_json(&report.throughput),
+                ),
+                ("power".to_string(), power_value),
+                ("counters".to_string(), counters_json(&report)),
+            ];
+            sections.extend(net.extra_sections(&report));
+            // The stream's end record carries the scalar sections verbatim,
+            // in batch order, so `fold_stream` reproduces the document
+            // below byte-for-byte.
+            let end = JsonValue::Object(sections.clone());
+            Ok(((report.profile, sections), end, report.packets_incomplete))
+        })?;
+        let (engine_profile, sections) = observed.result;
+        let mut doc = vec![
+            ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),
+            ("substrate".to_string(), JsonValue::str(F::TAG)),
+            ("config".to_string(), config.clone()),
+            ("latency".to_string(), observed.latency.to_json()),
+            ("timeseries".to_string(), observed.series.to_json()),
+        ];
+        doc.extend(sections);
+        if let Some(tracer) = tracer {
+            tracer.finish().map_err(trace_error(request))?;
         }
-        None => 0,
-    };
-    let mut doc = vec![
-        ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),
-        ("substrate".to_string(), JsonValue::str(F::TAG)),
-        ("config".to_string(), config.clone()),
-        ("latency".to_string(), latency.to_json()),
-        ("timeseries".to_string(), timeseries.to_json()),
-    ];
-    doc.extend(sections);
-    if let Some(tracer) = tracer {
-        tracer.finish().map_err(trace_error(request))?;
+        let rendered = JsonValue::Object(doc).render_pretty();
+        match request.metrics_out.as_ref().zip(self.metrics_file) {
+            Some((path, mut file)) => {
+                file.write_all(rendered.as_bytes())?;
+                writeln!(self.out, "metrics report written to {path}")?;
+                if let Some(path) = &request.trace_out {
+                    writeln!(self.out, "trace written to {path}")?;
+                }
+            }
+            // Bare stdout stays pure JSON so pipelines can parse it.
+            None => self.out.write_all(rendered.as_bytes())?,
+        }
+        if let Some(mut profiler) = self.profiler {
+            profiler.add_run(config, &engine_profile);
+            profiler.finish()?;
+        }
+        crate::stream::fatal_check(observed.watchpoints, common)
     }
-    Ok((
-        JsonValue::Object(doc),
-        (config, report.profile),
-        watchpoints,
-    ))
 }
 
 /// Executes a `metrics` command: runs the instrumented simulation, then
 /// writes the JSON report (to `--metrics-out` or `out`), the trace
 /// (to `--trace-out`, when requested), and the self-profile (to
-/// `--profile`, when requested). Both files are created before the run,
-/// so a path that cannot be written costs no simulation.
+/// `--profile`, when requested). Every file is created before the
+/// placement is resolved, so a path that cannot be written costs no
+/// simulation.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] on simulation, configuration, or I/O failure.
 pub fn execute_metrics(request: &MetricsRequest, out: &mut dyn Write) -> Result<(), CliError> {
-    let common = &request.common;
-    let profiler = crate::profile::ProfileWriter::when(common.profile.as_ref(), "metrics")?;
-    let mut metrics_file = create_optional("--metrics-out", request.metrics_out.as_ref())?;
-    let trace_out = request
-        .trace_out
-        .as_deref()
-        .map(open_trace_out)
-        .transpose()?;
-    let (doc, engine_profile, watchpoints) = match request.substrate {
-        Substrate::Mot => {
-            let map = resolve_spec_map(request.arch, request.spec_map.as_ref(), common)?;
-            let net = network_for(&map, common)?;
-            let placement = placement_id(request.arch, &map);
-            run(&net, Some(placement), request, trace_out)?
-        }
-        Substrate::Mesh => {
-            let net = fabric::mesh::<Wormhole>(common.size, common.size, (), common)?;
-            run(&net, None, request, trace_out)?
-        }
-        Substrate::Vcmesh => run(
-            &fabric::mesh::<VcRouter>(common.size, common.size, request.mcast, common)?,
-            None,
-            request,
-            trace_out,
-        )?,
+    let common = &request.target.common;
+    let instrument = Instrument {
+        request,
+        out,
+        profiler: ProfileWriter::when(common.profile.as_ref(), "metrics")?,
+        metrics_file: create_optional("--metrics-out", request.metrics_out.as_ref())?,
+        trace_out: request
+            .trace_out
+            .as_deref()
+            .map(open_trace_out)
+            .transpose()?,
     };
-    let rendered = doc.render_pretty();
-    match request.metrics_out.as_ref().zip(metrics_file.as_mut()) {
-        Some((path, file)) => {
-            file.write_all(rendered.as_bytes())?;
-            writeln!(out, "metrics report written to {path}")?;
-            if let Some(path) = &request.trace_out {
-                writeln!(out, "trace written to {path}")?;
-            }
-        }
-        // Bare stdout stays pure JSON so pipelines can parse it.
-        None => out.write_all(rendered.as_bytes())?,
-    }
-    if let Some(mut profiler) = profiler {
-        let (config, engine_profile) = engine_profile;
-        profiler.add_run(config, &engine_profile);
-        profiler.finish()?;
-    }
-    crate::stream::fatal_check(watchpoints, common)?;
-    Ok(())
+    dispatch(&request.target, instrument)
 }
 
 #[cfg(test)]
@@ -397,6 +342,9 @@ mod tests {
     use super::*;
     use crate::args::{parse, Command};
     use crate::commands::execute;
+    use crate::fabric;
+    use asynoc::drive;
+    use asynoc_mesh::Wormhole;
     use asynoc_telemetry::validate_chrome;
 
     fn argv(line: &str) -> Vec<String> {
@@ -471,8 +419,10 @@ mod tests {
         // to a non-zero `packets_measured`: its counters are the engine's.
         let line = "metrics --substrate mesh --benchmark Uniform-random --rate 0.1 --size 4 \
                     --flits 1 --warmup-ns 40 --measure-ns 400";
-        let Command::Metrics(MetricsRequest { common, .. }) =
-            parse(&argv(line)).expect("valid invocation")
+        let Command::Metrics(MetricsRequest {
+            target: RunTarget { common, .. },
+            ..
+        }) = parse(&argv(line)).expect("valid invocation")
         else {
             panic!("expected metrics");
         };

@@ -1,16 +1,20 @@
-//! Shared plumbing for `--stream`: sink construction for every
-//! substrate and the `--watch-fatal` epilogue.
+//! The one instrumented-run set-up: every command that runs a fabric
+//! ([`observe`]) chooses the `--stream` flush window, builds the
+//! latency / time-series pair, opens the optional `--stream` sink over
+//! it, hands the sinks to the command's run, and closes the sink with the
+//! end sections the command supplies; [`fatal_check`] is the
+//! `--watch-fatal` epilogue.
 //!
-//! Every streamed command opens its sink here, over the latency /
-//! time-series pair the command itself keeps ([`Fabric::collectors`]):
-//! the sink has no collectors of its own, which is what lets `asynoc
-//! watch --fold` reproduce the batch `asynoc-metrics-v1` document
-//! byte-for-byte.
+//! The sink has no collectors of its own: it stands in front of the pair
+//! the command keeps, which is what lets `asynoc watch --fold` reproduce
+//! the batch `asynoc-metrics-v1` document byte-for-byte.
 
 use std::io::Write;
 
-use asynoc::Duration;
-use asynoc_telemetry::{JsonValue, LatencyHistograms, StreamConfig, StreamSink, TimeSeries};
+use asynoc::{drive, Duration, RunConfig, SimError};
+use asynoc_telemetry::{
+    JsonValue, LatencyHistograms, RecordSink, Recorder, StreamConfig, StreamSink, TimeSeries,
+};
 
 use crate::args::CommonOptions;
 use crate::commands::CliError;
@@ -20,41 +24,95 @@ use crate::fabric::Fabric;
 const DEFAULT_WINDOW_NS: u64 = 1000;
 
 /// Per-window trace bound for `--stream-trace` on commands without a
-/// `--trace-limit` of their own.
+/// `--trace-limit` of their own, and `--trace-limit`'s default.
 pub(crate) const DEFAULT_TRACE_LIMIT: usize = 100_000;
 
-/// The flush window: `--stream-window-ns`, or the default snapped up onto
-/// the time-series grid of a command that has one (`metrics --bin-ns`).
-/// A command without one bins by this window.
-pub(crate) fn window(common: &CommonOptions, bin_ns: Option<u64>) -> Duration {
-    let bin = bin_ns.unwrap_or(DEFAULT_WINDOW_NS);
-    let snapped = bin * DEFAULT_WINDOW_NS.div_ceil(bin);
-    Duration::from_ns(common.stream_window_ns.unwrap_or(snapped))
+/// An observed run: the command's result, the latency / time-series pair
+/// it fed, and the number of watchpoint records the stream fired (0
+/// without `--stream`).
+pub(crate) struct Observed<R> {
+    pub(crate) result: R,
+    pub(crate) latency: LatencyHistograms,
+    pub(crate) series: TimeSeries,
+    pub(crate) watchpoints: u64,
 }
 
-/// Opens the `--stream <path|->` sink of a run on a fabric of type `F`
-/// over the run's own `latency` and `series`.
-pub(crate) fn sink<'a, F: Fabric>(
-    path: &str,
-    common: &CommonOptions,
-    config: JsonValue,
-    window: Duration,
+/// One instrumented run of `run` on `net`, which `body` drives. Under
+/// `--stream` the sink (its head carrying `head`) is the one sink `body`
+/// is handed, and it feeds the pair; without it `body` is handed the pair
+/// when the command keeps a time-series grid of `bin_ns` (`metrics`), and
+/// nothing otherwise. `body` returns its result, the scalar sections the
+/// stream's `end` record carries, and the count of measured packets left
+/// incomplete.
+///
+/// The flush window is `--stream-window-ns`, or the default snapped up
+/// onto the `bin_ns` grid; a command without one bins by the window.
+///
+/// # Errors
+///
+/// Returns the first of: the sink's open failure, `body`'s own error, and
+/// the stream's I/O failure.
+pub(crate) fn observe<F: Fabric, R>(
+    net: &F,
+    run: &RunConfig,
+    head: &JsonValue,
+    bin_ns: Option<u64>,
     trace_limit: usize,
-    latency: &'a mut LatencyHistograms,
-    series: &'a mut TimeSeries,
-) -> Result<StreamSink<'a>, CliError> {
-    let out: Box<dyn Write> = if path == "-" {
-        Box::new(std::io::stdout())
+    common: &CommonOptions,
+    body: impl FnOnce(Vec<&mut dyn RecordSink>) -> Result<(R, JsonValue, usize), CliError>,
+) -> Result<Observed<R>, CliError> {
+    let grid = bin_ns.unwrap_or(DEFAULT_WINDOW_NS);
+    let snapped = grid * DEFAULT_WINDOW_NS.div_ceil(grid);
+    let window = Duration::from_ns(common.stream_window_ns.unwrap_or(snapped));
+    let bin = bin_ns.map_or(window, Duration::from_ns);
+    let mut latency = LatencyHistograms::new(run.phases(), net.endpoints());
+    let mut series = TimeSeries::new(bin, net.levels());
+    let (result, watchpoints) = match &common.stream {
+        Some(path) => {
+            let out: Box<dyn Write> = if path == "-" {
+                Box::new(std::io::stdout())
+            } else {
+                Box::new(crate::commands::create_output("--stream", path)?)
+            };
+            let cfg = StreamConfig {
+                substrate: F::TAG.to_string(),
+                config: head.clone(),
+                window,
+                trace_limit: common.stream_trace.then_some(trace_limit),
+            };
+            let mut sink = StreamSink::new(out, cfg, &mut latency, &mut series)?;
+            let (result, sections, incomplete) = body(vec![&mut sink])?;
+            (result, sink.finish(sections, incomplete)?.watchpoints)
+        }
+        None if bin_ns.is_some() => (body(vec![&mut latency, &mut series])?.0, 0),
+        None => (body(Vec::new())?.0, 0),
+    };
+    Ok(Observed {
+        result,
+        latency,
+        series,
+        watchpoints,
+    })
+}
+
+/// Drives `run` on `net` with `sinks` behind one [`Recorder`] — or, with
+/// none, on the engine's zero-observer path.
+pub(crate) fn record<F: Fabric>(
+    net: &F,
+    run: &RunConfig,
+    sinks: Vec<&mut dyn RecordSink>,
+) -> Result<F::Report, CliError> {
+    let report = if sinks.is_empty() {
+        drive(net, run, &mut [], None)
     } else {
-        Box::new(crate::commands::create_output("--stream", path)?)
+        drive(
+            net,
+            run,
+            &mut [&mut Recorder::new(net.site_of(), sinks)],
+            None,
+        )
     };
-    let cfg = StreamConfig {
-        substrate: F::TAG.to_string(),
-        config,
-        window,
-        trace_limit: common.stream_trace.then_some(trace_limit),
-    };
-    Ok(StreamSink::new(out, cfg, latency, series)?)
+    Ok(report.map_err(SimError::from)?)
 }
 
 /// The `--watch-fatal` epilogue: called after every report is written,

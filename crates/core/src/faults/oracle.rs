@@ -222,6 +222,7 @@ mod tests {
         FaultDomain {
             channels: 16,
             endpoints: 4,
+            symbol_sites: 4,
             corrupt_sites: vec![2],
         }
     }

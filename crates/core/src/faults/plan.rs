@@ -323,9 +323,8 @@ impl FaultPlan {
     }
 
     /// Holds every entry to the fabric the plan is aimed at — a stall's
-    /// channel and a drop's or loss's source inside `domain`, a symbol
-    /// override at one of the fabric's `symbol_sites` routing nodes
-    /// (none on a mesh) — and the delays together to half the simulated
+    /// channel, a drop's or loss's source and a symbol override's routing
+    /// node inside `domain` (no symbol site on a mesh) — and the delays together to half the simulated
     /// clock: an entry aimed elsewhere never fires, and would read as a
     /// fault the fabric shrugged off.
     ///
@@ -333,7 +332,7 @@ impl FaultPlan {
     ///
     /// Returns a [`PlanError`] naming the first offending entry by its
     /// 1-based position and text.
-    pub fn validate(&self, domain: &FaultDomain, symbol_sites: usize) -> Result<(), PlanError> {
+    pub fn validate(&self, domain: &FaultDomain) -> Result<(), PlanError> {
         let mut budget_ps = 0u64;
         for (index, entry) in self.entries.iter().enumerate() {
             let refuse = |reason: String| {
@@ -343,7 +342,7 @@ impl FaultPlan {
             let (what, target, count) = match *entry {
                 FaultEntry::Stall { channel, .. } => ("channel", channel, domain.channels),
                 FaultEntry::Corrupt { site, .. } | FaultEntry::Stuck { site, .. } => {
-                    ("symbol site", site, symbol_sites)
+                    ("symbol site", site, domain.symbol_sites)
                 }
                 FaultEntry::Drop { source, .. } | FaultEntry::Lose { source, .. } => {
                     ("source", source, domain.endpoints)
@@ -426,6 +425,7 @@ mod tests {
         let domain = FaultDomain {
             channels: 48,
             endpoints: 8,
+            symbol_sites: 12,
             corrupt_sites: vec![1, 5, 9],
         };
         let a = FaultPlan::random(77, 0.5, &domain);
@@ -442,6 +442,7 @@ mod tests {
         let domain = FaultDomain {
             channels: 20,
             endpoints: 4,
+            symbol_sites: 0,
             corrupt_sites: Vec::new(),
         };
         let plan = FaultPlan::random(5, 1.0, &domain);
@@ -456,6 +457,7 @@ mod tests {
         let domain = FaultDomain {
             channels: 10,
             endpoints: 4,
+            symbol_sites: 4,
             corrupt_sites: vec![2],
         };
         let widen_safe = FaultEntry::Corrupt {
@@ -503,14 +505,15 @@ mod tests {
 
     #[test]
     fn a_plan_aimed_outside_the_fabric_is_refused_entry_by_entry() {
-        let domain = FaultDomain {
+        let domain = |symbol_sites| FaultDomain {
             channels: 176,
             endpoints: 8,
+            symbol_sites,
             corrupt_sites: vec![0, 1],
         };
         let refusal = |text: &str, symbol_sites| {
             let plan = FaultPlan::parse(text).expect("well-formed");
-            plan.validate(&domain, symbol_sites)
+            plan.validate(&domain(symbol_sites))
                 .map_err(|e| e.to_string())
         };
         assert_eq!(

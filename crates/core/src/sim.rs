@@ -190,6 +190,11 @@ impl Substrate for Network {
         self.config.seed()
     }
 
+    /// Every fanout node reads a routing symbol.
+    fn symbol_sites(&self) -> usize {
+        self.config.size().total_fanout_nodes()
+    }
+
     /// Symbol-corruption sites are restricted to fanout nodes where a
     /// widened (`Both`) override is provably recoverable: the node is
     /// not a baseline node (baseline hardware has no replication path at

@@ -77,6 +77,9 @@ pub struct FaultDomain {
     pub channels: usize,
     /// Endpoint count; drop/lose targets are `0..endpoints`.
     pub endpoints: usize,
+    /// Routing nodes that read a symbol a plan can override; corrupt/stuck
+    /// targets are `0..symbol_sites` (none on a mesh).
+    pub symbol_sites: usize,
     /// Symbol-read sites where a widened (`Both`) override is
     /// recoverable: every spurious copy is guaranteed to throttle at a
     /// non-speculative stage before reaching arbitration. Empty on

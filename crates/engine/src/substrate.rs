@@ -162,6 +162,11 @@ pub trait Substrate {
     fn flits_per_packet(&self) -> u8;
     /// The RNG seed traffic streams are derived from.
     fn seed(&self) -> u64;
+    /// How many nodes read a routing symbol a fault plan can override
+    /// (see [`FaultDomain::symbol_sites`]); none by default.
+    fn symbol_sites(&self) -> usize {
+        0
+    }
     /// The routing-symbol sites where a widened override is provably
     /// recoverable (see [`FaultDomain::corrupt_sites`]); none by default.
     fn corrupt_sites(&self) -> Vec<usize> {
@@ -180,12 +185,14 @@ pub trait Substrate {
     }
 
     /// The legal fault-injection targets: the netlist's channels and
-    /// endpoints, and the fabric's [`corrupt_sites`](Self::corrupt_sites).
+    /// endpoints, and the fabric's [`symbol_sites`](Self::symbol_sites)
+    /// and [`corrupt_sites`](Self::corrupt_sites).
     fn fault_domain(&self) -> FaultDomain {
         let netlist = self.netlist();
         FaultDomain {
             channels: netlist.channels.len(),
             endpoints: netlist.endpoints(),
+            symbol_sites: self.symbol_sites(),
             corrupt_sites: self.corrupt_sites(),
         }
     }

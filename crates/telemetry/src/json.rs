@@ -217,7 +217,8 @@ fn write_seq(
     out.push(close);
 }
 
-fn write_number(out: &mut String, n: f64) {
+/// Appends `n` as a JSON number: the one spelling of a float.
+pub(crate) fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.0e15 {

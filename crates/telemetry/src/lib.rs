@@ -32,8 +32,9 @@
 //! - [`TokenLedger`] — token conservation per flit, online: what the
 //!   stream's watchpoints, the fault oracle and the analysis fold judge
 //!   from, holding only what is in flight.
-//! - [`ChromeTraceObserver`] / [`ChromeTrace`] — Chrome trace-event
-//!   (Perfetto-loadable) export, with a [`validate_chrome`] checker.
+//! - [`ChromeTraceObserver`] — Chrome trace-event (Perfetto-loadable)
+//!   export, written straight to its file, with a [`validate_chrome`]
+//!   checker.
 //! - [`StreamSink`] — live export: a window over the run's
 //!   [`LatencyHistograms`] and [`TimeSeries`] writing `asynoc-stream-v1`
 //!   NDJSON windows/traces/watchpoints per simulated-time window, with
@@ -62,7 +63,7 @@ pub mod tokens;
 pub mod trace;
 pub mod waste;
 
-pub use chrome::{validate_chrome, ChromeTrace, ChromeTraceObserver};
+pub use chrome::{validate_chrome, ChromeTraceObserver};
 pub use fault_ledger::FaultLedger;
 pub use histogram::LogHistogram;
 pub use json::{JsonError, JsonValue};

@@ -818,7 +818,7 @@ impl RecordSink for TraceWriter {
 
 /// The text a [`TraceWriter`] holds before
 /// [`drain_full`](TraceWriter::drain_full) writes it out.
-const DRAIN_BYTES: usize = 64 * 1024;
+pub(crate) const DRAIN_BYTES: usize = 64 * 1024;
 
 /// The bytes a capped [`TraceFile`] moves per read and write when it
 /// makes room for its final meta line.

@@ -199,5 +199,5 @@ fn a_located_event_is_placed_once_whatever_is_registered() {
     // And every sink saw every event.
     assert_eq!(collector.records().len(), located.fired + located.elsewhere);
     assert_eq!(writer.text().lines().count(), collector.records().len());
-    assert_eq!(chrome.trace().len(), collector.records().len());
+    assert_eq!(chrome.len(), collector.records().len());
 }
