@@ -12,7 +12,9 @@
 //! A quotient of two allocation counts, so it holds on any host and in
 //! any build profile: it runs under `cargo test --workspace`, without the
 //! test harness because it installs the counting allocator and wants no
-//! other thread's allocations in the peak.
+//! other thread's allocations in the peak (a sink's writer thread
+//! allocates nothing: its batches and its text buffer are allocated by
+//! the run's thread, and the peak counts them).
 //!
 //! The long run also proves the stream is live: its first `window`
 //! record must be written in the first half of the run's wall time.

@@ -9,7 +9,7 @@ use asynoc::{
     RunConfig, RunReport, SimError, SpecMap,
 };
 use asynoc_mesh::{MeshReport, Wormhole};
-use asynoc_telemetry::JsonValue;
+use asynoc_telemetry::{JsonValue, RecordSink};
 
 use crate::args::{help, Command, CommonOptions};
 use crate::fabric::Fabric;
@@ -317,16 +317,8 @@ fn single_run<F: Fabric>(
     print: impl FnOnce(&mut dyn Write, &F::Report) -> io::Result<()>,
 ) -> Result<(), CliError> {
     let mut profiler = ProfileWriter::when(common.profile.as_ref(), command)?;
-    let limit = crate::stream::DEFAULT_TRACE_LIMIT;
-    let observed = crate::stream::observe(net, run, &config, None, limit, common, |sinks| {
+    let body = |sinks: Vec<&mut dyn RecordSink>| {
         let report = crate::stream::record(net, run, sinks)?;
-        if let Some(profiler) = profiler.as_mut() {
-            profiler.add_run(config.clone(), &report.profile);
-        }
-        print(out, &report)?;
-        if let Some(profiler) = profiler {
-            profiler.finish()?;
-        }
         let (_, power) = F::energy_sections(&report, None, run.phases().measure());
         let throughput = crate::metrics::throughput_json(&report.throughput);
         let mut sections = vec![("throughput".to_string(), throughput)];
@@ -335,8 +327,20 @@ fn single_run<F: Fabric>(
         }
         let counters = crate::metrics::counters_json(&report);
         sections.push(("counters".to_string(), counters));
-        Ok(((), JsonValue::Object(sections), report.packets_incomplete))
-    })?;
+        let incomplete = report.packets_incomplete;
+        Ok((report, JsonValue::Object(sections), incomplete))
+    };
+    let report = |report: &F::Report| {
+        if let Some(profiler) = profiler.as_mut() {
+            profiler.add_run(config.clone(), &report.profile);
+        }
+        print(out, report)?;
+        if let Some(profiler) = profiler {
+            profiler.finish()?;
+        }
+        Ok(())
+    };
+    let observed = crate::stream::observe(net, run, &config, None, common, body, report)?;
     crate::stream::fatal_check(observed.watchpoints, common)
 }
 

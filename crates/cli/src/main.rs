@@ -27,7 +27,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut stdout = io::stdout().lock();
+    // Not locked for the whole command: a `--stream -` writer thread
+    // writes to stdout too.
+    let mut stdout = io::stdout();
     match asynoc_cli::execute(&command, &mut stdout) {
         Ok(()) => ExitCode::SUCCESS,
         // `asynoc info | head -1`: the reader took what it wanted.

@@ -251,8 +251,7 @@ impl OnFabric for Instrument<'_> {
             )),
             (None, _) => None,
         };
-        let bin_ns = Some(request.bin_ns);
-        let observed = crate::stream::observe(net, &run, &config, bin_ns, limit, common, |pair| {
+        let body = |pair: Vec<&mut dyn RecordSink>| {
             let own = waste.iter_mut().map(|waste| waste as &mut dyn RecordSink);
             let sinks = pair
                 .into_iter()
@@ -278,7 +277,9 @@ impl OnFabric for Instrument<'_> {
             // below byte-for-byte.
             let end = JsonValue::Object(sections.clone());
             Ok(((report.profile, sections), end, report.packets_incomplete))
-        })?;
+        };
+        let observed =
+            crate::stream::observe(net, &run, &config, Some(request), common, body, |_| Ok(()))?;
         let (engine_profile, sections) = observed.result;
         let mut doc = vec![
             ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),

@@ -19,6 +19,7 @@ use asynoc_telemetry::{
 use crate::args::CommonOptions;
 use crate::commands::CliError;
 use crate::fabric::Fabric;
+use crate::metrics::MetricsRequest;
 
 /// Default flush-window width when `--stream-window-ns` is absent, ns.
 const DEFAULT_WINDOW_NS: u64 = 1000;
@@ -40,13 +41,17 @@ pub(crate) struct Observed<R> {
 /// One instrumented run of `run` on `net`, which `body` drives. Under
 /// `--stream` the sink (its head carrying `head`) is the one sink `body`
 /// is handed, and it feeds the pair; without it `body` is handed the pair
-/// when the command keeps a time-series grid of `bin_ns` (`metrics`), and
+/// when the command is `metrics`, which keeps a time-series grid of its
+/// `--bin-ns` (and bounds `--stream-trace` by its `--trace-limit`), and
 /// nothing otherwise. `body` returns its result, the scalar sections the
 /// stream's `end` record carries, and the count of measured packets left
-/// incomplete.
+/// incomplete. `report` then prints what the command says of the result
+/// before the stream closes, once the stream's writer thread has caught
+/// up with the run, so that on `--stream -` its lines land at the same
+/// place among the stream's on every run.
 ///
 /// The flush window is `--stream-window-ns`, or the default snapped up
-/// onto the `bin_ns` grid; a command without one bins by the window.
+/// onto the `--bin-ns` grid; a command without one bins by the window.
 ///
 /// # Errors
 ///
@@ -56,11 +61,13 @@ pub(crate) fn observe<F: Fabric, R>(
     net: &F,
     run: &RunConfig,
     head: &JsonValue,
-    bin_ns: Option<u64>,
-    trace_limit: usize,
+    metrics: Option<&MetricsRequest>,
     common: &CommonOptions,
     body: impl FnOnce(Vec<&mut dyn RecordSink>) -> Result<(R, JsonValue, usize), CliError>,
+    report: impl FnOnce(&R) -> Result<(), CliError>,
 ) -> Result<Observed<R>, CliError> {
+    let bin_ns = metrics.map(|request| request.bin_ns);
+    let trace_limit = metrics.map_or(DEFAULT_TRACE_LIMIT, |request| request.trace_limit);
     let grid = bin_ns.unwrap_or(DEFAULT_WINDOW_NS);
     let snapped = grid * DEFAULT_WINDOW_NS.div_ceil(grid);
     let window = Duration::from_ns(common.stream_window_ns.unwrap_or(snapped));
@@ -69,7 +76,7 @@ pub(crate) fn observe<F: Fabric, R>(
     let mut series = TimeSeries::new(bin, net.levels());
     let (result, watchpoints) = match &common.stream {
         Some(path) => {
-            let out: Box<dyn Write> = if path == "-" {
+            let out: Box<dyn Write + Send> = if path == "-" {
                 Box::new(std::io::stdout())
             } else {
                 Box::new(crate::commands::create_output("--stream", path)?)
@@ -82,10 +89,19 @@ pub(crate) fn observe<F: Fabric, R>(
             };
             let mut sink = StreamSink::new(out, cfg, &mut latency, &mut series)?;
             let (result, sections, incomplete) = body(vec![&mut sink])?;
+            sink.sync();
+            report(&result)?;
             (result, sink.finish(sections, incomplete)?.watchpoints)
         }
-        None if bin_ns.is_some() => (body(vec![&mut latency, &mut series])?.0, 0),
-        None => (body(Vec::new())?.0, 0),
+        None => {
+            let pair: Vec<&mut dyn RecordSink> = match bin_ns {
+                Some(_) => vec![&mut latency, &mut series],
+                None => Vec::new(),
+            };
+            let (result, _, _) = body(pair)?;
+            report(&result)?;
+            (result, 0)
+        }
     };
     Ok(Observed {
         result,

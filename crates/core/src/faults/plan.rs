@@ -215,6 +215,22 @@ impl std::error::Error for PlanError {}
 /// range, so that no stalled or re-sent flit is due past its end.
 const MAX_DELAY_PS: u64 = u64::MAX / 2;
 
+/// `sites` (ascending) as runs: `8..16, 20, 24..56`.
+fn site_ranges(sites: &[usize]) -> String {
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for &site in sites {
+        match runs.last_mut() {
+            Some((_, end)) if *end == site => *end += 1,
+            _ => runs.push((site, site + 1)),
+        }
+    }
+    let run = |&(start, end): &(usize, usize)| match end - start {
+        1 => start.to_string(),
+        _ => format!("{start}..{end}"),
+    };
+    runs.iter().map(run).collect::<Vec<_>>().join(", ")
+}
+
 /// An ordered fault-injection campaign.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -326,7 +342,11 @@ impl FaultPlan {
     /// channel, a drop's or loss's source and a symbol override's routing
     /// node inside `domain` (no symbol site on a mesh) — and the delays together to half the simulated
     /// clock: an entry aimed elsewhere never fires, and would read as a
-    /// fault the fabric shrugged off.
+    /// fault the fabric shrugged off. A widened override (`corrupt:…:both`,
+    /// `stuck:…`) must be aimed at one of the domain's
+    /// [`corrupt_sites`](FaultDomain::corrupt_sites): elsewhere a spurious
+    /// copy can reach a destination twice, which the engine's delivery
+    /// audit refuses mid-run.
     ///
     /// # Errors
     ///
@@ -351,6 +371,20 @@ impl FaultPlan {
             if target >= count {
                 return Err(refuse(format!(
                     "{what} {target} is outside this fabric's 0..{count}"
+                )));
+            }
+            let widened = match *entry {
+                FaultEntry::Corrupt { symbol, .. } => symbol == RouteSymbol::Both,
+                FaultEntry::Stuck { .. } => true,
+                _ => false,
+            };
+            if widened && !domain.corrupt_sites.contains(&target) {
+                let sites = match site_ranges(&domain.corrupt_sites) {
+                    ranges if ranges.is_empty() => "no site of this fabric recovers one".into(),
+                    ranges => format!("this fabric recovers one only at sites {ranges}"),
+                };
+                return Err(refuse(format!(
+                    "a widened route at symbol site {target} can deliver a copy twice; {sites}"
                 )));
             }
             budget_ps = budget_ps.saturating_add(entry.delay_budget_ps());
@@ -518,7 +552,7 @@ mod tests {
         };
         assert_eq!(
             refusal(
-                "stall:175:1:10;corrupt:55:1:drop;stuck:55:2;drop:7:0:1:5;lose:7:9",
+                "stall:175:1:10;corrupt:55:1:drop;stuck:1:2;drop:7:0:1:5;lose:7:9",
                 56
             ),
             Ok(())
@@ -535,6 +569,12 @@ mod tests {
                 "entry 1 \"stuck:0:1\": symbol site 0 is outside this fabric's 0..0",
             ),
             (
+                "corrupt:1:1:both;stuck:55:2",
+                56,
+                "entry 2 \"stuck:55:2\": a widened route at symbol site 55 can deliver a copy \
+                 twice; this fabric recovers one only at sites 0..2",
+            ),
+            (
                 "stall:0:1:5;stall:1:3:4611686018427387904",
                 56,
                 "entry 2 \"stall:1:3:4611686018427387904\": the plan's delays add up to more \
@@ -543,6 +583,42 @@ mod tests {
         ] {
             assert_eq!(refusal(text, symbol_sites), Err(complaint.to_string()));
         }
+    }
+
+    #[test]
+    fn a_widened_route_off_the_recoverable_sites_is_refused_before_any_run() {
+        use crate::{Architecture, Network, NetworkConfig};
+        use asynoc_engine::Substrate;
+        // Armed, this plan let a copy reach destination 2 of packet 1
+        // twice, and the engine's delivery audit aborted the run.
+        let arch = Architecture::OptHybridSpeculative;
+        let net = Network::new(NetworkConfig::eight_by_eight(arch)).expect("an 8x8 network");
+        let domain = net.fault_domain();
+        let plan = FaultPlan::parse("corrupt:4:1:both").expect("well-formed");
+        assert_eq!(
+            plan.validate(&domain).map_err(|e| e.to_string()),
+            Err(
+                "entry 1 \"corrupt:4:1:both\": a widened route at symbol site 4 can deliver \
+                 a copy twice; this fabric recovers one only at sites 0..3, 7..10, 14..17, \
+                 21..24, 28..31, 35..38, 42..45, 49..52"
+                    .to_string()
+            )
+        );
+        // The same override starving the subtree, or widening a certified
+        // site, still runs; with no certified site, every widening is refused.
+        for text in ["corrupt:4:1:drop", "corrupt:7:1:both", "stuck:49:3"] {
+            let plan = FaultPlan::parse(text).expect("well-formed");
+            assert_eq!(plan.validate(&domain), Ok(()), "{text}");
+        }
+        let baseline = NetworkConfig::eight_by_eight(Architecture::Baseline);
+        let domain = Network::new(baseline)
+            .expect("an 8x8 network")
+            .fault_domain();
+        let plan = FaultPlan::parse("stuck:0:1").expect("well-formed");
+        let refused = plan.validate(&domain).expect_err("no certified site");
+        assert!(refused
+            .message()
+            .ends_with("no site of this fabric recovers one"));
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl JsonValue {
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    pub(crate) fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),

@@ -26,7 +26,8 @@
 //! - [`TraceCollector`] / [`render_trace`] — flat, typed, `Copy` trace
 //!   records with NDJSON import/export shared by every substrate;
 //!   [`TraceWriter`] spells the same lines at event time without keeping
-//!   a record, and [`TraceFile`] drains them into a file as it goes;
+//!   a record, and [`TraceFile`] has its own thread write them into a
+//!   file as it goes;
 //!   [`read_trace`] reads a trace back one line at a time, and
 //!   [`visit_trace`] hands each line on as it is read.
 //! - [`TokenLedger`] — token conservation per flit, online: what the
@@ -62,6 +63,7 @@ pub mod timeseries;
 pub mod tokens;
 pub mod trace;
 pub mod waste;
+mod writer;
 
 pub use chrome::{validate_chrome, ChromeTraceObserver};
 pub use fault_ledger::FaultLedger;

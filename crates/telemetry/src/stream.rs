@@ -25,12 +25,15 @@
 //!   scalar sections (waste, throughput, power, counters) ride the `end`
 //!   record unchanged.
 //!
-//! What the sink itself holds is bounded independent of record count:
-//! the `trace` lines leave for the writer whenever they pass 64 KiB (a
-//! window flush writes what is left), and per-flit watchpoint
-//! bookkeeping is proportional to *in-flight* traffic, not run length
-//! (the borrowed collectors keep what a batch run keeps: fixed-size
-//! histograms and a capped bin store).
+//! The sink writes nothing itself: a writer thread owns the output
+//! (`src/writer.rs`). The sink hands it its lines and its records in
+//! batches, in record order, and the thread spells the records as `trace`
+//! lines, draining them whenever they pass 64 KiB.
+//!
+//! What the sink holds is bounded independent of record count: a few
+//! batches of records, and per-flit watchpoint bookkeeping proportional
+//! to *in-flight* traffic, not run length (the borrowed collectors keep
+//! what a batch run keeps: fixed-size histograms and a capped bin store).
 //!
 //! # Watchpoints
 //!
@@ -60,13 +63,14 @@ use std::io::{BufWriter, Write};
 use asynoc_kernel::hash::{HashMap, HashSet};
 use asynoc_kernel::{Duration, Time, WindowClock};
 
-use crate::json::{write_u64, JsonError, JsonValue, Scanner};
+use crate::json::{JsonError, JsonValue, Scanner};
 use crate::latency::{LatencyHistograms, LatencyWindow};
 use crate::recorder::RecordSink;
 use crate::site::Site;
 use crate::timeseries::TimeSeries;
 use crate::tokens::TokenLedger;
-use crate::trace::{Action, TraceRecord, TraceWriter};
+use crate::trace::{Action, TraceRecord};
+use crate::writer::WriterThread;
 use crate::METRICS_SCHEMA;
 
 /// Schema tag of the streaming NDJSON format (the `schema` field of the
@@ -120,12 +124,10 @@ pub struct StreamSummary {
 /// run, call [`StreamSink::finish`] with the scalar summary sections to
 /// close the stream and release the collectors.
 pub struct StreamSink<'a> {
-    out: BufWriter<Box<dyn Write>>,
-    err: Option<std::io::Error>,
+    writer: WriterThread<BufWriter<Box<dyn Write + Send>>>,
     clock: WindowClock,
     latency: &'a mut LatencyHistograms,
     series: &'a mut TimeSeries,
-    trace: Option<TraceWriter>,
     // Per-window counters, reset at every flush.
     w_events: u64,
     w_injected: u64,
@@ -163,20 +165,20 @@ fn node_order(site: Site) -> (usize, u32, usize, bool) {
 
 impl<'a> StreamSink<'a> {
     /// Opens a stream over `out`, windowing the run's `latency` and
-    /// `series`: writes the `head` record (bin width, level grouping and
-    /// endpoint count are the collectors' own) and returns the sink ready
-    /// to take records.
+    /// `series`: starts the writer thread that owns `out`, hands it the
+    /// `head` record (bin width, level grouping and endpoint count are the
+    /// collectors' own) and returns the sink ready to take records.
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the `head` record cannot be written.
+    /// Returns the I/O error if the writer thread cannot be started.
     ///
     /// # Panics
     ///
     /// Panics if the window width is zero or not a multiple of the
     /// series' bin width.
     pub fn new(
-        out: Box<dyn Write>,
+        out: Box<dyn Write + Send>,
         cfg: StreamConfig,
         latency: &'a mut LatencyHistograms,
         series: &'a mut TimeSeries,
@@ -190,7 +192,6 @@ impl<'a> StreamSink<'a> {
             cfg.window,
             bin,
         );
-        let trace = cfg.trace_limit.map(TraceWriter::new);
         let labels: Vec<JsonValue> = series
             .level_labels()
             .into_iter()
@@ -211,7 +212,10 @@ impl<'a> StreamSink<'a> {
                 "endpoints".to_string(),
                 JsonValue::uint(latency.endpoints() as u64),
             ),
-            ("trace".to_string(), JsonValue::Bool(trace.is_some())),
+            (
+                "trace".to_string(),
+                JsonValue::Bool(cfg.trace_limit.is_some()),
+            ),
             (
                 "watch".to_string(),
                 JsonValue::Object(vec![
@@ -228,17 +232,13 @@ impl<'a> StreamSink<'a> {
                 ]),
             ),
         ]);
-        let mut out = BufWriter::new(out);
-        let mut line = head.render();
-        line.push('\n');
-        out.write_all(line.as_bytes())?;
-        Ok(StreamSink {
-            out,
-            err: None,
+        // Without `trace` lines, every record is past a limit of 0.
+        let limit = cfg.trace_limit.unwrap_or(0);
+        let mut sink = StreamSink {
+            writer: WriterThread::spawn(BufWriter::new(out), limit)?,
             clock: WindowClock::new(cfg.window),
             latency,
             series,
-            trace,
             w_events: 0,
             w_injected: 0,
             w_delivered: 0,
@@ -256,7 +256,17 @@ impl<'a> StreamSink<'a> {
             conservation_fired: 0,
             waste_fired: false,
             watchpoints: 0,
-        })
+        };
+        sink.write_value(&head);
+        Ok(sink)
+    }
+
+    /// Waits until the writer thread has written every line handed to it
+    /// so far (`trace` text held for its 64 KiB drain stays held): what the
+    /// caller writes next to the same place, `--stream -`'s stdout, lands
+    /// after them, at the same place on every run.
+    pub fn sync(&mut self) {
+        self.writer.sync();
     }
 
     /// Flushes the final partial window, runs the close-time check, and
@@ -310,28 +320,20 @@ impl<'a> StreamSink<'a> {
             ("sections".to_string(), sections),
         ]);
         self.write_value(&end);
-        if let Some(err) = self.err {
-            return Err(err);
-        }
-        self.out.flush()?;
+        self.writer.finish()?;
         Ok(StreamSummary {
             windows: self.windows,
             watchpoints: self.watchpoints,
         })
     }
 
+    /// Hands `value`'s line to the writer thread, after the `trace` lines
+    /// of every record so far.
     fn write_value(&mut self, value: &JsonValue) {
-        let mut line = value.render();
-        line.push('\n');
-        Self::write_text(&mut self.out, &mut self.err, &line);
-    }
-
-    /// Writes `text` unless an earlier write failed; the first error is
-    /// held for [`finish`](StreamSink::finish).
-    fn write_text(out: &mut impl Write, err: &mut Option<std::io::Error>, text: &str) {
-        if err.is_none() {
-            *err = out.write_all(text.as_bytes()).err();
-        }
+        self.writer.line(|line| {
+            value.write(line, None, 0);
+            line.push('\n');
+        });
     }
 
     /// Emits the `window` record for `seq` plus any trace records and
@@ -354,11 +356,7 @@ impl<'a> StreamSink<'a> {
             .map(|i| self.series.bin_json(i))
             .collect();
         self.emitted_bins = target;
-        // What is left of the window's `trace` lines.
-        if let Some(trace) = &mut self.trace {
-            Self::write_text(&mut self.out, &mut self.err, trace.text());
-            trace.clear();
-        }
+        self.writer.reopen_limit();
         let delta = self.latency.drain_window();
         let latency = if delta.is_empty() {
             JsonValue::Null
@@ -507,11 +505,7 @@ impl<'a> StreamSink<'a> {
         let refs = tokens.in_flight;
         if refs < 0 && self.conservation_fired < MAX_CONSERVATION_RECORDS {
             self.conservation_fired += 1;
-            // The watchpoint follows the trace lines of the records
-            // before it and of its own: record order.
-            if let Some(trace) = &mut self.trace {
-                trace.drain_to(&mut self.out, &mut self.err);
-            }
+            // The watchpoint follows the trace line of its own record.
             let at = Time::from_ps(record.t_ps);
             self.watchpoint(
                 "token_conservation",
@@ -544,17 +538,8 @@ impl RecordSink for StreamSink<'_> {
         }
         self.latency.on_record(record, in_window);
         self.series.on_record(record, in_window);
-        if let Some(trace) = &mut self.trace {
-            // The window that will flush this line: the next to close.
-            let seq = self.clock.next_seq();
-            let open = |line: &mut String| {
-                line.push_str("{\"type\":\"trace\",\"seq\":");
-                write_u64(line, seq);
-                line.push_str(",\"record\":");
-            };
-            trace.record(record, open, "}\n");
-            trace.drain_full(&mut self.out, &mut self.err);
-        }
+        // The window that will flush this line, if any: the next to close.
+        self.writer.record(record, Some(self.clock.next_seq()));
         self.w_events += 1;
         if matches!(record.action, Action::Forward | Action::Throttle) {
             *self.node_busy.entry(record.site).or_insert(0) += record.busy_ps;
@@ -825,18 +810,17 @@ mod tests {
     use super::*;
     use crate::reference;
     use crate::trace::Detail;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use std::sync::{Arc, Mutex};
 
     use asynoc_stats::Phases;
 
-    /// A `Box<dyn Write>` target the test can read back.
+    /// A `Box<dyn Write + Send>` target the test can read back.
     #[derive(Clone, Default)]
-    struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
     impl Write for SharedBuf {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.borrow_mut().extend_from_slice(buf);
+            self.0.lock().expect("unpoisoned").extend_from_slice(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -846,7 +830,7 @@ mod tests {
 
     impl SharedBuf {
         fn text(&self) -> String {
-            String::from_utf8(self.0.borrow().clone()).expect("utf-8 stream")
+            String::from_utf8(self.0.lock().expect("unpoisoned").clone()).expect("utf-8 stream")
         }
     }
 
@@ -1055,6 +1039,88 @@ mod tests {
             })
             .collect();
         assert_eq!(kinds, ["trace", "trace", "conservation", "trace"]);
+    }
+
+    #[test]
+    fn trace_lines_windows_and_watchpoints_keep_record_order_across_batches() {
+        // Three windows of records, each more than one writer-thread batch,
+        // and a delivery never injected in the middle of a batch: every
+        // `trace` line is its record in order, the watchpoint follows its
+        // own record's line, and each window's line follows its records.
+        let batch = crate::writer::BATCH as u64;
+        let mut records = Vec::new();
+        for window in 0..3u64 {
+            let start = window * 2_000;
+            for k in 0..batch + 40 {
+                let packet = window * 1_000 + k;
+                records.push(inject(start + k, packet));
+                if window == 1 && k == batch / 2 {
+                    records.push(deliver(start + k, 999_999, 1));
+                }
+            }
+        }
+        let buf = SharedBuf::default();
+        let none = JsonValue::Object(Vec::new());
+        let summary = stream(&buf, &mut collectors(), Some(10_000), &records, none, 0);
+        assert_eq!(summary.watchpoints, 1);
+        let text = buf.text();
+        let (mut next, mut window) = (0, 0);
+        for line in text.lines().skip(1) {
+            if line.starts_with("{\"type\":\"trace\"") {
+                let record = &records[next];
+                let seq = record.t_ps / 2_000;
+                let expected = format!(
+                    "{{\"type\":\"trace\",\"seq\":{seq},\"record\":{}}}",
+                    record.to_ndjson()
+                );
+                assert_eq!(line, expected, "record {next}");
+                next += 1;
+            } else if line.contains("\"kind\":\"token_conservation\"") {
+                assert_eq!(records[next - 1].packet, 999_999, "after its own record");
+            } else if line.starts_with("{\"type\":\"window\"") {
+                let seq = format!("\"seq\":{window},");
+                assert!(line.contains(&seq), "{line}");
+                // Every record of the window is written, none of the next.
+                let ends = records.iter().filter(|r| r.t_ps / 2_000 <= window).count();
+                assert_eq!(next, ends, "window {window}");
+                window += 1;
+            }
+        }
+        assert_eq!((next, window), (records.len(), 3));
+    }
+
+    #[test]
+    fn a_failing_writer_reports_its_first_error() {
+        // Fails every write: the first with `first`, later ones otherwise.
+        struct Failing(usize);
+        impl Write for Failing {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                let message = if self.0 == 1 { "first" } else { "later" };
+                Err(std::io::Error::other(message))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::other("flush"))
+            }
+        }
+        for trace in [None, Some(100)] {
+            let mut pair = collectors();
+            let config = StreamConfig {
+                substrate: "mot".to_string(),
+                config: JsonValue::Null,
+                window: Duration::from_ns(2),
+                trace_limit: trace,
+            };
+            let mut sink = StreamSink::new(Box::new(Failing(0)), config, &mut pair.0, &mut pair.1)
+                .expect("the writer thread starts");
+            for k in 0..2_000 {
+                sink.on_record(&inject(k * 10, k), true);
+            }
+            let err = sink
+                .finish(JsonValue::Null, 0)
+                .expect_err("every write failed");
+            assert_eq!(err.to_string(), "first", "trace {trace:?}");
+        }
     }
 
     /// Closes a stream holding two flits in flight — packet 4, then

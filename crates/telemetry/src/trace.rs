@@ -30,6 +30,7 @@ use asynoc_packet::RouteSymbol;
 use crate::json::{exact_u64, write_digits, write_u64, JsonError, JsonValue, Scanner};
 use crate::recorder::RecordSink;
 use crate::site::{coordinate, Site};
+use crate::writer::WriterThread;
 
 /// Schema tag carried by a trace file's leading meta line.
 pub const TRACE_SCHEMA: &str = "asynoc-trace-v2";
@@ -732,9 +733,9 @@ impl RecordSink for TraceCollector {
 }
 
 /// A record sink that keeps text, not records: every record is written
-/// as it arrives into one growing buffer. What `--trace-out` and a
-/// stream's `trace` lines are made by; a record costs no allocation
-/// beyond the buffer's own growth.
+/// as it arrives into one growing buffer. What spells `--trace-out` and a
+/// stream's `trace` lines on their writer thread; a record costs no
+/// allocation beyond the buffer's own growth.
 pub struct TraceWriter {
     limit: usize,
     lines: usize,
@@ -753,6 +754,14 @@ impl TraceWriter {
             lines: 0,
             dropped: 0,
             text: String::new(),
+        }
+    }
+
+    /// A writer with no limit and room for `capacity` bytes of text.
+    pub(crate) fn unlimited(capacity: usize) -> Self {
+        TraceWriter {
+            text: String::with_capacity(capacity),
+            ..TraceWriter::new(usize::MAX)
         }
     }
 
@@ -801,8 +810,9 @@ impl TraceWriter {
     }
 
     /// [`drain_to`](TraceWriter::drain_to) once the text has passed 64
-    /// KiB: the drain rule of both sinks that write as they go,
-    /// [`TraceFile`] and [`StreamSink`](crate::StreamSink).
+    /// KiB: the drain rule of every output that writes as the run goes
+    /// ([`TraceFile`] and [`StreamSink`](crate::StreamSink), on their
+    /// writer thread).
     pub(crate) fn drain_full(&mut self, out: &mut impl Write, err: &mut Option<io::Error>) {
         if self.text.len() >= DRAIN_BYTES {
             self.drain_to(out, err);
@@ -825,9 +835,10 @@ pub(crate) const DRAIN_BYTES: usize = 64 * 1024;
 const SHIFT_CHUNK: usize = 64 * 1024;
 
 /// A record sink writing a trace file as the run goes (`--trace-out`):
-/// the meta line first, then every record's line, drained from a
-/// [`TraceWriter`] into the file whenever its text passes 64 KiB. What it
-/// holds is that text, never the trace.
+/// the meta line first, then every record's line, written by the file's
+/// own thread (`src/writer.rs`), which drains into the file whenever
+/// its text passes 64 KiB. The run's thread keeps the limit and hands the
+/// records over in batches; neither holds the trace.
 ///
 /// Every meta field but `dropped_events` is known before the run, so the
 /// meta line goes first with a count of 0, and an uncapped trace is
@@ -840,12 +851,10 @@ const SHIFT_CHUNK: usize = 64 * 1024;
 /// As in a [`StreamSink`](crate::StreamSink), the record path cannot
 /// fail: the first write error is held for `finish`.
 pub struct TraceFile {
-    writer: TraceWriter,
-    out: BufWriter<File>,
+    writer: WriterThread<BufWriter<File>>,
     meta: TraceMeta,
     /// Where the body starts: the length of the meta line as written.
     body: u64,
-    err: Option<io::Error>,
 }
 
 impl TraceFile {
@@ -854,7 +863,8 @@ impl TraceFile {
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the meta line cannot be written.
+    /// Returns the I/O error if the meta line cannot be written or the
+    /// writer thread cannot be started.
     pub fn new(file: File, meta: TraceMeta, limit: usize) -> io::Result<TraceFile> {
         let meta = TraceMeta {
             dropped_events: 0,
@@ -864,11 +874,9 @@ impl TraceFile {
         let mut out = BufWriter::new(file);
         out.write_all(line.as_bytes())?;
         Ok(TraceFile {
-            writer: TraceWriter::new(limit),
-            out,
+            writer: WriterThread::spawn(out, limit)?,
             meta,
             body: line.len() as u64,
-            err: None,
         })
     }
 
@@ -881,16 +889,13 @@ impl TraceFile {
     /// capped trace whose file is not a regular one (a pipe, a terminal)
     /// cannot have its meta line rewritten: that is an
     /// [`io::ErrorKind::Unsupported`] error.
-    pub fn finish(mut self) -> io::Result<()> {
-        self.writer.drain_to(&mut self.out, &mut self.err);
-        if let Some(err) = self.err {
-            return Err(err);
-        }
+    pub fn finish(self) -> io::Result<()> {
+        let dropped = self.writer.dropped();
         let mut file = self
-            .out
+            .writer
+            .finish()?
             .into_inner()
             .map_err(io::IntoInnerError::into_error)?;
-        let dropped = self.writer.dropped();
         if dropped == 0 {
             return Ok(());
         }
@@ -916,9 +921,8 @@ impl TraceFile {
 }
 
 impl RecordSink for TraceFile {
-    fn on_record(&mut self, record: &TraceRecord, in_window: bool) {
-        self.writer.on_record(record, in_window);
-        self.writer.drain_full(&mut self.out, &mut self.err);
+    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
+        self.writer.record(record, None);
     }
 }
 
@@ -1537,8 +1541,10 @@ mod tests {
     fn trace_file_writes_what_the_buffered_writer_held() {
         let mut rng = SimRng::seed_from(0xf11e);
         // A body inside one shift chunk and one of several chunks (and
-        // several drains); caps whose counts cross digit boundaries.
-        for kept in [16, 2_000] {
+        // several drains); caps whose counts cross digit boundaries; no
+        // record, one, and one writer-thread batch and one past it.
+        let batch = crate::writer::BATCH;
+        for kept in [0, 1, 16, batch, batch + 1, 2_000] {
             let records: Vec<TraceRecord> =
                 (0..kept + 100).map(|_| drawn_record(&mut rng)).collect();
             for dropped in [0, 1, 9, 10, 99, 100] {
@@ -1571,7 +1577,7 @@ mod tests {
                 assert_eq!(written.len(), in_memory.len(), "{case}");
                 assert!(written == in_memory, "{case}: the files differ");
                 let chunks = in_memory.len().div_ceil(SHIFT_CHUNK);
-                assert_eq!(chunks > 2, kept > 16, "{case}: {chunks} chunk(s)");
+                assert_eq!(chunks > 2, kept == 2_000, "{case}: {chunks} chunk(s)");
             }
         }
     }

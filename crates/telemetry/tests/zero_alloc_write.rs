@@ -5,13 +5,15 @@
 //! probe crate's counting allocator is attributable to the code between
 //! two snapshots.
 //!
-//! Two sinks write trace records, both through one [`TraceWriter`], each
-//! registered with the [`Recorder`] that builds an event's record. Each
-//! renders a record's line into a buffer that it drains into its writer
-//! whenever it passes 64 KiB, capacity kept, and keeps no table of labels
-//! to warm up (a site is rendered digit by digit per record). Once the
-//! buffer has grown to its working size, further traced events must not
-//! touch the allocator at all:
+//! Two sinks write trace records, each registered with the [`Recorder`]
+//! that builds an event's record. Each hands its records in batches to a
+//! writer thread of its own, which renders a record's line into a buffer
+//! (a `TraceWriter`) that it drains into the output whenever it passes 64
+//! KiB, capacity kept, and keeps no table of labels to warm up (a site is
+//! rendered digit by digit per record). The batches come back emptied.
+//! Once the batches and the buffer have their working size, further
+//! traced events must not touch the allocator at all, on either thread
+//! (the count is the process's):
 //!
 //! - `--stream --stream-trace`: a [`StreamSink`] is warm after its first
 //!   drain, once its own ledgers have reached their in-flight high-water

@@ -22,9 +22,9 @@
 //!    so tail flits of the youngest worms are still under way at the
 //!    close; that is how every run ends, and no record reports it.
 
-use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use asynoc_kernel::Duration;
 use asynoc_mesh::MeshSize;
@@ -115,11 +115,11 @@ fn a_loaded_mesh_forks_without_coupling_deadlock() {
 
 /// Shared byte sink so the test can own the stream the sink writes.
 #[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
 impl Write for SharedBuf {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
+        self.0.lock().expect("unpoisoned").extend_from_slice(buf);
         Ok(buf.len())
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -163,7 +163,8 @@ fn progress_watchdog_stays_quiet_on_clean_multicast_runs() {
         let summary = sink
             .finish(JsonValue::Object(vec![]), report.packets_incomplete)
             .expect("finish succeeds");
-        let text = String::from_utf8(buf.0.borrow().clone()).expect("stream is UTF-8");
+        let text =
+            String::from_utf8(buf.0.lock().expect("unpoisoned").clone()).expect("stream is UTF-8");
         assert_eq!(summary.watchpoints, 0, "seed {seed}: a watchpoint fired");
         assert!(
             !text.contains("\"type\":\"watchpoint\""),
