@@ -103,7 +103,7 @@ pub const FLAGS: &[Flag] = &[
     flag("shards",           "<S>",             Common, "accepted and ignored: every run is one thread"),
     flag("profile",          "<path>",          Common, "write an asynoc-profile-v1 JSON self-profile here"),
     flag("progress",         "",                Common, "single-line stderr heartbeat"),
-    flag("stream",           "<path|->",        Stream, "append asynoc-stream-v1 NDJSON telemetry here"),
+    flag("stream",           "<path|->",        Stream, "append asynoc-stream-v1 NDJSON telemetry here\n(`-` = stdout; the command's own output then goes to stderr)"),
     flag("stream-window-ns", "<W>",             Stream, "flush window width in ns (default 1000)"),
     flag("stream-trace",     "",                Stream, "also emit per-event trace records"),
     flag("watch-fatal",      "",                Stream, "exit non-zero when any online watchpoint fired"),

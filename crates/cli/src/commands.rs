@@ -304,9 +304,9 @@ fn run_across_seeds(
 }
 
 /// One plain measurement run on `net`, shared by `run` and `mesh`: the
-/// self-profile and the command's text report from `print`, then the
 /// stream's end record (throughput, power where the fabric has an energy
-/// model, counters).
+/// model, counters), then the self-profile and the command's text report
+/// from `print`.
 fn single_run<F: Fabric>(
     command: &'static str,
     net: &F,
@@ -330,17 +330,14 @@ fn single_run<F: Fabric>(
         let incomplete = report.packets_incomplete;
         Ok((report, JsonValue::Object(sections), incomplete))
     };
-    let report = |report: &F::Report| {
-        if let Some(profiler) = profiler.as_mut() {
-            profiler.add_run(config.clone(), &report.profile);
-        }
-        print(out, report)?;
-        if let Some(profiler) = profiler {
-            profiler.finish()?;
-        }
-        Ok(())
-    };
-    let observed = crate::stream::observe(net, run, &config, None, common, body, report)?;
+    let observed = crate::stream::observe(net, run, &config, None, common, body)?;
+    if let Some(profiler) = profiler.as_mut() {
+        profiler.add_run(config, &observed.result.profile);
+    }
+    print(out, &observed.result)?;
+    if let Some(profiler) = profiler {
+        profiler.finish()?;
+    }
     crate::stream::fatal_check(observed.watchpoints, common)
 }
 
@@ -402,12 +399,25 @@ fn print_mesh(out: &mut dyn Write, report: &MeshReport) -> io::Result<()> {
     writeln!(out, "  mean hops        : {:.2}", report.mean_hops)
 }
 
-/// Executes a parsed command, writing its report to `out`.
+/// Executes a parsed command, writing its report to `out` — or, when the
+/// command streams to stdout (`--stream -`), to stderr, which leaves
+/// stdout to the stream alone.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] on simulation or I/O failure.
 pub fn execute(command: &Command, out: &mut dyn Write) -> Result<(), CliError> {
+    let common = match command {
+        Command::Run { common, .. } | Command::Mesh { common, .. } => Some(common),
+        Command::Metrics(request) => Some(&request.target.common),
+        Command::Faults(request) => Some(&request.target.common),
+        _ => None,
+    };
+    let mut stderr = io::stderr();
+    let out: &mut dyn Write = match common.and_then(|common| common.stream.as_deref()) {
+        Some("-") => &mut stderr,
+        _ => out,
+    };
     match command {
         Command::Help(topic) => Ok(out.write_all(help(*topic).as_bytes())?),
         Command::Run {

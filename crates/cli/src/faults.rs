@@ -201,7 +201,7 @@ impl OnFabric for Inject<'_> {
             let incomplete = faulted.packets_incomplete;
             Ok((faulted, JsonValue::Object(vec![]), incomplete))
         };
-        let observed = crate::stream::observe(net, &run, &config, None, common, body, |_| Ok(()))?;
+        let observed = crate::stream::observe(net, &run, &config, None, common, body)?;
         let faulted = observed.result;
         let clean = request.oracle.then(|| outcome(None, &mut [])).transpose()?;
         if let Some(profiler) = profiler.as_mut() {

@@ -278,8 +278,7 @@ impl OnFabric for Instrument<'_> {
             let end = JsonValue::Object(sections.clone());
             Ok(((report.profile, sections), end, report.packets_incomplete))
         };
-        let observed =
-            crate::stream::observe(net, &run, &config, Some(request), common, body, |_| Ok(()))?;
+        let observed = crate::stream::observe(net, &run, &config, Some(request), common, body)?;
         let (engine_profile, sections) = observed.result;
         let mut doc = vec![
             ("schema".to_string(), JsonValue::str(METRICS_SCHEMA)),

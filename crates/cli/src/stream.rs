@@ -17,7 +17,7 @@ use asynoc_telemetry::{
 };
 
 use crate::args::CommonOptions;
-use crate::commands::CliError;
+use crate::commands::{create_output, named, CliError};
 use crate::fabric::Fabric;
 use crate::metrics::MetricsRequest;
 
@@ -45,10 +45,7 @@ pub(crate) struct Observed<R> {
 /// `--bin-ns` (and bounds `--stream-trace` by its `--trace-limit`), and
 /// nothing otherwise. `body` returns its result, the scalar sections the
 /// stream's `end` record carries, and the count of measured packets left
-/// incomplete. `report` then prints what the command says of the result
-/// before the stream closes, once the stream's writer thread has caught
-/// up with the run, so that on `--stream -` its lines land at the same
-/// place among the stream's on every run.
+/// incomplete.
 ///
 /// The flush window is `--stream-window-ns`, or the default snapped up
 /// onto the `--bin-ns` grid; a command without one bins by the window.
@@ -56,7 +53,7 @@ pub(crate) struct Observed<R> {
 /// # Errors
 ///
 /// Returns the first of: the sink's open failure, `body`'s own error, and
-/// the stream's I/O failure.
+/// the stream's I/O failure. The sink's two name `--stream` and its path.
 pub(crate) fn observe<F: Fabric, R>(
     net: &F,
     run: &RunConfig,
@@ -64,7 +61,6 @@ pub(crate) fn observe<F: Fabric, R>(
     metrics: Option<&MetricsRequest>,
     common: &CommonOptions,
     body: impl FnOnce(Vec<&mut dyn RecordSink>) -> Result<(R, JsonValue, usize), CliError>,
-    report: impl FnOnce(&R) -> Result<(), CliError>,
 ) -> Result<Observed<R>, CliError> {
     let bin_ns = metrics.map(|request| request.bin_ns);
     let trace_limit = metrics.map_or(DEFAULT_TRACE_LIMIT, |request| request.trace_limit);
@@ -79,7 +75,7 @@ pub(crate) fn observe<F: Fabric, R>(
             let out: Box<dyn Write + Send> = if path == "-" {
                 Box::new(std::io::stdout())
             } else {
-                Box::new(crate::commands::create_output("--stream", path)?)
+                Box::new(create_output("--stream", path)?)
             };
             let cfg = StreamConfig {
                 substrate: F::TAG.to_string(),
@@ -87,20 +83,18 @@ pub(crate) fn observe<F: Fabric, R>(
                 window,
                 trace_limit: common.stream_trace.then_some(trace_limit),
             };
-            let mut sink = StreamSink::new(out, cfg, &mut latency, &mut series)?;
+            let failed = named("--stream", path);
+            let mut sink = StreamSink::new(out, cfg, &mut latency, &mut series).map_err(&failed)?;
             let (result, sections, incomplete) = body(vec![&mut sink])?;
-            sink.sync();
-            report(&result)?;
-            (result, sink.finish(sections, incomplete)?.watchpoints)
+            let summary = sink.finish(sections, incomplete).map_err(failed)?;
+            (result, summary.watchpoints)
         }
         None => {
             let pair: Vec<&mut dyn RecordSink> = match bin_ns {
                 Some(_) => vec![&mut latency, &mut series],
                 None => Vec::new(),
             };
-            let (result, _, _) = body(pair)?;
-            report(&result)?;
-            (result, 0)
+            (body(pair)?.0, 0)
         }
     };
     Ok(Observed {

@@ -17,7 +17,8 @@ use asynoc_kernel::hash::HashMap;
 use crate::json::{write_number, write_string, write_u64, JsonValue};
 use crate::recorder::RecordSink;
 use crate::site::Site;
-use crate::trace::{Action, Detail, TraceRecord, DRAIN_BYTES};
+use crate::trace::{Action, Detail, TraceRecord};
+use crate::writer::{drain_full, drain_to};
 
 /// Where an event is drawn: its site's track, or for a fault, a track of
 /// the fault's own kind (`fault{N}`).
@@ -126,7 +127,7 @@ impl ChromeTraceObserver {
     /// [`JsonValue::render_pretty`]: crate::JsonValue::render_pretty
     pub fn write_to(&self, mut out: impl Write) -> io::Result<()> {
         let mut text = String::from("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [");
-        let mut name = String::new();
+        let (mut name, mut err) = (String::new(), None);
         for (tid, track) in self.tracks.iter().enumerate() {
             name.clear();
             track.label(&mut name);
@@ -134,7 +135,7 @@ impl ChromeTraceObserver {
             text.push_str("0,\n      \"args\": {\n        \"name\": ");
             write_string(&mut text, &name);
             text.push_str("\n      }\n    }");
-            drain(&mut text, &mut out)?;
+            drain_full(&mut text, &mut out, &mut err);
         }
         let us = |text: &mut String, ps: u64| write_number(text, ps as f64 / 1e6);
         for event in &self.events {
@@ -152,13 +153,14 @@ impl ChromeTraceObserver {
                 // Thread-scoped instant, per the trace-event spec.
                 text.push_str(",\n      \"s\": \"t\"\n    }");
             }
-            drain(&mut text, &mut out)?;
+            drain_full(&mut text, &mut out, &mut err);
         }
         if !self.tracks.is_empty() {
             text.push_str("\n  ");
         }
         text.push_str("]\n}\n");
-        out.write_all(text.as_bytes())
+        drain_to(&mut text, &mut out, &mut err);
+        err.map_or(Ok(()), Err)
     }
 }
 
@@ -175,15 +177,6 @@ fn open(text: &mut String, comma: bool, name: &str, ph: &str, tid: u64) {
     text.push_str("\",\n      \"pid\": 0,\n      \"tid\": ");
     write_u64(text, tid);
     text.push_str(",\n      \"ts\": ");
-}
-
-/// Writes `text` out once it has passed 64 KiB.
-fn drain(text: &mut String, out: &mut impl Write) -> io::Result<()> {
-    if text.len() >= DRAIN_BYTES {
-        out.write_all(text.as_bytes())?;
-        text.clear();
-    }
-    Ok(())
 }
 
 impl RecordSink for ChromeTraceObserver {

@@ -23,11 +23,10 @@
 //! - [`Site`] — where an event happened: the one identity of a node
 //!   above the engine, the only writer and reader of the site-label
 //!   grammar. A substrate hands the run's recorder one [`SiteOf`] function.
-//! - [`TraceCollector`] / [`render_trace`] — flat, typed, `Copy` trace
-//!   records with NDJSON import/export shared by every substrate;
-//!   [`TraceWriter`] spells the same lines at event time without keeping
-//!   a record, and [`TraceFile`] has its own thread write them into a
-//!   file as it goes;
+//! - [`TraceCollector`] / [`TraceRecord::write_ndjson`] — flat, typed,
+//!   `Copy` trace records with NDJSON import/export shared by every
+//!   substrate; [`TraceFile`] has its own thread write their lines into a
+//!   file as the run goes;
 //!   [`read_trace`] reads a trace back one line at a time, and
 //!   [`visit_trace`] hands each line on as it is read.
 //! - [`TokenLedger`] — token conservation per flit, online: what the
@@ -79,8 +78,8 @@ pub use stream::{
 pub use timeseries::{Bin, LevelSpec, TimeSeries};
 pub use tokens::{FlitTokens, TokenLedger, TokenTally, Tree};
 pub use trace::{
-    parse_trace, read_trace, render_trace, visit_trace, Action, Detail, TraceCollector, TraceFile,
-    TraceLine, TraceMeta, TraceParseError, TraceRecord, TraceWriter, TRACE_SCHEMA,
+    parse_trace, read_trace, visit_trace, Action, Detail, TraceCollector, TraceFile, TraceLine,
+    TraceMeta, TraceParseError, TraceRecord, TRACE_SCHEMA,
 };
 pub use waste::{NodeWaste, SpeculationWaste};
 

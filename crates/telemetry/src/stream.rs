@@ -261,14 +261,6 @@ impl<'a> StreamSink<'a> {
         Ok(sink)
     }
 
-    /// Waits until the writer thread has written every line handed to it
-    /// so far (`trace` text held for its 64 KiB drain stays held): what the
-    /// caller writes next to the same place, `--stream -`'s stdout, lands
-    /// after them, at the same place on every run.
-    pub fn sync(&mut self) {
-        self.writer.sync();
-    }
-
     /// Flushes the final partial window, runs the close-time check, and
     /// writes the `end` record carrying `sections` — the scalar summary
     /// sections (`waste`, `throughput`, `power`, `counters`) exactly as

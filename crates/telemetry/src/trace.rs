@@ -573,19 +573,6 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// Renders a full trace document: the meta line followed by the records,
-/// one object per line.
-#[must_use]
-pub fn render_trace(meta: &TraceMeta, records: &[TraceRecord]) -> String {
-    let mut out = meta.to_ndjson();
-    out.push('\n');
-    for record in records {
-        record.write_ndjson(&mut out);
-        out.push('\n');
-    }
-    out
-}
-
 /// One well-formed line of a trace document.
 #[derive(Debug, PartialEq)]
 pub enum TraceLine {
@@ -732,104 +719,6 @@ impl RecordSink for TraceCollector {
     }
 }
 
-/// A record sink that keeps text, not records: every record is written
-/// as it arrives into one growing buffer. What spells `--trace-out` and a
-/// stream's `trace` lines on their writer thread; a record costs no
-/// allocation beyond the buffer's own growth.
-pub struct TraceWriter {
-    limit: usize,
-    lines: usize,
-    dropped: u64,
-    text: String,
-}
-
-impl TraceWriter {
-    /// Writes up to `limit` records between two [`clear`]s.
-    ///
-    /// [`clear`]: TraceWriter::clear
-    #[must_use]
-    pub fn new(limit: usize) -> Self {
-        TraceWriter {
-            limit,
-            lines: 0,
-            dropped: 0,
-            text: String::new(),
-        }
-    }
-
-    /// A writer with no limit and room for `capacity` bytes of text.
-    pub(crate) fn unlimited(capacity: usize) -> Self {
-        TraceWriter {
-            text: String::with_capacity(capacity),
-            ..TraceWriter::new(usize::MAX)
-        }
-    }
-
-    /// Appends one line — whatever `open` writes, `record`, then `close`
-    /// — or counts the record as dropped once the limit is reached.
-    pub fn record(&mut self, record: &TraceRecord, open: impl FnOnce(&mut String), close: &str) {
-        if self.lines >= self.limit {
-            self.dropped += 1;
-            return;
-        }
-        self.lines += 1;
-        open(&mut self.text);
-        record.write_ndjson(&mut self.text);
-        self.text.push_str(close);
-    }
-
-    /// The lines written since the last [`clear`](TraceWriter::clear).
-    #[must_use]
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// Records not written because the limit was reached.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Empties the text, keeping its capacity, and opens the limit anew:
-    /// a sink that clears per window limits the records per window.
-    pub fn clear(&mut self) {
-        self.text.clear();
-        self.lines = 0;
-    }
-
-    /// Writes the text to `out` unless `err` holds an earlier write's
-    /// error, holds this one's there, and empties the text all the same,
-    /// keeping its capacity. Unlike [`clear`](TraceWriter::clear) it
-    /// leaves the limit where it is: a sink that drains as it goes bounds
-    /// the buffer, not the file.
-    pub(crate) fn drain_to(&mut self, out: &mut impl Write, err: &mut Option<io::Error>) {
-        if err.is_none() {
-            *err = out.write_all(self.text.as_bytes()).err();
-        }
-        self.text.clear();
-    }
-
-    /// [`drain_to`](TraceWriter::drain_to) once the text has passed 64
-    /// KiB: the drain rule of every output that writes as the run goes
-    /// ([`TraceFile`] and [`StreamSink`](crate::StreamSink), on their
-    /// writer thread).
-    pub(crate) fn drain_full(&mut self, out: &mut impl Write, err: &mut Option<io::Error>) {
-        if self.text.len() >= DRAIN_BYTES {
-            self.drain_to(out, err);
-        }
-    }
-}
-
-impl RecordSink for TraceWriter {
-    fn on_record(&mut self, record: &TraceRecord, _in_window: bool) {
-        self.record(record, |_| {}, "\n");
-    }
-}
-
-/// The text a [`TraceWriter`] holds before
-/// [`drain_full`](TraceWriter::drain_full) writes it out.
-pub(crate) const DRAIN_BYTES: usize = 64 * 1024;
-
 /// The bytes a capped [`TraceFile`] moves per read and write when it
 /// makes room for its final meta line.
 const SHIFT_CHUNK: usize = 64 * 1024;
@@ -845,8 +734,8 @@ const SHIFT_CHUNK: usize = 64 * 1024;
 /// written front to back. A capped one learns its count at the end:
 /// [`finish`](TraceFile::finish) then moves the body right by the
 /// count's extra digits, in place and tail first, and rewrites the meta
-/// line at offset 0. The bytes are those of the meta line plus
-/// [`TraceWriter::text`] written at the end.
+/// line at offset 0. The bytes are those of the final meta line followed
+/// by each record's [`TraceRecord::write_ndjson`] line.
 ///
 /// As in a [`StreamSink`](crate::StreamSink), the record path cannot
 /// fail: the first write error is held for `finish`.
@@ -1054,8 +943,12 @@ mod tests {
             copies: 0,
             ..record()
         };
-        let document = render_trace(&original, &[record(), throttle]);
-        assert_eq!(document.lines().count(), 3);
+        let document = format!(
+            "{}\n{}\n{}\n",
+            original.to_ndjson(),
+            record().to_ndjson(),
+            throttle.to_ndjson()
+        );
         let (parsed_meta, records) = parse_trace(&document).expect("document parses");
         assert_eq!(parsed_meta, Some(original));
         assert_eq!(records, vec![record(), throttle]);
@@ -1557,45 +1450,29 @@ mod tests {
                     .open(&path)
                     .expect("temp file");
                 let mut sink = TraceFile::new(file, meta(), kept).expect("meta line");
-                let mut writer = TraceWriter::new(kept);
                 for record in &records[..kept + dropped] {
                     sink.on_record(record, true);
-                    writer.on_record(record, true);
                 }
                 sink.finish().expect("the trace closes");
-                let in_memory = TraceMeta {
-                    dropped_events: writer.dropped(),
+                let mut in_memory = TraceMeta {
+                    dropped_events: dropped as u64,
                     ..meta()
                 }
                 .to_ndjson()
-                    + "\n"
-                    + writer.text();
+                    + "\n";
+                for record in &records[..kept] {
+                    record.write_ndjson(&mut in_memory);
+                    in_memory.push('\n');
+                }
                 let written = std::fs::read_to_string(&path).expect("trace file");
                 let _ = std::fs::remove_file(&path);
                 let case = format!("{kept} kept, {dropped} dropped");
-                assert_eq!(writer.dropped(), dropped as u64, "{case}");
                 assert_eq!(written.len(), in_memory.len(), "{case}");
                 assert!(written == in_memory, "{case}: the files differ");
                 let chunks = in_memory.len().div_ceil(SHIFT_CHUNK);
                 assert_eq!(chunks > 2, kept == 2_000, "{case}: {chunks} chunk(s)");
             }
         }
-    }
-
-    #[test]
-    fn a_drain_keeps_the_limit() {
-        let mut writer = TraceWriter::new(2);
-        let mut drained = Vec::new();
-        for _ in 0..2 {
-            writer.on_record(&record(), true);
-            writer.drain_to(&mut drained, &mut None);
-        }
-        writer.on_record(&record(), true);
-        assert_eq!((writer.text(), writer.dropped()), ("", 1));
-        assert_eq!(
-            drained,
-            (record().to_ndjson() + "\n").repeat(2).into_bytes()
-        );
     }
 
     /// What the document readers returned when they split a `&str` with
@@ -1675,30 +1552,16 @@ mod tests {
     }
 
     #[test]
-    fn event_time_writer_spells_what_the_collector_collects() {
+    fn the_collector_keeps_records_up_to_its_limit() {
         let mut rng = SimRng::seed_from(0xc011);
         let records: Vec<TraceRecord> = (0..64).map(|_| drawn_record(&mut rng)).collect();
         let mut collector = TraceCollector::new(records.len());
-        let mut writer = TraceWriter::new(records.len());
         for record in &records {
             collector.on_record(record, true);
-            writer.on_record(record, true);
         }
         assert_eq!(collector.records(), records);
-        let collected: String = records.iter().map(|r| r.to_ndjson() + "\n").collect();
-        assert_eq!(writer.text(), collected);
-
-        // Past the limit records are counted, not kept; `clear` opens
-        // it anew, and a wrapper goes around the same record.
-        writer.on_record(&records[0], false);
+        // Past the limit records are counted, not kept.
         collector.on_record(&records[0], false);
-        assert_eq!((writer.dropped(), writer.text()), (1, collected.as_str()));
         assert_eq!((collector.dropped(), collector.records().len()), (1, 64));
-        writer.clear();
-        writer.record(&records[1], |line| line.push_str("{\"r\":"), "}");
-        assert_eq!(
-            writer.text(),
-            format!("{{\"r\":{}}}", records[1].to_ndjson())
-        );
     }
 }

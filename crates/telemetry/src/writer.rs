@@ -7,8 +7,8 @@
 //! one line it rendered itself (`head`, `window`, `watchpoint`, `end`). A
 //! line or a record of another window closes the batch. The writer thread
 //! owns the output: it spells the records with
-//! [`TraceRecord::write_ndjson`], drains them every [`DRAIN_BYTES`]
-//! ([`TraceWriter::drain_full`]), writes the line, and keeps the first
+//! [`TraceRecord::write_ndjson`] into one text buffer, drains it every
+//! [`DRAIN_BYTES`] ([`drain_full`]), writes the line, and keeps the first
 //! write error for `finish`: one `write_all` per drain and one per line,
 //! in record order, whatever the two threads' timing. Three batches exist
 //! and come back emptied: once warm, neither thread allocates, and the
@@ -22,7 +22,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
 use crate::json::write_u64;
-use crate::trace::{TraceRecord, TraceWriter, DRAIN_BYTES};
+use crate::trace::TraceRecord;
 
 /// Records per batch.
 pub(crate) const BATCH: usize = 256;
@@ -30,6 +30,27 @@ pub(crate) const BATCH: usize = 256;
 const BATCHES: usize = 3;
 /// The writer's stack: it formats and writes, nothing deeper.
 const STACK: usize = 64 * 1024;
+/// The text an output holds before [`drain_full`] writes it out.
+pub(crate) const DRAIN_BYTES: usize = 64 * 1024;
+
+/// Writes `text` to `out` unless `err` holds an earlier write's error (a
+/// failed output takes no more; the first error stays in `err`), then
+/// empties `text`, capacity kept.
+pub(crate) fn drain_to(text: &mut String, out: &mut impl Write, err: &mut Option<io::Error>) {
+    if err.is_none() {
+        *err = out.write_all(text.as_bytes()).err();
+    }
+    text.clear();
+}
+
+/// [`drain_to`] once `text` has passed 64 KiB: the drain rule of every
+/// output written as the run goes ([`TraceFile`](crate::TraceFile),
+/// [`StreamSink`](crate::StreamSink)) and of a Chrome export.
+pub(crate) fn drain_full(text: &mut String, out: &mut impl Write, err: &mut Option<io::Error>) {
+    if text.len() >= DRAIN_BYTES {
+        drain_to(text, out, err);
+    }
+}
 
 /// What the run thread hands the writer: `records` as `trace` lines of
 /// stream window `seq` (bare trace-file lines for `None`), then `line`.
@@ -110,7 +131,7 @@ pub(crate) struct WriterThread<W> {
     lines: usize,
     dropped: u64,
     /// The output and the writer's text buffer, to be freed here.
-    thread: Option<JoinHandle<(io::Result<W>, TraceWriter)>>,
+    thread: Option<JoinHandle<(io::Result<W>, String)>>,
 }
 
 impl<W: Write + Send + 'static> WriterThread<W> {
@@ -129,11 +150,11 @@ impl<W: Write + Send + 'static> WriterThread<W> {
         let shared = Arc::new(Shared::default());
         shared.lock().spares = (1..BATCHES).map(|_| batch()).collect();
         // A drain's worth of text and the line that crosses it.
-        let lines = TraceWriter::unlimited(if limit > 0 { DRAIN_BYTES + 1024 } else { 0 });
+        let text = String::with_capacity(if limit > 0 { DRAIN_BYTES + 1024 } else { 0 });
         let hangup = Hangup(Arc::clone(&shared));
         let thread = thread::Builder::new()
             .stack_size(STACK)
-            .spawn(move || write_batches(&hangup.0, out, lines))?;
+            .spawn(move || write_batches(&hangup.0, out, text))?;
         Ok(WriterThread {
             shared,
             batch: batch(),
@@ -178,14 +199,6 @@ impl<W> WriterThread<W> {
     /// Records not handed over because the limit was reached.
     pub(crate) fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Waits until the writer has written every batch handed over, the
-    /// open one included (text held for its 64 KiB drain stays held): what
-    /// the caller writes next to the same place follows those lines.
-    pub(crate) fn sync(&mut self) {
-        self.send();
-        drop(self.shared.wait_run(|q| q.spares.len() == BATCHES - 1));
     }
 
     /// Writes what is left, flushes, and gives the output back.
@@ -240,38 +253,32 @@ impl<W> Drop for WriterThread<W> {
 fn write_batches<W: Write>(
     shared: &Shared,
     mut out: W,
-    mut lines: TraceWriter,
-) -> (io::Result<W>, TraceWriter) {
+    mut text: String,
+) -> (io::Result<W>, String) {
     let (mut err, mut done) = (None, None);
     while let Some(mut batch) = shared.next(done.take()) {
-        let seq = batch.seq;
-        let open = |line: &mut String| {
-            if let Some(seq) = seq {
-                line.push_str("{\"type\":\"trace\",\"seq\":");
-                write_u64(line, seq);
-                line.push_str(",\"record\":");
-            }
-        };
-        let close = if seq.is_some() { "}\n" } else { "\n" };
         for record in &batch.records {
-            lines.record(record, open, close);
-            lines.drain_full(&mut out, &mut err);
+            if let Some(seq) = batch.seq {
+                text.push_str("{\"type\":\"trace\",\"seq\":");
+                write_u64(&mut text, seq);
+                text.push_str(",\"record\":");
+            }
+            record.write_ndjson(&mut text);
+            text.push_str(if batch.seq.is_some() { "}\n" } else { "\n" });
+            drain_full(&mut text, &mut out, &mut err);
         }
         if !batch.line.is_empty() {
-            lines.drain_to(&mut out, &mut err);
-            if err.is_none() {
-                err = out.write_all(batch.line.as_bytes()).err();
-            }
+            drain_to(&mut text, &mut out, &mut err);
+            drain_to(&mut batch.line, &mut out, &mut err);
         }
         batch.records.clear();
-        batch.line.clear();
         done = Some(batch);
     }
-    lines.drain_to(&mut out, &mut err);
+    drain_to(&mut text, &mut out, &mut err);
     if err.is_none() {
         err = out.flush().err();
     }
-    (err.map_or(Ok(out), Err), lines)
+    (err.map_or(Ok(out), Err), text)
 }
 
 #[cfg(test)]
@@ -351,13 +358,15 @@ mod tests {
 
     #[test]
     fn a_line_follows_the_records_before_it_and_the_limit_counts_per_window() {
+        // A window's limit of records spans several 64 KiB drains.
+        let limit = 3 * DRAIN_BYTES / trace_line(Some(0), &record(0)).len();
         let out = Shared::default();
-        let mut writer = WriterThread::spawn(out.clone(), 3).expect("spawned");
+        let mut writer = WriterThread::spawn(out.clone(), limit).expect("spawned");
         let mut expected = String::new();
         for window in 0..3 {
-            for k in 0..5 {
+            for k in 0..limit as u64 + 2 {
                 writer.record(&record(k), Some(window));
-                if k < 3 {
+                if k < limit as u64 {
                     expected += &trace_line(Some(window), &record(k));
                 }
                 if k == 1 {
@@ -368,14 +377,8 @@ mod tests {
             writer.reopen_limit();
         }
         assert_eq!(writer.dropped(), 6);
-        // A sync returns once what a single thread would have written by
-        // now is written: every line; record lines only up to the last
-        // line, the rest waiting for their 64 KiB drain.
-        let tail = trace_line(Some(2), &record(2));
-        writer.sync();
-        assert_eq!(out.text(), expected.strip_suffix(&tail).expect("a tail"));
         writer.finish().expect("nothing failed");
-        assert_eq!(out.text(), expected);
+        assert!(out.text() == expected, "the outputs differ");
     }
 
     /// Fails every write: the first with `first`, the rest with `later`.

@@ -7,9 +7,9 @@
 //!
 //! Two sinks write trace records, each registered with the [`Recorder`]
 //! that builds an event's record. Each hands its records in batches to a
-//! writer thread of its own, which renders a record's line into a buffer
-//! (a `TraceWriter`) that it drains into the output whenever it passes 64
-//! KiB, capacity kept, and keeps no table of labels to warm up (a site is
+//! writer thread of its own, which renders a record's line into one text
+//! buffer that it drains into the output whenever it passes 64 KiB,
+//! capacity kept, and keeps no table of labels to warm up (a site is
 //! rendered digit by digit per record). The batches come back emptied.
 //! Once the batches and the buffer have their working size, further
 //! traced events must not touch the allocator at all, on either thread

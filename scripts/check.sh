@@ -157,13 +157,15 @@ fault plan outside the fabric is refused | exits 1 asynoc faults $fmot $pair --p
 widened fault off the recoverable sites is refused | exits 1 asynoc faults --arch OptHybridSpeculative --benchmark Multicast5 --rate 0.2 --plan corrupt:4:1:both --measure-ns 3000 ;\
  has stderr error: --plan: entry 1 "corrupt:4:1:both": a widened route at symbol site 4
 # a trace file and a stream are written by their own writer thread, which keeps the first write error
-# for the command to report; --stream - shares stdout with the command
+# for the command to report; under --stream - stdout carries the stream alone, the command's output
+# goes to stderr
 trace writer error reaches the command | exits 1 asynoc metrics $mot $traced --trace-out /dev/full ;\
  has stderr error: --trace-out /dev/full: No space left on device
 stream writer error reaches the command | exits 1 asynoc metrics $mot $traced --stream /dev/full --stream-trace ;\
- has stderr error: No space left on device
+ has stderr error: --stream /dev/full: No space left on device
 stream to stdout (mot) | asynoc metrics $mot $traced --metrics-out m.json --stream - --stream-trace > out ;\
- asynoc metrics $mot $traced --metrics-out m.json --stream s.ndjson --stream-trace ; same records s.ndjson out
+ asynoc metrics $mot $traced --metrics-out m.json --stream s.ndjson --stream-trace ; same cat s.ndjson out
+run --stream - folds (mot) | asynoc run $mot --stream - > out ; asynoc watch --stream-in out --once --fold f.json
 # saturate probes on its own schedule; a window flag it would ignore is a usage error, not a no-op
 saturate refuses the window flags | exits 2 asynoc saturate --arch Baseline --benchmark Shuffle --quick --measure-ns 3 ; has stderr error:
 # every seed S … S+K−1 of run --seeds must exist and a sweep's ends must be finite: both are usage

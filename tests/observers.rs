@@ -10,8 +10,8 @@ use asynoc::{
 };
 use asynoc_telemetry::{
     ChromeTraceObserver, FaultLedger, JsonValue, LatencyHistograms, RecordSink, Recorder, SiteOf,
-    SpeculationWaste, StreamConfig, StreamSink, TimeSeries, TokenLedger, TraceCollector,
-    TraceWriter,
+    SpeculationWaste, StreamConfig, StreamSink, TimeSeries, TokenLedger, TraceCollector, TraceFile,
+    TraceMeta,
 };
 
 fn network() -> Network {
@@ -171,7 +171,23 @@ fn a_located_event_is_placed_once_whatever_is_registered() {
     .expect("the head record is written");
     let mut waste = SpeculationWaste::new(timing.wire_fj, timing.drop_fj);
     let (mut tokens, mut faults) = (TokenLedger::default(), FaultLedger::new());
-    let (mut collector, mut writer) = (TraceCollector::new(1 << 20), TraceWriter::new(1 << 20));
+    let mut collector = TraceCollector::new(1 << 20);
+    let path = std::env::temp_dir().join(format!("asynoc-observers-{}.ndjson", std::process::id()));
+    let file = std::fs::File::create(&path).expect("a temp file");
+    let meta = TraceMeta {
+        substrate: "mot".to_string(),
+        arch: Some("BasicHybridSpeculative".to_string()),
+        size: 8,
+        seed: 7,
+        flits: net.config().flits_per_packet(),
+        rate: 0.3,
+        warmup_ps: phases().warmup().as_ps(),
+        measure_ps: phases().measure().as_ps(),
+        wire_fj: Some(timing.wire_fj),
+        drop_fj: Some(timing.drop_fj),
+        dropped_events: 0,
+    };
+    let mut trace = TraceFile::new(file, meta, 1 << 20).expect("the meta line");
     let mut chrome = ChromeTraceObserver::new(1 << 20);
     let sinks: Vec<&mut dyn RecordSink> = vec![
         &mut sink,
@@ -179,7 +195,7 @@ fn a_located_event_is_placed_once_whatever_is_registered() {
         &mut tokens,
         &mut faults,
         &mut collector,
-        &mut writer,
+        &mut trace,
         &mut chrome,
     ];
     let mut located = Located::default();
@@ -193,11 +209,14 @@ fn a_located_event_is_placed_once_whatever_is_registered() {
     .expect("run succeeds");
     sink.finish(JsonValue::Object(Vec::new()), 0)
         .expect("the stream closes");
+    trace.finish().expect("the trace closes");
+    let written = std::fs::read_to_string(&path).expect("the trace file");
+    let _ = std::fs::remove_file(&path);
 
     assert!(located.fired > 1_000 && located.elsewhere > 1_000);
     assert_eq!(placed.get(), located.fired);
     // And every sink saw every event.
     assert_eq!(collector.records().len(), located.fired + located.elsewhere);
-    assert_eq!(writer.text().lines().count(), collector.records().len());
+    assert_eq!(written.lines().count(), 1 + collector.records().len());
     assert_eq!(chrome.len(), collector.records().len());
 }
