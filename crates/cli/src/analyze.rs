@@ -9,7 +9,7 @@
 //! under `--heatmap`); without it, stdout is the pure JSON document —
 //! unless `--heatmap` asks for the human-readable maps instead.
 
-use std::io::{BufReader, Write};
+use std::io::Write;
 
 use asynoc_analysis::Analysis;
 use asynoc_telemetry::{visit_trace, TraceLine};
@@ -43,10 +43,10 @@ pub struct AnalyzeRequest {
 /// first malformed trace line.
 pub fn execute_analyze(request: &AnalyzeRequest, out: &mut dyn Write) -> Result<(), CliError> {
     let profiler = crate::profile::ProfileWriter::when(request.profile.as_ref(), "analyze")?;
-    let input = BufReader::new(open_input("--trace-in", &request.trace_in)?);
+    let input = open_input("--trace-in", &request.trace_in)?;
     let mut report_file = create_optional("--report-out", request.report_out.as_ref())?;
-    // One line of text at a time, each record folded as it is read: the
-    // fold holds the flits in flight, not the trace.
+    // One line at a time, each record folded as it is read: the fold
+    // holds the flits in flight, not the trace.
     let mut analysis = Analysis::new(None, request.top);
     let errors = visit_trace(input, request.lenient, |line| match line {
         TraceLine::Blank => {}

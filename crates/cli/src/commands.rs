@@ -90,9 +90,15 @@ pub(crate) fn create_optional(
     path.map(|path| create_output(flag, path)).transpose()
 }
 
-/// Opens the file the input flag `flag` names.
-pub(crate) fn open_input(flag: &str, path: &str) -> Result<std::fs::File, CliError> {
-    std::fs::File::open(path).map_err(named(flag, path))
+/// The read buffer of a recording's input: 64 KiB, like the writers'
+/// drains, so a line straddles a refill a few times per 64 KiB read.
+pub(crate) const INPUT_BUFFER: usize = 64 * 1024;
+
+/// Opens the file the input flag `flag` names, behind an
+/// [`INPUT_BUFFER`]-byte buffer.
+pub(crate) fn open_input(flag: &str, path: &str) -> Result<io::BufReader<std::fs::File>, CliError> {
+    let file = std::fs::File::open(path).map_err(named(flag, path))?;
+    Ok(io::BufReader::with_capacity(INPUT_BUFFER, file))
 }
 
 /// Resolves `--arch` / `--spec-map` into a validated [`SpecMap`] at the

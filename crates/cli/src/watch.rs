@@ -12,12 +12,12 @@
 //! *host-time* stall ("the file stopped growing") is detected here,
 //! since only the consumer can see wall-clock silence.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::time::Instant;
 
-use asynoc_telemetry::{JsonValue, StreamFolder, StreamLine, STREAM_SCHEMA};
+use asynoc_telemetry::{JsonError, JsonValue, StreamFolder, StreamLine, STREAM_SCHEMA};
 
-use crate::commands::{create_optional, named, open_input, CliError};
+use crate::commands::{create_optional, named, open_input, CliError, INPUT_BUFFER};
 
 /// A fully-resolved `watch` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -74,12 +74,15 @@ impl Dashboard {
     /// neither its text nor its tree outlives it. A line that is not
     /// JSON, has no known `type`, or carries a counter that is not a
     /// whole number is counted and skipped.
-    fn ingest(&mut self, line: &str, out: &mut dyn Write) -> Result<(), CliError> {
-        let line = StreamLine::parse(line);
+    fn ingest(
+        &mut self,
+        line: &Result<StreamLine, JsonError>,
+        out: &mut dyn Write,
+    ) -> Result<(), CliError> {
         if let Some(folder) = &mut self.folder {
-            folder.push(&line);
+            folder.push(line);
         }
-        let value = match &line {
+        let value = match line {
             Ok(StreamLine::Blank) => return Ok(()),
             Ok(StreamLine::Trace) => {
                 self.traces += 1;
@@ -256,9 +259,10 @@ fn finish(
 /// `asynoc-stream-v1` document, or `--fold` fails to decode it.
 pub fn execute_watch(request: &WatchRequest, out: &mut dyn Write) -> Result<(), CliError> {
     if request.stream_in == "-" {
-        return watch(std::io::stdin().lock(), request, out, None);
+        let input = BufReader::with_capacity(INPUT_BUFFER, io::stdin().lock());
+        return watch(input, request, out, None);
     }
-    let input = BufReader::new(open_input("--stream-in", &request.stream_in)?);
+    let input = open_input("--stream-in", &request.stream_in)?;
     if request.once {
         return watch(input, request, out, None);
     }
@@ -271,15 +275,81 @@ pub fn execute_watch(request: &WatchRequest, out: &mut dyn Write) -> Result<(), 
     )
 }
 
-/// Reads the next line of `input` onto the end of `line`; `false` at the
-/// end of the input. A read error names the stream, unless it is stdin.
-fn read_more(
-    input: &mut impl BufRead,
-    line: &mut String,
+/// Splits a stream into lines where they lie in the reader's buffer:
+/// only a line that straddles a refill is copied, into `carry`.
+struct Lines<R> {
+    input: R,
+    carry: Vec<u8>,
+    /// The buffer's bytes the line handed out last took.
+    used: usize,
+    /// Whether the line handed out last was `carry`.
+    carried: bool,
+}
+
+impl<R: BufRead> Lines<R> {
+    /// The next line with its `\n`, or `None` at the end of the input. The
+    /// input's last line needs no `\n`, unless `tail`: there a partial
+    /// line waits in `carry` for the rest of its bytes.
+    ///
+    /// # Errors
+    ///
+    /// The input's, or [`io::ErrorKind::InvalidData`] for a line that is
+    /// not UTF-8, in the words of `BufRead::read_line`.
+    fn next(&mut self, tail: bool) -> io::Result<Option<&str>> {
+        self.input.consume(std::mem::take(&mut self.used));
+        if std::mem::take(&mut self.carried) {
+            self.carry.clear();
+        }
+        self.carried = loop {
+            let buf = self.input.fill_buf()?;
+            match line_len(buf) {
+                Some(len) => {
+                    self.used = len;
+                    if self.carry.is_empty() {
+                        break false;
+                    }
+                    self.carry.extend_from_slice(&buf[..len]);
+                    break true;
+                }
+                None if buf.is_empty() && (tail || self.carry.is_empty()) => return Ok(None),
+                None if buf.is_empty() => break true,
+                None => {
+                    self.carry.extend_from_slice(buf);
+                    let len = buf.len();
+                    self.input.consume(len);
+                }
+            }
+        };
+        let line = match self.carried {
+            true => &self.carry[..],
+            false => &self.input.fill_buf()?[..self.used],
+        };
+        std::str::from_utf8(line).map(Some).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })
+    }
+}
+
+/// The length of the first line of `bytes` through its `\n`, if it has
+/// one (`skip_until` over a slice is the standard library's `memchr`).
+fn line_len(bytes: &[u8]) -> Option<usize> {
+    let mut rest = bytes;
+    let len = rest.skip_until(b'\n').ok()?;
+    bytes[..len].ends_with(b"\n").then_some(len)
+}
+
+/// The next line of `lines`, as [`Lines::next`]. An error names the
+/// stream, unless it is stdin.
+fn read_more<'a>(
+    lines: &'a mut Lines<impl BufRead>,
+    tail: bool,
     request: &WatchRequest,
-) -> Result<bool, CliError> {
-    match input.read_line(line) {
-        Ok(read) => Ok(read > 0),
+) -> Result<Option<&'a str>, CliError> {
+    match lines.next(tail) {
+        Ok(line) => Ok(line),
         Err(e) if request.stream_in == "-" => Err(e.into()),
         Err(e) => Err(named("--stream-in", &request.stream_in)(e)),
     }
@@ -292,29 +362,40 @@ fn read_more(
 /// `idle` between polls; a partial last line waits for the rest of its
 /// bytes.
 fn watch(
-    mut input: impl BufRead,
+    input: impl BufRead,
     request: &WatchRequest,
     out: &mut dyn Write,
     mut idle: Option<&mut dyn FnMut()>,
 ) -> Result<(), CliError> {
     let tailing = idle.is_some();
     let started = Instant::now();
-    let (mut line, mut blanks) = (String::new(), 0);
+    let mut lines = Lines {
+        input,
+        carry: Vec::new(),
+        used: 0,
+        carried: false,
+    };
+    let (mut head, mut blanks) = (None, 0);
     if !tailing {
         // A complete stream opens with its head; without one this is some
         // other file (or none), not a run that reported all zeroes.
-        while read_more(&mut input, &mut line, request)? && line.trim().is_empty() {
-            line.clear();
-            blanks += 1;
+        while let Some(text) = read_more(&mut lines, false, request)? {
+            match StreamLine::parse(text) {
+                Ok(StreamLine::Blank) => blanks += 1,
+                line => {
+                    head = Some(line);
+                    break;
+                }
+            }
         }
-        let head = match StreamLine::parse(&line) {
-            Ok(StreamLine::Record(value)) => {
+        let is_head = match &head {
+            Some(Ok(StreamLine::Record(value))) => {
                 value.get("type").and_then(JsonValue::as_str) == Some("head")
             }
             _ => false,
         };
-        if !head {
-            let at = if line.is_empty() { 1 } else { blanks + 1 };
+        if !is_head {
+            let at = if head.is_none() { 1 } else { blanks + 1 };
             return Err(CliError::Invalid(format!(
                 "line {at}: expected a {STREAM_SCHEMA:?} head record"
             )));
@@ -322,20 +403,18 @@ fn watch(
     }
     let mut dashboard = Dashboard::new(request)?;
     for _ in 0..blanks {
-        dashboard.ingest("", out)?;
+        dashboard.ingest(&Ok(StreamLine::Blank), out)?;
+    }
+    if let Some(head) = head {
+        dashboard.ingest(&head, out)?;
     }
     let mut quiet_polls: u32 = 0;
     let mut stall_noted = false;
     loop {
         let mut grew = false;
-        // A single pass starts with its head line already read.
-        while !(line.is_empty() || tailing) || read_more(&mut input, &mut line, request)? {
-            if tailing && !line.ends_with('\n') {
-                break;
-            }
+        while let Some(text) = read_more(&mut lines, tailing, request)? {
             grew = true;
-            dashboard.ingest(&line, out)?;
-            line.clear();
+            dashboard.ingest(&StreamLine::parse(text), out)?;
             if tailing && dashboard.ended {
                 break;
             }
@@ -435,6 +514,24 @@ mod tests {
     }
 
     #[test]
+    fn a_line_of_unicode_space_is_malformed_not_blank() {
+        // Before the head it is the line that should have been the head.
+        let (out, result) = watch_once(&format!("\n\u{a0}\n{HEAD}\n"), None);
+        let err = result.expect_err("no head first").to_string();
+        assert_eq!(err, "line 2: expected a \"asynoc-stream-v1\" head record");
+        assert!(out.is_empty(), "{out}");
+        // After it, a malformed line: counted, and the fold names it.
+        let text = format!("{HEAD}\n \t\n\u{3000}\n");
+        let (out, result) = watch_once(&text, None);
+        result.expect("the dashboard carries on");
+        assert!(out.contains("1 malformed line(s) skipped"), "{out}");
+        let (_, result) = watch_once(&text, Some("-".to_string()));
+        let err = result.expect_err("the fold stops").to_string();
+        let expected = "--fold: line 3: JSON error at byte 0: expected a JSON value";
+        assert_eq!(err, expected);
+    }
+
+    #[test]
     fn counters_that_are_not_whole_numbers_mark_the_line_malformed() {
         let window = |events: &str| {
             format!(
@@ -491,6 +588,16 @@ mod tests {
             interval_ms: 1,
         };
         execute_watch(&request(&whole, &folded_once, true), &mut Vec::new()).expect("--once");
+        // Through a buffer of a few bytes every line straddles refills.
+        let tiny = BufReader::with_capacity(7, std::fs::File::open(&whole).expect("stream"));
+        let folded_tiny = path("tiny.json");
+        watch(
+            tiny,
+            &request(&whole, &folded_tiny, true),
+            &mut Vec::new(),
+            None,
+        )
+        .expect("tiny");
 
         // The producer has written half the stream, cut mid-line, when the
         // tail starts; the rest lands during the first idle poll.
@@ -499,7 +606,7 @@ mod tests {
         std::fs::write(&live, &stream[..cut]).expect("first half");
         let mut rest = Some(&stream[cut..]);
         let mut out = Vec::new();
-        let input = BufReader::new(std::fs::File::open(&live).expect("live stream"));
+        let input = BufReader::with_capacity(7, std::fs::File::open(&live).expect("live stream"));
         let mut second_half = || {
             if let Some(rest) = rest.take() {
                 let mut file = std::fs::OpenOptions::new()
@@ -519,7 +626,8 @@ mod tests {
         let read = |path: &str| std::fs::read_to_string(path).expect(path);
         assert_eq!(read(&folded_tail), read(&folded_once));
         assert_eq!(read(&folded_tail), read(&batch));
-        for file in [batch, whole, live, folded_once, folded_tail] {
+        assert_eq!(read(&folded_tiny), read(&batch));
+        for file in [batch, whole, live, folded_once, folded_tail, folded_tiny] {
             let _ = std::fs::remove_file(file);
         }
     }

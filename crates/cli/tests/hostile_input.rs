@@ -96,6 +96,34 @@ fn a_misread_integer_fails_the_analysis_instead_of_skewing_it() {
     let _ = std::fs::remove_file(trace);
 }
 
+/// JSON whitespace is `' '`, `\t`, `\n` and `\r`: a line of a Unicode
+/// space is no blank line but a malformed one, as `JsonValue::parse` has
+/// it — located, or skipped and counted under `--lenient`.
+#[test]
+fn a_line_of_unicode_space_is_malformed_not_blank() {
+    let record =
+        r#"{"t_ps":10,"packet":1,"flit":0,"site":"src0","action":"inject","detail":"","copies":1}"#;
+    let trace = fixture("nbsp.ndjson", &format!("{record}\n\u{a0}\n{record}\n"));
+    let output = asynoc(&["analyze", "--trace-in", &trace]);
+    assert_located_error(
+        &output,
+        &["line 2: JSON error at byte 0: expected a JSON value"],
+    );
+    let output = asynoc(&["analyze", "--trace-in", &trace, "--lenient"]);
+    assert_eq!(output.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("\"skipped_lines\": 1"), "{stdout}");
+
+    let stream = fixture("nbsp-stream.ndjson", &format!("\u{3000}\n{STREAM_HEAD}\n"));
+    let output = asynoc(&["watch", "--stream-in", &stream, "--once"]);
+    let expected = "error: line 1: expected a \"asynoc-stream-v1\" head record\n";
+    assert_eq!(output.status.code(), Some(1));
+    assert_eq!(String::from_utf8_lossy(&output.stderr), expected);
+    for path in [trace, stream] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 #[test]
 fn out_of_range_run_flags_are_usage_errors_not_panics() {
     // Each of these used to reach an `assert!` or an overflowing time

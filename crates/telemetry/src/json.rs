@@ -347,10 +347,7 @@ pub(crate) fn exact_u64(token: &str) -> Option<u64> {
 /// stream readers pull keys and scalars straight into their own fields
 /// and [`skip_value`](Scanner::skip_value) over the rest.
 ///
-/// Every method that starts a token skips leading whitespace itself. The
-/// per-token methods are forced inline: called a dozen times per trace
-/// line from another module, they cost a sixth of a record's parse time
-/// as calls.
+/// Every method that starts a token skips leading whitespace itself.
 pub(crate) struct Scanner<'a> {
     text: &'a str,
     pos: usize,
@@ -374,7 +371,6 @@ impl<'a> Scanner<'a> {
     }
 
     /// The first byte of the next token, if any.
-    #[inline(always)]
     pub(crate) fn peek(&mut self) -> Option<u8> {
         let bytes = self.text.as_bytes();
         while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
@@ -383,7 +379,6 @@ impl<'a> Scanner<'a> {
         bytes.get(self.pos).copied()
     }
 
-    #[inline(always)]
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -418,7 +413,6 @@ impl<'a> Scanner<'a> {
     }
 
     /// After an element: `true` past a comma, `false` past `close`.
-    #[inline(always)]
     pub(crate) fn more(&mut self, close: u8) -> Result<bool, JsonError> {
         match self.peek() {
             Some(b',') => {
@@ -435,7 +429,6 @@ impl<'a> Scanner<'a> {
     }
 
     /// An object member's key and its colon.
-    #[inline(always)]
     pub(crate) fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
         let key = self.string()?;
         self.expect(b':')?;
@@ -443,7 +436,6 @@ impl<'a> Scanner<'a> {
     }
 
     /// A string, borrowed from the input unless it holds an escape.
-    #[inline(always)]
     pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let end = self.run_end();
@@ -465,7 +457,6 @@ impl<'a> Scanner<'a> {
 
     /// Where the next `"` or `\` (or the end of the text) is. Both are
     /// ASCII, so the place is a character boundary.
-    #[inline(always)]
     fn run_end(&self) -> usize {
         let bytes = self.text.as_bytes();
         let mut end = self.pos;
@@ -557,7 +548,6 @@ impl<'a> Scanner<'a> {
 
     /// Lexes a number token; the flag says it is nothing but an optional
     /// sign and digits, which is always a valid number.
-    #[inline(always)]
     fn number_token(&mut self) -> (&'a str, bool) {
         self.peek();
         let bytes = self.text.as_bytes();
@@ -579,7 +569,6 @@ impl<'a> Scanner<'a> {
     }
 
     /// A number token, validated; the caller decides how to read it.
-    #[inline(always)]
     pub(crate) fn number(&mut self) -> Result<&'a str, JsonError> {
         let (token, plain) = self.number_token();
         if plain || token.parse::<f64>().is_ok() {
@@ -589,18 +578,9 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// Moves past `word` if the text goes on with exactly it.
-    #[inline(always)]
-    pub(crate) fn eat(&mut self, word: &str) -> bool {
-        let hit = self.text.as_bytes()[self.pos..].starts_with(word.as_bytes());
-        if hit {
-            self.pos += word.len();
-        }
-        hit
-    }
-
     fn literal(&mut self, word: &str) -> Result<(), JsonError> {
-        if self.eat(word) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
             Ok(())
         } else {
             Err(self.error(format!("expected {word:?}")))

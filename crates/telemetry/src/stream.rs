@@ -69,7 +69,7 @@ use crate::recorder::RecordSink;
 use crate::site::Site;
 use crate::timeseries::TimeSeries;
 use crate::tokens::TokenLedger;
-use crate::trace::{Action, TraceRecord};
+use crate::trace::{exact_trace_line, Action, TraceRecord};
 use crate::writer::WriterThread;
 use crate::METRICS_SCHEMA;
 
@@ -591,8 +591,9 @@ pub enum StreamLine {
     /// Nothing but whitespace.
     Blank,
     /// A `trace` record. They are all but a handful of a traced stream's
-    /// lines and neither consumer reads one, so they are validated and
-    /// skipped, never built into a tree.
+    /// lines and neither consumer reads one, so one spelled as the writer
+    /// spells it is only checked, in one pass over its bytes, never built
+    /// into a tree.
     Trace,
     /// Any other line (`head`, `window`, `watchpoint`, `end`, or something
     /// unknown) as a tree: a few per window, read member by member.
@@ -600,37 +601,33 @@ pub enum StreamLine {
 }
 
 impl StreamLine {
-    /// Parses one line, reading its `type` before deciding whether to
-    /// build a tree.
+    /// Parses one line: a `trace` line spelled exactly as the stream's
+    /// writer spells one in a single pass over its bytes, any other line
+    /// with the general reader.
     ///
     /// # Errors
     ///
     /// Returns the [`JsonError`] of a line that is not one JSON value.
     pub fn parse(line: &str) -> Result<StreamLine, JsonError> {
-        if line.trim().is_empty() {
+        if exact_trace_line(line.as_bytes()) {
+            return Ok(StreamLine::Trace);
+        }
+        StreamLine::general(line)
+    }
+
+    /// [`parse`](StreamLine::parse) with [`JsonValue::parse`] alone: the
+    /// one definition of what a line may hold. A line is blank when it
+    /// holds nothing but JSON whitespace; its first `type` member decides
+    /// whether it is a `trace` line.
+    fn general(line: &str) -> Result<StreamLine, JsonError> {
+        if Scanner::new(line).peek().is_none() {
             return Ok(StreamLine::Blank);
         }
-        let mut scanner = Scanner::new(line);
-        if scanner.peek() == Some(b'{') {
-            let mut more = scanner.open(b'{', b'}')?;
-            while more {
-                // The first `type` member decides, as `JsonValue::get` would.
-                if scanner.key()? == "type" {
-                    if scanner.peek() != Some(b'"') || scanner.string()? != "trace" {
-                        break;
-                    }
-                    while scanner.more(b'}')? {
-                        scanner.key()?;
-                        scanner.skip_value()?;
-                    }
-                    scanner.end()?;
-                    return Ok(StreamLine::Trace);
-                }
-                scanner.skip_value()?;
-                more = scanner.more(b'}')?;
-            }
-        }
-        JsonValue::parse(line).map(StreamLine::Record)
+        let value = JsonValue::parse(line)?;
+        Ok(match value.get("type").and_then(JsonValue::as_str) {
+            Some("trace") => StreamLine::Trace,
+            _ => StreamLine::Record(value),
+        })
     }
 }
 
@@ -1243,6 +1240,78 @@ mod tests {
         ] {
             let expected = JsonValue::parse(line).expect_err(line);
             assert_eq!(StreamLine::parse(line), Err(expected), "{line}");
+        }
+    }
+
+    /// Holds [`StreamLine::parse`] to the general reader alone on `line`:
+    /// the same verdict, value and error. Returns whether the one pass over
+    /// the writer's spelling read the line.
+    fn exact_agrees_with_general(line: &str) -> bool {
+        assert_eq!(
+            StreamLine::parse(line),
+            StreamLine::general(line),
+            "{line:?}"
+        );
+        exact_trace_line(line.as_bytes())
+    }
+
+    #[test]
+    fn the_exact_reader_agrees_with_the_general_one() {
+        let runs = reference::real_runs();
+        for run in runs {
+            // Every `trace` line the writer wrote is read in one pass, and
+            // `watch` reads a line with its `\n`.
+            let traces = run
+                .stream
+                .lines()
+                .filter(|l| l.starts_with("{\"type\":\"trace\""));
+            let exact = run
+                .stream
+                .split_inclusive('\n')
+                .filter(|l| exact_agrees_with_general(l));
+            assert_eq!(exact.count(), traces.count(), "{}", run.name);
+        }
+        // The folder's mutated corpus: both readers must have work.
+        let (mut lines, mut exact) = (0, 0);
+        for (index, run) in runs.iter().enumerate() {
+            let body: Vec<&str> = run
+                .stream
+                .lines()
+                .skip(1)
+                .enumerate()
+                .filter(|(i, l)| i % 50 == 0 || !l.contains("\"type\":\"trace\""))
+                .map(|(_, l)| l)
+                .collect();
+            let mutants = reference::mutants(&body, 2_600, 0xf01d + index as u64);
+            for line in mutants.iter().flat_map(|mutant| mutant.lines()) {
+                lines += 1;
+                exact += usize::from(exact_agrees_with_general(line));
+            }
+        }
+        assert!(
+            exact > lines / 200 && exact < lines / 2,
+            "{exact} of {lines}"
+        );
+        // At the edges the one pass reads the writer's own spelling, a
+        // leading zero, the widest `u64` and a line end, and nothing else.
+        let edges = TraceRecord::edge_lines(true);
+        let exact: Vec<usize> = (0..edges.len())
+            .filter(|&at| exact_agrees_with_general(&edges[at]))
+            .collect();
+        assert_eq!(exact, [0, 1, 2, 19, 28, 30], "{edges:#?}");
+    }
+
+    #[test]
+    fn a_line_of_unicode_space_is_malformed_not_blank() {
+        for blank in ["", " \t\r", "\n"] {
+            assert_eq!(StreamLine::parse(blank), Ok(StreamLine::Blank), "{blank:?}");
+        }
+        for space in ["\u{a0}", "\u{85}", "\u{2028}", "\u{3000}\n"] {
+            let err = StreamLine::parse(space).expect_err(space);
+            assert_eq!(
+                err.to_string(),
+                "JSON error at byte 0: expected a JSON value"
+            );
         }
     }
 

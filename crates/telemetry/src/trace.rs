@@ -21,7 +21,7 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufRead, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::str::FromStr;
 
 use asynoc_kernel::FaultClass;
@@ -401,8 +401,7 @@ impl<'a> Slot<'a> {
     }
 }
 
-/// Declares a struct of one [`Slot`] per key, in our writer's member
-/// order, found by the key's name or guessed by its place.
+/// Declares a struct of one [`Slot`] per key, found by the key's name.
 macro_rules! fields {
     ($name:ident: $($key:ident)*) => {
         #[derive(Default)]
@@ -416,22 +415,6 @@ macro_rules! fields {
                     $(stringify!($key) => Some(&mut self.$key),)*
                     _ => None,
                 }
-            }
-
-            /// The slot of the member our writer puts `nth`, with the
-            /// scanner moved to its value, if the text goes on with
-            /// exactly that member's key and colon.
-            fn guess(&mut self, nth: usize, scanner: &mut Scanner<'a>) -> Option<&mut Slot<'a>> {
-                let mut place = 0;
-                $(
-                    if nth == place {
-                        let member = concat!("\"", stringify!($key), "\":");
-                        return scanner.eat(member).then_some(&mut self.$key);
-                    }
-                    place += 1;
-                )*
-                let _ = place;
-                None
             }
         }
     };
@@ -469,26 +452,12 @@ impl<'a> Fields<'a> {
             scanner.skip_value()?;
         } else {
             let mut more = scanner.open(b'{', b'}')?;
-            let mut nth = 0;
             while more {
-                // A bet on our own writer's member order: when it holds,
-                // one comparison stands in for lexing and matching the key
-                // (a seventh of a record's parse time).
-                let guessed = match &mut fields.meta {
-                    None => fields.record.guess(nth, &mut scanner),
-                    Some(meta) => meta.guess(nth, &mut scanner),
-                };
-                let slot = match guessed {
+                let key = scanner.key()?;
+                let slot = match fields.record.slot(&key) {
                     Some(slot) => Some(slot),
-                    None => {
-                        let key = scanner.key()?;
-                        match fields.record.slot(&key) {
-                            Some(slot) => Some(slot),
-                            None => fields.meta.get_or_insert_with(Box::default).slot(&key),
-                        }
-                    }
+                    None => fields.meta.get_or_insert_with(Box::default).slot(&key),
                 };
-                nth += 1;
                 match slot {
                     Some(slot) => slot.fill(&mut scanner)?,
                     None => scanner.skip_value()?,
@@ -584,10 +553,93 @@ pub enum TraceLine {
     Record(TraceRecord),
 }
 
-/// Reads one line. A syntax error keeps its byte offset in the message;
-/// a field error names the field.
+/// A reader of exactly what [`TraceRecord::write_ndjson`] writes (ASCII:
+/// member names in its order, digits, labels without escapes). Any other
+/// byte is `None`, no verdict: the line goes to the general reader, the
+/// one definition of what a line may hold and what is wrong with one.
+struct Exact<'a>(&'a [u8]);
+
+impl Exact<'_> {
+    fn eat(&mut self, literal: &str) -> Option<()> {
+        self.0 = self.0.strip_prefix(literal.as_bytes())?;
+        Some(())
+    }
+
+    /// `member`, then digits: their value, if it fits.
+    fn uint(&mut self, member: &str) -> Option<u64> {
+        self.eat(member)?;
+        let digits = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (number, rest) = self.0.split_at(digits);
+        self.0 = rest;
+        let value = |v: u64, d: &u8| v.checked_mul(10)?.checked_add(u64::from(d - b'0'));
+        number.iter().try_fold(0, value).filter(|_| digits > 0)
+    }
+
+    /// `member`, then a label read in its grammar, which holds no `\`.
+    fn label<T: FromStr>(&mut self, member: &str) -> Option<T> {
+        self.eat(member)?;
+        let end = self.0.iter().position(|&b| b == b'"')?;
+        let label = std::str::from_utf8(&self.0[..end]).ok()?;
+        self.0 = &self.0[end + 1..];
+        label.parse().ok()
+    }
+
+    fn record(&mut self) -> Option<TraceRecord> {
+        let record = TraceRecord {
+            t_ps: self.uint("{\"t_ps\":")?,
+            packet: self.uint(",\"packet\":")?,
+            logical: self.uint(",\"logical\":")?,
+            flit: self.uint(",\"flit\":")?.try_into().ok()?,
+            src: self.uint(",\"src\":")?,
+            dests: self.uint(",\"dests\":")?,
+            created_ps: self.uint(",\"created_ps\":")?,
+            site: self.label(",\"site\":\"")?,
+            action: self.label(",\"action\":\"")?,
+            detail: self.label(",\"detail\":\"")?,
+            copies: self.uint(",\"copies\":")?.try_into().ok()?,
+            busy_ps: self.uint(",\"busy_ps\":")?,
+        };
+        self.eat("}").map(|()| record)
+    }
+
+    /// Whether only a line end is left: `\n`, `\r\n` or none, never a
+    /// Unicode space (JSON whitespace is these, `' '` and `\t`).
+    fn at_line_end(&self) -> bool {
+        matches!(self.0, b"" | b"\n" | b"\r\n")
+    }
+}
+
+/// The record of a `line` spelled as [`TraceRecord::write_ndjson`] spells it.
+fn exact_record(line: &[u8]) -> Option<TraceRecord> {
+    let mut exact = Exact(line);
+    exact.record().filter(|_| exact.at_line_end())
+}
+
+/// Whether `line` is a stream's `trace` line as its writer spells one:
+/// `{"type":"trace","seq":N,"record":R}`, `R` as [`exact_record`] reads it.
+pub(crate) fn exact_trace_line(line: &[u8]) -> bool {
+    let mut exact = Exact(line);
+    let wrapped = exact.uint("{\"type\":\"trace\",\"seq\":").is_some()
+        && exact.eat(",\"record\":").is_some()
+        && exact.record().is_some()
+        && exact.eat("}").is_some();
+    wrapped && exact.at_line_end()
+}
+
+/// Reads one line: what our writer wrote in one pass over its bytes,
+/// anything else with [`general_line`].
 pub(crate) fn parse_line(line: &str) -> Result<TraceLine, String> {
-    if line.trim().is_empty() {
+    match exact_record(line.as_bytes()) {
+        Some(record) => Ok(TraceLine::Record(record)),
+        None => general_line(line),
+    }
+}
+
+/// Reads one line with the general scanner. A syntax error keeps its byte
+/// offset in the message; a field error names the field. A blank line
+/// holds nothing but JSON whitespace.
+fn general_line(line: &str) -> Result<TraceLine, String> {
+    if Scanner::new(line).peek().is_none() {
         return Ok(TraceLine::Blank);
     }
     let fields = Fields::scan(line).map_err(|e| e.to_string())?;
@@ -638,8 +690,8 @@ pub fn read_trace(
 }
 
 /// [`read_trace`], handing each well-formed line to `visit` as it is read
-/// instead of keeping the records: what it holds is one line of text.
-/// Returns the malformed lines.
+/// instead of keeping the records: beside `input`'s buffer it holds a line
+/// that straddles a refill. Returns the malformed lines.
 ///
 /// # Errors
 ///
@@ -649,25 +701,55 @@ pub fn visit_trace(
     lenient: bool,
     mut visit: impl FnMut(TraceLine),
 ) -> io::Result<Vec<TraceParseError>> {
-    let (mut errors, mut text, mut line) = (Vec::new(), String::new(), 0);
-    while input.read_line(&mut text)? > 0 {
+    let (mut errors, mut line, mut carry) = (Vec::new(), 0, Vec::new());
+    loop {
+        let buf = input.fill_buf()?;
+        let (text, used) = match line_len(buf) {
+            Some(len) if carry.is_empty() => (&buf[..len], len),
+            Some(len) => {
+                carry.extend_from_slice(&buf[..len]);
+                (&carry[..], len)
+            }
+            None if !buf.is_empty() => {
+                carry.extend_from_slice(buf);
+                let len = buf.len();
+                input.consume(len);
+                continue;
+            }
+            // The input's last line, without a `\n`.
+            None if !carry.is_empty() => (&carry[..], 0),
+            None => break,
+        };
         line += 1;
         // Lines end as `str::lines` ends them: at `\n`, or at `\r\n`.
-        let body = text.strip_suffix('\n').map_or(text.as_str(), |body| {
-            body.strip_suffix('\r').unwrap_or(body)
-        });
-        match parse_line(body) {
-            Ok(parsed) => visit(parsed),
-            Err(message) => {
-                errors.push(TraceParseError { line, message });
-                if !lenient {
-                    break;
-                }
+        let body = text
+            .strip_suffix(b"\n")
+            .map_or(text, |b| b.strip_suffix(b"\r").unwrap_or(b));
+        let parsed = match exact_record(text) {
+            Some(record) => Ok(TraceLine::Record(record)),
+            // In the words of `BufRead::read_line`.
+            None => parse_line(std::str::from_utf8(body).map_err(|_| {
+                io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+            })?),
+        };
+        input.consume(used);
+        carry.clear();
+        if let Err(message) = parsed.map(&mut visit) {
+            errors.push(TraceParseError { line, message });
+            if !lenient {
+                break;
             }
         }
-        text.clear();
     }
     Ok(errors)
+}
+
+/// The length of the first line of `bytes` through its `\n`, if it has
+/// one (`skip_until` over a slice is the standard library's `memchr`).
+fn line_len(bytes: &[u8]) -> Option<usize> {
+    let mut rest = bytes;
+    let len = rest.skip_until(b'\n').ok()?;
+    bytes[..len].ends_with(b"\n").then_some(len)
 }
 
 /// A bounded record sink keeping the [`TraceRecord`]s of every phase of
@@ -790,7 +872,7 @@ impl TraceFile {
         }
         if !file.metadata()?.is_file() {
             return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
+                ErrorKind::Unsupported,
                 format!(
                     "the limit dropped {dropped} event(s), and only a regular file can have its \
                      meta line rewritten to say so"
@@ -854,6 +936,83 @@ impl TraceRecord {
         copies: 1,
         busy_ps: 0,
     };
+
+    /// Record lines at the edges of what our writer spells, bare or (`wrap`)
+    /// as a stream's `trace` lines: numbers it never writes, a member out of
+    /// its place, twice or missing, an escaped label, a raw tab in one, and
+    /// after the closing brace a line end, JSON whitespace, junk or a Unicode
+    /// space (alone on a line, too).
+    pub(crate) fn edge_lines(wrap: bool) -> Vec<String> {
+        let record = TraceRecord {
+            t_ps: 1407,
+            flit: 2,
+            site: Site::Fanout {
+                tree: 2,
+                level: 0,
+                index: 1,
+            },
+            action: Action::Forward,
+            detail: Detail::Routed(RouteSymbol::Both),
+            copies: 2,
+            busy_ps: 52,
+            ..TraceRecord::INJECT
+        }
+        .to_ndjson();
+        let t_ps = |value: &str| record.replacen("1407", value, 1);
+        let mut bodies = vec![
+            record.clone(),
+            t_ps("01407"),
+            t_ps("18446744073709551615"),
+            t_ps("18446744073709551616"),
+            t_ps("-0"),
+            t_ps("1.0"),
+            t_ps("1e3"),
+            t_ps(""),
+            record.replacen("\"flit\":2", "\"flit\":300", 1),
+            record.replacen("\"copies\":2", "\"copies\":256", 1),
+            record.replacen("\"both\"", "\"bo\tth\"", 1),
+            record.replacen("\"fo[s2:0.1]\"", "\"\\u0066o[s2:0.1]\"", 1),
+            record.replacen("\"fo[s2:0.1]\"", "\"fo[s2:0.1\\\"]\"", 1),
+            record.replacen("\"forward\"", "\"forw\u{e4}rd\"", 1),
+            record.replacen(
+                "\"t_ps\":1407,\"packet\":0",
+                "\"packet\":0,\"t_ps\":1407",
+                1,
+            ),
+            record.replacen('}', ",\"t_ps\":9}", 1),
+            record.replacen(",\"busy_ps\":52", "", 1),
+            record.replacen(',', " ,", 1),
+            record.replacen(':', " :", 1),
+        ];
+        if wrap {
+            let wrapped = |seq: &str, record: &str| {
+                format!("{{\"type\":\"trace\",\"seq\":{seq},\"record\":{record}}}")
+            };
+            bodies = bodies.iter().map(|body| wrapped("7", body)).collect();
+            for seq in ["07", "-1", "1.0", "18446744073709551616", ""] {
+                bodies.push(wrapped(seq, &record));
+            }
+            let line = bodies[0].clone();
+            bodies.push(line.replacen("\"seq\":7,", "", 1));
+            bodies.push(line.replacen("{\"type\":\"trace\",", "{\"type\" : \"trace\",", 1));
+            bodies.push(line.replacen(
+                "{\"type\":\"trace\",\"seq\":7,",
+                "{\"seq\":7,\"type\":\"trace\",",
+                1,
+            ));
+            bodies.push(format!("{}{}", &line[..line.len() - 1], ",\"x\":1}"));
+        }
+        let mut lines = bodies.clone();
+        let tails = [
+            "\n", "\r\n", "\r", " ", "\t", " x", "}", "\0", "\u{a0}", "\u{85}", "\u{2028}",
+            "\u{3000}",
+        ];
+        for tail in tails {
+            lines.push(format!("{}{tail}", bodies[0]));
+            lines.push(tail.to_string());
+        }
+        lines
+    }
 }
 
 #[cfg(test)]
@@ -912,9 +1071,9 @@ mod tests {
 
     #[test]
     fn member_order_and_spacing_do_not_matter() {
-        // The reader bets on the writer's member order; losing the bet —
-        // on the first member, midway, or by a space — must cost nothing
-        // but time.
+        // The reader reads the writer's member order in one pass; any
+        // other order or spacing goes to the scanner and must cost
+        // nothing but time.
         let line = record().to_ndjson();
         let mut members: Vec<&str> = line[1..line.len() - 1].split(',').collect();
         for rotation in 0..members.len() {
@@ -1119,6 +1278,72 @@ mod tests {
         assert!(accepted > lines / 10, "{accepted} of {lines} accepted");
         assert!(accepted < lines * 9 / 10, "{accepted} of {lines} accepted");
         assert!(divergences > 100, "{divergences} misread integers");
+    }
+
+    /// Holds `parse_line` to the general reader alone on `line`: the same
+    /// verdict, value and error text. Returns whether the one pass over
+    /// our writer's spelling read the line.
+    fn exact_agrees_with_general(line: &str) -> bool {
+        assert_eq!(parse_line(line), general_line(line), "{line:?}");
+        exact_record(line.as_bytes()).is_some()
+    }
+
+    #[test]
+    fn the_exact_reader_agrees_with_the_general_one() {
+        // Every record our writer wrote is read in one pass, the records a
+        // stream wraps (the faulted run's only copy) too; the meta line is
+        // the scanner's.
+        for run in reference::real_runs() {
+            let wrapped = run.stream.lines().filter_map(|line| {
+                let rest = line.strip_prefix("{\"type\":\"trace\",\"seq\":")?;
+                rest.split_once(",\"record\":")?.1.strip_suffix('}')
+            });
+            let lines: Vec<&str> = run.trace.lines().chain(wrapped).collect();
+            let exact = lines.iter().filter(|l| exact_agrees_with_general(l));
+            let metas = usize::from(!run.trace.is_empty());
+            assert_eq!(exact.count(), lines.len() - metas, "{}", run.name);
+        }
+        // The scanner's mutated corpus: both readers must have work.
+        let runs = reference::real_runs();
+        let seeds: Vec<&str> = runs
+            .iter()
+            .flat_map(|run| run.trace.lines().take(40))
+            .chain(runs[3].stream.lines().filter(|l| l.contains("fault")))
+            .collect();
+        let mutants = reference::mutants(&seeds, 12_000, 0x5ca9);
+        let (mut lines, mut exact) = (0, 0);
+        for line in mutants.iter().flat_map(|mutant| mutant.lines()) {
+            lines += 1;
+            exact += usize::from(exact_agrees_with_general(line));
+        }
+        assert!(
+            exact > lines / 50 && exact < lines / 2,
+            "{exact} of {lines}"
+        );
+        // At the edges the one pass reads the writer's own spelling, a
+        // leading zero, the widest `u64` and a line end, and nothing else.
+        let edges = TraceRecord::edge_lines(false);
+        let exact: Vec<usize> = (0..edges.len())
+            .filter(|&at| exact_agrees_with_general(&edges[at]))
+            .collect();
+        assert_eq!(exact, [0, 1, 2, 19, 21], "{edges:#?}");
+    }
+
+    #[test]
+    fn a_line_of_unicode_space_is_malformed_not_blank() {
+        for blank in ["", " \t\r", "\n"] {
+            assert_eq!(parse_line(blank), Ok(TraceLine::Blank), "{blank:?}");
+        }
+        let r = record().to_ndjson();
+        for space in ["\u{a0}", "\u{85}", "\u{2028}", "\u{3000}"] {
+            let expected = "JSON error at byte 0: expected a JSON value";
+            assert_eq!(parse_line(space), Err(expected.to_string()), "{space:?}");
+            let text = format!("{r}\n{space}\n{r}\n");
+            let err = parse_trace(&text).expect_err(space);
+            assert_eq!(err.line, 2, "{space:?}");
+            let (_, records, errors) = read_trace(text.as_bytes(), true).unwrap();
+            assert_eq!((records.len(), errors.len()), (2, 1), "{space:?}");
+        }
     }
 
     /// Holds the direct serialiser to the tree it replaced on `record`.
@@ -1528,8 +1753,12 @@ mod tests {
                 let from_bytes = read_trace(text.as_bytes(), lenient).expect("bytes read");
                 let file = io::BufReader::new(File::open(&path).expect("fixture"));
                 let from_file = read_trace(file, lenient).expect("file reads");
+                // A buffer of a few bytes: every line straddles refills.
+                let tiny = io::BufReader::with_capacity(3, File::open(&path).expect("fixture"));
+                let from_tiny = read_trace(tiny, lenient).expect("file reads");
                 assert_eq!(from_bytes, expected, "{text:?}, lenient {lenient}");
                 assert_eq!(from_file, expected, "{text:?}, lenient {lenient}");
+                assert_eq!(from_tiny, expected, "{text:?}, lenient {lenient}");
             }
             let strict = read_by_str_lines(text, false);
             let parsed = parse_trace(text).map_err(|e| vec![e]);
@@ -1542,12 +1771,19 @@ mod tests {
             );
             let _ = std::fs::remove_file(&path);
         }
-        // A line that is not UTF-8 is an I/O error, lenient or not.
+        // A line that is not UTF-8 is an I/O error, lenient or not, in one
+        // buffer or across refills, with or without its `\n`.
         let mut bytes = format!("{r}\n").into_bytes();
         bytes.extend_from_slice(b"{\"t_ps\":\xff}\n");
         for lenient in [false, true] {
-            let err = read_trace(bytes.as_slice(), lenient).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            for input in [&bytes[..], &bytes[..bytes.len() - 1]] {
+                for capacity in [3, 8192] {
+                    let reader = io::BufReader::with_capacity(capacity, input);
+                    let err = read_trace(reader, lenient).unwrap_err();
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+                    assert_eq!(err.to_string(), "stream did not contain valid UTF-8");
+                }
+            }
         }
     }
 

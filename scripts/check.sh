@@ -8,12 +8,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
+started=${EPOCHREALTIME/./}
 bin=$root/target/release
 R=$root/results
 
+# Every step and row prints its wall time when it passes.
+took() { # START: prints the wall time since START, a ${EPOCHREALTIME/./} reading
+    local us=$((${EPOCHREALTIME/./} - $1))
+    printf '    %d.%d s\n' $((us / 1000000)) $((us % 1000000 / 100000))
+}
 step() {
     echo "==> $*"
+    local start=${EPOCHREALTIME/./}
     "$@"
+    took "$start"
 }
 # Lints first: they fail in seconds, tests take minutes. Rustdoc is part of
 # the contract: every crate carries #![deny(missing_docs)], and none may ship
@@ -34,6 +42,7 @@ if [[ "${1:-}" != --fast ]]; then
 fi
 step cargo test --workspace -q
 if [[ "${1:-}" == --fast ]]; then
+    echo "==> total" && took "$started"
     echo "OK: lints and tests passed"
     exit 0
 fi
@@ -72,7 +81,7 @@ run_bin() { # OUT BIN ARGS..: target/release/BIN (or examples/BIN) must exit 0
 #   exits N BIN ARGS        BIN exits with status N; its stderr is kept in the file stderr
 #   reproduces F BIN ARGS   BIN's stdout is results/F, byte for byte
 gate() {
-    local name=$1 steps step w out code
+    local name=$1 steps step w out code start=${EPOCHREALTIME/./}
     echo "==> $name"
     rm -rf "$tmp/row" && mkdir "$tmp/row" && cd "$tmp/row"
     IFS=';' read -ra steps <<<"$2"
@@ -103,6 +112,7 @@ gate() {
             ;;
         esac
     done
+    took "$start"
 }
 
 # One small run per substrate, the two 64-endpoint runs, the oracle's window and fabrics.
@@ -218,4 +228,5 @@ results/mot_vs_mesh.txt | reproduces mot_vs_mesh.txt mot_vs_mesh
 results/speculative_fork.vcd | gate_level ; same cat $R/speculative_fork.vcd results/speculative_fork.vcd
 EOF
 
+echo "==> total" && took "$started"
 echo "OK: all tier-1 checks passed"
